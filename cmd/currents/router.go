@@ -3,7 +3,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -11,7 +10,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -103,202 +101,4 @@ func runRouter(args []string) error {
 	}
 	fmt.Fprintln(os.Stderr, "router: stopped")
 	return nil
-}
-
-// shardHist is one shard's scraped router-side latency histogram plus its
-// request/error counters — loadgen -router diffs two scrapes to report
-// per-shard p50/p99 over exactly the measured run.
-type shardHist struct {
-	les     []float64
-	buckets []int64 // cumulative counts aligned with les
-	count   int64
-	sum     float64
-	reqs    int64
-	errs    int64
-}
-
-// sub returns the delta histogram h - h0 (h0 may be nil for a shard that
-// joined mid-run).
-func (h *shardHist) sub(h0 *shardHist) *shardHist {
-	d := &shardHist{les: h.les, buckets: append([]int64(nil), h.buckets...),
-		count: h.count, sum: h.sum, reqs: h.reqs, errs: h.errs}
-	if h0 == nil {
-		return d
-	}
-	for i := range d.buckets {
-		if i < len(h0.buckets) {
-			d.buckets[i] -= h0.buckets[i]
-		}
-	}
-	d.count -= h0.count
-	d.sum -= h0.sum
-	d.reqs -= h0.reqs
-	d.errs -= h0.errs
-	return d
-}
-
-// pct estimates the p-th percentile from the cumulative bucket counts by
-// linear interpolation inside the containing bucket. Observations above the
-// top finite bound report that bound (a floor, flagged with ">=" upstream
-// would be noise; the buckets run to 2.5s, far past sane loopback latency).
-func (h *shardHist) pct(p float64) time.Duration {
-	if h.count <= 0 {
-		return 0
-	}
-	target := p * float64(h.count)
-	prevLe, prevCum := 0.0, int64(0)
-	for i, le := range h.les {
-		cum := h.buckets[i]
-		if float64(cum) >= target {
-			span := float64(cum - prevCum)
-			frac := 1.0
-			if span > 0 {
-				frac = (target - float64(prevCum)) / span
-			}
-			return time.Duration((prevLe + (le-prevLe)*frac) * float64(time.Second))
-		}
-		prevLe, prevCum = le, cum
-	}
-	return time.Duration(prevLe * float64(time.Second))
-}
-
-// scrapeShardHists reads the router's per-shard request histograms and
-// counters from /metrics; nil when the endpoint is unreachable or the
-// series are absent (the target is a plain shard, not a router).
-func scrapeShardHists(client *http.Client, base string) map[string]*shardHist {
-	resp, err := client.Get(base + "/metrics")
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil
-	}
-	out := map[string]*shardHist{}
-	get := func(shard string) *shardHist {
-		h, ok := out[shard]
-		if !ok {
-			h = &shardHist{}
-			out[shard] = h
-		}
-		return h
-	}
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		rest, found := strings.CutPrefix(line, "currents_router_request")
-		if !found {
-			continue
-		}
-		shard, lok := promLabel(rest, "shard")
-		if !lok {
-			continue
-		}
-		sp := strings.LastIndexByte(rest, ' ')
-		if sp < 0 {
-			continue
-		}
-		val := rest[sp+1:]
-		switch {
-		case strings.HasPrefix(rest, "_duration_seconds_bucket{"):
-			le, ok := promLabel(rest, "le")
-			if !ok {
-				continue
-			}
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				continue
-			}
-			if le == "+Inf" {
-				continue // equals _count, tracked below
-			}
-			bound, err := strconv.ParseFloat(le, 64)
-			if err != nil {
-				continue
-			}
-			h := get(shard)
-			h.les = append(h.les, bound)
-			h.buckets = append(h.buckets, n)
-		case strings.HasPrefix(rest, "_duration_seconds_sum{"):
-			if f, err := strconv.ParseFloat(val, 64); err == nil {
-				get(shard).sum = f
-			}
-		case strings.HasPrefix(rest, "_duration_seconds_count{"):
-			if n, err := strconv.ParseInt(val, 10, 64); err == nil {
-				get(shard).count = n
-			}
-		case strings.HasPrefix(rest, "s_total{"):
-			if n, err := strconv.ParseInt(val, 10, 64); err == nil {
-				get(shard).reqs = n
-			}
-		case strings.HasPrefix(rest, "_errors_total{"):
-			if n, err := strconv.ParseInt(val, 10, 64); err == nil {
-				get(shard).errs = n
-			}
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// resilienceCounters are the router's whole-fleet retry/hedge totals;
-// loadgen -router diffs two scrapes to report how much of the measured run
-// leaned on failover machinery.
-type resilienceCounters struct {
-	retries  int64
-	hedges   int64
-	hedgeWon int64
-	ok       bool
-}
-
-// scrapeResilienceCounters reads the unlabeled retry/hedge counters from
-// the router's /metrics; ok is false when the endpoint or series are
-// absent.
-func scrapeResilienceCounters(client *http.Client, base string) resilienceCounters {
-	resp, err := client.Get(base + "/metrics")
-	if err != nil {
-		return resilienceCounters{}
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return resilienceCounters{}
-	}
-	var rc resilienceCounters
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		name, val, found := strings.Cut(sc.Text(), " ")
-		if !found {
-			continue
-		}
-		n, err := strconv.ParseInt(val, 10, 64)
-		if err != nil {
-			continue
-		}
-		switch name {
-		case "currents_router_retries_total":
-			rc.retries, rc.ok = n, true
-		case "currents_router_hedged_requests_total":
-			rc.hedges, rc.ok = n, true
-		case "currents_router_hedge_wins_total":
-			rc.hedgeWon, rc.ok = n, true
-		}
-	}
-	return rc
-}
-
-// promLabel extracts one label value from a Prometheus series line
-// fragment, e.g. promLabel(`_bucket{shard="a:1",le="0.005"} 3`, "le").
-func promLabel(line, name string) (string, bool) {
-	i := strings.Index(line, name+`="`)
-	if i < 0 {
-		return "", false
-	}
-	rest := line[i+len(name)+2:]
-	j := strings.IndexByte(rest, '"')
-	if j < 0 {
-		return "", false
-	}
-	return rest[:j], true
 }

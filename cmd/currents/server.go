@@ -5,7 +5,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -26,6 +25,7 @@ import (
 
 	"sourcecurrents"
 	"sourcecurrents/internal/cluster"
+	"sourcecurrents/internal/metrics"
 	"sourcecurrents/internal/profiling"
 	"sourcecurrents/internal/server"
 )
@@ -288,22 +288,16 @@ func runLoadgen(args []string) error {
 		MaxIdleConnsPerHost: *concurrency * 2,
 	}}
 
-	// Snapshot the server-side answer-cache counters so the delta over the
-	// run yields the server-observed hit ratio (loadgen sends identical
+	// Scrape /metrics before and after the run: the deltas yield the
+	// server-observed answer-cache hit ratio (loadgen sends identical
 	// requests, so the ratio tells an operator how much of the measured
-	// throughput the cache absorbed).
-	hits0, misses0, haveCache := scrapeCacheCounters(client, base)
-
-	// Router mode diffs the router's per-shard latency histograms across the
-	// run, so the per-shard columns cover exactly the traffic sent here.
-	var shardHists0 map[string]*shardHist
-	var resil0 resilienceCounters
-	if *routerMode {
-		shardHists0 = scrapeShardHists(client, base)
-		if shardHists0 == nil {
-			fmt.Fprintln(os.Stderr, "loadgen: -router: no per-shard metrics at "+base+"/metrics (is this a router?)")
-		}
-		resil0 = scrapeResilienceCounters(client, base)
+	// throughput the cache absorbed) and, in router mode, the per-shard
+	// latency histograms and retry/hedge totals over exactly the traffic
+	// sent here.
+	const shardDuration = "currents_router_request_duration_seconds"
+	page0 := scrapeMetrics(client, base)
+	if *routerMode && page0.Family(shardDuration) == nil {
+		fmt.Fprintln(os.Stderr, "loadgen: -router: no per-shard metrics at "+base+"/metrics (is this a router?)")
 	}
 
 	// The historical-epoch pool drives -as-of-mix: readers pick a random
@@ -473,45 +467,50 @@ func runLoadgen(args []string) error {
 			fmt.Println("historical reads (as_of): none sent (no retained epochs on the server?)")
 		}
 	}
+	page1 := scrapeMetrics(client, base)
+	// delta is a series' growth over the run; ok is false when the page
+	// scraped after the run does not carry it.
+	delta := func(name string, labelValues ...string) (int64, bool) {
+		after, ok := page1.Value(name, labelValues...)
+		before, _ := page0.Value(name, labelValues...)
+		return int64(after - before), ok
+	}
 	if *op == "answer" {
-		if hits1, misses1, ok := scrapeCacheCounters(client, base); ok && haveCache {
-			hits, lookups := hits1-hits0, (hits1-hits0)+(misses1-misses0)
-			if lookups > 0 {
-				fmt.Printf("server answer cache: %d/%d lookups hit (%.1f%%)\n",
-					hits, lookups, 100*float64(hits)/float64(lookups))
-			} else {
-				fmt.Println("server answer cache: no lookups observed (cache disabled?)")
-			}
-		} else {
+		hits, okHits := delta("currents_answer_cache_hits_total")
+		misses, okMisses := delta("currents_answer_cache_misses_total")
+		switch lookups := hits + misses; {
+		case !okHits || !okMisses:
 			fmt.Println("server answer cache: /metrics counters unavailable")
+		case lookups > 0:
+			fmt.Printf("server answer cache: %d/%d lookups hit (%.1f%%)\n",
+				hits, lookups, 100*float64(hits)/float64(lookups))
+		default:
+			fmt.Println("server answer cache: no lookups observed (cache disabled?)")
 		}
 	}
 	if *routerMode {
 		// Aggregate req/s is the loadgen-side number above; the per-shard
 		// split comes from the router's own histograms, where failovers and
 		// replica traffic land on the shard that actually served each try.
-		if h1 := scrapeShardHists(client, base); h1 != nil {
-			shards := make([]string, 0, len(h1))
-			for s := range h1 {
-				shards = append(shards, s)
-			}
-			sort.Strings(shards)
+		if f := page1.Family(shardDuration); f != nil && len(f.Series) > 0 {
 			fmt.Println("per-shard (router-side, this run):")
-			for _, s := range shards {
-				d := h1[s].sub(shardHists0[s])
-				if d.reqs <= 0 {
-					fmt.Printf("  %-22s idle\n", s)
+			for _, series := range f.Series { // the router renders them sorted by shard
+				shard := series.LabelValues[0]
+				reqs, _ := delta("currents_router_requests_total", shard)
+				errs, _ := delta("currents_router_request_errors_total", shard)
+				if reqs <= 0 {
+					fmt.Printf("  %-22s idle\n", shard)
 					continue
 				}
+				d := series.Hist.Sub(page0.Histogram(shardDuration, shard))
 				fmt.Printf("  %-22s %6d reqs  %3d errors  p50 %v  p99 %v\n",
-					s, d.reqs, d.errs,
-					d.pct(0.50).Round(time.Microsecond), d.pct(0.99).Round(time.Microsecond))
+					shard, reqs, errs,
+					d.Quantile(0.50).Round(time.Microsecond), d.Quantile(0.99).Round(time.Microsecond))
 			}
 		}
-		if resil1 := scrapeResilienceCounters(client, base); resil1.ok {
-			retries := resil1.retries - resil0.retries
-			hedges := resil1.hedges - resil0.hedges
-			wins := resil1.hedgeWon - resil0.hedgeWon
+		if retries, ok := delta("currents_router_retries_total"); ok {
+			hedges, _ := delta("currents_router_hedged_requests_total")
+			wins, _ := delta("currents_router_hedge_wins_total")
 			reads := int64(len(all)) + int64(nErr)
 			pc := func(n int64) float64 {
 				if reads == 0 {
@@ -688,31 +687,21 @@ func scrapeEpochPool(client *http.Client, base, ds string) []int {
 	return pool
 }
 
-// scrapeCacheCounters reads the answer-cache hit/miss counters from the
-// server's /metrics endpoint; ok is false when the endpoint is unreachable
-// or the series are absent (an older server build).
-func scrapeCacheCounters(client *http.Client, base string) (hits, misses int64, ok bool) {
+// scrapeMetrics fetches and parses base's /metrics page; nil when the
+// endpoint is unreachable or the page does not parse (a nil Page answers
+// every lookup with "absent").
+func scrapeMetrics(client *http.Client, base string) metrics.Page {
 	resp, err := client.Get(base + "/metrics")
 	if err != nil {
-		return 0, 0, false
+		return nil
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return 0, 0, false
+		return nil
 	}
-	var haveHits, haveMisses bool
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if v, found := strings.CutPrefix(line, "currents_answer_cache_hits_total "); found {
-			if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-				hits, haveHits = n, true
-			}
-		} else if v, found := strings.CutPrefix(line, "currents_answer_cache_misses_total "); found {
-			if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-				misses, haveMisses = n, true
-			}
-		}
+	page, err := metrics.ParseText(resp.Body)
+	if err != nil {
+		return nil
 	}
-	return hits, misses, haveHits && haveMisses
+	return page
 }

@@ -1,51 +1,57 @@
-// Router-side metrics: per-shard request/error counters and latency
-// histograms, failover and rebalance counters, and ring-state gauges, in
-// Prometheus text format on the router's /metrics. Hand-rolled on
-// sync/atomic like the shard server's instrument set, but with a dynamic
-// label space — shards join and leave at runtime via /admin/ring — so the
-// per-shard map is guarded by an RWMutex with a read-lock fast path.
+// The router's instrument set, declared on internal/metrics: per-shard
+// request/error/timeout counters and latency histograms, failover and
+// rebalance counters, and ring-state gauges read from the router at scrape
+// time. The /metrics page is laid out by the registration order below. The
+// shard label space is dynamic — shards join and leave at runtime via
+// /admin/ring — so the per-shard handles sit in an RWMutex-guarded map with
+// a read-lock fast path: one lookup per observation yields all of a shard's
+// series, and a shard's four series always appear together.
 package cluster
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"sourcecurrents/internal/metrics"
 )
 
 // routerLatencyBuckets are the histogram upper bounds in seconds; the
 // loadgen -router report estimates per-shard percentiles from them.
 var routerLatencyBuckets = []float64{0.0005, 0.001, 0.005, 0.025, 0.1, 0.5, 2.5}
 
-// shardMetrics is one shard's proxy counters.
+// shardMetrics is one shard's proxy series.
 type shardMetrics struct {
-	requests atomic.Int64
-	errors   atomic.Int64
-	timeouts atomic.Int64
-	buckets  [8]atomic.Int64
-	sumNanos atomic.Int64
+	requests *metrics.Counter
+	errors   *metrics.Counter
+	timeouts *metrics.Counter
+	duration *metrics.Histogram
 }
 
 // routerMetrics is the router-wide instrument set.
 type routerMetrics struct {
-	mu       sync.RWMutex
-	perShard map[string]*shardMetrics
+	reg *metrics.Registry
 
-	failovers       atomic.Int64
-	retries         atomic.Int64
-	hedgesFired     atomic.Int64
-	hedgeWins       atomic.Int64
-	budgetExhausted atomic.Int64
-	breakerTrips    atomic.Int64
-	replicaAppends  atomic.Int64
-	replicaAppErrs  atomic.Int64
-	rebalanceAdopts atomic.Int64
-	rebalanceErrs   atomic.Int64
-	repairs         atomic.Int64
-	repairErrs      atomic.Int64
-	ringChanges     atomic.Int64
+	mu       sync.RWMutex
+	perShard map[string]shardMetrics
+	requests *metrics.CounterVec
+	errors   *metrics.CounterVec
+	timeouts *metrics.CounterVec
+	duration *metrics.HistogramVec
+
+	failovers       *metrics.Counter
+	retries         *metrics.Counter
+	hedgesFired     *metrics.Counter
+	hedgeWins       *metrics.Counter
+	budgetExhausted *metrics.Counter
+	breakerTrips    *metrics.Counter
+	replicaAppends  *metrics.Counter
+	replicaAppErrs  *metrics.Counter
+	rebalanceAdopts *metrics.Counter
+	rebalanceErrs   *metrics.Counter
+	repairs         *metrics.Counter
+	repairErrs      *metrics.Counter
+	ringChanges     *metrics.Counter
 
 	// lag is the repair loop's last anti-entropy scan: dataset -> shard ->
 	// epochs behind the placement's max. Replaced wholesale per scan so a
@@ -54,8 +60,65 @@ type routerMetrics struct {
 	lag   map[string]map[string]uint64
 }
 
-func newRouterMetrics() *routerMetrics {
-	return &routerMetrics{perShard: make(map[string]*shardMetrics)}
+// newRouterMetrics declares the router's families; shards reports the
+// current shard states, sorted by address, for the ring-state gauges.
+func newRouterMetrics(shards func() []*shardState) *routerMetrics {
+	reg := metrics.NewRegistry()
+	m := &routerMetrics{reg: reg, perShard: make(map[string]shardMetrics)}
+	perShardGauge := func(name, help string, value func(*shardState) int64) {
+		reg.Collect(metrics.KindGauge, name, help, []string{"shard"}, func(emit metrics.Emit) {
+			for _, s := range shards() {
+				emit(value(s), s.addr)
+			}
+		})
+	}
+
+	reg.Collect(metrics.KindGauge, "currents_router_ring_shards", "Shards on the ring, by health state.", []string{"state"},
+		func(emit metrics.Emit) {
+			all := shards()
+			ready := 0
+			for _, s := range all {
+				if s.ready.Load() {
+					ready++
+				}
+			}
+			emit(int64(ready), "ready")
+			emit(int64(len(all)-ready), "down")
+		})
+	perShardGauge("currents_router_shard_ready", "Whether each shard answered its last readiness probe (1) or not (0).",
+		func(s *shardState) int64 {
+			if s.ready.Load() {
+				return 1
+			}
+			return 0
+		})
+	perShardGauge("currents_router_shard_datasets", "Datasets reported by each shard's last readiness probe.",
+		func(s *shardState) int64 { return int64(s.datasetCount()) })
+	m.ringChanges = reg.Counter("currents_router_ring_changes_total", "Ring reconfigurations accepted via /admin/ring.")
+	m.failovers = reg.Counter("currents_router_failovers_total", "Reads retried on a replica after the preferred shard failed.")
+	m.retries = reg.Counter("currents_router_retries_total", "Failover retries issued on the read path.")
+	m.hedgesFired = reg.Counter("currents_router_hedged_requests_total", "Hedged attempts fired after HedgeDelay.")
+	m.hedgeWins = reg.Counter("currents_router_hedge_wins_total", "Hedged attempts that answered first.")
+	m.budgetExhausted = reg.Counter("currents_router_retry_budget_exhausted_total", "Reads that stopped failing over because the retry budget ran dry.")
+	m.breakerTrips = reg.Counter("currents_router_breaker_trips_total", "Circuit breakers tripped open by consecutive failures.")
+	perShardGauge("currents_router_breaker_state", "Per-shard circuit breaker state (0 closed, 1 half-open, 2 open).",
+		func(s *shardState) int64 { return int64(s.brk.snapshot()) })
+	m.replicaAppends = reg.Counter("currents_router_replica_appends_total", "Append batches fanned out to replicas after the primary accepted.")
+	m.replicaAppErrs = reg.Counter("currents_router_replica_append_errors_total", "Replica append fan-outs that failed (replica diverges until repaired).")
+	// The same counter under the name the repair drills grep for.
+	reg.Collect(metrics.KindCounter, "currents_replica_append_failures_total", "Replica append fan-outs that failed; each enqueues a repair.", nil,
+		func(emit metrics.Emit) { emit(m.replicaAppErrs.Load()) })
+	m.repairs = reg.Counter("currents_router_repairs_total", "Lagging replicas healed by re-streaming a snapshot.")
+	m.repairErrs = reg.Counter("currents_router_repair_errors_total", "Repair adoptions that failed and were re-queued with backoff.")
+	reg.Collect(metrics.KindGauge, "currents_replica_lag", "Epochs a placement member trails the placement's max, from the last anti-entropy scan.",
+		[]string{"dataset", "shard"}, m.collectLag)
+	m.rebalanceAdopts = reg.Counter("currents_router_rebalance_adoptions_total", "Snapshot adoptions triggered by ring changes.")
+	m.rebalanceErrs = reg.Counter("currents_router_rebalance_errors_total", "Rebalance adoptions that failed.")
+	m.requests = reg.CounterVec("currents_router_requests_total", "Requests proxied, by shard.", "shard")
+	m.errors = reg.CounterVec("currents_router_request_errors_total", "Proxied requests that failed (transport error or status >= 500), by shard.", "shard")
+	m.timeouts = reg.CounterVec("currents_router_shard_timeouts_total", "Proxied attempts that hit their per-try deadline, by shard.", "shard")
+	m.duration = reg.HistogramVec("currents_router_request_duration_seconds", "Proxied request latency, by shard.", "shard", routerLatencyBuckets)
+	return m
 }
 
 // shardTimeout counts one per-try deadline expiry against a shard.
@@ -70,8 +133,30 @@ func (m *routerMetrics) setLag(lag map[string]map[string]uint64) {
 	m.lagMu.Unlock()
 }
 
-// shard returns (creating if needed) the counters for one shard address.
-func (m *routerMetrics) shard(addr string) *shardMetrics {
+// collectLag emits the last scan sorted by dataset, then shard.
+func (m *routerMetrics) collectLag(emit metrics.Emit) {
+	m.lagMu.Lock()
+	lag := m.lag
+	m.lagMu.Unlock()
+	datasets := make([]string, 0, len(lag))
+	for ds := range lag {
+		datasets = append(datasets, ds)
+	}
+	sort.Strings(datasets)
+	for _, ds := range datasets {
+		addrs := make([]string, 0, len(lag[ds]))
+		for addr := range lag[ds] {
+			addrs = append(addrs, addr)
+		}
+		sort.Strings(addrs)
+		for _, addr := range addrs {
+			emit(int64(lag[ds][addr]), ds, addr)
+		}
+	}
+}
+
+// shard returns (creating if needed) the series for one shard address.
+func (m *routerMetrics) shard(addr string) shardMetrics {
 	m.mu.RLock()
 	sm, ok := m.perShard[addr]
 	m.mu.RUnlock()
@@ -83,7 +168,7 @@ func (m *routerMetrics) shard(addr string) *shardMetrics {
 	if sm, ok = m.perShard[addr]; ok {
 		return sm
 	}
-	sm = &shardMetrics{}
+	sm = shardMetrics{m.requests.With(addr), m.errors.With(addr), m.timeouts.With(addr), m.duration.With(addr)}
 	m.perShard[addr] = sm
 	return sm
 }
@@ -95,176 +180,5 @@ func (m *routerMetrics) observe(addr string, d time.Duration, failed bool) {
 	if failed {
 		sm.errors.Add(1)
 	}
-	sm.sumNanos.Add(int64(d))
-	secs := d.Seconds()
-	for i, le := range routerLatencyBuckets {
-		if secs <= le {
-			sm.buckets[i].Add(1)
-		}
-	}
-}
-
-// shardStatus is one shard's health snapshot at scrape time, supplied by
-// the router.
-type shardStatus struct {
-	addr     string
-	ready    bool
-	datasets int
-	breaker  int // breakerClosed / breakerHalfOpen / breakerOpen
-}
-
-// write renders the Prometheus text exposition.
-func (m *routerMetrics) write(w io.Writer, status []shardStatus) {
-	m.mu.RLock()
-	names := make([]string, 0, len(m.perShard))
-	for addr := range m.perShard {
-		names = append(names, addr)
-	}
-	shards := make(map[string]*shardMetrics, len(m.perShard))
-	for addr, sm := range m.perShard {
-		shards[addr] = sm
-	}
-	m.mu.RUnlock()
-	sort.Strings(names)
-
-	ready := 0
-	for _, st := range status {
-		if st.ready {
-			ready++
-		}
-	}
-	fmt.Fprintf(w, "# HELP currents_router_ring_shards Shards on the ring, by health state.\n")
-	fmt.Fprintf(w, "# TYPE currents_router_ring_shards gauge\n")
-	fmt.Fprintf(w, "currents_router_ring_shards{state=\"ready\"} %d\n", ready)
-	fmt.Fprintf(w, "currents_router_ring_shards{state=\"down\"} %d\n", len(status)-ready)
-
-	fmt.Fprintf(w, "# HELP currents_router_shard_ready Whether each shard answered its last readiness probe (1) or not (0).\n")
-	fmt.Fprintf(w, "# TYPE currents_router_shard_ready gauge\n")
-	sorted := append([]shardStatus(nil), status...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].addr < sorted[j].addr })
-	for _, st := range sorted {
-		v := 0
-		if st.ready {
-			v = 1
-		}
-		fmt.Fprintf(w, "currents_router_shard_ready{shard=%q} %d\n", st.addr, v)
-	}
-	fmt.Fprintf(w, "# HELP currents_router_shard_datasets Datasets reported by each shard's last readiness probe.\n")
-	fmt.Fprintf(w, "# TYPE currents_router_shard_datasets gauge\n")
-	for _, st := range sorted {
-		fmt.Fprintf(w, "currents_router_shard_datasets{shard=%q} %d\n", st.addr, st.datasets)
-	}
-
-	fmt.Fprintf(w, "# HELP currents_router_ring_changes_total Ring reconfigurations accepted via /admin/ring.\n")
-	fmt.Fprintf(w, "# TYPE currents_router_ring_changes_total counter\n")
-	fmt.Fprintf(w, "currents_router_ring_changes_total %d\n", m.ringChanges.Load())
-
-	fmt.Fprintf(w, "# HELP currents_router_failovers_total Reads retried on a replica after the preferred shard failed.\n")
-	fmt.Fprintf(w, "# TYPE currents_router_failovers_total counter\n")
-	fmt.Fprintf(w, "currents_router_failovers_total %d\n", m.failovers.Load())
-
-	fmt.Fprintf(w, "# HELP currents_router_retries_total Failover retries issued on the read path.\n")
-	fmt.Fprintf(w, "# TYPE currents_router_retries_total counter\n")
-	fmt.Fprintf(w, "currents_router_retries_total %d\n", m.retries.Load())
-
-	fmt.Fprintf(w, "# HELP currents_router_hedged_requests_total Hedged attempts fired after HedgeDelay.\n")
-	fmt.Fprintf(w, "# TYPE currents_router_hedged_requests_total counter\n")
-	fmt.Fprintf(w, "currents_router_hedged_requests_total %d\n", m.hedgesFired.Load())
-
-	fmt.Fprintf(w, "# HELP currents_router_hedge_wins_total Hedged attempts that answered first.\n")
-	fmt.Fprintf(w, "# TYPE currents_router_hedge_wins_total counter\n")
-	fmt.Fprintf(w, "currents_router_hedge_wins_total %d\n", m.hedgeWins.Load())
-
-	fmt.Fprintf(w, "# HELP currents_router_retry_budget_exhausted_total Reads that stopped failing over because the retry budget ran dry.\n")
-	fmt.Fprintf(w, "# TYPE currents_router_retry_budget_exhausted_total counter\n")
-	fmt.Fprintf(w, "currents_router_retry_budget_exhausted_total %d\n", m.budgetExhausted.Load())
-
-	fmt.Fprintf(w, "# HELP currents_router_breaker_trips_total Circuit breakers tripped open by consecutive failures.\n")
-	fmt.Fprintf(w, "# TYPE currents_router_breaker_trips_total counter\n")
-	fmt.Fprintf(w, "currents_router_breaker_trips_total %d\n", m.breakerTrips.Load())
-
-	fmt.Fprintf(w, "# HELP currents_router_breaker_state Per-shard circuit breaker state (0 closed, 1 half-open, 2 open).\n")
-	fmt.Fprintf(w, "# TYPE currents_router_breaker_state gauge\n")
-	for _, st := range sorted {
-		fmt.Fprintf(w, "currents_router_breaker_state{shard=%q} %d\n", st.addr, st.breaker)
-	}
-
-	fmt.Fprintf(w, "# HELP currents_router_replica_appends_total Append batches fanned out to replicas after the primary accepted.\n")
-	fmt.Fprintf(w, "# TYPE currents_router_replica_appends_total counter\n")
-	fmt.Fprintf(w, "currents_router_replica_appends_total %d\n", m.replicaAppends.Load())
-
-	fmt.Fprintf(w, "# HELP currents_router_replica_append_errors_total Replica append fan-outs that failed (replica diverges until repaired).\n")
-	fmt.Fprintf(w, "# TYPE currents_router_replica_append_errors_total counter\n")
-	fmt.Fprintf(w, "currents_router_replica_append_errors_total %d\n", m.replicaAppErrs.Load())
-
-	fmt.Fprintf(w, "# HELP currents_replica_append_failures_total Replica append fan-outs that failed; each enqueues a repair.\n")
-	fmt.Fprintf(w, "# TYPE currents_replica_append_failures_total counter\n")
-	fmt.Fprintf(w, "currents_replica_append_failures_total %d\n", m.replicaAppErrs.Load())
-
-	fmt.Fprintf(w, "# HELP currents_router_repairs_total Lagging replicas healed by re-streaming a snapshot.\n")
-	fmt.Fprintf(w, "# TYPE currents_router_repairs_total counter\n")
-	fmt.Fprintf(w, "currents_router_repairs_total %d\n", m.repairs.Load())
-
-	fmt.Fprintf(w, "# HELP currents_router_repair_errors_total Repair adoptions that failed and were re-queued with backoff.\n")
-	fmt.Fprintf(w, "# TYPE currents_router_repair_errors_total counter\n")
-	fmt.Fprintf(w, "currents_router_repair_errors_total %d\n", m.repairErrs.Load())
-
-	m.lagMu.Lock()
-	lag := m.lag
-	m.lagMu.Unlock()
-	fmt.Fprintf(w, "# HELP currents_replica_lag Epochs a placement member trails the placement's max, from the last anti-entropy scan.\n")
-	fmt.Fprintf(w, "# TYPE currents_replica_lag gauge\n")
-	lagDatasets := make([]string, 0, len(lag))
-	for ds := range lag {
-		lagDatasets = append(lagDatasets, ds)
-	}
-	sort.Strings(lagDatasets)
-	for _, ds := range lagDatasets {
-		addrs := make([]string, 0, len(lag[ds]))
-		for addr := range lag[ds] {
-			addrs = append(addrs, addr)
-		}
-		sort.Strings(addrs)
-		for _, addr := range addrs {
-			fmt.Fprintf(w, "currents_replica_lag{dataset=%q,shard=%q} %d\n", ds, addr, lag[ds][addr])
-		}
-	}
-
-	fmt.Fprintf(w, "# HELP currents_router_rebalance_adoptions_total Snapshot adoptions triggered by ring changes.\n")
-	fmt.Fprintf(w, "# TYPE currents_router_rebalance_adoptions_total counter\n")
-	fmt.Fprintf(w, "currents_router_rebalance_adoptions_total %d\n", m.rebalanceAdopts.Load())
-
-	fmt.Fprintf(w, "# HELP currents_router_rebalance_errors_total Rebalance adoptions that failed.\n")
-	fmt.Fprintf(w, "# TYPE currents_router_rebalance_errors_total counter\n")
-	fmt.Fprintf(w, "currents_router_rebalance_errors_total %d\n", m.rebalanceErrs.Load())
-
-	fmt.Fprintf(w, "# HELP currents_router_requests_total Requests proxied, by shard.\n")
-	fmt.Fprintf(w, "# TYPE currents_router_requests_total counter\n")
-	for _, addr := range names {
-		fmt.Fprintf(w, "currents_router_requests_total{shard=%q} %d\n", addr, shards[addr].requests.Load())
-	}
-	fmt.Fprintf(w, "# HELP currents_router_request_errors_total Proxied requests that failed (transport error or status >= 500), by shard.\n")
-	fmt.Fprintf(w, "# TYPE currents_router_request_errors_total counter\n")
-	for _, addr := range names {
-		fmt.Fprintf(w, "currents_router_request_errors_total{shard=%q} %d\n", addr, shards[addr].errors.Load())
-	}
-	fmt.Fprintf(w, "# HELP currents_router_shard_timeouts_total Proxied attempts that hit their per-try deadline, by shard.\n")
-	fmt.Fprintf(w, "# TYPE currents_router_shard_timeouts_total counter\n")
-	for _, addr := range names {
-		fmt.Fprintf(w, "currents_router_shard_timeouts_total{shard=%q} %d\n", addr, shards[addr].timeouts.Load())
-	}
-	fmt.Fprintf(w, "# HELP currents_router_request_duration_seconds Proxied request latency, by shard.\n")
-	fmt.Fprintf(w, "# TYPE currents_router_request_duration_seconds histogram\n")
-	for _, addr := range names {
-		sm := shards[addr]
-		for i, le := range routerLatencyBuckets {
-			fmt.Fprintf(w, "currents_router_request_duration_seconds_bucket{shard=%q,le=\"%g\"} %d\n",
-				addr, le, sm.buckets[i].Load())
-		}
-		n := sm.requests.Load()
-		fmt.Fprintf(w, "currents_router_request_duration_seconds_bucket{shard=%q,le=\"+Inf\"} %d\n", addr, n)
-		fmt.Fprintf(w, "currents_router_request_duration_seconds_sum{shard=%q} %g\n",
-			addr, float64(sm.sumNanos.Load())/1e9)
-		fmt.Fprintf(w, "currents_router_request_duration_seconds_count{shard=%q} %d\n", addr, n)
-	}
+	sm.duration.Observe(d)
 }

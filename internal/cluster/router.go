@@ -252,13 +252,13 @@ func NewRouter(shardAddrs []string, opt Options) (*Router, error) {
 		opt:     opt,
 		client:  client,
 		probe:   &http.Client{Timeout: opt.ProbeTimeout},
-		met:     newRouterMetrics(),
 		backoff: newBackoff(opt.BackoffBase, opt.BackoffMax, opt.Seed),
 		budget:  newRetryBudget(opt.RetryRefill),
 		ring:    ring,
 		shards:  make(map[string]*shardState, ring.Len()),
 		done:    make(chan struct{}),
 	}
+	rt.met = newRouterMetrics(rt.shardList)
 	rt.repair = newRepairer(rt)
 	for _, addr := range ring.Shards() {
 		rt.shards[addr] = rt.newShardState(addr)
@@ -493,20 +493,9 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "method not allowed"})
 		return
 	}
-	status := make([]shardStatus, 0)
-	for _, s := range rt.shardList() {
-		status = append(status, shardStatus{
-			addr:     s.addr,
-			ready:    s.ready.Load(),
-			datasets: s.datasetCount(),
-			breaker:  s.brk.snapshot(),
-		})
-	}
-	var sb strings.Builder
-	rt.met.write(&sb, status)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
-	_, _ = io.WriteString(w, sb.String())
+	_ = rt.met.reg.Gather().WriteText(w) // the client hanging up is not the router's error
 }
 
 // AdminRingRequest reconfigures the shard set.

@@ -24,16 +24,16 @@ package server
 
 import (
 	"container/list"
-	"fmt"
-	"io"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"sourcecurrents/internal/metrics"
 )
 
-// answerCache is a mutex-guarded LRU of rendered answer responses. A nil
-// *answerCache is a valid, always-missing cache (caching disabled).
+// answerCache is a mutex-guarded LRU of rendered answer responses. With
+// maxSize <= 0 it is an always-missing cache (caching disabled) that counts
+// nothing — its series stay on /metrics as zeros.
 type answerCache struct {
 	mu      sync.Mutex
 	maxSize int
@@ -41,10 +41,10 @@ type answerCache struct {
 	order   *list.List    // front = most recently used; values are *cacheEntry
 	entries map[string]*list.Element
 
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-	flushes   atomic.Int64
+	hits      *metrics.Counter
+	misses    *metrics.Counter
+	evictions *metrics.Counter
+	flushes   *metrics.Counter
 
 	// now is the clock, injectable for TTL tests.
 	now func() time.Time
@@ -57,24 +57,32 @@ type cacheEntry struct {
 }
 
 // newAnswerCache returns a cache bounded to maxSize entries with the given
-// TTL, or nil (disabled) when maxSize <= 0.
-func newAnswerCache(maxSize int, ttl time.Duration) *answerCache {
-	if maxSize <= 0 {
-		return nil
+// TTL (disabled when maxSize <= 0) and declares its series on reg. The
+// series are always present — zeros when caching is disabled — so scrapers
+// (and `currents loadgen`) never have to special-case a missing metric.
+func newAnswerCache(maxSize int, ttl time.Duration, reg *metrics.Registry) *answerCache {
+	c := &answerCache{
+		maxSize:   maxSize,
+		ttl:       ttl,
+		order:     list.New(),
+		entries:   make(map[string]*list.Element, max(maxSize, 0)),
+		now:       time.Now,
+		hits:      reg.Counter("currents_answer_cache_hits_total", "Answer requests served from the response cache."),
+		misses:    reg.Counter("currents_answer_cache_misses_total", "Answer cache lookups that missed."),
+		evictions: reg.Counter("currents_answer_cache_evictions_total", "Entries evicted (capacity or TTL)."),
+		flushes:   reg.Counter("currents_answer_cache_flushes_total", "Cache flushes triggered by session swaps."),
 	}
-	return &answerCache{
-		maxSize: maxSize,
-		ttl:     ttl,
-		order:   list.New(),
-		entries: make(map[string]*list.Element, maxSize),
-		now:     time.Now,
-	}
+	reg.Collect(metrics.KindGauge, "currents_answer_cache_entries", "Entries currently cached.", nil,
+		func(emit metrics.Emit) { emit(int64(c.len())) })
+	return c
 }
+
+func (c *answerCache) disabled() bool { return c.maxSize <= 0 }
 
 // get returns the cached response body for key, counting the lookup. An
 // expired entry is removed (counted as an eviction) and reported as a miss.
 func (c *answerCache) get(key string) ([]byte, bool) {
-	if c == nil {
+	if c.disabled() {
 		return nil, false
 	}
 	c.mu.Lock()
@@ -98,7 +106,7 @@ func (c *answerCache) get(key string) ([]byte, bool) {
 // put stores a rendered response, evicting the least recently used entry
 // when full. body must not be mutated afterwards.
 func (c *answerCache) put(key string, body []byte) {
-	if c == nil {
+	if c.disabled() {
 		return
 	}
 	e := &cacheEntry{key: key, body: body}
@@ -126,7 +134,7 @@ func (c *answerCache) put(key string, body []byte) {
 // from serving stale bytes; flushing on swap additionally reclaims the dead
 // epoch's entries immediately instead of waiting for LRU pressure.
 func (c *answerCache) flushPrefix(prefix string) int {
-	if c == nil {
+	if c.disabled() {
 		return 0
 	}
 	c.mu.Lock()
@@ -147,38 +155,7 @@ func (c *answerCache) flushPrefix(prefix string) int {
 
 // len returns the current entry count.
 func (c *answerCache) len() int {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
-}
-
-// writeMetrics renders the cache series in Prometheus text form. The series
-// are always present — zeros when caching is disabled — so scrapers (and
-// `currents loadgen`) never have to special-case a missing metric.
-func (c *answerCache) writeMetrics(w io.Writer) {
-	var hits, misses, evictions, flushes int64
-	var size int
-	if c != nil {
-		hits, misses, evictions = c.hits.Load(), c.misses.Load(), c.evictions.Load()
-		flushes = c.flushes.Load()
-		size = c.len()
-	}
-	fmt.Fprintf(w, "# HELP currents_answer_cache_hits_total Answer requests served from the response cache.\n")
-	fmt.Fprintf(w, "# TYPE currents_answer_cache_hits_total counter\n")
-	fmt.Fprintf(w, "currents_answer_cache_hits_total %d\n", hits)
-	fmt.Fprintf(w, "# HELP currents_answer_cache_misses_total Answer cache lookups that missed.\n")
-	fmt.Fprintf(w, "# TYPE currents_answer_cache_misses_total counter\n")
-	fmt.Fprintf(w, "currents_answer_cache_misses_total %d\n", misses)
-	fmt.Fprintf(w, "# HELP currents_answer_cache_evictions_total Entries evicted (capacity or TTL).\n")
-	fmt.Fprintf(w, "# TYPE currents_answer_cache_evictions_total counter\n")
-	fmt.Fprintf(w, "currents_answer_cache_evictions_total %d\n", evictions)
-	fmt.Fprintf(w, "# HELP currents_answer_cache_flushes_total Cache flushes triggered by session swaps.\n")
-	fmt.Fprintf(w, "# TYPE currents_answer_cache_flushes_total counter\n")
-	fmt.Fprintf(w, "currents_answer_cache_flushes_total %d\n", flushes)
-	fmt.Fprintf(w, "# HELP currents_answer_cache_entries Entries currently cached.\n")
-	fmt.Fprintf(w, "# TYPE currents_answer_cache_entries gauge\n")
-	fmt.Fprintf(w, "currents_answer_cache_entries %d\n", size)
 }

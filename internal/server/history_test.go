@@ -9,6 +9,7 @@ import (
 	"net/url"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -357,6 +358,9 @@ func TestRetentionEvictionChurn(t *testing.T) {
 	churnReq := reqs[churnWorld]
 	var goldens sync.Map // epoch int -> []byte
 	goldens.Store(0, wants[churnWorld])
+	// floor is the retention floor as of the last append whose response the
+	// appender has seen — a swap that has completed.
+	var floor atomic.Int64
 
 	stop := make(chan struct{})
 	errc := make(chan error, 16)
@@ -374,12 +378,21 @@ func TestRetentionEvictionChurn(t *testing.T) {
 					return
 				default:
 				}
-				var epochs []int
-				goldens.Range(func(k, _ any) bool {
-					epochs = append(epochs, k.(int))
+				// Capture the golden together with the epoch, and the floor the
+				// last completed append published, before posting: the appender
+				// deletes goldens that slid below the floor concurrently.
+				type target struct {
+					epoch  int
+					golden []byte
+				}
+				var targets []target
+				floorBefore := int(floor.Load())
+				goldens.Range(func(k, v any) bool {
+					targets = append(targets, target{k.(int), v.([]byte)})
 					return true
 				})
-				e := epochs[rng.Intn(len(epochs))]
+				tg := targets[rng.Intn(len(targets))]
+				e := tg.epoch
 				resp, err := http.Post(
 					fmt.Sprintf("%s/v1/%s/answer?as_of=%d", ts.URL, churnWorld, e),
 					"application/json", strings.NewReader(churnReq))
@@ -395,8 +408,11 @@ func TestRetentionEvictionChurn(t *testing.T) {
 					errc <- fmt.Errorf("as_of=%d: status %d: %s", e, resp.StatusCode, body)
 					return
 				}
-				want, _ := goldens.Load(e)
-				if string(body) != string(want.([]byte)) {
+				if e < floorBefore {
+					errc <- fmt.Errorf("as_of=%d: 200 for an epoch below floor %d after that swap completed", e, floorBefore)
+					return
+				}
+				if string(body) != string(tg.golden) {
 					errc <- fmt.Errorf("as_of=%d: bytes differ from the epoch's golden", e)
 					return
 				}
@@ -439,12 +455,16 @@ func TestRetentionEvictionChurn(t *testing.T) {
 	// reaches 3, so mapped epoch 0 is pruned and reaped mid-run), recording
 	// each new epoch's golden before the next append.
 	for i := 1; i <= 6; i++ {
-		cur, _, ok := reg.GetWithEpoch(churnWorld)
-		if !ok {
-			t.Fatal("churn world missing")
+		// Read the session under its pin: until the first append marks the
+		// world dirty it is evictable, and an unpinned mapped session may be
+		// unmapped by the churners' loads at any moment.
+		cur, _, release, err := reg.Acquire(churnWorld)
+		if err != nil {
+			t.Fatal(err)
 		}
-		resp, body := post(t, ts.URL+"/v1/"+churnWorld+"/append",
-			appendBody(t, cur, fmt.Sprintf("ch%d", i), fmt.Sprintf("V%d", i), 4))
+		appendReq := appendBody(t, cur, fmt.Sprintf("ch%d", i), fmt.Sprintf("V%d", i), 4)
+		release()
+		resp, body := post(t, ts.URL+"/v1/"+churnWorld+"/append", appendReq)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("append %d status %d: %s", i, resp.StatusCode, body)
 		}
@@ -455,8 +475,9 @@ func TestRetentionEvictionChurn(t *testing.T) {
 		goldens.Store(i, golden)
 		// Epochs below the new floor are no longer valid targets; drop them
 		// so readers mostly stay in the window.
-		if floor := i - 3; floor > 0 {
-			goldens.Delete(floor - 1)
+		if f := i - 3; f > 0 {
+			floor.Store(int64(f))
+			goldens.Delete(f - 1)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

@@ -228,3 +228,37 @@ func TestLazySwappedWorldNotEvicted(t *testing.T) {
 		}
 	}
 }
+
+// TestLazyLastUnpinEnforcesBound pins the release-side half of the resident
+// bound: when loads land while every other world is pinned, eviction has no
+// victim and the registry sits over -max-resident; the pins dropping must
+// bring it back under the bound without waiting for another load.
+func TestLazyLastUnpinEnforcesBound(t *testing.T) {
+	dir, _, _ := snapDir(t, 3)
+	reg, err := LoadDir(dir, session.DefaultConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.SetMaxResident(1)
+	var releases []func()
+	for i := 0; i < 3; i++ {
+		_, _, release, err := reg.Acquire(fmt.Sprintf("world%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		releases = append(releases, release)
+	}
+	if rs := reg.Residency(); rs.Resident != 3 || rs.Evictions != 0 {
+		t.Fatalf("%d resident, %d evictions with every world pinned; want 3, 0", rs.Resident, rs.Evictions)
+	}
+	for _, release := range releases {
+		release()
+	}
+	if rs := reg.Residency(); rs.Resident != 1 || rs.Evictions != 2 {
+		t.Fatalf("%d resident, %d evictions after the pins dropped; want 1, 2", rs.Resident, rs.Evictions)
+	}
+	// Nothing is pending any more: the next release is the lock-free path.
+	if reg.evictPending.Load() {
+		t.Fatal("evictPending still set with the bound satisfied")
+	}
+}

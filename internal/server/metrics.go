@@ -1,15 +1,13 @@
-// Request metrics: counters, latency histograms and an in-flight gauge,
-// exposed in Prometheus text format on /metrics. Hand-rolled on
-// sync/atomic — no client library dependency — with a fixed operation set
-// and fixed buckets so the hot path is a few atomic adds.
+// The server's instrument set, declared on internal/metrics. The /metrics
+// page is laid out by registration order: the request series here, then the
+// answer cache's (cache.go), then the registry's residency and per-dataset
+// series at the bottom of this file.
 package server
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"sync/atomic"
 	"time"
+
+	"sourcecurrents/internal/metrics"
 )
 
 // ops is the fixed label set; one opMetrics per entry. "other" counts
@@ -20,36 +18,42 @@ var ops = []string{"accuracy", "adopt", "answer", "append", "fuse", "healthz", "
 // latencyBuckets are the histogram upper bounds in seconds.
 var latencyBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5}
 
-// opMetrics is one operation's counters.
+// opMetrics is one operation's handles, resolved once at construction so the
+// request path never looks a label up.
 type opMetrics struct {
-	requests atomic.Int64
-	errors   atomic.Int64
-	// buckets[i] counts observations <= latencyBuckets[i]; an implicit +Inf
-	// bucket equals requests.
-	buckets  [8]atomic.Int64
-	sumNanos atomic.Int64
+	requests *metrics.Counter
+	errors   *metrics.Counter
+	duration *metrics.Histogram
 }
 
-// metrics is the server-wide instrument set.
-type metrics struct {
-	inFlight  atomic.Int64
-	coalesced atomic.Int64
+// requestMetrics is the request-path instrument set.
+type requestMetrics struct {
+	inFlight  *metrics.Gauge
+	coalesced *metrics.Counter
 	// historical counts requests that resolved an ?as_of= epoch rather
 	// than serving the current one.
-	historical atomic.Int64
-	perOp      map[string]*opMetrics
+	historical *metrics.Counter
+	perOp      map[string]opMetrics // read-only after construction
 }
 
-func newMetrics() *metrics {
-	m := &metrics{perOp: make(map[string]*opMetrics, len(ops))}
+func newRequestMetrics(reg *metrics.Registry) *requestMetrics {
+	m := &requestMetrics{
+		inFlight:   reg.Gauge("currents_in_flight", "Requests currently being served."),
+		coalesced:  reg.Counter("currents_answer_coalesced_total", "Answer requests served by joining an identical in-flight request."),
+		historical: reg.Counter("currents_historical_requests_total", "Requests served against a retained (as_of) epoch rather than the current one."),
+		perOp:      make(map[string]opMetrics, len(ops)),
+	}
+	requests := reg.CounterVec("currents_requests_total", "Requests served, by operation.", "op")
+	errors := reg.CounterVec("currents_request_errors_total", "Requests answered with status >= 400, by operation.", "op")
+	duration := reg.HistogramVec("currents_request_duration_seconds", "Request latency, by operation.", "op", latencyBuckets)
 	for _, op := range ops {
-		m.perOp[op] = &opMetrics{}
+		m.perOp[op] = opMetrics{requests.With(op), errors.With(op), duration.With(op)}
 	}
 	return m
 }
 
 // observe records one finished request.
-func (m *metrics) observe(op string, d time.Duration, status int) {
+func (m *requestMetrics) observe(op string, d time.Duration, status int) {
 	om, ok := m.perOp[op]
 	if !ok {
 		return
@@ -58,117 +62,58 @@ func (m *metrics) observe(op string, d time.Duration, status int) {
 	if status >= 400 {
 		om.errors.Add(1)
 	}
-	om.sumNanos.Add(int64(d))
-	secs := d.Seconds()
-	for i, le := range latencyBuckets {
-		if secs <= le {
-			om.buckets[i].Add(1)
-		}
-	}
+	om.duration.Observe(d)
 }
 
-// write renders the Prometheus text exposition.
-func (m *metrics) write(w io.Writer) {
-	names := make([]string, 0, len(m.perOp))
-	for op := range m.perOp {
-		names = append(names, op)
+// registerRegistryMetrics declares the series read from the dataset
+// registry at scrape time: the lazy-registry gauges an operator watches to
+// size -max-resident, and the per-dataset lifecycle series.
+func registerRegistryMetrics(reg *metrics.Registry, datasets *Registry) {
+	for _, f := range []struct {
+		kind       metrics.Kind
+		name, help string
+		value      func(ResidencyStats) int64
+	}{
+		{metrics.KindGauge, "currents_datasets_resident", "Sessions currently loaded in memory.",
+			func(rs ResidencyStats) int64 { return int64(rs.Resident) }},
+		{metrics.KindGauge, "currents_mapped_bytes", "Bytes of snapshot files currently memory-mapped.",
+			func(rs ResidencyStats) int64 { return rs.MappedBytes }},
+		{metrics.KindCounter, "currents_world_loads_total", "Lazy session loads since server start.",
+			func(rs ResidencyStats) int64 { return rs.Loads }},
+		{metrics.KindCounter, "currents_world_evictions_total", "Sessions evicted under the resident bound since server start.",
+			func(rs ResidencyStats) int64 { return rs.Evictions }},
+	} {
+		f := f
+		reg.Collect(f.kind, f.name, f.help, nil, func(emit metrics.Emit) { emit(f.value(datasets.Residency())) })
 	}
-	sort.Strings(names)
-
-	fmt.Fprintf(w, "# HELP currents_in_flight Requests currently being served.\n")
-	fmt.Fprintf(w, "# TYPE currents_in_flight gauge\n")
-	fmt.Fprintf(w, "currents_in_flight %d\n", m.inFlight.Load())
-
-	fmt.Fprintf(w, "# HELP currents_answer_coalesced_total Answer requests served by joining an identical in-flight request.\n")
-	fmt.Fprintf(w, "# TYPE currents_answer_coalesced_total counter\n")
-	fmt.Fprintf(w, "currents_answer_coalesced_total %d\n", m.coalesced.Load())
-
-	fmt.Fprintf(w, "# HELP currents_historical_requests_total Requests served against a retained (as_of) epoch rather than the current one.\n")
-	fmt.Fprintf(w, "# TYPE currents_historical_requests_total counter\n")
-	fmt.Fprintf(w, "currents_historical_requests_total %d\n", m.historical.Load())
-
-	fmt.Fprintf(w, "# HELP currents_requests_total Requests served, by operation.\n")
-	fmt.Fprintf(w, "# TYPE currents_requests_total counter\n")
-	for _, op := range names {
-		fmt.Fprintf(w, "currents_requests_total{op=%q} %d\n", op, m.perOp[op].requests.Load())
-	}
-
-	fmt.Fprintf(w, "# HELP currents_request_errors_total Requests answered with status >= 400, by operation.\n")
-	fmt.Fprintf(w, "# TYPE currents_request_errors_total counter\n")
-	for _, op := range names {
-		fmt.Fprintf(w, "currents_request_errors_total{op=%q} %d\n", op, m.perOp[op].errors.Load())
-	}
-
-	fmt.Fprintf(w, "# HELP currents_request_duration_seconds Request latency, by operation.\n")
-	fmt.Fprintf(w, "# TYPE currents_request_duration_seconds histogram\n")
-	for _, op := range names {
-		om := m.perOp[op]
-		for i, le := range latencyBuckets {
-			fmt.Fprintf(w, "currents_request_duration_seconds_bucket{op=%q,le=\"%g\"} %d\n",
-				op, le, om.buckets[i].Load())
-		}
-		n := om.requests.Load()
-		fmt.Fprintf(w, "currents_request_duration_seconds_bucket{op=%q,le=\"+Inf\"} %d\n", op, n)
-		fmt.Fprintf(w, "currents_request_duration_seconds_sum{op=%q} %g\n",
-			op, float64(om.sumNanos.Load())/1e9)
-		fmt.Fprintf(w, "currents_request_duration_seconds_count{op=%q} %d\n", op, n)
-	}
-}
-
-// writeResidencyMetrics renders the lazy-registry gauges: how many worlds
-// are resident, how many mmap'd bytes they hold, and the lifetime load and
-// eviction counts — what an operator watches to size -max-resident.
-func writeResidencyMetrics(w io.Writer, rs ResidencyStats) {
-	fmt.Fprintf(w, "# HELP currents_datasets_resident Sessions currently loaded in memory.\n")
-	fmt.Fprintf(w, "# TYPE currents_datasets_resident gauge\n")
-	fmt.Fprintf(w, "currents_datasets_resident %d\n", rs.Resident)
-	fmt.Fprintf(w, "# HELP currents_mapped_bytes Bytes of snapshot files currently memory-mapped.\n")
-	fmt.Fprintf(w, "# TYPE currents_mapped_bytes gauge\n")
-	fmt.Fprintf(w, "currents_mapped_bytes %d\n", rs.MappedBytes)
-	fmt.Fprintf(w, "# HELP currents_world_loads_total Lazy session loads since server start.\n")
-	fmt.Fprintf(w, "# TYPE currents_world_loads_total counter\n")
-	fmt.Fprintf(w, "currents_world_loads_total %d\n", rs.Loads)
-	fmt.Fprintf(w, "# HELP currents_world_evictions_total Sessions evicted under the resident bound since server start.\n")
-	fmt.Fprintf(w, "# TYPE currents_world_evictions_total counter\n")
-	fmt.Fprintf(w, "currents_world_evictions_total %d\n", rs.Evictions)
-}
-
-// writeDatasetMetrics renders the per-dataset lifecycle series (epoch
-// gauge, swap and append counters) from a registry snapshot taken at
-// scrape time.
-func writeDatasetMetrics(w io.Writer, stats []DatasetStat) {
-	fmt.Fprintf(w, "# HELP currents_dataset_epoch Serving epoch of each dataset (increments on every swap).\n")
-	fmt.Fprintf(w, "# TYPE currents_dataset_epoch gauge\n")
-	for _, st := range stats {
-		fmt.Fprintf(w, "currents_dataset_epoch{dataset=%q} %d\n", st.Name, st.Epoch)
-	}
-	fmt.Fprintf(w, "# HELP currents_dataset_swaps_total Session swaps per dataset since server start.\n")
-	fmt.Fprintf(w, "# TYPE currents_dataset_swaps_total counter\n")
-	for _, st := range stats {
-		fmt.Fprintf(w, "currents_dataset_swaps_total{dataset=%q} %d\n", st.Name, st.Swaps)
-	}
-	fmt.Fprintf(w, "# HELP currents_dataset_appends_total Accepted append batches per dataset since server start.\n")
-	fmt.Fprintf(w, "# TYPE currents_dataset_appends_total counter\n")
-	for _, st := range stats {
-		fmt.Fprintf(w, "currents_dataset_appends_total{dataset=%q} %d\n", st.Name, st.Appends)
-	}
-	fmt.Fprintf(w, "# HELP currents_dataset_resident Whether each dataset's session is currently loaded (1) or lazy/evicted (0).\n")
-	fmt.Fprintf(w, "# TYPE currents_dataset_resident gauge\n")
-	for _, st := range stats {
-		v := 0
-		if st.Resident {
-			v = 1
-		}
-		fmt.Fprintf(w, "currents_dataset_resident{dataset=%q} %d\n", st.Name, v)
-	}
-	fmt.Fprintf(w, "# HELP currents_retained_epochs Historical epochs addressable behind the current one, per dataset.\n")
-	fmt.Fprintf(w, "# TYPE currents_retained_epochs gauge\n")
-	for _, st := range stats {
-		fmt.Fprintf(w, "currents_retained_epochs{dataset=%q} %d\n", st.Name, st.RetainedEpochs)
-	}
-	fmt.Fprintf(w, "# HELP currents_asof_materializations_total Historical sessions rebuilt on demand for as_of queries, per dataset.\n")
-	fmt.Fprintf(w, "# TYPE currents_asof_materializations_total counter\n")
-	for _, st := range stats {
-		fmt.Fprintf(w, "currents_asof_materializations_total{dataset=%q} %d\n", st.Name, st.AsOfMaterializations)
+	for _, f := range []struct {
+		kind       metrics.Kind
+		name, help string
+		value      func(DatasetStat) int64
+	}{
+		{metrics.KindGauge, "currents_dataset_epoch", "Serving epoch of each dataset (increments on every swap).",
+			func(st DatasetStat) int64 { return int64(st.Epoch) }},
+		{metrics.KindCounter, "currents_dataset_swaps_total", "Session swaps per dataset since server start.",
+			func(st DatasetStat) int64 { return st.Swaps }},
+		{metrics.KindCounter, "currents_dataset_appends_total", "Accepted append batches per dataset since server start.",
+			func(st DatasetStat) int64 { return st.Appends }},
+		{metrics.KindGauge, "currents_dataset_resident", "Whether each dataset's session is currently loaded (1) or lazy/evicted (0).",
+			func(st DatasetStat) int64 {
+				if st.Resident {
+					return 1
+				}
+				return 0
+			}},
+		{metrics.KindGauge, "currents_retained_epochs", "Historical epochs addressable behind the current one, per dataset.",
+			func(st DatasetStat) int64 { return int64(st.RetainedEpochs) }},
+		{metrics.KindCounter, "currents_asof_materializations_total", "Historical sessions rebuilt on demand for as_of queries, per dataset.",
+			func(st DatasetStat) int64 { return st.AsOfMaterializations }},
+	} {
+		f := f
+		reg.Collect(f.kind, f.name, f.help, []string{"dataset"}, func(emit metrics.Emit) {
+			for _, st := range datasets.Stats() {
+				emit(f.value(st), st.Name)
+			}
+		})
 	}
 }

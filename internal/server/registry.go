@@ -63,10 +63,10 @@ type reloadSpec struct {
 // under the registry read lock, checked by eviction under the write lock,
 // so an eviction never unmaps a session a request still reads).
 type entry struct {
-	sess     *session.Session
-	epoch    uint64
-	spec     *reloadSpec
-	loaded   bool // epoch has been initialized from a load, verify, or Register
+	sess   *session.Session
+	epoch  uint64
+	spec   *reloadSpec
+	loaded bool // epoch has been initialized from a load, verify, or Register
 	// dirty marks an entry whose serving state has diverged from the
 	// snapshot on disk (a live append swap). Dirty entries are never
 	// evicted — eviction reloads from disk, which would lose the appended
@@ -107,6 +107,11 @@ type Registry struct {
 	useClock    atomic.Int64
 	loads       atomic.Int64
 	evictions   atomic.Int64
+	// evictPending is set while the resident count exceeds maxResident only
+	// because evictable worlds are pinned: the last unpin of any entry then
+	// re-runs eviction (see settle). It is written under the write lock and
+	// read lock-free on the release path.
+	evictPending atomic.Bool
 }
 
 // NewRegistry returns an empty registry.
@@ -217,13 +222,7 @@ func (r *Registry) Acquire(name string) (*session.Session, uint64, func(), error
 			s, epoch := e.sess, e.epoch
 			r.mu.RUnlock()
 			var once sync.Once
-			return s, epoch, func() {
-				once.Do(func() {
-					if e.pins.Add(-1) == 0 && e.graveLen.Load() > 0 {
-						r.reapGrave(e)
-					}
-				})
-			}, nil
+			return s, epoch, func() { once.Do(func() { r.unpin(e) }) }, nil
 		}
 		r.mu.RUnlock()
 		if err := r.load(e); err != nil {
@@ -269,20 +268,31 @@ func (r *Registry) load(e *entry) error {
 // fits maxResident. Callers hold the write lock. Only entries that are
 // unpinned, never swapped (their serving state is exactly the snapshot on
 // disk) and reloadable are candidates; keep, the entry that triggered the
-// eviction, is never chosen even before its acquirer pins it.
+// eviction, is never chosen even before its acquirer pins it. When the bound
+// stays exceeded because a candidate is pinned, evictPending tells the
+// release path to come back once the pin drops.
 func (r *Registry) evictLocked(keep *entry) {
 	if r.maxResident <= 0 {
+		r.evictPending.Store(false)
 		return
 	}
+	// Raised before any pin count is read: a release that drops a pin after
+	// this scan saw it held must observe the flag (it is lowered below only
+	// when no pinned candidate was seen).
+	r.evictPending.Store(true)
 	for {
-		resident := 0
+		resident, blocked := 0, false
 		var victim *entry
 		for _, e := range r.entries {
 			if e.sess == nil {
 				continue
 			}
 			resident++
-			if e == keep || e.spec == nil || e.dirty || e.pins.Load() != 0 {
+			if e == keep || e.spec == nil || e.dirty {
+				continue
+			}
+			if e.pins.Load() != 0 {
+				blocked = true
 				continue
 			}
 			if victim == nil || e.lastUsed.Load() < victim.lastUsed.Load() {
@@ -290,6 +300,7 @@ func (r *Registry) evictLocked(keep *entry) {
 			}
 		}
 		if resident <= r.maxResident || victim == nil {
+			r.evictPending.Store(resident > r.maxResident && blocked)
 			return
 		}
 		_ = victim.sess.Close()
@@ -298,33 +309,46 @@ func (r *Registry) evictLocked(keep *entry) {
 	}
 }
 
-// reapGrave closes graved historical sessions once no request can read
-// them. The pins check runs under the registry write lock — the same lock
-// Acquire pins under — so a close never races a request resolving an as-of
-// epoch: any such request holds the entry pin for its whole lifetime, and
-// the epoch it resolved was removed from the session spine before its
-// session was graved.
-func (r *Registry) reapGrave(e *entry) {
+// unpin drops one request's pin on e. The common case is one atomic
+// decrement and two atomic loads; only the last unpin of an entry with work
+// pending — graved sessions to close, or a resident bound that pinned
+// worlds kept eviction from enforcing — takes the write lock.
+func (r *Registry) unpin(e *entry) {
+	if e.pins.Add(-1) == 0 && (e.graveLen.Load() > 0 || r.evictPending.Load()) {
+		r.settle(e)
+	}
+}
+
+// settle is the one path that discharges what a dropped pin may have been
+// holding up: it closes e's graved historical sessions and re-runs eviction.
+// Both pins checks run under the registry write lock — the same lock
+// Acquire pins under — so a close never races a request: any request
+// reading a session (current or a resolved as-of epoch) holds the entry pin
+// for its whole lifetime, and a graved epoch was removed from the session
+// spine before its session was graved.
+func (r *Registry) settle(e *entry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e.pins.Load() != 0 {
-		return
+	if e.pins.Load() == 0 && e.graveLen.Load() > 0 {
+		e.graveMu.Lock()
+		dead := e.grave
+		e.grave = nil
+		e.graveLen.Store(0)
+		e.graveMu.Unlock()
+		for _, s := range dead {
+			_ = s.Close()
+		}
 	}
-	e.graveMu.Lock()
-	dead := e.grave
-	e.grave = nil
-	e.graveLen.Store(0)
-	e.graveMu.Unlock()
-	for _, s := range dead {
-		_ = s.Close()
-	}
+	r.evictLocked(nil)
 }
 
 // GetWithEpoch returns the session registered under name together with its
 // current epoch, loading non-resident entries first. The pair is read
 // atomically: a session and an epoch returned together always belong to
 // the same generation. It reports false for unknown names and for entries
-// whose lazy load fails (Acquire surfaces the cause).
+// whose lazy load fails (Acquire surfaces the cause). The session comes back
+// unpinned: under a resident bound a clean mapped world may be evicted at
+// any moment, so callers that read it there must use Acquire instead.
 func (r *Registry) GetWithEpoch(name string) (*session.Session, uint64, bool) {
 	s, epoch, release, err := r.Acquire(name)
 	if err != nil {
@@ -434,7 +458,7 @@ func (r *Registry) Replace(name string, s *session.Session, path string, cfg ses
 		e.graveLen.Store(int64(len(e.grave)))
 		e.graveMu.Unlock()
 		if e.pins.Load() == 0 {
-			r.reapGrave(e)
+			r.settle(e)
 		}
 	}
 	return epoch, nil
@@ -507,10 +531,7 @@ func (r *Registry) Update(name string, fn func(cur *session.Session) (*session.S
 		e.grave = append(e.grave, dead...)
 		e.graveLen.Store(int64(len(e.grave)))
 		e.graveMu.Unlock()
-		release()
-		if e.pins.Load() == 0 {
-			r.reapGrave(e)
-		}
+		release() // the last unpin (ours or a reader's) sees graveLen and settles
 	}
 	return next, epoch, nil
 }

@@ -52,6 +52,7 @@ import (
 	"time"
 
 	"sourcecurrents/internal/dataset"
+	"sourcecurrents/internal/metrics"
 	"sourcecurrents/internal/model"
 	"sourcecurrents/internal/probdb"
 	"sourcecurrents/internal/session"
@@ -112,7 +113,8 @@ const DefaultCompactEvery = 16
 type Server struct {
 	reg     *Registry
 	opt     Options
-	met     *metrics
+	page    *metrics.Registry // everything /metrics renders
+	met     *requestMetrics
 	cache   *answerCache
 	answers flightGroup
 }
@@ -128,12 +130,13 @@ func New(reg *Registry, opt Options) *Server {
 	if opt.Logf == nil {
 		opt.Logf = func(string, ...any) {}
 	}
-	return &Server{
-		reg:   reg,
-		opt:   opt,
-		met:   newMetrics(),
-		cache: newAnswerCache(opt.AnswerCacheSize, opt.AnswerCacheTTL),
-	}
+	// Registration order is the /metrics page order.
+	page := metrics.NewRegistry()
+	s := &Server{reg: reg, opt: opt, page: page}
+	s.met = newRequestMetrics(page)
+	s.cache = newAnswerCache(opt.AnswerCacheSize, opt.AnswerCacheTTL, page)
+	registerRegistryMetrics(page, reg)
+	return s
 }
 
 // ErrorResponse is the JSON error payload. Owner, when set on an
@@ -254,15 +257,12 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) (string, response
 		if r.Method != http.MethodGet {
 			return "metrics", methodNotAllowed(w, http.MethodGet)
 		}
-		var sb strings.Builder
-		s.met.write(&sb)
-		s.cache.writeMetrics(&sb)
-		writeResidencyMetrics(&sb, s.reg.Residency())
-		writeDatasetMetrics(&sb, s.reg.Stats())
+		var buf bytes.Buffer
+		_ = s.page.Gather().WriteText(&buf) // a bytes.Buffer write cannot fail
 		return "metrics", response{
 			status:      http.StatusOK,
 			contentType: "text/plain; version=0.0.4; charset=utf-8",
-			body:        []byte(sb.String()),
+			body:        buf.Bytes(),
 		}
 	}
 
