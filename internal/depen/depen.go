@@ -339,55 +339,10 @@ func pairHypotheses(kt, kf, kd float64, a1, a2, c float64, n int) (indep, aCopie
 	return indep, aCopiesB, bCopiesA
 }
 
-// evidence accumulates the fractional counts for one pair from the current
-// posterior beliefs. For each shared object: if the values agree exactly
-// (verbatim — formatting included, since verbatim replication is itself
-// copy evidence), the agreement is "true agreement" with the belief mass of
-// that value's similarity class and "false agreement" with the complement;
-// if they differ, kd += 1.
-func evidence(d *dataset.Dataset, ov dataset.Overlap,
-	probs map[model.ObjectID]map[string]float64,
-	sim func(a, b string) float64) (kt, kf, kd float64) {
-	for _, o := range ov.Objects {
-		va, _ := d.Value(ov.Pair.A, o)
-		vb, _ := d.Value(ov.Pair.B, o)
-		if va != vb {
-			kd++
-			continue
-		}
-		p := truth.ClassMass(probs[o], va, sim)
-		kt += p
-		kf += 1 - p
-	}
-	return kt, kf, kd
-}
-
-// scorePair turns evidence into a Dependence verdict via Bayes.
-func scorePair(ov dataset.Overlap, kt, kf, kd float64,
-	acc map[model.SourceID]float64, cfg Config) Dependence {
-	li, lab, lba := pairHypotheses(kt, kf, kd, acc[ov.Pair.A], acc[ov.Pair.B],
-		cfg.CopyRate, cfg.Truth.N)
-	// Priors: 1-α independent, α/2 per direction.
-	logPrior := []float64{math.Log(1 - cfg.Alpha), math.Log(cfg.Alpha / 2), math.Log(cfg.Alpha / 2)}
-	post, err := stats.NormalizeLog([]float64{li + logPrior[0], lab + logPrior[1], lba + logPrior[2]})
-	if err != nil {
-		post = []float64{1, 0, 0}
-	}
-	return Dependence{
-		Pair:   ov.Pair,
-		Prob:   post[1] + post[2],
-		ProbAB: post[1],
-		ProbBA: post[2],
-		Shared: len(ov.Objects),
-		Same:   ov.Same,
-		KT:     kt, KF: kf, KD: kd,
-	}
-}
-
 // Detect runs the full iterative loop on a frozen snapshot dataset. It
 // executes on the dataset's compiled columnar index; the result is
-// bit-identical to the map-based reference path (detectMaps), which the
-// golden equivalence tests enforce.
+// bit-identical to the map-based reference (detectMaps, in
+// reference_test.go), which the golden equivalence tests enforce.
 //
 // A dataset carrying an append log (dataset.Append) is solved by *replay*:
 // a full solve of the flat base followed by one bounded refinement pass per
@@ -409,90 +364,7 @@ func Detect(d *dataset.Dataset, cfg Config) (*Result, error) {
 		}
 		return refine(d, prev, cfg), nil
 	}
-	// Compiled is non-nil for every frozen dataset; the fallback is
-	// defensive only.
-	if c := d.Compiled(); c != nil {
-		return detectCompiled(c, cfg), nil
-	}
-	return detectMaps(d, cfg)
-}
-
-// detectMaps is the map-based reference implementation of Detect. It is not
-// on any runtime path: it is kept as the semantic specification the
-// compiled path is tested against (golden_test.go).
-func detectMaps(d *dataset.Dataset, cfg Config) (*Result, error) {
-	// Candidate pairs and their overlaps are fixed across rounds.
-	candidates := d.Pairs(cfg.MinShared)
-
-	acc := make(map[model.SourceID]float64, len(d.Sources()))
-	for _, s := range d.Sources() {
-		acc[s] = cfg.Truth.InitialAccuracy
-	}
-
-	res := &Result{}
-	var probs map[model.ObjectID]map[string]float64
-	var pairs []Dependence
-	// dirState holds the previous round's directional posteriors for the
-	// vote discounts; the final round's verdicts become the result's dense
-	// lookup table below.
-	dirState := map[model.SourceID]map[model.SourceID]float64{}
-	objects := d.Objects()
-	eng := cfg.Engine()
-
-	for round := 1; round <= cfg.MaxRounds; round++ {
-		// Truth step with dependence discounts from the previous round.
-		// Each object gets its own discount closure (discountFor keeps
-		// per-object state only), so workers share nothing but read-only
-		// maps; the merge below iterates in canonical object order.
-		discount := makeDiscount(d, acc, dirState, cfg.CopyRate)
-		scored := engine.MapObjects(eng, objects, func(o model.ObjectID) map[string]float64 {
-			scores := truth.ScoreValues(d.ValuesFor(o), acc, cfg.Truth.N, discountFor(discount, o))
-			scores = truth.ApplySimilarity(scores, cfg.Truth.ValueSim, cfg.Truth.ValueSimWeight)
-			return cfg.Truth.ApplyKnown(o, truth.SoftmaxScores(scores))
-		})
-		probs = make(map[model.ObjectID]map[string]float64, len(objects))
-		for i, o := range objects {
-			probs[o] = scored[i]
-		}
-
-		// Accuracy step.
-		next := truth.UpdateAccuracySim(d, probs, cfg.Truth.PriorA, cfg.Truth.PriorB, cfg.Truth.ValueSim)
-
-		// Dependence step: score candidate pairs in parallel, then merge in
-		// the candidates' deterministic order.
-		pairs = engine.MapObjects(eng, candidates, func(ov dataset.Overlap) Dependence {
-			kt, kf, kd := evidence(d, ov, probs, cfg.Truth.ValueSim)
-			return scorePair(ov, kt, kf, kd, next, cfg)
-		})
-		dir := map[model.SourceID]map[model.SourceID]float64{}
-		for _, dep := range pairs {
-			setDir(dir, dep.Pair.A, dep.Pair.B, dep.ProbAB)
-			setDir(dir, dep.Pair.B, dep.Pair.A, dep.ProbBA)
-		}
-		dirState = dir
-		res.Rounds = round
-
-		if truth.MaxAccuracyDelta(acc, next) < cfg.Tol {
-			acc = next
-			res.Converged = true
-			break
-		}
-		acc = next
-	}
-
-	res.Truth = &truth.Result{
-		Probs:     probs,
-		Accuracy:  acc,
-		Rounds:    res.Rounds,
-		Converged: res.Converged,
-	}
-	res.Truth.PickChosen()
-	res.dir = newDirTableFor(d.Sources())
-	for _, dep := range pairs {
-		res.dir.setByID(dep.Pair.A, dep.Pair.B, dep.ProbAB, dep.ProbBA)
-	}
-	finishPairs(res, pairs, cfg.DepThreshold)
-	return res, nil
+	return detectCompiled(d.Compiled(), cfg), nil
 }
 
 // finishPairs fills AllPairs (sorted) and Dependences (thresholded,
@@ -518,15 +390,6 @@ func finishPairs(res *Result, pairs []Dependence, threshold float64) {
 			res.Dependences = append(res.Dependences, p)
 		}
 	}
-}
-
-func setDir(m map[model.SourceID]map[model.SourceID]float64, from, to model.SourceID, p float64) {
-	inner, ok := m[from]
-	if !ok {
-		inner = map[model.SourceID]float64{}
-		m[from] = inner
-	}
-	inner[to] = p
 }
 
 func sortDeps(deps []Dependence) {
@@ -566,96 +429,6 @@ func finishSortedPairs(res *Result, pairs []Dependence, threshold float64) {
 			res.Dependences = append(res.Dependences, p)
 		}
 	}
-}
-
-// discountTable holds the read-only inputs of the per-round vote
-// multipliers; built once per round and shared by all workers.
-type discountTable struct {
-	d   *dataset.Dataset
-	acc map[model.SourceID]float64
-	dir map[model.SourceID]map[model.SourceID]float64
-	c   float64
-}
-
-func makeDiscount(d *dataset.Dataset, acc map[model.SourceID]float64,
-	dir map[model.SourceID]map[model.SourceID]float64, c float64) *discountTable {
-	return &discountTable{d: d, acc: acc, dir: dir, c: c}
-}
-
-// discountFor adapts the table to truth.ScoreValues' callback signature for
-// a fixed object. The returned closure memoizes per-object factors locally
-// — the table itself stays read-only — so distinct objects can be scored
-// concurrently without synchronization. Each closure is used by a single
-// goroutine (the one scoring its object).
-func discountFor(t *discountTable, o model.ObjectID) func(s model.SourceID, v string) float64 {
-	if t == nil {
-		return nil
-	}
-	memo := map[model.SourceID]float64{}
-	computed := map[string]bool{}
-	return func(s model.SourceID, v string) float64 {
-		if f, ok := memo[s]; ok {
-			return f
-		}
-		if !computed[v] {
-			computed[v] = true
-			t.fillFactors(o, v, memo)
-		}
-		if f, ok := memo[s]; ok {
-			return f
-		}
-		return 1
-	}
-}
-
-// fillFactors computes the independence probability of each vote for value
-// v on object o: the probability that the source did NOT copy its value
-// from any higher-ranked source asserting the same value. Sources are
-// ranked by accuracy (descending, ties by id) so the most credible provider
-// keeps the full vote — the greedy order of the VLDB 2009 vote-count
-// computation. Results are written into the caller's memo.
-//
-// The discount uses the pair's TOTAL dependence posterior rather than the
-// directional split: within a clique asserting the same value, what matters
-// is how many independent origins the value has, and when the direction is
-// ambiguous (identical sources) a directional split would leak votes — a
-// fully dependent pair would keep 1.6 votes instead of ~1.2. Charging the
-// lower-ranked member the full dependence implements the paper's "ignore
-// the values provided by S4 and S5 during the voting process".
-func (t *discountTable) fillFactors(o model.ObjectID, v string, memo map[model.SourceID]float64) {
-	// Collect the sources asserting v on o and rank them.
-	var group []model.SourceID
-	for _, g := range t.d.ValuesFor(o) {
-		if g.Value == v {
-			group = append(group, g.Sources...)
-			break
-		}
-	}
-	sort.Slice(group, func(i, j int) bool {
-		ai, aj := t.acc[group[i]], t.acc[group[j]]
-		if ai != aj {
-			return ai > aj
-		}
-		return group[i] < group[j]
-	})
-	for i, si := range group {
-		f := 1.0
-		for j := 0; j < i; j++ {
-			dep := t.dirOf(si, group[j]) + t.dirOf(group[j], si)
-			if dep > 1 {
-				dep = 1
-			}
-			f *= 1 - t.c*dep
-		}
-		memo[si] = f
-	}
-}
-
-func (t *discountTable) dirOf(from, to model.SourceID) float64 {
-	if m, ok := t.dir[from]; ok {
-		return m[to]
-	}
-	return 0
 }
 
 // AccuracySplit reports source s's estimated accuracy on the objects it

@@ -86,15 +86,13 @@ func BuildProfiles(d *dataset.Dataset, dep *depen.Result,
 // BuildProfilesOpt is BuildProfiles with execution options. It runs over the
 // dataset's compiled columnar index — the O(S²) independence products read a
 // flat directional copy-probability table instead of nested maps — and is
-// bit-identical to the map-based reference path (buildProfilesMaps), which
-// the golden equivalence tests enforce.
+// bit-identical to the map-based reference (buildProfilesMaps, in
+// reference_test.go), which the golden equivalence tests enforce.
 func BuildProfilesOpt(d *dataset.Dataset, dep *depen.Result,
 	reports map[model.SourceID]*temporal.SourceReport, opt Options) []Profile {
 	c := d.Compiled()
-	// Compiled is non-nil for every frozen dataset; the fallback is
-	// defensive only (an unfrozen dataset yields no sources either way).
 	if c == nil {
-		return buildProfilesMaps(d, dep, reports)
+		return nil // not frozen: a dataset has no sources before Freeze
 	}
 	nS := c.NumSources()
 	nObj := c.NumObjects()
@@ -145,42 +143,6 @@ func BuildProfilesOpt(d *dataset.Dataset, dep *depen.Result,
 		}
 		return p
 	})
-}
-
-// buildProfilesMaps is the map-based reference implementation of
-// BuildProfiles. It is not on any runtime path: it is kept as the semantic
-// specification the compiled path is tested against (golden_test.go).
-func buildProfilesMaps(d *dataset.Dataset, dep *depen.Result,
-	reports map[model.SourceID]*temporal.SourceReport) []Profile {
-	var out []Profile
-	for _, s := range d.Sources() {
-		p := Profile{Source: s, Coverage: d.Coverage(s), Freshness: 0.5, Accuracy: 0.5}
-		if dep != nil && dep.Truth != nil {
-			if a, ok := dep.Truth.Accuracy[s]; ok {
-				p.Accuracy = a
-			}
-		}
-		p.Independence = 1
-		if dep != nil {
-			for _, other := range d.Sources() {
-				if other == s {
-					continue
-				}
-				p.Independence *= 1 - dep.CopyProb(s, other)
-			}
-		}
-		if rep, ok := reports[s]; ok {
-			// Freshness: 1/(1+meanLag); coverage from the temporal report
-			// overrides the snapshot ratio when available.
-			p.Freshness = 1 / (1 + rep.Metrics.MeanLag)
-			if rep.Metrics.Periods > 0 {
-				p.Coverage = rep.Metrics.Coverage
-			}
-			p.Accuracy = rep.Metrics.Exactness
-		}
-		out = append(out, p)
-	}
-	return out
 }
 
 // Rank scalarizes and sorts profiles by trust (descending, ties by id).

@@ -379,8 +379,8 @@ func MaxAccuracyDelta(a, b map[model.SourceID]float64) float64 {
 
 // Accu runs accuracy-weighted iterative truth discovery (no dependence
 // modelling). It executes on the dataset's compiled columnar index; the
-// result is bit-identical to the map-based reference path (accuMaps), which
-// the golden equivalence tests enforce.
+// result is bit-identical to the map-based reference (accuMaps, in
+// reference_test.go), which the golden equivalence tests enforce.
 func Accu(d *dataset.Dataset, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -388,49 +388,5 @@ func Accu(d *dataset.Dataset, cfg Config) (*Result, error) {
 	if !d.Frozen() {
 		return nil, fmt.Errorf("truth: dataset must be frozen")
 	}
-	// Compiled is non-nil for every frozen dataset; the fallback is
-	// defensive only.
-	if c := d.Compiled(); c != nil {
-		return accuCompiled(c, cfg), nil
-	}
-	return accuMaps(d, cfg)
-}
-
-// accuMaps is the map-based reference implementation of Accu. It is not on
-// any runtime path: it is kept as the semantic specification the compiled
-// path is tested against (golden_test.go).
-func accuMaps(d *dataset.Dataset, cfg Config) (*Result, error) {
-	acc := make(map[model.SourceID]float64, len(d.Sources()))
-	for _, s := range d.Sources() {
-		acc[s] = cfg.InitialAccuracy
-	}
-	res := &Result{}
-	objects := d.Objects()
-	eng := cfg.Engine()
-	for round := 1; round <= cfg.MaxRounds; round++ {
-		// Score objects in parallel; workers only read the shared accuracy
-		// map and write their own slot, and the merge below iterates in
-		// canonical object order, so the result is worker-count invariant.
-		scored := engine.MapObjects(eng, objects, func(o model.ObjectID) map[string]float64 {
-			scores := ScoreValues(d.ValuesFor(o), acc, cfg.N, nil)
-			scores = ApplySimilarity(scores, cfg.ValueSim, cfg.ValueSimWeight)
-			return cfg.ApplyKnown(o, SoftmaxScores(scores))
-		})
-		probs := make(map[model.ObjectID]map[string]float64, len(objects))
-		for i, o := range objects {
-			probs[o] = scored[i]
-		}
-		next := UpdateAccuracySim(d, probs, cfg.PriorA, cfg.PriorB, cfg.ValueSim)
-		res.Probs = probs
-		res.Rounds = round
-		if MaxAccuracyDelta(acc, next) < cfg.Tol {
-			acc = next
-			res.Converged = true
-			break
-		}
-		acc = next
-	}
-	res.Accuracy = acc
-	res.PickChosen()
-	return res, nil
+	return accuCompiled(d.Compiled(), cfg), nil
 }

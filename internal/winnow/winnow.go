@@ -154,8 +154,9 @@ type Pair struct {
 // DetectPairs fingerprints every source and returns all pairs with
 // similarity >= threshold, sorted by decreasing similarity. Fingerprinting
 // and pairwise scoring run on the compiled claim lists over the parallel
-// engine; the result is bit-identical to the map-based reference path
-// (detectPairsMaps), which the golden equivalence tests enforce.
+// engine; the result is bit-identical to the map-based reference
+// (detectPairsMaps, in reference_test.go), which the golden equivalence
+// tests enforce.
 func DetectPairs(d *dataset.Dataset, cfg Config, threshold float64) ([]Pair, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -167,11 +168,6 @@ func DetectPairs(d *dataset.Dataset, cfg Config, threshold float64) ([]Pair, err
 		return nil, errors.New("winnow: threshold must be in [0,1]")
 	}
 	c := d.Compiled()
-	// Compiled is non-nil for every frozen dataset; the fallback is
-	// defensive only.
-	if c == nil {
-		return detectPairsMaps(d, cfg, threshold), nil
-	}
 	eng := cfg.Engine()
 	fps := engine.MapN(eng, c.NumSources(), func(si int) Fingerprint {
 		return winnowHashes(hashKGrams(tokensOfCompiled(c, si), cfg.K), cfg.W)
@@ -191,28 +187,6 @@ func DetectPairs(d *dataset.Dataset, cfg Config, threshold float64) ([]Pair, err
 	}
 	sortPairs(out)
 	return out, nil
-}
-
-// detectPairsMaps is the map-based reference implementation of DetectPairs.
-// It is not on any runtime path: it is kept as the semantic specification
-// the compiled path is tested against (golden_test.go).
-func detectPairsMaps(d *dataset.Dataset, cfg Config, threshold float64) []Pair {
-	fps := map[model.SourceID]Fingerprint{}
-	for _, s := range d.Sources() {
-		fps[s] = FingerprintSource(d, s, cfg)
-	}
-	var out []Pair
-	srcs := d.Sources()
-	for i := 0; i < len(srcs); i++ {
-		for j := i + 1; j < len(srcs); j++ {
-			sim := Similarity(fps[srcs[i]], fps[srcs[j]])
-			if sim >= threshold {
-				out = append(out, Pair{Pair: model.NewSourcePair(srcs[i], srcs[j]), Sim: sim})
-			}
-		}
-	}
-	sortPairs(out)
-	return out
 }
 
 // sortPairs orders scored pairs by decreasing similarity, ties by pair name
