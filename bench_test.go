@@ -6,7 +6,6 @@
 package sourcecurrents_test
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -218,253 +217,3 @@ func benchmarkTemporal(b *testing.B, parallelism int) {
 
 func BenchmarkTemporalSequential(b *testing.B) { benchmarkTemporal(b, 1) }
 func BenchmarkTemporalParallel(b *testing.B)   { benchmarkTemporal(b, 0) }
-
-// The BenchmarkSession* family measures the serving layer's amortization:
-// SessionBuild is the one-time precompute, SessionAnswer the steady-state
-// per-query cost, and SessionAnswerPerCall the naive shape that re-derives
-// accuracies and dependence on every query — the repeated-query workload the
-// Session exists to beat (compare SessionAnswer against SessionAnswerPerCall
-// at the same size).
-
-func BenchmarkSessionBuild(b *testing.B) {
-	for _, sz := range benchSizes {
-		b.Run(fmt.Sprintf("sources=%d", sz.sources), func(b *testing.B) {
-			b.ReportAllocs()
-			if testing.Short() && !sz.short {
-				b.Skip("large scale skipped in short mode")
-			}
-			d := benchSnapshotWorld(b, sz.sources, sz.objects)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sourcecurrents.NewSession(d, sourcecurrents.DefaultSessionConfig()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkSessionAnswer(b *testing.B) {
-	for _, sz := range benchSizes {
-		b.Run(fmt.Sprintf("sources=%d", sz.sources), func(b *testing.B) {
-			b.ReportAllocs()
-			if testing.Short() && !sz.short {
-				b.Skip("large scale skipped in short mode")
-			}
-			d := benchSnapshotWorld(b, sz.sources, sz.objects)
-			s, err := sourcecurrents.NewSession(d, sourcecurrents.DefaultSessionConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			query := d.Objects()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.AnswerObjects(query); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkPlannerAnswer isolates pure plan time: the session's
-// precompiled planner answering the same 5-object query BenchmarkServerAnswer
-// carries over HTTP — the delta between the two is transport + JSON cost.
-func BenchmarkPlannerAnswer(b *testing.B) {
-	for _, sz := range benchSizes {
-		b.Run(fmt.Sprintf("sources=%d", sz.sources), func(b *testing.B) {
-			b.ReportAllocs()
-			if testing.Short() && !sz.short {
-				b.Skip("large scale skipped in short mode")
-			}
-			d := benchSnapshotWorld(b, sz.sources, sz.objects)
-			s, err := sourcecurrents.NewSession(d, sourcecurrents.DefaultSessionConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			objs := d.Objects()
-			n := 5
-			if n > len(objs) {
-				n = len(objs)
-			}
-			query := objs[:n]
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.AnswerObjects(query); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkSessionAnswerPerCall(b *testing.B) {
-	for _, sz := range benchSizes {
-		b.Run(fmt.Sprintf("sources=%d", sz.sources), func(b *testing.B) {
-			b.ReportAllocs()
-			if testing.Short() && !sz.short {
-				b.Skip("large scale skipped in short mode")
-			}
-			d := benchSnapshotWorld(b, sz.sources, sz.objects)
-			query := d.Objects()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dres, err := sourcecurrents.DetectDependence(d, sourcecurrents.DefaultDependenceConfig())
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg := sourcecurrents.DefaultQueryConfig()
-				cfg.Accuracy = dres.Truth.Accuracy
-				cfg.Dependence = dres.DependenceProb
-				if _, err := sourcecurrents.AnswerQuery(d, query, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSessionAppend measures the live-ingest path: refining a 1%
-// claim batch into a successor session via Session.Append. Compare with
-// BenchmarkSessionBuild at the same size — the delta recompute must come
-// in well under the full rebuild (the PR 6 acceptance bar is < 1/5 at 500
-// sources) while producing bit-identical serving state (pinned by the
-// session append equivalence suite).
-func BenchmarkSessionAppend(b *testing.B) {
-	for _, sz := range benchSizes {
-		b.Run(fmt.Sprintf("sources=%d", sz.sources), func(b *testing.B) {
-			b.ReportAllocs()
-			if testing.Short() && !sz.short {
-				b.Skip("large scale skipped in short mode")
-			}
-			d := benchSnapshotWorld(b, sz.sources, sz.objects)
-			s, err := sourcecurrents.NewSession(d, sourcecurrents.DefaultSessionConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			n := d.Len() / 100
-			if n < 1 {
-				n = 1
-			}
-			// A 1% batch in live-feed shape: a handful of sources re-assert
-			// their claims (existing objects and values), rather than a thin
-			// slice across every source — feeds update source-by-source.
-			var batch []sourcecurrents.Claim
-			for _, src := range d.Sources() {
-				batch = append(batch, d.ClaimsBySource(src)...)
-				if len(batch) >= n {
-					break
-				}
-			}
-			batch = batch[:n]
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Append(batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSnapshotLoad* measure the server cold-start path: decoding a
-// session snapshot (dataset + cached precompute) versus BenchmarkSessionBuild,
-// which pays the full truth+dependence discovery. The ratio is the
-// cold-start win a snapshotted `currents server -load` gets over building
-// from raw claims (the acceptance bar is ≥5x at 500 sources; measured ~10x).
-
-func BenchmarkSnapshotLoad(b *testing.B) {
-	for _, sz := range benchSizes {
-		b.Run(fmt.Sprintf("sources=%d", sz.sources), func(b *testing.B) {
-			b.ReportAllocs()
-			if testing.Short() && !sz.short {
-				b.Skip("large scale skipped in short mode")
-			}
-			d := benchSnapshotWorld(b, sz.sources, sz.objects)
-			s, err := sourcecurrents.NewSession(d, sourcecurrents.DefaultSessionConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := s.WriteSnapshot(&buf); err != nil {
-				b.Fatal(err)
-			}
-			raw := buf.Bytes()
-			b.SetBytes(int64(len(raw)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sourcecurrents.LoadSession(bytes.NewReader(raw), sourcecurrents.DefaultSessionConfig()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkSnapshotWrite(b *testing.B) {
-	for _, sz := range benchSizes {
-		b.Run(fmt.Sprintf("sources=%d", sz.sources), func(b *testing.B) {
-			b.ReportAllocs()
-			if testing.Short() && !sz.short {
-				b.Skip("large scale skipped in short mode")
-			}
-			d := benchSnapshotWorld(b, sz.sources, sz.objects)
-			s, err := sourcecurrents.NewSession(d, sourcecurrents.DefaultSessionConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var buf bytes.Buffer
-				if err := s.WriteSnapshot(&buf); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// fuseBenchSizes hold the object count constant across source scales.
-// benchSizes deliberately shrinks objects as sources grow (60/40/30) to
-// bound solver claim counts, but a Fuse call's work is dominated by the
-// per-object resolve loop, so sweeping benchSizes made the 500-source run
-// *cheaper* than the 50-source run (56µs vs 169µs in the PR 4 baseline) —
-// an inverted trend that read as a scaling property but was a bench-setup
-// artifact. With objects fixed the series isolates how per-object resolve
-// cost responds to source count. The residual mild non-monotonicity
-// (144µs/68µs/82µs at 50/200/500) is real workload semantics, not setup:
-// more sources sharpen the cached truth posteriors, losing values
-// underflow to probability 0 and drop out of the MinProb filter, so
-// per-object alternative lists — and the relation-build cost they drive —
-// shrink even as the source count grows (alloc counts confirm:
-// 325/253/147 allocs/op).
-var fuseBenchSizes = []struct {
-	sources, objects int
-	short            bool
-}{
-	{50, 60, true},
-	{200, 60, false},
-	{500, 60, false},
-}
-
-func BenchmarkSessionFuse(b *testing.B) {
-	for _, sz := range fuseBenchSizes {
-		b.Run(fmt.Sprintf("sources=%d", sz.sources), func(b *testing.B) {
-			b.ReportAllocs()
-			if testing.Short() && !sz.short {
-				b.Skip("large scale skipped in short mode")
-			}
-			d := benchSnapshotWorld(b, sz.sources, sz.objects)
-			s, err := sourcecurrents.NewSession(d, sourcecurrents.DefaultSessionConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.Fuse(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

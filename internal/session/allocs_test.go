@@ -1,0 +1,65 @@
+package session
+
+import (
+	"bytes"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// The allocation counts of the zero-alloc paths are deterministic per
+// build, so they are asserted in tier-1 rather than watched by a benchmark
+// baseline: a retained-epoch AsOf is a spine lookup that allocates nothing,
+// and mapping a v2 snapshot of the 500-source acceptance world stays within
+// the format's bar of 100 allocations (it decodes no table).
+func TestServePathAllocs(t *testing.T) {
+	base := benchWorld(t)
+
+	t.Run("retained AsOf", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.RetainEpochs = -1
+		cur, err := New(base.Dataset(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(9))
+		for i := 0; i < 4; i++ {
+			if cur, err = cur.Append(randomBatch(rng, cur.Dataset(), i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		epoch := 0
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := cur.AsOf(epoch % 5); err != nil {
+				t.Fatal(err)
+			}
+			epoch++
+		}); n != 0 {
+			t.Fatalf("retained AsOf allocates %v times per call, want 0", n)
+		}
+	})
+
+	t.Run("v2 snapshot load", func(t *testing.T) {
+		var buf bytes.Buffer
+		if err := base.WriteSnapshotV2(&buf); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "world.scs2")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		if n := testing.AllocsPerRun(10, func() {
+			s, err := LoadSnapshotFile(path, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+		}); n > 100 {
+			t.Fatalf("v2 snapshot load allocates %v times, want <= 100", n)
+		} else {
+			t.Logf("v2 snapshot load: %v allocs", n)
+		}
+	})
+}

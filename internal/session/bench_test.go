@@ -13,7 +13,7 @@ import (
 // benchWorld builds the acceptance-bar serving world: 500 independent
 // sources plus 50 copiers over 30 objects — the shape TestSnapshotLoadBeatsBuild
 // and the cold-start acceptance numbers are quoted at.
-func benchWorld(b *testing.B) *Session {
+func benchWorld(b testing.TB) *Session {
 	b.Helper()
 	accs := make([]float64, 500)
 	for i := range accs {
