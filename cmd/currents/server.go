@@ -492,17 +492,18 @@ func runLoadgen(args []string) error {
 		// Aggregate req/s is the loadgen-side number above; the per-shard
 		// split comes from the router's own histograms, where failovers and
 		// replica traffic land on the shard that actually served each try.
-		if f := page1.Family(shardDuration); f != nil && len(f.Series) > 0 {
+		if f := page1.Family("currents_router_requests_total"); f != nil && len(f.Samples) > 0 {
 			fmt.Println("per-shard (router-side, this run):")
-			for _, series := range f.Series { // the router renders them sorted by shard
-				shard := series.LabelValues[0]
+			for _, s := range f.Samples { // one per shard; the router renders them sorted
+				shard := s.Labels[0].Value
 				reqs, _ := delta("currents_router_requests_total", shard)
 				errs, _ := delta("currents_router_request_errors_total", shard)
-				if reqs <= 0 {
+				h := page1.Histogram(shardDuration, shard)
+				if reqs <= 0 || h == nil {
 					fmt.Printf("  %-22s idle\n", shard)
 					continue
 				}
-				d := series.Hist.Sub(page0.Histogram(shardDuration, shard))
+				d := h.Sub(page0.Histogram(shardDuration, shard))
 				fmt.Printf("  %-22s %6d reqs  %3d errors  p50 %v  p99 %v\n",
 					shard, reqs, errs,
 					d.Quantile(0.50).Round(time.Microsecond), d.Quantile(0.99).Round(time.Microsecond))

@@ -495,7 +495,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
-	_ = rt.met.reg.Gather().WriteText(w) // the client hanging up is not the router's error
+	_, _ = w.Write(rt.met.reg.Gather().Text()) // the client hanging up is not the router's error
 }
 
 // AdminRingRequest reconfigures the shard set.

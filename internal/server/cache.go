@@ -26,6 +26,7 @@ import (
 	"container/list"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sourcecurrents/internal/metrics"
@@ -41,10 +42,10 @@ type answerCache struct {
 	order   *list.List    // front = most recently used; values are *cacheEntry
 	entries map[string]*list.Element
 
-	hits      *metrics.Counter
-	misses    *metrics.Counter
-	evictions *metrics.Counter
-	flushes   *metrics.Counter
+	hits      atomic.Int64
+	misses    atomic.Int64
+	evictions atomic.Int64
+	flushes   atomic.Int64
 
 	// now is the clock, injectable for TTL tests.
 	now func() time.Time
@@ -57,23 +58,22 @@ type cacheEntry struct {
 }
 
 // newAnswerCache returns a cache bounded to maxSize entries with the given
-// TTL (disabled when maxSize <= 0) and declares its series on reg. The
+// TTL (disabled when maxSize <= 0) and registers its series on reg. The
 // series are always present — zeros when caching is disabled — so scrapers
 // (and `currents loadgen`) never have to special-case a missing metric.
 func newAnswerCache(maxSize int, ttl time.Duration, reg *metrics.Registry) *answerCache {
 	c := &answerCache{
-		maxSize:   maxSize,
-		ttl:       ttl,
-		order:     list.New(),
-		entries:   make(map[string]*list.Element, max(maxSize, 0)),
-		now:       time.Now,
-		hits:      reg.Counter("currents_answer_cache_hits_total", "Answer requests served from the response cache."),
-		misses:    reg.Counter("currents_answer_cache_misses_total", "Answer cache lookups that missed."),
-		evictions: reg.Counter("currents_answer_cache_evictions_total", "Entries evicted (capacity or TTL)."),
-		flushes:   reg.Counter("currents_answer_cache_flushes_total", "Cache flushes triggered by session swaps."),
+		maxSize: maxSize,
+		ttl:     ttl,
+		order:   list.New(),
+		entries: make(map[string]*list.Element, max(maxSize, 0)),
+		now:     time.Now,
 	}
-	reg.Collect(metrics.KindGauge, "currents_answer_cache_entries", "Entries currently cached.", nil,
-		func(emit metrics.Emit) { emit(int64(c.len())) })
+	reg.Counter("currents_answer_cache_hits_total", "Answer requests served from the response cache.", c.hits.Load)
+	reg.Counter("currents_answer_cache_misses_total", "Answer cache lookups that missed.", c.misses.Load)
+	reg.Counter("currents_answer_cache_evictions_total", "Entries evicted (capacity or TTL).", c.evictions.Load)
+	reg.Counter("currents_answer_cache_flushes_total", "Cache flushes triggered by session swaps.", c.flushes.Load)
+	reg.Gauge("currents_answer_cache_entries", "Entries currently cached.", func() int64 { return int64(c.len()) })
 	return c
 }
 

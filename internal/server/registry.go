@@ -253,6 +253,9 @@ func (r *Registry) load(e *entry) error {
 	}
 	r.mu.Lock()
 	e.sess = s
+	// Most recently used from the moment it lands: a release settling the
+	// bound before this load's acquirer pins must not pick it as the victim.
+	e.lastUsed.Store(r.useClock.Add(1))
 	e.verified.Store(true)
 	if !e.loaded {
 		e.epoch = uint64(s.DatasetEpoch())

@@ -113,7 +113,7 @@ const DefaultCompactEvery = 16
 type Server struct {
 	reg     *Registry
 	opt     Options
-	page    *metrics.Registry // everything /metrics renders
+	page    metrics.Registry // everything /metrics renders
 	met     *requestMetrics
 	cache   *answerCache
 	answers flightGroup
@@ -131,11 +131,10 @@ func New(reg *Registry, opt Options) *Server {
 		opt.Logf = func(string, ...any) {}
 	}
 	// Registration order is the /metrics page order.
-	page := metrics.NewRegistry()
-	s := &Server{reg: reg, opt: opt, page: page}
-	s.met = newRequestMetrics(page)
-	s.cache = newAnswerCache(opt.AnswerCacheSize, opt.AnswerCacheTTL, page)
-	registerRegistryMetrics(page, reg)
+	s := &Server{reg: reg, opt: opt}
+	s.met = newRequestMetrics(&s.page)
+	s.cache = newAnswerCache(opt.AnswerCacheSize, opt.AnswerCacheTTL, &s.page)
+	registerRegistryMetrics(&s.page, reg)
 	return s
 }
 
@@ -257,12 +256,10 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) (string, response
 		if r.Method != http.MethodGet {
 			return "metrics", methodNotAllowed(w, http.MethodGet)
 		}
-		var buf bytes.Buffer
-		_ = s.page.Gather().WriteText(&buf) // a bytes.Buffer write cannot fail
 		return "metrics", response{
 			status:      http.StatusOK,
 			contentType: "text/plain; version=0.0.4; charset=utf-8",
-			body:        buf.Bytes(),
+			body:        s.page.Gather().Text(),
 		}
 	}
 
