@@ -82,13 +82,12 @@ func newRouterMetrics(shards func() []*shardState) *routerMetrics {
 
 	reg.Collect(metrics.KindGauge, "currents_router_ring_shards", "Shards on the ring, by health state.", []string{"state"},
 		func(emit metrics.Emit) {
-			var ready, down int64
-			for _, s := range shards() {
+			all, ready := shards(), int64(0)
+			for _, s := range all {
 				ready += flag(s.ready.Load())
-				down += flag(!s.ready.Load())
 			}
 			emit(ready, "ready")
-			emit(down, "down")
+			emit(int64(len(all))-ready, "down")
 		})
 	ringGauge("currents_router_shard_ready", "Whether each shard answered its last readiness probe (1) or not (0).",
 		func(s *shardState) int64 { return flag(s.ready.Load()) })
