@@ -1,19 +1,16 @@
-// Dense (compiled-index) execution of the ACCUCOPY loop.
+// Dense (compiled-index) building blocks of the ACCUCOPY loop in refine.go.
 //
-// detectCompiled re-expresses detectMaps over dataset.Compiled: candidate
-// overlaps become flat int32 slices built by merge-joining the per-source
-// claim lists, the directional posteriors become a flat source×source
-// table, and the per-object discount factors are ranked once per (group,
-// round) over dense accuracy vectors. Iteration and summation orders match
-// the reference path exactly, so results are bit-identical (enforced by the
-// golden equivalence tests).
+// They re-express the map reference (detectMaps, in reference_test.go) over
+// dataset.Compiled: candidate overlaps become flat int32 slices built by
+// merge-joining the per-source claim lists, the directional posteriors
+// become a flat source×source table, and the per-object discount factors
+// are ranked once per (group, round) over dense accuracy vectors. Iteration
+// and summation orders match the reference exactly, so results are
+// bit-identical (enforced by the golden equivalence tests).
 package depen
 
 import (
-	"math"
-
 	"sourcecurrents/internal/dataset"
-	"sourcecurrents/internal/engine"
 	"sourcecurrents/internal/model"
 	"sourcecurrents/internal/stats"
 	"sourcecurrents/internal/truth"
@@ -43,16 +40,21 @@ type depenScratch struct {
 	post [3]float64
 }
 
-// buildCandidates merge-joins every source pair's sorted claim lists,
-// keeping pairs with at least minShared shared objects — the dense
-// equivalent of Dataset.Pairs, in the same (i asc, j asc) order.
-func buildCandidates(c *dataset.Compiled, minShared int) ([]pairCand, overlaps) {
+// buildCandidates merge-joins the sorted claim lists of every source pair
+// with a dirty member, keeping pairs with at least minShared shared objects
+// — the dense equivalent of Dataset.Pairs, in the same (i asc, j asc) order.
+// A nil dirtySrc means every source is dirty: the full candidate set.
+func buildCandidates(c *dataset.Compiled, minShared int, dirtySrc []bool) ([]pairCand, overlaps) {
 	var cands []pairCand
 	var ov overlaps
 	nS := c.NumSources()
 	for i := 0; i < nS; i++ {
 		ai, ae := c.SrcStart[i], c.SrcStart[i+1]
+		iDirty := dirtySrc == nil || dirtySrc[i]
 		for j := i + 1; j < nS; j++ {
+			if !iDirty && !dirtySrc[j] {
+				continue
+			}
 			bi, be := c.SrcStart[j], c.SrcStart[j+1]
 			off := int32(len(ov.obj))
 			var same int32
@@ -137,26 +139,25 @@ func fillFactorsDense(srcs []int32, acc, depTab []float64, nS int, copyRate floa
 
 // scoreObjectDiscounted is truth.ScoreValues with the dependence discount
 // over the dense view: per candidate, sum each source's weight times its
-// independence factor, in ascending source order.
-func scoreObjectDiscounted(c *dataset.Compiled, oi int, weights, acc, depTab []float64,
+// independence factor, in ascending source order. Without any verdict to
+// discount by (haveDep false) every factor is exactly 1 and the score is
+// the plain vote sum.
+func scoreObjectDiscounted(solver *truth.DenseSolver, oi int, weights, acc, depTab []float64,
 	haveDep bool, copyRate float64, sc *depenScratch) []float64 {
+	if !haveDep {
+		return solver.ScoreObject(oi, weights, sc.ds)
+	}
+	c := solver.Compiled()
 	gs, ge := c.GroupStart[oi], c.GroupStart[oi+1]
 	scores := sc.ds.Scores(int(ge - gs))
 	nS := c.NumSources()
 	for k := range scores {
 		g := gs + int32(k)
 		srcs := c.GroupSrc[c.GroupSrcStart[g]:c.GroupSrcStart[g+1]]
+		fac := fillFactorsDense(srcs, acc, depTab, nS, copyRate, sc)
 		var cum float64
-		if !haveDep {
-			// First round: no posteriors yet, every factor is exactly 1.
-			for _, si := range srcs {
-				cum += weights[si]
-			}
-		} else {
-			fac := fillFactorsDense(srcs, acc, depTab, nS, copyRate, sc)
-			for p, si := range srcs {
-				cum += weights[si] * fac[p]
-			}
+		for p, si := range srcs {
+			cum += weights[si] * fac[p]
 		}
 		scores[k] = cum
 	}
@@ -197,92 +198,4 @@ func scorePairDense(c *dataset.Compiled, solver *truth.DenseSolver, cand pairCan
 		Same:   int(cand.same),
 		KT:     kt, KF: kf, KD: kd,
 	}
-}
-
-// detectCompiled is Detect over the compiled index.
-func detectCompiled(c *dataset.Compiled, cfg Config) *Result {
-	solver := truth.NewDenseSolver(c, cfg.Truth)
-	cands, ov := buildCandidates(c, cfg.MinShared)
-
-	nS := c.NumSources()
-	acc := make([]float64, nS)
-	for i := range acc {
-		acc[i] = cfg.Truth.InitialAccuracy
-	}
-	weights := make([]float64, nS)
-	next := make([]float64, nS)
-	probs := make([]float64, len(c.GroupValue))
-	// depTab[i*nS+j] is the total (both-direction) dependence posterior of
-	// the pair {i, j} from the previous round — the flat replacement for the
-	// nested dirProb map on the discount path.
-	depTab := make([]float64, nS*nS)
-	haveDep := false
-	deps := make([]Dependence, len(cands))
-	maxGroupSrc := c.MaxSourcesPerGroup()
-	newScratch := func() *depenScratch {
-		return &depenScratch{
-			ds:   solver.NewScratch(),
-			rank: make([]int32, maxGroupSrc),
-			fac:  make([]float64, maxGroupSrc),
-		}
-	}
-	logPrior := [3]float64{
-		math.Log(1 - cfg.Alpha), math.Log(cfg.Alpha / 2), math.Log(cfg.Alpha / 2),
-	}
-	eng := cfg.Engine()
-	res := &Result{}
-
-	for round := 1; round <= cfg.MaxRounds; round++ {
-		// Truth step with dependence discounts from the previous round.
-		solver.FillWeights(acc, weights)
-		engine.ForNScratch(eng, c.NumObjects(), newScratch, func(oi int, sc *depenScratch) {
-			row := solver.Row(probs, oi)
-			if kr := solver.KnownRow(oi); kr != nil {
-				copy(row, kr)
-				return
-			}
-			scores := scoreObjectDiscounted(c, oi, weights, acc, depTab, haveDep, cfg.CopyRate, sc)
-			solver.FinishObject(oi, scores, row, sc.ds)
-		})
-
-		// Accuracy step.
-		solver.UpdateAccuracy(eng, probs, next)
-
-		// Dependence step: score candidates in their canonical order.
-		engine.ForNScratch(eng, len(cands), newScratch, func(pi int, sc *depenScratch) {
-			deps[pi] = scorePairDense(c, solver, cands[pi], ov, probs, next, cfg, logPrior, sc)
-		})
-		for i := range depTab {
-			depTab[i] = 0
-		}
-		for pi := range deps {
-			a, b := int(cands[pi].a), int(cands[pi].b)
-			t := deps[pi].ProbAB + deps[pi].ProbBA
-			depTab[a*nS+b] = t
-			depTab[b*nS+a] = t
-		}
-		haveDep = len(cands) > 0
-		res.Rounds = round
-
-		if truth.MaxAccuracyDeltaVec(acc, next) < cfg.Tol {
-			copy(acc, next)
-			res.Converged = true
-			break
-		}
-		copy(acc, next)
-	}
-
-	res.Truth = &truth.Result{
-		Probs:     solver.ProbsMap(probs),
-		Accuracy:  solver.AccuracyMap(acc),
-		Rounds:    res.Rounds,
-		Converged: res.Converged,
-	}
-	res.Truth.PickChosen()
-	res.dir = newDirTableFor(c.SourceIDs())
-	for pi := range deps {
-		res.dir.set(cands[pi].a, cands[pi].b, deps[pi].ProbAB, deps[pi].ProbBA)
-	}
-	finishPairs(res, deps, cfg.DepThreshold)
-	return res
 }

@@ -312,7 +312,8 @@ func ResultFromParts(tr *truth.Result, sources []model.SourceID,
 		Converged: converged,
 		dir:       t,
 	}
-	finishPairs(res, allPairs, depThreshold)
+	sortDeps(allPairs)
+	finishSortedPairs(res, allPairs, depThreshold)
 	return res
 }
 
@@ -357,39 +358,14 @@ func Detect(d *dataset.Dataset, cfg Config) (*Result, error) {
 	if !d.Frozen() {
 		return nil, fmt.Errorf("depen: dataset must be frozen")
 	}
+	var prev *Result
 	if base := d.Base(); base != nil {
-		prev, err := Detect(base, cfg)
-		if err != nil {
+		var err error
+		if prev, err = Detect(base, cfg); err != nil {
 			return nil, err
 		}
-		return refine(d, prev, cfg), nil
 	}
-	return detectCompiled(d.Compiled(), cfg), nil
-}
-
-// finishPairs fills AllPairs (sorted) and Dependences (thresholded,
-// preallocated after a counting pass) from the final round's verdicts. It
-// takes ownership of pairs and sorts it in place — no caller reads the
-// final-round slice afterwards, and the copy it replaces was a measurable
-// share of a snapshot load.
-func finishPairs(res *Result, pairs []Dependence, threshold float64) {
-	sortDeps(pairs)
-	res.AllPairs = pairs
-	var n int
-	for _, p := range res.AllPairs {
-		if p.Prob >= threshold {
-			n++
-		}
-	}
-	if n == 0 {
-		return
-	}
-	res.Dependences = make([]Dependence, 0, n)
-	for _, p := range res.AllPairs {
-		if p.Prob >= threshold {
-			res.Dependences = append(res.Dependences, p)
-		}
-	}
+	return refine(d, prev, cfg), nil
 }
 
 func sortDeps(deps []Dependence) {
@@ -410,8 +386,11 @@ func depLess(x, y *Dependence) bool {
 	return x.Pair.B < y.Pair.B
 }
 
-// finishSortedPairs is finishPairs for a slice already in sortDeps order —
-// refine merges two sorted runs and must not pay a full re-sort.
+// finishSortedPairs fills AllPairs and Dependences (thresholded,
+// preallocated after a counting pass) from the final verdicts, which must
+// already be in sortDeps order. It takes ownership of pairs: no caller reads
+// the slice afterwards, and the copy this avoids was a measurable share of a
+// snapshot load.
 func finishSortedPairs(res *Result, pairs []Dependence, threshold float64) {
 	res.AllPairs = pairs
 	var n int

@@ -130,7 +130,8 @@ func detectMaps(d *dataset.Dataset, cfg Config) (*Result, error) {
 	for _, dep := range pairs {
 		res.dir.setByID(dep.Pair.A, dep.Pair.B, dep.ProbAB, dep.ProbBA)
 	}
-	finishPairs(res, pairs, cfg.DepThreshold)
+	sortDeps(pairs)
+	finishSortedPairs(res, pairs, cfg.DepThreshold)
 	return res, nil
 }
 

@@ -58,99 +58,89 @@ func Refine(d *dataset.Dataset, prev *Result, cfg Config) (*Result, error) {
 	return refine(d, prev, cfg), nil
 }
 
-// refine implements Refine for validated inputs.
+// refine is the one ACCUCOPY loop: it solves d given prev, the result of
+// d.Base(), or from nothing when prev is nil (d is then flat, and every
+// source, object and pair is dirty).
 //
 // The candidate set over the successor is assembled incrementally: overlap
 // and agreement between two sources can only grow through a claim by one of
 // them, so a pair either has a dirty member (merge-joined fresh over the
 // successor's claim lists) or is carried over from the predecessor verbatim
 // — rebuilding the full pair×overlap structure per batch would cost as much
-// as Detect itself.
+// as a flat solve.
 func refine(d *dataset.Dataset, prev *Result, cfg Config) *Result {
 	c := d.Compiled()
 	solver := truth.NewDenseSolver(c, cfg.Truth)
 	nS := c.NumSources()
 	nO := c.NumObjects()
 
-	// Seed accuracies and posteriors from the predecessor. Sources and value
-	// groups it never saw start at the prior (InitialAccuracy / zero rows);
-	// every such group belongs to a dirty object and is rescored in round 1
-	// before anything reads it.
+	// Everything starts at the prior: InitialAccuracy and zero rows. Every
+	// group the predecessor never saw belongs to a dirty object and is
+	// rescored in round 1 before anything reads it.
 	acc := make([]float64, nS)
-	for i := 0; i < nS; i++ {
-		if a, ok := prev.Truth.Accuracy[c.Source(i)]; ok {
-			acc[i] = a
-		} else {
-			acc[i] = cfg.Truth.InitialAccuracy
-		}
+	for i := range acc {
+		acc[i] = cfg.Truth.InitialAccuracy
 	}
 	probs := make([]float64, len(c.GroupValue))
-	solver.FillProbs(probs, prev.Truth.Probs)
+	rounds := cfg.MaxRounds
 
-	// Dirty sets, fixed for the whole refinement: the batch's sources and
-	// objects, and the pairs whose evidence they can have moved.
-	dirtySrc := make([]bool, nS)
-	dirtyObj := make([]bool, nO)
-	for _, cl := range d.Batch() {
-		if si, ok := c.SourceIndex(cl.Source); ok {
-			dirtySrc[si] = true
-		}
-		if oi, ok := c.ObjectIndex(cl.Object); ok {
-			dirtyObj[oi] = true
-		}
-	}
-	var dirtyObjs []int32
-	for oi := 0; oi < nO; oi++ {
-		if dirtyObj[oi] {
-			dirtyObjs = append(dirtyObjs, int32(oi))
-		}
+	// Dirty sets, fixed for the whole solve: the batch's sources and objects,
+	// and through them the pairs whose evidence the batch can have moved.
+	// Both are nil for a flat solve, where everything is dirty.
+	dirtySrc, dirtyObjs := dirtySets(c, d.Batch(), prev == nil)
+	nDirtyObj := nO
+	if dirtyObjs != nil {
+		nDirtyObj = len(dirtyObjs)
 	}
 
-	// Candidate pairs with a dirty member, merge-joined over the successor.
-	cands, ov := buildDirtyCandidates(c, cfg.MinShared, dirtySrc)
-
-	// Partition the predecessor's pairs: a pair with a dirty member is
-	// superseded by its freshly-joined candidate (seeded below); every other
-	// pair is kept verbatim — verdict, Shared and Same all still exact.
-	kept := make([]int32, 0, len(prev.AllPairs))
-	keptA := make([]int32, 0, len(prev.AllPairs))
-	keptB := make([]int32, 0, len(prev.AllPairs))
-	seeds := make(map[model.SourcePair]*Dependence)
-	for i := range prev.AllPairs {
-		pd := &prev.AllPairs[i]
-		ai, aok := c.SourceIndex(pd.Pair.A)
-		bi, bok := c.SourceIndex(pd.Pair.B)
-		if !aok || !bok {
-			continue // unreachable: the log is append-only
-		}
-		if dirtySrc[ai] || dirtySrc[bi] {
-			seeds[pd.Pair] = pd
-			continue
-		}
-		kept = append(kept, int32(i))
-		keptA = append(keptA, int32(ai))
-		keptB = append(keptB, int32(bi))
-	}
-	deps := make([]Dependence, len(cands))
-	for pi := range cands {
-		pair := model.SourcePair{A: c.Source(int(cands[pi].a)), B: c.Source(int(cands[pi].b))}
-		if seed := seeds[pair]; seed != nil {
-			deps[pi] = *seed
-		}
-	}
-
-	// The discount table is kept-pairs (constant all rounds) plus the dirty
-	// pairs' current verdicts, exactly the all-pairs table the full loop
-	// rebuilds each round.
-	baseTab := make([]float64, nS*nS)
-	for k, i := range kept {
-		t := prev.AllPairs[i].ProbAB + prev.AllPairs[i].ProbBA
-		baseTab[keptA[k]*int32(nS)+keptB[k]] = t
-		baseTab[keptB[k]*int32(nS)+keptA[k]] = t
-	}
+	// depTab[i*nS+j] is the total (both-direction) dependence posterior of
+	// the pair {i, j} going into a round. haveDep says it holds any verdict
+	// at all; until one exists — round 1 of a flat solve — every discount
+	// factor is exactly 1 and scoring skips the rank-and-discount pass.
 	depTab := make([]float64, nS*nS)
-	fillDepTab(depTab, baseTab, nS, cands, deps)
-	haveDep := len(cands) > 0 || len(kept) > 0
+	haveDep := prev != nil && len(prev.AllPairs) > 0
+	res := &Result{dir: newDirTableFor(c.SourceIDs())}
+
+	// What else a predecessor contributes: seeds for accuracies, posteriors
+	// and the discount table, and the pairs without a dirty member, kept
+	// verbatim (as indexes into prev.AllPairs) — verdict, Shared and Same all
+	// still exact. baseTab is their constant share of depTab. A pair with a
+	// dirty member is superseded by its freshly-joined candidate: its old
+	// verdict discounts round 1 and is rescored from then on.
+	var kept []int32
+	var baseTab []float64
+	if prev != nil {
+		rounds = cfg.EffectiveRefineRounds()
+		for i := range acc {
+			if a, ok := prev.Truth.Accuracy[c.Source(i)]; ok {
+				acc[i] = a
+			}
+		}
+		solver.FillProbs(probs, prev.Truth.Probs)
+
+		kept = make([]int32, 0, len(prev.AllPairs))
+		baseTab = make([]float64, nS*nS)
+		for i := range prev.AllPairs {
+			pd := &prev.AllPairs[i]
+			ai, aok := c.SourceIndex(pd.Pair.A)
+			bi, bok := c.SourceIndex(pd.Pair.B)
+			if !aok || !bok {
+				continue // unreachable: the log is append-only
+			}
+			ab, ba := int(ai)*nS+int(bi), int(bi)*nS+int(ai)
+			t := pd.ProbAB + pd.ProbBA
+			depTab[ab], depTab[ba] = t, t
+			if dirtySrc[ai] || dirtySrc[bi] {
+				continue
+			}
+			kept = append(kept, int32(i))
+			baseTab[ab], baseTab[ba] = t, t
+			res.dir.set(ai, bi, pd.ProbAB, pd.ProbBA)
+		}
+	}
+
+	cands, ov := buildCandidates(c, cfg.MinShared, dirtySrc)
+	deps := make([]Dependence, len(cands))
 
 	weights := make([]float64, nS)
 	next := make([]float64, nS)
@@ -166,32 +156,41 @@ func refine(d *dataset.Dataset, prev *Result, cfg Config) *Result {
 		math.Log(1 - cfg.Alpha), math.Log(cfg.Alpha / 2), math.Log(cfg.Alpha / 2),
 	}
 	eng := cfg.Engine()
-	res := &Result{}
 
-	for round := 1; round <= cfg.EffectiveRefineRounds(); round++ {
-		// Truth step over the dirty objects only.
+	// The two per-item steps of a round, built once: they read acc, next,
+	// probs, depTab and haveDep as the rounds update them.
+	truthStep := func(k int, sc *depenScratch) {
+		oi := k
+		if dirtyObjs != nil {
+			oi = int(dirtyObjs[k])
+		}
+		row := solver.Row(probs, oi)
+		if kr := solver.KnownRow(oi); kr != nil {
+			copy(row, kr)
+			return
+		}
+		scores := scoreObjectDiscounted(solver, oi, weights, acc, depTab, haveDep, cfg.CopyRate, sc)
+		solver.FinishObject(oi, scores, row, sc.ds)
+	}
+	pairStep := func(pi int, sc *depenScratch) {
+		deps[pi] = scorePairDense(c, solver, cands[pi], ov, probs, next, cfg, logPrior, sc)
+	}
+
+	for round := 1; round <= rounds; round++ {
+		// Truth step over the dirty objects, with dependence discounts from
+		// the previous round.
 		solver.FillWeights(acc, weights)
-		engine.ForNScratch(eng, len(dirtyObjs), newScratch, func(k int, sc *depenScratch) {
-			oi := int(dirtyObjs[k])
-			row := solver.Row(probs, oi)
-			if kr := solver.KnownRow(oi); kr != nil {
-				copy(row, kr)
-				return
-			}
-			scores := scoreObjectDiscounted(c, oi, weights, acc, depTab, haveDep, cfg.CopyRate, sc)
-			solver.FinishObject(oi, scores, row, sc.ds)
-		})
+		engine.ForNScratch(eng, nDirtyObj, newScratch, truthStep)
 
 		// Accuracy step over every source: untouched sources recompute the
 		// same sums from unchanged rows, so this keeps the global coupling
 		// without costing precision.
 		solver.UpdateAccuracy(eng, probs, next)
 
-		// Dependence step over the dirty pairs only.
-		engine.ForNScratch(eng, len(cands), newScratch, func(pi int, sc *depenScratch) {
-			deps[pi] = scorePairDense(c, solver, cands[pi], ov, probs, next, cfg, logPrior, sc)
-		})
+		// Dependence step over the dirty pairs, in their canonical order.
+		engine.ForNScratch(eng, len(cands), newScratch, pairStep)
 		fillDepTab(depTab, baseTab, nS, cands, deps)
+		haveDep = len(cands) > 0 || len(kept) > 0
 		res.Rounds = round
 
 		if truth.MaxAccuracyDeltaVec(acc, next) < cfg.Tol {
@@ -209,89 +208,71 @@ func refine(d *dataset.Dataset, prev *Result, cfg Config) *Result {
 		Converged: res.Converged,
 	}
 	res.Truth.PickChosen()
-	res.dir = newDirTableFor(c.SourceIDs())
-	for k, i := range kept {
-		res.dir.set(keptA[k], keptB[k], prev.AllPairs[i].ProbAB, prev.AllPairs[i].ProbBA)
-	}
 	for pi := range deps {
 		res.dir.set(cands[pi].a, cands[pi].b, deps[pi].ProbAB, deps[pi].ProbBA)
 	}
 
-	// AllPairs: the kept subsequence is already in finishPairs order (it is
-	// an order-preserving filter of the predecessor's sorted AllPairs), so
-	// sorting only the rescored pairs and merging avoids the full-set sort.
+	// AllPairs: the kept subsequence is already in depLess order (it is an
+	// order-preserving filter of the predecessor's sorted AllPairs), so
+	// sorting only the rescored pairs and merging avoids the full-set sort;
+	// with nothing kept the rescored pairs are the result as they stand.
 	sortDeps(deps)
-	all := make([]Dependence, 0, len(kept)+len(deps))
-	ki, di := 0, 0
-	for ki < len(kept) && di < len(deps) {
-		if depLess(&prev.AllPairs[kept[ki]], &deps[di]) {
-			all = append(all, prev.AllPairs[kept[ki]])
-			ki++
-		} else {
-			all = append(all, deps[di])
-			di++
+	all := deps
+	if len(kept) > 0 {
+		all = make([]Dependence, 0, len(kept)+len(deps))
+		ki, di := 0, 0
+		for ki < len(kept) && di < len(deps) {
+			if depLess(&prev.AllPairs[kept[ki]], &deps[di]) {
+				all = append(all, prev.AllPairs[kept[ki]])
+				ki++
+			} else {
+				all = append(all, deps[di])
+				di++
+			}
 		}
+		for ; ki < len(kept); ki++ {
+			all = append(all, prev.AllPairs[kept[ki]])
+		}
+		all = append(all, deps[di:]...)
 	}
-	for ; ki < len(kept); ki++ {
-		all = append(all, prev.AllPairs[kept[ki]])
-	}
-	all = append(all, deps[di:]...)
 	finishSortedPairs(res, all, cfg.DepThreshold)
 	return res
 }
 
-// buildDirtyCandidates merge-joins the claim lists of every pair with at
-// least one dirty member, keeping pairs with at least minShared shared
-// objects — the subset of buildCandidates a batch can have changed, in the
-// same (i asc, j asc) order.
-func buildDirtyCandidates(c *dataset.Compiled, minShared int, dirtySrc []bool) ([]pairCand, overlaps) {
-	var cands []pairCand
-	var ov overlaps
-	nS := c.NumSources()
-	for i := 0; i < nS; i++ {
-		ai, ae := c.SrcStart[i], c.SrcStart[i+1]
-		for j := i + 1; j < nS; j++ {
-			if !dirtySrc[i] && !dirtySrc[j] {
-				continue
-			}
-			bi, be := c.SrcStart[j], c.SrcStart[j+1]
-			off := int32(len(ov.obj))
-			var same int32
-			p, q := ai, bi
-			for p < ae && q < be {
-				switch {
-				case c.SrcObj[p] < c.SrcObj[q]:
-					p++
-				case c.SrcObj[p] > c.SrcObj[q]:
-					q++
-				default:
-					ov.obj = append(ov.obj, c.SrcObj[p])
-					ov.ag = append(ov.ag, c.SrcGroup[p])
-					ov.bg = append(ov.bg, c.SrcGroup[q])
-					if c.SrcGroup[p] == c.SrcGroup[q] {
-						same++
-					}
-					p++
-					q++
-				}
-			}
-			n := int32(len(ov.obj)) - off
-			if int(n) < minShared {
-				ov.obj = ov.obj[:off]
-				ov.ag = ov.ag[:off]
-				ov.bg = ov.bg[:off]
-				continue
-			}
-			cands = append(cands, pairCand{a: int32(i), b: int32(j), off: off, n: n, same: same})
+// dirtySets returns a batch's sources as a mask over c's sources and its
+// objects as an ascending index list; nil, nil when everything is dirty.
+func dirtySets(c *dataset.Compiled, batch []model.Claim, all bool) ([]bool, []int32) {
+	if all {
+		return nil, nil
+	}
+	nO := c.NumObjects()
+	dirtySrc := make([]bool, c.NumSources())
+	dirtyObj := make([]bool, nO)
+	for _, cl := range batch {
+		if si, ok := c.SourceIndex(cl.Source); ok {
+			dirtySrc[si] = true
+		}
+		if oi, ok := c.ObjectIndex(cl.Object); ok {
+			dirtyObj[oi] = true
 		}
 	}
-	return cands, ov
+	dirtyObjs := make([]int32, 0, nO)
+	for oi := 0; oi < nO; oi++ {
+		if dirtyObj[oi] {
+			dirtyObjs = append(dirtyObjs, int32(oi))
+		}
+	}
+	return dirtySrc, dirtyObjs
 }
 
 // fillDepTab overlays the dirty pairs' current totals on the constant
-// kept-pair table.
+// kept-pair table (nil when there is no predecessor: all zero).
 func fillDepTab(depTab, baseTab []float64, nS int, cands []pairCand, deps []Dependence) {
-	copy(depTab, baseTab)
+	if baseTab == nil {
+		clear(depTab)
+	} else {
+		copy(depTab, baseTab)
+	}
 	for pi := range deps {
 		a, b := int(cands[pi].a), int(cands[pi].b)
 		t := deps[pi].ProbAB + deps[pi].ProbBA
