@@ -7,10 +7,12 @@ package sourcecurrents_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"sourcecurrents"
 	"sourcecurrents/internal/experiments"
+	"sourcecurrents/internal/raceflag"
 	"sourcecurrents/internal/synth"
 )
 
@@ -183,6 +185,48 @@ func benchmarkDetect(b *testing.B, parallelism int) {
 
 func BenchmarkDetectSequential(b *testing.B) { benchmarkDetect(b, 1) }
 func BenchmarkDetectParallel(b *testing.B)   { benchmarkDetect(b, 0) }
+
+// TestDetectFlatAllocs holds a flat Detect (BenchmarkDetectSequential's
+// worlds and configuration) to what it allocated before the flat solve
+// became the incremental one started from nothing: the predecessor
+// bookkeeping — dirty sets, kept-pair table, merged pair slice — must cost a
+// flat solve nothing. Allocation counts are exact; bytes get 0.1% for
+// runtime noise, an eighth of the smallest table that could creep back in.
+func TestDetectFlatAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	ceilings := map[int]struct{ allocs, bytes float64 }{
+		50:  {337, 6255277},
+		200: {317, 69107618},
+		500: {316, 345427709},
+	}
+	for _, sz := range benchSizes {
+		if testing.Short() && !sz.short {
+			continue
+		}
+		d := benchSnapshotWorld(t, sz.sources, sz.objects)
+		cfg := sourcecurrents.DefaultDependenceConfig()
+		cfg.Parallelism = 1
+		cfg.MaxRounds = 3
+		run := func() {
+			if _, err := sourcecurrents.DetectDependence(d, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		max := ceilings[sz.sources]
+		if got := testing.AllocsPerRun(2, run); got > max.allocs {
+			t.Errorf("sources=%d: flat Detect made %.0f allocations, ceiling %.0f", sz.sources, got, max.allocs)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		if got := float64(after.TotalAlloc - before.TotalAlloc); got > max.bytes*1.001 {
+			t.Errorf("sources=%d: flat Detect allocated %.0f bytes, ceiling %.0f (+0.1%%)", sz.sources, got, max.bytes)
+		}
+	}
+}
 
 func benchmarkTemporal(b *testing.B, parallelism int) {
 	b.ReportAllocs()

@@ -11,6 +11,12 @@
 // scan republishes the currents_replica_lag gauge wholesale, so a healed
 // replica's return to 0 is observable.
 //
+// The prober's epochs are a cache, and a scan that lands between a
+// primary's append and its replica's sees a gap that closes by itself. So a
+// task is only a suspicion: repairOne asks the shards again before it
+// streams a world, and a repair counts only when the target says it
+// replaced its world.
+//
 // Divergence in this system is always an epoch gap, never a same-epoch
 // fork: every placement member applies the same append batches in the same
 // order (router fan-out relays one batch), so a lagging replica is a
@@ -58,8 +64,9 @@ func newRepairer(rt *Router) *repairer {
 	}
 }
 
-// enqueue registers a lagging replica for repair and nudges the loop. An
-// already-pending task keeps its backoff schedule.
+// enqueue registers a lagging replica for repair. An already-pending task
+// keeps its backoff schedule. The scan enqueues from inside the loop; a
+// caller outside it follows up with wake.
 func (rp *repairer) enqueue(dataset, target string) {
 	t := repairTask{dataset: dataset, target: target}
 	rp.mu.Lock()
@@ -67,6 +74,10 @@ func (rp *repairer) enqueue(dataset, target string) {
 		rp.pending[t] = &repairState{}
 	}
 	rp.mu.Unlock()
+}
+
+// wake nudges the loop to run a round now instead of at the next tick.
+func (rp *repairer) wake() {
 	select {
 	case rp.kick <- struct{}{}:
 	default:
@@ -139,23 +150,12 @@ func (rp *repairer) scanLag() {
 		for addr, e := range known {
 			row[addr] = maxEpoch - e
 			if e < maxEpoch {
-				rp.enqueueScanned(ds, addr)
+				rp.enqueue(ds, addr)
 			}
 		}
 		lag[ds] = row
 	}
 	rt.met.setLag(lag)
-}
-
-// enqueueScanned adds a scan-discovered task without re-kicking the loop
-// (the scan runs inside the loop already).
-func (rp *repairer) enqueueScanned(dataset, target string) {
-	t := repairTask{dataset: dataset, target: target}
-	rp.mu.Lock()
-	if _, ok := rp.pending[t]; !ok {
-		rp.pending[t] = &repairState{}
-	}
-	rp.mu.Unlock()
 }
 
 // runDue executes every task whose backoff has elapsed; reports whether
@@ -199,6 +199,14 @@ func (rp *repairer) repairOne(t repairTask) bool {
 		return false
 	}
 
+	// Refresh the placement's epoch reports: the ones that raised this task
+	// may predate a fan-out that has landed since.
+	for _, addr := range placement {
+		if s := rt.shardFor(addr); s != nil {
+			rt.probeShard(s)
+		}
+	}
+
 	// Pick the freshest holder as source, preferring ready shards; note
 	// the target's own epoch to detect "already converged".
 	var src string
@@ -230,13 +238,20 @@ func (rp *repairer) repairOne(t repairTask) bool {
 		return true
 	}
 
-	if err := rt.adopt(t.target, t.dataset, src, true); err != nil {
+	status, err := rt.adopt(t.target, t.dataset, src, true)
+	if err != nil {
 		rt.met.repairErrs.Add(1)
 		rp.requeue(t, err.Error())
 		return false
 	}
-	rt.met.repairs.Add(1)
-	rt.opt.Logf("repair: re-streamed %s onto %s from %s (epoch %d)", t.dataset, t.target, src, srcEpoch)
+	if status == "replaced" {
+		rt.met.repairs.Add(1)
+		rt.opt.Logf("repair: re-streamed %s onto %s from %s (epoch %d)", t.dataset, t.target, src, srcEpoch)
+	} else {
+		// The target caught up while the snapshot was in flight and kept its
+		// own world: nothing was healed.
+		rt.opt.Logf("repair: %s on %s needed no heal (shard answered %q)", t.dataset, t.target, status)
+	}
 	rp.drop(t)
 	if s := rt.shardFor(t.target); s != nil {
 		rt.probeShard(s) // refresh the healed shard's epoch report

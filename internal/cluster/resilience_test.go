@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -365,7 +366,7 @@ func TestRouterRepairConvergence(t *testing.T) {
 	if got := rt.met.repairs.Load(); got != 1 {
 		t.Fatalf("repairs = %d, want 1 (errors=%d)", got, rt.met.repairErrs.Load())
 	}
-	if _, epoch, ok := replica.reg.GetWithEpoch("alpha"); !ok || epoch != 1 {
+	if epoch, ok := replica.reg.KnownEpochs()["alpha"]; !ok || epoch != 1 {
 		t.Fatalf("replica epoch = %d (ok=%v), want 1 after repair", epoch, ok)
 	}
 	_, want := directReq(t, primary.ts.URL, http.MethodPost, "/v1/alpha/answer", answerReq)
@@ -384,6 +385,74 @@ func TestRouterRepairConvergence(t *testing.T) {
 	rt.repair.runOnce()
 	if got := rt.met.repairs.Load(); got != 1 {
 		t.Fatalf("second repair round re-streamed (repairs=%d), want idempotent no-op", got)
+	}
+}
+
+// A probe that lands between a primary's append and its replica's sees an
+// epoch gap the fan-out is about to close. The scan may suspect the replica,
+// but the repair must ask again before it streams a world: every routed
+// append ends with no repair counted and no snapshot pulled.
+func TestRouterNoSpuriousRepair(t *testing.T) {
+	var rt *Router
+	var replicaAddr string
+	var snapshots atomic.Int64
+	cfg := session.DefaultConfig()
+	addrs := make([]string, 2)
+	for i := range addrs {
+		dir := t.TempDir()
+		writeWorldSnap(t, dir, "alpha", 11, 30)
+		reg, err := server.LoadDirAllowEmpty(dir, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shard := server.New(reg, server.Options{AdoptDir: dir, SessionCfg: cfg})
+		var self string
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch {
+			case strings.HasSuffix(r.URL.Path, "/snapshot"):
+				snapshots.Add(1)
+			case strings.HasSuffix(r.URL.Path, "/append") && self == replicaAddr:
+				// The primary has applied the batch, this replica has not yet.
+				rt.probeAll()
+				rt.repair.scanLag()
+			}
+			shard.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		self = strings.TrimPrefix(ts.URL, "http://")
+		addrs[i] = self
+	}
+	var err error
+	if rt, err = NewRouter(addrs, Options{RF: 2}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	replicaAddr = rt.Placement("alpha")[1]
+	// Lazy registries learn their epoch on first load; force both loads so
+	// /readyz reports epochs for the scan to compare.
+	for _, addr := range addrs {
+		directReq(t, "http://"+addr, http.MethodPost, "/v1/alpha/answer", answerReq)
+	}
+
+	for i := 1; i <= 3; i++ {
+		body := fmt.Sprintf(`{"claims":[{"source":"s_extra","entity":"o%05d","attribute":"v","value":"zzz"}]}`, i)
+		if resp, out := doReq(t, rt, http.MethodPost, "/v1/alpha/append", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("append %d status %d: %s", i, resp.StatusCode, out)
+		}
+		if got := rt.repair.pendingCount(); got != 1 {
+			t.Fatalf("append %d: repair queue = %d tasks, want the scan's one suspicion", i, got)
+		}
+		rt.repair.runOnce()
+		if got := rt.repair.pendingCount(); got != 0 {
+			t.Fatalf("append %d: repair queue = %d tasks after the round, want 0", i, got)
+		}
+	}
+	if got := snapshots.Load(); got != 0 {
+		t.Fatalf("%d snapshots streamed, want 0", got)
+	}
+	_, met := doReq(t, rt, http.MethodGet, "/metrics", "")
+	if !strings.Contains(string(met), "currents_router_repairs_total 0\n") {
+		t.Fatalf("metrics missing currents_router_repairs_total 0:\n%s", met)
 	}
 }
 

@@ -614,7 +614,7 @@ func (rt *Router) Rebalance() []Move {
 				continue
 			}
 			mv := Move{Dataset: ds, To: target, From: src}
-			if err := rt.adopt(target, ds, src, false); err != nil {
+			if _, err := rt.adopt(target, ds, src, false); err != nil {
 				mv.Error = err.Error()
 				rt.met.rebalanceErrs.Add(1)
 				rt.opt.Logf("rebalance: adopt %s onto %s from %s: %v", ds, target, src, err)
@@ -649,7 +649,9 @@ func pickSource(holding []string, byAddr map[string]*shardState) string {
 
 // adopt tells target to pull dataset from src's snapshot stream, bounded
 // by RepairTimeout. replace re-streams over an existing (lagging) world.
-func (rt *Router) adopt(target, dataset, src string, replace bool) error {
+// It returns the shard's verdict: "adopted", "exists", "replaced", or
+// "current" when the target's own world was already as new.
+func (rt *Router) adopt(target, dataset, src string, replace bool) (string, error) {
 	from := "http://" + src + "/v1/" + dataset + "/snapshot"
 	u := "http://" + target + "/v1/" + dataset + "/adopt?from=" + url.QueryEscape(from)
 	if replace {
@@ -659,19 +661,25 @@ func (rt *Router) adopt(target, dataset, src string, replace bool) error {
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, nil)
 	if err != nil {
-		return err
+		return "", err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		return err
+		return "", err
 	}
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("adopt: shard answered %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
+		return "", fmt.Errorf("adopt: shard answered %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
 	}
-	return nil
+	var ar struct {
+		Status string `json:"status"`
+	}
+	if err := json.Unmarshal(body, &ar); err != nil {
+		return "", fmt.Errorf("adopt: shard answered 200 with %q: %w", strings.TrimSpace(string(body)), err)
+	}
+	return ar.Status, nil
 }
 
 // proxy forwards one /v1/{dataset}/{op} request to the dataset's placement.
@@ -1231,6 +1239,7 @@ func (rt *Router) proxyWrite(w http.ResponseWriter, r *http.Request, name, op st
 						name, replica, rresp.StatusCode, strings.TrimSpace(string(rbody)))
 				}
 				rt.repair.enqueue(name, replica)
+				rt.repair.wake()
 			}
 			statuses[i] = st
 		}(i, replica)

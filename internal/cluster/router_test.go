@@ -222,7 +222,7 @@ func TestRouterAppendFanout(t *testing.T) {
 		t.Fatalf("append epoch = %d, want 1", ar.Epoch)
 	}
 	for i, sh := range shards {
-		_, epoch, ok := sh.reg.GetWithEpoch("alpha")
+		epoch, ok := sh.reg.KnownEpochs()["alpha"]
 		if !ok || epoch != 1 {
 			t.Fatalf("shard %d epoch = %d (ok=%v), want 1 — fan-out did not land", i, epoch, ok)
 		}

@@ -36,6 +36,18 @@ func appendBody(t testing.TB, s *session.Session, source, value string, n int) s
 	return string(b)
 }
 
+// sessionOf returns name's current session and epoch, released at once: the
+// tests that read a session this way serve heap worlds or set no resident
+// bound, so nothing can unmap it behind them.
+func sessionOf(reg *Registry, name string) (*session.Session, uint64, bool) {
+	s, epoch, release, err := reg.Acquire(name)
+	if err != nil {
+		return nil, 0, false
+	}
+	release()
+	return s, epoch, true
+}
+
 // TestSwapNeverServesStaleAnswer is the epoch-key regression test: with the
 // answer cache enabled and warm, swapping a dataset's session must never
 // let a later request observe response bytes computed from the retired
@@ -69,7 +81,7 @@ func TestSwapNeverServesStaleAnswer(t *testing.T) {
 	// A different world over the same object universe: same query, different
 	// data, different answers.
 	s2 := testSession(t, 29, 40)
-	if _, err := reg.Swap("alpha", s2); err != nil {
+	if _, err := reg.swap("alpha", s2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -232,7 +244,7 @@ func TestAppendPersistAndReplay(t *testing.T) {
 	defer ts.Close()
 
 	for i := 0; i < 3; i++ {
-		cur, _, _ := reg.GetWithEpoch("alpha")
+		cur, _, _ := sessionOf(reg, "alpha")
 		resp, body := post(t, ts.URL+"/v1/alpha/append",
 			appendBody(t, cur, fmt.Sprintf("w%d", i), fmt.Sprintf("Z%d", i), 4+i))
 		if resp.StatusCode != http.StatusOK {
@@ -246,16 +258,21 @@ func TestAppendPersistAndReplay(t *testing.T) {
 		}
 	}
 
-	live, _, _ := reg.GetWithEpoch("alpha")
+	live, _, _ := sessionOf(reg, "alpha")
 	reloaded, err := LoadDir(dir, session.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, epoch, ok := reloaded.GetWithEpoch("alpha")
+	cold, epoch, ok := sessionOf(reloaded, "alpha")
 	if !ok || epoch != 3 {
 		t.Fatalf("reloaded epoch = %d (ok=%t), want 3", epoch, ok)
 	}
 	assertServesSame(t, cold, live)
+	// Boot replay advances worlds the way a live append does, but
+	// currents_dataset_appends_total counts accepted batches since start.
+	if st := reloaded.Stats()[0]; st.Appends != 0 || st.Swaps != 3 {
+		t.Fatalf("after replay: appends = %d, swaps = %d; want 0, 3", st.Appends, st.Swaps)
+	}
 }
 
 // TestAppendCompaction pins the compaction lifecycle: once CompactEvery
@@ -282,7 +299,7 @@ func TestAppendCompaction(t *testing.T) {
 	defer ts.Close()
 
 	for i := 0; i < 3; i++ {
-		cur, _, _ := reg.GetWithEpoch("beta")
+		cur, _, _ := sessionOf(reg, "beta")
 		resp, body := post(t, ts.URL+"/v1/beta/append",
 			appendBody(t, cur, fmt.Sprintf("w%d", i), "Z9", 3))
 		if resp.StatusCode != http.StatusOK {
@@ -310,12 +327,12 @@ func TestAppendCompaction(t *testing.T) {
 		t.Fatalf("archived segments = %v, want beta.000001.seg and beta.000002.seg", archived)
 	}
 
-	live, _, _ := reg.GetWithEpoch("beta")
+	live, _, _ := sessionOf(reg, "beta")
 	reloaded, err := LoadDir(dir, session.DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, epoch, ok := reloaded.GetWithEpoch("beta")
+	cold, epoch, ok := sessionOf(reloaded, "beta")
 	if !ok || epoch != 3 {
 		t.Fatalf("reloaded epoch = %d (ok=%t), want 3", epoch, ok)
 	}
@@ -359,13 +376,13 @@ func assertServesSame(t testing.TB, got, want *session.Session) {
 func TestRegistrySwapErrors(t *testing.T) {
 	reg := NewRegistry()
 	s := testSession(t, 11, 25)
-	if _, err := reg.Swap("ghost", s); err == nil {
+	if _, err := reg.swap("ghost", s); err == nil {
 		t.Fatal("swap of unregistered dataset accepted")
 	}
 	if err := reg.Register("a", s); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Swap("a", nil); err == nil {
+	if _, err := reg.swap("a", nil); err == nil {
 		t.Fatal("nil swap accepted")
 	}
 	if _, _, err := reg.Update("ghost", func(cur *session.Session) (*session.Session, error) {
@@ -378,7 +395,7 @@ func TestRegistrySwapErrors(t *testing.T) {
 	}); err == nil {
 		t.Fatal("failed update did not surface its error")
 	}
-	if _, epoch, _ := reg.GetWithEpoch("a"); epoch != 0 {
+	if epoch := reg.KnownEpochs()["a"]; epoch != 0 {
 		t.Fatalf("failed update advanced the epoch to %d", epoch)
 	}
 }
@@ -429,7 +446,7 @@ func TestAppendConcurrentWithReads(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 5; i++ {
-		cur, _, _ := reg.GetWithEpoch("alpha")
+		cur, _, _ := sessionOf(reg, "alpha")
 		resp, b := post(t, ts.URL+"/v1/alpha/append",
 			appendBody(t, cur, fmt.Sprintf("liv%d", i), "Z1", 3))
 		if resp.StatusCode != http.StatusOK {
@@ -444,7 +461,7 @@ func TestAppendConcurrentWithReads(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	if _, epoch, _ := reg.GetWithEpoch("alpha"); epoch != 5 {
+	if epoch := reg.KnownEpochs()["alpha"]; epoch != 5 {
 		t.Fatalf("epoch = %d, want 5", epoch)
 	}
 }

@@ -175,7 +175,7 @@ func TestAsOfBelowFloor(t *testing.T) {
 	defer ts.Close()
 
 	for i := 0; i < 2; i++ {
-		cur, _, _ := reg.GetWithEpoch("beta")
+		cur, _, _ := sessionOf(reg, "beta")
 		resp, body := post(t, ts.URL+"/v1/beta/append",
 			appendBody(t, cur, fmt.Sprintf("bf%d", i), "Z7", 3))
 		if resp.StatusCode != http.StatusOK {
@@ -247,7 +247,7 @@ func TestTrajectoryEndpoint(t *testing.T) {
 	// Two appends on tw: one from an established source, one introducing a
 	// brand-new source mid-chain.
 	for i, src := range []string{"P1", "newsrc"} {
-		cur, _, _ := reg.GetWithEpoch("tw")
+		cur, _, _ := sessionOf(reg, "tw")
 		resp, body := post(t, ts.URL+"/v1/tw/append", appendBody(t, cur, src, fmt.Sprintf("T%d", i), 5))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("append %d status %d: %s", i, resp.StatusCode, body)

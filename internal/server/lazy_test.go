@@ -203,11 +203,13 @@ func TestLazySwappedWorldNotEvicted(t *testing.T) {
 
 	// Load world0 and swap it: append no claims via Update is not exposed,
 	// so swap in the same session to mark the entry mutated.
-	s0, _, ok := reg.GetWithEpoch("world0")
-	if !ok {
-		t.Fatal("world0 missing")
+	s0, _, release, err := reg.Acquire("world0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := reg.Swap("world0", s0); err != nil {
+	_, err = reg.swap("world0", s0)
+	release()
+	if err != nil {
 		t.Fatal(err)
 	}
 

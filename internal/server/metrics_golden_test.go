@@ -30,7 +30,7 @@ func TestMetricsExpositionGolden(t *testing.T) {
 			if err := reg.Register("demo", sess); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := reg.Swap("demo", sess); err != nil {
+			if _, err := reg.swap("demo", sess); err != nil {
 				t.Fatal(err)
 			}
 			s := New(reg, Options{AnswerCacheSize: tc.cacheSize})

@@ -345,27 +345,13 @@ func (r *Registry) settle(e *entry) {
 	r.evictLocked(nil)
 }
 
-// GetWithEpoch returns the session registered under name together with its
-// current epoch, loading non-resident entries first. The pair is read
-// atomically: a session and an epoch returned together always belong to
-// the same generation. It reports false for unknown names and for entries
-// whose lazy load fails (Acquire surfaces the cause). The session comes back
-// unpinned: under a resident bound a clean mapped world may be evicted at
-// any moment, so callers that read it there must use Acquire instead.
-func (r *Registry) GetWithEpoch(name string) (*session.Session, uint64, bool) {
-	s, epoch, release, err := r.Acquire(name)
-	if err != nil {
-		return nil, 0, false
-	}
-	release()
-	return s, epoch, true
-}
-
-// Swap atomically replaces name's session with next and advances the
+// swap atomically replaces name's session with next and advances the
 // epoch, returning the new epoch. In-flight requests holding the retired
 // session finish against it undisturbed (sessions are immutable); requests
-// routed after Swap returns observe only the successor.
-func (r *Registry) Swap(name string, next *session.Session) (uint64, error) {
+// routed after swap returns observe only the successor. It is update's last
+// step: a session only ever leaves the registry pinned, so nothing outside
+// this file can hold one to swap.
+func (r *Registry) swap(name string, next *session.Session) (uint64, error) {
 	if next == nil {
 		return 0, fmt.Errorf("server: nil session for %q", name)
 	}
@@ -483,30 +469,31 @@ func (r *Registry) KnownEpochs() map[string]uint64 {
 	return out
 }
 
-// EpochIfKnown returns name's current epoch, reporting false for unknown
-// names and for entries that never initialized their epoch.
-func (r *Registry) EpochIfKnown(name string) (uint64, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	e, ok := r.entries[name]
-	if !ok || !e.loaded {
-		return 0, false
-	}
-	return e.epoch, true
-}
-
 // Update runs fn against name's current session under the entry's update
 // mutex and, on success, swaps in the session fn returns. fn typically
 // builds a successor via Session.Append — and may persist a log segment
 // before returning, so a failed write aborts the swap. Concurrent Update
 // calls for the same dataset are serialized; readers are never blocked.
-// Returns the swapped-in session and its new epoch.
+// Returns the swapped-in session and its new epoch. Update is the live
+// ingest path and counts on currents_dataset_appends_total; boot replay
+// advances worlds through the same update without counting.
 func (r *Registry) Update(name string, fn func(cur *session.Session) (*session.Session, error)) (*session.Session, uint64, error) {
+	next, epoch, e, err := r.update(name, fn)
+	if err != nil {
+		return nil, 0, err
+	}
+	e.appends.Add(1)
+	return next, epoch, nil
+}
+
+// update is the one way a world advances an epoch: lock, pin, fn, swap,
+// grave what the swap pruned.
+func (r *Registry) update(name string, fn func(cur *session.Session) (*session.Session, error)) (*session.Session, uint64, *entry, error) {
 	r.mu.RLock()
 	e, ok := r.entries[name]
 	r.mu.RUnlock()
 	if !ok {
-		return nil, 0, fmt.Errorf("server: unknown dataset %q", name)
+		return nil, 0, nil, fmt.Errorf("server: unknown dataset %q", name)
 	}
 	e.updateMu.Lock()
 	defer e.updateMu.Unlock()
@@ -515,18 +502,17 @@ func (r *Registry) Update(name string, fn func(cur *session.Session) (*session.S
 	// an append is reading from.
 	cur, _, release, err := r.Acquire(name)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
 	defer release()
 	next, err := fn(cur)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
-	epoch, err := r.Swap(name, next)
+	epoch, err := r.swap(name, next)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
-	e.appends.Add(1)
 	// The swap may have pushed mapped epochs out of the retention window;
 	// park them in the grave and close them once in-flight requests drain.
 	if dead := next.TakePrunedMapped(); len(dead) > 0 {
@@ -536,7 +522,7 @@ func (r *Registry) Update(name string, fn func(cur *session.Session) (*session.S
 		e.graveMu.Unlock()
 		release() // the last unpin (ours or a reader's) sees graveLen and settles
 	}
-	return next, epoch, nil
+	return next, epoch, e, nil
 }
 
 // DatasetStat is one dataset's lifecycle counters, for /metrics.
@@ -856,10 +842,11 @@ func replaySegments(reg *Registry, segs []segmentFile, logf func(format string, 
 		return segs[i].epoch < segs[j].epoch
 	})
 	for _, sf := range segs {
-		sess, epoch, ok := reg.GetWithEpoch(sf.dataset)
-		if !ok {
-			return fmt.Errorf("server: segment %s references unknown dataset %q", sf.path, sf.dataset)
+		_, epoch, release, err := reg.Acquire(sf.dataset)
+		if err != nil {
+			return fmt.Errorf("server: segment %s: %w", sf.path, err)
 		}
+		release()
 		if uint64(sf.epoch) <= epoch {
 			logf("skipping %s: dataset %q is already at epoch %d", filepath.Base(sf.path), sf.dataset, epoch)
 			continue
@@ -876,12 +863,10 @@ func replaySegments(reg *Registry, segs []segmentFile, logf func(format string, 
 		if err != nil {
 			return fmt.Errorf("server: replay %s: %w", sf.path, err)
 		}
-		next, err := sess.Append(batch)
-		if err != nil {
+		if _, _, _, err := reg.update(sf.dataset, func(cur *session.Session) (*session.Session, error) {
+			return cur.Append(batch)
+		}); err != nil {
 			return fmt.Errorf("server: replay %s: %w", sf.path, err)
-		}
-		if _, err := reg.Swap(sf.dataset, next); err != nil {
-			return err
 		}
 		logf("replayed %s (+%d claims) onto %q", filepath.Base(sf.path), len(batch), sf.dataset)
 	}

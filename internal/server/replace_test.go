@@ -31,7 +31,7 @@ func TestAdoptReplaceConverges(t *testing.T) {
 	if err := AdoptFromURL(reg, "alpha", src.URL+"/v1/alpha/snapshot", dir, cfg, nil); err != nil {
 		t.Fatal(err)
 	}
-	if e, ok := reg.EpochIfKnown("alpha"); !ok || e != 0 {
+	if e, ok := reg.KnownEpochs()["alpha"]; !ok || e != 0 {
 		t.Fatalf("adopted epoch = %d (ok=%v), want 0", e, ok)
 	}
 
@@ -48,7 +48,7 @@ func TestAdoptReplaceConverges(t *testing.T) {
 	if status != "replaced" {
 		t.Fatalf("replace status = %q, want \"replaced\"", status)
 	}
-	if e, ok := reg.EpochIfKnown("alpha"); !ok || e != 1 {
+	if e, ok := reg.KnownEpochs()["alpha"]; !ok || e != 1 {
 		t.Fatalf("post-replace epoch = %d (ok=%v), want 1", e, ok)
 	}
 
@@ -72,7 +72,7 @@ func TestAdoptReplaceConverges(t *testing.T) {
 	if status != "current" {
 		t.Fatalf("re-replace status = %q, want \"current\"", status)
 	}
-	if e, _ := reg.EpochIfKnown("alpha"); e != 1 {
+	if e := reg.KnownEpochs()["alpha"]; e != 1 {
 		t.Fatalf("epoch after \"current\" = %d, want unchanged 1", e)
 	}
 }
@@ -196,7 +196,7 @@ func TestReplaceSerializesWithAppend(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("append never completed after the replace released")
 	}
-	if e, _ := reg.EpochIfKnown("alpha"); e != 2 {
+	if e := reg.KnownEpochs()["alpha"]; e != 2 {
 		t.Fatalf("final epoch = %d, want 2", e)
 	}
 }

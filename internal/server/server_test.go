@@ -412,8 +412,8 @@ func TestLoadDir(t *testing.T) {
 	}
 
 	// Both routes end at the same serving state.
-	snappy, _, _ := reg.GetWithEpoch("snappy")
-	fresh, _, _ := reg.GetWithEpoch("fresh")
+	snappy, _, _ := sessionOf(reg, "snappy")
+	fresh, _, _ := sessionOf(reg, "fresh")
 	q := s.Dataset().Objects()[:4]
 	a1, err := snappy.AnswerObjects(q)
 	if err != nil {
