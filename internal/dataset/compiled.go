@@ -475,11 +475,6 @@ func (c *Compiled) ClaimOf(si, oi int32) int32 {
 	return -1
 }
 
-// GroupOf returns the global group index of object oi's candidate group
-// holding value vi, by binary search over the object's value-sorted groups.
-// The result is meaningful only when some source asserts vi for oi.
-func (c *Compiled) GroupOf(oi, vi int32) int32 { return c.findGroup(oi, vi) }
-
 // PopularityOf returns how many sources ever assert the timestamped
 // (object, value) packed key, by binary search.
 func (c *Compiled) PopularityOf(key int64) int32 {

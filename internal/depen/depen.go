@@ -39,6 +39,12 @@
 // accuracy ↔ dependence to a fixpoint (the ACCUCOPY scheme the paper's
 // §3.2 proposes as "iteratively determining true values, computing accuracy
 // of sources, and discovering dependence").
+//
+// That loop exists once, in refine.go. Detect on a flat dataset runs it from
+// the empty predecessor to the fixpoint; Refine runs it from a predecessor's
+// result over what an appended batch dirtied, for a bounded number of
+// rounds; Detect on a dataset with an append log is the first followed by
+// one of the second per batch.
 package depen
 
 import (
@@ -243,8 +249,7 @@ func (t *dirTable) of(from, to model.SourceID) float64 {
 // FillTotals writes the total (both-direction) dependence posterior of
 // every source pair into out[i*n+j], where i, j index the given sorted
 // source list — the dense serving table. It reports false when the result's
-// lookup table was not built over exactly this source list (the caller then
-// falls back to iterating AllPairs).
+// lookup table was not built over exactly this source list.
 func (r *Result) FillTotals(sources []model.SourceID, out []float64) bool {
 	t := r.dir
 	if t == nil || t.n != len(sources) || len(out) != t.n*t.n {
@@ -340,17 +345,17 @@ func pairHypotheses(kt, kf, kd float64, a1, a2, c float64, n int) (indep, aCopie
 	return indep, aCopiesB, bCopiesA
 }
 
-// Detect runs the full iterative loop on a frozen snapshot dataset. It
-// executes on the dataset's compiled columnar index; the result is
-// bit-identical to the map-based reference (detectMaps, in
-// reference_test.go), which the golden equivalence tests enforce.
+// Detect solves a frozen snapshot dataset on its compiled columnar index. A
+// flat dataset gets the full loop — bit-identical to the map-based reference
+// (detectMaps, in reference_test.go), which the golden equivalence tests
+// enforce.
 //
 // A dataset carrying an append log (dataset.Append) is solved by *replay*:
-// a full solve of the flat base followed by one bounded refinement pass per
-// appended batch (see Refine). Replay is the semantic definition of a
-// log-carrying dataset's result — a session advanced live batch-by-batch
-// and a session rebuilt from scratch over the same successor dataset run
-// the identical pass sequence and reach bit-identical state.
+// the flat base's solve followed by one bounded refinement per appended
+// batch (see Refine). Replay is the semantic definition of a log-carrying
+// dataset's result — a session advanced live batch-by-batch and a session
+// rebuilt from scratch over the same successor dataset run the identical
+// pass sequence and reach bit-identical state.
 func Detect(d *dataset.Dataset, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

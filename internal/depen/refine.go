@@ -1,31 +1,34 @@
-// Bounded delta recompute for appended batches.
+// The ACCUCOPY loop: one implementation for flat and incremental solves.
 //
-// Refine advances a predecessor Detect result across one appended batch
-// without re-running the full ACCUCOPY loop. The batch marks a set of
-// sources and objects dirty; each refinement round then
+// refine solves a dataset given the result for its predecessor. A batch
+// marks a set of sources and objects dirty; each round then
 //
 //   - rescores only the dirty objects' posteriors (seeded from the
 //     predecessor's, so untouched objects keep their converged rows),
-//   - re-estimates every source's accuracy online over the full posterior
-//     vector (cheap, and it keeps the global accuracy/vote-weight coupling
-//     exact), and
-//   - rescores only the dirty pairs — pairs with a dirty member and pairs
-//     new to the candidate set.
+//   - re-estimates every source's accuracy over the full posterior vector
+//     (cheap, and it keeps the global accuracy/vote-weight coupling exact),
+//   - rescores only the dirty pairs — pairs with a dirty member, which
+//     includes every pair new to the candidate set.
 //
-// Non-dirty pairs keep their predecessor verdicts: the accuracy and
-// posterior drift a batch induces elsewhere — including on objects the pair
-// shares — is not re-applied to them. That is the documented approximation
-// bounding the cost of an append (dirtying every pair that merely shares an
-// object with the batch degenerates to a full rescore on dense datasets).
-// Their Shared/Same counts are provably current, because growing a pair's
-// overlap or agreement requires a claim by one of its members, which would
-// have dirtied the pair.
+// A flat solve (Detect on a dataset with no append log) is the degenerate
+// case: the predecessor is empty, so accuracies start at InitialAccuracy,
+// every source, object and pair is dirty, nothing is kept, and the loop
+// runs up to MaxRounds instead of RefineRounds. Its round 1 is undiscounted
+// — no verdict exists yet, every independence factor is exactly 1 — so it
+// scores plain vote sums and skips the rank-and-discount pass.
 //
-// Refine is a pure function of (successor dataset, predecessor result,
-// config). Both the live path (Session.Append refining its cached result)
-// and the rebuild path (Detect replaying the log from the flat base) call
-// it with identical inputs, which is what makes incremental and
-// from-scratch sessions bit-identical by construction.
+// Kept pairs are exact where it matters and approximate by design where it
+// does not: their Shared/Same counts are provably current, because growing
+// a pair's overlap or agreement takes a claim by one of its members, which
+// would have dirtied it; their verdicts are the predecessor's, so the
+// accuracy and posterior drift a batch induces elsewhere is not re-applied
+// to them. That bounds an append's cost (dirtying every pair that merely
+// shares an object with the batch is a full rescore on dense datasets).
+//
+// refine is a pure function of (dataset, predecessor result, config). The
+// live path (Session.Append refining its cached result) and the rebuild
+// path (Detect replaying the log from the flat base) run this same code on
+// identical inputs, which makes them bit-identical by construction.
 package depen
 
 import (
@@ -58,16 +61,13 @@ func Refine(d *dataset.Dataset, prev *Result, cfg Config) (*Result, error) {
 	return refine(d, prev, cfg), nil
 }
 
-// refine is the one ACCUCOPY loop: it solves d given prev, the result of
-// d.Base(), or from nothing when prev is nil (d is then flat, and every
-// source, object and pair is dirty).
+// refine solves d given prev, the result of d.Base(); a nil prev is the
+// empty predecessor of a flat d.
 //
-// The candidate set over the successor is assembled incrementally: overlap
-// and agreement between two sources can only grow through a claim by one of
-// them, so a pair either has a dirty member (merge-joined fresh over the
-// successor's claim lists) or is carried over from the predecessor verbatim
-// — rebuilding the full pair×overlap structure per batch would cost as much
-// as a flat solve.
+// The candidate set is assembled incrementally: a pair either has a dirty
+// member (merge-joined fresh over d's claim lists) or is carried over from
+// the predecessor verbatim — rebuilding the full pair×overlap structure per
+// batch would cost as much as a flat solve.
 func refine(d *dataset.Dataset, prev *Result, cfg Config) *Result {
 	c := d.Compiled()
 	solver := truth.NewDenseSolver(c, cfg.Truth)
@@ -94,9 +94,11 @@ func refine(d *dataset.Dataset, prev *Result, cfg Config) *Result {
 	}
 
 	// depTab[i*nS+j] is the total (both-direction) dependence posterior of
-	// the pair {i, j} going into a round. haveDep says it holds any verdict
-	// at all; until one exists — round 1 of a flat solve — every discount
-	// factor is exactly 1 and scoring skips the rank-and-discount pass.
+	// the pair {i, j} going into a round: the predecessor's verdicts, with
+	// the dirty pairs' cells overwritten after every round (the kept pairs'
+	// never change). haveDep says it holds any verdict at all; until one
+	// exists — round 1 of a flat solve — every discount factor is exactly 1
+	// and scoring skips the rank-and-discount pass.
 	depTab := make([]float64, nS*nS)
 	haveDep := prev != nil && len(prev.AllPairs) > 0
 	res := &Result{dir: newDirTableFor(c.SourceIDs())}
@@ -104,11 +106,10 @@ func refine(d *dataset.Dataset, prev *Result, cfg Config) *Result {
 	// What else a predecessor contributes: seeds for accuracies, posteriors
 	// and the discount table, and the pairs without a dirty member, kept
 	// verbatim (as indexes into prev.AllPairs) — verdict, Shared and Same all
-	// still exact. baseTab is their constant share of depTab. A pair with a
-	// dirty member is superseded by its freshly-joined candidate: its old
-	// verdict discounts round 1 and is rescored from then on.
+	// still exact. A pair with a dirty member is superseded by its
+	// freshly-joined candidate (overlap only grows, so it still is one): its
+	// old verdict discounts round 1 and is rescored from then on.
 	var kept []int32
-	var baseTab []float64
 	if prev != nil {
 		rounds = cfg.EffectiveRefineRounds()
 		for i := range acc {
@@ -119,7 +120,6 @@ func refine(d *dataset.Dataset, prev *Result, cfg Config) *Result {
 		solver.FillProbs(probs, prev.Truth.Probs)
 
 		kept = make([]int32, 0, len(prev.AllPairs))
-		baseTab = make([]float64, nS*nS)
 		for i := range prev.AllPairs {
 			pd := &prev.AllPairs[i]
 			ai, aok := c.SourceIndex(pd.Pair.A)
@@ -127,15 +127,13 @@ func refine(d *dataset.Dataset, prev *Result, cfg Config) *Result {
 			if !aok || !bok {
 				continue // unreachable: the log is append-only
 			}
-			ab, ba := int(ai)*nS+int(bi), int(bi)*nS+int(ai)
 			t := pd.ProbAB + pd.ProbBA
-			depTab[ab], depTab[ba] = t, t
-			if dirtySrc[ai] || dirtySrc[bi] {
-				continue
+			depTab[int(ai)*nS+int(bi)] = t
+			depTab[int(bi)*nS+int(ai)] = t
+			if !dirtySrc[ai] && !dirtySrc[bi] {
+				kept = append(kept, int32(i))
+				res.dir.set(ai, bi, pd.ProbAB, pd.ProbBA)
 			}
-			kept = append(kept, int32(i))
-			baseTab[ab], baseTab[ba] = t, t
-			res.dir.set(ai, bi, pd.ProbAB, pd.ProbBA)
 		}
 	}
 
@@ -189,7 +187,12 @@ func refine(d *dataset.Dataset, prev *Result, cfg Config) *Result {
 
 		// Dependence step over the dirty pairs, in their canonical order.
 		engine.ForNScratch(eng, len(cands), newScratch, pairStep)
-		fillDepTab(depTab, baseTab, nS, cands, deps)
+		for pi := range deps {
+			a, b := int(cands[pi].a), int(cands[pi].b)
+			t := deps[pi].ProbAB + deps[pi].ProbBA
+			depTab[a*nS+b] = t
+			depTab[b*nS+a] = t
+		}
 		haveDep = len(cands) > 0 || len(kept) > 0
 		res.Rounds = round
 
@@ -263,20 +266,4 @@ func dirtySets(c *dataset.Compiled, batch []model.Claim, all bool) ([]bool, []in
 		}
 	}
 	return dirtySrc, dirtyObjs
-}
-
-// fillDepTab overlays the dirty pairs' current totals on the constant
-// kept-pair table (nil when there is no predecessor: all zero).
-func fillDepTab(depTab, baseTab []float64, nS int, cands []pairCand, deps []Dependence) {
-	if baseTab == nil {
-		clear(depTab)
-	} else {
-		copy(depTab, baseTab)
-	}
-	for pi := range deps {
-		a, b := int(cands[pi].a), int(cands[pi].b)
-		t := deps[pi].ProbAB + deps[pi].ProbBA
-		depTab[a*nS+b] = t
-		depTab[b*nS+a] = t
-	}
 }

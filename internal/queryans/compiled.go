@@ -125,21 +125,10 @@ func NewPlanner(d *dataset.Dataset, cfg Config) (*Planner, error) {
 // the flat nS×nS total (both-direction) dependence posterior table. Both are
 // retained, not copied, and must not be mutated afterwards.
 func NewPlannerDense(d *dataset.Dataset, cfg Config, acc, depTab []float64) (*Planner, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if !d.Frozen() {
 		return nil, errors.New("queryans: dataset must be frozen")
 	}
-	c := d.Compiled()
-	nS := c.NumSources()
-	if len(acc) != nS || len(depTab) != nS*nS {
-		return nil, errors.New("queryans: dense input sizes do not match the source count")
-	}
-	dep := func(a, b int32) float64 { return depTab[int(a)*nS+int(b)] }
-	p := newPlanner(c, cfg, acc, dep)
-	p.depTab = depTab
-	return p, nil
+	return NewPlannerFromCompiled(d.Compiled(), cfg, acc, depTab)
 }
 
 // NewPlannerFromCompiled is NewPlannerDense for callers that hold a

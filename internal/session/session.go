@@ -192,18 +192,11 @@ func newFromDep(d *dataset.Dataset, cfg Config, dep *depen.Result) (*Session, er
 		s.acc[i] = dep.Truth.Accuracy[c.Source(i)]
 	}
 	// FillTotals copies the result's dense directional table straight into
-	// the serving table; the AllPairs walk below is the fallback for results
-	// whose lookup table covers a different source list.
+	// the serving table. Detect, Refine and ResultFromParts all build that
+	// table over d's own source list, so a mismatch means dep was not
+	// computed for d.
 	if !dep.FillTotals(c.SourceIDs(), s.depTab) {
-		for _, pd := range dep.AllPairs {
-			ai, aok := c.SourceIndex(pd.Pair.A)
-			bi, bok := c.SourceIndex(pd.Pair.B)
-			if !aok || !bok {
-				continue
-			}
-			s.depTab[int(ai)*nS+int(bi)] = pd.Prob
-			s.depTab[int(bi)*nS+int(ai)] = pd.Prob
-		}
+		return nil, errors.New("session: dependence result does not cover the dataset's sources")
 	}
 	qcfg := cfg.Query
 	qcfg.Accuracy = nil

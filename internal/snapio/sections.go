@@ -256,15 +256,6 @@ func (m *Mapped) I32Section(id uint32) ([]int32, error) {
 	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4), nil
 }
 
-// U32Section returns section id as an []uint32 view.
-func (m *Mapped) U32Section(id uint32) ([]uint32, error) {
-	b, err := m.need(id, 4)
-	if err != nil || len(b) == 0 {
-		return nil, err
-	}
-	return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), len(b)/4), nil
-}
-
 // I64Section returns section id as an []int64 view.
 func (m *Mapped) I64Section(id uint32) ([]int64, error) {
 	b, err := m.need(id, 8)
@@ -300,14 +291,6 @@ func (m *Mapped) need(id uint32, elem int) ([]byte, error) {
 
 // I32Bytes views an []int32 as raw bytes.
 func I32Bytes(v []int32) []byte {
-	if len(v) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*4)
-}
-
-// U32Bytes views a []uint32 as raw bytes.
-func U32Bytes(v []uint32) []byte {
 	if len(v) == 0 {
 		return nil
 	}
