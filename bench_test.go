@@ -191,7 +191,7 @@ func BenchmarkDetectParallel(b *testing.B)   { benchmarkDetect(b, 0) }
 // became the incremental one started from nothing: the predecessor
 // bookkeeping — dirty sets, kept-pair table, merged pair slice — must cost a
 // flat solve nothing. Allocation counts are exact; bytes get 0.1% for
-// runtime noise, an eighth of the smallest table that could creep back in.
+// runtime noise, a third of the smallest table that could creep back in.
 func TestDetectFlatAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts differ under -race")
@@ -214,16 +214,16 @@ func TestDetectFlatAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		max := ceilings[sz.sources]
-		if got := testing.AllocsPerRun(2, run); got > max.allocs {
-			t.Errorf("sources=%d: flat Detect made %.0f allocations, ceiling %.0f", sz.sources, got, max.allocs)
+		lim := ceilings[sz.sources]
+		if got := testing.AllocsPerRun(2, run); got > lim.allocs {
+			t.Errorf("sources=%d: flat Detect made %.0f allocations, ceiling %.0f", sz.sources, got, lim.allocs)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		run()
 		runtime.ReadMemStats(&after)
-		if got := float64(after.TotalAlloc - before.TotalAlloc); got > max.bytes*1.001 {
-			t.Errorf("sources=%d: flat Detect allocated %.0f bytes, ceiling %.0f (+0.1%%)", sz.sources, got, max.bytes)
+		if got := float64(after.TotalAlloc - before.TotalAlloc); got > lim.bytes*1.001 {
+			t.Errorf("sources=%d: flat Detect allocated %.0f bytes, ceiling %.0f (+0.1%%)", sz.sources, got, lim.bytes)
 		}
 	}
 }

@@ -372,7 +372,7 @@ func assertServesSame(t testing.TB, got, want *session.Session) {
 	}
 }
 
-// TestRegistrySwapErrors pins Swap/Update error handling.
+// TestRegistrySwapErrors pins swap/Update error handling.
 func TestRegistrySwapErrors(t *testing.T) {
 	reg := NewRegistry()
 	s := testSession(t, 11, 25)
