@@ -228,6 +228,48 @@ func TestDetectFlatAllocs(t *testing.T) {
 	}
 }
 
+// TestAppendBuildAllocs holds the write path's dataset stage — Append plus
+// the columns it builds — to what it allocates now that the columns are laid
+// out from the claim log by integer sort: on the 100-independent × 400-object
+// world, a 220-claim source-major batch that names nothing new (two sources
+// re-claiming 110 objects each, the steady-state append). The per-source and
+// per-object maps this replaced made 17073 allocations (9.3 MB) here; the
+// columns are 28 slices (7.2 MB, over half of it the claim array's copy).
+// Counts and bytes get 10%.
+func TestAppendBuildAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	const allocCeiling, byteCeiling = 28, 7232704
+	d := benchSnapshotWorld(t, 100, 400)
+	var batch []sourcecurrents.Claim
+	for k, s := range []sourcecurrents.SourceID{d.Sources()[3], d.Sources()[57]} {
+		for _, o := range d.Objects()[k*110 : (k+1)*110] {
+			v, _ := d.Value(d.Sources()[0], o)
+			batch = append(batch, sourcecurrents.NewClaim(s, o, v))
+		}
+	}
+	run := func() {
+		next, err := d.Append(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next.Compiled().NumSources() != len(d.Sources()) {
+			t.Fatal("the batch was meant to name no new source")
+		}
+	}
+	if got := testing.AllocsPerRun(5, run); got > allocCeiling*1.1 {
+		t.Errorf("Append + Compiled made %.0f allocations, ceiling %d (+10%%)", got, allocCeiling)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	if got := float64(after.TotalAlloc - before.TotalAlloc); got > byteCeiling*1.1 {
+		t.Errorf("Append + Compiled allocated %.0f bytes, ceiling %d (+10%%)", got, byteCeiling)
+	}
+}
+
 func benchmarkTemporal(b *testing.B, parallelism int) {
 	b.ReportAllocs()
 	tw, err := synth.GenerateTemporal(synth.TemporalConfig{

@@ -388,16 +388,19 @@ func TestRouterRepairConvergence(t *testing.T) {
 	}
 }
 
-// A probe that lands between a primary's append and its replica's sees an
-// epoch gap the fan-out is about to close. The scan may suspect the replica,
-// but the repair must ask again before it streams a world: every routed
-// append ends with no repair counted and no snapshot pulled.
-func TestRouterNoSpuriousRepair(t *testing.T) {
+// bootFanoutWindowFleet boots two shards serving "alpha" at rf=2 behind a
+// router and runs inWindow on every routed append at the moment the primary
+// has applied the batch and the replica's copy is arriving — the fan-out
+// window. It returns the router, the registries in placement order
+// (primary, replica) and a count of snapshot streams served.
+func bootFanoutWindowFleet(t *testing.T, inWindow func(rt *Router)) (*Router, [2]*server.Registry, *atomic.Int64) {
+	t.Helper()
 	var rt *Router
 	var replicaAddr string
-	var snapshots atomic.Int64
+	snapshots := new(atomic.Int64)
 	cfg := session.DefaultConfig()
 	addrs := make([]string, 2)
+	regs := map[string]*server.Registry{}
 	for i := range addrs {
 		dir := t.TempDir()
 		writeWorldSnap(t, dir, "alpha", 11, 30)
@@ -413,26 +416,39 @@ func TestRouterNoSpuriousRepair(t *testing.T) {
 				snapshots.Add(1)
 			case strings.HasSuffix(r.URL.Path, "/append") && self == replicaAddr:
 				// The primary has applied the batch, this replica has not yet.
-				rt.probeAll()
-				rt.repair.scanLag()
+				inWindow(rt)
 			}
 			shard.ServeHTTP(w, r)
 		}))
 		t.Cleanup(ts.Close)
 		self = strings.TrimPrefix(ts.URL, "http://")
 		addrs[i] = self
+		regs[self] = reg
 	}
 	var err error
 	if rt, err = NewRouter(addrs, Options{RF: 2}); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
-	replicaAddr = rt.Placement("alpha")[1]
+	placement := rt.Placement("alpha")
+	replicaAddr = placement[1]
 	// Lazy registries learn their epoch on first load; force both loads so
 	// /readyz reports epochs for the scan to compare.
 	for _, addr := range addrs {
 		directReq(t, "http://"+addr, http.MethodPost, "/v1/alpha/answer", answerReq)
 	}
+	return rt, [2]*server.Registry{regs[placement[0]], regs[placement[1]]}, snapshots
+}
+
+// A probe that lands between a primary's append and its replica's sees an
+// epoch gap the fan-out is about to close. The scan may suspect the replica,
+// but the repair must ask again before it streams a world: every routed
+// append ends with no repair counted and no snapshot pulled.
+func TestRouterNoSpuriousRepair(t *testing.T) {
+	rt, _, snapshots := bootFanoutWindowFleet(t, func(rt *Router) {
+		rt.probeAll()
+		rt.repair.scanLag()
+	})
 
 	for i := 1; i <= 3; i++ {
 		body := fmt.Sprintf(`{"claims":[{"source":"s_extra","entity":"o%05d","attribute":"v","value":"zzz"}]}`, i)
@@ -453,6 +469,56 @@ func TestRouterNoSpuriousRepair(t *testing.T) {
 	_, met := doReq(t, rt, http.MethodGet, "/metrics", "")
 	if !strings.Contains(string(met), "currents_router_repairs_total 0\n") {
 		t.Fatalf("metrics missing currents_router_repairs_total 0:\n%s", met)
+	}
+}
+
+// A repair that completes inside the fan-out window re-streams the primary's
+// world — the in-flight batch included — into the replica. The replica's
+// own copy of the batch must then be refused (the fan-out is conditional on
+// the primary's pre-append epoch), not applied on top: the replica ends at
+// the primary's epoch with the primary's claims, and the refusal counts as
+// a replica that holds the batch, not as a fan-out failure.
+func TestRouterRepairInsideFanoutWindow(t *testing.T) {
+	rt, regs, snapshots := bootFanoutWindowFleet(t, func(rt *Router) {
+		rt.probeAll()
+		rt.repair.scanLag()
+		rt.repair.runOnce()
+	})
+	body := `{"claims":[{"source":"s_extra","entity":"o00001","attribute":"v","value":"zzz"}]}`
+	resp, out := doReq(t, rt, http.MethodPost, "/v1/alpha/append", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("append status %d: %s", resp.StatusCode, out)
+	}
+	var ack appendBody
+	if err := json.Unmarshal(out, &ack); err != nil {
+		t.Fatal(err)
+	}
+	if len(ack.Replicas) != 1 || !ack.Replicas[0].OK {
+		t.Fatalf("replica status %+v, want one replica holding the batch", ack.Replicas)
+	}
+	if got := rt.met.repairs.Load(); got != 1 || snapshots.Load() != 1 {
+		t.Fatalf("repairs = %d, snapshots streamed = %d; the test needs exactly the one forced repair", got, snapshots.Load())
+	}
+	var claims [2]int
+	for i, reg := range regs {
+		sess, epoch, release, err := reg.Acquire("alpha")
+		if err != nil {
+			t.Fatal(err)
+		}
+		claims[i] = sess.Dataset().Len()
+		release()
+		if epoch != ack.Epoch {
+			t.Fatalf("shard %d at epoch %d, want the primary's %d", i, epoch, ack.Epoch)
+		}
+	}
+	if claims[0] != ack.Claims || claims[1] != ack.Claims {
+		t.Fatalf("claims primary/replica = %d/%d, want %d on both", claims[0], claims[1], ack.Claims)
+	}
+	if got := rt.met.replicaAppErrs.Load(); got != 0 {
+		t.Fatalf("replica append errors = %d, want 0", got)
+	}
+	if got := rt.repair.pendingCount(); got != 0 {
+		t.Fatalf("repair queue = %d tasks, want 0", got)
 	}
 }
 

@@ -40,6 +40,7 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -1205,6 +1206,19 @@ func (rt *Router) proxyWrite(w http.ResponseWriter, r *http.Request, name, op st
 		return
 	}
 
+	// The fan-out is conditional on the epoch the primary appended onto
+	// (?expect_epoch=): a replica standing anywhere else answers 409 with its
+	// epoch and applies nothing, so a repair that re-streams the primary's
+	// world — this batch included — while the replica's copy of the batch is
+	// in flight cannot make it land twice.
+	fan := r.Clone(r.Context())
+	var primaryAck appendBody
+	if json.Unmarshal(respBody, &primaryAck) == nil && primaryAck.Epoch > 0 {
+		q := fan.URL.Query()
+		q.Set("expect_epoch", strconv.FormatUint(primaryAck.Epoch-1, 10))
+		fan.URL.RawQuery = q.Encode()
+	}
+
 	// Fan out to the replicas concurrently: the client-visible cost of
 	// replication is one write deadline regardless of replica count, so a
 	// single hung replica cannot stack its timeout onto every append's
@@ -1218,7 +1232,7 @@ func (rt *Router) proxyWrite(w http.ResponseWriter, r *http.Request, name, op st
 		go func(i int, replica string) {
 			defer wg.Done()
 			rctx, rcancel := writeCtx()
-			rresp, rbody, rerr := rt.shardRequest(rctx, r, replica, body)
+			rresp, rbody, rerr := rt.shardRequest(rctx, fan, replica, body)
 			rcancel()
 			if rs := rt.shardFor(replica); rs != nil {
 				rt.settleVerdict(attemptResult{
@@ -1227,7 +1241,14 @@ func (rt *Router) proxyWrite(w http.ResponseWriter, r *http.Request, name, op st
 				})
 			}
 			st := ReplicaStatus{Addr: replica, OK: true}
-			if rerr != nil || rresp.StatusCode != http.StatusOK {
+			applied := rerr == nil && rresp.StatusCode == http.StatusOK
+			if rerr == nil && rresp.StatusCode == http.StatusConflict {
+				// Refused: a replica at or past the primary's new epoch holds
+				// the batch already; one behind is what repair is for.
+				var have appendBody
+				applied = json.Unmarshal(rbody, &have) == nil && have.Epoch >= primaryAck.Epoch
+			}
+			if !applied {
 				rt.met.replicaAppErrs.Add(1)
 				st.OK = false
 				if rerr != nil {

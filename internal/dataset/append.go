@@ -1,14 +1,16 @@
 // Append-only ingest: successor datasets over a claim log.
 //
-// A frozen Dataset never mutates — every index, the compiled view and any
+// A frozen Dataset never mutates — its claims, its columnar index and any
 // running solver may be read concurrently, and that invariant is what makes
 // the serving layer lock-free. Live ingest therefore does not edit a
-// dataset in place: Append builds a *successor* dataset that shares the
-// predecessor's storage wherever the batch did not touch it (the claims
-// backing array, per-source and per-object index slices, per-source
-// snapshot maps, the sorted id tables) and records the batch boundary in a
-// log chained through Base. The predecessor keeps serving, untouched, until
-// the caller swaps it out.
+// dataset in place: Append builds a *successor* dataset and records the
+// batch boundary in a log chained through Base. The successor's index comes
+// from the same builder Freeze uses, over the extended claim sequence. What
+// it takes from the predecessor is the interning: the ids of the claims
+// already logged (copied, renumbered only when a table grows) and, when the
+// batch names no new source, object or value, the sorted tables and index
+// maps themselves, shared. Every column is laid out afresh. The predecessor
+// keeps serving, untouched, until the caller swaps it out.
 //
 // The log is semantic, not just provenance: depen.Detect on a log-carrying
 // dataset replays it — a full solve of the flat base followed by one
@@ -20,16 +22,13 @@ package dataset
 
 import (
 	"fmt"
-	"sort"
 
 	"sourcecurrents/internal/model"
 )
 
 // Append returns a new frozen dataset holding this dataset's claims plus
 // batch, recorded as one appended log batch. The receiver must be frozen
-// and is not modified; the successor shares the receiver's internal
-// structures for every source and object the batch does not touch.
-// The batch must be non-empty and every claim valid.
+// and is not modified. The batch must be non-empty and every claim valid.
 func (d *Dataset) Append(batch []model.Claim) (*Dataset, error) {
 	if !d.frozen {
 		return nil, fmt.Errorf("dataset: append requires a frozen dataset")
@@ -48,104 +47,14 @@ func (d *Dataset) Append(batch []model.Claim) (*Dataset, error) {
 	// always copies into a fresh array: a sibling successor (or a caller
 	// holding Claims()) can never clobber this epoch's claims.
 	claims := append(d.claims[:n:n], batch...)
-
-	nd := &Dataset{
-		claims:   claims,
-		bySource: make(map[model.SourceID][]int, len(d.bySource)+1),
-		byObject: make(map[model.ObjectID][]int, len(d.byObject)+1),
-		valueOf:  make(map[model.SourceID]map[model.ObjectID]string, len(d.valueOf)+1),
-		frozen:   true,
-		base:     d,
-		baseLen:  n,
-		epoch:    d.epoch + 1,
-	}
-
-	// Batch claim indices per touched source/object, in ingestion order.
-	addSrc := map[model.SourceID][]int{}
-	addObj := map[model.ObjectID][]int{}
-	for i := range batch {
-		idx := n + i
-		addSrc[claims[idx].Source] = append(addSrc[claims[idx].Source], idx)
-		addObj[claims[idx].Object] = append(addObj[claims[idx].Object], idx)
-	}
-
-	// Share untouched structures; copy-extend-resort the touched ones. The
-	// stable sorts reproduce Freeze exactly: the old slices are already
-	// stably ordered and the batch indices follow them in ingestion order,
-	// so sorting the concatenation yields the permutation a from-scratch
-	// Freeze over the full claim sequence would produce.
-	for s, idxs := range d.bySource {
-		nd.bySource[s] = idxs
-	}
-	for o, idxs := range d.byObject {
-		nd.byObject[o] = idxs
-	}
-	for s, vals := range d.valueOf {
-		nd.valueOf[s] = vals
-	}
-	newSources := 0
-	for s, add := range addSrc {
-		old := d.bySource[s]
-		if len(old) == 0 {
-			newSources++
-		}
-		merged := make([]int, 0, len(old)+len(add))
-		merged = append(append(merged, old...), add...)
-		sort.SliceStable(merged, func(a, b int) bool {
-			ca, cb := claims[merged[a]], claims[merged[b]]
-			if ca.Time != cb.Time {
-				return ca.Time < cb.Time
-			}
-			if ca.Object.Entity != cb.Object.Entity {
-				return ca.Object.Entity < cb.Object.Entity
-			}
-			return ca.Object.Attribute < cb.Object.Attribute
-		})
-		nd.bySource[s] = merged
-		vals := make(map[model.ObjectID]string, len(d.valueOf[s])+len(add))
-		for _, idx := range merged {
-			vals[claims[idx].Object] = claims[idx].Value
-		}
-		nd.valueOf[s] = vals
-	}
-	newObjects := 0
-	for o, add := range addObj {
-		old := d.byObject[o]
-		if len(old) == 0 {
-			newObjects++
-		}
-		merged := make([]int, 0, len(old)+len(add))
-		merged = append(append(merged, old...), add...)
-		sort.SliceStable(merged, func(a, b int) bool {
-			return claims[merged[a]].Source < claims[merged[b]].Source
-		})
-		nd.byObject[o] = merged
-	}
-
-	// Sorted id tables: shared verbatim unless the batch introduced ids.
-	nd.sources = d.sources
-	if newSources > 0 {
-		nd.sources = make([]model.SourceID, 0, len(d.sources)+newSources)
-		nd.sources = append(nd.sources, d.sources...)
-		for s := range addSrc {
-			if len(d.bySource[s]) == 0 {
-				nd.sources = append(nd.sources, s)
-			}
-		}
-		model.SortSources(nd.sources)
-	}
-	nd.objects = d.objects
-	if newObjects > 0 {
-		nd.objects = make([]model.ObjectID, 0, len(d.objects)+newObjects)
-		nd.objects = append(nd.objects, d.objects...)
-		for o := range addObj {
-			if len(d.byObject[o]) == 0 {
-				nd.objects = append(nd.objects, o)
-			}
-		}
-		model.SortObjects(nd.objects)
-	}
-	return nd, nil
+	return &Dataset{
+		claims:  claims,
+		frozen:  true,
+		base:    d,
+		baseLen: n,
+		epoch:   d.epoch + 1,
+		cols:    buildColumns(claims, d.cols),
+	}, nil
 }
 
 // Epoch returns the number of appended batches in this dataset's log; 0 for

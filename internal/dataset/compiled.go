@@ -1,22 +1,27 @@
-// Compiled columnar view of a frozen dataset.
+// Columnar index of a frozen dataset — its one representation.
 //
-// The iterative solvers spend their time in loops over (object, value,
-// source) triples and (source, source) pairs; running those loops over
-// string-keyed maps dominates their profile. Compile interns every SourceID,
-// ObjectID and value string into a dense int32 index and lays the snapshot
-// and temporal views out as CSR-style slices, so the hot paths become
-// pointer-free scans over contiguous memory.
+// A frozen Dataset is a claim log plus this index; there is no second,
+// map-shaped copy. The iterative solvers spend their time in loops over
+// (object, value, source) triples and (source, source) pairs, so every
+// SourceID, ObjectID and value string is interned into a dense int32 index
+// and the claims, the snapshot view and the temporal view are laid out as
+// CSR-style slices: the hot paths are pointer-free scans over contiguous
+// memory, and the Dataset accessors (ClaimsBySource, Value, OverlapOf, …)
+// are row reads over the same slices.
 //
-// All three interning tables are built in sorted order, which makes integer
-// index comparison equivalent to the string comparisons the map-based
-// helpers sort by — the property that keeps the compiled solvers
-// bit-identical to the map-based reference implementations (iteration and
-// summation order is preserved exactly, including for the ValueSim
-// similarity classes, whose per-object candidate enumeration follows the
-// same sorted-value order).
+// All three interning tables are in sorted order, which makes integer index
+// comparison equivalent to the string comparisons the map-based reference
+// implementations sort by — the property that keeps the solvers
+// bit-identical to them (iteration and summation order is preserved
+// exactly, including for the ValueSim similarity classes, whose per-object
+// candidate enumeration follows the same sorted-value order). It is also
+// what lets buildColumns, the one builder Freeze and Append share, order
+// claims by integer sort alone.
 package dataset
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 	"unsafe"
@@ -24,17 +29,27 @@ import (
 	"sourcecurrents/internal/model"
 )
 
-// Compiled is the dense, interned, read-only view of a frozen Dataset.
-// Build it with Dataset.Compiled() (heap backend) or load it zero-copy from
-// a snapshot v2 container (mapped backend); all fields are shared and must
-// not be mutated. Consumers reach the interning tables through the
-// Source/Object/Value accessors, which hide which backend is underneath.
+// Compiled is the dense, interned, read-only index of a frozen Dataset.
+// Dataset.Compiled() returns the one Freeze or Append built (heap backend);
+// CompiledFromMapped loads one zero-copy from a snapshot v2 container
+// (mapped backend). All fields are shared and must not be mutated.
+// Consumers reach the interning tables through the Source/Object/Value
+// accessors, which hide which backend is underneath.
 type Compiled struct {
-	// Heap backend: interning tables built by compile(), each sorted, so
-	// index order == string order. nil in the mapped backend.
+	// Heap backend: interning tables, each sorted, so index order == string
+	// order. nil in the mapped backend.
 	sources []model.SourceID
 	objects []model.ObjectID
 	values  []string
+
+	// Heap backend: the claim log as columns. Claim i carries interned ids
+	// claimSrc[i], claimObj[i], claimVal[i]; bySrc lists each source's claim
+	// indexes ordered by (time, object, ingestion) and byObj each object's
+	// ordered by (source, ingestion), both CSR. nil in the mapped backend,
+	// which serves the snapshot view only.
+	claimSrc, claimObj, claimVal []int32
+	bySrcStart, bySrc            []int32
+	byObjStart, byObj            []int32
 
 	// Mapped backend: every interned string is a byte range of strBlob
 	// (which aliases the mapped snapshot). Table entry i spans
@@ -82,221 +97,277 @@ type Compiled struct {
 	valIdx    map[string]int32
 }
 
-// Compiled returns the compiled columnar view, building it on first use
-// (subsequent calls return the cached view). It returns nil before Freeze.
-// The build is safe for concurrent callers.
+// Compiled returns the columnar index Freeze or Append built. It returns
+// nil before Freeze.
 func (d *Dataset) Compiled() *Compiled {
 	if !d.frozen {
 		return nil
 	}
-	d.compileOnce.Do(func() { d.compiled = compile(d) })
-	return d.compiled
+	return d.cols
 }
 
-func compile(d *Dataset) *Compiled {
-	if c := compileShared(d); c != nil {
-		return c
-	}
-	c := &Compiled{
-		sources: d.sources,
-		objects: d.objects,
-	}
-	c.srcIdx = make(map[model.SourceID]int32, len(c.sources))
-	for i, s := range c.sources {
-		c.srcIdx[s] = int32(i)
-	}
-	c.objIdx = make(map[model.ObjectID]int32, len(c.objects))
-	for i, o := range c.objects {
-		c.objIdx[o] = int32(i)
-	}
-
-	// Intern every claim value, sorted so index order == string order.
-	seen := make(map[string]struct{}, len(d.claims))
-	for _, cl := range d.claims {
-		seen[cl.Value] = struct{}{}
-	}
-	c.values = make([]string, 0, len(seen))
-	for v := range seen {
-		c.values = append(c.values, v)
-	}
-	sort.Strings(c.values)
-	c.valIdx = make(map[string]int32, len(c.values))
-	for i, v := range c.values {
-		c.valIdx[v] = int32(i)
-	}
-
-	c.buildGroups(d)
-	c.buildSourceClaims(d)
-	c.buildSpans(d)
+// buildColumns indexes a claim sequence. prev is the index of the claims'
+// prefix (the dataset being appended onto) or nil for a flat build; it only
+// spares re-interning the prefix — every column is laid out afresh, by the
+// same code, whether the claims arrived in one Freeze or over many Appends.
+func buildColumns(claims []model.Claim, prev *Compiled) *Compiled {
+	c := &Compiled{}
+	c.intern(claims, prev)
+	c.buildClaimIndex(claims)
+	c.buildSnapshotView(claims)
+	c.buildSpans(claims)
 	return c
 }
 
-// compileShared builds the compiled view of an appended dataset by reusing
-// the predecessor's interning tables when the batch introduced no new
-// source, object, or value strings — the steady-state append. Only the
-// sorted tables and index maps are shared (they are read-only and identical
-// by construction); every CSR layout is rebuilt against the successor. It
-// returns nil when the fast path does not apply.
-func compileShared(d *Dataset) *Compiled {
-	base := d.base
-	if base == nil {
-		return nil
+// intern fills the per-claim id columns and the three interning tables. A
+// batch that introduces no new id shares prev's tables and index maps
+// (read-only, identical by construction); one that does gets merged tables
+// and every id renumbered.
+func (c *Compiled) intern(claims []model.Claim, prev *Compiled) {
+	n, done := len(claims), 0
+	c.claimSrc = make([]int32, n)
+	c.claimObj = make([]int32, n)
+	c.claimVal = make([]int32, n)
+	if prev != nil {
+		done = copy(c.claimSrc, prev.claimSrc)
+		copy(c.claimObj, prev.claimObj)
+		copy(c.claimVal, prev.claimVal)
+		c.sources, c.srcIdx = prev.sources, prev.srcIdx
+		c.objects, c.objIdx = prev.objects, prev.objIdx
+		c.values, c.valIdx = prev.values, prev.valIdx
 	}
-	// The replay and live-append paths always compile the predecessor before
-	// the successor, so this is a cached fetch, not a recursive build.
-	bc := base.Compiled()
-	// Append only ever adds ids, so equal table lengths mean identical
-	// (shared) tables.
-	if len(d.sources) != bc.NumSources() || len(d.objects) != bc.NumObjects() {
-		return nil
-	}
-	// The predecessor could be mapped (a session materialized from a v2
-	// snapshot): its index maps are nil and its strings alias the mapping,
-	// which must not leak into a successor that outlives it. Appends always
-	// run against materialized datasets, so just rebuild from scratch.
-	if bc.srcIdx == nil {
-		return nil
-	}
-	for _, cl := range d.Batch() {
-		if _, ok := bc.valIdx[cl.Value]; !ok {
-			return nil
-		}
-	}
-	c := &Compiled{
-		sources: bc.sources,
-		objects: bc.objects,
-		values:  bc.values,
-		srcIdx:  bc.srcIdx,
-		objIdx:  bc.objIdx,
-		valIdx:  bc.valIdx,
-	}
-	c.buildGroups(d)
-	c.buildSourceClaims(d)
-	c.buildSpans(d)
-	return c
+	c.sources, c.srcIdx = internColumn(c.sources, c.srcIdx, c.claimSrc, done,
+		func(i int) model.SourceID { return claims[i].Source }, cmp.Compare[model.SourceID])
+	c.objects, c.objIdx = internColumn(c.objects, c.objIdx, c.claimObj, done,
+		func(i int) model.ObjectID { return claims[i].Object }, compareObjects)
+	c.values, c.valIdx = internColumn(c.values, c.valIdx, c.claimVal, done,
+		func(i int) string { return claims[i].Value }, cmp.Compare[string])
 }
 
-// buildGroups lays out the per-object candidate value groups. ValuesFor
-// already returns groups in sorted-value order with deduped ascending
-// sources, which is exactly the canonical order the solvers iterate in.
-func (c *Compiled) buildGroups(d *Dataset) {
-	c.GroupStart = make([]int32, len(c.objects)+1)
-	c.GroupSrcStart = append(c.GroupSrcStart, 0)
-	for oi, o := range c.objects {
-		groups := d.ValuesFor(o)
-		if len(groups) > c.maxGroups {
-			c.maxGroups = len(groups)
-		}
-		for _, g := range groups {
-			c.GroupValue = append(c.GroupValue, c.valIdx[g.Value])
-			for _, s := range g.Sources {
-				c.GroupSrc = append(c.GroupSrc, c.srcIdx[s])
+// compareObjects orders objects by (entity, attribute) — model.SortObjects
+// order.
+func compareObjects(a, b model.ObjectID) int {
+	if a.Entity != b.Entity {
+		return cmp.Compare(a.Entity, b.Entity)
+	}
+	return cmp.Compare(a.Attribute, b.Attribute)
+}
+
+// internColumn resolves key(i) to its dense id in col[i] for every i from
+// done on, against the sorted table tab and its index map. Keys the table
+// lacks go into a fresh sorted table and map — the inputs may be shared with
+// a predecessor and are never written — and every id, col[:done] included,
+// is renumbered to it.
+func internColumn[K comparable](tab []K, idx map[K]int32, col []int32, done int,
+	key func(int) K, compare func(a, b K) int) ([]K, map[K]int32) {
+	var added []K
+	for i := done; i < len(col); i++ {
+		k := key(i)
+		id, ok := idx[k]
+		if !ok {
+			if added == nil {
+				shared := idx
+				idx = make(map[K]int32, len(shared)+1)
+				for k, id := range shared {
+					idx[k] = id
+				}
 			}
-			c.GroupSrcStart = append(c.GroupSrcStart, int32(len(c.GroupSrc)))
+			id = int32(len(tab) + len(added)) // provisional, until the merge below
+			idx[k] = id
+			added = append(added, k)
 		}
-		c.GroupStart[oi+1] = int32(len(c.GroupValue))
+		col[i] = id
+	}
+	if added == nil {
+		return tab, idx
+	}
+	// Ids so far are positions in tab+added; sorted, each key's new position
+	// is its final id.
+	merged := append(slices.Clone(tab), added...)
+	slices.SortFunc(merged, compare)
+	remap := make([]int32, len(merged))
+	for at, k := range merged {
+		remap[idx[k]] = int32(at)
+	}
+	for i, id := range col {
+		col[i] = remap[id]
+	}
+	for k, id := range idx {
+		idx[k] = remap[id]
+	}
+	return merged, idx
+}
+
+// bucketSort stably reorders the claim indexes in (every claim, in ingestion
+// order, when nil) by key — one counting-sort pass — and returns them with
+// the CSR bounds of the n buckets.
+func bucketSort(in, key []int32, n int) (out, start []int32) {
+	start = make([]int32, n+1)
+	for _, k := range key {
+		start[k+1]++
+	}
+	for k := 0; k < n; k++ {
+		start[k+1] += start[k]
+	}
+	next := slices.Clone(start[:n])
+	out = make([]int32, len(key))
+	for p := range key {
+		ci := int32(p)
+		if in != nil {
+			ci = in[p]
+		}
+		out[next[key[ci]]] = ci
+		next[key[ci]]++
+	}
+	return out, start
+}
+
+// buildClaimIndex orders the claim log both ways the accessors read it.
+// Index order is string order, so counting sorts do it: by source then by
+// object gives each object's claims in (source, ingestion) order, and those
+// by source again each source's in (object, ingestion) order. A source's row
+// then takes one stable sort by time — skipped when already in time order,
+// as every row of a timeless dataset is — to reach (time, object,
+// ingestion), the order a source's later claim overwrites its earlier in.
+func (c *Compiled) buildClaimIndex(claims []model.Claim) {
+	bySource, _ := bucketSort(nil, c.claimSrc, len(c.sources))
+	c.byObj, c.byObjStart = bucketSort(bySource, c.claimObj, len(c.objects))
+	c.bySrc, c.bySrcStart = bucketSort(c.byObj, c.claimSrc, len(c.sources))
+	byTime := func(a, b int32) int { return cmp.Compare(claims[a].Time, claims[b].Time) }
+	for si := range c.sources {
+		if row := c.sourceClaims(int32(si)); !slices.IsSortedFunc(row, byTime) {
+			slices.SortStableFunc(row, byTime)
+		}
 	}
 }
 
-// buildSourceClaims lays out each source's snapshot claims with the global
-// group index of each asserted value. One sweep over the objects in index
-// order fills every source's exactly-sized region in ascending-object
-// order — the same layout as iterating each source's sorted object list,
-// without re-sorting per source.
-func (c *Compiled) buildSourceClaims(d *Dataset) {
-	nS := len(c.sources)
+// sourceClaims returns source si's claim indexes in (time, object,
+// ingestion) order; objectClaims object oi's in (source, ingestion) order.
+func (c *Compiled) sourceClaims(si int32) []int32 {
+	return c.bySrc[c.bySrcStart[si]:c.bySrcStart[si+1]]
+}
+
+func (c *Compiled) objectClaims(oi int32) []int32 {
+	return c.byObj[c.byObjStart[oi]:c.byObjStart[oi+1]]
+}
+
+// buildSnapshotView lays out the snapshot view: per object the candidate
+// value groups, per source its claims with the group each falls in. Of a
+// source's claims about one object the snapshot keeps the last in the
+// source's time order; in an object's row those claims are adjacent and in
+// ingestion order, so the keeper is the latest-timed, ties to the later
+// ingested. One sweep over the objects in index order fills every source's
+// exactly-sized row in ascending-object order.
+func (c *Compiled) buildSnapshotView(claims []model.Claim) {
+	nS, nO := len(c.sources), len(c.objects)
+	// kept packs (value << 32 | source) per snapshot claim, objects in index
+	// order. Sorting an object's row orders it by value, then source: each
+	// run of one value is a group, its sources ascending.
+	kept := make([]int64, 0, len(claims))
+	keptStart := make([]int32, nO+1)
+	c.GroupStart = make([]int32, nO+1)
 	c.SrcStart = make([]int32, nS+1)
-	for si, s := range c.sources {
-		c.SrcStart[si+1] = c.SrcStart[si] + int32(len(d.valueOf[s]))
-	}
-	total := int(c.SrcStart[nS])
-	c.SrcObj = make([]int32, total)
-	c.SrcVal = make([]int32, total)
-	c.SrcGroup = make([]int32, total)
-	cursor := make([]int32, nS)
-	copy(cursor, c.SrcStart[:nS])
-	for oi, o := range c.objects {
-		// byObject is source-sorted after Freeze; a source re-asserting o
-		// appears in adjacent entries and contributes one snapshot claim.
-		var last model.SourceID
-		haveLast := false
-		for _, idx := range d.byObject[o] {
-			s := d.claims[idx].Source
-			if haveLast && s == last {
-				continue
+	for oi := 0; oi < nO; oi++ {
+		row := c.objectClaims(int32(oi))
+		for k := 0; k < len(row); {
+			last, si := row[k], c.claimSrc[row[k]]
+			for k++; k < len(row) && c.claimSrc[row[k]] == si; k++ {
+				if claims[row[k]].Time >= claims[last].Time {
+					last = row[k]
+				}
 			}
-			last, haveLast = s, true
-			si := c.srcIdx[s]
-			vi := c.valIdx[d.valueOf[s][o]]
-			k := cursor[si]
+			kept = append(kept, int64(c.claimVal[last])<<32|int64(si))
+			c.SrcStart[si+1]++
+		}
+		keptStart[oi+1] = int32(len(kept))
+		groups := kept[keptStart[oi]:]
+		slices.Sort(groups)
+		n := 0
+		for k, p := range groups {
+			if k == 0 || p>>32 != groups[k-1]>>32 {
+				n++
+			}
+		}
+		c.GroupStart[oi+1] = c.GroupStart[oi] + int32(n)
+		c.maxGroups = max(c.maxGroups, n)
+	}
+	for si := 0; si < nS; si++ {
+		c.SrcStart[si+1] += c.SrcStart[si]
+	}
+
+	// kept is now GroupSrc's layout with the values still attached: entry j
+	// is the j-th group member, and a group opens wherever the value (or the
+	// object) changes.
+	nG := c.GroupStart[nO]
+	c.GroupValue = make([]int32, nG)
+	c.GroupSrcStart = make([]int32, nG+1)
+	c.GroupSrc = make([]int32, len(kept))
+	c.SrcObj = make([]int32, len(kept))
+	c.SrcVal = make([]int32, len(kept))
+	c.SrcGroup = make([]int32, len(kept))
+	cursor := slices.Clone(c.SrcStart[:nS])
+	g := int32(-1)
+	for oi := 0; oi < nO; oi++ {
+		for j := keptStart[oi]; j < keptStart[oi+1]; j++ {
+			vi, si := int32(kept[j]>>32), int32(kept[j])
+			if j == keptStart[oi] || vi != c.GroupValue[g] {
+				g++
+				c.GroupValue[g] = vi
+				c.GroupSrcStart[g] = j
+			}
+			c.GroupSrc[j] = si
+			at := cursor[si]
 			cursor[si]++
-			c.SrcObj[k] = int32(oi)
-			c.SrcVal[k] = vi
-			c.SrcGroup[k] = c.findGroup(int32(oi), vi)
+			c.SrcObj[at] = int32(oi)
+			c.SrcVal[at] = vi
+			c.SrcGroup[at] = g
 		}
 	}
-}
-
-// findGroup locates the group of object oi holding value vi by binary search
-// over the object's value-sorted groups.
-func (c *Compiled) findGroup(oi, vi int32) int32 {
-	lo, hi := c.GroupStart[oi], c.GroupStart[oi+1]
-	vals := c.GroupValue[lo:hi]
-	k := sort.Search(len(vals), func(i int) bool { return vals[i] >= vi })
-	return lo + int32(k)
+	c.GroupSrcStart[nG] = int32(len(kept))
 }
 
 // buildSpans collapses each source's update trace into per-(object, value)
 // first/last assertion spans, sorted by packed key, and tallies how many
 // sources ever make each assertion (the temporal rarity denominator).
-func (c *Compiled) buildSpans(d *Dataset) {
+func (c *Compiled) buildSpans(claims []model.Claim) {
 	c.SpanStart = make([]int32, len(c.sources)+1)
-	pop := map[int64]int32{}
-	type span struct{ first, last model.Time }
-	for si, s := range c.sources {
-		spans := map[int64]span{}
-		for _, idx := range d.bySource[s] {
-			cl := d.claims[idx]
-			if !cl.HasTime {
-				continue
+	type stamp struct {
+		key int64
+		t   model.Time
+	}
+	var trace []stamp
+	for si := range c.sources {
+		trace = trace[:0]
+		for _, ci := range c.sourceClaims(int32(si)) {
+			if claims[ci].HasTime {
+				trace = append(trace, stamp{int64(c.claimObj[ci])<<32 | int64(c.claimVal[ci]), claims[ci].Time})
 			}
-			key := int64(c.objIdx[cl.Object])<<32 | int64(c.valIdx[cl.Value])
-			sp, ok := spans[key]
-			if !ok {
-				spans[key] = span{first: cl.Time, last: cl.Time}
-				continue
-			}
-			if cl.Time < sp.first {
-				sp.first = cl.Time
-			}
-			if cl.Time > sp.last {
-				sp.last = cl.Time
-			}
-			spans[key] = sp
 		}
-		keys := make([]int64, 0, len(spans))
-		for k := range spans {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-		for _, k := range keys {
-			sp := spans[k]
-			c.SpanKey = append(c.SpanKey, k)
-			c.SpanFirst = append(c.SpanFirst, sp.first)
-			c.SpanLast = append(c.SpanLast, sp.last)
-			pop[k]++
+		// The row is in time order and the sort stable, so each key's run
+		// opens with its first assertion and closes with its last.
+		slices.SortStableFunc(trace, func(a, b stamp) int { return cmp.Compare(a.key, b.key) })
+		for k := 0; k < len(trace); {
+			first := trace[k]
+			for k++; k < len(trace) && trace[k].key == first.key; k++ {
+			}
+			c.SpanKey = append(c.SpanKey, first.key)
+			c.SpanFirst = append(c.SpanFirst, first.t)
+			c.SpanLast = append(c.SpanLast, trace[k-1].t)
 		}
 		c.SpanStart[si+1] = int32(len(c.SpanKey))
 	}
-	c.PopKey = make([]int64, 0, len(pop))
-	for k := range pop {
-		c.PopKey = append(c.PopKey, k)
+	// A source contributes each key once, so a key's popularity is its
+	// multiplicity over all spans.
+	keys := append([]int64{}, c.SpanKey...)
+	slices.Sort(keys)
+	c.PopCount = []int32{}
+	for k, key := range keys {
+		if k == 0 || key != keys[k-1] {
+			c.PopCount = append(c.PopCount, 0)
+		}
+		c.PopCount[len(c.PopCount)-1]++
 	}
-	sort.Slice(c.PopKey, func(a, b int) bool { return c.PopKey[a] < c.PopKey[b] })
-	c.PopCount = make([]int32, len(c.PopKey))
-	for i, k := range c.PopKey {
-		c.PopCount[i] = pop[k]
-	}
+	c.PopKey = slices.Compact(keys)
 }
 
 // MaxGroupsPerObject returns the largest candidate-value count over all
@@ -306,13 +377,11 @@ func (c *Compiled) MaxGroupsPerObject() int { return c.maxGroups }
 // MaxSourcesPerGroup returns the largest asserting-source count over all
 // value groups.
 func (c *Compiled) MaxSourcesPerGroup() int {
-	max := 0
-	for g := 0; g+1 < len(c.GroupSrcStart); g++ {
-		if n := int(c.GroupSrcStart[g+1] - c.GroupSrcStart[g]); n > max {
-			max = n
-		}
+	most := int32(0)
+	for g := 1; g < len(c.GroupSrcStart); g++ {
+		most = max(most, c.GroupSrcStart[g]-c.GroupSrcStart[g-1])
 	}
-	return max
+	return int(most)
 }
 
 // Accessor API over the interning tables. Index order == string order in
@@ -412,18 +481,21 @@ func (c *Compiled) ObjectIDs() []model.ObjectID {
 	return out
 }
 
+// find adapts sort.Find over a sorted interning table to the index lookups.
+func find(n int, compare func(i int) int) (int32, bool) {
+	if k, ok := sort.Find(n, compare); ok {
+		return int32(k), true
+	}
+	return 0, false
+}
+
 // SourceIndex returns the dense index of s.
 func (c *Compiled) SourceIndex(s model.SourceID) (int32, bool) {
 	if c.srcIdx != nil {
 		i, ok := c.srcIdx[s]
 		return i, ok
 	}
-	n := c.NumSources()
-	k := sort.Search(n, func(i int) bool { return c.Source(i) >= s })
-	if k < n && c.Source(k) == s {
-		return int32(k), true
-	}
-	return 0, false
+	return find(c.NumSources(), func(i int) int { return cmp.Compare(s, c.Source(i)) })
 }
 
 // ObjectIndex returns the dense index of o.
@@ -432,19 +504,7 @@ func (c *Compiled) ObjectIndex(o model.ObjectID) (int32, bool) {
 		i, ok := c.objIdx[o]
 		return i, ok
 	}
-	n := c.NumObjects()
-	// Objects are sorted by (entity, attribute) — model.SortObjects order.
-	k := sort.Search(n, func(i int) bool {
-		ci := c.Object(i)
-		if ci.Entity != o.Entity {
-			return ci.Entity > o.Entity
-		}
-		return ci.Attribute >= o.Attribute
-	})
-	if k < n && c.Object(k) == o {
-		return int32(k), true
-	}
-	return 0, false
+	return find(c.NumObjects(), func(i int) int { return compareObjects(o, c.Object(i)) })
 }
 
 // ValueIndex returns the dense index of value v.
@@ -453,12 +513,7 @@ func (c *Compiled) ValueIndex(v string) (int32, bool) {
 		i, ok := c.valIdx[v]
 		return i, ok
 	}
-	n := c.NumValues()
-	k := sort.Search(n, func(i int) bool { return c.Value(i) >= v })
-	if k < n && c.Value(k) == v {
-		return int32(k), true
-	}
-	return 0, false
+	return find(c.NumValues(), func(i int) int { return cmp.Compare(v, c.Value(i)) })
 }
 
 // ClaimOf returns the position in the per-source claim arrays (SrcObj,
@@ -466,10 +521,8 @@ func (c *Compiled) ValueIndex(v string) (int32, bool) {
 // when si asserts nothing about oi — the dense equivalent of
 // Dataset.Value, by binary search over the source's ascending object list.
 func (c *Compiled) ClaimOf(si, oi int32) int32 {
-	lo, hi := c.SrcStart[si], c.SrcStart[si+1]
-	objs := c.SrcObj[lo:hi]
-	k := sort.Search(len(objs), func(i int) bool { return objs[i] >= oi })
-	if k < len(objs) && objs[k] == oi {
+	lo := c.SrcStart[si]
+	if k, ok := slices.BinarySearch(c.SrcObj[lo:c.SrcStart[si+1]], oi); ok {
 		return lo + int32(k)
 	}
 	return -1
@@ -478,8 +531,7 @@ func (c *Compiled) ClaimOf(si, oi int32) int32 {
 // PopularityOf returns how many sources ever assert the timestamped
 // (object, value) packed key, by binary search.
 func (c *Compiled) PopularityOf(key int64) int32 {
-	k := sort.Search(len(c.PopKey), func(i int) bool { return c.PopKey[i] >= key })
-	if k < len(c.PopKey) && c.PopKey[k] == key {
+	if k, ok := slices.BinarySearch(c.PopKey, key); ok {
 		return c.PopCount[k]
 	}
 	return 0

@@ -1,38 +1,30 @@
 // Package dataset provides the indexed claim store the discovery algorithms
 // run against.
 //
-// A Dataset ingests model.Claim values and maintains the indexes the
-// iterative solvers need on their hot paths: claims by source, claims by
-// object, the value each source asserts per object, and pairwise overlap
-// enumeration. For temporal data it additionally maintains per-source update
-// traces (time-ordered claims) and can project a snapshot "as of" a time,
-// which is how the incomplete-observations experiments sample worlds.
+// A frozen Dataset is two things: the claim log — the claims in ingestion
+// order, with the batch boundaries Append recorded — and one columnar index
+// over it (Compiled, see compiled.go): interned ids, each source's claims in
+// time order, each object's in source order, the snapshot view (the value
+// each source currently asserts per object) and the temporal spans. The
+// solvers scan the columns directly; every accessor here — claims by source
+// or object, values, overlaps, value groups, update traces, the projection
+// "as of" a time the incomplete-observations experiments sample worlds
+// with — is a read over the same columns. There is no second representation
+// to keep in step.
 package dataset
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"sourcecurrents/internal/model"
 )
 
-// Dataset is an immutable-after-Freeze collection of claims with indexes.
+// Dataset is an immutable-after-Freeze collection of claims with its index.
 // Build it with Add/AddAll, then call Freeze before handing it to solvers;
-// Freeze sorts the internal slices so every iteration order is
-// deterministic.
+// every iteration order the index exposes is deterministic.
 type Dataset struct {
 	claims []model.Claim
-
-	bySource map[model.SourceID][]int // indexes into claims, time-ordered after Freeze
-	byObject map[model.ObjectID][]int
-
-	// snapshot view: latest (or only) value per (source, object)
-	valueOf map[model.SourceID]map[model.ObjectID]string
-
-	sources []model.SourceID
-	objects []model.ObjectID
-	frozen  bool
+	frozen bool
 
 	// Append-only log (see append.go): base is the predecessor dataset this
 	// one was appended onto (nil for a flat dataset), baseLen the number of
@@ -41,19 +33,13 @@ type Dataset struct {
 	baseLen int
 	epoch   int
 
-	// compiled is the lazily built columnar view (see compiled.go).
-	compileOnce sync.Once
-	compiled    *Compiled
+	// cols is the columnar index (see compiled.go): empty until Freeze,
+	// built once by Freeze or Append, never modified after.
+	cols *Compiled
 }
 
 // New returns an empty dataset.
-func New() *Dataset {
-	return &Dataset{
-		bySource: map[model.SourceID][]int{},
-		byObject: map[model.ObjectID][]int{},
-		valueOf:  map[model.SourceID]map[model.ObjectID]string{},
-	}
-}
+func New() *Dataset { return &Dataset{cols: &Compiled{}} }
 
 // Add appends one claim. It returns an error for invalid claims or when the
 // dataset is already frozen.
@@ -64,10 +50,7 @@ func (d *Dataset) Add(c model.Claim) error {
 	if err := c.Validate(); err != nil {
 		return err
 	}
-	idx := len(d.claims)
 	d.claims = append(d.claims, c)
-	d.bySource[c.Source] = append(d.bySource[c.Source], idx)
-	d.byObject[c.Object] = append(d.byObject[c.Object], idx)
 	return nil
 }
 
@@ -81,46 +64,16 @@ func (d *Dataset) AddAll(cs []model.Claim) error {
 	return nil
 }
 
-// Freeze finalizes the dataset: sorts index slices (per source by time, then
-// object; per object by source) and computes the snapshot view. For a
-// source that asserted multiple values for one object over time, the
-// snapshot view keeps the latest claim.
+// Freeze finalizes the dataset: it builds the index (per source by time,
+// then object; per object by source) and the snapshot view. For a source
+// that asserted multiple values for one object over time, the snapshot view
+// keeps the latest claim.
 func (d *Dataset) Freeze() {
 	if d.frozen {
 		return
 	}
 	d.frozen = true
-	for s, idxs := range d.bySource {
-		sort.SliceStable(idxs, func(a, b int) bool {
-			ca, cb := d.claims[idxs[a]], d.claims[idxs[b]]
-			if ca.Time != cb.Time {
-				return ca.Time < cb.Time
-			}
-			if ca.Object.Entity != cb.Object.Entity {
-				return ca.Object.Entity < cb.Object.Entity
-			}
-			return ca.Object.Attribute < cb.Object.Attribute
-		})
-		d.sources = append(d.sources, s)
-	}
-	model.SortSources(d.sources)
-	for o, idxs := range d.byObject {
-		sort.SliceStable(idxs, func(a, b int) bool {
-			return d.claims[idxs[a]].Source < d.claims[idxs[b]].Source
-		})
-		d.objects = append(d.objects, o)
-	}
-	model.SortObjects(d.objects)
-
-	for _, s := range d.sources {
-		vals := map[model.ObjectID]string{}
-		// bySource is time-ordered, so later claims overwrite earlier ones.
-		for _, idx := range d.bySource[s] {
-			c := d.claims[idx]
-			vals[c.Object] = c.Value
-		}
-		d.valueOf[s] = vals
-	}
+	d.cols = buildColumns(d.claims, nil)
 }
 
 // Frozen reports whether Freeze has run.
@@ -134,11 +87,11 @@ func (d *Dataset) Len() int { return len(d.claims) }
 // The slice aliases internal storage and may additionally be shared with
 // successor datasets built by Append; callers must treat it as read-only
 // (copy before sorting, filtering in place, or appending).
-func (d *Dataset) Sources() []model.SourceID { return d.sources }
+func (d *Dataset) Sources() []model.SourceID { return d.cols.sources }
 
 // Objects returns object ids in sorted order. Valid after Freeze. Shared
 // read-only storage — the same ownership rule as Sources.
-func (d *Dataset) Objects() []model.ObjectID { return d.objects }
+func (d *Dataset) Objects() []model.ObjectID { return d.cols.objects }
 
 // Claims returns all claims in ingestion order. The slice aliases internal
 // storage shared across the dataset's log chain; callers must not mutate
@@ -146,49 +99,73 @@ func (d *Dataset) Objects() []model.ObjectID { return d.objects }
 // successor epochs from this storage.
 func (d *Dataset) Claims() []model.Claim { return d.claims }
 
-// ClaimsBySource returns s's claims in time order. Valid after Freeze.
-func (d *Dataset) ClaimsBySource(s model.SourceID) []model.Claim {
-	idxs := d.bySource[s]
-	out := make([]model.Claim, len(idxs))
-	for i, idx := range idxs {
-		out[i] = d.claims[idx]
+// gather copies out the claims a row of claim indexes names.
+func (d *Dataset) gather(row []int32) []model.Claim {
+	out := make([]model.Claim, len(row))
+	for i, ci := range row {
+		out[i] = d.claims[ci]
 	}
 	return out
+}
+
+// ClaimsBySource returns s's claims in time order. Valid after Freeze.
+func (d *Dataset) ClaimsBySource(s model.SourceID) []model.Claim {
+	var row []int32
+	if si, ok := d.cols.SourceIndex(s); ok {
+		row = d.cols.sourceClaims(si)
+	}
+	return d.gather(row)
 }
 
 // ClaimsByObject returns all claims about o, ordered by source.
 func (d *Dataset) ClaimsByObject(o model.ObjectID) []model.Claim {
-	idxs := d.byObject[o]
-	out := make([]model.Claim, len(idxs))
-	for i, idx := range idxs {
-		out[i] = d.claims[idx]
+	var row []int32
+	if oi, ok := d.cols.ObjectIndex(o); ok {
+		row = d.cols.objectClaims(oi)
 	}
-	return out
+	return d.gather(row)
 }
 
 // Value returns the (snapshot) value source s asserts for object o.
 func (d *Dataset) Value(s model.SourceID, o model.ObjectID) (string, bool) {
-	v, ok := d.valueOf[s][o]
-	return v, ok
+	c := d.cols
+	si, okS := c.SourceIndex(s)
+	oi, okO := c.ObjectIndex(o)
+	if okS && okO {
+		if k := c.ClaimOf(si, oi); k >= 0 {
+			return c.values[c.SrcVal[k]], true
+		}
+	}
+	return "", false
+}
+
+// snapshotRow returns the bounds of s's row in the per-source snapshot
+// columns (SrcObj, SrcVal, SrcGroup); empty for a source with no claims.
+func (d *Dataset) snapshotRow(s model.SourceID) (lo, hi int32) {
+	si, ok := d.cols.SourceIndex(s)
+	if !ok {
+		return 0, 0
+	}
+	return d.cols.SrcStart[si], d.cols.SrcStart[si+1]
 }
 
 // ObjectsOf returns the objects s provides values for, sorted.
 func (d *Dataset) ObjectsOf(s model.SourceID) []model.ObjectID {
-	vals := d.valueOf[s]
-	out := make([]model.ObjectID, 0, len(vals))
-	for o := range vals {
-		out = append(out, o)
+	lo, hi := d.snapshotRow(s)
+	out := make([]model.ObjectID, 0, hi-lo)
+	for _, oi := range d.cols.SrcObj[lo:hi] {
+		out = append(out, d.cols.objects[oi])
 	}
-	model.SortObjects(out)
 	return out
 }
 
 // Coverage returns |objects of s| / |all objects|.
 func (d *Dataset) Coverage(s model.SourceID) float64 {
-	if len(d.objects) == 0 {
+	if len(d.cols.objects) == 0 {
 		return 0
 	}
-	return float64(len(d.valueOf[s])) / float64(len(d.objects))
+	lo, hi := d.snapshotRow(s)
+	return float64(hi-lo) / float64(len(d.cols.objects))
 }
 
 // Overlap describes the shared objects of a source pair in the snapshot
@@ -199,24 +176,28 @@ type Overlap struct {
 	Same    int              // shared objects on which the two values agree
 }
 
-// OverlapOf computes the overlap between two sources.
+// OverlapOf computes the overlap between two sources: a merge-join of their
+// snapshot rows, both object-ascending.
 func (d *Dataset) OverlapOf(a, b model.SourceID) Overlap {
-	va, vb := d.valueOf[a], d.valueOf[b]
-	if len(vb) < len(va) {
-		va, vb = vb, va
-	}
+	c := d.cols
 	ov := Overlap{Pair: model.NewSourcePair(a, b)}
-	for o, v := range va {
-		w, ok := vb[o]
-		if !ok {
-			continue
-		}
-		ov.Objects = append(ov.Objects, o)
-		if v == w {
-			ov.Same++
+	i, iEnd := d.snapshotRow(a)
+	j, jEnd := d.snapshotRow(b)
+	for i < iEnd && j < jEnd {
+		switch oa, ob := c.SrcObj[i], c.SrcObj[j]; {
+		case oa < ob:
+			i++
+		case oa > ob:
+			j++
+		default:
+			ov.Objects = append(ov.Objects, c.objects[oa])
+			if c.SrcVal[i] == c.SrcVal[j] {
+				ov.Same++
+			}
+			i++
+			j++
 		}
 	}
-	model.SortObjects(ov.Objects)
 	return ov
 }
 
@@ -225,9 +206,10 @@ func (d *Dataset) OverlapOf(a, b model.SourceID) Overlap {
 // pairwise dependence analysis; Example 4.1 uses minShared = 10.
 func (d *Dataset) Pairs(minShared int) []Overlap {
 	var out []Overlap
-	for i := 0; i < len(d.sources); i++ {
-		for j := i + 1; j < len(d.sources); j++ {
-			ov := d.OverlapOf(d.sources[i], d.sources[j])
+	sources := d.cols.sources
+	for i := 0; i < len(sources); i++ {
+		for j := i + 1; j < len(sources); j++ {
+			ov := d.OverlapOf(sources[i], sources[j])
 			if len(ov.Objects) >= minShared {
 				out = append(out, ov)
 			}
@@ -239,28 +221,20 @@ func (d *Dataset) Pairs(minShared int) []Overlap {
 // ValuesFor returns the distinct values asserted for object o with the
 // sources asserting each, in deterministic (value-sorted) order.
 func (d *Dataset) ValuesFor(o model.ObjectID) []ValueGroup {
-	bySrc := map[string][]model.SourceID{}
-	for _, idx := range d.byObject[o] {
-		c := d.claims[idx]
-		// snapshot view: only count the value the source currently holds
-		if cur, ok := d.valueOf[c.Source][o]; !ok || cur != c.Value {
-			continue
+	c := d.cols
+	oi, ok := c.ObjectIndex(o)
+	if !ok {
+		return []ValueGroup{}
+	}
+	lo, hi := c.GroupStart[oi], c.GroupStart[oi+1]
+	out := make([]ValueGroup, 0, hi-lo)
+	for g := lo; g < hi; g++ {
+		members := c.GroupSrc[c.GroupSrcStart[g]:c.GroupSrcStart[g+1]]
+		srcs := make([]model.SourceID, len(members))
+		for i, si := range members {
+			srcs[i] = c.sources[si]
 		}
-		bySrc[c.Value] = append(bySrc[c.Value], c.Source)
-	}
-	vals := make([]string, 0, len(bySrc))
-	for v := range bySrc {
-		vals = append(vals, v)
-	}
-	sort.Strings(vals)
-	out := make([]ValueGroup, 0, len(vals))
-	for _, v := range vals {
-		srcs := bySrc[v]
-		model.SortSources(srcs)
-		// a source may appear multiple times when it re-asserted the same
-		// value at different times; dedupe
-		srcs = dedupeSources(srcs)
-		out = append(out, ValueGroup{Value: v, Sources: srcs})
+		out = append(out, ValueGroup{Value: c.values[c.GroupValue[g]], Sources: srcs})
 	}
 	return out
 }
@@ -270,16 +244,6 @@ func (d *Dataset) ValuesFor(o model.ObjectID) []ValueGroup {
 type ValueGroup struct {
 	Value   string
 	Sources []model.SourceID
-}
-
-func dedupeSources(srcs []model.SourceID) []model.SourceID {
-	out := srcs[:0]
-	for i, s := range srcs {
-		if i == 0 || srcs[i-1] != s {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // SnapshotAt projects the temporal dataset to the snapshot each source
@@ -294,48 +258,40 @@ func dedupeSources(srcs []model.SourceID) []model.SourceID {
 //     exact ties);
 //  3. among timeless claims the latest ingested wins.
 //
-// The rule is applied symmetrically in both directions, so the outcome does
-// not depend on the order claims are considered in (timeless claims sort at
-// Time 0 and therefore iterate *after* negatively-timestamped claims — the
-// ordering that made the old overwrite condition look asymmetric). The
-// projection is returned as a new frozen Dataset whose claims carry
-// HasTime=false.
+// Rule 1 holds in both directions: timeless claims sort at Time 0, after
+// negatively-timestamped ones as well as before later ones. The projection
+// is returned as a new frozen Dataset whose claims carry HasTime=false.
 func (d *Dataset) SnapshotAt(t model.Time) *Dataset {
 	out := New()
-	for _, s := range d.sources {
-		latest := map[model.ObjectID]model.Claim{}
-		for _, idx := range d.bySource[s] {
-			c := d.claims[idx]
-			if c.HasTime && c.Time > t {
+	c := d.cols
+	// latest[oi] is 1 + the claim index the current source shows for object
+	// oi so far; 0 means none. Reset while emitting, so one slice serves
+	// every source.
+	latest := make([]int32, len(c.objects))
+	for si := range c.sources {
+		for _, ci := range c.sourceClaims(int32(si)) {
+			cl := &d.claims[ci]
+			if cl.HasTime && cl.Time > t {
 				continue
 			}
-			prev, ok := latest[c.Object]
-			supersedes := false
-			switch {
-			case !ok:
-				supersedes = true
-			case c.HasTime && prev.HasTime:
-				supersedes = c.Time >= prev.Time // later claim wins; ties to ingestion order
-			case c.HasTime != prev.HasTime:
-				supersedes = c.HasTime // timestamped beats timeless, whichever came first
-			default:
-				supersedes = true // both timeless: later ingested wins
-			}
-			if supersedes {
-				latest[c.Object] = c
+			// The row is in time order, so a later visible claim supersedes
+			// an earlier one (rules 2 and 3) unless it is a timeless claim
+			// following a dated one (rule 1).
+			if at := &latest[c.claimObj[ci]]; *at == 0 || cl.HasTime || !d.claims[*at-1].HasTime {
+				*at = ci + 1
 			}
 		}
-		objs := make([]model.ObjectID, 0, len(latest))
-		for o := range latest {
-			objs = append(objs, o)
-		}
-		model.SortObjects(objs)
-		for _, o := range objs {
-			c := latest[o]
-			c.HasTime = false
-			c.Time = 0
-			// Add cannot fail here: claims were validated on ingestion.
-			_ = out.Add(c)
+		// The source's snapshot row names every object it ever claims, in
+		// sorted order.
+		for _, oi := range c.SrcObj[c.SrcStart[si]:c.SrcStart[si+1]] {
+			if at := latest[oi]; at != 0 {
+				latest[oi] = 0
+				cl := d.claims[at-1]
+				cl.HasTime = false
+				cl.Time = 0
+				// Add cannot fail here: claims were validated on ingestion.
+				_ = out.Add(cl)
+			}
 		}
 	}
 	out.Freeze()
@@ -346,10 +302,11 @@ func (d *Dataset) SnapshotAt(t model.Time) *Dataset {
 // snapshot-only claims. The temporal detector consumes these.
 func (d *Dataset) UpdateTrace(s model.SourceID) []model.Claim {
 	var out []model.Claim
-	for _, idx := range d.bySource[s] {
-		c := d.claims[idx]
-		if c.HasTime {
-			out = append(out, c)
+	if si, ok := d.cols.SourceIndex(s); ok {
+		for _, ci := range d.cols.sourceClaims(si) {
+			if d.claims[ci].HasTime {
+				out = append(out, d.claims[ci])
+			}
 		}
 	}
 	return out

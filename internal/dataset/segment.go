@@ -73,6 +73,9 @@ func ReadSegment(r io.Reader) ([]model.Claim, error) {
 		if dec.Err() != nil {
 			break
 		}
+		if err := c.Validate(); err != nil {
+			return nil, fmt.Errorf("dataset: segment: %w: record %d: %v", snapio.ErrCorrupt, k, err)
+		}
 		batch = append(batch, c)
 	}
 	if err := dec.Finish(); err != nil {

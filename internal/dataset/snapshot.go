@@ -18,6 +18,7 @@ package dataset
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"sourcecurrents/internal/model"
@@ -42,23 +43,27 @@ func (d *Dataset) WriteSnapshot(w io.Writer) error {
 	}
 
 	// One interned table for every string in the dataset, sorted so the
-	// encoding is canonical.
-	seen := map[string]struct{}{}
-	intern := func(s string) { seen[s] = struct{}{} }
-	for _, c := range d.claims {
-		intern(string(c.Source))
-		intern(c.Object.Entity)
-		intern(c.Object.Attribute)
-		intern(c.Value)
+	// encoding is canonical: the union of the index's three tables, entity
+	// and attribute strings apart.
+	c := d.cols
+	strs := make([]string, 0, len(c.sources)+2*len(c.objects)+len(c.values))
+	for _, s := range c.sources {
+		strs = append(strs, string(s))
 	}
-	strs := make([]string, 0, len(seen))
-	for s := range seen {
-		strs = append(strs, s)
+	for _, o := range c.objects {
+		strs = append(strs, o.Entity, o.Attribute)
 	}
+	strs = append(strs, c.values...)
 	sort.Strings(strs)
-	ref := make(map[string]uint32, len(strs))
-	for i, s := range strs {
-		ref[s] = uint32(i)
+	strs = slices.Compact(strs)
+	ref := func(s string) uint32 { return uint32(sort.SearchStrings(strs, s)) }
+	objRef := make([][2]uint32, len(c.objects)) // entity, attribute
+	for oi, o := range c.objects {
+		objRef[oi] = [2]uint32{ref(o.Entity), ref(o.Attribute)}
+	}
+	valRef := make([]uint32, len(c.values))
+	for vi, v := range c.values {
+		valRef[vi] = ref(v)
 	}
 
 	var enc snapio.Writer
@@ -68,23 +73,24 @@ func (d *Dataset) WriteSnapshot(w io.Writer) error {
 	}
 
 	// Claims, CSR by source: per-source record count followed by the
-	// records, sources in sorted order. Each record carries its original
-	// ingestion position, so decode restores the exact claim sequence.
+	// records in the source's time order, sources in sorted order. Each
+	// record carries its original ingestion position, so decode restores
+	// the exact claim sequence.
 	enc.U32(uint32(len(d.claims)))
-	enc.U32(uint32(len(d.sources)))
-	for _, s := range d.sources {
-		idxs := d.bySource[s]
-		enc.U32(ref[string(s)])
-		enc.U32(uint32(len(idxs)))
-		for _, idx := range idxs {
-			c := d.claims[idx]
-			enc.U32(uint32(idx))
-			enc.U32(ref[c.Object.Entity])
-			enc.U32(ref[c.Object.Attribute])
-			enc.U32(ref[c.Value])
-			enc.Bool(c.HasTime)
-			enc.I64(int64(c.Time))
-			enc.F64(c.Prob)
+	enc.U32(uint32(len(c.sources)))
+	for si, s := range c.sources {
+		row := c.sourceClaims(int32(si))
+		enc.U32(ref(string(s)))
+		enc.U32(uint32(len(row)))
+		for _, ci := range row {
+			cl := &d.claims[ci]
+			enc.U32(uint32(ci))
+			enc.U32(objRef[c.claimObj[ci]][0])
+			enc.U32(objRef[c.claimObj[ci]][1])
+			enc.U32(valRef[c.claimVal[ci]])
+			enc.Bool(cl.HasTime)
+			enc.I64(int64(cl.Time))
+			enc.F64(cl.Prob)
 		}
 	}
 
@@ -191,9 +197,10 @@ func ReadSnapshot(r io.Reader) (*Dataset, error) {
 	if len(bounds) > 0 {
 		end = bounds[0]
 	}
+	// A record that decodes but is not a valid claim is payload damage too.
 	d, err := FromClaims(claims[:end:end])
 	if err != nil {
-		return nil, fmt.Errorf("dataset: snapshot: %w", err)
+		return nil, fmt.Errorf("dataset: snapshot: %w: %v", snapio.ErrCorrupt, err)
 	}
 	for i := range bounds {
 		next := len(claims)
@@ -202,7 +209,7 @@ func ReadSnapshot(r io.Reader) (*Dataset, error) {
 		}
 		d, err = d.Append(claims[bounds[i]:next])
 		if err != nil {
-			return nil, fmt.Errorf("dataset: snapshot: %w", err)
+			return nil, fmt.Errorf("dataset: snapshot: %w: %v", snapio.ErrCorrupt, err)
 		}
 	}
 	return d, nil

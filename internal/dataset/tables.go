@@ -1,6 +1,10 @@
 package dataset
 
-import "sourcecurrents/internal/model"
+import (
+	"slices"
+
+	"sourcecurrents/internal/model"
+)
 
 // The paper's three worked examples, reproduced verbatim so that tests,
 // examples, and the experiment harness all run against exactly the data in
@@ -51,14 +55,9 @@ func Table1Truth() *model.World {
 // Table1Subset returns Table 1 restricted to the given sources (e.g. the
 // S1..S3-only scenario of Example 2.1).
 func Table1Subset(sources ...model.SourceID) *Dataset {
-	full := Table1()
-	keep := map[model.SourceID]bool{}
-	for _, s := range sources {
-		keep[s] = true
-	}
 	d := New()
-	for _, c := range full.Claims() {
-		if keep[c.Source] {
+	for _, c := range Table1().Claims() {
+		if slices.Contains(sources, c.Source) {
 			if err := d.Add(c); err != nil {
 				panic(err)
 			}

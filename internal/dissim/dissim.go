@@ -395,16 +395,9 @@ type ItemConsensus struct {
 // the member with the smaller rating count is dropped (the contrarian or
 // copier adds no independent information).
 func Consensus(d *dataset.Dataset, res *Result, cfg Config, opt ConsensusOption) map[model.ObjectID]ItemConsensus {
-	dropped := map[model.SourceID]bool{}
+	var dropped map[model.SourceID]bool
 	if opt == DropDependents && res != nil {
-		for _, dep := range res.Dependent() {
-			a, b := dep.Pair.A, dep.Pair.B
-			if len(d.ObjectsOf(a)) < len(d.ObjectsOf(b)) {
-				dropped[a] = true
-			} else {
-				dropped[b] = true
-			}
-		}
+		dropped = droppedRaters(d, res)
 	}
 	out := map[model.ObjectID]ItemConsensus{}
 	for _, o := range d.Objects() {
@@ -442,17 +435,31 @@ func Consensus(d *dataset.Dataset, res *Result, cfg Config, opt ConsensusOption)
 	return out
 }
 
-// Excluded reports which raters Consensus would drop for the given result.
-func Excluded(d *dataset.Dataset, res *Result) []model.SourceID {
+// droppedRaters picks, from each dependent pair, the member with fewer
+// ratings — the shorter row of the dataset's per-source snapshot columns.
+func droppedRaters(d *dataset.Dataset, res *Result) map[model.SourceID]bool {
+	c := d.Compiled()
+	ratings := func(s model.SourceID) int32 {
+		si, ok := c.SourceIndex(s)
+		if !ok {
+			return 0
+		}
+		return c.SrcStart[si+1] - c.SrcStart[si]
+	}
 	dropped := map[model.SourceID]bool{}
 	for _, dep := range res.Dependent() {
-		a, b := dep.Pair.A, dep.Pair.B
-		if len(d.ObjectsOf(a)) < len(d.ObjectsOf(b)) {
+		if a, b := dep.Pair.A, dep.Pair.B; ratings(a) < ratings(b) {
 			dropped[a] = true
 		} else {
 			dropped[b] = true
 		}
 	}
+	return dropped
+}
+
+// Excluded reports which raters Consensus would drop for the given result.
+func Excluded(d *dataset.Dataset, res *Result) []model.SourceID {
+	dropped := droppedRaters(d, res)
 	out := make([]model.SourceID, 0, len(dropped))
 	for s := range dropped {
 		out = append(out, s)

@@ -220,6 +220,55 @@ func TestAppendErrorPaths(t *testing.T) {
 	})
 }
 
+// TestAppendExpectEpoch pins the conditional append: ?expect_epoch=e applies
+// the batch only to a dataset standing at epoch e; any other epoch is a 409
+// that carries the dataset's epoch and changes nothing. Without the
+// parameter an append lands at whatever epoch it finds.
+func TestAppendExpectEpoch(t *testing.T) {
+	ts, _ := testServer(t)
+	batch := `{"claims":[{"source":"s_new","entity":"e","attribute":"a","value":"v"}]}`
+	epochOf := func(body []byte) uint64 {
+		t.Helper()
+		var out struct {
+			Epoch *uint64 `json:"epoch"`
+		}
+		if err := json.Unmarshal(body, &out); err != nil || out.Epoch == nil {
+			t.Fatalf("no epoch in %s (%v)", body, err)
+		}
+		return *out.Epoch
+	}
+	for _, step := range []struct {
+		query  string
+		status int
+		epoch  uint64
+	}{
+		{"?expect_epoch=0", http.StatusOK, 1},
+		{"?expect_epoch=0", http.StatusConflict, 1}, // behind: the batch is already in
+		{"?expect_epoch=5", http.StatusConflict, 1}, // ahead
+		{"?expect_epoch=1", http.StatusOK, 2},
+		{"", http.StatusOK, 3},
+		{"?expect_epoch=two", http.StatusBadRequest, 0},
+		{"?expect_epoch=-1", http.StatusBadRequest, 0},
+	} {
+		resp, body := post(t, ts.URL+"/v1/alpha/append"+step.query, batch)
+		if resp.StatusCode != step.status {
+			t.Fatalf("append%s: status %d, want %d: %s", step.query, resp.StatusCode, step.status, body)
+		}
+		if step.status != http.StatusBadRequest && epochOf(body) != step.epoch {
+			t.Fatalf("append%s: epoch %d, want %d: %s", step.query, epochOf(body), step.epoch, body)
+		}
+	}
+	_, met := get(t, ts.URL+"/metrics")
+	for _, line := range []string{
+		`currents_dataset_epoch{dataset="alpha"} 3`,
+		`currents_dataset_appends_total{dataset="alpha"} 3`,
+	} {
+		if !strings.Contains(string(met), line) {
+			t.Errorf("metrics missing %q", line)
+		}
+	}
+}
+
 // TestAppendPersistAndReplay round-trips live ingest through the
 // persistence layer: appends write segments, and LoadDir restores the
 // exact post-append serving state from base snapshot + segment replay.

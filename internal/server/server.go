@@ -146,6 +146,15 @@ type ErrorResponse struct {
 	Owner string `json:"owner,omitempty"`
 }
 
+// epochConflict is the 409 body of a conditional append whose expectation
+// failed: nothing was applied, and Epoch is where the dataset stands.
+type epochConflict struct {
+	Message string `json:"error"`
+	Epoch   uint64 `json:"epoch"`
+}
+
+func (e *epochConflict) Error() string { return e.Message }
+
 // response is an internal fully-rendered reply.
 type response struct {
 	status      int
@@ -470,7 +479,25 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, name strin
 	if err != nil {
 		return errResponse(err)
 	}
+	// ?expect_epoch=e applies the batch only to a dataset standing at epoch
+	// e (a router's replica fan-out sends the primary's pre-append epoch);
+	// anywhere else it is a 409 carrying the epoch, and nothing is applied.
+	query := r.URL.Query()
+	expect, conditional := uint64(0), query.Has("expect_epoch")
+	if conditional {
+		if expect, err = strconv.ParseUint(query.Get("expect_epoch"), 10, 64); err != nil {
+			return errResponse(fmt.Errorf("%w: expect_epoch: %v", ErrBadRequest, err))
+		}
+	}
 	next, epoch, err := s.reg.Update(name, func(cur *session.Session) (*session.Session, error) {
+		// A registry epoch is its dataset's append-log epoch, and the update
+		// lock holds it still between this check and the swap.
+		if have := uint64(cur.DatasetEpoch()); conditional && have != expect {
+			return nil, &epochConflict{
+				Message: fmt.Sprintf("dataset %q is at epoch %d, append expected %d", name, have, expect),
+				Epoch:   have,
+			}
+		}
 		succ, err := cur.Append(batch)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -482,6 +509,10 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, name strin
 		}
 		return succ, nil
 	})
+	var conflict *epochConflict
+	if errors.As(err, &conflict) {
+		return jsonResponse(http.StatusConflict, conflict)
+	}
 	if err != nil {
 		// The route already resolved the dataset, so a failure here is the
 		// batch (400 via the ErrBadRequest wrap) or persistence (500).
