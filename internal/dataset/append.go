@@ -3,8 +3,11 @@
 // A frozen Dataset never mutates — its claims, its columnar index and any
 // running solver may be read concurrently, and that invariant is what makes
 // the serving layer lock-free. Live ingest therefore does not edit a
-// dataset in place: Append builds a *successor* dataset and records the
-// batch boundary in a log chained through Base. The successor's index comes
+// dataset in place: Append builds a *successor* dataset — the extended claim
+// sequence, the batch boundary added to its bounds — and points it at
+// nothing: a dataset holds no predecessor, so whoever wants an old epoch kept
+// alive keeps it (the session history spine does, within RetainEpochs), and
+// At rebuilds any other from the claim prefix. The successor's index comes
 // from the same builder Freeze uses, over the extended claim sequence. What
 // it takes from the predecessor is the interning: the ids of the claims
 // already logged (copied, renumbered only when a table grows) and, when the
@@ -42,71 +45,57 @@ func (d *Dataset) Append(batch []model.Claim) (*Dataset, error) {
 		}
 	}
 
-	n := len(d.claims)
-	// The three-index slice caps capacity at length, so the append below
-	// always copies into a fresh array: a sibling successor (or a caller
-	// holding Claims()) can never clobber this epoch's claims.
+	n, e := len(d.claims), len(d.bounds)
+	// The three-index slices cap capacity at length, so the appends below
+	// always copy into fresh arrays: a sibling successor (or a caller holding
+	// Claims()) can never clobber this epoch's claims or bounds.
 	claims := append(d.claims[:n:n], batch...)
 	return &Dataset{
-		claims:  claims,
-		frozen:  true,
-		base:    d,
-		baseLen: n,
-		epoch:   d.epoch + 1,
-		cols:    buildColumns(claims, d.cols),
+		claims: claims,
+		frozen: true,
+		bounds: append(d.bounds[:e:e], n),
+		cols:   buildColumns(claims, d.cols),
 	}, nil
 }
 
 // Epoch returns the number of appended batches in this dataset's log; 0 for
 // a flat dataset built by Freeze or FromClaims.
-func (d *Dataset) Epoch() int { return d.epoch }
+func (d *Dataset) Epoch() int { return len(d.bounds) }
 
-// At returns the dataset as it stood at the given epoch, walking the append
-// log's base chain. Epoch d.Epoch() is the receiver itself; epoch 0 the flat
-// origin. Every returned dataset is frozen and shares storage with the
-// receiver (the chain retains each epoch's index structures), so At is O(log
-// length) pointer chasing — no claims are copied. Epochs outside [0,
-// Epoch()] are an error, as is a chain whose early epochs were not retained
-// (a dataset rebuilt from a v1 snapshot has no log).
+// At returns the dataset as it stood at the given epoch: the receiver for
+// its own epoch, and otherwise a frozen dataset over the claim prefix that
+// epoch held — the claims and bounds shared with the receiver, the columns
+// built afresh by the one builder, so it costs what Freeze costs and equals
+// the dataset that was appended onto then. Epochs outside [0, Epoch()] are
+// an error.
 func (d *Dataset) At(epoch int) (*Dataset, error) {
-	if epoch < 0 || epoch > d.epoch {
-		return nil, fmt.Errorf("dataset: epoch %d out of range [0, %d]", epoch, d.epoch)
+	if epoch < 0 || epoch > len(d.bounds) {
+		return nil, fmt.Errorf("dataset: epoch %d out of range [0, %d]", epoch, len(d.bounds))
 	}
-	cur := d
-	for cur.epoch > epoch {
-		if cur.base == nil {
-			return nil, fmt.Errorf("dataset: epoch %d not addressable (log truncated at epoch %d)", epoch, cur.epoch)
-		}
-		cur = cur.base
+	if epoch == len(d.bounds) {
+		return d, nil
 	}
-	if cur.epoch != epoch {
-		// The chain stepped past the target: epochs must be contiguous, so
-		// this indicates a malformed chain rather than a pruned one.
-		return nil, fmt.Errorf("dataset: epoch %d missing from log chain", epoch)
+	n := d.bounds[epoch]
+	at := &Dataset{claims: d.claims[:n:n], frozen: true}
+	at.cols = buildColumns(at.claims, nil)
+	if epoch > 0 { // a flat dataset's bounds are nil
+		at.bounds = d.bounds[:epoch:epoch]
 	}
-	return cur, nil
+	return at, nil
 }
-
-// Base returns the predecessor this dataset was appended onto, or nil for a
-// flat dataset. Walking Base to nil visits every epoch of the log.
-func (d *Dataset) Base() *Dataset { return d.base }
 
 // Batch returns the most recently appended batch (empty for a flat
 // dataset). The slice aliases internal storage; callers must not mutate it.
-func (d *Dataset) Batch() []model.Claim { return d.claims[d.baseLen:] }
+func (d *Dataset) Batch() []model.Claim {
+	if len(d.bounds) == 0 {
+		return nil
+	}
+	return d.claims[d.bounds[len(d.bounds)-1]:]
+}
 
 // LogBounds returns the claim-count boundary of every epoch in append
 // order: LogBounds()[0] is the flat base's length and each later entry the
 // length after one more batch (the final boundary, Len(), is omitted). A
-// flat dataset returns nil. The bounds plus the claim sequence reconstruct
-// the full log: FromClaims over the prefix, then Append per batch.
-func (d *Dataset) LogBounds() []int {
-	if d.base == nil {
-		return nil
-	}
-	out := make([]int, d.epoch)
-	for e := d; e.base != nil; e = e.base {
-		out[e.epoch-1] = e.baseLen
-	}
-	return out
-}
+// flat dataset returns nil. The bounds plus the claim sequence are the full
+// log. The slice aliases internal storage; callers must not mutate it.
+func (d *Dataset) LogBounds() []int { return d.bounds }

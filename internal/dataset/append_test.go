@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sourcecurrents/internal/model"
 )
@@ -168,7 +171,7 @@ func TestAppendSiblingsIndependent(t *testing.T) {
 	if !reflect.DeepEqual(base.Claims(), baseClaims) {
 		t.Fatal("append mutated the base dataset")
 	}
-	if base.Epoch() != 0 || base.Base() != nil || base.LogBounds() != nil {
+	if base.Epoch() != 0 || len(base.Batch()) != 0 || base.LogBounds() != nil {
 		t.Fatal("append gave the base a log")
 	}
 	if _, ok := base.Value("sibA", model.Obj("e1", "a")); ok {
@@ -238,6 +241,96 @@ func TestSnapshotV2RoundTrip(t *testing.T) {
 		t.Fatalf("loaded bounds = %v", got.LogBounds())
 	}
 	assertDatasetsEquivalent(t, got, d)
+}
+
+// appendEach appends all[d.Len():] onto d in batches of step claims and
+// returns d followed by every successor.
+func appendEach(t *testing.T, d *Dataset, all []model.Claim, step int) []*Dataset {
+	t.Helper()
+	chain := []*Dataset{d}
+	for at := d.Len(); at < len(all); at += step {
+		next, err := chain[len(chain)-1].Append(all[at:min(at+step, len(all))])
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain = append(chain, next)
+	}
+	return chain
+}
+
+// TestAppendReleasesPredecessors pins that a dataset holds no earlier
+// dataset: once the caller drops them, the collector frees every predecessor
+// while the newest stays live and still answers At for every epoch.
+func TestAppendReleasesPredecessors(t *testing.T) {
+	const epochs = 16
+	all := testClaims(40 + 5*epochs)
+	var freed atomic.Int32
+	head, want := func() (*Dataset, [][]model.Claim) {
+		base, err := FromClaims(all[:40])
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain := appendEach(t, base, all, 5)
+		var want [][]model.Claim
+		for _, d := range chain[:epochs] {
+			want = append(want, d.ClaimsBySource("s3"))
+			runtime.SetFinalizer(d, func(*Dataset) { freed.Add(1) })
+		}
+		return chain[epochs], want
+	}()
+	for deadline := time.Now().Add(10 * time.Second); freed.Load() < epochs; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d predecessors collected: the newest dataset keeps the rest alive", freed.Load(), epochs)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond) // finalizers run on their own goroutine
+	}
+	if head.Epoch() != epochs {
+		t.Fatalf("head at epoch %d, want %d", head.Epoch(), epochs)
+	}
+	for e := range want {
+		at, err := head.At(e)
+		if err != nil {
+			t.Fatalf("At(%d): %v", e, err)
+		}
+		if at.Epoch() != e || !reflect.DeepEqual(at.ClaimsBySource("s3"), want[e]) {
+			t.Fatalf("At(%d) after the predecessors were collected: epoch %d, s3's claims differ", e, at.Epoch())
+		}
+	}
+}
+
+// TestReadSnapshotBuildsOnce pins that loading a log-carrying snapshot
+// indexes its claims once, however many epochs it records: within a few
+// allocations (the bounds) of loading the same claims written flat.
+func TestReadSnapshotBuildsOnce(t *testing.T) {
+	all := testClaims(200 + 10*16)
+	base, err := FromClaims(all[:200])
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := appendEach(t, base, all, 10)
+	logged := chain[len(chain)-1]
+	flat, err := FromClaims(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if logged.Epoch() != 16 || flat.Epoch() != 0 {
+		t.Fatalf("epochs %d and %d, want 16 and 0", logged.Epoch(), flat.Epoch())
+	}
+	loadAllocs := func(d *Dataset) float64 {
+		var buf bytes.Buffer
+		if err := d.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := ReadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if got, want := loadAllocs(logged), loadAllocs(flat); got > want+4 {
+		t.Fatalf("loading 16 epochs takes %.0f allocations, the same claims flat %.0f: the load builds more than one index", got, want)
+	}
 }
 
 // TestSegmentRoundTrip pins the log-segment format.

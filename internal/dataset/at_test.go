@@ -2,13 +2,14 @@ package dataset
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
-// TestAt pins epoch navigation over the append chain: At(e) returns the
-// exact predecessor object serving epoch e (the chain shares storage, so
-// navigation is pointer-walking, not reconstruction), and out-of-range
-// epochs are errors.
+// TestAt pins epoch navigation over the append log: At(e) is equivalent to
+// the predecessor that served epoch e — same claims, same index, same epoch
+// and bounds — At(Epoch()) is the receiver itself, and out-of-range epochs
+// are errors.
 func TestAt(t *testing.T) {
 	all := testClaims(60)
 	d0, err := FromClaims(all[:30])
@@ -28,17 +29,22 @@ func TestAt(t *testing.T) {
 		if err != nil {
 			t.Fatalf("At(%d): %v", e, err)
 		}
-		if got != want {
-			t.Fatalf("At(%d) returned a different object than the epoch-%d predecessor", e, e)
-		}
-		if got.Epoch() != e {
-			t.Fatalf("At(%d).Epoch() = %d", e, got.Epoch())
+		assertDatasetsEquivalent(t, got, want)
+		if got.Epoch() != e || !reflect.DeepEqual(got.LogBounds(), want.LogBounds()) ||
+			!reflect.DeepEqual(got.Batch(), want.Batch()) {
+			t.Fatalf("At(%d): epoch %d, bounds %v, %d-claim batch; want %d, %v, %d", e,
+				got.Epoch(), got.LogBounds(), len(got.Batch()), e, want.LogBounds(), len(want.Batch()))
 		}
 	}
-	// At is relative to the receiver, not the chain head.
-	if got, err := d1.At(0); err != nil || got != d0 {
-		t.Fatalf("d1.At(0) = %v, %v; want the flat origin", got, err)
+	if got, err := d2.At(2); err != nil || got != d2 {
+		t.Fatalf("At(Epoch()) = %v, %v; want the receiver", got, err)
 	}
+	// At is relative to the receiver, not the newest dataset over the log.
+	got, err := d1.At(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertDatasetsEquivalent(t, got, d0)
 	if _, err := d2.At(-1); err == nil {
 		t.Fatal("At(-1) accepted")
 	}
@@ -52,7 +58,7 @@ func TestAt(t *testing.T) {
 }
 
 // TestAtAfterSnapshotRoundTrip pins that the snapshot log keeps every epoch
-// addressable: a reloaded chain answers At(e) for each epoch with state
+// addressable: a reloaded dataset answers At(e) for each epoch with state
 // equivalent to the original predecessor.
 func TestAtAfterSnapshotRoundTrip(t *testing.T) {
 	all := testClaims(60)

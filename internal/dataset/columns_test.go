@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sourcecurrents/internal/dataset"
@@ -23,8 +24,11 @@ import (
 //   - every Dataset accessor equals the map oracle's (reference_test.go),
 //     nil-ness included, for every id and for ids the dataset lacks;
 //   - every exported Compiled column equals the oracle's map-derived one;
-//   - the Append chain's columns equal those of a flat FromClaims over the
-//     same claims, and of the log replayed from a snapshot.
+//   - the appended dataset's columns equal those of a flat FromClaims over
+//     the same claims, and of the log reloaded from a snapshot;
+//   - At(k) for every earlier epoch k equals the oracle at k — accessors,
+//     columns, Epoch, Batch and LogBounds — and appending batch k+1 onto it
+//     equals the oracle at k+1, leaving the dataset it was cut from intact.
 //
 // A failure names its seed; rerun it with -run 'ColumnsMatchMaps/seed=N'.
 
@@ -311,17 +315,58 @@ func runColumnsCase(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// oracles[k] and live[k] are the oracle and the dataset that were current
+	// at epoch k, bounds[k] the claim count there.
+	var oracles []*dataset.MapIndex
+	var live []*dataset.Dataset
+	var bounds []int
 	for e := 0; ; e++ {
 		fail := func(format string, args ...any) {
 			t.Helper()
 			t.Fatalf("seed %d, epoch %d of %d: %s", seed, e, len(cc.batches), fmt.Sprintf(format, args...))
 		}
-		if msg := sameIndex(d, oracle); msg != "" {
-			fail("%s", msg)
+		oracles, live = append(oracles, oracle), append(live, d)
+		check := func(what string, got *dataset.Dataset, k int) {
+			t.Helper()
+			var batch []model.Claim
+			if k > 0 {
+				batch = cc.batches[k-1]
+			}
+			// A flat dataset's bounds are nil, not merely empty.
+			if got.Epoch() != k || !slices.Equal(got.LogBounds(), bounds[:k]) || (k == 0) != (got.LogBounds() == nil) ||
+				!slices.Equal(got.Batch(), batch) {
+				fail("%sepoch %d, bounds %v, batch %v; want %d, %v, %v", what, got.Epoch(), got.LogBounds(), got.Batch(), k, bounds[:k], batch)
+			}
+			if msg := sameIndex(got, oracles[k]); msg != "" {
+				fail("%s%s", what, msg)
+			}
+			if msg := sameColumns(got.Compiled(), dataset.CompileMaps(oracles[k])); msg != "" {
+				fail("%s%s", what, msg)
+			}
 		}
-		if msg := sameColumns(d.Compiled(), dataset.CompileMaps(oracle)); msg != "" {
-			fail("%s", msg)
+		// Every earlier epoch, rebuilt from this one's claim prefix, and
+		// sibling successors appended onto it and onto the dataset that served
+		// it: first a decoy batch d does not hold, then d's own. All of them
+		// share d's claims up to their epoch; d is checked after them, so none
+		// may have written through.
+		for k := 0; k < e; k++ {
+			at, err := d.At(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("At(%d): ", k), at, k)
+			for _, onto := range []*dataset.Dataset{at, live[k]} {
+				if _, err := onto.Append([]model.Claim{model.NewClaim("decoy", model.Obj("decoy", "v"), "x")}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sibling, err := at.Append(cc.batches[k])
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("At(%d).Append(batch %d): ", k, k), sibling, k+1)
 		}
+		check("", d, e)
 		lo, hi, _ := d.TimeRange()
 		for _, at := range []model.Time{lo - 1, lo, -1, 0, (lo + hi) / 2, hi} {
 			got, want := d.SnapshotAt(at), oracle.SnapshotAt(at)
@@ -358,6 +403,7 @@ func runColumnsCase(t *testing.T, seed int64) {
 		if e == len(cc.batches) {
 			return
 		}
+		bounds = append(bounds, d.Len())
 		if d, err = d.Append(cc.batches[e]); err != nil {
 			t.Fatal(err)
 		}

@@ -10,7 +10,8 @@
 // or object, values, overlaps, value groups, update traces, the projection
 // "as of" a time the incomplete-observations experiments sample worlds
 // with — is a read over the same columns. There is no second representation
-// to keep in step.
+// to keep in step, and no link to any other dataset: an earlier epoch is a
+// prefix of the claims, rebuilt on request (At, see append.go).
 package dataset
 
 import (
@@ -26,12 +27,11 @@ type Dataset struct {
 	claims []model.Claim
 	frozen bool
 
-	// Append-only log (see append.go): base is the predecessor dataset this
-	// one was appended onto (nil for a flat dataset), baseLen the number of
-	// claims belonging to it, and epoch the number of appended batches.
-	base    *Dataset
-	baseLen int
-	epoch   int
+	// Append-only log (see append.go): bounds[e] is the number of claims the
+	// dataset held at epoch e, before batch e+1 was appended; nil for a flat
+	// dataset. A dataset points at no other dataset — At rebuilds an earlier
+	// epoch from claims[:bounds[e]].
+	bounds []int
 
 	// cols is the columnar index (see compiled.go): empty until Freeze,
 	// built once by Freeze or Append, never modified after.
@@ -94,9 +94,8 @@ func (d *Dataset) Sources() []model.SourceID { return d.cols.sources }
 func (d *Dataset) Objects() []model.ObjectID { return d.cols.objects }
 
 // Claims returns all claims in ingestion order. The slice aliases internal
-// storage shared across the dataset's log chain; callers must not mutate
-// it, append to it, or reslice it beyond its length — Append derives
-// successor epochs from this storage.
+// storage, which the datasets At returns share a prefix of; callers must
+// not mutate it, append to it, or reslice it beyond its length.
 func (d *Dataset) Claims() []model.Claim { return d.claims }
 
 // gather copies out the claims a row of claim indexes names.

@@ -114,10 +114,10 @@ const claimRecordBytes = 4 + 4 + 4 + 4 + 1 + 8 + 8
 
 // ReadSnapshot decodes a dataset snapshot written by WriteSnapshot and
 // returns the rebuilt frozen dataset. Claims are restored in their original
-// ingestion order, and a version-2 snapshot's append log is replayed
-// (FromClaims over the base prefix, then Append per recorded batch), so the
-// result is indistinguishable from the dataset the snapshot was taken of —
-// including its epoch and replay semantics.
+// ingestion order and indexed once; a version-2 snapshot's epoch boundaries
+// are validated and kept, so the result is indistinguishable from the
+// dataset the snapshot was taken of — including its epoch, At and replay
+// semantics.
 func ReadSnapshot(r io.Reader) (*Dataset, error) {
 	dec, version, err := snapio.OpenFrame(r, SnapshotMagic, SnapshotVersion)
 	if err != nil {
@@ -193,24 +193,13 @@ func ReadSnapshot(r io.Reader) (*Dataset, error) {
 			return nil, fmt.Errorf("dataset: snapshot: %w: claim position %d missing", snapio.ErrCorrupt, pos)
 		}
 	}
-	end := len(claims)
-	if len(bounds) > 0 {
-		end = bounds[0]
-	}
 	// A record that decodes but is not a valid claim is payload damage too.
-	d, err := FromClaims(claims[:end:end])
+	d, err := FromClaims(claims)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: snapshot: %w: %v", snapio.ErrCorrupt, err)
 	}
-	for i := range bounds {
-		next := len(claims)
-		if i+1 < len(bounds) {
-			next = bounds[i+1]
-		}
-		d, err = d.Append(claims[bounds[i]:next])
-		if err != nil {
-			return nil, fmt.Errorf("dataset: snapshot: %w: %v", snapio.ErrCorrupt, err)
-		}
+	if len(bounds) > 0 { // a version-2 frame without bounds is still a flat dataset
+		d.bounds = bounds
 	}
 	return d, nil
 }

@@ -352,10 +352,11 @@ func pairHypotheses(kt, kf, kd float64, a1, a2, c float64, n int) (indep, aCopie
 //
 // A dataset carrying an append log (dataset.Append) is solved by *replay*:
 // the flat base's solve followed by one bounded refinement per appended
-// batch (see Refine). Replay is the semantic definition of a log-carrying
-// dataset's result — a session advanced live batch-by-batch and a session
-// rebuilt from scratch over the same successor dataset run the identical
-// pass sequence and reach bit-identical state.
+// batch (see Refine), each over the dataset as it stood at that epoch
+// (d.At). Replay is the semantic definition of a log-carrying dataset's
+// result — a session advanced live batch-by-batch and a session rebuilt
+// from scratch over the same successor dataset run the identical pass
+// sequence and reach bit-identical state.
 func Detect(d *dataset.Dataset, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -363,14 +364,15 @@ func Detect(d *dataset.Dataset, cfg Config) (*Result, error) {
 	if !d.Frozen() {
 		return nil, fmt.Errorf("depen: dataset must be frozen")
 	}
-	var prev *Result
-	if base := d.Base(); base != nil {
-		var err error
-		if prev, err = Detect(base, cfg); err != nil {
+	var res *Result
+	for e := 0; e <= d.Epoch(); e++ {
+		at, err := d.At(e) // the last is d itself
+		if err != nil {
 			return nil, err
 		}
+		res = refine(at, res, cfg)
 	}
-	return refine(d, prev, cfg), nil
+	return res, nil
 }
 
 func sortDeps(deps []Dependence) {

@@ -41,10 +41,10 @@ import (
 	"sourcecurrents/internal/truth"
 )
 
-// Refine advances prev — the Detect result of d.Base() — across d's most
-// recently appended batch, running cfg.RefineRounds bounded passes. The
-// result is exactly what Detect(d, cfg) produces for the final link of d's
-// log chain.
+// Refine advances prev — the Detect result of d's previous epoch,
+// d.At(d.Epoch()-1) — across d's most recently appended batch, running
+// cfg.RefineRounds bounded passes. The result is exactly what Detect(d, cfg)
+// produces for the final batch of d's log.
 func Refine(d *dataset.Dataset, prev *Result, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -52,7 +52,7 @@ func Refine(d *dataset.Dataset, prev *Result, cfg Config) (*Result, error) {
 	if !d.Frozen() {
 		return nil, fmt.Errorf("depen: dataset must be frozen")
 	}
-	if d.Base() == nil {
+	if d.Epoch() == 0 {
 		return nil, fmt.Errorf("depen: Refine requires an appended dataset (use Detect for flat datasets)")
 	}
 	if prev == nil || prev.Truth == nil {
@@ -61,8 +61,8 @@ func Refine(d *dataset.Dataset, prev *Result, cfg Config) (*Result, error) {
 	return refine(d, prev, cfg), nil
 }
 
-// refine solves d given prev, the result of d.Base(); a nil prev is the
-// empty predecessor of a flat d.
+// refine solves d given prev, the result of d's previous epoch; a nil prev
+// is the empty predecessor of a flat d.
 //
 // The candidate set is assembled incrementally: a pair either has a dirty
 // member (merge-joined fresh over d's claim lists) or is carried over from

@@ -326,7 +326,7 @@ func TestAppendPersistAndReplay(t *testing.T) {
 
 // TestAppendCompaction pins the compaction lifecycle: once CompactEvery
 // segments accumulate, the server folds them into a fresh session snapshot
-// and removes them, and a cold start from the compacted directory still
+// and archives them, and a cold start from the compacted directory still
 // restores the live state exactly.
 func TestAppendCompaction(t *testing.T) {
 	dir := t.TempDir()
@@ -386,6 +386,70 @@ func TestAppendCompaction(t *testing.T) {
 		t.Fatalf("reloaded epoch = %d (ok=%t), want 3", epoch, ok)
 	}
 	assertServesSame(t, cold, live)
+}
+
+// TestCompactionUnderConcurrentAppends pins that compaction is part of the
+// append it follows: with several appenders, an older append's snapshot can
+// never land over a newer one's after that one archived the segments
+// between them. Once every append is acknowledged the directory must boot
+// at exactly the acknowledged epoch, serving what the live session serves.
+func TestCompactionUnderConcurrentAppends(t *testing.T) {
+	const writers, perWriter = 8, 5
+	s1 := testSession(t, 17, 600)
+	// The interleaving is a matter of scheduling; a few rounds make one run
+	// likely to hit it.
+	for round := 0; round < 4; round++ {
+		dir := t.TempDir()
+		snap, err := os.Create(filepath.Join(dir, "gamma.snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s1.WriteSnapshot(snap); err != nil {
+			t.Fatal(err)
+		}
+		snap.Close()
+
+		reg := NewRegistry()
+		if err := reg.Register("gamma", s1); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(New(reg, Options{PersistDir: dir, CompactEvery: 2}))
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < perWriter; i++ {
+					body := appendBody(t, s1, fmt.Sprintf("w%d", w), fmt.Sprintf("Z%d", i), 3)
+					resp, err := http.Post(ts.URL+"/v1/gamma/append", "application/json", strings.NewReader(body))
+					if err != nil {
+						t.Errorf("writer %d append %d: %v", w, i, err)
+						return
+					}
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						t.Errorf("writer %d append %d: status %d", w, i, resp.StatusCode)
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		ts.Close()
+		if t.Failed() {
+			return
+		}
+
+		live, _, _ := sessionOf(reg, "gamma")
+		reloaded, err := LoadDir(dir, session.DefaultConfig(), nil)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		cold, epoch, ok := sessionOf(reloaded, "gamma")
+		if !ok || epoch != writers*perWriter {
+			t.Fatalf("round %d: reloaded epoch = %d (ok=%t), want the %d acknowledged appends", round, epoch, ok, writers*perWriter)
+		}
+		assertServesSame(t, cold, live)
+	}
 }
 
 // assertServesSame asserts two sessions serve identical accuracies and

@@ -83,8 +83,9 @@ type Options struct {
 	PersistDir string
 	// CompactEvery, with PersistDir set, compacts a dataset's log once it
 	// accumulates this many segments: the refined session is snapshotted to
-	// <dataset>.snap (atomic rename) and the segments are deleted. Zero
-	// means DefaultCompactEvery; negative disables compaction.
+	// <dataset>.snap (atomic rename) and the segments it supersedes move to
+	// PersistDir/archive/. Zero means DefaultCompactEvery; negative disables
+	// compaction.
 	CompactEvery int
 	// Logf, when non-nil, receives operational log lines (append
 	// persistence, compaction). Pass nil to run silently.
@@ -461,11 +462,13 @@ func answerResponse(sess *session.Session, req AnswerRequest) response {
 // handleAppend ingests one claim batch: it builds the refined successor
 // session off the request path's current session, persists the batch as a
 // log segment when configured (a failed write aborts the ingest — nothing
-// swaps that isn't durable), and epoch-swaps the successor in. Appends to
-// the same dataset are serialized by the registry's per-entry update mutex;
-// readers are never blocked and keep serving the retired session until the
-// swap lands. After the swap the dataset's cached answers are flushed —
-// the epoch key already makes them unreachable; the flush reclaims them.
+// swaps that isn't durable), compacts the log when it is due, and
+// epoch-swaps the successor in. Appends to the same dataset — segment write
+// and compaction included — are serialized by the registry's per-entry
+// update mutex; readers are never blocked and keep serving the retired
+// session until the swap lands. After the swap the cached answers of the
+// epoch it pushed below the retention floor are flushed — no request can
+// address them any more; the flush reclaims them.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, name string) response {
 	body, err := s.readBody(w, r)
 	if err != nil {
@@ -506,6 +509,12 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, name strin
 			if err := s.persistSegment(name, succ.Dataset().Epoch(), batch); err != nil {
 				return nil, err
 			}
+			// Still under the update lock: were compaction to run after it,
+			// an older append's snapshot could land over a newer one's whose
+			// compaction had already archived the segments between them.
+			if s.opt.CompactEvery > 0 {
+				s.maybeCompact(name, succ)
+			}
 		}
 		return succ, nil
 	})
@@ -529,9 +538,6 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, name strin
 		if n := s.cache.flushPrefix(name + "\x00" + dropped + "\x00"); n > 0 {
 			s.opt.Logf("append %s: flushed %d cached answers for pruned epoch %s", name, n, dropped)
 		}
-	}
-	if s.opt.PersistDir != "" && s.opt.CompactEvery > 0 {
-		s.maybeCompact(name, next)
 	}
 	return jsonResponse(http.StatusOK, BuildAppendResponse(name, epoch, len(batch), next))
 }
@@ -565,9 +571,10 @@ func (s *Server) persistSegment(name string, epoch int, batch []model.Claim) err
 // hot directory's replay set minimal (LoadDir ignores subdirectories, and
 // segments at or below the snapshot's epoch are skipped at replay anyway).
 // The snapshot lands before any segment moves, so a crash at any point
-// leaves a directory LoadDir restores exactly. Compaction failure is
-// logged, never surfaced: the append itself is already durable in its
-// segment.
+// leaves a directory LoadDir restores exactly. It runs inside the append's
+// update critical section, so snapshots land in epoch order. Compaction
+// failure is logged, never surfaced: the append itself is already durable
+// in its segment.
 func (s *Server) maybeCompact(name string, sess *session.Session) {
 	segs, err := filepath.Glob(filepath.Join(s.opt.PersistDir, name+".*.seg"))
 	if err != nil || len(segs) < s.opt.CompactEvery {

@@ -9,13 +9,15 @@
 // configured retention window (Config.RetainEpochs), so AsOf(e) can hand
 // back the exact serving state of any retained epoch.
 //
-// Epochs below the retention floor stay *addressable* in the dataset log
-// (the claim chain shares storage and is cheap) but their serving state —
-// the depen result, the dense tables, the planner — is released. AsOf for
-// an epoch inside the window that has no retained session materializes one
-// lazily: it replays depen.Refine forward from the nearest retained
-// ancestor (or depen.Detect's log replay when none is retained), exactly
-// the pass sequence a live session ran through that epoch, so a
+// The spine is the one place old epochs are kept: a dataset holds its claims
+// and batch boundaries, never its predecessors, so what a retained session
+// pins — its dataset's index, the depen result, the dense tables, the
+// planner — is released when it leaves the window. Every epoch stays
+// *addressable* in the dataset log (Dataset.At rebuilds it from the claim
+// prefix). AsOf for an epoch inside the window that has no retained session
+// materializes one lazily: it replays depen.Refine forward from the nearest
+// retained ancestor (or depen.Detect's log replay when none is retained),
+// exactly the pass sequence a live session ran through that epoch, so a
 // materialized historical session is bit-identical to the one that actually
 // served then (the invariant the as-of equivalence suites pin).
 //
@@ -310,12 +312,13 @@ func (s *Session) materializeEpoch(epoch int, anc *Session) (*Session, error) {
 		}
 		dep = anc.dep
 		for k := anc.DatasetEpoch() + 1; k <= epoch; k++ {
-			dk, err := s.d.At(k)
-			if err != nil {
-				return nil, err
+			dk := target
+			if k < epoch { // At builds an index; the target's is built already
+				if dk, err = s.d.At(k); err != nil {
+					return nil, err
+				}
 			}
-			dep, err = depen.Refine(dk, dep, s.cfg.Depen)
-			if err != nil {
+			if dep, err = depen.Refine(dk, dep, s.cfg.Depen); err != nil {
 				return nil, err
 			}
 		}
