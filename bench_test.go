@@ -7,6 +7,7 @@ package sourcecurrents_test
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -267,6 +268,52 @@ func TestAppendBuildAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got := float64(after.TotalAlloc - before.TotalAlloc); got > byteCeiling*1.1 {
 		t.Errorf("Append + Compiled allocated %.0f bytes, ceiling %d (+10%%)", got, byteCeiling)
+	}
+}
+
+// BenchmarkPlanWide times one cache-missing plan on the shape bench/ calls
+// wide (500 independents + 50 copiers × 30 objects, 5-object queries, every
+// one of the 550 sources probed) through both session calls. "final" is what
+// a default /answer runs and what bench/'s queryans.plan_ms.wide and
+// cold_plan follow; "trace" is what include_steps and EX8 run — it rescores
+// the covered objects after every probe, and nothing else watches it.
+func BenchmarkPlanWide(b *testing.B) {
+	d := benchSnapshotWorld(b, 500, 30)
+	cfg := sourcecurrents.DefaultSessionConfig()
+	cfg.Parallelism = 1
+	s, err := sourcecurrents.NewSession(d, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	objs, nSrc := d.Objects(), len(d.Sources())
+	queries := make([][]sourcecurrents.ObjectID, 300)
+	for i := range queries {
+		for _, oi := range rng.Perm(len(objs))[:5] {
+			queries[i] = append(queries[i], objs[oi])
+		}
+	}
+	for _, call := range []struct {
+		name string
+		plan func(q []sourcecurrents.ObjectID) (*sourcecurrents.QueryResult, error)
+	}{
+		{"final", s.AnswerObjects},
+		{"trace", func(q []sourcecurrents.ObjectID) (*sourcecurrents.QueryResult, error) {
+			return s.TraceObjects(q, s.QueryConfig())
+		}},
+	} {
+		b.Run(call.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := call.plan(queries[i%len(queries)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Probed) != nSrc {
+					b.Fatalf("probed %d of %d sources", len(res.Probed), nSrc)
+				}
+			}
+		})
 	}
 }
 

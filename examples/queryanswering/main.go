@@ -41,7 +41,7 @@ func main() {
 	} {
 		cfg := sourcecurrents.DefaultQueryConfig()
 		cfg.Policy = policy
-		res, err := s.AnswerObjectsWith(query, cfg)
+		res, err := s.TraceObjects(query, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -596,7 +596,7 @@ func EX8QueryOrder(seed int64) *Report {
 		cfg := queryans.DefaultConfig()
 		cfg.Policy = pol
 		cfg.Parallelism = Parallelism
-		res, err := sess.AnswerObjectsWith(sw.Dataset.Objects(), cfg)
+		res, err := sess.TraceObjects(sw.Dataset.Objects(), cfg)
 		if err != nil {
 			panic(err)
 		}

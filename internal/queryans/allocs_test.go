@@ -3,15 +3,25 @@ package queryans
 import (
 	"testing"
 
+	"sourcecurrents/internal/model"
 	"sourcecurrents/internal/raceflag"
 )
 
-// plannerAnswerAllocs is the steady-state allocation count of one
-// Planner.Answer call on the 48-source world (5-object query), measured on
-// go1.24 at the commit before the benchmark-baseline guard was retired. The
-// count is deterministic per build — scratch is pooled, so only the Result
-// and its trace allocate — and must not creep: raise it only with a reason.
-const plannerAnswerAllocs = 12
+// Steady-state allocation counts of one planner call on the 48-source world
+// (5-object query), as testing.AllocsPerRun sees them (it pins GOMAXPROCS to
+// 1, so the per-probe refresh's worker callbacks are never built). Scratch
+// is pooled, so the counts are deterministic per build and must not creep:
+// raise one only with a reason. Both calls pay compilePassAllocs for the two
+// engine.ForN candidate passes (the callback and ForN's adapter, each pass).
+const (
+	compilePassAllocs = 4
+	// The Result, the Step slice, the maxProbes × len(query) Answer backing
+	// array the steps (and Final) slice, and Probed.
+	plannerAnswerAllocs = 4 + compilePassAllocs
+	// The Result, Final (len(query) answers) and Probed — and nothing of the
+	// trace, in particular not its backing array.
+	plannerFinalAllocs = 3 + compilePassAllocs
+)
 
 func TestPlannerAnswerAllocs(t *testing.T) {
 	if raceflag.Enabled {
@@ -23,16 +33,25 @@ func TestPlannerAnswerAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	query := d.Objects()[:5]
-	if _, err := p.Answer(query); err != nil { // warm the scratch pool
-		t.Fatal(err)
-	}
-	n := testing.AllocsPerRun(50, func() {
-		if _, err := p.Answer(query); err != nil {
+	for _, tc := range []struct {
+		name string
+		call func([]model.ObjectID) (*Result, error)
+		max  float64
+	}{
+		{"Answer", p.Answer, plannerAnswerAllocs},
+		{"Final", p.Final, plannerFinalAllocs},
+	} {
+		if _, err := tc.call(query); err != nil { // warm the scratch pool
 			t.Fatal(err)
 		}
-	})
-	t.Logf("Planner.Answer: %v allocs", n)
-	if n > plannerAnswerAllocs {
-		t.Fatalf("steady-state Planner.Answer allocates %v times, want <= %d", n, plannerAnswerAllocs)
+		n := testing.AllocsPerRun(50, func() {
+			if _, err := tc.call(query); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("Planner.%s: %v allocs", tc.name, n)
+		if n > tc.max {
+			t.Fatalf("steady-state Planner.%s allocates %v times, want <= %v", tc.name, n, tc.max)
+		}
 	}
 }

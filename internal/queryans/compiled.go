@@ -3,7 +3,7 @@
 // Planner is the reusable form of AnswerObjects: built once from a frozen
 // dataset plus accuracies/dependence, it answers unlimited queries against
 // precompiled claim lists, a dense accuracy vector and precomputed vote
-// weights. Three structural optimizations keep the per-query loop off the
+// weights. Four structural optimizations keep the per-query loop off the
 // reference's O(P²·|query|) recompute shape without changing a single bit of
 // the output (the golden equivalence tests enforce bit-identity against
 // answerObjectsMaps):
@@ -37,13 +37,28 @@
 //     exact same multiply-and-add sequence the reference uses, and a
 //     mid-rank insert recomputes the affected suffix in reference order.
 //
+//   - Select, then score what is read. Probe selection never reads a group
+//     score (a gain is accuracy × running independence product × uncovered
+//     mass), and a group's final state depends on which sources were probed,
+//     not on the order they were probed in. Scoring after every probe exists
+//     only to fill Result.Steps and to feed the StopProb test, and arriving
+//     in probe order most members land mid-rank — on a dense dependence
+//     table that re-fold was nine tenths of a 550-source plan. Final
+//     therefore scores per probe only when StopProb is set; otherwise it
+//     runs selection alone and then folds the probed claims in once, sorted
+//     into reference rank order, so every insert ranks last and only the
+//     O(k) extend runs. It is the same applyClaim/answerSlot the trace uses,
+//     producing the same member order, the same products and the same
+//     left-fold — Final and Probed are bit-identical to Answer's.
+//
 //   - Pooled per-request state. All planning state — the query-slot
 //     interning, the candidate CSR built in two parallel passes (count,
 //     fill), the coverage/independence vectors, the heap, the per-object
 //     group tables and the softmax buffers — lives in a planScratch
 //     recycled through a sync.Pool shared by the planner and every planner
-//     Derive returns, so a steady-state Answer call allocates only the
-//     Result it hands to the caller.
+//     Derive returns, so a steady-state call allocates only the Result it
+//     hands to the caller (for Answer that includes the trace: one Answer
+//     per probe per query entry).
 //
 // Accuracy and dependence inputs are probabilities; values outside [0,1]
 // void the monotonicity the lazy evaluation relies on (the map reference
@@ -51,7 +66,9 @@
 package queryans
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -291,6 +308,8 @@ type planScratch struct {
 	// Probe-loop state.
 	probedSet []bool
 	probed    []int32 // candidate indexes in probe order
+	probeCi   int32   // the probe whose claims scoreCovered is folding
+	rankOrder []int32 // probed, re-sorted into reference rank order
 	indepAcc  []float64
 	objCov    []float64
 	heap      []heapEntry
@@ -364,6 +383,22 @@ func (p *Planner) gainOf(sc *planScratch, ci int32) float64 {
 // is freshly allocated and owned by the caller; all intermediate state is
 // recycled.
 func (p *Planner) Answer(query []model.ObjectID) (*Result, error) {
+	return p.plan(query, true)
+}
+
+// Final is Answer for callers that read only where the probing ends: the
+// same Probed and the same Final, bit for bit, with Steps nil. Nothing then
+// reads the per-probe answers (unless StopProb is set — the stop test does),
+// so the probes are selected first and their claims scored once afterwards;
+// see the package comment. What it allocates does not grow with probes ×
+// len(query): the Result, Final and Probed, not the trace's backing array.
+func (p *Planner) Final(query []model.ObjectID) (*Result, error) {
+	return p.plan(query, false)
+}
+
+// plan runs the probe loop; trace selects whether each probe's answers are
+// recorded as a Step.
+func (p *Planner) plan(query []model.ObjectID, trace bool) (*Result, error) {
 	if len(query) == 0 {
 		return nil, errors.New("queryans: empty query")
 	}
@@ -574,28 +609,13 @@ func (p *Planner) Answer(query []model.ObjectID) (*Result, error) {
 	for i := 0; i < nW; i++ {
 		sc.workerScore[i].probs = grown(sc.workerScore[i].probs, sc.groupStride)
 	}
-	newScore := func() *answerScratch {
-		return &sc.workerScore[sc.scoreIdx.Add(1)-1]
-	}
-	// rescore folds the current probe's claim about the i-th covered slot
-	// into the slot's group table and refreshes the slot's answer;
-	// allocated once per request and reused across probes. Slots are
-	// disjoint per probe, so rescoring parallelizes without synchronization.
-	var covLo, probeSi int32
-	rescore := func(i int, as *answerScratch) {
-		k := int(covLo) + i
-		slot := sc.candSlot[k]
-		p.applyClaim(sc, slot, probeSi, sc.candVal[k])
-		a := p.answerSlot(sc, slot, as)
-		for _, pos := range sc.posList[sc.posStart[slot]:sc.posStart[slot+1]] {
-			sc.cur[pos] = a
-		}
-	}
-
-	res := &Result{}
+	// The probed claims are scored per probe only when something reads the
+	// per-probe answers — the trace, or the early-stop test — and otherwise
+	// once, after selection.
+	perProbe := trace || cfg.StopProb > 0
 	var steps []Step
 	var backing []Answer
-	if maxProbes > 0 {
+	if trace && maxProbes > 0 {
 		steps = make([]Step, 0, maxProbes)
 		// Without early stopping the loop runs exactly maxProbes steps, so
 		// one backing array sized for all of them replaces a per-step
@@ -605,6 +625,16 @@ func (p *Planner) Answer(query []model.ObjectID) (*Result, error) {
 		if cfg.StopProb == 0 {
 			backing = make([]Answer, maxProbes*nQ)
 		}
+	}
+	// The per-probe refresh's worker callbacks, allocated once per request
+	// (and only by a request that can use them) and reused across probes.
+	var newScore func() *answerScratch
+	var scoreCovered func(i int, as *answerScratch)
+	if perProbe && nW > 1 {
+		newScore = func() *answerScratch {
+			return &sc.workerScore[sc.scoreIdx.Add(1)-1]
+		}
+		scoreCovered = func(i int, as *answerScratch) { p.scoreCovered(sc, i, as) }
 	}
 
 	round := int32(0)
@@ -658,36 +688,52 @@ func (p *Planner) Answer(query []model.ObjectID) (*Result, error) {
 				sc.objCov[slot] = 1 - (1-sc.objCov[slot])*(1-accNext*indepNext)
 			}
 		}
-		// Incremental answer refresh: only slots the new probe covers can
-		// change; fold the new claim in and rescore them (in parallel when
-		// the request's engine and the covered count warrant goroutines).
-		covLo, probeSi = sc.candObjStart[ci], si
-		nCov := int(sc.candObjStart[ci+1] - covLo)
-		if nW == 1 || nCov < 32 {
-			for i := 0; i < nCov; i++ {
-				rescore(i, &sc.workerScore[0])
+		if perProbe {
+			// Incremental answer refresh: only slots the new probe covers
+			// can change; fold the new claim in and rescore them (in
+			// parallel when the request's engine and the covered count
+			// warrant goroutines — slots are disjoint per probe, so no
+			// synchronization is needed).
+			sc.probeCi = ci
+			nCov := int(sc.candObjStart[ci+1] - sc.candObjStart[ci])
+			if nW == 1 || nCov < 32 {
+				for i := 0; i < nCov; i++ {
+					p.scoreCovered(sc, i, &sc.workerScore[0])
+				}
+			} else {
+				sc.scoreIdx.Store(0)
+				engine.ForNScratch(eng, nCov, newScore, scoreCovered)
 			}
-		} else {
-			sc.scoreIdx.Store(0)
-			engine.ForNScratch(eng, nCov, newScore, rescore)
-		}
-		var dst []Answer
-		if backing != nil {
-			stepIdx := len(sc.probed) - 1
-			dst = backing[stepIdx*nQ : (stepIdx+1)*nQ : (stepIdx+1)*nQ]
-		} else {
-			dst = make([]Answer, nQ)
-		}
-		copy(dst, sc.cur)
-		steps = append(steps, Step{Source: c.Source(int(si)), Gain: gain, Answers: dst})
-		if cfg.StopProb > 0 && stable(dst, query, cfg.StopProb) {
-			break
+			if trace {
+				var dst []Answer
+				if backing != nil {
+					stepIdx := len(sc.probed) - 1
+					dst = backing[stepIdx*nQ : (stepIdx+1)*nQ : (stepIdx+1)*nQ]
+				} else {
+					dst = make([]Answer, nQ)
+				}
+				copy(dst, sc.cur)
+				steps = append(steps, Step{Source: c.Source(int(si)), Gain: gain, Answers: dst})
+			}
+			if cfg.StopProb > 0 && stable(sc.cur, query, cfg.StopProb) {
+				break
+			}
 		}
 		round++
 	}
-	res.Steps = steps
-	if len(steps) > 0 {
+	if !perProbe {
+		p.scoreProbed(sc)
+	}
+
+	res := &Result{Steps: steps}
+	switch {
+	case len(sc.probed) == 0:
+		// No source covers the query: nothing was ever answered.
+	case trace:
 		res.Final = steps[len(steps)-1].Answers
+	default:
+		res.Final = make([]Answer, nQ)
+		copy(res.Final, sc.cur)
 	}
 	res.Probed = make([]model.SourceID, len(sc.probed))
 	for i, ci := range sc.probed {
@@ -695,6 +741,58 @@ func (p *Planner) Answer(query []model.ObjectID) (*Result, error) {
 	}
 	p.scratch.Put(sc)
 	return res, nil
+}
+
+// scoreCovered folds the claim the probe in flight (sc.probeCi) makes about
+// the i-th slot it covers into the slot's group table and refreshes the
+// slot's answer.
+func (p *Planner) scoreCovered(sc *planScratch, i int, as *answerScratch) {
+	k := int(sc.candObjStart[sc.probeCi]) + i
+	slot := sc.candSlot[k]
+	p.applyClaim(sc, slot, sc.candSrc[sc.probeCi], sc.candVal[k])
+	p.refreshSlot(sc, slot, as)
+}
+
+// scoreProbed is the one-shot form of the per-probe refresh: it folds every
+// probed source's claims into the group tables and answers each covered slot
+// once. A group's final state is a function of its member set, not of the
+// order the members arrived in, so the probes are folded in reference rank
+// order (accuracy desc, source index asc): every applyClaim then ranks its
+// member last in its group and takes the O(k) extend branch, where the same
+// members arriving in probe order re-fold the group after most inserts.
+func (p *Planner) scoreProbed(sc *planScratch) {
+	sc.rankOrder = append(sc.rankOrder[:0], sc.probed...)
+	acc, src := p.acc, sc.candSrc
+	slices.SortFunc(sc.rankOrder, func(a, b int32) int {
+		if aa, ab := acc[src[a]], acc[src[b]]; aa != ab {
+			if aa > ab {
+				return -1
+			}
+			return 1
+		}
+		// Candidates are in source order, so this is source index asc.
+		return cmp.Compare(a, b)
+	})
+	for _, ci := range sc.rankOrder {
+		si := src[ci]
+		for k := sc.candObjStart[ci]; k < sc.candObjStart[ci+1]; k++ {
+			p.applyClaim(sc, sc.candSlot[k], si, sc.candVal[k])
+		}
+	}
+	for slot := range sc.slots {
+		if sc.groupNum[slot] > 0 {
+			p.refreshSlot(sc, int32(slot), &sc.workerScore[0])
+		}
+	}
+}
+
+// refreshSlot re-derives slot's answer from its group table and writes it to
+// every query position that asks for the slot's object.
+func (p *Planner) refreshSlot(sc *planScratch, slot int32, as *answerScratch) {
+	a := p.answerSlot(sc, slot, as)
+	for _, pos := range sc.posList[sc.posStart[slot]:sc.posStart[slot+1]] {
+		sc.cur[pos] = a
+	}
 }
 
 // applyClaim folds one probed claim (source si asserting value vi about
@@ -708,7 +806,10 @@ func (p *Planner) Answer(query []model.ObjectID) (*Result, error) {
 // CopyRate·dep) factors in that order, and the score is the left-fold sum
 // of weight×product terms in that order. A member that ranks last extends
 // the cached fold in O(k); a mid-rank insert recomputes the suffix products
-// it invalidated and re-folds the sum, still in reference order.
+// it invalidated and re-folds the sum, still in reference order. Mid-rank
+// inserts happen only when claims arrive in probe order — the per-probe
+// refresh behind a trace or a StopProb test; scoreProbed feeds claims in rank
+// order and never takes that branch.
 func (p *Planner) applyClaim(sc *planScratch, slot, si, vi int32) {
 	gBase := int(slot) * sc.groupStride
 	num := int(sc.groupNum[slot])

@@ -1,0 +1,209 @@
+package queryans
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"sourcecurrents/internal/dataset"
+	"sourcecurrents/internal/model"
+	"sourcecurrents/internal/synth"
+)
+
+// Seeded differential suite for the trace-free call. Planner.Final selects
+// the probes without scoring them and folds the probed claims once, in rank
+// order; Planner.Answer scores after every probe. Both must end in the same
+// place: each seed draws a world (ragged random coverage, a synth copier
+// world, or the full-coverage benchWorld) with a dense random dependence
+// table, and every policy × probe cap × early stop × dependence form ×
+// Parallelism × query shape is answered both ways and compared bit for bit.
+// The trace itself is pinned to the map oracle by the CompiledMatchesMaps
+// suites. A failure names its seed; rerun it with -run 'FinalMatchesTrace/seed=N'.
+
+// finalWorld draws one seed's dataset and per-source accuracies.
+func finalWorld(t *testing.T, seed int64, rng *rand.Rand) (*dataset.Dataset, map[model.SourceID]float64) {
+	t.Helper()
+	acc := map[model.SourceID]float64{}
+	switch seed % 3 {
+	case 0:
+		// Full coverage, 40 objects: a whole-world query covers >= 32 slots
+		// per probe, which is what sends the trace's refresh to goroutines.
+		d, cfg := benchWorld(t, 8+rng.Intn(40))
+		return d, cfg.Accuracy
+	case 1:
+		cfg := synth.SnapshotConfig{Seed: seed, NObjects: 6 + rng.Intn(30), FalsePool: 1 + rng.Intn(4)}
+		for i, n := 0, 3+rng.Intn(30); i < n; i++ {
+			cfg.IndependentAcc = append(cfg.IndependentAcc, 0.55+0.1*float64(rng.Intn(5)))
+		}
+		for i, n := 0, rng.Intn(6); i < n; i++ {
+			cfg.Copiers = append(cfg.Copiers, synth.CopierSpec{
+				MasterIndex: rng.Intn(len(cfg.IndependentAcc)), CopyRate: 0.8, OwnAcc: 0.6})
+		}
+		sw, err := synth.GenerateSnapshot(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range sw.Independents {
+			acc[id] = cfg.IndependentAcc[i]
+		}
+		// Copiers are left to DefaultAccuracy.
+		return sw.Dataset, acc
+	}
+	// Ragged: each source covers a random object window; accuracies collide
+	// on a few levels so the (accuracy desc, id asc) tie-break decides ranks.
+	d := dataset.New()
+	nObj, nSrc := 6+rng.Intn(40), 2+rng.Intn(50)
+	for s := 0; s < nSrc; s++ {
+		id := model.SourceID(fmt.Sprintf("S%02d", s))
+		if rng.Intn(3) > 0 {
+			acc[id] = 0.5 + 0.1*float64(rng.Intn(5))
+		} else {
+			acc[id] = 0.05 + 0.9*rng.Float64()
+		}
+		lo := rng.Intn(nObj)
+		for i, hi := lo, lo+1+rng.Intn(nObj); i < hi && i < nObj; i++ {
+			v := fmt.Sprintf("T%d", i)
+			if rng.Intn(3) == 0 {
+				v = fmt.Sprintf("F%d_%d", i, rng.Intn(3))
+			}
+			_ = d.Add(model.NewClaim(id, model.Obj(fmt.Sprintf("o%02d", i), "v"), v))
+		}
+	}
+	d.Freeze()
+	return d, acc
+}
+
+// finalPlanners builds the three dependence forms over one world: the dense
+// table (what a session serves from), the same table behind the Dependence
+// closure, and no dependence at all.
+func finalPlanners(t *testing.T, d *dataset.Dataset, accOf map[model.SourceID]float64, rng *rand.Rand) map[string]*Planner {
+	t.Helper()
+	c := d.Compiled()
+	nS := c.NumSources()
+	cfg := DefaultConfig()
+	acc := make([]float64, nS)
+	index := map[model.SourceID]int{}
+	for i := range acc {
+		index[c.Source(i)] = i
+		acc[i] = cfg.DefaultAccuracy
+		if a, ok := accOf[c.Source(i)]; ok {
+			acc[i] = a
+		}
+	}
+	// Symmetric and dense, with the exact endpoints mixed in: a 1 zeroes an
+	// independence product (gain ties), a 0 is a factor of exactly 1.
+	depTab := make([]float64, nS*nS)
+	for a := 0; a < nS; a++ {
+		for b := a + 1; b < nS; b++ {
+			v := rng.Float64()
+			switch rng.Intn(12) {
+			case 0:
+				v = 0
+			case 1:
+				v = 1
+			}
+			depTab[a*nS+b], depTab[b*nS+a] = v, v
+		}
+	}
+	dense, err := NewPlannerDense(d, cfg, acc, depTab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Accuracy = accOf
+	cfg.Dependence = func(a, b model.SourceID) float64 { return depTab[index[a]*nS+index[b]] }
+	closure, err := NewPlanner(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Dependence = nil
+	indep, err := NewPlanner(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*Planner{"dense": dense, "closure": closure, "nil": indep}
+}
+
+func finalQueries(d *dataset.Dataset, rng *rand.Rand) map[string][]model.ObjectID {
+	objs := d.Objects()
+	ghost := model.Obj("ghost", "v")
+	some := make([]model.ObjectID, 5)
+	for i := range some {
+		some[i] = objs[rng.Intn(len(objs))] // may repeat
+	}
+	a, b := objs[rng.Intn(len(objs))], objs[rng.Intn(len(objs))]
+	return map[string][]model.ObjectID{
+		"all":       objs,
+		"five":      some,
+		"dups":      {a, ghost, b, a, a, ghost, b},
+		"uncovered": {ghost, model.Obj("ghost2", "v")},
+	}
+}
+
+func TestFinalMatchesTrace(t *testing.T) {
+	seeds := 12
+	if testing.Short() {
+		seeds = 4
+	}
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(seed))
+			d, accOf := finalWorld(t, seed, rng)
+			planners := finalPlanners(t, d, accOf, rng)
+			queries := finalQueries(d, rng)
+			n := d.Compiled().NumSources()
+			for depName, base := range planners {
+				for _, pol := range []Policy{GreedyGain, AccuracyCoverage, ByID} {
+					for _, maxSrc := range []int{0, 1, 5, n / 2} {
+						for _, stop := range []float64{0, 0.9} {
+							for _, par := range []int{1, 4} {
+								cfg := DefaultConfig()
+								cfg.Policy, cfg.MaxSources, cfg.StopProb, cfg.Parallelism = pol, maxSrc, stop, par
+								p, err := base.Derive(cfg)
+								if err != nil {
+									t.Fatal(err)
+								}
+								for qName, q := range queries {
+									where := fmt.Sprintf("dep=%s policy=%v max=%d stop=%v par=%d query=%s",
+										depName, pol, maxSrc, stop, par, qName)
+									assertFinalMatchesTrace(t, p, q, where)
+								}
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+func assertFinalMatchesTrace(t *testing.T, p *Planner, q []model.ObjectID, where string) {
+	t.Helper()
+	want, err := p.Answer(q)
+	if err != nil {
+		t.Fatalf("%s: trace: %v", where, err)
+	}
+	got, err := p.Final(q)
+	if err != nil {
+		t.Fatalf("%s: final: %v", where, err)
+	}
+	if got.Steps != nil {
+		t.Fatalf("%s: the trace-free result carries %d steps", where, len(got.Steps))
+	}
+	if !reflect.DeepEqual(got.Probed, want.Probed) {
+		t.Fatalf("%s: probed %v, the trace probed %v", where, got.Probed, want.Probed)
+	}
+	if (got.Final == nil) != (want.Final == nil) || len(got.Final) != len(want.Final) {
+		t.Fatalf("%s: final has %d answers (nil=%t), the trace's %d (nil=%t)", where,
+			len(got.Final), got.Final == nil, len(want.Final), want.Final == nil)
+	}
+	for i, w := range want.Final {
+		g := got.Final[i]
+		if g.Object != w.Object || g.Value != w.Value || math.Float64bits(g.Prob) != math.Float64bits(w.Prob) {
+			t.Fatalf("%s: final[%d] = %+v, the trace's is %+v", where, i, g, w)
+		}
+	}
+}

@@ -124,6 +124,8 @@ type Step struct {
 
 // Result is the full probing trace.
 type Result struct {
+	// Steps holds the answers after each probe; nil from Planner.Final,
+	// which computes only where the probing ends.
 	Steps []Step
 	// Final holds the answers after the last probe.
 	Final []Answer

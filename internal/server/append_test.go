@@ -470,18 +470,13 @@ func assertServesSame(t testing.TB, got, want *session.Session) {
 	if n > len(objs) {
 		n = len(objs)
 	}
-	gr, err := got.AnswerObjects(objs[:n])
-	if err != nil {
-		t.Fatal(err)
-	}
-	wr, err := want.AnswerObjects(objs[:n])
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, _ := json.Marshal(BuildAnswerResponse(gr, true))
-	w, _ := json.Marshal(BuildAnswerResponse(wr, true))
-	if string(g) != string(w) {
-		t.Fatalf("answers differ:\ngot  %s\nwant %s", g, w)
+	// The served reply and the full trace behind it.
+	for _, steps := range []bool{false, true} {
+		req := AnswerRequest{Query: refsFor(objs[:n]), IncludeSteps: steps}
+		g, w := expectedAnswer(t, got, req), expectedAnswer(t, want, req)
+		if string(g) != string(w) {
+			t.Fatalf("answers differ (include_steps=%t):\ngot  %s\nwant %s", steps, g, w)
+		}
 	}
 }
 

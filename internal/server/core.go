@@ -91,7 +91,9 @@ func ParsePolicy(name string) (queryans.Policy, error) {
 // ExecAnswer answers a query against the session, applying any per-request
 // overrides. Without overrides it uses the session's precompiled planner —
 // the hot path; with overrides it builds the lightweight per-call planner
-// over the same cached precompute.
+// over the same cached precompute. The per-probe trace is computed only for
+// a request that asks to read it (include_steps); final and probed are the
+// same bytes either way.
 func ExecAnswer(s *session.Session, req AnswerRequest) (*queryans.Result, error) {
 	if len(req.Query) == 0 {
 		return nil, fmt.Errorf("%w: empty query", ErrBadRequest)
@@ -103,7 +105,7 @@ func ExecAnswer(s *session.Session, req AnswerRequest) (*queryans.Result, error)
 		}
 		query[i] = model.Obj(ref.Entity, ref.Attribute)
 	}
-	if !req.overrides() {
+	if !req.overrides() && !req.IncludeSteps {
 		res, err := s.AnswerObjects(query)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -127,7 +129,11 @@ func ExecAnswer(s *session.Session, req AnswerRequest) (*queryans.Result, error)
 	if req.Parallelism != 0 {
 		qcfg.Parallelism = req.Parallelism
 	}
-	res, err := s.AnswerObjectsWith(query, qcfg)
+	answer := s.AnswerObjectsWith
+	if req.IncludeSteps {
+		answer = s.TraceObjects
+	}
+	res, err := answer(query, qcfg)
 	if err != nil {
 		// Every failure mode here is a bad knob or bad query.
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)

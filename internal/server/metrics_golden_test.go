@@ -61,14 +61,16 @@ func TestMetricsExpositionGolden(t *testing.T) {
 			if rec.Code != http.StatusOK {
 				t.Fatalf("status %d", rec.Code)
 			}
-			compareGolden(t, filepath.Join("testdata", tc.golden), rec.Body.Bytes())
+			compareGolden(t, "REGEN_METRICS_GOLDEN", filepath.Join("testdata", tc.golden), rec.Body.Bytes())
 		})
 	}
 }
 
-func compareGolden(t *testing.T, path string, got []byte) {
+// compareGolden compares got with the checked-in file at path, or rewrites
+// the file when the environment variable regenEnv is set.
+func compareGolden(t *testing.T, regenEnv, path string, got []byte) {
 	t.Helper()
-	if os.Getenv("REGEN_METRICS_GOLDEN") != "" {
+	if os.Getenv(regenEnv) != "" {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -79,6 +81,6 @@ func compareGolden(t *testing.T, path string, got []byte) {
 		t.Fatal(err)
 	}
 	if string(got) != string(want) {
-		t.Fatalf("%s differs from the rendered page:\n--- got ---\n%s", path, got)
+		t.Fatalf("%s differs from what was rendered:\n--- got ---\n%s", path, got)
 	}
 }

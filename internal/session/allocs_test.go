@@ -6,13 +6,17 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"sourcecurrents/internal/queryans"
+	"sourcecurrents/internal/raceflag"
 )
 
 // The allocation counts of the zero-alloc paths are deterministic per
 // build, so they are asserted in tier-1 rather than watched by a benchmark
 // baseline: a retained-epoch AsOf is a spine lookup that allocates nothing,
-// and mapping a v2 snapshot of the 500-source acceptance world stays within
-// the format's bar of 100 allocations (it decodes no table).
+// a served answer allocates what it returns and not its trace, and mapping
+// a v2 snapshot of the 500-source acceptance world stays within the
+// format's bar of 100 allocations (it decodes no table).
 func TestServePathAllocs(t *testing.T) {
 	base := benchWorld(t)
 
@@ -37,6 +41,34 @@ func TestServePathAllocs(t *testing.T) {
 			epoch++
 		}); n != 0 {
 			t.Fatalf("retained AsOf allocates %v times per call, want 0", n)
+		}
+	})
+
+	// The serving answer on the 550-source world: the Result, Final and
+	// Probed, plus the four callbacks of the planner's two candidate passes
+	// (queryans.TestPlannerAnswerAllocs) — and nothing that grows with
+	// probes × query, which is the trace's and only TraceObjects pays. A
+	// per-call configuration adds the derived planner.
+	t.Run("answer", func(t *testing.T) {
+		if raceflag.Enabled {
+			t.Skip("sync.Pool drops scratch under -race; counts are not deterministic")
+		}
+		q := base.Dataset().Objects()[:5]
+		for _, tc := range []struct {
+			name string
+			call func() (*queryans.Result, error)
+			max  float64
+		}{
+			{"AnswerObjects", func() (*queryans.Result, error) { return base.AnswerObjects(q) }, 7},
+			{"AnswerObjectsWith", func() (*queryans.Result, error) { return base.AnswerObjectsWith(q, base.QueryConfig()) }, 8},
+		} {
+			if n := testing.AllocsPerRun(20, func() {
+				if _, err := tc.call(); err != nil {
+					t.Fatal(err)
+				}
+			}); n > tc.max {
+				t.Fatalf("%s allocates %v times per call, want <= %v", tc.name, n, tc.max)
+			}
 		}
 	})
 

@@ -64,11 +64,11 @@ func assertSessionsEqual(t *testing.T, got, want *Session) {
 		t.Fatalf("truth posteriors differ")
 	}
 	for qi, q := range queries(got.Dataset()) {
-		ga, err := got.AnswerObjects(q)
+		ga, err := servedTrace(got, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wa, err := want.AnswerObjects(q)
+		wa, err := servedTrace(want, q)
 		if err != nil {
 			t.Fatal(err)
 		}

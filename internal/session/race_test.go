@@ -24,7 +24,7 @@ func TestConcurrentSessionCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	objs := d.Objects()
-	wantAns, err := s.AnswerObjects(objs)
+	wantAns, err := servedTrace(s, objs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestConcurrentSessionCalls(t *testing.T) {
 					if len(q) == 0 {
 						q = objs
 					}
-					got, err := s.AnswerObjects(objs)
+					got, err := servedTrace(s, objs)
 					if err != nil {
 						errs[g] = err
 						return

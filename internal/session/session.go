@@ -331,30 +331,50 @@ func (s *Session) Close() error {
 func (s *Session) QueryConfig() queryans.Config { return s.cfg.Query }
 
 // AnswerObjects answers an online query over the cached accuracies,
-// dependence table and compiled claim lists — no per-call re-derivation.
-// The trace is bit-identical to a one-shot queryans.AnswerObjects call
-// configured with this session's discovery result.
+// dependence table and compiled claim lists — no per-call re-derivation. It
+// is the serving call: the Result carries where the probing ended (Final and
+// Probed, bit-identical to the trace's) and no Steps, so it does not pay for
+// rescoring every object after every probe. TraceObjects returns the trace.
 func (s *Session) AnswerObjects(query []model.ObjectID) (*queryans.Result, error) {
-	return s.planner.Answer(query)
+	return s.planner.Final(query)
 }
 
-// AnswerObjectsWith answers a query under a per-call planner configuration
+// AnswerObjectsWith is AnswerObjects under a per-call planner configuration
 // (policy, probe cap, early stopping) while still reading the session's
 // cached accuracies and dependence table — qcfg's Accuracy and Dependence
 // fields are ignored. The per-call planner is derived from the session's
 // precompiled one, sharing its dense state and its scratch pool, so the
 // override path stays on the zero-allocation serve shape.
 func (s *Session) AnswerObjectsWith(query []model.ObjectID, qcfg queryans.Config) (*queryans.Result, error) {
+	p, err := s.derive(qcfg)
+	if err != nil {
+		return nil, err
+	}
+	return p.Final(query)
+}
+
+// TraceObjects answers like AnswerObjectsWith and records the answers after
+// every probe (Result.Steps) — what include_steps and the quality-vs-probes
+// curve (EX8) read. The trace is bit-identical to a one-shot
+// queryans.AnswerObjects call configured with this session's discovery
+// result; it costs a rescoring per probe, which on a many-source world is
+// most of the call.
+func (s *Session) TraceObjects(query []model.ObjectID, qcfg queryans.Config) (*queryans.Result, error) {
+	p, err := s.derive(qcfg)
+	if err != nil {
+		return nil, err
+	}
+	return p.Answer(query)
+}
+
+// derive returns the per-call planner for qcfg over the session's dense state.
+func (s *Session) derive(qcfg queryans.Config) (*queryans.Planner, error) {
 	if qcfg.Parallelism == 0 && s.cfg.Parallelism != 0 {
 		qcfg.Parallelism = s.cfg.Parallelism
 	}
 	qcfg.Accuracy = nil
 	qcfg.Dependence = nil
-	p, err := s.planner.Derive(qcfg)
-	if err != nil {
-		return nil, err
-	}
-	return p.Answer(query)
+	return s.planner.Derive(qcfg)
 }
 
 // Fuse resolves all conflicts under the configured fusion strategy. The

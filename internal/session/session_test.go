@@ -1,6 +1,7 @@
 package session
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -42,6 +43,29 @@ func queries(d *dataset.Dataset) [][]model.ObjectID {
 	}
 }
 
+// servedTrace answers q through both of s's calls — the serving call and the
+// trace behind it — and returns the trace, after checking that the serving
+// call is exactly the trace's ending: the same Final and Probed, no Steps.
+// Every suite that compares what two sessions answer (incremental == rebuild,
+// snapshot == eager, as-of == rebuild-at-e, session == one-shot) compares
+// these, so it covers everything either call can return. It reports through
+// the error so the race test can call it off the test goroutine.
+func servedTrace(s *Session, q []model.ObjectID) (*queryans.Result, error) {
+	served, err := s.AnswerObjects(q)
+	if err != nil {
+		return nil, err
+	}
+	trace, err := s.TraceObjects(q, s.QueryConfig())
+	if err != nil {
+		return nil, err
+	}
+	if served.Steps != nil || !reflect.DeepEqual(served.Final, trace.Final) ||
+		!reflect.DeepEqual(served.Probed, trace.Probed) {
+		return nil, errors.New("AnswerObjects is not the ending of its own trace")
+	}
+	return trace, nil
+}
+
 // TestSessionAnswerMatchesOneShot pins the amortization contract: a Session
 // answering many queries returns traces bit-identical to one-shot
 // queryans.AnswerObjects calls configured with the same discovery result
@@ -69,7 +93,7 @@ func TestSessionAnswerMatchesOneShot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := sp.AnswerObjects(q)
+			got, err := servedTrace(sp, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,7 +192,7 @@ func TestSessionParallelismInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ans, err := s.AnswerObjects(d.Objects())
+		ans, err := servedTrace(s, d.Objects())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +268,7 @@ func TestSessionManyQueriesStayConsistent(t *testing.T) {
 		lo := i % len(objs)
 		hi := lo + 1 + (i*7)%(len(objs)-lo)
 		q := objs[lo:hi]
-		got, err := s.AnswerObjects(q)
+		got, err := servedTrace(s, q)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}

@@ -56,11 +56,11 @@ func TestSnapshotRoundTripGolden(t *testing.T) {
 	}
 
 	for _, q := range queries(d) {
-		want, err := s.AnswerObjects(q)
+		want, err := servedTrace(s, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		have, err := got.AnswerObjects(q)
+		have, err := servedTrace(got, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,11 +52,11 @@ func TestSnapshotV2EquivalentToV1(t *testing.T) {
 		t.Fatalf("epoch %d vs %d", v2.DatasetEpoch(), v1.DatasetEpoch())
 	}
 	for _, q := range queries(d) {
-		want, err := v1.AnswerObjects(q)
+		want, err := servedTrace(v1, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		have, err := v2.AnswerObjects(q)
+		have, err := servedTrace(v2, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,11 +159,11 @@ func TestSnapshotV2AppendMatchesV1(t *testing.T) {
 		t.Fatal("appended discovery state differs between v1 and v2 loads")
 	}
 	for _, q := range queries(next1.Dataset()) {
-		want, err := next1.AnswerObjects(q)
+		want, err := servedTrace(next1, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		have, err := next2.AnswerObjects(q)
+		have, err := servedTrace(next2, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,11 +207,11 @@ func TestSnapshotV2FileSniff(t *testing.T) {
 		t.Fatal("v2 load reports no mapping")
 	}
 	q := d.Objects()
-	want, err := v1.AnswerObjects(q)
+	want, err := servedTrace(v1, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	have, err := v2.AnswerObjects(q)
+	have, err := servedTrace(v2, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,8 +140,13 @@ func TestPublicAPISession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The session's answers are bit-identical to a one-shot AnswerQuery
-	// configured with the same discovery result.
+	trace, err := s.TraceObjects(ds.Objects(), s.QueryConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The session's trace is bit-identical to a one-shot AnswerQuery
+	// configured with the same discovery result, and its serving call is
+	// that trace's ending with no steps.
 	oneShot := sourcecurrents.DefaultQueryConfig()
 	oneShot.Accuracy = s.Dependence().Truth.Accuracy
 	oneShot.Dependence = s.Dependence().DependenceProb
@@ -149,8 +154,11 @@ func TestPublicAPISession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ans, want) {
-		t.Fatal("session answers differ from one-shot AnswerQuery")
+	if !reflect.DeepEqual(trace, want) {
+		t.Fatal("session trace differs from one-shot AnswerQuery")
+	}
+	if ans.Steps != nil || !reflect.DeepEqual(ans.Final, want.Final) || !reflect.DeepEqual(ans.Probed, want.Probed) {
+		t.Fatal("session answers are not the ending of the one-shot AnswerQuery trace")
 	}
 	if _, err := s.Fuse(); err != nil {
 		t.Fatal(err)
