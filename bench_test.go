@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"sourcecurrents"
@@ -191,16 +192,20 @@ func BenchmarkDetectParallel(b *testing.B)   { benchmarkDetect(b, 0) }
 // worlds and configuration) to what it allocated before the flat solve
 // became the incremental one started from nothing: the predecessor
 // bookkeeping — dirty sets, kept-pair table, merged pair slice — must cost a
-// flat solve nothing. Allocation counts are exact; bytes get 0.1% for
-// runtime noise, a third of the smallest table that could creep back in.
+// flat solve nothing. The ceilings were lowered once since (337 / 6.26 MB,
+// 317 / 69.1 MB, 316 / 345 MB): the overlap arrays reserve by doubling, and
+// that pays several times over for the pair records a solve now keeps next
+// to the named pairs of its Result. Allocation counts are exact; bytes get
+// 0.1% for runtime noise, a third of the smallest table that could creep
+// back in.
 func TestDetectFlatAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts differ under -race")
 	}
 	ceilings := map[int]struct{ allocs, bytes float64 }{
-		50:  {337, 6255277},
-		200: {317, 69107618},
-		500: {316, 345427709},
+		50:  {285, 2793712},
+		200: {247, 49245936},
+		500: {231, 253980192},
 	}
 	for _, sz := range benchSizes {
 		if testing.Short() && !sz.short {
@@ -314,6 +319,96 @@ func BenchmarkPlanWide(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// wideAppendBatches returns the two append shapes bench/ sends the wide
+// world (500 independents + 50 copiers × 30 objects): source-major, 7 sources
+// re-claiming all 30 objects (210 claims, 7 of 550 sources dirty), and
+// object-major, every source claiming one new object (every pair dirty).
+func wideAppendBatches(d *sourcecurrents.Dataset) map[string][]sourcecurrents.Claim {
+	srcs, objs := d.Sources(), d.Objects()
+	var srcMajor, objMajor []sourcecurrents.Claim
+	for k := 0; k < 7; k++ {
+		for _, o := range objs {
+			v, _ := d.Value(srcs[0], o)
+			srcMajor = append(srcMajor, sourcecurrents.NewClaim(srcs[60+70*k], o, v))
+		}
+	}
+	for i, s := range srcs {
+		objMajor = append(objMajor, sourcecurrents.NewClaim(s,
+			sourcecurrents.ObjectID{Entity: "held-out", Attribute: "v"}, fmt.Sprintf("T%d", i%4)))
+	}
+	return map[string][]sourcecurrents.Claim{"src_major": srcMajor, "obj_major": objMajor}
+}
+
+func wideSession(tb testing.TB) *sourcecurrents.Session {
+	cfg := sourcecurrents.DefaultSessionConfig()
+	cfg.Parallelism = 1
+	s, err := sourcecurrents.NewSession(benchSnapshotWorld(tb, 500, 30), cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// BenchmarkAppendWide times one Session.Append on the wide shape, each
+// iteration from the same base session: dataset append, the state-to-state
+// refine, the planner over the successor's tables — and no Result view, which
+// nothing on the write path reads. src_major is what bench/'s append_p10_ms
+// follows on hot_read and cold_plan.
+func BenchmarkAppendWide(b *testing.B) {
+	s := wideSession(b)
+	batches := wideAppendBatches(s.Dataset())
+	for _, shape := range []string{"src_major", "obj_major"} {
+		batch := batches[shape]
+		b.Run(shape, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Append(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+		})
+	}
+}
+
+// TestAppendWideBytes holds what BenchmarkAppendWide's appends allocate
+// (median of 5). A source-major append used to allocate 33.6 MB, most of it a
+// merged AllPairs of 150 975 named pairs and two more S² tables; advancing
+// dense state to dense state it is 16.5 MB: the pair records (8.5), the
+// dataset stage (2.7), the totals table (2.4) and the dirty pairs' overlaps.
+// An object-major one rescores every pair, then (351 MB) as now (240 MB, the
+// overlap arrays no longer regrown a quarter at a time); its ceiling is that
+// plus a tenth.
+func TestAppendWideBytes(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation sizes differ under -race")
+	}
+	if testing.Short() {
+		t.Skip("large scale skipped in short mode")
+	}
+	s := wideSession(t)
+	batches := wideAppendBatches(s.Dataset())
+	for shape, ceiling := range map[string]uint64{"src_major": 17e6, "obj_major": 264e6} {
+		batch := batches[shape]
+		deltas := make([]uint64, 5)
+		for i := range deltas {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := s.Append(batch); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			deltas[i] = after.TotalAlloc - before.TotalAlloc
+		}
+		slices.Sort(deltas)
+		if got := deltas[2]; got > ceiling {
+			t.Errorf("%s append allocated %d bytes (median of %v), ceiling %d", shape, got, deltas, ceiling)
+		} else {
+			t.Logf("%s append allocated %d bytes (ceiling %d)", shape, got, ceiling)
+		}
 	}
 }
 

@@ -10,8 +10,9 @@
 package depen
 
 import (
+	"slices"
+
 	"sourcecurrents/internal/dataset"
-	"sourcecurrents/internal/model"
 	"sourcecurrents/internal/stats"
 	"sourcecurrents/internal/truth"
 )
@@ -56,6 +57,16 @@ func buildCandidates(c *dataset.Compiled, minShared int, dirtySrc []bool) ([]pai
 				continue
 			}
 			bi, be := c.SrcStart[j], c.SrcStart[j+1]
+			// Make room for the pair's largest possible overlap before the
+			// join, doubling: append's own growth (a quarter at a time at
+			// this size) reallocates the three arrays some forty times over
+			// a many-source solve, four times the bytes they end at.
+			if need := int(min(ae-ai, be-bi)); cap(ov.obj)-len(ov.obj) < need {
+				need = max(need, cap(ov.obj))
+				ov.obj = slices.Grow(ov.obj, need)
+				ov.ag = slices.Grow(ov.ag, need)
+				ov.bg = slices.Grow(ov.bg, need)
+			}
 			off := int32(len(ov.obj))
 			var same int32
 			p, q := ai, bi
@@ -167,9 +178,9 @@ func scoreObjectDiscounted(solver *truth.DenseSolver, oi int, weights, acc, depT
 // scorePairDense accumulates one candidate's evidence from the flat overlap
 // slices (shared objects ascending, as in the reference path) and applies
 // the three-hypothesis Bayes step.
-func scorePairDense(c *dataset.Compiled, solver *truth.DenseSolver, cand pairCand,
+func scorePairDense(solver *truth.DenseSolver, cand pairCand,
 	ov overlaps, probs, acc []float64, cfg Config, logPrior [3]float64,
-	sc *depenScratch) Dependence {
+	sc *depenScratch) pairRec {
 	var kt, kf, kd float64
 	for e := cand.off; e < cand.off+cand.n; e++ {
 		if ov.ag[e] != ov.bg[e] {
@@ -189,13 +200,9 @@ func scorePairDense(c *dataset.Compiled, solver *truth.DenseSolver, cand pairCan
 	if err := stats.NormalizeLogInto(post, sc.logs[:]); err != nil {
 		post[0], post[1], post[2] = 1, 0, 0
 	}
-	return Dependence{
-		Pair:   model.SourcePair{A: c.Source(int(cand.a)), B: c.Source(int(cand.b))},
-		Prob:   post[1] + post[2],
-		ProbAB: post[1],
-		ProbBA: post[2],
-		Shared: int(cand.n),
-		Same:   int(cand.same),
-		KT:     kt, KF: kf, KD: kd,
+	return pairRec{
+		a: cand.a, b: cand.b, shared: cand.n, same: cand.same,
+		probAB: post[1], probBA: post[2],
+		kt: kt, kf: kf, kd: kd,
 	}
 }

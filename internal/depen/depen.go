@@ -40,17 +40,19 @@
 // §3.2 proposes as "iteratively determining true values, computing accuracy
 // of sources, and discovering dependence").
 //
-// That loop exists once, in refine.go. Detect on a flat dataset runs it from
-// the empty predecessor to the fixpoint; Refine runs it from a predecessor's
-// result over what an appended batch dirtied, for a bounded number of
-// rounds; Detect on a dataset with an append log is the first followed by
-// one of the second per batch.
+// That loop exists once, in refine.go, and runs from dense state to dense
+// state. Solve on a flat dataset runs it from the empty predecessor to the
+// fixpoint; given a predecessor's state it runs it over what an appended batch
+// dirtied, for a bounded number of rounds; on a dataset with an append log
+// and no predecessor it does the first followed by one of the second per
+// batch. Detect and Refine are Solve plus the Result view of the state it
+// reaches.
 package depen
 
 import (
 	"errors"
-	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"sourcecurrents/internal/dataset"
@@ -180,7 +182,8 @@ func (dep Dependence) Copier() (model.SourceID, float64) {
 	return dep.Pair.B, dep.ProbBA - dep.ProbAB
 }
 
-// Result is the outcome of the full detection loop.
+// Result is the outcome of the full detection loop, by name: the view of a
+// State (see refine.go) that readers of maps and sorted slices want.
 type Result struct {
 	// Truth is the dependence-aware truth-discovery result.
 	Truth *truth.Result
@@ -194,56 +197,53 @@ type Result struct {
 	Rounds    int
 	Converged bool
 
+	// st is the state this view was built from; nil for a Result assembled
+	// by ResultFromParts, which has only the view.
+	st  *State
 	dir *dirTable
 }
 
 // dirTable is the dense directional-posterior lookup backing CopyProb and
-// DependenceProb: every dataset source in sorted order, with P(i copies j)
-// in a flat row-major table. Every construction path builds it over the
-// same sorted source list, so results are structurally identical whichever
-// path produced them. The nested-map form it replaces cost more to
-// populate than the entire rest of a snapshot load.
+// DependenceProb: the dataset's sorted source list, with P(i copies j) in a
+// flat row-major table. Ids resolve by binary search over the list, so
+// building one allocates no per-source index.
 type dirTable struct {
-	idx  map[model.SourceID]int32
-	n    int
-	prob []float64
+	sources []model.SourceID
+	prob    []float64
 }
 
 // newDirTableFor returns an empty table over the (sorted) source list.
 func newDirTableFor(sources []model.SourceID) *dirTable {
-	idx := make(map[model.SourceID]int32, len(sources))
-	for i, s := range sources {
-		idx[s] = int32(i)
-	}
-	n := len(sources)
-	return &dirTable{idx: idx, n: n, prob: make([]float64, n*n)}
+	return &dirTable{sources: sources, prob: make([]float64, len(sources)*len(sources))}
 }
 
 // set records a pair verdict by dense source index.
 func (t *dirTable) set(ai, bi int32, probAB, probBA float64) {
-	t.prob[int(ai)*t.n+int(bi)] = probAB
-	t.prob[int(bi)*t.n+int(ai)] = probBA
+	n := len(t.sources)
+	t.prob[int(ai)*n+int(bi)] = probAB
+	t.prob[int(bi)*n+int(ai)] = probBA
 }
 
 // setByID records a pair verdict by source id (the map-path form).
 func (t *dirTable) setByID(a, b model.SourceID, probAB, probBA float64) {
-	t.set(t.idx[a], t.idx[b], probAB, probBA)
+	ai, _ := slices.BinarySearch(t.sources, a)
+	bi, _ := slices.BinarySearch(t.sources, b)
+	t.set(int32(ai), int32(bi), probAB, probBA)
 }
 
-// of returns P(from copies to); 0 for sources outside the table.
-func (t *dirTable) of(from, to model.SourceID) float64 {
+// pair returns P(a copies b) and P(b copies a); zeros for sources outside
+// the table.
+func (t *dirTable) pair(a, b model.SourceID) (ab, ba float64) {
 	if t == nil {
-		return 0
+		return 0, 0
 	}
-	fi, ok := t.idx[from]
-	if !ok {
-		return 0
+	ai, aok := slices.BinarySearch(t.sources, a)
+	bi, bok := slices.BinarySearch(t.sources, b)
+	if !aok || !bok {
+		return 0, 0
 	}
-	ti, ok := t.idx[to]
-	if !ok {
-		return 0
-	}
-	return t.prob[int(fi)*t.n+int(ti)]
+	n := len(t.sources)
+	return t.prob[ai*n+bi], t.prob[bi*n+ai]
 }
 
 // FillTotals writes the total (both-direction) dependence posterior of
@@ -252,17 +252,13 @@ func (t *dirTable) of(from, to model.SourceID) float64 {
 // lookup table was not built over exactly this source list.
 func (r *Result) FillTotals(sources []model.SourceID, out []float64) bool {
 	t := r.dir
-	if t == nil || t.n != len(sources) || len(out) != t.n*t.n {
+	if t == nil || len(out) != len(t.prob) || !slices.Equal(sources, t.sources) {
 		return false
 	}
-	for i, s := range sources {
-		if got, ok := t.idx[s]; !ok || got != int32(i) {
-			return false
-		}
-	}
-	for i := 0; i < t.n; i++ {
-		for j := 0; j < t.n; j++ {
-			out[i*t.n+j] = t.prob[i*t.n+j] + t.prob[j*t.n+i]
+	n := len(sources)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			out[i*n+j] = t.prob[i*n+j] + t.prob[j*n+i]
 		}
 	}
 	return true
@@ -271,17 +267,15 @@ func (r *Result) FillTotals(sources []model.SourceID, out []float64) bool {
 // DependenceProb returns the posterior that a and b are dependent (either
 // direction); 0 for unanalyzed pairs.
 func (r *Result) DependenceProb(a, b model.SourceID) float64 {
-	return r.directional(a, b) + r.directional(b, a)
+	ab, ba := r.dir.pair(a, b)
+	return ab + ba
 }
 
 // CopyProb returns the posterior that copier copies master; 0 for
 // unanalyzed pairs.
 func (r *Result) CopyProb(copier, master model.SourceID) float64 {
-	return r.directional(copier, master)
-}
-
-func (r *Result) directional(from, to model.SourceID) float64 {
-	return r.dir.of(from, to)
+	ab, _ := r.dir.pair(copier, master)
+	return ab
 }
 
 // ResultFromParts reassembles a Result from its serializable parts — the
@@ -289,15 +283,16 @@ func (r *Result) directional(from, to model.SourceID) float64 {
 // final-round verdict, and the threshold/round bookkeeping. The session
 // snapshot loader uses it to rebuild the cached precompute without
 // re-running Detect; given the parts of a prior Detect run it reproduces
-// that run's Result exactly (the directional lookup table and the
-// thresholded Dependences slice are derived from allPairs the same way
-// Detect derives them). It takes ownership of allPairs, which may be
-// re-sorted in place.
+// that run's view exactly (the directional lookup table and the thresholded
+// Dependences slice are derived from allPairs the same way State.Result
+// derives them) but not its State, which Refine imports from the maps when
+// it is handed one. It takes ownership of allPairs, which may be re-sorted in
+// place.
 //
 // pairA and pairB, when non-nil, give each pair's dense indices into
 // sources (pairA[i] indexes allPairs[i].Pair.A), letting a decoder that
-// already holds indices skip ~2·|pairs| string-map lookups; pass nil to
-// derive them by lookup.
+// already holds indices skip ~2·|pairs| lookups; pass nil to derive them by
+// lookup.
 func ResultFromParts(tr *truth.Result, sources []model.SourceID,
 	allPairs []Dependence, pairA, pairB []int32,
 	depThreshold float64, rounds int, converged bool) *Result {
@@ -320,6 +315,87 @@ func ResultFromParts(tr *truth.Result, sources []model.SourceID,
 	sortDeps(allPairs)
 	finishSortedPairs(res, allPairs, depThreshold)
 	return res
+}
+
+// Result materialises the view of st: the posterior and accuracy maps with
+// the chosen values, every pair by name in sortDeps order, the thresholded
+// Dependences and the directional lookup table. cfg must be the
+// configuration st was solved under.
+func (st *State) Result(cfg Config) *Result {
+	c := st.c
+	solver := truth.NewDenseSolver(c, cfg.Truth)
+	tr := &truth.Result{
+		Probs:     solver.ProbsMap(st.probs),
+		Accuracy:  solver.AccuracyMap(st.acc),
+		Rounds:    st.rounds,
+		Converged: st.converged,
+	}
+	tr.PickChosen()
+	res := &Result{
+		Truth:     tr,
+		Rounds:    st.rounds,
+		Converged: st.converged,
+		st:        st,
+		dir:       newDirTableFor(c.SourceIDs()),
+	}
+	all := make([]Dependence, len(st.pairs))
+	for i := range st.pairs {
+		p := &st.pairs[i]
+		all[i] = Dependence{
+			Pair:   model.SourcePair{A: c.Source(int(p.a)), B: c.Source(int(p.b))},
+			Prob:   p.probAB + p.probBA,
+			ProbAB: p.probAB,
+			ProbBA: p.probBA,
+			Shared: int(p.shared),
+			Same:   int(p.same),
+			KT:     p.kt, KF: p.kf, KD: p.kd,
+		}
+		res.dir.set(p.a, p.b, p.probAB, p.probBA)
+	}
+	sortDeps(all)
+	finishSortedPairs(res, all, cfg.DepThreshold)
+	return res
+}
+
+// State returns the dense state behind r: the one r is a view of, or, for a
+// Result assembled by ResultFromParts, one imported from its maps and pair
+// list over c — the index of r's dataset or of a successor (sources r never
+// saw get cfg's InitialAccuracy and no verdict).
+func (r *Result) State(c *dataset.Compiled, cfg Config) *State {
+	if r.st != nil {
+		return r.st
+	}
+	nS := c.NumSources()
+	st := &State{
+		c:         c,
+		acc:       make([]float64, nS),
+		probs:     make([]float64, len(c.GroupValue)),
+		tot:       make([]float64, nS*nS),
+		pairs:     make([]pairRec, len(r.AllPairs)),
+		rounds:    r.Rounds,
+		converged: r.Converged,
+	}
+	for i := range st.acc {
+		st.acc[i] = cfg.Truth.InitialAccuracy
+		if a, ok := r.Truth.Accuracy[c.Source(i)]; ok {
+			st.acc[i] = a
+		}
+	}
+	truth.NewDenseSolver(c, cfg.Truth).FillProbs(st.probs, r.Truth.Probs)
+	for i := range r.AllPairs {
+		pd := &r.AllPairs[i]
+		ai, _ := c.SourceIndex(pd.Pair.A) // present: the log is append-only
+		bi, _ := c.SourceIndex(pd.Pair.B)
+		t := pd.ProbAB + pd.ProbBA
+		st.tot[int(ai)*nS+int(bi)] = t
+		st.tot[int(bi)*nS+int(ai)] = t
+		st.pairs[i] = pairRec{
+			a: ai, b: bi, shared: int32(pd.Shared), same: int32(pd.Same),
+			probAB: pd.ProbAB, probBA: pd.ProbBA, kt: pd.KT, kf: pd.KF, kd: pd.KD,
+		}
+	}
+	slices.SortFunc(st.pairs, comparePairs)
+	return st
 }
 
 // pairHypotheses returns log-likelihoods of the evidence under the three
@@ -358,21 +434,11 @@ func pairHypotheses(kt, kf, kd float64, a1, a2, c float64, n int) (indep, aCopie
 // from scratch over the same successor dataset run the identical pass
 // sequence and reach bit-identical state.
 func Detect(d *dataset.Dataset, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	st, err := Solve(d, nil, cfg)
+	if err != nil {
 		return nil, err
 	}
-	if !d.Frozen() {
-		return nil, fmt.Errorf("depen: dataset must be frozen")
-	}
-	var res *Result
-	for e := 0; e <= d.Epoch(); e++ {
-		at, err := d.At(e) // the last is d itself
-		if err != nil {
-			return nil, err
-		}
-		res = refine(at, res, cfg)
-	}
-	return res, nil
+	return st.Result(cfg), nil
 }
 
 func sortDeps(deps []Dependence) {

@@ -132,6 +132,8 @@ func detectMaps(d *dataset.Dataset, cfg Config) (*Result, error) {
 	}
 	sortDeps(pairs)
 	finishSortedPairs(res, pairs, cfg.DepThreshold)
+	// The dense state is part of a Result; the oracle's is its maps imported.
+	res.st = res.State(d.Compiled(), cfg)
 	return res, nil
 }
 

@@ -1,21 +1,31 @@
-// The ACCUCOPY loop: one implementation for flat and incremental solves.
+// The ACCUCOPY loop: one implementation for flat and incremental solves,
+// from dense state to dense state.
 //
-// refine solves a dataset given the result for its predecessor. A batch
-// marks a set of sources and objects dirty; each round then
+// A State is everything a solve derives, in the compiled index's own terms:
+// the accuracy vector, the posterior vector over the value groups, the
+// source×source table of total dependence posteriors, and the analysed pairs
+// as pointer-free records in (a, b) order. refine takes a dataset and the
+// State of its previous epoch and returns the State of this one: it clones
+// the predecessor's tables with a plain copy (through an index remap only
+// when the batch grew a table), then, for a batch that marks a set of sources
+// and objects dirty, each round
 //
-//   - rescores only the dirty objects' posteriors (seeded from the
-//     predecessor's, so untouched objects keep their converged rows),
+//   - rescores only the dirty objects' posteriors (untouched objects keep
+//     their converged rows),
 //   - re-estimates every source's accuracy over the full posterior vector
 //     (cheap, and it keeps the global accuracy/vote-weight coupling exact),
 //   - rescores only the dirty pairs — pairs with a dirty member, which
-//     includes every pair new to the candidate set.
+//     includes every pair new to the candidate set — and overwrites their
+//     cells of the table.
 //
-// A flat solve (Detect on a dataset with no append log) is the degenerate
-// case: the predecessor is empty, so accuracies start at InitialAccuracy,
-// every source, object and pair is dirty, nothing is kept, and the loop
-// runs up to MaxRounds instead of RefineRounds. Its round 1 is undiscounted
-// — no verdict exists yet, every independence factor is exactly 1 — so it
-// scores plain vote sums and skips the rank-and-discount pass.
+// Past finding the batch's sources and objects in the index (and, when the
+// batch grew a table, where the new names sorted), no step of it reads a
+// string or a map. A flat solve (a dataset with no append log) is the
+// degenerate case: the predecessor is nil, so accuracies start at
+// InitialAccuracy, every source, object and pair is dirty, nothing is kept,
+// and the loop runs up to MaxRounds instead of RefineRounds. Its round 1 is
+// undiscounted — no verdict exists yet, every independence factor is exactly
+// 1 — so it scores plain vote sums and skips the rank-and-discount pass.
 //
 // Kept pairs are exact where it matters and approximate by design where it
 // does not: their Shared/Same counts are provably current, because growing
@@ -25,15 +35,26 @@
 // to them. That bounds an append's cost (dirtying every pair that merely
 // shares an object with the batch is a full rescore on dense datasets).
 //
-// refine is a pure function of (dataset, predecessor result, config). The
-// live path (Session.Append refining its cached result) and the rebuild
-// path (Detect replaying the log from the flat base) run this same code on
-// identical inputs, which makes them bit-identical by construction.
+// A Result is a view of a State for readers that want names: posterior and
+// accuracy maps, the chosen values, AllPairs sorted by confidence and the
+// thresholded Dependences. State.Result builds one — a sort of every pair
+// and a string pair per record, which on a many-source world costs more than
+// the append that produced the State — so only what reads it pays: Detect
+// and Refine return one (and it carries its State, so a Refine chain stays
+// dense), a Session builds its own the first time one is asked for, and
+// Solve and Session.Append never do.
+//
+// refine is a pure function of (dataset, predecessor state, config). The
+// live path (Session.Append advancing its state) and the rebuild path (Solve
+// replaying the log from the flat base) run this same code on identical
+// inputs, which makes them bit-identical by construction.
 package depen
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"sourcecurrents/internal/dataset"
 	"sourcecurrents/internal/engine"
@@ -41,104 +62,152 @@ import (
 	"sourcecurrents/internal/truth"
 )
 
-// Refine advances prev — the Detect result of d's previous epoch,
-// d.At(d.Epoch()-1) — across d's most recently appended batch, running
-// cfg.RefineRounds bounded passes. The result is exactly what Detect(d, cfg)
-// produces for the final batch of d's log.
-func Refine(d *dataset.Dataset, prev *Result, cfg Config) (*Result, error) {
+// State is the dense outcome of one solve over one dataset epoch. It is
+// immutable once returned: successors copy it, sessions alias its vectors.
+type State struct {
+	c *dataset.Compiled
+	// acc is per source, probs per value group (c.GroupValue order).
+	acc, probs []float64
+	// tot[i*nS+j] is the total (both-direction) dependence posterior of the
+	// pair {i, j}, which vote discounting and the query planner read.
+	tot []float64
+	// pairs holds every analysed pair, ascending by (a, b) — the directional
+	// posteriors live here only, found by binary search.
+	pairs     []pairRec
+	rounds    int
+	converged bool
+}
+
+// pairRec is one analysed pair's verdict and evidence (see Dependence) by
+// dense source index, a < b.
+type pairRec struct {
+	a, b, shared, same int32
+	probAB, probBA     float64
+	kt, kf, kd         float64
+}
+
+// Accuracy returns the per-source accuracy vector and Totals the flat
+// source×source total dependence posterior, both in compiled source order —
+// the two tables the query planner serves from. Read-only.
+func (st *State) Accuracy() []float64 { return st.acc }
+func (st *State) Totals() []float64   { return st.tot }
+
+// CopyProbs returns P(a copies b) and P(b copies a); zeros for an unanalysed
+// pair or an unknown source.
+func (st *State) CopyProbs(a, b model.SourceID) (ab, ba float64) {
+	ai, aok := st.c.SourceIndex(a)
+	bi, bok := st.c.SourceIndex(b)
+	if !aok || !bok {
+		return 0, 0
+	}
+	lo, hi := min(ai, bi), max(ai, bi)
+	at, ok := slices.BinarySearchFunc(st.pairs, pairRec{a: lo, b: hi}, comparePairs)
+	if !ok {
+		return 0, 0
+	}
+	p := &st.pairs[at]
+	if ai == lo {
+		return p.probAB, p.probBA
+	}
+	return p.probBA, p.probAB
+}
+
+// Solve returns the dense state of d's last epoch — Detect and Refine
+// without the Result. Given prev, the state of d's previous epoch
+// (d.At(d.Epoch()-1)), it takes it across d's most recently appended batch in
+// cfg.RefineRounds bounded passes; given nil it replays d's whole log from
+// the flat base, which reaches the same state.
+func Solve(d *dataset.Dataset, prev *State, cfg Config) (*State, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if !d.Frozen() {
 		return nil, fmt.Errorf("depen: dataset must be frozen")
 	}
-	if d.Epoch() == 0 {
-		return nil, fmt.Errorf("depen: Refine requires an appended dataset (use Detect for flat datasets)")
+	if prev != nil {
+		if d.Epoch() == 0 {
+			return nil, fmt.Errorf("depen: Refine requires an appended dataset (use Detect for flat datasets)")
+		}
+		return refine(d, prev, cfg), nil
 	}
+	for e := 0; e <= d.Epoch(); e++ {
+		at, err := d.At(e) // the last is d itself
+		if err != nil {
+			return nil, err
+		}
+		prev = refine(at, prev, cfg)
+	}
+	return prev, nil
+}
+
+// Refine advances prev — the Detect result of d's previous epoch — across
+// d's most recently appended batch. The result is exactly what Detect(d, cfg)
+// produces for the final batch of d's log.
+func Refine(d *dataset.Dataset, prev *Result, cfg Config) (*Result, error) {
 	if prev == nil || prev.Truth == nil {
 		return nil, fmt.Errorf("depen: Refine requires the predecessor's result")
 	}
-	return refine(d, prev, cfg), nil
+	st, err := Solve(d, prev.State(d.Compiled(), cfg), cfg)
+	if err != nil {
+		return nil, err
+	}
+	return st.Result(cfg), nil
 }
 
-// refine solves d given prev, the result of d's previous epoch; a nil prev
-// is the empty predecessor of a flat d.
+// refine solves d given prev, the state of d's previous epoch; a nil prev is
+// the empty predecessor of a flat d.
 //
 // The candidate set is assembled incrementally: a pair either has a dirty
 // member (merge-joined fresh over d's claim lists) or is carried over from
 // the predecessor verbatim — rebuilding the full pair×overlap structure per
 // batch would cost as much as a flat solve.
-func refine(d *dataset.Dataset, prev *Result, cfg Config) *Result {
+func refine(d *dataset.Dataset, prev *State, cfg Config) *State {
 	c := d.Compiled()
 	solver := truth.NewDenseSolver(c, cfg.Truth)
 	nS := c.NumSources()
 	nO := c.NumObjects()
 
-	// Everything starts at the prior: InitialAccuracy and zero rows. Every
-	// group the predecessor never saw belongs to a dirty object and is
-	// rescored in round 1 before anything reads it.
-	acc := make([]float64, nS)
-	for i := range acc {
-		acc[i] = cfg.Truth.InitialAccuracy
-	}
-	probs := make([]float64, len(c.GroupValue))
-	rounds := cfg.MaxRounds
-
 	// Dirty sets, fixed for the whole solve: the batch's sources and objects,
 	// and through them the pairs whose evidence the batch can have moved.
-	// Both are nil for a flat solve, where everything is dirty.
-	dirtySrc, dirtyObjs := dirtySets(c, d.Batch(), prev == nil)
+	// All nil for a flat solve, where everything is dirty.
+	dirtySrc, dirtyObj, dirtyObjs := dirtySets(c, d.Batch(), prev == nil)
 	nDirtyObj := nO
 	if dirtyObjs != nil {
 		nDirtyObj = len(dirtyObjs)
 	}
 
-	// depTab[i*nS+j] is the total (both-direction) dependence posterior of
-	// the pair {i, j} going into a round: the predecessor's verdicts, with
-	// the dirty pairs' cells overwritten after every round (the kept pairs'
-	// never change). haveDep says it holds any verdict at all; until one
-	// exists — round 1 of a flat solve — every discount factor is exactly 1
-	// and scoring skips the rank-and-discount pass.
-	depTab := make([]float64, nS*nS)
-	haveDep := prev != nil && len(prev.AllPairs) > 0
-	res := &Result{dir: newDirTableFor(c.SourceIDs())}
-
-	// What else a predecessor contributes: seeds for accuracies, posteriors
-	// and the discount table, and the pairs without a dirty member, kept
-	// verbatim (as indexes into prev.AllPairs) — verdict, Shared and Same all
-	// still exact. A pair with a dirty member is superseded by its
-	// freshly-joined candidate (overlap only grows, so it still is one): its
-	// old verdict discounts round 1 and is rescored from then on.
-	var kept []int32
-	if prev != nil {
+	// Without a predecessor everything starts at the prior: InitialAccuracy
+	// and zero rows. With one, its vectors and tables are copied; every group
+	// it never saw belongs to a dirty object and is rescored in round 1
+	// before anything reads it.
+	st := &State{c: c}
+	rounds := cfg.MaxRounds
+	var srcOf []int32
+	if prev == nil {
+		st.acc = make([]float64, nS)
+		for i := range st.acc {
+			st.acc[i] = cfg.Truth.InitialAccuracy
+		}
+		st.probs = make([]float64, len(c.GroupValue))
+		st.tot = make([]float64, nS*nS)
+	} else {
 		rounds = cfg.EffectiveRefineRounds()
-		for i := range acc {
-			if a, ok := prev.Truth.Accuracy[c.Source(i)]; ok {
-				acc[i] = a
-			}
-		}
-		solver.FillProbs(probs, prev.Truth.Probs)
-
-		kept = make([]int32, 0, len(prev.AllPairs))
-		for i := range prev.AllPairs {
-			pd := &prev.AllPairs[i]
-			ai, aok := c.SourceIndex(pd.Pair.A)
-			bi, bok := c.SourceIndex(pd.Pair.B)
-			if !aok || !bok {
-				continue // unreachable: the log is append-only
-			}
-			t := pd.ProbAB + pd.ProbBA
-			depTab[int(ai)*nS+int(bi)] = t
-			depTab[int(bi)*nS+int(ai)] = t
-			if !dirtySrc[ai] && !dirtySrc[bi] {
-				kept = append(kept, int32(i))
-				res.dir.set(ai, bi, pd.ProbAB, pd.ProbBA)
-			}
-		}
+		srcOf = st.carry(prev, dirtySrc, dirtyObj, cfg.Truth.InitialAccuracy)
 	}
+	// depTab is the total dependence posterior going into a round: the
+	// predecessor's verdicts, with the dirty pairs' cells overwritten after
+	// every round (the kept pairs' never change). haveDep says it holds any
+	// verdict at all; until one exists — round 1 of a flat solve — every
+	// discount factor is exactly 1 and scoring skips the rank-and-discount
+	// pass.
+	acc, probs, depTab := st.acc, st.probs, st.tot
+	haveDep := prev != nil && len(prev.pairs) > 0
 
+	// A pair with a dirty member is superseded by its freshly-joined
+	// candidate (overlap only grows, so it still is one): its old verdict
+	// discounts round 1 and is rescored from then on.
 	cands, ov := buildCandidates(c, cfg.MinShared, dirtySrc)
-	deps := make([]Dependence, len(cands))
+	fresh := make([]pairRec, len(cands))
 
 	weights := make([]float64, nS)
 	next := make([]float64, nS)
@@ -171,7 +240,7 @@ func refine(d *dataset.Dataset, prev *Result, cfg Config) *Result {
 		solver.FinishObject(oi, scores, row, sc.ds)
 	}
 	pairStep := func(pi int, sc *depenScratch) {
-		deps[pi] = scorePairDense(c, solver, cands[pi], ov, probs, next, cfg, logPrior, sc)
+		fresh[pi] = scorePairDense(solver, cands[pi], ov, probs, next, cfg, logPrior, sc)
 	}
 
 	for round := 1; round <= rounds; round++ {
@@ -187,70 +256,142 @@ func refine(d *dataset.Dataset, prev *Result, cfg Config) *Result {
 
 		// Dependence step over the dirty pairs, in their canonical order.
 		engine.ForNScratch(eng, len(cands), newScratch, pairStep)
-		for pi := range deps {
-			a, b := int(cands[pi].a), int(cands[pi].b)
-			t := deps[pi].ProbAB + deps[pi].ProbBA
-			depTab[a*nS+b] = t
-			depTab[b*nS+a] = t
+		for pi := range fresh {
+			p := &fresh[pi]
+			t := p.probAB + p.probBA
+			depTab[int(p.a)*nS+int(p.b)] = t
+			depTab[int(p.b)*nS+int(p.a)] = t
 		}
-		haveDep = len(cands) > 0 || len(kept) > 0
-		res.Rounds = round
+		haveDep = haveDep || len(cands) > 0
+		st.rounds = round
 
 		if truth.MaxAccuracyDeltaVec(acc, next) < cfg.Tol {
 			copy(acc, next)
-			res.Converged = true
+			st.converged = true
 			break
 		}
 		copy(acc, next)
 	}
-
-	res.Truth = &truth.Result{
-		Probs:     solver.ProbsMap(probs),
-		Accuracy:  solver.AccuracyMap(acc),
-		Rounds:    res.Rounds,
-		Converged: res.Converged,
-	}
-	res.Truth.PickChosen()
-	for pi := range deps {
-		res.dir.set(cands[pi].a, cands[pi].b, deps[pi].ProbAB, deps[pi].ProbBA)
-	}
-
-	// AllPairs: the kept subsequence is already in depLess order (it is an
-	// order-preserving filter of the predecessor's sorted AllPairs), so
-	// sorting only the rescored pairs and merging avoids the full-set sort;
-	// with nothing kept the rescored pairs are the result as they stand.
-	sortDeps(deps)
-	all := deps
-	if len(kept) > 0 {
-		all = make([]Dependence, 0, len(kept)+len(deps))
-		ki, di := 0, 0
-		for ki < len(kept) && di < len(deps) {
-			if depLess(&prev.AllPairs[kept[ki]], &deps[di]) {
-				all = append(all, prev.AllPairs[kept[ki]])
-				ki++
-			} else {
-				all = append(all, deps[di])
-				di++
-			}
-		}
-		for ; ki < len(kept); ki++ {
-			all = append(all, prev.AllPairs[kept[ki]])
-		}
-		all = append(all, deps[di:]...)
-	}
-	finishSortedPairs(res, all, cfg.DepThreshold)
-	return res
+	st.pairs = mergePairs(prev, srcOf, dirtySrc, fresh)
+	return st
 }
 
-// dirtySets returns a batch's sources as a mask over c's sources and its
-// objects as an ascending index list; nil, nil when everything is dirty.
-func dirtySets(c *dataset.Compiled, batch []model.Claim, all bool) ([]bool, []int32) {
+// carry fills st's vectors and table from prev, the state of the previous
+// epoch, and returns the map from prev's source indexes to st's (nil when
+// the batch added no source). What the batch did not grow is cloned; what it
+// did is re-indexed, its new sources at the prior. Posterior rows move
+// object by object, since a dirty object's row can change length; dirty rows
+// are left for round 1 to fill.
+func (st *State) carry(prev *State, dirtySrc, dirtyObj []bool, initialAccuracy float64) []int32 {
+	c, pc := st.c, prev.c
+	nS, nOld := c.NumSources(), pc.NumSources()
+	srcOf := grownIndex(nOld, nS, dirtySrc, func(i, j int) bool { return c.Source(i) == pc.Source(j) })
+	if srcOf == nil {
+		st.acc, st.tot = slices.Clone(prev.acc), slices.Clone(prev.tot)
+	} else {
+		st.acc = make([]float64, nS)
+		for i := range st.acc {
+			st.acc[i] = initialAccuracy
+		}
+		st.tot = make([]float64, nS*nS)
+		for j, i := range srcOf {
+			st.acc[i] = prev.acc[j]
+			for j2, i2 := range srcOf {
+				st.tot[int(i)*nS+int(i2)] = prev.tot[j*nOld+j2]
+			}
+		}
+	}
+	nOldObj := pc.NumObjects()
+	objOf := grownIndex(nOldObj, c.NumObjects(), dirtyObj, func(i, j int) bool { return c.Object(i) == pc.Object(j) })
+	st.probs = make([]float64, len(c.GroupValue))
+	for j := 0; j < nOldObj; j++ {
+		i := j
+		if objOf != nil {
+			i = int(objOf[j])
+		}
+		if !dirtyObj[i] {
+			copy(st.probs[c.GroupStart[i]:c.GroupStart[i+1]], prev.probs[pc.GroupStart[j]:pc.GroupStart[j+1]])
+		}
+	}
+	return srcOf
+}
+
+// grownIndex maps each index of a sorted interning table of nOld entries to
+// its index in the successor's table of nNew, or returns nil when the table
+// did not grow (the log is append-only, so equal sizes mean equal tables).
+// The old table is a subsequence of the new one and only the batch can have
+// named a new entry, so a clean new index is the next old one and only dirty
+// ones are compared — same(i, j) reports new[i] == old[j].
+func grownIndex(nOld, nNew int, dirty []bool, same func(i, j int) bool) []int32 {
+	if nOld == nNew {
+		return nil
+	}
+	newOf := make([]int32, nOld)
+	j := 0
+	for i := 0; i < nNew && j < nOld; i++ {
+		if !dirty[i] || same(i, j) {
+			newOf[j] = int32(i)
+			j++
+		}
+	}
+	return newOf
+}
+
+// mergePairs returns the successor's pair list: prev's pairs without a dirty
+// member, re-indexed through srcOf, merged with the rescored ones. Both are
+// in (a, b) order — srcOf is increasing — and disjoint.
+func mergePairs(prev *State, srcOf []int32, dirtySrc []bool, fresh []pairRec) []pairRec {
+	if prev == nil {
+		return fresh
+	}
+	kept := func(p *pairRec) bool {
+		if srcOf != nil {
+			p.a, p.b = srcOf[p.a], srcOf[p.b]
+		}
+		return !dirtySrc[p.a] && !dirtySrc[p.b]
+	}
+	nKept := 0
+	for _, p := range prev.pairs {
+		if kept(&p) {
+			nKept++
+		}
+	}
+	if nKept == 0 {
+		return fresh
+	}
+	all := make([]pairRec, 0, nKept+len(fresh))
+	fi := 0
+	for _, p := range prev.pairs {
+		if !kept(&p) {
+			continue
+		}
+		for fi < len(fresh) && comparePairs(fresh[fi], p) < 0 {
+			all = append(all, fresh[fi])
+			fi++
+		}
+		all = append(all, p)
+	}
+	return append(all, fresh[fi:]...)
+}
+
+// comparePairs is the order of State.pairs: by (a, b).
+func comparePairs(x, y pairRec) int {
+	if x.a != y.a {
+		return cmp.Compare(x.a, y.a)
+	}
+	return cmp.Compare(x.b, y.b)
+}
+
+// dirtySets returns a batch's sources and objects as masks over c's tables,
+// and the objects again as an ascending index list; all nil when everything
+// is dirty.
+func dirtySets(c *dataset.Compiled, batch []model.Claim, all bool) (dirtySrc, dirtyObj []bool, dirtyObjs []int32) {
 	if all {
-		return nil, nil
+		return nil, nil, nil
 	}
 	nO := c.NumObjects()
-	dirtySrc := make([]bool, c.NumSources())
-	dirtyObj := make([]bool, nO)
+	dirtySrc = make([]bool, c.NumSources())
+	dirtyObj = make([]bool, nO)
 	for _, cl := range batch {
 		if si, ok := c.SourceIndex(cl.Source); ok {
 			dirtySrc[si] = true
@@ -259,11 +400,11 @@ func dirtySets(c *dataset.Compiled, batch []model.Claim, all bool) ([]bool, []in
 			dirtyObj[oi] = true
 		}
 	}
-	dirtyObjs := make([]int32, 0, nO)
+	dirtyObjs = make([]int32, 0, nO)
 	for oi := 0; oi < nO; oi++ {
 		if dirtyObj[oi] {
 			dirtyObjs = append(dirtyObjs, int32(oi))
 		}
 	}
-	return dirtySrc, dirtyObjs
+	return dirtySrc, dirtyObj, dirtyObjs
 }

@@ -184,13 +184,10 @@ func ExecTrajectory(sess *session.Session, name, source, pair string, includeWin
 			}
 			pt.Accuracy = &acc
 		} else {
-			dep := hs.Dependence()
-			if dep == nil {
+			d, cf, cr, ok := hs.PairProbs(a, b)
+			if !ok {
 				return nil, fmt.Errorf("trajectory: epoch %d: discovery result unavailable", info.Epoch)
 			}
-			d := dep.DependenceProb(a, b)
-			cf := dep.CopyProb(a, b)
-			cr := dep.CopyProb(b, a)
 			pt.Dependence, pt.CopyForward, pt.CopyReverse = &d, &cf, &cr
 		}
 		resp.Points = append(resp.Points, pt)

@@ -15,8 +15,8 @@
 // planner — is released when it leaves the window. Every epoch stays
 // *addressable* in the dataset log (Dataset.At rebuilds it from the claim
 // prefix). AsOf for an epoch inside the window that has no retained session
-// materializes one lazily: it replays depen.Refine forward from the nearest
-// retained ancestor (or depen.Detect's log replay when none is retained),
+// materializes one lazily: it advances depen.Solve forward from the nearest
+// retained ancestor (or has it replay the log when none is retained),
 // exactly the pass sequence a live session ran through that epoch, so a
 // materialized historical session is bit-identical to the one that actually
 // served then (the invariant the as-of equivalence suites pin).
@@ -238,7 +238,7 @@ func (s *Session) TakeAllMapped() []*Session {
 
 // AsOf returns the session as it stood at the given epoch: the receiver for
 // the current epoch, a retained predecessor when one is in the window, and
-// otherwise a lazily materialized reconstruction — depen.Refine replayed
+// otherwise a lazily materialized reconstruction — depen.Solve advanced
 // forward from the nearest retained ancestor (or the log replayed from the
 // flat origin), the exact pass sequence the live chain ran, so the result
 // is bit-identical to the session that served that epoch. Epochs below the
@@ -265,8 +265,8 @@ func (s *Session) AsOf(epoch int) (*Session, error) {
 		h.mu.Unlock()
 		return hs, nil
 	}
-	// Nearest retained ancestor strictly below the target: its cached depen
-	// result seeds the forward replay.
+	// Nearest retained ancestor strictly below the target: its solve state
+	// seeds the forward replay.
 	var anc *Session
 	for _, e := range h.entries {
 		if e.DatasetEpoch() >= epoch {
@@ -294,8 +294,8 @@ func (s *Session) AsOf(epoch int) (*Session, error) {
 }
 
 // materializeEpoch rebuilds the serving session for epoch. With a retained
-// ancestor the cached result refines forward one batch at a time; without
-// one depen.Detect replays the log from the flat origin — either way the
+// ancestor its dense state advances one batch at a time; without one
+// depen.Solve replays the log from the flat origin — either way the
 // identical pass sequence a live session ran through that epoch.
 func (s *Session) materializeEpoch(epoch int, anc *Session) (*Session, error) {
 	if err := s.materialize(); err != nil {
@@ -305,29 +305,26 @@ func (s *Session) materializeEpoch(epoch int, anc *Session) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	var dep *depen.Result
+	var st *depen.State // nil replays target's log from the flat origin
 	if anc != nil {
 		if err := anc.materialize(); err != nil {
 			return nil, err
 		}
-		dep = anc.dep
-		for k := anc.DatasetEpoch() + 1; k <= epoch; k++ {
-			dk := target
-			if k < epoch { // At builds an index; the target's is built already
-				if dk, err = s.d.At(k); err != nil {
-					return nil, err
-				}
+		st = anc.solveState()
+		for k := anc.DatasetEpoch() + 1; k < epoch; k++ {
+			dk, err := s.d.At(k)
+			if err != nil {
+				return nil, err
 			}
-			if dep, err = depen.Refine(dk, dep, s.cfg.Depen); err != nil {
+			if st, err = depen.Solve(dk, st, s.cfg.Depen); err != nil {
 				return nil, err
 			}
 		}
-	} else {
-		if dep, err = depen.Detect(target, s.cfg.Depen); err != nil {
-			return nil, err
-		}
 	}
-	hs, err := newFromDep(target, s.cfg, dep)
+	if st, err = depen.Solve(target, st, s.cfg.Depen); err != nil {
+		return nil, err
+	}
+	hs, err := newSession(target, s.cfg, st, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -420,4 +417,24 @@ func (s *Session) AccuracyOf(src model.SourceID) (float64, bool) {
 		return 0, false
 	}
 	return s.acc[i], true
+}
+
+// PairProbs returns the posterior that a and b are dependent at this
+// session's epoch, and its two directions — P(a copies b), P(b copies a);
+// zeros for an unanalysed pair or a source the epoch does not have. A solved
+// session reads three cells of its directional table, so a trajectory over
+// retained epochs builds no Result view; a session decoded from a snapshot
+// keeps that table in its pair verdicts and materializes (ok is false when
+// that fails).
+func (s *Session) PairProbs(a, b model.SourceID) (dep, ab, ba float64, ok bool) {
+	if s.st != nil {
+		ab, ba = s.st.CopyProbs(a, b)
+		return ab + ba, ab, ba, true
+	}
+	r := s.Dependence()
+	if r == nil {
+		return 0, 0, 0, false
+	}
+	ab, ba = r.CopyProb(a, b), r.CopyProb(b, a)
+	return ab + ba, ab, ba, true
 }

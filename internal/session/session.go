@@ -10,8 +10,8 @@
 // series-of-queries argument: pay the index/derivation cost once, then
 // answer each query against cached state.
 //
-// Construction eagerly compiles the dataset's columnar index and runs
-// depen.Detect a single time. Everything the serving calls touch afterwards
+// Construction eagerly compiles the dataset's columnar index and runs the
+// depen solve a single time. Everything the serving calls touch afterwards
 // — the dense accuracy vector, the flat source×source dependence table, the
 // compiled query planner, the trust profiles — is immutable, so a single
 // Session serves AnswerObjects, Fuse, Link and RecommendSources calls from
@@ -104,18 +104,30 @@ func (c Config) Validate() error {
 // safe for concurrent calls.
 //
 // Two backends exist. An eager session (New, Append, LoadSnapshot) holds a
-// materialized Dataset and discovery result from the start. A mapped
-// session (snapshot v2) serves AnswerObjects straight from the mapped
-// compiled tables and lazily decodes the dataset and discovery result — on
-// the heap, never aliasing the mapping — the first time a call needs them
-// (Fuse, Link, Profiles, Append, Dataset, Dependence, Accuracy).
+// materialized Dataset from the start. A mapped session (snapshot v2) serves
+// AnswerObjects straight from the mapped compiled tables.
+//
+// AnswerObjects, Append and AsOf read only dense state, so three things are
+// built lazily, each once, by the first call that needs it: a mapped
+// session's cold sections (dataset, posteriors, pair verdicts — decoded onto
+// the heap, never aliasing the mapping; Fuse, Link, Profiles, Append,
+// Dataset, Dependence, Accuracy), the trust profiles (Profiles, Recommend*),
+// and, for a session that was solved rather than decoded, the depen.Result
+// view of its state — maps and 100k-odd named, sorted pairs that no append
+// or answer reads (Dependence, Accuracy, Fuse, Profiles, WriteSnapshot*).
 type Session struct {
 	d   *dataset.Dataset
 	cfg Config
-	dep *depen.Result
+	// st is the dense solve state of a session built by New, Append or AsOf,
+	// and dep the Result view of it, materialised by result(). A session
+	// decoded from a snapshot has the view (for a mapped one, once
+	// materialize has run) and no state; solveState imports one.
+	st      *depen.State
+	depOnce sync.Once
+	dep     *depen.Result
 	// acc is the dense per-source accuracy vector and depTab the flat
 	// source×source total dependence posterior, both in compiled source
-	// order. For mapped sessions both are zero-copy views into the mapping.
+	// order. They alias st's vectors, or for mapped sessions the mapping.
 	acc     []float64
 	depTab  []float64
 	planner *queryans.Planner
@@ -165,38 +177,42 @@ func New(d *dataset.Dataset, cfg Config) (*Session, error) {
 	if d.Len() == 0 {
 		return nil, errors.New("session: empty dataset")
 	}
-	dep, err := depen.Detect(d, cfg.Depen)
+	st, err := depen.Solve(d, nil, cfg.Depen)
 	if err != nil {
 		return nil, err
 	}
-	return newFromDep(d, cfg, dep)
+	return newSession(d, cfg, st, nil)
 }
 
-// newFromDep assembles the serving state from an existing discovery result
-// — the shared tail of New (which runs Detect) and LoadSnapshot (which
-// decodes a cached result instead). cfg must already be effective() and
-// validated, and d frozen and non-empty.
-func newFromDep(d *dataset.Dataset, cfg Config, dep *depen.Result) (*Session, error) {
-	c := d.Compiled()
-	nS := c.NumSources()
+// newSession assembles the serving state over a solve's dense state st, whose
+// vectors the serving tables alias — the shared tail of New, Append and AsOf
+// — or, with st nil, over a decoded discovery result dep (LoadSnapshot),
+// whose accuracies and totals are copied into dense form. cfg must already
+// be effective() and validated, and d frozen and non-empty.
+func newSession(d *dataset.Dataset, cfg Config, st *depen.State, dep *depen.Result) (*Session, error) {
 	s := &Session{
 		d:       d,
 		cfg:     cfg,
+		st:      st,
 		dep:     dep,
-		acc:     make([]float64, nS),
-		depTab:  make([]float64, nS*nS),
 		hist:    newHistory(cfg.RetainEpochs),
 		created: time.Now(),
 	}
-	for i := 0; i < nS; i++ {
-		s.acc[i] = dep.Truth.Accuracy[c.Source(i)]
-	}
-	// FillTotals copies the result's dense directional table straight into
-	// the serving table. Detect, Refine and ResultFromParts all build that
-	// table over d's own source list, so a mismatch means dep was not
-	// computed for d.
-	if !dep.FillTotals(c.SourceIDs(), s.depTab) {
-		return nil, errors.New("session: dependence result does not cover the dataset's sources")
+	if st != nil {
+		s.acc, s.depTab = st.Accuracy(), st.Totals()
+	} else {
+		c := d.Compiled()
+		nS := c.NumSources()
+		s.acc = make([]float64, nS)
+		for i := range s.acc {
+			s.acc[i] = dep.Truth.Accuracy[c.Source(i)]
+		}
+		// ResultFromParts builds the result's directional table over d's own
+		// source list, so a mismatch means dep was not computed for d.
+		s.depTab = make([]float64, nS*nS)
+		if !dep.FillTotals(c.SourceIDs(), s.depTab) {
+			return nil, errors.New("session: dependence result does not cover the dataset's sources")
+		}
 	}
 	qcfg := cfg.Query
 	qcfg.Accuracy = nil
@@ -209,14 +225,34 @@ func newFromDep(d *dataset.Dataset, cfg Config, dep *depen.Result) (*Session, er
 	return s, nil
 }
 
+// solveState returns the dense state a successor refines from: the session's
+// own, or for a session decoded from a snapshot one imported from the decoded
+// result. The session must be materialized.
+func (s *Session) solveState() *depen.State {
+	if s.st != nil {
+		return s.st
+	}
+	return s.dep.State(s.d.Compiled(), s.cfg.Depen)
+}
+
+// result returns the discovery result, building the view of a solved
+// session's state on first use. The session must be materialized.
+func (s *Session) result() *depen.Result {
+	if s.st != nil {
+		s.depOnce.Do(func() { s.dep = s.st.Result(s.cfg.Depen) })
+	}
+	return s.dep
+}
+
 // Append advances the session across one appended claim batch: it builds
-// the successor dataset (sharing the untouched structures), runs the
-// bounded delta recompute (depen.Refine) against this session's cached
-// result, and assembles a new serving Session. The receiver is not modified
-// and keeps serving — callers swap atomically once the new session is
-// ready. The returned session is bit-identical to New over the successor
-// dataset, because a from-scratch build replays the same log with the same
-// refinement passes (the equivalence the append suites pin).
+// the successor dataset, runs the bounded delta recompute (depen.Solve)
+// from this session's dense state to the successor's, and assembles a new
+// serving Session over it — no map or sorted pair list is built on the way.
+// The receiver is not modified and keeps serving — callers swap atomically
+// once the new session is ready. The returned session is bit-identical to
+// New over the successor dataset, because a from-scratch build replays the
+// same log with the same refinement passes (the equivalence the append
+// suites pin).
 //
 // The successor shares the receiver's epoch history spine: the receiver is
 // retained behind it (up to Config.RetainEpochs epochs deep) and stays
@@ -230,11 +266,11 @@ func (s *Session) Append(batch []model.Claim) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	dep2, err := depen.Refine(d2, s.dep, s.cfg.Depen)
+	st2, err := depen.Solve(d2, s.solveState(), s.cfg.Depen)
 	if err != nil {
 		return nil, err
 	}
-	next, err := newFromDep(d2, s.cfg, dep2)
+	next, err := newSession(d2, s.cfg, st2, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -255,24 +291,28 @@ func (s *Session) Dataset() *dataset.Dataset {
 	return s.d
 }
 
-// Dependence returns the cached discovery result, materializing it first
-// for a mapped session (nil on materialization failure). Callers must treat
-// it as read-only.
+// Dependence returns the discovery result. The first call per epoch
+// materialises it: a mapped session decodes its cold sections (nil on
+// failure), a solved one builds the view of its state — the sort of every
+// analysed pair an append no longer pays. Later calls return the same
+// Result; callers must treat it as read-only.
 func (s *Session) Dependence() *depen.Result {
 	if err := s.materialize(); err != nil {
 		return nil
 	}
-	return s.dep
+	return s.result()
 }
 
-// Accuracy returns the cached per-source accuracies, materializing first
-// for a mapped session (nil on failure). Callers must treat the map as
-// read-only.
+// Accuracy returns the per-source accuracies as Dependence().Truth.Accuracy,
+// materialising like Dependence on the first call per epoch (nil on
+// failure); AccuracyOf reads one source's without. Callers must treat the
+// map as read-only.
 func (s *Session) Accuracy() map[model.SourceID]float64 {
-	if err := s.materialize(); err != nil {
+	dep := s.Dependence()
+	if dep == nil {
 		return nil
 	}
-	return s.dep.Truth.Accuracy
+	return dep.Truth.Accuracy
 }
 
 // compiledView returns the compiled index the session serves from — the
@@ -387,7 +427,7 @@ func (s *Session) Fuse() (*fusion.Result, error) {
 		return nil, err
 	}
 	if s.cfg.Fusion.Strategy == fusion.DependenceAware {
-		return fusion.FuseWith(s.d, s.cfg.Fusion, s.dep)
+		return fusion.FuseWith(s.d, s.cfg.Fusion, s.result())
 	}
 	return fusion.Fuse(s.d, s.cfg.Fusion)
 }
@@ -411,7 +451,7 @@ func (s *Session) Profiles() []recommend.Profile {
 		return nil
 	}
 	s.profilesOnce.Do(func() {
-		s.profiles = recommend.BuildProfilesOpt(s.d, s.dep, s.cfg.Reports,
+		s.profiles = recommend.BuildProfilesOpt(s.d, s.result(), s.cfg.Reports,
 			recommend.Options{Parallelism: s.cfg.Parallelism})
 	})
 	return s.profiles

@@ -65,14 +65,15 @@ func (s *Session) WriteSnapshot(w io.Writer) error {
 	// Truth result: bookkeeping, dense accuracy vector (compiled source
 	// order), and per-object posterior entries (objects in compiled order,
 	// values in sorted order — the canonical iteration everywhere else).
-	tr := s.dep.Truth
+	dep := s.result()
+	tr := dep.Truth
 	enc.U32(uint32(tr.Rounds))
 	enc.Bool(tr.Converged)
 	for i := 0; i < c.NumSources(); i++ {
 		enc.F64(tr.Accuracy[c.Source(i)])
 	}
 	encodeTruthProbs(&enc, c, tr)
-	if err := encodePairs(&enc, c, s.dep.AllPairs); err != nil {
+	if err := encodePairs(&enc, c, dep.AllPairs); err != nil {
 		return err
 	}
 	return enc.Frame(w, SnapshotMagic, SnapshotVersion)
@@ -291,7 +292,7 @@ func LoadSnapshot(r io.Reader, cfg Config) (*Session, error) {
 
 	dep := assembleDep(c, acc, probs, pairs, pairA, pairB,
 		cfg.Depen.DepThreshold, rounds, converged)
-	return newFromDep(d, cfg, dep)
+	return newSession(d, cfg, nil, dep)
 }
 
 // decodeTruthProbs is the inverse of encodeTruthProbs: it rebuilds the

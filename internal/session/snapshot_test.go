@@ -42,8 +42,8 @@ func TestSnapshotRoundTripGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if !reflect.DeepEqual(got.Dependence(), s.Dependence()) {
-		t.Fatal("depen.Result differs after snapshot round trip")
+	if err := viewDiff(got.Dependence(), s.Dependence()); err != nil {
+		t.Fatalf("depen.Result differs after snapshot round trip: %v", err)
 	}
 	if !reflect.DeepEqual(got.Dataset().Claims(), s.Dataset().Claims()) {
 		t.Fatal("dataset claims differ after snapshot round trip")
@@ -114,8 +114,8 @@ func TestSnapshotRoundTripWithKnownAndSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Dependence(), s.Dependence()) {
-		t.Fatal("depen.Result differs with Known pin")
+	if err := viewDiff(got.Dependence(), s.Dependence()); err != nil {
+		t.Fatalf("depen.Result differs with Known pin: %v", err)
 	}
 	if got.Dependence().Truth.Chosen[obj] != "value-nobody-asserts" {
 		t.Fatal("inline Known value lost in round trip")
@@ -340,7 +340,7 @@ func TestResultFromPartsMatchesDetect(t *testing.T) {
 	// nil index slices exercise the lookup fallback path.
 	rebuilt := depen.ResultFromParts(tr, d.Sources(), dep.AllPairs, nil, nil,
 		DefaultConfig().Depen.DepThreshold, dep.Rounds, dep.Converged)
-	if !reflect.DeepEqual(rebuilt, dep) {
-		t.Fatal("ResultFromParts does not reproduce Detect's result")
+	if err := viewDiff(rebuilt, dep); err != nil {
+		t.Fatalf("ResultFromParts does not reproduce Detect's result: %v", err)
 	}
 }

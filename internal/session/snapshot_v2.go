@@ -71,7 +71,8 @@ func (s *Session) WriteSnapshotV2(w io.Writer) error {
 	sw.Add(secAcc, snapio.F64Bytes(s.acc))
 	sw.Add(secDepTab, snapio.F64Bytes(s.depTab))
 
-	tr := s.dep.Truth
+	dep := s.result()
+	tr := dep.Truth
 	var meta snapio.Writer
 	meta.U32(SnapshotVersion) // fingerprint field-list version
 	meta.U32(uint32(tr.Rounds))
@@ -88,7 +89,7 @@ func (s *Session) WriteSnapshotV2(w io.Writer) error {
 	sw.Add(secTruth, truthEnc.Payload())
 
 	var pairsEnc snapio.Writer
-	if err := encodePairs(&pairsEnc, c, s.dep.AllPairs); err != nil {
+	if err := encodePairs(&pairsEnc, c, dep.AllPairs); err != nil {
 		return err
 	}
 	sw.Add(secPairs, pairsEnc.Payload())

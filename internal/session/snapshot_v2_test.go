@@ -84,8 +84,8 @@ func TestSnapshotV2MaterializeGolden(t *testing.T) {
 	}
 	defer v2.Close()
 
-	if !reflect.DeepEqual(v2.Dependence(), s.Dependence()) {
-		t.Fatal("depen.Result differs after v2 materialization")
+	if err := viewDiff(v2.Dependence(), s.Dependence()); err != nil {
+		t.Fatalf("depen.Result differs after v2 materialization: %v", err)
 	}
 	if !reflect.DeepEqual(v2.Dataset().Claims(), s.Dataset().Claims()) {
 		t.Fatal("dataset claims differ after v2 materialization")
@@ -263,8 +263,8 @@ func TestSnapshotV2MaterializeSurvivesClose(t *testing.T) {
 	if err := v2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(v2.Dependence(), s.Dependence()) {
-		t.Fatal("discovery state did not survive Close")
+	if err := viewDiff(v2.Dependence(), s.Dependence()); err != nil {
+		t.Fatalf("discovery state did not survive Close: %v", err)
 	}
 	if !reflect.DeepEqual(v2.Dataset().Claims(), s.Dataset().Claims()) {
 		t.Fatal("dataset did not survive Close")
