@@ -192,20 +192,22 @@ func BenchmarkDetectParallel(b *testing.B)   { benchmarkDetect(b, 0) }
 // worlds and configuration) to what it allocated before the flat solve
 // became the incremental one started from nothing: the predecessor
 // bookkeeping — dirty sets, kept-pair table, merged pair slice — must cost a
-// flat solve nothing. The ceilings were lowered once since (337 / 6.26 MB,
-// 317 / 69.1 MB, 316 / 345 MB): the overlap arrays reserve by doubling, and
-// that pays several times over for the pair records a solve now keeps next
-// to the named pairs of its Result. Allocation counts are exact; bytes get
-// 0.1% for runtime noise, a third of the smallest table that could creep
-// back in.
+// flat solve nothing. The ceilings were lowered twice since (337 / 6.26 MB,
+// 317 / 69.1 MB, 316 / 345 MB, then 285, 247, 231 allocations): the overlap
+// arrays reserve by doubling, and that pays several times over for the pair
+// records a solve now keeps next to the named pairs of its Result; and the
+// workers' scratch is allocated once per solve instead of once per round and
+// step, which pays for the discount kernel's two rank arrays and two more
+// scratch slices. Allocation counts are exact; bytes get 0.1% for runtime
+// noise, a third of the smallest table that could creep back in.
 func TestDetectFlatAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts differ under -race")
 	}
 	ceilings := map[int]struct{ allocs, bytes float64 }{
-		50:  {285, 2793712},
-		200: {247, 49245936},
-		500: {231, 253980192},
+		50:  {276, 2792552},
+		200: {238, 49237896},
+		500: {222, 253975304},
 	}
 	for _, sz := range benchSizes {
 		if testing.Short() && !sz.short {
@@ -377,8 +379,9 @@ func BenchmarkAppendWide(b *testing.B) {
 // TestAppendWideBytes holds what BenchmarkAppendWide's appends allocate
 // (median of 5). A source-major append used to allocate 33.6 MB, most of it a
 // merged AllPairs of 150 975 named pairs and two more S² tables; advancing
-// dense state to dense state it is 16.5 MB: the pair records (8.5), the
-// dataset stage (2.7), the totals table (2.4) and the dirty pairs' overlaps.
+// dense state to dense state it is 16.7 MB: the pair records (8.7 — the merged
+// list is sized before the superseded records are counted), the dataset
+// stage (2.7), the totals table (2.4) and the dirty pairs' overlaps.
 // An object-major one rescores every pair, then (351 MB) as now (240 MB, the
 // overlap arrays no longer regrown a quarter at a time); its ceiling is that
 // plus a tenth.

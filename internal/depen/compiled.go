@@ -4,9 +4,10 @@
 // dataset.Compiled: candidate overlaps become flat int32 slices built by
 // merge-joining the per-source claim lists, the directional posteriors
 // become a flat source×source table, and the per-object discount factors
-// are ranked once per (group, round) over dense accuracy vectors. Iteration
-// and summation orders match the reference exactly, so results are
-// bit-identical (enforced by the golden equivalence tests).
+// come from one ranking of the sources per round and a column-wise product
+// per value group. Iteration, summation and product orders match the
+// reference exactly, so results are bit-identical (enforced by the golden
+// equivalence tests and TestFillFactorsMatchOracle).
 package depen
 
 import (
@@ -32,13 +33,20 @@ type overlaps struct {
 }
 
 // depenScratch is one worker's buffers for both the per-object truth step
-// (score + rank + discount factors) and the per-pair Bayes step.
+// (score + discount factors) and the per-pair Bayes step.
 type depenScratch struct {
-	ds   *truth.DenseScratch
-	rank []int32
-	fac  []float64
-	logs [3]float64
-	post [3]float64
+	ds     *truth.DenseScratch
+	keys   []uint64 // fillFactorsDense's four: the largest value group long
+	ord    []int32
+	f, fac []float64
+	logs   [3]float64
+	post   [3]float64
+}
+
+func newDepenScratch(solver *truth.DenseSolver) *depenScratch {
+	k := solver.Compiled().MaxSourcesPerGroup()
+	return &depenScratch{ds: solver.NewScratch(), keys: make([]uint64, k), ord: make([]int32, k),
+		f: make([]float64, k), fac: make([]float64, k)}
 }
 
 // buildCandidates merge-joins the sorted claim lists of every source pair
@@ -100,52 +108,65 @@ func buildCandidates(c *dataset.Compiled, minShared int, dirtySrc []bool) ([]pai
 	return cands, ov
 }
 
-// fillFactorsDense mirrors discountTable.fillFactors: rank the group's
-// sources by (accuracy desc, index asc) and charge each one the probability
-// it did not copy from any higher-ranked source. The returned factors are
-// positioned to match srcs (the group's ascending-id order).
-func fillFactorsDense(srcs []int32, acc, depTab []float64, nS int, copyRate float64,
-	sc *depenScratch) []float64 {
-	k := len(srcs)
-	rank := sc.rank[:k]
-	for i := range rank {
-		rank[i] = int32(i)
+// fillFactorsDense is discountTable.fillFactors over the dense view: rank the
+// group's sources by (accuracy desc, index asc) — by pos, the round's global
+// rank — and charge each one the probability it did not copy from any
+// higher-ranked source. The factors come back positioned to match srcs.
+// The product runs column-wise: each ranked source q in turn scales every
+// lower-ranked f[r] by 1 − c·min(dep(q, r), 1), four q to one load and store
+// of f[r]. Every f[r] still takes its factors in the order q = 0 … r−1 — the
+// reference's operations in its order, so its bits — but the inner iterations
+// are independent instead of one chain of multiplies per source. The cell
+// read, tot[q's row][r's column], is the transpose of the reference's: tot is
+// symmetric, both cells of a pair always being written together (refine,
+// carry, Result.State; TestTotalsSymmetric).
+func fillFactorsDense(srcs, pos []int32, tot []float64, copyRate float64, sc *depenScratch) []float64 {
+	k, nS := len(srcs), len(pos)
+	keys, ord, f, fac := sc.keys[:k], sc.ord[:k], sc.f[:k], sc.fac[:k]
+	for p, s := range srcs {
+		keys[p] = uint64(pos[s])<<32 | uint64(p)
 	}
-	// Insertion sort: the comparator is a strict total order (ids are
-	// distinct), so any comparison sort yields the reference permutation.
-	for i := 1; i < k; i++ {
-		r := rank[i]
-		j := i - 1
-		for j >= 0 {
-			p, q := r, rank[j]
-			ap, aq := acc[srcs[p]], acc[srcs[q]]
-			if ap != aq {
-				if !(ap > aq) {
-					break
-				}
-			} else if !(srcs[p] < srcs[q]) {
-				break
-			}
-			rank[j+1] = rank[j]
-			j--
-		}
-		rank[j+1] = r
+	slices.Sort(keys)
+	for r, key := range keys {
+		ord[r] = srcs[uint32(key)]
+		f[r] = 1
 	}
-	fac := sc.fac[:k]
-	for r := 0; r < k; r++ {
-		p := rank[r]
-		f := 1.0
-		base := int(srcs[p]) * nS
-		for q := 0; q < r; q++ {
-			dep := depTab[base+int(srcs[rank[q]])]
-			if dep > 1 {
-				dep = 1
+	row := func(q int) []float64 { return tot[int(ord[q])*nS:][:nS] }
+	for q := 0; q < k; q += 4 {
+		// The block's own triangle, then everything ranked below it.
+		hi := min(q+4, k)
+		for i := q; i < hi; i++ {
+			ri := row(i)
+			for r := i + 1; r < hi; r++ {
+				f[r] *= indep(ri, ord[r], copyRate)
 			}
-			f *= 1 - copyRate*dep
 		}
-		fac[p] = f
+		if hi == k {
+			break
+		}
+		r0, r1, r2, r3 := row(q), row(q+1), row(q+2), row(q+3)
+		for r := hi; r < k; r++ {
+			s, x := ord[r], f[r]
+			x *= indep(r0, s, copyRate)
+			x *= indep(r1, s, copyRate)
+			x *= indep(r2, s, copyRate)
+			x *= indep(r3, s, copyRate)
+			f[r] = x
+		}
+	}
+	for r, key := range keys {
+		fac[uint32(key)] = f[r]
 	}
 	return fac
+}
+
+// indep is 1 − c·min(dep, 1) for the cell of source s in a row of totals.
+func indep(row []float64, s int32, copyRate float64) float64 {
+	dep := row[s]
+	if dep > 1 {
+		dep = 1
+	}
+	return 1 - copyRate*dep
 }
 
 // scoreObjectDiscounted is truth.ScoreValues with the dependence discount
@@ -153,19 +174,18 @@ func fillFactorsDense(srcs []int32, acc, depTab []float64, nS int, copyRate floa
 // independence factor, in ascending source order. Without any verdict to
 // discount by (haveDep false) every factor is exactly 1 and the score is
 // the plain vote sum.
-func scoreObjectDiscounted(solver *truth.DenseSolver, oi int, weights, acc, depTab []float64,
-	haveDep bool, copyRate float64, sc *depenScratch) []float64 {
+func scoreObjectDiscounted(solver *truth.DenseSolver, oi int, weights []float64, pos []int32,
+	depTab []float64, haveDep bool, copyRate float64, sc *depenScratch) []float64 {
 	if !haveDep {
 		return solver.ScoreObject(oi, weights, sc.ds)
 	}
 	c := solver.Compiled()
 	gs, ge := c.GroupStart[oi], c.GroupStart[oi+1]
 	scores := sc.ds.Scores(int(ge - gs))
-	nS := c.NumSources()
 	for k := range scores {
 		g := gs + int32(k)
 		srcs := c.GroupSrc[c.GroupSrcStart[g]:c.GroupSrcStart[g+1]]
-		fac := fillFactorsDense(srcs, acc, depTab, nS, copyRate, sc)
+		fac := fillFactorsDense(srcs, pos, depTab, copyRate, sc)
 		var cum float64
 		for p, si := range srcs {
 			cum += weights[si] * fac[p]

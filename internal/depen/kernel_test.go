@@ -1,0 +1,282 @@
+package depen
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"sourcecurrents/internal/dataset"
+	"sourcecurrents/internal/model"
+	"sourcecurrents/internal/synth"
+	"sourcecurrents/internal/truth"
+)
+
+// TestFillFactorsMatchOracle holds the discount kernel to the reference
+// product loop (discountTable.fillFactors) bit for bit on groups the seeded
+// worlds of the differential suite never reach: sizes on both sides of every
+// block boundary and one as large as the wide world's, accuracy ties (broken
+// by index), and cells that are exactly 0, exactly 1, and above 1 (clamped).
+// Bystanders voting another value sit between the members in index order, so
+// a group's positions and its sources' indexes differ.
+func TestFillFactorsMatchOracle(t *testing.T) {
+	const copyRate = 0.8
+	o := model.ObjectID{Entity: "e", Attribute: "a"}
+	for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 9, 64, 431} {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed*1000 + int64(k)))
+			nS := k + 1 + k/3
+			member := make([]bool, nS)
+			for _, i := range rng.Perm(nS)[:k] {
+				member[i] = true
+			}
+			var claims []model.Claim
+			for i := 0; i < nS; i++ {
+				v := "other"
+				if member[i] {
+					v = "v"
+				}
+				claims = append(claims, model.NewClaim(model.SourceID(fmt.Sprintf("S%04d", i)), o, v))
+			}
+			d, err := dataset.FromClaims(claims)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := d.Compiled()
+
+			// Accuracies from a pool of a few values, so ties are the rule; the
+			// two directions of every pair drawn apart, so totals reach 2.
+			acc := make([]float64, nS)
+			accOf := map[model.SourceID]float64{}
+			for i := range acc {
+				acc[i] = 0.5 + 0.1*float64(rng.Intn(4))
+				accOf[c.Source(i)] = acc[i]
+			}
+			tot := make([]float64, nS*nS)
+			dir := map[model.SourceID]map[model.SourceID]float64{}
+			draw := func() float64 {
+				switch rng.Intn(5) {
+				case 0:
+					return 0
+				case 1:
+					return 1
+				default:
+					return rng.Float64()
+				}
+			}
+			for i := 0; i < nS; i++ {
+				for j := i + 1; j < nS; j++ {
+					ab, ba := draw(), draw()
+					if rng.Intn(3) == 0 {
+						ba = 0 // a total of exactly 0 or exactly 1 now and then
+					}
+					setDir(dir, c.Source(i), c.Source(j), ab)
+					setDir(dir, c.Source(j), c.Source(i), ba)
+					tot[i*nS+j], tot[j*nS+i] = ab+ba, ab+ba
+				}
+			}
+
+			want := map[model.SourceID]float64{}
+			makeDiscount(d, accOf, dir, copyRate).fillFactors(o, "v", want)
+
+			vi, _ := c.ValueIndex("v")
+			g := slices.Index(c.GroupValue, vi)
+			srcs := c.GroupSrc[c.GroupSrcStart[g]:c.GroupSrcStart[g+1]]
+			if len(srcs) != k || len(want) != k {
+				t.Fatalf("k=%d: group has %d sources, oracle %d", k, len(srcs), len(want))
+			}
+			order, pos := make([]int32, nS), make([]int32, nS)
+			rankSources(acc, order, pos)
+			sc := newDepenScratch(truth.NewDenseSolver(c, truth.DefaultConfig()))
+			got := fillFactorsDense(srcs, pos, tot, copyRate, sc)
+			for p, si := range srcs {
+				if w := want[c.Source(int(si))]; math.Float64bits(got[p]) != math.Float64bits(w) {
+					t.Fatalf("k=%d seed=%d: factor of %s (position %d, rank %d) = %v, oracle %v",
+						k, seed, c.Source(int(si)), p, pos[si], got[p], w)
+				}
+			}
+		}
+	}
+}
+
+// checkDense asserts what the discount kernel leans on in a state: the
+// totals table is symmetric bit for bit (the kernel reads the transposed
+// cell), and every accuracy is finite (rankSources' order is total).
+func checkDense(t *testing.T, what string, st *State) {
+	t.Helper()
+	nS := st.c.NumSources()
+	for i := 0; i < nS; i++ {
+		if a := st.acc[i]; math.IsNaN(a) || math.IsInf(a, 0) {
+			t.Fatalf("%s: accuracy of source %d is %v", what, i, a)
+		}
+		for j := i + 1; j < nS; j++ {
+			if math.Float64bits(st.tot[i*nS+j]) != math.Float64bits(st.tot[j*nS+i]) {
+				t.Fatalf("%s: tot[%d][%d] = %v but tot[%d][%d] = %v", what, i, j, st.tot[i*nS+j], j, i, st.tot[j*nS+i])
+			}
+		}
+	}
+}
+
+// imported returns st as a snapshot-loaded session's first append meets it:
+// its Result view stripped of the state and imported back over c.
+func imported(st *State, c *dataset.Compiled, cfg Config) *State {
+	view := *st.Result(cfg)
+	view.st = nil
+	return view.State(c, cfg)
+}
+
+// TestTotalsSymmetric walks the differential suite's worlds and append
+// schedules — batches that add sources, so the table is re-indexed by carry,
+// included — and checks every epoch's state, the state imported from its
+// Result, and the successor refined from that import.
+//
+// On the same walk it holds mergePairs to mergePairsRef, the two-pass
+// record-by-record merge it replaced: the inputs of every epoch's merge are
+// recovered from its output and merged again both ways.
+func TestTotalsSymmetric(t *testing.T) {
+	seeds := 32
+	if testing.Short() {
+		seeds = 4
+	}
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		dc := newDiffCase(t, seed)
+		cur, err := dataset.FromClaims(dc.base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := Solve(cur, nil, dc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDense(t, fmt.Sprintf("seed %d, flat", seed), st)
+		for e, batch := range dc.batches {
+			what := fmt.Sprintf("seed %d, epoch %d", seed, e+1)
+			prev := st
+			if cur, err = cur.Append(batch); err != nil {
+				t.Fatal(err)
+			}
+			if st, err = Solve(cur, prev, dc.cfg); err != nil {
+				t.Fatal(err)
+			}
+			checkDense(t, what, st)
+			checkDense(t, what+", imported", imported(st, cur.Compiled(), dc.cfg))
+			viaImport, err := Solve(cur, imported(prev, cur.Compiled(), dc.cfg), dc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkDense(t, what+", refined from an import", viaImport)
+
+			c := cur.Compiled()
+			dirtySrc, _, _ := dirtySets(c, batch, false)
+			srcOf := grownIndex(prev.c.NumSources(), c.NumSources(), dirtySrc,
+				func(i, j int) bool { return c.Source(i) == prev.c.Source(j) })
+			var fresh []pairRec
+			for _, p := range st.pairs {
+				if dirtySrc[p.a] || dirtySrc[p.b] {
+					fresh = append(fresh, p)
+				}
+			}
+			want := mergePairsRef(prev, srcOf, dirtySrc, fresh)
+			if got := mergePairs(prev, srcOf, dirtySrc, fresh); !slices.Equal(got, want) || !slices.Equal(got, st.pairs) {
+				t.Fatalf("%s: mergePairs differs from the reference merge (%d, %d, %d records)",
+					what, len(got), len(want), len(st.pairs))
+			} else if slack := cap(got) - len(got); len(got) > len(fresh) && slack > len(fresh) {
+				t.Fatalf("%s: merged list carries %d records of slack, %d fresh", what, slack, len(fresh))
+			}
+		}
+	}
+}
+
+// mergePairsRef is mergePairs as it was: count the kept records, then merge
+// them with the fresh ones one comparison and one copy at a time.
+func mergePairsRef(prev *State, srcOf []int32, dirtySrc []bool, fresh []pairRec) []pairRec {
+	kept := func(p *pairRec) bool {
+		if srcOf != nil {
+			p.a, p.b = srcOf[p.a], srcOf[p.b]
+		}
+		return !dirtySrc[p.a] && !dirtySrc[p.b]
+	}
+	nKept := 0
+	for _, p := range prev.pairs {
+		if kept(&p) {
+			nKept++
+		}
+	}
+	if nKept == 0 {
+		return fresh
+	}
+	all := make([]pairRec, 0, nKept+len(fresh))
+	fi := 0
+	for _, p := range prev.pairs {
+		if !kept(&p) {
+			continue
+		}
+		for fi < len(fresh) && comparePairs(fresh[fi], p) < 0 {
+			all = append(all, fresh[fi])
+			fi++
+		}
+		all = append(all, p)
+	}
+	return append(all, fresh[fi:]...)
+}
+
+// wideWorld is the shape bench/ calls wide and the root package's
+// benchSnapshotWorld(500, 30) generates: 500 independents with accuracies
+// spread over 0.55-0.95, one copier per ten, 30 objects.
+func wideWorld(tb testing.TB) *dataset.Dataset {
+	accs := make([]float64, 500)
+	for i := range accs {
+		accs[i] = 0.55 + 0.4*float64(i%9)/8
+	}
+	var copiers []synth.CopierSpec
+	for i := 0; i < 50; i++ {
+		copiers = append(copiers, synth.CopierSpec{MasterIndex: i, CopyRate: 0.8, OwnAcc: 0.6})
+	}
+	sw, err := synth.GenerateSnapshot(synth.SnapshotConfig{
+		Seed: 500*31 + 30, NObjects: 30, IndependentAcc: accs, Copiers: copiers, FalsePool: 5,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sw.Dataset
+}
+
+var benchScores []float64 // keeps the benchmarked call's result live
+
+// BenchmarkTruthStepWide times the truth step of one discounted round over
+// the wide world's 30 objects — the objects a source-major append dirties,
+// and half of what it spends — on one core, from the world's solved state:
+// rank the sources, then score every value group of every object. ns/mul
+// divides by the discount's multiplies, Σ k(k−1)/2 over the groups (2 587 302).
+func BenchmarkTruthStepWide(b *testing.B) {
+	d := wideWorld(b)
+	cfg := DefaultConfig()
+	cfg.Parallelism = 1
+	st, err := Solve(d, nil, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := d.Compiled()
+	solver := truth.NewDenseSolver(c, cfg.Truth)
+	nS := c.NumSources()
+	weights := make([]float64, nS)
+	solver.FillWeights(st.acc, weights)
+	order, pos := make([]int32, nS), make([]int32, nS)
+	sc := newDepenScratch(solver)
+	var muls int
+	for g := range c.GroupValue {
+		k := int(c.GroupSrcStart[g+1] - c.GroupSrcStart[g])
+		muls += k * (k - 1) / 2
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rankSources(st.acc, order, pos)
+		for oi := 0; oi < c.NumObjects(); oi++ {
+			benchScores = scoreObjectDiscounted(solver, oi, weights, pos, st.tot, true, cfg.CopyRate, sc)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(muls), "ns/mul")
+	b.ReportMetric(float64(muls), "muls/op")
+}

@@ -10,6 +10,8 @@
 // when the batch grew a table), then, for a batch that marks a set of sources
 // and objects dirty, each round
 //
+//   - ranks the sources once, by (accuracy desc, index asc): the vote
+//     discount's order within any value group is that one order, restricted,
 //   - rescores only the dirty objects' posteriors (untouched objects keep
 //     their converged rows),
 //   - re-estimates every source's accuracy over the full posterior vector
@@ -55,6 +57,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"sourcecurrents/internal/dataset"
 	"sourcecurrents/internal/engine"
@@ -164,6 +167,7 @@ func Refine(d *dataset.Dataset, prev *Result, cfg Config) (*Result, error) {
 func refine(d *dataset.Dataset, prev *State, cfg Config) *State {
 	c := d.Compiled()
 	solver := truth.NewDenseSolver(c, cfg.Truth)
+	eng := cfg.Engine()
 	nS := c.NumSources()
 	nO := c.NumObjects()
 
@@ -211,18 +215,23 @@ func refine(d *dataset.Dataset, prev *State, cfg Config) *State {
 
 	weights := make([]float64, nS)
 	next := make([]float64, nS)
-	maxGroupSrc := c.MaxSourcesPerGroup()
-	newScratch := func() *depenScratch {
-		return &depenScratch{
-			ds:   solver.NewScratch(),
-			rank: make([]int32, maxGroupSrc),
-			fac:  make([]float64, maxGroupSrc),
-		}
+	// Allocated once per solve: every ForNScratch call hands out the same scratch.
+	order, pos := make([]int32, nS), make([]int32, nS)
+	scratch := make([]*depenScratch, eng.WorkerCount())
+	var taken atomic.Int32
+	forN := func(n int, step func(int, *depenScratch)) {
+		taken.Store(0)
+		engine.ForNScratch(eng, n, func() *depenScratch {
+			i := taken.Add(1) - 1
+			if scratch[i] == nil {
+				scratch[i] = newDepenScratch(solver)
+			}
+			return scratch[i]
+		}, step)
 	}
 	logPrior := [3]float64{
 		math.Log(1 - cfg.Alpha), math.Log(cfg.Alpha / 2), math.Log(cfg.Alpha / 2),
 	}
-	eng := cfg.Engine()
 
 	// The two per-item steps of a round, built once: they read acc, next,
 	// probs, depTab and haveDep as the rounds update them.
@@ -236,7 +245,7 @@ func refine(d *dataset.Dataset, prev *State, cfg Config) *State {
 			copy(row, kr)
 			return
 		}
-		scores := scoreObjectDiscounted(solver, oi, weights, acc, depTab, haveDep, cfg.CopyRate, sc)
+		scores := scoreObjectDiscounted(solver, oi, weights, pos, depTab, haveDep, cfg.CopyRate, sc)
 		solver.FinishObject(oi, scores, row, sc.ds)
 	}
 	pairStep := func(pi int, sc *depenScratch) {
@@ -247,7 +256,8 @@ func refine(d *dataset.Dataset, prev *State, cfg Config) *State {
 		// Truth step over the dirty objects, with dependence discounts from
 		// the previous round.
 		solver.FillWeights(acc, weights)
-		engine.ForNScratch(eng, nDirtyObj, newScratch, truthStep)
+		rankSources(acc, order, pos)
+		forN(nDirtyObj, truthStep)
 
 		// Accuracy step over every source: untouched sources recompute the
 		// same sums from unchanged rows, so this keeps the global coupling
@@ -255,7 +265,7 @@ func refine(d *dataset.Dataset, prev *State, cfg Config) *State {
 		solver.UpdateAccuracy(eng, probs, next)
 
 		// Dependence step over the dirty pairs, in their canonical order.
-		engine.ForNScratch(eng, len(cands), newScratch, pairStep)
+		forN(len(cands), pairStep)
 		for pi := range fresh {
 			p := &fresh[pi]
 			t := p.probAB + p.probBA
@@ -274,6 +284,23 @@ func refine(d *dataset.Dataset, prev *State, cfg Config) *State {
 	}
 	st.pairs = mergePairs(prev, srcOf, dirtySrc, fresh)
 	return st
+}
+
+// rankSources fills order with the source indexes by (accuracy desc, index
+// asc) — a strict total order — and pos with its inverse: pos[s] is s's rank.
+func rankSources(acc []float64, order, pos []int32) {
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(i, j int32) int {
+		if byAcc := cmp.Compare(acc[j], acc[i]); byAcc != 0 {
+			return byAcc
+		}
+		return cmp.Compare(i, j)
+	})
+	for r, s := range order {
+		pos[s] = int32(r)
+	}
 }
 
 // carry fills st's vectors and table from prev, the state of the previous
@@ -339,38 +366,43 @@ func grownIndex(nOld, nNew int, dirty []bool, same func(i, j int) bool) []int32 
 
 // mergePairs returns the successor's pair list: prev's pairs without a dirty
 // member, re-indexed through srcOf, merged with the rescored ones. Both are
-// in (a, b) order — srcOf is increasing — and disjoint.
+// in (a, b) order — srcOf is increasing — and disjoint. One pass: the kept
+// records are copied a run at a time, a run ending where one is dropped or
+// fresh ones sort in, into a list sized before the dropped are counted.
 func mergePairs(prev *State, srcOf []int32, dirtySrc []bool, fresh []pairRec) []pairRec {
-	if prev == nil {
+	if prev == nil || len(prev.pairs) == 0 || !slices.Contains(dirtySrc, false) { // nothing to keep
 		return fresh
 	}
-	kept := func(p *pairRec) bool {
+	old := prev.pairs
+	all := make([]pairRec, 0, len(old)+len(fresh))
+	fi, lo := 0, 0
+	keep := func(hi int) { // the kept run old[lo:hi]
+		n := len(all)
+		all = append(all, old[lo:hi]...)
+		for i := n; srcOf != nil && i < len(all); i++ {
+			all[i].a, all[i].b = srcOf[all[i].a], srcOf[all[i].b]
+		}
+	}
+	for i := range old {
+		a, b := old[i].a, old[i].b
 		if srcOf != nil {
-			p.a, p.b = srcOf[p.a], srcOf[p.b]
+			a, b = srcOf[a], srcOf[b]
 		}
-		return !dirtySrc[p.a] && !dirtySrc[p.b]
-	}
-	nKept := 0
-	for _, p := range prev.pairs {
-		if kept(&p) {
-			nKept++
+		dropped := dirtySrc[a] || dirtySrc[b]
+		fj := fi
+		for !dropped && fj < len(fresh) && (fresh[fj].a < a || fresh[fj].a == a && fresh[fj].b < b) {
+			fj++
+		}
+		if dropped || fj > fi {
+			keep(i)
+			all = append(all, fresh[fi:fj]...)
+			fi, lo = fj, i
+			if dropped {
+				lo++
+			}
 		}
 	}
-	if nKept == 0 {
-		return fresh
-	}
-	all := make([]pairRec, 0, nKept+len(fresh))
-	fi := 0
-	for _, p := range prev.pairs {
-		if !kept(&p) {
-			continue
-		}
-		for fi < len(fresh) && comparePairs(fresh[fi], p) < 0 {
-			all = append(all, fresh[fi])
-			fi++
-		}
-		all = append(all, p)
-	}
+	keep(len(old))
 	return append(all, fresh[fi:]...)
 }
 

@@ -114,7 +114,7 @@ func (c Config) Validate() error {
 // Dataset, Dependence, Accuracy), the trust profiles (Profiles, Recommend*),
 // and, for a session that was solved rather than decoded, the depen.Result
 // view of its state — maps and 100k-odd named, sorted pairs that no append
-// or answer reads (Dependence, Accuracy, Fuse, Profiles, WriteSnapshot*).
+// or answer reads (Dependence, Fuse, Profiles, WriteSnapshot*).
 type Session struct {
 	d   *dataset.Dataset
 	cfg Config
@@ -303,11 +303,18 @@ func (s *Session) Dependence() *depen.Result {
 	return s.result()
 }
 
-// Accuracy returns the per-source accuracies as Dependence().Truth.Accuracy,
-// materialising like Dependence on the first call per epoch (nil on
-// failure); AccuracyOf reads one source's without. Callers must treat the
-// map as read-only.
+// Accuracy returns the per-source accuracies, as Dependence().Truth.Accuracy:
+// a solved session builds the map from its dense vector on each call, without
+// the Result view; a decoded one returns its result's, materialising like
+// Dependence (nil on failure). Callers must treat the map as read-only.
 func (s *Session) Accuracy() map[model.SourceID]float64 {
+	if s.st != nil {
+		c, acc := s.d.Compiled(), make(map[model.SourceID]float64, len(s.acc))
+		for i, a := range s.acc {
+			acc[c.Source(i)] = a
+		}
+		return acc
+	}
 	dep := s.Dependence()
 	if dep == nil {
 		return nil

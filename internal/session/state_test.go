@@ -324,3 +324,40 @@ func TestStateViewConcurrentFirstRead(t *testing.T) {
 		t.Fatal("Dependence built its view twice")
 	}
 }
+
+// TestAccuracyReadsDenseVector: Accuracy on a solved session — a fresh
+// successor, and an as-of epoch behind it — is its dense accuracy vector by
+// name. It does not build the Result view (the first /accuracy after an
+// append used to sort every analysed pair for it) and equals the view's map
+// to the bit once something else has built that.
+func TestAccuracyReadsDenseVector(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RetainEpochs = 2
+	s, err := New(servingWorld(t, 17), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := s.Append(randomBatch(rand.New(rand.NewSource(3)), s.Dataset(), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	past, err := next.AsOf(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ses := range map[string]*Session{"successor": next, "as-of": past} {
+		got := ses.Accuracy()
+		if ses.dep != nil {
+			t.Fatalf("%s: Accuracy built the Result view", name)
+		}
+		want := ses.Dependence().Truth.Accuracy
+		if len(got) != len(want) || len(got) != len(ses.Dataset().Sources()) {
+			t.Fatalf("%s: %d accuracies, the view has %d", name, len(got), len(want))
+		}
+		for src, w := range want {
+			if g, ok := got[src]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: accuracy of %s = %v, the view has %v", name, src, g, w)
+			}
+		}
+	}
+}
