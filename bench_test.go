@@ -7,6 +7,7 @@ package sourcecurrents_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -14,6 +15,7 @@ import (
 
 	"sourcecurrents"
 	"sourcecurrents/internal/experiments"
+	"sourcecurrents/internal/queryans"
 	"sourcecurrents/internal/raceflag"
 	"sourcecurrents/internal/synth"
 )
@@ -199,7 +201,10 @@ func BenchmarkDetectParallel(b *testing.B)   { benchmarkDetect(b, 0) }
 // workers' scratch is allocated once per solve instead of once per round and
 // step, which pays for the discount kernel's two rank arrays and two more
 // scratch slices. Allocation counts are exact; bytes get 0.1% for runtime
-// noise, a third of the smallest table that could creep back in.
+// noise, a third of the smallest table that could creep back in, and are the
+// least of three runs: TotalAlloc is process-wide, so whatever the runtime
+// allocates in the background during a run is added to it and never taken
+// away.
 func TestDetectFlatAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts differ under -race")
@@ -226,11 +231,15 @@ func TestDetectFlatAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(2, run); got > lim.allocs {
 			t.Errorf("sources=%d: flat Detect made %.0f allocations, ceiling %.0f", sz.sources, got, lim.allocs)
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		run()
-		runtime.ReadMemStats(&after)
-		if got := float64(after.TotalAlloc - before.TotalAlloc); got > lim.bytes*1.001 {
+		got := math.Inf(1)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			got = min(got, float64(after.TotalAlloc-before.TotalAlloc))
+		}
+		if got > lim.bytes*1.001 {
 			t.Errorf("sources=%d: flat Detect allocated %.0f bytes, ceiling %.0f (+0.1%%)", sz.sources, got, lim.bytes)
 		}
 	}
@@ -283,7 +292,11 @@ func TestAppendBuildAllocs(t *testing.T) {
 // one of the 550 sources probed) through both session calls. "final" is what
 // a default /answer runs and what bench/'s queryans.plan_ms.wide and
 // cold_plan follow; "trace" is what include_steps and EX8 run — it rescores
-// the covered objects after every probe, and nothing else watches it.
+// the covered objects after every probe, and nothing else watches it. On this
+// world every query's coverage settles by about the 19th probe and selection
+// stops there; "final_unsaturated" is the regime that never gets to stop — the
+// same index and dependence table under accuracies scaled by 0.05, so the
+// sweep-and-scan runs all 550 rounds.
 func BenchmarkPlanWide(b *testing.B) {
 	d := benchSnapshotWorld(b, 500, 30)
 	cfg := sourcecurrents.DefaultSessionConfig()
@@ -300,11 +313,27 @@ func BenchmarkPlanWide(b *testing.B) {
 			queries[i] = append(queries[i], objs[oi])
 		}
 	}
+	c, accOf := d.Compiled(), s.Accuracy()
+	lowAcc := make([]float64, nSrc)
+	for i := range lowAcc {
+		lowAcc[i] = 0.05 * accOf[c.Source(i)]
+	}
+	depTab := make([]float64, nSrc*nSrc)
+	if !s.Dependence().FillTotals(c.SourceIDs(), depTab) {
+		b.Fatal("the session's dependence result does not cover the world's sources")
+	}
+	qcfg := s.QueryConfig()
+	qcfg.Accuracy, qcfg.Dependence = nil, nil
+	unsaturated, err := queryans.NewPlannerDense(d, qcfg, lowAcc, depTab)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, call := range []struct {
 		name string
 		plan func(q []sourcecurrents.ObjectID) (*sourcecurrents.QueryResult, error)
 	}{
 		{"final", s.AnswerObjects},
+		{"final_unsaturated", unsaturated.Final},
 		{"trace", func(q []sourcecurrents.ObjectID) (*sourcecurrents.QueryResult, error) {
 			return s.TraceObjects(q, s.QueryConfig())
 		}},

@@ -8,22 +8,26 @@
 // the output (the golden equivalence tests enforce bit-identity against
 // answerObjectsMaps):
 //
-//   - Lazy-greedy (CELF) probe selection. The reference rescans every
-//     candidate's gain at every probe step. Under the GreedyGain policy each
-//     candidate's gain is monotone non-increasing across steps — the
-//     independence product only multiplies factors in [0,1] and the
-//     uncovered-object mass only shrinks — so a previously computed gain is
-//     an upper bound on the current one. pickNext therefore keeps candidates
-//     in a max-heap of stale bounds, re-evaluating only the top until the
-//     top's gain is fresh for the current step. The heap orders ties by
-//     candidate index (ascending source id), which reproduces the
-//     reference's first-maximum-wins scan exactly: when a fresh top is
-//     selected, every other candidate's true gain is bounded by a stale
-//     value that lost to the top under the reference's ordering. Gains are
-//     evaluated with the same expression, the same running independence
-//     product (multiplied in probe order) and the same query-order
-//     uncovered sum as the reference, so every gain the two paths both
-//     compute is the same float64.
+//   - Selection is the reference's scan, run behind the sweep, and it ends.
+//     The reference rescans every candidate's gain at every probe step and
+//     rebuilds each independence product from scratch. Here each candidate
+//     carries its running product (multiplied in probe order, as the
+//     reference multiplies it): a round charges every unprobed candidate the
+//     probe just made, then evaluates each one's gain — same expression,
+//     same query-order uncovered sum, same float64 — keeping the first
+//     maximum in candidate (== source id) order, and that arg-max is the
+//     next probe. A slot's coverage objCov = 1 − (1−cov)(1−a·i) rounds to
+//     exactly 1 after a handful of accurate independent probes, and then
+//     stays there: 1 − (1−1)·x is 1 − 0 for every finite x. Once every slot
+//     reads 1 each candidate's uncovered mass is a sum of exact zeros, every
+//     gain is accuracy × product × 0 — a zero, of the product's sign — and
+//     first-maximum-wins over zeros (−0 > +0 is false) is the first unprobed
+//     candidate. So from that probe on nothing is swept or scanned: the rest
+//     of the plan is the unprobed candidates in ascending index at gain zero
+//     — the same tail ByID runs from its first probe. Where coverage never
+//     settles (a slot with few or inaccurate claimants) the scan simply runs
+//     every round. AccuracyCoverage gains never change, so its order is one
+//     sort by (gain desc, candidate asc).
 //
 //   - Incremental group scoring. The reference rescores every value group
 //     of every covered object after every probe, and each group score is an
@@ -38,31 +42,34 @@
 //     mid-rank insert recomputes the affected suffix in reference order.
 //
 //   - Select, then score what is read. Probe selection never reads a group
-//     score (a gain is accuracy × running independence product × uncovered
-//     mass), and a group's final state depends on which sources were probed,
+//     score, and a group's final state depends on which sources were probed,
 //     not on the order they were probed in. Scoring after every probe exists
-//     only to fill Result.Steps and to feed the StopProb test, and arriving
-//     in probe order most members land mid-rank — on a dense dependence
-//     table that re-fold was nine tenths of a 550-source plan. Final
-//     therefore scores per probe only when StopProb is set; otherwise it
-//     runs selection alone and then folds the probed claims in once, sorted
-//     into reference rank order, so every insert ranks last and only the
-//     O(k) extend runs. It is the same applyClaim/answerSlot the trace uses,
-//     producing the same member order, the same products and the same
-//     left-fold — Final and Probed are bit-identical to Answer's.
+//     only to fill Result.Steps and to feed the StopProb test, so Final
+//     scores per probe only when StopProb is set; otherwise it runs
+//     selection alone and then folds the probed claims in bulk (scoreProbed):
+//     the probed sources are ranked once, walking them in rank order drops
+//     each claim into its object's compiled value group (SrcGroup names it,
+//     GroupSrcStart sizes it), which leaves every group's probed members in
+//     reference rank order with no insert, shift or search; each group's
+//     discount products are then computed four members at a time — four
+//     independent multiply chains, each still taking its factors in rank
+//     order — and summed by the reference's left fold. Same member order,
+//     same products, same fold: Final and Probed are bit-identical to
+//     Answer's.
 //
 //   - Pooled per-request state. All planning state — the query-slot
 //     interning, the candidate CSR built in two parallel passes (count,
-//     fill), the coverage/independence vectors, the heap, the per-object
-//     group tables and the softmax buffers — lives in a planScratch
-//     recycled through a sync.Pool shared by the planner and every planner
-//     Derive returns, so a steady-state call allocates only the Result it
-//     hands to the caller (for Answer that includes the trace: one Answer
-//     per probe per query entry).
+//     fill), the coverage/independence vectors, the per-object group tables
+//     and the softmax buffers — lives in a planScratch recycled through a
+//     sync.Pool shared by the planner and every planner Derive returns, so
+//     a steady-state call allocates only the Result it hands to the caller
+//     (for Answer that includes the trace: one Answer per probe per query
+//     entry).
 //
-// Accuracy and dependence inputs are probabilities; values outside [0,1]
-// void the monotonicity the lazy evaluation relies on (the map reference
-// never promised sensible output for them either).
+// Accuracy and dependence inputs are probabilities. The scan is the
+// reference's arithmetic whatever the values are; the tail's argument needs
+// the products to stay finite (a NaN or infinite gain is not a zero), which
+// the map reference never promised sensible output without either.
 package queryans
 
 import (
@@ -204,77 +211,6 @@ type answerScratch struct {
 	probs []float64
 }
 
-// heapEntry is one candidate's (possibly stale) gain bound in the CELF
-// max-heap. round records the probe step the gain was evaluated at; a
-// popped entry whose round matches the current step holds a fresh gain and
-// is the exact greedy choice.
-type heapEntry struct {
-	gain  float64
-	ci    int32
-	round int32
-}
-
-// heapLess orders the lazy-evaluation heap: gain descending, candidate
-// index (== source order) ascending on ties — the reference's
-// first-maximum-wins scan order.
-func heapLess(a, b heapEntry) bool {
-	if a.gain != b.gain {
-		return a.gain > b.gain
-	}
-	return a.ci < b.ci
-}
-
-func siftDown(h []heapEntry, i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
-		}
-		best := l
-		if r := l + 1; r < len(h) && heapLess(h[r], h[l]) {
-			best = r
-		}
-		if !heapLess(h[best], h[i]) {
-			return
-		}
-		h[i], h[best] = h[best], h[i]
-		i = best
-	}
-}
-
-func heapify(h []heapEntry) {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
-}
-
-func heapPop(h *[]heapEntry) heapEntry {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	if n > 0 {
-		siftDown(s, 0)
-	}
-	return top
-}
-
-func heapPush(h *[]heapEntry, e heapEntry) {
-	s := append(*h, e)
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !heapLess(s[i], s[parent]) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-	*h = s
-}
-
 // planScratch is the pooled per-request planning state. Every slice is
 // grown to the request's dimensions and fully initialized before use, so a
 // recycled scratch carries no information between requests.
@@ -296,30 +232,34 @@ type planScratch struct {
 
 	// Candidate CSR, candidates in source order. candPosSlot lists the slot
 	// of every covered query entry (duplicates included, query order) and
-	// candSlot/candVal the distinct covered (slot, value) pairs in slot
-	// (== first-occurrence) order.
+	// candSlot/candGroup the distinct covered slots with the compiled value
+	// group the candidate's claim falls in, in slot (== first-occurrence)
+	// order.
 	candSrc      []int32
 	candPosStart []int32
 	candObjStart []int32
 	candPosSlot  []int32
 	candSlot     []int32
-	candVal      []int32
+	candGroup    []int32
 
-	// Probe-loop state.
-	probedSet []bool
+	// Probe-loop state. unprobed lists the candidates not yet probed, in the
+	// order the policy takes them when nothing distinguishes their gains:
+	// ascending index, or AccuracyCoverage's (gain desc, index asc).
+	unprobed  []int32
 	probed    []int32 // candidate indexes in probe order
 	probeCi   int32   // the probe whose claims scoreCovered is folding
 	rankOrder []int32 // probed, re-sorted into reference rank order
 	indepAcc  []float64
 	objCov    []float64
-	heap      []heapEntry
+	covGain   []float64 // AccuracyCoverage: each candidate's fixed gain
 
 	// Per-slot probed-member state. memStart[slot] is the base of slot's
 	// region in rankSi/rankF (capacity = the slot's candidate count) and
 	// memLen its fill. Within a region members are grouped by value in
-	// sorted-value order; inside a group they are kept in reference rank
-	// order (accuracy desc, id asc) with rankF caching each member's
-	// dependence-discount product.
+	// sorted-value order (the per-probe refresh packs the groups; the bulk
+	// fold leaves each at its compiled group's offset); inside a group they
+	// are kept in reference rank order (accuracy desc, id asc) with rankF
+	// caching each member's dependence-discount product.
 	memStart []int32
 	memLen   []int32
 	rankSi   []int32
@@ -366,16 +306,56 @@ func containsSlot(sorted []int32, s int32) bool {
 	return lo < len(sorted) && sorted[lo] == s
 }
 
-// gainOf evaluates candidate ci's current GreedyGain exactly as the
-// reference does: uncovered mass summed per query entry in query order
-// (duplicates included), times the running independence product, times
-// accuracy — same expression, same association order, same float64.
-func (p *Planner) gainOf(sc *planScratch, ci int32) float64 {
-	var uncovered float64
-	for _, slot := range sc.candPosSlot[sc.candPosStart[ci]:sc.candPosStart[ci+1]] {
-		uncovered += 1 - sc.objCov[slot]
+// sweepAndScan is one round of GreedyGain selection over the unprobed
+// candidates: charge each the probe just made (source last; -1 before the
+// first probe), then evaluate its gain exactly as the reference does —
+// uncovered mass summed per query entry in query order (duplicates included),
+// times the running independence product, times accuracy: same expression,
+// same association order, same float64. It returns the position in unprobed
+// of the first candidate of greatest gain, or -1 when no gain compares above
+// the reference's -1 floor. The sweep is its own loop because its table
+// reads walk a column, one cache line each: a loop that does nothing else
+// keeps several times as many of those misses in flight as one that also
+// sums a gain (measured: BenchmarkPlanWide/final_unsaturated).
+func (p *Planner) sweepAndScan(sc *planScratch, unprobed []int32, last int32) (int, float64) {
+	switch dt, nSrc := p.depTab, len(p.acc); {
+	case last < 0 || p.depZero:
+		// Nothing probed yet, or every factor is exactly 1.
+	case dt != nil:
+		for _, j := range unprobed {
+			sc.indepAcc[j] *= 1 - dt[int(sc.candSrc[j])*nSrc+int(last)]
+		}
+	default:
+		for _, j := range unprobed {
+			sc.indepAcc[j] *= 1 - p.dep(sc.candSrc[j], last)
+		}
 	}
-	return p.acc[sc.candSrc[ci]] * sc.indepAcc[ci] * uncovered
+	best, bestGain := -1, -1.0
+	for at, j := range unprobed {
+		var uncovered float64
+		for _, slot := range sc.candPosSlot[sc.candPosStart[j]:sc.candPosStart[j+1]] {
+			uncovered += 1 - sc.objCov[slot]
+		}
+		if g := p.acc[sc.candSrc[j]] * sc.indepAcc[j] * uncovered; g > bestGain {
+			best, bestGain = at, g
+		}
+	}
+	return best, bestGain
+}
+
+// settledGain is the gain the reference reports for candidate ci once every
+// slot's coverage is 1: accuracy × independence product × a zero uncovered
+// mass. It is a zero whichever candidate it is, but a signed one — a table
+// whose two directions sum to a hair over 1 makes a factor, and from there
+// the product, negative — and a Step's Gain is served as written. Only the
+// trace reads it, so only the trace pays for the product.
+func (p *Planner) settledGain(sc *planScratch, ci int32) float64 {
+	si, indep := sc.candSrc[ci], 1.0
+	for _, pc := range sc.probed {
+		indep *= 1 - p.dep(si, sc.candSrc[pc])
+	}
+	var uncovered float64
+	return p.acc[si] * indep * uncovered
 }
 
 // Answer probes sources to answer the value of each query object, returning
@@ -498,7 +478,7 @@ func (p *Planner) plan(query []model.ObjectID, trace bool) (*Result, error) {
 	sc.candObjStart = append(sc.candObjStart, totObj)
 	sc.candPosSlot = grown(sc.candPosSlot, int(totPos))
 	sc.candSlot = grown(sc.candSlot, int(totObj))
-	sc.candVal = grown(sc.candVal, int(totObj))
+	sc.candGroup = grown(sc.candGroup, int(totObj))
 	engine.ForN(eng, nCand, func(ci int) {
 		si := sc.candSrc[ci]
 		k := sc.candObjStart[ci]
@@ -508,7 +488,7 @@ func (p *Planner) plan(query []model.ObjectID, trace bool) (*Result, error) {
 				continue
 			}
 			sc.candSlot[k] = int32(slot)
-			sc.candVal[k] = c.SrcVal[cl]
+			sc.candGroup[k] = c.SrcGroup[cl]
 			k++
 		}
 		region := sc.candSlot[sc.candObjStart[ci]:k]
@@ -554,20 +534,23 @@ func (p *Planner) plan(query []model.ObjectID, trace bool) (*Result, error) {
 	sc.groupLen = grown(sc.groupLen, groupTot)
 	sc.groupScore = grown(sc.groupScore, groupTot)
 
-	sc.probedSet = grown(sc.probedSet, nS)
-	for i := range sc.probedSet {
-		sc.probedSet[i] = false
-	}
 	sc.probed = sc.probed[:0]
 
-	// Selection state: ByID walks candidates in order; the other policies
-	// run off the max-heap. GreedyGain additionally maintains objCov (the
-	// probability each slot is covered by an independent probed source) and
-	// indepAcc (each candidate's running independence product over the
-	// probed prefix, multiplied in probe order — exactly the product the
-	// reference rebuilds from scratch at each step).
-	lazy := cfg.Policy == GreedyGain
-	if lazy {
+	// Selection state. GreedyGain maintains objCov (the probability each slot
+	// is covered by an independent probed source), indepAcc (each candidate's
+	// running independence product over the probed prefix, multiplied in
+	// probe order — exactly the product the reference rebuilds from scratch
+	// at each step) and live, the slots whose objCov is not yet exactly 1:
+	// while any is, the next probe is sweepAndScan's arg-max; after that, and
+	// for the other policies from the start, it is the head of the unprobed
+	// list (see the package comment).
+	sc.unprobed = grown(sc.unprobed, nCand)
+	for ci := range sc.unprobed {
+		sc.unprobed[ci] = int32(ci)
+	}
+	unprobed, live, last := sc.unprobed, 0, int32(-1)
+	switch cfg.Policy {
+	case GreedyGain:
 		sc.indepAcc = grown(sc.indepAcc, nCand)
 		for i := range sc.indepAcc {
 			sc.indepAcc[i] = 1
@@ -576,23 +559,22 @@ func (p *Planner) plan(query []model.ObjectID, trace bool) (*Result, error) {
 		for i := range sc.objCov {
 			sc.objCov[i] = 0
 		}
-	}
-	switch cfg.Policy {
-	case GreedyGain:
-		sc.heap = grown(sc.heap, nCand)
-		for ci := 0; ci < nCand; ci++ {
-			sc.heap[ci] = heapEntry{gain: p.gainOf(sc, int32(ci)), ci: int32(ci)}
-		}
-		heapify(sc.heap)
+		live = nSlots
 	case AccuracyCoverage:
-		// Accuracy×coverage never changes as probes accumulate, so every
-		// heap entry is permanently fresh.
-		sc.heap = grown(sc.heap, nCand)
-		for ci := 0; ci < nCand; ci++ {
+		// Accuracy×coverage never changes as probes accumulate: the
+		// reference's repeated first-maximum scan is one sort.
+		sc.covGain = grown(sc.covGain, nCand)
+		for ci := range sc.covGain {
 			n := sc.candPosStart[ci+1] - sc.candPosStart[ci]
-			sc.heap[ci] = heapEntry{gain: p.acc[sc.candSrc[ci]] * float64(n), ci: int32(ci)}
+			sc.covGain[ci] = p.acc[sc.candSrc[ci]] * float64(n)
 		}
-		heapify(sc.heap)
+		covGain := sc.covGain
+		slices.SortFunc(unprobed, func(a, b int32) int {
+			if d := cmp.Compare(covGain[b], covGain[a]); d != 0 {
+				return d
+			}
+			return cmp.Compare(a, b)
+		})
 	}
 
 	// Softmax buffers: one per potential rescoring worker, sized once to
@@ -637,55 +619,41 @@ func (p *Planner) plan(query []model.ObjectID, trace bool) (*Result, error) {
 		scoreCovered = func(i int, as *answerScratch) { p.scoreCovered(sc, i, as) }
 	}
 
-	round := int32(0)
 	for len(sc.probed) < maxProbes {
-		// Lazy pick: pop the best stale bound; if it was evaluated this
-		// round it is the exact greedy maximum (ties already broken in
-		// candidate order by the heap), otherwise refresh and reinsert.
-		var ci int32
-		var gain float64
-		if cfg.Policy == ByID {
-			ci = int32(len(sc.probed))
-		} else {
-			for {
-				top := heapPop(&sc.heap)
-				if !lazy || top.round == round {
-					ci, gain = top.ci, top.gain
-					break
-				}
-				top.gain = p.gainOf(sc, top.ci)
-				top.round = round
-				heapPush(&sc.heap, top)
-			}
+		at, gain := 0, 0.0
+		switch {
+		case live > 0:
+			at, gain = p.sweepAndScan(sc, unprobed, last)
+		case cfg.Policy == AccuracyCoverage:
+			gain = sc.covGain[unprobed[0]]
+		case cfg.Policy == GreedyGain && trace:
+			gain = p.settledGain(sc, unprobed[0])
 		}
+		if at < 0 {
+			// No candidate's gain compares above the reference's floor (a
+			// NaN accuracy): the reference stops probing here too.
+			break
+		}
+		// Take unprobed[at] out of the list, keeping the rest in order.
+		ci := unprobed[at]
+		copy(unprobed[1:at+1], unprobed[:at])
+		unprobed = unprobed[1:]
 		si := sc.candSrc[ci]
 		sc.probed = append(sc.probed, ci)
-		sc.probedSet[si] = true
-		if lazy {
+		last = si
+		if live > 0 {
 			// The new probe's own product is Π over the previous probes of
-			// (1−dep(next, p)) in probe order; charge every still-unprobed
-			// candidate the new probe exactly once, keeping each running
-			// product in probe order.
-			indepNext := sc.indepAcc[ci]
-			accNext := p.acc[si]
-			if p.depZero {
-				// All-independent: every factor is exactly 1.
-			} else if dt := p.depTab; dt != nil {
-				nSrc := len(p.acc)
-				for j, sj := range sc.candSrc {
-					if !sc.probedSet[sj] {
-						sc.indepAcc[j] *= 1 - dt[int(sj)*nSrc+int(si)]
-					}
-				}
-			} else {
-				for j, sj := range sc.candSrc {
-					if !sc.probedSet[sj] {
-						sc.indepAcc[j] *= 1 - p.dep(sj, si)
-					}
-				}
-			}
+			// (1−dep(next, p)) in probe order — its running product, which
+			// the sweeps stopped touching when it was picked.
+			miss := 1 - p.acc[si]*sc.indepAcc[ci]
 			for _, slot := range sc.candPosSlot[sc.candPosStart[ci]:sc.candPosStart[ci+1]] {
-				sc.objCov[slot] = 1 - (1-sc.objCov[slot])*(1-accNext*indepNext)
+				if sc.objCov[slot] == 1 {
+					continue
+				}
+				sc.objCov[slot] = 1 - (1-sc.objCov[slot])*miss
+				if sc.objCov[slot] == 1 {
+					live--
+				}
 			}
 		}
 		if perProbe {
@@ -719,7 +687,6 @@ func (p *Planner) plan(query []model.ObjectID, trace bool) (*Result, error) {
 				break
 			}
 		}
-		round++
 	}
 	if !perProbe {
 		p.scoreProbed(sc)
@@ -749,20 +716,21 @@ func (p *Planner) plan(query []model.ObjectID, trace bool) (*Result, error) {
 func (p *Planner) scoreCovered(sc *planScratch, i int, as *answerScratch) {
 	k := int(sc.candObjStart[sc.probeCi]) + i
 	slot := sc.candSlot[k]
-	p.applyClaim(sc, slot, sc.candSrc[sc.probeCi], sc.candVal[k])
+	p.applyClaim(sc, slot, sc.candSrc[sc.probeCi], p.c.GroupValue[sc.candGroup[k]])
 	p.refreshSlot(sc, slot, as)
 }
 
-// scoreProbed is the one-shot form of the per-probe refresh: it folds every
-// probed source's claims into the group tables and answers each covered slot
-// once. A group's final state is a function of its member set, not of the
-// order the members arrived in, so the probes are folded in reference rank
-// order (accuracy desc, source index asc): every applyClaim then ranks its
-// member last in its group and takes the O(k) extend branch, where the same
-// members arriving in probe order re-fold the group after most inserts.
+// scoreProbed is the one-shot form of the per-probe refresh: it scores every
+// covered slot from the probed sources' claims and answers it once. A group's
+// final state is a function of its member set, not of the order the members
+// arrived in, so nothing is inserted: the probed sources are ranked once
+// (accuracy desc, source index asc), and walking them in that order appends
+// each claim to its compiled value group's share of the slot's member region
+// — every group ends up in reference rank order. The groups that received a
+// member, in compiled (== value) order, are the reference's groups.
 func (p *Planner) scoreProbed(sc *planScratch) {
 	sc.rankOrder = append(sc.rankOrder[:0], sc.probed...)
-	acc, src := p.acc, sc.candSrc
+	c, acc, src := p.c, p.acc, sc.candSrc
 	slices.SortFunc(sc.rankOrder, func(a, b int32) int {
 		if aa, ab := acc[src[a]], acc[src[b]]; aa != ab {
 			if aa > ab {
@@ -773,14 +741,43 @@ func (p *Planner) scoreProbed(sc *planScratch) {
 		// Candidates are in source order, so this is source index asc.
 		return cmp.Compare(a, b)
 	})
+	stride := sc.groupStride
+	for i := range sc.groupLen[:len(sc.slots)*stride] {
+		sc.groupLen[i] = 0
+	}
 	for _, ci := range sc.rankOrder {
 		si := src[ci]
 		for k := sc.candObjStart[ci]; k < sc.candObjStart[ci+1]; k++ {
-			p.applyClaim(sc, sc.candSlot[k], si, sc.candVal[k])
+			slot, g := sc.candSlot[k], sc.candGroup[k]
+			g0 := c.GroupStart[sc.slots[slot]]
+			n := &sc.groupLen[int(slot)*stride+int(g-g0)]
+			sc.rankSi[sc.memStart[slot]+c.GroupSrcStart[g]-c.GroupSrcStart[g0]+*n] = si
+			*n++
 		}
 	}
-	for slot := range sc.slots {
-		if sc.groupNum[slot] > 0 {
+	cr := p.cfg.CopyRate
+	for slot, oi := range sc.slots {
+		gBase, num := slot*stride, 0
+		g0 := c.GroupStart[oi]
+		for g := g0; g < c.GroupStart[oi+1]; g++ {
+			k := sc.groupLen[gBase+int(g-g0)]
+			if k == 0 {
+				continue
+			}
+			off := sc.memStart[slot] + c.GroupSrcStart[g] - c.GroupSrcStart[g0]
+			members, fs := sc.rankSi[off:off+k], sc.rankF[off:off+k]
+			p.discountProducts(members, fs, cr)
+			var score float64
+			for i, m := range members {
+				score += p.weights[m] * fs[i]
+			}
+			sc.groupVi[gBase+num] = c.GroupValue[g]
+			sc.groupLen[gBase+num] = k
+			sc.groupScore[gBase+num] = score
+			num++
+		}
+		sc.groupNum[slot] = int32(num)
+		if num > 0 {
 			p.refreshSlot(sc, int32(slot), &sc.workerScore[0])
 		}
 	}
@@ -885,6 +882,43 @@ func (p *Planner) applyClaim(sc *planScratch, slot, si, vi int32) {
 		score += p.weights[members[i]] * fs[i]
 	}
 	sc.groupScore[gBase+gi] = score
+}
+
+// discountProducts fills fs[r] with member r's discount product over the
+// members ranked before it. On the dense table it runs four members at a
+// time: four independent multiply chains over four resident table rows, each
+// still receiving its factors 1 − cr·dep[members[r]][members[q]] in order
+// q = 0…r−1 — the reference's cell and the reference's order, so the same
+// float64. The block remainder, and the closure and all-independent forms,
+// take discountProduct's single chain.
+func (p *Planner) discountProducts(members []int32, fs []float64, cr float64) {
+	r := 0
+	if dt, nSrc := p.depTab, len(p.acc); dt != nil {
+		for ; r+4 <= len(members); r += 4 {
+			m0, m1, m2, m3 := members[r], members[r+1], members[r+2], members[r+3]
+			row0 := dt[int(m0)*nSrc:][:nSrc]
+			row1 := dt[int(m1)*nSrc:][:nSrc]
+			row2 := dt[int(m2)*nSrc:][:nSrc]
+			row3 := dt[int(m3)*nSrc:][:nSrc]
+			f0, f1, f2, f3 := 1.0, 1.0, 1.0, 1.0
+			for _, e := range members[:r] {
+				f0 *= 1 - cr*row0[e]
+				f1 *= 1 - cr*row1[e]
+				f2 *= 1 - cr*row2[e]
+				f3 *= 1 - cr*row3[e]
+			}
+			f1 *= 1 - cr*row1[m0]
+			f2 *= 1 - cr*row2[m0]
+			f2 *= 1 - cr*row2[m1]
+			f3 *= 1 - cr*row3[m0]
+			f3 *= 1 - cr*row3[m1]
+			f3 *= 1 - cr*row3[m2]
+			fs[r], fs[r+1], fs[r+2], fs[r+3] = f0, f1, f2, f3
+		}
+	}
+	for ; r < len(members); r++ {
+		fs[r] = p.discountProduct(members[r], members[:r], cr)
+	}
 }
 
 // discountProduct is the reference's discount factor for a member ranked

@@ -16,9 +16,11 @@ import (
 // the probes without scoring them and folds the probed claims once, in rank
 // order; Planner.Answer scores after every probe. Both must end in the same
 // place: each seed draws a world (ragged random coverage, a synth copier
-// world, or the full-coverage benchWorld) with a dense random dependence
-// table, and every policy × probe cap × early stop × dependence form ×
-// Parallelism × query shape is answered both ways and compared bit for bit.
+// world, the full-coverage benchWorld, or — seeds above 12 — a world of 430+
+// sources whose value groups hit every remainder of the bulk fold's
+// four-at-a-time product) with a dense random dependence table, and every
+// policy × probe cap × early stop × dependence form × Parallelism × query
+// shape is answered both ways and compared bit for bit.
 // The trace itself is pinned to the map oracle by the CompiledMatchesMaps
 // suites. A failure names its seed; rerun it with -run 'FinalMatchesTrace/seed=N'.
 
@@ -26,6 +28,35 @@ import (
 func finalWorld(t *testing.T, seed int64, rng *rand.Rand) (*dataset.Dataset, map[model.SourceID]float64) {
 	t.Helper()
 	acc := map[model.SourceID]float64{}
+	if seed > 12 {
+		// Wide groups. Object i's sources, in a random order, claim: the
+		// first 401+i the true value (a group of 401..404 members, one per
+		// remainder mod 4), the next 1, 2 and 3 three false ones (groups too
+		// small for a block), the rest a fourth. Five accuracy levels, so
+		// most ranks are decided by the id tie-break.
+		d := dataset.New()
+		nSrc := 430 + rng.Intn(8)
+		for i := 0; i < 4; i++ {
+			for k, s := range rng.Perm(nSrc) {
+				v := "F4"
+				switch rest := k - (401 + i); {
+				case rest < 0:
+					v = "T"
+				case rest < 1:
+					v = "F1"
+				case rest < 3:
+					v = "F2"
+				case rest < 6:
+					v = "F3"
+				}
+				id := model.SourceID(fmt.Sprintf("S%03d", s))
+				acc[id] = 0.5 + 0.1*float64(s%5)
+				_ = d.Add(model.NewClaim(id, model.Obj(fmt.Sprintf("o%d", i), "v"), v))
+			}
+		}
+		d.Freeze()
+		return d, acc
+	}
 	switch seed % 3 {
 	case 0:
 		// Full coverage, 40 objects: a whole-world query covers >= 32 slots
@@ -75,23 +106,11 @@ func finalWorld(t *testing.T, seed int64, rng *rand.Rand) (*dataset.Dataset, map
 	return d, acc
 }
 
-// finalPlanners builds the three dependence forms over one world: the dense
-// table (what a session serves from), the same table behind the Dependence
-// closure, and no dependence at all.
+// finalPlanners builds the three dependence forms over one world under a
+// dense random table.
 func finalPlanners(t *testing.T, d *dataset.Dataset, accOf map[model.SourceID]float64, rng *rand.Rand) map[string]*Planner {
 	t.Helper()
-	c := d.Compiled()
-	nS := c.NumSources()
-	cfg := DefaultConfig()
-	acc := make([]float64, nS)
-	index := map[model.SourceID]int{}
-	for i := range acc {
-		index[c.Source(i)] = i
-		acc[i] = cfg.DefaultAccuracy
-		if a, ok := accOf[c.Source(i)]; ok {
-			acc[i] = a
-		}
-	}
+	nS := d.Compiled().NumSources()
 	// Symmetric and dense, with the exact endpoints mixed in: a 1 zeroes an
 	// independence product (gain ties), a 0 is a factor of exactly 1.
 	depTab := make([]float64, nS*nS)
@@ -107,6 +126,28 @@ func finalPlanners(t *testing.T, d *dataset.Dataset, accOf map[model.SourceID]fl
 			depTab[a*nS+b], depTab[b*nS+a] = v, v
 		}
 	}
+	planners, _ := plannersOver(t, d, accOf, depTab)
+	return planners
+}
+
+// plannersOver builds the three dependence forms over one world and one
+// table: the dense table (what a session serves from), the same table behind
+// the Dependence closure, and no dependence at all. It also returns the
+// closure form's Config — what the map oracle takes.
+func plannersOver(t *testing.T, d *dataset.Dataset, accOf map[model.SourceID]float64, depTab []float64) (map[string]*Planner, Config) {
+	t.Helper()
+	c := d.Compiled()
+	nS := c.NumSources()
+	cfg := DefaultConfig()
+	acc := make([]float64, nS)
+	index := map[model.SourceID]int{}
+	for i := range acc {
+		index[c.Source(i)] = i
+		acc[i] = cfg.DefaultAccuracy
+		if a, ok := accOf[c.Source(i)]; ok {
+			acc[i] = a
+		}
+	}
 	dense, err := NewPlannerDense(d, cfg, acc, depTab)
 	if err != nil {
 		t.Fatal(err)
@@ -117,12 +158,13 @@ func finalPlanners(t *testing.T, d *dataset.Dataset, accOf map[model.SourceID]fl
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Dependence = nil
-	indep, err := NewPlanner(d, cfg)
+	indep := cfg
+	indep.Dependence = nil
+	none, err := NewPlanner(d, indep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]*Planner{"dense": dense, "closure": closure, "nil": indep}
+	return map[string]*Planner{"dense": dense, "closure": closure, "nil": none}, cfg
 }
 
 func finalQueries(d *dataset.Dataset, rng *rand.Rand) map[string][]model.ObjectID {
@@ -142,11 +184,11 @@ func finalQueries(d *dataset.Dataset, rng *rand.Rand) map[string][]model.ObjectI
 }
 
 func TestFinalMatchesTrace(t *testing.T) {
-	seeds := 12
-	if testing.Short() {
-		seeds = 4
+	seeds := []int64{1, 2, 3, 4, 13}
+	if !testing.Short() {
+		seeds = []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}
 	}
-	for seed := int64(1); seed <= int64(seeds); seed++ {
+	for _, seed := range seeds {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
@@ -155,11 +197,23 @@ func TestFinalMatchesTrace(t *testing.T) {
 			planners := finalPlanners(t, d, accOf, rng)
 			queries := finalQueries(d, rng)
 			n := d.Compiled().NumSources()
+			stops, pars := []float64{0, 0.9}, []int{1, 4}
+			if seed > 12 {
+				// A trace over 430 sources is tens of milliseconds a query,
+				// several times that behind the closure: keep to what reaches
+				// the bulk fold's block kernel (an early stop scores per probe
+				// on both sides; the closure takes the single chain the
+				// narrower seeds cover) and to the queries that cover.
+				stops, pars = []float64{0}, []int{1}
+				delete(planners, "closure")
+				delete(queries, "five")
+				delete(queries, "uncovered")
+			}
 			for depName, base := range planners {
 				for _, pol := range []Policy{GreedyGain, AccuracyCoverage, ByID} {
 					for _, maxSrc := range []int{0, 1, 5, n / 2} {
-						for _, stop := range []float64{0, 0.9} {
-							for _, par := range []int{1, 4} {
+						for _, stop := range stops {
+							for _, par := range pars {
 								cfg := DefaultConfig()
 								cfg.Policy, cfg.MaxSources, cfg.StopProb, cfg.Parallelism = pol, maxSrc, stop, par
 								p, err := base.Derive(cfg)
@@ -204,6 +258,36 @@ func assertFinalMatchesTrace(t *testing.T, p *Planner, q []model.ObjectID, where
 		g := got.Final[i]
 		if g.Object != w.Object || g.Value != w.Value || math.Float64bits(g.Prob) != math.Float64bits(w.Prob) {
 			t.Fatalf("%s: final[%d] = %+v, the trace's is %+v", where, i, g, w)
+		}
+	}
+}
+
+// TestDiscountProductsMatchReference holds the bulk fold's four-at-a-time
+// discount kernel to the reference's loop, product by product and bit for
+// bit, on groups of every block remainder (k < 4 included) — a last-bit
+// difference in one product of 400 seldom survives the score's sum and the
+// softmax, so the end-to-end suites above would let it through.
+func TestDiscountProductsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	d, accOf := finalWorld(t, 13, rng)
+	for depName, p := range finalPlanners(t, d, accOf, rng) {
+		nS, cr := len(p.acc), p.cfg.CopyRate
+		for _, k := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 401, 402, 403, 404} {
+			members := make([]int32, k)
+			for i, s := range rng.Perm(nS)[:k] {
+				members[i] = int32(s)
+			}
+			fs := make([]float64, k)
+			p.discountProducts(members, fs, cr)
+			for r, s := range members {
+				want := 1.0
+				for _, e := range members[:r] {
+					want *= 1 - cr*p.dep(s, e)
+				}
+				if math.Float64bits(fs[r]) != math.Float64bits(want) {
+					t.Fatalf("dep=%s k=%d: product %d is %v, the reference's %v", depName, k, r, fs[r], want)
+				}
+			}
 		}
 	}
 }
