@@ -1,8 +1,8 @@
 // Benchmarks: one per experiment in DESIGN.md §4, so every table and
-// figure-equivalent can be timed with `go test -bench=. -benchmem`, plus
-// sequential-vs-parallel pairs over synthetic worlds of 50-500 sources that
-// capture the execution engine's speedup trajectory (compare with
-// `go test -bench 'Accu|Detect' -cpu 1,4,8`).
+// figure-equivalent can be timed with `go test -bench=. -benchmem`, plus one
+// benchmark per solver over synthetic worlds of 50-500 sources: the worker
+// count is GOMAXPROCS, so `go test -bench 'Accu|Detect|Temporal' -cpu 1,2`
+// prints the execution engine's speed-up.
 package sourcecurrents_test
 
 import (
@@ -141,7 +141,7 @@ var benchSizes = []struct {
 	{500, 30, false},
 }
 
-func benchmarkAccu(b *testing.B, parallelism int) {
+func BenchmarkAccu(b *testing.B) {
 	for _, sz := range benchSizes {
 		b.Run(fmt.Sprintf("sources=%d", sz.sources), func(b *testing.B) {
 			b.ReportAllocs()
@@ -150,7 +150,6 @@ func benchmarkAccu(b *testing.B, parallelism int) {
 			}
 			d := benchSnapshotWorld(b, sz.sources, sz.objects)
 			cfg := sourcecurrents.DefaultTruthConfig()
-			cfg.Parallelism = parallelism
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := sourcecurrents.DiscoverTruth(d, cfg); err != nil {
@@ -161,10 +160,7 @@ func benchmarkAccu(b *testing.B, parallelism int) {
 	}
 }
 
-func BenchmarkAccuSequential(b *testing.B) { benchmarkAccu(b, 1) }
-func BenchmarkAccuParallel(b *testing.B)   { benchmarkAccu(b, 0) }
-
-func benchmarkDetect(b *testing.B, parallelism int) {
+func BenchmarkDetect(b *testing.B) {
 	for _, sz := range benchSizes {
 		b.Run(fmt.Sprintf("sources=%d", sz.sources), func(b *testing.B) {
 			b.ReportAllocs()
@@ -173,9 +169,8 @@ func benchmarkDetect(b *testing.B, parallelism int) {
 			}
 			d := benchSnapshotWorld(b, sz.sources, sz.objects)
 			cfg := sourcecurrents.DefaultDependenceConfig()
-			cfg.Parallelism = parallelism
-			// Fixed outer rounds so sequential and parallel time identical
-			// work regardless of where the accuracy fixpoint lands.
+			// Fixed outer rounds so every world times the same number of
+			// steps regardless of where the accuracy fixpoint lands.
 			cfg.MaxRounds = 3
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -187,11 +182,8 @@ func benchmarkDetect(b *testing.B, parallelism int) {
 	}
 }
 
-func BenchmarkDetectSequential(b *testing.B) { benchmarkDetect(b, 1) }
-func BenchmarkDetectParallel(b *testing.B)   { benchmarkDetect(b, 0) }
-
-// TestDetectFlatAllocs holds a flat Detect (BenchmarkDetectSequential's
-// worlds and configuration) to what it allocated before the flat solve
+// TestDetectFlatAllocs holds a flat Detect (BenchmarkDetect's worlds and
+// configuration, on one worker) to what it allocated before the flat solve
 // became the incremental one started from nothing: the predecessor
 // bookkeeping — dirty sets, kept-pair table, merged pair slice — must cost a
 // flat solve nothing. The ceilings were lowered twice since (337 / 6.26 MB,
@@ -209,6 +201,7 @@ func TestDetectFlatAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts differ under -race")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ceilings := map[int]struct{ allocs, bytes float64 }{
 		50:  {276, 2792552},
 		200: {238, 49237896},
@@ -220,7 +213,6 @@ func TestDetectFlatAllocs(t *testing.T) {
 		}
 		d := benchSnapshotWorld(t, sz.sources, sz.objects)
 		cfg := sourcecurrents.DefaultDependenceConfig()
-		cfg.Parallelism = 1
 		cfg.MaxRounds = 3
 		run := func() {
 			if _, err := sourcecurrents.DetectDependence(d, cfg); err != nil {
@@ -299,9 +291,7 @@ func TestAppendBuildAllocs(t *testing.T) {
 // sweep-and-scan runs all 550 rounds.
 func BenchmarkPlanWide(b *testing.B) {
 	d := benchSnapshotWorld(b, 500, 30)
-	cfg := sourcecurrents.DefaultSessionConfig()
-	cfg.Parallelism = 1
-	s, err := sourcecurrents.NewSession(d, cfg)
+	s, err := sourcecurrents.NewSession(d, sourcecurrents.DefaultSessionConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -374,9 +364,7 @@ func wideAppendBatches(d *sourcecurrents.Dataset) map[string][]sourcecurrents.Cl
 }
 
 func wideSession(tb testing.TB) *sourcecurrents.Session {
-	cfg := sourcecurrents.DefaultSessionConfig()
-	cfg.Parallelism = 1
-	s, err := sourcecurrents.NewSession(benchSnapshotWorld(tb, 500, 30), cfg)
+	s, err := sourcecurrents.NewSession(benchSnapshotWorld(tb, 500, 30), sourcecurrents.DefaultSessionConfig())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -421,6 +409,7 @@ func TestAppendWideBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large scale skipped in short mode")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s := wideSession(t)
 	batches := wideAppendBatches(s.Dataset())
 	for shape, ceiling := range map[string]uint64{"src_major": 17e6, "obj_major": 264e6} {
@@ -444,7 +433,7 @@ func TestAppendWideBytes(t *testing.T) {
 	}
 }
 
-func benchmarkTemporal(b *testing.B, parallelism int) {
+func BenchmarkTemporal(b *testing.B) {
 	b.ReportAllocs()
 	tw, err := synth.GenerateTemporal(synth.TemporalConfig{
 		Seed:       41,
@@ -466,7 +455,6 @@ func benchmarkTemporal(b *testing.B, parallelism int) {
 		b.Fatal(err)
 	}
 	cfg := sourcecurrents.DefaultTemporalConfig()
-	cfg.Parallelism = parallelism
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sourcecurrents.DetectTemporalDependence(tw.Dataset, cfg); err != nil {
@@ -474,6 +462,3 @@ func benchmarkTemporal(b *testing.B, parallelism int) {
 		}
 	}
 }
-
-func BenchmarkTemporalSequential(b *testing.B) { benchmarkTemporal(b, 1) }
-func BenchmarkTemporalParallel(b *testing.B)   { benchmarkTemporal(b, 0) }

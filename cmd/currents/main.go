@@ -5,23 +5,23 @@
 //
 // Subcommands:
 //
-//	currents detect  [-min-shared N] [-threshold P] [-parallelism N] file.csv
+//	currents detect  [-min-shared N] [-threshold P] file.csv
 //	    snapshot copy detection + copy-aware truth discovery
-//	currents truth   [-method vote|accu|depen] [-parallelism N] file.csv
+//	currents truth   [-method vote|accu|depen] file.csv
 //	    truth discovery only
-//	currents temporal [-window W] [-parallelism N] file.csv
+//	currents temporal [-window W] file.csv
 //	    update-trace dependence detection (claims must carry timestamps)
 //	currents dissim  file.csv
 //	    dissimilarity-dependence on Good/Neutral/Bad ratings
 //	currents recommend [-k N] file.csv
 //	    trust-ranked source recommendation
-//	currents serve  [-parallelism N] [-query "e,a;e,a"] [-repeat N] file.csv
+//	currents serve  [-query "e,a;e,a"] [-repeat N] file.csv
 //	    long-lived serving session: one truth+dependence precompute, then
 //	    unlimited queries (stdin REPL, or -query for one-shot/batch mode)
-//	currents snapshot -o out.snap [-parallelism N] file.csv
+//	currents snapshot -o out.snap file.csv
 //	    precompute a session and write the binary snapshot the server
 //	    cold-starts from
-//	currents server -addr :8080 -load DIR [-parallelism N] [-cache-size N] [-cache-ttl D] [-pprof]
+//	currents server -addr :8080 -load DIR [-cache-size N] [-cache-ttl D] [-pprof]
 //	    HTTP/JSON query service over a directory of datasets
 //	    (*.snap snapshots, *.csv claims); LRU answer cache (1024 entries
 //	    by default, 0 disables; -cache-ttl bounds entry lifetime),
@@ -134,7 +134,6 @@ func runDetect(args []string) error {
 	fs := flag.NewFlagSet("detect", flag.ExitOnError)
 	minShared := fs.Int("min-shared", 2, "minimum shared objects per analyzed pair")
 	threshold := fs.Float64("threshold", 0.5, "dependence posterior threshold")
-	parallelism := fs.Int("parallelism", 0, "worker count (0 = all cores, 1 = sequential)")
 	prof := profiling.Register(fs)
 	_ = fs.Parse(args)
 	if fs.NArg() != 1 {
@@ -151,7 +150,6 @@ func runDetect(args []string) error {
 	cfg := sourcecurrents.DefaultDependenceConfig()
 	cfg.MinShared = *minShared
 	cfg.DepThreshold = *threshold
-	cfg.Parallelism = *parallelism
 	res, err := sourcecurrents.DetectDependence(d, cfg)
 	if err != nil {
 		return err
@@ -175,7 +173,6 @@ func runDetect(args []string) error {
 func runTruth(args []string) error {
 	fs := flag.NewFlagSet("truth", flag.ExitOnError)
 	method := fs.String("method", "depen", "vote, accu or depen")
-	parallelism := fs.Int("parallelism", 0, "worker count (0 = all cores, 1 = sequential)")
 	prof := profiling.Register(fs)
 	_ = fs.Parse(args)
 	if fs.NArg() != 1 {
@@ -196,17 +193,13 @@ func runTruth(args []string) error {
 		r := sourcecurrents.VoteTruth(d)
 		chosen, probs = r.Chosen, r.Probs
 	case "accu":
-		cfg := sourcecurrents.DefaultTruthConfig()
-		cfg.Parallelism = *parallelism
-		r, err := sourcecurrents.DiscoverTruth(d, cfg)
+		r, err := sourcecurrents.DiscoverTruth(d, sourcecurrents.DefaultTruthConfig())
 		if err != nil {
 			return err
 		}
 		chosen, probs = r.Chosen, r.Probs
 	case "depen":
-		cfg := sourcecurrents.DefaultDependenceConfig()
-		cfg.Parallelism = *parallelism
-		r, err := sourcecurrents.DetectDependence(d, cfg)
+		r, err := sourcecurrents.DetectDependence(d, sourcecurrents.DefaultDependenceConfig())
 		if err != nil {
 			return err
 		}
@@ -224,7 +217,6 @@ func runTruth(args []string) error {
 func runTemporal(args []string) error {
 	fs := flag.NewFlagSet("temporal", flag.ExitOnError)
 	window := fs.Int64("window", 5, "maximum copy lag")
-	parallelism := fs.Int("parallelism", 0, "worker count (0 = all cores, 1 = sequential)")
 	prof := profiling.Register(fs)
 	_ = fs.Parse(args)
 	if fs.NArg() != 1 {
@@ -240,7 +232,6 @@ func runTemporal(args []string) error {
 	}
 	cfg := sourcecurrents.DefaultTemporalConfig()
 	cfg.Window = sourcecurrents.Time(*window)
-	cfg.Parallelism = *parallelism
 	res, err := sourcecurrents.DetectTemporalDependence(d, cfg)
 	if err != nil {
 		return err
@@ -365,7 +356,6 @@ func toRefs(objs []sourcecurrents.ObjectID) []server.ObjectRef {
 // Timings go to stderr so stdout stays deterministic and diffable.
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	parallelism := fs.Int("parallelism", 0, "worker count (0 = all cores, 1 = sequential)")
 	query := fs.String("query", "", "answer this query list (entity,attribute;...) instead of reading stdin")
 	repeat := fs.Int("repeat", 1, "with -query: answer it this many times (throughput demo)")
 	prof := profiling.Register(fs)
@@ -381,10 +371,8 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg := sourcecurrents.DefaultSessionConfig()
-	cfg.Parallelism = *parallelism
 	start := time.Now()
-	s, err := sourcecurrents.NewSession(d, cfg)
+	s, err := sourcecurrents.NewSession(d, sourcecurrents.DefaultSessionConfig())
 	if err != nil {
 		return err
 	}

@@ -37,12 +37,11 @@ import (
 func runSnapshot(args []string) error {
 	fs := flag.NewFlagSet("snapshot", flag.ExitOnError)
 	out := fs.String("o", "", "output snapshot path (required)")
-	parallelism := fs.Int("parallelism", 0, "worker count for the precompute (0 = all cores)")
 	format := fs.String("format", "v2", "snapshot format: v2 (mmap-friendly section container) or v1 (legacy stream)")
 	prof := profiling.Register(fs)
 	_ = fs.Parse(args)
 	if fs.NArg() != 1 || *out == "" {
-		fmt.Fprintln(os.Stderr, "usage: currents snapshot -o out.snap [-format v2|v1] [-parallelism N] file.csv")
+		fmt.Fprintln(os.Stderr, "usage: currents snapshot -o out.snap [-format v2|v1] file.csv")
 		os.Exit(2)
 	}
 	if *format != "v1" && *format != "v2" {
@@ -56,10 +55,8 @@ func runSnapshot(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg := sourcecurrents.DefaultSessionConfig()
-	cfg.Parallelism = *parallelism
 	start := time.Now()
-	s, err := sourcecurrents.NewSession(d, cfg)
+	s, err := sourcecurrents.NewSession(d, sourcecurrents.DefaultSessionConfig())
 	if err != nil {
 		return err
 	}
@@ -96,7 +93,6 @@ func runServer(args []string) error {
 	fs := flag.NewFlagSet("server", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	load := fs.String("load", "", "directory of datasets to serve (*.snap, *.csv; required)")
-	parallelism := fs.Int("parallelism", 0, "worker count per request (0 = all cores)")
 	maxBytes := fs.Int64("max-request-bytes", server.DefaultMaxRequestBytes, "request body cap")
 	cacheSize := fs.Int("cache-size", 1024, "answer cache capacity in entries (0 disables)")
 	cacheTTL := fs.Duration("cache-ttl", 0, "answer cache entry lifetime (0 = until evicted)")
@@ -113,7 +109,7 @@ func runServer(args []string) error {
 	prof := profiling.Register(fs)
 	_ = fs.Parse(args)
 	if *load == "" || fs.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: currents server -addr :8080 -load DIR [-parallelism N] [-cache-size N] [-cache-ttl D] [-persist-appends DIR] [-compact-every N] [-max-resident N] [-retain-epochs N] [-allow-empty] [-adopt-dir DIR] [-ring host:port,...] [-self host:port] [-pprof]")
+		fmt.Fprintln(os.Stderr, "usage: currents server -addr :8080 -load DIR [-cache-size N] [-cache-ttl D] [-persist-appends DIR] [-compact-every N] [-max-resident N] [-retain-epochs N] [-allow-empty] [-adopt-dir DIR] [-ring host:port,...] [-self host:port] [-pprof]")
 		os.Exit(2)
 	}
 	if *persist == "load" {
@@ -128,7 +124,6 @@ func runServer(args []string) error {
 	defer prof.Finish()
 
 	cfg := sourcecurrents.DefaultSessionConfig()
-	cfg.Parallelism = *parallelism
 	cfg.RetainEpochs = *retainEpochs
 	start := time.Now()
 	loadDir := server.LoadDir

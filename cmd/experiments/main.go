@@ -3,12 +3,12 @@
 //
 // Usage:
 //
-//	experiments [-quick] [-only EX4] [-parallelism N] [-cpuprofile f] [-memprofile f]
+//	experiments [-quick] [-only EX4] [-cpuprofile f] [-memprofile f]
 //
 // -quick runs EX4 at reduced scale (seconds instead of ~10s) and smaller
-// sweeps; -only selects a single experiment by id; -parallelism sets the
-// solver worker count (0 = all cores, 1 = sequential; results are identical
-// either way); -cpuprofile/-memprofile write pprof evidence for perf work.
+// sweeps; -only selects a single experiment by id; -cpuprofile/-memprofile
+// write pprof evidence for perf work. The solvers' O(S²) loops use
+// GOMAXPROCS workers (results are identical at every count).
 package main
 
 import (
@@ -25,10 +25,8 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "run reduced-scale variants")
 	only := flag.String("only", "", "run a single experiment (e.g. EX4)")
-	parallelism := flag.Int("parallelism", 0, "solver worker count (0 = all cores, 1 = sequential)")
 	prof := profiling.Register(flag.CommandLine)
 	flag.Parse()
-	experiments.Parallelism = *parallelism
 	if err := prof.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)

@@ -140,27 +140,33 @@ func directReq(t testing.TB, base, method, path, body string) (*http.Response, [
 const answerReq = `{"query":[{"entity":"o00000","attribute":"v"},{"entity":"o00001","attribute":"v"},{"entity":"o00002","attribute":"v"}]}`
 
 // The routed bytes must equal the direct-shard bytes for every read
-// operation: the router adds placement and failover, never content.
+// operation: the router adds placement and failover, never content. That
+// holds for a refusal too: the removed worker-count request field is an
+// unknown field, 400 from the shard's decoder and 400 through the router.
 func TestRouterGoldenVsDirect(t *testing.T) {
 	rt, shards := bootFleet(t, 3, map[string]int64{"alpha": 11, "beta": 13}, Options{RF: 2})
-	cases := []struct{ method, path, body string }{
-		{http.MethodPost, "/v1/alpha/answer", answerReq},
-		{http.MethodPost, "/v1/beta/answer", answerReq},
-		{http.MethodPost, "/v1/alpha/fuse", ""},
-		{http.MethodGet, "/v1/alpha/accuracy", ""},
-		{http.MethodPost, "/v1/beta/recommend", `{"k":3}`},
+	cases := []struct {
+		method, path, body string
+		status             int
+	}{
+		{http.MethodPost, "/v1/alpha/answer", answerReq, http.StatusOK},
+		{http.MethodPost, "/v1/beta/answer", answerReq, http.StatusOK},
+		{http.MethodPost, "/v1/alpha/fuse", "", http.StatusOK},
+		{http.MethodGet, "/v1/alpha/accuracy", "", http.StatusOK},
+		{http.MethodPost, "/v1/beta/recommend", `{"k":3}`, http.StatusOK},
+		{http.MethodPost, "/v1/alpha/answer", strings.TrimSuffix(answerReq, "}") + `,"parallelism":4}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, routed := doReq(t, rt, c.method, c.path, c.body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s %s: routed status %d: %s", c.method, c.path, resp.StatusCode, routed)
+		if resp.StatusCode != c.status {
+			t.Fatalf("%s %s: routed status %d, want %d: %s", c.method, c.path, resp.StatusCode, c.status, routed)
 		}
 		// Every shard serves the same snapshot, so each must agree with the
 		// routed bytes.
 		for i, sh := range shards {
 			dresp, direct := directReq(t, sh.ts.URL, c.method, c.path, c.body)
-			if dresp.StatusCode != http.StatusOK {
-				t.Fatalf("%s %s: shard %d status %d", c.method, c.path, i, dresp.StatusCode)
+			if dresp.StatusCode != c.status {
+				t.Fatalf("%s %s: shard %d status %d, want %d", c.method, c.path, i, dresp.StatusCode, c.status)
 			}
 			if !bytes.Equal(routed, direct) {
 				t.Fatalf("%s %s: routed bytes differ from shard %d bytes\nrouted: %s\ndirect: %s",

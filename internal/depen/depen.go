@@ -56,7 +56,6 @@ import (
 	"sort"
 
 	"sourcecurrents/internal/dataset"
-	"sourcecurrents/internal/engine"
 	"sourcecurrents/internal/model"
 	"sourcecurrents/internal/stats"
 	"sourcecurrents/internal/truth"
@@ -81,13 +80,6 @@ type Config struct {
 	// threshold.
 	MaxRounds int
 	Tol       float64
-	// Parallelism is the worker count for the per-object truth step and the
-	// O(S²) pairwise hypothesis scoring. Values <= 0 select
-	// runtime.GOMAXPROCS(0); 1 reproduces sequential execution exactly.
-	// Results are bit-identical at every setting. It governs every phase of
-	// Detect; the embedded Truth config's own Parallelism is not consulted
-	// here.
-	Parallelism int
 	// RefineRounds is the number of bounded refinement passes an appended
 	// batch gets when a log-carrying dataset is replayed (see Refine).
 	// Values <= 0 select DefaultRefineRounds. It does not affect flat
@@ -110,11 +102,6 @@ func (c Config) EffectiveRefineRounds() int {
 		return DefaultRefineRounds
 	}
 	return c.RefineRounds
-}
-
-// Engine returns the execution-engine configuration for this detector.
-func (c Config) Engine() engine.Config {
-	return engine.Config{Workers: c.Parallelism}
 }
 
 // DefaultConfig returns the parameters used across the experiments.

@@ -2,6 +2,7 @@ package depen
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sourcecurrents/internal/synth"
@@ -9,9 +10,10 @@ import (
 
 // The engine contract: Detect's output — pairwise posteriors, copy-aware
 // truth, accuracies, directional probabilities — is bit-identical at every
-// Parallelism setting.
+// worker count (GOMAXPROCS 1, 4, 16).
 
 func TestDetectParallelismInvariant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, seed := range []int64{2, 11, 101} {
 		sw, err := synth.GenerateSnapshot(synth.SnapshotConfig{
 			Seed:           seed,
@@ -29,9 +31,8 @@ func TestDetectParallelismInvariant(t *testing.T) {
 		}
 		var want *Result
 		for _, p := range []int{1, 4, 16} {
-			cfg := DefaultConfig()
-			cfg.Parallelism = p
-			got, err := Detect(sw.Dataset, cfg)
+			runtime.GOMAXPROCS(p)
+			got, err := Detect(sw.Dataset, DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -43,7 +44,7 @@ func TestDetectParallelismInvariant(t *testing.T) {
 			// accuracies), AllPairs/Dependences ordering, and the internal
 			// directional map.
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d: Detect result at Parallelism=%d differs from sequential", seed, p)
+				t.Fatalf("seed %d: Detect result at GOMAXPROCS=%d differs from sequential", seed, p)
 			}
 		}
 	}
@@ -66,10 +67,11 @@ func TestDetectParallelismInvariantWithSimilarity(t *testing.T) {
 		}
 		return 0
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var want *Result
 	for _, p := range []int{1, 4, 16} {
+		runtime.GOMAXPROCS(p)
 		cfg := DefaultConfig()
-		cfg.Parallelism = p
 		cfg.Truth.ValueSim = sim
 		cfg.Truth.ValueSimWeight = 0.25
 		got, err := Detect(sw.Dataset, cfg)
@@ -86,7 +88,7 @@ func TestDetectParallelismInvariantWithSimilarity(t *testing.T) {
 			!reflect.DeepEqual(got.Truth.Chosen, want.Truth.Chosen) ||
 			!reflect.DeepEqual(got.Truth.Accuracy, want.Truth.Accuracy) ||
 			got.Rounds != want.Rounds || got.Converged != want.Converged {
-			t.Fatalf("similarity run at Parallelism=%d differs from sequential", p)
+			t.Fatalf("similarity run at GOMAXPROCS=%d differs from sequential", p)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sourcecurrents/internal/dataset"
@@ -21,7 +22,7 @@ import (
 //   - flat:   Detect(base) == detectMaps(base), the map oracle, and
 //   - replay: Detect(successor) == the live Refine chain, at every epoch,
 //
-// bit for bit (reflect.DeepEqual over the whole Result) at Parallelism 1 and
+// bit for bit (reflect.DeepEqual over the whole Result) at GOMAXPROCS 1 and
 // 4. A failure names its seed; rerun it with -run 'Differential/seed=N'.
 
 // diffCase is one seed's world, configuration and append schedule.
@@ -154,22 +155,21 @@ func runDiffCase(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := dc.cfg
-	oracle.Parallelism = 1
-	want, err := detectMaps(base, oracle)
+	want, err := detectMaps(base, dc.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var first []*Result // Parallelism 1's result per epoch
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cfg := dc.cfg
+	var first []*Result // one worker's result per epoch
 	for _, p := range []int{1, 4} {
-		cfg := dc.cfg
-		cfg.Parallelism = p
+		runtime.GOMAXPROCS(p)
 		live, err := Detect(base, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(live, want) {
-			t.Fatalf("seed %d, Parallelism %d: flat Detect differs from the map oracle", seed, p)
+			t.Fatalf("seed %d, GOMAXPROCS %d: flat Detect differs from the map oracle", seed, p)
 		}
 		cur := base
 		for e, batch := range dc.batches {
@@ -184,13 +184,13 @@ func runDiffCase(t *testing.T, seed int64) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(live, rebuilt) {
-				t.Fatalf("seed %d, Parallelism %d, epoch %d of %d: live Refine chain differs from Detect(successor)",
+				t.Fatalf("seed %d, GOMAXPROCS %d, epoch %d of %d: live Refine chain differs from Detect(successor)",
 					seed, p, e+1, len(dc.batches))
 			}
 			if p == 1 {
 				first = append(first, live)
 			} else if !reflect.DeepEqual(live, first[e]) {
-				t.Fatalf("seed %d, epoch %d: Parallelism %d differs from Parallelism 1", seed, e+1, p)
+				t.Fatalf("seed %d, epoch %d: GOMAXPROCS %d differs from GOMAXPROCS 1", seed, e+1, p)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package depen
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sourcecurrents/internal/dataset"
@@ -13,8 +14,8 @@ import (
 // Golden equivalence: Detect (compiled columnar path) must be bit-identical
 // — reflect.DeepEqual over the whole Result, including the internal
 // directional-probability table — to detectMaps (the map-based reference),
-// across plain, ValueSim, and Known-label configurations, at every
-// Parallelism setting.
+// across plain, ValueSim, and Known-label configurations, at every worker
+// count.
 
 func goldenSim(a, b string) float64 {
 	if a == b {
@@ -64,24 +65,22 @@ func goldenConfigs(d *dataset.Dataset) map[string]Config {
 }
 
 func TestDetectCompiledMatchesMaps(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, seed := range []int64{5, 23, 131} {
 		d := goldenSnapshot(t, seed)
 		for name, cfg := range goldenConfigs(d) {
-			ref := cfg
-			ref.Parallelism = 1
-			want, err := detectMaps(d, ref)
+			want, err := detectMaps(d, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, p := range []int{1, 4, 16} {
-				run := cfg
-				run.Parallelism = p
-				got, err := Detect(d, run)
+				runtime.GOMAXPROCS(p)
+				got, err := Detect(d, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d, cfg %q: compiled Detect at Parallelism=%d differs from map reference", seed, name, p)
+					t.Fatalf("seed %d, cfg %q: compiled Detect at GOMAXPROCS=%d differs from map reference", seed, name, p)
 				}
 			}
 		}

@@ -252,7 +252,6 @@ var benchScores []float64 // keeps the benchmarked call's result live
 func BenchmarkTruthStepWide(b *testing.B) {
 	d := wideWorld(b)
 	cfg := DefaultConfig()
-	cfg.Parallelism = 1
 	st, err := Solve(d, nil, cfg)
 	if err != nil {
 		b.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"sourcecurrents/internal/dataset"
-	"sourcecurrents/internal/engine"
 	"sourcecurrents/internal/model"
 	"sourcecurrents/internal/stats"
 	"sourcecurrents/internal/truth"
@@ -76,33 +75,29 @@ func detectMaps(d *dataset.Dataset, cfg Config) (*Result, error) {
 	// lookup table below.
 	dirState := map[model.SourceID]map[model.SourceID]float64{}
 	objects := d.Objects()
-	eng := cfg.Engine()
 
 	for round := 1; round <= cfg.MaxRounds; round++ {
 		// Truth step with dependence discounts from the previous round.
 		// Each object gets its own discount closure (discountFor keeps
-		// per-object state only), so workers share nothing but read-only
-		// maps; the merge below iterates in canonical object order.
+		// per-object state only).
 		discount := makeDiscount(d, acc, dirState, cfg.CopyRate)
-		scored := engine.MapObjects(eng, objects, func(o model.ObjectID) map[string]float64 {
+		probs = make(map[model.ObjectID]map[string]float64, len(objects))
+		for _, o := range objects {
 			scores := truth.ScoreValues(d.ValuesFor(o), acc, cfg.Truth.N, discountFor(discount, o))
 			scores = truth.ApplySimilarity(scores, cfg.Truth.ValueSim, cfg.Truth.ValueSimWeight)
-			return cfg.Truth.ApplyKnown(o, truth.SoftmaxScores(scores))
-		})
-		probs = make(map[model.ObjectID]map[string]float64, len(objects))
-		for i, o := range objects {
-			probs[o] = scored[i]
+			probs[o] = cfg.Truth.ApplyKnown(o, truth.SoftmaxScores(scores))
 		}
 
 		// Accuracy step.
 		next := truth.UpdateAccuracySim(d, probs, cfg.Truth.PriorA, cfg.Truth.PriorB, cfg.Truth.ValueSim)
 
-		// Dependence step: score candidate pairs in parallel, then merge in
-		// the candidates' deterministic order.
-		pairs = engine.MapObjects(eng, candidates, func(ov dataset.Overlap) Dependence {
+		// Dependence step: score candidate pairs in the candidates'
+		// deterministic order.
+		pairs = nil
+		for _, ov := range candidates {
 			kt, kf, kd := evidence(d, ov, probs, cfg.Truth.ValueSim)
-			return scorePair(ov, kt, kf, kd, next, cfg)
-		})
+			pairs = append(pairs, scorePair(ov, kt, kf, kd, next, cfg))
+		}
 		dir := map[model.SourceID]map[model.SourceID]float64{}
 		for _, dep := range pairs {
 			setDir(dir, dep.Pair.A, dep.Pair.B, dep.ProbAB)

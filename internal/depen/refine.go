@@ -57,7 +57,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 
 	"sourcecurrents/internal/dataset"
 	"sourcecurrents/internal/engine"
@@ -167,7 +166,6 @@ func Refine(d *dataset.Dataset, prev *Result, cfg Config) (*Result, error) {
 func refine(d *dataset.Dataset, prev *State, cfg Config) *State {
 	c := d.Compiled()
 	solver := truth.NewDenseSolver(c, cfg.Truth)
-	eng := cfg.Engine()
 	nS := c.NumSources()
 	nO := c.NumObjects()
 
@@ -215,19 +213,21 @@ func refine(d *dataset.Dataset, prev *State, cfg Config) *State {
 
 	weights := make([]float64, nS)
 	next := make([]float64, nS)
-	// Allocated once per solve: every ForNScratch call hands out the same scratch.
+	// Allocated once per solve: every ForNScratch call hands out the same
+	// scratch, in the order it asks (on this goroutine, before its workers run).
 	order, pos := make([]int32, nS), make([]int32, nS)
-	scratch := make([]*depenScratch, eng.WorkerCount())
-	var taken atomic.Int32
+	var scratch []*depenScratch
+	taken := 0
+	nextScratch := func() *depenScratch {
+		if taken == len(scratch) {
+			scratch = append(scratch, newDepenScratch(solver))
+		}
+		taken++
+		return scratch[taken-1]
+	}
 	forN := func(n int, step func(int, *depenScratch)) {
-		taken.Store(0)
-		engine.ForNScratch(eng, n, func() *depenScratch {
-			i := taken.Add(1) - 1
-			if scratch[i] == nil {
-				scratch[i] = newDepenScratch(solver)
-			}
-			return scratch[i]
-		}, step)
+		taken = 0
+		engine.ForNScratch(n, nextScratch, step)
 	}
 	logPrior := [3]float64{
 		math.Log(1 - cfg.Alpha), math.Log(cfg.Alpha / 2), math.Log(cfg.Alpha / 2),
@@ -262,7 +262,7 @@ func refine(d *dataset.Dataset, prev *State, cfg Config) *State {
 		// Accuracy step over every source: untouched sources recompute the
 		// same sums from unchanged rows, so this keeps the global coupling
 		// without costing precision.
-		solver.UpdateAccuracy(eng, probs, next)
+		solver.UpdateAccuracy(probs, next)
 
 		// Dependence step over the dirty pairs, in their canonical order.
 		forN(len(cands), pairStep)

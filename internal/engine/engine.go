@@ -1,163 +1,94 @@
-// Package engine provides the deterministic parallel execution primitives
-// the discovery algorithms run on.
+// Package engine provides the deterministic fan-out primitive the O(S²)
+// discovery loops run on.
 //
-// The paper's hot loops are embarrassingly parallel: truth discovery scores
-// each object independently, copy detection scores each source pair
-// independently, and windowed temporal detection analyzes each time window
-// independently. The engine schedules those loops over a configurable
-// worker pool while guaranteeing the result is bit-identical to the
-// sequential run:
+// Copy detection scores each source pair independently, its truth step
+// scores each object independently, and windowed temporal detection analyzes
+// each time window independently. The engine spreads such a loop over
+// runtime.GOMAXPROCS(0) workers — read at the call; there is no other knob —
+// while guaranteeing the result is bit-identical to the sequential run:
 //
 //   - every work item writes only its own index-addressed slot of the
-//     output slice, so no result depends on scheduling order;
-//   - callers merge results by iterating the output slice in canonical
-//     input order, never in goroutine-completion or map order;
-//   - a worker count of 1 runs the loop inline on the calling goroutine,
-//     reproducing the pre-engine sequential behavior exactly.
+//     output, so no result depends on scheduling order;
+//   - callers merge results by iterating the output in canonical input
+//     order, never in goroutine-completion or map order;
+//   - with one worker (GOMAXPROCS=1, or fewer than two items) the loop runs
+//     inline on the calling goroutine.
 //
-// Work is handed out in chunks claimed from an atomic cursor, so uneven
-// item costs (pairs with large overlaps next to pairs with tiny ones) load
-// balance without per-item synchronization overhead.
+// Work is handed out in chunks claimed from an atomic cursor — about four
+// per worker — so uneven item costs (pairs with large overlaps next to pairs
+// with tiny ones) load balance without per-item synchronization. A panic in
+// a worker is re-raised on the calling goroutine once every worker has
+// stopped, so it fails the caller's request exactly as the inline loop's
+// would, not the process.
+//
+// Only loops measured faster on two cores than on one use it (README, "The
+// parallel execution engine"); everything else is a plain loop.
 package engine
 
 import (
+	"fmt"
+	"os"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
 
-// Config tunes a parallel map. The zero value is fully usable: it runs with
-// runtime.GOMAXPROCS(0) workers and an automatically sized chunk.
-type Config struct {
-	// Workers is the number of concurrent workers. Values <= 0 select
-	// runtime.GOMAXPROCS(0); 1 forces sequential inline execution.
-	Workers int
-	// ChunkSize is the number of consecutive items a worker claims at a
-	// time. Values <= 0 select an automatic size that yields a few chunks
-	// per worker for load balancing.
-	ChunkSize int
+// chunkFor is the number of consecutive items a worker claims at a time:
+// about four chunks per worker so stragglers rebalance, at least one item.
+func chunkFor(n, workers int) int { return max(n/(workers*4), 1) }
+
+// workerPanic is what a worker's recover keeps for the caller: the value,
+// re-raised as it is, and the stack of the goroutine that faulted, which the
+// re-raise would otherwise lose.
+type workerPanic struct {
+	value any
+	stack []byte
 }
 
-// DefaultWorkers is the worker count a non-positive Workers (or a
-// non-positive Parallelism knob anywhere in the public configs) resolves
-// to: runtime.GOMAXPROCS(0).
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// WorkerCount resolves the configured worker count.
-func (c Config) WorkerCount() int {
-	if c.Workers <= 0 {
-		return DefaultWorkers()
-	}
-	return c.Workers
-}
-
-// chunkFor resolves the chunk size for n items across w workers.
-func (c Config) chunkFor(n, w int) int {
-	if c.ChunkSize > 0 {
-		return c.ChunkSize
-	}
-	// Aim for ~4 chunks per worker so stragglers rebalance, with a floor of
-	// 1 item.
-	chunk := n / (w * 4)
-	if chunk < 1 {
-		chunk = 1
-	}
-	return chunk
-}
-
-// MapN computes fn(i) for every i in [0, n) and returns the results indexed
-// by i. With Workers == 1 (or n < 2) the loop runs inline; otherwise chunks
-// of indexes are distributed over the worker pool. fn must be safe for
-// concurrent invocation on distinct indexes; it is called exactly once per
-// index.
-func MapN[R any](cfg Config, n int, fn func(i int) R) []R {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]R, n)
-	workers := cfg.WorkerCount()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < 2 {
-		for i := 0; i < n; i++ {
-			out[i] = fn(i)
-		}
-		return out
-	}
-	chunk := int64(cfg.chunkFor(n, workers))
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				start := cursor.Add(chunk) - chunk
-				if start >= int64(n) {
-					return
-				}
-				end := start + chunk
-				if end > int64(n) {
-					end = int64(n)
-				}
-				for i := start; i < end; i++ {
-					out[i] = fn(int(i))
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-// ForN runs fn(i) for every i in [0, n) with the same scheduling and
-// determinism guarantees as MapN, but without materializing a result slice:
-// fn writes directly into caller-owned, index-addressed storage. This is the
-// zero-allocation shape of the compiled solver loops.
-func ForN(cfg Config, n int, fn func(i int)) {
-	ForNScratch(cfg, n, func() struct{} { return struct{}{} },
-		func(i int, _ struct{}) { fn(i) })
-}
-
-// ForNScratch is ForN with per-worker scratch: newScratch runs once per
-// worker (once total in the sequential case) and the scratch value is passed
-// to every fn call that worker executes. Because each scratch instance is
-// only ever touched by its own goroutine, fn can reuse buffers freely
-// without synchronization; results stay bit-identical to the sequential run
-// as long as fn's output for index i does not depend on scratch history.
-func ForNScratch[S any](cfg Config, n int, newScratch func() S, fn func(i int, scratch S)) {
-	if n <= 0 {
-		return
-	}
-	workers := cfg.WorkerCount()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < 2 {
-		scratch := newScratch()
-		for i := 0; i < n; i++ {
-			fn(i, scratch)
-		}
-		return
-	}
-	chunk := int64(cfg.chunkFor(n, workers))
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
+// ForNScratch runs fn(i, scratch) for every i in [0, n). newScratch is called
+// on the calling goroutine, once per worker (once in all when the loop runs
+// inline) and before any fn runs, so it needs no synchronization of its own;
+// its value is passed to every fn call that worker executes. Each scratch is
+// only ever touched by one goroutine at a time, so fn can reuse buffers in it
+// freely, and results stay bit-identical to the sequential run as long as
+// fn's output for index i does not depend on scratch history. fn must be
+// safe for concurrent invocation on distinct indexes and writes its result
+// into caller-owned, index-addressed storage; it is called exactly once per
+// index unless some call panics, in which case the first panic is re-raised
+// here with its value intact and the faulting worker's stack on stderr.
+func ForNScratch[S any](n int, newScratch func() S, fn func(i int, scratch S)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
+		if n > 0 {
 			scratch := newScratch()
+			for i := 0; i < n; i++ {
+				fn(i, scratch)
+			}
+		}
+		return
+	}
+	chunk := int64(chunkFor(n, workers))
+	var cursor atomic.Int64
+	var panicked atomic.Pointer[workerPanic]
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		scratch := newScratch()
+		go func() {
+			defer func() {
+				if r := recover(); r != nil {
+					panicked.CompareAndSwap(nil, &workerPanic{r, debug.Stack()})
+					cursor.Store(int64(n)) // the other workers stop at their next claim
+				}
+				wg.Done()
+			}()
 			for {
 				start := cursor.Add(chunk) - chunk
 				if start >= int64(n) {
 					return
 				}
-				end := start + chunk
-				if end > int64(n) {
-					end = int64(n)
-				}
+				end := min(start+chunk, int64(n))
 				for i := start; i < end; i++ {
 					fn(int(i), scratch)
 				}
@@ -165,20 +96,35 @@ func ForNScratch[S any](cfg Config, n int, newScratch func() S, fn func(i int, s
 		}()
 	}
 	wg.Wait()
+	if p := panicked.Load(); p != nil {
+		fmt.Fprintf(os.Stderr, "engine: panic in a worker: %v\n%s", p.value, p.stack)
+		panic(p.value)
+	}
 }
 
-// MapObjects applies fn to every item of a slice — one truth-discovery
-// object, one candidate overlap, one analysis window — and returns the
-// results in input order.
-func MapObjects[T, R any](cfg Config, items []T, fn func(item T) R) []R {
-	return MapN(cfg, len(items), func(i int) R { return fn(items[i]) })
+// MapN computes fn(i) for every i in [0, n) and returns the results indexed
+// by i.
+func MapN[R any](n int, fn func(i int) R) []R {
+	if n <= 0 {
+		return nil
+	}
+	out := make([]R, n)
+	ForNScratch(n, func() struct{} { return struct{}{} },
+		func(i int, _ struct{}) { out[i] = fn(i) })
+	return out
+}
+
+// MapObjects applies fn to every item of a slice — one candidate overlap,
+// one analysis window — and returns the results in input order.
+func MapObjects[T, R any](items []T, fn func(item T) R) []R {
+	return MapN(len(items), func(i int) R { return fn(items[i]) })
 }
 
 // MapPairs applies fn to every unordered index pair {i, j} with
 // 0 <= i < j < n, in canonical order (i ascending, then j ascending), and
 // returns the n·(n−1)/2 results in that order. This is the shape of the
 // pairwise dependence-detection loops.
-func MapPairs[R any](cfg Config, n int, fn func(i, j int) R) []R {
+func MapPairs[R any](n int, fn func(i, j int) R) []R {
 	if n < 2 {
 		return nil
 	}
@@ -188,5 +134,5 @@ func MapPairs[R any](cfg Config, n int, fn func(i, j int) R) []R {
 			pairs = append(pairs, [2]int{i, j})
 		}
 	}
-	return MapObjects(cfg, pairs, func(p [2]int) R { return fn(p[0], p[1]) })
+	return MapObjects(pairs, func(p [2]int) R { return fn(p[0], p[1]) })
 }

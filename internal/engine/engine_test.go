@@ -1,13 +1,27 @@
 package engine
 
 import (
+	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// workerCounts are the GOMAXPROCS settings the suites run under: inline,
+// more workers than this box has cores, and more workers than most loops
+// have chunks.
+var workerCounts = []int{1, 2, 4, 16}
+
+// withWorkers runs f with the process's worker count set to n.
+func withWorkers(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
 
 func TestMapNMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -16,27 +30,17 @@ func TestMapNMatchesSequential(t *testing.T) {
 		for i := range input {
 			input[i] = rng.Float64()
 		}
-		fn := func(i int) float64 { return input[i] * float64(i+1) }
-		want := MapN(Config{Workers: 1}, n, fn)
-		for _, workers := range []int{0, 2, 4, 16, 3 * n} {
-			got := MapN(Config{Workers: workers}, n, fn)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("n=%d workers=%d: parallel result differs from sequential", n, workers)
-			}
+		var want []float64
+		for i, v := range input {
+			want = append(want, v*float64(i+1))
 		}
-	}
-}
-
-func TestMapNCallsEachIndexOnce(t *testing.T) {
-	const n = 257
-	counts := make([]int32, n)
-	MapN(Config{Workers: 8, ChunkSize: 3}, n, func(i int) int {
-		counts[i]++ // safe: each index is visited by exactly one worker
-		return i
-	})
-	for i, c := range counts {
-		if c != 1 {
-			t.Fatalf("index %d called %d times", i, c)
+		for _, workers := range workerCounts {
+			withWorkers(workers, func() {
+				got := MapN(n, func(i int) float64 { return input[i] * float64(i+1) })
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("n=%d workers=%d: result differs from the sequential loop", n, workers)
+				}
+			})
 		}
 	}
 }
@@ -50,116 +54,156 @@ func TestMapNStableUnderJitter(t *testing.T) {
 	for i := range delays {
 		delays[i] = time.Duration(rng.Intn(100)) * time.Microsecond
 	}
-	fn := func(i int) int {
-		time.Sleep(delays[i])
-		return i * i
-	}
-	want := MapN(Config{Workers: 1}, n, func(i int) int { return i * i })
-	got := MapN(Config{Workers: 8, ChunkSize: 1}, n, fn)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("jittered parallel result differs from sequential")
-	}
+	withWorkers(8, func() {
+		got := MapN(n, func(i int) int {
+			time.Sleep(delays[i])
+			return i * i
+		})
+		for i, v := range got {
+			if v != i*i {
+				t.Fatalf("index %d holds %d, want %d", i, v, i*i)
+			}
+		}
+	})
 }
 
 func TestMapObjectsPreservesInputOrder(t *testing.T) {
 	items := []string{"d", "a", "c", "b"}
-	got := MapObjects(Config{Workers: 4}, items, func(s string) string { return s + "!" })
 	want := []string{"d!", "a!", "c!", "b!"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v want %v", got, want)
-	}
+	withWorkers(4, func() {
+		if got := MapObjects(items, func(s string) string { return s + "!" }); !reflect.DeepEqual(got, want) {
+			t.Fatalf("got %v want %v", got, want)
+		}
+	})
 }
 
 func TestMapPairsEnumeratesCanonically(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 5, 20} {
-		got := MapPairs(Config{Workers: 4, ChunkSize: 2}, n, func(i, j int) [2]int {
-			return [2]int{i, j}
-		})
 		var want [][2]int
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				want = append(want, [2]int{i, j})
 			}
 		}
-		if len(got) != len(want) {
-			t.Fatalf("n=%d: got %d pairs, want %d", n, len(got), len(want))
-		}
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("n=%d pair %d: got %v want %v", n, k, got[k], want[k])
+		withWorkers(4, func() {
+			got := MapPairs(n, func(i, j int) [2]int { return [2]int{i, j} })
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d: got %v want %v", n, got, want)
 			}
+		})
+	}
+}
+
+func TestMapNCallsEachIndexOnce(t *testing.T) {
+	const n = 257
+	counts := make([]int32, n)
+	withWorkers(8, func() {
+		MapN(n, func(i int) int {
+			counts[i]++ // safe: each index is visited by exactly one worker
+			return i
+		})
+	})
+	for i, c := range counts {
+		if c != 1 {
+			t.Fatalf("index %d called %d times", i, c)
 		}
 	}
 }
 
+// The worker count is min(GOMAXPROCS, n), read at the call: one scratch is
+// asked for per worker, on the calling goroutine.
 func TestWorkerCountResolution(t *testing.T) {
-	if got := (Config{}).WorkerCount(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("zero config workers = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
-	}
-	if got := (Config{Workers: -3}).WorkerCount(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("negative workers = %d, want GOMAXPROCS", got)
-	}
-	if got := (Config{Workers: 5}).WorkerCount(); got != 5 {
-		t.Fatalf("explicit workers = %d, want 5", got)
+	for _, c := range []struct{ procs, n, want int }{
+		{5, 1000, 5}, {5, 3, 3}, {1, 1000, 1}, {4, 1, 1}, {4, 0, 0},
+	} {
+		withWorkers(c.procs, func() {
+			got := 0 // no atomic: newScratch never runs concurrently
+			ForNScratch(c.n, func() int { got++; return 0 }, func(int, int) {})
+			if got != c.want {
+				t.Fatalf("GOMAXPROCS(%d), n=%d: %d scratches asked for, want %d", c.procs, c.n, got, c.want)
+			}
+		})
 	}
 }
 
 func TestChunkSizing(t *testing.T) {
-	if got := (Config{ChunkSize: 9}).chunkFor(1000, 4); got != 9 {
-		t.Fatalf("explicit chunk = %d, want 9", got)
-	}
-	if got := (Config{}).chunkFor(3, 8); got != 1 {
+	if got := chunkFor(3, 8); got != 1 {
 		t.Fatalf("tiny-n chunk = %d, want 1", got)
 	}
-	if got := (Config{}).chunkFor(1600, 4); got != 100 {
+	if got := chunkFor(1600, 4); got != 100 {
 		t.Fatalf("auto chunk = %d, want 100", got)
 	}
 }
 
+// Each worker gets its own scratch (at most one per worker, one when inline),
+// and a result computed through it is the sequential one.
 func TestForNScratchMatchesSequential(t *testing.T) {
 	const n = 1000
-	want := make([]float64, n)
-	ForNScratch(Config{Workers: 1}, n, func() []float64 { return make([]float64, 8) },
-		func(i int, scratch []float64) {
-			scratch[0] = float64(i) * 1.5
-			want[i] = scratch[0] + 1
-		})
-	for _, workers := range []int{2, 4, 16} {
-		got := make([]float64, n)
-		var scratches atomic.Int64
-		ForNScratch(Config{Workers: workers}, n, func() []float64 {
-			scratches.Add(1)
-			return make([]float64, 8)
-		}, func(i int, scratch []float64) {
-			scratch[0] = float64(i) * 1.5
-			got[i] = scratch[0] + 1
-		})
-		if s := scratches.Load(); s < 1 || s > int64(workers) {
-			t.Fatalf("workers=%d: %d scratch allocations, want 1..%d", workers, s, workers)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d index %d: got %v want %v", workers, i, got[i], want[i])
+	for _, workers := range workerCounts {
+		withWorkers(workers, func() {
+			got := make([]float64, n)
+			var scratches atomic.Int64
+			ForNScratch(n, func() []float64 {
+				scratches.Add(1)
+				return make([]float64, 8)
+			}, func(i int, scratch []float64) {
+				scratch[0] = float64(i) * 1.5
+				got[i] = scratch[0] + 1
+			})
+			if s := scratches.Load(); s < 1 || s > int64(workers) {
+				t.Fatalf("workers=%d: %d scratch allocations, want 1..%d", workers, s, workers)
 			}
-		}
+			for i := range got {
+				if want := float64(i)*1.5 + 1; got[i] != want {
+					t.Fatalf("workers=%d index %d: got %v want %v", workers, i, got[i], want)
+				}
+			}
+		})
 	}
 }
 
 func TestForNCoversAllIndexes(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 300} {
-		var hits atomic.Int64
 		seen := make([]atomic.Int64, n)
-		ForN(Config{Workers: 4}, n, func(i int) {
-			seen[i].Add(1)
-			hits.Add(1)
+		withWorkers(4, func() {
+			ForNScratch(n, func() struct{} { return struct{}{} },
+				func(i int, _ struct{}) { seen[i].Add(1) })
 		})
-		if hits.Load() != int64(n) {
-			t.Fatalf("n=%d: fn ran %d times", n, hits.Load())
-		}
 		for i := range seen {
 			if seen[i].Load() != 1 {
 				t.Fatalf("n=%d index %d ran %d times, want 1", n, i, seen[i].Load())
 			}
 		}
 	}
+}
+
+// TestWorkerPanicReachesCaller: a panic inside a fanned-out loop is re-raised
+// on the calling goroutine with its value intact, where the caller (net/http
+// for a request) can recover it; an unrecovered panic on a worker goroutine
+// would end the process instead. The faulting worker's stack goes to stderr.
+func TestWorkerPanicReachesCaller(t *testing.T) {
+	type fault struct{ index int }
+	log, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(old *os.File) { os.Stderr = old }(os.Stderr)
+	os.Stderr = log
+	withWorkers(4, func() {
+		defer func() {
+			if r, ok := recover().(fault); !ok || r.index != 500 {
+				t.Fatalf("recovered %#v, want fault{500}", r)
+			}
+			// The worker's stack names the function that faulted.
+			if out, _ := os.ReadFile(log.Name()); !bytes.Contains(out, []byte("TestWorkerPanicReachesCaller.func")) {
+				t.Fatalf("stderr does not carry the faulting worker's stack:\n%s", out)
+			}
+		}()
+		ForNScratch(1000, func() struct{} { return struct{}{} }, func(i int, _ struct{}) {
+			if i == 500 {
+				panic(fault{i})
+			}
+		})
+		t.Fatal("ForNScratch returned normally")
+	})
 }

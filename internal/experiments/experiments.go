@@ -25,35 +25,6 @@ import (
 	"sourcecurrents/internal/winnow"
 )
 
-// Parallelism is the worker count every experiment's solver configurations
-// run with: 0 selects runtime.GOMAXPROCS(0), 1 forces sequential execution.
-// Results are identical at every setting (the engine guarantees
-// determinism); the knob exists so cmd/experiments and the benchmarks can
-// compare sequential against parallel wall-clock.
-var Parallelism int
-
-// truthConfig is truth.DefaultConfig with the package Parallelism applied.
-func truthConfig() truth.Config {
-	c := truth.DefaultConfig()
-	c.Parallelism = Parallelism
-	return c
-}
-
-// depenConfig is depen.DefaultConfig with the package Parallelism applied.
-func depenConfig() depen.Config {
-	c := depen.DefaultConfig()
-	c.Parallelism = Parallelism
-	return c
-}
-
-// temporalConfig is temporal.DefaultConfig with the package Parallelism
-// applied.
-func temporalConfig() temporal.Config {
-	c := temporal.DefaultConfig()
-	c.Parallelism = Parallelism
-	return c
-}
-
 // Report is one experiment's output.
 type Report struct {
 	ID     string
@@ -94,19 +65,19 @@ func EX1Table1() *Report {
 	vote := truth.Vote(d)
 	voteAcc := eval.ChosenAccuracy(vote.Chosen, w)
 
-	accuRes, err := truth.Accu(d, truthConfig())
+	accuRes, err := truth.Accu(d, truth.DefaultConfig())
 	if err != nil {
 		panic(err)
 	}
 	accuAcc := eval.ChosenAccuracy(accuRes.Chosen, w)
 
-	cold, err := depen.Detect(d, depenConfig())
+	cold, err := depen.Detect(d, depen.DefaultConfig())
 	if err != nil {
 		panic(err)
 	}
 	coldAcc := eval.ChosenAccuracy(cold.Truth.Chosen, w)
 
-	cfg := depenConfig()
+	cfg := depen.DefaultConfig()
 	cfg.Truth.Known = knownTwo()
 	labeled, err := depen.Detect(d, cfg)
 	if err != nil {
@@ -190,7 +161,7 @@ func EX3Table3() *Report {
 	}
 	rep.Tables = append(rep.Tables, t)
 
-	res, err := temporal.DetectPairs(d, temporalConfig())
+	res, err := temporal.DetectPairs(d, temporal.DefaultConfig())
 	if err != nil {
 		panic(err)
 	}
@@ -210,7 +181,7 @@ func EX3Table3() *Report {
 // BookSim is the author-list similarity (with a representation threshold)
 // shared by the EX4 pipeline; memoized because the solvers call it in
 // inner loops. The memo is mutex-guarded: ValueSim callbacks are invoked
-// concurrently by the engine's workers when Parallelism > 1.
+// concurrently by the engine's workers when GOMAXPROCS > 1.
 func BookSim() func(a, b string) float64 {
 	var mu sync.Mutex
 	memo := map[[2]string]float64{}
@@ -312,7 +283,7 @@ func EX4AbeBooks(cfg EX4Config) *Report {
 
 	// Dependence discovery on raw surface forms with representation-aware
 	// truth discovery.
-	dcfg := depenConfig()
+	dcfg := depen.DefaultConfig()
 	dcfg.MinShared = cfg.Books.MinSharedForDep
 	dcfg.MaxRounds = cfg.MaxRounds
 	dcfg.Truth.ValueSim = BookSim()
@@ -454,7 +425,7 @@ func EX5CopySweep(seed int64, nObjects int) *Report {
 			if err != nil {
 				panic(err)
 			}
-			res, err := depen.Detect(sw.Dataset, depenConfig())
+			res, err := depen.Detect(sw.Dataset, depen.DefaultConfig())
 			if err != nil {
 				panic(err)
 			}
@@ -497,11 +468,11 @@ func EX6TruthSweep(seed int64, nObjects int) *Report {
 			panic(err)
 		}
 		vote := truth.Vote(sw.Dataset)
-		accuRes, err := truth.Accu(sw.Dataset, truthConfig())
+		accuRes, err := truth.Accu(sw.Dataset, truth.DefaultConfig())
 		if err != nil {
 			panic(err)
 		}
-		dres, err := depen.Detect(sw.Dataset, depenConfig())
+		dres, err := depen.Detect(sw.Dataset, depen.DefaultConfig())
 		if err != nil {
 			panic(err)
 		}
@@ -540,7 +511,7 @@ func EX7TemporalSweep(seed int64, nObjects int) *Report {
 			if err != nil {
 				panic(err)
 			}
-			cfg := temporalConfig()
+			cfg := temporal.DefaultConfig()
 			cfg.Window = lag + 4
 			res, err := temporal.DetectPairs(tw.Dataset, cfg)
 			if err != nil {
@@ -581,10 +552,7 @@ func EX8QueryOrder(seed int64) *Report {
 	// One serving session: the truth+dependence precompute runs once and the
 	// three policy traces are answered against its cached state (bit-identical
 	// to per-call AnswerObjects with this discovery result).
-	scfg := session.DefaultConfig()
-	scfg.Depen = depenConfig()
-	scfg.Query.Parallelism = Parallelism
-	sess, err := session.New(sw.Dataset, scfg)
+	sess, err := session.New(sw.Dataset, session.DefaultConfig())
 	if err != nil {
 		panic(err)
 	}
@@ -595,7 +563,6 @@ func EX8QueryOrder(seed int64) *Report {
 	for _, pol := range []queryans.Policy{queryans.GreedyGain, queryans.AccuracyCoverage, queryans.ByID} {
 		cfg := queryans.DefaultConfig()
 		cfg.Policy = pol
-		cfg.Parallelism = Parallelism
 		res, err := sess.TraceObjects(sw.Dataset.Objects(), cfg)
 		if err != nil {
 			panic(err)
@@ -692,7 +659,7 @@ func EX10Winnow(seed int64, nObjects int) *Report {
 	}
 	wprf := eval.PairPRF(wdet, truthPairs)
 
-	dres, err := depen.Detect(sw.Dataset, depenConfig())
+	dres, err := depen.Detect(sw.Dataset, depen.DefaultConfig())
 	if err != nil {
 		panic(err)
 	}
@@ -716,7 +683,7 @@ func EX10Winnow(seed int64, nObjects int) *Report {
 func RecommendDemo() *Report {
 	rep := &Report{ID: "EX11", Title: "source recommendation (trust and diversity modes)"}
 	d := dataset.Table1()
-	cfg := depenConfig()
+	cfg := depen.DefaultConfig()
 	cfg.Truth.Known = knownTwo()
 	dres, err := depen.Detect(d, cfg)
 	if err != nil {

@@ -17,7 +17,6 @@ import (
 
 	"sourcecurrents/internal/dataset"
 	"sourcecurrents/internal/depen"
-	"sourcecurrents/internal/engine"
 	"sourcecurrents/internal/model"
 	"sourcecurrents/internal/probdb"
 	"sourcecurrents/internal/truth"
@@ -64,27 +63,6 @@ type Config struct {
 	// MinProb drops fused values whose posterior falls below it (0 keeps
 	// everything).
 	MinProb float64
-	// Parallelism is the worker count for fusion's own per-object
-	// resolution loop; when non-zero it also overrides the embedded
-	// Truth/Depen configs' knobs. Values <= 0 select
-	// runtime.GOMAXPROCS(0); 1 forces sequential execution. Results are
-	// bit-identical at every setting.
-	Parallelism int
-}
-
-// Engine returns the execution-engine configuration for this resolver.
-func (c Config) Engine() engine.Config {
-	return engine.Config{Workers: c.Parallelism}
-}
-
-// effective propagates a non-zero Parallelism into the embedded solver
-// configs.
-func (c Config) effective() Config {
-	if c.Parallelism != 0 {
-		c.Truth.Parallelism = c.Parallelism
-		c.Depen.Parallelism = c.Parallelism
-	}
-	return c
 }
 
 // DefaultConfig fuses dependence-aware with default solver parameters.
@@ -131,12 +109,11 @@ type Result struct {
 
 // Fuse resolves all conflicts in a frozen dataset under the configured
 // strategy. The iterative solvers already run on the compiled columnar
-// index; fusion's own resolution loop runs over the compiled object order
-// with the per-object x-tuples built in parallel. The result is
+// index; fusion's own resolution loop runs over the compiled object order.
+// The result is
 // bit-identical to the map-based reference (fuseMaps, in
 // reference_test.go), which the golden equivalence tests enforce.
 func Fuse(d *dataset.Dataset, cfg Config) (*Result, error) {
-	cfg = cfg.effective()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -149,7 +126,7 @@ func Fuse(d *dataset.Dataset, cfg Config) (*Result, error) {
 	res := newResult(cfg.Strategy)
 	switch cfg.Strategy {
 	case KeepFirst:
-		if err := fillKeepFirst(res, d, cfg.Engine()); err != nil {
+		if err := fillKeepFirst(res, d); err != nil {
 			return nil, err
 		}
 	case Majority:
@@ -187,7 +164,6 @@ func Fuse(d *dataset.Dataset, cfg Config) (*Result, error) {
 // bit-identical to Fuse when dr came from the same dataset and Depen
 // config.
 func FuseWith(d *dataset.Dataset, cfg Config, dr *depen.Result) (*Result, error) {
-	cfg = cfg.effective()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -224,9 +200,9 @@ func newResult(st Strategy) *Result {
 // lexicographically first source over the compiled group lists: group
 // source lists are ascending, so each group's first entry is its minimum
 // and the object's winner is the group with the smallest first entry.
-func fillKeepFirst(res *Result, d *dataset.Dataset, eng engine.Config) error {
+func fillKeepFirst(res *Result, d *dataset.Dataset) error {
 	c := d.Compiled()
-	chosen := engine.MapN(eng, c.NumObjects(), func(oi int) string {
+	for oi := 0; oi < c.NumObjects(); oi++ {
 		best := ""
 		bestSrc := int32(-1)
 		for g := c.GroupStart[oi]; g < c.GroupStart[oi+1]; g++ {
@@ -235,14 +211,11 @@ func fillKeepFirst(res *Result, d *dataset.Dataset, eng engine.Config) error {
 				bestSrc, best = first, c.Value(int(c.GroupValue[g]))
 			}
 		}
-		return best
-	})
-	for oi := 0; oi < c.NumObjects(); oi++ {
 		o := c.Object(oi)
-		res.Chosen[o] = chosen[oi]
+		res.Chosen[o] = best
 		if err := res.Relation.Put(probdb.XTuple{
 			Object:       o,
-			Alternatives: []probdb.Alternative{{Value: chosen[oi], Prob: 1}},
+			Alternatives: []probdb.Alternative{{Value: best, Prob: 1}},
 		}); err != nil {
 			return err
 		}
@@ -250,29 +223,25 @@ func fillKeepFirst(res *Result, d *dataset.Dataset, eng engine.Config) error {
 	return nil
 }
 
-// fillResolved materializes the probabilistic relation from a truth result:
-// per-object alternative lists are built in parallel (index-addressed
-// slots) and committed in canonical object order.
+// fillResolved materializes the probabilistic relation from a truth result,
+// in canonical object order.
 func fillResolved(res *Result, d *dataset.Dataset, tr *truth.Result, cfg Config) error {
 	c := d.Compiled()
-	alts := engine.MapN(cfg.Engine(), c.NumObjects(), func(oi int) []probdb.Alternative {
-		pv := tr.Probs[c.Object(oi)]
+	for oi := 0; oi < c.NumObjects(); oi++ {
+		o := c.Object(oi)
+		pv := tr.Probs[o]
 		vals := make([]string, 0, len(pv))
 		for v := range pv {
 			vals = append(vals, v)
 		}
 		sort.Strings(vals)
-		var out []probdb.Alternative
+		var alts []probdb.Alternative
 		for _, v := range vals {
 			if pv[v] >= cfg.MinProb && pv[v] > 0 {
-				out = append(out, probdb.Alternative{Value: v, Prob: pv[v]})
+				alts = append(alts, probdb.Alternative{Value: v, Prob: pv[v]})
 			}
 		}
-		return out
-	})
-	for oi := 0; oi < c.NumObjects(); oi++ {
-		o := c.Object(oi)
-		if err := res.Relation.Put(probdb.XTuple{Object: o, Alternatives: alts[oi]}); err != nil {
+		if err := res.Relation.Put(probdb.XTuple{Object: o, Alternatives: alts}); err != nil {
 			return err
 		}
 		res.Chosen[o] = tr.Chosen[o]

@@ -2,15 +2,16 @@ package fusion
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sourcecurrents/internal/dataset"
 	"sourcecurrents/internal/synth"
 )
 
-// Golden equivalence: Fuse (compiled parallel resolution) must be
+// Golden equivalence: Fuse (compiled resolution) must be
 // bit-identical — reflect.DeepEqual, no tolerance — to fuseMaps (the
-// map-based reference) across every strategy and Parallelism setting, and
+// map-based reference) across every strategy and worker count, and
 // FuseWith must reproduce Fuse when handed the same precompute.
 
 func goldenWorld(t *testing.T, seed int64) *dataset.Dataset {
@@ -32,6 +33,7 @@ func goldenWorld(t *testing.T, seed int64) *dataset.Dataset {
 }
 
 func TestFuseCompiledMatchesMaps(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, seed := range []int64{3, 41} {
 		d := goldenWorld(t, seed)
 		for _, st := range []Strategy{KeepFirst, Majority, Weighted, DependenceAware} {
@@ -39,21 +41,18 @@ func TestFuseCompiledMatchesMaps(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.Strategy = st
 				cfg.MinProb = minProb
-				ref := cfg
-				ref.Parallelism = 1
-				want, err := fuseMaps(d, ref.effective())
+				want, err := fuseMaps(d, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, p := range []int{1, 4, 16} {
-					run := cfg
-					run.Parallelism = p
-					got, err := Fuse(d, run)
+					runtime.GOMAXPROCS(p)
+					got, err := Fuse(d, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("seed %d strategy %v minProb %v: compiled Fuse at Parallelism=%d differs from map reference",
+						t.Fatalf("seed %d strategy %v minProb %v: compiled Fuse at GOMAXPROCS=%d differs from map reference",
 							seed, st, minProb, p)
 					}
 				}

@@ -8,19 +8,15 @@ import (
 )
 
 // Steady-state allocation counts of one planner call on the 48-source world
-// (5-object query), as testing.AllocsPerRun sees them (it pins GOMAXPROCS to
-// 1, so the per-probe refresh's worker callbacks are never built). Scratch
-// is pooled, so the counts are deterministic per build and must not creep:
-// raise one only with a reason. Both calls pay compilePassAllocs for the two
-// engine.ForN candidate passes (the callback and ForN's adapter, each pass).
+// (5-object query). Scratch is pooled, so the counts are deterministic per
+// build and must not creep: raise one only with a reason.
 const (
-	compilePassAllocs = 4
 	// The Result, the Step slice, the maxProbes × len(query) Answer backing
 	// array the steps (and Final) slice, and Probed.
-	plannerAnswerAllocs = 4 + compilePassAllocs
+	plannerAnswerAllocs = 4
 	// The Result, Final (len(query) answers) and Probed — and nothing of the
 	// trace, in particular not its backing array.
-	plannerFinalAllocs = 3 + compilePassAllocs
+	plannerFinalAllocs = 3
 )
 
 func TestPlannerAnswerAllocs(t *testing.T) {

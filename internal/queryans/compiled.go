@@ -58,9 +58,9 @@
 //     Answer's.
 //
 //   - Pooled per-request state. All planning state — the query-slot
-//     interning, the candidate CSR built in two parallel passes (count,
-//     fill), the coverage/independence vectors, the per-object group tables
-//     and the softmax buffers — lives in a planScratch recycled through a
+//     interning, the candidate CSR built in two passes (count, fill), the
+//     coverage/independence vectors, the per-object group tables and the
+//     softmax buffer — lives in a planScratch recycled through a
 //     sync.Pool shared by the planner and every planner Derive returns, so
 //     a steady-state call allocates only the Result it hands to the caller
 //     (for Answer that includes the trace: one Answer per probe per query
@@ -77,10 +77,8 @@ import (
 	"errors"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"sourcecurrents/internal/dataset"
-	"sourcecurrents/internal/engine"
 	"sourcecurrents/internal/model"
 	"sourcecurrents/internal/stats"
 	"sourcecurrents/internal/truth"
@@ -187,7 +185,7 @@ func newPlanner(c *dataset.Compiled, cfg Config, acc []float64, dep func(a, b in
 
 // Derive returns a lightweight planner over the same compiled index, dense
 // accuracies and dependence lookup, under a different per-call configuration
-// (policy, probe cap, early stopping, parallelism). cfg's Accuracy and
+// (policy, probe cap, early stopping). cfg's Accuracy and
 // Dependence fields are ignored — the parent's dense state is reused — and
 // the scratch pool is shared, so derived planners keep the zero-allocation
 // serve path. Vote weights are recycled unless cfg.N differs.
@@ -206,11 +204,6 @@ func (p *Planner) Derive(cfg Config) (*Planner, error) {
 	return np, nil
 }
 
-// answerScratch is one worker's softmax buffer.
-type answerScratch struct {
-	probs []float64
-}
-
 // planScratch is the pooled per-request planning state. Every slice is
 // grown to the request's dimensions and fully initialized before use, so a
 // recycled scratch carries no information between requests.
@@ -226,7 +219,7 @@ type planScratch struct {
 	posCur   []int32
 	posList  []int32
 
-	// Per-source coverage counts from the parallel counting pass.
+	// Per-source coverage counts from the counting pass.
 	covCount []int32
 	objCount []int32
 
@@ -247,7 +240,6 @@ type planScratch struct {
 	// ascending index, or AccuracyCoverage's (gain desc, index asc).
 	unprobed  []int32
 	probed    []int32 // candidate indexes in probe order
-	probeCi   int32   // the probe whose claims scoreCovered is folding
 	rankOrder []int32 // probed, re-sorted into reference rank order
 	indepAcc  []float64
 	objCov    []float64
@@ -277,10 +269,8 @@ type planScratch struct {
 	// cur is the current answer per query position.
 	cur []Answer
 
-	// workerScore hands one softmax buffer to each rescoring worker via an
-	// atomic cursor (reset per probe).
-	workerScore []answerScratch
-	scoreIdx    atomic.Int32
+	// softmax is answerSlot's buffer, groupStride long.
+	softmax []float64
 }
 
 // grown returns s with length n, reusing capacity when possible. Contents
@@ -384,7 +374,6 @@ func (p *Planner) plan(query []model.ObjectID, trace bool) (*Result, error) {
 	}
 	c := p.c
 	cfg := p.cfg
-	eng := cfg.Engine()
 	nQ := len(query)
 	nS := c.NumSources()
 
@@ -443,12 +432,12 @@ func (p *Planner) plan(query []model.ObjectID, trace bool) (*Result, error) {
 		}
 	}
 
-	// Candidate sources, compiled in two parallel index-addressed passes
-	// (count coverage per source, then fill the CSR regions) and kept in
-	// source order — the reference iteration order.
+	// Candidate sources, compiled in two passes (count coverage per source,
+	// then fill the CSR regions) and kept in source order — the reference
+	// iteration order.
 	sc.covCount = grown(sc.covCount, nS)
 	sc.objCount = grown(sc.objCount, nS)
-	engine.ForN(eng, nS, func(si int) {
+	for si := 0; si < nS; si++ {
 		var nPos, nObj int32
 		for slot, oi := range sc.slots {
 			if c.ClaimOf(int32(si), oi) >= 0 {
@@ -458,7 +447,7 @@ func (p *Planner) plan(query []model.ObjectID, trace bool) (*Result, error) {
 		}
 		sc.covCount[si] = nPos
 		sc.objCount[si] = nObj
-	})
+	}
 	sc.candSrc = sc.candSrc[:0]
 	sc.candPosStart = sc.candPosStart[:0]
 	sc.candObjStart = sc.candObjStart[:0]
@@ -479,7 +468,7 @@ func (p *Planner) plan(query []model.ObjectID, trace bool) (*Result, error) {
 	sc.candPosSlot = grown(sc.candPosSlot, int(totPos))
 	sc.candSlot = grown(sc.candSlot, int(totObj))
 	sc.candGroup = grown(sc.candGroup, int(totObj))
-	engine.ForN(eng, nCand, func(ci int) {
+	for ci := 0; ci < nCand; ci++ {
 		si := sc.candSrc[ci]
 		k := sc.candObjStart[ci]
 		for slot, oi := range sc.slots {
@@ -499,7 +488,7 @@ func (p *Planner) plan(query []model.ObjectID, trace bool) (*Result, error) {
 				j++
 			}
 		}
-	})
+	}
 
 	maxProbes := nCand
 	if cfg.MaxSources > 0 && cfg.MaxSources < maxProbes {
@@ -577,20 +566,7 @@ func (p *Planner) plan(query []model.ObjectID, trace bool) (*Result, error) {
 		})
 	}
 
-	// Softmax buffers: one per potential rescoring worker, sized once to
-	// the compiled index's group bound.
-	nW := eng.WorkerCount()
-	if nW < 1 {
-		nW = 1
-	}
-	if len(sc.workerScore) < nW {
-		old := sc.workerScore
-		sc.workerScore = make([]answerScratch, nW)
-		copy(sc.workerScore, old)
-	}
-	for i := 0; i < nW; i++ {
-		sc.workerScore[i].probs = grown(sc.workerScore[i].probs, sc.groupStride)
-	}
+	sc.softmax = grown(sc.softmax, sc.groupStride)
 	// The probed claims are scored per probe only when something reads the
 	// per-probe answers — the trace, or the early-stop test — and otherwise
 	// once, after selection.
@@ -607,16 +583,6 @@ func (p *Planner) plan(query []model.ObjectID, trace bool) (*Result, error) {
 		if cfg.StopProb == 0 {
 			backing = make([]Answer, maxProbes*nQ)
 		}
-	}
-	// The per-probe refresh's worker callbacks, allocated once per request
-	// (and only by a request that can use them) and reused across probes.
-	var newScore func() *answerScratch
-	var scoreCovered func(i int, as *answerScratch)
-	if perProbe && nW > 1 {
-		newScore = func() *answerScratch {
-			return &sc.workerScore[sc.scoreIdx.Add(1)-1]
-		}
-		scoreCovered = func(i int, as *answerScratch) { p.scoreCovered(sc, i, as) }
 	}
 
 	for len(sc.probed) < maxProbes {
@@ -658,19 +624,12 @@ func (p *Planner) plan(query []model.ObjectID, trace bool) (*Result, error) {
 		}
 		if perProbe {
 			// Incremental answer refresh: only slots the new probe covers
-			// can change; fold the new claim in and rescore them (in
-			// parallel when the request's engine and the covered count
-			// warrant goroutines — slots are disjoint per probe, so no
-			// synchronization is needed).
-			sc.probeCi = ci
-			nCov := int(sc.candObjStart[ci+1] - sc.candObjStart[ci])
-			if nW == 1 || nCov < 32 {
-				for i := 0; i < nCov; i++ {
-					p.scoreCovered(sc, i, &sc.workerScore[0])
-				}
-			} else {
-				sc.scoreIdx.Store(0)
-				engine.ForNScratch(eng, nCov, newScore, scoreCovered)
+			// can change; fold its claim about each into the slot's group
+			// table and rescore the slot.
+			for k := sc.candObjStart[ci]; k < sc.candObjStart[ci+1]; k++ {
+				slot := sc.candSlot[k]
+				p.applyClaim(sc, slot, si, c.GroupValue[sc.candGroup[k]])
+				p.refreshSlot(sc, slot)
 			}
 			if trace {
 				var dst []Answer
@@ -708,16 +667,6 @@ func (p *Planner) plan(query []model.ObjectID, trace bool) (*Result, error) {
 	}
 	p.scratch.Put(sc)
 	return res, nil
-}
-
-// scoreCovered folds the claim the probe in flight (sc.probeCi) makes about
-// the i-th slot it covers into the slot's group table and refreshes the
-// slot's answer.
-func (p *Planner) scoreCovered(sc *planScratch, i int, as *answerScratch) {
-	k := int(sc.candObjStart[sc.probeCi]) + i
-	slot := sc.candSlot[k]
-	p.applyClaim(sc, slot, sc.candSrc[sc.probeCi], p.c.GroupValue[sc.candGroup[k]])
-	p.refreshSlot(sc, slot, as)
 }
 
 // scoreProbed is the one-shot form of the per-probe refresh: it scores every
@@ -778,15 +727,15 @@ func (p *Planner) scoreProbed(sc *planScratch) {
 		}
 		sc.groupNum[slot] = int32(num)
 		if num > 0 {
-			p.refreshSlot(sc, int32(slot), &sc.workerScore[0])
+			p.refreshSlot(sc, int32(slot))
 		}
 	}
 }
 
 // refreshSlot re-derives slot's answer from its group table and writes it to
 // every query position that asks for the slot's object.
-func (p *Planner) refreshSlot(sc *planScratch, slot int32, as *answerScratch) {
-	a := p.answerSlot(sc, slot, as)
+func (p *Planner) refreshSlot(sc *planScratch, slot int32) {
+	a := p.answerSlot(sc, slot)
 	for _, pos := range sc.posList[sc.posStart[slot]:sc.posStart[slot+1]] {
 		sc.cur[pos] = a
 	}
@@ -947,11 +896,11 @@ func (p *Planner) discountProduct(s int32, earlier []int32, cr float64) float64 
 // answerSlot softmaxes the slot's cached group scores and returns the
 // current answer, mirroring the reference computeAnswers: values in sorted
 // order, softmax over the per-value scores, first maximum wins.
-func (p *Planner) answerSlot(sc *planScratch, slot int32, as *answerScratch) Answer {
+func (p *Planner) answerSlot(sc *planScratch, slot int32) Answer {
 	gBase := int(slot) * sc.groupStride
 	num := int(sc.groupNum[slot])
 	scores := sc.groupScore[gBase : gBase+num]
-	probs := as.probs[:num]
+	probs := sc.softmax[:num]
 	// Group sets are never empty here, so NormalizeLogInto cannot fail.
 	_ = stats.NormalizeLogInto(probs, scores)
 	bestK, bestP := 0, -1.0

@@ -19,8 +19,8 @@ import (
 // world, the full-coverage benchWorld, or — seeds above 12 — a world of 430+
 // sources whose value groups hit every remainder of the bulk fold's
 // four-at-a-time product) with a dense random dependence table, and every
-// policy × probe cap × early stop × dependence form × Parallelism × query
-// shape is answered both ways and compared bit for bit.
+// policy × probe cap × early stop × dependence form × query shape is
+// answered both ways and compared bit for bit.
 // The trace itself is pinned to the map oracle by the CompiledMatchesMaps
 // suites. A failure names its seed; rerun it with -run 'FinalMatchesTrace/seed=N'.
 
@@ -197,14 +197,14 @@ func TestFinalMatchesTrace(t *testing.T) {
 			planners := finalPlanners(t, d, accOf, rng)
 			queries := finalQueries(d, rng)
 			n := d.Compiled().NumSources()
-			stops, pars := []float64{0, 0.9}, []int{1, 4}
+			stops := []float64{0, 0.9}
 			if seed > 12 {
 				// A trace over 430 sources is tens of milliseconds a query,
 				// several times that behind the closure: keep to what reaches
 				// the bulk fold's block kernel (an early stop scores per probe
 				// on both sides; the closure takes the single chain the
 				// narrower seeds cover) and to the queries that cover.
-				stops, pars = []float64{0}, []int{1}
+				stops = []float64{0}
 				delete(planners, "closure")
 				delete(queries, "five")
 				delete(queries, "uncovered")
@@ -213,18 +213,16 @@ func TestFinalMatchesTrace(t *testing.T) {
 				for _, pol := range []Policy{GreedyGain, AccuracyCoverage, ByID} {
 					for _, maxSrc := range []int{0, 1, 5, n / 2} {
 						for _, stop := range stops {
-							for _, par := range pars {
-								cfg := DefaultConfig()
-								cfg.Policy, cfg.MaxSources, cfg.StopProb, cfg.Parallelism = pol, maxSrc, stop, par
-								p, err := base.Derive(cfg)
-								if err != nil {
-									t.Fatal(err)
-								}
-								for qName, q := range queries {
-									where := fmt.Sprintf("dep=%s policy=%v max=%d stop=%v par=%d query=%s",
-										depName, pol, maxSrc, stop, par, qName)
-									assertFinalMatchesTrace(t, p, q, where)
-								}
+							cfg := DefaultConfig()
+							cfg.Policy, cfg.MaxSources, cfg.StopProb = pol, maxSrc, stop
+							p, err := base.Derive(cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							for qName, q := range queries {
+								where := fmt.Sprintf("dep=%s policy=%v max=%d stop=%v query=%s",
+									depName, pol, maxSrc, stop, qName)
+								assertFinalMatchesTrace(t, p, q, where)
 							}
 						}
 					}

@@ -14,8 +14,7 @@ import (
 // bit-identical — reflect.DeepEqual, no tolerance — to answerObjectsMaps
 // (the map-based reference that recomputes every answer and every
 // independence product from scratch after each probe), across policies,
-// early stopping, probe caps, duplicate query objects and partial coverage,
-// at every Parallelism setting.
+// early stopping, probe caps, duplicate query objects and partial coverage.
 
 // goldenQueryWorld builds a ragged-coverage world: sources cover random
 // object windows, some values are shared through a copier clique, and
@@ -99,23 +98,17 @@ func TestAnswerCompiledMatchesMaps(t *testing.T) {
 					cfg := base
 					cfg.Policy = pol
 					variant.mut(&cfg)
-					ref := cfg
-					ref.Parallelism = 1
-					want, err := answerObjectsMaps(d, query, ref)
+					want, err := answerObjectsMaps(d, query, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, par := range []int{1, 4, 16} {
-						run := cfg
-						run.Parallelism = par
-						got, err := AnswerObjects(d, query, run)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("seed %d query %q policy %v variant %q: compiled trace at Parallelism=%d differs from map reference",
-								seed, qname, pol, variant.name, par)
-						}
+					got, err := AnswerObjects(d, query, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("seed %d query %q policy %v variant %q: compiled trace differs from map reference",
+							seed, qname, pol, variant.name)
 					}
 				}
 			}

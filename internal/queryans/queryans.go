@@ -16,7 +16,6 @@ import (
 	"errors"
 
 	"sourcecurrents/internal/dataset"
-	"sourcecurrents/internal/engine"
 	"sourcecurrents/internal/model"
 )
 
@@ -66,16 +65,6 @@ type Config struct {
 	// StopProb stops early once every query object's top value reaches
 	// this posterior (0 disables early stopping).
 	StopProb float64
-	// Parallelism is the worker count for the planner's bulk phases
-	// (candidate compilation and the per-probe answer refresh). Values <= 0
-	// select runtime.GOMAXPROCS(0); 1 forces sequential execution. Results
-	// are bit-identical at every setting.
-	Parallelism int
-}
-
-// Engine returns the execution-engine configuration for this planner.
-func (c Config) Engine() engine.Config {
-	return engine.Config{Workers: c.Parallelism}
 }
 
 // DefaultConfig returns the planner defaults.

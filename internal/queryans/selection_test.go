@@ -53,7 +53,7 @@ func benchWorld(tb testing.TB, nSrc int) (*dataset.Dataset, Config) {
 // Edge-case coverage for probe selection on the Planner.Answer path (the
 // tests keep the name of the lazy-greedy selection they were written
 // against): each case is pinned reflect.DeepEqual against the map-based
-// reference at Parallelism 1/4/16, so the selection, the dense slot state and
+// reference, so the selection, the dense slot state and
 // the incremental group scores reproduce the reference bit-for-bit at the
 // boundaries (no candidates, duplicate coverage mass, a probe cap tighter
 // than the candidate pool, early stop). These worlds have 12 sources and
@@ -93,23 +93,16 @@ func TestLazyGreedyEdgeCases(t *testing.T) {
 			cfg := base
 			cfg.Policy = pol
 			tc.mut(&cfg)
-			ref := cfg
-			ref.Parallelism = 1
-			want, err := answerObjectsMaps(d, tc.query, ref)
+			want, err := answerObjectsMaps(d, tc.query, cfg)
 			if err != nil {
 				t.Fatalf("%s/%v: reference: %v", tc.name, pol, err)
 			}
-			for _, par := range []int{1, 4, 16} {
-				run := cfg
-				run.Parallelism = par
-				got, err := AnswerObjects(d, tc.query, run)
-				if err != nil {
-					t.Fatalf("%s/%v par=%d: %v", tc.name, pol, par, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s/%v par=%d: compiled trace differs from map reference",
-						tc.name, pol, par)
-				}
+			got, err := AnswerObjects(d, tc.query, cfg)
+			if err != nil {
+				t.Fatalf("%s/%v: %v", tc.name, pol, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%v: compiled trace differs from map reference", tc.name, pol)
 			}
 		}
 	}
@@ -208,7 +201,7 @@ func tailStop(res *Result, from int) (stop float64, ok bool) {
 // TestSelectionSaturation pins selection against the map oracle on worlds
 // where GreedyGain's coverage settles mid-plan and the planner stops
 // choosing: the full trace, reflect.DeepEqual, under all three policies, the
-// three dependence forms and Parallelism 1/4/16, with the probe cap one
+// three dependence forms, with the probe cap one
 // below, at and one above the settling probe and an early stop that only the
 // tail can reach; Final is held to the trace on every configuration.
 func TestSelectionSaturation(t *testing.T) {
@@ -310,29 +303,27 @@ func TestSelectionSaturation(t *testing.T) {
 									t.Fatalf("dep=%s query=%s: StopProb %v stopped at probe %d, not inside the tail after %d",
 										depName, qName, stop, len(want.Steps), n)
 								}
-								for _, par := range []int{1, 4, 16} {
-									cfg := DefaultConfig()
-									cfg.Policy, cfg.MaxSources, cfg.StopProb, cfg.Parallelism = pol, maxSrc, stop, par
-									p, err := base.Derive(cfg)
-									if err != nil {
-										t.Fatal(err)
-									}
-									where := fmt.Sprintf("dep=%s query=%s policy=%v max=%d stop=%v par=%d (settles after %d)",
-										depName, qName, pol, maxSrc, stop, par, n)
-									got, err := p.Answer(q)
-									if err != nil {
-										t.Fatalf("%s: %v", where, err)
-									}
-									if !reflect.DeepEqual(got, want) {
-										t.Fatalf("%s: compiled trace differs from the map reference", where)
-									}
-									for i, st := range got.Steps { // DeepEqual holds −0 equal to +0; JSON does not
-										if math.Signbit(st.Gain) != math.Signbit(want.Steps[i].Gain) {
-											t.Fatalf("%s: step %d gain is %v, the reference's %v", where, i, st.Gain, want.Steps[i].Gain)
-										}
-									}
-									assertFinalMatchesTrace(t, p, q, where)
+								cfg := DefaultConfig()
+								cfg.Policy, cfg.MaxSources, cfg.StopProb = pol, maxSrc, stop
+								p, err := base.Derive(cfg)
+								if err != nil {
+									t.Fatal(err)
 								}
+								where := fmt.Sprintf("dep=%s query=%s policy=%v max=%d stop=%v (settles after %d)",
+									depName, qName, pol, maxSrc, stop, n)
+								got, err := p.Answer(q)
+								if err != nil {
+									t.Fatalf("%s: %v", where, err)
+								}
+								if !reflect.DeepEqual(got, want) {
+									t.Fatalf("%s: compiled trace differs from the map reference", where)
+								}
+								for i, st := range got.Steps { // DeepEqual holds −0 equal to +0; JSON does not
+									if math.Signbit(st.Gain) != math.Signbit(want.Steps[i].Gain) {
+										t.Fatalf("%s: step %d gain is %v, the reference's %v", where, i, st.Gain, want.Steps[i].Gain)
+									}
+								}
+								assertFinalMatchesTrace(t, p, q, where)
 							}
 						}
 					}
@@ -348,19 +339,15 @@ func TestLazyGreedyEmptyQuery(t *testing.T) {
 	if _, err := answerObjectsMaps(d, nil, cfg); err == nil {
 		t.Fatal("reference accepted an empty query")
 	}
-	for _, par := range []int{1, 4, 16} {
-		run := cfg
-		run.Parallelism = par
-		if _, err := AnswerObjects(d, nil, run); err == nil {
-			t.Fatalf("par=%d: compiled path accepted an empty query", par)
-		}
-		p, err := NewPlanner(d, run)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.Answer(nil); err == nil {
-			t.Fatalf("par=%d: planner accepted an empty query", par)
-		}
+	if _, err := AnswerObjects(d, nil, cfg); err == nil {
+		t.Fatal("compiled path accepted an empty query")
+	}
+	p, err := NewPlanner(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Answer(nil); err == nil {
+		t.Fatal("planner accepted an empty query")
 	}
 }
 

@@ -11,10 +11,10 @@ import (
 	"sourcecurrents/internal/temporal"
 )
 
-// Golden equivalence: BuildProfilesOpt (compiled dense copy-probability
+// Golden equivalence: BuildProfiles (compiled dense copy-probability
 // table) must be bit-identical — reflect.DeepEqual, no tolerance — to
-// buildProfilesMaps (the map-based reference) at every Parallelism setting,
-// with and without a dependence result and temporal reports.
+// buildProfilesMaps (the map-based reference), with and without a dependence
+// result and temporal reports.
 
 func goldenProfileWorld(t *testing.T, seed int64) (*dataset.Dataset, *depen.Result) {
 	t.Helper()
@@ -58,12 +58,8 @@ func TestBuildProfilesCompiledMatchesMaps(t *testing.T) {
 			"dep+reports": {dres, reports},
 		} {
 			want := buildProfilesMaps(d, tc.dep, tc.rep)
-			for _, p := range []int{1, 4, 16} {
-				got := BuildProfilesOpt(d, tc.dep, tc.rep, Options{Parallelism: p})
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d case %q: compiled profiles at Parallelism=%d differ from map reference",
-						seed, name, p)
-				}
+			if got := BuildProfiles(d, tc.dep, tc.rep); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d case %q: compiled profiles differ from map reference", seed, name)
 			}
 		}
 	}

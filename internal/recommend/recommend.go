@@ -18,7 +18,6 @@ import (
 	"sourcecurrents/internal/dataset"
 	"sourcecurrents/internal/depen"
 	"sourcecurrents/internal/dissim"
-	"sourcecurrents/internal/engine"
 	"sourcecurrents/internal/model"
 	"sourcecurrents/internal/temporal"
 )
@@ -62,37 +61,18 @@ func (w Weights) Validate() error {
 	return nil
 }
 
-// Options tunes profile building.
-type Options struct {
-	// Parallelism is the worker count for the per-source profile loop.
-	// Values <= 0 select runtime.GOMAXPROCS(0); 1 forces sequential
-	// execution. Results are bit-identical at every setting.
-	Parallelism int
-}
-
-// Engine returns the execution-engine configuration for profile building.
-func (o Options) Engine() engine.Config {
-	return engine.Config{Workers: o.Parallelism}
-}
-
 // BuildProfiles derives profiles from a dataset plus the discovery results.
 // dep may be nil (all sources independent); reports may be nil (neutral
-// freshness).
+// freshness). It runs over the dataset's compiled columnar index — the O(S²)
+// independence products read a flat directional copy-probability table
+// instead of nested maps — and is bit-identical to the map-based reference
+// (buildProfilesMaps, in reference_test.go), which the golden equivalence
+// tests enforce.
 func BuildProfiles(d *dataset.Dataset, dep *depen.Result,
 	reports map[model.SourceID]*temporal.SourceReport) []Profile {
-	return BuildProfilesOpt(d, dep, reports, Options{})
-}
-
-// BuildProfilesOpt is BuildProfiles with execution options. It runs over the
-// dataset's compiled columnar index — the O(S²) independence products read a
-// flat directional copy-probability table instead of nested maps — and is
-// bit-identical to the map-based reference (buildProfilesMaps, in
-// reference_test.go), which the golden equivalence tests enforce.
-func BuildProfilesOpt(d *dataset.Dataset, dep *depen.Result,
-	reports map[model.SourceID]*temporal.SourceReport, opt Options) []Profile {
 	c := d.Compiled()
-	if c == nil {
-		return nil // not frozen: a dataset has no sources before Freeze
+	if c == nil || c.NumSources() == 0 {
+		return nil // not frozen (a dataset has no sources before Freeze), or empty
 	}
 	nS := c.NumSources()
 	nObj := c.NumObjects()
@@ -110,7 +90,8 @@ func BuildProfilesOpt(d *dataset.Dataset, dep *depen.Result,
 			copyTab[int(bi)*nS+int(ai)] = pd.ProbBA
 		}
 	}
-	return engine.MapN(opt.Engine(), nS, func(si int) Profile {
+	out := make([]Profile, nS)
+	for si := range out {
 		s := c.Source(si)
 		cov := 0.0
 		if nObj > 0 {
@@ -141,8 +122,9 @@ func BuildProfilesOpt(d *dataset.Dataset, dep *depen.Result,
 			}
 			p.Accuracy = rep.Metrics.Exactness
 		}
-		return p
-	})
+		out[si] = p
+	}
+	return out
 }
 
 // Rank scalarizes and sorts profiles by trust (descending, ties by id).

@@ -11,9 +11,7 @@
 //
 // The key is the *normalized* request (see AnswerRequest.cacheKey): the
 // decoded semantic fields rather than the raw body, so requests differing
-// only in JSON whitespace, field order or the parallelism override (results
-// are bit-identical at every parallelism, a property the determinism suites
-// pin) share an entry. The query list is length-prefixed in request order,
+// only in JSON whitespace or field order share an entry. The query list is length-prefixed in request order,
 // duplicates included: answer traces are positional and duplicate entries
 // change the greedy gain sums, so reordering or deduplicating the query
 // would conflate requests with different byte-exact responses.

@@ -57,9 +57,9 @@ func TestAnswerCacheGolden(t *testing.T) {
 	}
 }
 
-// TestAnswerCacheNormalizedKey pins that JSON-presentation variants and
-// parallelism-only differences share one cache entry, while semantic
-// differences do not.
+// TestAnswerCacheNormalizedKey pins that requests differing in nothing the
+// response depends on (JSON presentation) share one cache entry, while
+// semantic differences do not.
 func TestAnswerCacheNormalizedKey(t *testing.T) {
 	ts, srv := cacheTestServer(t, Options{AnswerCacheSize: 64})
 	base := `{"query":[{"entity":"e0","attribute":"a"},{"entity":"e1","attribute":"a"}]}`
@@ -67,12 +67,10 @@ func TestAnswerCacheNormalizedKey(t *testing.T) {
 	if h := srv.cache.hits.Load(); h != 0 {
 		t.Fatalf("first request hit the cache (%d hits)", h)
 	}
-	// Whitespace variant, reordered fields, and a parallelism override all
-	// normalize to the same key.
+	// Whitespace variant and reordered fields normalize to the same key.
 	variants := []string{
 		`{ "query" : [ {"entity":"e0","attribute":"a"}, {"entity":"e1","attribute":"a"} ] }`,
 		`{"query":[{"attribute":"a","entity":"e0"},{"attribute":"a","entity":"e1"}]}`,
-		`{"query":[{"entity":"e0","attribute":"a"},{"entity":"e1","attribute":"a"}],"parallelism":4}`,
 	}
 	for i, v := range variants {
 		resp, _ := post(t, ts.URL+"/v1/alpha/answer", v)

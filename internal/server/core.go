@@ -38,28 +38,24 @@ type ObjectRef struct {
 
 // AnswerRequest asks for the value of each query object. The zero value of
 // every override field means "use the session's configuration"; non-zero
-// fields override per request (the probing policy, the probe cap, the
-// early-stop posterior, and the worker count).
+// fields override per request (the probing policy, the probe cap and the
+// early-stop posterior).
 type AnswerRequest struct {
-	Query       []ObjectRef `json:"query"`
-	Policy      string      `json:"policy,omitempty"`
-	MaxSources  int         `json:"max_sources,omitempty"`
-	StopProb    float64     `json:"stop_prob,omitempty"`
-	Parallelism int         `json:"parallelism,omitempty"`
+	Query      []ObjectRef `json:"query"`
+	Policy     string      `json:"policy,omitempty"`
+	MaxSources int         `json:"max_sources,omitempty"`
+	StopProb   float64     `json:"stop_prob,omitempty"`
 	// IncludeSteps adds the full per-probe trace to the response.
 	IncludeSteps bool `json:"include_steps,omitempty"`
 }
 
 // overrides reports whether the request needs a per-call planner.
 func (r AnswerRequest) overrides() bool {
-	return r.Policy != "" || r.MaxSources != 0 || r.StopProb != 0 || r.Parallelism != 0
+	return r.Policy != "" || r.MaxSources != 0 || r.StopProb != 0
 }
 
 // cacheKey renders the request's normalized form: every decoded field that
-// can influence the response bytes, and nothing else. Parallelism is
-// deliberately absent (results are bit-identical at every setting — the
-// determinism suites pin it), so requests differing only in worker count
-// share a cache entry and a singleflight slot. The query list is
+// can influence the response bytes, and nothing else. The query list is
 // length-prefixed verbatim in request order — answers are positional and
 // duplicates change the greedy gain sums, so sorting or deduplicating here
 // would alias requests with different byte-exact responses.
@@ -125,9 +121,6 @@ func ExecAnswer(s *session.Session, req AnswerRequest) (*queryans.Result, error)
 	}
 	if req.StopProb != 0 {
 		qcfg.StopProb = req.StopProb
-	}
-	if req.Parallelism != 0 {
-		qcfg.Parallelism = req.Parallelism
 	}
 	answer := s.AnswerObjectsWith
 	if req.IncludeSteps {

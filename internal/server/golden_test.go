@@ -69,7 +69,7 @@ func TestHTTPByteIdenticalToSessionCalls(t *testing.T) {
 			{Query: refsFor([]model.ObjectID{objs[0], objs[0], objs[4]})}, // duplicates
 			{Query: refsFor(objs[:6]), Policy: "accuracy-coverage", MaxSources: 3},
 			{Query: refsFor(objs[:4]), Policy: "by-id", IncludeSteps: true},
-			{Query: refsFor(objs[:5]), StopProb: 0.9, Parallelism: 2},
+			{Query: refsFor(objs[:5]), StopProb: 0.9},
 		}
 		for i, req := range answerReqs {
 			t.Run(fmt.Sprintf("%s/answer/%d", name, i), func(t *testing.T) {

@@ -5,7 +5,7 @@
 // session.Session, and answers
 //
 //	POST /v1/{dataset}/answer     online query answering (per-request
-//	                              policy/parallelism overrides, coalesced)
+//	                              policy/cap/stop overrides, coalesced)
 //	POST /v1/{dataset}/append     live ingest: append a claim batch and
 //	                              epoch-swap in the refined successor
 //	POST /v1/{dataset}/fuse       fused view of every object
@@ -419,8 +419,7 @@ func decodeBody(body []byte, v any) error {
 // request, and the singleflight group computes a cache-missing response
 // once for every identical concurrent request. Keying on the decoded
 // request rather than the raw body means whitespace/field-order variants
-// and parallelism-only differences share both layers; the rendered bytes
-// are identical either way. The epoch is the one read atomically with sess:
+// share both layers; the rendered bytes are identical either way. The epoch is the one read atomically with sess:
 // a response computed from a session is only ever cached or joined under
 // that session's own generation, so an epoch swap can never surface bytes
 // from a retired session.

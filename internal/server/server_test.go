@@ -190,6 +190,7 @@ func TestErrorStatuses(t *testing.T) {
 		{"empty query", "POST", "/v1/alpha/answer", `{"query":[]}`, 400},
 		{"malformed json", "POST", "/v1/alpha/answer", `{"query":`, 400},
 		{"unknown field", "POST", "/v1/alpha/answer", `{"queryy":[]}`, 400},
+		{"removed worker-count field", "POST", "/v1/alpha/answer", `{"query":[{"entity":"e","attribute":"a"}],"parallelism":4}`, 400},
 		{"trailing garbage", "POST", "/v1/alpha/answer", `{"query":[{"entity":"e","attribute":"a"}]} extra`, 400},
 		{"bad policy", "POST", "/v1/alpha/answer", `{"query":[{"entity":"e","attribute":"a"}],"policy":"psychic"}`, 400},
 		{"bad stop prob", "POST", "/v1/alpha/answer", `{"query":[{"entity":"e","attribute":"a"}],"stop_prob":1.5}`, 400},

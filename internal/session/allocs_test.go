@@ -45,8 +45,7 @@ func TestServePathAllocs(t *testing.T) {
 	})
 
 	// The serving answer on the 550-source world: the Result, Final and
-	// Probed, plus the four callbacks of the planner's two candidate passes
-	// (queryans.TestPlannerAnswerAllocs) — and nothing that grows with
+	// Probed (queryans.TestPlannerAnswerAllocs) — and nothing that grows with
 	// probes × query, which is the trace's and only TraceObjects pays. A
 	// per-call configuration adds the derived planner.
 	t.Run("answer", func(t *testing.T) {
@@ -59,8 +58,8 @@ func TestServePathAllocs(t *testing.T) {
 			call func() (*queryans.Result, error)
 			max  float64
 		}{
-			{"AnswerObjects", func() (*queryans.Result, error) { return base.AnswerObjects(q) }, 7},
-			{"AnswerObjectsWith", func() (*queryans.Result, error) { return base.AnswerObjectsWith(q, base.QueryConfig()) }, 8},
+			{"AnswerObjects", func() (*queryans.Result, error) { return base.AnswerObjects(q) }, 3},
+			{"AnswerObjectsWith", func() (*queryans.Result, error) { return base.AnswerObjectsWith(q, base.QueryConfig()) }, 4},
 		} {
 			if n := testing.AllocsPerRun(20, func() {
 				if _, err := tc.call(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -103,14 +104,14 @@ func assertSessionsEqual(t *testing.T, got, want *Session) {
 // TestAppendEquivalence pins the tentpole invariant: after N randomized
 // appended batches (varied sizes, new sources and objects mid-stream), a
 // session advanced live through Append is byte-identical to a full New
-// rebuild over the same successor dataset — at every parallelism setting.
+// rebuild over the same successor dataset — at every worker count.
 func TestAppendEquivalence(t *testing.T) {
 	for _, par := range []int{1, 4, 16} {
 		par := par
 		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
 			rng := rand.New(rand.NewSource(42 + int64(par)))
 			cfg := DefaultConfig()
-			cfg.Parallelism = par
 			live, err := New(servingWorld(t, 17), cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -136,14 +137,13 @@ func TestAppendEquivalence(t *testing.T) {
 }
 
 // TestAppendEquivalenceAcrossParallelism asserts the appended results are
-// additionally bit-identical across parallelism settings, like every other
-// solver path in the repo.
+// additionally bit-identical across worker counts, like every other solver
+// path in the repo.
 func TestAppendEquivalenceAcrossParallelism(t *testing.T) {
 	build := func(par int) *Session {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
 		rng := rand.New(rand.NewSource(99))
-		cfg := DefaultConfig()
-		cfg.Parallelism = par
-		s, err := New(servingWorld(t, 31), cfg)
+		s, err := New(servingWorld(t, 31), DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -34,13 +35,13 @@ func appendChain(t testing.TB, cfg Config, seed int64, nBatches int) []*Session 
 // TestAsOfRetainedEquivalence pins the spine's retained path: with full
 // retention, AsOf(e) on the current session returns serving state
 // byte-identical to a full New rebuild over the claims as of epoch e — at
-// every parallelism setting.
+// every worker count.
 func TestAsOfRetainedEquivalence(t *testing.T) {
 	for _, par := range []int{1, 4, 16} {
 		par := par
 		t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
 			cfg := DefaultConfig()
-			cfg.Parallelism = par
 			cfg.RetainEpochs = -1
 			chain := appendChain(t, cfg, 42+int64(par), 5)
 			cur := chain[len(chain)-1]

@@ -2,6 +2,7 @@ package session
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -16,10 +17,9 @@ func TestConcurrentSessionCalls(t *testing.T) {
 	if testing.Short() {
 		t.Skip("race workload skipped in short mode")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // inner loops spawn workers while callers race
 	d := servingWorld(t, 37)
-	cfg := DefaultConfig()
-	cfg.Parallelism = 4 // inner loops spawn workers while callers race
-	s, err := New(d, cfg)
+	s, err := New(d, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

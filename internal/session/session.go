@@ -55,11 +55,6 @@ type Config struct {
 	// Reports optionally supplies temporal quality reports consumed by the
 	// trust profiles (nil for neutral freshness).
 	Reports map[model.SourceID]*temporal.SourceReport
-	// Parallelism is the worker count for the precompute and every serving
-	// loop; when non-zero it overrides the embedded configs' knobs. Values
-	// <= 0 select runtime.GOMAXPROCS(0); 1 forces sequential execution.
-	// Results are bit-identical at every setting.
-	Parallelism int
 	// RetainEpochs bounds the epoch history spine: how many historical
 	// epochs stay addressable through AsOf behind the current one as the
 	// session advances through Append. 0 (the default) retains none —
@@ -77,16 +72,6 @@ func DefaultConfig() Config {
 		Query:  queryans.DefaultConfig(),
 		Fusion: fusion.DefaultConfig(),
 	}
-}
-
-// effective propagates a non-zero Parallelism into every embedded config.
-func (c Config) effective() Config {
-	if c.Parallelism != 0 {
-		c.Depen.Parallelism = c.Parallelism
-		c.Query.Parallelism = c.Parallelism
-		c.Fusion.Parallelism = c.Parallelism
-	}
-	return c
 }
 
 // Validate reports configuration errors.
@@ -167,7 +152,6 @@ func (s *Session) materialize() error {
 // runs truth discovery and dependence detection once, and precompiles the
 // query planner against the cached state.
 func New(d *dataset.Dataset, cfg Config) (*Session, error) {
-	cfg = cfg.effective()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -188,7 +172,7 @@ func New(d *dataset.Dataset, cfg Config) (*Session, error) {
 // vectors the serving tables alias — the shared tail of New, Append and AsOf
 // — or, with st nil, over a decoded discovery result dep (LoadSnapshot),
 // whose accuracies and totals are copied into dense form. cfg must already
-// be effective() and validated, and d frozen and non-empty.
+// be validated, and d frozen and non-empty.
 func newSession(d *dataset.Dataset, cfg Config, st *depen.State, dep *depen.Result) (*Session, error) {
 	s := &Session{
 		d:       d,
@@ -416,9 +400,6 @@ func (s *Session) TraceObjects(query []model.ObjectID, qcfg queryans.Config) (*q
 
 // derive returns the per-call planner for qcfg over the session's dense state.
 func (s *Session) derive(qcfg queryans.Config) (*queryans.Planner, error) {
-	if qcfg.Parallelism == 0 && s.cfg.Parallelism != 0 {
-		qcfg.Parallelism = s.cfg.Parallelism
-	}
 	qcfg.Accuracy = nil
 	qcfg.Dependence = nil
 	return s.planner.Derive(qcfg)
@@ -458,8 +439,7 @@ func (s *Session) Profiles() []recommend.Profile {
 		return nil
 	}
 	s.profilesOnce.Do(func() {
-		s.profiles = recommend.BuildProfilesOpt(s.d, s.result(), s.cfg.Reports,
-			recommend.Options{Parallelism: s.cfg.Parallelism})
+		s.profiles = recommend.BuildProfiles(s.d, s.result(), s.cfg.Reports)
 	})
 	return s.profiles
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sourcecurrents/internal/dataset"
@@ -186,9 +187,8 @@ func TestSessionLink(t *testing.T) {
 func TestSessionParallelismInvariant(t *testing.T) {
 	d := servingWorld(t, 23)
 	build := func(p int) (*Session, *queryans.Result, *fusion.Result, []recommend.Profile) {
-		cfg := DefaultConfig()
-		cfg.Parallelism = p
-		s, err := New(d, cfg)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(p))
+		s, err := New(d, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,13 +206,13 @@ func TestSessionParallelismInvariant(t *testing.T) {
 	for _, p := range []int{4, 16} {
 		_, ans, fu, prof := build(p)
 		if !reflect.DeepEqual(ans, ans1) {
-			t.Fatalf("answers differ at Parallelism=%d", p)
+			t.Fatalf("answers differ at GOMAXPROCS=%d", p)
 		}
 		if !reflect.DeepEqual(fu, fu1) {
-			t.Fatalf("fusion differs at Parallelism=%d", p)
+			t.Fatalf("fusion differs at GOMAXPROCS=%d", p)
 		}
 		if !reflect.DeepEqual(prof, prof1) {
-			t.Fatalf("profiles differ at Parallelism=%d", p)
+			t.Fatalf("profiles differ at GOMAXPROCS=%d", p)
 		}
 	}
 }

@@ -245,11 +245,10 @@ func checkFingerprint(dec *snapio.Reader, cfg depen.Config, version int) error {
 // under cfg without re-running discovery. cfg must match the configuration
 // the snapshot was built with on every field that shaped the precompute
 // (checked against the stored fingerprint); serving-only knobs — Query,
-// Fusion, Reports, Parallelism — are free to differ. The loaded session's
+// Fusion, Reports — are free to differ. The loaded session's
 // state and every serving call are bit-identical to the session the
 // snapshot was taken of.
 func LoadSnapshot(r io.Reader, cfg Config) (*Session, error) {
-	cfg = cfg.effective()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

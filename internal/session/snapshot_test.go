@@ -161,7 +161,6 @@ func TestSnapshotFingerprintMismatch(t *testing.T) {
 
 	// Serving-only knobs may differ freely.
 	cfg = DefaultConfig()
-	cfg.Parallelism = 4
 	cfg.Query.MaxSources = 3
 	if _, err := LoadSnapshot(bytes.NewReader(raw), cfg); err != nil {
 		t.Fatalf("serving-knob change rejected: %v", err)

@@ -102,7 +102,6 @@ func (s *Session) WriteSnapshotV2(w io.Writer) error {
 // container: cast the hot sections, check the config fingerprint, build the
 // planner. No cold section is touched. On error the caller owns closing m.
 func sessionFromMapped(m *snapio.Mapped, cfg Config) (*Session, error) {
-	cfg = cfg.effective()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -223,8 +224,8 @@ func TestStateChainEquivalence(t *testing.T) {
 		for _, par := range []int{1, 4} {
 			start, par := start, par
 			t.Run(fmt.Sprintf("%s/par%d", start.name, par), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
 				cfg := DefaultConfig()
-				cfg.Parallelism = par
 				cfg.RetainEpochs = -1
 				// read has its Result view built at random epochs, before
 				// the append that chains off it; lazy never, until the chain

@@ -164,7 +164,7 @@ func detectPairsCompiled(c *dataset.Compiled, cfg Config) *Result {
 		}
 	}
 	verdicts := make([]verdict, len(pairs))
-	engine.ForNScratch(cfg.Engine(), len(pairs), func() *tempScratch { return &tempScratch{} },
+	engine.ForNScratch(len(pairs), func() *tempScratch { return &tempScratch{} },
 		func(pi int, sc *tempScratch) {
 			dep, ok := scorePairCompiled(c, int(pairs[pi][0]), int(pairs[pi][1]), qCov, cfg, sc)
 			verdicts[pi] = verdict{dep: dep, ok: ok}

@@ -2,6 +2,7 @@ package temporal
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sourcecurrents/internal/dataset"
@@ -9,7 +10,7 @@ import (
 )
 
 // The engine contract: pairwise and windowed temporal detection are
-// bit-identical at every Parallelism setting.
+// bit-identical at every worker count (GOMAXPROCS 1, 4, 16).
 
 func temporalWorld(t *testing.T, seed int64) *dataset.Dataset {
 	t.Helper()
@@ -36,13 +37,13 @@ func temporalWorld(t *testing.T, seed int64) *dataset.Dataset {
 }
 
 func TestDetectPairsParallelismInvariant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, seed := range []int64{3, 17, 99} {
 		d := temporalWorld(t, seed)
 		var want *Result
 		for _, p := range []int{1, 4, 16} {
-			cfg := DefaultConfig()
-			cfg.Parallelism = p
-			got, err := DetectPairs(d, cfg)
+			runtime.GOMAXPROCS(p)
+			got, err := DetectPairs(d, DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,20 +52,19 @@ func TestDetectPairsParallelismInvariant(t *testing.T) {
 				continue
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d: DetectPairs result at Parallelism=%d differs from sequential", seed, p)
+				t.Fatalf("seed %d: DetectPairs result at GOMAXPROCS=%d differs from sequential", seed, p)
 			}
 		}
 	}
 }
 
 func TestDetectOverWindowsParallelismInvariant(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	d := temporalWorld(t, 13)
 	var want *WindowedResult
 	for _, p := range []int{1, 4, 16} {
-		cfg := DefaultWindowedConfig()
-		cfg.Parallelism = p
-		cfg.Pair.Parallelism = p
-		got, err := DetectOverWindows(d, cfg)
+		runtime.GOMAXPROCS(p)
+		got, err := DetectOverWindows(d, DefaultWindowedConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func TestDetectOverWindowsParallelismInvariant(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("DetectOverWindows result at Parallelism=%d differs from sequential", p)
+			t.Fatalf("DetectOverWindows result at GOMAXPROCS=%d differs from sequential", p)
 		}
 	}
 }

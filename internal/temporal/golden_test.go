@@ -2,6 +2,7 @@ package temporal
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sourcecurrents/internal/synth"
@@ -10,9 +11,10 @@ import (
 // Golden equivalence: DetectPairs (compiled merge-join path) must be
 // bit-identical — reflect.DeepEqual, no tolerance — to detectPairsMaps
 // (the map-based reference) on seeded temporal worlds with lazy copiers,
-// at every Parallelism setting.
+// at every worker count.
 
 func TestDetectPairsCompiledMatchesMaps(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, seed := range []int64{7, 43, 997} {
 		tw, err := synth.GenerateTemporal(synth.TemporalConfig{
 			Seed:       seed,
@@ -40,21 +42,18 @@ func TestDetectPairsCompiledMatchesMaps(t *testing.T) {
 			{"default", DefaultConfig()},
 			{"tight-window", func() Config { c := DefaultConfig(); c.Window = 2; return c }()},
 		} {
-			ref := windows.cfg
-			ref.Parallelism = 1
-			want, err := detectPairsMaps(tw.Dataset, ref)
+			want, err := detectPairsMaps(tw.Dataset, windows.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, p := range []int{1, 4, 16} {
-				run := windows.cfg
-				run.Parallelism = p
-				got, err := DetectPairs(tw.Dataset, run)
+				runtime.GOMAXPROCS(p)
+				got, err := DetectPairs(tw.Dataset, windows.cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d, cfg %q: compiled DetectPairs at Parallelism=%d differs from map reference", seed, windows.name, p)
+					t.Fatalf("seed %d, cfg %q: compiled DetectPairs at GOMAXPROCS=%d differs from map reference", seed, windows.name, p)
 				}
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"sourcecurrents/internal/dataset"
-	"sourcecurrents/internal/engine"
 	"sourcecurrents/internal/model"
 	"sourcecurrents/internal/stats"
 )
@@ -61,22 +60,14 @@ func detectPairsMaps(d *dataset.Dataset, cfg Config) (*Result, error) {
 		}
 	}
 
-	// Score every pair in parallel (workers only read the shared trace and
-	// popularity indexes), then merge in the canonical pair order.
-	type verdict struct {
-		dep Dependence
-		ok  bool
-	}
-	verdicts := engine.MapPairs(cfg.Engine(), len(sources), func(i, j int) verdict {
-		dep, ok := scorePair(sources[i], sources[j], traces, popularity, len(sources), qCov, cfg)
-		return verdict{dep: dep, ok: ok}
-	})
+	// Score every pair in the canonical pair order.
 	res := &Result{}
-	for _, v := range verdicts {
-		if !v.ok {
-			continue
+	for i := range sources {
+		for j := i + 1; j < len(sources); j++ {
+			if dep, ok := scorePair(sources[i], sources[j], traces, popularity, len(sources), qCov, cfg); ok {
+				res.AllPairs = append(res.AllPairs, dep)
+			}
 		}
-		res.AllPairs = append(res.AllPairs, v.dep)
 	}
 	sort.Slice(res.AllPairs, func(a, b int) bool {
 		if res.AllPairs[a].Prob != res.AllPairs[b].Prob {

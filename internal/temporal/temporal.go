@@ -25,7 +25,6 @@ import (
 	"sort"
 
 	"sourcecurrents/internal/dataset"
-	"sourcecurrents/internal/engine"
 	"sourcecurrents/internal/model"
 )
 
@@ -229,15 +228,6 @@ type Config struct {
 	MinSharedUpdates int
 	// DepThreshold is the posterior above which a pair is reported.
 	DepThreshold float64
-	// Parallelism is the worker count for the O(S²) pairwise scoring loop.
-	// Values <= 0 select runtime.GOMAXPROCS(0); 1 reproduces sequential
-	// execution exactly. Results are bit-identical at every setting.
-	Parallelism int
-}
-
-// Engine returns the execution-engine configuration for this detector.
-func (c Config) Engine() engine.Config {
-	return engine.Config{Workers: c.Parallelism}
 }
 
 // DefaultConfig returns the parameters used by the experiments.

@@ -17,16 +17,10 @@ import (
 
 // WindowedConfig parameterizes DetectOverWindows.
 type WindowedConfig struct {
-	// Pair is the per-window detection configuration. Its Parallelism knob
-	// applies within each window's pairwise scoring.
+	// Pair is the per-window detection configuration.
 	Pair Config
 	// WindowSpan is the width of each analysis window; Step the stride.
 	WindowSpan, Step model.Time
-	// Parallelism is the worker count for analyzing distinct windows
-	// concurrently. Values <= 0 select runtime.GOMAXPROCS(0); 1 reproduces
-	// sequential execution exactly. Results are bit-identical at every
-	// setting: windows are merged in time order.
-	Parallelism int
 }
 
 // DefaultWindowedConfig covers a trace in four to six windows with 50%
@@ -115,8 +109,7 @@ func DetectOverWindows(d *dataset.Dataset, cfg WindowedConfig) (*WindowedResult,
 		verdicts map[model.SourcePair]float64
 		err      error
 	}
-	eng := engine.Config{Workers: cfg.Parallelism}
-	outs := engine.MapObjects(eng, starts, func(start model.Time) windowOut {
+	outs := engine.MapObjects(starts, func(start model.Time) windowOut {
 		sub, err := sliceWindow(d, start, start+cfg.WindowSpan)
 		if err != nil {
 			return windowOut{err: err}

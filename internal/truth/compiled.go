@@ -11,7 +11,6 @@ package truth
 
 import (
 	"sourcecurrents/internal/dataset"
-	"sourcecurrents/internal/engine"
 	"sourcecurrents/internal/model"
 	"sourcecurrents/internal/stats"
 )
@@ -240,9 +239,9 @@ func (s *DenseSolver) ClassMass(probs []float64, oi int, g int32) float64 {
 // UpdateAccuracy re-estimates every source's accuracy from the flat
 // posterior vector into next, mirroring UpdateAccuracySim's per-source
 // object order (ascending).
-func (s *DenseSolver) UpdateAccuracy(eng engine.Config, probs, next []float64) {
+func (s *DenseSolver) UpdateAccuracy(probs, next []float64) {
 	c := s.c
-	engine.ForN(eng, c.NumSources(), func(si int) {
+	for si := 0; si < c.NumSources(); si++ {
 		start, end := c.SrcStart[si], c.SrcStart[si+1]
 		var sum float64
 		for k := start; k < end; k++ {
@@ -250,7 +249,7 @@ func (s *DenseSolver) UpdateAccuracy(eng engine.Config, probs, next []float64) {
 		}
 		cnt := float64(end - start)
 		next[si] = stats.ClampProb((sum + s.cfg.PriorA) / (cnt + s.cfg.PriorA + s.cfg.PriorB))
-	})
+	}
 }
 
 // ProbsMap converts the flat posterior vector back to the public map shape,
@@ -333,20 +332,20 @@ func accuCompiled(c *dataset.Compiled, cfg Config) *Result {
 	weights := make([]float64, nS)
 	next := make([]float64, nS)
 	probs := make([]float64, len(c.GroupValue))
-	eng := cfg.Engine()
+	sc := solver.NewScratch()
 	res := &Result{}
 	for round := 1; round <= cfg.MaxRounds; round++ {
 		solver.FillWeights(acc, weights)
-		engine.ForNScratch(eng, c.NumObjects(), solver.NewScratch, func(oi int, sc *DenseScratch) {
+		for oi := 0; oi < c.NumObjects(); oi++ {
 			row := solver.Row(probs, oi)
 			if kr := solver.KnownRow(oi); kr != nil {
 				copy(row, kr)
-				return
+				continue
 			}
 			scores := solver.ScoreObject(oi, weights, sc)
 			solver.FinishObject(oi, scores, row, sc)
-		})
-		solver.UpdateAccuracy(eng, probs, next)
+		}
+		solver.UpdateAccuracy(probs, next)
 		res.Rounds = round
 		if MaxAccuracyDeltaVec(acc, next) < cfg.Tol {
 			copy(acc, next)

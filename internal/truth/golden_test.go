@@ -12,7 +12,7 @@ import (
 // Golden equivalence: Accu (compiled columnar path) must be bit-identical —
 // reflect.DeepEqual, no tolerance — to accuMaps (the map-based reference)
 // on seeded random worlds, across plain, ValueSim, and Known-label
-// configurations, at every Parallelism setting.
+// configurations.
 
 // goldenSim is a stateless (hence concurrency-safe) value similarity:
 // values sharing a first byte ("F12_0" vs "F12_3") leak partial support.
@@ -74,22 +74,16 @@ func TestAccuCompiledMatchesMaps(t *testing.T) {
 	for _, seed := range []int64{3, 17, 209} {
 		d := goldenSnapshot(t, seed)
 		for name, cfg := range goldenConfigs(d) {
-			ref := cfg
-			ref.Parallelism = 1
-			want, err := accuMaps(d, ref)
+			want, err := accuMaps(d, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, p := range []int{1, 4, 16} {
-				run := cfg
-				run.Parallelism = p
-				got, err := Accu(d, run)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d, cfg %q: compiled Accu at Parallelism=%d differs from map reference", seed, name, p)
-				}
+			got, err := Accu(d, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, cfg %q: compiled Accu differs from map reference", seed, name)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package truth
 
 import (
 	"sourcecurrents/internal/dataset"
-	"sourcecurrents/internal/engine"
 	"sourcecurrents/internal/model"
 )
 
@@ -15,19 +14,12 @@ func accuMaps(d *dataset.Dataset, cfg Config) (*Result, error) {
 	}
 	res := &Result{}
 	objects := d.Objects()
-	eng := cfg.Engine()
 	for round := 1; round <= cfg.MaxRounds; round++ {
-		// Score objects in parallel; workers only read the shared accuracy
-		// map and write their own slot, and the merge below iterates in
-		// canonical object order, so the result is worker-count invariant.
-		scored := engine.MapObjects(eng, objects, func(o model.ObjectID) map[string]float64 {
+		probs := make(map[model.ObjectID]map[string]float64, len(objects))
+		for _, o := range objects {
 			scores := ScoreValues(d.ValuesFor(o), acc, cfg.N, nil)
 			scores = ApplySimilarity(scores, cfg.ValueSim, cfg.ValueSimWeight)
-			return cfg.ApplyKnown(o, SoftmaxScores(scores))
-		})
-		probs := make(map[model.ObjectID]map[string]float64, len(objects))
-		for i, o := range objects {
-			probs[o] = scored[i]
+			probs[o] = cfg.ApplyKnown(o, SoftmaxScores(scores))
 		}
 		next := UpdateAccuracySim(d, probs, cfg.PriorA, cfg.PriorB, cfg.ValueSim)
 		res.Probs = probs

@@ -24,7 +24,6 @@ import (
 	"sort"
 
 	"sourcecurrents/internal/dataset"
-	"sourcecurrents/internal/engine"
 	"sourcecurrents/internal/model"
 	"sourcecurrents/internal/stats"
 )
@@ -111,9 +110,9 @@ type Config struct {
 	// ValueSim, when non-nil, enables the similarity extension: a value
 	// receives ValueSimWeight times the similarity-weighted scores of the
 	// other candidates (captures "UW" vs "Univ. of Washington" support
-	// leakage). Similarity must be in [0, 1]. With Parallelism != 1 the
-	// function is invoked concurrently from multiple workers, so any
-	// internal state (e.g. a memoization cache) must be synchronized.
+	// leakage). Similarity must be in [0, 1]. depen's truth step calls
+	// the function concurrently from GOMAXPROCS workers, so any internal
+	// state (e.g. a memoization cache) must be synchronized.
 	ValueSim func(a, b string) float64
 	// ValueSimWeight scales the similarity contribution (0 disables).
 	ValueSimWeight float64
@@ -125,17 +124,6 @@ type Config struct {
 	// KnownConfidence is the pinned probability for labeled values
 	// (default 0.99 when Known is non-empty and this is zero).
 	KnownConfidence float64
-	// Parallelism is the worker count for the per-object scoring loop.
-	// Values <= 0 select runtime.GOMAXPROCS(0); 1 reproduces sequential
-	// execution exactly. Results are bit-identical at every setting: each
-	// object's posterior is computed independently and merged in canonical
-	// object order.
-	Parallelism int
-}
-
-// Engine returns the execution-engine configuration for this solver.
-func (c Config) Engine() engine.Config {
-	return engine.Config{Workers: c.Parallelism}
 }
 
 // knownConfidence returns the effective pin probability.

@@ -2,6 +2,7 @@ package winnow
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sourcecurrents/internal/synth"
@@ -9,9 +10,10 @@ import (
 
 // Repeated-run determinism: fingerprinting walks map-backed snapshot views,
 // so rebuild the world per run and require bit-identical pair lists at
-// every Parallelism setting.
+// every worker count (GOMAXPROCS 1, 4, 16).
 
 func TestDetectPairsDeterministicAcrossRunsAndParallelism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var want []Pair
 	for run := 0; run < 3; run++ {
 		sw, err := synth.GenerateSnapshot(synth.SnapshotConfig{
@@ -25,9 +27,8 @@ func TestDetectPairsDeterministicAcrossRunsAndParallelism(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range []int{1, 4, 16} {
-			cfg := DefaultConfig()
-			cfg.Parallelism = p
-			got, err := DetectPairs(sw.Dataset, cfg, 0.1)
+			runtime.GOMAXPROCS(p)
+			got, err := DetectPairs(sw.Dataset, DefaultConfig(), 0.1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -36,7 +37,7 @@ func TestDetectPairsDeterministicAcrossRunsAndParallelism(t *testing.T) {
 				continue
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("pair list differs across runs (Parallelism=%d)", p)
+				t.Fatalf("pair list differs across runs (GOMAXPROCS=%d)", p)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package winnow
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sourcecurrents/internal/synth"
@@ -9,9 +10,10 @@ import (
 
 // Golden equivalence: DetectPairs (compiled parallel path) must be
 // bit-identical — reflect.DeepEqual, no tolerance — to detectPairsMaps (the
-// map-based reference) at every Parallelism setting and threshold.
+// map-based reference) at every worker count and threshold.
 
 func TestDetectPairsCompiledMatchesMaps(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, seed := range []int64{3, 41} {
 		sw, err := synth.GenerateSnapshot(synth.SnapshotConfig{
 			Seed:           seed,
@@ -30,14 +32,13 @@ func TestDetectPairsCompiledMatchesMaps(t *testing.T) {
 		for _, threshold := range []float64{0, 0.3, 0.9} {
 			want := detectPairsMaps(d, DefaultConfig(), threshold)
 			for _, p := range []int{1, 4, 16} {
-				cfg := DefaultConfig()
-				cfg.Parallelism = p
-				got, err := DetectPairs(d, cfg, threshold)
+				runtime.GOMAXPROCS(p)
+				got, err := DetectPairs(d, DefaultConfig(), threshold)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d threshold %v: compiled pairs at Parallelism=%d differ from map reference",
+					t.Fatalf("seed %d threshold %v: compiled pairs at GOMAXPROCS=%d differ from map reference",
 						seed, threshold, p)
 				}
 			}

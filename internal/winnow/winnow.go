@@ -25,10 +25,6 @@ import (
 type Config struct {
 	K int // k-gram size (tokens)
 	W int // winnowing window size
-	// Parallelism is the worker count for fingerprinting and pairwise
-	// scoring. Values <= 0 select runtime.GOMAXPROCS(0); 1 forces
-	// sequential execution. Results are bit-identical at every setting.
-	Parallelism int
 }
 
 // DefaultConfig uses k=3 tokens and window 4.
@@ -43,11 +39,6 @@ func (c Config) Validate() error {
 		return errors.New("winnow: W must be >= 1")
 	}
 	return nil
-}
-
-// Engine returns the execution-engine configuration for this detector.
-func (c Config) Engine() engine.Config {
-	return engine.Config{Workers: c.Parallelism}
 }
 
 // Fingerprint is the winnowed hash set of one source.
@@ -168,11 +159,10 @@ func DetectPairs(d *dataset.Dataset, cfg Config, threshold float64) ([]Pair, err
 		return nil, errors.New("winnow: threshold must be in [0,1]")
 	}
 	c := d.Compiled()
-	eng := cfg.Engine()
-	fps := engine.MapN(eng, c.NumSources(), func(si int) Fingerprint {
+	fps := engine.MapN(c.NumSources(), func(si int) Fingerprint {
 		return winnowHashes(hashKGrams(tokensOfCompiled(c, si), cfg.K), cfg.W)
 	})
-	sims := engine.MapPairs(eng, c.NumSources(), func(i, j int) float64 {
+	sims := engine.MapPairs(c.NumSources(), func(i, j int) float64 {
 		return Similarity(fps[i], fps[j])
 	})
 	var out []Pair

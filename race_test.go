@@ -1,10 +1,11 @@
 // Race-detector coverage: drive every parallel hot path with more workers
-// than cores on workloads large enough that chunks genuinely interleave, so
+// than cores (GOMAXPROCS raised to 16 for the test) on workloads large enough that chunks genuinely interleave, so
 // `go test -race` exercises the engine's sharing discipline (read-only
 // inputs, index-addressed writes). Skipped in -short mode.
 package sourcecurrents_test
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -59,17 +60,14 @@ func TestParallelPathsUnderRaceDetector(t *testing.T) {
 	if testing.Short() {
 		t.Skip("race workload skipped in short mode")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
 	d := raceSnapshotDataset(t)
 
-	tcfg := sourcecurrents.DefaultTruthConfig()
-	tcfg.Parallelism = 16
-	if _, err := sourcecurrents.DiscoverTruth(d, tcfg); err != nil {
+	if _, err := sourcecurrents.DiscoverTruth(d, sourcecurrents.DefaultTruthConfig()); err != nil {
 		t.Fatal(err)
 	}
 
-	dcfg := sourcecurrents.DefaultDependenceConfig()
-	dcfg.Parallelism = 16
-	if _, err := sourcecurrents.DetectDependence(d, dcfg); err != nil {
+	if _, err := sourcecurrents.DetectDependence(d, sourcecurrents.DefaultDependenceConfig()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -77,7 +75,6 @@ func TestParallelPathsUnderRaceDetector(t *testing.T) {
 	// it with a (synchronized) memoizing implementation — the shape EX4's
 	// BookSim uses — so -race watches the ApplySimilarity/ClassMass path.
 	scfg := sourcecurrents.DefaultDependenceConfig()
-	scfg.Parallelism = 16
 	scfg.Truth.ValueSim = memoizingSim()
 	scfg.Truth.ValueSimWeight = 0.2
 	if _, err := sourcecurrents.DetectDependence(d, scfg); err != nil {
@@ -104,16 +101,11 @@ func TestParallelPathsUnderRaceDetector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mcfg := sourcecurrents.DefaultTemporalConfig()
-	mcfg.Parallelism = 16
-	if _, err := sourcecurrents.DetectTemporalDependence(tw.Dataset, mcfg); err != nil {
+	if _, err := sourcecurrents.DetectTemporalDependence(tw.Dataset, sourcecurrents.DefaultTemporalConfig()); err != nil {
 		t.Fatal(err)
 	}
 
-	wcfg := sourcecurrents.DefaultWindowedTemporalConfig()
-	wcfg.Parallelism = 8
-	wcfg.Pair.Parallelism = 4
-	if _, err := sourcecurrents.DetectTemporalOverWindows(tw.Dataset, wcfg); err != nil {
+	if _, err := sourcecurrents.DetectTemporalOverWindows(tw.Dataset, sourcecurrents.DefaultWindowedTemporalConfig()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -126,10 +118,9 @@ func TestSessionUnderRaceDetector(t *testing.T) {
 	if testing.Short() {
 		t.Skip("race workload skipped in short mode")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	d := raceSnapshotDataset(t)
-	cfg := sourcecurrents.DefaultSessionConfig()
-	cfg.Parallelism = 8
-	s, err := sourcecurrents.NewSession(d, cfg)
+	s, err := sourcecurrents.NewSession(d, sourcecurrents.DefaultSessionConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,12 @@
 //     answers unlimited AnswerObjects / Fuse / Link / RecommendSources
 //     calls against cached state, safely from concurrent goroutines.
 //
+// There is no worker-count option: the loops measured faster on two cores
+// than on one (copy detection's pair and truth steps, winnowing, temporal
+// pairs and windows) fan out over runtime.GOMAXPROCS(0) workers, everything
+// else runs on the calling goroutine, and results are bit-identical at every
+// count — set GOMAXPROCS to bound a process.
+//
 // Quickstart:
 //
 //	ds := sourcecurrents.NewDataset()
@@ -37,7 +43,6 @@ import (
 	"sourcecurrents/internal/dataset"
 	"sourcecurrents/internal/depen"
 	"sourcecurrents/internal/dissim"
-	"sourcecurrents/internal/engine"
 	"sourcecurrents/internal/fusion"
 	"sourcecurrents/internal/linkage"
 	"sourcecurrents/internal/model"
@@ -67,18 +72,6 @@ type (
 	// Dataset is the indexed claim store all solvers consume.
 	Dataset = dataset.Dataset
 )
-
-// Parallel execution. Every solver and application config (TruthConfig,
-// DependenceConfig, TemporalConfig, WindowedTemporalConfig, QueryConfig,
-// FusionConfig, SessionConfig) carries a Parallelism knob: the worker count
-// for its hot loop. Values <= 0 select DefaultParallelism(); 1 forces
-// sequential execution. Results are bit-identical at every setting —
-// workers write index-addressed slots and merges run in canonical
-// source/object order — so parallelism is purely a throughput knob.
-
-// DefaultParallelism returns the worker count a non-positive Parallelism
-// resolves to: runtime.GOMAXPROCS(0).
-func DefaultParallelism() int { return engine.DefaultWorkers() }
 
 // Obj constructs an ObjectID.
 func Obj(entity, attribute string) ObjectID { return model.Obj(entity, attribute) }
