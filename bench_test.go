@@ -238,18 +238,20 @@ func TestDetectFlatAllocs(t *testing.T) {
 }
 
 // TestAppendBuildAllocs holds the write path's dataset stage — Append plus
-// the columns it builds — to what it allocates now that the columns are laid
-// out from the claim log by integer sort: on the 100-independent × 400-object
-// world, a 220-claim source-major batch that names nothing new (two sources
-// re-claiming 110 objects each, the steady-state append). The per-source and
-// per-object maps this replaced made 17073 allocations (9.3 MB) here; the
-// columns are 28 slices (7.2 MB, over half of it the claim array's copy).
-// Counts and bytes get 10%.
+// the columns it builds — to what it allocates when the successor copies the
+// claim log: on the 100-independent × 400-object world, a 220-claim
+// source-major batch that names nothing new (two sources re-claiming 110
+// objects each), appended each time onto the same flat dataset, which has no
+// log to extend — what a sibling, a retry and At's successors pay. The
+// per-source and per-object maps the columns replaced made 17073 allocations
+// (9.3 MB) here; it is 29 (6.8 MB, 4.8 of it the claim array's copy with its
+// room to grow). Counts and bytes get 10%. A chained append, which copies no
+// claims, is held by TestDatasetAppendBytes in internal/dataset.
 func TestAppendBuildAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts differ under -race")
 	}
-	const allocCeiling, byteCeiling = 28, 7232704
+	const allocCeiling, byteCeiling = 29, 6830576
 	d := benchSnapshotWorld(t, 100, 400)
 	var batch []sourcecurrents.Claim
 	for k, s := range []sourcecurrents.SourceID{d.Sources()[3], d.Sources()[57]} {
@@ -393,15 +395,69 @@ func BenchmarkAppendWide(b *testing.B) {
 	}
 }
 
-// TestAppendWideBytes holds what BenchmarkAppendWide's appends allocate
-// (median of 5). A source-major append used to allocate 33.6 MB, most of it a
-// merged AllPairs of 150 975 named pairs and two more S² tables; advancing
-// dense state to dense state it is 16.7 MB: the pair records (8.7 — the merged
-// list is sized before the superseded records are counted), the dataset
-// stage (2.7), the totals table (2.4) and the dirty pairs' overlaps.
-// An object-major one rescores every pair, then (351 MB) as now (240 MB, the
-// overlap arrays no longer regrown a quarter at a time); its ceiling is that
-// plus a tenth.
+// midAppendBatch is the i-th source-major batch for the mid shape (100
+// independents + 10 copiers × 400 objects): two sources re-claiming 110
+// objects each with a value the object already has, so no table grows — the
+// steady-state append. The sources and the object windows move with i.
+func midAppendBatch(d *sourcecurrents.Dataset, i int) []sourcecurrents.Claim {
+	srcs, objs := d.Sources(), d.Objects()
+	batch := make([]sourcecurrents.Claim, 0, 220)
+	for k := 0; k < 2; k++ {
+		s := srcs[(3+i+55*k)%len(srcs)]
+		for j := 0; j < 110; j++ {
+			o := objs[(37*i+200*k+j)%len(objs)]
+			v, _ := d.Value(srcs[0], o)
+			batch = append(batch, sourcecurrents.NewClaim(s, o, v))
+		}
+	}
+	return batch
+}
+
+// BenchmarkAppendMid times the write path's dataset stage alone —
+// Dataset.Append, the successor's columns included — on the mid shape.
+// "chained" appends each batch onto the previous successor, as a serving
+// session does: the claim log is extended where it lies and only the rows the
+// batch names are laid out. "sibling" appends every batch onto the same base,
+// so each one copies the log (what At, a retry and bench/'s
+// session.append_self_ms pay).
+func BenchmarkAppendMid(b *testing.B) {
+	base := benchSnapshotWorld(b, 100, 400)
+	batches := make([][]sourcecurrents.Claim, 64)
+	for i := range batches {
+		batches[i] = midAppendBatch(base, i)
+	}
+	for _, mode := range []string{"chained", "sibling"} {
+		b.Run(mode, func(b *testing.B) {
+			b.ReportAllocs()
+			d := base
+			for i := 0; i < b.N; i++ {
+				next, err := d.Append(batches[i%len(batches)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				if mode == "chained" {
+					d = next
+				}
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+		})
+	}
+}
+
+// TestAppendWideBytes holds what a serving session's appends allocate on the
+// wide shape (median of 5), each onto the session the one before produced —
+// the first, which copies the flat dataset's claims into a log with room, is
+// not one of the five. A source-major append used to allocate 33.6 MB, most
+// of it a merged AllPairs of 150 975 named pairs and two more S² tables;
+// advancing dense state to dense state it was 16.7 MB: the pair records (8.7
+// — the merged list is sized before the superseded records are counted), the
+// dataset stage (2.7), the totals table (2.4) and the dirty pairs' overlaps.
+// With the claim log and the id columns extended where they lie it is 14.6 MB,
+// the dataset stage 0.6 of it (seven sources over all 30 objects name every
+// object's row, so every row is merged; what is saved is the log's copy).
+// An object-major one rescores every pair, then (351 MB) as now (237 MB, the
+// overlap arrays no longer regrown a quarter at a time). Each ceiling is the
+// median plus a tenth.
 func TestAppendWideBytes(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation sizes differ under -race")
@@ -412,17 +468,22 @@ func TestAppendWideBytes(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s := wideSession(t)
 	batches := wideAppendBatches(s.Dataset())
-	for shape, ceiling := range map[string]uint64{"src_major": 17e6, "obj_major": 264e6} {
+	for shape, ceiling := range map[string]uint64{"src_major": 16e6, "obj_major": 261e6} {
 		batch := batches[shape]
+		cur, err := s.Append(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
 		deltas := make([]uint64, 5)
 		for i := range deltas {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			if _, err := s.Append(batch); err != nil {
+			next, err := cur.Append(batch)
+			runtime.ReadMemStats(&after)
+			if err != nil {
 				t.Fatal(err)
 			}
-			runtime.ReadMemStats(&after)
-			deltas[i] = after.TotalAlloc - before.TotalAlloc
+			deltas[i], cur = after.TotalAlloc-before.TotalAlloc, next
 		}
 		slices.Sort(deltas)
 		if got := deltas[2]; got > ceiling {

@@ -1,4 +1,4 @@
-// Append-only ingest: successor datasets over a claim log.
+// Append-only ingest: successor datasets over one shared claim log.
 //
 // A frozen Dataset never mutates — its claims, its columnar index and any
 // running solver may be read concurrently, and that invariant is what makes
@@ -7,13 +7,25 @@
 // sequence, the batch boundary added to its bounds — and points it at
 // nothing: a dataset holds no predecessor, so whoever wants an old epoch kept
 // alive keeps it (the session history spine does, within RetainEpochs), and
-// At rebuilds any other from the claim prefix. The successor's index comes
-// from the same builder Freeze uses, over the extended claim sequence. What
-// it takes from the predecessor is the interning: the ids of the claims
-// already logged (copied, renumbered only when a table grows) and, when the
-// batch names no new source, object or value, the sorted tables and index
-// maps themselves, shared. Every column is laid out afresh. The predecessor
-// keeps serving, untouched, until the caller swaps it out.
+// At rebuilds any other from the claim prefix. The predecessor keeps serving,
+// untouched, until the caller swaps it out.
+//
+// An append costs its batch, not the log. The claims of a chain of
+// successors live in one growing array (claimLog): each dataset reads its own
+// prefix of it, and the successor of the dataset standing at the array's tip
+// writes its batch into the room behind the tip — one compare-and-swap on the
+// tip decides who that is. Everybody else copies, as a successor always did:
+// a second successor of one dataset (a sibling), a successor of a dataset At
+// rebuilt, a retry after the first successor was dropped, and the successor
+// the array has no room for, whose copy is the next, larger array. Whoever
+// wins a dataset's tip also holds the one right to extend that dataset's
+// per-claim id columns where they lie. The index comes from buildColumns, the
+// builder Freeze uses, fed the predecessor's: it lays out the rows — an
+// object's, a source's — that the batch names, copies every other row over
+// (offsets shifted, ids renumbered when a table grew), and shares the sorted
+// tables and index maps outright when the batch names no new source, object
+// or value. The result equals a flat build over the same claims field for
+// field (TestAppendCompiledMatchesFromScratch).
 //
 // The log is semantic, not just provenance: depen.Detect on a log-carrying
 // dataset replays it — a full solve of the flat base followed by one
@@ -25,9 +37,18 @@ package dataset
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"sourcecurrents/internal/model"
 )
+
+// claimLog is the array a chain of successor datasets keeps its claims in.
+// buf[:tip] is written and never written again; a dataset of n claims reads
+// buf[:n], and only the successor of the one with n == tip may write further.
+type claimLog struct {
+	buf []model.Claim // at full capacity
+	tip atomic.Int64
+}
 
 // Append returns a new frozen dataset holding this dataset's claims plus
 // batch, recorded as one appended log batch. The receiver must be frozen
@@ -46,15 +67,24 @@ func (d *Dataset) Append(batch []model.Claim) (*Dataset, error) {
 	}
 
 	n, e := len(d.claims), len(d.bounds)
-	// The three-index slices cap capacity at length, so the appends below
-	// always copy into fresh arrays: a sibling successor (or a caller holding
-	// Claims()) can never clobber this epoch's claims or bounds.
-	claims := append(d.claims[:n:n], batch...)
+	end := n + len(batch)
+	log := d.log
+	atTip := log != nil && end <= len(log.buf) && log.tip.CompareAndSwap(int64(n), int64(end))
+	if atTip {
+		copy(log.buf[n:end], batch)
+	} else {
+		// d.claims is capped at its length, so this append copies — into the
+		// array that is the successors' log from here, room to grow included.
+		buf := append(d.claims, batch...)
+		log = &claimLog{buf: buf[:cap(buf)]}
+		log.tip.Store(int64(end))
+	}
 	return &Dataset{
-		claims: claims,
+		claims: log.buf[:end:end],
 		frozen: true,
+		log:    log,
 		bounds: append(d.bounds[:e:e], n),
-		cols:   buildColumns(claims, d.cols),
+		cols:   buildColumns(log.buf[:end], d.cols, atTip),
 	}, nil
 }
 
@@ -77,7 +107,7 @@ func (d *Dataset) At(epoch int) (*Dataset, error) {
 	}
 	n := d.bounds[epoch]
 	at := &Dataset{claims: d.claims[:n:n], frozen: true}
-	at.cols = buildColumns(at.claims, nil)
+	at.cols = buildColumns(at.claims, nil, false)
 	if epoch > 0 { // a flat dataset's bounds are nil
 		at.bounds = d.bounds[:epoch:epoch]
 	}

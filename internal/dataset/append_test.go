@@ -6,9 +6,11 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"sourcecurrents/internal/model"
 )
@@ -102,50 +104,154 @@ func TestAppendMatchesFromScratch(t *testing.T) {
 	}
 }
 
-// TestAppendCompiledMatchesFromScratch pins that the compiled view of a
-// successor — including the intern-table reuse fast path — equals the flat
-// build's, field for field.
-func TestAppendCompiledMatchesFromScratch(t *testing.T) {
-	all := testClaims(80)
-	base, err := FromClaims(all[:60])
-	if err != nil {
-		t.Fatal(err)
+// diffCompiled returns the name of the first field of Compiled — exported or
+// not: the id columns, both claim-index CSRs, the snapshot view, the spans,
+// the popularity tally, maxGroups, the three tables and their index maps — on
+// which got departs from want, or "". A nil and an empty column are the same
+// column.
+func diffCompiled(got, want *Compiled) string {
+	gv, wv := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
+	for i := 0; i < gv.NumField(); i++ {
+		field := func(v reflect.Value) reflect.Value {
+			f := v.Field(i)
+			return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+		}
+		g, w := field(gv), field(wv)
+		if k := g.Kind(); (k == reflect.Slice || k == reflect.Map) && g.Len() == 0 && w.Len() == 0 {
+			continue
+		}
+		if !reflect.DeepEqual(g.Interface(), w.Interface()) {
+			return fmt.Sprintf("%s = %v, flat build %v", gv.Type().Field(i).Name, g, w)
+		}
 	}
-	base.Compiled() // force the predecessor's view so the fast path engages
-	for _, cut := range []int{70, 80} {
-		d, err := base.Append(all[60:cut])
+	return ""
+}
+
+// chainBatch draws the k-th batch of a seeded append schedule over d, one of
+// the shapes the splice in buildColumns has a case for.
+func chainBatch(rng *rand.Rand, d *Dataset, k int) []model.Claim {
+	claims, srcs, objs := d.Claims(), d.Sources(), d.Objects()
+	pick := func() model.Claim { return claims[rng.Intn(len(claims))] }
+	dated := func(c model.Claim) model.Claim {
+		switch rng.Intn(3) {
+		case 0:
+			return c // timeless
+		case 1:
+			return model.NewTemporalClaim(c.Source, c.Object, c.Value, pick().Time) // a tie, as likely as not
+		}
+		return model.NewTemporalClaim(c.Source, c.Object, c.Value, model.Time(rng.Intn(9)-3))
+	}
+	value := func() string { return fmt.Sprintf("v%d", rng.Intn(5)) }
+	switch k % 8 {
+	case 0: // a source, an object and a value that each sort first: every id moves
+		first := fmt.Sprintf("!%03d", 999-k)
+		return []model.Claim{
+			model.NewClaim(model.SourceID(first), model.Obj(first, "a"), first),
+			model.NewClaim(model.SourceID(first), pick().Object, value()),
+			model.NewClaim(pick().Source, model.Obj(first, "a"), value()),
+		}
+	case 1: // one source overwrites cells it already holds
+		old := pick()
+		return []model.Claim{
+			model.NewClaim(old.Source, old.Object, "over"+value()),
+			dated(model.NewClaim(old.Source, old.Object, value())),
+		}
+	case 2: // a group vanishes: the only source behind a value moves to another
+		for _, o := range objs {
+			groups := d.ValuesFor(o)
+			for i, g := range groups {
+				if len(g.Sources) == 1 && len(groups) > 1 {
+					return []model.Claim{model.NewClaim(g.Sources[0], o, groups[(i+1)%len(groups)].Value)}
+				}
+			}
+		}
+		return []model.Claim{pick()}
+	case 3: // timestamped and timeless claims mixed, on cells old and new
+		batch := make([]model.Claim, 2+rng.Intn(6))
+		for i := range batch {
+			batch[i] = dated(model.NewClaim(srcs[rng.Intn(len(srcs))], objs[rng.Intn(len(objs))], value()))
+		}
+		return batch
+	case 4: // object-major: every source on one object, here a new one
+		o := model.Obj(fmt.Sprintf("held%d", k), "a")
+		var batch []model.Claim
+		for _, s := range srcs {
+			batch = append(batch, dated(model.NewClaim(s, o, value())))
+		}
+		return batch
+	case 5: // source-major: one source across many objects
+		s := srcs[rng.Intn(len(srcs))]
+		var batch []model.Claim
+		for _, o := range objs[:1+rng.Intn(len(objs))] {
+			batch = append(batch, model.NewClaim(s, o, value()))
+		}
+		return batch
+	case 6: // re-assertions: nothing new, tables shared
+		return []model.Claim{pick(), pick()}
+	default: // a new value and a new source that sort last
+		return []model.Claim{model.NewClaim(model.SourceID(fmt.Sprintf("zz%d", k)), pick().Object, fmt.Sprintf("zz%d", k))}
+	}
+}
+
+// TestAppendCompiledMatchesFromScratch pins that the index of a successor —
+// the rows it carried over, the rows it laid out, the id columns it extended
+// where they lay — equals the flat build's over the same claims in every
+// field, at every epoch of seeded 64-deep chains, whichever of the two ways
+// the claims got into the log.
+func TestAppendCompiledMatchesFromScratch(t *testing.T) {
+	seeds := 8
+	if testing.Short() {
+		seeds = 2
+	}
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d, err := FromClaims(testClaims(60 + int(seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat, err := FromClaims(all[:cut])
-		if err != nil {
-			t.Fatal(err)
+		inPlace, copied := 0, 0
+		before := d // a flat build of d's claims, to hold d to once it has a successor
+		for k := 0; k < 64; k++ {
+			next, err := d.Append(chainBatch(rng, d, k+int(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if &next.Claims()[0] == &d.Claims()[0] {
+				inPlace++
+			} else {
+				copied++
+			}
+			flat, err := FromClaims(next.Claims())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if msg := diffCompiled(next.Compiled(), flat.Compiled()); msg != "" {
+				t.Fatalf("seed %d, epoch %d (batch kind %d): %s", seed, k+1, (k+int(seed))%8, msg)
+			}
+			if msg := diffCompiled(d.Compiled(), before.Compiled()); msg != "" {
+				t.Fatalf("seed %d, epoch %d: appending wrote into the predecessor: %s", seed, k+1, msg)
+			}
+			if !reflect.DeepEqual(next.Claims()[:d.Len()], d.Claims()) || cap(next.Claims()) != next.Len() {
+				t.Fatalf("seed %d, epoch %d: the successor's claims are not the predecessor's plus the batch, capped", seed, k+1)
+			}
+			d, before = next, flat
 		}
-		got, want := d.Compiled(), flat.Compiled()
-		if !reflect.DeepEqual(got.sources, want.sources) ||
-			!reflect.DeepEqual(got.objects, want.objects) ||
-			!reflect.DeepEqual(got.values, want.values) {
-			t.Fatal("interned tables differ")
-		}
-		if !reflect.DeepEqual(got.GroupStart, want.GroupStart) ||
-			!reflect.DeepEqual(got.GroupValue, want.GroupValue) ||
-			!reflect.DeepEqual(got.GroupSrcStart, want.GroupSrcStart) ||
-			!reflect.DeepEqual(got.GroupSrc, want.GroupSrc) {
-			t.Fatal("group CSR differs")
-		}
-		if !reflect.DeepEqual(got.SrcStart, want.SrcStart) ||
-			!reflect.DeepEqual(got.SrcObj, want.SrcObj) ||
-			!reflect.DeepEqual(got.SrcVal, want.SrcVal) ||
-			!reflect.DeepEqual(got.SrcGroup, want.SrcGroup) {
-			t.Fatal("per-source CSR differs")
+		// The first append and every one the log had no room for copy; the
+		// rest extend it where it lies.
+		if copied < 2 || inPlace < 32 {
+			t.Fatalf("seed %d: %d appends extended the log in place and %d copied it; want most in place and a growth boundary crossed", seed, inPlace, copied)
 		}
 	}
 }
 
-// TestAppendSiblingsIndependent pins the shared-storage safety property:
-// two successors appended from the same base must not clobber each other
-// (the claims backing array is re-capped per epoch), and the base must stay
-// untouched.
+// sameArray reports whether two datasets' claims start in the same array.
+func sameArray(a, b *Dataset) bool { return &a.Claims()[0] == &b.Claims()[0] }
+
+// TestAppendSiblingsIndependent pins the shared-storage safety property: of
+// the successors appended onto one dataset exactly one — and only when the
+// dataset stands at the tip of its log — extends the log in place; every
+// other copies. None can clobber another, the base stays untouched, and no
+// caller's append onto Claims() or Batch() reaches any of them.
 func TestAppendSiblingsIndependent(t *testing.T) {
 	base, err := FromClaims(testClaims(40))
 	if err != nil {
@@ -177,6 +283,110 @@ func TestAppendSiblingsIndependent(t *testing.T) {
 	if _, ok := base.Value("sibA", model.Obj("e1", "a")); ok {
 		t.Fatal("base sees the appended claim")
 	}
+	if sameArray(d1, base) || sameArray(d2, base) || sameArray(d1, d2) {
+		t.Fatal("a flat dataset has no log to extend: both successors must copy")
+	}
+
+	// equalsFlat checks a successor against a flat build over want.
+	equalsFlat := func(what string, d *Dataset, want ...[]model.Claim) {
+		t.Helper()
+		var all []model.Claim
+		for _, part := range want {
+			all = append(all, part...)
+		}
+		flat, err := FromClaims(all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertDatasetsEquivalent(t, d, flat)
+		if msg := diffCompiled(d.Compiled(), flat.Compiled()); msg != "" {
+			t.Fatalf("%s: %s", what, msg)
+		}
+	}
+	intruder := model.NewClaim("intruder", model.Obj("e1", "a"), "x")
+
+	// d1 stands at the tip of a log with room behind it. A caller appending to
+	// what Claims and Batch hand out writes into an array of its own.
+	if room := cap(d1.log.buf) - d1.Len(); room < 16 {
+		t.Fatalf("the copied log has room for %d more claims; the cases below need 16", room)
+	}
+	_ = append(d1.Claims(), intruder)
+	_ = append(d1.Batch(), intruder)
+
+	// N goroutines, N batches, one dataset: one successor extends the log.
+	const siblings = 8
+	batches := make([][]model.Claim, siblings)
+	successors := make([]*Dataset, siblings)
+	var wg sync.WaitGroup
+	for i := range batches {
+		batches[i] = []model.Claim{
+			model.NewClaim(model.SourceID(fmt.Sprintf("sib%d", i)), model.Obj("e1", "a"), fmt.Sprintf("v%d", i)),
+			model.NewClaim("s1", model.Obj(fmt.Sprintf("e%d", i), "a"), "v1"),
+		}
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			next, err := d1.Append(batches[i])
+			if err != nil {
+				t.Error(err)
+			}
+			successors[i] = next
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	inPlace := 0
+	for i, next := range successors {
+		if sameArray(next, d1) {
+			inPlace++
+		}
+		equalsFlat(fmt.Sprintf("concurrent sibling %d", i), next, baseClaims, b1, batches[i])
+	}
+	if inPlace != 1 {
+		t.Fatalf("%d of %d concurrent siblings extended the log in place, want exactly 1", inPlace, siblings)
+	}
+	// The callers' appends above and these, after the fact, reached nobody.
+	_ = append(d1.Claims(), intruder)
+	_ = append(d1.Batch(), intruder)
+	equalsFlat("the dataset appended onto", d1, baseClaims, b1)
+	for i, next := range successors {
+		if got := next.Claims()[41]; got != batches[i][0] {
+			t.Fatalf("sibling %d's first appended claim is %v, want %v", i, got, batches[i][0])
+		}
+	}
+
+	// The tip is won once: appending twice from one place (bench/layers.go
+	// appends cur.Dataset() and then cur itself) copies the second time, and
+	// so does the retry after a successor that won the tip was dropped (a
+	// segment that failed to persist). The retry's copy is a log of its own,
+	// which its successor extends.
+	tip, err := d2.Append(b1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped, err := tip.Append(batches[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	retry, err := tip.Append(batches[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	onward, err := retry.Append(batches[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameArray(dropped, tip) || sameArray(retry, tip) || !sameArray(onward, retry) {
+		t.Fatalf("in place: first successor %v, retry %v, retry's successor %v; want true, false, true",
+			sameArray(dropped, tip), sameArray(retry, tip), sameArray(onward, retry))
+	}
+	equalsFlat("first successor", dropped, baseClaims, b2, b1, batches[0])
+	equalsFlat("retry", retry, baseClaims, b2, b1, batches[1])
+	equalsFlat("retry's successor", onward, baseClaims, b2, b1, batches[1], batches[2])
+	equalsFlat("the dataset both were appended onto", tip, baseClaims, b2, b1)
 }
 
 // TestAppendErrors pins the Append contract errors.

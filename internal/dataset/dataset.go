@@ -2,7 +2,8 @@
 // run against.
 //
 // A frozen Dataset is two things: the claim log — the claims in ingestion
-// order, with the batch boundaries Append recorded — and one columnar index
+// order, a prefix of an array its successors extend, with the batch
+// boundaries Append recorded — and one columnar index
 // over it (Compiled, see compiled.go): interned ids, each source's claims in
 // time order, each object's in source order, the snapshot view (the value
 // each source currently asserts per object) and the temporal spans. The
@@ -16,6 +17,7 @@ package dataset
 
 import (
 	"fmt"
+	"slices"
 
 	"sourcecurrents/internal/model"
 )
@@ -24,8 +26,14 @@ import (
 // Build it with Add/AddAll, then call Freeze before handing it to solvers;
 // every iteration order the index exposes is deterministic.
 type Dataset struct {
+	// claims is capped at its length once frozen, so that nobody holding it
+	// (Claims and Batch hand it out) can append into what follows it in log.
 	claims []model.Claim
 	frozen bool
+
+	// log is the array claims is a prefix of, shared along a chain of
+	// successors (see append.go); nil for a dataset no Append produced.
+	log *claimLog
 
 	// Append-only log (see append.go): bounds[e] is the number of claims the
 	// dataset held at epoch e, before batch e+1 was appended; nil for a flat
@@ -73,7 +81,8 @@ func (d *Dataset) Freeze() {
 		return
 	}
 	d.frozen = true
-	d.cols = buildColumns(d.claims, nil)
+	d.claims = slices.Clip(d.claims)
+	d.cols = buildColumns(d.claims, nil, false)
 }
 
 // Frozen reports whether Freeze has run.
@@ -94,8 +103,8 @@ func (d *Dataset) Sources() []model.SourceID { return d.cols.sources }
 func (d *Dataset) Objects() []model.ObjectID { return d.cols.objects }
 
 // Claims returns all claims in ingestion order. The slice aliases internal
-// storage, which the datasets At returns share a prefix of; callers must
-// not mutate it, append to it, or reslice it beyond its length.
+// storage, which successors and the datasets At returns share; callers must
+// not mutate it. Its capacity is its length, so appending to it copies.
 func (d *Dataset) Claims() []model.Claim { return d.claims }
 
 // gather copies out the claims a row of claim indexes names.

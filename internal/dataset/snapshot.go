@@ -194,10 +194,14 @@ func ReadSnapshot(r io.Reader) (*Dataset, error) {
 		}
 	}
 	// A record that decodes but is not a valid claim is payload damage too.
-	d, err := FromClaims(claims)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: snapshot: %w: %v", snapio.ErrCorrupt, err)
+	for i := range claims {
+		if err := claims[i].Validate(); err != nil {
+			return nil, fmt.Errorf("dataset: snapshot: %w: %v", snapio.ErrCorrupt, err)
+		}
 	}
+	d := New()
+	d.claims = claims // decoded here and held by nobody else: the dataset's without a copy
+	d.Freeze()
 	if len(bounds) > 0 { // a version-2 frame without bounds is still a flat dataset
 		d.bounds = bounds
 	}

@@ -259,3 +259,37 @@ func TestAppendConcurrentAnswers(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestAppendTwiceFromOneSession pins the pattern bench/layers.go times: the
+// same batch appended onto a session's dataset and then onto the session
+// itself, at every link of a chain. Only the first successor of a dataset may
+// extend the shared claim log; the session's own is then the second, copies,
+// and must come out identical to a rebuild, with the first left as it was.
+func TestAppendTwiceFromOneSession(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	cur, err := New(servingWorld(t, 23), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= 4; k++ {
+		batch := randomBatch(rng, cur.Dataset(), k)
+		direct, err := cur.Dataset().Append(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append([]model.Claim(nil), direct.Claims()...)
+		next, err := cur.Append(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(next.Dataset().Claims(), want) || !reflect.DeepEqual(direct.Claims(), want) {
+			t.Fatalf("batch %d: the two successors of one dataset disagree on its claims", k)
+		}
+		rebuilt, err := New(direct, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSessionsEqual(t, next, rebuilt)
+		cur = next
+	}
+}

@@ -110,6 +110,10 @@ type Session struct {
 	st      *depen.State
 	depOnce sync.Once
 	dep     *depen.Result
+	// accMap is acc keyed by source, built by the first Accuracy() of a
+	// solved session — without the view.
+	accOnce sync.Once
+	accMap  map[model.SourceID]float64
 	// acc is the dense per-source accuracy vector and depTab the flat
 	// source×source total dependence posterior, both in compiled source
 	// order. They alias st's vectors, or for mapped sessions the mapping.
@@ -288,16 +292,20 @@ func (s *Session) Dependence() *depen.Result {
 }
 
 // Accuracy returns the per-source accuracies, as Dependence().Truth.Accuracy:
-// a solved session builds the map from its dense vector on each call, without
-// the Result view; a decoded one returns its result's, materialising like
-// Dependence (nil on failure). Callers must treat the map as read-only.
+// a solved session builds the map from its dense vector once, on the first
+// call of its epoch, without the Result view; a decoded one returns its
+// result's, materialising like Dependence (nil on failure). Callers must
+// treat the map as read-only.
 func (s *Session) Accuracy() map[model.SourceID]float64 {
 	if s.st != nil {
-		c, acc := s.d.Compiled(), make(map[model.SourceID]float64, len(s.acc))
-		for i, a := range s.acc {
-			acc[c.Source(i)] = a
-		}
-		return acc
+		s.accOnce.Do(func() {
+			c := s.d.Compiled()
+			s.accMap = make(map[model.SourceID]float64, len(s.acc))
+			for i, a := range s.acc {
+				s.accMap[c.Source(i)] = a
+			}
+		})
+		return s.accMap
 	}
 	dep := s.Dependence()
 	if dep == nil {

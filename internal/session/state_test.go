@@ -328,7 +328,7 @@ func TestStateViewConcurrentFirstRead(t *testing.T) {
 
 // TestAccuracyReadsDenseVector: Accuracy on a solved session — a fresh
 // successor, and an as-of epoch behind it — is its dense accuracy vector by
-// name. It does not build the Result view (the first /accuracy after an
+// name, keyed once per epoch. It does not build the Result view (the first /accuracy after an
 // append used to sort every analysed pair for it) and equals the view's map
 // to the bit once something else has built that.
 func TestAccuracyReadsDenseVector(t *testing.T) {
@@ -359,6 +359,10 @@ func TestAccuracyReadsDenseVector(t *testing.T) {
 			if g, ok := got[src]; !ok || math.Float64bits(g) != math.Float64bits(w) {
 				t.Fatalf("%s: accuracy of %s = %v, the view has %v", name, src, g, w)
 			}
+		}
+		// The map is built once per epoch: a second call allocates nothing.
+		if allocs := testing.AllocsPerRun(10, func() { _ = ses.Accuracy() }); allocs != 0 {
+			t.Fatalf("%s: a repeated Accuracy() made %.0f allocations, want 0", name, allocs)
 		}
 	}
 }
