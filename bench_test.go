@@ -310,9 +310,12 @@ func BenchmarkPlanWide(b *testing.B) {
 	for i := range lowAcc {
 		lowAcc[i] = 0.05 * accOf[c.Source(i)]
 	}
+	dep, srcs := s.Dependence(), c.SourceIDs()
 	depTab := make([]float64, nSrc*nSrc)
-	if !s.Dependence().FillTotals(c.SourceIDs(), depTab) {
-		b.Fatal("the session's dependence result does not cover the world's sources")
+	for i, a := range srcs {
+		for j, bj := range srcs {
+			depTab[i*nSrc+j] = dep.DependenceProb(a, bj)
+		}
 	}
 	qcfg := s.QueryConfig()
 	qcfg.Accuracy, qcfg.Dependence = nil, nil

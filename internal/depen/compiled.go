@@ -119,7 +119,7 @@ func buildCandidates(c *dataset.Compiled, minShared int, dirtySrc []bool) ([]pai
 // are independent instead of one chain of multiplies per source. The cell
 // read, tot[q's row][r's column], is the transpose of the reference's: tot is
 // symmetric, both cells of a pair always being written together (refine,
-// carry, Result.State; TestTotalsSymmetric).
+// carry, StateFromParts; TestTotalsSymmetric).
 func fillFactorsDense(srcs, pos []int32, tot []float64, copyRate float64, sc *depenScratch) []float64 {
 	k, nS := len(srcs), len(pos)
 	keys, ord, f, fac := sc.keys[:k], sc.ord[:k], sc.f[:k], sc.fac[:k]

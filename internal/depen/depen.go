@@ -184,8 +184,7 @@ type Result struct {
 	Rounds    int
 	Converged bool
 
-	// st is the state this view was built from; nil for a Result assembled
-	// by ResultFromParts, which has only the view.
+	// st is the state this view was built from.
 	st  *State
 	dir *dirTable
 }
@@ -211,13 +210,6 @@ func (t *dirTable) set(ai, bi int32, probAB, probBA float64) {
 	t.prob[int(bi)*n+int(ai)] = probBA
 }
 
-// setByID records a pair verdict by source id (the map-path form).
-func (t *dirTable) setByID(a, b model.SourceID, probAB, probBA float64) {
-	ai, _ := slices.BinarySearch(t.sources, a)
-	bi, _ := slices.BinarySearch(t.sources, b)
-	t.set(int32(ai), int32(bi), probAB, probBA)
-}
-
 // pair returns P(a copies b) and P(b copies a); zeros for sources outside
 // the table.
 func (t *dirTable) pair(a, b model.SourceID) (ab, ba float64) {
@@ -233,24 +225,6 @@ func (t *dirTable) pair(a, b model.SourceID) (ab, ba float64) {
 	return t.prob[ai*n+bi], t.prob[bi*n+ai]
 }
 
-// FillTotals writes the total (both-direction) dependence posterior of
-// every source pair into out[i*n+j], where i, j index the given sorted
-// source list — the dense serving table. It reports false when the result's
-// lookup table was not built over exactly this source list.
-func (r *Result) FillTotals(sources []model.SourceID, out []float64) bool {
-	t := r.dir
-	if t == nil || len(out) != len(t.prob) || !slices.Equal(sources, t.sources) {
-		return false
-	}
-	n := len(sources)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			out[i*n+j] = t.prob[i*n+j] + t.prob[j*n+i]
-		}
-	}
-	return true
-}
-
 // DependenceProb returns the posterior that a and b are dependent (either
 // direction); 0 for unanalyzed pairs.
 func (r *Result) DependenceProb(a, b model.SourceID) float64 {
@@ -263,45 +237,6 @@ func (r *Result) DependenceProb(a, b model.SourceID) float64 {
 func (r *Result) CopyProb(copier, master model.SourceID) float64 {
 	ab, _ := r.dir.pair(copier, master)
 	return ab
-}
-
-// ResultFromParts reassembles a Result from its serializable parts — the
-// truth result, the dataset's sorted source list, every analyzed pair's
-// final-round verdict, and the threshold/round bookkeeping. The session
-// snapshot loader uses it to rebuild the cached precompute without
-// re-running Detect; given the parts of a prior Detect run it reproduces
-// that run's view exactly (the directional lookup table and the thresholded
-// Dependences slice are derived from allPairs the same way State.Result
-// derives them) but not its State, which Refine imports from the maps when
-// it is handed one. It takes ownership of allPairs, which may be re-sorted in
-// place.
-//
-// pairA and pairB, when non-nil, give each pair's dense indices into
-// sources (pairA[i] indexes allPairs[i].Pair.A), letting a decoder that
-// already holds indices skip ~2·|pairs| lookups; pass nil to derive them by
-// lookup.
-func ResultFromParts(tr *truth.Result, sources []model.SourceID,
-	allPairs []Dependence, pairA, pairB []int32,
-	depThreshold float64, rounds int, converged bool) *Result {
-	t := newDirTableFor(sources)
-	if len(pairA) == len(allPairs) && len(pairB) == len(allPairs) {
-		for i := range allPairs {
-			t.set(pairA[i], pairB[i], allPairs[i].ProbAB, allPairs[i].ProbBA)
-		}
-	} else {
-		for i := range allPairs {
-			t.setByID(allPairs[i].Pair.A, allPairs[i].Pair.B, allPairs[i].ProbAB, allPairs[i].ProbBA)
-		}
-	}
-	res := &Result{
-		Truth:     tr,
-		Rounds:    rounds,
-		Converged: converged,
-		dir:       t,
-	}
-	sortDeps(allPairs)
-	finishSortedPairs(res, allPairs, depThreshold)
-	return res
 }
 
 // Result materialises the view of st: the posterior and accuracy maps with
@@ -342,47 +277,6 @@ func (st *State) Result(cfg Config) *Result {
 	sortDeps(all)
 	finishSortedPairs(res, all, cfg.DepThreshold)
 	return res
-}
-
-// State returns the dense state behind r: the one r is a view of, or, for a
-// Result assembled by ResultFromParts, one imported from its maps and pair
-// list over c — the index of r's dataset or of a successor (sources r never
-// saw get cfg's InitialAccuracy and no verdict).
-func (r *Result) State(c *dataset.Compiled, cfg Config) *State {
-	if r.st != nil {
-		return r.st
-	}
-	nS := c.NumSources()
-	st := &State{
-		c:         c,
-		acc:       make([]float64, nS),
-		probs:     make([]float64, len(c.GroupValue)),
-		tot:       make([]float64, nS*nS),
-		pairs:     make([]pairRec, len(r.AllPairs)),
-		rounds:    r.Rounds,
-		converged: r.Converged,
-	}
-	for i := range st.acc {
-		st.acc[i] = cfg.Truth.InitialAccuracy
-		if a, ok := r.Truth.Accuracy[c.Source(i)]; ok {
-			st.acc[i] = a
-		}
-	}
-	truth.NewDenseSolver(c, cfg.Truth).FillProbs(st.probs, r.Truth.Probs)
-	for i := range r.AllPairs {
-		pd := &r.AllPairs[i]
-		ai, _ := c.SourceIndex(pd.Pair.A) // present: the log is append-only
-		bi, _ := c.SourceIndex(pd.Pair.B)
-		t := pd.ProbAB + pd.ProbBA
-		st.tot[int(ai)*nS+int(bi)] = t
-		st.tot[int(bi)*nS+int(ai)] = t
-		st.pairs[i] = pairRec{
-			a: ai, b: bi, shared: int32(pd.Shared), same: int32(pd.Same),
-			probAB: pd.ProbAB, probBA: pd.ProbBA, kt: pd.KT, kf: pd.KF, kd: pd.KD,
-		}
-	}
-	slices.SortFunc(st.pairs, comparePairs)
-	return st
 }
 
 // pairHypotheses returns log-likelihoods of the evidence under the three

@@ -118,18 +118,16 @@ func checkDense(t *testing.T, what string, st *State) {
 	}
 }
 
-// imported returns st as a snapshot-loaded session's first append meets it:
-// its Result view stripped of the state and imported back over c.
+// imported returns st rebuilt from its Result view through StateFromParts,
+// over c.
 func imported(st *State, c *dataset.Compiled, cfg Config) *State {
-	view := *st.Result(cfg)
-	view.st = nil
-	return view.State(c, cfg)
+	return stateOf(st.Result(cfg), c, cfg)
 }
 
 // TestTotalsSymmetric walks the differential suite's worlds and append
 // schedules — batches that add sources, so the table is re-indexed by carry,
-// included — and checks every epoch's state, the state imported from its
-// Result, and the successor refined from that import.
+// included — and checks every epoch's state, the state StateFromParts
+// assembles from its Result, and the successor refined from that.
 //
 // On the same walk it holds mergePairs to mergePairsRef, the two-pass
 // record-by-record merge it replaced: the inputs of every epoch's merge are

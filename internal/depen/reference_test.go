@@ -121,15 +121,50 @@ func detectMaps(d *dataset.Dataset, cfg Config) (*Result, error) {
 		Converged: res.Converged,
 	}
 	res.Truth.PickChosen()
+	c := d.Compiled()
 	res.dir = newDirTableFor(d.Sources())
 	for _, dep := range pairs {
-		res.dir.setByID(dep.Pair.A, dep.Pair.B, dep.ProbAB, dep.ProbBA)
+		ai, _ := c.SourceIndex(dep.Pair.A)
+		bi, _ := c.SourceIndex(dep.Pair.B)
+		res.dir.set(ai, bi, dep.ProbAB, dep.ProbBA)
 	}
 	sortDeps(pairs)
 	finishSortedPairs(res, pairs, cfg.DepThreshold)
-	// The dense state is part of a Result; the oracle's is its maps imported.
-	res.st = res.State(d.Compiled(), cfg)
+	// The dense state is part of a Result; the oracle's is its maps laid out
+	// densely.
+	res.st = stateOf(res, c, cfg)
 	return res, nil
+}
+
+// stateOf lays out a view's maps and pairs over c — the index of r's dataset
+// or of a successor, where sources r never saw get cfg's InitialAccuracy and
+// groups it never saw a zero — and hands them to StateFromParts. It is part
+// of the oracle: the one map→dense walk left, and only in tests.
+func stateOf(r *Result, c *dataset.Compiled, cfg Config) *State {
+	acc := make([]float64, c.NumSources())
+	for i := range acc {
+		acc[i] = cfg.Truth.InitialAccuracy
+		if a, ok := r.Truth.Accuracy[c.Source(i)]; ok {
+			acc[i] = a
+		}
+	}
+	probs := make([]float64, len(c.GroupValue))
+	for oi := 0; oi < c.NumObjects(); oi++ {
+		pv := r.Truth.Probs[c.Object(oi)]
+		for g := c.GroupStart[oi]; g < c.GroupStart[oi+1]; g++ {
+			probs[g] = pv[c.Value(int(c.GroupValue[g]))]
+		}
+	}
+	pairA, pairB := make([]int32, len(r.AllPairs)), make([]int32, len(r.AllPairs))
+	for k, pd := range r.AllPairs {
+		pairA[k], _ = c.SourceIndex(pd.Pair.A)
+		pairB[k], _ = c.SourceIndex(pd.Pair.B)
+	}
+	st, err := StateFromParts(c, acc, probs, pairA, pairB, r.AllPairs, r.Rounds, r.Converged)
+	if err != nil {
+		panic(err)
+	}
+	return st
 }
 
 func setDir(m map[model.SourceID]map[model.SourceID]float64, from, to model.SourceID, p float64) {

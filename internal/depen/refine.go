@@ -44,7 +44,9 @@
 // the append that produced the State — so only what reads it pays: Detect
 // and Refine return one (and it carries its State, so a Refine chain stays
 // dense), a Session builds its own the first time one is asked for, and
-// Solve and Session.Append never do.
+// Solve and Session.Append never do. There is no way back from a view: a
+// session decoded from a snapshot holds a State too, assembled by
+// StateFromParts from the stored vectors and pair records.
 //
 // refine is a pure function of (dataset, predecessor state, config). The
 // live path (Session.Append advancing its state) and the rebuild path (Solve
@@ -114,6 +116,52 @@ func (st *State) CopyProbs(a, b model.SourceID) (ab, ba float64) {
 	return p.probBA, p.probAB
 }
 
+// StateFromParts assembles a stored state over c, the index of the dataset it
+// was solved on: acc per source and probs per value group, both taken over,
+// and every analysed pair's verdict — the ProbAB, ProbBA, Shared, Same, KT, KF
+// and KD of pairs[k] for the sources with compiled indexes pairA[k] and
+// pairB[k]. Pair and Prob are not read: the indexes name the pair, and its
+// total is ProbAB + ProbBA, as a solve writes it into the totals table this
+// derives. Parts no solve produces are an error: vectors of the wrong length,
+// an index out of range, a pair not given as a < b, a pair given twice.
+func StateFromParts(c *dataset.Compiled, acc, probs []float64, pairA, pairB []int32,
+	pairs []Dependence, rounds int, converged bool) (*State, error) {
+	nS := c.NumSources()
+	if len(acc) != nS || len(probs) != len(c.GroupValue) {
+		return nil, fmt.Errorf("depen: %d accuracies and %d posteriors for %d sources and %d value groups",
+			len(acc), len(probs), nS, len(c.GroupValue))
+	}
+	if len(pairA) != len(pairs) || len(pairB) != len(pairs) {
+		return nil, fmt.Errorf("depen: %d pairs, %d and %d indexes", len(pairs), len(pairA), len(pairB))
+	}
+	st := &State{
+		c: c, acc: acc, probs: probs,
+		tot:    make([]float64, nS*nS),
+		pairs:  make([]pairRec, len(pairs)),
+		rounds: rounds, converged: converged,
+	}
+	for k := range pairs {
+		a, b, pd := pairA[k], pairB[k], &pairs[k]
+		if a < 0 || a >= b || int(b) >= nS {
+			return nil, fmt.Errorf("depen: pair %d names sources %d and %d of %d", k, a, b, nS)
+		}
+		t := pd.ProbAB + pd.ProbBA
+		st.tot[int(a)*nS+int(b)] = t
+		st.tot[int(b)*nS+int(a)] = t
+		st.pairs[k] = pairRec{
+			a: a, b: b, shared: int32(pd.Shared), same: int32(pd.Same),
+			probAB: pd.ProbAB, probBA: pd.ProbBA, kt: pd.KT, kf: pd.KF, kd: pd.KD,
+		}
+	}
+	slices.SortFunc(st.pairs, comparePairs)
+	for k := 1; k < len(st.pairs); k++ {
+		if p := st.pairs[k]; comparePairs(st.pairs[k-1], p) == 0 {
+			return nil, fmt.Errorf("depen: pair of sources %d and %d given twice", p.a, p.b)
+		}
+	}
+	return st, nil
+}
+
 // Solve returns the dense state of d's last epoch — Detect and Refine
 // without the Result. Given prev, the state of d's previous epoch
 // (d.At(d.Epoch()-1)), it takes it across d's most recently appended batch in
@@ -146,10 +194,10 @@ func Solve(d *dataset.Dataset, prev *State, cfg Config) (*State, error) {
 // d's most recently appended batch. The result is exactly what Detect(d, cfg)
 // produces for the final batch of d's log.
 func Refine(d *dataset.Dataset, prev *Result, cfg Config) (*Result, error) {
-	if prev == nil || prev.Truth == nil {
+	if prev == nil || prev.st == nil {
 		return nil, fmt.Errorf("depen: Refine requires the predecessor's result")
 	}
-	st, err := Solve(d, prev.State(d.Compiled(), cfg), cfg)
+	st, err := Solve(d, prev.st, cfg)
 	if err != nil {
 		return nil, err
 	}

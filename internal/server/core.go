@@ -252,14 +252,15 @@ type AccuracyEntry struct {
 }
 
 // ExecAccuracy returns the discovered per-source accuracies in source
-// order.
+// order. It reads the accuracy map alone, so a mapped session answers
+// without decoding a cold section.
 func ExecAccuracy(s *session.Session) []AccuracyEntry {
 	acc := s.Accuracy()
-	srcs := s.Dataset().Sources()
-	out := make([]AccuracyEntry, len(srcs))
-	for i, src := range srcs {
-		out[i] = AccuracyEntry{Source: src, Accuracy: acc[src]}
+	out := make([]AccuracyEntry, 0, len(acc))
+	for src, a := range acc {
+		out = append(out, AccuracyEntry{Source: src, Accuracy: a})
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Source < out[j].Source })
 	return out
 }
 

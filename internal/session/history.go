@@ -310,7 +310,7 @@ func (s *Session) materializeEpoch(epoch int, anc *Session) (*Session, error) {
 		if err := anc.materialize(); err != nil {
 			return nil, err
 		}
-		st = anc.solveState()
+		st = anc.st
 		for k := anc.DatasetEpoch() + 1; k < epoch; k++ {
 			dk, err := s.d.At(k)
 			if err != nil {
@@ -324,7 +324,7 @@ func (s *Session) materializeEpoch(epoch int, anc *Session) (*Session, error) {
 	if st, err = depen.Solve(target, st, s.cfg.Depen); err != nil {
 		return nil, err
 	}
-	hs, err := newSession(target, s.cfg, st, nil)
+	hs, err := newSession(target, s.cfg, st)
 	if err != nil {
 		return nil, err
 	}
@@ -421,20 +421,14 @@ func (s *Session) AccuracyOf(src model.SourceID) (float64, bool) {
 
 // PairProbs returns the posterior that a and b are dependent at this
 // session's epoch, and its two directions — P(a copies b), P(b copies a);
-// zeros for an unanalysed pair or a source the epoch does not have. A solved
-// session reads three cells of its directional table, so a trajectory over
-// retained epochs builds no Result view; a session decoded from a snapshot
-// keeps that table in its pair verdicts and materializes (ok is false when
-// that fails).
+// zeros for an unanalysed pair or a source the epoch does not have. It reads
+// one pair record of the state, so a trajectory over retained epochs builds
+// no Result view; a mapped session materializes first (ok is false when that
+// fails).
 func (s *Session) PairProbs(a, b model.SourceID) (dep, ab, ba float64, ok bool) {
-	if s.st != nil {
-		ab, ba = s.st.CopyProbs(a, b)
-		return ab + ba, ab, ba, true
-	}
-	r := s.Dependence()
-	if r == nil {
+	if err := s.materialize(); err != nil {
 		return 0, 0, 0, false
 	}
-	ab, ba = r.CopyProb(a, b), r.CopyProb(b, a)
+	ab, ba = s.st.CopyProbs(a, b)
 	return ab + ba, ab, ba, true
 }

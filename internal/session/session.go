@@ -89,29 +89,31 @@ func (c Config) Validate() error {
 // safe for concurrent calls.
 //
 // Two backends exist. An eager session (New, Append, LoadSnapshot) holds a
-// materialized Dataset from the start. A mapped session (snapshot v2) serves
-// AnswerObjects straight from the mapped compiled tables.
+// materialized Dataset and its depen.State from the start. A mapped session
+// (snapshot v2) serves AnswerObjects and Accuracy straight from the mapped
+// compiled tables. Either way the state is the one representation of the
+// solve: every other is derived from it.
 //
-// AnswerObjects, Append and AsOf read only dense state, so three things are
-// built lazily, each once, by the first call that needs it: a mapped
-// session's cold sections (dataset, posteriors, pair verdicts — decoded onto
-// the heap, never aliasing the mapping; Fuse, Link, Profiles, Append,
-// Dataset, Dependence, Accuracy), the trust profiles (Profiles, Recommend*),
-// and, for a session that was solved rather than decoded, the depen.Result
-// view of its state — maps and 100k-odd named, sorted pairs that no append
-// or answer reads (Dependence, Fuse, Profiles, WriteSnapshot*).
+// AnswerObjects, Accuracy, Append and AsOf read only dense state, so three
+// things are built lazily, each once, by the first call that needs it: a
+// mapped session's cold sections (dataset, posteriors, pair verdicts —
+// decoded into a depen.State on the heap, never aliasing the mapping; Fuse,
+// Link, Profiles, Append, Dataset, Dependence, PairProbs), the trust profiles
+// (Profiles, Recommend*), and the depen.Result view of the state — maps and
+// 100k-odd named, sorted pairs that no append or answer reads (Dependence,
+// Fuse, Profiles, WriteSnapshot*).
 type Session struct {
 	d   *dataset.Dataset
 	cfg Config
-	// st is the dense solve state of a session built by New, Append or AsOf,
-	// and dep the Result view of it, materialised by result(). A session
-	// decoded from a snapshot has the view (for a mapped one, once
-	// materialize has run) and no state; solveState imports one.
+	// st is the dense solve state — solved by New, Append or AsOf, or decoded
+	// by LoadSnapshot — and dep the Result view of it, built by result(). A
+	// mapped session's st is nil until materialize has run, and written only
+	// there: read it after materialize.
 	st      *depen.State
 	depOnce sync.Once
 	dep     *depen.Result
-	// accMap is acc keyed by source, built by the first Accuracy() of a
-	// solved session — without the view.
+	// accMap is acc keyed by source, built by the first Accuracy() — without
+	// the view, and for a mapped session without materializing.
 	accOnce sync.Once
 	accMap  map[model.SourceID]float64
 	// acc is the dense per-source accuracy vector and depTab the flat
@@ -121,7 +123,8 @@ type Session struct {
 	depTab  []float64
 	planner *queryans.Planner
 
-	// Mapped-backend state; all nil/zero for eager sessions.
+	// Mapped-backend state; all nil/zero for eager sessions. rounds and
+	// converged are the meta section's, held for materialize to put into st.
 	mapped    *snapio.Mapped
 	mc        *dataset.Compiled
 	dsEpoch   int
@@ -141,7 +144,7 @@ type Session struct {
 }
 
 // materialize decodes a mapped session's cold sections (embedded dataset
-// snapshot, truth posteriors, pair verdicts) into heap state on first use.
+// snapshot, truth posteriors, pair verdicts) into d and st on first use.
 // It is a no-op for eager sessions. Everything it builds is copied off the
 // mapping, so materialized state survives Close.
 func (s *Session) materialize() error {
@@ -169,38 +172,21 @@ func New(d *dataset.Dataset, cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newSession(d, cfg, st, nil)
+	return newSession(d, cfg, st)
 }
 
-// newSession assembles the serving state over a solve's dense state st, whose
-// vectors the serving tables alias — the shared tail of New, Append and AsOf
-// — or, with st nil, over a decoded discovery result dep (LoadSnapshot),
-// whose accuracies and totals are copied into dense form. cfg must already
-// be validated, and d frozen and non-empty.
-func newSession(d *dataset.Dataset, cfg Config, st *depen.State, dep *depen.Result) (*Session, error) {
+// newSession assembles the serving state over d's dense state st, whose
+// vectors the serving tables alias — the shared tail of New, LoadSnapshot,
+// Append and AsOf. cfg must already be validated, and d frozen and non-empty.
+func newSession(d *dataset.Dataset, cfg Config, st *depen.State) (*Session, error) {
 	s := &Session{
 		d:       d,
 		cfg:     cfg,
 		st:      st,
-		dep:     dep,
+		acc:     st.Accuracy(),
+		depTab:  st.Totals(),
 		hist:    newHistory(cfg.RetainEpochs),
 		created: time.Now(),
-	}
-	if st != nil {
-		s.acc, s.depTab = st.Accuracy(), st.Totals()
-	} else {
-		c := d.Compiled()
-		nS := c.NumSources()
-		s.acc = make([]float64, nS)
-		for i := range s.acc {
-			s.acc[i] = dep.Truth.Accuracy[c.Source(i)]
-		}
-		// ResultFromParts builds the result's directional table over d's own
-		// source list, so a mismatch means dep was not computed for d.
-		s.depTab = make([]float64, nS*nS)
-		if !dep.FillTotals(c.SourceIDs(), s.depTab) {
-			return nil, errors.New("session: dependence result does not cover the dataset's sources")
-		}
 	}
 	qcfg := cfg.Query
 	qcfg.Accuracy = nil
@@ -213,22 +199,10 @@ func newSession(d *dataset.Dataset, cfg Config, st *depen.State, dep *depen.Resu
 	return s, nil
 }
 
-// solveState returns the dense state a successor refines from: the session's
-// own, or for a session decoded from a snapshot one imported from the decoded
-// result. The session must be materialized.
-func (s *Session) solveState() *depen.State {
-	if s.st != nil {
-		return s.st
-	}
-	return s.dep.State(s.d.Compiled(), s.cfg.Depen)
-}
-
-// result returns the discovery result, building the view of a solved
-// session's state on first use. The session must be materialized.
+// result returns the discovery result, building the view of the state on
+// first use. The session must be materialized.
 func (s *Session) result() *depen.Result {
-	if s.st != nil {
-		s.depOnce.Do(func() { s.dep = s.st.Result(s.cfg.Depen) })
-	}
+	s.depOnce.Do(func() { s.dep = s.st.Result(s.cfg.Depen) })
 	return s.dep
 }
 
@@ -254,11 +228,11 @@ func (s *Session) Append(batch []model.Claim) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	st2, err := depen.Solve(d2, s.solveState(), s.cfg.Depen)
+	st2, err := depen.Solve(d2, s.st, s.cfg.Depen)
 	if err != nil {
 		return nil, err
 	}
-	next, err := newSession(d2, s.cfg, st2, nil)
+	next, err := newSession(d2, s.cfg, st2)
 	if err != nil {
 		return nil, err
 	}
@@ -279,11 +253,11 @@ func (s *Session) Dataset() *dataset.Dataset {
 	return s.d
 }
 
-// Dependence returns the discovery result. The first call per epoch
-// materialises it: a mapped session decodes its cold sections (nil on
-// failure), a solved one builds the view of its state — the sort of every
-// analysed pair an append no longer pays. Later calls return the same
-// Result; callers must treat it as read-only.
+// Dependence returns the discovery result. The first call per epoch builds
+// the view of the session's state — the sort of every analysed pair an append
+// no longer pays — after a mapped session has decoded its cold sections (nil
+// on failure). Later calls return the same Result; callers must treat it as
+// read-only.
 func (s *Session) Dependence() *depen.Result {
 	if err := s.materialize(); err != nil {
 		return nil
@@ -292,26 +266,19 @@ func (s *Session) Dependence() *depen.Result {
 }
 
 // Accuracy returns the per-source accuracies, as Dependence().Truth.Accuracy:
-// a solved session builds the map from its dense vector once, on the first
-// call of its epoch, without the Result view; a decoded one returns its
-// result's, materialising like Dependence (nil on failure). Callers must
-// treat the map as read-only.
+// the dense vector keyed by source, built once per epoch on the first call —
+// without the Result view, and for a mapped session without decoding a cold
+// section (the keys are copied off the mapping). Callers must treat the map
+// as read-only.
 func (s *Session) Accuracy() map[model.SourceID]float64 {
-	if s.st != nil {
-		s.accOnce.Do(func() {
-			c := s.d.Compiled()
-			s.accMap = make(map[model.SourceID]float64, len(s.acc))
-			for i, a := range s.acc {
-				s.accMap[c.Source(i)] = a
-			}
-		})
-		return s.accMap
-	}
-	dep := s.Dependence()
-	if dep == nil {
-		return nil
-	}
-	return dep.Truth.Accuracy
+	s.accOnce.Do(func() {
+		ids := s.compiledView().SourceIDs()
+		s.accMap = make(map[model.SourceID]float64, len(ids))
+		for i, id := range ids {
+			s.accMap[id] = s.acc[i]
+		}
+	})
+	return s.accMap
 }
 
 // compiledView returns the compiled index the session serves from — the

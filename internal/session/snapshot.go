@@ -7,9 +7,11 @@
 // (interned string tables + CSR claim records), the per-group truth
 // posterior vector, the dense per-source accuracy vector, and the
 // source×source dependence table (every analyzed pair's full verdict).
-// LoadSnapshot rebuilds a Session by decoding those tables instead of
+// LoadSnapshot rebuilds a Session by decoding those tables straight into the
+// depen.State a solve would have left (depen.StateFromParts) instead of
 // re-running discovery, which is what lets a query server restart in
-// milliseconds and serve bit-identical answers.
+// milliseconds and serve bit-identical answers. Like a solved session, a
+// loaded one builds the named Result view only when something reads it.
 //
 // The Config still arrives at load time (it carries callbacks and serving
 // knobs that cannot be serialized); a fingerprint of every config field
@@ -22,6 +24,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 	"sort"
 
 	"sourcecurrents/internal/dataset"
@@ -276,66 +279,86 @@ func LoadSnapshot(r io.Reader, cfg Config) (*Session, error) {
 
 	rounds := int(dec.U32())
 	converged := dec.Bool()
-	acc := make(map[model.SourceID]float64, c.NumSources())
-	for i := 0; i < c.NumSources(); i++ {
-		acc[c.Source(i)] = dec.F64()
+	acc := make([]float64, c.NumSources())
+	for i := range acc {
+		acc[i] = dec.F64()
 	}
-	probs, err := decodeTruthProbs(dec, c)
+	st, err := decodeState(dec, dec, c, cfg.Depen, acc, rounds, converged)
+	if err != nil {
+		return nil, fmt.Errorf("session: snapshot: %w", err)
+	}
+	return newSession(d, cfg, st)
+}
+
+// decodeState decodes the posterior entries in truthDec and the pair records
+// in pairsDec — one reader for the v1 payload's tail, v2's TRUTH and PAIRS
+// sections otherwise — into the dense state over c, the decoded dataset's
+// index, with the accuracy vector acc.
+func decodeState(truthDec, pairsDec *snapio.Reader, c *dataset.Compiled, cfg depen.Config,
+	acc []float64, rounds int, converged bool) (*depen.State, error) {
+	probs, err := decodeTruthProbs(truthDec, c, cfg.Truth.Known)
 	if err != nil {
 		return nil, err
 	}
-	pairs, pairA, pairB := decodePairs(dec, c)
-	if err := dec.Finish(); err != nil {
-		return nil, fmt.Errorf("session: snapshot: %w", err)
+	pairA, pairB, pairs := decodePairs(pairsDec, c)
+	for _, dec := range []*snapio.Reader{truthDec, pairsDec} {
+		if err := dec.Finish(); err != nil {
+			return nil, err
+		}
 	}
-
-	dep := assembleDep(c, acc, probs, pairs, pairA, pairB,
-		cfg.Depen.DepThreshold, rounds, converged)
-	return newSession(d, cfg, nil, dep)
+	st, err := depen.StateFromParts(c, acc, probs, pairA, pairB, pairs, rounds, converged)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", snapio.ErrCorrupt, err)
+	}
+	return st, nil
 }
 
-// decodeTruthProbs is the inverse of encodeTruthProbs: it rebuilds the
-// posterior maps against c, copying every value string onto the heap (the
-// decoder never returns views into its input).
-func decodeTruthProbs(dec *snapio.Reader, c *dataset.Compiled) (map[model.ObjectID]map[string]float64, error) {
-	probs := make(map[model.ObjectID]map[string]float64, c.NumObjects())
-	for oi := 0; oi < c.NumObjects(); oi++ {
+// decodeTruthProbs is the inverse of encodeTruthProbs: it fills the posterior
+// vector over c's value groups. An entry for a value outside its object's
+// groups must be the object's Known label, whose pinned posterior the view
+// derives from the config; any other is corrupt. Decode errors latch in dec.
+func decodeTruthProbs(dec *snapio.Reader, c *dataset.Compiled, known map[model.ObjectID]string) ([]float64, error) {
+	probs := make([]float64, len(c.GroupValue))
+	for oi := 0; oi < c.NumObjects() && dec.Err() == nil; oi++ {
+		gs, ge := c.GroupStart[oi], c.GroupStart[oi+1]
 		n := dec.Count(12)
-		pv := make(map[string]float64, n)
 		for k := 0; k < n; k++ {
 			ref := dec.U32()
 			var v string
 			if ref == inlineValue {
 				v = dec.Str()
 			} else if int(ref) < c.NumValues() {
+				// Groups are in value order, and value indexes in string order.
+				if at, ok := slices.BinarySearch(c.GroupValue[gs:ge], int32(ref)); ok {
+					probs[int(gs)+at] = dec.F64()
+					continue
+				}
 				v = c.Value(int(ref))
 			} else if dec.Err() == nil {
-				return nil, fmt.Errorf("session: snapshot: %w: value index %d out of range", snapio.ErrCorrupt, ref)
+				return nil, fmt.Errorf("%w: value index %d out of range", snapio.ErrCorrupt, ref)
 			}
-			pv[v] = dec.F64()
+			dec.F64()
+			if label, ok := known[c.Object(oi)]; dec.Err() == nil && (!ok || v != label) {
+				return nil, fmt.Errorf("%w: posterior of object %d names %q, neither a value of it nor its label",
+					snapio.ErrCorrupt, oi, v)
+			}
 		}
-		if dec.Err() != nil {
-			break
-		}
-		probs[c.Object(oi)] = pv
 	}
 	return probs, nil
 }
 
-// decodePairs is the inverse of encodePairs. Decode errors latch in dec;
-// the caller's Finish surfaces them.
-func decodePairs(dec *snapio.Reader, c *dataset.Compiled) ([]depen.Dependence, []int32, []int32) {
+// decodePairs is the inverse of encodePairs: each pair's compiled source
+// indexes and its verdict (Pair left unset). Decode errors latch in dec; the
+// caller's Finish surfaces them.
+func decodePairs(dec *snapio.Reader, c *dataset.Compiled) (pairA, pairB []int32, pairs []depen.Dependence) {
 	nPairs := dec.Count(8 + 8*8)
-	pairs := make([]depen.Dependence, 0, nPairs)
-	pairA := make([]int32, 0, nPairs)
-	pairB := make([]int32, 0, nPairs)
+	pairA = make([]int32, 0, nPairs)
+	pairB = make([]int32, 0, nPairs)
+	pairs = make([]depen.Dependence, 0, nPairs)
 	for k := 0; k < nPairs; k++ {
-		// Index latches on corruption and returns 0, so the slice reads are
-		// safe; the latched error is checked before the pair is kept.
 		ai := dec.Index(c.NumSources())
 		bi := dec.Index(c.NumSources())
 		pd := depen.Dependence{
-			Pair:   model.NewSourcePair(c.Source(ai), c.Source(bi)),
 			Prob:   dec.F64(),
 			ProbAB: dec.F64(),
 			ProbBA: dec.F64(),
@@ -348,26 +371,9 @@ func decodePairs(dec *snapio.Reader, c *dataset.Compiled) ([]depen.Dependence, [
 		if dec.Err() != nil {
 			break
 		}
-		pairs = append(pairs, pd)
 		pairA = append(pairA, int32(ai))
 		pairB = append(pairB, int32(bi))
+		pairs = append(pairs, pd)
 	}
-	return pairs, pairA, pairB
-}
-
-// assembleDep reconstitutes the discovery result from its decoded parts —
-// the shared tail of LoadSnapshot (v1) and lazy materialization (v2).
-func assembleDep(c *dataset.Compiled, acc map[model.SourceID]float64,
-	probs map[model.ObjectID]map[string]float64,
-	pairs []depen.Dependence, pairA, pairB []int32,
-	threshold float64, rounds int, converged bool) *depen.Result {
-	tr := &truth.Result{
-		Probs:     probs,
-		Accuracy:  acc,
-		Rounds:    rounds,
-		Converged: converged,
-	}
-	tr.PickChosen()
-	return depen.ResultFromParts(tr, c.SourceIDs(), pairs, pairA, pairB,
-		threshold, rounds, converged)
+	return pairA, pairB, pairs
 }

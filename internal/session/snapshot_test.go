@@ -3,8 +3,10 @@ package session
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"sourcecurrents/internal/dataset"
@@ -219,12 +221,21 @@ func TestSnapshotCorruption(t *testing.T) {
 			}
 		}
 	})
+	t.Run("records no solve writes", func(t *testing.T) {
+		for name, view := range corruptViews(t, s) {
+			raw := snapshotBytes(t, withView(s, view))
+			if _, err := LoadSnapshot(bytes.NewReader(raw), DefaultConfig()); !errors.Is(err, snapio.ErrCorrupt) {
+				t.Fatalf("%s: err = %v, want ErrCorrupt", name, err)
+			}
+		}
+	})
 }
 
 // TestSnapshotLoadBeatsBuild pins what the cold-start win consists of: a
-// load runs no discovery — the loaded session carries no solved state — and
-// so allocates under a twentieth of the bytes a build from raw claims does
-// (under a fifth for the v1 stream). (How much faster that makes it is
+// load runs no discovery — a mapped session decodes no state, a v1 one builds
+// no view of the state it decodes — and so allocates under a twentieth of the
+// bytes a build from raw claims does (under a fifth for the v1 stream, which
+// measures 5.8x). (How much faster that makes it is
 // BenchmarkSnapshotLoad against BenchmarkSessionBuild; a wall-clock ratio is
 // not something a loaded box, or -race, lets a test assert.)
 func TestSnapshotLoadBeatsBuild(t *testing.T) {
@@ -281,8 +292,9 @@ func TestSnapshotLoadBeatsBuild(t *testing.T) {
 			t.Fatal("a built session carries no solved state")
 		}
 	})
-	// The default format (v2) maps its tables where they lie; the v1 stream
-	// decodes the result's maps and every analysed pair onto the heap.
+	// The default format (v2) maps its tables where they lie and decodes no
+	// state; the v1 stream decodes the state — every posterior and analysed
+	// pair — onto the heap, and builds no view of it.
 	var v2 bytes.Buffer
 	if err := s.WriteSnapshotV2(&v2); err != nil {
 		t.Fatal(err)
@@ -291,9 +303,12 @@ func TestSnapshotLoadBeatsBuild(t *testing.T) {
 		name  string
 		under uint64 // the load allocates under build/under bytes
 		load  func() (*Session, error)
+		built func(*Session) bool // the load did more than decode
 	}{
-		{"v2", 20, func() (*Session, error) { return LoadSnapshotV2(v2.Bytes(), cfg) }},
-		{"v1", 5, func() (*Session, error) { return LoadSnapshot(bytes.NewReader(raw), cfg) }},
+		{"v2", 20, func() (*Session, error) { return LoadSnapshotV2(v2.Bytes(), cfg) },
+			func(s *Session) bool { return s.st != nil }},
+		{"v1", 5, func() (*Session, error) { return LoadSnapshot(bytes.NewReader(raw), cfg) },
+			func(s *Session) bool { return s.dep != nil }},
 	} {
 		var loaded *Session
 		load := allocated(func() {
@@ -301,8 +316,8 @@ func TestSnapshotLoadBeatsBuild(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if loaded.st != nil {
-			t.Fatalf("%s: the loaded session carries solved state: the load ran discovery", format.name)
+		if format.built(loaded) {
+			t.Fatalf("%s: the load built more than it decodes", format.name)
 		}
 		if load*format.under > build {
 			t.Fatalf("%s: the load allocated %d bytes, NewSession %d: not under 1/%d", format.name, load, build, format.under)
@@ -339,26 +354,103 @@ func FuzzLoadSnapshot(f *testing.F) {
 	})
 }
 
-// TestResultFromPartsMatchesDetect double-checks the depen reassembly path
-// against a live Detect result, independent of the binary format.
+// TestResultFromPartsMatchesDetect double-checks the state a snapshot decodes
+// to against a live session's, independent of the framing: the session's
+// posteriors and pair verdicts, encoded as both formats store them, decoded
+// and handed to depen.StateFromParts with its accuracy vector, give back its
+// state — totals table included — and so its view. The Known labels put an
+// entry outside its object's groups into the stored posteriors: one by
+// inline string, one by the index of a value another object has.
 func TestResultFromPartsMatchesDetect(t *testing.T) {
 	d := servingWorld(t, 43)
-	s, err := New(d, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	objs := d.Objects()
+	foreign := d.ValuesFor(objs[2])[0].Value
+	for _, g := range d.ValuesFor(objs[1]) {
+		if g.Value == foreign {
+			t.Fatalf("%q is a value of %v too", foreign, objs[1])
+		}
 	}
+	known := DefaultConfig()
+	known.Depen.Truth.Known = map[model.ObjectID]string{objs[0]: "value-nobody-asserts", objs[1]: foreign}
+	for name, cfg := range map[string]Config{"plain": DefaultConfig(), "known": known} {
+		s, err := New(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dep, c := s.Dependence(), d.Compiled()
+		var truthEnc, pairsEnc snapio.Writer
+		encodeTruthProbs(&truthEnc, c, dep.Truth)
+		if err := encodePairs(&pairsEnc, c, dep.AllPairs); err != nil {
+			t.Fatal(err)
+		}
+		st, err := decodeState(snapio.NewReader(truthEnc.Payload()), snapio.NewReader(pairsEnc.Payload()),
+			c, cfg.Depen, slices.Clone(s.acc), dep.Rounds, dep.Converged)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(st, s.st) {
+			t.Fatalf("%s: the decoded state differs from the solved one", name)
+		}
+		if err := viewDiff(st.Result(cfg.Depen), dep); err != nil {
+			t.Fatalf("%s: the decoded state's view differs: %v", name, err)
+		}
+	}
+}
+
+// corruptViews lists discovery results no solve produces, each of which a
+// snapshot written from it stores as it is: pair records out of (a < b)
+// form or repeated, and a posterior entry for a value its object neither has
+// nor is labelled with. Both loaders must refuse them with ErrCorrupt.
+func corruptViews(t *testing.T, s *Session) map[string]*depen.Result {
+	t.Helper()
 	dep := s.Dependence()
-	tr := &truth.Result{
-		Probs:     dep.Truth.Probs,
-		Accuracy:  dep.Truth.Accuracy,
-		Rounds:    dep.Truth.Rounds,
-		Converged: dep.Truth.Converged,
+	if len(dep.AllPairs) < 2 {
+		t.Fatal("the world has fewer than two analysed pairs")
 	}
-	tr.PickChosen()
-	// nil index slices exercise the lookup fallback path.
-	rebuilt := depen.ResultFromParts(tr, d.Sources(), dep.AllPairs, nil, nil,
-		DefaultConfig().Depen.DepThreshold, dep.Rounds, dep.Converged)
-	if err := viewDiff(rebuilt, dep); err != nil {
-		t.Fatalf("ResultFromParts does not reproduce Detect's result: %v", err)
+	with := func(edit func(tr *truth.Result, pairs []depen.Dependence)) *depen.Result {
+		tr := *dep.Truth
+		tr.Probs = maps.Clone(tr.Probs)
+		pairs := slices.Clone(dep.AllPairs)
+		edit(&tr, pairs)
+		return &depen.Result{Truth: &tr, AllPairs: pairs, Rounds: dep.Rounds, Converged: dep.Converged}
 	}
+	return map[string]*depen.Result{
+		"pair named in reverse": with(func(_ *truth.Result, pairs []depen.Dependence) {
+			pairs[0].Pair.A, pairs[0].Pair.B = pairs[0].Pair.B, pairs[0].Pair.A
+		}),
+		"pair of a source with itself": with(func(_ *truth.Result, pairs []depen.Dependence) {
+			pairs[0].Pair.B = pairs[0].Pair.A
+		}),
+		"pair given twice": with(func(_ *truth.Result, pairs []depen.Dependence) {
+			pairs[1] = pairs[0]
+		}),
+		"posterior of another object's value": with(func(tr *truth.Result, _ []depen.Dependence) {
+			objs := s.Dataset().Objects()
+			pv := maps.Clone(tr.Probs[objs[0]])
+			for _, g := range s.Dataset().ValuesFor(objs[1]) {
+				if _, ok := pv[g.Value]; !ok {
+					pv[g.Value] = 0.5
+					break
+				}
+			}
+			if len(pv) == len(tr.Probs[objs[0]]) {
+				t.Fatal("every value of the second object is a value of the first")
+			}
+			tr.Probs[objs[0]] = pv
+		}),
+		"posterior of a value nobody asserts": with(func(tr *truth.Result, _ []depen.Dependence) {
+			o := s.Dataset().Objects()[0]
+			pv := maps.Clone(tr.Probs[o])
+			pv["value-nobody-asserts"] = 0.5
+			tr.Probs[o] = pv
+		}),
+	}
+}
+
+// withView returns a session over s's state whose Result view is r: what
+// the snapshot writers store when handed that view.
+func withView(s *Session, r *depen.Result) *Session {
+	w := &Session{d: s.d, cfg: s.cfg, st: s.st, acc: s.acc, depTab: s.depTab, dep: r}
+	w.depOnce.Do(func() {})
+	return w
 }

@@ -9,11 +9,13 @@
 // allocations regardless of dataset size, and N processes serving the same
 // world share one physical copy of its pages.
 //
-// Only the state the hot serve path (AnswerObjects) touches is decoded at
-// load. The remaining state — the embedded v1 dataset snapshot, the truth
-// posterior maps, the pair verdicts — rides along in cold sections encoded
-// with the v1 helpers, and materializes onto the heap on first use (Fuse,
-// Append, Profiles…). A session loaded from v2 is bit-identical to one
+// Only the state the hot serve path (AnswerObjects, Accuracy) touches is
+// decoded at load. The remaining state — the embedded v1 dataset snapshot,
+// the truth posteriors, the pair verdicts — rides along in cold sections
+// encoded with the v1 helpers, and materializes onto the heap on first use
+// (Fuse, Append, Profiles…): the dataset, and the session's depen.State with
+// the posteriors and verdicts decoded straight into it, as v1 does. A session
+// loaded from v2 is bit-identical to one
 // loaded from v1 or rebuilt from scratch: both backends feed the same
 // planner the same float64 tables, which the equivalence tests pin.
 package session
@@ -24,10 +26,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"sourcecurrents/internal/dataset"
-	"sourcecurrents/internal/model"
 	"sourcecurrents/internal/queryans"
 	"sourcecurrents/internal/snapio"
 )
@@ -184,9 +186,10 @@ func sessionFromMapped(m *snapio.Mapped, cfg Config) (*Session, error) {
 }
 
 // materializeMapped decodes the cold sections into heap state: the embedded
-// v1 dataset snapshot, then the posterior maps and pair verdicts against
-// the materialized dataset's own (heap) compiled view — never the mapped
-// one, so nothing the materialized state references dies with the mapping.
+// v1 dataset snapshot, then the session's depen.State — a copy of the mapped
+// accuracy vector, and the posteriors and pair verdicts laid out over the
+// materialized dataset's own (heap) compiled view, never the mapped one — so
+// nothing the materialized state references dies with the mapping.
 func (s *Session) materializeMapped() error {
 	blob, _ := s.mapped.Section(secDSBlob)
 	d, err := dataset.ReadSnapshot(bytes.NewReader(blob))
@@ -208,31 +211,14 @@ func (s *Session) materializeMapped() error {
 			snapio.ErrCorrupt, d.Epoch(), s.dsEpoch)
 	}
 
-	accMap := make(map[model.SourceID]float64, c.NumSources())
-	for i := 0; i < c.NumSources(); i++ {
-		accMap[c.Source(i)] = s.acc[i]
-	}
-
 	truthB, _ := s.mapped.Section(secTruth)
-	truthDec := snapio.NewReader(truthB)
-	probs, err := decodeTruthProbs(truthDec, c)
-	if err != nil {
-		return err
-	}
-	if err := truthDec.Finish(); err != nil {
-		return fmt.Errorf("session: snapshot v2: truth: %w", err)
-	}
-
 	pairsB, _ := s.mapped.Section(secPairs)
-	pairsDec := snapio.NewReader(pairsB)
-	pairs, pairA, pairB := decodePairs(pairsDec, c)
-	if err := pairsDec.Finish(); err != nil {
-		return fmt.Errorf("session: snapshot v2: pairs: %w", err)
+	st, err := decodeState(snapio.NewReader(truthB), snapio.NewReader(pairsB), c, s.cfg.Depen,
+		slices.Clone(s.acc), s.rounds, s.converged)
+	if err != nil {
+		return fmt.Errorf("session: snapshot v2: %w", err)
 	}
-
-	s.d = d
-	s.dep = assembleDep(c, accMap, probs, pairs, pairA, pairB,
-		s.cfg.Depen.DepThreshold, s.rounds, s.converged)
+	s.d, s.st = d, st
 	return nil
 }
 

@@ -313,6 +313,19 @@ func TestSnapshotV2Corruption(t *testing.T) {
 		!strings.Contains(err.Error(), "was built with") {
 		t.Fatalf("config mismatch error = %v, want fingerprint rejection", err)
 	}
+
+	// Records no solve writes sit in cold sections: the load maps, the first
+	// call that needs the state fails.
+	for name, view := range corruptViews(t, s) {
+		v2, err := LoadSnapshotV2(snapshotV2Bytes(t, withView(s, view)), DefaultConfig())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := v2.Fuse(); !errors.Is(err, snapio.ErrCorrupt) {
+			t.Fatalf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+		v2.Close()
+	}
 }
 
 // FuzzLoadSnapshotV2 drives the v2 container loader with arbitrary bytes:

@@ -281,8 +281,26 @@ func TestStateChainEquivalence(t *testing.T) {
 	}
 }
 
-// TestStateViewConcurrentFirstRead has 8 goroutines ask a fresh successor —
-// whose view nothing has built — for it at once; run under -race.
+// mappedSession writes s as a v2 snapshot file and maps it back.
+func mappedSession(t *testing.T, s *Session, cfg Config) *Session {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "s.snap")
+	if err := os.WriteFile(path, snapshotV2Bytes(t, s), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := LoadSnapshotFile(path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	return m
+}
+
+// TestStateViewConcurrentFirstRead has 8 goroutines make their first calls at
+// once on a fresh session whose view nothing has built — a successor, and a
+// freshly mapped v2 session, whose state the first of them decodes — each
+// asking for the view, fusion, the accuracies, a pair's posteriors or a
+// successor; run under -race. Every result equals a rebuild's.
 func TestStateViewConcurrentFirstRead(t *testing.T) {
 	cfg := DefaultConfig()
 	s, err := New(servingWorld(t, 17), cfg)
@@ -301,36 +319,72 @@ func TestStateViewConcurrentFirstRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			if g%2 == 0 {
-				got, err := next.Fuse()
-				if err != nil {
-					t.Error(err)
-				} else if !reflect.DeepEqual(got.Chosen, wantFuse.Chosen) || !reflect.DeepEqual(got.Relation, wantFuse.Relation) {
-					t.Errorf("goroutine %d: fusion differs", g)
-				}
-				return
-			}
-			if err := viewDiff(next.Dependence(), want.Dependence()); err != nil {
-				t.Errorf("goroutine %d: %v", g, err)
-			}
-		}(g)
+	batch := randomBatch(rand.New(rand.NewSource(4)), next.Dataset(), 2)
+	d2, err := want.Dataset().Append(batch)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	if next.Dependence() != next.Dependence() {
-		t.Fatal("Dependence built its view twice")
+	wantNext, err := New(d2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := want.Dataset().Sources()
+	for name, ses := range map[string]*Session{"successor": next, "v2-mapped": mappedSession(t, next, cfg)} {
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				switch g % 5 {
+				case 0:
+					got, err := ses.Fuse()
+					if err != nil {
+						t.Error(err)
+					} else if !reflect.DeepEqual(got.Chosen, wantFuse.Chosen) || !reflect.DeepEqual(got.Relation, wantFuse.Relation) {
+						t.Errorf("%s, goroutine %d: fusion differs", name, g)
+					}
+				case 1:
+					if err := viewDiff(ses.Dependence(), want.Dependence()); err != nil {
+						t.Errorf("%s, goroutine %d: %v", name, g, err)
+					}
+				case 2:
+					if got := ses.Accuracy(); !reflect.DeepEqual(got, want.Accuracy()) {
+						t.Errorf("%s, goroutine %d: accuracies differ", name, g)
+					}
+				case 3:
+					for _, a := range srcs {
+						for _, b := range srcs {
+							gd, gab, gba, ok := ses.PairProbs(a, b)
+							wd, wab, wba, _ := want.PairProbs(a, b)
+							if !ok || bitsDiff("PairProbs", []float64{gd, gab, gba}, []float64{wd, wab, wba}) != nil {
+								t.Errorf("%s, goroutine %d: PairProbs(%s, %s) differs", name, g, a, b)
+								return
+							}
+						}
+					}
+				case 4:
+					got, err := ses.Append(batch)
+					if err != nil {
+						t.Error(err)
+					} else if err := denseDiff(got, wantNext); err != nil {
+						t.Errorf("%s, goroutine %d: the successor differs: %v", name, g, err)
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if ses.Dependence() != ses.Dependence() {
+			t.Fatalf("%s: Dependence built its view twice", name)
+		}
 	}
 }
 
-// TestAccuracyReadsDenseVector: Accuracy on a solved session — a fresh
-// successor, and an as-of epoch behind it — is its dense accuracy vector by
-// name, keyed once per epoch. It does not build the Result view (the first /accuracy after an
-// append used to sort every analysed pair for it) and equals the view's map
-// to the bit once something else has built that.
+// TestAccuracyReadsDenseVector: Accuracy on any session — a fresh successor,
+// an as-of epoch behind it, and sessions loaded from either format — is its
+// dense accuracy vector by name, keyed once per epoch. It does not build the
+// Result view (the first /accuracy after an append used to sort every
+// analysed pair for it), on a mapped session it decodes no cold section, and
+// it equals the view's map to the bit once something else has built that.
 func TestAccuracyReadsDenseVector(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RetainEpochs = 2
@@ -346,10 +400,24 @@ func TestAccuracyReadsDenseVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, ses := range map[string]*Session{"successor": next, "as-of": past} {
+	// Writing a snapshot builds the view, so the snapshots are of a rebuild.
+	written, err := New(next.Dataset(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := LoadSnapshot(bytes.NewReader(snapshotBytes(t, written)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, ses := range map[string]*Session{
+		"successor": next, "as-of": past, "v1": v1, "v2-mapped": mappedSession(t, written, cfg),
+	} {
 		got := ses.Accuracy()
 		if ses.dep != nil {
 			t.Fatalf("%s: Accuracy built the Result view", name)
+		}
+		if name == "v2-mapped" && ses.d != nil {
+			t.Fatalf("%s: Accuracy materialized the session", name)
 		}
 		want := ses.Dependence().Truth.Accuracy
 		if len(got) != len(want) || len(got) != len(ses.Dataset().Sources()) {

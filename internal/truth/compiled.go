@@ -276,27 +276,6 @@ func (s *DenseSolver) ProbsMap(probs []float64) map[model.ObjectID]map[string]fl
 	return out
 }
 
-// FillProbs is the inverse of ProbsMap: it seeds the flat posterior vector
-// from the public map shape, matching values through this solver's compiled
-// view. Groups absent from m (objects or values the map predates) are left
-// untouched — callers seeding a refinement pass rescore those anyway, since
-// only appended claims can introduce them.
-func (s *DenseSolver) FillProbs(probs []float64, m map[model.ObjectID]map[string]float64) {
-	c := s.c
-	for oi := 0; oi < c.NumObjects(); oi++ {
-		pv := m[c.Object(oi)]
-		if pv == nil {
-			continue
-		}
-		gs, ge := c.GroupStart[oi], c.GroupStart[oi+1]
-		for g := gs; g < ge; g++ {
-			if p, ok := pv[c.Value(int(c.GroupValue[g]))]; ok {
-				probs[g] = p
-			}
-		}
-	}
-}
-
 // AccuracyMap converts the dense accuracy vector to the public map shape.
 func (s *DenseSolver) AccuracyMap(acc []float64) map[model.SourceID]float64 {
 	out := make(map[model.SourceID]float64, len(acc))
