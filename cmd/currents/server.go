@@ -37,15 +37,11 @@ import (
 func runSnapshot(args []string) error {
 	fs := flag.NewFlagSet("snapshot", flag.ExitOnError)
 	out := fs.String("o", "", "output snapshot path (required)")
-	format := fs.String("format", "v2", "snapshot format: v2 (mmap-friendly section container) or v1 (legacy stream)")
 	prof := profiling.Register(fs)
 	_ = fs.Parse(args)
 	if fs.NArg() != 1 || *out == "" {
-		fmt.Fprintln(os.Stderr, "usage: currents snapshot -o out.snap [-format v2|v1] file.csv")
+		fmt.Fprintln(os.Stderr, "usage: currents snapshot -o out.snap file.csv")
 		os.Exit(2)
-	}
-	if *format != "v1" && *format != "v2" {
-		return fmt.Errorf("snapshot: unknown -format %q (want v1 or v2)", *format)
 	}
 	if err := prof.Start(); err != nil {
 		return err
@@ -65,11 +61,7 @@ func runSnapshot(args []string) error {
 	if err != nil {
 		return err
 	}
-	write := s.WriteSnapshot
-	if *format == "v2" {
-		write = s.WriteSnapshotV2
-	}
-	if err := write(f); err != nil {
+	if err := s.WriteSnapshot(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -80,8 +72,8 @@ func runSnapshot(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "snapshot %s (%s): %d claims, %d sources, %d objects, %d bytes (precompute %v)\n",
-		*out, *format, d.Len(), len(d.Sources()), len(d.Objects()), info.Size(),
+	fmt.Fprintf(os.Stderr, "snapshot %s: %d claims, %d sources, %d objects, %d bytes (precompute %v)\n",
+		*out, d.Len(), len(d.Sources()), len(d.Objects()), info.Size(),
 		precompute.Round(time.Millisecond))
 	return nil
 }
@@ -589,8 +581,8 @@ func buildLoadRequest(op, dsName, query string) (method, path, body string, err 
 }
 
 // runColdStart measures time-to-first-answer for each named dataset: one
-// timed request against a freshly started lazy server pays the mmap (v2)
-// or decode (v1) on first touch, and a second request shows the resident
+// timed request against a freshly started lazy server pays the mmap on
+// first touch, and a second request shows the resident
 // steady state. The gap between the two columns is the cold-start cost the
 // lazy registry defers until a world is actually queried.
 func runColdStart(base, datasets, op, query string) error {

@@ -1,6 +1,6 @@
 // Fleet walkthrough: a sharded serving fleet in one process.
 //
-//  1. Precompute a world once and write its v2 snapshot into three shard
+//  1. Precompute a world once and write its snapshot into three shard
 //     directories (in production each shard has its own disk).
 //  2. Boot three shard servers on loopback ports, each with adoption
 //     enabled, and a consistent-hash router in front of them (rf=2).
@@ -106,7 +106,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := s.WriteSnapshotV2(f); err != nil {
+		if err := s.WriteSnapshot(f); err != nil {
 			log.Fatal(err)
 		}
 		_ = f.Close()

@@ -6,7 +6,7 @@
 // placement member's per-dataset epoch (reported on /readyz and collected
 // by the prober) against the placement's max, so lag is caught even when
 // the fan-out failure happened under a previous router. Repair re-streams
-// the freshest holder's v2 snapshot onto the lagging shard via the adopt
+// the freshest holder's snapshot onto the lagging shard via the adopt
 // endpoint's replace mode; repeated failures back off exponentially. Each
 // scan republishes the currents_replica_lag gauge wholesale, so a healed
 // replica's return to 0 is observable.

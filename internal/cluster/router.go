@@ -22,7 +22,7 @@
 // budget (backoff.go) keeps failover from amplifying an outage into a
 // retry storm. Replica append fan-out failures are reported in the append
 // response and enqueued for repair: an anti-entropy loop (repair.go)
-// compares per-dataset epochs across each placement and re-streams v2
+// compares per-dataset epochs across each placement and re-streams
 // snapshots to lagging replicas.
 //
 // The router holds no dataset state of its own, so routed responses are

@@ -37,7 +37,7 @@ func fleetWorld(t testing.TB, seed int64, nObjects int) *dataset.Dataset {
 	return sw.Dataset
 }
 
-// writeWorldSnap writes a v2 snapshot for a generated world into dir.
+// writeWorldSnap writes a session snapshot for a generated world into dir.
 func writeWorldSnap(t testing.TB, dir, name string, seed int64, nObjects int) {
 	t.Helper()
 	s, err := session.New(fleetWorld(t, seed, nObjects), session.DefaultConfig())
@@ -48,7 +48,7 @@ func writeWorldSnap(t testing.TB, dir, name string, seed int64, nObjects int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteSnapshotV2(f); err != nil {
+	if err := s.WriteSnapshot(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

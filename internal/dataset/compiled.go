@@ -33,7 +33,7 @@ import (
 
 // Compiled is the dense, interned, read-only index of a frozen Dataset.
 // Dataset.Compiled() returns the one Freeze or Append built (heap backend);
-// CompiledFromMapped loads one zero-copy from a snapshot v2 container
+// CompiledFromMapped loads one zero-copy from a snapshot container
 // (mapped backend). All fields are shared and must not be mutated.
 // Consumers reach the interning tables through the Source/Object/Value
 // accessors, which hide which backend is underneath.

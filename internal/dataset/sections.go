@@ -1,26 +1,31 @@
-// Snapshot v2 section codec for the compiled columnar view.
+// Section codec for a frozen dataset: its compiled columnar view and its
+// claim log, as a session snapshot container holds them.
 //
 // The write side lays every dense table of a Compiled into sections of a
 // snapio container in its exact in-memory layout (int32/int64 tables cast
-// to bytes, strings concatenated into one blob indexed by offset tables).
-// The read side casts the mapped sections straight back into slices — no
-// decode loop, no per-table allocation — after a linear structural
-// validation pass that makes every later indexed access bounds-safe even
-// against adversarial input.
+// to bytes, strings concatenated into one blob indexed by offset tables),
+// and the claim log as id columns into those tables. The read side casts
+// the mapped sections straight back into slices — no decode loop, no
+// per-table allocation — after a linear structural validation pass that
+// makes every later indexed access bounds-safe even against adversarial
+// input. The claims themselves are built only when the dataset is
+// materialized (Mapped.Dataset).
 package dataset
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 
 	"sourcecurrents/internal/model"
 	"sourcecurrents/internal/snapio"
 )
 
-// Section ids for the compiled tables inside a snapshot v2 container.
-// Containers embedding a Compiled (the session snapshot) reserve ids below
-// SecCompiledEnd for this codec and place their own sections above it.
+// Section ids for the compiled tables and the claim log inside a snapshot
+// container. Containers embedding a dataset (the session snapshot) reserve
+// ids below SecCompiledEnd for this codec and place their own sections above
+// it.
 const (
 	SecGroupStart uint32 = iota + 1
 	SecGroupValue
@@ -40,6 +45,15 @@ const (
 	SecSrcOff
 	SecObjOff
 	SecValOff
+
+	// The claim log (see Dataset.AppendSections).
+	SecLogSrc
+	SecLogObj
+	SecLogVal
+	SecLogBounds
+	SecLogTime
+	SecLogTimed
+	SecLogProb
 
 	// SecCompiledEnd is the first id free for embedding containers.
 	SecCompiledEnd = 64
@@ -64,7 +78,7 @@ func timesFromI64(v []int64) []model.Time {
 // AppendSections adds every compiled table to w. The CSR slices are added
 // as aliasing views (zero copy); the three interning tables are flattened
 // into a fresh string blob plus offset tables, which is the one encode cost
-// v2 pays at write time so loads never pay it again.
+// paid at write time so loads never pay it again.
 func (c *Compiled) AppendSections(w *snapio.SectionWriter) error {
 	nS, nO, nV := c.NumSources(), c.NumObjects(), c.NumValues()
 	var total int
@@ -79,7 +93,7 @@ func (c *Compiled) AppendSections(w *snapio.SectionWriter) error {
 		total += len(c.Value(i))
 	}
 	if total > math.MaxInt32 {
-		return fmt.Errorf("dataset: interned strings total %d bytes, too large for snapshot v2", total)
+		return fmt.Errorf("dataset: interned strings total %d bytes, too large for a snapshot", total)
 	}
 	blob := make([]byte, 0, total)
 	srcOff := make([]int32, nS+1)
@@ -156,11 +170,39 @@ func checkRange(name string, tab []int32, limit int32) error {
 	return nil
 }
 
+// checkTranspose validates that the two claim CSRs index the same claims,
+// walking the group-major one in order and matching each member against its
+// source's next source-major claim: same object (strictly after the source's
+// previous one), same group, same value. Every match consumes a distinct
+// claim and the tables are one size, so each is exactly the other's
+// transpose — what the planner's per-group member counts rely on to stay in
+// bounds. One cursor per source; no search.
+func checkTranspose(c *Compiled) error {
+	if len(c.GroupSrc) != len(c.SrcObj) {
+		return secErr("%d group members for %d source claims", len(c.GroupSrc), len(c.SrcObj))
+	}
+	next := slices.Clone(c.SrcStart[:len(c.SrcStart)-1]) // each source's next unmatched claim
+	for o := int32(0); o+1 < int32(len(c.GroupStart)); o++ {
+		for g := c.GroupStart[o]; g < c.GroupStart[o+1]; g++ {
+			for _, s := range c.GroupSrc[c.GroupSrcStart[g]:c.GroupSrcStart[g+1]] {
+				k := next[s]
+				if k == c.SrcStart[s+1] || (k > c.SrcStart[s] && c.SrcObj[k-1] >= o) ||
+					c.SrcObj[k] != o || c.SrcGroup[k] != g || c.SrcVal[k] != c.GroupValue[g] {
+					return secErr("group %d lists source %d, whose claims do not match it", g, s)
+				}
+				next[s]++
+			}
+		}
+	}
+	return nil
+}
+
 // CompiledFromMapped builds the mapped-backend Compiled over a validated
 // section container. Every table is a zero-copy view into m; the result is
-// usable only while m stays mapped. The validation pass is linear scans —
-// O(tables) time, O(1) allocation — and guarantees that all the indexed
-// accesses the solvers perform stay in bounds whatever the file contents.
+// usable only while m stays mapped. The validation pass — linear scans, one
+// allocation of a cursor per source — guarantees that all the indexed
+// accesses the solvers and the planner perform stay in bounds whatever the
+// file contents.
 func CompiledFromMapped(m *snapio.Mapped) (*Compiled, error) {
 	c := &Compiled{}
 	var err error
@@ -267,14 +309,16 @@ func CompiledFromMapped(m *snapio.Mapped) (*Compiled, error) {
 		checkCSR("SpanStart", c.SpanStart, 0, int32(len(c.SpanKey))),
 		checkRange("GroupValue", c.GroupValue, nV),
 		checkRange("GroupSrc", c.GroupSrc, nS),
-		checkRange("SrcObj", c.SrcObj, nO),
-		checkRange("SrcVal", c.SrcVal, nV),
-		checkRange("SrcGroup", c.SrcGroup, nG),
+		// SrcObj, SrcVal and SrcGroup are held to the group tables by
+		// checkTranspose, which puts them in range too.
 	}
 	for _, e := range checks {
 		if e != nil {
 			return nil, e
 		}
+	}
+	if err := checkTranspose(c); err != nil {
+		return nil, err
 	}
 	for i := int32(0); i < nO; i++ {
 		if n := int(c.GroupStart[i+1] - c.GroupStart[i]); n > c.maxGroups {
@@ -287,3 +331,194 @@ func CompiledFromMapped(m *snapio.Mapped) (*Compiled, error) {
 // MappedBacked reports whether the compiled view reads from a mapped
 // snapshot (true) or heap-built interning tables (false).
 func (c *Compiled) MappedBacked() bool { return c.srcOff != nil }
+
+// AppendSections adds the frozen dataset to w: its compiled tables
+// (Compiled.AppendSections) and its claim log — each claim's source, object
+// and value as int32 ids into those tables, and the epoch bounds. A time
+// column (int64, with a HasTime byte per claim) is added only when some
+// claim carries a time, a probability column (float64) only when some
+// claim's Prob is not 1: an absent column reads as HasTime false, Time 0 and
+// Prob 1. The id columns alias the index (zero copy).
+func (d *Dataset) AppendSections(w *snapio.SectionWriter) error {
+	if !d.frozen {
+		return fmt.Errorf("dataset: snapshot requires a frozen dataset")
+	}
+	c := d.cols
+	if err := c.AppendSections(w); err != nil {
+		return err
+	}
+	w.Add(SecLogSrc, snapio.I32Bytes(c.claimSrc))
+	w.Add(SecLogObj, snapio.I32Bytes(c.claimObj))
+	w.Add(SecLogVal, snapio.I32Bytes(c.claimVal))
+	bounds := make([]int32, len(d.bounds))
+	for e, b := range d.bounds {
+		bounds[e] = int32(b)
+	}
+	w.Add(SecLogBounds, snapio.I32Bytes(bounds))
+	n := len(d.claims)
+	if slices.ContainsFunc(d.claims, func(cl model.Claim) bool { return cl.HasTime || cl.Time != 0 }) {
+		times, timed := make([]model.Time, n), make([]byte, n)
+		for i := range d.claims {
+			times[i] = d.claims[i].Time
+			if d.claims[i].HasTime {
+				timed[i] = 1
+			}
+		}
+		w.Add(SecLogTime, timeBytes(times))
+		w.Add(SecLogTimed, timed)
+	}
+	if slices.ContainsFunc(d.claims, func(cl model.Claim) bool { return cl.Prob != 1 }) {
+		probs := make([]float64, n)
+		for i := range d.claims {
+			probs[i] = d.claims[i].Prob
+		}
+		w.Add(SecLogProb, snapio.F64Bytes(probs))
+	}
+	return nil
+}
+
+// Mapped is a dataset as a snapshot container holds it: the compiled tables,
+// zero-copy, and the claim log over them, validated when opened. It serves
+// what the compiled view serves; Dataset materializes the rest.
+type Mapped struct {
+	c             *Compiled
+	src, obj, val []int32
+	bounds        []int32
+	time          []model.Time // nil when no claim carries a time; then timed is nil too
+	timed         []byte
+	prob          []float64 // nil when every claim's Prob is 1
+}
+
+// FromMapped opens the dataset in m: CompiledFromMapped's tables, and the
+// claim log checked against them — a non-empty log whose columns are one
+// length, ids in range of their tables, epoch bounds ascending inside the
+// log, HasTime bytes of 0 or 1, probabilities in [0, 1], and no claim with an
+// empty source or entity. What passes materializes without an index error.
+func FromMapped(m *snapio.Mapped) (*Mapped, error) {
+	c, err := CompiledFromMapped(m)
+	if err != nil {
+		return nil, err
+	}
+	md := &Mapped{c: c}
+	for _, col := range []struct {
+		id  uint32
+		dst *[]int32
+	}{{SecLogSrc, &md.src}, {SecLogObj, &md.obj}, {SecLogVal, &md.val}, {SecLogBounds, &md.bounds}} {
+		if *col.dst, err = m.I32Section(col.id); err != nil {
+			return nil, err
+		}
+	}
+	n := len(md.src)
+	if n == 0 || len(md.obj) != n || len(md.val) != n {
+		return nil, secErr("claim log columns sized %d/%d/%d", n, len(md.obj), len(md.val))
+	}
+	for _, e := range []error{
+		checkRange("log sources", md.src, int32(c.NumSources())),
+		checkRange("log objects", md.obj, int32(c.NumObjects())),
+		checkRange("log values", md.val, int32(c.NumValues())),
+	} {
+		if e != nil {
+			return nil, e
+		}
+	}
+	prev := int32(0)
+	for _, b := range md.bounds {
+		if b <= prev || int(b) >= n {
+			return nil, secErr("log bound %d out of order", b)
+		}
+		prev = b
+	}
+	timed, hasTimed := m.Section(SecLogTimed)
+	if _, hasTime := m.Section(SecLogTime); hasTime || hasTimed {
+		times, err := m.I64Section(SecLogTime)
+		if err != nil {
+			return nil, err
+		}
+		if md.time, md.timed = timesFromI64(times), timed; len(md.time) != n || len(timed) != n {
+			return nil, secErr("time columns sized %d/%d for %d claims", len(md.time), len(timed), n)
+		}
+		if i := slices.IndexFunc(timed, func(t byte) bool { return t > 1 }); i >= 0 {
+			return nil, secErr("HasTime byte %d of claim %d", timed[i], i)
+		}
+	}
+	if _, ok := m.Section(SecLogProb); ok {
+		if md.prob, err = m.F64Section(SecLogProb); err != nil {
+			return nil, err
+		}
+		if len(md.prob) != n {
+			return nil, secErr("probability column sized %d for %d claims", len(md.prob), n)
+		}
+		if i := slices.IndexFunc(md.prob, func(p float64) bool { return !(p >= 0 && p <= 1) }); i >= 0 {
+			return nil, secErr("claim %d has probability %v", i, md.prob[i])
+		}
+	}
+	// Every table entry is some claim's (Dataset checks that), so an empty
+	// source or entity string would be an invalid claim.
+	for i := 0; i < c.NumSources(); i++ {
+		if c.Source(i) == "" {
+			return nil, secErr("source %d is empty", i)
+		}
+	}
+	for i := 0; i < c.NumObjects(); i++ {
+		if c.Object(i).Entity == "" {
+			return nil, secErr("object %d has an empty entity", i)
+		}
+	}
+	return md, nil
+}
+
+// Compiled returns the mapped compiled view; Epoch the number of appended
+// batches in the log.
+func (md *Mapped) Compiled() *Compiled { return md.c }
+func (md *Mapped) Epoch() int          { return len(md.bounds) }
+
+// Dataset materializes the mapped dataset on the heap: the claims rebuilt
+// from the log with every string copied off the mapping (one copy of the
+// string blob, which the claims then share), indexed by the builder Freeze
+// uses, with the log's epoch bounds. Its claim CSRs must come out as the
+// mapped ones: a log that does not index to the tables stored beside it is
+// corrupt.
+func (md *Mapped) Dataset() (*Dataset, error) {
+	c := md.c
+	blob := string(c.strBlob)
+	str := func(off []int32, i int) string { return blob[off[i]:off[i+1]] }
+	srcs := make([]model.SourceID, c.NumSources())
+	for i := range srcs {
+		srcs[i] = model.SourceID(str(c.srcOff, i))
+	}
+	objs := make([]model.ObjectID, c.NumObjects())
+	for i := range objs {
+		objs[i] = model.ObjectID{Entity: str(c.objOff, 2*i), Attribute: str(c.objOff, 2*i+1)}
+	}
+	vals := make([]string, c.NumValues())
+	for i := range vals {
+		vals[i] = str(c.valOff, i)
+	}
+	claims := make([]model.Claim, len(md.src))
+	for i := range claims {
+		cl := &claims[i]
+		cl.Source, cl.Object, cl.Value, cl.Prob = srcs[md.src[i]], objs[md.obj[i]], vals[md.val[i]], 1
+		if md.time != nil {
+			cl.Time, cl.HasTime = md.time[i], md.timed[i] == 1
+		}
+		if md.prob != nil {
+			cl.Prob = md.prob[i]
+		}
+	}
+	d := New()
+	d.claims = claims // built here and held by nobody else: the dataset's without a copy
+	d.Freeze()
+	if len(md.bounds) > 0 {
+		d.bounds = make([]int, len(md.bounds))
+		for e, b := range md.bounds {
+			d.bounds[e] = int(b)
+		}
+	}
+	h := d.cols
+	if !slices.Equal(h.GroupStart, c.GroupStart) || !slices.Equal(h.GroupValue, c.GroupValue) ||
+		!slices.Equal(h.GroupSrcStart, c.GroupSrcStart) || !slices.Equal(h.GroupSrc, c.GroupSrc) ||
+		!slices.Equal(h.SrcStart, c.SrcStart) || !slices.Equal(h.SrcGroup, c.SrcGroup) {
+		return nil, secErr("the claim log does not index to the stored tables")
+	}
+	return d, nil
+}

@@ -218,6 +218,28 @@ func TestCompiledSectionsCorruption(t *testing.T) {
 			tab, _ := m.I32Section(SecSrcGroup)
 			tab[len(tab)-1] = int32(len(want.GroupValue)) + 1
 		}},
+		// In range, but the two CSRs no longer index the same claims.
+		{"srcgroup-of-another-object", func(m *snapio.Mapped) {
+			tab, _ := m.I32Section(SecSrcGroup)
+			tab[0] = int32(len(want.GroupValue)) - 1
+		}},
+		{"groupsrc-not-transpose", func(m *snapio.Mapped) {
+			tab, _ := m.I32Section(SecGroupSrc)
+			for k := range tab {
+				tab[k] = 0
+			}
+		}},
+		{"srcobj-repeated", func(m *snapio.Mapped) {
+			start, _ := m.I32Section(SecSrcStart)
+			tab, _ := m.I32Section(SecSrcObj)
+			for s := 0; s+1 < len(start); s++ {
+				if k := start[s]; start[s+1]-k >= 2 {
+					tab[k+1] = tab[k]
+					return
+				}
+			}
+			t.Fatal("no source makes two claims")
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

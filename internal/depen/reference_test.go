@@ -2,6 +2,7 @@ package depen
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"sourcecurrents/internal/dataset"
@@ -138,7 +139,8 @@ func detectMaps(d *dataset.Dataset, cfg Config) (*Result, error) {
 
 // stateOf lays out a view's maps and pairs over c — the index of r's dataset
 // or of a successor, where sources r never saw get cfg's InitialAccuracy and
-// groups it never saw a zero — and hands them to StateFromParts. It is part
+// groups it never saw a zero — and hands them, the pairs as stored records,
+// to StateFromParts. It is part
 // of the oracle: the one map→dense walk left, and only in tests.
 func stateOf(r *Result, c *dataset.Compiled, cfg Config) *State {
 	acc := make([]float64, c.NumSources())
@@ -155,12 +157,17 @@ func stateOf(r *Result, c *dataset.Compiled, cfg Config) *State {
 			probs[g] = pv[c.Value(int(c.GroupValue[g]))]
 		}
 	}
-	pairA, pairB := make([]int32, len(r.AllPairs)), make([]int32, len(r.AllPairs))
+	recs := make([]pairRec, len(r.AllPairs))
 	for k, pd := range r.AllPairs {
-		pairA[k], _ = c.SourceIndex(pd.Pair.A)
-		pairB[k], _ = c.SourceIndex(pd.Pair.B)
+		a, _ := c.SourceIndex(pd.Pair.A)
+		b, _ := c.SourceIndex(pd.Pair.B)
+		recs[k] = pairRec{
+			a: a, b: b, shared: int32(pd.Shared), same: int32(pd.Same),
+			probAB: pd.ProbAB, probBA: pd.ProbBA, kt: pd.KT, kf: pd.KF, kd: pd.KD,
+		}
 	}
-	st, err := StateFromParts(c, acc, probs, pairA, pairB, r.AllPairs, r.Rounds, r.Converged)
+	slices.SortFunc(recs, comparePairs)
+	st, err := StateFromParts(c, acc, probs, (&State{pairs: recs}).PairBytes(), r.Rounds, r.Converged)
 	if err != nil {
 		panic(err)
 	}

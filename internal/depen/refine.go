@@ -45,8 +45,8 @@
 // and Refine return one (and it carries its State, so a Refine chain stays
 // dense), a Session builds its own the first time one is asked for, and
 // Solve and Session.Append never do. There is no way back from a view: a
-// session decoded from a snapshot holds a State too, assembled by
-// StateFromParts from the stored vectors and pair records.
+// session loaded from a snapshot holds a State too, assembled by
+// StateFromParts from the stored vectors and pair records as they lie.
 //
 // refine is a pure function of (dataset, predecessor state, config). The
 // live path (Session.Append advancing its state) and the rebuild path (Solve
@@ -59,6 +59,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"sourcecurrents/internal/dataset"
 	"sourcecurrents/internal/engine"
@@ -116,48 +117,75 @@ func (st *State) CopyProbs(a, b model.SourceID) (ab, ba float64) {
 	return p.probBA, p.probAB
 }
 
+// pairRecBytes is the size of a stored pair record: pairRec as it lies in
+// memory, four int32s and then five float64s, 56 bytes with no padding.
+const pairRecBytes = 4*4 + 5*8
+
+// A stored record is a cast of the array, so the struct may not grow a byte.
+var _ [pairRecBytes - unsafe.Sizeof(pairRec{})]byte
+var _ [unsafe.Sizeof(pairRec{}) - pairRecBytes]byte
+
+// Posteriors returns the posterior vector, one entry per value group in
+// compiled order; Rounds and Converged how the solve ended. Read-only.
+func (st *State) Posteriors() []float64 { return st.probs }
+func (st *State) Rounds() int           { return st.rounds }
+func (st *State) Converged() bool       { return st.converged }
+
+// PairBytes returns the analysed pairs as stored in a snapshot: the record
+// array itself, pairRecBytes per record in (a, b) order, host byte order.
+// The bytes alias the state; read-only.
+func (st *State) PairBytes() []byte {
+	if len(st.pairs) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&st.pairs[0])), len(st.pairs)*pairRecBytes)
+}
+
 // StateFromParts assembles a stored state over c, the index of the dataset it
-// was solved on: acc per source and probs per value group, both taken over,
-// and every analysed pair's verdict — the ProbAB, ProbBA, Shared, Same, KT, KF
-// and KD of pairs[k] for the sources with compiled indexes pairA[k] and
-// pairB[k]. Pair and Prob are not read: the indexes name the pair, and its
-// total is ProbAB + ProbBA, as a solve writes it into the totals table this
-// derives. Parts no solve produces are an error: vectors of the wrong length,
-// an index out of range, a pair not given as a < b, a pair given twice.
-func StateFromParts(c *dataset.Compiled, acc, probs []float64, pairA, pairB []int32,
-	pairs []Dependence, rounds int, converged bool) (*State, error) {
+// was solved on: acc per source and probs per value group, and pairs in
+// PairBytes' layout, all three taken over as they lie (pairs is copied only
+// when it is not 8-byte aligned). The totals table is derived, each analysed
+// pair's cell ProbAB + ProbBA as a solve writes it. Parts no solve produces
+// are an error: vectors of the wrong length, a partial record, a record whose
+// sources are not a < b or out of range, records out of (a, b) order or given
+// twice.
+func StateFromParts(c *dataset.Compiled, acc, probs []float64, pairs []byte,
+	rounds int, converged bool) (*State, error) {
 	nS := c.NumSources()
 	if len(acc) != nS || len(probs) != len(c.GroupValue) {
 		return nil, fmt.Errorf("depen: %d accuracies and %d posteriors for %d sources and %d value groups",
 			len(acc), len(probs), nS, len(c.GroupValue))
 	}
-	if len(pairA) != len(pairs) || len(pairB) != len(pairs) {
-		return nil, fmt.Errorf("depen: %d pairs, %d and %d indexes", len(pairs), len(pairA), len(pairB))
+	if len(pairs)%pairRecBytes != 0 {
+		return nil, fmt.Errorf("depen: %d bytes of pair records is not a whole number of %d-byte records",
+			len(pairs), pairRecBytes)
+	}
+	var recs []pairRec
+	if n := len(pairs) / pairRecBytes; n > 0 {
+		if uintptr(unsafe.Pointer(&pairs[0]))%unsafe.Alignof(pairRec{}) == 0 {
+			recs = unsafe.Slice((*pairRec)(unsafe.Pointer(&pairs[0])), n)
+		} else {
+			recs = make([]pairRec, n)
+			copy(unsafe.Slice((*byte)(unsafe.Pointer(&recs[0])), len(pairs)), pairs)
+		}
 	}
 	st := &State{
 		c: c, acc: acc, probs: probs,
 		tot:    make([]float64, nS*nS),
-		pairs:  make([]pairRec, len(pairs)),
+		pairs:  recs,
 		rounds: rounds, converged: converged,
 	}
-	for k := range pairs {
-		a, b, pd := pairA[k], pairB[k], &pairs[k]
-		if a < 0 || a >= b || int(b) >= nS {
-			return nil, fmt.Errorf("depen: pair %d names sources %d and %d of %d", k, a, b, nS)
+	for k := range recs {
+		p := &recs[k]
+		if p.a < 0 || p.a >= p.b || int(p.b) >= nS {
+			return nil, fmt.Errorf("depen: pair %d names sources %d and %d of %d", k, p.a, p.b, nS)
 		}
-		t := pd.ProbAB + pd.ProbBA
-		st.tot[int(a)*nS+int(b)] = t
-		st.tot[int(b)*nS+int(a)] = t
-		st.pairs[k] = pairRec{
-			a: a, b: b, shared: int32(pd.Shared), same: int32(pd.Same),
-			probAB: pd.ProbAB, probBA: pd.ProbBA, kt: pd.KT, kf: pd.KF, kd: pd.KD,
+		if k > 0 && comparePairs(recs[k-1], *p) >= 0 {
+			return nil, fmt.Errorf("depen: pair %d (sources %d and %d) is out of order or given twice", k, p.a, p.b)
 		}
-	}
-	slices.SortFunc(st.pairs, comparePairs)
-	for k := 1; k < len(st.pairs); k++ {
-		if p := st.pairs[k]; comparePairs(st.pairs[k-1], p) == 0 {
-			return nil, fmt.Errorf("depen: pair of sources %d and %d given twice", p.a, p.b)
-		}
+		t := p.probAB + p.probBA
+		st.tot[int(p.a)*nS+int(p.b)] = t
+		st.tot[int(p.b)*nS+int(p.a)] = t
 	}
 	return st, nil
 }

@@ -1,9 +1,9 @@
 // Replica bootstrap by snapshot streaming: the shard side of the fleet's
 // rebalance path.
 //
-// GET /v1/{dataset}/snapshot streams the world's v2 container bytes — for a
+// GET /v1/{dataset}/snapshot streams the world's snapshot container bytes — for a
 // mapped session that is literally the bytes on disk, zero rebuild — with a
-// whole-stream CRC32 in the X-Snapshot-CRC32 header. The v2 container's own
+// whole-stream CRC32 in the X-Snapshot-CRC32 header. The container's own
 // section-table CRC covers the header and layout, but section payloads are
 // deliberately unchecksummed (they are served straight from the mapping), so
 // the transfer header is what catches a bit flip inside a payload in

@@ -175,7 +175,7 @@ func BenchmarkServerAnswerParallel(b *testing.B) {
 }
 
 // BenchmarkServerColdStart measures time-to-first-answer through the lazy
-// registry: each iteration registers a v2 snapshot directory (manifest scan
+// registry: each iteration registers a snapshot directory (manifest scan
 // only) and serves one answer request, so the timed path is exactly what a
 // fresh server pays on the first query — mmap, section validation, planner
 // run — with no precompute and no decode loop.

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -11,9 +13,48 @@ import (
 	"testing"
 
 	"sourcecurrents/internal/session"
+	"sourcecurrents/internal/snapio"
 )
 
-// snapDir writes n worlds as v2 snapshots into a temp directory and
+// TestRegisterLazyRefusesRetiredFormats: registration reads a snapshot's
+// header only, but that is enough to refuse the retired decode-everything
+// stream (ErrBadMagic) and a container of the retired version 1
+// (ErrBadVersion) up front — RegisterLazy and LoadDir alike — rather than
+// registering a world no request could load.
+func TestRegisterLazyRefusesRetiredFormats(t *testing.T) {
+	var stream bytes.Buffer
+	var w snapio.Writer
+	w.U32(0)
+	if err := w.Frame(&stream, "SCDSSESS", 2); err != nil {
+		t.Fatal(err)
+	}
+	var v1 bytes.Buffer
+	var sw snapio.SectionWriter
+	if err := sw.WriteTo(&v1, session.SnapshotMagic, 1); err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		raw  []byte
+		want error
+	}{
+		"stream": {stream.Bytes(), snapio.ErrBadMagic},
+		"v1":     {v1.Bytes(), snapio.ErrBadVersion},
+	} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, name+".snap")
+		if err := os.WriteFile(path, tc.raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := NewRegistry().RegisterLazy(name, path, session.DefaultConfig()); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: RegisterLazy = %v, want %v", name, err, tc.want)
+		}
+		if _, err := LoadDir(dir, session.DefaultConfig(), nil); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: LoadDir = %v, want %v", name, err, tc.want)
+		}
+	}
+}
+
+// snapDir writes n worlds as snapshots into a temp directory and
 // returns it with the golden answer body for each world.
 func snapDir(t testing.TB, n int) (string, map[string]string, map[string][]byte) {
 	t.Helper()
@@ -27,7 +68,7 @@ func snapDir(t testing.TB, n int) (string, map[string]string, map[string][]byte)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.WriteSnapshotV2(f); err != nil {
+		if err := s.WriteSnapshot(f); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Close(); err != nil {

@@ -23,7 +23,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -34,7 +33,6 @@ import (
 
 	"sourcecurrents/internal/dataset"
 	"sourcecurrents/internal/session"
-	"sourcecurrents/internal/snapio"
 )
 
 // ErrUnknownDataset reports a lookup for a name no entry is registered
@@ -170,25 +168,15 @@ func (r *Registry) Register(name string, s *session.Session) error {
 }
 
 // RegisterLazy records a dataset manifest without loading it: the snapshot
-// at path is validated only as far as its magic, and the session loads on
-// the first request that needs it (mmap for v2 containers, decode for v1
-// frames). This is the zero-cost cold-start path for multi-world servers.
+// at path is checked only as far as its magic and version, and the session
+// maps on the first request that needs it. This is the zero-cost cold-start
+// path for multi-world servers.
 func (r *Registry) RegisterLazy(name, path string, cfg session.Config) error {
 	if !validName(name) {
 		return fmt.Errorf("server: invalid dataset name %q", name)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	var magic [snapio.MagicLen]byte
-	_, rerr := io.ReadFull(f, magic[:])
-	f.Close()
-	if rerr != nil {
-		return fmt.Errorf("server: %s: %w: %v", path, snapio.ErrTruncated, rerr)
-	}
-	if m := string(magic[:]); m != session.SnapshotMagic && m != session.SnapshotV2Magic {
-		return fmt.Errorf("server: %s: %w: not a session snapshot", path, snapio.ErrBadMagic)
+	if err := session.CheckSnapshotFile(path); err != nil {
+		return fmt.Errorf("server: %s: %w", path, err)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -602,8 +590,8 @@ type ReadyStatus struct {
 // lazy manifest is opened end to end (full container validation, typed
 // section views) and closed again, caching the verdict on success. This is
 // the /readyz work — a router probing it never routes to a shard whose
-// snapshot is corrupt, which /healthz's magic-sniff registration cannot
-// promise. Results come back sorted by name.
+// snapshot is corrupt, which registration's header check cannot promise.
+// Results come back sorted by name.
 func (r *Registry) VerifyAll() []ReadyStatus {
 	r.mu.RLock()
 	snap := make(map[string]*entry, len(r.entries))
@@ -753,9 +741,9 @@ func loadDir(dir string, cfg session.Config, logf func(format string, args ...an
 		var s *session.Session
 		switch ext {
 		case ".snap":
-			// Snapshots register as lazy manifests: the magic is checked now,
-			// the session loads (mmap for v2) on the first request that needs
-			// it. A directory of N worlds cold-starts in O(N) stat calls.
+			// Snapshots register as lazy manifests: the header is checked now,
+			// the session maps on the first request that needs it. A
+			// directory of N worlds cold-starts in O(N) header reads.
 			if err := reg.RegisterLazy(name, path, cfg); err != nil {
 				return nil, err
 			}

@@ -12,7 +12,7 @@
 //	POST /v1/{dataset}/recommend  trust-ranked source recommendation
 //	POST /v1/{dataset}/link       record-linkage clusters
 //	GET  /v1/{dataset}/accuracy   discovered per-source accuracies
-//	GET  /v1/{dataset}/snapshot   stream the v2 snapshot (replica bootstrap)
+//	GET  /v1/{dataset}/snapshot   stream the session snapshot (replica bootstrap)
 //	POST /v1/{dataset}/adopt      pull + validate + register a peer snapshot
 //	GET  /healthz                 liveness + registered datasets (+ ready bit)
 //	GET  /readyz                  active readiness: every world verifiably opens
@@ -683,7 +683,7 @@ func (s *Server) handleReadyz() response {
 	return jsonResponse(status, resp)
 }
 
-// handleSnapshot streams the session's v2 snapshot container: the mapped
+// handleSnapshot streams the session's snapshot container: the mapped
 // bytes verbatim when the session is snapshot-backed (copied while the
 // registry pin still holds — the response outlives the pin), rendered fresh
 // for heap-built or appended sessions so every world is adoptable. The
@@ -695,7 +695,7 @@ func (s *Server) handleSnapshot(sess *session.Session) response {
 		body = append([]byte(nil), mapped...)
 	} else {
 		var buf bytes.Buffer
-		if err := sess.WriteSnapshotV2(&buf); err != nil {
+		if err := sess.WriteSnapshot(&buf); err != nil {
 			return errResponse(err)
 		}
 		body = buf.Bytes()

@@ -430,11 +430,11 @@ func TestLoadDir(t *testing.T) {
 		t.Fatal("snapshot-loaded and csv-built sessions answer differently")
 	}
 
-	// A corrupt snapshot with a valid magic registers lazily (LoadDir only
-	// sniffs the header) and fails with a descriptive error on first
-	// acquisition; a wrong magic fails LoadDir itself.
+	// A corrupt snapshot with a valid magic and version registers lazily
+	// (LoadDir only checks the header) and fails with a descriptive error on
+	// first acquisition; a wrong magic fails LoadDir itself.
 	bad := t.TempDir()
-	if err := os.WriteFile(filepath.Join(bad, "broken.snap"), []byte("SCDSSESSgarbage"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(bad, "broken.snap"), []byte("SCSESSM2\x02\x00\x00\x00garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	badReg, err := LoadDir(bad, session.DefaultConfig(), nil)

@@ -19,17 +19,17 @@ import (
 	"sourcecurrents/internal/snapio"
 )
 
-// snapshotBytes renders a session's v2 container into memory.
+// snapshotBytes renders a session's snapshot container into memory.
 func snapshotBytes(t testing.TB, s *session.Session) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := s.WriteSnapshotV2(&buf); err != nil {
+	if err := s.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// sectionBoundaries parses the v2 container header and returns every
+// sectionBoundaries parses the container header and returns every
 // interesting truncation point: the end of the header/table, each section's
 // start, and each section's end. Truncating the stream at any of these
 // (except the very last byte of the file) destroys part of the world.
@@ -41,7 +41,7 @@ func sectionBoundaries(t testing.TB, b []byte) []int {
 	if len(b) < hdrFixed+4 {
 		t.Fatalf("snapshot too short to parse: %d bytes", len(b))
 	}
-	if string(b[:magicLen]) != session.SnapshotV2Magic {
+	if string(b[:magicLen]) != session.SnapshotMagic {
 		t.Fatalf("magic = %q", b[:magicLen])
 	}
 	count := int(binary.LittleEndian.Uint32(b[magicLen+8:]))
@@ -118,7 +118,7 @@ func TestSnapshotEndpointCRC(t *testing.T) {
 		t.Fatalf("CRC header = %s, body CRC = %s", got, want)
 	}
 	if !bytes.Equal(body, snapshotBytes(t, sessions["alpha"])) {
-		t.Fatal("streamed bytes differ from WriteSnapshotV2 output")
+		t.Fatal("streamed bytes differ from WriteSnapshot output")
 	}
 
 	// Mapped session: load the same world from disk and stream it again —
@@ -198,11 +198,25 @@ func TestAdoptGolden(t *testing.T) {
 	}
 }
 
-// Truncate the stream at every section boundary. With the upstream
-// advertising the ORIGINAL CRC (the truncation happened mid-transfer), the
-// transfer check must reject every cut. With an HONEST CRC of the truncated
-// bytes (a corrupt source), the structural validation must reject instead.
-// Either way: ErrCorrupt, nothing registered, nothing left on disk.
+// fixedCuts is a grid of truncation offsets independent of the container
+// layout, so that a format change does not rename the cases cut at them:
+// the section boundaries of an earlier layout of the same world, a start and
+// an end per section (a boundary shared by empty sections recurs). Every one
+// lies inside the current container's sections.
+var fixedCuts = []int{
+	628, 632, 796, 800, 1180, 1184, 1568, 1568, 2848, 2848, 2884, 2888,
+	4168, 4168, 5448, 5448, 6728, 6728, 6764,
+	6768, 6768, 6768, 6768, 6768, 6768, 6768, 6768, 6768, 6768, 6768,
+	7435, 7440, 7476, 7480, 7804, 7808, 8192, 8192, 8256, 8256, 8768, 8768,
+	8785, 8792, 9259, 9264, 10564, 10568, 12588, 12592,
+}
+
+// Truncate the stream at the fixed grid and at every section boundary. With
+// the upstream advertising the ORIGINAL CRC (the truncation happened
+// mid-transfer), the transfer check must reject every cut. With an HONEST
+// CRC of the truncated bytes (a corrupt source), the structural validation
+// must reject instead. Either way: ErrCorrupt, nothing registered, nothing
+// left on disk.
 func TestAdoptRejectsTruncation(t *testing.T) {
 	full := snapshotBytes(t, testSession(t, 11, 40))
 	bounds := sectionBoundaries(t, full)
@@ -212,8 +226,11 @@ func TestAdoptRejectsTruncation(t *testing.T) {
 			maxEnd = b
 		}
 	}
+	if fixedCuts[len(fixedCuts)-1] >= maxEnd {
+		t.Fatalf("the %d-byte container ends before the fixed grid does", maxEnd)
+	}
 	origCRC := crcOf(full)
-	for _, cut := range bounds {
+	for _, cut := range append(fixedCuts, bounds...) {
 		if cut >= len(full) {
 			continue
 		}
@@ -243,19 +260,22 @@ func TestAdoptRejectsTruncation(t *testing.T) {
 }
 
 // Flip single bytes across the container — in the magic, the section table,
-// and deep inside section payloads — with the upstream advertising the
-// original CRC (an in-transit flip). Payloads are unchecksummed by design,
-// so the transfer CRC is the only line of defense for the payload flips;
-// every flip must be rejected cleanly.
+// deep inside section payloads (at fixed offsets, so the case names do not
+// move with the layout) and the final byte — with the upstream advertising
+// the original CRC (an in-transit flip). Payloads are unchecksummed by
+// design, so the transfer CRC is the only line of defense for the payload
+// flips; every flip must be rejected cleanly.
 func TestAdoptRejectsBitFlips(t *testing.T) {
-	full := snapshotBytes(t, testSession(t, 11, 40))
+	full := snapshotBytes(t, testSession(t, 11, 80))
 	origCRC := crcOf(full)
 	positions := []int{
-		2,                 // magic
-		30,                // section table
-		len(full) / 2,     // mid-payload
-		len(full) - 1,     // final byte
-		len(full) * 3 / 4, // another payload spot
+		2,                   // magic
+		30,                  // section table
+		12012, 18018, 24023, // inside payloads
+		len(full) - 1, // final byte
+	}
+	if len(full) <= 24023 {
+		t.Fatalf("the %d-byte container ends before the deepest flip", len(full))
 	}
 	for _, pos := range positions {
 		pos := pos
@@ -274,7 +294,7 @@ func TestAdoptRejectsBitFlips(t *testing.T) {
 // A source that serves no CRC header still cannot sneak structural garbage
 // past adopt: the full load validation runs regardless.
 func TestAdoptRejectsGarbageWithoutCRC(t *testing.T) {
-	garbage := append([]byte(session.SnapshotV2Magic), bytes.Repeat([]byte{0xAB}, 512)...)
+	garbage := append([]byte(session.SnapshotMagic), bytes.Repeat([]byte{0xAB}, 512)...)
 	up := snapshotUpstream(t, garbage, "")
 	dir := t.TempDir()
 	reg := NewRegistry()
@@ -283,7 +303,7 @@ func TestAdoptRejectsGarbageWithoutCRC(t *testing.T) {
 }
 
 // The /readyz bugfix: a lazily-registered snapshot that passes the cheap
-// magic sniff but cannot actually open must flip /healthz to ready:false
+// header check but cannot actually open must flip /healthz to ready:false
 // and make /readyz answer 503 naming the dataset — before any request ever
 // touches the broken world.
 func TestReadyzCatchesBrokenLazySnapshot(t *testing.T) {
@@ -292,9 +312,11 @@ func TestReadyzCatchesBrokenLazySnapshot(t *testing.T) {
 	if err := os.WriteFile(good, snapshotBytes(t, testSession(t, 11, 25)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Valid magic, garbage body: RegisterLazy's sniff accepts it.
+	// Valid magic and version, garbage body: RegisterLazy's header check
+	// accepts it.
 	bad := filepath.Join(dir, "bad.snap")
-	if err := os.WriteFile(bad, append([]byte(session.SnapshotV2Magic), bytes.Repeat([]byte{0xCD}, 256)...), 0o644); err != nil {
+	head := binary.LittleEndian.AppendUint32([]byte(session.SnapshotMagic), session.SnapshotVersion)
+	if err := os.WriteFile(bad, append(head, bytes.Repeat([]byte{0xCD}, 256)...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cfg := session.DefaultConfig()

@@ -15,8 +15,8 @@ import (
 // build, so they are asserted in tier-1 rather than watched by a benchmark
 // baseline: a retained-epoch AsOf is a spine lookup that allocates nothing,
 // a served answer allocates what it returns and not its trace, and mapping
-// a v2 snapshot of the 500-source acceptance world stays within the
-// format's bar of 100 allocations (it decodes no table).
+// a snapshot of the 500-source acceptance world stays within the format's
+// bar of 100 allocations (it decodes no table).
 func TestServePathAllocs(t *testing.T) {
 	base := benchWorld(t)
 
@@ -73,7 +73,7 @@ func TestServePathAllocs(t *testing.T) {
 
 	t.Run("v2 snapshot load", func(t *testing.T) {
 		var buf bytes.Buffer
-		if err := base.WriteSnapshotV2(&buf); err != nil {
+		if err := base.WriteSnapshot(&buf); err != nil {
 			t.Fatal(err)
 		}
 		path := filepath.Join(t.TempDir(), "world.scs2")
@@ -88,9 +88,9 @@ func TestServePathAllocs(t *testing.T) {
 			}
 			s.Close()
 		}); n > 100 {
-			t.Fatalf("v2 snapshot load allocates %v times, want <= 100", n)
+			t.Fatalf("snapshot load allocates %v times, want <= 100", n)
 		} else {
-			t.Logf("v2 snapshot load: %v allocs", n)
+			t.Logf("snapshot load: %v allocs", n)
 		}
 	})
 }

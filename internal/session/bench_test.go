@@ -3,8 +3,6 @@ package session
 import (
 	"bytes"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"sourcecurrents/internal/synth"
@@ -93,45 +91,30 @@ func BenchmarkSessionAsOf(b *testing.B) {
 	})
 }
 
-// BenchmarkSnapshotLoadV1 measures the v1 decoding loader at the
-// 500-source acceptance shape: every table re-allocated and parsed on each
-// load.
-func BenchmarkSnapshotLoadV1(b *testing.B) {
-	s := benchWorld(b)
-	raw := snapshotBytes(b, s)
+// BenchmarkSnapshotLoad measures both load paths at the 500-source
+// acceptance shape: "mapped" maps the file (header validation, section
+// casts, the pair records checked and the totals table derived — ≤100
+// allocs/op), "read" reads it into memory first.
+func BenchmarkSnapshotLoad(b *testing.B) {
+	raw := snapshotBytes(b, benchWorld(b))
+	path := snapshotFile(b, raw)
 	cfg := DefaultConfig()
-	b.Run("sources=500", func(b *testing.B) {
+	b.Run("mapped", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s, err := LoadSnapshotFile(path, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s.Close()
+		}
+	})
+	b.Run("read", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := LoadSnapshot(bytes.NewReader(raw), cfg); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-}
-
-// BenchmarkSnapshotLoadV2 measures the mmap-backed v2 loader on the same
-// world: header validation plus section casts, no decode loop. The
-// acceptance bar is ≥5x faster than the v1 decode with ≤100 allocs/op.
-func BenchmarkSnapshotLoadV2(b *testing.B) {
-	s := benchWorld(b)
-	var buf bytes.Buffer
-	if err := s.WriteSnapshotV2(&buf); err != nil {
-		b.Fatal(err)
-	}
-	path := filepath.Join(b.TempDir(), "world.scs2")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	b.Run("sources=500", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			v2, err := LoadSnapshotFile(path, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			v2.Close()
 		}
 	})
 }

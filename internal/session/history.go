@@ -409,7 +409,7 @@ func (s *Session) History() []EpochInfo {
 // AccuracyOf returns one source's discovered accuracy at this session's
 // epoch, reading the dense vector through the compiled index — no
 // materialization for mapped sessions, which keeps trajectory serving from
-// decoding cold sections.
+// building the dataset.
 func (s *Session) AccuracyOf(src model.SourceID) (float64, bool) {
 	c := s.compiledView()
 	i, ok := c.SourceIndex(src)

@@ -88,27 +88,28 @@ func (c Config) Validate() error {
 // Session is the reusable serving state: built once, read-only afterwards,
 // safe for concurrent calls.
 //
-// Two backends exist. An eager session (New, Append, LoadSnapshot) holds a
+// Two backends exist. An eager session (New, Append, AsOf) holds a
 // materialized Dataset and its depen.State from the start. A mapped session
-// (snapshot v2) serves AnswerObjects and Accuracy straight from the mapped
-// compiled tables. Either way the state is the one representation of the
-// solve: every other is derived from it.
+// (LoadSnapshot*) serves AnswerObjects and Accuracy straight from the
+// snapshot's compiled tables. Either way the state is the one representation
+// of the solve: every other is derived from it.
 //
 // AnswerObjects, Accuracy, Append and AsOf read only dense state, so three
 // things are built lazily, each once, by the first call that needs it: a
-// mapped session's cold sections (dataset, posteriors, pair verdicts —
-// decoded into a depen.State on the heap, never aliasing the mapping; Fuse,
+// mapped session's dataset (materialized from the snapshot's claim log, with
+// the state moved onto the heap over it, never aliasing the mapping; Fuse,
 // Link, Profiles, Append, Dataset, Dependence, PairProbs), the trust profiles
 // (Profiles, Recommend*), and the depen.Result view of the state — maps and
 // 100k-odd named, sorted pairs that no append or answer reads (Dependence,
-// Fuse, Profiles, WriteSnapshot*).
+// Fuse, Profiles, WriteSnapshot).
 type Session struct {
 	d   *dataset.Dataset
 	cfg Config
-	// st is the dense solve state — solved by New, Append or AsOf, or decoded
-	// by LoadSnapshot — and dep the Result view of it, built by result(). A
-	// mapped session's st is nil until materialize has run, and written only
-	// there: read it after materialize.
+	// st is the dense solve state — solved by New, Append or AsOf, or
+	// assembled from a snapshot's sections — and dep the Result view of it,
+	// built by result(). A mapped session's st aliases the mapping until
+	// materialize moves it onto the heap, and is written only there after
+	// the load: read it after materialize.
 	st      *depen.State
 	depOnce sync.Once
 	dep     *depen.Result
@@ -118,20 +119,16 @@ type Session struct {
 	accMap  map[model.SourceID]float64
 	// acc is the dense per-source accuracy vector and depTab the flat
 	// source×source total dependence posterior, both in compiled source
-	// order. They alias st's vectors, or for mapped sessions the mapping.
+	// order. They alias st's vectors (acc, for mapped sessions, the mapping).
 	acc     []float64
 	depTab  []float64
 	planner *queryans.Planner
 
-	// Mapped-backend state; all nil/zero for eager sessions. rounds and
-	// converged are the meta section's, held for materialize to put into st.
-	mapped    *snapio.Mapped
-	mc        *dataset.Compiled
-	dsEpoch   int
-	rounds    int
-	converged bool
-	matOnce   sync.Once
-	matErr    error
+	// Mapped-backend state; nil for eager sessions.
+	mapped  *snapio.Mapped
+	md      *dataset.Mapped
+	matOnce sync.Once
+	matErr  error
 
 	profilesOnce sync.Once
 	profiles     []recommend.Profile
@@ -143,10 +140,10 @@ type Session struct {
 	created time.Time
 }
 
-// materialize decodes a mapped session's cold sections (embedded dataset
-// snapshot, truth posteriors, pair verdicts) into d and st on first use.
-// It is a no-op for eager sessions. Everything it builds is copied off the
-// mapping, so materialized state survives Close.
+// materialize builds a mapped session's dataset from the snapshot's claim
+// log and moves its state over it, on first use. It is a no-op for eager
+// sessions. Everything it builds is copied off the mapping, so materialized
+// state survives Close.
 func (s *Session) materialize() error {
 	if s.mapped == nil {
 		return nil
@@ -176,8 +173,8 @@ func New(d *dataset.Dataset, cfg Config) (*Session, error) {
 }
 
 // newSession assembles the serving state over d's dense state st, whose
-// vectors the serving tables alias — the shared tail of New, LoadSnapshot,
-// Append and AsOf. cfg must already be validated, and d frozen and non-empty.
+// vectors the serving tables alias — the shared tail of New, Append and
+// AsOf. cfg must already be validated, and d frozen and non-empty.
 func newSession(d *dataset.Dataset, cfg Config, st *depen.State) (*Session, error) {
 	s := &Session{
 		d:       d,
@@ -244,8 +241,8 @@ func (s *Session) Append(batch []model.Claim) (*Session, error) {
 }
 
 // Dataset returns the served dataset, materializing it first for a mapped
-// session. It returns nil if materialization fails (corrupt cold sections);
-// error-returning entry points surface the cause.
+// session. It returns nil if materialization fails (a claim log that does
+// not index to its tables); error-returning entry points surface the cause.
 func (s *Session) Dataset() *dataset.Dataset {
 	if err := s.materialize(); err != nil {
 		return nil
@@ -255,8 +252,8 @@ func (s *Session) Dataset() *dataset.Dataset {
 
 // Dependence returns the discovery result. The first call per epoch builds
 // the view of the session's state — the sort of every analysed pair an append
-// no longer pays — after a mapped session has decoded its cold sections (nil
-// on failure). Later calls return the same Result; callers must treat it as
+// no longer pays — after a mapped session has materialized (nil on
+// failure). Later calls return the same Result; callers must treat it as
 // read-only.
 func (s *Session) Dependence() *depen.Result {
 	if err := s.materialize(); err != nil {
@@ -267,8 +264,8 @@ func (s *Session) Dependence() *depen.Result {
 
 // Accuracy returns the per-source accuracies, as Dependence().Truth.Accuracy:
 // the dense vector keyed by source, built once per epoch on the first call —
-// without the Result view, and for a mapped session without decoding a cold
-// section (the keys are copied off the mapping). Callers must treat the map
+// without the Result view, and for a mapped session without materializing
+// (the keys are copied off the mapping). Callers must treat the map
 // as read-only.
 func (s *Session) Accuracy() map[model.SourceID]float64 {
 	s.accOnce.Do(func() {
@@ -282,11 +279,11 @@ func (s *Session) Accuracy() map[model.SourceID]float64 {
 }
 
 // compiledView returns the compiled index the session serves from — the
-// mapped tables for a v2-backed session, the dataset's own compilation
+// mapped tables for a mapped session, the dataset's own compilation
 // otherwise — without forcing materialization.
 func (s *Session) compiledView() *dataset.Compiled {
 	if s.mapped != nil {
-		return s.mc
+		return s.md.Compiled()
 	}
 	return s.d.Compiled()
 }
@@ -295,7 +292,7 @@ func (s *Session) compiledView() *dataset.Compiled {
 // mapped session to materialize — servers key caches on it.
 func (s *Session) DatasetEpoch() int {
 	if s.mapped != nil {
-		return s.dsEpoch
+		return s.md.Epoch()
 	}
 	return s.d.Epoch()
 }
@@ -309,10 +306,10 @@ func (s *Session) MappedBytes() int64 {
 	return s.mapped.Size()
 }
 
-// MappedSnapshot returns the raw v2 snapshot container backing this
-// session, or nil for an eager (heap-built) session. The bytes alias the
-// mapping — valid only while the caller's registry pin holds — so snapshot
-// streaming copies them before the pin releases.
+// MappedSnapshot returns the raw snapshot container backing this session,
+// or nil for an eager (heap-built) session. The bytes alias the mapping —
+// valid only while the caller's registry pin holds — so snapshot streaming
+// copies them before the pin releases.
 func (s *Session) MappedSnapshot() []byte {
 	if s.mapped == nil {
 		return nil

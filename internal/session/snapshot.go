@@ -1,134 +1,252 @@
-// Binary session snapshots: the serving state a server cold-starts from.
+// Session snapshots: the serving state a server cold-starts from, in the
+// one format there is.
 //
-// Session construction pays one depen.Detect — the expensive precompute —
+// Session construction pays one depen solve — the expensive precompute —
 // before the first query can be answered (454 ms at 500 sources on the
-// baseline hardware). A session snapshot captures everything that run
-// derived, in dense compiled-index form: the embedded dataset snapshot
-// (interned string tables + CSR claim records), the per-group truth
-// posterior vector, the dense per-source accuracy vector, and the
-// source×source dependence table (every analyzed pair's full verdict).
-// LoadSnapshot rebuilds a Session by decoding those tables straight into the
-// depen.State a solve would have left (depen.StateFromParts) instead of
-// re-running discovery, which is what lets a query server restart in
-// milliseconds and serve bit-identical answers. Like a solved session, a
-// loaded one builds the named Result view only when something reads it.
+// baseline hardware). A session snapshot is that solve's dense state laid
+// out as it lies in memory, in an aligned section container
+// (snapio/sections.go), so loading is a map (or one read) plus validation
+// and casts — no decode loop, a few dozen allocations whatever the world's
+// size, and N processes serving one world share one physical copy of its
+// pages. Its sections:
+//
+//   - the dataset (dataset.AppendSections): the compiled tables with the
+//     interned-string blob, and the claim log as id columns into them with
+//     its epoch bounds — time and probability columns only when some claim
+//     needs them;
+//   - the state (depen): the accuracy vector per source, the posterior
+//     vector per value group, and the analysed pairs' records in (a, b)
+//     order, 56 bytes each. The source×source totals table is not stored:
+//     opening the file derives it from the pair records, after checking
+//     them;
+//   - the meta: rounds, converged and the config fingerprint.
+//
+// Opening validates every section it casts, so a damaged file fails there,
+// classified (snapio.ErrCorrupt, ErrTruncated, ErrBadMagic, ErrBadVersion) —
+// not at the first append. The opened session serves AnswerObjects and
+// Accuracy straight off the mapped tables; the first call that needs the
+// dataset (Fuse, Append, Profiles…) materializes it onto the heap from the
+// claim log, and assembles the state again over that dataset's index. A
+// loaded session is bit-identical to the session it was taken of and to a
+// rebuild, on every call (the snapshot suites pin it).
 //
 // The Config still arrives at load time (it carries callbacks and serving
-// knobs that cannot be serialized); a fingerprint of every config field
-// that shaped the precompute is stored and checked, so a snapshot cannot be
+// knobs that cannot be serialized); a fingerprint of every config field that
+// shaped the precompute is stored and checked, so a snapshot cannot be
 // silently served under a config that would have produced different state.
 package session
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"os"
 	"slices"
-	"sort"
+	"time"
 
 	"sourcecurrents/internal/dataset"
 	"sourcecurrents/internal/depen"
 	"sourcecurrents/internal/model"
+	"sourcecurrents/internal/queryans"
 	"sourcecurrents/internal/snapio"
-	"sourcecurrents/internal/truth"
 )
 
-// SnapshotMagic identifies the session snapshot format.
-const SnapshotMagic = "SCDSSESS"
+// SnapshotMagic and SnapshotVersion identify the session snapshot container.
+// Every other magic or version — the retired decode-everything stream, a
+// container of version 1 — fails to open, classified, with a message that
+// names `currents snapshot`, which writes this one from the claims.
+const (
+	SnapshotMagic   = "SCSESSM2"
+	SnapshotVersion = 2
+)
 
-// SnapshotVersion is the current session snapshot version. Version 2 added
-// Depen.RefineRounds to the config fingerprint (the knob that shapes
-// replayed, log-carrying datasets' state); version-1 snapshots — which
-// predate append logs and therefore embed flat datasets RefineRounds never
-// influenced — are still accepted and checked against the version-1 field
-// list.
-const SnapshotVersion = 2
+// Session-level section ids, above the range the dataset codec reserves.
+const (
+	secAcc     = dataset.SecCompiledEnd + iota // accuracy per source, []float64
+	secPost                                    // posterior per value group, []float64
+	secPairRec                                 // analysed pairs, depen's stored records
+	secMeta                                    // rounds, converged, config fingerprint
+)
 
-// inlineValue marks a truth-posterior value that is not in the dataset's
-// interned value table (a Known-pinned label never asserted by any source);
-// the string follows inline.
-const inlineValue = ^uint32(0)
-
-// WriteSnapshot encodes the session's dataset and cached precompute to w.
+// WriteSnapshot encodes the session to w. Every table is written as it lies
+// in memory; only the string blob and the time and probability columns are
+// laid out for the file. A mapped session materializes first.
 func (s *Session) WriteSnapshot(w io.Writer) error {
 	if err := s.materialize(); err != nil {
 		return err
 	}
-	var ds bytes.Buffer
-	if err := s.d.WriteSnapshot(&ds); err != nil {
+	var sw snapio.SectionWriter
+	if err := s.d.AppendSections(&sw); err != nil {
 		return err
 	}
-	c := s.d.Compiled()
+	sw.Add(secAcc, snapio.F64Bytes(s.st.Accuracy()))
+	sw.Add(secPost, snapio.F64Bytes(s.st.Posteriors()))
+	sw.Add(secPairRec, s.st.PairBytes())
+	var meta snapio.Writer
+	meta.U32(uint32(s.st.Rounds()))
+	meta.Bool(s.st.Converged())
+	encodeFingerprint(&meta, s.cfg.Depen)
+	sw.Add(secMeta, meta.Payload())
+	return sw.WriteTo(w, SnapshotMagic, SnapshotVersion)
+}
 
-	var enc snapio.Writer
-	enc.Blob(ds.Bytes())
-	encodeFingerprint(&enc, s.cfg.Depen)
+// WriteSnapshotV2 is WriteSnapshot.
+//
+// Deprecated: there is one snapshot format; call WriteSnapshot.
+func (s *Session) WriteSnapshotV2(w io.Writer) error { return s.WriteSnapshot(w) }
 
-	// Truth result: bookkeeping, dense accuracy vector (compiled source
-	// order), and per-object posterior entries (objects in compiled order,
-	// values in sorted order — the canonical iteration everywhere else).
-	dep := s.result()
-	tr := dep.Truth
-	enc.U32(uint32(tr.Rounds))
-	enc.Bool(tr.Converged)
-	for i := 0; i < c.NumSources(); i++ {
-		enc.F64(tr.Accuracy[c.Source(i)])
+// LoadSnapshotFile maps the session snapshot at path and assembles a serving
+// session over it without re-running discovery (see LoadSnapshotV2 for the
+// contract). Close the returned session when done serving it to release the
+// mapping.
+func LoadSnapshotFile(path string, cfg Config) (*Session, error) {
+	m, err := snapio.OpenMappedFile(path, SnapshotMagic, SnapshotVersion)
+	if err != nil {
+		return nil, openErr(err)
 	}
-	encodeTruthProbs(&enc, c, tr)
-	if err := encodePairs(&enc, c, dep.AllPairs); err != nil {
+	s, err := sessionFromMapped(m, cfg)
+	if err != nil {
+		m.Close()
+		return nil, err
+	}
+	return s, nil
+}
+
+// LoadSnapshot reads a session snapshot from r into an aligned buffer, sized
+// by the container's header, and assembles a serving session over it, as
+// LoadSnapshotV2 does. It reads through the end of the last section's data.
+func LoadSnapshot(r io.Reader, cfg Config) (*Session, error) {
+	m, err := snapio.ReadMapped(r, SnapshotMagic, SnapshotVersion)
+	if err != nil {
+		return nil, openErr(err)
+	}
+	return sessionFromMapped(m, cfg)
+}
+
+// LoadSnapshotV2 validates an in-memory session snapshot and assembles a
+// serving session over it — the byte-slice twin of LoadSnapshotFile. cfg
+// must match the configuration the snapshot was built with on every field
+// that shaped the precompute (checked against the stored fingerprint);
+// serving-only knobs — Query, Fusion, Reports — are free to differ. The
+// session's state and every serving call are bit-identical to the session
+// the snapshot was taken of. The session aliases data (or an aligned copy of
+// it); it must stay immutable while the session lives.
+func LoadSnapshotV2(data []byte, cfg Config) (*Session, error) {
+	m, err := snapio.OpenMappedBytes(data, SnapshotMagic, SnapshotVersion)
+	if err != nil {
+		return nil, openErr(err)
+	}
+	return sessionFromMapped(m, cfg)
+}
+
+// CheckSnapshotFile checks that path begins as a session snapshot of this
+// format and version, reading nothing past the header's first bytes — what a
+// registry checks before it defers the load to first use.
+func CheckSnapshotFile(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
 		return err
 	}
-	return enc.Frame(w, SnapshotMagic, SnapshotVersion)
+	defer f.Close()
+	if err := snapio.CheckHeader(f, SnapshotMagic, SnapshotVersion); err != nil {
+		return openErr(err)
+	}
+	return nil
 }
 
-// encodeTruthProbs appends the per-object posterior entries: objects in
-// compiled order, values in sorted order — the canonical iteration
-// everywhere else. Shared verbatim by the v1 payload and the v2 TRUTH
-// section, so both decode to identical state.
-func encodeTruthProbs(enc *snapio.Writer, c *dataset.Compiled, tr *truth.Result) {
-	for oi := 0; oi < c.NumObjects(); oi++ {
-		pv := tr.Probs[c.Object(oi)]
-		vals := make([]string, 0, len(pv))
-		for v := range pv {
-			vals = append(vals, v)
-		}
-		sort.Strings(vals)
-		enc.U32(uint32(len(vals)))
-		for _, v := range vals {
-			if vi, ok := c.ValueIndex(v); ok {
-				enc.U32(uint32(vi))
-			} else {
-				enc.U32(inlineValue)
-				enc.Str(v)
-			}
-			enc.F64(pv[v])
-		}
+// openErr classifies a container that would not open; a file of another
+// format or version is told how to get this one.
+func openErr(err error) error {
+	if errors.Is(err, snapio.ErrBadMagic) || errors.Is(err, snapio.ErrBadVersion) {
+		return fmt.Errorf("session: snapshot: %w — not a session snapshot of this format; rebuild it from its claims with `currents snapshot`", err)
 	}
+	return fmt.Errorf("session: snapshot: %w", err)
 }
 
-// encodePairs appends every analyzed pair's final verdict, in AllPairs
-// (posterior-sorted) order; sources as compiled indices. Shared by the v1
-// payload and the v2 PAIRS section.
-func encodePairs(enc *snapio.Writer, c *dataset.Compiled, allPairs []depen.Dependence) error {
-	enc.U32(uint32(len(allPairs)))
-	for _, pd := range allPairs {
-		ai, aok := c.SourceIndex(pd.Pair.A)
-		bi, bok := c.SourceIndex(pd.Pair.B)
-		if !aok || !bok {
-			return fmt.Errorf("session: snapshot: pair %v references an unknown source", pd.Pair)
-		}
-		enc.U32(uint32(ai))
-		enc.U32(uint32(bi))
-		enc.F64(pd.Prob)
-		enc.F64(pd.ProbAB)
-		enc.F64(pd.ProbBA)
-		enc.I64(int64(pd.Shared))
-		enc.I64(int64(pd.Same))
-		enc.F64(pd.KT)
-		enc.F64(pd.KF)
-		enc.F64(pd.KD)
+// corrupt classes an error from a validator that returns plain errors.
+func corrupt(err error) error {
+	return fmt.Errorf("session: snapshot: %w: %v", snapio.ErrCorrupt, err)
+}
+
+// sessionFromMapped assembles a serving session over a validated container:
+// open the dataset's sections, read the meta and check the config
+// fingerprint in it, assemble the state from its sections (deriving the
+// totals table) and build the planner. On error the caller owns closing m.
+func sessionFromMapped(m *snapio.Mapped, cfg Config) (*Session, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
+	md, err := dataset.FromMapped(m)
+	if err != nil {
+		return nil, fmt.Errorf("session: snapshot: %w", err)
+	}
+	metaB, ok := m.Section(secMeta)
+	if !ok {
+		return nil, corrupt(errors.New("meta section missing"))
+	}
+	meta := snapio.NewReader(metaB)
+	rounds := int(meta.U32())
+	converged := meta.Bool()
+	if err := checkFingerprint(meta, cfg.Depen); err != nil {
+		return nil, err
+	}
+	if err := meta.Finish(); err != nil {
+		return nil, fmt.Errorf("session: snapshot: meta: %w", err)
+	}
+	acc, err := m.F64Section(secAcc)
+	if err != nil {
+		return nil, fmt.Errorf("session: snapshot: %w", err)
+	}
+	post, err := m.F64Section(secPost)
+	if err != nil {
+		return nil, fmt.Errorf("session: snapshot: %w", err)
+	}
+	pairs, ok := m.Section(secPairRec)
+	if !ok {
+		return nil, corrupt(errors.New("pair section missing"))
+	}
+	c := md.Compiled()
+	st, err := depen.StateFromParts(c, acc, post, pairs, rounds, converged)
+	if err != nil {
+		return nil, corrupt(err)
+	}
+	qcfg := cfg.Query
+	qcfg.Accuracy = nil
+	qcfg.Dependence = nil
+	planner, err := queryans.NewPlannerFromCompiled(c, qcfg, acc, st.Totals())
+	if err != nil {
+		return nil, err
+	}
+	return &Session{
+		cfg:     cfg,
+		st:      st,
+		acc:     acc,
+		depTab:  st.Totals(),
+		planner: planner,
+		mapped:  m,
+		md:      md,
+		hist:    newHistory(cfg.RetainEpochs),
+		created: time.Now(),
+	}, nil
+}
+
+// materializeMapped builds a mapped session's dataset on the heap from the
+// claim log, and assembles its state again over that dataset's index from
+// copies of its parts — so nothing the materialized session reads dies with
+// the mapping.
+func (s *Session) materializeMapped() error {
+	d, err := s.md.Dataset()
+	if err != nil {
+		return fmt.Errorf("session: snapshot: %w", err)
+	}
+	st, err := depen.StateFromParts(d.Compiled(), slices.Clone(s.st.Accuracy()), slices.Clone(s.st.Posteriors()),
+		bytes.Clone(s.st.PairBytes()), s.st.Rounds(), s.st.Converged())
+	if err != nil {
+		return corrupt(err)
+	}
+	s.d, s.st = d, st
 	return nil
 }
 
@@ -138,18 +256,16 @@ type fingerprintField struct {
 	val  float64
 }
 
-// fingerprint lists every config field the cached precompute depends on,
-// for the given snapshot version (later versions append fields; earlier
-// snapshots are checked against the list they were written with).
+// fingerprint lists every config field the cached precompute depends on.
 // Callback presence is captured as a boolean field: a snapshot taken with a
 // ValueSim set cannot be loaded under a config without one (and vice
 // versa), because the stored posteriors would not match what New would
 // compute. The Known map's full content is captured as a hash of its
 // sorted entries, so a snapshot pinned to one labeling cannot be served
 // under another.
-func fingerprint(cfg depen.Config, version int) []fingerprintField {
+func fingerprint(cfg depen.Config) []fingerprintField {
 	knownHi, knownLo := knownHash(cfg.Truth.Known)
-	fields := []fingerprintField{
+	return []fingerprintField{
 		{"Depen.CopyRate", cfg.CopyRate},
 		{"Depen.Alpha", cfg.Alpha},
 		{"Depen.MinShared", float64(cfg.MinShared)},
@@ -168,13 +284,8 @@ func fingerprint(cfg depen.Config, version int) []fingerprintField {
 		{"Truth.Known entries", float64(len(cfg.Truth.Known))},
 		{"Truth.Known hash hi", knownHi},
 		{"Truth.Known hash lo", knownLo},
+		{"Depen.RefineRounds", float64(cfg.EffectiveRefineRounds())},
 	}
-	if version >= 2 {
-		fields = append(fields, fingerprintField{
-			"Depen.RefineRounds", float64(cfg.EffectiveRefineRounds()),
-		})
-	}
-	return fields
 }
 
 func boolField(b bool) float64 {
@@ -210,7 +321,7 @@ func knownHash(known map[model.ObjectID]string) (hi, lo float64) {
 }
 
 func encodeFingerprint(enc *snapio.Writer, cfg depen.Config) {
-	fields := fingerprint(cfg, SnapshotVersion)
+	fields := fingerprint(cfg)
 	enc.U32(uint32(len(fields)))
 	for _, f := range fields {
 		enc.Str(f.name)
@@ -219,8 +330,8 @@ func encodeFingerprint(enc *snapio.Writer, cfg depen.Config) {
 }
 
 // checkFingerprint compares the stored fields against the load-time config.
-func checkFingerprint(dec *snapio.Reader, cfg depen.Config, version int) error {
-	want := fingerprint(cfg, version)
+func checkFingerprint(dec *snapio.Reader, cfg depen.Config) error {
+	want := fingerprint(cfg)
 	n := dec.Count(2)
 	if dec.Err() != nil {
 		return nil // latched; surfaced by the caller's Finish
@@ -242,138 +353,4 @@ func checkFingerprint(dec *snapio.Reader, cfg depen.Config, version int) error {
 		}
 	}
 	return nil
-}
-
-// LoadSnapshot decodes a session snapshot and assembles a serving Session
-// under cfg without re-running discovery. cfg must match the configuration
-// the snapshot was built with on every field that shaped the precompute
-// (checked against the stored fingerprint); serving-only knobs — Query,
-// Fusion, Reports — are free to differ. The loaded session's
-// state and every serving call are bit-identical to the session the
-// snapshot was taken of.
-func LoadSnapshot(r io.Reader, cfg Config) (*Session, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	dec, version, err := snapio.OpenFrame(r, SnapshotMagic, SnapshotVersion)
-	if err != nil {
-		return nil, fmt.Errorf("session: snapshot: %w", err)
-	}
-
-	dsBlob := dec.Blob()
-	if err := dec.Err(); err != nil {
-		return nil, fmt.Errorf("session: snapshot: %w", err)
-	}
-	d, err := dataset.ReadSnapshot(bytes.NewReader(dsBlob))
-	if err != nil {
-		return nil, fmt.Errorf("session: snapshot: %w", err)
-	}
-	if d.Len() == 0 {
-		return nil, fmt.Errorf("session: snapshot: %w: empty dataset", snapio.ErrCorrupt)
-	}
-	c := d.Compiled()
-
-	if err := checkFingerprint(dec, cfg.Depen, int(version)); err != nil {
-		return nil, err
-	}
-
-	rounds := int(dec.U32())
-	converged := dec.Bool()
-	acc := make([]float64, c.NumSources())
-	for i := range acc {
-		acc[i] = dec.F64()
-	}
-	st, err := decodeState(dec, dec, c, cfg.Depen, acc, rounds, converged)
-	if err != nil {
-		return nil, fmt.Errorf("session: snapshot: %w", err)
-	}
-	return newSession(d, cfg, st)
-}
-
-// decodeState decodes the posterior entries in truthDec and the pair records
-// in pairsDec — one reader for the v1 payload's tail, v2's TRUTH and PAIRS
-// sections otherwise — into the dense state over c, the decoded dataset's
-// index, with the accuracy vector acc.
-func decodeState(truthDec, pairsDec *snapio.Reader, c *dataset.Compiled, cfg depen.Config,
-	acc []float64, rounds int, converged bool) (*depen.State, error) {
-	probs, err := decodeTruthProbs(truthDec, c, cfg.Truth.Known)
-	if err != nil {
-		return nil, err
-	}
-	pairA, pairB, pairs := decodePairs(pairsDec, c)
-	for _, dec := range []*snapio.Reader{truthDec, pairsDec} {
-		if err := dec.Finish(); err != nil {
-			return nil, err
-		}
-	}
-	st, err := depen.StateFromParts(c, acc, probs, pairA, pairB, pairs, rounds, converged)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", snapio.ErrCorrupt, err)
-	}
-	return st, nil
-}
-
-// decodeTruthProbs is the inverse of encodeTruthProbs: it fills the posterior
-// vector over c's value groups. An entry for a value outside its object's
-// groups must be the object's Known label, whose pinned posterior the view
-// derives from the config; any other is corrupt. Decode errors latch in dec.
-func decodeTruthProbs(dec *snapio.Reader, c *dataset.Compiled, known map[model.ObjectID]string) ([]float64, error) {
-	probs := make([]float64, len(c.GroupValue))
-	for oi := 0; oi < c.NumObjects() && dec.Err() == nil; oi++ {
-		gs, ge := c.GroupStart[oi], c.GroupStart[oi+1]
-		n := dec.Count(12)
-		for k := 0; k < n; k++ {
-			ref := dec.U32()
-			var v string
-			if ref == inlineValue {
-				v = dec.Str()
-			} else if int(ref) < c.NumValues() {
-				// Groups are in value order, and value indexes in string order.
-				if at, ok := slices.BinarySearch(c.GroupValue[gs:ge], int32(ref)); ok {
-					probs[int(gs)+at] = dec.F64()
-					continue
-				}
-				v = c.Value(int(ref))
-			} else if dec.Err() == nil {
-				return nil, fmt.Errorf("%w: value index %d out of range", snapio.ErrCorrupt, ref)
-			}
-			dec.F64()
-			if label, ok := known[c.Object(oi)]; dec.Err() == nil && (!ok || v != label) {
-				return nil, fmt.Errorf("%w: posterior of object %d names %q, neither a value of it nor its label",
-					snapio.ErrCorrupt, oi, v)
-			}
-		}
-	}
-	return probs, nil
-}
-
-// decodePairs is the inverse of encodePairs: each pair's compiled source
-// indexes and its verdict (Pair left unset). Decode errors latch in dec; the
-// caller's Finish surfaces them.
-func decodePairs(dec *snapio.Reader, c *dataset.Compiled) (pairA, pairB []int32, pairs []depen.Dependence) {
-	nPairs := dec.Count(8 + 8*8)
-	pairA = make([]int32, 0, nPairs)
-	pairB = make([]int32, 0, nPairs)
-	pairs = make([]depen.Dependence, 0, nPairs)
-	for k := 0; k < nPairs; k++ {
-		ai := dec.Index(c.NumSources())
-		bi := dec.Index(c.NumSources())
-		pd := depen.Dependence{
-			Prob:   dec.F64(),
-			ProbAB: dec.F64(),
-			ProbBA: dec.F64(),
-			Shared: int(dec.I64()),
-			Same:   int(dec.I64()),
-			KT:     dec.F64(),
-			KF:     dec.F64(),
-			KD:     dec.F64(),
-		}
-		if dec.Err() != nil {
-			break
-		}
-		pairA = append(pairA, int32(ai))
-		pairB = append(pairB, int32(bi))
-		pairs = append(pairs, pd)
-	}
-	return pairA, pairB, pairs
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"sync"
@@ -185,6 +183,8 @@ func TestStateChainEquivalence(t *testing.T) {
 		open func(t *testing.T, cfg Config) *Session
 	}{
 		{"new", base},
+		// "v1" and "v2-mapped" are the one snapshot format's two load paths:
+		// read into memory, and mapped from a file.
 		{"v1", func(t *testing.T, cfg Config) *Session {
 			s, err := LoadSnapshot(bytes.NewReader(snapshotBytes(t, appended(t, cfg))), cfg)
 			if err != nil {
@@ -193,16 +193,7 @@ func TestStateChainEquivalence(t *testing.T) {
 			return s
 		}},
 		{"v2-mapped", func(t *testing.T, cfg Config) *Session {
-			path := filepath.Join(t.TempDir(), "s.snap")
-			if err := os.WriteFile(path, snapshotV2Bytes(t, appended(t, cfg)), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			s, err := LoadSnapshotFile(path, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { s.Close() })
-			return s
+			return loadFile(t, snapshotBytes(t, appended(t, cfg)), cfg)
 		}},
 		{"as-of", func(t *testing.T, cfg Config) *Session {
 			// A loaded session retains nothing, so epoch 1 is rebuilt.
@@ -281,24 +272,15 @@ func TestStateChainEquivalence(t *testing.T) {
 	}
 }
 
-// mappedSession writes s as a v2 snapshot file and maps it back.
+// mappedSession writes s as a snapshot file and maps it back.
 func mappedSession(t *testing.T, s *Session, cfg Config) *Session {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "s.snap")
-	if err := os.WriteFile(path, snapshotV2Bytes(t, s), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m, err := LoadSnapshotFile(path, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { m.Close() })
-	return m
+	return loadFile(t, snapshotBytes(t, s), cfg)
 }
 
 // TestStateViewConcurrentFirstRead has 8 goroutines make their first calls at
 // once on a fresh session whose view nothing has built — a successor, and a
-// freshly mapped v2 session, whose state the first of them decodes — each
+// freshly mapped session, which the first of them materializes — each
 // asking for the view, fusion, the accuracies, a pair's posteriors or a
 // successor; run under -race. Every result equals a rebuild's.
 func TestStateViewConcurrentFirstRead(t *testing.T) {
@@ -380,10 +362,10 @@ func TestStateViewConcurrentFirstRead(t *testing.T) {
 }
 
 // TestAccuracyReadsDenseVector: Accuracy on any session — a fresh successor,
-// an as-of epoch behind it, and sessions loaded from either format — is its
+// an as-of epoch behind it, and sessions loaded by either path — is its
 // dense accuracy vector by name, keyed once per epoch. It does not build the
 // Result view (the first /accuracy after an append used to sort every
-// analysed pair for it), on a mapped session it decodes no cold section, and
+// analysed pair for it), on a loaded session it does not materialize, and
 // it equals the view's map to the bit once something else has built that.
 func TestAccuracyReadsDenseVector(t *testing.T) {
 	cfg := DefaultConfig()
@@ -416,7 +398,7 @@ func TestAccuracyReadsDenseVector(t *testing.T) {
 		if ses.dep != nil {
 			t.Fatalf("%s: Accuracy built the Result view", name)
 		}
-		if name == "v2-mapped" && ses.d != nil {
+		if (name == "v1" || name == "v2-mapped") && ses.d != nil {
 			t.Fatalf("%s: Accuracy materialized the session", name)
 		}
 		want := ses.Dependence().Truth.Accuracy

@@ -12,7 +12,7 @@ import (
 // without mmap support. Loading is one sequential read instead of
 // O(page faults), but the zero-decode cast path and the accessor API are
 // identical, so callers never branch on platform.
-func OpenMappedFile(path string, magic string, maxVersion uint32) (*Mapped, error) {
+func OpenMappedFile(path string, magic string, version uint32) (*Mapped, error) {
 	st, err := os.Stat(path)
 	if err != nil {
 		return nil, err
@@ -27,5 +27,5 @@ func OpenMappedFile(path string, magic string, maxVersion uint32) (*Mapped, erro
 	if len(data) == 0 {
 		return nil, fmt.Errorf("%w: empty file %s", ErrTruncated, path)
 	}
-	return OpenMappedBytes(data, magic, maxVersion)
+	return OpenMappedBytes(data, magic, version)
 }

@@ -12,7 +12,7 @@ import (
 // container. Sections alias the mapping; Close munmaps, after which no
 // section may be touched. Page-cache residency is shared across every
 // process mapping the same file — that is the multi-world hosting win.
-func OpenMappedFile(path string, magic string, maxVersion uint32) (*Mapped, error) {
+func OpenMappedFile(path string, magic string, version uint32) (*Mapped, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -33,7 +33,7 @@ func OpenMappedFile(path string, magic string, maxVersion uint32) (*Mapped, erro
 	if err != nil {
 		return nil, fmt.Errorf("snapio: mmap %s: %w", path, err)
 	}
-	m, err := newMapped(data, magic, maxVersion, func() error {
+	m, err := newMapped(data, magic, version, func() error {
 		return syscall.Munmap(data)
 	})
 	if err != nil {

@@ -1,4 +1,4 @@
-// Section-table container: the mmap-friendly snapshot layout (format v2).
+// Section-table container: the mmap-friendly snapshot layout.
 //
 // The frame format in snapio.go serializes every table through an encoder,
 // which forces the reader to decode — and therefore allocate — each table on
@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"sort"
 	"unsafe"
 )
@@ -134,52 +133,128 @@ func (w *SectionWriter) WriteTo(out io.Writer, magic string, version uint32) err
 // one, including unsafe string views) may be touched again.
 type Mapped struct {
 	data     []byte
-	version  uint32
 	sections map[uint32][]byte
 	closeFn  func() error
 }
 
-// OpenMappedBytes validates data as a section container. The bytes are
-// copied into an 8-aligned private buffer only when data itself is
-// misaligned (heap buffers almost always are aligned; fuzzing inputs may
-// not be). Close on the result is a no-op.
-func OpenMappedBytes(data []byte, magic string, maxVersion uint32) (*Mapped, error) {
+// OpenMappedBytes validates data as a section container of the given magic
+// and version. The bytes are copied into an 8-aligned private buffer only
+// when data itself is misaligned (heap buffers almost always are aligned;
+// fuzzing inputs may not be). Close on the result is a no-op.
+func OpenMappedBytes(data []byte, magic string, version uint32) (*Mapped, error) {
 	if len(data) > 0 && uintptr(unsafe.Pointer(&data[0]))%sectionAlign != 0 {
 		aligned := make([]uint64, (len(data)+7)/8)
 		buf := unsafe.Slice((*byte)(unsafe.Pointer(&aligned[0])), len(data))
 		copy(buf, data)
 		data = buf
 	}
-	return newMapped(data, magic, maxVersion, nil)
+	return newMapped(data, magic, version, nil)
+}
+
+// CheckHeader reads a section container's magic and version from r and
+// checks them, leaving the rest unread: the registration-time check of a
+// file whose full open waits for first use.
+func CheckHeader(r io.Reader, magic string, version uint32) error {
+	var hdr [MagicLen + 4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return fmt.Errorf("%w: section header: %v", ErrTruncated, err)
+	}
+	return checkPrefix(hdr[:], magic, version)
+}
+
+// checkPrefix checks the magic and version a container opens with. A
+// container carries exactly one version: older and newer ones are both
+// ErrBadVersion.
+func checkPrefix(hdr []byte, magic string, version uint32) error {
+	if string(hdr[:MagicLen]) != magic {
+		return fmt.Errorf("%w: have %q, want %q", ErrBadMagic, hdr[:MagicLen], magic)
+	}
+	if have := binary.LittleEndian.Uint32(hdr[MagicLen:]); have != version {
+		return fmt.Errorf("%w: version %d (decoder reads %d)", ErrBadVersion, have, version)
+	}
+	return nil
+}
+
+// tableLen checks the fixed prefix of a container header — magic, version,
+// byte order, section count — and returns the length of the whole header
+// it declares, CRC included.
+func tableLen(hdr []byte, magic string, version uint32) (int, error) {
+	if err := checkPrefix(hdr, magic, version); err != nil {
+		return 0, err
+	}
+	if *(*uint32)(unsafe.Pointer(&hdr[MagicLen+4])) != orderMarker {
+		return 0, fmt.Errorf("%w: snapshot was written on a host with different byte order — rebuild it", ErrCorrupt)
+	}
+	count := binary.LittleEndian.Uint32(hdr[MagicLen+8:])
+	if count > maxSections {
+		return 0, fmt.Errorf("%w: %d sections exceeds %d", ErrCorrupt, count, maxSections)
+	}
+	return sectionHdrLen + sectionEntryLen*int(count) + 4, nil
+}
+
+// checkCRC checks a whole header against the CRC that ends it.
+func checkCRC(hdr []byte) error {
+	n := len(hdr) - 4
+	if want, have := binary.LittleEndian.Uint32(hdr[n:]), crc32.ChecksumIEEE(hdr[:n]); want != have {
+		return fmt.Errorf("%w: header CRC have %08x, want %08x", ErrChecksum, have, want)
+	}
+	return nil
+}
+
+// ReadMapped reads a section container from r, through the end of its last
+// section's data, into an aligned heap buffer sized by its header, then
+// validates it as OpenMappedBytes does. Close on the result is a no-op.
+func ReadMapped(r io.Reader, magic string, version uint32) (*Mapped, error) {
+	hdr := make([]byte, sectionHdrLen)
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return nil, fmt.Errorf("%w: section header: %v", ErrTruncated, err)
+	}
+	hdrLen, err := tableLen(hdr, magic, version)
+	if err != nil {
+		return nil, err
+	}
+	hdr = append(hdr, make([]byte, hdrLen-sectionHdrLen)...)
+	if _, err := io.ReadFull(r, hdr[sectionHdrLen:]); err != nil {
+		return nil, fmt.Errorf("%w: section table: %v", ErrTruncated, err)
+	}
+	if err := checkCRC(hdr); err != nil {
+		return nil, err
+	}
+	end := uint64(hdrLen)
+	for i := 0; i < (hdrLen-sectionHdrLen-4)/sectionEntryLen; i++ {
+		e := hdr[sectionHdrLen+sectionEntryLen*i:]
+		off, length := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
+		if off > maxPayload || length > maxPayload-off {
+			return nil, fmt.Errorf("%w: section [%d,+%d) exceeds %d bytes", ErrCorrupt, off, length, maxPayload)
+		}
+		end = max(end, off+length)
+	}
+	buf := make([]uint64, (end+pad8(end))/8)
+	data := unsafe.Slice((*byte)(unsafe.Pointer(&buf[0])), end)
+	copy(data, hdr)
+	if _, err := io.ReadFull(r, data[hdrLen:]); err != nil {
+		return nil, fmt.Errorf("%w: %d-byte container: %v", ErrTruncated, end, err)
+	}
+	return newMapped(data, magic, version, nil)
 }
 
 // newMapped validates the container and builds the section index.
-func newMapped(data []byte, magic string, maxVersion uint32, closeFn func() error) (*Mapped, error) {
+func newMapped(data []byte, magic string, version uint32, closeFn func() error) (*Mapped, error) {
 	if len(data) < sectionHdrLen+4 {
 		return nil, fmt.Errorf("%w: %d bytes is smaller than a section header", ErrTruncated, len(data))
 	}
-	if string(data[:MagicLen]) != magic {
-		return nil, fmt.Errorf("%w: have %q, want %q", ErrBadMagic, data[:MagicLen], magic)
+	hdrLen, err := tableLen(data, magic, version)
+	if err != nil {
+		return nil, err
 	}
-	version := binary.LittleEndian.Uint32(data[MagicLen:])
-	if version == 0 || version > maxVersion {
-		return nil, fmt.Errorf("%w: version %d (decoder supports 1..%d)", ErrBadVersion, version, maxVersion)
-	}
-	if *(*uint32)(unsafe.Pointer(&data[MagicLen+4])) != orderMarker {
-		return nil, fmt.Errorf("%w: snapshot was written on a host with different byte order — rebuild it", ErrCorrupt)
-	}
-	count := binary.LittleEndian.Uint32(data[MagicLen+8:])
-	if count > maxSections {
-		return nil, fmt.Errorf("%w: %d sections exceeds %d", ErrCorrupt, count, maxSections)
-	}
-	hdrLen := sectionHdrLen + sectionEntryLen*int(count) + 4
 	if len(data) < hdrLen {
-		return nil, fmt.Errorf("%w: header declares %d sections but only %d bytes present", ErrTruncated, count, len(data))
+		return nil, fmt.Errorf("%w: header declares %d sections but only %d bytes present",
+			ErrTruncated, (hdrLen-sectionHdrLen-4)/sectionEntryLen, len(data))
 	}
-	if want, have := binary.LittleEndian.Uint32(data[hdrLen-4:]),
-		crc32.ChecksumIEEE(data[:hdrLen-4]); want != have {
-		return nil, fmt.Errorf("%w: header CRC have %08x, want %08x", ErrChecksum, have, want)
+	if err := checkCRC(data[:hdrLen]); err != nil {
+		return nil, err
 	}
+	count := (hdrLen - sectionHdrLen - 4) / sectionEntryLen
 
 	type span struct {
 		id       uint32
@@ -211,11 +286,8 @@ func newMapped(data []byte, magic string, maxVersion uint32, closeFn func() erro
 			return nil, fmt.Errorf("%w: sections %d and %d overlap", ErrCorrupt, spans[i-1].id, spans[i].id)
 		}
 	}
-	return &Mapped{data: data, version: version, sections: sections, closeFn: closeFn}, nil
+	return &Mapped{data: data, sections: sections, closeFn: closeFn}, nil
 }
-
-// Version returns the container's format version.
-func (m *Mapped) Version() uint32 { return m.version }
 
 // Size returns the mapped length in bytes.
 func (m *Mapped) Size() int64 { return int64(len(m.data)) }
@@ -313,26 +385,10 @@ func F64Bytes(v []float64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*8)
 }
 
-// NewReader returns a Reader over an in-memory payload — the bridge that
-// lets the frame decoders in the v1 formats run over a byte section of a
-// mapped container.
+// NewReader returns a Reader over an in-memory payload — how a container's
+// encoder-built sections (see Payload) are decoded.
 func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
 
 // Payload exposes a Writer's accumulated bytes without framing, for
 // embedding an encoder-built table as one section of a container.
 func (w *Writer) Payload() []byte { return w.buf }
-
-// Float64SliceEqualBits reports whether two float64 slices are bit-identical
-// (NaNs compare equal to themselves); used by equivalence tests comparing
-// mapped and decoded tables.
-func Float64SliceEqualBits(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}

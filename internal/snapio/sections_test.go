@@ -5,12 +5,20 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+	"testing/iotest"
 )
 
 const testSecMagic = "SCTESTM2"
+
+// f64BitsEqual reports whether two float64 slices are bit-identical.
+func f64BitsEqual(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
 
 // buildContainer writes a three-section container with typed payloads and
 // returns the bytes.
@@ -36,9 +44,6 @@ func TestSectionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenMappedBytes: %v", err)
 	}
-	if m.Version() != 2 {
-		t.Fatalf("Version = %d, want 2", m.Version())
-	}
 	if m.Size() != int64(len(data)) {
 		t.Fatalf("Size = %d, want %d", m.Size(), len(data))
 	}
@@ -55,7 +60,7 @@ func TestSectionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("F64Section: %v", err)
 	}
-	if !Float64SliceEqualBits(gotF64, f64) {
+	if !f64BitsEqual(gotF64, f64) {
 		t.Fatalf("f64 mismatch: %v vs %v", gotF64, f64)
 	}
 	gotBlob, ok := m.Section(3)
@@ -114,7 +119,7 @@ func TestSectionMappedFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("F64Section: %v", err)
 	}
-	if gotI32[3] != i32[3] || !Float64SliceEqualBits(gotF64, f64) {
+	if gotI32[3] != i32[3] || !f64BitsEqual(gotF64, f64) {
 		t.Fatal("mapped file sections differ from written tables")
 	}
 	if err := m.Close(); err != nil {
@@ -154,6 +159,11 @@ func TestSectionCorruption(t *testing.T) {
 	})
 	corrupt(t, data, ErrBadVersion, "version-future", func(c []byte) []byte {
 		binary.LittleEndian.PutUint32(c[MagicLen:], 99)
+		refreshCRC(c)
+		return c
+	})
+	corrupt(t, data, ErrBadVersion, "version-older", func(c []byte) []byte {
+		binary.LittleEndian.PutUint32(c[MagicLen:], 1)
 		refreshCRC(c)
 		return c
 	})
@@ -226,6 +236,61 @@ func TestSectionCorruption(t *testing.T) {
 	}
 }
 
+// TestReadMapped: a container read from a stream — one byte at a time, too —
+// is the container, aligned; the read stops at the end of its last section's
+// data, accepts a stream cut inside the padding after it, and classifies a
+// shorter one.
+func TestReadMapped(t *testing.T) {
+	data, i32, f64, blob := buildContainer(t)
+	r := bytes.NewReader(append(bytes.Clone(data), "trailing"...))
+	m, err := ReadMapped(iotest.OneByteReader(r), testSecMagic, 2)
+	if err != nil {
+		t.Fatalf("ReadMapped: %v", err)
+	}
+	n := len(m.Bytes())
+	if !bytes.Equal(m.Bytes(), data[:n]) || len(data)-n >= 8 || r.Len() != len(data)-n+len("trailing") {
+		t.Fatalf("read %d bytes, left %d; want the %d-byte container less its padding", n, r.Len(), len(data))
+	}
+	gotI32, _ := m.I32Section(1)
+	gotF64, _ := m.F64Section(2)
+	gotBlob, _ := m.Section(3)
+	if !slices.Equal(gotI32, i32) || !f64BitsEqual(gotF64, f64) || !bytes.Equal(gotBlob, blob) {
+		t.Fatal("sections read from a stream differ from the written tables")
+	}
+	if _, err := ReadMapped(bytes.NewReader(data[:len(data)-1]), testSecMagic, 2); err != nil {
+		t.Fatalf("cut inside the last padding: %v", err)
+	}
+	for _, cut := range []int{0, sectionHdrLen - 1, sectionHdrLen + 1, len(data) - 8} {
+		if _, err := ReadMapped(bytes.NewReader(data[:cut]), testSecMagic, 2); !errors.Is(err, ErrTruncated) {
+			t.Errorf("cut at %d: err = %v, want ErrTruncated", cut, err)
+		}
+	}
+}
+
+// TestCheckHeader: the header check reads only the magic and version, and
+// classifies them as the full open does.
+func TestCheckHeader(t *testing.T) {
+	data, _, _, _ := buildContainer(t)
+	if err := CheckHeader(bytes.NewReader(data[:MagicLen+4]), testSecMagic, 2); err != nil {
+		t.Fatalf("CheckHeader: %v", err)
+	}
+	for _, tc := range []struct {
+		name    string
+		data    []byte
+		version uint32
+		want    error
+	}{
+		{"short", data[:MagicLen+3], 2, ErrTruncated},
+		{"magic", append([]byte("SCOTHER1"), data[MagicLen:]...), 2, ErrBadMagic},
+		{"older", data, 3, ErrBadVersion},
+		{"newer", data, 1, ErrBadVersion},
+	} {
+		if err := CheckHeader(bytes.NewReader(tc.data), testSecMagic, tc.version); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestSectionWriterRejects(t *testing.T) {
 	var w SectionWriter
 	w.Add(1, []byte("a"))
@@ -246,7 +311,7 @@ func TestEmptySectionsAndReader(t *testing.T) {
 	if err := w.WriteTo(&buf, testSecMagic, 1); err != nil {
 		t.Fatal(err)
 	}
-	m, err := OpenMappedBytes(buf.Bytes(), testSecMagic, 2)
+	m, err := OpenMappedBytes(buf.Bytes(), testSecMagic, 1)
 	if err != nil {
 		t.Fatalf("OpenMappedBytes: %v", err)
 	}

@@ -86,12 +86,6 @@ func (w *Writer) Str(s string) {
 	w.buf = append(w.buf, s...)
 }
 
-// Blob appends a uint32-length-prefixed byte blob (e.g. a nested frame).
-func (w *Writer) Blob(b []byte) {
-	w.U32(uint32(len(b)))
-	w.buf = append(w.buf, b...)
-}
-
 // Len returns the current payload size.
 func (w *Writer) Len() int { return len(w.buf) }
 
@@ -243,22 +237,6 @@ func (r *Reader) Str() string {
 
 // uint64n narrows a validated uint64 to int.
 func uint64n(n uint64) int { return int(n) }
-
-// Blob reads a uint32-length-prefixed byte blob. The returned slice aliases
-// the payload buffer and must not be mutated.
-func (r *Reader) Blob() []byte {
-	n := r.U32()
-	if r.err != nil {
-		return nil
-	}
-	if int64(n) > int64(len(r.buf)-r.pos) {
-		r.fail(fmt.Errorf("%w: blob of %d bytes at offset %d of %d", ErrTruncated, n, r.pos, len(r.buf)))
-		return nil
-	}
-	b := r.buf[r.pos : r.pos+int(n)]
-	r.pos += int(n)
-	return b
-}
 
 // Count reads a uint32 element count and validates it against the bytes
 // remaining, assuming each element occupies at least minElemBytes — a

@@ -339,30 +339,29 @@ func NewSession(d *Dataset, cfg SessionConfig) (*Session, error) {
 	return session.New(d, cfg)
 }
 
-// Binary snapshots. A session snapshot captures the dataset (interned
-// string tables, CSR claim records) plus everything the precompute derived
-// (dense accuracy vector, truth posteriors, the full source×source
-// dependence table), so a query server cold-starts by decoding instead of
-// re-running discovery — see Session.WriteSnapshot and LoadSession.
-// Session.WriteSnapshotV2 writes the mmap-friendly v2 section container
-// instead: every dense table in its exact in-memory layout, so
-// LoadSessionFile maps the file and serves from it without a decode loop.
+// Binary snapshots. A session snapshot (Session.WriteSnapshot) is the
+// solve's dense state as it lies in memory, in an aligned section container:
+// the dataset's compiled tables and interned strings, its claim log as id
+// columns into them, the accuracy and posterior vectors and the analysed
+// pairs' records. A query server maps it and serves from it without a decode
+// loop or a re-run of discovery (LoadSessionFile); the source×source totals
+// table is derived from the pair records at open, and the dataset is built
+// from the log only when a call needs it. There is one format.
 // Dataset.WriteSnapshot / ReadDatasetSnapshot are the dataset-only form.
 
-// LoadSession decodes a session snapshot written by Session.WriteSnapshot
-// and assembles a serving session without re-running discovery. cfg must
-// match the snapshot's precompute-shaping fields (checked against the
-// stored fingerprint); serving knobs are free to differ. The loaded
-// session serves bit-identical results to the one the snapshot was taken
-// of.
+// LoadSession reads a session snapshot written by Session.WriteSnapshot
+// into memory and assembles a serving session without re-running
+// discovery. cfg must match the snapshot's precompute-shaping fields
+// (checked against the stored fingerprint); serving knobs are free to
+// differ. The loaded session serves bit-identical results to the one the
+// snapshot was taken of.
 func LoadSession(r io.Reader, cfg SessionConfig) (*Session, error) {
 	return session.LoadSnapshot(r, cfg)
 }
 
-// LoadSessionFile opens a session snapshot from disk, sniffing the format:
-// v2 files are memory-mapped and served zero-copy (call Close on the
-// session to unmap when done with it), v1 files fall back to the decoding
-// loader. Answers are bit-identical across both formats.
+// LoadSessionFile memory-maps a session snapshot and serves from it
+// zero-copy (call Close on the session to unmap when done with it). Answers
+// are bit-identical to LoadSession's and to the session written.
 func LoadSessionFile(path string, cfg SessionConfig) (*Session, error) {
 	return session.LoadSnapshotFile(path, cfg)
 }
