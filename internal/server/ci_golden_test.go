@@ -10,12 +10,13 @@ import (
 	"sourcecurrents/internal/session"
 )
 
-// TestCIGoldenInSync guards the checked-in CI e2e fixtures: the golden
-// response in testdata/ci_answer_golden.json must equal what the server
-// produces for testdata/ci_answer_request.json over testdata/ci_claims.csv.
-// The CI workflow boots a real `currents server` from a snapshot of the
-// same CSV, curls the same request, and diffs against the same golden — so
-// this test failing means the golden needs regenerating:
+// TestCIGoldenInSync guards the checked-in CI e2e fixtures: each golden in
+// testdata/ must equal what the server produces over testdata/ci_claims.csv —
+// ci_answer_golden.json for testdata/ci_answer_request.json on /answer,
+// ci_fuse_golden.json for /fuse, and ci_recommend_golden.json for /recommend
+// with the body {}. The CI workflow boots a real `currents server` from a
+// snapshot of the same CSV, curls the same requests, and diffs against the
+// same goldens — so this test failing means a golden needs regenerating:
 //
 //	REGEN_CI_GOLDEN=1 go test -run TestCIGoldenInSync ./internal/server/
 func TestCIGoldenInSync(t *testing.T) {
@@ -49,21 +50,34 @@ func TestCIGoldenInSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := expectJSON(t, BuildAnswerResponse(res, req.IncludeSteps))
-
-	goldenPath := filepath.Join("testdata", "ci_answer_golden.json")
-	if os.Getenv("REGEN_CI_GOLDEN") == "1" {
-		if err := os.WriteFile(goldenPath, want, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("regenerated %s (%d bytes)", goldenPath, len(want))
-		return
-	}
-	golden, err := os.ReadFile(goldenPath)
+	fused, err := ExecFuse(sess)
 	if err != nil {
-		t.Fatalf("%v — regenerate with REGEN_CI_GOLDEN=1", err)
+		t.Fatal(err)
 	}
-	if !bytes.Equal(golden, want) {
-		t.Fatalf("ci_answer_golden.json out of sync with the serving path — regenerate with REGEN_CI_GOLDEN=1\ngolden: %s\nwant:   %s", golden, want)
+	top, err := ExecRecommend(sess, RecommendRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for name, want := range map[string][]byte{
+		"ci_answer_golden.json":    expectJSON(t, BuildAnswerResponse(res, req.IncludeSteps)),
+		"ci_fuse_golden.json":      expectJSON(t, BuildFuseResponse(d.Objects(), fused)),
+		"ci_recommend_golden.json": expectJSON(t, BuildRecommendResponse(top)),
+	} {
+		goldenPath := filepath.Join("testdata", name)
+		if os.Getenv("REGEN_CI_GOLDEN") == "1" {
+			if err := os.WriteFile(goldenPath, want, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("regenerated %s (%d bytes)", goldenPath, len(want))
+			continue
+		}
+		golden, err := os.ReadFile(goldenPath)
+		if err != nil {
+			t.Fatalf("%v — regenerate with REGEN_CI_GOLDEN=1", err)
+		}
+		if !bytes.Equal(golden, want) {
+			t.Fatalf("%s out of sync with the serving path — regenerate with REGEN_CI_GOLDEN=1\ngolden: %s\nwant:   %s", name, golden, want)
+		}
 	}
 }
