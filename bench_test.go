@@ -186,26 +186,28 @@ func BenchmarkDetect(b *testing.B) {
 // configuration, on one worker) to what it allocated before the flat solve
 // became the incremental one started from nothing: the predecessor
 // bookkeeping — dirty sets, kept-pair table, merged pair slice — must cost a
-// flat solve nothing. The ceilings were lowered twice since (337 / 6.26 MB,
-// 317 / 69.1 MB, 316 / 345 MB, then 285, 247, 231 allocations): the overlap
-// arrays reserve by doubling, and that pays several times over for the pair
-// records a solve now keeps next to the named pairs of its Result; and the
-// workers' scratch is allocated once per solve instead of once per round and
-// step, which pays for the discount kernel's two rank arrays and two more
-// scratch slices. Allocation counts are exact; bytes get 0.1% for runtime
-// noise, a third of the smallest table that could creep back in, and are the
-// least of three runs: TotalAlloc is process-wide, so whatever the runtime
-// allocates in the background during a run is added to it and never taken
-// away.
+// flat solve nothing. The ceilings were lowered three times since (337 /
+// 6.26 MB, 317 / 69.1 MB, 316 / 345 MB, then 285, 247, 231 allocations, then
+// 276, 238, 222): the overlap arrays reserve by doubling, and that pays
+// several times over for the pair records a solve now keeps next to the named
+// pairs of its Result; the workers' scratch is allocated once per solve
+// instead of once per round and step, which pays for the discount kernel's
+// two rank arrays and two more scratch slices; and the Result view reads its
+// directional posteriors off the state's pair records, so it no longer builds
+// a second source×source table (2 allocations and ≥ 8·S² bytes fewer).
+// Allocation counts are exact; bytes get 0.1% for runtime noise, a third of
+// the smallest table that could creep back in, and are the least of three
+// runs: TotalAlloc is process-wide, so whatever the runtime allocates in the
+// background during a run is added to it and never taken away.
 func TestDetectFlatAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts differ under -race")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ceilings := map[int]struct{ allocs, bytes float64 }{
-		50:  {276, 2792552},
-		200: {238, 49237896},
-		500: {222, 253975304},
+		50:  {265, 2766896},
+		200: {227, 48844304},
+		500: {211, 251544752},
 	}
 	for _, sz := range benchSizes {
 		if testing.Short() && !sz.short {

@@ -45,14 +45,15 @@
 // fixpoint; given a predecessor's state it runs it over what an appended batch
 // dirtied, for a bounded number of rounds; on a dataset with an append log
 // and no predecessor it does the first followed by one of the second per
-// batch. Detect and Refine are Solve plus the Result view of the state it
-// reaches.
+// batch. The State it reaches is the one dependence object: the planner,
+// fusion and source recommendation read its vectors and pair records. Detect
+// and Refine are Solve plus a Result, a by-name view of that state for
+// library callers.
 package depen
 
 import (
 	"errors"
 	"math"
-	"slices"
 	"sort"
 
 	"sourcecurrents/internal/dataset"
@@ -185,64 +186,35 @@ type Result struct {
 	Converged bool
 
 	// st is the state this view was built from.
-	st  *State
-	dir *dirTable
+	st *State
 }
 
-// dirTable is the dense directional-posterior lookup backing CopyProb and
-// DependenceProb: the dataset's sorted source list, with P(i copies j) in a
-// flat row-major table. Ids resolve by binary search over the list, so
-// building one allocates no per-source index.
-type dirTable struct {
-	sources []model.SourceID
-	prob    []float64
-}
-
-// newDirTableFor returns an empty table over the (sorted) source list.
-func newDirTableFor(sources []model.SourceID) *dirTable {
-	return &dirTable{sources: sources, prob: make([]float64, len(sources)*len(sources))}
-}
-
-// set records a pair verdict by dense source index.
-func (t *dirTable) set(ai, bi int32, probAB, probBA float64) {
-	n := len(t.sources)
-	t.prob[int(ai)*n+int(bi)] = probAB
-	t.prob[int(bi)*n+int(ai)] = probBA
-}
-
-// pair returns P(a copies b) and P(b copies a); zeros for sources outside
-// the table.
-func (t *dirTable) pair(a, b model.SourceID) (ab, ba float64) {
-	if t == nil {
-		return 0, 0
+// State returns the dense state the view was built from; nil for a nil
+// Result.
+func (r *Result) State() *State {
+	if r == nil {
+		return nil
 	}
-	ai, aok := slices.BinarySearch(t.sources, a)
-	bi, bok := slices.BinarySearch(t.sources, b)
-	if !aok || !bok {
-		return 0, 0
-	}
-	n := len(t.sources)
-	return t.prob[ai*n+bi], t.prob[bi*n+ai]
+	return r.st
 }
 
 // DependenceProb returns the posterior that a and b are dependent (either
 // direction); 0 for unanalyzed pairs.
 func (r *Result) DependenceProb(a, b model.SourceID) float64 {
-	ab, ba := r.dir.pair(a, b)
+	ab, ba := r.st.CopyProbs(a, b)
 	return ab + ba
 }
 
 // CopyProb returns the posterior that copier copies master; 0 for
 // unanalyzed pairs.
 func (r *Result) CopyProb(copier, master model.SourceID) float64 {
-	ab, _ := r.dir.pair(copier, master)
+	ab, _ := r.st.CopyProbs(copier, master)
 	return ab
 }
 
 // Result materialises the view of st: the posterior and accuracy maps with
-// the chosen values, every pair by name in sortDeps order, the thresholded
-// Dependences and the directional lookup table. cfg must be the
-// configuration st was solved under.
+// the chosen values, every pair by name in sortDeps order and the thresholded
+// Dependences. cfg must be the configuration st was solved under.
 func (st *State) Result(cfg Config) *Result {
 	c := st.c
 	solver := truth.NewDenseSolver(c, cfg.Truth)
@@ -258,7 +230,6 @@ func (st *State) Result(cfg Config) *Result {
 		Rounds:    st.rounds,
 		Converged: st.converged,
 		st:        st,
-		dir:       newDirTableFor(c.SourceIDs()),
 	}
 	all := make([]Dependence, len(st.pairs))
 	for i := range st.pairs {
@@ -272,7 +243,6 @@ func (st *State) Result(cfg Config) *Result {
 			Same:   int(p.same),
 			KT:     p.kt, KF: p.kf, KD: p.kd,
 		}
-		res.dir.set(p.a, p.b, p.probAB, p.probBA)
 	}
 	sortDeps(all)
 	finishSortedPairs(res, all, cfg.DepThreshold)

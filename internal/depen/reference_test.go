@@ -72,8 +72,8 @@ func detectMaps(d *dataset.Dataset, cfg Config) (*Result, error) {
 	var probs map[model.ObjectID]map[string]float64
 	var pairs []Dependence
 	// dirState holds the previous round's directional posteriors for the
-	// vote discounts; the final round's verdicts become the result's dense
-	// lookup table below.
+	// vote discounts; the final round's verdicts become the result's state
+	// below.
 	dirState := map[model.SourceID]map[model.SourceID]float64{}
 	objects := d.Objects()
 
@@ -122,18 +122,11 @@ func detectMaps(d *dataset.Dataset, cfg Config) (*Result, error) {
 		Converged: res.Converged,
 	}
 	res.Truth.PickChosen()
-	c := d.Compiled()
-	res.dir = newDirTableFor(d.Sources())
-	for _, dep := range pairs {
-		ai, _ := c.SourceIndex(dep.Pair.A)
-		bi, _ := c.SourceIndex(dep.Pair.B)
-		res.dir.set(ai, bi, dep.ProbAB, dep.ProbBA)
-	}
 	sortDeps(pairs)
 	finishSortedPairs(res, pairs, cfg.DepThreshold)
 	// The dense state is part of a Result; the oracle's is its maps laid out
 	// densely.
-	res.st = stateOf(res, c, cfg)
+	res.st = stateOf(res, d.Compiled(), cfg)
 	return res, nil
 }
 

@@ -37,16 +37,17 @@
 // to them. That bounds an append's cost (dirtying every pair that merely
 // shares an object with the batch is a full rescore on dense datasets).
 //
-// A Result is a view of a State for readers that want names: posterior and
-// accuracy maps, the chosen values, AllPairs sorted by confidence and the
-// thresholded Dependences. State.Result builds one — a sort of every pair
-// and a string pair per record, which on a many-source world costs more than
-// the append that produced the State — so only what reads it pays: Detect
-// and Refine return one (and it carries its State, so a Refine chain stays
-// dense), a Session builds its own the first time one is asked for, and
-// Solve and Session.Append never do. There is no way back from a view: a
-// session loaded from a snapshot holds a State too, assembled by
-// StateFromParts from the stored vectors and pair records as they lie.
+// A Result is a view of a State for library callers that want names:
+// posterior and accuracy maps, the chosen values, AllPairs sorted by
+// confidence and the thresholded Dependences. State.Result builds one — a
+// sort of every pair and a string pair per record, which on a many-source
+// world costs more than the append that produced the State — so only those
+// callers pay: Detect and Refine return one (and it carries its State, so a
+// Refine chain stays dense). Nothing on the serving path builds one: a
+// session's answers, fusion, recommendations and appends read the State
+// itself. There is no way back from a view: a session loaded from a snapshot
+// holds a State too, assembled by StateFromParts from the stored vectors and
+// pair records as they lie.
 //
 // refine is a pure function of (dataset, predecessor state, config). The
 // live path (Session.Append advancing its state) and the rebuild path (Solve
@@ -115,6 +116,15 @@ func (st *State) CopyProbs(a, b model.SourceID) (ab, ba float64) {
 		return p.probAB, p.probBA
 	}
 	return p.probBA, p.probAB
+}
+
+// EachPair calls fn with every analysed pair in (a, b) order — compiled
+// source indexes, a < b — and its posteriors P(a copies b), P(b copies a).
+func (st *State) EachPair(fn func(a, b int, ab, ba float64)) {
+	for i := range st.pairs {
+		p := &st.pairs[i]
+		fn(int(p.a), int(p.b), p.probAB, p.probBA)
+	}
 }
 
 // pairRecBytes is the size of a stored pair record: pairRec as it lies in

@@ -685,11 +685,11 @@ func RecommendDemo() *Report {
 	d := dataset.Table1()
 	cfg := depen.DefaultConfig()
 	cfg.Truth.Known = knownTwo()
-	dres, err := depen.Detect(d, cfg)
+	st, err := depen.Solve(d, nil, cfg)
 	if err != nil {
 		panic(err)
 	}
-	profiles := recommend.BuildProfiles(d, dres, nil)
+	profiles := recommend.BuildProfiles(d, st, nil)
 	ranked, err := recommend.Rank(profiles, recommend.DefaultWeights())
 	if err != nil {
 		panic(err)

@@ -4,7 +4,7 @@
 //
 // Strategies range from the classical conflict-handling baselines (Bleiholder
 // & Naumann's survey [3]: keep-first, majority) through accuracy-weighted
-// voting to the dependence-aware resolver that consumes a depen.Result. The
+// voting to the dependence-aware resolver that consumes a depen.State. The
 // probabilistic output path materializes a probdb.Relation so downstream
 // query answering can work with value distributions instead of point
 // choices.
@@ -13,6 +13,7 @@ package fusion
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"sourcecurrents/internal/dataset"
@@ -98,10 +99,10 @@ type Result struct {
 	// distributions). For KeepFirst the chosen value carries probability 1.
 	Relation *probdb.Relation
 	// Truth carries the underlying truth-discovery result for the
-	// iterative strategies (nil otherwise).
+	// iterative strategies (nil otherwise, and from FuseWith).
 	Truth *truth.Result
 	// Depen carries the dependence result for DependenceAware (nil
-	// otherwise).
+	// otherwise, and from FuseWith).
 	Depen *depen.Result
 	// Strategy echoes the policy used.
 	Strategy Strategy
@@ -145,25 +146,27 @@ func Fuse(d *dataset.Dataset, cfg Config) (*Result, error) {
 			return nil, err
 		}
 	case DependenceAware:
-		dr, err := depen.Detect(d, cfg.Depen)
+		st, err := depen.Solve(d, nil, cfg.Depen)
 		if err != nil {
 			return nil, err
 		}
-		res.Depen = dr
-		res.Truth = dr.Truth
-		if err := fillResolved(res, d, dr.Truth, cfg); err != nil {
+		if err := fillState(res, d, st, cfg); err != nil {
 			return nil, err
 		}
+		// A one-shot call carries the discovery result for library callers.
+		res.Depen = st.Result(cfg.Depen)
+		res.Truth = res.Depen.Truth
 	}
 	return res, nil
 }
 
-// FuseWith resolves conflicts reusing an existing dependence-discovery
-// result — the serving session's cached precompute — instead of re-running
-// the solver. The strategy must be DependenceAware; the output is
-// bit-identical to Fuse when dr came from the same dataset and Depen
-// config.
-func FuseWith(d *dataset.Dataset, cfg Config, dr *depen.Result) (*Result, error) {
+// FuseWith resolves conflicts from an existing dependence state — the
+// serving session's precompute — instead of re-running the solver. st must
+// be the state of a solve over d under cfg.Depen, whose Known labels the
+// resolution reads. The strategy must be DependenceAware; Chosen, Relation
+// and Strategy are bit-identical to Fuse's, and Truth and Depen are nil:
+// no by-name view of st is built.
+func FuseWith(d *dataset.Dataset, cfg Config, st *depen.State) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -176,13 +179,11 @@ func FuseWith(d *dataset.Dataset, cfg Config, dr *depen.Result) (*Result, error)
 	if cfg.Strategy != DependenceAware {
 		return nil, errors.New("fusion: FuseWith requires the DependenceAware strategy")
 	}
-	if dr == nil || dr.Truth == nil {
-		return nil, errors.New("fusion: FuseWith requires a non-nil dependence result")
+	if st == nil {
+		return nil, errors.New("fusion: FuseWith requires a non-nil dependence state")
 	}
 	res := newResult(cfg.Strategy)
-	res.Depen = dr
-	res.Truth = dr.Truth
-	if err := fillResolved(res, d, dr.Truth, cfg); err != nil {
+	if err := fillState(res, d, st, cfg); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -245,6 +246,35 @@ func fillResolved(res *Result, d *dataset.Dataset, tr *truth.Result, cfg Config)
 			return err
 		}
 		res.Chosen[o] = tr.Chosen[o]
+	}
+	return nil
+}
+
+// fillState is fillResolved over st, solved on d under cfg.Depen: each
+// object's values come off the posterior vector in sorted order (with a Known
+// label nobody asserts merged in), the alternatives pass the same filter, and
+// the chosen value is the first maximum in that order — truth.PickChosen's
+// rule — so the output is what fillResolved makes of st's view.
+func fillState(res *Result, d *dataset.Dataset, st *depen.State, cfg Config) error {
+	c := d.Compiled()
+	solver := truth.NewDenseSolver(c, cfg.Depen.Truth)
+	probs := st.Posteriors()
+	for oi := 0; oi < c.NumObjects(); oi++ {
+		var alts []probdb.Alternative
+		chosen, best := "", math.Inf(-1)
+		solver.EachValue(probs, oi, func(v string, p float64) {
+			if p >= cfg.MinProb && p > 0 {
+				alts = append(alts, probdb.Alternative{Value: v, Prob: p})
+			}
+			if p > best {
+				chosen, best = v, p
+			}
+		})
+		o := c.Object(oi)
+		if err := res.Relation.Put(probdb.XTuple{Object: o, Alternatives: alts}); err != nil {
+			return err
+		}
+		res.Chosen[o] = chosen
 	}
 	return nil
 }

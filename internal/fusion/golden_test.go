@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sourcecurrents/internal/dataset"
+	"sourcecurrents/internal/model"
 	"sourcecurrents/internal/synth"
 )
 
@@ -34,26 +35,44 @@ func goldenWorld(t *testing.T, seed int64) *dataset.Dataset {
 
 func TestFuseCompiledMatchesMaps(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, seed := range []int64{3, 41} {
-		d := goldenWorld(t, seed)
-		for _, st := range []Strategy{KeepFirst, Majority, Weighted, DependenceAware} {
-			for _, minProb := range []float64{0, 0.2} {
-				cfg := DefaultConfig()
-				cfg.Strategy = st
-				cfg.MinProb = minProb
-				want, err := fuseMaps(d, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, p := range []int{1, 4, 16} {
-					runtime.GOMAXPROCS(p)
-					got, err := Fuse(d, cfg)
+	// S1 and S2 are symmetric, so o1's "a" and "b" tie to the bit and the
+	// first in sorted order must be chosen.
+	o1, o2 := model.Obj("o1", "v"), model.Obj("o2", "v")
+	tie, err := dataset.FromClaims([]model.Claim{
+		model.NewClaim("S1", o1, "a"), model.NewClaim("S2", o1, "b"),
+		model.NewClaim("S1", o2, "x"), model.NewClaim("S2", o2, "x"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range map[string]*dataset.Dataset{"seed 3": goldenWorld(t, 3), "seed 41": goldenWorld(t, 41), "tie": tie} {
+		objs := d.Objects()
+		observed, _ := d.Value(d.Sources()[0], objs[0])
+		// One label on an observed value, and one on a value nobody asserts,
+		// which sorts between the world's F… and T… values: the posterior
+		// carries it at that position.
+		known := map[model.ObjectID]string{objs[0]: observed, objs[1]: "G-unasserted"}
+		for _, labels := range []map[model.ObjectID]string{nil, known} {
+			for _, st := range []Strategy{KeepFirst, Majority, Weighted, DependenceAware} {
+				for _, minProb := range []float64{0, 0.2} {
+					cfg := DefaultConfig()
+					cfg.Strategy = st
+					cfg.MinProb = minProb
+					cfg.Truth.Known, cfg.Depen.Truth.Known = labels, labels
+					want, err := fuseMaps(d, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("seed %d strategy %v minProb %v: compiled Fuse at GOMAXPROCS=%d differs from map reference",
-							seed, st, minProb, p)
+					for _, p := range []int{1, 4, 16} {
+						runtime.GOMAXPROCS(p)
+						got, err := Fuse(d, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s strategy %v minProb %v labels %v: compiled Fuse at GOMAXPROCS=%d differs from map reference",
+								name, st, minProb, labels, p)
+						}
 					}
 				}
 			}
@@ -68,17 +87,21 @@ func TestFuseWithMatchesFuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := FuseWith(d, cfg, want.Depen)
+	got, err := FuseWith(d, cfg, want.Depen.State())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !reflect.DeepEqual(got.Chosen, want.Chosen) || !reflect.DeepEqual(got.Relation, want.Relation) ||
+		got.Strategy != want.Strategy {
 		t.Fatal("FuseWith differs from Fuse on the same precompute")
 	}
-	if _, err := FuseWith(d, Config{Strategy: Majority}, want.Depen); err == nil {
+	if got.Truth != nil || got.Depen != nil {
+		t.Fatal("FuseWith built a view of the state")
+	}
+	if _, err := FuseWith(d, Config{Strategy: Majority}, want.Depen.State()); err == nil {
 		t.Fatal("FuseWith accepted a non-DependenceAware strategy")
 	}
 	if _, err := FuseWith(d, cfg, nil); err == nil {
-		t.Fatal("FuseWith accepted a nil dependence result")
+		t.Fatal("FuseWith accepted a nil dependence state")
 	}
 }

@@ -17,7 +17,7 @@ func TestProfilesDeterministicAcrossRunsAndParallelism(t *testing.T) {
 	var wantTop []Profile
 	for run := 0; run < 3; run++ {
 		d, dres := goldenProfileWorld(t, 11)
-		profiles := BuildProfiles(d, dres, nil)
+		profiles := BuildProfiles(d, dres.State(), nil)
 		top, err := Top(profiles, DefaultWeights(), 4)
 		if err != nil {
 			t.Fatal(err)

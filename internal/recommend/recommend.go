@@ -62,13 +62,13 @@ func (w Weights) Validate() error {
 }
 
 // BuildProfiles derives profiles from a dataset plus the discovery results.
-// dep may be nil (all sources independent); reports may be nil (neutral
-// freshness). It runs over the dataset's compiled columnar index — the O(S²)
-// independence products read a flat directional copy-probability table
-// instead of nested maps — and is bit-identical to the map-based reference
+// st is the dependence state of a solve over d, or nil (all sources
+// independent, neutral accuracy); reports may be nil (neutral freshness). It
+// runs over the dataset's compiled columnar index and the state's pair
+// records, and is bit-identical to the map-based reference
 // (buildProfilesMaps, in reference_test.go), which the golden equivalence
 // tests enforce.
-func BuildProfiles(d *dataset.Dataset, dep *depen.Result,
+func BuildProfiles(d *dataset.Dataset, st *depen.State,
 	reports map[model.SourceID]*temporal.SourceReport) []Profile {
 	c := d.Compiled()
 	if c == nil || c.NumSources() == 0 {
@@ -76,19 +76,18 @@ func BuildProfiles(d *dataset.Dataset, dep *depen.Result,
 	}
 	nS := c.NumSources()
 	nObj := c.NumObjects()
-	// copyTab[i*nS+j] is P(i copies j) — the dense form of dep.CopyProb.
-	var copyTab []float64
-	if dep != nil {
-		copyTab = make([]float64, nS*nS)
-		for _, pd := range dep.AllPairs {
-			ai, aok := c.SourceIndex(pd.Pair.A)
-			bi, bok := c.SourceIndex(pd.Pair.B)
-			if !aok || !bok {
-				continue
-			}
-			copyTab[int(ai)*nS+int(bi)] = pd.ProbAB
-			copyTab[int(bi)*nS+int(ai)] = pd.ProbBA
-		}
+	// indep[s] is Π (1 − P(s copies s')), one pass over the pair records:
+	// (a, b) order multiplies each source's factors in ascending partner
+	// order, and an unanalysed pair's factor, 1 − 0, is exactly 1.
+	indep := make([]float64, nS)
+	for i := range indep {
+		indep[i] = 1
+	}
+	if st != nil {
+		st.EachPair(func(a, b int, ab, ba float64) {
+			indep[a] *= 1 - ab
+			indep[b] *= 1 - ba
+		})
 	}
 	out := make([]Profile, nS)
 	for si := range out {
@@ -97,21 +96,9 @@ func BuildProfiles(d *dataset.Dataset, dep *depen.Result,
 		if nObj > 0 {
 			cov = float64(c.SrcStart[si+1]-c.SrcStart[si]) / float64(nObj)
 		}
-		p := Profile{Source: s, Coverage: cov, Freshness: 0.5, Accuracy: 0.5}
-		if dep != nil && dep.Truth != nil {
-			if a, ok := dep.Truth.Accuracy[s]; ok {
-				p.Accuracy = a
-			}
-		}
-		p.Independence = 1
-		if copyTab != nil {
-			row := copyTab[si*nS : (si+1)*nS]
-			for oi, cp := range row {
-				if oi == si {
-					continue
-				}
-				p.Independence *= 1 - cp
-			}
+		p := Profile{Source: s, Coverage: cov, Freshness: 0.5, Accuracy: 0.5, Independence: indep[si]}
+		if st != nil {
+			p.Accuracy = st.Accuracy()[si]
 		}
 		if rep, ok := reports[s]; ok {
 			// Freshness: 1/(1+meanLag); coverage from the temporal report

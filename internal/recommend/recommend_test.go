@@ -60,7 +60,7 @@ func TestIndependencePenalizesCopier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiles := BuildProfiles(d, dr, nil)
+	profiles := BuildProfiles(d, dr.State(), nil)
 	byID := map[model.SourceID]Profile{}
 	for _, p := range profiles {
 		byID[p.Source] = p

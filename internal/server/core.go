@@ -172,6 +172,9 @@ func ExecRecommend(s *session.Session, req RecommendRequest) ([]recommend.Profil
 	}
 	top, err := s.RecommendSources(w, k)
 	if err != nil {
+		if s.Dataset() == nil { // the snapshot would not materialize: not the request's fault
+			return nil, err
+		}
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	return top, nil

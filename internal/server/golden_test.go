@@ -2,14 +2,17 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"sourcecurrents/internal/dataset"
 	"sourcecurrents/internal/model"
 	"sourcecurrents/internal/session"
+	"sourcecurrents/internal/snapio"
 )
 
 // expectJSON renders the byte-exact body the server must produce for a
@@ -185,5 +188,66 @@ func TestSnapshotServedByteIdentical(t *testing.T) {
 	_, fb := post(t, ts.URL+"/v1/loaded/fuse", "")
 	if !bytes.Equal(fa, fb) {
 		t.Fatal("snapshot-loaded server fuse differs from built server")
+	}
+}
+
+// TestCorruptLogIsServerError: a snapshot whose claim log does not index to
+// its tables (two claims' value ids swapped, each in range) loads and
+// answers, but /fuse and /recommend, which need the dataset the log builds,
+// fail with a 500 naming the corruption — not a 400, and not an empty
+// recommendation.
+func TestCorruptLogIsServerError(t *testing.T) {
+	built := testSession(t, 47, 30)
+	var buf bytes.Buffer
+	if err := built.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	m, err := snapio.OpenMappedBytes(buf.Bytes(), session.SnapshotMagic, session.SnapshotVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sw snapio.SectionWriter
+	for k := uint32(1); k < 128; k++ {
+		b, ok := m.Section(k)
+		if !ok {
+			continue
+		}
+		if k == dataset.SecLogVal {
+			b = bytes.Clone(b)
+			i32 := binary.NativeEndian
+			for j, first := 4, i32.Uint32(b); j < len(b); j += 4 {
+				if v := i32.Uint32(b[j:]); v != first {
+					i32.PutUint32(b, v)
+					i32.PutUint32(b[j:], first)
+					break
+				}
+			}
+		}
+		sw.Add(k, b)
+	}
+	var mut bytes.Buffer
+	if err := sw.WriteTo(&mut, session.SnapshotMagic, session.SnapshotVersion); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := session.LoadSnapshot(&mut, session.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	if err := reg.Register("corrupt", loaded); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(reg, Options{}))
+	t.Cleanup(ts.Close)
+
+	body := marshalReq(t, AnswerRequest{Query: refsFor(built.Dataset().Objects())})
+	if resp, got := post(t, ts.URL+"/v1/corrupt/answer", body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("answer: %d %s", resp.StatusCode, got)
+	}
+	for _, op := range []string{"fuse", "recommend"} {
+		resp, got := post(t, ts.URL+"/v1/corrupt/"+op, "{}")
+		if resp.StatusCode != http.StatusInternalServerError || !bytes.Contains(got, []byte(snapio.ErrCorrupt.Error())) {
+			t.Fatalf("%s: %d %s, want 500 naming %v", op, resp.StatusCode, got, snapio.ErrCorrupt)
+		}
 	}
 }

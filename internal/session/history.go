@@ -11,7 +11,7 @@
 //
 // The spine is the one place old epochs are kept: a dataset holds its claims
 // and batch boundaries, never its predecessors, so what a retained session
-// pins — its dataset's index, the depen result, the dense tables, the
+// pins — its dataset's index, the depen state, the dense tables, the
 // planner — is released when it leaves the window. Every epoch stays
 // *addressable* in the dataset log (Dataset.At rebuilds it from the claim
 // prefix). AsOf for an epoch inside the window that has no retained session

@@ -33,7 +33,7 @@ func TestConcurrentSessionCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := recommend.DefaultWeights()
-	wantTop, err := recommend.Top(recommend.BuildProfiles(d, s.Dependence(), nil), w, 3)
+	wantTop, err := recommend.Top(recommend.BuildProfiles(d, s.Dependence().State(), nil), w, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

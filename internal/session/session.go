@@ -94,27 +94,24 @@ func (c Config) Validate() error {
 // snapshot's compiled tables. Either way the state is the one representation
 // of the solve: every other is derived from it.
 //
-// AnswerObjects, Accuracy, Append and AsOf read only dense state, so three
-// things are built lazily, each once, by the first call that needs it: a
-// mapped session's dataset (materialized from the snapshot's claim log, with
-// the state moved onto the heap over it, never aliasing the mapping; Fuse,
-// Link, Profiles, Append, Dataset, Dependence, PairProbs), the trust profiles
-// (Profiles, Recommend*), and the depen.Result view of the state — maps and
-// 100k-odd named, sorted pairs that no append or answer reads (Dependence,
-// Fuse, Profiles, WriteSnapshot).
+// Every serving call reads the state and what is derived from it: no
+// session builds or keeps a depen.Result view (Dependence builds one per call
+// for library callers). Two things are built lazily, each once, by the first
+// call that needs it: a mapped session's dataset (materialized from the
+// snapshot's claim log, with the state moved onto the heap over it, never
+// aliasing the mapping; Fuse, Link, Profiles, Recommend*, Append, Dataset,
+// Dependence, PairProbs, WriteSnapshot), and the trust profiles (Profiles,
+// Recommend*).
 type Session struct {
 	d   *dataset.Dataset
 	cfg Config
 	// st is the dense solve state — solved by New, Append or AsOf, or
-	// assembled from a snapshot's sections — and dep the Result view of it,
-	// built by result(). A mapped session's st aliases the mapping until
-	// materialize moves it onto the heap, and is written only there after
-	// the load: read it after materialize.
-	st      *depen.State
-	depOnce sync.Once
-	dep     *depen.Result
-	// accMap is acc keyed by source, built by the first Accuracy() — without
-	// the view, and for a mapped session without materializing.
+	// assembled from a snapshot's sections. A mapped session's st aliases the
+	// mapping until materialize moves it onto the heap, and is written only
+	// there after the load: read it after materialize.
+	st *depen.State
+	// accMap is acc keyed by source, built by the first Accuracy() — for a
+	// mapped session without materializing.
 	accOnce sync.Once
 	accMap  map[model.SourceID]float64
 	// acc is the dense per-source accuracy vector and depTab the flat
@@ -196,13 +193,6 @@ func newSession(d *dataset.Dataset, cfg Config, st *depen.State) (*Session, erro
 	return s, nil
 }
 
-// result returns the discovery result, building the view of the state on
-// first use. The session must be materialized.
-func (s *Session) result() *depen.Result {
-	s.depOnce.Do(func() { s.dep = s.st.Result(s.cfg.Depen) })
-	return s.dep
-}
-
 // Append advances the session across one appended claim batch: it builds
 // the successor dataset, runs the bounded delta recompute (depen.Solve)
 // from this session's dense state to the successor's, and assembles a new
@@ -250,23 +240,21 @@ func (s *Session) Dataset() *dataset.Dataset {
 	return s.d
 }
 
-// Dependence returns the discovery result. The first call per epoch builds
-// the view of the session's state — the sort of every analysed pair an append
-// no longer pays — after a mapped session has materialized (nil on
-// failure). Later calls return the same Result; callers must treat it as
-// read-only.
+// Dependence returns the discovery result by name, a library convenience: each
+// call builds a new view of the session's state — maps and a sort of every
+// analysed pair — which the session does not keep and no serving call reads.
+// A mapped session materializes first (nil on failure).
 func (s *Session) Dependence() *depen.Result {
 	if err := s.materialize(); err != nil {
 		return nil
 	}
-	return s.result()
+	return s.st.Result(s.cfg.Depen)
 }
 
 // Accuracy returns the per-source accuracies, as Dependence().Truth.Accuracy:
 // the dense vector keyed by source, built once per epoch on the first call —
-// without the Result view, and for a mapped session without materializing
-// (the keys are copied off the mapping). Callers must treat the map
-// as read-only.
+// for a mapped session without materializing (the keys are copied off the
+// mapping). Callers must treat the map as read-only.
 func (s *Session) Accuracy() map[model.SourceID]float64 {
 	s.accOnce.Do(func() {
 		ids := s.compiledView().SourceIDs()
@@ -377,17 +365,21 @@ func (s *Session) derive(qcfg queryans.Config) (*queryans.Planner, error) {
 	return s.planner.Derive(qcfg)
 }
 
-// Fuse resolves all conflicts under the configured fusion strategy. The
-// default DependenceAware strategy reuses the cached precompute. The
-// Chosen map and Relation are rebuilt per call and owned by the caller,
-// but the embedded Truth/Depen fields alias the session's shared cache and
-// must be treated as read-only.
+// Fuse resolves all conflicts under the configured fusion strategy; the
+// result is built per call and owned by the caller. The default
+// DependenceAware strategy resolves from the session's state
+// (fusion.FuseWith), so its result carries no Truth or Depen: Dependence
+// builds that view on request. Other strategies run their (cheap) solvers
+// per call and carry them as fusion.Fuse does.
 func (s *Session) Fuse() (*fusion.Result, error) {
 	if err := s.materialize(); err != nil {
 		return nil, err
 	}
 	if s.cfg.Fusion.Strategy == fusion.DependenceAware {
-		return fusion.FuseWith(s.d, s.cfg.Fusion, s.result())
+		// The Known labels are the ones the state was solved under.
+		cfg := s.cfg.Fusion
+		cfg.Depen = s.cfg.Depen
+		return fusion.FuseWith(s.d, cfg, s.st)
 	}
 	return fusion.Fuse(s.d, s.cfg.Fusion)
 }
@@ -404,14 +396,16 @@ func (s *Session) Link(cfg linkage.Config) (*linkage.Result, error) {
 }
 
 // Profiles returns the cached trust profiles, building them on first use
-// from the session's discovery result (and configured temporal reports).
-// Callers must treat the slice as read-only.
+// from the session's state (and configured temporal reports). It returns nil
+// if a mapped session fails to materialize; RecommendSources and
+// RecommendDiverse report the cause. Callers must treat the slice as
+// read-only.
 func (s *Session) Profiles() []recommend.Profile {
 	if err := s.materialize(); err != nil {
 		return nil
 	}
 	s.profilesOnce.Do(func() {
-		s.profiles = recommend.BuildProfiles(s.d, s.result(), s.cfg.Reports)
+		s.profiles = recommend.BuildProfiles(s.d, s.st, s.cfg.Reports)
 	})
 	return s.profiles
 }
@@ -419,6 +413,9 @@ func (s *Session) Profiles() []recommend.Profile {
 // RecommendSources returns the k most trusted sources under w, ranking the
 // cached profiles.
 func (s *Session) RecommendSources(w recommend.Weights, k int) ([]recommend.Profile, error) {
+	if err := s.materialize(); err != nil {
+		return nil, err
+	}
 	return recommend.Top(s.Profiles(), w, k)
 }
 
@@ -426,5 +423,8 @@ func (s *Session) RecommendSources(w recommend.Weights, k int) ([]recommend.Prof
 // dissimilarity-depend on them.
 func (s *Session) RecommendDiverse(w recommend.Weights, diss *dissim.Result,
 	k, extraDissent int) ([]recommend.DiversePick, error) {
+	if err := s.materialize(); err != nil {
+		return nil, err
+	}
 	return recommend.TopDiverse(s.Profiles(), w, diss, k, extraDissent)
 }

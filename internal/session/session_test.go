@@ -122,6 +122,13 @@ func TestSessionFuseMatchesOneShot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if st == fusion.DependenceAware {
+			// The session resolves from its state and builds no view of it.
+			if got.Truth != nil || got.Depen != nil {
+				t.Fatal("session fuse carries a view of the state")
+			}
+			want.Truth, want.Depen = nil, nil
+		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("strategy %v: session fuse differs from one-shot", st)
 		}
@@ -143,7 +150,7 @@ func TestSessionRecommendMatchesOneShot(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := recommend.DefaultWeights()
-	wantProfiles := recommend.BuildProfiles(d, s.Dependence(), nil)
+	wantProfiles := recommend.BuildProfiles(d, s.Dependence().State(), nil)
 	if !reflect.DeepEqual(s.Profiles(), wantProfiles) {
 		t.Fatal("session profiles differ from one-shot BuildProfiles")
 	}

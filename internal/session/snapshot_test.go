@@ -148,6 +148,17 @@ func TestSnapshotRoundTripWithKnownAndSim(t *testing.T) {
 	if got.Dependence().Truth.Chosen[obj] != "value-nobody-asserts" {
 		t.Fatal("Known value lost in round trip")
 	}
+	// Fusion reads the labels the state was solved under (cfg.Depen), not
+	// the fusion template's, which has none.
+	for name, ses := range map[string]*Session{"built": s, "loaded": got} {
+		fused, err := ses.Fuse()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fused.Chosen[obj] != "value-nobody-asserts" {
+			t.Fatalf("%s: Fuse chose %q, not the Known value", name, fused.Chosen[obj])
+		}
+	}
 
 	// Loading under a config without the pin must be refused.
 	if _, err := LoadSnapshot(bytes.NewReader(raw), DefaultConfig()); err == nil {
@@ -360,6 +371,38 @@ func TestSnapshotCorruption(t *testing.T) {
 				!errors.Is(err, snapio.ErrTruncated) {
 				t.Fatalf("%s: err = %v, want ErrCorrupt or ErrTruncated", name, err)
 			}
+		}
+	})
+	t.Run("log that does not index to its tables", func(t *testing.T) {
+		// Two claims' value ids swapped: every id is in range, so the file
+		// loads and answers serve off its tables, but the dataset the log
+		// builds is not the one they index. Every call that needs it —
+		// recommendations included — reports that.
+		mut := withSection(t, raw, dataset.SecLogVal, func(b []byte) []byte {
+			i32 := binary.NativeEndian
+			first := i32.Uint32(b)
+			for k := 4; k < len(b); k += 4 {
+				if v := i32.Uint32(b[k:]); v != first {
+					i32.PutUint32(b, v)
+					i32.PutUint32(b[k:], first)
+					return b
+				}
+			}
+			t.Fatal("every claim names one value")
+			return nil
+		})
+		got, err := LoadSnapshot(bytes.NewReader(mut), DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := got.AnswerObjects(d.Objects()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := got.Fuse(); !errors.Is(err, snapio.ErrCorrupt) {
+			t.Fatalf("Fuse: err = %v, want ErrCorrupt", err)
+		}
+		if _, err := got.RecommendSources(recommend.DefaultWeights(), 3); !errors.Is(err, snapio.ErrCorrupt) {
+			t.Fatalf("RecommendSources: err = %v, want ErrCorrupt", err)
 		}
 	})
 }
@@ -782,8 +825,8 @@ func TestSnapshotLoadBeatsBuild(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if loaded.d != nil || loaded.dep != nil {
-			t.Fatalf("%s: the load built the dataset or the view", path.name)
+		if loaded.d != nil {
+			t.Fatalf("%s: the load built the dataset", path.name)
 		}
 		if load*path.under > build {
 			t.Fatalf("%s: the load allocated %d bytes, NewSession %d: not under 1/%d", path.name, load, build, path.under)

@@ -193,22 +193,17 @@ func (s *DenseSolver) FinishObject(oi int, scores, row []float64, sc *DenseScrat
 // mass of global group g's similarity class on object oi, walking the
 // candidates (and any Known extra value) in sorted-value order.
 func (s *DenseSolver) ClassMass(probs []float64, oi int, g int32) float64 {
-	c := s.c
-	gs := c.GroupStart[oi]
-	row := probs[gs:c.GroupStart[oi+1]]
-	local := int(g - gs)
 	sim := s.cfg.ValueSim
 	if sim == nil {
-		return row[local]
+		return probs[g]
 	}
-	var ov *knownOverride
-	if s.known != nil {
-		ov = s.known[oi]
-	}
-	hasExtra := ov != nil && ov.hasExtra
-	v := c.Value(int(c.GroupValue[g]))
+	v := s.c.Value(int(s.c.GroupValue[g]))
 	var mass float64
-	addSim := func(u string, p float64) {
+	s.EachValue(probs, oi, func(u string, p float64) {
+		if u == v { // the group itself: an object's values are distinct
+			mass += p
+			return
+		}
 		sv := sim(v, u)
 		if sv < 0 {
 			sv = 0
@@ -216,20 +211,7 @@ func (s *DenseSolver) ClassMass(probs []float64, oi int, g int32) float64 {
 			sv = 1
 		}
 		mass += p * sv
-	}
-	for k := range row {
-		if hasExtra && ov.extraPos == k {
-			addSim(ov.extraVal, ov.extraP)
-		}
-		if k == local {
-			mass += row[k]
-			continue
-		}
-		addSim(c.Value(int(c.GroupValue[gs+int32(k)])), row[k])
-	}
-	if hasExtra && ov.extraPos == len(row) {
-		addSim(ov.extraVal, ov.extraP)
-	}
+	})
 	if mass > 1 {
 		mass = 1
 	}
@@ -252,26 +234,37 @@ func (s *DenseSolver) UpdateAccuracy(probs, next []float64) {
 	}
 }
 
+// EachValue calls yield with object oi's values in sorted order and their
+// posteriors in the flat vector probs: the observed candidates' groups, with
+// a Known label no source asserts merged in at its sorted position — ApplyKnown's
+// key set, and the one place that label is added.
+func (s *DenseSolver) EachValue(probs []float64, oi int, yield func(v string, p float64)) {
+	c := s.c
+	gs, ge := c.GroupStart[oi], c.GroupStart[oi+1]
+	var extra *knownOverride
+	if s.known != nil && s.known[oi] != nil && s.known[oi].hasExtra {
+		extra = s.known[oi]
+	}
+	for k := gs; k < ge; k++ {
+		if extra != nil && extra.extraPos == int(k-gs) {
+			yield(extra.extraVal, extra.extraP)
+		}
+		yield(c.Value(int(c.GroupValue[k])), probs[k])
+	}
+	if extra != nil && extra.extraPos == int(ge-gs) {
+		yield(extra.extraVal, extra.extraP)
+	}
+}
+
 // ProbsMap converts the flat posterior vector back to the public map shape,
 // including any Known-pinned values that are not observed candidates.
 func (s *DenseSolver) ProbsMap(probs []float64) map[model.ObjectID]map[string]float64 {
 	c := s.c
 	out := make(map[model.ObjectID]map[string]float64, c.NumObjects())
 	for oi := 0; oi < c.NumObjects(); oi++ {
-		o := c.Object(oi)
-		gs, ge := c.GroupStart[oi], c.GroupStart[oi+1]
-		pv := make(map[string]float64, int(ge-gs)+1)
-		for k := gs; k < ge; k++ {
-			pv[c.Value(int(c.GroupValue[k]))] = probs[k]
-		}
-		if s.known != nil {
-			// ApplyKnown's key set is the observed candidates plus the
-			// label itself when unobserved.
-			if ov := s.known[oi]; ov != nil && ov.hasExtra {
-				pv[ov.extraVal] = ov.extraP
-			}
-		}
-		out[o] = pv
+		pv := make(map[string]float64, int(c.GroupStart[oi+1]-c.GroupStart[oi])+1)
+		s.EachValue(probs, oi, func(v string, p float64) { pv[v] = p })
+		out[c.Object(oi)] = pv
 	}
 	return out
 }

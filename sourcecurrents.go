@@ -388,10 +388,10 @@ type (
 func DefaultTrustWeights() TrustWeights { return recommend.DefaultWeights() }
 
 // BuildSourceProfiles derives profiles from discovery results (dep and
-// reports may be nil).
+// reports may be nil); dep must have been detected on d.
 func BuildSourceProfiles(d *Dataset, dep *DependenceResult,
 	reports map[SourceID]*SourceReport) []SourceProfile {
-	return recommend.BuildProfiles(d, dep, reports)
+	return recommend.BuildProfiles(d, dep.State(), reports)
 }
 
 // RecommendSources returns the k most trusted sources.
