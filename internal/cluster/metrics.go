@@ -43,11 +43,14 @@ type routerMetrics struct {
 	breakerTrips    atomic.Int64
 	replicaAppends  atomic.Int64
 	replicaAppErrs  atomic.Int64
-	rebalanceAdopts atomic.Int64
-	rebalanceErrs   atomic.Int64
-	repairs         atomic.Int64
-	repairErrs      atomic.Int64
-	ringChanges     atomic.Int64
+	// replicaDeltaBytes counts the delta frame bytes relayed from primaries
+	// into replica appends.
+	replicaDeltaBytes atomic.Int64
+	rebalanceAdopts   atomic.Int64
+	rebalanceErrs     atomic.Int64
+	repairs           atomic.Int64
+	repairErrs        atomic.Int64
+	ringChanges       atomic.Int64
 
 	// lag is the repair loop's last anti-entropy scan: dataset -> shard ->
 	// epochs behind the placement's max. Replaced wholesale per scan so a
@@ -106,6 +109,7 @@ func newRouterMetrics(shards func() []*shardState) *routerMetrics {
 	// One counter under two names: the second is what the repair drills grep for.
 	reg.Counter("currents_router_replica_append_errors_total", "Replica append fan-outs that failed (replica diverges until repaired).", m.replicaAppErrs.Load)
 	reg.Counter("currents_replica_append_failures_total", "Replica append fan-outs that failed; each enqueues a repair.", m.replicaAppErrs.Load)
+	reg.Counter("currents_router_replica_delta_bytes_total", "Epoch delta bytes streamed from primaries into replica appends (replicas apply the primary's solve, not their own).", m.replicaDeltaBytes.Load)
 	reg.Counter("currents_router_repairs_total", "Lagging replicas healed by re-streaming a snapshot.", m.repairs.Load)
 	reg.Counter("currents_router_repair_errors_total", "Repair adoptions that failed and were re-queued with backoff.", m.repairErrs.Load)
 	reg.Collect(metrics.KindGauge, "currents_replica_lag", "Epochs a placement member trails the placement's max, from the last anti-entropy scan.",

@@ -40,7 +40,6 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -757,6 +756,13 @@ func (rt *Router) shardShoot(ctx context.Context, r *http.Request, addr string, 
 func (rt *Router) shardRequest(ctx context.Context, r *http.Request, addr string, body []byte) (*http.Response, []byte, error) {
 	start := time.Now()
 	resp, err := rt.shardShoot(ctx, r, addr, body)
+	return rt.shardAnswer(addr, start, resp, err)
+}
+
+// shardAnswer reads a shard's response to a request issued at start —
+// capped at maxRelayBytes — and counts it on the shard's metrics, as
+// shardRequest describes.
+func (rt *Router) shardAnswer(addr string, start time.Time, resp *http.Response, err error) (*http.Response, []byte, error) {
 	if err == nil {
 		var respBody []byte
 		respBody, err = io.ReadAll(io.LimitReader(resp.Body, maxRelayBytes+1))
@@ -1163,14 +1169,21 @@ type appendBody struct {
 	Replicas []ReplicaStatus `json:"replicas,omitempty"`
 }
 
+// deltaContentType mirrors session.DeltaContentType, the media type of an
+// epoch delta frame (the cluster package deliberately does not import
+// session).
+const deltaContentType = "application/x-currents-delta"
+
 // proxyWrite forwards an append (or adopt) to the dataset's primary and,
-// when the primary accepts an append, fans the same batch out to the
-// replicas so every copy advances to the same epoch. Replica failures do
-// not fail the client's request, but they are counted
-// (currents_replica_append_failures_total), reported in the response's
-// "replicas" field, and enqueued for the repair loop — divergence is
-// observable the moment it happens, and heals without waiting for a
-// rebalance.
+// when the primary accepts an append, brings every replica to the primary's
+// new epoch: each replica appends the primary's epoch delta — the batch and
+// what the primary's solve across it overwrote — streamed from the
+// primary's GET delta straight into the replica's append, so the batch is
+// solved once, not once per copy. Replica failures do not fail the client's
+// request, but they are counted (currents_replica_append_failures_total),
+// reported in the response's "replicas" field, and enqueued for the repair
+// loop — divergence is observable the moment it happens, and heals without
+// waiting for a rebalance.
 func (rt *Router) proxyWrite(w http.ResponseWriter, r *http.Request, name, op string, placement []string, body []byte) {
 	// Appends recompute truth/dependence deltas; adoptions stream whole
 	// snapshots. Both get a laxer deadline than a point read.
@@ -1178,24 +1191,12 @@ func (rt *Router) proxyWrite(w http.ResponseWriter, r *http.Request, name, op st
 	if op == "append" && rt.opt.TryTimeout > 0 {
 		timeout = 4 * rt.opt.TryTimeout
 	}
-	writeCtx := func() (context.Context, context.CancelFunc) {
-		if timeout > 0 {
-			return context.WithTimeout(r.Context(), timeout)
-		}
-		return context.WithCancel(r.Context())
-	}
 
 	primary := placement[0]
-	ps := rt.shardFor(primary)
-	ctx, cancel := writeCtx()
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	resp, respBody, err := rt.shardRequest(ctx, r, primary, body)
 	cancel()
-	if ps != nil {
-		rt.settleVerdict(attemptResult{
-			s: ps, resp: resp, err: err,
-			canceled: err != nil && errors.Is(err, context.Canceled),
-		})
-	}
+	rt.settleShard(primary, resp, err)
 	if err != nil {
 		writeJSON(w, http.StatusBadGateway,
 			map[string]string{"error": fmt.Sprintf("primary %s: %v", primary, err)})
@@ -1206,18 +1207,21 @@ func (rt *Router) proxyWrite(w http.ResponseWriter, r *http.Request, name, op st
 		return
 	}
 
-	// The fan-out is conditional on the epoch the primary appended onto
-	// (?expect_epoch=): a replica standing anywhere else answers 409 with its
-	// epoch and applies nothing, so a repair that re-streams the primary's
-	// world — this batch included — while the replica's copy of the batch is
-	// in flight cannot make it land twice.
-	fan := r.Clone(r.Context())
+	// The fan-out is conditional on the epoch the primary appended onto: a
+	// replica standing anywhere else answers 409 with its epoch and applies
+	// nothing, so a repair that re-streams the primary's world — this batch
+	// included — while the replica's copy of the batch is in flight cannot
+	// make it land twice. An ack that names no epoch leaves nothing to
+	// condition on: every replica is then a failure, left to repair.
 	var primaryAck appendBody
-	if json.Unmarshal(respBody, &primaryAck) == nil && primaryAck.Epoch > 0 {
-		q := fan.URL.Query()
-		q.Set("expect_epoch", strconv.FormatUint(primaryAck.Epoch-1, 10))
-		fan.URL.RawQuery = q.Encode()
+	ackErr := json.Unmarshal(respBody, &primaryAck)
+	if ackErr == nil && primaryAck.Epoch == 0 {
+		ackErr = errors.New("no epoch")
 	}
+	// Once the primary has acked, the replicas follow whether or not the
+	// client stays for the answer: the fan-out is detached from the client's
+	// cancellation, bounded by the write deadline alone.
+	fanCtx := context.WithoutCancel(r.Context())
 
 	// Fan out to the replicas concurrently: the client-visible cost of
 	// replication is one write deadline regardless of replica count, so a
@@ -1231,16 +1235,17 @@ func (rt *Router) proxyWrite(w http.ResponseWriter, r *http.Request, name, op st
 		wg.Add(1)
 		go func(i int, replica string) {
 			defer wg.Done()
-			rctx, rcancel := writeCtx()
-			rresp, rbody, rerr := rt.shardRequest(rctx, fan, replica, body)
-			rcancel()
-			if rs := rt.shardFor(replica); rs != nil {
-				rt.settleVerdict(attemptResult{
-					s: rs, resp: rresp, err: rerr,
-					canceled: rerr != nil && errors.Is(rerr, context.Canceled),
-				})
-			}
 			st := ReplicaStatus{Addr: replica, OK: true}
+			var rresp *http.Response
+			var rbody []byte
+			var rerr error
+			if ackErr != nil {
+				rerr = fmt.Errorf("primary %s acked without an epoch (%v): %s", primary, ackErr, strings.TrimSpace(string(respBody)))
+			} else {
+				rctx, rcancel := context.WithTimeout(fanCtx, timeout)
+				rresp, rbody, rerr = rt.replicateDelta(rctx, name, primary, replica, primaryAck.Epoch)
+				rcancel()
+			}
 			applied := rerr == nil && rresp.StatusCode == http.StatusOK
 			if rerr == nil && rresp.StatusCode == http.StatusConflict {
 				// Refused: a replica at or past the primary's new epoch holds
@@ -1267,6 +1272,73 @@ func (rt *Router) proxyWrite(w http.ResponseWriter, r *http.Request, name, op st
 	}
 	wg.Wait()
 	relayAppend(w, resp, respBody, statuses)
+}
+
+// replicateDelta brings replica to epoch by appending the primary's delta
+// for it, conditional on the replica standing at epoch−1: the primary's GET
+// delta answer is streamed into the replica's append as it arrives, never
+// held whole in router memory. It returns the replica's answer; a primary
+// that cannot serve the delta is an error, as a replica unreachable is.
+// Each shard's leg settles on that shard's breaker.
+func (rt *Router) replicateDelta(ctx context.Context, name, primary, replica string, epoch uint64) (*http.Response, []byte, error) {
+	src := fmt.Sprintf("http://%s/v1/%s/delta?epoch=%d", primary, url.PathEscape(name), epoch)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, src, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	start := time.Now()
+	dresp, err := rt.client.Do(req)
+	if err != nil || dresp.StatusCode != http.StatusOK {
+		// A failed fetch is read and counted like any shard answer.
+		dresp, dbody, derr := rt.shardAnswer(primary, start, dresp, err)
+		rt.settleShard(primary, dresp, derr)
+		if derr == nil {
+			derr = fmt.Errorf("status %d: %s", dresp.StatusCode, strings.TrimSpace(string(dbody)))
+		}
+		return nil, nil, fmt.Errorf("delta from primary %s: %w", primary, derr)
+	}
+	defer dresp.Body.Close()
+	rt.met.observe(primary, time.Since(start), false)
+	rt.settleShard(primary, dresp, nil)
+
+	frame := &countingReader{r: dresp.Body}
+	dst := fmt.Sprintf("http://%s/v1/%s/append?expect_epoch=%d", replica, url.PathEscape(name), epoch-1)
+	if req, err = http.NewRequestWithContext(ctx, http.MethodPost, dst, frame); err != nil {
+		return nil, nil, err
+	}
+	req.ContentLength = dresp.ContentLength
+	req.Header.Set("Content-Type", deltaContentType)
+	start = time.Now()
+	resp, err := rt.client.Do(req)
+	rt.met.replicaDeltaBytes.Add(frame.n.Load())
+	resp, body, err := rt.shardAnswer(replica, start, resp, err)
+	rt.settleShard(replica, resp, err)
+	return resp, body, err
+}
+
+// settleShard settles one request's outcome on addr's breaker, when addr is
+// on the ring.
+func (rt *Router) settleShard(addr string, resp *http.Response, err error) {
+	if s := rt.shardFor(addr); s != nil {
+		rt.settleVerdict(attemptResult{
+			s: s, resp: resp, err: err,
+			canceled: err != nil && errors.Is(err, context.Canceled),
+		})
+	}
+}
+
+// countingReader counts the bytes read through it. The count is atomic: a
+// shard that answers before reading a request body leaves the transport
+// still reading it after Do returns.
+type countingReader struct {
+	r io.Reader
+	n atomic.Int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n.Add(int64(n))
+	return n, err
 }
 
 // relayAppend relays the primary's append answer with the replica fan-out

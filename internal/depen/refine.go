@@ -166,24 +166,40 @@ func StateFromParts(c *dataset.Compiled, acc, probs []float64, pairs []byte,
 		return nil, fmt.Errorf("depen: %d accuracies and %d posteriors for %d sources and %d value groups",
 			len(acc), len(probs), nS, len(c.GroupValue))
 	}
-	if len(pairs)%pairRecBytes != 0 {
-		return nil, fmt.Errorf("depen: %d bytes of pair records is not a whole number of %d-byte records",
-			len(pairs), pairRecBytes)
-	}
-	var recs []pairRec
-	if n := len(pairs) / pairRecBytes; n > 0 {
-		if uintptr(unsafe.Pointer(&pairs[0]))%unsafe.Alignof(pairRec{}) == 0 {
-			recs = unsafe.Slice((*pairRec)(unsafe.Pointer(&pairs[0])), n)
-		} else {
-			recs = make([]pairRec, n)
-			copy(unsafe.Slice((*byte)(unsafe.Pointer(&recs[0])), len(pairs)), pairs)
-		}
+	recs, err := pairRecs(pairs, nS, nil)
+	if err != nil {
+		return nil, err
 	}
 	st := &State{
 		c: c, acc: acc, probs: probs,
 		tot:    make([]float64, nS*nS),
 		pairs:  recs,
 		rounds: rounds, converged: converged,
+	}
+	st.setTotals(recs)
+	return st, nil
+}
+
+// pairRecs casts pairs, in PairBytes' layout, to records — in place when the
+// bytes are 8-byte aligned, a copy otherwise — and checks them: a whole
+// number of records, each naming sources a < b < nS, in strictly ascending
+// (a, b) order. With dirty non-nil every record must also have a dirty
+// member.
+func pairRecs(pairs []byte, nS int, dirty []bool) ([]pairRec, error) {
+	if len(pairs)%pairRecBytes != 0 {
+		return nil, fmt.Errorf("depen: %d bytes of pair records is not a whole number of %d-byte records",
+			len(pairs), pairRecBytes)
+	}
+	n := len(pairs) / pairRecBytes
+	if n == 0 {
+		return nil, nil
+	}
+	var recs []pairRec
+	if uintptr(unsafe.Pointer(&pairs[0]))%unsafe.Alignof(pairRec{}) == 0 {
+		recs = unsafe.Slice((*pairRec)(unsafe.Pointer(&pairs[0])), n)
+	} else {
+		recs = make([]pairRec, n)
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(&recs[0])), len(pairs)), pairs)
 	}
 	for k := range recs {
 		p := &recs[k]
@@ -193,11 +209,23 @@ func StateFromParts(c *dataset.Compiled, acc, probs []float64, pairs []byte,
 		if k > 0 && comparePairs(recs[k-1], *p) >= 0 {
 			return nil, fmt.Errorf("depen: pair %d (sources %d and %d) is out of order or given twice", k, p.a, p.b)
 		}
+		if dirty != nil && !dirty[p.a] && !dirty[p.b] {
+			return nil, fmt.Errorf("depen: pair %d (sources %d and %d) has no member the batch names", k, p.a, p.b)
+		}
+	}
+	return recs, nil
+}
+
+// setTotals writes each record's total posterior, ProbAB + ProbBA as a solve
+// writes it, into both of its cells of the totals table.
+func (st *State) setTotals(recs []pairRec) {
+	nS := st.c.NumSources()
+	for k := range recs {
+		p := &recs[k]
 		t := p.probAB + p.probBA
 		st.tot[int(p.a)*nS+int(p.b)] = t
 		st.tot[int(p.b)*nS+int(p.a)] = t
 	}
-	return st, nil
 }
 
 // Solve returns the dense state of d's last epoch — Detect and Refine
@@ -352,12 +380,7 @@ func refine(d *dataset.Dataset, prev *State, cfg Config) *State {
 
 		// Dependence step over the dirty pairs, in their canonical order.
 		forN(len(cands), pairStep)
-		for pi := range fresh {
-			p := &fresh[pi]
-			t := p.probAB + p.probBA
-			depTab[int(p.a)*nS+int(p.b)] = t
-			depTab[int(p.b)*nS+int(p.a)] = t
-		}
+		st.setTotals(fresh)
 		haveDep = haveDep || len(cands) > 0
 		st.rounds = round
 

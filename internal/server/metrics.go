@@ -15,7 +15,7 @@ import (
 // order); one opMetrics per entry. "other" counts requests that matched no
 // dataset/operation (404 traffic must still be visible to an operator
 // watching /metrics).
-var ops = []string{"accuracy", "adopt", "answer", "append", "fuse", "healthz", "history", "link", "metrics", "other", "readyz", "recommend", "snapshot", "trajectory"}
+var ops = []string{"accuracy", "adopt", "answer", "append", "delta", "fuse", "healthz", "history", "link", "metrics", "other", "readyz", "recommend", "snapshot", "trajectory"}
 
 // latencyBuckets are the histogram upper bounds in seconds.
 var latencyBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5}
@@ -101,6 +101,8 @@ func registerRegistryMetrics(reg *metrics.Registry, datasets *Registry) {
 		func(st DatasetStat) int64 { return st.Swaps })
 	perDataset(metrics.KindCounter, "currents_dataset_appends_total", "Accepted append batches per dataset since server start.",
 		func(st DatasetStat) int64 { return st.Appends })
+	perDataset(metrics.KindCounter, "currents_dataset_delta_appends_total", "Accepted append batches per dataset applied from a primary's epoch delta instead of solved.",
+		func(st DatasetStat) int64 { return st.DeltaAppends })
 	perDataset(metrics.KindGauge, "currents_dataset_resident", "Whether each dataset's session is currently loaded (1) or lazy/evicted (0).",
 		func(st DatasetStat) int64 {
 			if st.Resident {

@@ -77,6 +77,9 @@ type entry struct {
 	updateMu sync.Mutex
 	swaps    atomic.Int64
 	appends  atomic.Int64
+	// deltaAppends counts the appends that applied a primary's epoch delta
+	// instead of solving (a subset of appends).
+	deltaAppends atomic.Int64
 	// verified records that the entry's snapshot has been proven loadable at
 	// least once (a successful load, adopt validation, or /readyz probe).
 	// Eviction keeps the bit: the file on disk was good and is not rewritten
@@ -466,11 +469,20 @@ func (r *Registry) KnownEpochs() map[string]uint64 {
 // ingest path and counts on currents_dataset_appends_total; boot replay
 // advances worlds through the same update without counting.
 func (r *Registry) Update(name string, fn func(cur *session.Session) (*session.Session, error)) (*session.Session, uint64, error) {
+	return r.ingest(name, fn, false)
+}
+
+// ingest is Update, counting the append as one applied from a primary's
+// epoch delta too when delta is set (currents_dataset_delta_appends_total).
+func (r *Registry) ingest(name string, fn func(cur *session.Session) (*session.Session, error), delta bool) (*session.Session, uint64, error) {
 	next, epoch, e, err := r.update(name, fn)
 	if err != nil {
 		return nil, 0, err
 	}
 	e.appends.Add(1)
+	if delta {
+		e.deltaAppends.Add(1)
+	}
 	return next, epoch, nil
 }
 
@@ -519,6 +531,8 @@ type DatasetStat struct {
 	Epoch   uint64
 	Swaps   int64
 	Appends int64
+	// DeltaAppends counts the appends applied from a primary's epoch delta.
+	DeltaAppends int64
 	// Resident reports whether the session is currently loaded;
 	// MappedBytes is the size of its mmap'd snapshot (0 for heap-backed
 	// sessions and non-resident entries).
@@ -538,11 +552,12 @@ func (r *Registry) Stats() []DatasetStat {
 	out := make([]DatasetStat, 0, len(r.entries))
 	for name, e := range r.entries {
 		st := DatasetStat{
-			Name:     name,
-			Epoch:    e.epoch,
-			Swaps:    e.swaps.Load(),
-			Appends:  e.appends.Load(),
-			Resident: e.sess != nil,
+			Name:         name,
+			Epoch:        e.epoch,
+			Swaps:        e.swaps.Load(),
+			Appends:      e.appends.Load(),
+			DeltaAppends: e.deltaAppends.Load(),
+			Resident:     e.sess != nil,
 		}
 		if e.sess != nil {
 			st.MappedBytes = e.sess.MappedBytes()

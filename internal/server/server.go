@@ -6,13 +6,15 @@
 //
 //	POST /v1/{dataset}/answer     online query answering (per-request
 //	                              policy/cap/stop overrides, coalesced)
-//	POST /v1/{dataset}/append     live ingest: append a claim batch and
-//	                              epoch-swap in the refined successor
+//	POST /v1/{dataset}/append     live ingest: append a claim batch (JSON,
+//	                              or a primary's delta frame) and epoch-swap
+//	                              in the refined successor
 //	POST /v1/{dataset}/fuse       fused view of every object
 //	POST /v1/{dataset}/recommend  trust-ranked source recommendation
 //	POST /v1/{dataset}/link       record-linkage clusters
 //	GET  /v1/{dataset}/accuracy   discovered per-source accuracies
 //	GET  /v1/{dataset}/snapshot   stream the session snapshot (replica bootstrap)
+//	GET  /v1/{dataset}/delta      an epoch's delta frame (replica fan-out)
 //	POST /v1/{dataset}/adopt      pull + validate + register a peer snapshot
 //	GET  /healthz                 liveness + registered datasets (+ ready bit)
 //	GET  /readyz                  active readiness: every world verifiably opens
@@ -43,6 +45,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"mime"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -376,6 +379,11 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) (string, response
 			return op, methodNotAllowed(w, http.MethodGet)
 		}
 		return op, s.handleSnapshot(sess)
+	case "delta":
+		if r.Method != http.MethodGet {
+			return op, methodNotAllowed(w, http.MethodGet)
+		}
+		return op, s.handleDelta(r, sess)
 	}
 	return "other", jsonResponse(http.StatusNotFound,
 		ErrorResponse{Error: fmt.Sprintf("unknown operation %q", op)})
@@ -458,6 +466,11 @@ func answerResponse(sess *session.Session, req AnswerRequest) response {
 	return jsonResponse(http.StatusOK, BuildAnswerResponse(res, req.IncludeSteps))
 }
 
+// maxDeltaBytes caps a delta append's body. A delta carries what a solve
+// rewrote, which on a many-source world outgrows any JSON batch: an
+// object-major batch on 550 sources rewrites ~150k pair records, 8.4 MB.
+const maxDeltaBytes = 256 << 20
+
 // handleAppend ingests one claim batch: it builds the refined successor
 // session off the request path's current session, persists the batch as a
 // log segment when configured (a failed write aborts the ingest — nothing
@@ -468,44 +481,71 @@ func answerResponse(sess *session.Session, req AnswerRequest) response {
 // session until the swap lands. After the swap the cached answers of the
 // epoch it pushed below the retention floor are flushed — no request can
 // address them any more; the flush reclaims them.
+//
+// A body of session.DeltaContentType is a primary's epoch delta frame (GET
+// delta) rather than a JSON batch: the successor is the frame's batch with
+// the primary's solve applied (Session.AppendDelta), not solved again — how a
+// replica follows its primary. It must be conditional, since a delta only
+// applies to the epoch it was taken after; everything past building the
+// successor is the same.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, name string) response {
-	body, err := s.readBody(w, r)
-	if err != nil {
-		return errResponse(err)
-	}
-	var req AppendRequest
-	if err := decodeBody(body, &req); err != nil {
-		return errResponse(err)
-	}
-	batch, err := req.batch()
-	if err != nil {
-		return errResponse(err)
-	}
 	// ?expect_epoch=e applies the batch only to a dataset standing at epoch
 	// e (a router's replica fan-out sends the primary's pre-append epoch);
 	// anywhere else it is a 409 carrying the epoch, and nothing is applied.
 	query := r.URL.Query()
 	expect, conditional := uint64(0), query.Has("expect_epoch")
 	if conditional {
+		var err error
 		if expect, err = strconv.ParseUint(query.Get("expect_epoch"), 10, 64); err != nil {
 			return errResponse(fmt.Errorf("%w: expect_epoch: %v", ErrBadRequest, err))
 		}
 	}
-	next, epoch, err := s.reg.Update(name, func(cur *session.Session) (*session.Session, error) {
+	mt, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
+	delta := mt == session.DeltaContentType
+	var advance func(cur *session.Session) (*session.Session, error)
+	if delta {
+		if !conditional {
+			return errResponse(fmt.Errorf("%w: a delta append needs ?expect_epoch=", ErrBadRequest))
+		}
+		frame, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxDeltaBytes))
+		if err != nil {
+			return errResponse(err)
+		}
+		advance = func(cur *session.Session) (*session.Session, error) { return cur.AppendDelta(frame) }
+	} else {
+		body, err := s.readBody(w, r)
+		if err != nil {
+			return errResponse(err)
+		}
+		var req AppendRequest
+		if err := decodeBody(body, &req); err != nil {
+			return errResponse(err)
+		}
+		batch, err := req.batch()
+		if err != nil {
+			return errResponse(err)
+		}
+		advance = func(cur *session.Session) (*session.Session, error) { return cur.Append(batch) }
+	}
+	next, epoch, err := s.reg.ingest(name, func(cur *session.Session) (*session.Session, error) {
 		// A registry epoch is its dataset's append-log epoch, and the update
 		// lock holds it still between this check and the swap.
-		if have := uint64(cur.DatasetEpoch()); conditional && have != expect {
+		have := uint64(cur.DatasetEpoch())
+		if conditional && have != expect {
 			return nil, &epochConflict{
 				Message: fmt.Sprintf("dataset %q is at epoch %d, append expected %d", name, have, expect),
 				Epoch:   have,
 			}
 		}
-		succ, err := cur.Append(batch)
+		succ, err := advance(cur)
+		if errors.Is(err, session.ErrDeltaEpoch) {
+			return nil, &epochConflict{Message: fmt.Sprintf("dataset %q: %v", name, err), Epoch: have}
+		}
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
 		if s.opt.PersistDir != "" {
-			if err := s.persistSegment(name, succ.Dataset().Epoch(), batch); err != nil {
+			if err := s.persistSegment(name, succ.Dataset().Epoch(), succ.Dataset().Batch()); err != nil {
 				return nil, err
 			}
 			// Still under the update lock: were compaction to run after it,
@@ -516,7 +556,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, name strin
 			}
 		}
 		return succ, nil
-	})
+	}, delta)
 	var conflict *epochConflict
 	if errors.As(err, &conflict) {
 		return jsonResponse(http.StatusConflict, conflict)
@@ -538,7 +578,27 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, name strin
 			s.opt.Logf("append %s: flushed %d cached answers for pruned epoch %s", name, n, dropped)
 		}
 	}
-	return jsonResponse(http.StatusOK, BuildAppendResponse(name, epoch, len(batch), next))
+	return jsonResponse(http.StatusOK, BuildAppendResponse(name, epoch, len(next.Dataset().Batch()), next))
+}
+
+// handleDelta serves the epoch delta frame of ?epoch=e — the batch that
+// reached e and what the solve across it overwrote — from the session at e:
+// the current one, a retained one, or one rebuilt through AsOf. A replica at
+// e−1 appends it (handleAppend) instead of solving the batch again.
+func (s *Server) handleDelta(r *http.Request, sess *session.Session) response {
+	e, err := strconv.Atoi(r.URL.Query().Get("epoch"))
+	if err != nil || e < 1 {
+		return errResponse(fmt.Errorf("%w: delta needs ?epoch=<an appended epoch>", ErrBadRequest))
+	}
+	at, err := sess.AsOf(e)
+	if err != nil {
+		return errResponse(fmt.Errorf("%w: delta: %v", ErrBadRequest, err))
+	}
+	var buf bytes.Buffer
+	if err := at.WriteDelta(&buf); err != nil {
+		return errResponse(err)
+	}
+	return response{status: http.StatusOK, contentType: session.DeltaContentType, body: buf.Bytes()}
 }
 
 // persistSegment writes one append batch as <name>.<epoch>.seg via a

@@ -219,6 +219,13 @@ func (s *Session) Append(batch []model.Claim) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.successor(d2, st2)
+}
+
+// successor assembles the session of d2, the successor of s's dataset, over
+// its state st2, sharing s's history spine with s retained behind it — the
+// tail of Append and AppendDelta.
+func (s *Session) successor(d2 *dataset.Dataset, st2 *depen.State) (*Session, error) {
 	next, err := newSession(d2, s.cfg, st2)
 	if err != nil {
 		return nil, err

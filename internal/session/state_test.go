@@ -157,7 +157,16 @@ func growthBatches(rng *rand.Rand) []func(*dataset.Dataset) []model.Claim {
 	}
 }
 
-func TestStateChainEquivalence(t *testing.T) {
+// chainStart opens the session a chain starts from.
+type chainStart struct {
+	name string
+	open func(t *testing.T, cfg Config) *Session
+}
+
+// chainStarts are the sessions the state chains start from: built by New,
+// and — with a log of two batches — read into memory ("v1"), mapped from a
+// file ("v2-mapped") and rebuilt as of epoch 1.
+func chainStarts() []chainStart {
 	base := func(t *testing.T, cfg Config) *Session {
 		s, err := New(servingWorld(t, 17), cfg)
 		if err != nil {
@@ -178,10 +187,7 @@ func TestStateChainEquivalence(t *testing.T) {
 		}
 		return s
 	}
-	starts := []struct {
-		name string
-		open func(t *testing.T, cfg Config) *Session
-	}{
+	return []chainStart{
 		{"new", base},
 		// "v1" and "v2-mapped" are the one snapshot format's two load paths:
 		// read into memory, and mapped from a file.
@@ -211,7 +217,10 @@ func TestStateChainEquivalence(t *testing.T) {
 			return hs
 		}},
 	}
-	for _, start := range starts {
+}
+
+func TestStateChainEquivalence(t *testing.T) {
+	for _, start := range chainStarts() {
 		for _, par := range []int{1, 4} {
 			start, par := start, par
 			t.Run(fmt.Sprintf("%s/par%d", start.name, par), func(t *testing.T) {

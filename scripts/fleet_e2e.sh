@@ -16,14 +16,20 @@
 #      fault-injection proxies, and a resilience-tuned router must hide a
 #      slow (+500 ms) shard, a blackholed shard (zero failed reads, bounded
 #      p99, breaker observed open, append fan-out failure repaired back to
-#      lag 0 with byte-identical answers), and a flapping shard.
+#      lag 0 with byte-identical answers), and a flapping shard,
+#   8. replicas apply the primary's epoch delta: on a persisting rf=2 pair,
+#      routed source-major, object-major and new-source appends land on the
+#      replica as deltas (currents_dataset_delta_appends_total), its segment
+#      files are cmp-identical to the primary's, and after a restart — which
+#      replays the segments by solving — it answers byte-identically.
 #
 #   scripts/fleet_e2e.sh [port-base]
 #
 # Shards listen on port-base+1..+4 (default 19001..19004), the router on
 # port-base+80 (default 19080). The chaos fleet uses port-base+31..33
 # (upstream shards), +41..43 (chaos proxies — these go on the ring),
-# +51..53 (chaos admin), and +81 (the chaos router).
+# +51..53 (chaos admin), and +81 (the chaos router). The delta pair uses
+# port-base+61..62 and its router port-base+82.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -290,5 +296,57 @@ set_fault "$CA1" '{}'
 grep 'router mode PASS: zero failed reads' "$WORK/chaos-flap.txt"
 grep 'router resilience:' "$WORK/chaos-flap.txt"
 echo "fleet_e2e: flapping shard hidden (zero failed reads across 10 fault flips)"
+
+# --- 8. Replicas apply the primary's delta instead of solving. A fresh rf=2
+#        pair persists appends as segments into its load directories, so a
+#        restarted replica rebuilds its world by solving every segment — the
+#        end-to-end check that delta application equals the solve.
+D1P=$((BASE + 61)); D2P=$((BASE + 62)); DRPORT=$((BASE + 82))
+DRING="127.0.0.1:$D1P,127.0.0.1:$D2P"
+ROUTER3="http://127.0.0.1:$DRPORT"
+read -r _ DPRIMARY DREPLICA < <("$BIN" ring -shards "$DRING" -rf 2 ci)
+mkdir -p "$WORK/d/$DPRIMARY" "$WORK/d/$DREPLICA"
+"$BIN" snapshot -o "$WORK/d/$DPRIMARY/ci.snap" internal/server/testdata/ci_claims.csv
+cp "$WORK/d/$DPRIMARY/ci.snap" "$WORK/d/$DREPLICA/ci.snap"
+start_delta_shard() { # addr
+  "$BIN" server -addr "$1" -load "$WORK/d/$1" -persist-appends load \
+    2>>"$WORK/delta-shard-${1##*:}.log" &
+  PIDS+=("$!")
+}
+start_delta_shard "$DPRIMARY"
+start_delta_shard "$DREPLICA"; DREPLICA_PID="${PIDS[-1]}"
+wait_ready "http://$DPRIMARY/readyz"
+wait_ready "http://$DREPLICA/readyz"
+"$BIN" router -addr "127.0.0.1:$DRPORT" -shards "$DRING" -rf 2 2>>"$WORK/router3.log" &
+PIDS+=("$!")
+wait_ready "$ROUTER3/healthz"
+
+printf 'S3,Dong,affiliation,MSR\nS3,Carey,affiliation,BEA\n' > "$WORK/delta-src.csv"
+printf 'S1,Halevy,affiliation,UW\nS2,Halevy,affiliation,UW\nS3,Halevy,affiliation,Google\nS4,Halevy,affiliation,Google\nS5,Halevy,affiliation,UW\n' \
+  > "$WORK/delta-obj.csv"
+printf 'A0,Dong,affiliation,UW\nA0,Widom,affiliation,Stanford\n' > "$WORK/delta-new.csv"
+N=0
+for f in delta-src delta-obj delta-new; do
+  N=$((N + 1))
+  "$BIN" append -addr "$ROUTER3" -dataset ci "$WORK/$f.csv" 2> "$WORK/$f.txt"
+  grep -q "epoch $N" "$WORK/$f.txt"
+done
+curl -fs "http://$DREPLICA/metrics" | grep "^currents_dataset_delta_appends_total{dataset=\"ci\"} $N\$"
+curl -fs "http://$DPRIMARY/metrics" | grep -q '^currents_dataset_delta_appends_total{dataset="ci"} 0$'
+curl -fs "$ROUTER3/metrics" | grep -q '^currents_router_replica_delta_bytes_total [1-9]'
+curl -fs "$ROUTER3/metrics" | grep -q '^currents_replica_append_failures_total 0$'
+for e in $(seq 1 "$N"); do
+  seg="$(printf 'ci.%06d.seg' "$e")"
+  cmp "$WORK/d/$DPRIMARY/$seg" "$WORK/d/$DREPLICA/$seg"
+done
+curl -fs -X POST --data-binary @"$REQ" "http://$DPRIMARY/v1/ci/answer" > "$WORK/delta-primary.json"
+curl -fs -X POST --data-binary @"$REQ" "http://$DREPLICA/v1/ci/answer" > "$WORK/delta-replica.json"
+diff "$WORK/delta-primary.json" "$WORK/delta-replica.json"
+kill "$DREPLICA_PID"; wait "$DREPLICA_PID" 2>/dev/null || true
+start_delta_shard "$DREPLICA"
+wait_ready "http://$DREPLICA/readyz"
+curl -fs -X POST --data-binary @"$REQ" "http://$DREPLICA/v1/ci/answer" > "$WORK/delta-restarted.json"
+diff "$WORK/delta-primary.json" "$WORK/delta-restarted.json"
+echo "fleet_e2e: $N routed appends applied on the replica as deltas; segments cmp-identical; restarted replica answers byte-identically"
 
 echo "fleet_e2e: PASS"
