@@ -40,10 +40,10 @@ func runRouter(args []string) error {
 	backoffMax := fs.Duration("backoff-max", cluster.DefaultBackoffMax, "cap on the failover backoff delay")
 	seed := fs.Int64("seed", 1, "seed for deterministic backoff jitter")
 	repairInterval := fs.Duration("repair-interval", cluster.DefaultRepairInterval, "anti-entropy scan period for replica repair (<0 disables)")
-	repairTimeout := fs.Duration("repair-timeout", cluster.DefaultRepairTimeout, "deadline for one repair or rebalance snapshot adoption")
+	repairTimeout := fs.Duration("repair-timeout", cluster.DefaultRepairTimeout, "deadline for one repair delta or one rebalance adoption")
 	_ = fs.Parse(args)
 	if *shards == "" || fs.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: currents router -addr :8080 -shards host1:9001,host2:9002[,...] [-rf N] [-vnodes N] [-health-interval D] [-probe-timeout D] [-try-timeout D] [-hedge-delay D] [-breaker-threshold N] [-breaker-cooldown D] [-retry-budget F] [-repair-interval D]")
+		fmt.Fprintln(os.Stderr, "usage: currents router -addr :8080 -shards host1:9001,host2:9002[,...] [-rf N] [-vnodes N] [-health-interval D] [-probe-timeout D] [-max-request-bytes N] [-try-timeout D] [-hedge-delay D] [-breaker-threshold N] [-breaker-cooldown D] [-retry-budget F] [-backoff-base D] [-backoff-max D] [-seed N] [-repair-interval D] [-repair-timeout D]")
 		os.Exit(2)
 	}
 

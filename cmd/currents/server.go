@@ -101,7 +101,7 @@ func runServer(args []string) error {
 	prof := profiling.Register(fs)
 	_ = fs.Parse(args)
 	if *load == "" || fs.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: currents server -addr :8080 -load DIR [-cache-size N] [-cache-ttl D] [-persist-appends DIR] [-compact-every N] [-max-resident N] [-retain-epochs N] [-allow-empty] [-adopt-dir DIR] [-ring host:port,...] [-self host:port] [-pprof]")
+		fmt.Fprintln(os.Stderr, "usage: currents server -addr :8080 -load DIR [-max-request-bytes N] [-cache-size N] [-cache-ttl D] [-persist-appends DIR] [-compact-every N] [-max-resident N] [-retain-epochs N] [-allow-empty] [-adopt-dir DIR] [-ring host:port,...] [-self host:port] [-rf N] [-pprof]")
 		os.Exit(2)
 	}
 	if *persist == "load" {

@@ -177,3 +177,152 @@ func TestRouterAppendAckWithoutEpoch(t *testing.T) {
 		t.Fatalf("repair queue = %d tasks, want 1", got)
 	}
 }
+
+// A replica that missed three appends — across which its primary compacted —
+// is repaired by one delta since its own epoch: no snapshot is streamed and
+// nothing is adopted; it reaches the primary's epoch serving the primary's
+// bytes now and at both epochs it jumped over, holds the primary's segment
+// bytes, and keeps its world: no cached answer is flushed and every epoch
+// it held in memory still is.
+func TestRouterRepairIsADelta(t *testing.T) {
+	cfg := session.DefaultConfig()
+	cfg.RetainEpochs = 4
+	var snapshots, adopts atomic.Int64
+	addrs := make([]string, 2)
+	dirs := map[string]string{}
+	var target string
+	for i := range addrs {
+		dir := t.TempDir()
+		writeWorldSnap(t, dir, "alpha", 11, 30)
+		reg, err := server.LoadDirAllowEmpty(dir, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shard := server.New(reg, server.Options{
+			AdoptDir: dir, SessionCfg: cfg, PersistDir: dir, CompactEvery: 2, AnswerCacheSize: 64,
+		})
+		var self string
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch {
+			case strings.HasSuffix(r.URL.Path, "/snapshot"):
+				snapshots.Add(1)
+			case strings.HasSuffix(r.URL.Path, "/adopt") && self == target:
+				adopts.Add(1)
+			}
+			shard.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		self = strings.TrimPrefix(ts.URL, "http://")
+		addrs[i] = self
+		dirs[self] = dir
+	}
+	rt, err := NewRouter(addrs, Options{RF: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	placement := rt.Placement("alpha")
+	target = placement[1]
+	primary, replica := "http://"+placement[0], "http://"+placement[1]
+
+	// Load both worlds and cache an answer on the replica.
+	for _, base := range []string{primary, replica} {
+		if resp, body := directReq(t, base, http.MethodPost, "/v1/alpha/answer", answerReq); resp.StatusCode != http.StatusOK {
+			t.Fatalf("answer: %d %s", resp.StatusCode, body)
+		}
+	}
+	flushes := func() string {
+		_, met := directReq(t, replica, http.MethodGet, "/metrics", "")
+		for _, line := range strings.Split(string(met), "\n") {
+			if strings.HasPrefix(line, "currents_answer_cache_flushes_total ") {
+				return line
+			}
+		}
+		t.Fatal("no currents_answer_cache_flushes_total on the replica")
+		return ""
+	}
+	resident := func() map[int]bool {
+		_, body := directReq(t, replica, http.MethodGet, "/v1/alpha/history", "")
+		var h server.HistoryResponse
+		if err := json.Unmarshal(body, &h); err != nil {
+			t.Fatal(err)
+		}
+		out := map[int]bool{}
+		for _, e := range h.Epochs {
+			if e.Resident {
+				out[e.Epoch] = true
+			}
+		}
+		return out
+	}
+	flushesBefore, residentBefore := flushes(), resident()
+
+	// Three appends straight to the primary, bypassing the fan-out; the
+	// second compacts its log into a snapshot at epoch 2.
+	for i, b := range []string{
+		`{"claims":[{"source":"I2","entity":"o00000","attribute":"v","value":"zzz"},{"source":"I2","entity":"o00001","attribute":"v","value":"zzz"}]}`,
+		`{"claims":[{"source":"0-first","entity":"o00002","attribute":"v","value":"zzz"}]}`,
+		`{"claims":[{"source":"I4","entity":"o00003","attribute":"v","value":"yyy"},{"source":"I0","entity":"o00004","attribute":"v","value":"yyy"}]}`,
+	} {
+		if resp, body := directReq(t, primary, http.MethodPost, "/v1/alpha/append", b); resp.StatusCode != http.StatusOK {
+			t.Fatalf("primary append %d: %d %s", i+1, resp.StatusCode, body)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dirs[placement[0]], "archive", "alpha.000002.seg")); err != nil {
+		t.Fatalf("the primary did not compact mid-lag: %v", err)
+	}
+	rt.probeAll()
+	rt.repair.runOnce()
+
+	if got := rt.met.repairs.Load(); got != 1 {
+		t.Fatalf("repairs = %d, want 1 (errors %d)", got, rt.met.repairErrs.Load())
+	}
+	if snapshots.Load() != 0 || adopts.Load() != 0 {
+		t.Fatalf("%d snapshots streamed, %d adopts on the target; want 0, 0", snapshots.Load(), adopts.Load())
+	}
+	if got := flushes(); got != flushesBefore {
+		t.Fatalf("the repair flushed the replica's cache: %q, was %q", got, flushesBefore)
+	}
+	after := resident()
+	for e := range residentBefore {
+		if !after[e] {
+			t.Fatalf("epoch %d was resident before the repair and is not after (%v)", e, after)
+		}
+	}
+	if !after[3] {
+		t.Fatalf("the replica does not serve epoch 3 (resident %v)", after)
+	}
+
+	for _, r := range []struct{ method, path, body string }{
+		{http.MethodPost, "/v1/alpha/answer", answerReq},
+		{http.MethodPost, "/v1/alpha/fuse", ""},
+		{http.MethodGet, "/v1/alpha/accuracy", ""},
+		{http.MethodPost, "/v1/alpha/answer?as_of=1", answerReq},
+		{http.MethodPost, "/v1/alpha/answer?as_of=2", answerReq},
+		{http.MethodGet, "/v1/alpha/accuracy?as_of=1", ""},
+		{http.MethodGet, "/v1/alpha/accuracy?as_of=2", ""},
+	} {
+		wresp, want := directReq(t, primary, r.method, r.path, r.body)
+		_, got := directReq(t, replica, r.method, r.path, r.body)
+		if wresp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+			t.Fatalf("%s: replica serves\n%s\nprimary (%d)\n%s", r.path, got, wresp.StatusCode, want)
+		}
+	}
+	// Each side's segments sit in its directory or, once compacted, in its
+	// archive.
+	seg := func(dir string, e int) []byte {
+		name := fmt.Sprintf("alpha.%06d.seg", e)
+		for _, p := range []string{filepath.Join(dir, name), filepath.Join(dir, "archive", name)} {
+			if b, err := os.ReadFile(p); err == nil {
+				return b
+			}
+		}
+		t.Fatalf("%s not in %s", name, dir)
+		return nil
+	}
+	for e := 1; e <= 3; e++ {
+		if !bytes.Equal(seg(dirs[placement[1]], e), seg(dirs[placement[0]], e)) {
+			t.Fatalf("segment %d differs between replica and primary", e)
+		}
+	}
+}

@@ -110,8 +110,8 @@ func newRouterMetrics(shards func() []*shardState) *routerMetrics {
 	reg.Counter("currents_router_replica_append_errors_total", "Replica append fan-outs that failed (replica diverges until repaired).", m.replicaAppErrs.Load)
 	reg.Counter("currents_replica_append_failures_total", "Replica append fan-outs that failed; each enqueues a repair.", m.replicaAppErrs.Load)
 	reg.Counter("currents_router_replica_delta_bytes_total", "Epoch delta bytes streamed from primaries into replica appends (replicas apply the primary's solve, not their own).", m.replicaDeltaBytes.Load)
-	reg.Counter("currents_router_repairs_total", "Lagging replicas healed by re-streaming a snapshot.", m.repairs.Load)
-	reg.Counter("currents_router_repair_errors_total", "Repair adoptions that failed and were re-queued with backoff.", m.repairErrs.Load)
+	reg.Counter("currents_router_repairs_total", "Lagging replicas healed by appending a holder's delta since their epoch.", m.repairs.Load)
+	reg.Counter("currents_router_repair_errors_total", "Repairs that failed and were re-queued with backoff.", m.repairErrs.Load)
 	reg.Collect(metrics.KindGauge, "currents_replica_lag", "Epochs a placement member trails the placement's max, from the last anti-entropy scan.",
 		[]string{"dataset", "shard"}, m.collectLag)
 	reg.Counter("currents_router_rebalance_adoptions_total", "Snapshot adoptions triggered by ring changes.", m.rebalanceAdopts.Load)

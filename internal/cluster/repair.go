@@ -5,26 +5,35 @@
 // such failures immediately; a periodic scan additionally compares every
 // placement member's per-dataset epoch (reported on /readyz and collected
 // by the prober) against the placement's max, so lag is caught even when
-// the fan-out failure happened under a previous router. Repair re-streams
-// the freshest holder's snapshot onto the lagging shard via the adopt
-// endpoint's replace mode; repeated failures back off exponentially. Each
-// scan republishes the currents_replica_lag gauge wholesale, so a healed
-// replica's return to 0 is observable.
+// the fan-out failure happened under a previous router. Repair brings the
+// lagging shard to the freshest holder's epoch the way the fan-out does:
+// the holder's delta since the shard's own epoch, streamed into the shard's
+// conditional append, however many batches it spans. The replica keeps its
+// world — its answer cache and its retained epochs — and no batch is solved
+// twice. Repeated failures back off exponentially. Each scan republishes
+// the currents_replica_lag gauge wholesale, so a healed replica's return to
+// 0 is observable.
 //
 // The prober's epochs are a cache, and a scan that lands between a
 // primary's append and its replica's sees a gap that closes by itself. So a
-// task is only a suspicion: repairOne asks the shards again before it
-// streams a world, and a repair counts only when the target says it
-// replaced its world.
+// task is only a suspicion: repairOne asks the shards again before it sends
+// a delta, and a repair counts only when the target's conditional append
+// answers 200. A 409 means a fan-out moved the target first; nothing was
+// applied and nothing is left to heal.
 //
 // Divergence in this system is always an epoch gap, never a same-epoch
 // fork: every placement member applies the same append batches in the same
 // order (router fan-out relays one batch), so a lagging replica is a
-// strict prefix of the primary and a snapshot re-stream is the correct
-// heal.
+// strict prefix of the primary and the delta since its epoch is the
+// correct heal. A compacted source still carries the whole claim log, so no
+// lag is too long for one.
 package cluster
 
 import (
+	"context"
+	"fmt"
+	"net/http"
+	"strings"
 	"sync"
 	"time"
 )
@@ -180,9 +189,11 @@ func (rp *repairer) runDue() bool {
 	return healed
 }
 
-// repairOne heals one lagging replica by re-streaming the freshest
-// holder's snapshot. Returns true when the target is converged (repaired
-// now, or found already caught up).
+// repairOne brings one lagging replica to the freshest holder's epoch with
+// the holder's delta since the replica's own. A target that lacks the world
+// is given it by adoption, as Rebalance would; one that holds it at an epoch
+// no probe has reported is re-queued. Returns true when the target is
+// converged (repaired now, found caught up, or moved by a fan-out).
 func (rp *repairer) repairOne(t repairTask) bool {
 	rt := rp.rt
 	placement := rt.Placement(t.dataset)
@@ -208,49 +219,62 @@ func (rp *repairer) repairOne(t repairTask) bool {
 	}
 
 	// Pick the freshest holder as source, preferring ready shards; note
-	// the target's own epoch to detect "already converged".
+	// the target's own epoch, the one its delta starts from.
 	var src string
 	var srcEpoch, targetEpoch uint64
-	targetKnown := false
+	targetHas, targetKnown := false, false
 	for _, addr := range placement {
 		s := rt.shardFor(addr)
 		if s == nil || !s.has(t.dataset) {
 			continue
 		}
 		e, ok := s.epochOf(t.dataset)
-		if !ok {
-			continue
-		}
 		if addr == t.target {
-			targetEpoch, targetKnown = e, true
+			targetHas, targetEpoch, targetKnown = true, e, ok
 			continue
 		}
-		if src == "" || e > srcEpoch || (e == srcEpoch && !rt.isReady(src) && s.ready.Load()) {
+		if ok && (src == "" || e > srcEpoch || (e == srcEpoch && !rt.isReady(src) && s.ready.Load())) {
 			src, srcEpoch = addr, e
 		}
 	}
-	if src == "" {
+	switch {
+	case src == "":
 		rp.requeue(t, "no source holds a known epoch")
 		return false
-	}
-	if targetKnown && targetEpoch >= srcEpoch {
+	case !targetHas:
+		if err := rt.adopt(t.target, t.dataset, src); err != nil {
+			rt.met.repairErrs.Add(1)
+			rp.requeue(t, err.Error())
+			return false
+		}
+		rt.opt.Logf("repair: adopted %s onto %s from %s, which lacked it", t.dataset, t.target, src)
+	case !targetKnown:
+		rp.requeue(t, "the target's epoch is unknown")
+		return false
+	case targetEpoch >= srcEpoch:
 		rp.drop(t)
 		return true
-	}
-
-	status, err := rt.adopt(t.target, t.dataset, src, true)
-	if err != nil {
-		rt.met.repairErrs.Add(1)
-		rp.requeue(t, err.Error())
-		return false
-	}
-	if status == "replaced" {
-		rt.met.repairs.Add(1)
-		rt.opt.Logf("repair: re-streamed %s onto %s from %s (epoch %d)", t.dataset, t.target, src, srcEpoch)
-	} else {
-		// The target caught up while the snapshot was in flight and kept its
-		// own world: nothing was healed.
-		rt.opt.Logf("repair: %s on %s needed no heal (shard answered %q)", t.dataset, t.target, status)
+	default:
+		ctx, cancel := context.WithTimeout(context.Background(), rt.opt.RepairTimeout)
+		resp, body, err := rt.replicateDelta(ctx, t.dataset, src, t.target, targetEpoch)
+		cancel()
+		if err == nil && resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusConflict {
+			err = fmt.Errorf("status %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
+		}
+		if err != nil {
+			rt.met.repairErrs.Add(1)
+			rp.requeue(t, err.Error())
+			return false
+		}
+		if resp.StatusCode == http.StatusOK {
+			rt.met.repairs.Add(1)
+			rt.opt.Logf("repair: %s on %s appended the delta from epoch %d to %d from %s",
+				t.dataset, t.target, targetEpoch, srcEpoch, src)
+		} else {
+			// A fan-out moved the target off the epoch the delta applies to
+			// while it was in flight: nothing was applied, nothing is left.
+			rt.opt.Logf("repair: %s on %s needed no heal (moved past epoch %d)", t.dataset, t.target, targetEpoch)
+		}
 	}
 	rp.drop(t)
 	if s := rt.shardFor(t.target); s != nil {

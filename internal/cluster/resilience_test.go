@@ -334,7 +334,7 @@ func TestRouterAppendReplicaFailureReported(t *testing.T) {
 }
 
 // The anti-entropy scan finds a replica whose epoch trails its primary,
-// re-streams the primary's snapshot over it, and converges it to
+// appends the primary's delta since the replica's epoch, and converges it to
 // byte-identical answers; the lag gauge returns to 0 and a second round is
 // a no-op.
 func TestRouterRepairConvergence(t *testing.T) {
@@ -384,19 +384,21 @@ func TestRouterRepairConvergence(t *testing.T) {
 	}
 	rt.repair.runOnce()
 	if got := rt.met.repairs.Load(); got != 1 {
-		t.Fatalf("second repair round re-streamed (repairs=%d), want idempotent no-op", got)
+		t.Fatalf("second repair round repaired again (repairs=%d), want idempotent no-op", got)
 	}
 }
 
 // bootFanoutWindowFleet boots two shards serving "alpha" at rf=2 behind a
 // router and runs inWindow on every routed append at the moment the primary
 // has applied the batch and the replica's copy is arriving — the fan-out
-// window. It returns the router, the registries in placement order
-// (primary, replica) and a count of snapshot streams served.
+// window. An append that arrives while inWindow runs — a repair's —
+// passes straight through. It returns the router, the registries in
+// placement order (primary, replica) and a count of snapshot streams served.
 func bootFanoutWindowFleet(t *testing.T, inWindow func(rt *Router)) (*Router, [2]*server.Registry, *atomic.Int64) {
 	t.Helper()
 	var rt *Router
 	var replicaAddr string
+	var inside atomic.Bool
 	snapshots := new(atomic.Int64)
 	cfg := session.DefaultConfig()
 	addrs := make([]string, 2)
@@ -414,9 +416,10 @@ func bootFanoutWindowFleet(t *testing.T, inWindow func(rt *Router)) (*Router, [2
 			switch {
 			case strings.HasSuffix(r.URL.Path, "/snapshot"):
 				snapshots.Add(1)
-			case strings.HasSuffix(r.URL.Path, "/append") && self == replicaAddr:
+			case strings.HasSuffix(r.URL.Path, "/append") && self == replicaAddr && inside.CompareAndSwap(false, true):
 				// The primary has applied the batch, this replica has not yet.
 				inWindow(rt)
+				inside.Store(false)
 			}
 			shard.ServeHTTP(w, r)
 		}))
@@ -442,10 +445,11 @@ func bootFanoutWindowFleet(t *testing.T, inWindow func(rt *Router)) (*Router, [2
 
 // A probe that lands between a primary's append and its replica's sees an
 // epoch gap the fan-out is about to close. The scan may suspect the replica,
-// but the repair must ask again before it streams a world: every routed
-// append ends with no repair counted and no snapshot pulled.
+// but the repair must ask again before it sends a delta: every routed append
+// ends with no repair counted and no snapshot pulled, and the replica
+// applied each batch once, from the fan-out's delta.
 func TestRouterNoSpuriousRepair(t *testing.T) {
-	rt, _, snapshots := bootFanoutWindowFleet(t, func(rt *Router) {
+	rt, regs, snapshots := bootFanoutWindowFleet(t, func(rt *Router) {
 		rt.probeAll()
 		rt.repair.scanLag()
 	})
@@ -466,18 +470,22 @@ func TestRouterNoSpuriousRepair(t *testing.T) {
 	if got := snapshots.Load(); got != 0 {
 		t.Fatalf("%d snapshots streamed, want 0", got)
 	}
+	if st := regs[1].Stats()[0]; st.Epoch != 3 || st.DeltaAppends != 3 || st.Swaps != 3 {
+		t.Fatalf("replica at epoch %d after %d delta appends and %d swaps, want 3, 3, 3", st.Epoch, st.DeltaAppends, st.Swaps)
+	}
 	_, met := doReq(t, rt, http.MethodGet, "/metrics", "")
 	if !strings.Contains(string(met), "currents_router_repairs_total 0\n") {
 		t.Fatalf("metrics missing currents_router_repairs_total 0:\n%s", met)
 	}
 }
 
-// A repair that completes inside the fan-out window re-streams the primary's
-// world — the in-flight batch included — into the replica. The replica's
-// own copy of the batch must then be refused (the fan-out is conditional on
-// the primary's pre-append epoch), not applied on top: the replica ends at
-// the primary's epoch with the primary's claims, and the refusal counts as
-// a replica that holds the batch, not as a fan-out failure.
+// A repair that completes inside the fan-out window appends the primary's
+// delta — the in-flight batch included — to the replica. The replica's own
+// copy of the batch must then be refused (the fan-out is conditional on the
+// primary's pre-append epoch), not applied on top: the replica ends at the
+// primary's epoch with the primary's claims, having applied the batch once,
+// and the refusal counts as a replica that holds the batch, not as a
+// fan-out failure.
 func TestRouterRepairInsideFanoutWindow(t *testing.T) {
 	rt, regs, snapshots := bootFanoutWindowFleet(t, func(rt *Router) {
 		rt.probeAll()
@@ -496,8 +504,11 @@ func TestRouterRepairInsideFanoutWindow(t *testing.T) {
 	if len(ack.Replicas) != 1 || !ack.Replicas[0].OK {
 		t.Fatalf("replica status %+v, want one replica holding the batch", ack.Replicas)
 	}
-	if got := rt.met.repairs.Load(); got != 1 || snapshots.Load() != 1 {
-		t.Fatalf("repairs = %d, snapshots streamed = %d; the test needs exactly the one forced repair", got, snapshots.Load())
+	if got := rt.met.repairs.Load(); got != 1 || snapshots.Load() != 0 {
+		t.Fatalf("repairs = %d, snapshots streamed = %d; the test needs exactly the one forced repair, by delta", got, snapshots.Load())
+	}
+	if st := regs[1].Stats()[0]; st.DeltaAppends != 1 || st.Swaps != 1 {
+		t.Fatalf("replica applied %d delta appends in %d swaps, want the batch once", st.DeltaAppends, st.Swaps)
 	}
 	var claims [2]int
 	for i, reg := range regs {

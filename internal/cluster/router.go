@@ -22,8 +22,9 @@
 // budget (backoff.go) keeps failover from amplifying an outage into a
 // retry storm. Replica append fan-out failures are reported in the append
 // response and enqueued for repair: an anti-entropy loop (repair.go)
-// compares per-dataset epochs across each placement and re-streams
-// snapshots to lagging replicas.
+// compares per-dataset epochs across each placement and brings each lagging
+// replica to its source's epoch with the delta since the replica's own —
+// the fan-out's mechanism, across as many batches as it missed.
 //
 // The router holds no dataset state of its own, so routed responses are
 // byte-for-byte the shard's bytes — the golden suite pins routed answers
@@ -62,8 +63,9 @@ type Options struct {
 	MaxRequestBytes int64
 	// TryTimeout bounds one proxied attempt against one shard, so a hung
 	// shard costs at most one deadline before failover (0 =
-	// DefaultTryTimeout, <0 = no per-try deadline). Snapshot streams and
-	// adoptions use RepairTimeout instead — they legitimately run long.
+	// DefaultTryTimeout, <0 = no per-try deadline). Snapshot streams,
+	// adoptions and repairs use RepairTimeout instead — they legitimately
+	// run long.
 	TryTimeout time.Duration
 	// HedgeDelay, when positive, fires a hedged attempt at the next read
 	// replica after this delay; the first good answer wins and the loser
@@ -89,12 +91,12 @@ type Options struct {
 	// sequence (0 = 1).
 	Seed int64
 	// RepairInterval is the anti-entropy scan period: each scan compares
-	// per-dataset epochs across the placement and re-streams snapshots to
-	// lagging replicas (0 = DefaultRepairInterval, <0 = repair disabled).
-	// The loop runs only after Start.
+	// per-dataset epochs across the placement and brings lagging replicas
+	// up by delta (0 = DefaultRepairInterval, <0 = repair disabled). The
+	// loop runs only after Start.
 	RepairInterval time.Duration
-	// RepairTimeout bounds one repair adoption — a full snapshot stream
-	// (0 = DefaultRepairTimeout).
+	// RepairTimeout bounds one repair delta or one rebalance adoption — a
+	// full snapshot stream (0 = DefaultRepairTimeout).
 	RepairTimeout time.Duration
 	// Client issues proxied requests and rebalance adoptions; nil uses a
 	// dedicated client with pooled connections and no overall timeout
@@ -138,7 +140,7 @@ const (
 // DefaultRepairInterval is the anti-entropy scan period.
 const DefaultRepairInterval = 10 * time.Second
 
-// DefaultRepairTimeout bounds one repair or rebalance snapshot adoption.
+// DefaultRepairTimeout bounds one repair delta or rebalance adoption.
 const DefaultRepairTimeout = 60 * time.Second
 
 // shardState is the router's view of one shard, refreshed by the prober.
@@ -614,7 +616,7 @@ func (rt *Router) Rebalance() []Move {
 				continue
 			}
 			mv := Move{Dataset: ds, To: target, From: src}
-			if _, err := rt.adopt(target, ds, src, false); err != nil {
+			if err := rt.adopt(target, ds, src); err != nil {
 				mv.Error = err.Error()
 				rt.met.rebalanceErrs.Add(1)
 				rt.opt.Logf("rebalance: adopt %s onto %s from %s: %v", ds, target, src, err)
@@ -648,38 +650,28 @@ func pickSource(holding []string, byAddr map[string]*shardState) string {
 }
 
 // adopt tells target to pull dataset from src's snapshot stream, bounded
-// by RepairTimeout. replace re-streams over an existing (lagging) world.
-// It returns the shard's verdict: "adopted", "exists", "replaced", or
-// "current" when the target's own world was already as new.
-func (rt *Router) adopt(target, dataset, src string, replace bool) (string, error) {
+// by RepairTimeout. A target that already serves the dataset answers 200
+// and keeps its world.
+func (rt *Router) adopt(target, dataset, src string) error {
 	from := "http://" + src + "/v1/" + dataset + "/snapshot"
 	u := "http://" + target + "/v1/" + dataset + "/adopt?from=" + url.QueryEscape(from)
-	if replace {
-		u += "&replace=1"
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), rt.opt.RepairTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, nil)
 	if err != nil {
-		return "", err
+		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		return "", err
+		return err
 	}
 	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("adopt: shard answered %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+		return fmt.Errorf("adopt: shard answered %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
 	}
-	var ar struct {
-		Status string `json:"status"`
-	}
-	if err := json.Unmarshal(body, &ar); err != nil {
-		return "", fmt.Errorf("adopt: shard answered 200 with %q: %w", strings.TrimSpace(string(body)), err)
-	}
-	return ar.Status, nil
+	return nil
 }
 
 // proxy forwards one /v1/{dataset}/{op} request to the dataset's placement.
@@ -1209,10 +1201,11 @@ func (rt *Router) proxyWrite(w http.ResponseWriter, r *http.Request, name, op st
 
 	// The fan-out is conditional on the epoch the primary appended onto: a
 	// replica standing anywhere else answers 409 with its epoch and applies
-	// nothing, so a repair that re-streams the primary's world — this batch
-	// included — while the replica's copy of the batch is in flight cannot
-	// make it land twice. An ack that names no epoch leaves nothing to
-	// condition on: every replica is then a failure, left to repair.
+	// nothing, so a repair that brings the replica to the primary's epoch —
+	// this batch included — while the replica's copy of the batch is in
+	// flight cannot make it land twice. An ack that names no epoch leaves
+	// nothing to condition on: every replica is then a failure, left to
+	// repair.
 	var primaryAck appendBody
 	ackErr := json.Unmarshal(respBody, &primaryAck)
 	if ackErr == nil && primaryAck.Epoch == 0 {
@@ -1243,7 +1236,7 @@ func (rt *Router) proxyWrite(w http.ResponseWriter, r *http.Request, name, op st
 				rerr = fmt.Errorf("primary %s acked without an epoch (%v): %s", primary, ackErr, strings.TrimSpace(string(respBody)))
 			} else {
 				rctx, rcancel := context.WithTimeout(fanCtx, timeout)
-				rresp, rbody, rerr = rt.replicateDelta(rctx, name, primary, replica, primaryAck.Epoch)
+				rresp, rbody, rerr = rt.replicateDelta(rctx, name, primary, replica, primaryAck.Epoch-1)
 				rcancel()
 			}
 			applied := rerr == nil && rresp.StatusCode == http.StatusOK
@@ -1274,15 +1267,17 @@ func (rt *Router) proxyWrite(w http.ResponseWriter, r *http.Request, name, op st
 	relayAppend(w, resp, respBody, statuses)
 }
 
-// replicateDelta brings replica to epoch by appending the primary's delta
-// for it, conditional on the replica standing at epoch−1: the primary's GET
-// delta answer is streamed into the replica's append as it arrives, never
-// held whole in router memory. It returns the replica's answer; a primary
-// that cannot serve the delta is an error, as a replica unreachable is.
-// Each shard's leg settles on that shard's breaker.
-func (rt *Router) replicateDelta(ctx context.Context, name, primary, replica string, epoch uint64) (*http.Response, []byte, error) {
-	src := fmt.Sprintf("http://%s/v1/%s/delta?epoch=%d", primary, url.PathEscape(name), epoch)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, src, nil)
+// replicateDelta brings replica from epoch since to src's current epoch by
+// appending src's delta since then, conditional on the replica standing at
+// since — the one way a replica advances without solving: the fan-out sends
+// since = the primary's pre-append epoch, repair the replica's own epoch.
+// src's GET delta answer is streamed into the replica's append as it
+// arrives, never held whole in router memory. It returns the replica's
+// answer; a source that cannot serve the delta is an error, as a replica
+// unreachable is. Each shard's leg settles on that shard's breaker.
+func (rt *Router) replicateDelta(ctx context.Context, name, src, replica string, since uint64) (*http.Response, []byte, error) {
+	from := fmt.Sprintf("http://%s/v1/%s/delta?since=%d", src, url.PathEscape(name), since)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, from, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -1290,19 +1285,19 @@ func (rt *Router) replicateDelta(ctx context.Context, name, primary, replica str
 	dresp, err := rt.client.Do(req)
 	if err != nil || dresp.StatusCode != http.StatusOK {
 		// A failed fetch is read and counted like any shard answer.
-		dresp, dbody, derr := rt.shardAnswer(primary, start, dresp, err)
-		rt.settleShard(primary, dresp, derr)
+		dresp, dbody, derr := rt.shardAnswer(src, start, dresp, err)
+		rt.settleShard(src, dresp, derr)
 		if derr == nil {
 			derr = fmt.Errorf("status %d: %s", dresp.StatusCode, strings.TrimSpace(string(dbody)))
 		}
-		return nil, nil, fmt.Errorf("delta from primary %s: %w", primary, derr)
+		return nil, nil, fmt.Errorf("delta from %s: %w", src, derr)
 	}
 	defer dresp.Body.Close()
-	rt.met.observe(primary, time.Since(start), false)
-	rt.settleShard(primary, dresp, nil)
+	rt.met.observe(src, time.Since(start), false)
+	rt.settleShard(src, dresp, nil)
 
 	frame := &countingReader{r: dresp.Body}
-	dst := fmt.Sprintf("http://%s/v1/%s/append?expect_epoch=%d", replica, url.PathEscape(name), epoch-1)
+	dst := fmt.Sprintf("http://%s/v1/%s/append?expect_epoch=%d", replica, url.PathEscape(name), since)
 	if req, err = http.NewRequestWithContext(ctx, http.MethodPost, dst, frame); err != nil {
 		return nil, nil, err
 	}

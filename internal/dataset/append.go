@@ -116,11 +116,20 @@ func (d *Dataset) At(epoch int) (*Dataset, error) {
 
 // Batch returns the most recently appended batch (empty for a flat
 // dataset). The slice aliases internal storage; callers must not mutate it.
-func (d *Dataset) Batch() []model.Claim {
-	if len(d.bounds) == 0 {
+func (d *Dataset) Batch() []model.Claim { return d.BatchAt(len(d.bounds)) }
+
+// BatchAt returns the batch whose append reached epoch e, for e in
+// [1, Epoch()], and nil otherwise. The slice aliases internal storage;
+// callers must not mutate it.
+func (d *Dataset) BatchAt(e int) []model.Claim {
+	if e < 1 || e > len(d.bounds) {
 		return nil
 	}
-	return d.claims[d.bounds[len(d.bounds)-1]:]
+	end := len(d.claims)
+	if e < len(d.bounds) {
+		end = d.bounds[e]
+	}
+	return d.claims[d.bounds[e-1]:end]
 }
 
 // LogBounds returns the claim-count boundary of every epoch in append

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"sourcecurrents/internal/model"
 )
 
 // TestAt pins epoch navigation over the append log: At(e) is equivalent to
@@ -38,6 +40,15 @@ func TestAt(t *testing.T) {
 	}
 	if got, err := d2.At(2); err != nil || got != d2 {
 		t.Fatalf("At(Epoch()) = %v, %v; want the receiver", got, err)
+	}
+	// BatchAt(e) is the batch that reached epoch e, from any later dataset.
+	for e, want := range map[int][]model.Claim{1: all[30:45], 2: all[45:]} {
+		if got := d2.BatchAt(e); !reflect.DeepEqual(got, want) {
+			t.Fatalf("BatchAt(%d) = %d claims, want %d", e, len(got), len(want))
+		}
+	}
+	if d2.BatchAt(0) != nil || d2.BatchAt(3) != nil || d1.BatchAt(2) != nil {
+		t.Fatal("BatchAt outside [1, Epoch()] returned a batch")
 	}
 	// At is relative to the receiver, not the newest dataset over the log.
 	got, err := d1.At(0)

@@ -1,22 +1,26 @@
-// Epoch deltas: a solve across one batch, shipped instead of repeated.
+// Epoch deltas: the solves since an epoch, shipped instead of repeated.
 //
 // A solve across an appended batch (refine given a predecessor) overwrites
 // a known part of the state and copies the rest from the predecessor: it
 // rewrites the whole accuracy vector, the posterior rows of the objects the
 // batch names, and the pair records with a member the batch names (the only
 // records whose cells of the totals table it writes), and it ends after some
-// rounds, converged or not. That part is the epoch's Delta. Whoever holds the
-// predecessor's state and the successor dataset rebuilds the successor's
-// state from it by doing what refine does around its rounds — carry the
-// predecessor over, write the overwritten part, merge the pair lists — and
-// reaches the same state bit for bit, without running a round. That is how a
-// replica follows its primary: the primary solves the batch once and every
-// replica applies the delta.
+// rounds, converged or not. A chain of such solves from epoch since to the
+// current one overwrites the union of those parts, and what it overwrote
+// last is what the current state holds there; everything else is still the
+// state at since. That is the Delta since that epoch. Whoever holds the state
+// at since and the current dataset rebuilds the current state from it by
+// doing what refine does around its rounds — carry the old state over, write
+// the overwritten part, merge the pair lists — and reaches the same state bit
+// for bit, without running a round. That is how a replica follows its
+// primary, however far behind it is: the primary solves each batch once and
+// every replica applies the delta since its own epoch.
 //
-// The delta is read off the successor state itself: the batch gives the dirty
-// sources and objects, and the successor's records with a dirty member are
-// exactly the ones refine rescored (every kept record has two clean members),
-// so nothing extra is recorded while solving.
+// The delta is read off the current state itself: the batches since the
+// epoch give the dirty sources and objects, and the current records with a
+// dirty member are exactly the ones some solve since then rescored (every
+// record no solve touched has two clean members), so nothing extra is
+// recorded while solving.
 package depen
 
 import (
@@ -24,13 +28,15 @@ import (
 	"unsafe"
 
 	"sourcecurrents/internal/dataset"
+	"sourcecurrents/internal/model"
 )
 
-// Delta is what a solve across one appended batch overwrote, in the successor
-// dataset's compiled order: Acc the whole accuracy vector; Post the posterior
-// rows of the objects the batch names, in ascending object order, laid end to
-// end; Pairs the records of the analysed pairs with a member the batch names,
-// in PairBytes' layout and (a, b) order; and how the solve ended.
+// Delta is what the solves across the batches appended since an epoch
+// overwrote, in the current dataset's compiled order: Acc the whole accuracy
+// vector; Post the posterior rows of the objects the batches name, in
+// ascending object order, laid end to end; Pairs the records of the analysed
+// pairs with a member the batches name, in PairBytes' layout and (a, b)
+// order; and how the last solve ended.
 type Delta struct {
 	Acc, Post []float64
 	Pairs     []byte
@@ -38,17 +44,28 @@ type Delta struct {
 	Converged bool
 }
 
-// Delta returns the delta of d's last batch, where st is the state solved on
-// d (an appended dataset). Acc aliases the state; read-only.
-func (st *State) Delta(d *dataset.Dataset) (Delta, error) {
+// claimsSince returns the claims d's log appended after epoch since, which
+// must be one of d's earlier epochs.
+func claimsSince(d *dataset.Dataset, since int) ([]model.Claim, error) {
+	if since < 0 || since >= d.Epoch() {
+		return nil, fmt.Errorf("depen: a delta since epoch %d of a dataset at epoch %d", since, d.Epoch())
+	}
+	return d.Claims()[d.LogBounds()[since]:], nil
+}
+
+// Delta returns the delta of d's batches since epoch since, where st is the
+// state solved on d (an appended dataset) and since is in [0, d.Epoch()).
+// Acc aliases the state; read-only.
+func (st *State) Delta(d *dataset.Dataset, since int) (Delta, error) {
 	c := st.c
 	if d.Compiled() != c {
 		return Delta{}, fmt.Errorf("depen: delta of a dataset the state was not solved on")
 	}
-	if d.Epoch() == 0 {
-		return Delta{}, fmt.Errorf("depen: a flat dataset has no batch to take a delta of")
+	claims, err := claimsSince(d, since)
+	if err != nil {
+		return Delta{}, err
 	}
-	dirtySrc, _, dirtyObjs := dirtySets(c, d.Batch(), false)
+	dirtySrc, _, dirtyObjs := dirtySets(c, claims, false)
 	var post []float64
 	for _, oi := range dirtyObjs {
 		post = append(post, st.probs[c.GroupStart[oi]:c.GroupStart[oi+1]]...)
@@ -67,19 +84,24 @@ func (st *State) Delta(d *dataset.Dataset) (Delta, error) {
 }
 
 // ApplyDelta returns the state of d, an appended dataset, from prev, the state
-// of d's previous epoch, and the delta of d's last batch: what Solve(d, prev,
-// cfg) returns, without a solve. The records are taken over as they lie (see
-// StateFromParts); the vectors are copied. A delta no solve across d's batch
-// produces is an error: vectors of the wrong length, a partial record, a
-// record whose sources are not a < b or out of range or not one of them named
-// by the batch, records out of (a, b) order or given twice, no round run.
-func ApplyDelta(d *dataset.Dataset, prev *State, dl Delta) (*State, error) {
-	if prev == nil || !d.Frozen() || d.Epoch() == 0 {
-		return nil, fmt.Errorf("depen: a delta applies to the state of an appended dataset's previous epoch")
+// of d's epoch since, and the delta of d's batches since then: what Solve
+// reaches at d's epoch, without a solve. The records are taken over as they
+// lie (see StateFromParts); the vectors are copied. A since outside
+// [0, d.Epoch()) is an error, and so is a delta no chain of solves across those
+// batches produces: vectors of the wrong length, a partial record, a record
+// whose sources are not a < b or out of range or not one of them named by the
+// batches, records out of (a, b) order or given twice, no round run.
+func ApplyDelta(d *dataset.Dataset, prev *State, since int, dl Delta) (*State, error) {
+	if prev == nil || !d.Frozen() {
+		return nil, fmt.Errorf("depen: a delta applies to the state of an earlier epoch of a frozen dataset")
+	}
+	claims, err := claimsSince(d, since)
+	if err != nil {
+		return nil, err
 	}
 	c := d.Compiled()
 	nS := c.NumSources()
-	dirtySrc, dirtyObj, dirtyObjs := dirtySets(c, d.Batch(), false)
+	dirtySrc, dirtyObj, dirtyObjs := dirtySets(c, claims, false)
 	nPost := 0
 	for _, oi := range dirtyObjs {
 		nPost += int(c.GroupStart[oi+1] - c.GroupStart[oi])

@@ -41,41 +41,44 @@ func stateDiff(got, want *State) error {
 	return nil
 }
 
-// checkDeltaChain solves base, then walks the batches: at every epoch the
-// predecessor's state with the successor's delta applied must be the state
-// Solve reaches, to the bit.
+// checkDeltaChain solves base, then walks the batches: at every epoch E the
+// state of every earlier epoch e0 with the delta since e0 applied must be the
+// state Solve reaches at E, to the bit.
 func checkDeltaChain(t *testing.T, base *dataset.Dataset, batches [][]model.Claim, cfg Config) {
 	t.Helper()
-	prev, err := Solve(base, nil, cfg)
+	st, err := Solve(base, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	states := []*State{st}
 	cur := base
 	for e, batch := range batches {
 		if cur, err = cur.Append(batch); err != nil {
 			t.Fatal(err)
 		}
-		want, err := Solve(cur, prev, cfg)
+		want, err := Solve(cur, states[e], cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dl, err := want.Delta(cur)
-		if err != nil {
-			t.Fatal(err)
+		for since, prev := range states {
+			dl, err := want.Delta(cur, since)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ApplyDelta(cur, prev, since, dl)
+			if err != nil {
+				t.Fatalf("epoch %d since %d: %v", e+1, since, err)
+			}
+			if err := stateDiff(got, want); err != nil {
+				t.Fatalf("epoch %d of %d, since %d: applied delta differs from the solve: %v", e+1, len(batches), since, err)
+			}
 		}
-		got, err := ApplyDelta(cur, prev, dl)
-		if err != nil {
-			t.Fatalf("epoch %d: %v", e+1, err)
-		}
-		if err := stateDiff(got, want); err != nil {
-			t.Fatalf("epoch %d of %d: applied delta differs from the solve: %v", e+1, len(batches), err)
-		}
-		prev = want
+		states = append(states, want)
 	}
 }
 
-// TestDeltaDifferential holds the applied delta to the solve on every seed of
-// the differential suite's schedules (sources and objects held out of the
+// TestDeltaDifferential holds the applied delta, since every earlier epoch, to
+// the solve on every seed of the differential suite's schedules (sources and objects held out of the
 // base and introduced mid-log, Known labels, ValueSim), plus a batch that adds
 // a source sorting before every other and one that adds a new object.
 func TestDeltaDifferential(t *testing.T) {
@@ -193,7 +196,7 @@ func TestApplyDeltaRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := st.Delta(d)
+	good, err := st.Delta(d, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,14 +241,22 @@ func TestApplyDeltaRejects(t *testing.T) {
 		})},
 		{"no round", "rounds", clone(func(dl *Delta) { dl.Rounds = 0 })},
 	} {
-		if _, err := ApplyDelta(d, prev, tc.dl); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := ApplyDelta(d, prev, 0, tc.dl); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: ApplyDelta = %v, want an error about %q", tc.name, err, tc.want)
 		}
 	}
-	if _, err := ApplyDelta(base, prev, good); err == nil {
+	if _, err := ApplyDelta(base, prev, 0, good); err == nil {
 		t.Error("a delta applied to a flat dataset")
 	}
-	got, err := ApplyDelta(d, prev, good)
+	for _, since := range []int{-1, 1} {
+		if _, err := ApplyDelta(d, prev, since, good); err == nil || !strings.Contains(err.Error(), "since epoch") {
+			t.Errorf("since %d: ApplyDelta = %v, want an error about the epoch", since, err)
+		}
+		if _, err := st.Delta(d, since); err == nil {
+			t.Errorf("since %d: a delta was taken", since)
+		}
+	}
+	got, err := ApplyDelta(d, prev, 0, good)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,9 +78,12 @@ func TestSwapNeverServesStaleAnswer(t *testing.T) {
 		t.Fatalf("expected a cache hit before the swap")
 	}
 
-	// A different world over the same object universe: same query, different
-	// data, different answers.
-	s2 := testSession(t, 29, 40)
+	// A different world over the same object universe, one batch on: same
+	// query, different data, different answers at the next epoch.
+	s2, err := testSession(t, 29, 40).Append(s1.Dataset().Claims()[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := reg.swap("alpha", s2); err != nil {
 		t.Fatal(err)
 	}

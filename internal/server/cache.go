@@ -22,6 +22,7 @@ package server
 
 import (
 	"container/list"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -127,11 +128,12 @@ func (c *answerCache) put(key string, body []byte) {
 	}
 }
 
-// flushPrefix removes every entry whose key starts with prefix and counts
-// one flush. The epoch in the cache key already prevents a swapped dataset
-// from serving stale bytes; flushing on swap additionally reclaims the dead
-// epoch's entries immediately instead of waiting for LRU pressure.
-func (c *answerCache) flushPrefix(prefix string) int {
+// flushPrefix removes every entry whose key starts with one of prefixes, in
+// one pass, and counts one flush. The epoch in the cache key already
+// prevents a swapped dataset from serving stale bytes; flushing on swap
+// additionally reclaims the dead epochs' entries immediately instead of
+// waiting for LRU pressure.
+func (c *answerCache) flushPrefix(prefixes ...string) int {
 	if c.disabled() {
 		return 0
 	}
@@ -139,7 +141,8 @@ func (c *answerCache) flushPrefix(prefix string) int {
 	var removed int
 	for el := c.order.Front(); el != nil; {
 		next := el.Next()
-		if e := el.Value.(*cacheEntry); strings.HasPrefix(e.key, prefix) {
+		e := el.Value.(*cacheEntry)
+		if slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(e.key, p) }) {
 			c.order.Remove(el)
 			delete(c.entries, e.key)
 			removed++

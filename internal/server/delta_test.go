@@ -89,7 +89,7 @@ func TestDeltaAppendFollowsPrimary(t *testing.T) {
 		if resp, body := post(t, pts.URL+"/v1/alpha/append", b); resp.StatusCode != http.StatusOK {
 			t.Fatalf("primary append %d: %d %s", e, resp.StatusCode, body)
 		}
-		resp, frame := get(t, fmt.Sprintf("%s/v1/alpha/delta?epoch=%d", pts.URL, e))
+		resp, frame := get(t, fmt.Sprintf("%s/v1/alpha/delta?since=%d", pts.URL, e-1))
 		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != session.DeltaContentType {
 			t.Fatalf("delta %d: %d %s", e, resp.StatusCode, resp.Header.Get("Content-Type"))
 		}
@@ -102,9 +102,9 @@ func TestDeltaAppendFollowsPrimary(t *testing.T) {
 			t.Fatalf("replayed delta %d: %d %s, want 409 at epoch %d", e, resp.StatusCode, body, e)
 		}
 	}
-	// An earlier epoch's delta is still served, from the retained session.
-	if resp, body := get(t, pts.URL+"/v1/alpha/delta?epoch=1"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("delta of epoch 1: %d %s", resp.StatusCode, body)
+	// A delta since any earlier epoch is served, from the current session.
+	if resp, body := get(t, pts.URL+"/v1/alpha/delta?since=0"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("delta since epoch 0: %d %s", resp.StatusCode, body)
 	}
 
 	p, _, _ := sessionOf(preg, "alpha")
@@ -169,12 +169,90 @@ func TestDeltaAppendFollowsPrimary(t *testing.T) {
 	assertServesSame(t, cold, p)
 }
 
-// TestDeltaRequestErrors pins the delta endpoints' request errors.
+// TestDeltaAppendAcrossBatches has a replica that missed three appends catch
+// up with one delta frame: it lands at the primary's epoch, writes one
+// segment per batch, each byte for byte the primary's, serves the primary's
+// answers at the epochs it jumped over, and reboots from its directory to
+// the same answer bytes.
+func TestDeltaAppendAcrossBatches(t *testing.T) {
+	cfg := session.DefaultConfig()
+	cfg.RetainEpochs = 4
+	open := func() *session.Session {
+		s, err := session.New(testWorld(t, 11, 30), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	pts, preg, pdir := persistingShard(t, open())
+	rts, _, rdir := persistingShard(t, open())
+	cur, _, _ := sessionOf(preg, "alpha")
+	srcs := cur.Dataset().Sources()
+	for i, b := range []string{
+		appendBody(t, cur, string(srcs[1]), "Z1", 5),
+		appendBody(t, cur, "0-first", "Z2", 7), // a new source that sorts first
+		appendBody(t, cur, string(srcs[3]), "Z3", 9),
+	} {
+		if resp, body := post(t, pts.URL+"/v1/alpha/append", b); resp.StatusCode != http.StatusOK {
+			t.Fatalf("primary append %d: %d %s", i+1, resp.StatusCode, body)
+		}
+	}
+	resp, frame := get(t, pts.URL+"/v1/alpha/delta?since=0")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("delta since 0: %d %s", resp.StatusCode, frame)
+	}
+	if resp, body := postDelta(t, rts.URL+"/v1/alpha/append?expect_epoch=0", frame); resp.StatusCode != http.StatusOK ||
+		!strings.Contains(string(body), `"epoch":3`) {
+		t.Fatalf("3-batch delta append: %d %s", resp.StatusCode, body)
+	}
+	for e := 1; e <= 3; e++ {
+		seg := fmt.Sprintf("alpha.%06d.seg", e)
+		got, err := os.ReadFile(filepath.Join(rdir, seg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(pdir, seg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s differs between replica and primary", seg)
+		}
+	}
+	rebooted, err := LoadDir(rdir, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := httptest.NewServer(New(rebooted, Options{}))
+	defer cold.Close()
+	q := answerBody(t, cur, 8)
+	for _, path := range []string{"/v1/alpha/answer", "/v1/alpha/answer?as_of=1", "/v1/alpha/answer?as_of=2"} {
+		wresp, want := post(t, pts.URL+path, q)
+		if wresp.StatusCode != http.StatusOK {
+			t.Fatalf("primary %s: %d %s", path, wresp.StatusCode, want)
+		}
+		for _, replica := range []string{rts.URL, cold.URL} {
+			if _, got := post(t, replica+path, q); !bytes.Equal(got, want) {
+				t.Fatalf("%s differs on %s:\n%s\nwant\n%s", path, replica, got, want)
+			}
+		}
+	}
+}
+
+// TestDeltaRequestErrors pins the delta endpoints' request errors: a since
+// that is no epoch is a 400, one at or past the current epoch a 409 carrying
+// the epoch.
 func TestDeltaRequestErrors(t *testing.T) {
 	ts, _, _ := persistingShard(t, testSession(t, 11, 30))
-	for _, q := range []string{"", "?epoch=0", "?epoch=1", "?epoch=x"} {
+	for _, q := range []string{"", "?since=-1", "?since=x", "?epoch=1"} {
 		if resp, body := get(t, ts.URL+"/v1/alpha/delta"+q); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("GET delta%s: %d %s, want 400", q, resp.StatusCode, body)
+		}
+	}
+	for _, q := range []string{"?since=0", "?since=1"} {
+		if resp, body := get(t, ts.URL+"/v1/alpha/delta"+q); resp.StatusCode != http.StatusConflict ||
+			!strings.Contains(string(body), `"epoch":0`) {
+			t.Errorf("GET delta%s: %d %s, want 409 at epoch 0", q, resp.StatusCode, body)
 		}
 	}
 	// A delta append must be conditional.
@@ -204,9 +282,9 @@ func readFuzzSeed(t testing.TB, path string) []byte {
 
 // TestAppendDeltaCorruptFrames posts every seed of session's FuzzApplyDelta
 // corpus — Table 1's first delta frame, damaged — as a delta append to a
-// persisting shard serving Table 1 at epoch 0: each is a 400 (the frame for
-// another epoch a 409), and none moves the registry, counts an append or
-// writes a file.
+// persisting shard serving Table 1 at epoch 0: each is a 400 (the frames
+// that apply to another epoch a 409), and none moves the registry, counts an
+// append or writes a file.
 func TestAppendDeltaCorruptFrames(t *testing.T) {
 	base, err := session.New(dataset.Table1(), session.DefaultConfig())
 	if err != nil {
@@ -226,7 +304,7 @@ func TestAppendDeltaCorruptFrames(t *testing.T) {
 	for _, path := range seeds {
 		name := filepath.Base(path)
 		want := http.StatusBadRequest
-		if name == "wrong-epoch" {
+		if name == "wrong-epoch" || name == "since-mismatch" {
 			want = http.StatusConflict
 		}
 		resp, body := postDelta(t, ts.URL+"/v1/t1/append?expect_epoch=0", readFuzzSeed(t, path))

@@ -95,7 +95,7 @@ func registerRegistryMetrics(reg *metrics.Registry, datasets *Registry) {
 			}
 		})
 	}
-	perDataset(metrics.KindGauge, "currents_dataset_epoch", "Serving epoch of each dataset (increments on every swap).",
+	perDataset(metrics.KindGauge, "currents_dataset_epoch", "Serving epoch of each dataset: the number of batches its dataset has absorbed.",
 		func(st DatasetStat) int64 { return int64(st.Epoch) })
 	perDataset(metrics.KindCounter, "currents_dataset_swaps_total", "Session swaps per dataset since server start.",
 		func(st DatasetStat) int64 { return st.Swaps })

@@ -30,7 +30,11 @@ func TestMetricsExpositionGolden(t *testing.T) {
 			if err := reg.Register("demo", sess); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := reg.swap("demo", sess); err != nil {
+			next, err := sess.Append(sess.Dataset().Claims()[:1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := reg.swap("demo", next); err != nil {
 				t.Fatal(err)
 			}
 			s := New(reg, Options{AnswerCacheSize: tc.cacheSize})

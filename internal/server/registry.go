@@ -4,8 +4,8 @@
 // ROADMAP's traffic goal needs. Sessions register under a URL-safe name and
 // are themselves immutable and concurrency-safe; mutation happens by
 // *swapping* a dataset's session for a successor, never in place. Every
-// entry carries an epoch counter that increments on each swap, so the
-// serving layers above (answer cache, singleflight) can key responses to
+// entry carries its session's dataset epoch, which every swap advances, so
+// the serving layers above (answer cache, singleflight) can key responses to
 // the exact session generation they were computed from. Lookups on the
 // request path take a read lock; the per-entry update mutex serializes
 // writers only and never blocks readers.
@@ -68,8 +68,7 @@ type entry struct {
 	// dirty marks an entry whose serving state has diverged from the
 	// snapshot on disk (a live append swap). Dirty entries are never
 	// evicted — eviction reloads from disk, which would lose the appended
-	// epochs. Replace clears it: a re-streamed snapshot IS the serving
-	// state. Guarded by the registry lock, like sess and epoch.
+	// epochs. Guarded by the registry lock, like sess and epoch.
 	dirty    bool
 	loadMu   sync.Mutex
 	pins     atomic.Int64
@@ -336,10 +335,11 @@ func (r *Registry) settle(e *entry) {
 	r.evictLocked(nil)
 }
 
-// swap atomically replaces name's session with next and advances the
-// epoch, returning the new epoch. In-flight requests holding the retired
-// session finish against it undisturbed (sessions are immutable); requests
-// routed after swap returns observe only the successor. It is update's last
+// swap atomically replaces name's session with next and sets the epoch to
+// next's dataset epoch — one past the retired session's for an append, more
+// for a delta across several batches — returning it. In-flight requests
+// holding the retired session finish against it undisturbed (sessions are
+// immutable); requests routed after swap returns observe only the successor. It is update's last
 // step: a session only ever leaves the registry pinned, so nothing outside
 // this file can hold one to swap.
 func (r *Registry) swap(name string, next *session.Session) (uint64, error) {
@@ -353,95 +353,10 @@ func (r *Registry) swap(name string, next *session.Session) (uint64, error) {
 		return 0, fmt.Errorf("server: unknown dataset %q", name)
 	}
 	e.sess = next
-	e.epoch++
+	e.epoch = uint64(next.DatasetEpoch())
 	e.dirty = true
 	e.swaps.Add(1)
 	return e.epoch, nil
-}
-
-// ErrReplaceStale reports a Replace whose candidate snapshot does not
-// advance the live epoch: the dataset moved on (or was already replaced)
-// between the snapshot being streamed and the swap, so there is nothing to
-// heal and nothing was changed.
-var ErrReplaceStale = errors.New("server: replacement snapshot is not newer than the live epoch")
-
-// Replace installs a freshly streamed snapshot as name's new current
-// generation: session, epoch (taken from the snapshot's own append-log
-// epoch), and reload spec all swap together. The old chain's mapped
-// sessions are graved and closed once in-flight requests drain — exactly
-// the quiescence contract Update uses. Because the new serving state is
-// byte-identical to the file at path, the entry comes out clean (evictable)
-// and verified. This is the repair path: a lagging replica converges by
-// adopting the primary's snapshot over its own world.
-//
-// Replace is a compare-and-swap on the epoch: it holds the entry's update
-// mutex (so no concurrent append can build a successor on the pre-replace
-// chain and swap it in at an epoch the replace would shadow — the
-// same-epoch fork the epoch-comparing repair scan could never detect) and
-// the load mutex (so a concurrent lazy load cannot reinstall the old
-// snapshot over the replaced session), and only then rechecks the live
-// epoch. A candidate at or behind the live epoch returns ErrReplaceStale
-// with nothing changed. commit, when non-nil, runs after the epoch check
-// passes and before the new session becomes visible — the caller's slot for
-// renaming the snapshot into the serving directory and flushing caches
-// keyed to the replaced chain; a commit error aborts the replace.
-func (r *Registry) Replace(name string, s *session.Session, path string, cfg session.Config, commit func() error) (uint64, error) {
-	if s == nil {
-		return 0, fmt.Errorf("server: nil session for %q", name)
-	}
-	r.mu.RLock()
-	e, ok := r.entries[name]
-	r.mu.RUnlock()
-	if !ok {
-		return 0, fmt.Errorf("server: unknown dataset %q", name)
-	}
-	// Entries are never removed from the map, so the pointer stays valid
-	// across the unlock. updateMu before loadMu mirrors Update's order
-	// (updateMu, then Acquire's load takes loadMu).
-	e.updateMu.Lock()
-	defer e.updateMu.Unlock()
-	e.loadMu.Lock()
-	defer e.loadMu.Unlock()
-
-	r.mu.RLock()
-	cur, known := e.epoch, e.loaded
-	r.mu.RUnlock()
-	// With both mutexes held nothing can advance the epoch or initialize it
-	// (Update, load, VerifyAll all serialize against them), so this check
-	// holds through the install below.
-	if known && uint64(s.DatasetEpoch()) <= cur {
-		return 0, ErrReplaceStale
-	}
-	if commit != nil {
-		if err := commit(); err != nil {
-			return 0, err
-		}
-	}
-
-	r.mu.Lock()
-	var dead []*session.Session
-	if e.sess != nil {
-		dead = e.sess.TakeAllMapped()
-	}
-	e.sess = s
-	e.epoch = uint64(s.DatasetEpoch())
-	e.spec = &reloadSpec{path: path, cfg: cfg}
-	e.loaded = true
-	e.dirty = false
-	e.swaps.Add(1)
-	e.verified.Store(true)
-	epoch := e.epoch
-	r.mu.Unlock()
-	if len(dead) > 0 {
-		e.graveMu.Lock()
-		e.grave = append(e.grave, dead...)
-		e.graveLen.Store(int64(len(e.grave)))
-		e.graveMu.Unlock()
-		if e.pins.Load() == 0 {
-			r.settle(e)
-		}
-	}
-	return epoch, nil
 }
 
 // KnownEpochs returns the epoch of every entry whose epoch is known (it

@@ -14,18 +14,21 @@
 //	POST /v1/{dataset}/link       record-linkage clusters
 //	GET  /v1/{dataset}/accuracy   discovered per-source accuracies
 //	GET  /v1/{dataset}/snapshot   stream the session snapshot (replica bootstrap)
-//	GET  /v1/{dataset}/delta      an epoch's delta frame (replica fan-out)
+//	GET  /v1/{dataset}/delta      ?since=e: the delta frame from epoch e to
+//	                              the current one (replica fan-out and repair)
 //	POST /v1/{dataset}/adopt      pull + validate + register a peer snapshot
 //	GET  /healthz                 liveness + registered datasets (+ ready bit)
 //	GET  /readyz                  active readiness: every world verifiably opens
 //	GET  /metrics                 Prometheus text metrics
 //
 // Sessions are immutable; an append builds a successor session (delta
-// recompute over the batch) and atomically swaps it in, bumping the
+// recompute over the batch) and atomically swaps it in, advancing the
 // dataset's epoch. The epoch is part of every answer cache and singleflight
-// key, and the swap flushes the dataset's cached answers, so no request can
-// observe bytes computed from a retired epoch — requests already in flight
-// finish against the session they resolved, with zero downtime.
+// key, so no request can observe bytes computed from another epoch than the
+// one it resolved; the answers of retained epochs stay cached and servable
+// through ?as_of=, and the swap flushes only those of the epochs it pushed
+// below the retention floor. Requests already in flight finish against the
+// session they resolved, with zero downtime.
 //
 // Responses are rendered by the Build* helpers in core.go from exactly the
 // values a direct Session call returns, so an HTTP response is byte-for-byte
@@ -284,7 +287,7 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) (string, response
 	name, op, ok := strings.Cut(rest, "/")
 	if !ok || name == "" || op == "" || strings.Contains(op, "/") {
 		return "other", jsonResponse(http.StatusNotFound,
-			ErrorResponse{Error: "not found: want /v1/{dataset}/{answer|fuse|recommend|link|accuracy|history|trajectory}"})
+			ErrorResponse{Error: "not found: want /v1/{dataset}/{answer|append|fuse|recommend|link|accuracy|history|trajectory|snapshot|delta|adopt}"})
 	}
 	// Adoption targets a dataset this shard does not serve yet, so it is
 	// dispatched before the registry lookup that would 404 it.
@@ -479,15 +482,16 @@ const maxDeltaBytes = 256 << 20
 // and compaction included — are serialized by the registry's per-entry
 // update mutex; readers are never blocked and keep serving the retired
 // session until the swap lands. After the swap the cached answers of the
-// epoch it pushed below the retention floor are flushed — no request can
+// epochs it pushed below the retention floor are flushed — no request can
 // address them any more; the flush reclaims them.
 //
-// A body of session.DeltaContentType is a primary's epoch delta frame (GET
-// delta) rather than a JSON batch: the successor is the frame's batch with
-// the primary's solve applied (Session.AppendDelta), not solved again — how a
-// replica follows its primary. It must be conditional, since a delta only
-// applies to the epoch it was taken after; everything past building the
-// successor is the same.
+// A body of session.DeltaContentType is a primary's delta frame (GET delta)
+// rather than a JSON batch: the successor is the frame's batches with the
+// primary's solves applied (Session.AppendDelta), not solved again — how a
+// replica follows its primary, one batch behind on the fan-out or any number
+// behind on a repair. It must be conditional, since a delta only applies to
+// the epoch it was taken since; each of its batches persists as its own
+// segment, and everything else is the same.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, name string) response {
 	// ?expect_epoch=e applies the batch only to a dataset standing at epoch
 	// e (a router's replica fan-out sends the primary's pre-append epoch);
@@ -527,6 +531,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, name strin
 		}
 		advance = func(cur *session.Session) (*session.Session, error) { return cur.Append(batch) }
 	}
+	var floor int // the retention floor before the swap
 	next, epoch, err := s.reg.ingest(name, func(cur *session.Session) (*session.Session, error) {
 		// A registry epoch is its dataset's append-log epoch, and the update
 		// lock holds it still between this check and the swap.
@@ -545,8 +550,11 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, name strin
 			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
 		if s.opt.PersistDir != "" {
-			if err := s.persistSegment(name, succ.Dataset().Epoch(), succ.Dataset().Batch()); err != nil {
-				return nil, err
+			d := succ.Dataset()
+			for e := int(have) + 1; e <= d.Epoch(); e++ {
+				if err := s.persistSegment(name, e, d.BatchAt(e)); err != nil {
+					return nil, err
+				}
 			}
 			// Still under the update lock: were compaction to run after it,
 			// an older append's snapshot could land over a newer one's whose
@@ -555,6 +563,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, name strin
 				s.maybeCompact(name, succ)
 			}
 		}
+		floor = cur.HistoryFloor()
 		return succ, nil
 	}, delta)
 	var conflict *epochConflict
@@ -568,34 +577,40 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, name strin
 	}
 	// Epochs are immutable worlds, so cached answers for epochs still inside
 	// the retention window stay valid — and servable via ?as_of= — across
-	// the swap. Only the epoch the swap pushed below the retention floor is
-	// flushed: its answers are no longer addressable, so the flush is pure
+	// the swap. Only the epochs the swap pushed below the retention floor are
+	// flushed: their answers are no longer addressable, so the flush is pure
 	// memory reclamation. With RetainEpochs 0 the floor is the new epoch and
-	// this reduces to the old swap-and-discard flush of the predecessor.
-	if floor := next.HistoryFloor(); floor > 0 {
-		dropped := strconv.FormatUint(uint64(floor-1), 10)
-		if n := s.cache.flushPrefix(name + "\x00" + dropped + "\x00"); n > 0 {
-			s.opt.Logf("append %s: flushed %d cached answers for pruned epoch %s", name, n, dropped)
+	// this reduces to swap-and-discard of the retired epochs' answers.
+	if pruned := next.HistoryFloor(); pruned > floor {
+		prefixes := make([]string, 0, pruned-floor)
+		for e := floor; e < pruned; e++ {
+			prefixes = append(prefixes, name+"\x00"+strconv.Itoa(e)+"\x00")
+		}
+		if n := s.cache.flushPrefix(prefixes...); n > 0 {
+			s.opt.Logf("append %s: flushed %d cached answers for pruned epochs %d..%d", name, n, floor, pruned-1)
 		}
 	}
 	return jsonResponse(http.StatusOK, BuildAppendResponse(name, epoch, len(next.Dataset().Batch()), next))
 }
 
-// handleDelta serves the epoch delta frame of ?epoch=e — the batch that
-// reached e and what the solve across it overwrote — from the session at e:
-// the current one, a retained one, or one rebuilt through AsOf. A replica at
-// e−1 appends it (handleAppend) instead of solving the batch again.
+// handleDelta serves the delta frame since ?since=e — the batches appended
+// after epoch e and what the solves across them overwrote — from the current
+// session. A replica standing at e appends it (handleAppend) instead of
+// solving the batches again. A since at or past the current epoch is a 409
+// carrying the epoch: there is nothing to ship.
 func (s *Server) handleDelta(r *http.Request, sess *session.Session) response {
-	e, err := strconv.Atoi(r.URL.Query().Get("epoch"))
-	if err != nil || e < 1 {
-		return errResponse(fmt.Errorf("%w: delta needs ?epoch=<an appended epoch>", ErrBadRequest))
+	since, err := strconv.Atoi(r.URL.Query().Get("since"))
+	if err != nil || since < 0 {
+		return errResponse(fmt.Errorf("%w: delta needs ?since=<an epoch>", ErrBadRequest))
 	}
-	at, err := sess.AsOf(e)
-	if err != nil {
-		return errResponse(fmt.Errorf("%w: delta: %v", ErrBadRequest, err))
+	if cur := sess.DatasetEpoch(); since >= cur {
+		return jsonResponse(http.StatusConflict, &epochConflict{
+			Message: fmt.Sprintf("no delta since epoch %d: the dataset is at epoch %d", since, cur),
+			Epoch:   uint64(cur),
+		})
 	}
 	var buf bytes.Buffer
-	if err := at.WriteDelta(&buf); err != nil {
+	if err := sess.WriteDelta(&buf, since); err != nil {
 		return errResponse(err)
 	}
 	return response{status: http.StatusOK, contentType: session.DeltaContentType, body: buf.Bytes()}
@@ -773,45 +788,20 @@ func (s *Server) handleSnapshot(sess *session.Session) response {
 // AdoptResponse is the /v1/{dataset}/adopt success payload.
 type AdoptResponse struct {
 	Dataset string `json:"dataset"`
-	// Status is "adopted" for a fresh pull, "exists" when the shard already
-	// served the dataset (idempotent retry), "replaced" when ?replace=1
-	// overwrote a stale world with a newer snapshot, and "current" when
-	// replace mode found nothing newer to install.
+	// Status is "adopted" for a fresh pull and "exists" when the shard
+	// already served the dataset (idempotent retry).
 	Status string `json:"status"`
 }
 
 // handleAdopt pulls a snapshot stream from the `from` URL and registers it
 // under name. Integrity failures surface as 502 (the upstream bytes were
-// bad), bad requests as 400; an already-registered dataset is success —
-// unless ?replace=1 (the router's repair mode), which overwrites the
-// served world when the fetched snapshot's epoch is ahead. A replace
-// flushes every cached answer for the dataset: the old chain's epochs are
-// gone, and no stale bytes may outlive it.
+// bad), bad requests as 400; an already-registered dataset is success.
 func (s *Server) handleAdopt(r *http.Request, name string) response {
 	from := r.URL.Query().Get("from")
 	if from == "" {
 		return errResponse(fmt.Errorf("%w: adopt needs ?from=<snapshot URL>", ErrBadRequest))
 	}
-	replace := false
-	switch r.URL.Query().Get("replace") {
-	case "1", "true":
-		replace = true
-	}
-	var status string
-	var err error
-	if replace {
-		// The flush runs inside Replace's critical section, before the new
-		// chain becomes visible: no request routed after the swap can hit a
-		// cache entry keyed to the replaced chain's epochs.
-		status, err = AdoptReplaceFromURL(s.reg, name, from, s.opt.AdoptDir, s.opt.SessionCfg, nil, func() {
-			if n := s.cache.flushPrefix(name + "\x00"); n > 0 {
-				s.opt.Logf("replace %s: flushed %d cached answers from the replaced chain", name, n)
-			}
-		})
-	} else {
-		status = "adopted"
-		err = AdoptFromURL(s.reg, name, from, s.opt.AdoptDir, s.opt.SessionCfg, nil)
-	}
+	err := AdoptFromURL(s.reg, name, from, s.opt.AdoptDir, s.opt.SessionCfg, nil)
 	switch {
 	case errors.Is(err, ErrAlreadyRegistered):
 		return jsonResponse(http.StatusOK, AdoptResponse{Dataset: name, Status: "exists"})
@@ -820,6 +810,6 @@ func (s *Server) handleAdopt(r *http.Request, name string) response {
 	case err != nil:
 		return errResponse(err)
 	}
-	s.opt.Logf("adopt %q from %s: %s", name, from, status)
-	return jsonResponse(http.StatusOK, AdoptResponse{Dataset: name, Status: status})
+	s.opt.Logf("adopt %q from %s", name, from)
+	return jsonResponse(http.StatusOK, AdoptResponse{Dataset: name, Status: "adopted"})
 }

@@ -1,26 +1,31 @@
 // Epoch delta frames: how a replica follows its primary without solving.
 //
-// A primary that appended a batch holds the successor state; WriteDelta
-// frames what the solve across that batch overwrote (depen.Delta) together
-// with the batch itself, and AppendDelta on a session standing at the
-// predecessor epoch applies it — the same successor Append would build, bit
-// for bit, at the cost of the dataset append and the planner build alone.
+// A primary holds the state of its current epoch E; WriteDelta frames what
+// the solves since an earlier epoch overwrote (depen.Delta) together with the
+// batches themselves, and AppendDelta on a session standing at that epoch
+// applies it — the same session the batches' Appends would build, bit for
+// bit, at the cost of the dataset appends and the planner build alone. One
+// batch behind is the fan-out's frame; any number behind is a repair's, and
+// since a compacted snapshot still carries the whole claim log no lag is too
+// long for one.
 //
 // The frame is a section container (snapio/sections.go) of its own magic:
 //
-//   - the batch, as a log segment (dataset.WriteSegment) — the bytes the
-//     replica persists are the ones the primary persisted;
+//   - the batches since the epoch, in order, as log segments
+//     (dataset.WriteSegment) laid back to back — each segment frame is
+//     self-delimiting, and the bytes the replica persists per epoch are the
+//     ones the primary persisted;
 //   - the accuracy vector and the dirty objects' posterior rows, []float64;
 //   - the pair records with a dirty member, depen's 56-byte layout, as the
 //     snapshot stores them;
-//   - the meta: the successor's epoch, rounds, converged and the config
-//     fingerprint;
+//   - the meta: the epoch the frame reaches, the epoch it applies to, the
+//     last solve's rounds and converged, and the config fingerprint;
 //   - a CRC-32 of the five sections above, in that order — the container's
 //     own CRC covers only its header.
 //
 // Every way a frame can be damaged fails AppendDelta with snapio.ErrCorrupt,
-// before anything is built; a sound frame for another epoch fails with
-// ErrDeltaEpoch.
+// before anything is built; a sound frame that applies to another epoch than
+// the session's fails with ErrDeltaEpoch.
 package session
 
 import (
@@ -33,13 +38,14 @@ import (
 
 	"sourcecurrents/internal/dataset"
 	"sourcecurrents/internal/depen"
+	"sourcecurrents/internal/model"
 	"sourcecurrents/internal/snapio"
 )
 
 // DeltaMagic and DeltaVersion identify an epoch delta frame.
 const (
 	DeltaMagic   = "SCEPDLTA"
-	DeltaVersion = 1
+	DeltaVersion = 2
 )
 
 // DeltaContentType is the media type a delta frame travels under over HTTP.
@@ -48,39 +54,43 @@ const DeltaContentType = "application/x-currents-delta"
 // The delta frame's sections past the state's three and the meta, which keep
 // their snapshot ids.
 const (
-	secBatch = secMeta + 1 + iota // the batch, a log segment
+	secBatch = secMeta + 1 + iota // the batches, log segments back to back
 	secCRC                        // CRC-32 of the other sections
 )
 
 // deltaSections are the sections the CRC covers, in the order it covers them.
 var deltaSections = []uint32{secBatch, secAcc, secPost, secPairRec, secMeta}
 
-// ErrDeltaEpoch reports a sound delta frame for an epoch other than the one
-// after the session's: nothing was applied.
+// ErrDeltaEpoch reports a sound delta frame that applies to an epoch other
+// than the session's: nothing was applied.
 var ErrDeltaEpoch = errors.New("session: delta is for another epoch")
 
-// WriteDelta writes the delta frame of the session's epoch — its last batch
-// and what the solve across it overwrote — to w. A flat session (epoch 0) has
-// none. A mapped session materializes first.
-func (s *Session) WriteDelta(w io.Writer) error {
+// WriteDelta writes the delta frame from epoch since to the session's epoch —
+// the batches appended since and what the solves across them overwrote — to
+// w. since must be an earlier epoch of the session's log. A mapped session
+// materializes first.
+func (s *Session) WriteDelta(w io.Writer, since int) error {
 	if err := s.materialize(); err != nil {
 		return err
 	}
-	dl, err := s.st.Delta(s.d)
+	dl, err := s.st.Delta(s.d, since)
 	if err != nil {
 		return err
 	}
-	var seg bytes.Buffer
-	if err := dataset.WriteSegment(&seg, s.d.Batch()); err != nil {
-		return err
+	var segs bytes.Buffer
+	for e := since + 1; e <= s.d.Epoch(); e++ {
+		if err := dataset.WriteSegment(&segs, s.d.BatchAt(e)); err != nil {
+			return err
+		}
 	}
 	var meta snapio.Writer
 	meta.U64(uint64(s.d.Epoch()))
+	meta.U64(uint64(since))
 	meta.U32(uint32(dl.Rounds))
 	meta.Bool(dl.Converged)
 	encodeFingerprint(&meta, s.cfg.Depen)
 	data := map[uint32][]byte{
-		secBatch:   seg.Bytes(),
+		secBatch:   segs.Bytes(),
 		secAcc:     snapio.F64Bytes(dl.Acc),
 		secPost:    snapio.F64Bytes(dl.Post),
 		secPairRec: dl.Pairs,
@@ -101,12 +111,14 @@ func deltaCorrupt(err error) error {
 	return fmt.Errorf("session: delta: %w: %w", snapio.ErrCorrupt, err)
 }
 
-// AppendDelta advances the session across one batch by applying the delta
-// frame its primary wrote at the next epoch (WriteDelta): it appends the
-// frame's batch and takes the solved state from the frame instead of
-// solving. The result is the session Append(batch) returns, bit for bit,
-// and like it shares the receiver's history spine. The successor keeps
-// frame's bytes; the caller must not modify them afterwards.
+// AppendDelta advances the session across the batches of a delta frame its
+// primary wrote (WriteDelta) since the session's epoch: it appends the
+// frame's batches in order and takes the solved state from the frame instead
+// of solving. The result is the session the batches' Appends return, bit for
+// bit, and like them it shares the receiver's history spine; the epochs
+// between the two are addressable through AsOf, which rebuilds them forward
+// from the receiver. The successor keeps frame's bytes; the caller must not
+// modify them afterwards.
 func (s *Session) AppendDelta(frame []byte) (*Session, error) {
 	m, err := snapio.OpenMappedBytes(frame, DeltaMagic, DeltaVersion)
 	if err != nil {
@@ -127,6 +139,7 @@ func (s *Session) AppendDelta(frame []byte) (*Session, error) {
 	metaB, _ := m.Section(secMeta)
 	meta := snapio.NewReader(metaB)
 	epoch := meta.U64()
+	since := meta.U64()
 	rounds := int(meta.U32())
 	converged := meta.Bool()
 	if err := checkFingerprint(meta, s.cfg.Depen); err != nil {
@@ -135,13 +148,24 @@ func (s *Session) AppendDelta(frame []byte) (*Session, error) {
 	if err := meta.Finish(); err != nil {
 		return nil, deltaCorrupt(err)
 	}
-	if have := s.DatasetEpoch(); epoch != uint64(have)+1 {
-		return nil, fmt.Errorf("%w: the frame is for epoch %d, the session is at %d", ErrDeltaEpoch, epoch, have)
+	if since >= epoch {
+		return nil, deltaCorrupt(fmt.Errorf("a frame from epoch %d to %d", since, epoch))
 	}
-	seg, _ := m.Section(secBatch)
-	batch, err := dataset.ReadSegment(bytes.NewReader(seg))
-	if err != nil {
-		return nil, deltaCorrupt(err)
+	if have := s.DatasetEpoch(); since != uint64(have) {
+		return nil, fmt.Errorf("%w: the frame applies to epoch %d, the session is at %d", ErrDeltaEpoch, since, have)
+	}
+	segs, _ := m.Section(secBatch)
+	rd := bytes.NewReader(segs)
+	var batches [][]model.Claim
+	for k := since; k < epoch && rd.Len() > 0; k++ {
+		batch, err := dataset.ReadSegment(rd)
+		if err != nil {
+			return nil, deltaCorrupt(err)
+		}
+		batches = append(batches, batch)
+	}
+	if uint64(len(batches)) != epoch-since || rd.Len() != 0 {
+		return nil, deltaCorrupt(fmt.Errorf("a frame from epoch %d to %d does not hold %d whole batches", since, epoch, epoch-since))
 	}
 	acc, err := m.F64Section(secAcc)
 	if err != nil {
@@ -156,11 +180,13 @@ func (s *Session) AppendDelta(frame []byte) (*Session, error) {
 	if err := s.materialize(); err != nil {
 		return nil, err
 	}
-	d2, err := s.d.Append(batch)
-	if err != nil {
-		return nil, deltaCorrupt(err)
+	d2 := s.d
+	for _, batch := range batches {
+		if d2, err = d2.Append(batch); err != nil {
+			return nil, deltaCorrupt(err)
+		}
 	}
-	st2, err := depen.ApplyDelta(d2, s.st, depen.Delta{
+	st2, err := depen.ApplyDelta(d2, s.st, int(since), depen.Delta{
 		Acc: acc, Post: post, Pairs: pairs, Rounds: rounds, Converged: converged,
 	})
 	if err != nil {

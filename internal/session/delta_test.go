@@ -19,11 +19,11 @@ import (
 	"sourcecurrents/internal/snapio"
 )
 
-// deltaBytes returns s's delta frame.
-func deltaBytes(t testing.TB, s *Session) []byte {
+// deltaBytes returns s's delta frame since epoch since.
+func deltaBytes(t testing.TB, s *Session, since int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := s.WriteDelta(&buf); err != nil {
+	if err := s.WriteDelta(&buf, since); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -51,12 +51,15 @@ func stateBitsDiff(got, want *depen.State) error {
 	return nil
 }
 
-// TestDeltaChainEquivalence has a replica follow a primary through every
+// TestDeltaChainEquivalence has two replicas follow a primary through every
 // schedule of TestStateChainEquivalence, from every kind of starting session:
-// the primary appends each batch, the replica applies the primary's delta
-// frame. At every epoch the replica's state is the primary's to the bit, and
-// the replica's own delta frame is the primary's byte for byte; at the end
-// every retained epoch serves the same.
+// the primary appends each batch, one replica applies the primary's one-batch
+// delta frame after every append, and the other applies a frame since its own
+// epoch after every third append (and after the last), three batches at a
+// time. At every epoch a replica reaches, its state is the primary's to the
+// bit and its own delta frame since the same epoch is the primary's byte for
+// byte; the epochs the second replica jumped over serve, through AsOf, as the
+// primary's did; and at the end every retained epoch of both serves the same.
 func TestDeltaChainEquivalence(t *testing.T) {
 	for _, start := range chainStarts() {
 		for _, par := range []int{1, 4} {
@@ -65,58 +68,94 @@ func TestDeltaChainEquivalence(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
 				cfg := DefaultConfig()
 				cfg.RetainEpochs = -1
-				primary, replica := start.open(t, cfg), start.open(t, cfg)
+				primary, replica, jumper := start.open(t, cfg), start.open(t, cfg), start.open(t, cfg)
 				first := primary.DatasetEpoch()
-				for e, mk := range growthBatches(rand.New(rand.NewSource(9))) {
+				follow := func(r *Session, e int) *Session {
+					t.Helper()
+					since := r.DatasetEpoch()
+					frame := deltaBytes(t, primary, since)
+					next, err := r.AppendDelta(frame)
+					if err != nil {
+						t.Fatalf("batch %d, since %d: %v", e, since, err)
+					}
+					if err := stateBitsDiff(next.st, primary.st); err != nil {
+						t.Fatalf("batch %d, since %d: the replica's state differs: %v", e, since, err)
+					}
+					if !bytes.Equal(deltaBytes(t, next, since), frame) {
+						t.Fatalf("batch %d, since %d: the replica's delta frame differs from the primary's", e, since)
+					}
+					for k := since + 1; k < next.DatasetEpoch(); k++ {
+						got, err := next.AsOf(k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := primary.AsOf(k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := stateBitsDiff(got.st, want.st); err != nil {
+							t.Fatalf("batch %d: epoch %d, jumped over, differs: %v", e, k, err)
+						}
+						assertSessionsEqual(t, got, want)
+					}
+					return next
+				}
+				batches := growthBatches(rand.New(rand.NewSource(9)))
+				for e, mk := range batches {
 					next, err := primary.Append(mk(primary.Dataset()))
 					if err != nil {
 						t.Fatal(err)
 					}
-					frame := deltaBytes(t, next)
-					rnext, err := replica.AppendDelta(frame)
-					if err != nil {
-						t.Fatalf("batch %d: %v", e, err)
+					primary = next
+					replica = follow(replica, e)
+					if (e+1)%3 == 0 || e == len(batches)-1 {
+						jumper = follow(jumper, e)
 					}
-					if err := stateBitsDiff(rnext.st, next.st); err != nil {
-						t.Fatalf("batch %d: the replica's state differs: %v", e, err)
-					}
-					if !bytes.Equal(deltaBytes(t, rnext), frame) {
-						t.Fatalf("batch %d: the replica's delta frame differs from the primary's", e)
-					}
-					primary, replica = next, rnext
 				}
 				for e := first; e <= primary.DatasetEpoch(); e++ {
 					ps, err := primary.AsOf(e)
 					if err != nil {
 						t.Fatal(err)
 					}
-					rs, err := replica.AsOf(e)
-					if err != nil {
-						t.Fatal(err)
+					for _, r := range []*Session{replica, jumper} {
+						rs, err := r.AsOf(e)
+						if err != nil {
+							t.Fatal(err)
+						}
+						assertSessionsEqual(t, rs, ps)
 					}
-					assertSessionsEqual(t, rs, ps)
 				}
 			})
 		}
 	}
 }
 
-// deltaBase is the session the delta fuzz seeds apply to — Table 1's — and its
-// successor across one batch by S3, the source whose pairs the batch dirties.
-func deltaBase(t testing.TB) (base, next *Session) {
+// deltaBase is the session the delta fuzz seeds apply to — Table 1's — and
+// the chain of its successors: chain[0] across one batch by S3, the source
+// whose pairs the batch dirties, then one claim by S1 and one by S2.
+func deltaBase(t testing.TB) (base *Session, chain []*Session) {
 	t.Helper()
 	base, err := New(dataset.Table1(), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	objs := base.Dataset().Objects()
 	var batch []model.Claim
-	for _, o := range base.Dataset().Objects()[:3] {
+	for _, o := range objs[:3] {
 		batch = append(batch, model.NewClaim("S3", o, "revised"))
 	}
-	if next, err = base.Append(batch); err != nil {
-		t.Fatal(err)
+	cur := base
+	for _, b := range [][]model.Claim{
+		batch,
+		{model.NewClaim("S1", objs[0], "later")},
+		{model.NewClaim("S2", objs[1], "latest")},
+	} {
+		if cur, err = cur.Append(b); err != nil {
+			t.Fatal(err)
+		}
+		chain = append(chain, cur)
 	}
-	return base, next
+	return base, chain
 }
 
 // withDeltaSection rebuilds the delta frame raw with section id edited; with
@@ -151,14 +190,16 @@ func withDeltaSection(t testing.TB, raw []byte, id uint32, sum bool, edit func([
 	return buf.Bytes()
 }
 
-// deltaFuzzSeeds are the checked-in seeds of FuzzApplyDelta: next's delta
-// frame damaged where AppendDelta on base must catch it (each fails with
-// snapio.ErrCorrupt), and a sound frame for the epoch after next's (it fails
-// with ErrDeltaEpoch). TestDeltaFuzzSeedsInSync keeps testdata/fuzz current.
+// deltaFuzzSeeds are the checked-in seeds of FuzzApplyDelta: the first
+// successor's delta frame damaged where AppendDelta on base must catch it,
+// and a three-batch frame short of a batch (each fails with
+// snapio.ErrCorrupt); and sound frames that apply to epoch 1, across one
+// batch and across two (each fails with ErrDeltaEpoch).
+// TestDeltaFuzzSeedsInSync keeps testdata/fuzz current.
 func deltaFuzzSeeds(t testing.TB) map[string][]byte {
 	t.Helper()
-	_, next := deltaBase(t)
-	raw := deltaBytes(t, next)
+	_, chain := deltaBase(t)
+	raw := deltaBytes(t, chain[0], 0)
 	i32 := binary.NativeEndian
 	pairs := func(edit func(p []byte)) []byte {
 		return withDeltaSection(t, raw, secPairRec, true, func(p []byte) []byte {
@@ -170,8 +211,8 @@ func deltaFuzzSeeds(t testing.TB) map[string][]byte {
 		})
 	}
 	f64 := func(id uint32, edit func([]byte) []byte) []byte { return withDeltaSection(t, raw, id, true, edit) }
-	later, err := next.Append([]model.Claim{model.NewClaim("S1", next.Dataset().Objects()[0], "later")})
-	if err != nil {
+	var last bytes.Buffer
+	if err := dataset.WriteSegment(&last, chain[2].Dataset().Batch()); err != nil {
 		t.Fatal(err)
 	}
 	return map[string][]byte{
@@ -194,7 +235,11 @@ func deltaFuzzSeeds(t testing.TB) map[string][]byte {
 			p[3] ^= 0x10
 			return p
 		}),
-		"wrong-epoch": deltaBytes(t, later),
+		"batches-short": withDeltaSection(t, deltaBytes(t, chain[2], 0), secBatch, true, func(p []byte) []byte {
+			return p[:len(p)-last.Len()]
+		}),
+		"wrong-epoch":    deltaBytes(t, chain[1], 1),
+		"since-mismatch": deltaBytes(t, chain[2], 1),
 	}
 }
 
@@ -225,7 +270,7 @@ func TestDeltaFuzzSeedsInSync(t *testing.T) {
 		}
 		_, err = base.AppendDelta(seed)
 		wantErr := snapio.ErrCorrupt
-		if name == "wrong-epoch" {
+		if name == "wrong-epoch" || name == "since-mismatch" {
 			wantErr = ErrDeltaEpoch
 		}
 		if !errors.Is(err, wantErr) {
@@ -236,14 +281,15 @@ func TestDeltaFuzzSeedsInSync(t *testing.T) {
 
 // FuzzApplyDelta applies arbitrary bytes as a delta frame to Table 1's
 // session: a classified error (ErrCorrupt, or ErrDeltaEpoch for a sound frame
-// of another epoch) or the successor the frame was taken of, never a panic,
-// and the receiver untouched either way.
+// that applies to another epoch) or the successor the frame was taken of,
+// never a panic, and the receiver untouched either way.
 func FuzzApplyDelta(f *testing.F) {
-	base, next := deltaBase(f)
-	raw := deltaBytes(f, next)
+	base, chain := deltaBase(f)
+	raw := deltaBytes(f, chain[0], 0)
 	f.Add(raw)
 	f.Add(raw[:len(raw)/2])
 	f.Add([]byte(DeltaMagic))
+	f.Add(deltaBytes(f, chain[2], 0))
 	acc := slices.Clone(base.acc)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := base.AppendDelta(data)
@@ -256,7 +302,11 @@ func FuzzApplyDelta(f *testing.F) {
 			}
 			return
 		}
-		if err := stateBitsDiff(got.st, next.st); err != nil {
+		e := got.DatasetEpoch()
+		if e < 1 || e > len(chain) {
+			t.Fatalf("a frame applied to reach epoch %d", e)
+		}
+		if err := stateBitsDiff(got.st, chain[e-1].st); err != nil {
 			t.Fatalf("a frame applied to a state the primary never solved: %v", err)
 		}
 	})

@@ -207,35 +207,6 @@ func (s *Session) TakePrunedMapped() []*Session {
 	return dead
 }
 
-// TakeAllMapped drains every mapped session on this chain — retained
-// historical entries, already-pruned predecessors, and the receiver itself
-// when mapped — emptying the spine. It is the whole-chain analogue of
-// TakePrunedMapped, for an owner discarding the chain outright (a repair
-// replacing a lagging replica's world with a freshly streamed snapshot):
-// the owner closes the returned sessions once its refcounting proves no
-// request still reads them. Heap-backed sessions are skipped — they have
-// nothing to unmap and are released by the garbage collector.
-func (s *Session) TakeAllMapped() []*Session {
-	var dead []*Session
-	if s.hist != nil {
-		s.hist.mu.Lock()
-		for _, e := range s.hist.entries {
-			if e.mapped != nil && e != s {
-				dead = append(dead, e)
-			}
-		}
-		s.hist.entries = nil
-		s.hist.stamps = nil
-		dead = append(dead, s.hist.pruned...)
-		s.hist.pruned = nil
-		s.hist.mu.Unlock()
-	}
-	if s.mapped != nil {
-		dead = append(dead, s)
-	}
-	return dead
-}
-
 // AsOf returns the session as it stood at the given epoch: the receiver for
 // the current epoch, a retained predecessor when one is in the window, and
 // otherwise a lazily materialized reconstruction — depen.Solve advanced

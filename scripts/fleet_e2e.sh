@@ -16,7 +16,8 @@
 #      fault-injection proxies, and a resilience-tuned router must hide a
 #      slow (+500 ms) shard, a blackholed shard (zero failed reads, bounded
 #      p99, breaker observed open, append fan-out failure repaired back to
-#      lag 0 with byte-identical answers), and a flapping shard,
+#      lag 0 by the primary's delta — no adoption — with byte-identical
+#      answers), and a flapping shard,
 #   8. replicas apply the primary's epoch delta: on a persisting rf=2 pair,
 #      routed source-major, object-major and new-source appends land on the
 #      replica as deltas (currents_dataset_delta_appends_total), its segment
@@ -40,7 +41,7 @@ S1="127.0.0.1:$P1"; S2="127.0.0.1:$P2"; S3="127.0.0.1:$P3"; S4="127.0.0.1:$P4"
 ROUTER="http://127.0.0.1:$PR"
 
 BIN="${CURRENTS_BIN:-/tmp/currents-fleet}"
-WORK="$(mktemp -d /tmp/fleet-e2e.XXXXXX)"
+WORK="$(mktemp -d "${TMPDIR:-/tmp}/fleet-e2e.XXXXXX")"
 PIDS=()
 cleanup() {
   for pid in "${PIDS[@]:-}"; do kill "$pid" 2>/dev/null || true; done
@@ -262,8 +263,13 @@ for _ in $(seq 1 40); do
 done
 grep "currents_replica_lag{dataset=\"$D2\",shard=\"$PA\"} 1" "$WORK/chaos-metrics.txt"
 
-# Lift the fault: the repair loop must re-stream the primary's snapshot onto
-# the lagging replica and drive the lag gauge back to 0.
+# Lift the fault: the repair loop must append the primary's delta since the
+# lagging replica's epoch — the fan-out's mechanism, not a snapshot adoption —
+# and drive the lag gauge back to 0. The shard's own counters are read past
+# the blackholed proxy, from its upstream.
+delta_bytes() { curl -fs "$ROUTER2/metrics" | awk '/^currents_router_replica_delta_bytes_total /{ print $2 }'; }
+adopts() { curl -fs "http://127.0.0.1:$U1/metrics" | grep '^currents_requests_total{op="adopt"}'; }
+DBYTES_BEFORE="$(delta_bytes)"; ADOPTS_BEFORE="$(adopts)"
 set_fault "$CA1" '{}'
 for _ in $(seq 1 60); do
   curl -fs "$ROUTER2/metrics" > "$WORK/chaos-metrics.txt"
@@ -272,12 +278,19 @@ for _ in $(seq 1 60); do
 done
 grep "currents_replica_lag{dataset=\"$D2\",shard=\"$PA\"} 0" "$WORK/chaos-metrics.txt"
 grep -q '^currents_router_repairs_total [1-9]' "$WORK/chaos-metrics.txt"
+DBYTES_AFTER="$(delta_bytes)"; ADOPTS_AFTER="$(adopts)"
+if [ "$DBYTES_AFTER" -le "$DBYTES_BEFORE" ]; then
+  echo "fleet_e2e: the heal streamed no delta ($DBYTES_BEFORE -> $DBYTES_AFTER bytes)" >&2; exit 1
+fi
+if [ "$ADOPTS_AFTER" != "$ADOPTS_BEFORE" ]; then
+  echo "fleet_e2e: the heal adopted a snapshot ($ADOPTS_BEFORE -> $ADOPTS_AFTER)" >&2; exit 1
+fi
 # The healed replica serves the repaired epoch byte-identically to the
 # primary — through both proxies, pinned with ?as_of.
 curl -fs -X POST --data-binary @"$REQ" "http://$D2PRIMARY/v1/$D2/answer?as_of=1" > "$WORK/chaos-primary.json"
 curl -fs -X POST --data-binary @"$REQ" "http://$PA/v1/$D2/answer?as_of=1" > "$WORK/chaos-healed.json"
 diff "$WORK/chaos-primary.json" "$WORK/chaos-healed.json"
-echo "fleet_e2e: blackholed replica repaired to lag 0, answers byte-identical to primary"
+echo "fleet_e2e: blackholed replica repaired by delta to lag 0, no adoption, answers byte-identical to primary"
 
 # --- 7c. Flapping shard: the fault toggles every ~700ms for the whole run.
 #         Breaker plus retries must still deliver zero failed reads.
