@@ -20,7 +20,7 @@
 //	    unlimited queries (stdin REPL, or -query for one-shot/batch mode)
 //	currents snapshot -o out.snap file.csv
 //	    precompute a session and write the binary snapshot the server
-//	    cold-starts from
+//	    boots from
 //	currents server -addr :8080 -load DIR [-cache-size N] [-cache-ttl D] [-pprof]
 //	    HTTP/JSON query service over a directory of datasets
 //	    (*.snap snapshots, *.csv claims); LRU answer cache (1024 entries

@@ -1,6 +1,6 @@
 // HTTP serving subcommands: server (host a registry of datasets over
-// HTTP), snapshot (precompute a dataset into a binary session snapshot for
-// fast server cold-start), and loadgen (hammer a running server and report
+// HTTP), snapshot (precompute a dataset into a binary session snapshot a
+// server boots from), and loadgen (hammer a running server and report
 // throughput and latency percentiles).
 package main
 
@@ -32,8 +32,7 @@ import (
 
 // runSnapshot precomputes a serving session from a claims CSV and writes
 // the binary session snapshot: the artifact `currents server -load`
-// cold-starts from without re-running truth discovery and dependence
-// detection.
+// boots from without re-running truth discovery and dependence detection.
 func runSnapshot(args []string) error {
 	fs := flag.NewFlagSet("snapshot", flag.ExitOnError)
 	out := fs.String("o", "", "output snapshot path (required)")
@@ -90,7 +89,6 @@ func runServer(args []string) error {
 	cacheTTL := fs.Duration("cache-ttl", 0, "answer cache entry lifetime (0 = until evicted)")
 	persist := fs.String("persist-appends", "", "directory for append-log segments (\"\" = memory-only appends; \"load\" = the -load directory)")
 	compactEvery := fs.Int("compact-every", server.DefaultCompactEvery, "compact a dataset's log after this many segments (<0 disables)")
-	maxResident := fs.Int("max-resident", 0, "max sessions resident at once; idle worlds are unmapped LRU-first (0 = unbounded)")
 	retainEpochs := fs.Int("retain-epochs", 4, "historical epochs addressable via ?as_of= behind each dataset's current one (0 = none, -1 = all)")
 	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof profiling endpoints under /debug/pprof/")
 	allowEmpty := fs.Bool("allow-empty", false, "boot with zero datasets (a fleet shard adopts its worlds from peers)")
@@ -101,7 +99,7 @@ func runServer(args []string) error {
 	prof := profiling.Register(fs)
 	_ = fs.Parse(args)
 	if *load == "" || fs.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: currents server -addr :8080 -load DIR [-max-request-bytes N] [-cache-size N] [-cache-ttl D] [-persist-appends DIR] [-compact-every N] [-max-resident N] [-retain-epochs N] [-allow-empty] [-adopt-dir DIR] [-ring host:port,...] [-self host:port] [-rf N] [-pprof]")
+		fmt.Fprintln(os.Stderr, "usage: currents server -addr :8080 -load DIR [-max-request-bytes N] [-cache-size N] [-cache-ttl D] [-persist-appends DIR] [-compact-every N] [-retain-epochs N] [-allow-empty] [-adopt-dir DIR] [-ring host:port,...] [-self host:port] [-rf N] [-pprof]")
 		os.Exit(2)
 	}
 	if *persist == "load" {
@@ -127,10 +125,6 @@ func runServer(args []string) error {
 	})
 	if err != nil {
 		return err
-	}
-	if *maxResident > 0 {
-		reg.SetMaxResident(*maxResident)
-		fmt.Fprintf(os.Stderr, "server: resident bound %d (idle worlds unmap LRU-first)\n", *maxResident)
 	}
 	fmt.Fprintf(os.Stderr, "server: %d dataset(s) ready in %v, listening on %s\n",
 		reg.Len(), time.Since(start).Round(time.Millisecond), *addr)
@@ -231,18 +225,14 @@ func runLoadgen(args []string) error {
 	appendInterval := fs.Duration("append-interval", 500*time.Millisecond, "delay between append batches in mixed mode")
 	appendBatch := fs.Int("append-batch", 10, "claims per append batch in mixed mode")
 	asOfMix := fs.Float64("as-of-mix", 0, "fraction of reads sent against a retained historical epoch via ?as_of= (0..1; needs server -retain-epochs)")
-	coldStart := fs.Bool("cold-start", false, "measure time-to-first-answer per dataset (-dataset takes a comma-separated list) instead of sustained load")
 	routerMode := fs.Bool("router", false, "-addr points at a fleet router: report per-shard p50/p99 from router metrics and require zero failed reads")
 	_ = fs.Parse(args)
 	if *dsName == "" || fs.NArg() != 0 || *concurrency < 1 {
-		fmt.Fprintln(os.Stderr, "usage: currents loadgen -addr URL -dataset NAME [-op answer] -query \"e,a;...\" [-concurrency N] [-duration 5s] [-as-of-mix P] [-cold-start] [-router] [-append-file claims.csv [-append-interval D] [-append-batch N]]")
+		fmt.Fprintln(os.Stderr, "usage: currents loadgen -addr URL -dataset NAME [-op answer] -query \"e,a;...\" [-concurrency N] [-duration 5s] [-as-of-mix P] [-router] [-append-file claims.csv [-append-interval D] [-append-batch N]]")
 		os.Exit(2)
 	}
 	if *asOfMix < 0 || *asOfMix > 1 {
 		return fmt.Errorf("loadgen: -as-of-mix must be in [0, 1]")
-	}
-	if *coldStart {
-		return runColdStart(strings.TrimRight(*addr, "/"), *dsName, *op, *query)
 	}
 	var appendClaims []sourcecurrents.Claim
 	if *appendFile != "" {
@@ -578,66 +568,6 @@ func buildLoadRequest(op, dsName, query string) (method, path, body string, err 
 	default:
 		return "", "", "", fmt.Errorf("loadgen: unknown op %q", op)
 	}
-}
-
-// runColdStart measures time-to-first-answer for each named dataset: one
-// timed request against a freshly started lazy server pays the mmap on
-// first touch, and a second request shows the resident
-// steady state. The gap between the two columns is the cold-start cost the
-// lazy registry defers until a world is actually queried.
-func runColdStart(base, datasets, op, query string) error {
-	client := &http.Client{}
-	timedGet := func(method, url, body string) (time.Duration, error) {
-		t0 := time.Now()
-		req, err := http.NewRequest(method, url, strings.NewReader(body))
-		if err != nil {
-			return 0, err
-		}
-		if method == http.MethodPost {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			return 0, err
-		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return 0, fmt.Errorf("status %d: %s", resp.StatusCode, b)
-		}
-		return time.Since(t0), nil
-	}
-	fmt.Printf("%-20s %14s %14s\n", "dataset", "first-answer", "warm")
-	var failed bool
-	for _, name := range strings.Split(datasets, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		method, path, body, err := buildLoadRequest(op, name, query)
-		if err != nil {
-			return err
-		}
-		url := base + path
-		cold, err := timedGet(method, url, body)
-		if err != nil {
-			fmt.Printf("%-20s %14s %14s  (%v)\n", name, "FAIL", "-", err)
-			failed = true
-			continue
-		}
-		warm, err := timedGet(method, url, body)
-		if err != nil {
-			fmt.Printf("%-20s %14v %14s  (%v)\n", name, cold.Round(time.Microsecond), "FAIL", err)
-			failed = true
-			continue
-		}
-		fmt.Printf("%-20s %14v %14v\n", name,
-			cold.Round(time.Microsecond), warm.Round(time.Microsecond))
-	}
-	if failed {
-		return fmt.Errorf("loadgen: cold-start had failing datasets")
-	}
-	return nil
 }
 
 // scrapeEpochPool lists a dataset's addressable historical epochs from

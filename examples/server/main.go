@@ -2,7 +2,7 @@
 //
 //  1. Build a dataset (the paper's Table 1 affiliations) and run the
 //     expensive precompute once (sourcecurrents.NewSession).
-//  2. Write the binary session snapshot — the cold-start artifact.
+//  2. Write the binary session snapshot — the artifact a server boots from.
 //  3. Load the snapshot back (no re-discovery) and register both sessions
 //     in an HTTP server on a loopback port.
 //  4. Query the server like a client would: /healthz, /answer with and
@@ -62,8 +62,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 2. The snapshot is what a production server ships and cold-starts
-	// from; here it stays in memory.
+	// 2. The snapshot is what a production server ships and boots from;
+	// here it stays in memory.
 	var snap bytes.Buffer
 	if err := built.WriteSnapshot(&snap); err != nil {
 		log.Fatal(err)

@@ -6,8 +6,8 @@
 // in order and fail over past shards that are down, erroring, or missing
 // the world (mid-rebalance); appends go to the primary and, once accepted,
 // fan out to the replicas so every copy advances through the same epochs.
-// A background prober polls each shard's /readyz — which verifies every
-// registered snapshot actually opens, not merely that the process is up —
+// A background prober polls each shard's /readyz — a shard opens every
+// snapshot before it listens, so an answer means its worlds are servable —
 // and the prober's dataset inventory doubles as the rebalance catalog:
 // when /admin/ring changes the shard set, the router tells each shard that
 // newly owns a world to adopt it by streaming a peer's snapshot.
@@ -338,11 +338,10 @@ func (rt *Router) probeAll() {
 	wg.Wait()
 }
 
-// probeShard polls one shard's /readyz: 200 means every registered world
-// is verified loadable, and the response carries the dataset inventory and
-// per-dataset epochs (the repair loop's lag signal). Any other status —
-// including a 503 "loading" — leaves the shard out of the routing set
-// until it verifies.
+// probeShard polls one shard's /readyz: a shard answers once every world it
+// registers is open, and the 200 carries the dataset inventory and
+// per-dataset epochs (the repair loop's lag signal). Any other status, or no
+// answer, leaves the shard out of the routing set until it answers 200.
 func (rt *Router) probeShard(s *shardState) {
 	resp, err := rt.probe.Get("http://" + s.addr + "/readyz")
 	if err != nil {

@@ -407,22 +407,21 @@ func TestAppendErrors(t *testing.T) {
 	}
 }
 
-// TestSnapshotV2RoundTrip pins that a log-carrying dataset snapshot
-// round-trips with its epochs, while flat datasets still write the
-// version-1 byte layout.
+// TestSnapshotV2RoundTrip pins that a dataset's sections in the snapshot
+// container (version 2 of the session format) round-trip a log-carrying
+// dataset with its epochs, and a flat one flat.
 func TestSnapshotV2RoundTrip(t *testing.T) {
 	all := testClaims(50)
 	flat, err := FromClaims(all[:40])
 	if err != nil {
 		t.Fatal(err)
 	}
-	var flatBuf bytes.Buffer
-	if err := flat.WriteSnapshot(&flatBuf); err != nil {
+	got, err := readSnapshot(encodeSnapshot(t, flat))
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Byte 8 of the frame is the version (after the 8-byte magic).
-	if v := flatBuf.Bytes()[8]; v != 1 {
-		t.Fatalf("flat dataset framed as version %d, want 1", v)
+	if got.Epoch() != 0 || got.LogBounds() != nil {
+		t.Fatalf("flat dataset loaded at epoch %d with bounds %v", got.Epoch(), got.LogBounds())
 	}
 
 	d, err := flat.Append(all[40:46])
@@ -433,15 +432,7 @@ func TestSnapshotV2RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := d.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if v := buf.Bytes()[8]; v != 2 {
-		t.Fatalf("appended dataset framed as version %d, want 2", v)
-	}
-	got, err := ReadSnapshot(&buf)
-	if err != nil {
+	if got, err = readSnapshot(encodeSnapshot(t, d)); err != nil {
 		t.Fatal(err)
 	}
 	if got.Epoch() != 2 {
@@ -528,12 +519,9 @@ func TestReadSnapshotBuildsOnce(t *testing.T) {
 		t.Fatalf("epochs %d and %d, want 16 and 0", logged.Epoch(), flat.Epoch())
 	}
 	loadAllocs := func(d *Dataset) float64 {
-		var buf bytes.Buffer
-		if err := d.WriteSnapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
+		raw := encodeSnapshot(t, d)
 		return testing.AllocsPerRun(10, func() {
-			if _, err := ReadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
+			if _, err := readSnapshot(raw); err != nil {
 				t.Fatal(err)
 			}
 		})

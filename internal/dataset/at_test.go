@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -85,11 +84,7 @@ func TestAtAfterSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := d2.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+	loaded, err := readSnapshot(encodeSnapshot(t, d2))
 	if err != nil {
 		t.Fatal(err)
 	}

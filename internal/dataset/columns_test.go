@@ -10,6 +10,7 @@ import (
 
 	"sourcecurrents/internal/dataset"
 	"sourcecurrents/internal/model"
+	"sourcecurrents/internal/snapio"
 	"sourcecurrents/internal/synth"
 )
 
@@ -382,11 +383,25 @@ func runColumnsCase(t *testing.T, seed int64) {
 		if msg := sameColumns(d.Compiled(), flat.Compiled()); msg != "" {
 			fail("Append chain vs flat FromClaims: %s", msg)
 		}
-		var snap bytes.Buffer
-		if err := d.WriteSnapshot(&snap); err != nil {
+		// The dataset as a session snapshot stores it: its sections, opened
+		// and materialized from the claim log.
+		var sw snapio.SectionWriter
+		if err := d.AppendSections(&sw); err != nil {
 			t.Fatal(err)
 		}
-		replayed, err := dataset.ReadSnapshot(bytes.NewReader(snap.Bytes()))
+		var snap bytes.Buffer
+		if err := sw.WriteTo(&snap, "SCDSTEST", 1); err != nil {
+			t.Fatal(err)
+		}
+		m, err := snapio.OpenMappedBytes(snap.Bytes(), "SCDSTEST", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		md, err := dataset.FromMapped(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayed, err := md.Dataset()
 		if err != nil {
 			t.Fatal(err)
 		}

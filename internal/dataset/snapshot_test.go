@@ -10,6 +10,11 @@ import (
 	"sourcecurrents/internal/snapio"
 )
 
+// A dataset reaches disk one way: as the sections of a session snapshot
+// (Dataset.AppendSections), opened by FromMapped and materialized by
+// Mapped.Dataset. The tests below drive that codec through a container that
+// holds a dataset's sections alone.
+
 // snapTestDataset builds a dataset that exercises the format's corners:
 // temporal claims, snapshot claims, re-asserted values, multi-value
 // conflicts, claim probabilities, and shared strings across roles.
@@ -38,19 +43,55 @@ func snapTestDataset(t testing.TB) *Dataset {
 	return d
 }
 
+// encodeSnapshot writes d's sections into a container of their own.
 func encodeSnapshot(t testing.TB, d *Dataset) []byte {
 	t.Helper()
+	var sw snapio.SectionWriter
+	if err := d.AppendSections(&sw); err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := d.WriteSnapshot(&buf); err != nil {
+	if err := sw.WriteTo(&buf, testDSMagic, 1); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
+// readSnapshot opens raw as encodeSnapshot writes it and materializes the
+// dataset, as a mapped session's first Fuse or Append does.
+func readSnapshot(raw []byte) (*Dataset, error) {
+	m, err := snapio.OpenMappedBytes(raw, testDSMagic, 1)
+	if err != nil {
+		return nil, err
+	}
+	md, err := FromMapped(m)
+	if err != nil {
+		return nil, err
+	}
+	return md.Dataset()
+}
+
+// damaged opens a copy of raw's container, lets mutate edit its sections in
+// place, and reads the dataset back.
+func damaged(t *testing.T, raw []byte, mutate func(m *snapio.Mapped)) error {
+	t.Helper()
+	m, err := snapio.OpenMappedBytes(append([]byte(nil), raw...), testDSMagic, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate(m)
+	md, err := FromMapped(m)
+	if err != nil {
+		return err
+	}
+	_, err = md.Dataset()
+	return err
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	d := snapTestDataset(t)
 	raw := encodeSnapshot(t, d)
-	got, err := ReadSnapshot(bytes.NewReader(raw))
+	got, err := readSnapshot(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,183 +121,135 @@ func TestSnapshotRequiresFrozen(t *testing.T) {
 	if err := d.Add(model.NewClaim("S1", model.Obj("e", "a"), "v")); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := d.WriteSnapshot(&buf); err == nil {
+	var sw snapio.SectionWriter
+	if err := d.AppendSections(&sw); err == nil {
 		t.Fatal("expected error for unfrozen dataset")
 	}
 }
 
+// An empty dataset writes, but does not open: no session is built over no
+// claims, so a snapshot's dataset always holds one.
 func TestSnapshotEmptyDataset(t *testing.T) {
 	d := New()
 	d.Freeze()
-	raw := encodeSnapshot(t, d)
-	got, err := ReadSnapshot(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 0 || !got.Frozen() {
-		t.Fatalf("decoded empty dataset: len=%d frozen=%v", got.Len(), got.Frozen())
+	if _, err := readSnapshot(encodeSnapshot(t, d)); !errors.Is(err, snapio.ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }
 
 func TestSnapshotWrongMagic(t *testing.T) {
 	raw := encodeSnapshot(t, snapTestDataset(t))
 	raw[0] = 'X'
-	if _, err := ReadSnapshot(bytes.NewReader(raw)); !errors.Is(err, snapio.ErrBadMagic) {
+	if _, err := readSnapshot(raw); !errors.Is(err, snapio.ErrBadMagic) {
 		t.Fatalf("err = %v, want ErrBadMagic", err)
 	}
 }
 
 func TestSnapshotFutureVersion(t *testing.T) {
 	raw := encodeSnapshot(t, snapTestDataset(t))
-	raw[snapio.MagicLen] = SnapshotVersion + 1
-	if _, err := ReadSnapshot(bytes.NewReader(raw)); !errors.Is(err, snapio.ErrBadVersion) {
+	raw[snapio.MagicLen] = 2
+	if _, err := readSnapshot(raw); !errors.Is(err, snapio.ErrBadVersion) {
 		t.Fatalf("err = %v, want ErrBadVersion", err)
 	}
 }
 
+// Every cut that drops a byte of some section fails; only the last
+// section's alignment padding (under 8 bytes) may go.
 func TestSnapshotTruncatedEverywhere(t *testing.T) {
 	raw := encodeSnapshot(t, snapTestDataset(t))
-	for cut := 0; cut < len(raw); cut += 1 {
-		if _, err := ReadSnapshot(bytes.NewReader(raw[:cut])); err == nil {
-			t.Fatalf("cut at %d bytes: expected error", cut)
+	for cut := 0; cut <= len(raw)-8; cut++ {
+		if _, err := readSnapshot(raw[:cut]); err == nil {
+			t.Fatalf("cut at %d of %d bytes: expected error", cut, len(raw))
 		}
 	}
 }
 
+// The header is checksummed and the sections are not: a flipped bit fails
+// the open with a classified error, or it opens to a dataset that
+// re-encodes and reopens byte for byte. Never a panic.
 func TestSnapshotBitFlips(t *testing.T) {
 	raw := encodeSnapshot(t, snapTestDataset(t))
 	for off := 0; off < len(raw); off += 7 {
 		mut := append([]byte(nil), raw...)
 		mut[off] ^= 0x10
-		// Must never panic; almost always errors (the CRC catches payload
-		// damage, header damage trips magic/version/length checks). A flip
-		// in the CRC bytes themselves errors as a checksum mismatch.
-		if _, err := ReadSnapshot(bytes.NewReader(mut)); err == nil {
-			t.Fatalf("bit flip at %d decoded successfully", off)
+		got, err := readSnapshot(mut)
+		if err != nil {
+			if !classified(err) {
+				t.Fatalf("bit flip at %d: unclassified error %v", off, err)
+			}
+			continue
+		}
+		again := encodeSnapshot(t, got)
+		back, err := readSnapshot(again)
+		if err != nil || !bytes.Equal(encodeSnapshot(t, back), again) {
+			t.Fatalf("bit flip at %d: the dataset it opened to does not round-trip (%v)", off, err)
 		}
 	}
 }
 
-// craftFrame builds a validly-framed payload with arbitrary contents, so
-// corruption below the CRC layer can be exercised.
-func craftFrame(t *testing.T, build func(w *snapio.Writer)) []byte {
-	t.Helper()
-	var w snapio.Writer
-	build(&w)
-	var buf bytes.Buffer
-	if err := w.Frame(&buf, SnapshotMagic, SnapshotVersion); err != nil {
+// A claim written twice in the log, in place of another, keeps every id in
+// range, so it opens; the tables it builds are not the stored ones.
+func TestSnapshotDuplicateClaimPosition(t *testing.T) {
+	raw := encodeSnapshot(t, snapTestDataset(t))
+	err := damaged(t, raw, func(m *snapio.Mapped) {
+		for _, id := range []uint32{SecLogSrc, SecLogObj, SecLogVal} {
+			col, _ := m.I32Section(id)
+			col[1] = col[0]
+		}
+	})
+	if !errors.Is(err, snapio.ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+}
+
+// A log column one claim short of the others fails the open.
+func TestSnapshotMissingClaimPosition(t *testing.T) {
+	raw := encodeSnapshot(t, snapTestDataset(t))
+	m, err := snapio.OpenMappedBytes(raw, testDSMagic, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
-}
-
-func TestSnapshotDuplicateClaimPosition(t *testing.T) {
-	raw := craftFrame(t, func(w *snapio.Writer) {
-		w.U32(3) // strings: "S", "e", "v" (attribute reuses "e")
-		w.Str("S")
-		w.Str("e")
-		w.Str("v")
-		w.U32(2) // two claims
-		w.U32(1) // one source
-		w.U32(0) // source ref "S"
-		w.U32(2) // two records
-		for i := 0; i < 2; i++ {
-			w.U32(0) // position 0 twice
-			w.U32(1)
-			w.U32(1)
-			w.U32(2)
-			w.Bool(false)
-			w.I64(0)
-			w.F64(1)
+	var sw snapio.SectionWriter
+	for id := SecGroupStart; id < SecCompiledEnd; id++ {
+		if b, ok := m.Section(id); ok {
+			if id == SecLogObj {
+				b = b[:len(b)-4]
+			}
+			sw.Add(id, b)
 		}
-	})
-	if _, err := ReadSnapshot(bytes.NewReader(raw)); !errors.Is(err, snapio.ErrCorrupt) {
+	}
+	var buf bytes.Buffer
+	if err := sw.WriteTo(&buf, testDSMagic, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readSnapshot(buf.Bytes()); !errors.Is(err, snapio.ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }
 
-func TestSnapshotMissingClaimPosition(t *testing.T) {
-	raw := craftFrame(t, func(w *snapio.Writer) {
-		w.U32(3)
-		w.Str("S")
-		w.Str("e")
-		w.Str("v")
-		w.U32(2) // declares two claims ...
-		w.U32(1)
-		w.U32(0)
-		w.U32(1) // ... but encodes only one
-		w.U32(0)
-		w.U32(1)
-		w.U32(1)
-		w.U32(2)
-		w.Bool(false)
-		w.I64(0)
-		w.F64(1)
-	})
-	if _, err := ReadSnapshot(bytes.NewReader(raw)); !errors.Is(err, snapio.ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
-	}
-}
-
+// A log row that is not a valid claim — here a probability above 1 — fails
+// the open, not the first solve.
 func TestSnapshotInvalidClaim(t *testing.T) {
-	// An empty source string is structurally valid in the format but fails
-	// claim validation at rebuild — must error, not panic.
-	raw := craftFrame(t, func(w *snapio.Writer) {
-		w.U32(3)
-		w.Str("") // sorted first
-		w.Str("e")
-		w.Str("v")
-		w.U32(1)
-		w.U32(1)
-		w.U32(0) // source ref "" — invalid claim
-		w.U32(1)
-		w.U32(0)
-		w.U32(1)
-		w.U32(1)
-		w.U32(2)
-		w.Bool(false)
-		w.I64(0)
-		w.F64(1)
-	})
-	if _, err := ReadSnapshot(bytes.NewReader(raw)); err == nil {
-		t.Fatal("expected claim validation error")
-	}
-}
-
-// classified reports whether a decode failure carries one of the format's
-// sentinels: corrupt payload, or the frame-level damage (truncation, bad
-// magic, future version, checksum) snapio detects before any payload is
-// read.
-func classified(err error) bool {
-	for _, sentinel := range []error{
-		snapio.ErrCorrupt, snapio.ErrTruncated, snapio.ErrBadMagic, snapio.ErrBadVersion, snapio.ErrChecksum,
-	} {
-		if errors.Is(err, sentinel) {
-			return true
+	raw := encodeSnapshot(t, snapTestDataset(t))
+	err := damaged(t, raw, func(m *snapio.Mapped) {
+		probs, err := m.F64Section(SecLogProb)
+		if err != nil || len(probs) == 0 {
+			t.Fatalf("no probability column: %v", err)
 		}
+		probs[0] = 1.5
+	})
+	if !errors.Is(err, snapio.ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
-	return false
 }
 
-// seedDamaged adds raw and the standard damage to it: cut in half, cut to
-// the header, and one flipped payload byte.
-func seedDamaged(f *testing.F, raw []byte) {
-	f.Add(raw)
-	f.Add(raw[:len(raw)/2])
-	f.Add(raw[:snapio.MagicLen+4])
-	mut := append([]byte(nil), raw...)
-	mut[len(mut)/3] ^= 0xFF
-	f.Add(mut)
-}
-
-// FuzzReadSnapshot drives the decoder — and behind it the column builder
-// every decoded dataset goes through — with arbitrary bytes. Any input
-// either fails with a classified error or decodes to a dataset whose
-// re-encoding round-trips byte for byte; never a panic or an out-of-bounds
-// read. Seeds: the checked-in corpus under testdata/fuzz, the corner-case
-// dataset, Tables 1–3 and a log-carrying (version 2) snapshot, each whole
-// and damaged.
+// FuzzReadSnapshot drives the dataset's section codec — FromMapped's checks,
+// and behind them the column builder every materialized dataset goes through
+// — with arbitrary containers. Any input either fails with a classified
+// error or opens to a dataset whose re-encoding round-trips byte for byte;
+// never a panic or an out-of-bounds read. Seeds: the checked-in corpus under
+// testdata/fuzz, the corner-case dataset, Tables 1–3 and a log-carrying
+// dataset, each whole and damaged.
 func FuzzReadSnapshot(f *testing.F) {
 	logged, err := Table3().Append(Table1().Claims())
 	if err != nil {
@@ -266,9 +259,9 @@ func FuzzReadSnapshot(f *testing.F) {
 		seedDamaged(f, encodeSnapshot(f, d))
 	}
 	f.Add([]byte{})
-	f.Add([]byte("SCDSDATA"))
+	f.Add([]byte(testDSMagic))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadSnapshot(bytes.NewReader(data))
+		got, err := readSnapshot(data)
 		if err != nil {
 			if !classified(err) {
 				t.Fatalf("unclassified decode error: %v", err)
@@ -276,46 +269,12 @@ func FuzzReadSnapshot(f *testing.F) {
 			return
 		}
 		again := encodeSnapshot(t, got)
-		back, err := ReadSnapshot(bytes.NewReader(again))
+		back, err := readSnapshot(again)
 		if err != nil {
 			t.Fatalf("re-encoded snapshot does not decode: %v", err)
 		}
 		if !bytes.Equal(encodeSnapshot(t, back), again) || back.Epoch() != got.Epoch() || back.Len() != got.Len() {
 			t.Fatal("re-encoded snapshot does not round-trip")
-		}
-	})
-}
-
-// FuzzReadSegment is FuzzReadSnapshot's twin for log segments: a classified
-// error, or a batch WriteSegment accepts and reproduces byte for byte.
-func FuzzReadSegment(f *testing.F) {
-	for _, d := range []*Dataset{snapTestDataset(f), Table1(), Table2(), Table3()} {
-		var buf bytes.Buffer
-		if err := WriteSegment(&buf, d.Claims()); err != nil {
-			f.Fatal(err)
-		}
-		seedDamaged(f, buf.Bytes())
-	}
-	f.Add([]byte{})
-	f.Add([]byte("SCDSSEGM"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		batch, err := ReadSegment(bytes.NewReader(data))
-		if err != nil {
-			if !classified(err) {
-				t.Fatalf("unclassified decode error: %v", err)
-			}
-			return
-		}
-		var again, third bytes.Buffer
-		if err := WriteSegment(&again, batch); err != nil {
-			t.Fatalf("decoded batch does not re-encode: %v", err)
-		}
-		back, err := ReadSegment(bytes.NewReader(again.Bytes()))
-		if err != nil {
-			t.Fatalf("re-encoded segment does not decode: %v", err)
-		}
-		if err := WriteSegment(&third, back); err != nil || !bytes.Equal(third.Bytes(), again.Bytes()) {
-			t.Fatalf("re-encoded segment does not round-trip (%v)", err)
 		}
 	})
 }

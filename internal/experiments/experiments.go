@@ -484,7 +484,7 @@ func EX6TruthSweep(seed int64, nObjects int) *Report {
 	rep.Tables = append(rep.Tables, t)
 	rep.Notes = append(rep.Notes,
 		"expected shape: voting degrades as the copier bloc grows; DEPEN beats voting once the bloc is detectable",
-		"at the crossover (bloc size ~ honest sources) the cold-start problem is maximally ambiguous and all methods dip — the bootstrapping issue §3.2's iterative scheme is designed around")
+		"at the crossover (bloc size ~ honest sources) the cold start problem is maximally ambiguous and all methods dip — the bootstrapping issue §3.2's iterative scheme is designed around")
 	return rep
 }
 

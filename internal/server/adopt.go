@@ -12,10 +12,11 @@
 // POST /v1/{dataset}/adopt?from=URL is the pull side: fetch the stream into
 // a temporary file, validate it end to end (transfer CRC, container
 // structure, fingerprint — the same gauntlet a local load runs), and only
-// then rename it into the serving directory and register it with the lazy
-// registry. Every validation failure reports snapio.ErrCorrupt and leaves
-// the registry and directory untouched: a partial or corrupted world is
-// never observable, which is the invariant the corruption suite pins.
+// then rename it into the serving directory and register the session the
+// validation opened — the file is opened once. Every validation failure
+// reports snapio.ErrCorrupt and leaves the registry and directory untouched:
+// a partial or corrupted world is never observable, which is the invariant
+// the corruption suite pins.
 //
 // Adoption has one mode: it gives a shard a world it does not serve. A shard
 // that serves a world but lags its primary never re-adopts it; it appends
@@ -54,12 +55,12 @@ var ErrAlreadyRegistered = errors.New("server: dataset already registered")
 // be large and the transfer is bounded by maxSnapshotStream, not time.
 var adoptClient = &http.Client{}
 
-// AdoptFromURL fetches a snapshot stream, validates it, installs it as
-// <dir>/<name>.snap, and registers it with the registry (lazily — the world
-// maps on its first request, already marked verified). Returns the cause
-// wrapped in snapio.ErrCorrupt for any integrity failure; a dataset already
-// registered under name is ErrAlreadyRegistered (adoption is idempotent at
-// the fleet layer — the caller treats it as success).
+// AdoptFromURL fetches a snapshot stream, validates it by opening it,
+// installs it as <dir>/<name>.snap, and registers the opened session, so the
+// world is mapped before its first request. Returns the cause wrapped in
+// snapio.ErrCorrupt for any integrity failure; a dataset already registered
+// under name is ErrAlreadyRegistered (adoption is idempotent at the fleet
+// layer — the caller treats it as success).
 func AdoptFromURL(reg *Registry, name, from, dir string, cfg session.Config, client *http.Client) error {
 	if !validName(name) {
 		return fmt.Errorf("%w: invalid dataset name %q", ErrBadRequest, name)
@@ -111,33 +112,30 @@ func AdoptFromURL(reg *Registry, name, from, dir string, cfg session.Config, cli
 		}
 	}
 
-	// Validate exactly as a cold start would: map the container, build every
-	// typed view, check the fingerprint. Anything short of a fully servable
-	// world is corruption — truncations and bad magic keep their own
-	// sentinels in the chain, but errors.Is(err, snapio.ErrCorrupt) holds for
-	// all of them.
+	// Validate exactly as a boot would: map the container, build every typed
+	// view, check the fingerprint. Anything short of a fully servable world
+	// is corruption — truncations and bad magic keep their own sentinels in
+	// the chain, but errors.Is(err, snapio.ErrCorrupt) holds for all of them.
+	// The mapping outlives the rename below: it holds the file, not its name.
 	s, err := session.LoadSnapshotFile(tmpPath, cfg)
 	if err != nil {
 		return fmt.Errorf("server: adopt %q: %w (%w)", name, snapio.ErrCorrupt, err)
 	}
-
-	epoch := uint64(s.DatasetEpoch())
-	_ = s.Close()
 	final := filepath.Join(dir, name+".snap")
 	if err := os.Rename(tmpPath, final); err != nil {
+		_ = s.Close()
 		return fmt.Errorf("server: adopt %q: %w", name, err)
 	}
-	if err := reg.RegisterLazy(name, final, cfg); err != nil {
+	if err := reg.Register(name, s); err != nil {
 		// Lost a race with a concurrent adopt or register; the file stays (it
 		// is valid and at its final name) but this call did not win.
+		_ = s.Close()
 		return fmt.Errorf("%w: %q: %v", ErrAlreadyRegistered, name, err)
 	}
-	reg.markVerified(name)
-	reg.recordEpoch(name, epoch)
 	return nil
 }
 
-// Has reports whether name is registered (without loading anything).
+// Has reports whether name is registered.
 func (r *Registry) Has(name string) bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

@@ -471,37 +471,26 @@ func BuildLinkResponse(res *linkage.Result) LinkResponse {
 }
 
 // HealthResponse is the /healthz payload. Status is liveness ("ok" as long
-// as the process serves); Ready distinguishes loading from ready — true
-// only once every registered world has been proven loadable, checked
-// without triggering any load (see /readyz for the active probe).
+// as the process serves).
 type HealthResponse struct {
 	Status   string   `json:"status"`
-	Ready    bool     `json:"ready"`
 	Datasets []string `json:"datasets"`
 }
 
 // BuildHealthResponse renders the registry's dataset names, sorted.
-func BuildHealthResponse(names []string, ready bool) HealthResponse {
+func BuildHealthResponse(names []string) HealthResponse {
 	sorted := append([]string(nil), names...)
 	sort.Strings(sorted)
-	return HealthResponse{Status: "ok", Ready: ready, Datasets: sorted}
+	return HealthResponse{Status: "ok", Datasets: sorted}
 }
 
-// ReadyFailure is one dataset that failed readiness verification.
-type ReadyFailure struct {
-	Dataset string `json:"dataset"`
-	Error   string `json:"error"`
-}
-
-// ReadyResponse is the /readyz payload: 200/"ready" only when every
-// registered world verifiably opens. Datasets is the shard's inventory —
+// ReadyResponse is the /readyz payload. Datasets is the shard's inventory —
 // the router's prober reads it to know what lives where — and Epochs
-// reports each known dataset's append-log epoch, the signal the router's
+// reports each dataset's append-log epoch, the signal the router's
 // anti-entropy repair loop compares across a placement to spot lagging
 // replicas.
 type ReadyResponse struct {
 	Status   string            `json:"status"`
 	Datasets []string          `json:"datasets"`
 	Epochs   map[string]uint64 `json:"epochs,omitempty"`
-	Failures []ReadyFailure    `json:"failures,omitempty"`
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -188,22 +189,32 @@ func TestDeltaAppendAcrossBatches(t *testing.T) {
 	rts, _, rdir := persistingShard(t, open())
 	cur, _, _ := sessionOf(preg, "alpha")
 	srcs := cur.Dataset().Sources()
+	appended := 0 // the claims of all three batches
 	for i, b := range []string{
 		appendBody(t, cur, string(srcs[1]), "Z1", 5),
 		appendBody(t, cur, "0-first", "Z2", 7), // a new source that sorts first
 		appendBody(t, cur, string(srcs[3]), "Z3", 9),
 	} {
-		if resp, body := post(t, pts.URL+"/v1/alpha/append", b); resp.StatusCode != http.StatusOK {
+		resp, body := post(t, pts.URL+"/v1/alpha/append", b)
+		var ar AppendResponse
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &ar) != nil {
 			t.Fatalf("primary append %d: %d %s", i+1, resp.StatusCode, body)
 		}
+		appended += ar.Appended
 	}
 	resp, frame := get(t, pts.URL+"/v1/alpha/delta?since=0")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("delta since 0: %d %s", resp.StatusCode, frame)
 	}
-	if resp, body := postDelta(t, rts.URL+"/v1/alpha/append?expect_epoch=0", frame); resp.StatusCode != http.StatusOK ||
-		!strings.Contains(string(body), `"epoch":3`) {
+	resp, body := postDelta(t, rts.URL+"/v1/alpha/append?expect_epoch=0", frame)
+	var ar AppendResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &ar) != nil || ar.Epoch != 3 {
 		t.Fatalf("3-batch delta append: %d %s", resp.StatusCode, body)
+	}
+	// The reply counts every claim since the epoch the delta was taken at,
+	// not only the last batch's.
+	if ar.Appended != appended {
+		t.Fatalf("3-batch delta append reports %d claims appended, want %d", ar.Appended, appended)
 	}
 	for e := 1; e <= 3; e++ {
 		seg := fmt.Sprintf("alpha.%06d.seg", e)

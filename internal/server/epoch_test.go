@@ -44,10 +44,28 @@ func TestReadyzReportsEpochs(t *testing.T) {
 }
 
 // A registry epoch is its served dataset's epoch, read off the session and
-// never counted: it holds after a Register, a lazy load of a snapshot with a
-// log, a JSON append, and delta appends across one batch and across three.
+// never counted: it holds after LoadDir maps a snapshot with a log, a
+// Register, a JSON append, and delta appends across one batch and across
+// three.
 func TestRegistryEpochIsDatasetEpoch(t *testing.T) {
-	reg := NewRegistry()
+	base := testSession(t, 13, 25)
+	logged, err := base.Append(base.Dataset().Claims()[:4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	f, err := os.Create(filepath.Join(dir, "mapped.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := logged.WriteSnapshot(f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	reg, err := LoadDir(dir, session.DefaultConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	check := func(step, name string, want int) {
 		t.Helper()
 		sess, _, ok := sessionOf(reg, name)
@@ -58,29 +76,11 @@ func TestRegistryEpochIsDatasetEpoch(t *testing.T) {
 			t.Fatalf("after %s: registry epoch %d, dataset epoch %d, want %d", step, got, sess.DatasetEpoch(), want)
 		}
 	}
+	check("LoadDir", "mapped", 1)
 	if err := reg.Register("alpha", testSession(t, 11, 30)); err != nil {
 		t.Fatal(err)
 	}
 	check("Register", "alpha", 0)
-
-	base := testSession(t, 13, 25)
-	logged, err := base.Append(base.Dataset().Claims()[:4])
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "lazy.snap")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := logged.WriteSnapshot(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if err := reg.RegisterLazy("lazy", path, session.DefaultConfig()); err != nil {
-		t.Fatal(err)
-	}
-	check("a lazy load", "lazy", 1)
 
 	// The primary takes JSON batches; the registry under test takes the first
 	// as JSON too, then follows by delta frames.

@@ -335,14 +335,15 @@ func TestTrajectoryEndpoint(t *testing.T) {
 	}
 }
 
-// TestRetentionEvictionChurn is the retention × lazy-eviction race: three
-// mmap-backed worlds behind -max-resident 1 with -retain-epochs 3, one
-// world churning through appends while readers replay every addressable
-// epoch via ?as_of= and others force evict/reload cycles. Meaningful under
-// -race: retired mapped epochs must never be unmapped while a pinned
-// request reads them, and every 200 must be byte-identical to the answer
-// that epoch served when it was current. Zero failed requests required.
-func TestRetentionEvictionChurn(t *testing.T) {
+// TestRetentionGraveReapingChurn is the retention × grave-reaping race:
+// three mmap-backed worlds with -retain-epochs 3, one world churning through
+// appends — each pushing a mapped epoch out of the window into the grave —
+// while readers replay every addressable epoch via ?as_of= and others read
+// the two untouched worlds. Meaningful under -race: a graved mapped epoch
+// must never be unmapped while a pinned request reads it, and every 200 must
+// be byte-identical to the answer that epoch served when it was current.
+// Zero failed requests required.
+func TestRetentionGraveReapingChurn(t *testing.T) {
 	dir, reqs, wants := snapDir(t, 3)
 	cfg := session.DefaultConfig()
 	cfg.RetainEpochs = 3
@@ -350,7 +351,6 @@ func TestRetentionEvictionChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg.SetMaxResident(1)
 	ts := httptest.NewServer(New(reg, Options{AnswerCacheSize: 256}))
 	defer ts.Close()
 
@@ -419,8 +419,7 @@ func TestRetentionEvictionChurn(t *testing.T) {
 			}
 		}(w)
 	}
-	// Eviction churners hammer the two read-only worlds, keeping the
-	// resident bound under pressure while the mutated world stays pinned.
+	// Plain readers hammer the two read-only worlds beside the churn.
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -444,7 +443,7 @@ func TestRetentionEvictionChurn(t *testing.T) {
 					return
 				}
 				if string(body) != string(wants[name]) {
-					errc <- fmt.Errorf("%s: bytes differ under eviction churn", name)
+					errc <- fmt.Errorf("%s: bytes differ beside the churn", name)
 					return
 				}
 			}
@@ -455,9 +454,8 @@ func TestRetentionEvictionChurn(t *testing.T) {
 	// reaches 3, so mapped epoch 0 is pruned and reaped mid-run), recording
 	// each new epoch's golden before the next append.
 	for i := 1; i <= 6; i++ {
-		// Read the session under its pin: until the first append marks the
-		// world dirty it is evictable, and an unpinned mapped session may be
-		// unmapped by the churners' loads at any moment.
+		// Read the session under its pin, as every reader of a mapped
+		// session does.
 		cur, _, release, err := reg.Acquire(churnWorld)
 		if err != nil {
 			t.Fatal(err)
@@ -488,6 +486,11 @@ func TestRetentionEvictionChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+	// Every request has released its pin, so the last unpin closed the
+	// mapped epoch 0 the window pruned.
+	if n := reg.entries[churnWorld].graveLen.Load(); n != 0 {
+		t.Fatalf("%d graved sessions still mapped after every request released its pin", n)
 	}
 
 	_, met := get(t, ts.URL+"/metrics")

@@ -1,7 +1,7 @@
 // The server's instrument set, registered on internal/metrics. The /metrics
 // page is laid out by registration order: the request series here, then the
-// answer cache's (cache.go), then the registry's residency and per-dataset
-// series at the bottom of this file.
+// answer cache's (cache.go), then the registry's mapped-bytes and
+// per-dataset series at the bottom of this file.
 package server
 
 import (
@@ -78,15 +78,10 @@ func (m *requestMetrics) observe(op string, d time.Duration, status int) {
 }
 
 // registerRegistryMetrics registers the series read from the dataset
-// registry at scrape time: the lazy-registry gauges an operator watches to
-// size -max-resident, and the per-dataset lifecycle series.
+// registry at scrape time: the mapped-bytes total and the per-dataset
+// lifecycle series.
 func registerRegistryMetrics(reg *metrics.Registry, datasets *Registry) {
-	reg.Gauge("currents_datasets_resident", "Sessions currently loaded in memory.",
-		func() int64 { return int64(datasets.Residency().Resident) })
-	reg.Gauge("currents_mapped_bytes", "Bytes of snapshot files currently memory-mapped.",
-		func() int64 { return datasets.Residency().MappedBytes })
-	reg.Counter("currents_world_loads_total", "Lazy session loads since server start.", datasets.loads.Load)
-	reg.Counter("currents_world_evictions_total", "Sessions evicted under the resident bound since server start.", datasets.evictions.Load)
+	reg.Gauge("currents_mapped_bytes", "Bytes of snapshot files currently memory-mapped.", datasets.MappedBytes)
 
 	perDataset := func(kind metrics.Kind, name, help string, value func(DatasetStat) int64) {
 		reg.Collect(kind, name, help, []string{"dataset"}, func(emit metrics.Emit) {
@@ -103,13 +98,6 @@ func registerRegistryMetrics(reg *metrics.Registry, datasets *Registry) {
 		func(st DatasetStat) int64 { return st.Appends })
 	perDataset(metrics.KindCounter, "currents_dataset_delta_appends_total", "Accepted append batches per dataset applied from a primary's epoch delta instead of solved.",
 		func(st DatasetStat) int64 { return st.DeltaAppends })
-	perDataset(metrics.KindGauge, "currents_dataset_resident", "Whether each dataset's session is currently loaded (1) or lazy/evicted (0).",
-		func(st DatasetStat) int64 {
-			if st.Resident {
-				return 1
-			}
-			return 0
-		})
 	perDataset(metrics.KindGauge, "currents_retained_epochs", "Historical epochs addressable behind the current one, per dataset.",
 		func(st DatasetStat) int64 { return int64(st.RetainedEpochs) })
 	perDataset(metrics.KindCounter, "currents_asof_materializations_total", "Historical sessions rebuilt on demand for as_of queries, per dataset.",

@@ -1,0 +1,122 @@
+package server
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"sourcecurrents/internal/session"
+	"sourcecurrents/internal/snapio"
+)
+
+// TestLoadDirRefusesRetiredFormats: LoadDir opens every snapshot, so the
+// retired decode-everything stream (ErrBadMagic) and a container of the
+// retired version 1 (ErrBadVersion) fail the boot, naming the file, rather
+// than registering a world no request could serve.
+func TestLoadDirRefusesRetiredFormats(t *testing.T) {
+	var stream bytes.Buffer
+	var w snapio.Writer
+	w.U32(0)
+	if err := w.Frame(&stream, "SCDSSESS", 2); err != nil {
+		t.Fatal(err)
+	}
+	var v1 bytes.Buffer
+	var sw snapio.SectionWriter
+	if err := sw.WriteTo(&v1, session.SnapshotMagic, 1); err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		raw  []byte
+		want error
+	}{
+		"stream": {stream.Bytes(), snapio.ErrBadMagic},
+		"v1":     {v1.Bytes(), snapio.ErrBadVersion},
+	} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, name+".snap")
+		if err := os.WriteFile(path, tc.raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadDir(dir, session.DefaultConfig(), nil)
+		if !errors.Is(err, tc.want) || !strings.Contains(fmt.Sprint(err), path) {
+			t.Fatalf("%s: LoadDir = %v, want %v naming %s", name, err, tc.want, path)
+		}
+	}
+}
+
+// snapDir writes n worlds as snapshots into a temp directory and
+// returns it with the answer request and golden answer body for each world.
+func snapDir(t testing.TB, n int) (string, map[string]string, map[string][]byte) {
+	t.Helper()
+	dir := t.TempDir()
+	reqs := make(map[string]string, n)
+	wants := make(map[string][]byte, n)
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("world%d", i)
+		s := testSession(t, int64(100+i), 12+i)
+		f, err := os.Create(filepath.Join(dir, name+".snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteSnapshot(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		reqs[name] = answerBody(t, s, 6)
+		var ar AnswerRequest
+		if err := decodeBody([]byte(reqs[name]), &ar); err != nil {
+			t.Fatal(err)
+		}
+		wants[name] = expectedAnswer(t, s, ar)
+	}
+	return dir, reqs, wants
+}
+
+// TestLoadDirMapsEveryWorld: LoadDir maps every snapshot before it returns —
+// /metrics reports their bytes before the first request — and the mapped
+// worlds answer byte-identically to the sessions they were written from.
+func TestLoadDirMapsEveryWorld(t *testing.T) {
+	dir, reqs, wants := snapDir(t, 3)
+	reg, err := LoadDir(dir, session.DefaultConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var size int64
+	for name := range reqs {
+		info, err := os.Stat(filepath.Join(dir, name+".snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		size += info.Size()
+	}
+	if got := reg.MappedBytes(); got != size {
+		t.Fatalf("after LoadDir: %d bytes mapped, want the %d bytes of the three files", got, size)
+	}
+
+	ts := httptest.NewServer(New(reg, Options{}))
+	defer ts.Close()
+	_, metricsBody := get(t, ts.URL+"/metrics")
+	if want := fmt.Sprintf("currents_mapped_bytes %d\n", size); !strings.Contains(string(metricsBody), want) {
+		t.Fatalf("metrics before the first request lack %q:\n%s", want, grepMetric(string(metricsBody), "currents_mapped_bytes"))
+	}
+	for name, req := range reqs {
+		resp, body := post(t, ts.URL+"/v1/"+name+"/answer", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", name, resp.StatusCode, body)
+		}
+		if !bytes.Equal(body, wants[name]) {
+			t.Fatalf("%s: the mapped world answers differently from the session it was written from", name)
+		}
+	}
+	if got := reg.MappedBytes(); got != size {
+		t.Fatalf("after serving: %d bytes mapped, want %d", got, size)
+	}
+}

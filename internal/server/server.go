@@ -17,8 +17,8 @@
 //	GET  /v1/{dataset}/delta      ?since=e: the delta frame from epoch e to
 //	                              the current one (replica fan-out and repair)
 //	POST /v1/{dataset}/adopt      pull + validate + register a peer snapshot
-//	GET  /healthz                 liveness + registered datasets (+ ready bit)
-//	GET  /readyz                  active readiness: every world verifiably opens
+//	GET  /healthz                 liveness + registered datasets
+//	GET  /readyz                  readiness: the datasets and their epochs
 //	GET  /metrics                 Prometheus text metrics
 //
 // Sessions are immutable; an append builds a successor session (delta
@@ -258,11 +258,7 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) (string, response
 		if r.Method != http.MethodGet {
 			return "healthz", methodNotAllowed(w, http.MethodGet)
 		}
-		// Liveness plus the loading-vs-ready distinction: Ready is a cheap
-		// all-verified check that never triggers a load, so a booting lazy
-		// server answers ok/ready:false until its worlds prove loadable.
-		return "healthz", jsonResponse(http.StatusOK,
-			BuildHealthResponse(s.reg.Names(), s.reg.AllVerified()))
+		return "healthz", jsonResponse(http.StatusOK, BuildHealthResponse(s.reg.Names()))
 	case "/readyz":
 		if r.Method != http.MethodGet {
 			return "readyz", methodNotAllowed(w, http.MethodGet)
@@ -297,13 +293,11 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) (string, response
 		}
 		return "adopt", s.handleAdopt(r, name)
 	}
-	// Acquire pins the session for the request's lifetime: a lazy world
-	// loads on this first touch, and eviction under -max-resident cannot
-	// unmap the snapshot while any request still reads from it. The pin
-	// also covers any historical session resolved below — the grave reaper
-	// closes retired mapped epochs only once the entry's pins drain.
+	// Acquire pins the entry for the request's lifetime, which covers any
+	// historical session resolved below — the grave reaper closes retired
+	// mapped epochs only once the entry's pins drain.
 	sess, epoch, release, err := s.reg.Acquire(name)
-	if errors.Is(err, ErrUnknownDataset) {
+	if err != nil { // the one error: ErrUnknownDataset
 		er := ErrorResponse{Error: fmt.Sprintf("unknown dataset %q", name)}
 		// In a fleet, "unknown here" usually means "owned elsewhere": embed
 		// the ring primary so the client can retry at the right shard.
@@ -314,9 +308,6 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) (string, response
 			}
 		}
 		return "other", jsonResponse(http.StatusNotFound, er)
-	}
-	if err != nil {
-		return "other", errResponse(err)
 	}
 	defer release()
 
@@ -531,7 +522,8 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, name strin
 		}
 		advance = func(cur *session.Session) (*session.Session, error) { return cur.Append(batch) }
 	}
-	var floor int // the retention floor before the swap
+	var floor int    // the retention floor before the swap
+	var appended int // the claims of every batch the append applied
 	next, epoch, err := s.reg.ingest(name, func(cur *session.Session) (*session.Session, error) {
 		// A registry epoch is its dataset's append-log epoch, and the update
 		// lock holds it still between this check and the swap.
@@ -564,6 +556,8 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, name strin
 			}
 		}
 		floor = cur.HistoryFloor()
+		d := succ.Dataset()
+		appended = d.Len() - d.LogBounds()[have]
 		return succ, nil
 	}, delta)
 	var conflict *epochConflict
@@ -590,7 +584,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request, name strin
 			s.opt.Logf("append %s: flushed %d cached answers for pruned epochs %d..%d", name, n, floor, pruned-1)
 		}
 	}
-	return jsonResponse(http.StatusOK, BuildAppendResponse(name, epoch, len(next.Dataset().Batch()), next))
+	return jsonResponse(http.StatusOK, BuildAppendResponse(name, epoch, appended, next))
 }
 
 // handleDelta serves the delta frame since ?since=e — the batches appended
@@ -732,30 +726,16 @@ func (s *Server) handleLink(w http.ResponseWriter, r *http.Request, sess *sessio
 	return jsonResponse(http.StatusOK, BuildLinkResponse(res))
 }
 
-// handleReadyz actively verifies every registered world opens (cached after
-// the first success), answering 200 only when the whole shard is servable.
-// The body carries the dataset inventory either way — the router's prober
-// reads it to build the fleet catalog — and per-dataset failures when
-// unready, so an operator can see exactly which snapshot is bad.
+// handleReadyz reports the shard ready with its dataset inventory — the
+// router's prober reads it to build the fleet catalog — and each dataset's
+// epoch. A world is open before it is registered, so a shard that answers is
+// servable.
 func (s *Server) handleReadyz() response {
-	checks := s.reg.VerifyAll()
-	resp := ReadyResponse{Status: "ready"}
-	status := http.StatusOK
-	for _, c := range checks {
-		resp.Datasets = append(resp.Datasets, c.Name)
-		if c.Err != nil {
-			resp.Failures = append(resp.Failures, ReadyFailure{Dataset: c.Name, Error: c.Err.Error()})
-		}
-	}
-	if len(resp.Failures) > 0 {
-		resp.Status = "unready"
-		status = http.StatusServiceUnavailable
-	}
-	if resp.Datasets == nil {
-		resp.Datasets = []string{}
-	}
-	resp.Epochs = s.reg.KnownEpochs()
-	return jsonResponse(status, resp)
+	return jsonResponse(http.StatusOK, ReadyResponse{
+		Status:   "ready",
+		Datasets: s.reg.Names(),
+		Epochs:   s.reg.KnownEpochs(),
+	})
 }
 
 // handleSnapshot streams the session's snapshot container: the mapped

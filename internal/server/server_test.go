@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +17,7 @@ import (
 	"sourcecurrents/internal/dataset"
 	"sourcecurrents/internal/probdb"
 	"sourcecurrents/internal/session"
+	"sourcecurrents/internal/snapio"
 	"sourcecurrents/internal/synth"
 )
 
@@ -430,19 +432,20 @@ func TestLoadDir(t *testing.T) {
 		t.Fatal("snapshot-loaded and csv-built sessions answer differently")
 	}
 
-	// A corrupt snapshot with a valid magic and version registers lazily
-	// (LoadDir only checks the header) and fails with a descriptive error on
-	// first acquisition; a wrong magic fails LoadDir itself.
+	// A snapshot cut short behind an intact header (magic, version, section
+	// table, CRC) fails LoadDir itself, naming the file — beside a good one,
+	// the boot still fails; a wrong magic fails it too.
 	bad := t.TempDir()
-	if err := os.WriteFile(filepath.Join(bad, "broken.snap"), []byte("SCSESSM2\x02\x00\x00\x00garbage"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(bad, "good.snap"), buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	badReg, err := LoadDir(bad, session.DefaultConfig(), nil)
-	if err != nil {
+	broken := filepath.Join(bad, "broken.snap")
+	if err := os.WriteFile(broken, buf.Bytes()[:buf.Len()/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := badReg.Acquire("broken"); err == nil {
-		t.Fatal("corrupt snapshot served")
+	if _, err := LoadDir(bad, session.DefaultConfig(), nil); !errors.Is(err, snapio.ErrTruncated) ||
+		!strings.Contains(err.Error(), broken) {
+		t.Fatalf("LoadDir over a truncated snapshot = %v, want ErrTruncated naming %s", err, broken)
 	}
 	worse := t.TempDir()
 	if err := os.WriteFile(filepath.Join(worse, "nonsense.snap"), []byte("NOTASNAPfile"), 0o644); err != nil {

@@ -163,8 +163,14 @@ func TestAdoptGolden(t *testing.T) {
 	if !reg.Has("alpha") {
 		t.Fatal("adopted dataset not registered")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "alpha.snap")); err != nil {
+	info, err := os.Stat(filepath.Join(dir, "alpha.snap"))
+	if err != nil {
 		t.Fatalf("adopted snapshot not installed: %v", err)
+	}
+	// Adopt registers the session its validation opened: the installed file
+	// is mapped before the world's first request.
+	if got := reg.MappedBytes(); got != info.Size() {
+		t.Fatalf("%d bytes mapped after adopt, want the installed file's %d", got, info.Size())
 	}
 
 	adopted := httptest.NewServer(New(reg, Options{AdoptDir: dir, SessionCfg: session.DefaultConfig()}))
@@ -302,83 +308,53 @@ func TestAdoptRejectsGarbageWithoutCRC(t *testing.T) {
 	assertCleanReject(t, reg, dir, "w", err)
 }
 
-// The /readyz bugfix: a lazily-registered snapshot that passes the cheap
-// header check but cannot actually open must flip /healthz to ready:false
-// and make /readyz answer 503 naming the dataset — before any request ever
-// touches the broken world.
+// A snapshot that passes a header check (valid magic and version) but cannot
+// open never reaches /readyz: LoadDir opens every world before registering
+// it, so the boot fails naming the file instead of serving a shard whose
+// readiness would vouch for a broken world. The all-good directory answers
+// /readyz 200 with its inventory and epochs.
 func TestReadyzCatchesBrokenLazySnapshot(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.snap")
 	if err := os.WriteFile(good, snapshotBytes(t, testSession(t, 11, 25)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Valid magic and version, garbage body: RegisterLazy's header check
-	// accepts it.
 	bad := filepath.Join(dir, "bad.snap")
 	head := binary.LittleEndian.AppendUint32([]byte(session.SnapshotMagic), session.SnapshotVersion)
 	if err := os.WriteFile(bad, append(head, bytes.Repeat([]byte{0xCD}, 256)...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cfg := session.DefaultConfig()
-	reg := NewRegistry()
-	if err := reg.RegisterLazy("good", good, cfg); err != nil {
+	if reg, err := LoadDir(dir, cfg, nil); err == nil || !strings.Contains(err.Error(), bad) {
+		t.Fatalf("LoadDir beside a header-valid broken snapshot = (%v, %v), want an error naming %s",
+			reg, err, bad)
+	}
+
+	if err := os.Remove(bad); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.RegisterLazy("bad", bad, cfg); err != nil {
+	reg, err := LoadDir(dir, cfg, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(New(reg, Options{}))
 	defer ts.Close()
-
-	resp, body := get(t, ts.URL+"/healthz")
+	resp, body := get(t, ts.URL+"/readyz")
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz status = %d", resp.StatusCode)
-	}
-	var h HealthResponse
-	if err := json.Unmarshal(body, &h); err != nil {
-		t.Fatal(err)
-	}
-	if h.Ready {
-		t.Fatal("healthz reports ready before any snapshot was verified")
-	}
-
-	resp, body = get(t, ts.URL+"/readyz")
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("readyz status = %d, want 503: %s", resp.StatusCode, body)
+		t.Fatalf("all-good readyz status = %d: %s", resp.StatusCode, body)
 	}
 	var rr ReadyResponse
 	if err := json.Unmarshal(body, &rr); err != nil {
 		t.Fatal(err)
 	}
-	if rr.Status != "unready" && rr.Status != "loading" {
+	if rr.Status != "ready" {
 		t.Fatalf("readyz status field = %q", rr.Status)
 	}
-	if len(rr.Failures) != 1 || rr.Failures[0].Dataset != "bad" {
-		t.Fatalf("readyz failures = %+v, want exactly the bad dataset", rr.Failures)
+	if len(rr.Datasets) != 1 || rr.Datasets[0] != "good" {
+		t.Fatalf("readyz inventory = %v, want exactly the good dataset", rr.Datasets)
 	}
-	if len(rr.Datasets) != 2 {
-		t.Fatalf("readyz inventory = %v, want both datasets", rr.Datasets)
-	}
-
-	// An all-good registry verifies and answers 200, and the verdict is
-	// cached: healthz flips to ready.
-	reg2 := NewRegistry()
-	if err := reg2.RegisterLazy("good", good, cfg); err != nil {
-		t.Fatal(err)
-	}
-	ts2 := httptest.NewServer(New(reg2, Options{}))
-	defer ts2.Close()
-	resp, body = get(t, ts2.URL+"/readyz")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("all-good readyz status = %d: %s", resp.StatusCode, body)
-	}
-	resp, body = get(t, ts2.URL+"/healthz")
-	var h2 HealthResponse
-	if err := json.Unmarshal(body, &h2); err != nil {
-		t.Fatal(err)
-	}
-	if !h2.Ready {
-		t.Fatal("healthz not ready after readyz verified every world")
+	if _, ok := rr.Epochs["good"]; !ok {
+		t.Fatalf("readyz epochs = %v, want the good dataset's", rr.Epochs)
 	}
 }
 

@@ -1,5 +1,5 @@
-// Session snapshots: the serving state a server cold-starts from, in the
-// one format there is.
+// Session snapshots: the serving state a server boots from, in the one
+// format there is.
 //
 // Session construction pays one depen solve — the expensive precompute —
 // before the first query can be answered (454 ms at 500 sources on the
@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"os"
 	"slices"
 	"time"
 
@@ -139,21 +138,6 @@ func LoadSnapshotV2(data []byte, cfg Config) (*Session, error) {
 		return nil, openErr(err)
 	}
 	return sessionFromMapped(m, cfg)
-}
-
-// CheckSnapshotFile checks that path begins as a session snapshot of this
-// format and version, reading nothing past the header's first bytes — what a
-// registry checks before it defers the load to first use.
-func CheckSnapshotFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := snapio.CheckHeader(f, SnapshotMagic, SnapshotVersion); err != nil {
-		return openErr(err)
-	}
-	return nil
 }
 
 // openErr classifies a container that would not open; a file of another

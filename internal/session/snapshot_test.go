@@ -322,9 +322,13 @@ func TestSnapshotCorruption(t *testing.T) {
 		}
 	})
 	t.Run("dataset snapshot magic inside session frame", func(t *testing.T) {
-		// A dataset snapshot is not a session snapshot.
+		// A container of a dataset's sections alone is not a session snapshot.
+		var sw snapio.SectionWriter
+		if err := d.AppendSections(&sw); err != nil {
+			t.Fatal(err)
+		}
 		var buf bytes.Buffer
-		if err := d.WriteSnapshot(&buf); err != nil {
+		if err := sw.WriteTo(&buf, "SCDSTEST", SnapshotVersion); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := LoadSnapshot(bytes.NewReader(buf.Bytes()), DefaultConfig()); !errors.Is(err, snapio.ErrBadMagic) {
@@ -484,8 +488,8 @@ func TestSnapshotV2Corruption(t *testing.T) {
 
 // TestSnapshotRetiredFormatsFail: a file in the retired decode-everything
 // stream (magic SCDSSESS) and a container of the retired version 1 fail
-// every way in — the reader, the file mapping, the byte loader and the
-// registry's header check — with ErrBadMagic and ErrBadVersion, and name the
+// every way in — the reader, the file mapping and the byte loader — with
+// ErrBadMagic and ErrBadVersion, and name the
 // command that writes the one format. A missing file and one too short for a
 // header fail too.
 func TestSnapshotRetiredFormatsFail(t *testing.T) {
@@ -510,10 +514,9 @@ func TestSnapshotRetiredFormatsFail(t *testing.T) {
 	} {
 		path := snapshotFile(t, tc.raw)
 		for via, err := range map[string]error{
-			"LoadSnapshot":      func() error { _, err := LoadSnapshot(bytes.NewReader(tc.raw), DefaultConfig()); return err }(),
-			"LoadSnapshotV2":    func() error { _, err := LoadSnapshotV2(tc.raw, DefaultConfig()); return err }(),
-			"LoadSnapshotFile":  func() error { _, err := LoadSnapshotFile(path, DefaultConfig()); return err }(),
-			"CheckSnapshotFile": CheckSnapshotFile(path),
+			"LoadSnapshot":     func() error { _, err := LoadSnapshot(bytes.NewReader(tc.raw), DefaultConfig()); return err }(),
+			"LoadSnapshotV2":   func() error { _, err := LoadSnapshotV2(tc.raw, DefaultConfig()); return err }(),
+			"LoadSnapshotFile": func() error { _, err := LoadSnapshotFile(path, DefaultConfig()); return err }(),
 		} {
 			if !errors.Is(err, tc.want) || !strings.Contains(fmt.Sprint(err), "currents snapshot") {
 				t.Errorf("%s, %s: err = %v, want %v naming `currents snapshot`", tc.name, via, err, tc.want)
@@ -531,9 +534,6 @@ func TestSnapshotRetiredFormatsFail(t *testing.T) {
 	}
 	if _, err := LoadSnapshotFile(short, DefaultConfig()); !errors.Is(err, snapio.ErrTruncated) {
 		t.Fatalf("short file error = %v, want ErrTruncated", err)
-	}
-	if err := CheckSnapshotFile(short); !errors.Is(err, snapio.ErrTruncated) {
-		t.Fatalf("short file header check = %v, want ErrTruncated", err)
 	}
 }
 

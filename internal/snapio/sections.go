@@ -18,12 +18,14 @@
 //
 // Loading is mmap (or one aligned read on platforms without mmap) plus
 // structural validation of the header: offsets must be 8-aligned, in bounds,
-// and non-overlapping. Section payloads are NOT checksummed — that is the
-// point: a reader casts a section straight into a typed slice without
-// touching its pages, so cold start is O(page faults) and every process
-// mapping the same file shares one physical copy. Dense tables are written
-// in host byte order; the order marker makes a snapshot written on a
-// different-endian host fail loudly instead of decoding garbage.
+// and non-overlapping. Section payloads are NOT checksummed: a reader casts a
+// section straight into a typed slice — no decode loop, no copy — and the
+// section's owner validates what it casts (a session's open checks every
+// section it uses), which is what stops a damaged file; a payload CRC would
+// only be a second pass over the same pages. Every process mapping the same
+// file shares one physical copy. Dense tables are written in host byte
+// order; the order marker makes a snapshot written on a different-endian host
+// fail loudly instead of decoding garbage.
 package snapio
 
 import (
@@ -149,17 +151,6 @@ func OpenMappedBytes(data []byte, magic string, version uint32) (*Mapped, error)
 		data = buf
 	}
 	return newMapped(data, magic, version, nil)
-}
-
-// CheckHeader reads a section container's magic and version from r and
-// checks them, leaving the rest unread: the registration-time check of a
-// file whose full open waits for first use.
-func CheckHeader(r io.Reader, magic string, version uint32) error {
-	var hdr [MagicLen + 4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return fmt.Errorf("%w: section header: %v", ErrTruncated, err)
-	}
-	return checkPrefix(hdr[:], magic, version)
 }
 
 // checkPrefix checks the magic and version a container opens with. A

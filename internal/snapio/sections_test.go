@@ -267,30 +267,6 @@ func TestReadMapped(t *testing.T) {
 	}
 }
 
-// TestCheckHeader: the header check reads only the magic and version, and
-// classifies them as the full open does.
-func TestCheckHeader(t *testing.T) {
-	data, _, _, _ := buildContainer(t)
-	if err := CheckHeader(bytes.NewReader(data[:MagicLen+4]), testSecMagic, 2); err != nil {
-		t.Fatalf("CheckHeader: %v", err)
-	}
-	for _, tc := range []struct {
-		name    string
-		data    []byte
-		version uint32
-		want    error
-	}{
-		{"short", data[:MagicLen+3], 2, ErrTruncated},
-		{"magic", append([]byte("SCOTHER1"), data[MagicLen:]...), 2, ErrBadMagic},
-		{"older", data, 3, ErrBadVersion},
-		{"newer", data, 1, ErrBadVersion},
-	} {
-		if err := CheckHeader(bytes.NewReader(tc.data), testSecMagic, tc.version); !errors.Is(err, tc.want) {
-			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
-		}
-	}
-}
-
 func TestSectionWriterRejects(t *testing.T) {
 	var w SectionWriter
 	w.Add(1, []byte("a"))

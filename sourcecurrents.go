@@ -347,7 +347,6 @@ func NewSession(d *Dataset, cfg SessionConfig) (*Session, error) {
 // loop or a re-run of discovery (LoadSessionFile); the source×source totals
 // table is derived from the pair records at open, and the dataset is built
 // from the log only when a call needs it. There is one format.
-// Dataset.WriteSnapshot / ReadDatasetSnapshot are the dataset-only form.
 
 // LoadSession reads a session snapshot written by Session.WriteSnapshot
 // into memory and assembles a serving session without re-running
@@ -364,13 +363,6 @@ func LoadSession(r io.Reader, cfg SessionConfig) (*Session, error) {
 // are bit-identical to LoadSession's and to the session written.
 func LoadSessionFile(path string, cfg SessionConfig) (*Session, error) {
 	return session.LoadSnapshotFile(path, cfg)
-}
-
-// ReadDatasetSnapshot decodes a dataset snapshot written by
-// Dataset.WriteSnapshot, rebuilding the frozen dataset bit-identically
-// (claims restored in original ingestion order).
-func ReadDatasetSnapshot(r io.Reader) (*Dataset, error) {
-	return dataset.ReadSnapshot(r)
 }
 
 // Source recommendation.
