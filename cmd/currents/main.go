@@ -21,10 +21,10 @@
 //	currents snapshot -o out.snap file.csv
 //	    precompute a session and write the binary snapshot the server
 //	    boots from
-//	currents server -addr :8080 -load DIR [-cache-size N] [-cache-ttl D] [-pprof]
+//	currents server -addr :8080 -load DIR [-cache-size N] [-pprof]
 //	    HTTP/JSON query service over a directory of datasets
 //	    (*.snap snapshots, *.csv claims); LRU answer cache (1024 entries
-//	    by default, 0 disables; -cache-ttl bounds entry lifetime),
+//	    by default, 0 disables),
 //	    optional net/http/pprof endpoints, graceful shutdown on SIGINT
 //	currents router -addr :8080 -shards host1:9001,host2:9002[,...] [-rf N]
 //	    fleet router: proxy the /v1 API across shards via a consistent-hash

@@ -86,7 +86,6 @@ func runServer(args []string) error {
 	load := fs.String("load", "", "directory of datasets to serve (*.snap, *.csv; required)")
 	maxBytes := fs.Int64("max-request-bytes", server.DefaultMaxRequestBytes, "request body cap")
 	cacheSize := fs.Int("cache-size", 1024, "answer cache capacity in entries (0 disables)")
-	cacheTTL := fs.Duration("cache-ttl", 0, "answer cache entry lifetime (0 = until evicted)")
 	persist := fs.String("persist-appends", "", "directory for append-log segments (\"\" = memory-only appends; \"load\" = the -load directory)")
 	compactEvery := fs.Int("compact-every", server.DefaultCompactEvery, "compact a dataset's log after this many segments (<0 disables)")
 	retainEpochs := fs.Int("retain-epochs", 4, "historical epochs addressable via ?as_of= behind each dataset's current one (0 = none, -1 = all)")
@@ -99,7 +98,7 @@ func runServer(args []string) error {
 	prof := profiling.Register(fs)
 	_ = fs.Parse(args)
 	if *load == "" || fs.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: currents server -addr :8080 -load DIR [-max-request-bytes N] [-cache-size N] [-cache-ttl D] [-persist-appends DIR] [-compact-every N] [-retain-epochs N] [-allow-empty] [-adopt-dir DIR] [-ring host:port,...] [-self host:port] [-rf N] [-pprof]")
+		fmt.Fprintln(os.Stderr, "usage: currents server -addr :8080 -load DIR [-max-request-bytes N] [-cache-size N] [-persist-appends DIR] [-compact-every N] [-retain-epochs N] [-allow-empty] [-adopt-dir DIR] [-ring host:port,...] [-self host:port] [-rf N] [-pprof]")
 		os.Exit(2)
 	}
 	if *persist == "load" {
@@ -132,7 +131,6 @@ func runServer(args []string) error {
 	opt := server.Options{
 		MaxRequestBytes: *maxBytes,
 		AnswerCacheSize: *cacheSize,
-		AnswerCacheTTL:  *cacheTTL,
 		PersistDir:      *persist,
 		CompactEvery:    *compactEvery,
 		AdoptDir:        *adoptDir,

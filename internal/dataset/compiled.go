@@ -54,7 +54,7 @@ type Compiled struct {
 	byObjStart, byObj            []int32
 
 	// Mapped backend: every interned string is a byte range of strBlob
-	// (which aliases the mapped snapshot). Table entry i spans
+	// (which aliases the snapshot container). Table entry i spans
 	// off[i]..off[i+1]; objects store two consecutive ranges (entity, then
 	// attribute), so objOff holds 2n+1 offsets. nil in the heap backend.
 	strBlob []byte
@@ -669,7 +669,7 @@ func (c *Compiled) NumValues() int {
 }
 
 // str returns blob bytes [lo,hi) as a zero-copy string view. The view
-// aliases the mapped region and is invalidated by unmapping.
+// aliases the snapshot container and keeps it alive while referenced.
 func (c *Compiled) str(lo, hi int32) string {
 	if lo == hi {
 		return ""
@@ -706,8 +706,8 @@ func (c *Compiled) Value(i int) string {
 
 // SourceIDs returns the sorted source table as a slice. The heap backend
 // returns the shared interning table (treat as read-only); the mapped
-// backend materializes a fresh copy whose strings do not alias the mapping,
-// so the result survives unmapping.
+// backend materializes a fresh copy whose strings do not alias the snapshot
+// container, so holding the result does not keep the container alive.
 func (c *Compiled) SourceIDs() []model.SourceID {
 	if c.srcOff == nil {
 		return c.sources

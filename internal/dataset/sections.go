@@ -473,7 +473,7 @@ func (md *Mapped) Compiled() *Compiled { return md.c }
 func (md *Mapped) Epoch() int          { return len(md.bounds) }
 
 // Dataset materializes the mapped dataset on the heap: the claims rebuilt
-// from the log with every string copied off the mapping (one copy of the
+// from the log with every string copied off the container (one copy of the
 // string blob, which the claims then share), indexed by the builder Freeze
 // uses, with the log's epoch bounds. Its claim CSRs must come out as the
 // mapped ones: a log that does not index to the tables stored beside it is

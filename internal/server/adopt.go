@@ -2,12 +2,12 @@
 // rebalance path.
 //
 // GET /v1/{dataset}/snapshot streams the world's snapshot container bytes — for a
-// mapped session that is literally the bytes on disk, zero rebuild — with a
-// whole-stream CRC32 in the X-Snapshot-CRC32 header. The container's own
-// section-table CRC covers the header and layout, but section payloads are
-// deliberately unchecksummed (they are served straight from the mapping), so
-// the transfer header is what catches a bit flip inside a payload in
-// transit.
+// snapshot-backed session that is the container it read, byte for byte, zero
+// rebuild — with a whole-stream CRC32 in the X-Snapshot-CRC32 header. The
+// container's own section-table CRC covers the header and layout, but section
+// payloads are deliberately unchecksummed (they are cast in place, never
+// decoded), so the transfer header is what catches a bit flip inside a
+// payload in transit.
 //
 // POST /v1/{dataset}/adopt?from=URL is the pull side: fetch the stream into
 // a temporary file, validate it end to end (transfer CRC, container
@@ -57,7 +57,7 @@ var adoptClient = &http.Client{}
 
 // AdoptFromURL fetches a snapshot stream, validates it by opening it,
 // installs it as <dir>/<name>.snap, and registers the opened session, so the
-// world is mapped before its first request. Returns the cause wrapped in
+// world is open before its first request. Returns the cause wrapped in
 // snapio.ErrCorrupt for any integrity failure; a dataset already registered
 // under name is ErrAlreadyRegistered (adoption is idempotent at the fleet
 // layer — the caller treats it as success).
@@ -112,24 +112,22 @@ func AdoptFromURL(reg *Registry, name, from, dir string, cfg session.Config, cli
 		}
 	}
 
-	// Validate exactly as a boot would: map the container, build every typed
+	// Validate exactly as a boot would: read the container, build every typed
 	// view, check the fingerprint. Anything short of a fully servable world
 	// is corruption — truncations and bad magic keep their own sentinels in
 	// the chain, but errors.Is(err, snapio.ErrCorrupt) holds for all of them.
-	// The mapping outlives the rename below: it holds the file, not its name.
+	// The session holds its own copy of the bytes, not the file.
 	s, err := session.LoadSnapshotFile(tmpPath, cfg)
 	if err != nil {
 		return fmt.Errorf("server: adopt %q: %w (%w)", name, snapio.ErrCorrupt, err)
 	}
 	final := filepath.Join(dir, name+".snap")
 	if err := os.Rename(tmpPath, final); err != nil {
-		_ = s.Close()
 		return fmt.Errorf("server: adopt %q: %w", name, err)
 	}
 	if err := reg.Register(name, s); err != nil {
 		// Lost a race with a concurrent adopt or register; the file stays (it
 		// is valid and at its final name) but this call did not win.
-		_ = s.Close()
 		return fmt.Errorf("%w: %q: %v", ErrAlreadyRegistered, name, err)
 	}
 	return nil

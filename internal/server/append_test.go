@@ -36,16 +36,10 @@ func appendBody(t testing.TB, s *session.Session, source, value string, n int) s
 	return string(b)
 }
 
-// sessionOf returns name's current session and epoch, released at once: the
-// tests that read a session this way serve heap worlds or set no resident
-// bound, so nothing can unmap it behind them.
+// sessionOf returns name's current session and epoch.
 func sessionOf(reg *Registry, name string) (*session.Session, uint64, bool) {
-	s, epoch, release, err := reg.Acquire(name)
-	if err != nil {
-		return nil, 0, false
-	}
-	release()
-	return s, epoch, true
+	s, epoch, err := reg.Current(name)
+	return s, epoch, err == nil
 }
 
 // TestSwapNeverServesStaleAnswer is the epoch-key regression test: with the

@@ -176,8 +176,9 @@ func BenchmarkServerAnswerParallel(b *testing.B) {
 
 // BenchmarkServerColdStart measures boot to first answer: each iteration
 // loads a snapshot directory and serves one answer request, so the timed
-// path is exactly what a fresh server pays before its first reply — mmap,
-// section validation, planner run — with no precompute and no decode loop.
+// path is exactly what a fresh server pays before its first reply — the file
+// read, section validation, planner run — with no precompute and no decode
+// loop.
 func BenchmarkServerColdStart(b *testing.B) {
 	dir, reqs, _ := snapDir(b, 1)
 	body := []byte(reqs["world0"])

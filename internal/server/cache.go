@@ -1,5 +1,4 @@
-// Server-side answer cache: an LRU with optional TTL layered above the
-// singleflight group.
+// Server-side answer cache: an LRU layered above the singleflight group.
 //
 // Singleflight only helps while identical requests overlap; a *series* of
 // identical queries spread over time — the dashboard that re-asks the same
@@ -16,8 +15,11 @@
 // change the greedy gain sums, so reordering or deduplicating the query
 // would conflate requests with different byte-exact responses.
 //
-// Only status-200 responses are cached. Hit/miss/eviction counts and the
-// entry gauge are exported on /metrics.
+// An entry lives until LRU pressure evicts it or its epoch falls below the
+// retention floor (flushPrefix on the swap that moved the floor). The epoch is
+// part of every key and an epoch's answers never change, so an entry needs no
+// other expiry. Only status-200 responses are cached. Hit/miss/eviction
+// counts and the entry gauge are exported on /metrics.
 package server
 
 import (
@@ -26,7 +28,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"sourcecurrents/internal/metrics"
 )
@@ -37,40 +38,33 @@ import (
 type answerCache struct {
 	mu      sync.Mutex
 	maxSize int
-	ttl     time.Duration // 0 = entries never expire
-	order   *list.List    // front = most recently used; values are *cacheEntry
+	order   *list.List // front = most recently used; values are *cacheEntry
 	entries map[string]*list.Element
 
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
 	flushes   atomic.Int64
-
-	// now is the clock, injectable for TTL tests.
-	now func() time.Time
 }
 
 type cacheEntry struct {
-	key     string
-	body    []byte
-	expires time.Time // zero = never
+	key  string
+	body []byte
 }
 
-// newAnswerCache returns a cache bounded to maxSize entries with the given
-// TTL (disabled when maxSize <= 0) and registers its series on reg. The
-// series are always present — zeros when caching is disabled — so scrapers
-// (and `currents loadgen`) never have to special-case a missing metric.
-func newAnswerCache(maxSize int, ttl time.Duration, reg *metrics.Registry) *answerCache {
+// newAnswerCache returns a cache bounded to maxSize entries (disabled when
+// maxSize <= 0) and registers its series on reg. The series are always
+// present — zeros when caching is disabled — so scrapers (and `currents
+// loadgen`) never have to special-case a missing metric.
+func newAnswerCache(maxSize int, reg *metrics.Registry) *answerCache {
 	c := &answerCache{
 		maxSize: maxSize,
-		ttl:     ttl,
 		order:   list.New(),
 		entries: make(map[string]*list.Element, max(maxSize, 0)),
-		now:     time.Now,
 	}
 	reg.Counter("currents_answer_cache_hits_total", "Answer requests served from the response cache.", c.hits.Load)
 	reg.Counter("currents_answer_cache_misses_total", "Answer cache lookups that missed.", c.misses.Load)
-	reg.Counter("currents_answer_cache_evictions_total", "Entries evicted (capacity or TTL).", c.evictions.Load)
+	reg.Counter("currents_answer_cache_evictions_total", "Entries evicted (capacity).", c.evictions.Load)
 	reg.Counter("currents_answer_cache_flushes_total", "Cache flushes triggered by session swaps.", c.flushes.Load)
 	reg.Gauge("currents_answer_cache_entries", "Entries currently cached.", func() int64 { return int64(c.len()) })
 	return c
@@ -78,24 +72,18 @@ func newAnswerCache(maxSize int, ttl time.Duration, reg *metrics.Registry) *answ
 
 func (c *answerCache) disabled() bool { return c.maxSize <= 0 }
 
-// get returns the cached response body for key, counting the lookup. An
-// expired entry is removed (counted as an eviction) and reported as a miss.
+// get returns the cached response body for key, counting the lookup.
 func (c *answerCache) get(key string) ([]byte, bool) {
 	if c.disabled() {
 		return nil, false
 	}
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*cacheEntry)
-		if e.expires.IsZero() || !c.now().After(e.expires) {
-			c.order.MoveToFront(el)
-			c.mu.Unlock()
-			c.hits.Add(1)
-			return e.body, true
-		}
-		c.order.Remove(el)
-		delete(c.entries, key)
-		c.evictions.Add(1)
+		c.order.MoveToFront(el)
+		body := el.Value.(*cacheEntry).body
+		c.mu.Unlock()
+		c.hits.Add(1)
+		return body, true
 	}
 	c.mu.Unlock()
 	c.misses.Add(1)
@@ -109,9 +97,6 @@ func (c *answerCache) put(key string, body []byte) {
 		return
 	}
 	e := &cacheEntry{key: key, body: body}
-	if c.ttl > 0 {
-		e.expires = c.now().Add(c.ttl)
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 // cacheTestServer builds a one-dataset server with the given cache options,
@@ -163,30 +162,61 @@ func TestAnswerCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestAnswerCacheTTL drives the injected clock past the TTL and checks the
-// entry expires (counted as an eviction) and is recomputed.
+// TestAnswerCacheTTL pins the lifetime that replaces expiry: every key
+// carries its epoch and an epoch's answer never changes, so an entry stays a
+// byte-identical hit for as long as its epoch is addressable and leaves with
+// the swap that pushes the epoch below the retention floor. With a retention
+// of 2, a cached ?as_of=0 answer is still a hit after appends 1 and 2, and is
+// gone after append 3.
 func TestAnswerCacheTTL(t *testing.T) {
-	ts, srv := cacheTestServer(t, Options{AnswerCacheSize: 16, AnswerCacheTTL: time.Minute})
-	now := time.Unix(1000, 0)
-	srv.cache.now = func() time.Time { return now }
-	sess := testSession(t, 11, 40)
-	body := answerBody(t, sess, 3)
-
-	_, want := post(t, ts.URL+"/v1/alpha/answer", body)
-	post(t, ts.URL+"/v1/alpha/answer", body)
-	if h := srv.cache.hits.Load(); h != 1 {
-		t.Fatalf("within TTL: want 1 hit, got %d", h)
+	reg := NewRegistry()
+	s0 := retainedSession(t, 11, 40, 2)
+	if err := reg.Register("alpha", s0); err != nil {
+		t.Fatal(err)
 	}
-	now = now.Add(2 * time.Minute)
-	_, got := post(t, ts.URL+"/v1/alpha/answer", body)
-	if h := srv.cache.hits.Load(); h != 1 {
-		t.Fatalf("expired entry still hit (hits=%d)", srv.cache.hits.Load())
+	srv := New(reg, Options{AnswerCacheSize: 16})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	asOf0 := ts.URL + "/v1/alpha/answer?as_of=0"
+	body := answerBody(t, s0, 3)
+	_, want := post(t, asOf0, body)
+	epoch0 := func() (n int) {
+		srv.cache.mu.Lock()
+		defer srv.cache.mu.Unlock()
+		for key := range srv.cache.entries {
+			if strings.HasPrefix(key, "alpha\x000\x00") {
+				n++
+			}
+		}
+		return n
 	}
-	if ev := srv.cache.evictions.Load(); ev != 1 {
-		t.Fatalf("TTL expiry: want 1 eviction, got %d", ev)
+	appendOne := func(i int) {
+		t.Helper()
+		cur, _, err := reg.Current("alpha")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp, got := post(t, ts.URL+"/v1/alpha/append", appendBody(t, cur, fmt.Sprintf("ttl%d", i), "V", 4)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("append %d: status %d: %s", i, resp.StatusCode, got)
+		}
 	}
-	if string(got) != string(want) {
-		t.Fatal("recomputed response differs after TTL expiry")
+	for i := 1; i <= 2; i++ {
+		appendOne(i)
+		hits, misses := srv.cache.hits.Load(), srv.cache.misses.Load()
+		resp, got := post(t, asOf0, body)
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+			t.Fatalf("after append %d: as_of=0 status %d, bytes equal %v", i, resp.StatusCode, bytes.Equal(got, want))
+		}
+		if srv.cache.hits.Load() != hits+1 || srv.cache.misses.Load() != misses {
+			t.Fatalf("after append %d: as_of=0 was not a cache hit", i)
+		}
+	}
+	appendOne(3)
+	if n := epoch0(); n != 0 {
+		t.Fatalf("%d entries of epoch 0 cached after it fell below the floor", n)
+	}
+	if resp, got := post(t, asOf0, body); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("as_of=0 below the floor: status %d: %s", resp.StatusCode, got)
 	}
 }
 

@@ -255,8 +255,8 @@ type AccuracyEntry struct {
 }
 
 // ExecAccuracy returns the discovered per-source accuracies in source
-// order. It reads the accuracy map alone, so a mapped session answers
-// without materializing.
+// order. It reads the accuracy map alone, so a snapshot-backed session
+// answers without materializing.
 func ExecAccuracy(s *session.Session) []AccuracyEntry {
 	acc := s.Accuracy()
 	out := make([]AccuracyEntry, 0, len(acc))

@@ -335,14 +335,14 @@ func TestTrajectoryEndpoint(t *testing.T) {
 	}
 }
 
-// TestRetentionGraveReapingChurn is the retention × grave-reaping race:
-// three mmap-backed worlds with -retain-epochs 3, one world churning through
-// appends — each pushing a mapped epoch out of the window into the grave —
-// while readers replay every addressable epoch via ?as_of= and others read
-// the two untouched worlds. Meaningful under -race: a graved mapped epoch
-// must never be unmapped while a pinned request reads it, and every 200 must
-// be byte-identical to the answer that epoch served when it was current.
-// Zero failed requests required.
+// TestRetentionGraveReapingChurn is the retention × as-of race: three
+// file-loaded worlds with -retain-epochs 3, one world churning through
+// appends — each pushing an epoch out of the window, the snapshot-backed
+// epoch 0 among them — while readers replay every addressable epoch via
+// ?as_of= and others read the two untouched worlds. Meaningful under -race:
+// a request keeps serving the epoch it resolved after the window drops it,
+// and every 200 must be byte-identical to the answer that epoch served when
+// it was current. Zero failed requests required.
 func TestRetentionGraveReapingChurn(t *testing.T) {
 	dir, reqs, wants := snapDir(t, 3)
 	cfg := session.DefaultConfig()
@@ -451,17 +451,14 @@ func TestRetentionGraveReapingChurn(t *testing.T) {
 	}
 
 	// The appender drives 6 epochs through the retention window (floor
-	// reaches 3, so mapped epoch 0 is pruned and reaped mid-run), recording
-	// each new epoch's golden before the next append.
+	// reaches 3, so the snapshot-backed epoch 0 is pruned mid-run),
+	// recording each new epoch's golden before the next append.
 	for i := 1; i <= 6; i++ {
-		// Read the session under its pin, as every reader of a mapped
-		// session does.
-		cur, _, release, err := reg.Acquire(churnWorld)
+		cur, _, err := reg.Current(churnWorld)
 		if err != nil {
 			t.Fatal(err)
 		}
 		appendReq := appendBody(t, cur, fmt.Sprintf("ch%d", i), fmt.Sprintf("V%d", i), 4)
-		release()
 		resp, body := post(t, ts.URL+"/v1/"+churnWorld+"/append", appendReq)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("append %d status %d: %s", i, resp.StatusCode, body)
@@ -487,12 +484,6 @@ func TestRetentionGraveReapingChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Every request has released its pin, so the last unpin closed the
-	// mapped epoch 0 the window pruned.
-	if n := reg.entries[churnWorld].graveLen.Load(); n != 0 {
-		t.Fatalf("%d graved sessions still mapped after every request released its pin", n)
-	}
-
 	_, met := get(t, ts.URL+"/metrics")
 	if !strings.Contains(string(met), `currents_retained_epochs{dataset="world0"} 3`) {
 		t.Errorf("retention gauge wrong:\n%s", grepMetric(string(met), "currents_retained_epochs"))

@@ -81,7 +81,7 @@ func (m *requestMetrics) observe(op string, d time.Duration, status int) {
 // registry at scrape time: the mapped-bytes total and the per-dataset
 // lifecycle series.
 func registerRegistryMetrics(reg *metrics.Registry, datasets *Registry) {
-	reg.Gauge("currents_mapped_bytes", "Bytes of snapshot files currently memory-mapped.", datasets.MappedBytes)
+	reg.Gauge("currents_mapped_bytes", "Bytes of snapshot containers the current sessions hold.", datasets.MappedBytes)
 
 	perDataset := func(kind metrics.Kind, name, help string, value func(DatasetStat) int64) {
 		reg.Collect(kind, name, help, []string{"dataset"}, func(emit metrics.Emit) {

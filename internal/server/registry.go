@@ -6,7 +6,7 @@
 // *swapping* a dataset's session for a successor, never in place. A
 // registered world is resident from registration until the process exits:
 // LoadDir opens every snapshot before it returns, adopt registers the
-// session it validated, and nothing unmaps a current session. Its epoch is
+// session it validated, and nothing closes a current session. Its epoch is
 // its session's dataset epoch, which every swap advances, so the serving
 // layers above (answer cache, singleflight) can key responses to the exact
 // session generation they were computed from. Lookups on the request path
@@ -16,10 +16,11 @@
 // An entry is not a single generation: the current session heads an epoch
 // ring — the session-layer history spine (session.AsOf) retains up to
 // RetainEpochs predecessors behind it, so as-of requests resolve retired
-// generations through the same pinned acquire as current ones. Mapped
-// predecessors that fall out of the window drain into a per-entry grave
-// and are unmapped only once the entry's pin count proves no in-flight
-// request can still read them.
+// generations off the session Current returns. Sessions are ordinary heap
+// objects, snapshot-backed ones included: a request holds the session it
+// resolved for as long as it needs it, and the garbage collector reclaims a
+// retired one after the last such request, so the registry counts no
+// readers and releases nothing by hand.
 package server
 
 import (
@@ -45,28 +46,15 @@ var ErrUnknownDataset = errors.New("server: unknown dataset")
 // bookkeeping. The session pointer is guarded by the registry lock (a swap
 // replaces it under the write lock). updateMu serializes Update callers per
 // dataset — successor construction can take milliseconds and must not hold
-// the registry lock. pins counts in-flight requests holding the entry
-// (incremented under the registry read lock, checked by the grave reaper
-// under the write lock).
+// the registry lock.
 type entry struct {
 	sess     *session.Session
-	pins     atomic.Int64
 	updateMu sync.Mutex
 	swaps    atomic.Int64
 	appends  atomic.Int64
 	// deltaAppends counts the appends that applied a primary's epoch delta
 	// instead of solving (a subset of appends).
 	deltaAppends atomic.Int64
-	// grave holds mapped historical sessions that fell out of the epoch
-	// retention window (drained from the session spine on Update). They are
-	// closed only when pins reaches zero — an in-flight as-of request
-	// resolved its historical session while holding the entry pin, so
-	// pins == 0 proves no request can still read a graved mapping. graveLen
-	// mirrors len(grave) so the release fast path can skip reaping without
-	// taking graveMu.
-	graveMu  sync.Mutex
-	grave    []*session.Session
-	graveLen atomic.Int64
 }
 
 // Registry maps dataset names to epoch-versioned serving sessions.
@@ -117,55 +105,26 @@ func (r *Registry) Register(name string, s *session.Session) error {
 	return nil
 }
 
-// Acquire returns name's current session and epoch with the entry pinned:
-// the returned release func must be called once the request is done with
-// the session, after which a graved historical session it resolved may be
-// unmapped. Unknown names return ErrUnknownDataset.
-func (r *Registry) Acquire(name string) (*session.Session, uint64, func(), error) {
+// Current returns name's current session and its epoch. Unknown names return
+// ErrUnknownDataset.
+func (r *Registry) Current(name string) (*session.Session, uint64, error) {
 	r.mu.RLock()
 	e, ok := r.entries[name]
 	if !ok {
 		r.mu.RUnlock()
-		return nil, 0, nil, fmt.Errorf("%w %q", ErrUnknownDataset, name)
+		return nil, 0, fmt.Errorf("%w %q", ErrUnknownDataset, name)
 	}
-	// Pin under the read lock: the reaper checks pins under the write lock,
-	// so a pinned request's sessions stay mapped until release.
-	e.pins.Add(1)
 	s := e.sess
 	r.mu.RUnlock()
-	var once sync.Once
-	return s, uint64(s.DatasetEpoch()), func() { once.Do(func() { r.unpin(e) }) }, nil
+	return s, uint64(s.DatasetEpoch()), nil
 }
 
-// unpin drops one request's pin on e. The common case is one atomic
-// decrement and one atomic load; only the last unpin of an entry with graved
-// sessions to close takes the write lock.
-func (r *Registry) unpin(e *entry) {
-	if e.pins.Add(-1) == 0 && e.graveLen.Load() > 0 {
-		r.reap(e)
-	}
-}
-
-// reap closes e's graved historical sessions once no request pins e. The
-// pins check runs under the registry write lock — the same lock Acquire pins
-// under — so a close never races a request: any request reading a session
-// (current or a resolved as-of epoch) holds the entry pin for its whole
-// lifetime, and a graved epoch was removed from the session spine before its
-// session was graved.
-func (r *Registry) reap(e *entry) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e.pins.Load() != 0 {
-		return
-	}
-	e.graveMu.Lock()
-	dead := e.grave
-	e.grave = nil
-	e.graveLen.Store(0)
-	e.graveMu.Unlock()
-	for _, s := range dead {
-		_ = s.Close()
-	}
+// Acquire is Current with a release func, which does nothing.
+//
+// Deprecated: a request no longer pins its world; call Current.
+func (r *Registry) Acquire(name string) (*session.Session, uint64, func(), error) {
+	s, epoch, err := r.Current(name)
+	return s, epoch, func() {}, err
 }
 
 // swap atomically replaces name's session with next and returns next's
@@ -173,8 +132,7 @@ func (r *Registry) reap(e *entry) {
 // delta across several batches. In-flight requests holding the retired
 // session finish against it undisturbed (sessions are immutable); requests
 // routed after swap returns observe only the successor. It is update's last
-// step: a session only ever leaves the registry pinned, so nothing outside
-// this file can hold one to swap.
+// step.
 func (r *Registry) swap(name string, next *session.Session) (uint64, error) {
 	if next == nil {
 		return 0, fmt.Errorf("server: nil session for %q", name)
@@ -229,8 +187,7 @@ func (r *Registry) ingest(name string, fn func(cur *session.Session) (*session.S
 	return next, epoch, nil
 }
 
-// update is the one way a world advances an epoch: lock, pin, fn, swap,
-// grave what the swap pruned.
+// update is the one way a world advances an epoch: lock, fn, swap.
 func (r *Registry) update(name string, fn func(cur *session.Session) (*session.Session, error)) (*session.Session, uint64, *entry, error) {
 	r.mu.RLock()
 	e, ok := r.entries[name]
@@ -240,13 +197,10 @@ func (r *Registry) update(name string, fn func(cur *session.Session) (*session.S
 	}
 	e.updateMu.Lock()
 	defer e.updateMu.Unlock()
-	// Acquire (rather than a bare read) pins the entry for the duration of
-	// fn, so the grave reaper waits for the append reading from it.
-	cur, _, release, err := r.Acquire(name)
+	cur, _, err := r.Current(name)
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	defer release()
 	next, err := fn(cur)
 	if err != nil {
 		return nil, 0, nil, err
@@ -254,15 +208,6 @@ func (r *Registry) update(name string, fn func(cur *session.Session) (*session.S
 	epoch, err := r.swap(name, next)
 	if err != nil {
 		return nil, 0, nil, err
-	}
-	// The swap may have pushed mapped epochs out of the retention window;
-	// park them in the grave and close them once in-flight requests drain.
-	if dead := next.TakePrunedMapped(); len(dead) > 0 {
-		e.graveMu.Lock()
-		e.grave = append(e.grave, dead...)
-		e.graveLen.Store(int64(len(e.grave)))
-		e.graveMu.Unlock()
-		release() // the last unpin (ours or a reader's) sees graveLen and reaps
 	}
 	return next, epoch, e, nil
 }
@@ -302,8 +247,8 @@ func (r *Registry) Stats() []DatasetStat {
 	return out
 }
 
-// MappedBytes returns the bytes of snapshot files the current sessions map,
-// summed over every dataset — currents_mapped_bytes.
+// MappedBytes returns the bytes of snapshot containers the current sessions
+// hold, summed over every dataset — currents_mapped_bytes.
 func (r *Registry) MappedBytes() int64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -333,7 +278,7 @@ func (r *Registry) Len() int {
 	return len(r.entries)
 }
 
-// LoadDir populates a registry from a directory: every *.snap file is mapped
+// LoadDir populates a registry from a directory: every *.snap file is read
 // as a session snapshot (session.LoadSnapshotFile: no discovery re-run) and
 // every *.csv file read as raw claims that build a fresh session (paying the
 // full precompute). Either way the world is open and registered before
@@ -357,7 +302,7 @@ func LoadDirAllowEmpty(dir string, cfg session.Config, logf func(format string, 
 	return loadDir(dir, cfg, logf, true)
 }
 
-func loadDir(dir string, cfg session.Config, logf func(format string, args ...any), allowEmpty bool) (_ *Registry, err error) {
+func loadDir(dir string, cfg session.Config, logf func(format string, args ...any), allowEmpty bool) (*Registry, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
@@ -376,16 +321,6 @@ func loadDir(dir string, cfg session.Config, logf func(format string, args ...an
 		}
 	}
 	reg := NewRegistry()
-	// The snapshots this call maps, unmapped again if it fails: nothing else
-	// holds them then.
-	var mapped []*session.Session
-	defer func() {
-		if err != nil {
-			for _, s := range mapped {
-				_ = s.Close()
-			}
-		}
-	}()
 	var segs []segmentFile
 	for _, e := range entries {
 		if e.IsDir() {
@@ -400,8 +335,7 @@ func loadDir(dir string, cfg session.Config, logf func(format string, args ...an
 			if s, err = session.LoadSnapshotFile(path, cfg); err != nil {
 				return nil, fmt.Errorf("server: load %s: %w", path, err)
 			}
-			mapped = append(mapped, s)
-			logf("opened %q from snapshot %s (%d bytes mapped)", name, e.Name(), s.MappedBytes())
+			logf("opened %q from snapshot %s (%d bytes)", name, e.Name(), s.MappedBytes())
 		case ".csv":
 			if hasSnap[name] {
 				logf("skipping %s: %q is served from its snapshot", e.Name(), name)
@@ -483,11 +417,10 @@ func replaySegments(reg *Registry, segs []segmentFile, logf func(format string, 
 		return segs[i].epoch < segs[j].epoch
 	})
 	for _, sf := range segs {
-		_, epoch, release, err := reg.Acquire(sf.dataset)
+		_, epoch, err := reg.Current(sf.dataset)
 		if err != nil {
 			return fmt.Errorf("server: segment %s: %w", sf.path, err)
 		}
-		release()
 		if uint64(sf.epoch) <= epoch {
 			logf("skipping %s: dataset %q is already at epoch %d", filepath.Base(sf.path), sf.dataset, epoch)
 			continue

@@ -80,8 +80,8 @@ func snapDir(t testing.TB, n int) (string, map[string]string, map[string][]byte)
 	return dir, reqs, wants
 }
 
-// TestLoadDirMapsEveryWorld: LoadDir maps every snapshot before it returns —
-// /metrics reports their bytes before the first request — and the mapped
+// TestLoadDirMapsEveryWorld: LoadDir opens every snapshot before it returns —
+// /metrics reports their bytes before the first request — and the loaded
 // worlds answer byte-identically to the sessions they were written from.
 func TestLoadDirMapsEveryWorld(t *testing.T) {
 	dir, reqs, wants := snapDir(t, 3)
@@ -98,7 +98,7 @@ func TestLoadDirMapsEveryWorld(t *testing.T) {
 		size += info.Size()
 	}
 	if got := reg.MappedBytes(); got != size {
-		t.Fatalf("after LoadDir: %d bytes mapped, want the %d bytes of the three files", got, size)
+		t.Fatalf("after LoadDir: %d bytes held, want the %d bytes of the three files", got, size)
 	}
 
 	ts := httptest.NewServer(New(reg, Options{}))
@@ -113,10 +113,10 @@ func TestLoadDirMapsEveryWorld(t *testing.T) {
 			t.Fatalf("%s: status %d: %s", name, resp.StatusCode, body)
 		}
 		if !bytes.Equal(body, wants[name]) {
-			t.Fatalf("%s: the mapped world answers differently from the session it was written from", name)
+			t.Fatalf("%s: the loaded world answers differently from the session it was written from", name)
 		}
 	}
 	if got := reg.MappedBytes(); got != size {
-		t.Fatalf("after serving: %d bytes mapped, want %d", got, size)
+		t.Fatalf("after serving: %d bytes held, want %d", got, size)
 	}
 }

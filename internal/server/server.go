@@ -76,12 +76,10 @@ type Options struct {
 	MaxRequestBytes int64
 	// AnswerCacheSize bounds the server-side answer cache (entries across
 	// all datasets). Zero disables caching — the default, so embedding the
-	// handler changes nothing unless asked to.
+	// handler changes nothing unless asked to. An entry leaves under LRU
+	// pressure or when its epoch falls below the retention floor: an epoch's
+	// answers never change, so nothing else expires them.
 	AnswerCacheSize int
-	// AnswerCacheTTL expires cached answers after this duration; zero means
-	// entries live until evicted by capacity. Ignored unless
-	// AnswerCacheSize > 0.
-	AnswerCacheTTL time.Duration
 	// PersistDir, when set, makes every accepted append durable: the batch
 	// is written as a log segment (<dataset>.<epoch>.seg) in this directory
 	// before the swap, and LoadDir replays segments on cold start. Empty
@@ -140,7 +138,7 @@ func New(reg *Registry, opt Options) *Server {
 	// Registration order is the /metrics page order.
 	s := &Server{reg: reg, opt: opt}
 	s.met = newRequestMetrics(&s.page)
-	s.cache = newAnswerCache(opt.AnswerCacheSize, opt.AnswerCacheTTL, &s.page)
+	s.cache = newAnswerCache(opt.AnswerCacheSize, &s.page)
 	registerRegistryMetrics(&s.page, reg)
 	return s
 }
@@ -293,10 +291,7 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) (string, response
 		}
 		return "adopt", s.handleAdopt(r, name)
 	}
-	// Acquire pins the entry for the request's lifetime, which covers any
-	// historical session resolved below — the grave reaper closes retired
-	// mapped epochs only once the entry's pins drain.
-	sess, epoch, release, err := s.reg.Acquire(name)
+	sess, epoch, err := s.reg.Current(name)
 	if err != nil { // the one error: ErrUnknownDataset
 		er := ErrorResponse{Error: fmt.Sprintf("unknown dataset %q", name)}
 		// In a fleet, "unknown here" usually means "owned elsewhere": embed
@@ -309,7 +304,6 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) (string, response
 		}
 		return "other", jsonResponse(http.StatusNotFound, er)
 	}
-	defer release()
 
 	// ?as_of=<epoch|timestamp> retargets the read operations at a retained
 	// historical epoch; the resolved epoch replaces the current one in
@@ -738,17 +732,14 @@ func (s *Server) handleReadyz() response {
 	})
 }
 
-// handleSnapshot streams the session's snapshot container: the mapped
-// bytes verbatim when the session is snapshot-backed (copied while the
-// registry pin still holds — the response outlives the pin), rendered fresh
-// for heap-built or appended sessions so every world is adoptable. The
-// whole-stream CRC rides in a header; the container's section payloads are
-// unchecksummed by design, so this is what catches in-transit bit flips.
+// handleSnapshot streams the session's snapshot container: the bytes the
+// session holds, verbatim, when it is snapshot-backed, rendered fresh for
+// built or appended sessions so every world is adoptable. The whole-stream
+// CRC rides in a header; the container's section payloads are unchecksummed
+// by design, so this is what catches in-transit bit flips.
 func (s *Server) handleSnapshot(sess *session.Session) response {
-	var body []byte
-	if mapped := sess.MappedSnapshot(); mapped != nil {
-		body = append([]byte(nil), mapped...)
-	} else {
+	body := sess.MappedSnapshot()
+	if body == nil {
 		var buf bytes.Buffer
 		if err := sess.WriteSnapshot(&buf); err != nil {
 			return errResponse(err)

@@ -103,7 +103,7 @@ func assertCleanReject(t *testing.T, reg *Registry, dir, name string, err error)
 
 // The snapshot endpoint must stream the container with a matching
 // whole-stream CRC header, from both session flavors: heap-built (rendered
-// fresh) and snapshot-backed (the mapped bytes verbatim).
+// fresh) and snapshot-backed (the bytes it read, verbatim).
 func TestSnapshotEndpointCRC(t *testing.T) {
 	// Heap-built session: testServer registers in-memory sessions.
 	ts, sessions := testServer(t)
@@ -121,8 +121,8 @@ func TestSnapshotEndpointCRC(t *testing.T) {
 		t.Fatal("streamed bytes differ from WriteSnapshot output")
 	}
 
-	// Mapped session: load the same world from disk and stream it again —
-	// the bytes must be the file's bytes exactly.
+	// File-loaded session: load the same world from disk and stream it
+	// again — the bytes must be the file's bytes exactly.
 	dir := t.TempDir()
 	path := filepath.Join(dir, "alpha.snap")
 	if err := os.WriteFile(path, body, 0o644); err != nil {
@@ -168,9 +168,9 @@ func TestAdoptGolden(t *testing.T) {
 		t.Fatalf("adopted snapshot not installed: %v", err)
 	}
 	// Adopt registers the session its validation opened: the installed file
-	// is mapped before the world's first request.
+	// is open before the world's first request.
 	if got := reg.MappedBytes(); got != info.Size() {
-		t.Fatalf("%d bytes mapped after adopt, want the installed file's %d", got, info.Size())
+		t.Fatalf("%d bytes held after adopt, want the installed file's %d", got, info.Size())
 	}
 
 	adopted := httptest.NewServer(New(reg, Options{AdoptDir: dir, SessionCfg: session.DefaultConfig()}))

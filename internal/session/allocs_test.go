@@ -14,9 +14,9 @@ import (
 // The allocation counts of the zero-alloc paths are deterministic per
 // build, so they are asserted in tier-1 rather than watched by a benchmark
 // baseline: a retained-epoch AsOf is a spine lookup that allocates nothing,
-// a served answer allocates what it returns and not its trace, and mapping
-// a snapshot of the 500-source acceptance world stays within the format's
-// bar of 100 allocations (it decodes no table).
+// a served answer allocates what it returns and not its trace, and opening
+// a snapshot file of the 500-source acceptance world stays within the
+// format's bar of 100 allocations (it decodes no table).
 func TestServePathAllocs(t *testing.T) {
 	base := benchWorld(t)
 
@@ -82,11 +82,9 @@ func TestServePathAllocs(t *testing.T) {
 		}
 		cfg := DefaultConfig()
 		if n := testing.AllocsPerRun(10, func() {
-			s, err := LoadSnapshotFile(path, cfg)
-			if err != nil {
+			if _, err := LoadSnapshotFile(path, cfg); err != nil {
 				t.Fatal(err)
 			}
-			s.Close()
 		}); n > 100 {
 			t.Fatalf("snapshot load allocates %v times, want <= 100", n)
 		} else {

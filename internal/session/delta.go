@@ -67,8 +67,8 @@ var ErrDeltaEpoch = errors.New("session: delta is for another epoch")
 
 // WriteDelta writes the delta frame from epoch since to the session's epoch —
 // the batches appended since and what the solves across them overwrote — to
-// w. since must be an earlier epoch of the session's log. A mapped session
-// materializes first.
+// w. since must be an earlier epoch of the session's log. A snapshot-backed
+// session materializes first.
 func (s *Session) WriteDelta(w io.Writer, since int) error {
 	if err := s.materialize(); err != nil {
 		return err

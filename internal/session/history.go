@@ -21,10 +21,9 @@
 // materialized historical session is bit-identical to the one that actually
 // served then (the invariant the as-of equivalence suites pin).
 //
-// The spine never closes a mapped session itself: callers of Append may
-// still hold predecessors. Mapped sessions that fall out of the window are
-// parked on a pruned list the owner (the server registry) drains via
-// TakePrunedMapped and closes once its own refcounting proves quiescence.
+// A session that falls out of the window is simply dropped from the spine;
+// the garbage collector reclaims it, snapshot-backed or not, once the last
+// request reading it lets go.
 package session
 
 import (
@@ -59,9 +58,6 @@ type history struct {
 	// stamps mirror entries' birth times (plus live epochs whose session
 	// was replaced), ascending by epoch.
 	stamps []epochStamp
-	// pruned parks mapped sessions dropped from entries until the owning
-	// registry closes them (see Session.TakePrunedMapped).
-	pruned []*Session
 	// mats counts lazy historical materializations, for /metrics.
 	mats atomic.Int64
 }
@@ -92,8 +88,7 @@ func (h *history) lookupLocked(epoch int) (*Session, bool) {
 }
 
 // insertLocked adds s keeping entries ascending by epoch. An existing entry
-// for the same epoch is replaced; if the replaced session is mapped and a
-// different object it moves to the pruned list.
+// for the same epoch is replaced.
 func (h *history) insertLocked(s *Session) {
 	epoch := s.DatasetEpoch()
 	i := 0
@@ -101,9 +96,6 @@ func (h *history) insertLocked(s *Session) {
 		i++
 	}
 	if i < len(h.entries) && h.entries[i].DatasetEpoch() == epoch {
-		if old := h.entries[i]; old != s && old.mapped != nil {
-			h.pruned = append(h.pruned, old)
-		}
 		h.entries[i] = s
 		return
 	}
@@ -127,19 +119,14 @@ func (h *history) stampLocked(epoch int, created time.Time) {
 	h.stamps[i] = epochStamp{epoch: epoch, created: created}
 }
 
-// trimLocked drops entries and stamps below the retention floor for cur.
-// Mapped sessions move to the pruned list; heap sessions are simply
-// released to the garbage collector.
+// trimLocked drops entries and stamps below the retention floor for cur,
+// releasing their sessions to the garbage collector.
 func (h *history) trimLocked(cur int) {
 	floor := h.floorFor(cur)
 	keep := h.entries[:0]
 	for _, e := range h.entries {
 		if e.DatasetEpoch() >= floor {
 			keep = append(keep, e)
-			continue
-		}
-		if e.mapped != nil {
-			h.pruned = append(h.pruned, e)
 		}
 	}
 	for i := len(keep); i < len(h.entries); i++ {
@@ -189,23 +176,6 @@ func (s *Session) HistMaterializations() int64 {
 
 // Created returns when this session became the serving current.
 func (s *Session) Created() time.Time { return s.created }
-
-// TakePrunedMapped drains and returns mapped sessions that fell out of the
-// retention window. The spine never unmaps them itself — callers of Append
-// may still hold predecessor pointers — so the session chain's owner (the
-// server registry) takes them here and calls Close once its refcounting
-// proves no request still reads them. Callers without such bookkeeping can
-// simply never drain; unclosed mappings are released at process exit.
-func (s *Session) TakePrunedMapped() []*Session {
-	if s.hist == nil {
-		return nil
-	}
-	s.hist.mu.Lock()
-	dead := s.hist.pruned
-	s.hist.pruned = nil
-	s.hist.mu.Unlock()
-	return dead
-}
 
 // AsOf returns the session as it stood at the given epoch: the receiver for
 // the current epoch, a retained predecessor when one is in the window, and
@@ -379,8 +349,8 @@ func (s *Session) History() []EpochInfo {
 
 // AccuracyOf returns one source's discovered accuracy at this session's
 // epoch, reading the dense vector through the compiled index — no
-// materialization for mapped sessions, which keeps trajectory serving from
-// building the dataset.
+// materialization for snapshot-backed sessions, which keeps trajectory
+// serving from building the dataset.
 func (s *Session) AccuracyOf(src model.SourceID) (float64, bool) {
 	c := s.compiledView()
 	i, ok := c.SourceIndex(src)
@@ -394,8 +364,8 @@ func (s *Session) AccuracyOf(src model.SourceID) (float64, bool) {
 // session's epoch, and its two directions — P(a copies b), P(b copies a);
 // zeros for an unanalysed pair or a source the epoch does not have. It reads
 // one pair record of the state, so a trajectory over retained epochs builds
-// no Result view; a mapped session materializes first (ok is false when that
-// fails).
+// no Result view; a snapshot-backed session materializes first (ok is false
+// when that fails).
 func (s *Session) PairProbs(a, b model.SourceID) (dep, ab, ba float64, ok bool) {
 	if err := s.materialize(); err != nil {
 		return 0, 0, 0, false

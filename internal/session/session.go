@@ -89,39 +89,43 @@ func (c Config) Validate() error {
 // safe for concurrent calls.
 //
 // Two backends exist. An eager session (New, Append, AsOf) holds a
-// materialized Dataset and its depen.State from the start. A mapped session
-// (LoadSnapshot*) serves AnswerObjects and Accuracy straight from the
-// snapshot's compiled tables. Either way the state is the one representation
-// of the solve: every other is derived from it.
+// materialized Dataset and its depen.State from the start. A snapshot-backed
+// session (LoadSnapshot*) serves AnswerObjects and Accuracy straight from the
+// snapshot's compiled tables, cast in place over the container it read.
+// Either way the state is the one representation of the solve: every other is
+// derived from it. Both are ordinary heap objects: nothing is released by
+// hand, so a session, and anything an answer took from it, stays valid for
+// as long as it is referenced.
 //
 // Every serving call reads the state and what is derived from it: no
 // session builds or keeps a depen.Result view (Dependence builds one per call
 // for library callers). Two things are built lazily, each once, by the first
-// call that needs it: a mapped session's dataset (materialized from the
-// snapshot's claim log, with the state moved onto the heap over it, never
-// aliasing the mapping; Fuse, Link, Profiles, Recommend*, Append, Dataset,
-// Dependence, PairProbs, WriteSnapshot), and the trust profiles (Profiles,
-// Recommend*).
+// call that needs it: a snapshot-backed session's dataset (materialized from
+// the snapshot's claim log, with the state copied over it, never aliasing the
+// container; Fuse, Link, Profiles, Recommend*, Append, Dataset, Dependence,
+// PairProbs, WriteSnapshot), and the trust profiles (Profiles, Recommend*).
 type Session struct {
 	d   *dataset.Dataset
 	cfg Config
 	// st is the dense solve state — solved by New, Append or AsOf, or
-	// assembled from a snapshot's sections. A mapped session's st aliases the
-	// mapping until materialize moves it onto the heap, and is written only
-	// there after the load: read it after materialize.
+	// assembled from a snapshot's sections. A snapshot-backed session's st
+	// aliases the container until materialize copies it over the dataset, and
+	// is written only there after the load: read it after materialize.
 	st *depen.State
 	// accMap is acc keyed by source, built by the first Accuracy() — for a
-	// mapped session without materializing.
+	// snapshot-backed session without materializing.
 	accOnce sync.Once
 	accMap  map[model.SourceID]float64
 	// acc is the dense per-source accuracy vector and depTab the flat
 	// source×source total dependence posterior, both in compiled source
-	// order. They alias st's vectors (acc, for mapped sessions, the mapping).
+	// order. They alias st's vectors (acc, for snapshot-backed sessions, the
+	// container).
 	acc     []float64
 	depTab  []float64
 	planner *queryans.Planner
 
-	// Mapped-backend state; nil for eager sessions.
+	// Snapshot-backed state: the validated container and the dataset's
+	// sections over it; nil for eager sessions.
 	mapped  *snapio.Mapped
 	md      *dataset.Mapped
 	matOnce sync.Once
@@ -137,10 +141,9 @@ type Session struct {
 	created time.Time
 }
 
-// materialize builds a mapped session's dataset from the snapshot's claim
-// log and moves its state over it, on first use. It is a no-op for eager
-// sessions. Everything it builds is copied off the mapping, so materialized
-// state survives Close.
+// materialize builds a snapshot-backed session's dataset from the snapshot's
+// claim log and copies its state over it, on first use. It is a no-op for
+// eager sessions.
 func (s *Session) materialize() error {
 	if s.mapped == nil {
 		return nil
@@ -237,8 +240,8 @@ func (s *Session) successor(d2 *dataset.Dataset, st2 *depen.State) (*Session, er
 	return next, nil
 }
 
-// Dataset returns the served dataset, materializing it first for a mapped
-// session. It returns nil if materialization fails (a claim log that does
+// Dataset returns the served dataset, materializing it first for a
+// snapshot-backed session. It returns nil if materialization fails (a claim log that does
 // not index to its tables); error-returning entry points surface the cause.
 func (s *Session) Dataset() *dataset.Dataset {
 	if err := s.materialize(); err != nil {
@@ -250,7 +253,7 @@ func (s *Session) Dataset() *dataset.Dataset {
 // Dependence returns the discovery result by name, a library convenience: each
 // call builds a new view of the session's state — maps and a sort of every
 // analysed pair — which the session does not keep and no serving call reads.
-// A mapped session materializes first (nil on failure).
+// A snapshot-backed session materializes first (nil on failure).
 func (s *Session) Dependence() *depen.Result {
 	if err := s.materialize(); err != nil {
 		return nil
@@ -260,8 +263,8 @@ func (s *Session) Dependence() *depen.Result {
 
 // Accuracy returns the per-source accuracies, as Dependence().Truth.Accuracy:
 // the dense vector keyed by source, built once per epoch on the first call —
-// for a mapped session without materializing (the keys are copied off the
-// mapping). Callers must treat the map as read-only.
+// for a snapshot-backed session without materializing. Callers must treat the
+// map as read-only.
 func (s *Session) Accuracy() map[model.SourceID]float64 {
 	s.accOnce.Do(func() {
 		ids := s.compiledView().SourceIDs()
@@ -274,8 +277,8 @@ func (s *Session) Accuracy() map[model.SourceID]float64 {
 }
 
 // compiledView returns the compiled index the session serves from — the
-// mapped tables for a mapped session, the dataset's own compilation
-// otherwise — without forcing materialization.
+// snapshot's tables for a snapshot-backed session, the dataset's own
+// compilation otherwise — without forcing materialization.
 func (s *Session) compiledView() *dataset.Compiled {
 	if s.mapped != nil {
 		return s.md.Compiled()
@@ -284,7 +287,7 @@ func (s *Session) compiledView() *dataset.Compiled {
 }
 
 // DatasetEpoch returns the served dataset's append epoch without forcing a
-// mapped session to materialize — servers key caches on it.
+// snapshot-backed session to materialize — servers key caches on it.
 func (s *Session) DatasetEpoch() int {
 	if s.mapped != nil {
 		return s.md.Epoch()
@@ -292,7 +295,7 @@ func (s *Session) DatasetEpoch() int {
 	return s.d.Epoch()
 }
 
-// MappedBytes returns the size of the mapped snapshot backing this session,
+// MappedBytes returns the size of the snapshot container this session holds,
 // or 0 for an eager session — the /metrics mapped-bytes gauge.
 func (s *Session) MappedBytes() int64 {
 	if s.mapped == nil {
@@ -302,9 +305,8 @@ func (s *Session) MappedBytes() int64 {
 }
 
 // MappedSnapshot returns the raw snapshot container backing this session,
-// or nil for an eager (heap-built) session. The bytes alias the mapping —
-// valid only while the caller's registry pin holds — so snapshot streaming
-// copies them before the pin releases.
+// or nil for an eager session — the bytes snapshot streaming serves. They are
+// the session's own and must not be written.
 func (s *Session) MappedSnapshot() []byte {
 	if s.mapped == nil {
 		return nil
@@ -312,17 +314,10 @@ func (s *Session) MappedSnapshot() []byte {
 	return s.mapped.Bytes()
 }
 
-// Close releases a mapped session's snapshot mapping; eager sessions are
-// untouched (nil error). After Close no serving call may run: the planner
-// and any strings previously returned by answers alias the mapping. Callers
-// (the server registry) guarantee quiescence via refcounting before
-// closing.
-func (s *Session) Close() error {
-	if s.mapped == nil {
-		return nil
-	}
-	return s.mapped.Close()
-}
+// Close does nothing and returns nil: a session holds no resource but
+// memory, which the garbage collector reclaims. It remains for callers
+// written when a loaded session held a file mapping.
+func (s *Session) Close() error { return nil }
 
 // QueryConfig returns the session's query-planner template — the base
 // configuration per-request overrides start from (see AnswerObjectsWith).
@@ -404,7 +399,7 @@ func (s *Session) Link(cfg linkage.Config) (*linkage.Result, error) {
 
 // Profiles returns the cached trust profiles, building them on first use
 // from the session's state (and configured temporal reports). It returns nil
-// if a mapped session fails to materialize; RecommendSources and
+// if a snapshot-backed session fails to materialize; RecommendSources and
 // RecommendDiverse report the cause. Callers must treat the slice as
 // read-only.
 func (s *Session) Profiles() []recommend.Profile {

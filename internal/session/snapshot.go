@@ -5,10 +5,9 @@
 // before the first query can be answered (454 ms at 500 sources on the
 // baseline hardware). A session snapshot is that solve's dense state laid
 // out as it lies in memory, in an aligned section container
-// (snapio/sections.go), so loading is a map (or one read) plus validation
-// and casts — no decode loop, a few dozen allocations whatever the world's
-// size, and N processes serving one world share one physical copy of its
-// pages. Its sections:
+// (snapio/sections.go), so loading is one read into a heap buffer plus
+// validation and casts — no decode loop and a few dozen allocations
+// whatever the world's size. Its sections:
 //
 //   - the dataset (dataset.AppendSections): the compiled tables with the
 //     interned-string blob, and the claim log as id columns into them with
@@ -24,11 +23,13 @@
 // Opening validates every section it casts, so a damaged file fails there,
 // classified (snapio.ErrCorrupt, ErrTruncated, ErrBadMagic, ErrBadVersion) —
 // not at the first append. The opened session serves AnswerObjects and
-// Accuracy straight off the mapped tables; the first call that needs the
-// dataset (Fuse, Append, Profiles…) materializes it onto the heap from the
-// claim log, and assembles the state again over that dataset's index. A
-// loaded session is bit-identical to the session it was taken of and to a
-// rebuild, on every call (the snapshot suites pin it).
+// Accuracy straight off the container's tables; the first call that needs
+// the dataset (Fuse, Append, Profiles…) materializes it from the claim log,
+// and assembles the state again over that dataset's index. A loaded session
+// is bit-identical to the session it was taken of and to a rebuild, on every
+// call (the snapshot suites pin it). The container is an ordinary heap
+// buffer: the garbage collector keeps it for as long as the session, or any
+// string an answer took from it, is referenced.
 //
 // The Config still arrives at load time (it carries callbacks and serving
 // knobs that cannot be serialized); a fingerprint of every config field that
@@ -71,7 +72,7 @@ const (
 
 // WriteSnapshot encodes the session to w. Every table is written as it lies
 // in memory; only the string blob and the time and probability columns are
-// laid out for the file. A mapped session materializes first.
+// laid out for the file. A snapshot-backed session materializes first.
 func (s *Session) WriteSnapshot(w io.Writer) error {
 	if err := s.materialize(); err != nil {
 		return err
@@ -96,44 +97,27 @@ func (s *Session) WriteSnapshot(w io.Writer) error {
 // Deprecated: there is one snapshot format; call WriteSnapshot.
 func (s *Session) WriteSnapshotV2(w io.Writer) error { return s.WriteSnapshot(w) }
 
-// LoadSnapshotFile maps the session snapshot at path and assembles a serving
-// session over it without re-running discovery (see LoadSnapshotV2 for the
-// contract). Close the returned session when done serving it to release the
-// mapping.
+// LoadSnapshotFile reads the session snapshot at path into one heap buffer
+// of exactly the file's size and assembles a serving session over it without
+// re-running discovery. cfg must match the configuration the snapshot was
+// built with on every field that shaped the precompute (checked against the
+// stored fingerprint); serving-only knobs — Query, Fusion, Reports — are free
+// to differ. The session's state and every serving call are bit-identical to
+// the session the snapshot was taken of. The session keeps no hold on the
+// file: it may be removed or rewritten once the load returns.
 func LoadSnapshotFile(path string, cfg Config) (*Session, error) {
-	m, err := snapio.OpenMappedFile(path, SnapshotMagic, SnapshotVersion)
-	if err != nil {
-		return nil, openErr(err)
-	}
-	s, err := sessionFromMapped(m, cfg)
-	if err != nil {
-		m.Close()
-		return nil, err
-	}
-	return s, nil
-}
-
-// LoadSnapshot reads a session snapshot from r into an aligned buffer, sized
-// by the container's header, and assembles a serving session over it, as
-// LoadSnapshotV2 does. It reads through the end of the last section's data.
-func LoadSnapshot(r io.Reader, cfg Config) (*Session, error) {
-	m, err := snapio.ReadMapped(r, SnapshotMagic, SnapshotVersion)
+	m, err := snapio.ReadMappedFile(path, SnapshotMagic, SnapshotVersion)
 	if err != nil {
 		return nil, openErr(err)
 	}
 	return sessionFromMapped(m, cfg)
 }
 
-// LoadSnapshotV2 validates an in-memory session snapshot and assembles a
-// serving session over it — the byte-slice twin of LoadSnapshotFile. cfg
-// must match the configuration the snapshot was built with on every field
-// that shaped the precompute (checked against the stored fingerprint);
-// serving-only knobs — Query, Fusion, Reports — are free to differ. The
-// session's state and every serving call are bit-identical to the session
-// the snapshot was taken of. The session aliases data (or an aligned copy of
-// it); it must stay immutable while the session lives.
-func LoadSnapshotV2(data []byte, cfg Config) (*Session, error) {
-	m, err := snapio.OpenMappedBytes(data, SnapshotMagic, SnapshotVersion)
+// LoadSnapshot reads a session snapshot from r into an aligned buffer, sized
+// by the container's header, and assembles a serving session over it, as
+// LoadSnapshotFile does. It reads through the end of the last section's data.
+func LoadSnapshot(r io.Reader, cfg Config) (*Session, error) {
+	m, err := snapio.ReadMapped(r, SnapshotMagic, SnapshotVersion)
 	if err != nil {
 		return nil, openErr(err)
 	}
@@ -157,7 +141,7 @@ func corrupt(err error) error {
 // sessionFromMapped assembles a serving session over a validated container:
 // open the dataset's sections, read the meta and check the config
 // fingerprint in it, assemble the state from its sections (deriving the
-// totals table) and build the planner. On error the caller owns closing m.
+// totals table) and build the planner.
 func sessionFromMapped(m *snapio.Mapped, cfg Config) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -216,10 +200,10 @@ func sessionFromMapped(m *snapio.Mapped, cfg Config) (*Session, error) {
 	}, nil
 }
 
-// materializeMapped builds a mapped session's dataset on the heap from the
+// materializeMapped builds a snapshot-backed session's dataset from the
 // claim log, and assembles its state again over that dataset's index from
-// copies of its parts — so nothing the materialized session reads dies with
-// the mapping.
+// copies of its parts, so the state a successor carries forward never
+// aliases the container.
 func (s *Session) materializeMapped() error {
 	d, err := s.md.Dataset()
 	if err != nil {

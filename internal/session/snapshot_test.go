@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -41,15 +43,19 @@ func snapshotFile(t testing.TB, raw []byte) string {
 	return path
 }
 
-// loadFile maps raw from a file, closing the session when the test ends.
+// loadFile loads raw through a file, as a server boots.
 func loadFile(t testing.TB, raw []byte, cfg Config) *Session {
 	t.Helper()
 	s, err := LoadSnapshotFile(snapshotFile(t, raw), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
 	return s
+}
+
+// loadBytes loads raw through the reader.
+func loadBytes(raw []byte, cfg Config) (*Session, error) {
+	return LoadSnapshot(bytes.NewReader(raw), cfg)
 }
 
 // TestSnapshotRoundTripGolden pins the central contract: a snapshot read back
@@ -412,7 +418,7 @@ func TestSnapshotCorruption(t *testing.T) {
 }
 
 // TestSnapshotV2Corruption walks structured damage over a real container
-// through both loaders, the mapped file and the in-memory bytes: truncation
+// through both loaders, the file and the reader: truncation
 // at a spread of prefix lengths, a config-fingerprint mismatch, and damaged
 // state and log sections — every one an error from the load itself,
 // classified, never a panic or a session over garbage tables. A stored total
@@ -426,7 +432,7 @@ func TestSnapshotV2Corruption(t *testing.T) {
 	}
 	raw := snapshotBytes(t, s)
 	loaders := map[string]func([]byte, Config) (*Session, error){
-		"bytes": LoadSnapshotV2,
+		"reader": loadBytes,
 		"file": func(b []byte, cfg Config) (*Session, error) {
 			return LoadSnapshotFile(snapshotFile(t, b), cfg)
 		},
@@ -447,7 +453,7 @@ func TestSnapshotV2Corruption(t *testing.T) {
 		// Cutting only into the final section's alignment padding (< 8
 		// bytes) leaves every section in bounds and is legitimately
 		// loadable; anything deeper must fail.
-		if _, err := LoadSnapshotV2(raw[:l], DefaultConfig()); err == nil && len(raw)-l >= 8 {
+		if _, err := loadBytes(raw[:l], DefaultConfig()); err == nil && len(raw)-l >= 8 {
 			t.Fatalf("truncation to %d/%d bytes loaded successfully", l, len(raw))
 		}
 	}
@@ -455,7 +461,7 @@ func TestSnapshotV2Corruption(t *testing.T) {
 	// A snapshot written under one config must refuse to load under another.
 	other := DefaultConfig()
 	other.Depen.DepThreshold *= 2
-	if _, err := LoadSnapshotV2(raw, other); err == nil ||
+	if _, err := loadBytes(raw, other); err == nil ||
 		!strings.Contains(err.Error(), "was built with") {
 		t.Fatalf("config mismatch error = %v, want fingerprint rejection", err)
 	}
@@ -482,14 +488,13 @@ func TestSnapshotV2Corruption(t *testing.T) {
 		if err := denseDiff(got, s); err != nil {
 			t.Fatalf("forged total, %s: %v", via, err)
 		}
-		got.Close()
 	}
 }
 
 // TestSnapshotRetiredFormatsFail: a file in the retired decode-everything
 // stream (magic SCDSSESS) and a container of the retired version 1 fail
-// every way in — the reader, the file mapping and the byte loader — with
-// ErrBadMagic and ErrBadVersion, and name the
+// both ways in — the reader and the file — with ErrBadMagic and
+// ErrBadVersion, and name the
 // command that writes the one format. A missing file and one too short for a
 // header fail too.
 func TestSnapshotRetiredFormatsFail(t *testing.T) {
@@ -515,7 +520,6 @@ func TestSnapshotRetiredFormatsFail(t *testing.T) {
 		path := snapshotFile(t, tc.raw)
 		for via, err := range map[string]error{
 			"LoadSnapshot":     func() error { _, err := LoadSnapshot(bytes.NewReader(tc.raw), DefaultConfig()); return err }(),
-			"LoadSnapshotV2":   func() error { _, err := LoadSnapshotV2(tc.raw, DefaultConfig()); return err }(),
 			"LoadSnapshotFile": func() error { _, err := LoadSnapshotFile(path, DefaultConfig()); return err }(),
 		} {
 			if !errors.Is(err, tc.want) || !strings.Contains(fmt.Sprint(err), "currents snapshot") {
@@ -538,7 +542,7 @@ func TestSnapshotRetiredFormatsFail(t *testing.T) {
 }
 
 // TestSnapshotV2EquivalentToV1 pins the cross-path contract: a session read
-// into memory (LoadSnapshot) and one mapped from a file answer every query
+// from a stream (LoadSnapshot) and one read from a file answer every query
 // bit-identically to each other and to the original — before any
 // materialization, straight off the snapshot's tables.
 func TestSnapshotV2EquivalentToV1(t *testing.T) {
@@ -554,7 +558,7 @@ func TestSnapshotV2EquivalentToV1(t *testing.T) {
 	}
 	mapped := loadFile(t, raw, DefaultConfig())
 	if mapped.MappedBytes() != int64(len(raw)) {
-		t.Fatalf("the file load maps %d bytes, the file has %d", mapped.MappedBytes(), len(raw))
+		t.Fatalf("the file load holds %d bytes, the file has %d", mapped.MappedBytes(), len(raw))
 	}
 
 	for name, ses := range map[string]*Session{"read": read, "mapped": mapped} {
@@ -583,7 +587,7 @@ func TestSnapshotV2EquivalentToV1(t *testing.T) {
 	}
 }
 
-// TestSnapshotV2MaterializeGolden forces materialization of a mapped session
+// TestSnapshotV2MaterializeGolden forces materialization of a file-loaded session
 // and checks it is deep-equal to the session it was taken of: discovery
 // result, dataset claims, fusion, recommendations — and that it re-encodes
 // to byte-identical snapshot bytes (canonical).
@@ -634,13 +638,13 @@ func TestSnapshotV2MaterializeGolden(t *testing.T) {
 	}
 
 	if !bytes.Equal(snapshotBytes(t, mapped), raw) {
-		t.Fatal("re-encode of a mapped session is not byte-identical")
+		t.Fatal("re-encode of a file-loaded session is not byte-identical")
 	}
 }
 
 // TestSnapshotV2AppendMatchesV1 pins that live ingest works identically on
-// both load paths: appending the same batch to a session read into memory
-// and to a mapped one yields the successor the original appends to.
+// both load paths: appending the same batch to a session read from a stream
+// and to one read from a file yields the successor the original appends to.
 func TestSnapshotV2AppendMatchesV1(t *testing.T) {
 	d := servingWorld(t, 31)
 	s, err := New(d, DefaultConfig())
@@ -671,40 +675,158 @@ func TestSnapshotV2AppendMatchesV1(t *testing.T) {
 	}
 }
 
-// TestSnapshotV2MaterializeSurvivesClose pins the lifetime contract: state
-// materialized from a mapped snapshot is fully copied onto the heap, so
-// after Close (mapping gone) the dataset, discovery result and fusion keep
-// working. Only the serving tables die with the mapping.
+// TestSnapshotV2MaterializeSurvivesClose pins the lifetime contract: a
+// file-loaded session holds its own copy of the file's bytes, so once the
+// file is removed, and its path rewritten with another world's snapshot,
+// every serving call still answers as the session the snapshot was taken
+// of, before materializing and after — and Close changes nothing.
 func TestSnapshotV2MaterializeSurvivesClose(t *testing.T) {
 	d := servingWorld(t, 53)
 	s, err := New(d, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapped, err := LoadSnapshotFile(snapshotFile(t, snapshotBytes(t, s)), DefaultConfig())
+	other, err := New(servingWorld(t, 54), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mapped.Dependence() == nil { // forces materialization
-		t.Fatal("materialization failed")
-	}
-	if err := mapped.Close(); err != nil {
+	path := snapshotFile(t, snapshotBytes(t, s))
+	loaded, err := LoadSnapshotFile(path, DefaultConfig())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mapped.Close(); err != nil {
-		t.Fatal("second Close not idempotent:", err)
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
 	}
-	if err := viewDiff(mapped.Dependence(), s.Dependence()); err != nil {
-		t.Fatalf("discovery state did not survive Close: %v", err)
+	if err := os.WriteFile(path, snapshotBytes(t, other), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(mapped.Dataset().Claims(), s.Dataset().Claims()) {
-		t.Fatal("dataset did not survive Close")
+	if err := loaded.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := mapped.Fuse(); err != nil {
-		t.Fatal("Fuse after Close:", err)
+	for _, q := range queries(d) { // off the snapshot's tables
+		want, err := servedTrace(s, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		have, err := servedTrace(loaded, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(have, want) {
+			t.Fatal("an answer changed with the file")
+		}
 	}
-	if _, _, _, ok := mapped.PairProbs(d.Sources()[0], d.Sources()[1]); !ok {
-		t.Fatal("PairProbs after Close failed")
+	if !reflect.DeepEqual(loaded.Accuracy(), s.Accuracy()) {
+		t.Fatal("accuracies changed with the file")
+	}
+	if loaded.d != nil {
+		t.Fatal("answering materialized the dataset")
+	}
+	if err := viewDiff(loaded.Dependence(), s.Dependence()); err != nil { // materializes
+		t.Fatalf("discovery state changed with the file: %v", err)
+	}
+	assertSessionsEqual(t, loaded, s)
+	if !bytes.Equal(snapshotBytes(t, loaded), snapshotBytes(t, s)) {
+		t.Fatal("the session's snapshot changed with the file")
+	}
+	for _, a := range d.Sources()[:3] {
+		for _, b := range d.Sources()[3:6] {
+			dep, ab, ba, ok := loaded.PairProbs(a, b)
+			wdep, wab, wba, _ := s.PairProbs(a, b)
+			if !ok || dep != wdep || ab != wab || ba != wba {
+				t.Fatalf("PairProbs(%s, %s) changed with the file", a, b)
+			}
+		}
+	}
+	top, err := loaded.RecommendSources(recommend.DefaultWeights(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTop, err := s.RecommendSources(recommend.DefaultWeights(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(top, wantTop) {
+		t.Fatal("recommendations changed with the file")
+	}
+}
+
+// TestSnapshotContainerNeverWritten is the tripwire a read-only mapping used
+// to be: the container a file-loaded session holds is the heap buffer its
+// tables are cast from, so a stray write into an aliased section would
+// corrupt it silently. Every serving call, two appends (one adding a source
+// that sorts first, which shifts every source index), an as-of rebuild, a
+// snapshot and a delta must leave its bytes as they were read.
+func TestSnapshotContainerNeverWritten(t *testing.T) {
+	d := servingWorld(t, 57)
+	s, err := New(d, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err = s.Append(randomBatch(rand.New(rand.NewSource(57)), d, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.RetainEpochs = -1
+	loaded := loadFile(t, snapshotBytes(t, s), cfg)
+	container := loaded.MappedSnapshot()
+	want := crc32.ChecksumIEEE(container)
+	q := d.Objects()[:8]
+	srcs := d.Sources()
+	first := model.SourceID("!first")
+	if first >= srcs[0] {
+		t.Fatalf("%q does not sort before %q", first, srcs[0])
+	}
+	var next, next2 *Session
+	for _, step := range []struct {
+		name string
+		call func() error
+	}{
+		{"AnswerObjects", func() error { _, err := loaded.AnswerObjects(q); return err }},
+		{"TraceObjects", func() error { _, err := loaded.TraceObjects(q, loaded.QueryConfig()); return err }},
+		{"Accuracy", func() error { loaded.Accuracy(); return nil }},
+		{"Fuse", func() error { _, err := loaded.Fuse(); return err }},
+		{"RecommendSources", func() error {
+			_, err := loaded.RecommendSources(recommend.DefaultWeights(), 5)
+			return err
+		}},
+		{"PairProbs", func() error {
+			if _, _, _, ok := loaded.PairProbs(srcs[0], srcs[1]); !ok {
+				return errors.New("PairProbs failed")
+			}
+			return nil
+		}},
+		{"Append", func() (err error) {
+			next, err = loaded.Append(randomBatch(rand.New(rand.NewSource(58)), d, 1))
+			return err
+		}},
+		{"Append of a first-sorting source", func() (err error) {
+			next2, err = next.Append([]model.Claim{
+				model.NewClaim(first, q[0], "T1"),
+				model.NewClaim(first, q[1], "T2"),
+			})
+			return err
+		}},
+		{"AsOf", func() error {
+			for e := 0; e <= next2.DatasetEpoch(); e++ {
+				if _, err := next2.AsOf(e); err != nil {
+					return err
+				}
+			}
+			_, err := loaded.AsOf(0)
+			return err
+		}},
+		{"WriteSnapshot", func() error { return loaded.WriteSnapshot(io.Discard) }},
+		{"WriteDelta", func() error { return next2.WriteDelta(io.Discard, loaded.DatasetEpoch()) }},
+	} {
+		if err := step.call(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if have := crc32.ChecksumIEEE(container); have != want {
+			t.Fatalf("%s wrote into the container: CRC %08x, read as %08x", step.name, have, want)
+		}
 	}
 }
 
@@ -751,8 +873,8 @@ func TestSnapshotTimedClaimsRoundTrip(t *testing.T) {
 // TestSnapshotLoadBeatsBuild pins what the cold-start win consists of: a
 // load runs no discovery and builds neither the dataset nor the Result view
 // — it casts the snapshot's tables and derives the totals table — and so
-// allocates under a twentieth of the bytes a build from raw claims does when
-// mapped, under a tenth when read into memory (which holds the file). (How
+// allocates under a tenth of the bytes a build from raw claims does, read
+// from a file or from a stream (either way the load holds the file). (How
 // much faster that makes it is BenchmarkSnapshotLoad against
 // BenchmarkSessionBuild; a wall-clock ratio is not something a loaded box,
 // or -race, lets a test assert.)
@@ -816,7 +938,7 @@ func TestSnapshotLoadBeatsBuild(t *testing.T) {
 		under uint64 // the load allocates under build/under bytes
 		load  func() (*Session, error)
 	}{
-		{"mapped", 20, func() (*Session, error) { return LoadSnapshotFile(path, cfg) }},
+		{"file", 10, func() (*Session, error) { return LoadSnapshotFile(path, cfg) }},
 		{"read", 10, func() (*Session, error) { return LoadSnapshot(bytes.NewReader(raw), cfg) }},
 	} {
 		var loaded *Session
@@ -832,7 +954,6 @@ func TestSnapshotLoadBeatsBuild(t *testing.T) {
 			t.Fatalf("%s: the load allocated %d bytes, NewSession %d: not under 1/%d", path.name, load, build, path.under)
 		}
 		t.Logf("%s: build %d bytes, load %d bytes (%.1fx)", path.name, build, load, float64(build)/float64(load))
-		loaded.Close()
 	}
 }
 
@@ -944,15 +1065,14 @@ func TestFuzzSeedsInSync(t *testing.T) {
 		if string(got) != want {
 			t.Fatalf("%s is not the current seed; rerun with REGEN_FUZZ_SEEDS=1", path)
 		}
-		if _, err := LoadSnapshotV2(seed, DefaultConfig()); !errors.Is(err, snapio.ErrCorrupt) && !errors.Is(err, snapio.ErrTruncated) {
+		if _, err := loadBytes(seed, DefaultConfig()); !errors.Is(err, snapio.ErrCorrupt) && !errors.Is(err, snapio.ErrTruncated) {
 			t.Fatalf("seed %s loads with %v, want ErrCorrupt or ErrTruncated", name, err)
 		}
 	}
 }
 
-// FuzzLoadSnapshot drives both loaders — the reader and the in-memory
-// container — with arbitrary bytes: clean error or working session, never a
-// panic, and both agree on which. Successful loads answer a query and
+// FuzzLoadSnapshot drives the reader with arbitrary bytes: a clean error or
+// a working session, never a panic. Successful loads answer a query and
 // materialize.
 func FuzzLoadSnapshot(f *testing.F) {
 	d := servingWorld(f, 41)
@@ -970,18 +1090,13 @@ func FuzzLoadSnapshot(f *testing.F) {
 	f.Add(mut)
 	f.Add(raw[:32])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		read, err := LoadSnapshot(bytes.NewReader(data), DefaultConfig())
-		if err == nil && read == nil {
-			t.Fatal("nil session without error")
-		}
-		got, err2 := LoadSnapshotV2(data, DefaultConfig())
-		if (err == nil) != (err2 == nil) {
-			t.Fatalf("the reader says %v, the byte loader %v", err, err2)
-		}
-		if err2 != nil {
+		got, err := loadBytes(data, DefaultConfig())
+		if err != nil {
 			return
 		}
-		defer got.Close()
+		if got == nil {
+			t.Fatal("nil session without error")
+		}
 		if _, err := got.AnswerObjects(d.Objects()[:1]); err != nil {
 			_ = err // some mutations legitimately fail per-query
 		}
@@ -989,11 +1104,11 @@ func FuzzLoadSnapshot(f *testing.F) {
 	})
 }
 
-// FuzzLoadSnapshotV2 drives the file loader — the mapped path a server boots
-// from — with the same bytes the in-memory container loader sees: clean error
-// or working session, never a panic, and both agree on which. The checked-in
-// corpus lives with FuzzLoadSnapshot; this target keeps the file path under
-// the fuzzer.
+// FuzzLoadSnapshotV2 drives the file loader — the path a server boots from —
+// with the bytes the reader sees: both fail with the same class of error, or
+// both load a session that answers every serving call the same. The
+// checked-in corpus lives with FuzzLoadSnapshot; this target keeps the file
+// path under the fuzzer.
 func FuzzLoadSnapshotV2(f *testing.F) {
 	d := servingWorld(f, 41)
 	s, err := New(d, DefaultConfig())
@@ -1012,21 +1127,58 @@ func FuzzLoadSnapshotV2(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		mapped, err := LoadSnapshotFile(path, DefaultConfig())
-		inMem, err2 := LoadSnapshotV2(data, DefaultConfig())
-		if (err == nil) != (err2 == nil) {
-			t.Fatalf("the file loader says %v, the byte loader %v", err, err2)
+		file, err := LoadSnapshotFile(path, DefaultConfig())
+		read, err2 := loadBytes(data, DefaultConfig())
+		if errClass(err) != errClass(err2) {
+			t.Fatalf("the file loader says %v, the reader %v", err, err2)
 		}
 		if err != nil {
 			return
 		}
-		defer mapped.Close()
-		defer inMem.Close()
-		if _, err := mapped.AnswerObjects(d.Objects()[:1]); err != nil {
-			_ = err // some mutations legitimately fail per-query
+		if have, want := servingCalls(file, d), servingCalls(read, d); have != want {
+			t.Fatalf("the file-loaded session serves\n%s\nthe read one\n%s", have, want)
 		}
-		_ = mapped.Dependence()
 	})
+}
+
+// errClass names the snapio class of a load error, "" for none.
+func errClass(err error) string {
+	if err == nil {
+		return ""
+	}
+	for _, c := range []error{snapio.ErrTruncated, snapio.ErrChecksum, snapio.ErrBadMagic, snapio.ErrBadVersion, snapio.ErrCorrupt} {
+		if errors.Is(err, c) {
+			return c.Error()
+		}
+	}
+	return "unclassified"
+}
+
+// servingCalls renders what every serving call of s returns, errors
+// included, queried over d's objects and sources.
+func servingCalls(s *Session, d *dataset.Dataset) string {
+	var b strings.Builder
+	q := d.Objects()[:3]
+	res, err := s.AnswerObjects(q)
+	fmt.Fprintf(&b, "answer %v %v\n", res, err)
+	res, err = s.TraceObjects(q, s.QueryConfig())
+	fmt.Fprintf(&b, "trace %v %v\n", res, err)
+	fmt.Fprintf(&b, "accuracy %v\n", s.Accuracy())
+	fused, err := s.Fuse()
+	if err == nil {
+		fmt.Fprintf(&b, "fuse %v %v\n", fused.Chosen, fused.Relation)
+	} else {
+		fmt.Fprintf(&b, "fuse %v\n", err)
+	}
+	top, err := s.RecommendSources(recommend.DefaultWeights(), 3)
+	fmt.Fprintf(&b, "recommend %v %v\n", top, err)
+	srcs := d.Sources()
+	dep, ab, ba, ok := s.PairProbs(srcs[0], srcs[1])
+	fmt.Fprintf(&b, "pair %v %v %v %v\n", dep, ab, ba, ok)
+	var snap bytes.Buffer
+	err = s.WriteSnapshot(&snap)
+	fmt.Fprintf(&b, "snapshot %08x %v\n", crc32.ChecksumIEEE(snap.Bytes()), err)
+	return b.String()
 }
 
 // TestResultFromPartsMatchesDetect double-checks the state a snapshot loads

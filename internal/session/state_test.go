@@ -164,7 +164,7 @@ type chainStart struct {
 }
 
 // chainStarts are the sessions the state chains start from: built by New,
-// and — with a log of two batches — read into memory ("v1"), mapped from a
+// and — with a log of two batches — read from a stream ("v1"), read from a
 // file ("v2-mapped") and rebuilt as of epoch 1.
 func chainStarts() []chainStart {
 	base := func(t *testing.T, cfg Config) *Session {
@@ -190,7 +190,7 @@ func chainStarts() []chainStart {
 	return []chainStart{
 		{"new", base},
 		// "v1" and "v2-mapped" are the one snapshot format's two load paths:
-		// read into memory, and mapped from a file.
+		// a stream, and a file.
 		{"v1", func(t *testing.T, cfg Config) *Session {
 			s, err := LoadSnapshot(bytes.NewReader(snapshotBytes(t, appended(t, cfg))), cfg)
 			if err != nil {
@@ -281,14 +281,14 @@ func TestStateChainEquivalence(t *testing.T) {
 	}
 }
 
-// mappedSession writes s as a snapshot file and maps it back.
+// mappedSession writes s as a snapshot file and loads it back.
 func mappedSession(t *testing.T, s *Session, cfg Config) *Session {
 	t.Helper()
 	return loadFile(t, snapshotBytes(t, s), cfg)
 }
 
 // TestStateViewConcurrentFirstRead has 8 goroutines make their first calls at
-// once on a fresh session — a successor, and a freshly mapped session, which
+// once on a fresh session — a successor, and a freshly loaded session, which
 // the first of them materializes — each asking for a view, fusion, the
 // accuracies, a pair's posteriors or a successor; run under -race. Every
 // result equals a rebuild's.

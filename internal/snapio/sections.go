@@ -1,4 +1,4 @@
-// Section-table container: the mmap-friendly snapshot layout.
+// Section-table container: the zero-decode snapshot layout.
 //
 // The frame format in snapio.go serializes every table through an encoder,
 // which forces the reader to decode — and therefore allocate — each table on
@@ -16,23 +16,27 @@
 //	pad to 8 bytes
 //	sections, each starting 8-byte aligned, padded with zero bytes
 //
-// Loading is mmap (or one aligned read on platforms without mmap) plus
-// structural validation of the header: offsets must be 8-aligned, in bounds,
-// and non-overlapping. Section payloads are NOT checksummed: a reader casts a
-// section straight into a typed slice — no decode loop, no copy — and the
-// section's owner validates what it casts (a session's open checks every
-// section it uses), which is what stops a damaged file; a payload CRC would
-// only be a second pass over the same pages. Every process mapping the same
-// file shares one physical copy. Dense tables are written in host byte
-// order; the order marker makes a snapshot written on a different-endian host
-// fail loudly instead of decoding garbage.
+// Loading is one read into an 8-aligned heap buffer — of exactly the file's
+// size (ReadMappedFile), or sized by the header from a stream (ReadMapped) —
+// plus structural validation of the header: offsets must be 8-aligned, in
+// bounds, and non-overlapping. Section payloads are NOT checksummed: a reader
+// casts a section straight into a typed slice — no decode loop, no further
+// copy — and the section's owner validates what it casts (a session's open
+// checks every section it uses), which is what stops a damaged file; a
+// payload CRC would only be a second pass over the same bytes. The buffer is
+// an ordinary heap object: whatever aliases it keeps it alive, and nothing
+// releases it by hand. Dense tables are written in host byte order; the
+// order marker makes a snapshot written on a different-endian host fail
+// loudly instead of decoding garbage.
 package snapio
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
 	"sort"
 	"unsafe"
 )
@@ -128,29 +132,67 @@ func (w *SectionWriter) WriteTo(out io.Writer, magic string, version uint32) err
 	return nil
 }
 
-// Mapped is a validated, read-only view over a section container — memory
-// mapped when the platform supports it, a private heap copy otherwise.
-// Sections alias the mapping and must be treated as immutable; Close
-// releases the mapping, after which no section (or anything derived from
-// one, including unsafe string views) may be touched again.
+// Mapped is a validated, read-only view over a section container held in
+// one 8-aligned heap buffer. Sections alias the buffer and must be treated
+// as immutable: nothing checks a write, and a write into a section is a write
+// into every table cast from it. The buffer lives as long as anything
+// references it — a section, a typed view, an unsafe string view.
 type Mapped struct {
 	data     []byte
 	sections map[uint32][]byte
-	closeFn  func() error
+}
+
+// alignedBytes returns n zero bytes (n > 0) starting on a sectionAlign
+// boundary, which every section's typed cast relies on.
+func alignedBytes(n uint64) []byte {
+	buf := make([]uint64, (n+sectionAlign-1)/sectionAlign)
+	return unsafe.Slice((*byte)(unsafe.Pointer(&buf[0])), n)
 }
 
 // OpenMappedBytes validates data as a section container of the given magic
-// and version. The bytes are copied into an 8-aligned private buffer only
-// when data itself is misaligned (heap buffers almost always are aligned;
-// fuzzing inputs may not be). Close on the result is a no-op.
+// and version. The bytes are copied into an 8-aligned buffer only when data
+// itself is misaligned (heap buffers almost always are aligned; fuzzing
+// inputs may not be).
 func OpenMappedBytes(data []byte, magic string, version uint32) (*Mapped, error) {
 	if len(data) > 0 && uintptr(unsafe.Pointer(&data[0]))%sectionAlign != 0 {
-		aligned := make([]uint64, (len(data)+7)/8)
-		buf := unsafe.Slice((*byte)(unsafe.Pointer(&aligned[0])), len(data))
+		buf := alignedBytes(uint64(len(data)))
 		copy(buf, data)
 		data = buf
 	}
-	return newMapped(data, magic, version, nil)
+	return newMapped(data, magic, version)
+}
+
+// ReadMappedFile reads the container at path into one 8-aligned heap buffer
+// of exactly the file's size and validates it as OpenMappedBytes does. The
+// size comes from the file, never from its header: an empty file is
+// ErrTruncated, one over the payload cap ErrCorrupt, and a header declaring
+// sections past the end of the file fails with ErrTruncated having allocated
+// no more than the file.
+func ReadMappedFile(path string, magic string, version uint32) (*Mapped, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	size := st.Size()
+	if size == 0 {
+		return nil, fmt.Errorf("%w: empty file %s", ErrTruncated, path)
+	}
+	if size > maxPayload {
+		return nil, fmt.Errorf("%w: %s is %d bytes, exceeds %d", ErrCorrupt, path, size, maxPayload)
+	}
+	data := alignedBytes(uint64(size))
+	if _, err := io.ReadFull(f, data); err != nil {
+		if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
+			return nil, fmt.Errorf("%w: %s shrank below its %d bytes while read", ErrTruncated, path, size)
+		}
+		return nil, fmt.Errorf("snapio: read %s: %w", path, err)
+	}
+	return newMapped(data, magic, version)
 }
 
 // checkPrefix checks the magic and version a container opens with. A
@@ -192,9 +234,30 @@ func checkCRC(hdr []byte) error {
 	return nil
 }
 
+// containerEnd checks a whole header (CRC included) and returns where the
+// container it declares ends: the end of its last section's data. A section
+// reaching past the payload cap is ErrCorrupt. Both openers check this before
+// anything else in the table, so a container cut short fails the same way
+// read from a stream as from a file.
+func containerEnd(hdr []byte) (uint64, error) {
+	if err := checkCRC(hdr); err != nil {
+		return 0, err
+	}
+	end := uint64(len(hdr))
+	for i := 0; i < (len(hdr)-sectionHdrLen-4)/sectionEntryLen; i++ {
+		e := hdr[sectionHdrLen+sectionEntryLen*i:]
+		off, length := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
+		if off > maxPayload || length > maxPayload-off {
+			return 0, fmt.Errorf("%w: section [%d,+%d) exceeds %d bytes", ErrCorrupt, off, length, maxPayload)
+		}
+		end = max(end, off+length)
+	}
+	return end, nil
+}
+
 // ReadMapped reads a section container from r, through the end of its last
 // section's data, into an aligned heap buffer sized by its header, then
-// validates it as OpenMappedBytes does. Close on the result is a no-op.
+// validates it as OpenMappedBytes does.
 func ReadMapped(r io.Reader, magic string, version uint32) (*Mapped, error) {
 	hdr := make([]byte, sectionHdrLen)
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -208,30 +271,21 @@ func ReadMapped(r io.Reader, magic string, version uint32) (*Mapped, error) {
 	if _, err := io.ReadFull(r, hdr[sectionHdrLen:]); err != nil {
 		return nil, fmt.Errorf("%w: section table: %v", ErrTruncated, err)
 	}
-	if err := checkCRC(hdr); err != nil {
+	end, err := containerEnd(hdr)
+	if err != nil {
 		return nil, err
 	}
-	end := uint64(hdrLen)
-	for i := 0; i < (hdrLen-sectionHdrLen-4)/sectionEntryLen; i++ {
-		e := hdr[sectionHdrLen+sectionEntryLen*i:]
-		off, length := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
-		if off > maxPayload || length > maxPayload-off {
-			return nil, fmt.Errorf("%w: section [%d,+%d) exceeds %d bytes", ErrCorrupt, off, length, maxPayload)
-		}
-		end = max(end, off+length)
-	}
-	buf := make([]uint64, (end+pad8(end))/8)
-	data := unsafe.Slice((*byte)(unsafe.Pointer(&buf[0])), end)
+	data := alignedBytes(end)
 	copy(data, hdr)
 	if _, err := io.ReadFull(r, data[hdrLen:]); err != nil {
 		return nil, fmt.Errorf("%w: %d-byte container: %v", ErrTruncated, end, err)
 	}
-	return newMapped(data, magic, version, nil)
+	return newMapped(data, magic, version)
 }
 
 // newMapped validates the container and builds the section index.
-func newMapped(data []byte, magic string, version uint32, closeFn func() error) (*Mapped, error) {
-	if len(data) < sectionHdrLen+4 {
+func newMapped(data []byte, magic string, version uint32) (*Mapped, error) {
+	if len(data) < sectionHdrLen {
 		return nil, fmt.Errorf("%w: %d bytes is smaller than a section header", ErrTruncated, len(data))
 	}
 	hdrLen, err := tableLen(data, magic, version)
@@ -242,8 +296,12 @@ func newMapped(data []byte, magic string, version uint32, closeFn func() error) 
 		return nil, fmt.Errorf("%w: header declares %d sections but only %d bytes present",
 			ErrTruncated, (hdrLen-sectionHdrLen-4)/sectionEntryLen, len(data))
 	}
-	if err := checkCRC(data[:hdrLen]); err != nil {
+	end, err := containerEnd(data[:hdrLen])
+	if err != nil {
 		return nil, err
+	}
+	if end > uint64(len(data)) {
+		return nil, fmt.Errorf("%w: sections run to byte %d, only %d present", ErrTruncated, end, len(data))
 	}
 	count := (hdrLen - sectionHdrLen - 4) / sectionEntryLen
 
@@ -277,33 +335,22 @@ func newMapped(data []byte, magic string, version uint32, closeFn func() error) 
 			return nil, fmt.Errorf("%w: sections %d and %d overlap", ErrCorrupt, spans[i-1].id, spans[i].id)
 		}
 	}
-	return &Mapped{data: data, sections: sections, closeFn: closeFn}, nil
+	return &Mapped{data: data, sections: sections}, nil
 }
 
-// Size returns the mapped length in bytes.
+// Size returns the container's length in bytes.
 func (m *Mapped) Size() int64 { return int64(len(m.data)) }
 
-// Bytes returns the full mapped container, header and all — the exact bytes
-// on disk, which is what snapshot streaming serves to a bootstrapping
-// replica. The slice aliases the mapping: callers must copy anything that
-// outlives their pin on the session.
+// Bytes returns the full container, header and all — the exact bytes on
+// disk, which is what snapshot streaming serves to a bootstrapping replica.
+// The slice aliases the container and must not be written.
 func (m *Mapped) Bytes() []byte { return m.data }
 
 // Section returns the raw bytes of section id; ok is false when absent.
-// The slice aliases the mapping.
+// The slice aliases the container.
 func (m *Mapped) Section(id uint32) ([]byte, bool) {
 	b, ok := m.sections[id]
 	return b, ok
-}
-
-// Close releases the mapping. Idempotent; no section may be used after.
-func (m *Mapped) Close() error {
-	fn := m.closeFn
-	m.closeFn = nil
-	if fn != nil {
-		return fn()
-	}
-	return nil
 }
 
 // The typed section views cast the raw bytes in place (zero copy). Length

@@ -8,9 +8,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/iotest"
+	"unsafe"
 )
 
 const testSecMagic = "SCTESTM2"
@@ -73,12 +75,6 @@ func TestSectionRoundTrip(t *testing.T) {
 	if _, err := m.I64Section(99); err == nil {
 		t.Fatal("I64Section(99) should error on missing section")
 	}
-	if err := m.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
 }
 
 func TestSectionMisalignedInput(t *testing.T) {
@@ -107,9 +103,12 @@ func TestSectionMappedFile(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, err := OpenMappedFile(path, testSecMagic, 2)
+	m, err := ReadMappedFile(path, testSecMagic, 2)
 	if err != nil {
-		t.Fatalf("OpenMappedFile: %v", err)
+		t.Fatalf("ReadMappedFile: %v", err)
+	}
+	if m.Size() != int64(len(data)) || uintptr(unsafe.Pointer(&m.Bytes()[0]))%sectionAlign != 0 {
+		t.Fatalf("read %d bytes into a buffer at %p; want the %d-byte file, 8-aligned", m.Size(), &m.Bytes()[0], len(data))
 	}
 	gotI32, err := m.I32Section(1)
 	if err != nil {
@@ -120,10 +119,55 @@ func TestSectionMappedFile(t *testing.T) {
 		t.Fatalf("F64Section: %v", err)
 	}
 	if gotI32[3] != i32[3] || !f64BitsEqual(gotF64, f64) {
-		t.Fatal("mapped file sections differ from written tables")
+		t.Fatal("file sections differ from written tables")
 	}
-	if err := m.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
+}
+
+// TestReadMappedFileBoundedByFile: the file, not its header, sizes the read.
+// An empty file is ErrTruncated, one over the payload cap ErrCorrupt before a
+// byte is read, and a CRC-valid header declaring a 512 MiB section in a 4 KiB
+// file is ErrTruncated having allocated about the file.
+func TestReadMappedFileBoundedByFile(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, data []byte) string {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	if _, err := ReadMappedFile(write("empty", nil), testSecMagic, 2); !errors.Is(err, ErrTruncated) {
+		t.Errorf("empty file: err = %v, want ErrTruncated", err)
+	}
+	huge := write("huge", nil)
+	if err := os.Truncate(huge, maxPayload+1); err != nil { // sparse: no blocks written
+		t.Fatal(err)
+	}
+	if _, err := ReadMappedFile(huge, testSecMagic, 2); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("file over the payload cap: err = %v, want ErrCorrupt", err)
+	}
+
+	var w SectionWriter
+	w.Add(1, make([]byte, 64))
+	var buf bytes.Buffer
+	if err := w.WriteTo(&buf, testSecMagic, 2); err != nil {
+		t.Fatal(err)
+	}
+	lie := make([]byte, 4<<10)
+	copy(lie, buf.Bytes())
+	binary.LittleEndian.PutUint64(lie[sectionHdrLen+16:], 512<<20)
+	refreshCRC(lie)
+	path := write("lie", lie)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadMappedFile(path, testSecMagic, 2)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("512 MiB section in a 4 KiB file: err = %v, want ErrTruncated", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("the open allocated %d bytes for a %d-byte file", n, len(lie))
 	}
 }
 

@@ -358,9 +358,11 @@ func LoadSession(r io.Reader, cfg SessionConfig) (*Session, error) {
 	return session.LoadSnapshot(r, cfg)
 }
 
-// LoadSessionFile memory-maps a session snapshot and serves from it
-// zero-copy (call Close on the session to unmap when done with it). Answers
-// are bit-identical to LoadSession's and to the session written.
+// LoadSessionFile reads a session snapshot file into one buffer of the
+// file's size and serves from it zero-copy: the tables are cast in place, not
+// decoded. Answers are bit-identical to LoadSession's and to the session
+// written. The session keeps no hold on the file, and Close on it does
+// nothing.
 func LoadSessionFile(path string, cfg SessionConfig) (*Session, error) {
 	return session.LoadSnapshotFile(path, cfg)
 }
