@@ -422,7 +422,8 @@ func runLoadgen(args []string) error {
 		// `all` is latency-sorted, so these filtered subsequences stay
 		// sorted and pct works on them directly. A historical read that hit
 		// a retained resident epoch should cost the same as a current read;
-		// a gap between the two p99 columns is lazy materialization.
+		// a gap between the two p99 columns is AsOf rebuilding an epoch the
+		// spine does not hold, forward from the nearest one it does.
 		var curReads, histReads []sample
 		for _, s := range all {
 			if s.hist {

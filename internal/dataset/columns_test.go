@@ -383,8 +383,7 @@ func runColumnsCase(t *testing.T, seed int64) {
 		if msg := sameColumns(d.Compiled(), flat.Compiled()); msg != "" {
 			fail("Append chain vs flat FromClaims: %s", msg)
 		}
-		// The dataset as a session snapshot stores it: its sections, opened
-		// and materialized from the claim log.
+		// The dataset as a session snapshot stores it: its sections, opened.
 		var sw snapio.SectionWriter
 		if err := d.AppendSections(&sw); err != nil {
 			t.Fatal(err)
@@ -393,15 +392,11 @@ func runColumnsCase(t *testing.T, seed int64) {
 		if err := sw.WriteTo(&snap, "SCDSTEST", 1); err != nil {
 			t.Fatal(err)
 		}
-		m, err := snapio.OpenMappedBytes(snap.Bytes(), "SCDSTEST", 1)
+		m, err := snapio.OpenContainer(snap.Bytes(), "SCDSTEST", 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		md, err := dataset.FromMapped(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		replayed, err := md.Dataset()
+		replayed, err := dataset.FromSections(m)
 		if err != nil {
 			t.Fatal(err)
 		}

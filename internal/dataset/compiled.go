@@ -25,42 +25,27 @@ import (
 	"cmp"
 	"slices"
 	"sort"
-	"strings"
-	"unsafe"
 
 	"sourcecurrents/internal/model"
 )
 
-// Compiled is the dense, interned, read-only index of a frozen Dataset.
-// Dataset.Compiled() returns the one Freeze or Append built (heap backend);
-// CompiledFromMapped loads one zero-copy from a snapshot container
-// (mapped backend). All fields are shared and must not be mutated.
-// Consumers reach the interning tables through the Source/Object/Value
-// accessors, which hide which backend is underneath.
+// Compiled is the dense, interned, read-only index of a frozen Dataset:
+// the one Freeze or Append built, or the one FromSections laid out over a
+// snapshot's tables — the same structure either way. All fields are shared
+// and must not be mutated.
 type Compiled struct {
-	// Heap backend: interning tables, each sorted, so index order == string
-	// order. nil in the mapped backend.
+	// Interning tables, each sorted, so index order == string order.
 	sources []model.SourceID
 	objects []model.ObjectID
 	values  []string
 
-	// Heap backend: the claim log as columns. Claim i carries interned ids
-	// claimSrc[i], claimObj[i], claimVal[i]; bySrc lists each source's claim
-	// indexes ordered by (time, object, ingestion) and byObj each object's
-	// ordered by (source, ingestion), both CSR. nil in the mapped backend,
-	// which serves the snapshot view only.
+	// The claim log as columns. Claim i carries interned ids claimSrc[i],
+	// claimObj[i], claimVal[i]; bySrc lists each source's claim indexes
+	// ordered by (time, object, ingestion) and byObj each object's ordered by
+	// (source, ingestion), both CSR.
 	claimSrc, claimObj, claimVal []int32
 	bySrcStart, bySrc            []int32
 	byObjStart, byObj            []int32
-
-	// Mapped backend: every interned string is a byte range of strBlob
-	// (which aliases the snapshot container). Table entry i spans
-	// off[i]..off[i+1]; objects store two consecutive ranges (entity, then
-	// attribute), so objOff holds 2n+1 offsets. nil in the heap backend.
-	strBlob []byte
-	srcOff  []int32
-	objOff  []int32
-	valOff  []int32
 
 	// Per-object candidate value groups (snapshot view), CSR. Object oi's
 	// groups occupy global group indexes GroupStart[oi]..GroupStart[oi+1],
@@ -639,136 +624,48 @@ func (c *Compiled) MaxSourcesPerGroup() int {
 	return int(most)
 }
 
-// Accessor API over the interning tables. Index order == string order in
-// both backends, so the mapped backend answers lookups by binary search
-// over the sorted table instead of rebuilding index maps (which would blow
-// the snapshot-load allocation budget).
+// Accessor API over the interning tables.
 
 // NumSources returns the source-table length.
-func (c *Compiled) NumSources() int {
-	if c.srcOff != nil {
-		return len(c.srcOff) - 1
-	}
-	return len(c.sources)
-}
+func (c *Compiled) NumSources() int { return len(c.sources) }
 
 // NumObjects returns the object-table length.
-func (c *Compiled) NumObjects() int {
-	if c.objOff != nil {
-		return (len(c.objOff) - 1) / 2
-	}
-	return len(c.objects)
-}
+func (c *Compiled) NumObjects() int { return len(c.objects) }
 
 // NumValues returns the value-table length.
-func (c *Compiled) NumValues() int {
-	if c.valOff != nil {
-		return len(c.valOff) - 1
-	}
-	return len(c.values)
-}
-
-// str returns blob bytes [lo,hi) as a zero-copy string view. The view
-// aliases the snapshot container and keeps it alive while referenced.
-func (c *Compiled) str(lo, hi int32) string {
-	if lo == hi {
-		return ""
-	}
-	return unsafe.String(&c.strBlob[lo], int(hi-lo))
-}
+func (c *Compiled) NumValues() int { return len(c.values) }
 
 // Source returns interned source i.
-func (c *Compiled) Source(i int) model.SourceID {
-	if c.srcOff != nil {
-		return model.SourceID(c.str(c.srcOff[i], c.srcOff[i+1]))
-	}
-	return c.sources[i]
-}
+func (c *Compiled) Source(i int) model.SourceID { return c.sources[i] }
 
 // Object returns interned object i.
-func (c *Compiled) Object(i int) model.ObjectID {
-	if c.objOff != nil {
-		return model.ObjectID{
-			Entity:    c.str(c.objOff[2*i], c.objOff[2*i+1]),
-			Attribute: c.str(c.objOff[2*i+1], c.objOff[2*i+2]),
-		}
-	}
-	return c.objects[i]
-}
+func (c *Compiled) Object(i int) model.ObjectID { return c.objects[i] }
 
 // Value returns interned value i.
-func (c *Compiled) Value(i int) string {
-	if c.valOff != nil {
-		return c.str(c.valOff[i], c.valOff[i+1])
-	}
-	return c.values[i]
-}
+func (c *Compiled) Value(i int) string { return c.values[i] }
 
-// SourceIDs returns the sorted source table as a slice. The heap backend
-// returns the shared interning table (treat as read-only); the mapped
-// backend materializes a fresh copy whose strings do not alias the snapshot
-// container, so holding the result does not keep the container alive.
-func (c *Compiled) SourceIDs() []model.SourceID {
-	if c.srcOff == nil {
-		return c.sources
-	}
-	out := make([]model.SourceID, c.NumSources())
-	for i := range out {
-		out[i] = model.SourceID(strings.Clone(string(c.Source(i))))
-	}
-	return out
-}
+// SourceIDs returns the sorted source table, shared: treat it as read-only.
+func (c *Compiled) SourceIDs() []model.SourceID { return c.sources }
 
-// ObjectIDs returns the sorted object table as a slice, under the same
-// sharing/copying contract as SourceIDs.
-func (c *Compiled) ObjectIDs() []model.ObjectID {
-	if c.objOff == nil {
-		return c.objects
-	}
-	out := make([]model.ObjectID, c.NumObjects())
-	for i := range out {
-		o := c.Object(i)
-		out[i] = model.ObjectID{
-			Entity:    strings.Clone(o.Entity),
-			Attribute: strings.Clone(o.Attribute),
-		}
-	}
-	return out
-}
-
-// find adapts sort.Find over a sorted interning table to the index lookups.
-func find(n int, compare func(i int) int) (int32, bool) {
-	if k, ok := sort.Find(n, compare); ok {
-		return int32(k), true
-	}
-	return 0, false
-}
+// ObjectIDs returns the sorted object table, shared: treat it as read-only.
+func (c *Compiled) ObjectIDs() []model.ObjectID { return c.objects }
 
 // SourceIndex returns the dense index of s.
 func (c *Compiled) SourceIndex(s model.SourceID) (int32, bool) {
-	if c.srcIdx != nil {
-		i, ok := c.srcIdx[s]
-		return i, ok
-	}
-	return find(c.NumSources(), func(i int) int { return cmp.Compare(s, c.Source(i)) })
+	i, ok := c.srcIdx[s]
+	return i, ok
 }
 
 // ObjectIndex returns the dense index of o.
 func (c *Compiled) ObjectIndex(o model.ObjectID) (int32, bool) {
-	if c.objIdx != nil {
-		i, ok := c.objIdx[o]
-		return i, ok
-	}
-	return find(c.NumObjects(), func(i int) int { return compareObjects(o, c.Object(i)) })
+	i, ok := c.objIdx[o]
+	return i, ok
 }
 
 // ValueIndex returns the dense index of value v.
 func (c *Compiled) ValueIndex(v string) (int32, bool) {
-	if c.valIdx != nil {
-		i, ok := c.valIdx[v]
-		return i, ok
-	}
-	return find(c.NumValues(), func(i int) int { return cmp.Compare(v, c.Value(i)) })
+	i, ok := c.valIdx[v]
+	return i, ok
 }
 
 // ClaimOf returns the position in the per-source claim arrays (SrcObj,

@@ -11,8 +11,7 @@ import (
 )
 
 // A dataset reaches disk one way: as the sections of a session snapshot
-// (Dataset.AppendSections), opened by FromMapped and materialized by
-// Mapped.Dataset. The tests below drive that codec through a container that
+// (Dataset.AppendSections), opened by FromSections. The tests below drive that codec through a container that
 // holds a dataset's sections alone.
 
 // snapTestDataset builds a dataset that exercises the format's corners:
@@ -57,34 +56,25 @@ func encodeSnapshot(t testing.TB, d *Dataset) []byte {
 	return buf.Bytes()
 }
 
-// readSnapshot opens raw as encodeSnapshot writes it and materializes the
-// dataset, as a mapped session's first Fuse or Append does.
+// readSnapshot opens the dataset in raw, as encodeSnapshot writes it.
 func readSnapshot(raw []byte) (*Dataset, error) {
-	m, err := snapio.OpenMappedBytes(raw, testDSMagic, 1)
+	m, err := snapio.OpenContainer(raw, testDSMagic, 1)
 	if err != nil {
 		return nil, err
 	}
-	md, err := FromMapped(m)
-	if err != nil {
-		return nil, err
-	}
-	return md.Dataset()
+	return FromSections(m)
 }
 
 // damaged opens a copy of raw's container, lets mutate edit its sections in
 // place, and reads the dataset back.
-func damaged(t *testing.T, raw []byte, mutate func(m *snapio.Mapped)) error {
+func damaged(t *testing.T, raw []byte, mutate func(m *snapio.Container)) error {
 	t.Helper()
-	m, err := snapio.OpenMappedBytes(append([]byte(nil), raw...), testDSMagic, 1)
+	m, err := snapio.OpenContainer(append([]byte(nil), raw...), testDSMagic, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mutate(m)
-	md, err := FromMapped(m)
-	if err != nil {
-		return err
-	}
-	_, err = md.Dataset()
+	_, err = FromSections(m)
 	return err
 }
 
@@ -191,7 +181,7 @@ func TestSnapshotBitFlips(t *testing.T) {
 // range, so it opens; the tables it builds are not the stored ones.
 func TestSnapshotDuplicateClaimPosition(t *testing.T) {
 	raw := encodeSnapshot(t, snapTestDataset(t))
-	err := damaged(t, raw, func(m *snapio.Mapped) {
+	err := damaged(t, raw, func(m *snapio.Container) {
 		for _, id := range []uint32{SecLogSrc, SecLogObj, SecLogVal} {
 			col, _ := m.I32Section(id)
 			col[1] = col[0]
@@ -205,7 +195,7 @@ func TestSnapshotDuplicateClaimPosition(t *testing.T) {
 // A log column one claim short of the others fails the open.
 func TestSnapshotMissingClaimPosition(t *testing.T) {
 	raw := encodeSnapshot(t, snapTestDataset(t))
-	m, err := snapio.OpenMappedBytes(raw, testDSMagic, 1)
+	m, err := snapio.OpenContainer(raw, testDSMagic, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +221,7 @@ func TestSnapshotMissingClaimPosition(t *testing.T) {
 // the open, not the first solve.
 func TestSnapshotInvalidClaim(t *testing.T) {
 	raw := encodeSnapshot(t, snapTestDataset(t))
-	err := damaged(t, raw, func(m *snapio.Mapped) {
+	err := damaged(t, raw, func(m *snapio.Container) {
 		probs, err := m.F64Section(SecLogProb)
 		if err != nil || len(probs) == 0 {
 			t.Fatalf("no probability column: %v", err)
@@ -243,9 +233,9 @@ func TestSnapshotInvalidClaim(t *testing.T) {
 	}
 }
 
-// FuzzReadSnapshot drives the dataset's section codec — FromMapped's checks,
-// and behind them the column builder every materialized dataset goes through
-// — with arbitrary containers. Any input either fails with a classified
+// FuzzReadSnapshot drives the dataset's section codec — FromSections' checks,
+// and behind them the column builder every dataset goes through — with
+// arbitrary containers. Any input either fails with a classified
 // error or opens to a dataset whose re-encoding round-trips byte for byte;
 // never a panic or an out-of-bounds read. Seeds: the checked-in corpus under
 // testdata/fuzz, the corner-case dataset, Tables 1–3 and a log-carrying

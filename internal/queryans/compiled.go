@@ -143,26 +143,18 @@ func NewPlanner(d *dataset.Dataset, cfg Config) (*Planner, error) {
 }
 
 // NewPlannerDense is NewPlanner for callers that already hold dense inputs
-// (the serving session): acc is indexed by c's source order and depTab is
-// the flat nS×nS total (both-direction) dependence posterior table. Both are
-// retained, not copied, and must not be mutated afterwards.
+// (the serving session, however it came by its dataset: New, Append, AsOf or
+// a snapshot's open): acc is indexed by d's compiled source order and depTab
+// is the flat nS×nS total (both-direction) dependence posterior table. Both
+// are retained, not copied, and must not be mutated afterwards.
 func NewPlannerDense(d *dataset.Dataset, cfg Config, acc, depTab []float64) (*Planner, error) {
-	if !d.Frozen() {
-		return nil, errors.New("queryans: dataset must be frozen")
-	}
-	return NewPlannerFromCompiled(d.Compiled(), cfg, acc, depTab)
-}
-
-// NewPlannerFromCompiled is NewPlannerDense for callers that hold a
-// compiled view directly — a session serving straight from a mapped
-// snapshot, which has no materialized Dataset to hand over.
-func NewPlannerFromCompiled(c *dataset.Compiled, cfg Config, acc, depTab []float64) (*Planner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if c == nil {
-		return nil, errors.New("queryans: nil compiled view")
+	if !d.Frozen() {
+		return nil, errors.New("queryans: dataset must be frozen")
 	}
+	c := d.Compiled()
 	nS := c.NumSources()
 	if len(acc) != nS || len(depTab) != nS*nS {
 		return nil, errors.New("queryans: dense input sizes do not match the source count")

@@ -1,9 +1,9 @@
 // Replica bootstrap by snapshot streaming: the shard side of the fleet's
 // rebalance path.
 //
-// GET /v1/{dataset}/snapshot streams the world's snapshot container bytes — for a
-// snapshot-backed session that is the container it read, byte for byte, zero
-// rebuild — with a whole-stream CRC32 in the X-Snapshot-CRC32 header. The
+// GET /v1/{dataset}/snapshot streams the world's snapshot container as
+// Session.WriteSnapshot renders it — for a world booted from a file, that
+// file's bytes — with a whole-stream CRC32 in the X-Snapshot-CRC32 header. The
 // container's own section-table CRC covers the header and layout, but section
 // payloads are deliberately unchecksummed (they are cast in place, never
 // decoded), so the transfer header is what catches a bit flip inside a
@@ -13,10 +13,11 @@
 // a temporary file, validate it end to end (transfer CRC, container
 // structure, fingerprint — the same gauntlet a local load runs), and only
 // then rename it into the serving directory and register the session the
-// validation opened — the file is opened once. Every validation failure
-// reports snapio.ErrCorrupt and leaves the registry and directory untouched:
-// a partial or corrupted world is never observable, which is the invariant
-// the corruption suite pins.
+// validation opened — the file is opened once, into the session a boot would
+// build from it, so a stream that would fail a boot fails here. Every
+// validation failure reports snapio.ErrCorrupt and leaves the registry and
+// directory untouched: a partial or corrupted world is never observable,
+// which is the invariant the corruption suite pins.
 //
 // Adoption has one mode: it gives a shard a world it does not serve. A shard
 // that serves a world but lags its primary never re-adopts it; it appends
@@ -112,9 +113,9 @@ func AdoptFromURL(reg *Registry, name, from, dir string, cfg session.Config, cli
 		}
 	}
 
-	// Validate exactly as a boot would: read the container, build every typed
-	// view, check the fingerprint. Anything short of a fully servable world
-	// is corruption — truncations and bad magic keep their own sentinels in
+	// Validate exactly as a boot would: read the container, build the
+	// dataset, state and planner, check the fingerprint. Anything short of a
+	// fully servable world is corruption — truncations and bad magic keep their own sentinels in
 	// the chain, but errors.Is(err, snapio.ErrCorrupt) holds for all of them.
 	// The session holds its own copy of the bytes, not the file.
 	s, err := session.LoadSnapshotFile(tmpPath, cfg)

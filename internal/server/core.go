@@ -172,9 +172,6 @@ func ExecRecommend(s *session.Session, req RecommendRequest) ([]recommend.Profil
 	}
 	top, err := s.RecommendSources(w, k)
 	if err != nil {
-		if s.Dataset() == nil { // the snapshot would not materialize: not the request's fault
-			return nil, err
-		}
 		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	return top, nil
@@ -255,8 +252,7 @@ type AccuracyEntry struct {
 }
 
 // ExecAccuracy returns the discovered per-source accuracies in source
-// order. It reads the accuracy map alone, so a snapshot-backed session
-// answers without materializing.
+// order, from the session's accuracy map.
 func ExecAccuracy(s *session.Session) []AccuracyEntry {
 	acc := s.Accuracy()
 	out := make([]AccuracyEntry, 0, len(acc))

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"sourcecurrents/internal/dataset"
@@ -192,17 +196,17 @@ func TestSnapshotServedByteIdentical(t *testing.T) {
 }
 
 // TestCorruptLogIsServerError: a snapshot whose claim log does not index to
-// its tables (two claims' value ids swapped, each in range) loads and
-// answers, but /fuse and /recommend, which need the dataset the log builds,
-// fail with a 500 naming the corruption — not a 400, and not an empty
-// recommendation.
+// its tables (two claims' value ids swapped, each in range) is a corrupt
+// file, and the server treats it as one wherever it arrives — the world is
+// never served. LoadDir fails the boot naming the file, and /adopt of such a
+// stream answers 502 and leaves the directory untouched.
 func TestCorruptLogIsServerError(t *testing.T) {
 	built := testSession(t, 47, 30)
 	var buf bytes.Buffer
 	if err := built.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	m, err := snapio.OpenMappedBytes(buf.Bytes(), session.SnapshotMagic, session.SnapshotVersion)
+	m, err := snapio.OpenContainer(buf.Bytes(), session.SnapshotMagic, session.SnapshotVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,25 +233,29 @@ func TestCorruptLogIsServerError(t *testing.T) {
 	if err := sw.WriteTo(&mut, session.SnapshotMagic, session.SnapshotVersion); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := session.LoadSnapshot(&mut, session.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	raw := mut.Bytes()
+	if _, err := session.LoadSnapshot(bytes.NewReader(raw), session.DefaultConfig()); !errors.Is(err, snapio.ErrCorrupt) {
+		t.Fatalf("LoadSnapshot: err = %v, want ErrCorrupt", err)
 	}
-	reg := NewRegistry()
-	if err := reg.Register("corrupt", loaded); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(New(reg, Options{}))
-	t.Cleanup(ts.Close)
 
-	body := marshalReq(t, AnswerRequest{Query: refsFor(built.Dataset().Objects())})
-	if resp, got := post(t, ts.URL+"/v1/corrupt/answer", body); resp.StatusCode != http.StatusOK {
-		t.Fatalf("answer: %d %s", resp.StatusCode, got)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "corrupt.snap")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for _, op := range []string{"fuse", "recommend"} {
-		resp, got := post(t, ts.URL+"/v1/corrupt/"+op, "{}")
-		if resp.StatusCode != http.StatusInternalServerError || !bytes.Contains(got, []byte(snapio.ErrCorrupt.Error())) {
-			t.Fatalf("%s: %d %s, want 500 naming %v", op, resp.StatusCode, got, snapio.ErrCorrupt)
-		}
+	if reg, err := LoadDir(dir, session.DefaultConfig(), nil); !errors.Is(err, snapio.ErrCorrupt) || !strings.Contains(err.Error(), path) {
+		t.Fatalf("LoadDir = (%v, %v), want ErrCorrupt naming %s", reg, err, path)
+	}
+
+	adoptDir := t.TempDir()
+	up := snapshotUpstream(t, raw, crcOf(raw))
+	shard := httptest.NewServer(New(NewRegistry(), Options{AdoptDir: adoptDir, SessionCfg: session.DefaultConfig()}))
+	t.Cleanup(shard.Close)
+	resp, body := post(t, shard.URL+"/v1/corrupt/adopt?from="+up.URL, "")
+	if resp.StatusCode != http.StatusBadGateway || !bytes.Contains(body, []byte(snapio.ErrCorrupt.Error())) {
+		t.Fatalf("adopt: %d %s, want 502 naming %v", resp.StatusCode, body, snapio.ErrCorrupt)
+	}
+	if entries, err := os.ReadDir(adoptDir); err != nil || len(entries) != 0 {
+		t.Fatalf("adopt left %v in its directory (%v)", entries, err)
 	}
 }

@@ -184,21 +184,14 @@ func ExecTrajectory(sess *session.Session, name, source, pair string, includeWin
 			}
 			pt.Accuracy = &acc
 		} else {
-			d, cf, cr, ok := hs.PairProbs(a, b)
-			if !ok {
-				return nil, fmt.Errorf("trajectory: epoch %d: discovery result unavailable", info.Epoch)
-			}
+			d, cf, cr := hs.PairProbs(a, b)
 			pt.Dependence, pt.CopyForward, pt.CopyReverse = &d, &cf, &cr
 		}
 		resp.Points = append(resp.Points, pt)
 	}
 
 	if includeWindows {
-		d := sess.Dataset()
-		if d == nil {
-			return nil, fmt.Errorf("trajectory: dataset unavailable")
-		}
-		wres, err := temporal.DetectOverWindows(d, temporal.DefaultWindowedConfig())
+		wres, err := temporal.DetectOverWindows(sess.Dataset(), temporal.DefaultWindowedConfig())
 		if err != nil {
 			return nil, fmt.Errorf("%w: trajectory windows: %v", ErrBadRequest, err)
 		}

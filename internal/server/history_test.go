@@ -337,7 +337,7 @@ func TestTrajectoryEndpoint(t *testing.T) {
 
 // TestRetentionGraveReapingChurn is the retention × as-of race: three
 // file-loaded worlds with -retain-epochs 3, one world churning through
-// appends — each pushing an epoch out of the window, the snapshot-backed
+// appends — each pushing an epoch out of the window, the snapshot-loaded
 // epoch 0 among them — while readers replay every addressable epoch via
 // ?as_of= and others read the two untouched worlds. Meaningful under -race:
 // a request keeps serving the epoch it resolved after the window drops it,
@@ -451,7 +451,7 @@ func TestRetentionGraveReapingChurn(t *testing.T) {
 	}
 
 	// The appender drives 6 epochs through the retention window (floor
-	// reaches 3, so the snapshot-backed epoch 0 is pruned mid-run),
+	// reaches 3, so the snapshot-loaded epoch 0 is pruned mid-run),
 	// recording each new epoch's golden before the next append.
 	for i := 1; i <= 6; i++ {
 		cur, _, err := reg.Current(churnWorld)

@@ -1,7 +1,7 @@
 // The server's instrument set, registered on internal/metrics. The /metrics
 // page is laid out by registration order: the request series here, then the
-// answer cache's (cache.go), then the registry's mapped-bytes and
-// per-dataset series at the bottom of this file.
+// answer cache's (cache.go), then the registry's per-dataset series at the
+// bottom of this file.
 package server
 
 import (
@@ -78,11 +78,8 @@ func (m *requestMetrics) observe(op string, d time.Duration, status int) {
 }
 
 // registerRegistryMetrics registers the series read from the dataset
-// registry at scrape time: the mapped-bytes total and the per-dataset
-// lifecycle series.
+// registry at scrape time: the per-dataset lifecycle series.
 func registerRegistryMetrics(reg *metrics.Registry, datasets *Registry) {
-	reg.Gauge("currents_mapped_bytes", "Bytes of snapshot containers the current sessions hold.", datasets.MappedBytes)
-
 	perDataset := func(kind metrics.Kind, name, help string, value func(DatasetStat) int64) {
 		reg.Collect(kind, name, help, []string{"dataset"}, func(emit metrics.Emit) {
 			for _, st := range datasets.Stats() { // sorted by name

@@ -17,7 +17,7 @@
 // ring — the session-layer history spine (session.AsOf) retains up to
 // RetainEpochs predecessors behind it, so as-of requests resolve retired
 // generations off the session Current returns. Sessions are ordinary heap
-// objects, snapshot-backed ones included: a request holds the session it
+// objects, booted ones included: a request holds the session it
 // resolved for as long as it needs it, and the garbage collector reclaims a
 // retired one after the last such request, so the registry counts no
 // readers and releases nothing by hand.
@@ -247,18 +247,6 @@ func (r *Registry) Stats() []DatasetStat {
 	return out
 }
 
-// MappedBytes returns the bytes of snapshot containers the current sessions
-// hold, summed over every dataset — currents_mapped_bytes.
-func (r *Registry) MappedBytes() int64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var n int64
-	for _, e := range r.entries {
-		n += e.sess.MappedBytes()
-	}
-	return n
-}
-
 // Names returns the registered dataset names, sorted.
 func (r *Registry) Names() []string {
 	r.mu.RLock()
@@ -335,7 +323,11 @@ func loadDir(dir string, cfg session.Config, logf func(format string, args ...an
 			if s, err = session.LoadSnapshotFile(path, cfg); err != nil {
 				return nil, fmt.Errorf("server: load %s: %w", path, err)
 			}
-			logf("opened %q from snapshot %s (%d bytes)", name, e.Name(), s.MappedBytes())
+			info, err := e.Info()
+			if err != nil {
+				return nil, err
+			}
+			logf("opened %q from snapshot %s (%d bytes)", name, e.Name(), info.Size())
 		case ".csv":
 			if hasSnap[name] {
 				logf("skipping %s: %q is served from its snapshot", e.Name(), name)

@@ -2,12 +2,14 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -80,32 +82,44 @@ func snapDir(t testing.TB, n int) (string, map[string]string, map[string][]byte)
 	return dir, reqs, wants
 }
 
-// TestLoadDirMapsEveryWorld: LoadDir opens every snapshot before it returns —
-// /metrics reports their bytes before the first request — and the loaded
-// worlds answer byte-identically to the sessions they were written from.
+// TestLoadDirMapsEveryWorld: LoadDir opens every snapshot before it returns,
+// logging each with its file's size — /readyz lists every world at epoch 0
+// before the first request — and the loaded worlds answer byte-identically
+// to the sessions they were written from.
 func TestLoadDirMapsEveryWorld(t *testing.T) {
 	dir, reqs, wants := snapDir(t, 3)
-	reg, err := LoadDir(dir, session.DefaultConfig(), nil)
+	var logged []string
+	reg, err := LoadDir(dir, session.DefaultConfig(), func(format string, args ...any) {
+		logged = append(logged, fmt.Sprintf(format, args...))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var size int64
 	for name := range reqs {
 		info, err := os.Stat(filepath.Join(dir, name+".snap"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		size += info.Size()
-	}
-	if got := reg.MappedBytes(); got != size {
-		t.Fatalf("after LoadDir: %d bytes held, want the %d bytes of the three files", got, size)
+		want := fmt.Sprintf("opened %q from snapshot %s.snap (%d bytes)", name, name, info.Size())
+		if !slices.Contains(logged, want) {
+			t.Fatalf("LoadDir did not log %q; it logged %q", want, logged)
+		}
 	}
 
 	ts := httptest.NewServer(New(reg, Options{}))
 	defer ts.Close()
-	_, metricsBody := get(t, ts.URL+"/metrics")
-	if want := fmt.Sprintf("currents_mapped_bytes %d\n", size); !strings.Contains(string(metricsBody), want) {
-		t.Fatalf("metrics before the first request lack %q:\n%s", want, grepMetric(string(metricsBody), "currents_mapped_bytes"))
+	_, readyBody := get(t, ts.URL+"/readyz")
+	var ready ReadyResponse
+	if err := json.Unmarshal(readyBody, &ready); err != nil {
+		t.Fatal(err)
+	}
+	if len(ready.Datasets) != len(reqs) {
+		t.Fatalf("/readyz before the first request lists %v", ready.Datasets)
+	}
+	for _, name := range ready.Datasets {
+		if e, ok := ready.Epochs[name]; reqs[name] == "" || !ok || e != 0 {
+			t.Fatalf("/readyz before the first request: %s at epoch %d (%v)", name, e, ok)
+		}
 	}
 	for name, req := range reqs {
 		resp, body := post(t, ts.URL+"/v1/"+name+"/answer", req)
@@ -115,8 +129,5 @@ func TestLoadDirMapsEveryWorld(t *testing.T) {
 		if !bytes.Equal(body, wants[name]) {
 			t.Fatalf("%s: the loaded world answers differently from the session it was written from", name)
 		}
-	}
-	if got := reg.MappedBytes(); got != size {
-		t.Fatalf("after serving: %d bytes held, want %d", got, size)
 	}
 }

@@ -732,20 +732,17 @@ func (s *Server) handleReadyz() response {
 	})
 }
 
-// handleSnapshot streams the session's snapshot container: the bytes the
-// session holds, verbatim, when it is snapshot-backed, rendered fresh for
-// built or appended sessions so every world is adoptable. The whole-stream
-// CRC rides in a header; the container's section payloads are unchecksummed
-// by design, so this is what catches in-transit bit flips.
+// handleSnapshot streams the session's snapshot container, rendered by
+// WriteSnapshot — for a world booted from a file, that file's bytes — so
+// every world is adoptable. The whole-stream CRC rides in a header; the
+// container's section payloads are unchecksummed by design, so this is what
+// catches in-transit bit flips.
 func (s *Server) handleSnapshot(sess *session.Session) response {
-	body := sess.MappedSnapshot()
-	if body == nil {
-		var buf bytes.Buffer
-		if err := sess.WriteSnapshot(&buf); err != nil {
-			return errResponse(err)
-		}
-		body = buf.Bytes()
+	var buf bytes.Buffer
+	if err := sess.WriteSnapshot(&buf); err != nil {
+		return errResponse(err)
 	}
+	body := buf.Bytes()
 	return response{
 		status:      http.StatusOK,
 		contentType: "application/octet-stream",

@@ -102,8 +102,8 @@ func assertCleanReject(t *testing.T, reg *Registry, dir, name string, err error)
 }
 
 // The snapshot endpoint must stream the container with a matching
-// whole-stream CRC header, from both session flavors: heap-built (rendered
-// fresh) and snapshot-backed (the bytes it read, verbatim).
+// whole-stream CRC header: what WriteSnapshot renders, which for a world
+// booted from a file is that file's bytes.
 func TestSnapshotEndpointCRC(t *testing.T) {
 	// Heap-built session: testServer registers in-memory sessions.
 	ts, sessions := testServer(t)
@@ -121,32 +121,27 @@ func TestSnapshotEndpointCRC(t *testing.T) {
 		t.Fatal("streamed bytes differ from WriteSnapshot output")
 	}
 
-	// File-loaded session: load the same world from disk and stream it
-	// again — the bytes must be the file's bytes exactly.
+	// A booted world: boot a directory holding the same world's file and
+	// stream it again — the bytes must be the file's bytes exactly.
 	dir := t.TempDir()
-	path := filepath.Join(dir, "alpha.snap")
-	if err := os.WriteFile(path, body, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "alpha.snap"), body, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	mappedSess, err := session.LoadSnapshotFile(path, session.DefaultConfig())
+	reg, err := LoadDir(dir, session.DefaultConfig(), nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	reg := NewRegistry()
-	if err := reg.Register("alpha", mappedSess); err != nil {
 		t.Fatal(err)
 	}
 	ts2 := httptest.NewServer(New(reg, Options{}))
 	defer ts2.Close()
 	resp2, body2 := get(t, ts2.URL+"/v1/alpha/snapshot")
 	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("mapped status = %d", resp2.StatusCode)
+		t.Fatalf("booted status = %d", resp2.StatusCode)
 	}
 	if !bytes.Equal(body2, body) {
-		t.Fatal("mapped stream differs from the on-disk container")
+		t.Fatal("the booted world's stream differs from its file")
 	}
 	if got, want := resp2.Header.Get(SnapshotCRCHeader), crcOf(body); got != want {
-		t.Fatalf("mapped CRC header = %s, want %s", got, want)
+		t.Fatalf("booted CRC header = %s, want %s", got, want)
 	}
 }
 
@@ -163,14 +158,16 @@ func TestAdoptGolden(t *testing.T) {
 	if !reg.Has("alpha") {
 		t.Fatal("adopted dataset not registered")
 	}
-	info, err := os.Stat(filepath.Join(dir, "alpha.snap"))
+	installed, err := os.ReadFile(filepath.Join(dir, "alpha.snap"))
 	if err != nil {
 		t.Fatalf("adopted snapshot not installed: %v", err)
 	}
-	// Adopt registers the session its validation opened: the installed file
-	// is open before the world's first request.
-	if got := reg.MappedBytes(); got != info.Size() {
-		t.Fatalf("%d bytes held after adopt, want the installed file's %d", got, info.Size())
+	// Adopt registers the session its validation opened, which is the world
+	// the installed file holds.
+	if sess, _, err := reg.Current("alpha"); err != nil {
+		t.Fatal(err)
+	} else if !bytes.Equal(snapshotBytes(t, sess), installed) {
+		t.Fatal("the adopted session is not the installed file's world")
 	}
 
 	adopted := httptest.NewServer(New(reg, Options{AdoptDir: dir, SessionCfg: session.DefaultConfig()}))

@@ -41,9 +41,9 @@ func benchWorld(b testing.TB) *Session {
 // BenchmarkSessionAsOf measures epoch time travel on the acceptance-shape
 // world advanced through 4 appends with full retention. "retained" is the
 // spine hit every request pays when the epoch's session is in memory — it
-// must stay O(1) lookup, no reconstruction. "materialize" is the lazy path
-// on a snapshot-reloaded chain (no retained predecessors): a full forward
-// replay, paid once per epoch then cached — the bench re-loads the
+// must stay O(1) lookup, no reconstruction. "materialize" is the rebuild
+// path on a snapshot-reloaded chain (no retained predecessors): a full
+// forward replay, paid once per epoch then cached — the bench re-loads the
 // snapshot each iteration to defeat that cache.
 func BenchmarkSessionAsOf(b *testing.B) {
 	base := benchWorld(b)
@@ -93,9 +93,10 @@ func BenchmarkSessionAsOf(b *testing.B) {
 
 // BenchmarkSnapshotLoad measures both load paths at the 500-source
 // acceptance shape: "file" reads the file into one buffer of its size
-// (header validation, section casts, the pair records checked and the
-// totals table derived — ≤100 allocs/op), "read" reads it from a stream
-// sized by its header.
+// (header validation, the dataset built over the stored tables and checked
+// against them, the pair records checked and the totals table derived, the
+// planner built — ≤100 allocs/op), "read" reads it from a stream sized by
+// its header.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	raw := snapshotBytes(b, benchWorld(b))
 	path := snapshotFile(b, raw)

@@ -67,12 +67,8 @@ var ErrDeltaEpoch = errors.New("session: delta is for another epoch")
 
 // WriteDelta writes the delta frame from epoch since to the session's epoch —
 // the batches appended since and what the solves across them overwrote — to
-// w. since must be an earlier epoch of the session's log. A snapshot-backed
-// session materializes first.
+// w. since must be an earlier epoch of the session's log.
 func (s *Session) WriteDelta(w io.Writer, since int) error {
-	if err := s.materialize(); err != nil {
-		return err
-	}
 	dl, err := s.st.Delta(s.d, since)
 	if err != nil {
 		return err
@@ -120,7 +116,7 @@ func deltaCorrupt(err error) error {
 // from the receiver. The successor keeps frame's bytes; the caller must not
 // modify them afterwards.
 func (s *Session) AppendDelta(frame []byte) (*Session, error) {
-	m, err := snapio.OpenMappedBytes(frame, DeltaMagic, DeltaVersion)
+	m, err := snapio.OpenContainer(frame, DeltaMagic, DeltaVersion)
 	if err != nil {
 		return nil, deltaCorrupt(err)
 	}
@@ -177,9 +173,6 @@ func (s *Session) AppendDelta(frame []byte) (*Session, error) {
 	}
 	pairs, _ := m.Section(secPairRec)
 
-	if err := s.materialize(); err != nil {
-		return nil, err
-	}
 	d2 := s.d
 	for _, batch := range batches {
 		if d2, err = d2.Append(batch); err != nil {

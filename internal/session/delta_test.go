@@ -162,7 +162,7 @@ func deltaBase(t testing.TB) (base *Session, chain []*Session) {
 // sum it recomputes the CRC, so the damage reaches the checks past it.
 func withDeltaSection(t testing.TB, raw []byte, id uint32, sum bool, edit func([]byte) []byte) []byte {
 	t.Helper()
-	m, err := snapio.OpenMappedBytes(raw, DeltaMagic, DeltaVersion)
+	m, err := snapio.OpenContainer(raw, DeltaMagic, DeltaVersion)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,8 +22,8 @@
 // served then (the invariant the as-of equivalence suites pin).
 //
 // A session that falls out of the window is simply dropped from the spine;
-// the garbage collector reclaims it, snapshot-backed or not, once the last
-// request reading it lets go.
+// the garbage collector reclaims it once the last request reading it lets
+// go.
 package session
 
 import (
@@ -239,18 +239,12 @@ func (s *Session) AsOf(epoch int) (*Session, error) {
 // depen.Solve replays the log from the flat origin — either way the
 // identical pass sequence a live session ran through that epoch.
 func (s *Session) materializeEpoch(epoch int, anc *Session) (*Session, error) {
-	if err := s.materialize(); err != nil {
-		return nil, err
-	}
 	target, err := s.d.At(epoch)
 	if err != nil {
 		return nil, err
 	}
 	var st *depen.State // nil replays target's log from the flat origin
 	if anc != nil {
-		if err := anc.materialize(); err != nil {
-			return nil, err
-		}
 		st = anc.st
 		for k := anc.DatasetEpoch() + 1; k < epoch; k++ {
 			dk, err := s.d.At(k)
@@ -348,12 +342,9 @@ func (s *Session) History() []EpochInfo {
 }
 
 // AccuracyOf returns one source's discovered accuracy at this session's
-// epoch, reading the dense vector through the compiled index — no
-// materialization for snapshot-backed sessions, which keeps trajectory
-// serving from building the dataset.
+// epoch, reading the dense vector through the compiled index.
 func (s *Session) AccuracyOf(src model.SourceID) (float64, bool) {
-	c := s.compiledView()
-	i, ok := c.SourceIndex(src)
+	i, ok := s.d.Compiled().SourceIndex(src)
 	if !ok {
 		return 0, false
 	}
@@ -364,12 +355,8 @@ func (s *Session) AccuracyOf(src model.SourceID) (float64, bool) {
 // session's epoch, and its two directions — P(a copies b), P(b copies a);
 // zeros for an unanalysed pair or a source the epoch does not have. It reads
 // one pair record of the state, so a trajectory over retained epochs builds
-// no Result view; a snapshot-backed session materializes first (ok is false
-// when that fails).
-func (s *Session) PairProbs(a, b model.SourceID) (dep, ab, ba float64, ok bool) {
-	if err := s.materialize(); err != nil {
-		return 0, 0, 0, false
-	}
+// no Result view.
+func (s *Session) PairProbs(a, b model.SourceID) (dep, ab, ba float64) {
 	ab, ba = s.st.CopyProbs(a, b)
-	return ab + ba, ab, ba, true
+	return ab + ba, ab, ba
 }

@@ -34,7 +34,6 @@ import (
 	"sourcecurrents/internal/model"
 	"sourcecurrents/internal/queryans"
 	"sourcecurrents/internal/recommend"
-	"sourcecurrents/internal/snapio"
 	"sourcecurrents/internal/temporal"
 )
 
@@ -88,48 +87,36 @@ func (c Config) Validate() error {
 // Session is the reusable serving state: built once, read-only afterwards,
 // safe for concurrent calls.
 //
-// Two backends exist. An eager session (New, Append, AsOf) holds a
-// materialized Dataset and its depen.State from the start. A snapshot-backed
-// session (LoadSnapshot*) serves AnswerObjects and Accuracy straight from the
-// snapshot's compiled tables, cast in place over the container it read.
-// Either way the state is the one representation of the solve: every other is
-// derived from it. Both are ordinary heap objects: nothing is released by
-// hand, so a session, and anything an answer took from it, stays valid for
-// as long as it is referenced.
+// There is one kind of session: a Dataset, its depen.State and the planner
+// over them, however it came about — New and Append solve the state, AsOf
+// re-solves it, AppendDelta takes it from the primary's frame, and a
+// snapshot's open (LoadSnapshot*) builds the dataset from the file and
+// assembles the state from its sections. The state is the one representation
+// of the solve: every other is derived from it. A session is an ordinary heap
+// object: nothing is released by hand, so a session, and anything an answer
+// took from it, stays valid for as long as it is referenced.
 //
 // Every serving call reads the state and what is derived from it: no
 // session builds or keeps a depen.Result view (Dependence builds one per call
-// for library callers). Two things are built lazily, each once, by the first
-// call that needs it: a snapshot-backed session's dataset (materialized from
-// the snapshot's claim log, with the state copied over it, never aliasing the
-// container; Fuse, Link, Profiles, Recommend*, Append, Dataset, Dependence,
-// PairProbs, WriteSnapshot), and the trust profiles (Profiles, Recommend*).
+// for library callers). The trust profiles (Profiles, Recommend*) and the
+// by-name accuracy map (Accuracy) are built lazily, each once, by the first
+// call that needs them.
 type Session struct {
 	d   *dataset.Dataset
 	cfg Config
-	// st is the dense solve state — solved by New, Append or AsOf, or
-	// assembled from a snapshot's sections. A snapshot-backed session's st
-	// aliases the container until materialize copies it over the dataset, and
-	// is written only there after the load: read it after materialize.
+	// st is the dense solve state — solved by New, Append or AsOf, taken from
+	// a delta frame, or assembled from a snapshot's sections, whose vectors
+	// and pair records it then aliases. Read-only.
 	st *depen.State
-	// accMap is acc keyed by source, built by the first Accuracy() — for a
-	// snapshot-backed session without materializing.
+	// accMap is acc keyed by source, built by the first Accuracy().
 	accOnce sync.Once
 	accMap  map[model.SourceID]float64
 	// acc is the dense per-source accuracy vector and depTab the flat
 	// source×source total dependence posterior, both in compiled source
-	// order. They alias st's vectors (acc, for snapshot-backed sessions, the
-	// container).
+	// order. They alias st's vectors.
 	acc     []float64
 	depTab  []float64
 	planner *queryans.Planner
-
-	// Snapshot-backed state: the validated container and the dataset's
-	// sections over it; nil for eager sessions.
-	mapped  *snapio.Mapped
-	md      *dataset.Mapped
-	matOnce sync.Once
-	matErr  error
 
 	profilesOnce sync.Once
 	profiles     []recommend.Profile
@@ -139,17 +126,6 @@ type Session struct {
 	// history.go for AsOf, History, and the retention contract).
 	hist    *history
 	created time.Time
-}
-
-// materialize builds a snapshot-backed session's dataset from the snapshot's
-// claim log and copies its state over it, on first use. It is a no-op for
-// eager sessions.
-func (s *Session) materialize() error {
-	if s.mapped == nil {
-		return nil
-	}
-	s.matOnce.Do(func() { s.matErr = s.materializeMapped() })
-	return s.matErr
 }
 
 // New builds a Session from a frozen dataset: compiles the columnar index,
@@ -173,8 +149,9 @@ func New(d *dataset.Dataset, cfg Config) (*Session, error) {
 }
 
 // newSession assembles the serving state over d's dense state st, whose
-// vectors the serving tables alias — the shared tail of New, Append and
-// AsOf. cfg must already be validated, and d frozen and non-empty.
+// vectors the serving tables alias — the shared tail of New, Append, AsOf,
+// AppendDelta and a snapshot's open. cfg must already be validated, and d
+// frozen and non-empty.
 func newSession(d *dataset.Dataset, cfg Config, st *depen.State) (*Session, error) {
 	s := &Session{
 		d:       d,
@@ -211,9 +188,6 @@ func newSession(d *dataset.Dataset, cfg Config, st *depen.State) (*Session, erro
 // reachable through Session.AsOf, so as-of queries keep serving retired
 // epochs after the swap.
 func (s *Session) Append(batch []model.Claim) (*Session, error) {
-	if err := s.materialize(); err != nil {
-		return nil, err
-	}
 	d2, err := s.d.Append(batch)
 	if err != nil {
 		return nil, err
@@ -240,34 +214,20 @@ func (s *Session) successor(d2 *dataset.Dataset, st2 *depen.State) (*Session, er
 	return next, nil
 }
 
-// Dataset returns the served dataset, materializing it first for a
-// snapshot-backed session. It returns nil if materialization fails (a claim log that does
-// not index to its tables); error-returning entry points surface the cause.
-func (s *Session) Dataset() *dataset.Dataset {
-	if err := s.materialize(); err != nil {
-		return nil
-	}
-	return s.d
-}
+// Dataset returns the served dataset.
+func (s *Session) Dataset() *dataset.Dataset { return s.d }
 
 // Dependence returns the discovery result by name, a library convenience: each
 // call builds a new view of the session's state — maps and a sort of every
 // analysed pair — which the session does not keep and no serving call reads.
-// A snapshot-backed session materializes first (nil on failure).
-func (s *Session) Dependence() *depen.Result {
-	if err := s.materialize(); err != nil {
-		return nil
-	}
-	return s.st.Result(s.cfg.Depen)
-}
+func (s *Session) Dependence() *depen.Result { return s.st.Result(s.cfg.Depen) }
 
 // Accuracy returns the per-source accuracies, as Dependence().Truth.Accuracy:
-// the dense vector keyed by source, built once per epoch on the first call —
-// for a snapshot-backed session without materializing. Callers must treat the
-// map as read-only.
+// the dense vector keyed by source, built once per epoch on the first call.
+// Callers must treat the map as read-only.
 func (s *Session) Accuracy() map[model.SourceID]float64 {
 	s.accOnce.Do(func() {
-		ids := s.compiledView().SourceIDs()
+		ids := s.d.Compiled().SourceIDs()
 		s.accMap = make(map[model.SourceID]float64, len(ids))
 		for i, id := range ids {
 			s.accMap[id] = s.acc[i]
@@ -276,43 +236,9 @@ func (s *Session) Accuracy() map[model.SourceID]float64 {
 	return s.accMap
 }
 
-// compiledView returns the compiled index the session serves from — the
-// snapshot's tables for a snapshot-backed session, the dataset's own
-// compilation otherwise — without forcing materialization.
-func (s *Session) compiledView() *dataset.Compiled {
-	if s.mapped != nil {
-		return s.md.Compiled()
-	}
-	return s.d.Compiled()
-}
-
-// DatasetEpoch returns the served dataset's append epoch without forcing a
-// snapshot-backed session to materialize — servers key caches on it.
-func (s *Session) DatasetEpoch() int {
-	if s.mapped != nil {
-		return s.md.Epoch()
-	}
-	return s.d.Epoch()
-}
-
-// MappedBytes returns the size of the snapshot container this session holds,
-// or 0 for an eager session — the /metrics mapped-bytes gauge.
-func (s *Session) MappedBytes() int64 {
-	if s.mapped == nil {
-		return 0
-	}
-	return s.mapped.Size()
-}
-
-// MappedSnapshot returns the raw snapshot container backing this session,
-// or nil for an eager session — the bytes snapshot streaming serves. They are
-// the session's own and must not be written.
-func (s *Session) MappedSnapshot() []byte {
-	if s.mapped == nil {
-		return nil
-	}
-	return s.mapped.Bytes()
-}
+// DatasetEpoch returns the served dataset's append epoch — servers key
+// caches on it.
+func (s *Session) DatasetEpoch() int { return s.d.Epoch() }
 
 // Close does nothing and returns nil: a session holds no resource but
 // memory, which the garbage collector reclaims. It remains for callers
@@ -374,9 +300,6 @@ func (s *Session) derive(qcfg queryans.Config) (*queryans.Planner, error) {
 // builds that view on request. Other strategies run their (cheap) solvers
 // per call and carry them as fusion.Fuse does.
 func (s *Session) Fuse() (*fusion.Result, error) {
-	if err := s.materialize(); err != nil {
-		return nil, err
-	}
 	if s.cfg.Fusion.Strategy == fusion.DependenceAware {
 		// The Known labels are the ones the state was solved under.
 		cfg := s.cfg.Fusion
@@ -391,21 +314,13 @@ func (s *Session) Fuse() (*fusion.Result, error) {
 // session's cached state is not consulted (linkage precedes discovery in
 // the §4 pipeline), but serving it here keeps the one-stop contract.
 func (s *Session) Link(cfg linkage.Config) (*linkage.Result, error) {
-	if err := s.materialize(); err != nil {
-		return nil, err
-	}
 	return linkage.Link(s.d, cfg)
 }
 
 // Profiles returns the cached trust profiles, building them on first use
-// from the session's state (and configured temporal reports). It returns nil
-// if a snapshot-backed session fails to materialize; RecommendSources and
-// RecommendDiverse report the cause. Callers must treat the slice as
-// read-only.
+// from the session's state (and configured temporal reports). Callers must
+// treat the slice as read-only.
 func (s *Session) Profiles() []recommend.Profile {
-	if err := s.materialize(); err != nil {
-		return nil
-	}
 	s.profilesOnce.Do(func() {
 		s.profiles = recommend.BuildProfiles(s.d, s.st, s.cfg.Reports)
 	})
@@ -415,9 +330,6 @@ func (s *Session) Profiles() []recommend.Profile {
 // RecommendSources returns the k most trusted sources under w, ranking the
 // cached profiles.
 func (s *Session) RecommendSources(w recommend.Weights, k int) ([]recommend.Profile, error) {
-	if err := s.materialize(); err != nil {
-		return nil, err
-	}
 	return recommend.Top(s.Profiles(), w, k)
 }
 
@@ -425,8 +337,5 @@ func (s *Session) RecommendSources(w recommend.Weights, k int) ([]recommend.Prof
 // dissimilarity-depend on them.
 func (s *Session) RecommendDiverse(w recommend.Weights, diss *dissim.Result,
 	k, extraDissent int) ([]recommend.DiversePick, error) {
-	if err := s.materialize(); err != nil {
-		return nil, err
-	}
 	return recommend.TopDiverse(s.Profiles(), w, diss, k, extraDissent)
 }

@@ -20,16 +20,17 @@
 //     them;
 //   - the meta: rounds, converged and the config fingerprint.
 //
-// Opening validates every section it casts, so a damaged file fails there,
-// classified (snapio.ErrCorrupt, ErrTruncated, ErrBadMagic, ErrBadVersion) —
-// not at the first append. The opened session serves AnswerObjects and
-// Accuracy straight off the container's tables; the first call that needs
-// the dataset (Fuse, Append, Profiles…) materializes it from the claim log,
-// and assembles the state again over that dataset's index. A loaded session
-// is bit-identical to the session it was taken of and to a rebuild, on every
-// call (the snapshot suites pin it). The container is an ordinary heap
-// buffer: the garbage collector keeps it for as long as the session, or any
-// string an answer took from it, is referenced.
+// Opening builds the session New builds: the heap dataset from the claim log
+// over the stored interning tables (dataset.FromSections, which requires the
+// stored layout tables to be the ones the log indexes to, byte for byte), the
+// state assembled over that dataset's index from the state's sections as they
+// lie, and the planner. So a damaged file fails the open, classified
+// (snapio.ErrCorrupt, ErrTruncated, ErrBadMagic, ErrBadVersion) — not a later
+// call. A loaded session is bit-identical to the session it was taken of and
+// to a rebuild, in structure and on every call (the snapshot suites pin it).
+// The container is an ordinary heap buffer, which the state's vectors and
+// pair records alias: the garbage collector keeps it for as long as the
+// session, or a successor carrying that state forward, is referenced.
 //
 // The Config still arrives at load time (it carries callbacks and serving
 // knobs that cannot be serialized); a fingerprint of every config field that
@@ -38,18 +39,14 @@
 package session
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
-	"slices"
-	"time"
 
 	"sourcecurrents/internal/dataset"
 	"sourcecurrents/internal/depen"
 	"sourcecurrents/internal/model"
-	"sourcecurrents/internal/queryans"
 	"sourcecurrents/internal/snapio"
 )
 
@@ -72,11 +69,8 @@ const (
 
 // WriteSnapshot encodes the session to w. Every table is written as it lies
 // in memory; only the string blob and the time and probability columns are
-// laid out for the file. A snapshot-backed session materializes first.
+// laid out for the file.
 func (s *Session) WriteSnapshot(w io.Writer) error {
-	if err := s.materialize(); err != nil {
-		return err
-	}
 	var sw snapio.SectionWriter
 	if err := s.d.AppendSections(&sw); err != nil {
 		return err
@@ -98,7 +92,7 @@ func (s *Session) WriteSnapshot(w io.Writer) error {
 func (s *Session) WriteSnapshotV2(w io.Writer) error { return s.WriteSnapshot(w) }
 
 // LoadSnapshotFile reads the session snapshot at path into one heap buffer
-// of exactly the file's size and assembles a serving session over it without
+// of exactly the file's size and builds the serving session it holds without
 // re-running discovery. cfg must match the configuration the snapshot was
 // built with on every field that shaped the precompute (checked against the
 // stored fingerprint); serving-only knobs — Query, Fusion, Reports — are free
@@ -106,22 +100,22 @@ func (s *Session) WriteSnapshotV2(w io.Writer) error { return s.WriteSnapshot(w)
 // the session the snapshot was taken of. The session keeps no hold on the
 // file: it may be removed or rewritten once the load returns.
 func LoadSnapshotFile(path string, cfg Config) (*Session, error) {
-	m, err := snapio.ReadMappedFile(path, SnapshotMagic, SnapshotVersion)
+	m, err := snapio.ReadContainerFile(path, SnapshotMagic, SnapshotVersion)
 	if err != nil {
 		return nil, openErr(err)
 	}
-	return sessionFromMapped(m, cfg)
+	return sessionFromContainer(m, cfg)
 }
 
 // LoadSnapshot reads a session snapshot from r into an aligned buffer, sized
-// by the container's header, and assembles a serving session over it, as
+// by the container's header, and builds the serving session it holds, as
 // LoadSnapshotFile does. It reads through the end of the last section's data.
 func LoadSnapshot(r io.Reader, cfg Config) (*Session, error) {
-	m, err := snapio.ReadMapped(r, SnapshotMagic, SnapshotVersion)
+	m, err := snapio.ReadContainer(r, SnapshotMagic, SnapshotVersion)
 	if err != nil {
 		return nil, openErr(err)
 	}
-	return sessionFromMapped(m, cfg)
+	return sessionFromContainer(m, cfg)
 }
 
 // openErr classifies a container that would not open; a file of another
@@ -138,15 +132,15 @@ func corrupt(err error) error {
 	return fmt.Errorf("session: snapshot: %w: %v", snapio.ErrCorrupt, err)
 }
 
-// sessionFromMapped assembles a serving session over a validated container:
-// open the dataset's sections, read the meta and check the config
-// fingerprint in it, assemble the state from its sections (deriving the
-// totals table) and build the planner.
-func sessionFromMapped(m *snapio.Mapped, cfg Config) (*Session, error) {
+// sessionFromContainer builds the session a validated container holds: the
+// dataset from its sections, the meta with the config fingerprint checked,
+// the state assembled over the dataset's index from its sections (deriving
+// the totals table), and the planner.
+func sessionFromContainer(m *snapio.Container, cfg Config) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	md, err := dataset.FromMapped(m)
+	d, err := dataset.FromSections(m)
 	if err != nil {
 		return nil, fmt.Errorf("session: snapshot: %w", err)
 	}
@@ -175,47 +169,11 @@ func sessionFromMapped(m *snapio.Mapped, cfg Config) (*Session, error) {
 	if !ok {
 		return nil, corrupt(errors.New("pair section missing"))
 	}
-	c := md.Compiled()
-	st, err := depen.StateFromParts(c, acc, post, pairs, rounds, converged)
+	st, err := depen.StateFromParts(d.Compiled(), acc, post, pairs, rounds, converged)
 	if err != nil {
 		return nil, corrupt(err)
 	}
-	qcfg := cfg.Query
-	qcfg.Accuracy = nil
-	qcfg.Dependence = nil
-	planner, err := queryans.NewPlannerFromCompiled(c, qcfg, acc, st.Totals())
-	if err != nil {
-		return nil, err
-	}
-	return &Session{
-		cfg:     cfg,
-		st:      st,
-		acc:     acc,
-		depTab:  st.Totals(),
-		planner: planner,
-		mapped:  m,
-		md:      md,
-		hist:    newHistory(cfg.RetainEpochs),
-		created: time.Now(),
-	}, nil
-}
-
-// materializeMapped builds a snapshot-backed session's dataset from the
-// claim log, and assembles its state again over that dataset's index from
-// copies of its parts, so the state a successor carries forward never
-// aliases the container.
-func (s *Session) materializeMapped() error {
-	d, err := s.md.Dataset()
-	if err != nil {
-		return fmt.Errorf("session: snapshot: %w", err)
-	}
-	st, err := depen.StateFromParts(d.Compiled(), slices.Clone(s.st.Accuracy()), slices.Clone(s.st.Posteriors()),
-		bytes.Clone(s.st.PairBytes()), s.st.Rounds(), s.st.Converged())
-	if err != nil {
-		return corrupt(err)
-	}
-	s.d, s.st = d, st
-	return nil
+	return newSession(d, cfg, st)
 }
 
 // fingerprintField is one config field captured at snapshot time.

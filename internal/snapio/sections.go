@@ -17,13 +17,15 @@
 //	sections, each starting 8-byte aligned, padded with zero bytes
 //
 // Loading is one read into an 8-aligned heap buffer — of exactly the file's
-// size (ReadMappedFile), or sized by the header from a stream (ReadMapped) —
-// plus structural validation of the header: offsets must be 8-aligned, in
-// bounds, and non-overlapping. Section payloads are NOT checksummed: a reader
-// casts a section straight into a typed slice — no decode loop, no further
-// copy — and the section's owner validates what it casts (a session's open
-// checks every section it uses), which is what stops a damaged file; a
-// payload CRC would only be a second pass over the same bytes. The buffer is
+// size (ReadContainerFile), or sized by the header from a stream
+// (ReadContainer) — plus structural validation of the header: offsets must
+// be 8-aligned, in bounds, and non-overlapping. Section payloads are NOT
+// checksummed: a reader casts a section straight into a typed slice — no
+// decode loop, no further copy — and the section's owner validates what it
+// takes (a session's open checks the state's sections, and requires the
+// dataset's stored tables to be the ones its claim log lays out, which
+// Holds compares), which is what stops a damaged file; a payload CRC would
+// only be a second pass over the same bytes. The buffer is
 // an ordinary heap object: whatever aliases it keeps it alive, and nothing
 // releases it by hand. Dense tables are written in host byte order; the
 // order marker makes a snapshot written on a different-endian host fail
@@ -31,6 +33,7 @@
 package snapio
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -132,12 +135,12 @@ func (w *SectionWriter) WriteTo(out io.Writer, magic string, version uint32) err
 	return nil
 }
 
-// Mapped is a validated, read-only view over a section container held in
+// Container is a validated, read-only view over a section container held in
 // one 8-aligned heap buffer. Sections alias the buffer and must be treated
 // as immutable: nothing checks a write, and a write into a section is a write
 // into every table cast from it. The buffer lives as long as anything
-// references it — a section, a typed view, an unsafe string view.
-type Mapped struct {
+// references it — a section or a typed view.
+type Container struct {
 	data     []byte
 	sections map[uint32][]byte
 }
@@ -149,26 +152,26 @@ func alignedBytes(n uint64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&buf[0])), n)
 }
 
-// OpenMappedBytes validates data as a section container of the given magic
+// OpenContainer validates data as a section container of the given magic
 // and version. The bytes are copied into an 8-aligned buffer only when data
 // itself is misaligned (heap buffers almost always are aligned; fuzzing
 // inputs may not be).
-func OpenMappedBytes(data []byte, magic string, version uint32) (*Mapped, error) {
+func OpenContainer(data []byte, magic string, version uint32) (*Container, error) {
 	if len(data) > 0 && uintptr(unsafe.Pointer(&data[0]))%sectionAlign != 0 {
 		buf := alignedBytes(uint64(len(data)))
 		copy(buf, data)
 		data = buf
 	}
-	return newMapped(data, magic, version)
+	return newContainer(data, magic, version)
 }
 
-// ReadMappedFile reads the container at path into one 8-aligned heap buffer
-// of exactly the file's size and validates it as OpenMappedBytes does. The
+// ReadContainerFile reads the container at path into one 8-aligned heap buffer
+// of exactly the file's size and validates it as OpenContainer does. The
 // size comes from the file, never from its header: an empty file is
 // ErrTruncated, one over the payload cap ErrCorrupt, and a header declaring
 // sections past the end of the file fails with ErrTruncated having allocated
 // no more than the file.
-func ReadMappedFile(path string, magic string, version uint32) (*Mapped, error) {
+func ReadContainerFile(path string, magic string, version uint32) (*Container, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -192,7 +195,7 @@ func ReadMappedFile(path string, magic string, version uint32) (*Mapped, error) 
 		}
 		return nil, fmt.Errorf("snapio: read %s: %w", path, err)
 	}
-	return newMapped(data, magic, version)
+	return newContainer(data, magic, version)
 }
 
 // checkPrefix checks the magic and version a container opens with. A
@@ -255,10 +258,10 @@ func containerEnd(hdr []byte) (uint64, error) {
 	return end, nil
 }
 
-// ReadMapped reads a section container from r, through the end of its last
+// ReadContainer reads a section container from r, through the end of its last
 // section's data, into an aligned heap buffer sized by its header, then
-// validates it as OpenMappedBytes does.
-func ReadMapped(r io.Reader, magic string, version uint32) (*Mapped, error) {
+// validates it as OpenContainer does.
+func ReadContainer(r io.Reader, magic string, version uint32) (*Container, error) {
 	hdr := make([]byte, sectionHdrLen)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, fmt.Errorf("%w: section header: %v", ErrTruncated, err)
@@ -280,11 +283,11 @@ func ReadMapped(r io.Reader, magic string, version uint32) (*Mapped, error) {
 	if _, err := io.ReadFull(r, data[hdrLen:]); err != nil {
 		return nil, fmt.Errorf("%w: %d-byte container: %v", ErrTruncated, end, err)
 	}
-	return newMapped(data, magic, version)
+	return newContainer(data, magic, version)
 }
 
-// newMapped validates the container and builds the section index.
-func newMapped(data []byte, magic string, version uint32) (*Mapped, error) {
+// newContainer validates the container and builds the section index.
+func newContainer(data []byte, magic string, version uint32) (*Container, error) {
 	if len(data) < sectionHdrLen {
 		return nil, fmt.Errorf("%w: %d bytes is smaller than a section header", ErrTruncated, len(data))
 	}
@@ -335,22 +338,29 @@ func newMapped(data []byte, magic string, version uint32) (*Mapped, error) {
 			return nil, fmt.Errorf("%w: sections %d and %d overlap", ErrCorrupt, spans[i-1].id, spans[i].id)
 		}
 	}
-	return &Mapped{data: data, sections: sections}, nil
+	return &Container{data: data, sections: sections}, nil
 }
 
-// Size returns the container's length in bytes.
-func (m *Mapped) Size() int64 { return int64(len(m.data)) }
-
-// Bytes returns the full container, header and all — the exact bytes on
-// disk, which is what snapshot streaming serves to a bootstrapping replica.
-// The slice aliases the container and must not be written.
-func (m *Mapped) Bytes() []byte { return m.data }
+// Bytes returns the full container, header and all — the buffer it was read
+// into, which every section aliases. It must not be written.
+func (m *Container) Bytes() []byte { return m.data }
 
 // Section returns the raw bytes of section id; ok is false when absent.
 // The slice aliases the container.
-func (m *Mapped) Section(id uint32) ([]byte, bool) {
+func (m *Container) Section(id uint32) ([]byte, bool) {
 	b, ok := m.sections[id]
 	return b, ok
+}
+
+// Holds reports whether m holds every section w does, byte for byte; when it
+// does not, id is the first section in w's order that differs or is absent.
+func (m *Container) Holds(w *SectionWriter) (id uint32, ok bool) {
+	for i, id := range w.ids {
+		if b, found := m.sections[id]; !found || !bytes.Equal(b, w.data[i]) {
+			return id, false
+		}
+	}
+	return 0, true
 }
 
 // The typed section views cast the raw bytes in place (zero copy). Length
@@ -358,7 +368,7 @@ func (m *Mapped) Section(id uint32) ([]byte, bool) {
 // container's 8-aligned offsets.
 
 // I32Section returns section id as an []int32 view.
-func (m *Mapped) I32Section(id uint32) ([]int32, error) {
+func (m *Container) I32Section(id uint32) ([]int32, error) {
 	b, err := m.need(id, 4)
 	if err != nil || len(b) == 0 {
 		return nil, err
@@ -367,7 +377,7 @@ func (m *Mapped) I32Section(id uint32) ([]int32, error) {
 }
 
 // I64Section returns section id as an []int64 view.
-func (m *Mapped) I64Section(id uint32) ([]int64, error) {
+func (m *Container) I64Section(id uint32) ([]int64, error) {
 	b, err := m.need(id, 8)
 	if err != nil || len(b) == 0 {
 		return nil, err
@@ -376,7 +386,7 @@ func (m *Mapped) I64Section(id uint32) ([]int64, error) {
 }
 
 // F64Section returns section id as a []float64 view.
-func (m *Mapped) F64Section(id uint32) ([]float64, error) {
+func (m *Container) F64Section(id uint32) ([]float64, error) {
 	b, err := m.need(id, 8)
 	if err != nil || len(b) == 0 {
 		return nil, err
@@ -385,7 +395,7 @@ func (m *Mapped) F64Section(id uint32) ([]float64, error) {
 }
 
 // need fetches a section and validates its length divides the element size.
-func (m *Mapped) need(id uint32, elem int) ([]byte, error) {
+func (m *Container) need(id uint32, elem int) ([]byte, error) {
 	b, ok := m.sections[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: section %d missing", ErrCorrupt, id)

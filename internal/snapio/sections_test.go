@@ -42,12 +42,12 @@ func buildContainer(t *testing.T) ([]byte, []int32, []float64, []byte) {
 
 func TestSectionRoundTrip(t *testing.T) {
 	data, i32, f64, blob := buildContainer(t)
-	m, err := OpenMappedBytes(data, testSecMagic, 2)
+	m, err := OpenContainer(data, testSecMagic, 2)
 	if err != nil {
-		t.Fatalf("OpenMappedBytes: %v", err)
+		t.Fatalf("OpenContainer: %v", err)
 	}
-	if m.Size() != int64(len(data)) {
-		t.Fatalf("Size = %d, want %d", m.Size(), len(data))
+	if len(m.Bytes()) != len(data) {
+		t.Fatalf("size = %d, want %d", len(m.Bytes()), len(data))
 	}
 	gotI32, err := m.I32Section(1)
 	if err != nil {
@@ -84,9 +84,9 @@ func TestSectionMisalignedInput(t *testing.T) {
 	// misaligned casts.
 	shifted := make([]byte, len(data)+1)
 	copy(shifted[1:], data)
-	m, err := OpenMappedBytes(shifted[1:], testSecMagic, 2)
+	m, err := OpenContainer(shifted[1:], testSecMagic, 2)
 	if err != nil {
-		t.Fatalf("OpenMappedBytes(misaligned): %v", err)
+		t.Fatalf("OpenContainer(misaligned): %v", err)
 	}
 	got, err := m.I32Section(1)
 	if err != nil {
@@ -103,12 +103,12 @@ func TestSectionMappedFile(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReadMappedFile(path, testSecMagic, 2)
+	m, err := ReadContainerFile(path, testSecMagic, 2)
 	if err != nil {
-		t.Fatalf("ReadMappedFile: %v", err)
+		t.Fatalf("ReadContainerFile: %v", err)
 	}
-	if m.Size() != int64(len(data)) || uintptr(unsafe.Pointer(&m.Bytes()[0]))%sectionAlign != 0 {
-		t.Fatalf("read %d bytes into a buffer at %p; want the %d-byte file, 8-aligned", m.Size(), &m.Bytes()[0], len(data))
+	if len(m.Bytes()) != len(data) || uintptr(unsafe.Pointer(&m.Bytes()[0]))%sectionAlign != 0 {
+		t.Fatalf("read %d bytes into a buffer at %p; want the %d-byte file, 8-aligned", len(m.Bytes()), &m.Bytes()[0], len(data))
 	}
 	gotI32, err := m.I32Section(1)
 	if err != nil {
@@ -137,14 +137,14 @@ func TestReadMappedFileBoundedByFile(t *testing.T) {
 		}
 		return path
 	}
-	if _, err := ReadMappedFile(write("empty", nil), testSecMagic, 2); !errors.Is(err, ErrTruncated) {
+	if _, err := ReadContainerFile(write("empty", nil), testSecMagic, 2); !errors.Is(err, ErrTruncated) {
 		t.Errorf("empty file: err = %v, want ErrTruncated", err)
 	}
 	huge := write("huge", nil)
 	if err := os.Truncate(huge, maxPayload+1); err != nil { // sparse: no blocks written
 		t.Fatal(err)
 	}
-	if _, err := ReadMappedFile(huge, testSecMagic, 2); !errors.Is(err, ErrCorrupt) {
+	if _, err := ReadContainerFile(huge, testSecMagic, 2); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("file over the payload cap: err = %v, want ErrCorrupt", err)
 	}
 
@@ -161,7 +161,7 @@ func TestReadMappedFileBoundedByFile(t *testing.T) {
 	path := write("lie", lie)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := ReadMappedFile(path, testSecMagic, 2)
+	_, err := ReadContainerFile(path, testSecMagic, 2)
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrTruncated) {
 		t.Fatalf("512 MiB section in a 4 KiB file: err = %v, want ErrTruncated", err)
@@ -171,13 +171,13 @@ func TestReadMappedFileBoundedByFile(t *testing.T) {
 	}
 }
 
-// corrupt applies fn to a copy of data and asserts OpenMappedBytes fails
+// corrupt applies fn to a copy of data and asserts OpenContainer fails
 // with an error in class want.
 func corrupt(t *testing.T, data []byte, want error, name string, fn func([]byte) []byte) {
 	t.Helper()
 	c := append([]byte(nil), data...)
 	c = fn(c)
-	if _, err := OpenMappedBytes(c, testSecMagic, 2); !errors.Is(err, want) {
+	if _, err := OpenContainer(c, testSecMagic, 2); !errors.Is(err, want) {
 		t.Errorf("%s: err = %v, want %v", name, err, want)
 	}
 }
@@ -287,9 +287,9 @@ func TestSectionCorruption(t *testing.T) {
 func TestReadMapped(t *testing.T) {
 	data, i32, f64, blob := buildContainer(t)
 	r := bytes.NewReader(append(bytes.Clone(data), "trailing"...))
-	m, err := ReadMapped(iotest.OneByteReader(r), testSecMagic, 2)
+	m, err := ReadContainer(iotest.OneByteReader(r), testSecMagic, 2)
 	if err != nil {
-		t.Fatalf("ReadMapped: %v", err)
+		t.Fatalf("ReadContainer: %v", err)
 	}
 	n := len(m.Bytes())
 	if !bytes.Equal(m.Bytes(), data[:n]) || len(data)-n >= 8 || r.Len() != len(data)-n+len("trailing") {
@@ -301,11 +301,11 @@ func TestReadMapped(t *testing.T) {
 	if !slices.Equal(gotI32, i32) || !f64BitsEqual(gotF64, f64) || !bytes.Equal(gotBlob, blob) {
 		t.Fatal("sections read from a stream differ from the written tables")
 	}
-	if _, err := ReadMapped(bytes.NewReader(data[:len(data)-1]), testSecMagic, 2); err != nil {
+	if _, err := ReadContainer(bytes.NewReader(data[:len(data)-1]), testSecMagic, 2); err != nil {
 		t.Fatalf("cut inside the last padding: %v", err)
 	}
 	for _, cut := range []int{0, sectionHdrLen - 1, sectionHdrLen + 1, len(data) - 8} {
-		if _, err := ReadMapped(bytes.NewReader(data[:cut]), testSecMagic, 2); !errors.Is(err, ErrTruncated) {
+		if _, err := ReadContainer(bytes.NewReader(data[:cut]), testSecMagic, 2); !errors.Is(err, ErrTruncated) {
 			t.Errorf("cut at %d: err = %v, want ErrTruncated", cut, err)
 		}
 	}
@@ -331,9 +331,9 @@ func TestEmptySectionsAndReader(t *testing.T) {
 	if err := w.WriteTo(&buf, testSecMagic, 1); err != nil {
 		t.Fatal(err)
 	}
-	m, err := OpenMappedBytes(buf.Bytes(), testSecMagic, 1)
+	m, err := OpenContainer(buf.Bytes(), testSecMagic, 1)
 	if err != nil {
-		t.Fatalf("OpenMappedBytes: %v", err)
+		t.Fatalf("OpenContainer: %v", err)
 	}
 	if b, ok := m.Section(7); !ok || len(b) != 0 {
 		t.Fatalf("empty section: %v ok=%v", b, ok)

@@ -343,10 +343,11 @@ func NewSession(d *Dataset, cfg SessionConfig) (*Session, error) {
 // solve's dense state as it lies in memory, in an aligned section container:
 // the dataset's compiled tables and interned strings, its claim log as id
 // columns into them, the accuracy and posterior vectors and the analysed
-// pairs' records. A query server maps it and serves from it without a decode
-// loop or a re-run of discovery (LoadSessionFile); the source×source totals
-// table is derived from the pair records at open, and the dataset is built
-// from the log only when a call needs it. There is one format.
+// pairs' records. A query server opens it into the session New would build,
+// without a re-run of discovery or a re-interning of the claims
+// (LoadSessionFile): the dataset is built from the log over the stored
+// tables, and the source×source totals table is derived from the pair
+// records. There is one format.
 
 // LoadSession reads a session snapshot written by Session.WriteSnapshot
 // into memory and assembles a serving session without re-running
@@ -359,10 +360,9 @@ func LoadSession(r io.Reader, cfg SessionConfig) (*Session, error) {
 }
 
 // LoadSessionFile reads a session snapshot file into one buffer of the
-// file's size and serves from it zero-copy: the tables are cast in place, not
-// decoded. Answers are bit-identical to LoadSession's and to the session
-// written. The session keeps no hold on the file, and Close on it does
-// nothing.
+// file's size and opens the session it holds, as LoadSession does. Answers
+// are bit-identical to LoadSession's and to the session written. The session
+// keeps no hold on the file, and Close on it does nothing.
 func LoadSessionFile(path string, cfg SessionConfig) (*Session, error) {
 	return session.LoadSnapshotFile(path, cfg)
 }
