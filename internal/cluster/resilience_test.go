@@ -7,6 +7,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -66,12 +67,11 @@ func datasetWithPrimary(t testing.TB, addrs []string, rf int, want string) strin
 	return ""
 }
 
-// Regression for the unbounded default proxy client: a shard that accepts
-// connections and never answers must cost at most one TryTimeout before the
-// read fails over — not hang the client forever.
-func TestRouterTryTimeoutHungShard(t *testing.T) {
+// hungListener is a loopback "shard" that accepts connections and never
+// answers on them; the test's cleanup closes it and everything it accepted.
+func hungListener(t testing.TB) net.Listener {
+	t.Helper()
 	hung := listenLocal(t)
-	defer hung.Close()
 	var heldMu sync.Mutex
 	var held []net.Conn
 	go func() {
@@ -85,14 +85,22 @@ func TestRouterTryTimeoutHungShard(t *testing.T) {
 			heldMu.Unlock()
 		}
 	}()
-	defer func() {
+	t.Cleanup(func() {
+		hung.Close()
 		heldMu.Lock()
 		for _, c := range held {
 			c.Close()
 		}
 		heldMu.Unlock()
-	}()
+	})
+	return hung
+}
 
+// Regression for the unbounded default proxy client: a shard that accepts
+// connections and never answers must cost at most one TryTimeout before the
+// read fails over — not hang the client forever.
+func TestRouterTryTimeoutHungShard(t *testing.T) {
+	hung := hungListener(t)
 	ln := listenLocal(t)
 	addrs := []string{hung.Addr().String(), ln.Addr().String()}
 	const tryTimeout = 200 * time.Millisecond
@@ -133,6 +141,71 @@ func TestRouterTryTimeoutHungShard(t *testing.T) {
 	}
 	if got := rt.met.shard(hung.Addr().String()).timeouts.Load(); got == 0 {
 		t.Fatal("per-shard timeout counter = 0, want > 0 for the hung shard")
+	}
+}
+
+// With no hedge armed an attempt runs on the request's goroutine under the
+// client's context, so a client that hangs up mid-attempt ends the read at
+// once — not at TryTimeout — and the hung shard's breaker settles a cancel:
+// the half-open probe slot the attempt claimed is released, the breaker is
+// neither re-opened nor charged a failure, and no retry or failover is
+// counted for a request nobody is waiting on.
+func TestRouterReadClientGone(t *testing.T) {
+	hung := hungListener(t)
+	ln := listenLocal(t)
+	addrs := []string{hung.Addr().String(), ln.Addr().String()}
+	const tryTimeout = 5 * time.Second
+	ds := datasetWithPrimary(t, addrs, 2, hung.Addr().String())
+	dir := t.TempDir()
+	writeWorldSnap(t, dir, ds, 11, 30)
+	bootShardOn(t, dir, ln)
+
+	rt, err := NewRouter(addrs, Options{
+		RF: 2, TryTimeout: tryTimeout, ProbeTimeout: 100 * time.Millisecond,
+		BreakerThreshold: 1, BreakerCooldown: 10 * time.Millisecond,
+		BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond, RetryRefill: -1, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	hs := rt.shardFor(hung.Addr().String())
+	hs.ready.Store(true)
+	hs.datasets.Store(map[string]bool{ds: true})
+	// An open breaker past its cooldown orders first and hands the attempt
+	// its half-open probe slot: a cancel releases the slot, a failure
+	// re-opens the breaker, and an unsettled attempt would keep holding it.
+	hs.brk.mu.Lock()
+	hs.brk.state, hs.brk.openedAt = breakerOpen, time.Now().Add(-time.Hour)
+	hs.brk.mu.Unlock()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/"+ds+"/answer", strings.NewReader(answerReq)).WithContext(ctx)
+	req.Header.Set("Content-Type", "application/json")
+	w := httptest.NewRecorder()
+	time.AfterFunc(50*time.Millisecond, cancel)
+	start := time.Now()
+	rt.ServeHTTP(w, req)
+	if elapsed := time.Since(start); elapsed > tryTimeout/5 {
+		t.Fatalf("handler returned after %v, want soon after the client's 50ms hang-up (TryTimeout %v)", elapsed, tryTimeout)
+	}
+	if w.Body.Len() != 0 {
+		t.Fatalf("relayed %q to a client that hung up", w.Body.String())
+	}
+	hs.brk.mu.Lock()
+	state, probing, failures := hs.brk.state, hs.brk.probing, hs.brk.failures
+	hs.brk.mu.Unlock()
+	if state != breakerHalfOpen || probing || failures != 0 {
+		t.Fatalf("breaker state %s probing=%v failures=%d, want a settled cancel (half-open, slot released, no failure)",
+			breakerStateName(state), probing, failures)
+	}
+	if n := rt.met.retries.Load() + rt.met.failovers.Load(); n != 0 {
+		t.Fatalf("%d retries/failovers counted for a client that hung up", n)
+	}
+	sm := rt.met.shard(hung.Addr().String())
+	if sm.timeouts.Load() != 0 || sm.errors.Load() != 0 {
+		t.Fatalf("hung shard charged %d timeouts, %d errors for a canceled attempt", sm.timeouts.Load(), sm.errors.Load())
 	}
 }
 

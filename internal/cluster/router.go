@@ -41,6 +41,7 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -725,14 +726,12 @@ const snapshotCRCHeader = "X-Snapshot-CRC32"
 // returns the raw response with its body unread — the shared first half of
 // the buffered (shardRequest) and streaming (proxySnapshot) relays.
 func (rt *Router) shardShoot(ctx context.Context, r *http.Request, addr string, body []byte) (*http.Response, error) {
-	u := "http://" + addr + r.URL.Path
-	if r.URL.RawQuery != "" {
-		u += "?" + r.URL.RawQuery
-	}
-	req, err := http.NewRequestWithContext(ctx, r.Method, u, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, r.Method, "", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
+	// The inbound URL's parts re-aimed at the shard: no string to re-parse.
+	*req.URL = url.URL{Scheme: "http", Host: addr, Path: r.URL.Path, RawPath: r.URL.RawPath, RawQuery: r.URL.RawQuery}
 	if ct := r.Header.Get("Content-Type"); ct != "" {
 		req.Header.Set("Content-Type", ct)
 	}
@@ -752,13 +751,23 @@ func (rt *Router) shardRequest(ctx context.Context, r *http.Request, addr string
 
 // shardAnswer reads a shard's response to a request issued at start —
 // capped at maxRelayBytes — and counts it on the shard's metrics, as
-// shardRequest describes.
+// shardRequest describes. A body of declared length is read into one buffer
+// of exactly that size.
 func (rt *Router) shardAnswer(addr string, start time.Time, resp *http.Response, err error) (*http.Response, []byte, error) {
 	if err == nil {
 		var respBody []byte
-		respBody, err = io.ReadAll(io.LimitReader(resp.Body, maxRelayBytes+1))
+		n := resp.ContentLength
+		switch {
+		case n > maxRelayBytes: // refused below, unread
+		case n >= 0:
+			respBody = make([]byte, n)
+			_, err = io.ReadFull(resp.Body, respBody)
+		default:
+			respBody, err = io.ReadAll(io.LimitReader(resp.Body, maxRelayBytes+1))
+			n = int64(len(respBody))
+		}
 		resp.Body.Close()
-		if err == nil && len(respBody) > maxRelayBytes {
+		if err == nil && n > maxRelayBytes {
 			err = fmt.Errorf("shard %s: response exceeds the %d-byte relay cap", addr, maxRelayBytes)
 		}
 		if err == nil {
@@ -852,13 +861,30 @@ func (rt *Router) settleVerdict(res attemptResult) {
 	}
 }
 
+// attempt runs one try against s under ctx and classifies its outcome.
+func (rt *Router) attempt(ctx context.Context, r *http.Request, s *shardState, body []byte, hedged bool) attemptResult {
+	resp, respBody, err := rt.shardRequest(ctx, r, s.addr, body)
+	return attemptResult{
+		s: s, hedged: hedged, resp: resp, body: respBody, err: err,
+		canceled: err != nil && errors.Is(err, context.Canceled),
+	}
+}
+
 // proxyRead forwards a read across the placement with per-try deadlines,
 // jittered backoff between failover tries, breaker-aware ordering, and an
 // optional hedged second attempt. The first non-retriable answer wins and
-// is relayed byte-for-byte; losers run out their per-try deadline in the
-// background so the breaker still learns from them. When every attempt fails
-// the most informative response wins: the last shard answer if any, else
-// 502.
+// is relayed byte-for-byte. When every attempt fails the most informative
+// response wins: the last shard answer if any, else 502.
+//
+// Attempts run on the request's goroutine unless a hedge is armed
+// (HedgeDelay > 0): one at a time, each under WithTimeout(r.Context(),
+// TryTimeout), so a client that hangs up cancels the attempt in flight and
+// its shard's breaker settles a cancel. With a hedge armed every attempt
+// runs on its own goroutine under a context detached from the request, and
+// losers run out their per-try deadline in the background so the breaker
+// still learns from them. Either way one loop orders the candidates, settles
+// each outcome on its shard's breaker, and spends the retry budget and the
+// backoff between failover tries.
 func (rt *Router) proxyRead(w http.ResponseWriter, r *http.Request, op string, placement []string, body []byte) {
 	rt.budget.onRequest()
 	cands := rt.readCandidates(placement)
@@ -868,9 +894,14 @@ func (rt *Router) proxyRead(w http.ResponseWriter, r *http.Request, op string, p
 	}
 	ctx := r.Context()
 	tryTimeout := rt.opt.TryTimeout
-	hedgeDelay := rt.opt.HedgeDelay
+	hedging := rt.opt.HedgeDelay > 0
 
-	results := make(chan attemptResult, len(cands))
+	var results chan attemptResult // where hedged-mode attempts report
+	if hedging {
+		results = make(chan attemptResult, len(cands))
+	}
+	var inline attemptResult // an unhedged attempt's outcome, not yet handled
+	haveInline := false
 	var cancels []context.CancelFunc
 	inflight := 0
 	next := 0
@@ -878,7 +909,8 @@ func (rt *Router) proxyRead(w http.ResponseWriter, r *http.Request, op string, p
 	// launch starts an attempt against the next candidate whose breaker
 	// admits it; a denied candidate is only forced when skipping it would
 	// leave the request with no attempt at all (the forced try doubles as
-	// the breaker probe). Reports whether an attempt started.
+	// the breaker probe). Reports whether an attempt started; an unhedged
+	// attempt has also finished.
 	launch := func(hedged bool) bool {
 		for next < len(cands) {
 			s := cands[next]
@@ -887,8 +919,16 @@ func (rt *Router) proxyRead(w http.ResponseWriter, r *http.Request, op string, p
 			if !s.brk.allow() && !lastResort {
 				continue
 			}
-			actx, cancel := context.WithCancel(ctx)
-			if tryTimeout > 0 {
+			inflight++
+			if hedged {
+				rt.met.hedgesFired.Add(1)
+			}
+			var actx context.Context
+			var cancel context.CancelFunc
+			switch {
+			case tryTimeout <= 0:
+				actx, cancel = context.WithCancel(ctx)
+			case hedging:
 				// Detached from the request context on purpose: an attempt
 				// that loses to a hedge keeps running to its own per-try
 				// deadline so its verdict still settles on the breaker — a
@@ -897,18 +937,17 @@ func (rt *Router) proxyRead(w http.ResponseWriter, r *http.Request, op string, p
 				// accumulate a single failure. The deadline bounds the
 				// straggler; a gone client cancels through the cleanup path.
 				actx, cancel = context.WithTimeout(context.Background(), tryTimeout)
+			default:
+				actx, cancel = context.WithTimeout(ctx, tryTimeout)
+			}
+			if !hedging {
+				inline, haveInline = rt.attempt(actx, r, s, body, hedged), true
+				cancel()
+				return true
 			}
 			cancels = append(cancels, cancel)
-			inflight++
-			if hedged {
-				rt.met.hedgesFired.Add(1)
-			}
 			go func(s *shardState, hedged bool) {
-				resp, respBody, err := rt.shardRequest(actx, r, s.addr, body)
-				results <- attemptResult{
-					s: s, hedged: hedged, resp: resp, body: respBody, err: err,
-					canceled: err != nil && errors.Is(err, context.Canceled),
-				}
+				results <- rt.attempt(actx, r, s, body, hedged)
 			}(s, hedged)
 			return true
 		}
@@ -958,8 +997,8 @@ func (rt *Router) proxyRead(w http.ResponseWriter, r *http.Request, op string, p
 		writeJSON(w, http.StatusBadGateway, map[string]string{"error": "no shard admitted the request"})
 		return
 	}
-	if hedgeDelay > 0 && next < len(cands) {
-		hedgeTimer = time.NewTimer(hedgeDelay)
+	if hedging && next < len(cands) {
+		hedgeTimer = time.NewTimer(rt.opt.HedgeDelay)
 		hedgeC = hedgeTimer.C
 	}
 
@@ -1005,50 +1044,57 @@ func (rt *Router) proxyRead(w http.ResponseWriter, r *http.Request, op string, p
 	}
 
 	for {
-		select {
-		case <-ctx.Done():
-			// Client gone; the deferred cleanup cancels and reaps.
-			return
-		case <-retryC:
-			retryC = nil
-			retryTimer = nil
-			if !launch(false) && inflight == 0 {
+		var res attemptResult
+		if haveInline {
+			res, haveInline = inline, false
+		} else {
+			select {
+			case <-ctx.Done():
+				// Client gone; the deferred cleanup cancels and reaps.
+				return
+			case <-retryC:
+				retryC = nil
+				retryTimer = nil
+				if !launch(false) && inflight == 0 {
+					finishFailed()
+					return
+				}
+				continue
+			case <-hedgeC:
+				hedgeC = nil
+				hedgeTimer = nil
+				launch(true)
+				continue
+			case res = <-results:
+			}
+		}
+		inflight--
+		rt.settleVerdict(res)
+		switch {
+		case res.canceled:
+			if ctx.Err() != nil {
+				return
+			}
+			if inflight == 0 && retryC == nil && !scheduleRetry() {
 				finishFailed()
 				return
 			}
-		case <-hedgeC:
-			hedgeC = nil
-			hedgeTimer = nil
-			launch(true)
-		case res := <-results:
-			inflight--
-			rt.settleVerdict(res)
-			switch {
-			case res.canceled:
-				if ctx.Err() != nil {
-					return
-				}
-				if inflight == 0 && retryC == nil && !scheduleRetry() {
-					finishFailed()
-					return
-				}
-			case res.err == nil && !retriable(res.resp.StatusCode):
-				if res.hedged {
-					rt.met.hedgeWins.Add(1)
-				}
-				relayed = true
-				relay(w, res.resp, res.body)
+		case res.err == nil && !retriable(res.resp.StatusCode):
+			if res.hedged {
+				rt.met.hedgeWins.Add(1)
+			}
+			relayed = true
+			relay(w, res.resp, res.body)
+			return
+		default:
+			if res.err != nil {
+				lastErr = res.err
+			} else {
+				lastResp, lastBody = res.resp, res.body
+			}
+			if !scheduleRetry() {
+				finishFailed()
 				return
-			default:
-				if res.err != nil {
-					lastErr = res.err
-				} else {
-					lastResp, lastBody = res.resp, res.body
-				}
-				if !scheduleRetry() {
-					finishFailed()
-					return
-				}
 			}
 		}
 	}
@@ -1360,12 +1406,15 @@ func (rt *Router) isReady(addr string) bool {
 	return s != nil && s.ready.Load()
 }
 
-// relay copies a shard response to the client byte-for-byte.
+// relay copies a shard response to the client byte-for-byte, with its
+// length declared so a reply past net/http's 2 KB buffer is not chunked.
 func relay(w http.ResponseWriter, resp *http.Response, body []byte) {
+	h := w.Header()
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
+		h.Set("Content-Type", ct)
 	}
-	w.Header().Set("X-Content-Type-Options", "nosniff")
+	h.Set("X-Content-Type-Options", "nosniff")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(resp.StatusCode)
 	_, _ = w.Write(body)
 }

@@ -6,20 +6,22 @@
 // the full planner cost each time. The cache closes that gap: a hit returns
 // the previously rendered response bytes, which are byte-identical to a
 // fresh computation because the planner is deterministic and the cache key
-// captures every request field that can influence the bytes.
+// captures every request byte that can influence them.
 //
-// The key is the *normalized* request (see AnswerRequest.cacheKey): the
-// decoded semantic fields rather than the raw body, so requests differing
-// only in JSON whitespace or field order share an entry. The query list is length-prefixed in request order,
-// duplicates included: answer traces are positional and duplicate entries
-// change the greedy gain sums, so reordering or deduplicating the query
-// would conflate requests with different byte-exact responses.
+// The key is the raw request body (after the dataset and epoch), looked up
+// before the body is decoded, so a hit does no JSON work at all. Two bodies
+// share an entry only if they are byte-identical, which can never conflate
+// requests whose answers differ (query order and duplicates are semantic).
+// A variant that differs only in JSON whitespace or field order costs one
+// miss — one decode and one plan — and then hits under its own key; its
+// bytes equal the base's. Only status-200 responses are stored, so a body
+// that fails validation is decoded (and refused) on every request.
 //
 // An entry lives until LRU pressure evicts it or its epoch falls below the
 // retention floor (flushPrefix on the swap that moved the floor). The epoch is
 // part of every key and an epoch's answers never change, so an entry needs no
-// other expiry. Only status-200 responses are cached. Hit/miss/eviction
-// counts and the entry gauge are exported on /metrics.
+// other expiry. Hit/miss/eviction counts and the entry gauge are exported on
+// /metrics.
 package server
 
 import (

@@ -56,45 +56,77 @@ func TestAnswerCacheGolden(t *testing.T) {
 	}
 }
 
-// TestAnswerCacheNormalizedKey pins that requests differing in nothing the
-// response depends on (JSON presentation) share one cache entry, while
-// semantic differences do not.
+// TestAnswerCacheNormalizedKey pins the raw-body key: the cache is looked up
+// on the request bytes before anything decodes them. A byte-identical repeat
+// hits; a whitespace or field-order variant misses once (it is planned and
+// cached under its own key) yet answers the base's exact bytes; bodies that
+// differ in meaning never share an entry; and a body that fails validation
+// is never cached, so its repeat is decoded again and is still a 400.
 func TestAnswerCacheNormalizedKey(t *testing.T) {
 	ts, srv := cacheTestServer(t, Options{AnswerCacheSize: 64})
-	base := `{"query":[{"entity":"e0","attribute":"a"},{"entity":"e1","attribute":"a"}]}`
-	post(t, ts.URL+"/v1/alpha/answer", base)
-	if h := srv.cache.hits.Load(); h != 0 {
-		t.Fatalf("first request hit the cache (%d hits)", h)
+	url := ts.URL + "/v1/alpha/answer"
+	// ask posts body and checks its status and the counters it moved.
+	ask := func(what, body string, status int, hit bool) []byte {
+		t.Helper()
+		hits, misses := srv.cache.hits.Load(), srv.cache.misses.Load()
+		resp, got := post(t, url, body)
+		if resp.StatusCode != status {
+			t.Fatalf("%s: status %d, want %d: %s", what, resp.StatusCode, status, got)
+		}
+		wantHits, wantMisses := int64(0), int64(1)
+		if hit {
+			wantHits, wantMisses = 1, 0
+		}
+		if dh, dm := srv.cache.hits.Load()-hits, srv.cache.misses.Load()-misses; dh != wantHits || dm != wantMisses {
+			t.Fatalf("%s: %d hits and %d misses, want %d and %d", what, dh, dm, wantHits, wantMisses)
+		}
+		return got
 	}
-	// Whitespace variant and reordered fields normalize to the same key.
-	variants := []string{
+
+	base := `{"query":[{"entity":"e0","attribute":"a"},{"entity":"e1","attribute":"a"}]}`
+	want := ask("base", base, http.StatusOK, false)
+	if got := ask("byte-identical repeat", base, http.StatusOK, true); !bytes.Equal(got, want) {
+		t.Fatalf("repeat hit replayed different bytes:\n%s\nwant:\n%s", got, want)
+	}
+
+	// Presentation variants miss the base's entry but answer its bytes, and
+	// each hits its own entry from then on.
+	for _, v := range []string{
 		`{ "query" : [ {"entity":"e0","attribute":"a"}, {"entity":"e1","attribute":"a"} ] }`,
 		`{"query":[{"attribute":"a","entity":"e0"},{"attribute":"a","entity":"e1"}]}`,
-	}
-	for i, v := range variants {
-		resp, _ := post(t, ts.URL+"/v1/alpha/answer", v)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("variant %d: status %d", i, resp.StatusCode)
+	} {
+		if got := ask("variant "+v, v, http.StatusOK, false); !bytes.Equal(got, want) {
+			t.Fatalf("variant %s: bytes differ from the base's:\n%s\nwant:\n%s", v, got, want)
 		}
+		ask("variant repeat "+v, v, http.StatusOK, true)
 	}
-	if h := srv.cache.hits.Load(); h != int64(len(variants)) {
-		t.Fatalf("normalized variants: want %d hits, got %d", len(variants), h)
-	}
-	// Different order, different steps flag, different cap: distinct keys.
-	distinct := []string{
+
+	// Different order, steps flag or cap: each misses and adds its own entry.
+	entries := srv.cache.len()
+	for _, v := range []string{
 		`{"query":[{"entity":"e1","attribute":"a"},{"entity":"e0","attribute":"a"}]}`,
 		`{"query":[{"entity":"e0","attribute":"a"},{"entity":"e1","attribute":"a"}],"include_steps":true}`,
 		`{"query":[{"entity":"e0","attribute":"a"},{"entity":"e1","attribute":"a"}],"max_sources":2}`,
-	}
-	before := srv.cache.hits.Load()
-	for i, v := range distinct {
-		resp, _ := post(t, ts.URL+"/v1/alpha/answer", v)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("distinct %d: status %d", i, resp.StatusCode)
+	} {
+		ask("distinct "+v, v, http.StatusOK, false)
+		if entries++; srv.cache.len() != entries {
+			t.Fatalf("distinct %s: %d entries, want %d", v, srv.cache.len(), entries)
 		}
 	}
-	if h := srv.cache.hits.Load(); h != before {
-		t.Fatalf("semantically distinct requests hit the cache (%d new hits)", h-before)
+
+	// Bodies that fail validation — a bad knob, an unknown field, trailing
+	// data, an empty query — are refused every time and never stored.
+	for _, v := range []string{
+		`{"query":[{"entity":"e0","attribute":"a"}],"policy":"no-such-policy"}`,
+		`{"query":[{"entity":"e0","attribute":"a"}],"workers":4}`,
+		base + `{}`,
+		`{"query":[]}`,
+	} {
+		ask("invalid "+v, v, http.StatusBadRequest, false)
+		ask("invalid repeat "+v, v, http.StatusBadRequest, false)
+	}
+	if n := srv.cache.len(); n != entries {
+		t.Fatalf("invalid bodies changed the entry count %d -> %d", entries, n)
 	}
 }
 

@@ -16,8 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
 	"sourcecurrents/internal/fusion"
 	"sourcecurrents/internal/linkage"
@@ -52,22 +50,6 @@ type AnswerRequest struct {
 // overrides reports whether the request needs a per-call planner.
 func (r AnswerRequest) overrides() bool {
 	return r.Policy != "" || r.MaxSources != 0 || r.StopProb != 0
-}
-
-// cacheKey renders the request's normalized form: every decoded field that
-// can influence the response bytes, and nothing else. The query list is
-// length-prefixed verbatim in request order — answers are positional and
-// duplicates change the greedy gain sums, so sorting or deduplicating here
-// would alias requests with different byte-exact responses.
-func (r AnswerRequest) cacheKey() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d:%s|%d|%s|%t",
-		len(r.Policy), r.Policy, r.MaxSources,
-		strconv.FormatFloat(r.StopProb, 'x', -1, 64), r.IncludeSteps)
-	for _, o := range r.Query {
-		fmt.Fprintf(&sb, "|%d:%s,%d:%s", len(o.Entity), o.Entity, len(o.Attribute), o.Attribute)
-	}
-	return sb.String()
 }
 
 // ParsePolicy maps the transport names (the Policy.String forms) back to

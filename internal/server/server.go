@@ -233,14 +233,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer s.met.inFlight.Add(-1)
 
 	op, resp := s.route(w, r)
-	for k, v := range map[string]string{
-		"Content-Type":           resp.contentType,
-		"X-Content-Type-Options": "nosniff",
-	} {
-		w.Header().Set(k, v)
-	}
+	h := w.Header()
+	h.Set("Content-Type", resp.contentType)
+	h.Set("X-Content-Type-Options", "nosniff")
+	// A declared length keeps a reply past net/http's 2 KB buffer from being
+	// chunk-encoded, and lets the router read it into one exact-size buffer.
+	h.Set("Content-Length", strconv.Itoa(len(resp.body)))
 	for k, v := range resp.headers {
-		w.Header().Set(k, v)
+		h.Set(k, v)
 	}
 	w.WriteHeader(resp.status)
 	_, _ = w.Write(resp.body)
@@ -410,30 +410,29 @@ func decodeBody(body []byte, v any) error {
 }
 
 // handleAnswer serves an answer request through two read-mostly layers
-// keyed on the normalized request (dataset + epoch + AnswerRequest.cacheKey):
-// the LRU answer cache returns previously rendered bytes for a repeated
-// request, and the singleflight group computes a cache-missing response
-// once for every identical concurrent request. Keying on the decoded
-// request rather than the raw body means whitespace/field-order variants
-// share both layers; the rendered bytes are identical either way. The epoch is the one read atomically with sess:
-// a response computed from a session is only ever cached or joined under
-// that session's own generation, so an epoch swap can never surface bytes
-// from a retired session.
+// keyed on the raw request body (dataset + epoch + body): the LRU answer
+// cache returns previously rendered bytes for a repeated request, and the
+// singleflight group computes a cache-missing response once for every
+// identical concurrent request. The lookup comes before any decoding, so a
+// hit does no JSON work; only a miss decodes and validates, and only a 200
+// is cached, so a hit returns bytes whose request was validated when they
+// were first stored. A whitespace or field-order variant of a cached body
+// costs one miss (one plan) and then caches under its own key; the rendered
+// bytes are identical either way. The epoch is the one read atomically with
+// sess: a response computed from a session is only ever cached or joined
+// under that session's own generation, so an epoch swap can never surface
+// bytes from a retired session.
 func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request, name string, epoch uint64, sess *session.Session) response {
 	body, err := s.readBody(w, r)
 	if err != nil {
 		return errResponse(err)
 	}
-	var req AnswerRequest
-	if err := decodeBody(body, &req); err != nil {
-		return errResponse(err)
-	}
-	key := name + "\x00" + strconv.FormatUint(epoch, 10) + "\x00" + req.cacheKey()
+	key := name + "\x00" + strconv.FormatUint(epoch, 10) + "\x00" + string(body)
 	if cached, ok := s.cache.get(key); ok {
 		return response{status: http.StatusOK, contentType: "application/json", body: cached}
 	}
 	res, shared := s.answers.do(key, func() flightResult {
-		resp := answerResponse(sess, req)
+		resp := answerResponse(sess, body)
 		return flightResult{status: resp.status, body: resp.body}
 	})
 	if shared {
@@ -445,8 +444,12 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request, name strin
 	return response{status: res.status, contentType: "application/json", body: res.body}
 }
 
-// answerResponse executes one decoded answer request.
-func answerResponse(sess *session.Session, req AnswerRequest) response {
+// answerResponse decodes, validates and executes one answer request body.
+func answerResponse(sess *session.Session, body []byte) response {
+	var req AnswerRequest
+	if err := decodeBody(body, &req); err != nil {
+		return errResponse(err)
+	}
 	res, err := ExecAnswer(sess, req)
 	if err != nil {
 		return errResponse(err)
