@@ -418,13 +418,47 @@ func midAppendBatch(d *sourcecurrents.Dataset, i int) []sourcecurrents.Claim {
 	return batch
 }
 
+// midGrowingBatches returns n batches shaped like bench/'s ingest schedule on
+// the mid shape, each growing a table: every third is object-major, every
+// source claiming an object the world lacks; the rest are source-major, two
+// random sources re-claiming 110 random objects each, a quarter of them with
+// a value the object never had (two wrong sources on one object name the
+// same one).
+func midGrowingBatches(d *sourcecurrents.Dataset, n int) [][]sourcecurrents.Claim {
+	rng := rand.New(rand.NewSource(11))
+	srcs, objs := d.Sources(), d.Objects()
+	batches := make([][]sourcecurrents.Claim, n)
+	for i := range batches {
+		if i%3 == 2 {
+			o := sourcecurrents.ObjectID{Entity: fmt.Sprintf("held-%d", i), Attribute: "v"}
+			for _, s := range srcs {
+				batches[i] = append(batches[i], sourcecurrents.NewClaim(s, o, fmt.Sprintf("H%d_%d", i, rng.Intn(5))))
+			}
+			continue
+		}
+		for _, si := range rng.Perm(len(srcs))[:2] {
+			for _, oi := range rng.Perm(len(objs))[:110] {
+				v, _ := d.Value(srcs[0], objs[oi])
+				if rng.Intn(4) == 0 {
+					v = fmt.Sprintf("F%d_%d", oi, i)
+				}
+				batches[i] = append(batches[i], sourcecurrents.NewClaim(srcs[si], objs[oi], v))
+			}
+		}
+	}
+	return batches
+}
+
 // BenchmarkAppendMid times the write path's dataset stage alone —
 // Dataset.Append, the successor's columns included — on the mid shape.
 // "chained" appends each batch onto the previous successor, as a serving
 // session does: the claim log is extended where it lies and only the rows the
 // batch names are laid out. "sibling" appends every batch onto the same base,
 // so each one copies the log (what At, a retry and bench/'s
-// session.append_self_ms pay).
+// session.append_self_ms pay). Neither grows a table. "growing" chains the
+// batches of midGrowingBatches, which all do, as the appends bench/'s
+// ingest_mixed serves do; every 47 appends it starts a new chain from the
+// base, the first append (the log's copy) off the clock.
 func BenchmarkAppendMid(b *testing.B) {
 	base := benchSnapshotWorld(b, 100, 400)
 	batches := make([][]sourcecurrents.Claim, 64)
@@ -447,6 +481,26 @@ func BenchmarkAppendMid(b *testing.B) {
 			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
 		})
 	}
+	grow := midGrowingBatches(base, 48)
+	b.Run("growing", func(b *testing.B) {
+		b.ReportAllocs()
+		var d *sourcecurrents.Dataset
+		var err error
+		for i := 0; i < b.N; i++ {
+			k := 1 + i%(len(grow)-1)
+			if k == 1 {
+				b.StopTimer()
+				if d, err = base.Append(grow[0]); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			if d, err = d.Append(grow[k]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+	})
 }
 
 // TestAppendWideBytes holds what a serving session's appends allocate on the

@@ -23,8 +23,7 @@
 // builder Freeze uses, fed the predecessor's: it lays out the rows — an
 // object's, a source's — that the batch names, copies every other row over
 // (offsets shifted, ids renumbered when a table grew), and shares the sorted
-// tables and index maps outright when the batch names no new source, object
-// or value. The result equals a flat build over the same claims field for
+// tables outright when the batch names no new source, object or value. The result equals a flat build over the same claims field for
 // field (TestAppendCompiledMatchesFromScratch).
 //
 // The log is semantic, not just provenance: depen.Detect on a log-carrying

@@ -106,9 +106,8 @@ func TestAppendMatchesFromScratch(t *testing.T) {
 
 // diffCompiled returns the name of the first field of Compiled — exported or
 // not: the id columns, both claim-index CSRs, the snapshot view, the spans,
-// the popularity tally, maxGroups, the three tables and their index maps — on
-// which got departs from want, or "". A nil and an empty column are the same
-// column.
+// the popularity tally, maxGroups, the three tables — on which got departs
+// from want, or "". A nil and an empty column are the same column.
 func diffCompiled(got, want *Compiled) string {
 	gv, wv := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
 	for i := 0; i < gv.NumField(); i++ {
@@ -117,7 +116,7 @@ func diffCompiled(got, want *Compiled) string {
 			return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
 		}
 		g, w := field(gv), field(wv)
-		if k := g.Kind(); (k == reflect.Slice || k == reflect.Map) && g.Len() == 0 && w.Len() == 0 {
+		if g.Kind() == reflect.Slice && g.Len() == 0 && w.Len() == 0 {
 			continue
 		}
 		if !reflect.DeepEqual(g.Interface(), w.Interface()) {
@@ -240,6 +239,103 @@ func TestAppendCompiledMatchesFromScratch(t *testing.T) {
 		// rest extend it where it lies.
 		if copied < 2 || inPlace < 32 {
 			t.Fatalf("seed %d: %d appends extended the log in place and %d copied it; want most in place and a growth boundary crossed", seed, inPlace, copied)
+		}
+	}
+}
+
+// TestAppendInternGrowth pins interning when a batch names keys a table
+// lacks: new sources, objects and values that sort before the first entry,
+// between entries and after the last, each table growing on its own and all
+// three in one batch, a new key repeated within its batch. Every successor,
+// the chained one that extends the log and its id columns where they lie and
+// the sibling that copies them, equals a flat build in every field of
+// Compiled; and at every epoch each entry is found at its index, while a key
+// absent before, between or after the entries is not.
+func TestAppendInternGrowth(t *testing.T) {
+	c := func(s, e, v string) model.Claim { return model.NewClaim(model.SourceID(s), model.Obj(e, "a"), v) }
+	// Repeated, so that the log the first append copies into has room for
+	// every later batch.
+	var claims []model.Claim
+	for i := 0; i < 20; i++ {
+		claims = append(claims, c("m1", "e2", "v2"), c("m3", "e4", "v4"), c("m5", "e2", "v4"))
+	}
+	base, err := FromClaims(claims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := []struct {
+		name   string
+		claims []model.Claim
+	}{
+		{"all three tables, each key first", []model.Claim{c("a0", "a0", "a0"), c("a0", "e2", "a0")}},
+		{"all three tables, each key between", []model.Claim{c("m2", "e3", "v3"), c("m4", "e3", "v3"), c("m1", "e3", "v35")}},
+		{"all three tables, each key last", []model.Claim{c("z9", "z9", "z9"), c("z9", "z9", "z9")}},
+		{"values only, first, between and last", []model.Claim{c("m1", "e2", "F_e2_0"), c("m3", "e4", "A"), c("m5", "e2", "v21"), c("m3", "e2", "zz"), c("m1", "e4", "A")}},
+		{"sources only, first, between and last", []model.Claim{c("!", "e2", "v2"), c("m15", "e4", "v4"), c("zz", "e2", "v2")}},
+		{"objects only, first, between and last", []model.Claim{c("m1", "!", "v2"), c("m3", "e21", "v4"), c("m3", "zz", "v4"), c("m5", "e21", "v2")}},
+		{"all three tables, every position at once", []model.Claim{
+			c("0", "0", "0"), c("m6", "e5", "v5"), c("~", "~", "~"), c("m6", "e5", "v5"), c("m1", "e21", "~")}},
+		{"nothing new", []model.Claim{c("m1", "e2", "v4")}},
+	}
+	var all []model.Claim
+	all = append(all, base.Claims()...)
+	d := base
+	for k, b := range batches {
+		all = append(all, b.claims...)
+		flat, err := FromClaims(all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, err := d.Append(b.claims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sibling, err := d.Append(b.claims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k > 0 && !sameArray(next, d) || sameArray(sibling, d) {
+			t.Fatalf("%s: chained in place %v, sibling in place %v; want %v, false", b.name, sameArray(next, d), sameArray(sibling, d), k > 0)
+		}
+		for _, got := range []struct {
+			path string
+			d    *Dataset
+		}{{"chained", next}, {"sibling", sibling}} {
+			if msg := diffCompiled(got.d.Compiled(), flat.Compiled()); msg != "" {
+				t.Fatalf("%s, %s: %s", b.name, got.path, msg)
+			}
+		}
+		cols := next.Compiled()
+		checkLookups(t, b.name+", sources", cols.SourceIDs(), cols.SourceIndex,
+			func(s model.SourceID) model.SourceID { return s + "\x00" }, "", "\x7f")
+		checkLookups(t, b.name+", objects", cols.ObjectIDs(), cols.ObjectIndex,
+			func(o model.ObjectID) model.ObjectID { return model.Obj(o.Entity, o.Attribute+"\x00") },
+			model.Obj("", "a"), model.Obj("\x7f", "a"))
+		values := make([]string, cols.NumValues())
+		for i := range values {
+			values[i] = cols.Value(i)
+		}
+		checkLookups(t, b.name+", values", values, cols.ValueIndex,
+			func(v string) string { return v + "\x00" }, "", "\x7f")
+		d = next
+	}
+}
+
+// checkLookups holds lookup over the sorted table tab: each entry is found at
+// its index, and the keys absent before the first entry (before), after the
+// last (after) and just after each entry (between) are not found, (0, false).
+func checkLookups[K any](t *testing.T, what string, tab []K, lookup func(K) (int32, bool), between func(K) K, before, after K) {
+	t.Helper()
+	absent := []K{before, after}
+	for i, k := range tab {
+		if id, ok := lookup(k); !ok || id != int32(i) {
+			t.Fatalf("%s: entry %d (%v) looks up as (%d, %v)", what, i, k, id, ok)
+		}
+		absent = append(absent, between(k))
+	}
+	for _, k := range absent {
+		if id, ok := lookup(k); ok || id != 0 {
+			t.Fatalf("%s: absent key %q looks up as (%d, %v), want (0, false)", what, fmt.Sprint(k), id, ok)
 		}
 	}
 }

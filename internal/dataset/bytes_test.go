@@ -17,7 +17,7 @@ import (
 // out afresh it was 7.7 MB; extending the log and the id columns where they
 // lie it is the six columns that rows are spliced into (176 KB each) and
 // what the batch's own rows need — and no []model.Claim at all, which alone
-// would be 3.9 MB.
+// would be 3.9 MB. The median is 1.32 MB; the ceiling is a tenth above it.
 func TestDatasetAppendBytes(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation sizes differ under -race")
@@ -52,7 +52,7 @@ func TestDatasetAppendBytes(t *testing.T) {
 	if d, err = d.Append(batch(0)); err != nil {
 		t.Fatal(err)
 	}
-	const ceiling = 1.5e6
+	const ceiling = 1.45e6
 	deltas := make([]uint64, 5)
 	for i := range deltas {
 		b := batch(i + 1)

@@ -79,9 +79,6 @@ type Compiled struct {
 	PopCount []int32
 
 	maxGroups int
-	srcIdx    map[model.SourceID]int32
-	objIdx    map[model.ObjectID]int32
-	valIdx    map[string]int32
 }
 
 // Compiled returns the columnar index Freeze or Append built. It returns
@@ -174,16 +171,15 @@ func carried(g growth, id int32, start, prevStart []int32) int32 {
 }
 
 // intern fills the per-claim id columns and the three interning tables. A
-// batch that introduces no new id shares prev's tables and index maps
-// (read-only, identical by construction); one that does gets merged tables
-// and every id renumbered.
+// batch that introduces no new id shares prev's tables (read-only, identical
+// by construction); one that does gets merged tables and every id renumbered.
 func (c *Compiled) intern(claims []model.Claim, prev *Compiled, owned bool) (g tableGrowth) {
 	n, room := len(claims), cap(claims)
-	c.sources, c.srcIdx, c.claimSrc, g.src.fwd = internColumn(prev.sources, prev.srcIdx, prev.claimSrc, n, room, owned,
+	c.sources, c.claimSrc, g.src.fwd = internColumn(prev.sources, prev.claimSrc, n, room, owned,
 		func(i int) model.SourceID { return claims[i].Source }, cmp.Compare[model.SourceID])
-	c.objects, c.objIdx, c.claimObj, g.obj.fwd = internColumn(prev.objects, prev.objIdx, prev.claimObj, n, room, owned,
+	c.objects, c.claimObj, g.obj.fwd = internColumn(prev.objects, prev.claimObj, n, room, owned,
 		func(i int) model.ObjectID { return claims[i].Object }, compareObjects)
-	c.values, c.valIdx, c.claimVal, g.val.fwd = internColumn(prev.values, prev.valIdx, prev.claimVal, n, room, owned,
+	c.values, c.claimVal, g.val.fwd = internColumn(prev.values, prev.claimVal, n, room, owned,
 		func(i int) string { return claims[i].Value }, cmp.Compare[string])
 	g.src.inv = invert(g.src.fwd, len(c.sources))
 	g.obj.inv = invert(g.obj.fwd, len(c.objects))
@@ -200,16 +196,16 @@ func compareObjects(a, b model.ObjectID) int {
 }
 
 // internColumn extends the predecessor's id column prevCol to n claims,
-// resolving key(i) to its dense id for every claim past it against the sorted
-// table tab and its index map, and returns the table, the map, the column
-// and the table's growth. When no key is new the table and map are the
-// predecessor's, shared; otherwise they are fresh — the inputs are never
-// written — and every id is renumbered. The column is prevCol's own array
-// when the caller owns its tail and it has the room, and a fresh one of
-// capacity room otherwise; prevCol's first len(prevCol) ids are never
+// resolving key(i) to its dense id for every claim past it by binary search
+// over the sorted table tab, and returns the table, the column and the
+// table's growth. When no key is new the table is the predecessor's, shared;
+// otherwise the new keys, sorted, are merged into a fresh one — the inputs
+// are never written — and every id is renumbered. The column is prevCol's
+// own array when the caller owns its tail and it has the room, and a fresh
+// one of capacity room otherwise; prevCol's first len(prevCol) ids are never
 // written either way.
-func internColumn[K comparable](tab []K, idx map[K]int32, prevCol []int32, n, room int, owned bool,
-	key func(int) K, compare func(a, b K) int) ([]K, map[K]int32, []int32, []int32) {
+func internColumn[K comparable](tab []K, prevCol []int32, n, room int, owned bool,
+	key func(int) K, compare func(a, b K) int) ([]K, []int32, []int32) {
 	inPlace := owned && n <= cap(prevCol)
 	var col []int32
 	if inPlace {
@@ -218,35 +214,42 @@ func internColumn[K comparable](tab []K, idx map[K]int32, prevCol []int32, n, ro
 		col = make([]int32, n, room)
 		copy(col, prevCol)
 	}
+	fresh := make(map[K]int32) // a key tab lacks → its provisional id, len(tab) up
 	var added []K
 	for i := len(prevCol); i < n; i++ {
 		k := key(i)
-		id, ok := idx[k]
+		if id, ok := slices.BinarySearchFunc(tab, k, compare); ok {
+			col[i] = int32(id)
+			continue
+		}
+		pid, ok := fresh[k]
 		if !ok {
-			if added == nil {
-				shared := idx
-				idx = make(map[K]int32, len(shared)+1)
-				for k, id := range shared {
-					idx[k] = id
-				}
-			}
-			id = int32(len(tab) + len(added)) // provisional, until the merge below
-			idx[k] = id
+			pid = int32(len(tab) + len(added))
+			fresh[k] = pid
 			added = append(added, k)
 		}
-		col[i] = id
+		col[i] = pid
 	}
 	if added == nil {
-		return tab, idx, col, nil
+		return tab, col, nil
 	}
-	// Ids so far are positions in tab+added; sorted, each key's new position
-	// is its final id.
-	merged := append(slices.Clone(tab), added...)
-	slices.SortFunc(merged, compare)
+	// Merge the sorted additions into tab: an old entry moves up by those
+	// ahead of it, and remap takes an old or provisional id to its place.
+	slices.SortFunc(added, compare)
+	merged := make([]K, len(tab)+len(added))
 	remap := make([]int32, len(merged))
-	for at, k := range merged {
-		remap[idx[k]] = int32(at)
+	old := 0
+	carry := func(to, shift int) {
+		for ; old < to; old++ {
+			merged[old+shift], remap[old] = tab[old], int32(old+shift)
+		}
 	}
+	for j, k := range added {
+		at, _ := slices.BinarySearchFunc(tab, k, compare)
+		carry(at, j)
+		merged[at+j], remap[fresh[k]] = k, int32(at+j)
+	}
+	carry(len(tab), len(added))
 	renumbered := col
 	if inPlace {
 		renumbered = make([]int32, n, room)
@@ -254,10 +257,7 @@ func internColumn[K comparable](tab []K, idx map[K]int32, prevCol []int32, n, ro
 	for i, id := range col {
 		renumbered[i] = remap[id]
 	}
-	for k, id := range idx {
-		idx[k] = remap[id]
-	}
-	return merged, idx, renumbered, remap[:len(tab)]
+	return merged, renumbered, remap[:len(tab)]
 }
 
 // bucketSort stably reorders the claim indexes in — the claims from first on,
@@ -650,22 +650,25 @@ func (c *Compiled) SourceIDs() []model.SourceID { return c.sources }
 // ObjectIDs returns the sorted object table, shared: treat it as read-only.
 func (c *Compiled) ObjectIDs() []model.ObjectID { return c.objects }
 
-// SourceIndex returns the dense index of s.
+// SourceIndex returns the dense index of s, or (0, false).
 func (c *Compiled) SourceIndex(s model.SourceID) (int32, bool) {
-	i, ok := c.srcIdx[s]
-	return i, ok
+	return lookup(c.sources, s, cmp.Compare)
 }
 
-// ObjectIndex returns the dense index of o.
+// ObjectIndex returns the dense index of o, or (0, false).
 func (c *Compiled) ObjectIndex(o model.ObjectID) (int32, bool) {
-	i, ok := c.objIdx[o]
-	return i, ok
+	return lookup(c.objects, o, compareObjects)
 }
 
-// ValueIndex returns the dense index of value v.
-func (c *Compiled) ValueIndex(v string) (int32, bool) {
-	i, ok := c.valIdx[v]
-	return i, ok
+// ValueIndex returns the dense index of value v, or (0, false).
+func (c *Compiled) ValueIndex(v string) (int32, bool) { return lookup(c.values, v, cmp.Compare) }
+
+// lookup finds k in a sorted table by binary search: its index, or (0, false).
+func lookup[K any](tab []K, k K, compare func(a, b K) int) (int32, bool) {
+	if i, ok := slices.BinarySearchFunc(tab, k, compare); ok {
+		return int32(i), true
+	}
+	return 0, false
 }
 
 // ClaimOf returns the position in the per-source claim arrays (SrcObj,

@@ -455,13 +455,15 @@ func compileMaps(d *mapIndex) *Compiled {
 		sources: d.sources,
 		objects: d.objects,
 	}
-	c.srcIdx = make(map[model.SourceID]int32, len(c.sources))
-	for i, s := range c.sources {
-		c.srcIdx[s] = int32(i)
+	ix := mapIDs{
+		src: make(map[model.SourceID]int32, len(c.sources)),
+		obj: make(map[model.ObjectID]int32, len(c.objects)),
 	}
-	c.objIdx = make(map[model.ObjectID]int32, len(c.objects))
+	for i, s := range c.sources {
+		ix.src[s] = int32(i)
+	}
 	for i, o := range c.objects {
-		c.objIdx[o] = int32(i)
+		ix.obj[o] = int32(i)
 	}
 
 	// Intern every claim value, sorted so index order == string order.
@@ -474,21 +476,29 @@ func compileMaps(d *mapIndex) *Compiled {
 		c.values = append(c.values, v)
 	}
 	sort.Strings(c.values)
-	c.valIdx = make(map[string]int32, len(c.values))
+	ix.val = make(map[string]int32, len(c.values))
 	for i, v := range c.values {
-		c.valIdx[v] = int32(i)
+		ix.val[v] = int32(i)
 	}
 
-	c.buildGroupsMaps(d)
-	c.buildSourceClaimsMaps(d)
-	c.buildSpansMaps(d)
+	c.buildGroupsMaps(d, ix)
+	c.buildSourceClaimsMaps(d, ix)
+	c.buildSpansMaps(d, ix)
 	return c
+}
+
+// mapIDs maps each entry of the three tables to its id, the oracle's own
+// lookups.
+type mapIDs struct {
+	src map[model.SourceID]int32
+	obj map[model.ObjectID]int32
+	val map[string]int32
 }
 
 // buildGroups lays out the per-object candidate value groups. ValuesFor
 // already returns groups in sorted-value order with deduped ascending
 // sources, which is exactly the canonical order the solvers iterate in.
-func (c *Compiled) buildGroupsMaps(d *mapIndex) {
+func (c *Compiled) buildGroupsMaps(d *mapIndex, ix mapIDs) {
 	c.GroupStart = make([]int32, len(c.objects)+1)
 	c.GroupSrcStart = append(c.GroupSrcStart, 0)
 	for oi, o := range c.objects {
@@ -497,9 +507,9 @@ func (c *Compiled) buildGroupsMaps(d *mapIndex) {
 			c.maxGroups = len(groups)
 		}
 		for _, g := range groups {
-			c.GroupValue = append(c.GroupValue, c.valIdx[g.Value])
+			c.GroupValue = append(c.GroupValue, ix.val[g.Value])
 			for _, s := range g.Sources {
-				c.GroupSrc = append(c.GroupSrc, c.srcIdx[s])
+				c.GroupSrc = append(c.GroupSrc, ix.src[s])
 			}
 			c.GroupSrcStart = append(c.GroupSrcStart, int32(len(c.GroupSrc)))
 		}
@@ -512,7 +522,7 @@ func (c *Compiled) buildGroupsMaps(d *mapIndex) {
 // order fills every source's exactly-sized region in ascending-object
 // order — the same layout as iterating each source's sorted object list,
 // without re-sorting per source.
-func (c *Compiled) buildSourceClaimsMaps(d *mapIndex) {
+func (c *Compiled) buildSourceClaimsMaps(d *mapIndex, ix mapIDs) {
 	nS := len(c.sources)
 	c.SrcStart = make([]int32, nS+1)
 	for si, s := range c.sources {
@@ -535,8 +545,8 @@ func (c *Compiled) buildSourceClaimsMaps(d *mapIndex) {
 				continue
 			}
 			last, haveLast = s, true
-			si := c.srcIdx[s]
-			vi := c.valIdx[d.valueOf[s][o]]
+			si := ix.src[s]
+			vi := ix.val[d.valueOf[s][o]]
 			k := cursor[si]
 			cursor[si]++
 			c.SrcObj[k] = int32(oi)
@@ -558,7 +568,7 @@ func (c *Compiled) findGroupMaps(oi, vi int32) int32 {
 // buildSpans collapses each source's update trace into per-(object, value)
 // first/last assertion spans, sorted by packed key, and tallies how many
 // sources ever make each assertion (the temporal rarity denominator).
-func (c *Compiled) buildSpansMaps(d *mapIndex) {
+func (c *Compiled) buildSpansMaps(d *mapIndex, ix mapIDs) {
 	c.SpanStart = make([]int32, len(c.sources)+1)
 	pop := map[int64]int32{}
 	type span struct{ first, last model.Time }
@@ -569,7 +579,7 @@ func (c *Compiled) buildSpansMaps(d *mapIndex) {
 			if !cl.HasTime {
 				continue
 			}
-			key := int64(c.objIdx[cl.Object])<<32 | int64(c.valIdx[cl.Value])
+			key := int64(ix.obj[cl.Object])<<32 | int64(ix.val[cl.Value])
 			sp, ok := spans[key]
 			if !ok {
 				spans[key] = span{first: cl.Time, last: cl.Time}

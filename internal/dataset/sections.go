@@ -359,14 +359,13 @@ func (c *Compiled) readTables(m *snapio.Container) error {
 	for i := range c.values {
 		c.values[i] = at(valOff, i)
 	}
-	var err error
-	if c.srcIdx, err = indexTable("source", c.sources, cmp.Compare[model.SourceID]); err != nil {
+	if err := ascending("source", c.sources, cmp.Compare[model.SourceID]); err != nil {
 		return err
 	}
-	if c.objIdx, err = indexTable("object", c.objects, compareObjects); err != nil {
+	if err := ascending("object", c.objects, compareObjects); err != nil {
 		return err
 	}
-	if c.valIdx, err = indexTable("value", c.values, cmp.Compare[string]); err != nil {
+	if err := ascending("value", c.values, cmp.Compare[string]); err != nil {
 		return err
 	}
 	// The empty string sorts first: a claim's source and entity must not be.
@@ -376,16 +375,14 @@ func (c *Compiled) readTables(m *snapio.Container) error {
 	return nil
 }
 
-// indexTable maps each entry of a strictly ascending table to its id.
-func indexTable[K comparable](name string, tab []K, compare func(a, b K) int) (map[K]int32, error) {
-	idx := make(map[K]int32, len(tab))
-	for i, k := range tab {
-		if i > 0 && compare(tab[i-1], k) >= 0 {
-			return nil, secErr("%s table not strictly ascending at %d", name, i)
+// ascending checks that a table is strictly ascending, as lookups assume.
+func ascending[K any](name string, tab []K, compare func(a, b K) int) error {
+	for i := 1; i < len(tab); i++ {
+		if compare(tab[i-1], tab[i]) >= 0 {
+			return secErr("%s table not strictly ascending at %d", name, i)
 		}
-		idx[k] = int32(i)
 	}
-	return idx, nil
+	return nil
 }
 
 // unnamed returns the first id in [0, n) that ids does not hold, or -1.
