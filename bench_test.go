@@ -186,15 +186,18 @@ func BenchmarkDetect(b *testing.B) {
 // configuration, on one worker) to what it allocated before the flat solve
 // became the incremental one started from nothing: the predecessor
 // bookkeeping — dirty sets, kept-pair table, merged pair slice — must cost a
-// flat solve nothing. The ceilings were lowered three times since (337 /
+// flat solve nothing. The ceilings were lowered four times since (337 /
 // 6.26 MB, 317 / 69.1 MB, 316 / 345 MB, then 285, 247, 231 allocations, then
-// 276, 238, 222): the overlap arrays reserve by doubling, and that pays
-// several times over for the pair records a solve now keeps next to the named
-// pairs of its Result; the workers' scratch is allocated once per solve
-// instead of once per round and step, which pays for the discount kernel's
-// two rank arrays and two more scratch slices; and the Result view reads its
-// directional posteriors off the state's pair records, so it no longer builds
-// a second source×source table (2 allocations and ≥ 8·S² bytes fewer).
+// 276, 238, 222, then 265 / 2.77 MB, 227 / 48.8 MB, 211 / 251.5 MB): the
+// overlap arrays reserve by doubling, and that pays several times over for
+// the pair records a solve now keeps next to the named pairs of its Result;
+// the workers' scratch is allocated once per solve instead of once per round
+// and step, which pays for the discount kernel's two rank arrays and two more
+// scratch slices; the Result view reads its directional posteriors off the
+// state's pair records, so it no longer builds a second source×source table
+// (2 allocations and ≥ 8·S² bytes fewer); and a candidate stores one int32
+// per agreeing shared object instead of three per shared object, so the one
+// overlap array left is a fraction of the three and regrows fewer times.
 // Allocation counts are exact; bytes get 0.1% for runtime noise, a third of
 // the smallest table that could creep back in, and are the least of three
 // runs: TotalAlloc is process-wide, so whatever the runtime allocates in the
@@ -205,9 +208,9 @@ func TestDetectFlatAllocs(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ceilings := map[int]struct{ allocs, bytes float64 }{
-		50:  {265, 2766896},
-		200: {227, 48844304},
-		500: {211, 251544752},
+		50:  {247, 1197664},
+		200: {198, 12502560},
+		500: {178, 71938432},
 	}
 	for _, sz := range benchSizes {
 		if testing.Short() && !sz.short {
@@ -514,9 +517,11 @@ func BenchmarkAppendMid(b *testing.B) {
 // With the claim log and the id columns extended where they lie it is 14.6 MB,
 // the dataset stage 0.6 of it (seven sources over all 30 objects name every
 // object's row, so every row is merged; what is saved is the log's copy).
-// An object-major one rescores every pair, then (351 MB) as now (237 MB, the
-// overlap arrays no longer regrown a quarter at a time). Each ceiling is the
-// median plus a tenth.
+// The pair's overlap stored as one int32 per agreeing shared object instead
+// of three per shared object took it to 13.0 MB. An object-major one rescores
+// every pair, then (351 MB), later (237 MB, the overlap arrays no longer
+// regrown a quarter at a time) as now (57.8 MB, the one overlap array a
+// quarter of the three). Each ceiling is the median plus a tenth.
 func TestAppendWideBytes(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation sizes differ under -race")
@@ -527,7 +532,7 @@ func TestAppendWideBytes(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s := wideSession(t)
 	batches := wideAppendBatches(s.Dataset())
-	for shape, ceiling := range map[string]uint64{"src_major": 16e6, "obj_major": 261e6} {
+	for shape, ceiling := range map[string]uint64{"src_major": 14.3e6, "obj_major": 63.5e6} {
 		batch := batches[shape]
 		cur, err := s.Append(batch)
 		if err != nil {

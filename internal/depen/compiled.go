@@ -1,8 +1,10 @@
 // Dense (compiled-index) building blocks of the ACCUCOPY loop in refine.go.
 //
 // They re-express the map reference (detectMaps, in reference_test.go) over
-// dataset.Compiled: candidate overlaps become flat int32 slices built by
-// merge-joining the per-source claim lists, the directional posteriors
+// dataset.Compiled: a candidate's overlap becomes its shared-object count
+// plus a slice of one flat int32 array of the value groups its members
+// agree on, built by merge-joining the per-source claim lists (a
+// disagreement only adds to kd, counted once), the directional posteriors
 // become a flat source×source table, and the per-object discount factors
 // come from one ranking of the sources per round and a column-wise product
 // per value group. Iteration, summation and product orders match the
@@ -18,19 +20,19 @@ import (
 	"sourcecurrents/internal/truth"
 )
 
-// pairCand is one candidate pair with its overlap stored as a slice
-// [off, off+n) of the shared flat overlap arrays.
+// pairCand is one candidate pair: its n shared objects, and the same of
+// them on which both members assert one value, stored as the overlap slice
+// [off, off+same).
 type pairCand struct {
 	a, b   int32
 	off, n int32
 	same   int32
 }
 
-// overlaps holds every candidate's shared objects in three parallel flat
-// arrays: the object index and each member's global value-group index.
-type overlaps struct {
-	obj, ag, bg []int32
-}
+// overlaps holds every candidate's agreeing shared objects, ascending, as
+// the global value group both members assert: all a pair's score reads of
+// them. A disagreeing shared object only counts, in n − same.
+type overlaps []int32
 
 // depenScratch is one worker's buffers for both the per-object truth step
 // (score + discount factors) and the per-pair Bayes step.
@@ -67,16 +69,14 @@ func buildCandidates(c *dataset.Compiled, minShared int, dirtySrc []bool) ([]pai
 			bi, be := c.SrcStart[j], c.SrcStart[j+1]
 			// Make room for the pair's largest possible overlap before the
 			// join, doubling: append's own growth (a quarter at a time at
-			// this size) reallocates the three arrays some forty times over
-			// a many-source solve, four times the bytes they end at.
-			if need := int(min(ae-ai, be-bi)); cap(ov.obj)-len(ov.obj) < need {
-				need = max(need, cap(ov.obj))
-				ov.obj = slices.Grow(ov.obj, need)
-				ov.ag = slices.Grow(ov.ag, need)
-				ov.bg = slices.Grow(ov.bg, need)
+			// this size) reallocates the array 37 times over the 500-source
+			// wide solve, 52 MB for the 10 MB it ends at; doubling, 15
+			// times and 28 MB.
+			if need := int(min(ae-ai, be-bi)); cap(ov)-len(ov) < need {
+				ov = slices.Grow(ov, max(need, cap(ov)))
 			}
-			off := int32(len(ov.obj))
-			var same int32
+			off := int32(len(ov))
+			var n int32
 			p, q := ai, bi
 			for p < ae && q < be {
 				switch {
@@ -85,24 +85,19 @@ func buildCandidates(c *dataset.Compiled, minShared int, dirtySrc []bool) ([]pai
 				case c.SrcObj[p] > c.SrcObj[q]:
 					q++
 				default:
-					ov.obj = append(ov.obj, c.SrcObj[p])
-					ov.ag = append(ov.ag, c.SrcGroup[p])
-					ov.bg = append(ov.bg, c.SrcGroup[q])
+					n++
 					if c.SrcGroup[p] == c.SrcGroup[q] {
-						same++
+						ov = append(ov, c.SrcGroup[p])
 					}
 					p++
 					q++
 				}
 			}
-			n := int32(len(ov.obj)) - off
 			if int(n) < minShared {
-				ov.obj = ov.obj[:off]
-				ov.ag = ov.ag[:off]
-				ov.bg = ov.bg[:off]
+				ov = ov[:off]
 				continue
 			}
-			cands = append(cands, pairCand{a: int32(i), b: int32(j), off: off, n: n, same: same})
+			cands = append(cands, pairCand{a: int32(i), b: int32(j), off: off, n: n, same: int32(len(ov)) - off})
 		}
 	}
 	return cands, ov
@@ -195,22 +190,19 @@ func scoreObjectDiscounted(solver *truth.DenseSolver, oi int, weights []float64,
 	return scores
 }
 
-// scorePairDense accumulates one candidate's evidence from the flat overlap
-// slices (shared objects ascending, as in the reference path) and applies
-// the three-hypothesis Bayes step.
+// scorePairDense accumulates one candidate's evidence — kt and kf over its
+// agreeing shared objects, ascending as in the reference path, and kd, the
+// count of the rest — and applies the three-hypothesis Bayes step.
 func scorePairDense(solver *truth.DenseSolver, cand pairCand,
 	ov overlaps, probs, acc []float64, cfg Config, logPrior [3]float64,
 	sc *depenScratch) pairRec {
-	var kt, kf, kd float64
-	for e := cand.off; e < cand.off+cand.n; e++ {
-		if ov.ag[e] != ov.bg[e] {
-			kd++
-			continue
-		}
-		p := solver.ClassMass(probs, int(ov.obj[e]), ov.ag[e])
+	var kt, kf float64
+	for _, g := range ov[cand.off : cand.off+cand.same] {
+		p := solver.ClassMass(probs, g)
 		kt += p
 		kf += 1 - p
 	}
+	kd := float64(cand.n - cand.same)
 	li, lab, lba := pairHypotheses(kt, kf, kd, acc[cand.a], acc[cand.b],
 		cfg.CopyRate, cfg.Truth.N)
 	sc.logs[0] = li + logPrior[0]

@@ -100,6 +100,156 @@ func TestFillFactorsMatchOracle(t *testing.T) {
 	}
 }
 
+// TestCandidatesMatchJoin holds buildCandidates' layout to a brute-force
+// join of every pair through the dataset's by-name accessors, on seeded
+// ragged worlds (sources claiming from a handful to every object, values
+// from a small pool, so agreement is mixed), with every source dirty and
+// with a random part of them: each candidate's n and same, its stored value
+// groups object by object, and no pair below MinShared. Two planted sources
+// share every object and agree on none: their pair is kept with no entries
+// and scores kd == n with kt and kf +0 bit for bit.
+//
+// On the same worlds it holds ClassMass's group-to-object lookup, under a
+// ValueSim and with Known labels no source asserts, to truth.ClassMass over
+// the explicit object's values, for every group of every object.
+func TestCandidatesMatchJoin(t *testing.T) {
+	sim := func(a, b string) float64 { return 0.25 + 0.5*float64(len(a)%2+len(b)%2)/2 }
+	dropped := 0
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nS, nO := 6+rng.Intn(20), 4+rng.Intn(30)
+		var claims []model.Claim
+		obj := func(k int) model.ObjectID {
+			return model.ObjectID{Entity: fmt.Sprintf("e%02d", k), Attribute: "a"}
+		}
+		for k := 0; k < nO; k++ {
+			claims = append(claims,
+				model.NewClaim("D0", obj(k), fmt.Sprintf("d0-%d", k)),
+				model.NewClaim("D1", obj(k), fmt.Sprintf("d1-%d", k)))
+		}
+		for i := 0; i < nS; i++ {
+			share := rng.Float64()
+			for k := 0; k < nO; k++ {
+				if rng.Float64() < share {
+					v := fmt.Sprintf("v%d", rng.Intn(1+rng.Intn(4)))
+					claims = append(claims, model.NewClaim(model.SourceID(fmt.Sprintf("S%02d", i)), obj(k), v))
+				}
+			}
+		}
+		d, err := dataset.FromClaims(claims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := d.Compiled()
+		nS, nO = c.NumSources(), c.NumObjects()
+
+		cfg := DefaultConfig()
+		cfg.MinShared = 1 + rng.Intn(4)
+		cfg.Truth.ValueSim = sim
+		cfg.Truth.Known = map[model.ObjectID]string{obj(0): "unseen", obj(nO - 1): "v0"}
+		simSolver := truth.NewDenseSolver(c, cfg.Truth)
+		solver := truth.NewDenseSolver(c, DefaultConfig().Truth)
+		probs := make([]float64, len(c.GroupValue))
+		for g := range probs {
+			probs[g] = rng.Float64()
+		}
+		acc := make([]float64, nS)
+		for i := range acc {
+			acc[i] = 0.3 + 0.6*rng.Float64()
+		}
+		logPrior := [3]float64{math.Log(1 - cfg.Alpha), math.Log(cfg.Alpha / 2), math.Log(cfg.Alpha / 2)}
+		sc := newDepenScratch(solver)
+
+		groupOf := func(oi int, v string) int32 {
+			for g := c.GroupStart[oi]; g < c.GroupStart[oi+1]; g++ {
+				if c.Value(int(c.GroupValue[g])) == v {
+					return g
+				}
+			}
+			t.Fatalf("seed %d: object %d has no group %q", seed, oi, v)
+			return -1
+		}
+		for _, partial := range []bool{false, true} {
+			var dirtySrc []bool
+			if partial {
+				dirtySrc = make([]bool, nS)
+				for i := range dirtySrc {
+					dirtySrc[i] = rng.Intn(3) == 0
+				}
+			}
+			what := fmt.Sprintf("seed %d, partial %v", seed, partial)
+			cands, ov := buildCandidates(c, cfg.MinShared, dirtySrc)
+			next, disagree := 0, 0
+			for i := 0; i < nS; i++ {
+				for j := i + 1; j < nS; j++ {
+					if dirtySrc != nil && !dirtySrc[i] && !dirtySrc[j] {
+						continue
+					}
+					var n int32
+					var groups []int32
+					for oi := 0; oi < nO; oi++ {
+						va, okA := d.Value(c.Source(i), c.Object(oi))
+						vb, okB := d.Value(c.Source(j), c.Object(oi))
+						if !okA || !okB {
+							continue
+						}
+						n++
+						if va == vb {
+							groups = append(groups, groupOf(oi, va))
+						}
+					}
+					if int(n) < cfg.MinShared {
+						if n > 0 {
+							dropped++
+						}
+						continue
+					}
+					if next == len(cands) {
+						t.Fatalf("%s: pair (%d, %d) missing: %d candidates", what, i, j, len(cands))
+					}
+					cand := cands[next]
+					next++
+					got := ov[cand.off : cand.off+cand.same]
+					if cand.a != int32(i) || cand.b != int32(j) || cand.n != n || int(cand.same) != len(groups) || !slices.Equal(got, groups) {
+						t.Fatalf("%s: candidate %+v (groups %v), join (%d, %d) n=%d groups %v",
+							what, cand, got, i, j, n, groups)
+					}
+					rec := scorePairDense(solver, cand, ov, probs, acc, cfg, logPrior, sc)
+					if rec.kd != float64(n)-float64(len(groups)) {
+						t.Fatalf("%s: pair (%d, %d) kd = %v, want %d", what, i, j, rec.kd, int(n)-len(groups))
+					}
+					if len(groups) == 0 {
+						disagree++
+						if math.Float64bits(rec.kt) != 0 || math.Float64bits(rec.kf) != 0 {
+							t.Fatalf("%s: all-disagreeing pair (%d, %d) kt = %v, kf = %v, want +0", what, i, j, rec.kt, rec.kf)
+						}
+					}
+				}
+			}
+			if next != len(cands) {
+				t.Fatalf("%s: %d candidates, the join keeps %d", what, len(cands), next)
+			}
+			if !partial && disagree == 0 {
+				t.Fatalf("%s: the planted all-disagreeing pair was not kept", what)
+			}
+		}
+
+		for oi := 0; oi < nO; oi++ {
+			row := map[string]float64{}
+			simSolver.EachValue(probs, oi, func(v string, p float64) { row[v] = p })
+			for g := c.GroupStart[oi]; g < c.GroupStart[oi+1]; g++ {
+				want := truth.ClassMass(row, c.Value(int(c.GroupValue[g])), sim)
+				if got := simSolver.ClassMass(probs, g); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %d: ClassMass of group %d = %v, over its object %d's values %v", seed, g, got, oi, want)
+				}
+			}
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("no pair of any world shared fewer objects than MinShared")
+	}
+}
+
 // checkDense asserts what the discount kernel leans on in a state: the
 // totals table is symmetric bit for bit (the kernel reads the transposed
 // cell), and every accuracy is finite (rankSources' order is total).

@@ -981,10 +981,14 @@ func TestSnapshotTimedClaimsRoundTrip(t *testing.T) {
 // TestSnapshotLoadBeatsBuild pins what the cold-start win consists of: a
 // load runs no discovery and re-interns no claim — it builds the dataset over
 // the stored tables, takes the state's vectors and pair records as they lie
-// and derives the totals table — and so allocates under a tenth of the bytes
-// a build from raw claims does, read from a file or from a stream (either
-// way the load holds the file). (How
-// much faster that makes it is BenchmarkSnapshotLoad against
+// and derives the totals table — read from a file or from a stream (either
+// way the load holds the file). Two checks hold it there: the load's bytes
+// stay under a ceiling, its measured 13.5 MB plus a tenth; and a build from
+// raw claims allocates at least three times what the load does, which a load
+// that solved could not (it would allocate the solve's bytes on top of its
+// own). The build allocated 239 MB, and the ratio was held at 10×, until a
+// candidate pair stored only its agreeing shared objects; it is 60 MB, 4.4×
+// the load. (How much faster that makes it is BenchmarkSnapshotLoad against
 // BenchmarkSessionBuild; a wall-clock ratio is not something a loaded box,
 // or -race, lets a test assert.)
 func TestSnapshotLoadBeatsBuild(t *testing.T) {
@@ -1042,13 +1046,13 @@ func TestSnapshotLoadBeatsBuild(t *testing.T) {
 			t.Fatal("a built session carries no solved state")
 		}
 	})
+	const loadCeiling, buildOverLoad = 14.9e6, 3
 	for _, path := range []struct {
-		name  string
-		under uint64 // the load allocates under build/under bytes
-		load  func() (*Session, error)
+		name string
+		load func() (*Session, error)
 	}{
-		{"file", 10, func() (*Session, error) { return LoadSnapshotFile(path, cfg) }},
-		{"read", 10, func() (*Session, error) { return LoadSnapshot(bytes.NewReader(raw), cfg) }},
+		{"file", func() (*Session, error) { return LoadSnapshotFile(path, cfg) }},
+		{"read", func() (*Session, error) { return LoadSnapshot(bytes.NewReader(raw), cfg) }},
 	} {
 		var loaded *Session
 		load := allocated(func() {
@@ -1059,8 +1063,11 @@ func TestSnapshotLoadBeatsBuild(t *testing.T) {
 		if loaded.d == nil || loaded.d.Len() != d.Len() {
 			t.Fatalf("%s: the load did not build the dataset", path.name)
 		}
-		if load*path.under > build {
-			t.Fatalf("%s: the load allocated %d bytes, NewSession %d: not under 1/%d", path.name, load, build, path.under)
+		if load > loadCeiling {
+			t.Fatalf("%s: the load allocated %d bytes, ceiling %.0f", path.name, load, loadCeiling)
+		}
+		if load*buildOverLoad > build {
+			t.Fatalf("%s: the load allocated %d bytes, NewSession %d: not under 1/%d", path.name, load, build, buildOverLoad)
 		}
 		t.Logf("%s: build %d bytes, load %d bytes (%.1fx)", path.name, build, load, float64(build)/float64(load))
 	}

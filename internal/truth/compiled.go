@@ -10,6 +10,8 @@
 package truth
 
 import (
+	"slices"
+
 	"sourcecurrents/internal/dataset"
 	"sourcecurrents/internal/model"
 	"sourcecurrents/internal/stats"
@@ -190,13 +192,17 @@ func (s *DenseSolver) FinishObject(oi int, scores, row []float64, sc *DenseScrat
 }
 
 // ClassMass is truth.ClassMass over the dense representation: the posterior
-// mass of global group g's similarity class on object oi, walking the
-// candidates (and any Known extra value) in sorted-value order.
-func (s *DenseSolver) ClassMass(probs []float64, oi int, g int32) float64 {
+// mass of global group g's similarity class on its object, walking the
+// object's candidates (and any Known extra value) in sorted-value order.
+// Without a ValueSim it is probs[g], and the object is never looked up.
+func (s *DenseSolver) ClassMass(probs []float64, g int32) float64 {
 	sim := s.cfg.ValueSim
 	if sim == nil {
 		return probs[g]
 	}
+	// g's object is the last whose groups start at or before it.
+	oi, _ := slices.BinarySearch(s.c.GroupStart, g+1)
+	oi--
 	v := s.c.Value(int(s.c.GroupValue[g]))
 	var mass float64
 	s.EachValue(probs, oi, func(u string, p float64) {
@@ -227,7 +233,7 @@ func (s *DenseSolver) UpdateAccuracy(probs, next []float64) {
 		start, end := c.SrcStart[si], c.SrcStart[si+1]
 		var sum float64
 		for k := start; k < end; k++ {
-			sum += s.ClassMass(probs, int(c.SrcObj[k]), c.SrcGroup[k])
+			sum += s.ClassMass(probs, c.SrcGroup[k])
 		}
 		cnt := float64(end - start)
 		next[si] = stats.ClampProb((sum + s.cfg.PriorA) / (cnt + s.cfg.PriorA + s.cfg.PriorB))

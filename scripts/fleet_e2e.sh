@@ -255,7 +255,8 @@ echo "fleet_e2e: blackholed shard tripped its breaker (p99 ${P99}ms, zero failed
 "$BIN" append -addr "$ROUTER2" -dataset "$D2" internal/server/testdata/ci_claims.csv \
   2> "$WORK/chaos-append.txt"
 grep -q 'epoch 1' "$WORK/chaos-append.txt"
-curl -fs "$ROUTER2/metrics" | grep -q '^currents_replica_append_failures_total [1-9]'
+curl -fs "$ROUTER2/metrics" > "$WORK/chaos-metrics.txt"
+grep -q '^currents_replica_append_failures_total [1-9]' "$WORK/chaos-metrics.txt"
 for _ in $(seq 1 40); do
   curl -fs "$ROUTER2/metrics" > "$WORK/chaos-metrics.txt"
   grep -q "currents_replica_lag{dataset=\"$D2\",shard=\"$PA\"} 1" "$WORK/chaos-metrics.txt" && break
@@ -345,9 +346,11 @@ for f in delta-src delta-obj delta-new; do
   grep -q "epoch $N" "$WORK/$f.txt"
 done
 curl -fs "http://$DREPLICA/metrics" | grep "^currents_dataset_delta_appends_total{dataset=\"ci\"} $N\$"
-curl -fs "http://$DPRIMARY/metrics" | grep -q '^currents_dataset_delta_appends_total{dataset="ci"} 0$'
-curl -fs "$ROUTER3/metrics" | grep -q '^currents_router_replica_delta_bytes_total [1-9]'
-curl -fs "$ROUTER3/metrics" | grep -q '^currents_replica_append_failures_total 0$'
+curl -fs "http://$DPRIMARY/metrics" > "$WORK/delta-primary-metrics.txt"
+grep -q '^currents_dataset_delta_appends_total{dataset="ci"} 0$' "$WORK/delta-primary-metrics.txt"
+curl -fs "$ROUTER3/metrics" > "$WORK/delta-router-metrics.txt"
+grep -q '^currents_router_replica_delta_bytes_total [1-9]' "$WORK/delta-router-metrics.txt"
+grep -q '^currents_replica_append_failures_total 0$' "$WORK/delta-router-metrics.txt"
 for e in $(seq 1 "$N"); do
   seg="$(printf 'ci.%06d.seg' "$e")"
   cmp "$WORK/d/$DPRIMARY/$seg" "$WORK/d/$DREPLICA/$seg"
