@@ -1,20 +1,22 @@
-// Section codec for a frozen dataset: its compiled columnar view and its
-// claim log, as a session snapshot container holds them.
+// Section codec for a frozen dataset: what a session snapshot container
+// holds of it.
 //
-// The write side lays every dense table of a Compiled into sections of a
-// snapio container in its exact in-memory layout (int32/int64 tables cast
-// to bytes, strings concatenated into one blob indexed by offset tables),
-// and the claim log as id columns into those tables. The read side
-// (FromSections) builds the heap Dataset a Freeze builds: it takes the three
-// interning tables and the log's id columns from the file, lays out the rest
-// with the builder Freeze and Append share, and requires the stored tables
-// to be exactly what that builder laid out. One equality stands in for a
-// structural check per table, and what opens is a dataset like any other.
+// A snapshot stores only what the dataset cannot derive: the three interning
+// tables, as one string blob indexed by offset tables, and the claim log as
+// int32 id columns into them with its epoch bounds — time and probability
+// columns only when some claim needs them — sealed by one IEEE CRC32 over
+// those sections. Every other table of the compiled index is laid out at open
+// by the builder Freeze and Append share. The read side (FromSections) checks
+// the CRC first and then the structure of everything it takes, since a file
+// whose CRC holds is still outside input, and builds the heap Dataset a Freeze
+// builds.
 package dataset
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"slices"
 	"unsafe"
@@ -23,26 +25,13 @@ import (
 	"sourcecurrents/internal/snapio"
 )
 
-// Section ids for the compiled tables and the claim log inside a snapshot
-// container. Containers embedding a dataset (the session snapshot) reserve
-// ids below SecCompiledEnd for this codec and place their own sections above
-// it.
+// Section ids for the dataset inside a snapshot container. Containers
+// embedding a dataset (the session snapshot) reserve ids below SecDatasetEnd
+// for this codec and place their own sections above it.
 const (
-	SecGroupStart uint32 = iota + 1
-	SecGroupValue
-	SecGroupSrcStart
-	SecGroupSrc
-	SecSrcStart
-	SecSrcObj
-	SecSrcVal
-	SecSrcGroup
-	SecSpanStart
-	SecSpanKey
-	SecSpanFirst
-	SecSpanLast
-	SecPopKey
-	SecPopCount
-	SecStrBlob
+	// The interning tables: one string blob and the offsets of each table's
+	// strings in it.
+	SecStrBlob uint32 = iota + 1
 	SecSrcOff
 	SecObjOff
 	SecValOff
@@ -56,8 +45,11 @@ const (
 	SecLogTimed
 	SecLogProb
 
-	// SecCompiledEnd is the first id free for embedding containers.
-	SecCompiledEnd = 64
+	// SecLogSum holds logSum of the sections above, 4 bytes little-endian.
+	SecLogSum
+
+	// SecDatasetEnd is the first id free for embedding containers.
+	SecDatasetEnd = 64
 )
 
 // timeBytes views a []model.Time (defined as int64) as raw bytes.
@@ -76,11 +68,37 @@ func timesFromI64(v []int64) []model.Time {
 	return unsafe.Slice((*model.Time)(unsafe.Pointer(&v[0])), len(v))
 }
 
-// AppendSections adds every compiled table to w. The CSR slices are added
-// as aliasing views (zero copy); the three interning tables are flattened
-// into a fresh string blob plus offset tables, the one encode cost. An open
-// pays it too (FromSections), to compare what it laid out with what it read.
-func (c *Compiled) AppendSections(w *snapio.SectionWriter) error {
+// logSum is the IEEE CRC32 of the dataset's stored sections: the bytes of
+// every id from SecStrBlob up to SecLogSum that section reports present, in
+// id order. The write and the open both compute it.
+func logSum(section func(id uint32) ([]byte, bool)) uint32 {
+	var sum uint32
+	for id := SecStrBlob; id < SecLogSum; id++ {
+		if b, ok := section(id); ok {
+			sum = crc32.Update(sum, crc32.IEEETable, b)
+		}
+	}
+	return sum
+}
+
+// secErr builds an ErrCorrupt-classed validation error.
+func secErr(format string, args ...any) error {
+	return fmt.Errorf("%w: dataset sections: %s", snapio.ErrCorrupt, fmt.Sprintf(format, args...))
+}
+
+// AppendSections adds the frozen dataset to w, in id order: its interning
+// tables, flattened into a fresh string blob plus offset tables (the one
+// encode cost); its claim log — each claim's source, object and value as
+// int32 ids into those tables, and the epoch bounds; and their checksum
+// (logSum). A time column (int64, with a HasTime byte per claim) is added
+// only when some claim carries a time, a probability column (float64) only
+// when some claim's Prob is not 1: an absent column reads as HasTime false,
+// Time 0 and Prob 1. The id columns alias the index (zero copy).
+func (d *Dataset) AppendSections(w *snapio.SectionWriter) error {
+	if !d.frozen {
+		return fmt.Errorf("dataset: snapshot requires a frozen dataset")
+	}
+	c := d.cols
 	nS, nO, nV := c.NumSources(), c.NumObjects(), c.NumValues()
 	var total int
 	for i := 0; i < nS; i++ {
@@ -117,56 +135,20 @@ func (c *Compiled) AppendSections(w *snapio.SectionWriter) error {
 		blob = append(blob, c.Value(i)...)
 		valOff[i+1] = int32(len(blob))
 	}
-
-	w.Add(SecGroupStart, snapio.I32Bytes(c.GroupStart))
-	w.Add(SecGroupValue, snapio.I32Bytes(c.GroupValue))
-	w.Add(SecGroupSrcStart, snapio.I32Bytes(c.GroupSrcStart))
-	w.Add(SecGroupSrc, snapio.I32Bytes(c.GroupSrc))
-	w.Add(SecSrcStart, snapio.I32Bytes(c.SrcStart))
-	w.Add(SecSrcObj, snapio.I32Bytes(c.SrcObj))
-	w.Add(SecSrcVal, snapio.I32Bytes(c.SrcVal))
-	w.Add(SecSrcGroup, snapio.I32Bytes(c.SrcGroup))
-	w.Add(SecSpanStart, snapio.I32Bytes(c.SpanStart))
-	w.Add(SecSpanKey, snapio.I64Bytes(c.SpanKey))
-	w.Add(SecSpanFirst, timeBytes(c.SpanFirst))
-	w.Add(SecSpanLast, timeBytes(c.SpanLast))
-	w.Add(SecPopKey, snapio.I64Bytes(c.PopKey))
-	w.Add(SecPopCount, snapio.I32Bytes(c.PopCount))
-	w.Add(SecStrBlob, blob)
-	w.Add(SecSrcOff, snapio.I32Bytes(srcOff))
-	w.Add(SecObjOff, snapio.I32Bytes(objOff))
-	w.Add(SecValOff, snapio.I32Bytes(valOff))
-	return nil
-}
-
-// secErr builds an ErrCorrupt-classed validation error.
-func secErr(format string, args ...any) error {
-	return fmt.Errorf("%w: compiled sections: %s", snapio.ErrCorrupt, fmt.Sprintf(format, args...))
-}
-
-// AppendSections adds the frozen dataset to w: its compiled tables
-// (Compiled.AppendSections) and its claim log — each claim's source, object
-// and value as int32 ids into those tables, and the epoch bounds. A time
-// column (int64, with a HasTime byte per claim) is added only when some
-// claim carries a time, a probability column (float64) only when some
-// claim's Prob is not 1: an absent column reads as HasTime false, Time 0 and
-// Prob 1. The id columns alias the index (zero copy).
-func (d *Dataset) AppendSections(w *snapio.SectionWriter) error {
-	if !d.frozen {
-		return fmt.Errorf("dataset: snapshot requires a frozen dataset")
-	}
-	c := d.cols
-	if err := c.AppendSections(w); err != nil {
-		return err
-	}
-	w.Add(SecLogSrc, snapio.I32Bytes(c.claimSrc))
-	w.Add(SecLogObj, snapio.I32Bytes(c.claimObj))
-	w.Add(SecLogVal, snapio.I32Bytes(c.claimVal))
 	bounds := make([]int32, len(d.bounds))
 	for e, b := range d.bounds {
 		bounds[e] = int32(b)
 	}
-	w.Add(SecLogBounds, snapio.I32Bytes(bounds))
+	secs := map[uint32][]byte{
+		SecStrBlob:   blob,
+		SecSrcOff:    snapio.I32Bytes(srcOff),
+		SecObjOff:    snapio.I32Bytes(objOff),
+		SecValOff:    snapio.I32Bytes(valOff),
+		SecLogSrc:    snapio.I32Bytes(c.claimSrc),
+		SecLogObj:    snapio.I32Bytes(c.claimObj),
+		SecLogVal:    snapio.I32Bytes(c.claimVal),
+		SecLogBounds: snapio.I32Bytes(bounds),
+	}
 	n := len(d.claims)
 	if slices.ContainsFunc(d.claims, func(cl model.Claim) bool { return cl.HasTime || cl.Time != 0 }) {
 		times, timed := make([]model.Time, n), make([]byte, n)
@@ -176,32 +158,44 @@ func (d *Dataset) AppendSections(w *snapio.SectionWriter) error {
 				timed[i] = 1
 			}
 		}
-		w.Add(SecLogTime, timeBytes(times))
-		w.Add(SecLogTimed, timed)
+		secs[SecLogTime], secs[SecLogTimed] = timeBytes(times), timed
 	}
 	if slices.ContainsFunc(d.claims, func(cl model.Claim) bool { return cl.Prob != 1 }) {
 		probs := make([]float64, n)
 		for i := range d.claims {
 			probs[i] = d.claims[i].Prob
 		}
-		w.Add(SecLogProb, snapio.F64Bytes(probs))
+		secs[SecLogProb] = snapio.F64Bytes(probs)
 	}
+	section := func(id uint32) ([]byte, bool) { b, ok := secs[id]; return b, ok }
+	for id := SecStrBlob; id < SecLogSum; id++ {
+		if b, ok := section(id); ok {
+			w.Add(id, b)
+		}
+	}
+	w.Add(SecLogSum, binary.LittleEndian.AppendUint32(nil, logSum(section)))
 	return nil
 }
 
 // FromSections opens the dataset in m as a heap Dataset, the structure Freeze
-// and Append build. It checks the string offsets and the claim log — a
-// non-empty log whose columns are one length, ids in range of their tables,
-// epoch bounds ascending inside the log, HasTime bytes of 0 or 1,
-// probabilities in [0, 1] — and takes the three interning tables from the
-// file, each strictly ascending, with no empty source or entity and no entry
-// that no claim names: the tables a build over the claims interns. Over them
-// the per-claim id columns are the log's own, and everything else is laid out
-// by the code Freeze runs. The tables m stores beside the log must then be
-// exactly those (Compiled.AppendSections of the result reproduces each one
-// byte for byte), so a log that does not index to them fails here, as does
-// any damage to a stored table.
+// and Append build. It first requires the stored checksum to be logSum of the
+// sections it reads, then checks their structure: the string offsets, and
+// the claim log — a non-empty log whose columns are one length, ids in range
+// of their tables, epoch bounds ascending inside the log, HasTime bytes of 0
+// or 1, probabilities in [0, 1] — and takes the three interning tables from
+// the file, each strictly ascending, with no empty source or entity and no
+// entry that no claim names: the tables a build over the claims interns. Over
+// them the per-claim id columns are the log's own, and everything else is laid
+// out by the code Freeze runs. A file damaged after it was written fails the
+// checksum; one sealed over a log no build writes fails the structural checks.
 func FromSections(m *snapio.Container) (*Dataset, error) {
+	sum, ok := m.Section(SecLogSum)
+	if !ok || len(sum) != 4 {
+		return nil, secErr("checksum section missing or not 4 bytes")
+	}
+	if have, want := logSum(m.Section), binary.LittleEndian.Uint32(sum); have != want {
+		return nil, secErr("log and strings checksum %08x, stored %08x", have, want)
+	}
 	c := &Compiled{}
 	var bounds []int32
 	for _, col := range []struct {
@@ -283,13 +277,6 @@ func FromSections(m *snapio.Container) (*Dataset, error) {
 	c.buildSnapshotView(claims, noColumns, g)
 	c.buildSpans(claims, noColumns, g)
 
-	var sw snapio.SectionWriter
-	if err := c.AppendSections(&sw); err != nil {
-		return nil, secErr("%v", err)
-	}
-	if id, ok := m.Holds(&sw); !ok {
-		return nil, secErr("the claim log does not index to the stored tables (section %d)", id)
-	}
 	d := &Dataset{claims: claims, frozen: true, cols: c}
 	if len(bounds) > 0 {
 		d.bounds = make([]int, len(bounds))

@@ -1,8 +1,6 @@
 package dataset
 
 import (
-	"bytes"
-	"errors"
 	"reflect"
 	"testing"
 
@@ -82,128 +80,55 @@ func TestCompiledSectionsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCompiledSectionsCorruption mutates stored table bytes — which the
-// header CRC deliberately does not cover — and checks the open classifies
-// every mutation as ErrCorrupt: a damaged offset table before any string is
-// cut from the blob, a damaged layout table because it is not the one the
-// claim log indexes to.
+// TestCompiledSectionsCorruption damages the stored string tables, re-sealing
+// the dataset's checksum over each edit, and checks the open rejects it with
+// ErrCorrupt at the offset check that names it, before any string is cut
+// from the blob.
 func TestCompiledSectionsCorruption(t *testing.T) {
-	d := sectionWorld(t)
-	want := d.Compiled()
-	raw := encodeSnapshot(t, d)
+	raw := encodeSnapshot(t, sectionWorld(t))
 
 	cases := []struct {
 		name    string
 		corrupt func(m *snapio.Container)
+		want    string
 	}{
 		{"srcOff-negative", func(m *snapio.Container) {
 			off, _ := m.I32Section(SecSrcOff)
 			off[1] = -1
-		}},
+		}, "srcOff not monotonic at 1"},
 		{"srcOff-nonmonotonic", func(m *snapio.Container) {
 			off, _ := m.I32Section(SecSrcOff)
 			off[len(off)-1] = off[0]
-		}},
+		}, "srcOff not monotonic"},
 		{"valOff-beyond-blob", func(m *snapio.Container) {
 			off, _ := m.I32Section(SecValOff)
 			off[len(off)-1] += 8
-		}},
+		}, "valOff ends at"},
 		{"valOff-trailing-blob", func(m *snapio.Container) {
 			off, _ := m.I32Section(SecValOff)
 			off[len(off)-1]--
-		}},
+		}, "string blob has 1 trailing bytes"},
 		{"objOff-wrong-base", func(m *snapio.Container) {
 			off, _ := m.I32Section(SecObjOff)
 			off[0]++
-		}},
-		{"groupstart-bad-base", func(m *snapio.Container) {
-			tab, _ := m.I32Section(SecGroupStart)
-			tab[0] = 1
-		}},
-		{"groupstart-nonmonotonic", func(m *snapio.Container) {
-			tab, _ := m.I32Section(SecGroupStart)
-			tab[1] = tab[len(tab)-1] + 5
-		}},
-		{"groupvalue-out-of-range", func(m *snapio.Container) {
-			tab, _ := m.I32Section(SecGroupValue)
-			tab[0] = int32(want.NumValues()) + 7
-		}},
-		{"srcobj-negative", func(m *snapio.Container) {
-			tab, _ := m.I32Section(SecSrcObj)
-			tab[0] = -3
-		}},
-		{"srcgroup-out-of-range", func(m *snapio.Container) {
-			tab, _ := m.I32Section(SecSrcGroup)
-			tab[len(tab)-1] = int32(len(want.GroupValue)) + 1
-		}},
-		// In range, but the two CSRs no longer index the same claims.
-		{"srcgroup-of-another-object", func(m *snapio.Container) {
-			tab, _ := m.I32Section(SecSrcGroup)
-			tab[0] = int32(len(want.GroupValue)) - 1
-		}},
-		{"groupsrc-not-transpose", func(m *snapio.Container) {
-			tab, _ := m.I32Section(SecGroupSrc)
-			for k := range tab {
-				tab[k] = 0
-			}
-		}},
-		{"srcobj-repeated", func(m *snapio.Container) {
-			start, _ := m.I32Section(SecSrcStart)
-			tab, _ := m.I32Section(SecSrcObj)
-			for s := 0; s+1 < len(start); s++ {
-				if k := start[s]; start[s+1]-k >= 2 {
-					tab[k+1] = tab[k]
-					return
-				}
-			}
-			t.Fatal("no source makes two claims")
-		}},
+		}, "objOff must begin at"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := snapio.OpenContainer(append([]byte(nil), raw...), testDSMagic, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tc.corrupt(m)
-			if _, err := FromSections(m); !errors.Is(err, snapio.ErrCorrupt) {
-				t.Fatalf("FromSections = %v, want ErrCorrupt", err)
-			}
+			wantCorrupt(t, damaged(t, raw, tc.corrupt), tc.want)
 		})
 	}
 
 	t.Run("missing-section", func(t *testing.T) {
-		// Rebuild the container without the string blob.
-		m, err := snapio.OpenContainer(raw, testDSMagic, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sw2 snapio.SectionWriter
-		for id := SecGroupStart; id < SecCompiledEnd; id++ {
-			if id == SecStrBlob {
-				continue
-			}
-			if b, ok := m.Section(id); ok {
-				sw2.Add(id, b)
-			}
-		}
-		var buf bytes.Buffer
-		if err := sw2.WriteTo(&buf, testDSMagic, 1); err != nil {
-			t.Fatal(err)
-		}
-		m2, err := snapio.OpenContainer(buf.Bytes(), testDSMagic, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := FromSections(m2); !errors.Is(err, snapio.ErrCorrupt) {
-			t.Fatalf("FromSections without blob = %v, want ErrCorrupt", err)
-		}
+		_, err := readSnapshot(rewritten(t, raw, SecStrBlob, func([]byte) []byte { return nil }))
+		wantCorrupt(t, err, "string blob missing")
 	})
 }
 
-// FuzzCompiledFromMapped drives the dataset open with arbitrary containers:
-// every outcome is a clean error or a dataset whose index reads safely, never
-// a panic. Seeds live in testdata/fuzz.
+// FuzzCompiledFromMapped drives the dataset open with arbitrary containers,
+// each as given and with its checksum re-sealed: every outcome is a clean
+// error or a dataset whose index reads safely, never a panic. Seeds live in
+// testdata/fuzz.
 func FuzzCompiledFromMapped(f *testing.F) {
 	f.Add(encodeSnapshot(f, Table1()))
 	f.Add(encodeSnapshot(f, sectionWorld(f)))
@@ -211,20 +136,22 @@ func FuzzCompiledFromMapped(f *testing.F) {
 	f.Add(raw[:len(raw)/2])
 	f.Add(raw[:24])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := snapio.OpenContainer(data, testDSMagic, 1)
-		if err != nil {
-			return
-		}
-		d, err := FromSections(m)
-		if err != nil {
-			return
-		}
-		// Walk every accessor: the open must have made these safe.
-		for _, s := range d.Sources() {
-			_ = d.ClaimsBySource(s)
-		}
-		for _, o := range d.Objects() {
-			_ = d.ValuesFor(o)
+		for _, data := range asGivenAndResealed(data) {
+			m, err := snapio.OpenContainer(data, testDSMagic, 1)
+			if err != nil {
+				continue
+			}
+			d, err := FromSections(m)
+			if err != nil {
+				continue
+			}
+			// Walk every accessor: the open must have made these safe.
+			for _, s := range d.Sources() {
+				_ = d.ClaimsBySource(s)
+			}
+			for _, o := range d.Objects() {
+				_ = d.ValuesFor(o)
+			}
 		}
 	})
 }

@@ -2,8 +2,10 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sourcecurrents/internal/model"
@@ -66,8 +68,18 @@ func readSnapshot(raw []byte) (*Dataset, error) {
 }
 
 // damaged opens a copy of raw's container, lets mutate edit its sections in
-// place, and reads the dataset back.
+// place, re-seals the checksum over the edit — so what rejects the damage is
+// the check behind the checksum — and reads the dataset back.
 func damaged(t *testing.T, raw []byte, mutate func(m *snapio.Container)) error {
+	t.Helper()
+	return stale(t, raw, func(m *snapio.Container) {
+		mutate(m)
+		reseal(m)
+	})
+}
+
+// stale is damaged leaving the stored checksum as it was written.
+func stale(t *testing.T, raw []byte, mutate func(m *snapio.Container)) error {
 	t.Helper()
 	m, err := snapio.OpenContainer(append([]byte(nil), raw...), testDSMagic, 1)
 	if err != nil {
@@ -76,6 +88,53 @@ func damaged(t *testing.T, raw []byte, mutate func(m *snapio.Container)) error {
 	mutate(m)
 	_, err = FromSections(m)
 	return err
+}
+
+// reseal rewrites m's checksum, in place, to match its sections, as a writer
+// of the same bytes would have sealed them. A container without a 4-byte
+// checksum section is left as it is.
+func reseal(m *snapio.Container) {
+	if sum, ok := m.Section(SecLogSum); ok && len(sum) == 4 {
+		binary.LittleEndian.PutUint32(sum, logSum(m.Section))
+	}
+}
+
+// rewritten rebuilds the container raw with section id's bytes replaced by
+// edit(a copy of them) — a nil result drops the section — and re-seals it.
+func rewritten(t *testing.T, raw []byte, id uint32, edit func([]byte) []byte) []byte {
+	t.Helper()
+	m, err := snapio.OpenContainer(raw, testDSMagic, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sw snapio.SectionWriter
+	for k := uint32(1); k < SecDatasetEnd; k++ {
+		b, ok := m.Section(k)
+		if k == id {
+			b = edit(bytes.Clone(b))
+			ok = b != nil
+		}
+		if ok {
+			sw.Add(k, b)
+		}
+	}
+	var buf bytes.Buffer
+	if err := sw.WriteTo(&buf, testDSMagic, 1); err != nil {
+		t.Fatal(err)
+	}
+	if m, err = snapio.OpenContainer(buf.Bytes(), testDSMagic, 1); err != nil {
+		t.Fatal(err)
+	}
+	reseal(m)
+	return m.Bytes()
+}
+
+// wantCorrupt fails t unless err is ErrCorrupt naming msg.
+func wantCorrupt(t *testing.T, err error, msg string) {
+	t.Helper()
+	if !errors.Is(err, snapio.ErrCorrupt) || !strings.Contains(err.Error(), msg) {
+		t.Fatalf("err = %v, want ErrCorrupt naming %q", err, msg)
+	}
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -154,9 +213,10 @@ func TestSnapshotTruncatedEverywhere(t *testing.T) {
 	}
 }
 
-// The header is checksummed and the sections are not: a flipped bit fails
-// the open with a classified error, or it opens to a dataset that
-// re-encodes and reopens byte for byte. Never a panic.
+// The header is checksummed by the container and every dataset section by
+// the dataset's own checksum: a flipped bit fails the open with a classified
+// error, or it opens to a dataset that re-encodes and reopens byte for byte.
+// Never a panic.
 func TestSnapshotBitFlips(t *testing.T) {
 	raw := encodeSnapshot(t, snapTestDataset(t))
 	for off := 0; off < len(raw); off += 7 {
@@ -178,43 +238,27 @@ func TestSnapshotBitFlips(t *testing.T) {
 }
 
 // A claim written twice in the log, in place of another, keeps every id in
-// range, so it opens; the tables it builds are not the stored ones.
+// range: sealed over, it is a log a build could have written, and opens; left
+// under the checksum written for the original log, it fails on the checksum.
 func TestSnapshotDuplicateClaimPosition(t *testing.T) {
 	raw := encodeSnapshot(t, snapTestDataset(t))
-	err := damaged(t, raw, func(m *snapio.Container) {
+	duplicate := func(m *snapio.Container) {
 		for _, id := range []uint32{SecLogSrc, SecLogObj, SecLogVal} {
 			col, _ := m.I32Section(id)
 			col[1] = col[0]
 		}
-	})
-	if !errors.Is(err, snapio.ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	wantCorrupt(t, stale(t, raw, duplicate), "checksum")
+	if err := damaged(t, raw, duplicate); err != nil {
+		t.Fatalf("the re-sealed log: %v", err)
 	}
 }
 
 // A log column one claim short of the others fails the open.
 func TestSnapshotMissingClaimPosition(t *testing.T) {
-	raw := encodeSnapshot(t, snapTestDataset(t))
-	m, err := snapio.OpenContainer(raw, testDSMagic, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sw snapio.SectionWriter
-	for id := SecGroupStart; id < SecCompiledEnd; id++ {
-		if b, ok := m.Section(id); ok {
-			if id == SecLogObj {
-				b = b[:len(b)-4]
-			}
-			sw.Add(id, b)
-		}
-	}
-	var buf bytes.Buffer
-	if err := sw.WriteTo(&buf, testDSMagic, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := readSnapshot(buf.Bytes()); !errors.Is(err, snapio.ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
-	}
+	raw := rewritten(t, encodeSnapshot(t, snapTestDataset(t)), SecLogObj, func(b []byte) []byte { return b[:len(b)-4] })
+	_, err := readSnapshot(raw)
+	wantCorrupt(t, err, "claim log columns sized")
 }
 
 // A log row that is not a valid claim — here a probability above 1 — fails
@@ -228,18 +272,17 @@ func TestSnapshotInvalidClaim(t *testing.T) {
 		}
 		probs[0] = 1.5
 	})
-	if !errors.Is(err, snapio.ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
-	}
+	wantCorrupt(t, err, "probability 1.5")
 }
 
 // FuzzReadSnapshot drives the dataset's section codec — FromSections' checks,
 // and behind them the column builder every dataset goes through — with
-// arbitrary containers. Any input either fails with a classified
-// error or opens to a dataset whose re-encoding round-trips byte for byte;
-// never a panic or an out-of-bounds read. Seeds: the checked-in corpus under
-// testdata/fuzz, the corner-case dataset, Tables 1–3 and a log-carrying
-// dataset, each whole and damaged.
+// arbitrary containers, each opened as given and again with its checksum
+// re-sealed, so that damage reaches the checks behind the checksum. Any input
+// either fails with a classified error or opens to a dataset whose re-encoding
+// round-trips byte for byte; never a panic or an out-of-bounds read. Seeds:
+// the checked-in corpus under testdata/fuzz, the corner-case dataset, Tables
+// 1–3 and a log-carrying dataset, each whole and damaged.
 func FuzzReadSnapshot(f *testing.F) {
 	logged, err := Table3().Append(Table1().Claims())
 	if err != nil {
@@ -251,20 +294,33 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(testDSMagic))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := readSnapshot(data)
-		if err != nil {
-			if !classified(err) {
-				t.Fatalf("unclassified decode error: %v", err)
+		for _, data := range asGivenAndResealed(data) {
+			got, err := readSnapshot(data)
+			if err != nil {
+				if !classified(err) {
+					t.Fatalf("unclassified decode error: %v", err)
+				}
+				continue
 			}
-			return
-		}
-		again := encodeSnapshot(t, got)
-		back, err := readSnapshot(again)
-		if err != nil {
-			t.Fatalf("re-encoded snapshot does not decode: %v", err)
-		}
-		if !bytes.Equal(encodeSnapshot(t, back), again) || back.Epoch() != got.Epoch() || back.Len() != got.Len() {
-			t.Fatal("re-encoded snapshot does not round-trip")
+			again := encodeSnapshot(t, got)
+			back, err := readSnapshot(again)
+			if err != nil {
+				t.Fatalf("re-encoded snapshot does not decode: %v", err)
+			}
+			if !bytes.Equal(encodeSnapshot(t, back), again) || back.Epoch() != got.Epoch() || back.Len() != got.Len() {
+				t.Fatal("re-encoded snapshot does not round-trip")
+			}
 		}
 	})
+}
+
+// asGivenAndResealed returns data, and when it opens as a container, a copy
+// with its checksum re-sealed.
+func asGivenAndResealed(data []byte) [][]byte {
+	m, err := snapio.OpenContainer(bytes.Clone(data), testDSMagic, 1)
+	if err != nil {
+		return [][]byte{data}
+	}
+	reseal(m)
+	return [][]byte{data, m.Bytes()}
 }

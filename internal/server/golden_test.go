@@ -195,10 +195,10 @@ func TestSnapshotServedByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCorruptLogIsServerError: a snapshot whose claim log does not index to
-// its tables (two claims' value ids swapped, each in range) is a corrupt
-// file, and the server treats it as one wherever it arrives — the world is
-// never served. LoadDir fails the boot naming the file, and /adopt of such a
+// TestCorruptLogIsServerError: a snapshot whose claim log was changed after
+// it was written (two claims' value ids swapped, each in range, under the
+// checksum of the log as it was) is a corrupt file, and the server treats it
+// as one wherever it arrives — the world is never served. LoadDir fails the boot naming the file, and /adopt of such a
 // stream answers 502 and leaves the directory untouched.
 func TestCorruptLogIsServerError(t *testing.T) {
 	built := testSession(t, 47, 30)

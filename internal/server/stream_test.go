@@ -203,15 +203,19 @@ func TestAdoptGolden(t *testing.T) {
 
 // fixedCuts is a grid of truncation offsets independent of the container
 // layout, so that a format change does not rename the cases cut at them:
-// the section boundaries of an earlier layout of the same world, a start and
-// an end per section (a boundary shared by empty sections recurs). Every one
-// lies inside the current container's sections.
+// the section boundaries of two earlier layouts of the test's 40-object
+// world, a start and an end per section (a boundary shared by empty sections
+// recurs). Every one lies inside the current container's sections.
 var fixedCuts = []int{
-	628, 632, 796, 800, 1180, 1184, 1568, 1568, 2848, 2848, 2884, 2888,
-	4168, 4168, 5448, 5448, 6728, 6728, 6764,
-	6768, 6768, 6768, 6768, 6768, 6768, 6768, 6768, 6768, 6768, 6768,
-	7435, 7440, 7476, 7480, 7804, 7808, 8192, 8192, 8256, 8256, 8768, 8768,
-	8785, 8792, 9259, 9264, 10564, 10568, 12588, 12592,
+	628, 632, 652, 656, 796, 800, 820, 824, 1180, 1184, 1204, 1208, 1568,
+	1568, 1592, 1592, 2848, 2848, 2872, 2872, 2884, 2888, 2908, 2912, 4168,
+	4168, 4192, 4192, 5448, 5448, 5472, 5472, 6728, 6728, 6752, 6752, 6764,
+	6768, 6768, 6768, 6768, 6768, 6768, 6768, 6768, 6768, 6768, 6768, 6788,
+	6792, 6792, 6792, 6792, 6792, 6792, 6792, 6792, 6792, 6792, 6792, 7435,
+	7440, 7459, 7464, 7476, 7480, 7500, 7504, 7804, 7808, 7828, 7832, 8192,
+	8192, 8216, 8216, 8256, 8256, 8768, 8768, 8785, 8792, 9259, 9264, 9496,
+	9496, 10564, 10568, 10776, 10776, 12056, 12056, 12056, 12056, 12120,
+	12120, 12588, 12592, 12880, 12880, 14448, 14448,
 }
 
 // Truncate the stream at the fixed grid and at every section boundary. With
@@ -221,7 +225,7 @@ var fixedCuts = []int{
 // must reject instead. Either way: ErrCorrupt, nothing registered, nothing
 // left on disk.
 func TestAdoptRejectsTruncation(t *testing.T) {
-	full := snapshotBytes(t, testSession(t, 11, 40))
+	full := snapshotBytes(t, testSession(t, 11, 90))
 	bounds := sectionBoundaries(t, full)
 	maxEnd := 0
 	for _, b := range bounds {
@@ -265,19 +269,20 @@ func TestAdoptRejectsTruncation(t *testing.T) {
 // Flip single bytes across the container — in the magic, the section table,
 // deep inside section payloads (at fixed offsets, so the case names do not
 // move with the layout) and the final byte — with the upstream advertising
-// the original CRC (an in-transit flip). Payloads are unchecksummed by
-// design, so the transfer CRC is the only line of defense for the payload
-// flips; every flip must be rejected cleanly.
+// the original CRC (an in-transit flip). The dataset's claim log and strings
+// are checksummed on disk, but the state's sections are not, so for a flip
+// there the transfer CRC is the only line of defense; every flip must be
+// rejected cleanly.
 func TestAdoptRejectsBitFlips(t *testing.T) {
-	full := snapshotBytes(t, testSession(t, 11, 80))
+	full := snapshotBytes(t, testSession(t, 11, 170))
 	origCRC := crcOf(full)
 	positions := []int{
-		2,                   // magic
-		30,                  // section table
-		12012, 18018, 24023, // inside payloads
+		2,                          // magic
+		30,                         // section table
+		12012, 18018, 24023, 27039, // inside payloads
 		len(full) - 1, // final byte
 	}
-	if len(full) <= 24023 {
+	if len(full) <= 27039 {
 		t.Fatalf("the %d-byte container ends before the deepest flip", len(full))
 	}
 	for _, pos := range positions {

@@ -16,9 +16,10 @@ import (
 // baseline: a retained-epoch AsOf is a spine lookup that allocates nothing,
 // a served answer allocates what it returns and not its trace, and opening
 // a snapshot file of the 500-source acceptance world — which builds the
-// dataset over the stored tables, a few allocations per table and none per
-// claim or string, and no index map, the tables being binary-searched —
-// stays at the 88 allocations it was measured at.
+// dataset over the stored interning tables and claim log, a few allocations
+// per table it lays out and none per claim or string, and no index map, the
+// tables being binary-searched — stays within a tenth of the 73 allocations
+// it was measured at.
 func TestServePathAllocs(t *testing.T) {
 	base := benchWorld(t)
 
@@ -87,8 +88,8 @@ func TestServePathAllocs(t *testing.T) {
 			if _, err := LoadSnapshotFile(path, cfg); err != nil {
 				t.Fatal(err)
 			}
-		}); n > 88 {
-			t.Fatalf("snapshot load allocates %v times, want <= 88 (measured: 88)", n)
+		}); n > 80 {
+			t.Fatalf("snapshot load allocates %v times, want <= 80 (measured: 73)", n)
 		} else {
 			t.Logf("snapshot load: %v allocs", n)
 		}

@@ -9,10 +9,10 @@
 // validation and casts — no decode loop and a few dozen allocations
 // whatever the world's size. Its sections:
 //
-//   - the dataset (dataset.AppendSections): the compiled tables with the
-//     interned-string blob, and the claim log as id columns into them with
-//     its epoch bounds — time and probability columns only when some claim
-//     needs them;
+//   - the dataset (dataset.AppendSections): the interned-string blob with its
+//     offset tables, and the claim log as id columns into them with its epoch
+//     bounds — time and probability columns only when some claim needs them —
+//     sealed by one CRC32 of those sections;
 //   - the state (depen): the accuracy vector per source, the posterior
 //     vector per value group, and the analysed pairs' records in (a, b)
 //     order, 56 bytes each. The source×source totals table is not stored:
@@ -21,16 +21,16 @@
 //   - the meta: rounds, converged and the config fingerprint.
 //
 // Opening builds the session New builds: the heap dataset from the claim log
-// over the stored interning tables (dataset.FromSections, which requires the
-// stored layout tables to be the ones the log indexes to, byte for byte), the
-// state assembled over that dataset's index from the state's sections as they
-// lie, and the planner. So a damaged file fails the open, classified
-// (snapio.ErrCorrupt, ErrTruncated, ErrBadMagic, ErrBadVersion) — not a later
-// call. A loaded session is bit-identical to the session it was taken of and
-// to a rebuild, in structure and on every call (the snapshot suites pin it).
-// The container is an ordinary heap buffer, which the state's vectors and
-// pair records alias: the garbage collector keeps it for as long as the
-// session, or a successor carrying that state forward, is referenced.
+// over the stored interning tables (dataset.FromSections, which checks the
+// dataset's CRC, then the structure of what it read, and lays out every other
+// table), the state assembled over that dataset's index from the state's
+// sections as they lie, and the planner. So a damaged file fails the open,
+// classified (snapio.ErrCorrupt, ErrTruncated, ErrBadMagic, ErrBadVersion) —
+// not a later call. A loaded session is bit-identical to the session it was
+// taken of and to a rebuild, in structure and on every call (the snapshot
+// suites pin it). The container is an ordinary heap buffer, which the state's
+// vectors and pair records alias: the garbage collector keeps it for as long
+// as the session, or a successor carrying that state forward, is referenced.
 //
 // The Config still arrives at load time (it carries callbacks and serving
 // knobs that cannot be serialized); a fingerprint of every config field that
@@ -52,24 +52,23 @@ import (
 
 // SnapshotMagic and SnapshotVersion identify the session snapshot container.
 // Every other magic or version — the retired decode-everything stream, a
-// container of version 1 — fails to open, classified, with a message that
+// container of version 1 or 2 — fails to open, classified, with a message that
 // names `currents snapshot`, which writes this one from the claims.
 const (
 	SnapshotMagic   = "SCSESSM2"
-	SnapshotVersion = 2
+	SnapshotVersion = 3
 )
 
 // Session-level section ids, above the range the dataset codec reserves.
 const (
-	secAcc     = dataset.SecCompiledEnd + iota // accuracy per source, []float64
-	secPost                                    // posterior per value group, []float64
-	secPairRec                                 // analysed pairs, depen's stored records
-	secMeta                                    // rounds, converged, config fingerprint
+	secAcc     = dataset.SecDatasetEnd + iota // accuracy per source, []float64
+	secPost                                   // posterior per value group, []float64
+	secPairRec                                // analysed pairs, depen's stored records
+	secMeta                                   // rounds, converged, config fingerprint
 )
 
-// WriteSnapshot encodes the session to w. Every table is written as it lies
-// in memory; only the string blob and the time and probability columns are
-// laid out for the file.
+// WriteSnapshot encodes the session to w. Every state table is written as it
+// lies in memory; the dataset writes its strings and claim log.
 func (s *Session) WriteSnapshot(w io.Writer) error {
 	var sw snapio.SectionWriter
 	if err := s.d.AppendSections(&sw); err != nil {

@@ -19,13 +19,12 @@
 // Loading is one read into an 8-aligned heap buffer — of exactly the file's
 // size (ReadContainerFile), or sized by the header from a stream
 // (ReadContainer) — plus structural validation of the header: offsets must
-// be 8-aligned, in bounds, and non-overlapping. Section payloads are NOT
-// checksummed: a reader casts a section straight into a typed slice — no
+// be 8-aligned, in bounds, and non-overlapping. Section payloads are not
+// checksummed, except the dataset's claim log and strings, which the dataset
+// codec checks: a reader casts a section straight into a typed slice — no
 // decode loop, no further copy — and the section's owner validates what it
-// takes (a session's open checks the state's sections, and requires the
-// dataset's stored tables to be the ones its claim log lays out, which
-// Holds compares), which is what stops a damaged file; a payload CRC would
-// only be a second pass over the same bytes. The buffer is
+// takes (a session's open checks the state's sections), which is what stops a
+// damaged file. The buffer is
 // an ordinary heap object: whatever aliases it keeps it alive, and nothing
 // releases it by hand. Dense tables are written in host byte order; the
 // order marker makes a snapshot written on a different-endian host fail
@@ -33,7 +32,6 @@
 package snapio
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -350,17 +348,6 @@ func (m *Container) Bytes() []byte { return m.data }
 func (m *Container) Section(id uint32) ([]byte, bool) {
 	b, ok := m.sections[id]
 	return b, ok
-}
-
-// Holds reports whether m holds every section w does, byte for byte; when it
-// does not, id is the first section in w's order that differs or is absent.
-func (m *Container) Holds(w *SectionWriter) (id uint32, ok bool) {
-	for i, id := range w.ids {
-		if b, found := m.sections[id]; !found || !bytes.Equal(b, w.data[i]) {
-			return id, false
-		}
-	}
-	return 0, true
 }
 
 // The typed section views cast the raw bytes in place (zero copy). Length
