@@ -15,7 +15,8 @@ const (
 	// array the steps (and Final) slice, and Probed.
 	plannerAnswerAllocs = 4
 	// The Result, Final (len(query) answers) and Probed — and nothing of the
-	// trace, in particular not its backing array.
+	// trace, in particular not its backing array. The same whether the
+	// answers come from the per-object memo or from the fold.
 	plannerFinalAllocs = 3
 )
 
@@ -36,8 +37,9 @@ func TestPlannerAnswerAllocs(t *testing.T) {
 	}{
 		{"Answer", p.Answer, plannerAnswerAllocs},
 		{"Final", p.Final, plannerFinalAllocs},
+		{"Final (memo-less)", memoless(p).Final, plannerFinalAllocs},
 	} {
-		if _, err := tc.call(query); err != nil { // warm the scratch pool
+		if _, err := tc.call(query); err != nil { // warm the scratch pool (and Final's memo)
 			t.Fatal(err)
 		}
 		n := testing.AllocsPerRun(50, func() {
@@ -48,6 +50,12 @@ func TestPlannerAnswerAllocs(t *testing.T) {
 		t.Logf("Planner.%s: %v allocs", tc.name, n)
 		if n > tc.max {
 			t.Fatalf("steady-state Planner.%s allocates %v times, want <= %v", tc.name, n, tc.max)
+		}
+	}
+	// What "Final" timed above were memo hits.
+	for _, o := range query {
+		if oi, _ := d.Compiled().ObjectIndex(o); p.final[oi].Load() == nil {
+			t.Fatalf("%v is not memoized after a plan that probed every candidate", o)
 		}
 	}
 }

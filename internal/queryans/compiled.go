@@ -3,7 +3,7 @@
 // Planner is the reusable form of AnswerObjects: built once from a frozen
 // dataset plus accuracies/dependence, it answers unlimited queries against
 // precompiled claim lists, a dense accuracy vector and precomputed vote
-// weights. Four structural optimizations keep the per-query loop off the
+// weights. Five structural optimizations keep the per-query loop off the
 // reference's O(P²·|query|) recompute shape without changing a single bit of
 // the output (the golden equivalence tests enforce bit-identity against
 // answerObjectsMaps):
@@ -66,6 +66,22 @@
 //     (for Answer that includes the trace: one Answer per probe per query
 //     entry).
 //
+//   - Each object is answered once per planner. A Final that probed every
+//     candidate probed every claimant of every object it asks about, so the
+//     object's answer is a function of the planner (accuracies, vote
+//     weights, dependence, CopyRate) and the object alone — not of the rest
+//     of the query. The planner memoizes it per compiled object: such a plan
+//     still selects (Probed is the query's), but when every queried object
+//     is memoized it copies their answers out and skips the fold, and
+//     otherwise folds and publishes each object's answer. Entries are
+//     published atomically, and concurrent plans that race for one store the
+//     same bits. Nothing else reads or writes the memo: not the trace, not a
+//     StopProb plan, not a plan the cap or a NaN gain stopped short, and not
+//     a planner with a NaN accuracy, whose rank sort has no total order and
+//     so ranks a group's members by which other sources the query brings in.
+//     A planner lives for one epoch, so the memo needs no invalidation;
+//     Derive shares it unless N or CopyRate, which the fold reads, change.
+//
 // Accuracy and dependence inputs are probabilities. The scan is the
 // reference's arithmetic whatever the values are; the tail's argument needs
 // the products to stay finite (a NaN or infinite gain is not a zero), which
@@ -75,8 +91,10 @@ package queryans
 import (
 	"cmp"
 	"errors"
+	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"sourcecurrents/internal/dataset"
 	"sourcecurrents/internal/model"
@@ -85,7 +103,8 @@ import (
 )
 
 // Planner is a reusable compiled query planner. It is read-only after
-// NewPlanner, so a single Planner may serve Answer calls from any number of
+// NewPlanner but for its per-object answer memo, whose entries are published
+// atomically, so a single Planner may serve Answer calls from any number of
 // concurrent goroutines (each call leases its own scratch from the shared
 // pool).
 type Planner struct {
@@ -108,6 +127,10 @@ type Planner struct {
 	// share it, so per-request buffers amortize across every planner built
 	// over the same compiled index.
 	scratch *sync.Pool
+	// final is the per-object memo of a plan that probed every candidate,
+	// indexed by compiled object; nil where the fold is not a function of
+	// the object alone (see the package comment).
+	final []atomic.Pointer[Answer]
 }
 
 // NewPlanner compiles the configuration against d's columnar index,
@@ -172,6 +195,9 @@ func newPlanner(c *dataset.Compiled, cfg Config, acc []float64, dep func(a, b in
 		p.weights[i] = truth.WeightOf(a, cfg.N)
 	}
 	p.scratch = &sync.Pool{New: func() any { return new(planScratch) }}
+	if !slices.ContainsFunc(acc, math.IsNaN) {
+		p.final = make([]atomic.Pointer[Answer], c.NumObjects())
+	}
 	return p
 }
 
@@ -180,13 +206,18 @@ func newPlanner(c *dataset.Compiled, cfg Config, acc []float64, dep func(a, b in
 // (policy, probe cap, early stopping). cfg's Accuracy and
 // Dependence fields are ignored — the parent's dense state is reused — and
 // the scratch pool is shared, so derived planners keep the zero-allocation
-// serve path. Vote weights are recycled unless cfg.N differs.
+// serve path. Vote weights are recycled unless cfg.N differs, and the
+// per-object answer memo is shared unless cfg.N or cfg.CopyRate differs —
+// then the derived planner has none and folds every plan.
 func (p *Planner) Derive(cfg Config) (*Planner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	np := &Planner{c: p.c, cfg: cfg, acc: p.acc, weights: p.weights, dep: p.dep,
-		depTab: p.depTab, depZero: p.depZero, scratch: p.scratch}
+		depTab: p.depTab, depZero: p.depZero, scratch: p.scratch, final: p.final}
+	if cfg.N != p.cfg.N || cfg.CopyRate != p.cfg.CopyRate {
+		np.final = nil
+	}
 	if cfg.N != p.cfg.N {
 		np.weights = make([]float64, len(p.acc))
 		for i, a := range p.acc {
@@ -640,7 +671,16 @@ func (p *Planner) plan(query []model.ObjectID, trace bool) (*Result, error) {
 		}
 	}
 	if !perProbe {
-		p.scoreProbed(sc)
+		// Every candidate probed means every claimant of every queried
+		// object probed: the objects' answers are the memo's to give.
+		memo := p.final
+		if len(sc.probed) < nCand {
+			memo = nil
+		}
+		if !recall(sc, memo) {
+			p.scoreProbed(sc)
+			publish(sc, memo)
+		}
 	}
 
 	res := &Result{Steps: steps}
@@ -659,6 +699,37 @@ func (p *Planner) plan(query []model.ObjectID, trace bool) (*Result, error) {
 	}
 	p.scratch.Put(sc)
 	return res, nil
+}
+
+// recall writes each slot's memoized answer to the slot's query positions. It
+// reports false at the first slot whose object is not memoized (or at once,
+// for a nil memo); scoreProbed then overwrites every position recall wrote.
+func recall(sc *planScratch, memo []atomic.Pointer[Answer]) bool {
+	if memo == nil {
+		return false
+	}
+	for slot, oi := range sc.slots {
+		a := memo[oi].Load()
+		if a == nil {
+			return false
+		}
+		for _, pos := range sc.posList[sc.posStart[slot]:sc.posStart[slot+1]] {
+			sc.cur[pos] = *a
+		}
+	}
+	return true
+}
+
+// publish stores each slot's answer, as scoreProbed left it, in the memo
+// (nil: nowhere).
+func publish(sc *planScratch, memo []atomic.Pointer[Answer]) {
+	if memo == nil {
+		return
+	}
+	for slot, oi := range sc.slots {
+		a := sc.cur[sc.posList[sc.posStart[slot]]]
+		memo[oi].Store(&a)
+	}
 }
 
 // scoreProbed is the one-shot form of the per-probe refresh: it scores every

@@ -245,17 +245,23 @@ func assertFinalMatchesTrace(t *testing.T, p *Planner, q []model.ObjectID, where
 	if got.Steps != nil {
 		t.Fatalf("%s: the trace-free result carries %d steps", where, len(got.Steps))
 	}
+	assertSameFinal(t, got, want, where+" (vs the trace)")
+}
+
+// assertSameFinal holds got's Probed and Final to want's, bit for bit.
+func assertSameFinal(t *testing.T, got, want *Result, where string) {
+	t.Helper()
 	if !reflect.DeepEqual(got.Probed, want.Probed) {
-		t.Fatalf("%s: probed %v, the trace probed %v", where, got.Probed, want.Probed)
+		t.Fatalf("%s: probed %v, want %v", where, got.Probed, want.Probed)
 	}
 	if (got.Final == nil) != (want.Final == nil) || len(got.Final) != len(want.Final) {
-		t.Fatalf("%s: final has %d answers (nil=%t), the trace's %d (nil=%t)", where,
+		t.Fatalf("%s: final has %d answers (nil=%t), want %d (nil=%t)", where,
 			len(got.Final), got.Final == nil, len(want.Final), want.Final == nil)
 	}
 	for i, w := range want.Final {
 		g := got.Final[i]
 		if g.Object != w.Object || g.Value != w.Value || math.Float64bits(g.Prob) != math.Float64bits(w.Prob) {
-			t.Fatalf("%s: final[%d] = %+v, the trace's is %+v", where, i, g, w)
+			t.Fatalf("%s: final[%d] = %+v, want %+v", where, i, g, w)
 		}
 	}
 }
