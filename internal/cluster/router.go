@@ -717,11 +717,6 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request) {
 // answers JSON, so anything larger than this is a fault, not a payload.
 const maxRelayBytes = 32 << 20
 
-// snapshotCRCHeader mirrors server.SnapshotCRCHeader, which the adopting
-// side verifies end to end (the cluster package deliberately does not
-// import server).
-const snapshotCRCHeader = "X-Snapshot-CRC32"
-
 // shardShoot issues the routed request against one shard under ctx and
 // returns the raw response with its body unread — the shared first half of
 // the buffered (shardRequest) and streaming (proxySnapshot) relays.
@@ -1160,7 +1155,7 @@ func (rt *Router) proxySnapshot(w http.ResponseWriter, r *http.Request, placemen
 		// adopt-side validation rejects the torn world.
 		rt.met.observe(s.addr, time.Since(start), false)
 		rt.settleVerdict(attemptResult{s: s, resp: resp})
-		for _, h := range []string{"Content-Type", "Content-Length", snapshotCRCHeader} {
+		for _, h := range []string{"Content-Type", "Content-Length"} {
 			if v := resp.Header.Get(h); v != "" {
 				w.Header().Set(h, v)
 			}

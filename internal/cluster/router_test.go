@@ -244,18 +244,14 @@ func TestRouterAppendFanout(t *testing.T) {
 	}
 }
 
-// A routed snapshot fetch streams the shard's bytes through unmodified,
-// transfer-CRC header included, so a client (or a repairing shard) adopting
-// through the router validates exactly what a direct pull would.
+// A routed snapshot fetch streams the shard's bytes through unmodified, so a
+// client (or a repairing shard) adopting through the router validates — by
+// the container's own seal — exactly what a direct pull would.
 func TestRouterSnapshotRelay(t *testing.T) {
 	rt, shards := bootFleet(t, 2, map[string]int64{"alpha": 11}, Options{RF: 2})
 	resp, routed := doReq(t, rt, http.MethodGet, "/v1/alpha/snapshot", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("routed snapshot status %d: %s", resp.StatusCode, routed)
-	}
-	crc := resp.Header.Get(snapshotCRCHeader)
-	if crc == "" {
-		t.Fatal("routed snapshot dropped the transfer-CRC header")
 	}
 	dresp, direct := directReq(t, shards[0].ts.URL, http.MethodGet, "/v1/alpha/snapshot", "")
 	if dresp.StatusCode != http.StatusOK {
@@ -264,8 +260,10 @@ func TestRouterSnapshotRelay(t *testing.T) {
 	if !bytes.Equal(routed, direct) {
 		t.Fatalf("routed snapshot bytes differ from the shard's (%d vs %d bytes)", len(routed), len(direct))
 	}
-	if want := dresp.Header.Get(snapshotCRCHeader); crc != want {
-		t.Fatalf("routed CRC header %s, direct %s", crc, want)
+	for _, h := range []string{"Content-Type", "Content-Length"} {
+		if got, want := resp.Header.Get(h), dresp.Header.Get(h); got != want {
+			t.Fatalf("routed %s %q, direct %q", h, got, want)
+		}
 	}
 }
 

@@ -4,19 +4,16 @@
 // A snapshot stores only what the dataset cannot derive: the three interning
 // tables, as one string blob indexed by offset tables, and the claim log as
 // int32 id columns into them with its epoch bounds — time and probability
-// columns only when some claim needs them — sealed by one IEEE CRC32 over
-// those sections. Every other table of the compiled index is laid out at open
-// by the builder Freeze and Append share. The read side (FromSections) checks
-// the CRC first and then the structure of everything it takes, since a file
-// whose CRC holds is still outside input, and builds the heap Dataset a Freeze
-// builds.
+// columns only when some claim needs them. Every other table of the compiled
+// index is laid out at open by the builder Freeze and Append share. The
+// container's seal has checked every byte before FromSections runs; it checks
+// the structure of everything it takes, since a correctly sealed file is
+// still outside input, and builds the heap Dataset a Freeze builds.
 package dataset
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"slices"
 	"unsafe"
@@ -45,9 +42,6 @@ const (
 	SecLogTimed
 	SecLogProb
 
-	// SecLogSum holds logSum of the sections above, 4 bytes little-endian.
-	SecLogSum
-
 	// SecDatasetEnd is the first id free for embedding containers.
 	SecDatasetEnd = 64
 )
@@ -68,19 +62,6 @@ func timesFromI64(v []int64) []model.Time {
 	return unsafe.Slice((*model.Time)(unsafe.Pointer(&v[0])), len(v))
 }
 
-// logSum is the IEEE CRC32 of the dataset's stored sections: the bytes of
-// every id from SecStrBlob up to SecLogSum that section reports present, in
-// id order. The write and the open both compute it.
-func logSum(section func(id uint32) ([]byte, bool)) uint32 {
-	var sum uint32
-	for id := SecStrBlob; id < SecLogSum; id++ {
-		if b, ok := section(id); ok {
-			sum = crc32.Update(sum, crc32.IEEETable, b)
-		}
-	}
-	return sum
-}
-
 // secErr builds an ErrCorrupt-classed validation error.
 func secErr(format string, args ...any) error {
 	return fmt.Errorf("%w: dataset sections: %s", snapio.ErrCorrupt, fmt.Sprintf(format, args...))
@@ -89,8 +70,7 @@ func secErr(format string, args ...any) error {
 // AppendSections adds the frozen dataset to w, in id order: its interning
 // tables, flattened into a fresh string blob plus offset tables (the one
 // encode cost); its claim log — each claim's source, object and value as
-// int32 ids into those tables, and the epoch bounds; and their checksum
-// (logSum). A time column (int64, with a HasTime byte per claim) is added
+// int32 ids into those tables, and the epoch bounds. A time column (int64, with a HasTime byte per claim) is added
 // only when some claim carries a time, a probability column (float64) only
 // when some claim's Prob is not 1: an absent column reads as HasTime false,
 // Time 0 and Prob 1. The id columns alias the index (zero copy).
@@ -167,19 +147,17 @@ func (d *Dataset) AppendSections(w *snapio.SectionWriter) error {
 		}
 		secs[SecLogProb] = snapio.F64Bytes(probs)
 	}
-	section := func(id uint32) ([]byte, bool) { b, ok := secs[id]; return b, ok }
-	for id := SecStrBlob; id < SecLogSum; id++ {
-		if b, ok := section(id); ok {
+	for id := SecStrBlob; id <= SecLogProb; id++ {
+		if b, ok := secs[id]; ok {
 			w.Add(id, b)
 		}
 	}
-	w.Add(SecLogSum, binary.LittleEndian.AppendUint32(nil, logSum(section)))
 	return nil
 }
 
 // FromSections opens the dataset in m as a heap Dataset, the structure Freeze
-// and Append build. It first requires the stored checksum to be logSum of the
-// sections it reads, then checks their structure: the string offsets, and
+// and Append build. It checks the structure of the sections it reads: the
+// string offsets, and
 // the claim log — a non-empty log whose columns are one length, ids in range
 // of their tables, epoch bounds ascending inside the log, HasTime bytes of 0
 // or 1, probabilities in [0, 1] — and takes the three interning tables from
@@ -187,15 +165,9 @@ func (d *Dataset) AppendSections(w *snapio.SectionWriter) error {
 // entry that no claim names: the tables a build over the claims interns. Over
 // them the per-claim id columns are the log's own, and everything else is laid
 // out by the code Freeze runs. A file damaged after it was written fails the
-// checksum; one sealed over a log no build writes fails the structural checks.
+// container's seal before it gets here; one sealed over a log no build writes
+// fails the structural checks.
 func FromSections(m *snapio.Container) (*Dataset, error) {
-	sum, ok := m.Section(SecLogSum)
-	if !ok || len(sum) != 4 {
-		return nil, secErr("checksum section missing or not 4 bytes")
-	}
-	if have, want := logSum(m.Section), binary.LittleEndian.Uint32(sum); have != want {
-		return nil, secErr("log and strings checksum %08x, stored %08x", have, want)
-	}
 	c := &Compiled{}
 	var bounds []int32
 	for _, col := range []struct {

@@ -81,7 +81,7 @@ func TestCompiledSectionsRoundTrip(t *testing.T) {
 }
 
 // TestCompiledSectionsCorruption damages the stored string tables, re-sealing
-// the dataset's checksum over each edit, and checks the open rejects it with
+// the container over each edit, and checks the open rejects it with
 // ErrCorrupt at the offset check that names it, before any string is cut
 // from the blob.
 func TestCompiledSectionsCorruption(t *testing.T) {
@@ -126,7 +126,7 @@ func TestCompiledSectionsCorruption(t *testing.T) {
 }
 
 // FuzzCompiledFromMapped drives the dataset open with arbitrary containers,
-// each as given and with its checksum re-sealed: every outcome is a clean
+// each as given and with the container re-sealed: every outcome is a clean
 // error or a dataset whose index reads safely, never a panic. Seeds live in
 // testdata/fuzz.
 func FuzzCompiledFromMapped(f *testing.F) {

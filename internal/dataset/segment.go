@@ -1,10 +1,14 @@
-// Log-segment format: one appended claim batch as a standalone frame.
+// Log-segment format: one appended claim batch as a standalone container.
 //
 // A server persisting live appends cannot afford a full snapshot rewrite
 // per batch; it writes one small segment file per accepted append and
 // periodically compacts the segments into a fresh snapshot. A segment is
-// deliberately simple — raw length-prefixed string records, no interning —
-// because batches are small and the file is read exactly once at replay.
+// deliberately simple — a section container (snapio/sections.go) of one
+// section of raw length-prefixed string records, no interning — because
+// batches are small and the file is read exactly once at replay. The
+// container's seal covers the records, and a container ends at its last
+// byte, so segments laid back to back (as a delta carries them) read one by
+// one.
 package dataset
 
 import (
@@ -18,8 +22,12 @@ import (
 // SegmentMagic identifies the log-segment format.
 const SegmentMagic = "SCDSSEGM"
 
-// SegmentVersion is the current log-segment version.
-const SegmentVersion = 1
+// SegmentVersion is the current log-segment version. Version 1, a frame of
+// its own with a trailing CRC, fails to open with ErrBadVersion.
+const SegmentVersion = 2
+
+// segmentRecords is the id of a segment's one section.
+const segmentRecords = 1
 
 // WriteSegment encodes one appended claim batch to w. The batch must be
 // non-empty and every claim valid — the same contract as Dataset.Append.
@@ -42,7 +50,9 @@ func WriteSegment(w io.Writer, batch []model.Claim) error {
 		enc.I64(int64(c.Time))
 		enc.F64(c.Prob)
 	}
-	return enc.Frame(w, SegmentMagic, SegmentVersion)
+	var sw snapio.SectionWriter
+	sw.Add(segmentRecords, enc.Payload())
+	return sw.WriteTo(w, SegmentMagic, SegmentVersion)
 }
 
 // segmentRecordBytes is the minimum encoded size of one claim record (four
@@ -51,12 +61,18 @@ func WriteSegment(w io.Writer, batch []model.Claim) error {
 const segmentRecordBytes = 4*1 + 1 + 8 + 8
 
 // ReadSegment decodes a log segment written by WriteSegment, returning the
-// batch in its original order.
+// batch in its original order. It reads r through the segment's last byte and
+// not a byte further.
 func ReadSegment(r io.Reader) ([]model.Claim, error) {
-	dec, _, err := snapio.OpenFrame(r, SegmentMagic, SegmentVersion)
+	m, err := snapio.ReadContainer(r, SegmentMagic, SegmentVersion)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: segment: %w", err)
 	}
+	records, ok := m.Section(segmentRecords)
+	if !ok {
+		return nil, fmt.Errorf("dataset: segment: %w: records section missing", snapio.ErrCorrupt)
+	}
+	dec := snapio.NewReader(records)
 	n := dec.Count(segmentRecordBytes)
 	batch := make([]model.Claim, 0, n)
 	for k := 0; k < n; k++ {

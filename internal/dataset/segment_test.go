@@ -9,8 +9,8 @@ import (
 )
 
 // classified reports whether a decode failure carries one of the formats'
-// sentinels: corrupt payload, or the frame-level damage (truncation, bad
-// magic, future version, checksum) snapio detects before any payload is
+// sentinels: corrupt payload, or the container-level damage (truncation, bad
+// magic, future version, checksum) snapio detects before any section is
 // read.
 func classified(err error) bool {
 	for _, sentinel := range []error{

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -68,39 +71,31 @@ func readSnapshot(raw []byte) (*Dataset, error) {
 }
 
 // damaged opens a copy of raw's container, lets mutate edit its sections in
-// place, re-seals the checksum over the edit — so what rejects the damage is
-// the check behind the checksum — and reads the dataset back.
+// place, re-seals the container over the edit — so what rejects the damage is
+// the check behind the seal — and reads the dataset back.
 func damaged(t *testing.T, raw []byte, mutate func(m *snapio.Container)) error {
 	t.Helper()
 	return stale(t, raw, func(m *snapio.Container) {
 		mutate(m)
-		reseal(m)
+		snapio.Reseal(m.Bytes())
 	})
 }
 
-// stale is damaged leaving the stored checksum as it was written.
+// stale is damaged leaving the container's seal as it was written.
 func stale(t *testing.T, raw []byte, mutate func(m *snapio.Container)) error {
 	t.Helper()
-	m, err := snapio.OpenContainer(append([]byte(nil), raw...), testDSMagic, 1)
+	m, err := snapio.OpenContainer(bytes.Clone(raw), testDSMagic, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mutate(m)
-	_, err = FromSections(m)
+	_, err = readSnapshot(m.Bytes())
 	return err
 }
 
-// reseal rewrites m's checksum, in place, to match its sections, as a writer
-// of the same bytes would have sealed them. A container without a 4-byte
-// checksum section is left as it is.
-func reseal(m *snapio.Container) {
-	if sum, ok := m.Section(SecLogSum); ok && len(sum) == 4 {
-		binary.LittleEndian.PutUint32(sum, logSum(m.Section))
-	}
-}
-
 // rewritten rebuilds the container raw with section id's bytes replaced by
-// edit(a copy of them) — a nil result drops the section — and re-seals it.
+// edit(a copy of them) — a nil result drops the section — sealed by the
+// writer.
 func rewritten(t *testing.T, raw []byte, id uint32, edit func([]byte) []byte) []byte {
 	t.Helper()
 	m, err := snapio.OpenContainer(raw, testDSMagic, 1)
@@ -122,11 +117,7 @@ func rewritten(t *testing.T, raw []byte, id uint32, edit func([]byte) []byte) []
 	if err := sw.WriteTo(&buf, testDSMagic, 1); err != nil {
 		t.Fatal(err)
 	}
-	if m, err = snapio.OpenContainer(buf.Bytes(), testDSMagic, 1); err != nil {
-		t.Fatal(err)
-	}
-	reseal(m)
-	return m.Bytes()
+	return buf.Bytes()
 }
 
 // wantCorrupt fails t unless err is ErrCorrupt naming msg.
@@ -202,44 +193,39 @@ func TestSnapshotFutureVersion(t *testing.T) {
 	}
 }
 
-// Every cut that drops a byte of some section fails; only the last
-// section's alignment padding (under 8 bytes) may go.
+// The container ends at its last section's last byte: every cut fails.
 func TestSnapshotTruncatedEverywhere(t *testing.T) {
 	raw := encodeSnapshot(t, snapTestDataset(t))
-	for cut := 0; cut <= len(raw)-8; cut++ {
+	for cut := 0; cut < len(raw); cut++ {
 		if _, err := readSnapshot(raw[:cut]); err == nil {
 			t.Fatalf("cut at %d of %d bytes: expected error", cut, len(raw))
 		}
 	}
 }
 
-// The header is checksummed by the container and every dataset section by
-// the dataset's own checksum: a flipped bit fails the open with a classified
-// error, or it opens to a dataset that re-encodes and reopens byte for byte.
-// Never a panic.
+// The header is covered by the container's header CRC and everything after it
+// by the seal: a flipped bit anywhere fails the open with a classified error,
+// and past the header with ErrChecksum.
 func TestSnapshotBitFlips(t *testing.T) {
 	raw := encodeSnapshot(t, snapTestDataset(t))
+	// The header: its fixed 24 bytes, 24 per section, and its CRC.
+	hdrLen := 24 + 24*int(binary.LittleEndian.Uint32(raw[snapio.MagicLen+8:])) + 4
 	for off := 0; off < len(raw); off += 7 {
 		mut := append([]byte(nil), raw...)
 		mut[off] ^= 0x10
-		got, err := readSnapshot(mut)
-		if err != nil {
-			if !classified(err) {
-				t.Fatalf("bit flip at %d: unclassified error %v", off, err)
-			}
-			continue
+		_, err := readSnapshot(mut)
+		if err == nil || !classified(err) {
+			t.Fatalf("bit flip at %d: err = %v, want a classified error", off, err)
 		}
-		again := encodeSnapshot(t, got)
-		back, err := readSnapshot(again)
-		if err != nil || !bytes.Equal(encodeSnapshot(t, back), again) {
-			t.Fatalf("bit flip at %d: the dataset it opened to does not round-trip (%v)", off, err)
+		if off >= hdrLen && !errors.Is(err, snapio.ErrChecksum) {
+			t.Fatalf("bit flip at %d, past the header: err = %v, want ErrChecksum", off, err)
 		}
 	}
 }
 
 // A claim written twice in the log, in place of another, keeps every id in
 // range: sealed over, it is a log a build could have written, and opens; left
-// under the checksum written for the original log, it fails on the checksum.
+// under the seal written for the original log, it fails on the checksum.
 func TestSnapshotDuplicateClaimPosition(t *testing.T) {
 	raw := encodeSnapshot(t, snapTestDataset(t))
 	duplicate := func(m *snapio.Container) {
@@ -275,10 +261,62 @@ func TestSnapshotInvalidClaim(t *testing.T) {
 	wantCorrupt(t, err, "probability 1.5")
 }
 
+// fuzzSeeds are the checked-in seeds of FuzzReadSnapshot and
+// FuzzCompiledFromMapped, by target and name: a whole container in the
+// current layout, the same with one bit flipped in a section, and cuts of it
+// — each past the magic and version checks — and the empty input and cuts
+// too short for a header.
+func fuzzSeeds(t testing.TB) map[string]map[string][]byte {
+	flipped := func(raw []byte) []byte {
+		raw = bytes.Clone(raw)
+		raw[len(raw)/2] ^= 0x10
+		return raw
+	}
+	snap := encodeSnapshot(t, snapTestDataset(t))
+	mapped := encodeSnapshot(t, sectionWorld(t))
+	return map[string]map[string][]byte{
+		"FuzzReadSnapshot": {
+			"valid":       snap,
+			"bitflip":     flipped(snap),
+			"truncated":   snap[:len(snap)/2],
+			"empty":       {},
+			"magic-only":  snap[:snapio.MagicLen],
+			"header-only": snap[:snapio.MagicLen+4],
+		},
+		"FuzzCompiledFromMapped": {
+			"seed-valid":            mapped,
+			"seed-payload-flip":     flipped(mapped),
+			"seed-truncated-header": mapped[:snapio.MagicLen+8],
+			"seed-truncated-mid":    mapped[:len(mapped)/2],
+			"seed-truncated-tail":   mapped[:len(mapped)-8],
+		},
+	}
+}
+
+// TestFuzzSeedsInSync holds the checked-in fuzz seeds to fuzzSeeds; run with
+// REGEN_FUZZ_SEEDS=1 to rewrite them after a deliberate format change.
+func TestFuzzSeedsInSync(t *testing.T) {
+	for target, seeds := range fuzzSeeds(t) {
+		for name, seed := range seeds {
+			want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seed)
+			path := filepath.Join("testdata", "fuzz", target, name)
+			if os.Getenv("REGEN_FUZZ_SEEDS") == "1" {
+				if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			if got, err := os.ReadFile(path); err != nil || string(got) != want {
+				t.Fatalf("%s is not the current seed (%v); rerun with REGEN_FUZZ_SEEDS=1", path, err)
+			}
+		}
+	}
+}
+
 // FuzzReadSnapshot drives the dataset's section codec — FromSections' checks,
 // and behind them the column builder every dataset goes through — with
-// arbitrary containers, each opened as given and again with its checksum
-// re-sealed, so that damage reaches the checks behind the checksum. Any input
+// arbitrary containers, each opened as given and again with the container
+// re-sealed, so that damage reaches the checks behind the seal. Any input
 // either fails with a classified error or opens to a dataset whose re-encoding
 // round-trips byte for byte; never a panic or an out-of-bounds read. Seeds:
 // the checked-in corpus under testdata/fuzz, the corner-case dataset, Tables
@@ -314,13 +352,10 @@ func FuzzReadSnapshot(f *testing.F) {
 	})
 }
 
-// asGivenAndResealed returns data, and when it opens as a container, a copy
-// with its checksum re-sealed.
+// asGivenAndResealed returns data and a copy with the container re-sealed
+// over what it holds (snapio.Reseal).
 func asGivenAndResealed(data []byte) [][]byte {
-	m, err := snapio.OpenContainer(bytes.Clone(data), testDSMagic, 1)
-	if err != nil {
-		return [][]byte{data}
-	}
-	reseal(m)
-	return [][]byte{data, m.Bytes()}
+	resealed := bytes.Clone(data)
+	snapio.Reseal(resealed)
+	return [][]byte{data, resealed}
 }

@@ -3,15 +3,13 @@
 //
 // GET /v1/{dataset}/snapshot streams the world's snapshot container as
 // Session.WriteSnapshot renders it — for a world booted from a file, that
-// file's bytes — with a whole-stream CRC32 in the X-Snapshot-CRC32 header. The
-// container's own section-table CRC covers the header and layout, but section
-// payloads are deliberately unchecksummed (they are cast in place, never
-// decoded), so the transfer header is what catches a bit flip inside a
-// payload in transit.
+// file's bytes. The container carries its own integrity: the header CRC
+// covers the header and the seal every section, so a bit flipped anywhere in
+// transit fails the open on the adopting side. No transfer header is needed.
 //
 // POST /v1/{dataset}/adopt?from=URL is the pull side: fetch the stream into
-// a temporary file, validate it end to end (transfer CRC, container
-// structure, fingerprint — the same gauntlet a local load runs), and only
+// a temporary file, validate it end to end (seal, container structure,
+// fingerprint — the same gauntlet a local load runs), and only
 // then rename it into the serving directory and register the session the
 // validation opened — the file is opened once, into the session a boot would
 // build from it, so a stream that would fail a boot fails here. Every
@@ -28,20 +26,14 @@ package server
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
-	"strconv"
 
 	"sourcecurrents/internal/session"
 	"sourcecurrents/internal/snapio"
 )
-
-// SnapshotCRCHeader carries the CRC32 (IEEE, decimal) of the full snapshot
-// stream, computed by the serving shard and verified by the adopting one.
-const SnapshotCRCHeader = "X-Snapshot-CRC32"
 
 // maxSnapshotStream caps an adopted snapshot fetch (1 GiB — far above any
 // world this system builds, low enough to stop a runaway peer).
@@ -94,8 +86,7 @@ func AdoptFromURL(reg *Registry, name, from, dir string, cfg session.Config, cli
 	// rename below the remove is a harmless ENOENT.
 	defer os.Remove(tmpPath)
 
-	crc := crc32.NewIEEE()
-	n, err := io.Copy(io.MultiWriter(tmp, crc), io.LimitReader(resp.Body, maxSnapshotStream))
+	n, err := io.Copy(tmp, io.LimitReader(resp.Body, maxSnapshotStream))
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
@@ -105,19 +96,12 @@ func AdoptFromURL(reg *Registry, name, from, dir string, cfg session.Config, cli
 	if n >= maxSnapshotStream {
 		return fmt.Errorf("server: adopt %q: %w: stream exceeds %d bytes", name, snapio.ErrCorrupt, int64(maxSnapshotStream))
 	}
-	if want := resp.Header.Get(SnapshotCRCHeader); want != "" {
-		got := strconv.FormatUint(uint64(crc.Sum32()), 10)
-		if got != want {
-			return fmt.Errorf("server: adopt %q: %w: transfer CRC mismatch (got %s, want %s)",
-				name, snapio.ErrCorrupt, got, want)
-		}
-	}
-
-	// Validate exactly as a boot would: read the container, build the
-	// dataset, state and planner, check the fingerprint. Anything short of a
-	// fully servable world is corruption — truncations and bad magic keep their own sentinels in
-	// the chain, but errors.Is(err, snapio.ErrCorrupt) holds for all of them.
-	// The session holds its own copy of the bytes, not the file.
+	// Validate exactly as a boot would: read the container and check its
+	// seal, build the dataset, state and planner, check the fingerprint.
+	// Anything short of a fully servable world is corruption — truncations,
+	// checksums and bad magic keep their own sentinels in the chain, but
+	// errors.Is(err, snapio.ErrCorrupt) holds for all of them. The session
+	// holds its own copy of the bytes, not the file.
 	s, err := session.LoadSnapshotFile(tmpPath, cfg)
 	if err != nil {
 		return fmt.Errorf("server: adopt %q: %w (%w)", name, snapio.ErrCorrupt, err)

@@ -197,9 +197,10 @@ func TestSnapshotServedByteIdentical(t *testing.T) {
 
 // TestCorruptLogIsServerError: a snapshot whose claim log was changed after
 // it was written (two claims' value ids swapped, each in range, under the
-// checksum of the log as it was) is a corrupt file, and the server treats it
-// as one wherever it arrives — the world is never served. LoadDir fails the boot naming the file, and /adopt of such a
-// stream answers 502 and leaves the directory untouched.
+// seal of the container as it was) is a corrupt file, and the server treats
+// it as one wherever it arrives — the world is never served. LoadDir fails
+// the boot naming the file, and /adopt of such a stream answers 502 and
+// leaves the directory untouched.
 func TestCorruptLogIsServerError(t *testing.T) {
 	built := testSession(t, 47, 30)
 	var buf bytes.Buffer
@@ -210,32 +211,18 @@ func TestCorruptLogIsServerError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sw snapio.SectionWriter
-	for k := uint32(1); k < 128; k++ {
-		b, ok := m.Section(k)
-		if !ok {
-			continue
+	b, _ := m.Section(dataset.SecLogVal)
+	i32 := binary.NativeEndian
+	for j, first := 4, i32.Uint32(b); j < len(b); j += 4 {
+		if v := i32.Uint32(b[j:]); v != first {
+			i32.PutUint32(b, v)
+			i32.PutUint32(b[j:], first)
+			break
 		}
-		if k == dataset.SecLogVal {
-			b = bytes.Clone(b)
-			i32 := binary.NativeEndian
-			for j, first := 4, i32.Uint32(b); j < len(b); j += 4 {
-				if v := i32.Uint32(b[j:]); v != first {
-					i32.PutUint32(b, v)
-					i32.PutUint32(b[j:], first)
-					break
-				}
-			}
-		}
-		sw.Add(k, b)
 	}
-	var mut bytes.Buffer
-	if err := sw.WriteTo(&mut, session.SnapshotMagic, session.SnapshotVersion); err != nil {
-		t.Fatal(err)
-	}
-	raw := mut.Bytes()
-	if _, err := session.LoadSnapshot(bytes.NewReader(raw), session.DefaultConfig()); !errors.Is(err, snapio.ErrCorrupt) {
-		t.Fatalf("LoadSnapshot: err = %v, want ErrCorrupt", err)
+	raw := m.Bytes()
+	if _, err := session.LoadSnapshot(bytes.NewReader(raw), session.DefaultConfig()); !errors.Is(err, snapio.ErrChecksum) || !errors.Is(err, snapio.ErrCorrupt) {
+		t.Fatalf("LoadSnapshot: err = %v, want ErrChecksum and ErrCorrupt", err)
 	}
 
 	dir := t.TempDir()
@@ -248,7 +235,7 @@ func TestCorruptLogIsServerError(t *testing.T) {
 	}
 
 	adoptDir := t.TempDir()
-	up := snapshotUpstream(t, raw, crcOf(raw))
+	up := snapshotUpstream(t, raw, false)
 	shard := httptest.NewServer(New(NewRegistry(), Options{AdoptDir: adoptDir, SessionCfg: session.DefaultConfig()}))
 	t.Cleanup(shard.Close)
 	resp, body := post(t, shard.URL+"/v1/corrupt/adopt?from="+up.URL, "")

@@ -2,9 +2,11 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,21 +15,27 @@ import (
 	"strings"
 	"testing"
 
+	"sourcecurrents/internal/dataset"
+	"sourcecurrents/internal/model"
 	"sourcecurrents/internal/session"
 	"sourcecurrents/internal/snapio"
 )
+
+// retiredFrame lays payload out in the retired frame format by hand: magic,
+// version, the payload's length, the payload and its IEEE CRC.
+func retiredFrame(magic string, version uint32, payload []byte) []byte {
+	b := append([]byte(magic), binary.LittleEndian.AppendUint32(nil, version)...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(payload)))
+	b = append(b, payload...)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+}
 
 // TestLoadDirRefusesRetiredFormats: LoadDir opens every snapshot, so the
 // retired decode-everything stream (ErrBadMagic) and a container of the
 // retired version 1 (ErrBadVersion) fail the boot, naming the file, rather
 // than registering a world no request could serve.
 func TestLoadDirRefusesRetiredFormats(t *testing.T) {
-	var stream bytes.Buffer
-	var w snapio.Writer
-	w.U32(0)
-	if err := w.Frame(&stream, "SCDSSESS", 2); err != nil {
-		t.Fatal(err)
-	}
+	stream := retiredFrame("SCDSSESS", 2, make([]byte, 4))
 	var v1 bytes.Buffer
 	var sw snapio.SectionWriter
 	if err := sw.WriteTo(&v1, session.SnapshotMagic, 1); err != nil {
@@ -37,11 +45,57 @@ func TestLoadDirRefusesRetiredFormats(t *testing.T) {
 		raw  []byte
 		want error
 	}{
-		"stream": {stream.Bytes(), snapio.ErrBadMagic},
+		"stream": {stream, snapio.ErrBadMagic},
 		"v1":     {v1.Bytes(), snapio.ErrBadVersion},
 	} {
 		dir := t.TempDir()
 		path := filepath.Join(dir, name+".snap")
+		if err := os.WriteFile(path, tc.raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadDir(dir, session.DefaultConfig(), nil)
+		if !errors.Is(err, tc.want) || !strings.Contains(fmt.Sprint(err), path) {
+			t.Fatalf("%s: LoadDir = %v, want %v naming %s", name, err, tc.want, path)
+		}
+	}
+}
+
+// TestLoadDirRefusesDamagedSegments: a world's append-log segment in the
+// retired version 1 frame (ErrBadVersion), or a current one with one bit
+// flipped in its records (ErrChecksum), fails the boot naming the file.
+func TestLoadDirRefusesDamagedSegments(t *testing.T) {
+	s := testSession(t, 23, 12)
+	var snap bytes.Buffer
+	if err := s.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	claim := model.NewClaim("S9", s.Dataset().Objects()[0], "UW")
+	var rec snapio.Writer
+	rec.U32(1)
+	for _, str := range []string{string(claim.Source), claim.Object.Entity, claim.Object.Attribute, claim.Value} {
+		rec.Str(str)
+	}
+	rec.Bool(claim.HasTime)
+	rec.I64(int64(claim.Time))
+	rec.F64(claim.Prob)
+	var seg bytes.Buffer
+	if err := dataset.WriteSegment(&seg, []model.Claim{claim}); err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Clone(seg.Bytes())
+	flipped[len(flipped)-1] ^= 0x01
+	for name, tc := range map[string]struct {
+		raw  []byte
+		want error
+	}{
+		"v1":      {retiredFrame(dataset.SegmentMagic, 1, rec.Payload()), snapio.ErrBadVersion},
+		"flipped": {flipped, snapio.ErrChecksum},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "world.snap"), snap.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "world.000001.seg")
 		if err := os.WriteFile(path, tc.raw, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -46,7 +46,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"mime"
 	"net/http"
@@ -165,8 +164,6 @@ type response struct {
 	status      int
 	contentType string
 	body        []byte
-	// headers are extra response headers (the snapshot stream's CRC).
-	headers map[string]string
 }
 
 // encodeBuffer is a pooled JSON encode buffer: the encoder's scratch and
@@ -239,9 +236,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// A declared length keeps a reply past net/http's 2 KB buffer from being
 	// chunk-encoded, and lets the router read it into one exact-size buffer.
 	h.Set("Content-Length", strconv.Itoa(len(resp.body)))
-	for k, v := range resp.headers {
-		h.Set(k, v)
-	}
 	w.WriteHeader(resp.status)
 	_, _ = w.Write(resp.body)
 	s.met.observe(op, time.Since(start), resp.status)
@@ -737,23 +731,15 @@ func (s *Server) handleReadyz() response {
 
 // handleSnapshot streams the session's snapshot container, rendered by
 // WriteSnapshot — for a world booted from a file, that file's bytes — so
-// every world is adoptable. The whole-stream CRC rides in a header; the
-// container's section payloads are unchecksummed by design, so this is what
-// catches in-transit bit flips.
+// every world is adoptable. The container's seal covers every section, so
+// the adopting shard's open is what catches a bit flipped in transit. The
+// render is buffered, so a failed one still answers 500.
 func (s *Server) handleSnapshot(sess *session.Session) response {
 	var buf bytes.Buffer
 	if err := sess.WriteSnapshot(&buf); err != nil {
 		return errResponse(err)
 	}
-	body := buf.Bytes()
-	return response{
-		status:      http.StatusOK,
-		contentType: "application/octet-stream",
-		body:        body,
-		headers: map[string]string{
-			SnapshotCRCHeader: strconv.FormatUint(uint64(crc32.ChecksumIEEE(body)), 10),
-		},
-	}
+	return response{status: http.StatusOK, contentType: "application/octet-stream", body: buf.Bytes()}
 }
 
 // AdoptResponse is the /v1/{dataset}/adopt success payload.

@@ -6,12 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strconv"
+	"slices"
 	"strings"
 	"testing"
 
@@ -36,7 +35,7 @@ func snapshotBytes(t testing.TB, s *session.Session) []byte {
 func sectionBoundaries(t testing.TB, b []byte) []int {
 	t.Helper()
 	const magicLen = 8
-	const hdrFixed = magicLen + 4 + 4 + 4 + 4 // magic, version, order, count, reserved
+	const hdrFixed = magicLen + 4 + 4 + 4 + 4 // magic, version, order, count, seal
 	const entryLen = 24
 	if len(b) < hdrFixed+4 {
 		t.Fatalf("snapshot too short to parse: %d bytes", len(b))
@@ -59,24 +58,23 @@ func sectionBoundaries(t testing.TB, b []byte) []int {
 	return bounds
 }
 
-// snapshotUpstream serves body as a snapshot stream with the given CRC
-// header value.
-func snapshotUpstream(t testing.TB, body []byte, crcHeader string) *httptest.Server {
+// snapshotUpstream serves body as a snapshot stream: declaring its length,
+// or chunked with no length declared, as a relay streaming through sends it.
+func snapshotUpstream(t testing.TB, body []byte, chunked bool) *httptest.Server {
 	t.Helper()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/octet-stream")
-		if crcHeader != "" {
-			w.Header().Set(SnapshotCRCHeader, crcHeader)
+		if !chunked {
+			w.Header().Set("Content-Length", fmt.Sprint(len(body)))
 		}
 		w.WriteHeader(http.StatusOK)
+		if chunked {
+			w.(http.Flusher).Flush()
+		}
 		_, _ = w.Write(body)
 	}))
 	t.Cleanup(ts.Close)
 	return ts
-}
-
-func crcOf(b []byte) string {
-	return strconv.FormatUint(uint64(crc32.ChecksumIEEE(b)), 10)
 }
 
 // assertCleanReject asserts an adopt failure left no trace: the dataset is
@@ -101,9 +99,9 @@ func assertCleanReject(t *testing.T, reg *Registry, dir, name string, err error)
 	}
 }
 
-// The snapshot endpoint must stream the container with a matching
-// whole-stream CRC header: what WriteSnapshot renders, which for a world
-// booted from a file is that file's bytes.
+// The snapshot endpoint must stream the container WriteSnapshot renders —
+// for a world booted from a file, that file's bytes — and the container's own
+// seal must hold over the body: the stream carries its integrity with it.
 func TestSnapshotEndpointCRC(t *testing.T) {
 	// Heap-built session: testServer registers in-memory sessions.
 	ts, sessions := testServer(t)
@@ -114,8 +112,11 @@ func TestSnapshotEndpointCRC(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
 		t.Fatalf("Content-Type = %q", ct)
 	}
-	if got, want := resp.Header.Get(SnapshotCRCHeader), crcOf(body); got != want {
-		t.Fatalf("CRC header = %s, body CRC = %s", got, want)
+	if _, err := snapio.OpenContainer(body, session.SnapshotMagic, session.SnapshotVersion); err != nil {
+		t.Fatalf("the streamed container does not open: %v", err)
+	}
+	if _, err := session.LoadSnapshot(bytes.NewReader(body), session.DefaultConfig()); err != nil {
+		t.Fatalf("the streamed snapshot does not load: %v", err)
 	}
 	if !bytes.Equal(body, snapshotBytes(t, sessions["alpha"])) {
 		t.Fatal("streamed bytes differ from WriteSnapshot output")
@@ -139,9 +140,6 @@ func TestSnapshotEndpointCRC(t *testing.T) {
 	}
 	if !bytes.Equal(body2, body) {
 		t.Fatal("the booted world's stream differs from its file")
-	}
-	if got, want := resp2.Header.Get(SnapshotCRCHeader), crcOf(body); got != want {
-		t.Fatalf("booted CRC header = %s, want %s", got, want)
 	}
 }
 
@@ -203,107 +201,99 @@ func TestAdoptGolden(t *testing.T) {
 
 // fixedCuts is a grid of truncation offsets independent of the container
 // layout, so that a format change does not rename the cases cut at them:
-// the section boundaries of two earlier layouts of the test's 40-object
-// world, a start and an end per section (a boundary shared by empty sections
-// recurs). Every one lies inside the current container's sections.
+// the section boundaries of earlier layouts — two of the test's 40-object
+// world and one of its 90-object world from before the dataset's checksum
+// section was deleted — a start and an end per section (a boundary shared by
+// empty sections recurs). Every one lies inside the current container's
+// sections.
 var fixedCuts = []int{
-	628, 632, 652, 656, 796, 800, 820, 824, 1180, 1184, 1204, 1208, 1568,
-	1568, 1592, 1592, 2848, 2848, 2872, 2872, 2884, 2888, 2908, 2912, 4168,
-	4168, 4192, 4192, 5448, 5448, 5472, 5472, 6728, 6728, 6752, 6752, 6764,
-	6768, 6768, 6768, 6768, 6768, 6768, 6768, 6768, 6768, 6768, 6768, 6788,
-	6792, 6792, 6792, 6792, 6792, 6792, 6792, 6792, 6792, 6792, 6792, 7435,
-	7440, 7459, 7464, 7476, 7480, 7500, 7504, 7804, 7808, 7828, 7832, 8192,
-	8192, 8216, 8216, 8256, 8256, 8768, 8768, 8785, 8792, 9259, 9264, 9496,
-	9496, 10564, 10568, 10776, 10776, 12056, 12056, 12056, 12056, 12120,
-	12120, 12588, 12592, 12880, 12880, 14448, 14448,
+	340, 344, 628, 632, 652, 656, 796, 800, 820, 824, 1180, 1184, 1204, 1208,
+	1568, 1568, 1592, 1592, 1871, 1872, 1908, 1912, 2636, 2640, 2848, 2848,
+	2872, 2872, 2884, 2888, 2908, 2912, 3512, 3512, 4168, 4168, 4192, 4192,
+	5448, 5448, 5472, 5472, 6392, 6392, 6728, 6728, 6752, 6752, 6764, 6768,
+	6768, 6768, 6768, 6768, 6768, 6768, 6768, 6768, 6768, 6768, 6788, 6792,
+	6792, 6792, 6792, 6792, 6792, 6792, 6792, 6792, 6792, 6792, 7435, 7440,
+	7459, 7464, 7476, 7480, 7500, 7504, 7804, 7808, 7828, 7832, 8192, 8192,
+	8216, 8216, 8256, 8256, 8768, 8768, 8785, 8792, 9259, 9264, 9272, 9272,
+	9496, 9496, 10564, 10568, 10776, 10776, 12056, 12056, 12056, 12056, 12120,
+	12120, 12152, 12152, 12152, 12152, 12156, 12160, 12224, 12224, 12588,
+	12592, 12880, 12880, 13960, 13960, 14448, 14448, 15528, 15528,
 }
 
-// Truncate the stream at the fixed grid and at every section boundary. With
-// the upstream advertising the ORIGINAL CRC (the truncation happened
-// mid-transfer), the transfer check must reject every cut. With an HONEST
-// CRC of the truncated bytes (a corrupt source), the structural validation
-// must reject instead. Either way: ErrCorrupt, nothing registered, nothing
-// left on disk.
+// Truncate the stream at the fixed grid and at every section boundary, and
+// serve the cut bytes as a whole response: chunked, as a relay that stopped
+// early sends them, and with their length declared, as a source whose file is
+// short does. The container ends at its last section's last byte, so every cut
+// destroys part of the world, and there is no transfer checksum: the
+// container's own header and seal must reject each one. Either way:
+// ErrCorrupt, nothing registered, nothing left on disk.
 func TestAdoptRejectsTruncation(t *testing.T) {
 	full := snapshotBytes(t, testSession(t, 11, 90))
 	bounds := sectionBoundaries(t, full)
-	maxEnd := 0
-	for _, b := range bounds {
-		if b > maxEnd {
-			maxEnd = b
-		}
+	if maxEnd := slices.Max(bounds); maxEnd != len(full) {
+		t.Fatalf("the container's last section ends at %d of its %d bytes", maxEnd, len(full))
 	}
-	if fixedCuts[len(fixedCuts)-1] >= maxEnd {
-		t.Fatalf("the %d-byte container ends before the fixed grid does", maxEnd)
+	if fixedCuts[len(fixedCuts)-1] >= len(full) {
+		t.Fatalf("the %d-byte container ends before the fixed grid does", len(full))
 	}
-	origCRC := crcOf(full)
 	for _, cut := range append(fixedCuts, bounds...) {
 		if cut >= len(full) {
 			continue
 		}
-		cut := cut
-		t.Run(fmt.Sprintf("midtransfer_cut_%d", cut), func(t *testing.T) {
-			up := snapshotUpstream(t, full[:cut], origCRC)
-			dir := t.TempDir()
-			reg := NewRegistry()
-			err := AdoptFromURL(reg, "w", up.URL, dir, session.DefaultConfig(), nil)
-			assertCleanReject(t, reg, dir, "w", err)
-		})
-		// Cutting exactly at the final section's end only drops alignment
-		// padding — the container can still validate, so the honest-CRC grid
-		// covers strictly-destructive cuts only.
-		if cut >= maxEnd {
-			continue
+		for _, mode := range []struct {
+			name    string
+			chunked bool
+		}{{"midtransfer", true}, {"badsource", false}} {
+			t.Run(fmt.Sprintf("%s_cut_%d", mode.name, cut), func(t *testing.T) {
+				up := snapshotUpstream(t, full[:cut], mode.chunked)
+				dir := t.TempDir()
+				reg := NewRegistry()
+				err := AdoptFromURL(reg, "w", up.URL, dir, session.DefaultConfig(), nil)
+				assertCleanReject(t, reg, dir, "w", err)
+			})
 		}
-		t.Run(fmt.Sprintf("badsource_cut_%d", cut), func(t *testing.T) {
-			trunc := full[:cut]
-			up := snapshotUpstream(t, trunc, crcOf(trunc))
-			dir := t.TempDir()
-			reg := NewRegistry()
-			err := AdoptFromURL(reg, "w", up.URL, dir, session.DefaultConfig(), nil)
-			assertCleanReject(t, reg, dir, "w", err)
-		})
 	}
 }
 
 // Flip single bytes across the container — in the magic, the section table,
 // deep inside section payloads (at fixed offsets, so the case names do not
-// move with the layout) and the final byte — with the upstream advertising
-// the original CRC (an in-transit flip). The dataset's claim log and strings
-// are checksummed on disk, but the state's sections are not, so for a flip
-// there the transfer CRC is the only line of defense; every flip must be
-// rejected cleanly.
+// move with the layout) and the final byte — with the upstream sending no
+// checksum of its own. The header CRC covers the header and the seal every
+// section, so every flip must be rejected cleanly by the open alone.
 func TestAdoptRejectsBitFlips(t *testing.T) {
 	full := snapshotBytes(t, testSession(t, 11, 170))
-	origCRC := crcOf(full)
-	positions := []int{
+	positions := map[string]int{"final": len(full) - 1}
+	for _, pos := range []int{
 		2,                          // magic
 		30,                         // section table
 		12012, 18018, 24023, 27039, // inside payloads
-		len(full) - 1, // final byte
+	} {
+		positions[fmt.Sprint(pos)] = pos
 	}
 	if len(full) <= 27039 {
 		t.Fatalf("the %d-byte container ends before the deepest flip", len(full))
 	}
-	for _, pos := range positions {
-		pos := pos
-		t.Run(fmt.Sprintf("flip_%d", pos), func(t *testing.T) {
+	for name, pos := range positions {
+		t.Run("flip_"+name, func(t *testing.T) {
 			flipped := append([]byte(nil), full...)
 			flipped[pos] ^= 0x40
-			up := snapshotUpstream(t, flipped, origCRC)
+			up := snapshotUpstream(t, flipped, false)
 			dir := t.TempDir()
 			reg := NewRegistry()
 			err := AdoptFromURL(reg, "w", up.URL, dir, session.DefaultConfig(), nil)
 			assertCleanReject(t, reg, dir, "w", err)
+			if pos >= 30 && !errors.Is(err, snapio.ErrChecksum) {
+				t.Fatalf("flip at %d: err = %v, want ErrChecksum", pos, err)
+			}
 		})
 	}
 }
 
-// A source that serves no CRC header still cannot sneak structural garbage
-// past adopt: the full load validation runs regardless.
+// A source that serves structural garbage behind a valid magic cannot sneak
+// it past adopt: the full load validation runs on every stream.
 func TestAdoptRejectsGarbageWithoutCRC(t *testing.T) {
 	garbage := append([]byte(session.SnapshotMagic), bytes.Repeat([]byte{0xAB}, 512)...)
-	up := snapshotUpstream(t, garbage, "")
+	up := snapshotUpstream(t, garbage, false)
 	dir := t.TempDir()
 	reg := NewRegistry()
 	err := AdoptFromURL(reg, "w", up.URL, dir, session.DefaultConfig(), nil)

@@ -9,31 +9,29 @@
 // since a compacted snapshot still carries the whole claim log no lag is too
 // long for one.
 //
-// The frame is a section container (snapio/sections.go) of its own magic:
+// The frame is a section container (snapio/sections.go) of its own magic,
+// sealed like every container:
 //
 //   - the batches since the epoch, in order, as log segments
-//     (dataset.WriteSegment) laid back to back — each segment frame is
-//     self-delimiting, and the bytes the replica persists per epoch are the
-//     ones the primary persisted;
+//     (dataset.WriteSegment) laid back to back — each segment is a container
+//     of its own that ends at its last byte, and the bytes the replica
+//     persists per epoch are the ones the primary persisted;
 //   - the accuracy vector and the dirty objects' posterior rows, []float64;
 //   - the pair records with a dirty member, depen's 56-byte layout, as the
 //     snapshot stores them;
 //   - the meta: the epoch the frame reaches, the epoch it applies to, the
-//     last solve's rounds and converged, and the config fingerprint;
-//   - a CRC-32 of the five sections above, in that order — the container's
-//     own CRC covers only its header.
+//     last solve's rounds and converged, and the config fingerprint.
 //
-// Every way a frame can be damaged fails AppendDelta with snapio.ErrCorrupt,
-// before anything is built; a sound frame that applies to another epoch than
-// the session's fails with ErrDeltaEpoch.
+// Every way a frame can be damaged fails AppendDelta with snapio.ErrCorrupt —
+// a damaged byte with snapio.ErrChecksum too, at the seal — before anything is
+// built; a sound frame that applies to another epoch than the session's fails
+// with ErrDeltaEpoch.
 package session
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"sourcecurrents/internal/dataset"
@@ -45,21 +43,15 @@ import (
 // DeltaMagic and DeltaVersion identify an epoch delta frame.
 const (
 	DeltaMagic   = "SCEPDLTA"
-	DeltaVersion = 2
+	DeltaVersion = 3
 )
 
 // DeltaContentType is the media type a delta frame travels under over HTTP.
 const DeltaContentType = "application/x-currents-delta"
 
-// The delta frame's sections past the state's three and the meta, which keep
-// their snapshot ids.
-const (
-	secBatch = secMeta + 1 + iota // the batches, log segments back to back
-	secCRC                        // CRC-32 of the other sections
-)
-
-// deltaSections are the sections the CRC covers, in the order it covers them.
-var deltaSections = []uint32{secBatch, secAcc, secPost, secPairRec, secMeta}
+// secBatch is the delta frame's section past the state's three and the meta,
+// which keep their snapshot ids: the batches, log segments back to back.
+const secBatch = secMeta + 1
 
 // ErrDeltaEpoch reports a sound delta frame that applies to an epoch other
 // than the session's: nothing was applied.
@@ -85,20 +77,12 @@ func (s *Session) WriteDelta(w io.Writer, since int) error {
 	meta.U32(uint32(dl.Rounds))
 	meta.Bool(dl.Converged)
 	encodeFingerprint(&meta, s.cfg.Depen)
-	data := map[uint32][]byte{
-		secBatch:   segs.Bytes(),
-		secAcc:     snapio.F64Bytes(dl.Acc),
-		secPost:    snapio.F64Bytes(dl.Post),
-		secPairRec: dl.Pairs,
-		secMeta:    meta.Payload(),
-	}
 	var sw snapio.SectionWriter
-	var crc uint32
-	for _, id := range deltaSections {
-		sw.Add(id, data[id])
-		crc = crc32.Update(crc, crc32.IEEETable, data[id])
-	}
-	sw.Add(secCRC, binary.LittleEndian.AppendUint32(nil, crc))
+	sw.Add(secBatch, segs.Bytes())
+	sw.Add(secAcc, snapio.F64Bytes(dl.Acc))
+	sw.Add(secPost, snapio.F64Bytes(dl.Post))
+	sw.Add(secPairRec, dl.Pairs)
+	sw.Add(secMeta, meta.Payload())
 	return sw.WriteTo(w, DeltaMagic, DeltaVersion)
 }
 
@@ -120,16 +104,10 @@ func (s *Session) AppendDelta(frame []byte) (*Session, error) {
 	if err != nil {
 		return nil, deltaCorrupt(err)
 	}
-	var crc uint32
-	for _, id := range deltaSections {
-		b, ok := m.Section(id)
-		if !ok {
+	for _, id := range []uint32{secBatch, secPairRec, secMeta} {
+		if _, ok := m.Section(id); !ok {
 			return nil, deltaCorrupt(fmt.Errorf("section %d missing", id))
 		}
-		crc = crc32.Update(crc, crc32.IEEETable, b)
-	}
-	if sum, ok := m.Section(secCRC); !ok || len(sum) != 4 || binary.LittleEndian.Uint32(sum) != crc {
-		return nil, deltaCorrupt(fmt.Errorf("%w: sections do not match their CRC", snapio.ErrChecksum))
 	}
 
 	metaB, _ := m.Section(secMeta)

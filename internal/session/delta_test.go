@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -158,30 +157,21 @@ func deltaBase(t testing.TB) (base *Session, chain []*Session) {
 	return base, chain
 }
 
-// withDeltaSection rebuilds the delta frame raw with section id edited; with
-// sum it recomputes the CRC, so the damage reaches the checks past it.
-func withDeltaSection(t testing.TB, raw []byte, id uint32, sum bool, edit func([]byte) []byte) []byte {
+// withDeltaSection rebuilds the delta frame raw with section id edited,
+// sealed by the writer, so the damage reaches the checks behind the seal.
+func withDeltaSection(t testing.TB, raw []byte, id uint32, edit func([]byte) []byte) []byte {
 	t.Helper()
 	m, err := snapio.OpenContainer(raw, DeltaMagic, DeltaVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := map[uint32][]byte{}
-	for _, k := range append(deltaSections, secCRC) {
-		b, _ := m.Section(k)
-		data[k] = bytes.Clone(b)
-	}
-	data[id] = edit(data[id])
-	if sum {
-		var crc uint32
-		for _, k := range deltaSections {
-			crc = crc32.Update(crc, crc32.IEEETable, data[k])
-		}
-		data[secCRC] = binary.LittleEndian.AppendUint32(nil, crc)
-	}
 	var sw snapio.SectionWriter
-	for _, k := range append(deltaSections, secCRC) {
-		sw.Add(k, data[k])
+	for _, k := range []uint32{secBatch, secAcc, secPost, secPairRec, secMeta} {
+		b, _ := m.Section(k)
+		if k == id {
+			b = edit(bytes.Clone(b))
+		}
+		sw.Add(k, b)
 	}
 	var buf bytes.Buffer
 	if err := sw.WriteTo(&buf, DeltaMagic, DeltaVersion); err != nil {
@@ -190,10 +180,24 @@ func withDeltaSection(t testing.TB, raw []byte, id uint32, sum bool, edit func([
 	return buf.Bytes()
 }
 
+// sealFlipped returns a copy of the delta frame raw with byte at of section
+// id flipped under the seal written for it.
+func sealFlipped(t testing.TB, raw []byte, id uint32, at int) []byte {
+	t.Helper()
+	m, err := snapio.OpenContainer(bytes.Clone(raw), DeltaMagic, DeltaVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := m.Section(id)
+	b[at] ^= 0x10
+	return m.Bytes()
+}
+
 // deltaFuzzSeeds are the checked-in seeds of FuzzApplyDelta: the first
-// successor's delta frame damaged where AppendDelta on base must catch it,
-// and a three-batch frame short of a batch (each fails with
-// snapio.ErrCorrupt); and sound frames that apply to epoch 1, across one
+// successor's delta frame damaged where AppendDelta on base must catch it —
+// one byte flipped under the seal (crc-flip), the rest re-sealed so they reach
+// the checks behind it — and a three-batch frame short of a batch (each fails
+// with snapio.ErrCorrupt); and sound frames that apply to epoch 1, across one
 // batch and across two (each fails with ErrDeltaEpoch).
 // TestDeltaFuzzSeedsInSync keeps testdata/fuzz current.
 func deltaFuzzSeeds(t testing.TB) map[string][]byte {
@@ -202,7 +206,7 @@ func deltaFuzzSeeds(t testing.TB) map[string][]byte {
 	raw := deltaBytes(t, chain[0], 0)
 	i32 := binary.NativeEndian
 	pairs := func(edit func(p []byte)) []byte {
-		return withDeltaSection(t, raw, secPairRec, true, func(p []byte) []byte {
+		return withDeltaSection(t, raw, secPairRec, func(p []byte) []byte {
 			if len(p) < 2*pairRecBytes {
 				t.Fatal("the batch dirtied fewer than two analysed pairs")
 			}
@@ -210,7 +214,7 @@ func deltaFuzzSeeds(t testing.TB) map[string][]byte {
 			return p
 		})
 	}
-	f64 := func(id uint32, edit func([]byte) []byte) []byte { return withDeltaSection(t, raw, id, true, edit) }
+	f64 := func(id uint32, edit func([]byte) []byte) []byte { return withDeltaSection(t, raw, id, edit) }
 	var last bytes.Buffer
 	if err := dataset.WriteSegment(&last, chain[2].Dataset().Batch()); err != nil {
 		t.Fatal(err)
@@ -231,11 +235,8 @@ func deltaFuzzSeeds(t testing.TB) map[string][]byte {
 		"post-row-short":   f64(secPost, func(p []byte) []byte { return p[:len(p)-8] }),
 		"post-row-long":    f64(secPost, func(p []byte) []byte { return append(p, p[:8]...) }),
 		"acc-wrong-length": f64(secAcc, func(p []byte) []byte { return p[:len(p)-8] }),
-		"crc-flip": withDeltaSection(t, raw, secAcc, false, func(p []byte) []byte {
-			p[3] ^= 0x10
-			return p
-		}),
-		"batches-short": withDeltaSection(t, deltaBytes(t, chain[2], 0), secBatch, true, func(p []byte) []byte {
+		"crc-flip":         sealFlipped(t, raw, secAcc, 3),
+		"batches-short": withDeltaSection(t, deltaBytes(t, chain[2], 0), secBatch, func(p []byte) []byte {
 			return p[:len(p)-last.Len()]
 		}),
 		"wrong-epoch":    deltaBytes(t, chain[1], 1),
@@ -270,8 +271,11 @@ func TestDeltaFuzzSeedsInSync(t *testing.T) {
 		}
 		_, err = base.AppendDelta(seed)
 		wantErr := snapio.ErrCorrupt
-		if name == "wrong-epoch" || name == "since-mismatch" {
+		switch name {
+		case "wrong-epoch", "since-mismatch":
 			wantErr = ErrDeltaEpoch
+		case "crc-flip":
+			wantErr = snapio.ErrChecksum
 		}
 		if !errors.Is(err, wantErr) {
 			t.Fatalf("seed %s applies with %v, want %v", name, err, wantErr)
@@ -310,4 +314,122 @@ func FuzzApplyDelta(f *testing.F) {
 			t.Fatalf("a frame applied to a state the primary never solved: %v", err)
 		}
 	})
+}
+
+// TestEverySectionSealed flips one bit at the start, the middle and the end
+// of every section of a snapshot, a delta frame and a log segment, and
+// requires each to fail every reader of its container with ErrChecksum, with
+// ErrCorrupt holding too. The world the sections were first found unsealed on
+// gets the same probe: the low bit of the first byte of each state section
+// of its snapshot. And two segments whose lengths are not multiples of 8,
+// laid back to back, read one by one, and a delta carrying them applies.
+func TestEverySectionSealed(t *testing.T) {
+	base, chain := deltaBase(t)
+	var seg bytes.Buffer
+	if err := dataset.WriteSegment(&seg, chain[0].Dataset().Batch()); err != nil {
+		t.Fatal(err)
+	}
+	loadSnapshot := map[string]func([]byte) error{
+		"LoadSnapshot": func(b []byte) error { _, err := loadBytes(b, DefaultConfig()); return err },
+		"LoadSnapshotFile": func(b []byte) error {
+			_, err := loadFileErr(t, b, DefaultConfig())
+			return err
+		},
+	}
+	probe := snapshotBytes(t, benchWorld(t))
+	for _, tc := range []struct {
+		name    string
+		raw     []byte
+		magic   string
+		version uint32
+		ids     []uint32 // the sections to flip; nil for every one
+		readers map[string]func([]byte) error
+	}{
+		{"snapshot", snapshotBytes(t, chain[2]), SnapshotMagic, SnapshotVersion, nil, loadSnapshot},
+		{"delta", deltaBytes(t, chain[2], 0), DeltaMagic, DeltaVersion, nil, map[string]func([]byte) error{
+			"AppendDelta": func(b []byte) error { _, err := base.AppendDelta(b); return err },
+		}},
+		{"segment", seg.Bytes(), dataset.SegmentMagic, dataset.SegmentVersion, nil, map[string]func([]byte) error{
+			"ReadSegment": func(b []byte) error { _, err := dataset.ReadSegment(bytes.NewReader(b)); return err },
+		}},
+		{"probe", probe, SnapshotMagic, SnapshotVersion, []uint32{secAcc, secPost, secPairRec, secMeta}, loadSnapshot},
+	} {
+		m, err := snapio.OpenContainer(tc.raw, tc.magic, tc.version)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		ids := tc.ids
+		if ids == nil {
+			for id := uint32(0); id < 128; id++ {
+				if b, ok := m.Section(id); ok && len(b) > 0 {
+					ids = append(ids, id)
+				}
+			}
+		}
+		for _, id := range ids {
+			sec, _ := m.Section(id)
+			at := []int{0, len(sec) / 2, len(sec) - 1}
+			if tc.name == "probe" {
+				at = at[:1] // the first byte, as the probe flipped it
+			}
+			for _, pos := range at {
+				mut, err := snapio.OpenContainer(bytes.Clone(tc.raw), tc.magic, tc.version)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, _ := mut.Section(id)
+				b[pos] ^= 1 << (pos % 8)
+				for via, read := range tc.readers {
+					if err := read(mut.Bytes()); !errors.Is(err, snapio.ErrChecksum) || !errors.Is(err, snapio.ErrCorrupt) {
+						t.Errorf("%s, section %d byte %d, %s: err = %v, want ErrChecksum and ErrCorrupt", tc.name, id, pos, via, err)
+					}
+				}
+			}
+		}
+	}
+
+	// Two batches whose segments end off the 8-byte grid: the value is
+	// lengthened until each does.
+	objs := base.Dataset().Objects()
+	cur, value := base, "v"
+	var segs bytes.Buffer
+	var lens []int
+	for k := 0; k < 2; k++ {
+		for {
+			var b bytes.Buffer
+			batch := []model.Claim{model.NewClaim("S1", objs[k], value)}
+			if err := dataset.WriteSegment(&b, batch); err != nil {
+				t.Fatal(err)
+			}
+			value += "v"
+			if b.Len()%8 == 0 {
+				continue
+			}
+			next, err := cur.Append(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur = next
+			lens = append(lens, b.Len())
+			segs.Write(b.Bytes())
+			break
+		}
+	}
+	rd := bytes.NewReader(segs.Bytes())
+	for k := 0; k < 2; k++ {
+		batch, err := dataset.ReadSegment(rd)
+		if err != nil || !slices.Equal(batch, cur.Dataset().BatchAt(k+1)) {
+			t.Fatalf("segment %d of %v bytes back to back: %v, %v", k, lens, batch, err)
+		}
+	}
+	if rd.Len() != 0 {
+		t.Fatalf("%d bytes left after two segments of %v bytes", rd.Len(), lens)
+	}
+	got, err := base.AppendDelta(deltaBytes(t, cur, 0))
+	if err != nil {
+		t.Fatalf("a delta of two segments of %v bytes: %v", lens, err)
+	}
+	if err := stateBitsDiff(got.st, cur.st); err != nil {
+		t.Fatalf("a delta of two segments of %v bytes: %v", lens, err)
+	}
 }

@@ -5,14 +5,13 @@
 // before the first query can be answered (454 ms at 500 sources on the
 // baseline hardware). A session snapshot is that solve's dense state laid
 // out as it lies in memory, in an aligned section container
-// (snapio/sections.go), so loading is one read into a heap buffer plus
-// validation and casts — no decode loop and a few dozen allocations
-// whatever the world's size. Its sections:
+// (snapio/sections.go), so loading is one read into a heap buffer, one CRC
+// over it and validation and casts — no decode loop and a few dozen
+// allocations whatever the world's size. Its sections:
 //
 //   - the dataset (dataset.AppendSections): the interned-string blob with its
 //     offset tables, and the claim log as id columns into them with its epoch
-//     bounds — time and probability columns only when some claim needs them —
-//     sealed by one CRC32 of those sections;
+//     bounds — time and probability columns only when some claim needs them;
 //   - the state (depen): the accuracy vector per source, the posterior
 //     vector per value group, and the analysed pairs' records in (a, b)
 //     order, 56 bytes each. The source×source totals table is not stored:
@@ -20,13 +19,16 @@
 //     them;
 //   - the meta: rounds, converged and the config fingerprint.
 //
-// Opening builds the session New builds: the heap dataset from the claim log
-// over the stored interning tables (dataset.FromSections, which checks the
-// dataset's CRC, then the structure of what it read, and lays out every other
-// table), the state assembled over that dataset's index from the state's
-// sections as they lie, and the planner. So a damaged file fails the open,
-// classified (snapio.ErrCorrupt, ErrTruncated, ErrBadMagic, ErrBadVersion) —
-// not a later call. A loaded session is bit-identical to the session it was
+// The container's seal covers every section, so a byte damaged after the
+// write fails the open with snapio.ErrChecksum before any section is read.
+// Opening then builds the session New builds: the heap dataset from the claim
+// log over the stored interning tables (dataset.FromSections, which checks
+// the structure of what it read and lays out every other table), the state
+// assembled over that dataset's index from the state's sections as they lie,
+// and the planner — each checking what it takes, since a sealed file is still
+// outside input. So a damaged file fails the open, classified
+// (snapio.ErrCorrupt, ErrTruncated, ErrBadMagic, ErrBadVersion) — not a later
+// call. A loaded session is bit-identical to the session it was
 // taken of and to a rebuild, in structure and on every call (the snapshot
 // suites pin it). The container is an ordinary heap buffer, which the state's
 // vectors and pair records alias: the garbage collector keeps it for as long
@@ -52,11 +54,12 @@ import (
 
 // SnapshotMagic and SnapshotVersion identify the session snapshot container.
 // Every other magic or version — the retired decode-everything stream, a
-// container of version 1 or 2 — fails to open, classified, with a message that
-// names `currents snapshot`, which writes this one from the claims.
+// container of version 1 to 3 (version 3 sealed only its dataset sections) —
+// fails to open, classified, with a message that names `currents snapshot`,
+// which writes this one from the claims.
 const (
 	SnapshotMagic   = "SCSESSM2"
-	SnapshotVersion = 3
+	SnapshotVersion = 4
 )
 
 // Session-level section ids, above the range the dataset codec reserves.

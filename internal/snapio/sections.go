@@ -1,33 +1,35 @@
-// Section-table container: the zero-decode snapshot layout.
+// Section-table container: the one layout every snapshot, delta and segment
+// is written in.
 //
-// The frame format in snapio.go serializes every table through an encoder,
-// which forces the reader to decode — and therefore allocate — each table on
-// load. The section container instead stores every dense table in its exact
-// in-memory wire layout, 8-byte aligned, behind a CRC-covered header of
-// section offsets:
+// The container stores every table in its exact in-memory wire layout,
+// 8-byte aligned, behind a CRC-covered header of section offsets:
 //
 //	magic    [8]byte   format identifier, ASCII
 //	version  uint32    format version
 //	order    uint32    byte-order marker (orderMarker written natively)
 //	count    uint32    number of sections
-//	reserved uint32    zero
+//	seal     uint32    IEEE CRC of everything after the header CRC
 //	table    [count]{id uint32, reserved uint32, offset uint64, length uint64}
 //	crc32    uint32    IEEE CRC of everything above
 //	pad to 8 bytes
-//	sections, each starting 8-byte aligned, padded with zero bytes
+//	sections, each starting 8-byte aligned, the gaps between them zero
+//
+// The container ends at its last section's last byte: no padding follows
+// it, so containers laid back to back in one stream each read exactly their
+// own bytes.
 //
 // Loading is one read into an 8-aligned heap buffer — of exactly the file's
 // size (ReadContainerFile), or sized by the header from a stream
-// (ReadContainer) — plus structural validation of the header: offsets must
-// be 8-aligned, in bounds, and non-overlapping. Section payloads are not
-// checksummed, except the dataset's claim log and strings, which the dataset
-// codec checks: a reader casts a section straight into a typed slice — no
-// decode loop, no further copy — and the section's owner validates what it
-// takes (a session's open checks the state's sections), which is what stops a
-// damaged file. The buffer is
-// an ordinary heap object: whatever aliases it keeps it alive, and nothing
-// releases it by hand. Dense tables are written in host byte order; the
-// order marker makes a snapshot written on a different-endian host fail
+// (ReadContainer) — plus structural validation of the header (offsets must
+// be 8-aligned, in bounds, and non-overlapping) and then the seal: every byte
+// a reader can reach is covered by the header CRC or by the seal, so a
+// damaged container fails to open with ErrChecksum before any section is
+// handed out. A reader then casts a section straight into a typed slice — no
+// decode loop, no further copy — and the section's owner still validates what
+// it takes, since a correctly sealed container is still outside input. The
+// buffer is an ordinary heap object: whatever aliases it keeps it alive, and
+// nothing releases it by hand. Dense tables are written in host byte order;
+// the order marker makes a snapshot written on a different-endian host fail
 // loudly instead of decoding garbage.
 package snapio
 
@@ -54,6 +56,9 @@ const sectionAlign = 8
 // sectionHdrLen is the fixed header prefix before the section table.
 const sectionHdrLen = MagicLen + 4 + 4 + 4 + 4
 
+// sealOff is where the seal lies in the header prefix.
+const sealOff = MagicLen + 12
+
 // sectionEntryLen is one section-table entry.
 const sectionEntryLen = 4 + 4 + 8 + 8
 
@@ -79,7 +84,7 @@ func (w *SectionWriter) Add(id uint32, data []byte) {
 func pad8(n uint64) uint64 { return (sectionAlign - n%sectionAlign) % sectionAlign }
 
 // WriteTo writes the full container (header, CRC-covered section table,
-// aligned payloads) to out.
+// aligned payloads, the seal over them) to out.
 func (w *SectionWriter) WriteTo(out io.Writer, magic string, version uint32) error {
 	if len(magic) != MagicLen {
 		return fmt.Errorf("snapio: magic %q must be %d bytes", magic, MagicLen)
@@ -113,24 +118,65 @@ func (w *SectionWriter) WriteTo(out io.Writer, magic string, version uint32) err
 		off += uint64(len(w.data[i]))
 		off += pad8(off)
 	}
-	binary.LittleEndian.PutUint32(hdr[hdrLen-4:],
-		crc32.ChecksumIEEE(hdr[:hdrLen-4]))
+	// The zero gap that aligns the section after data i; none follows the
+	// last section, where the container ends.
+	var zeros [sectionAlign]byte
+	gap := func(i int) []byte {
+		if i == len(w.data)-1 {
+			return nil
+		}
+		return zeros[:pad8(uint64(len(w.data[i])))]
+	}
+	seal := crc32.ChecksumIEEE(hdr[hdrLen:])
+	for i, data := range w.data {
+		seal = crc32.Update(seal, crc32.IEEETable, data)
+		seal = crc32.Update(seal, crc32.IEEETable, gap(i))
+	}
+	sealHeader(hdr[:hdrLen], seal)
 
 	if _, err := out.Write(hdr); err != nil {
 		return err
 	}
-	var zeros [sectionAlign]byte
-	for _, data := range w.data {
+	for i, data := range w.data {
 		if _, err := out.Write(data); err != nil {
 			return err
 		}
-		if p := pad8(uint64(len(data))); p > 0 {
-			if _, err := out.Write(zeros[:p]); err != nil {
+		if g := gap(i); len(g) > 0 {
+			if _, err := out.Write(g); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// sealHeader stores seal in a whole header (CRC included) and ends it with
+// the CRC of everything before the CRC.
+func sealHeader(hdr []byte, seal uint32) {
+	binary.LittleEndian.PutUint32(hdr[sealOff:], seal)
+	n := len(hdr) - 4
+	binary.LittleEndian.PutUint32(hdr[n:], crc32.ChecksumIEEE(hdr[:n]))
+}
+
+// Reseal rewrites, in place, the seal and the header CRC of the container at
+// the start of data to match the bytes data holds, as WriteTo would have
+// written them: how a test that damages a container on purpose lets the
+// damage reach the checks behind the seal. Data too short for the header it
+// declares is left as it is.
+func Reseal(data []byte) {
+	if len(data) < sectionHdrLen {
+		return
+	}
+	count := binary.LittleEndian.Uint32(data[MagicLen+8:])
+	hdrLen := sectionHdrLen + sectionEntryLen*int(count) + 4
+	if count > maxSections || len(data) < hdrLen {
+		return
+	}
+	end, err := sectionsEnd(data[:hdrLen])
+	if err != nil || end > uint64(len(data)) {
+		end = uint64(len(data))
+	}
+	sealHeader(data[:hdrLen], crc32.ChecksumIEEE(data[hdrLen:end]))
 }
 
 // Container is a validated, read-only view over a section container held in
@@ -226,25 +272,29 @@ func tableLen(hdr []byte, magic string, version uint32) (int, error) {
 	return sectionHdrLen + sectionEntryLen*int(count) + 4, nil
 }
 
-// checkCRC checks a whole header against the CRC that ends it.
-func checkCRC(hdr []byte) error {
-	n := len(hdr) - 4
-	if want, have := binary.LittleEndian.Uint32(hdr[n:]), crc32.ChecksumIEEE(hdr[:n]); want != have {
-		return fmt.Errorf("%w: header CRC have %08x, want %08x", ErrChecksum, have, want)
-	}
-	return nil
+// checksumErr reports a CRC that does not match the bytes it covers: an
+// ErrChecksum, which is a kind of ErrCorrupt.
+func checksumErr(what string, have, want uint32) error {
+	return fmt.Errorf("%w: %w: %s CRC have %08x, want %08x", ErrCorrupt, ErrChecksum, what, have, want)
 }
 
 // containerEnd checks a whole header (CRC included) and returns where the
-// container it declares ends: the end of its last section's data. A section
-// reaching past the payload cap is ErrCorrupt. Both openers check this before
-// anything else in the table, so a container cut short fails the same way
-// read from a stream as from a file.
+// container it declares ends. Both openers check this before anything else in
+// the table, so a container cut short fails the same way read from a stream
+// as from a file.
 func containerEnd(hdr []byte) (uint64, error) {
-	if err := checkCRC(hdr); err != nil {
-		return 0, err
+	n := len(hdr) - 4
+	if want, have := binary.LittleEndian.Uint32(hdr[n:]), crc32.ChecksumIEEE(hdr[:n]); want != have {
+		return 0, checksumErr("header", have, want)
 	}
-	end := uint64(len(hdr))
+	return sectionsEnd(hdr)
+}
+
+// sectionsEnd returns where the container a whole header declares ends: the
+// end of its last section's data, or of the header's padding when no section
+// lies past it. A section reaching past the payload cap is ErrCorrupt.
+func sectionsEnd(hdr []byte) (uint64, error) {
+	end := uint64(len(hdr)) + pad8(uint64(len(hdr)))
 	for i := 0; i < (len(hdr)-sectionHdrLen-4)/sectionEntryLen; i++ {
 		e := hdr[sectionHdrLen+sectionEntryLen*i:]
 		off, length := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
@@ -257,8 +307,8 @@ func containerEnd(hdr []byte) (uint64, error) {
 }
 
 // ReadContainer reads a section container from r, through the end of its last
-// section's data, into an aligned heap buffer sized by its header, then
-// validates it as OpenContainer does.
+// section's data and not a byte further, into an aligned heap buffer sized by
+// its header, then validates it as OpenContainer does.
 func ReadContainer(r io.Reader, magic string, version uint32) (*Container, error) {
 	hdr := make([]byte, sectionHdrLen)
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -284,7 +334,8 @@ func ReadContainer(r io.Reader, magic string, version uint32) (*Container, error
 	return newContainer(data, magic, version)
 }
 
-// newContainer validates the container and builds the section index.
+// newContainer validates the container — its header, then the layout of its
+// sections, then the seal over them — and builds the section index.
 func newContainer(data []byte, magic string, version uint32) (*Container, error) {
 	if len(data) < sectionHdrLen {
 		return nil, fmt.Errorf("%w: %d bytes is smaller than a section header", ErrTruncated, len(data))
@@ -335,6 +386,9 @@ func newContainer(data []byte, magic string, version uint32) (*Container, error)
 		if spans[i].off < spans[i-1].end {
 			return nil, fmt.Errorf("%w: sections %d and %d overlap", ErrCorrupt, spans[i-1].id, spans[i].id)
 		}
+	}
+	if have, want := crc32.ChecksumIEEE(data[hdrLen:end]), binary.LittleEndian.Uint32(data[sealOff:]); have != want {
+		return nil, checksumErr("section", have, want)
 	}
 	return &Container{data: data, sections: sections}, nil
 }
@@ -404,14 +458,6 @@ func I32Bytes(v []int32) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*4)
 }
 
-// I64Bytes views an []int64 as raw bytes.
-func I64Bytes(v []int64) []byte {
-	if len(v) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*8)
-}
-
 // F64Bytes views a []float64 as raw bytes.
 func F64Bytes(v []float64) []byte {
 	if len(v) == 0 {
@@ -419,11 +465,3 @@ func F64Bytes(v []float64) []byte {
 	}
 	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*8)
 }
-
-// NewReader returns a Reader over an in-memory payload — how a container's
-// encoder-built sections (see Payload) are decoded.
-func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
-
-// Payload exposes a Writer's accumulated bytes without framing, for
-// embedding an encoder-built table as one section of a container.
-func (w *Writer) Payload() []byte { return w.buf }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -157,7 +156,7 @@ func TestReadMappedFileBoundedByFile(t *testing.T) {
 	lie := make([]byte, 4<<10)
 	copy(lie, buf.Bytes())
 	binary.LittleEndian.PutUint64(lie[sectionHdrLen+16:], 512<<20)
-	refreshCRC(lie)
+	Reseal(lie)
 	path := write("lie", lie)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -182,14 +181,6 @@ func corrupt(t *testing.T, data []byte, want error, name string, fn func([]byte)
 	}
 }
 
-// refreshCRC recomputes the header CRC after a deliberate table edit, so the
-// test exercises the structural check rather than the checksum.
-func refreshCRC(c []byte) {
-	count := binary.LittleEndian.Uint32(c[MagicLen+8:])
-	hdrLen := sectionHdrLen + sectionEntryLen*int(count) + 4
-	binary.LittleEndian.PutUint32(c[hdrLen-4:], crc32.ChecksumIEEE(c[:hdrLen-4]))
-}
-
 func TestSectionCorruption(t *testing.T) {
 	data, _, _, _ := buildContainer(t)
 
@@ -198,23 +189,23 @@ func TestSectionCorruption(t *testing.T) {
 	corrupt(t, data, ErrBadMagic, "magic", func(c []byte) []byte { c[0] ^= 0xFF; return c })
 	corrupt(t, data, ErrBadVersion, "version-zero", func(c []byte) []byte {
 		binary.LittleEndian.PutUint32(c[MagicLen:], 0)
-		refreshCRC(c)
+		Reseal(c)
 		return c
 	})
 	corrupt(t, data, ErrBadVersion, "version-future", func(c []byte) []byte {
 		binary.LittleEndian.PutUint32(c[MagicLen:], 99)
-		refreshCRC(c)
+		Reseal(c)
 		return c
 	})
 	corrupt(t, data, ErrBadVersion, "version-older", func(c []byte) []byte {
 		binary.LittleEndian.PutUint32(c[MagicLen:], 1)
-		refreshCRC(c)
+		Reseal(c)
 		return c
 	})
 	corrupt(t, data, ErrCorrupt, "endian", func(c []byte) []byte {
 		c[MagicLen+4], c[MagicLen+7] = c[MagicLen+7], c[MagicLen+4]
 		c[MagicLen+5], c[MagicLen+6] = c[MagicLen+6], c[MagicLen+5]
-		refreshCRC(c)
+		Reseal(c)
 		return c
 	})
 	corrupt(t, data, ErrChecksum, "crc-bitflip", func(c []byte) []byte {
@@ -235,25 +226,25 @@ func TestSectionCorruption(t *testing.T) {
 	corrupt(t, data, ErrCorrupt, "misaligned-offset", func(c []byte) []byte {
 		e := c[sectionHdrLen:]
 		binary.LittleEndian.PutUint64(e[8:], binary.LittleEndian.Uint64(e[8:])+1)
-		refreshCRC(c)
+		Reseal(c)
 		return c
 	})
 	corrupt(t, data, ErrTruncated, "offset-into-header", func(c []byte) []byte {
 		e := c[sectionHdrLen:]
 		binary.LittleEndian.PutUint64(e[8:], 0)
-		refreshCRC(c)
+		Reseal(c)
 		return c
 	})
 	corrupt(t, data, ErrTruncated, "length-past-end", func(c []byte) []byte {
 		e := c[sectionHdrLen:]
 		binary.LittleEndian.PutUint64(e[16:], uint64(len(c)))
-		refreshCRC(c)
+		Reseal(c)
 		return c
 	})
 	corrupt(t, data, ErrCorrupt, "duplicate-id", func(c []byte) []byte {
 		e := c[sectionHdrLen+sectionEntryLen:]
 		binary.LittleEndian.PutUint32(e, 1) // second section claims id 1
-		refreshCRC(c)
+		Reseal(c)
 		return c
 	})
 	corrupt(t, data, ErrCorrupt, "overlap", func(c []byte) []byte {
@@ -261,7 +252,7 @@ func TestSectionCorruption(t *testing.T) {
 		e1 := c[sectionHdrLen+sectionEntryLen:]
 		// Point section 2 at section 1's offset with a nonzero length.
 		binary.LittleEndian.PutUint64(e1[8:], binary.LittleEndian.Uint64(e0[8:]))
-		refreshCRC(c)
+		Reseal(c)
 		return c
 	})
 	// Truncation at every section boundary: cut the file at each section's
@@ -282,8 +273,7 @@ func TestSectionCorruption(t *testing.T) {
 
 // TestReadMapped: a container read from a stream — one byte at a time, too —
 // is the container, aligned; the read stops at the end of its last section's
-// data, accepts a stream cut inside the padding after it, and classifies a
-// shorter one.
+// data, which is the container's last byte, and classifies a shorter one.
 func TestReadMapped(t *testing.T) {
 	data, i32, f64, blob := buildContainer(t)
 	r := bytes.NewReader(append(bytes.Clone(data), "trailing"...))
@@ -291,9 +281,8 @@ func TestReadMapped(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadContainer: %v", err)
 	}
-	n := len(m.Bytes())
-	if !bytes.Equal(m.Bytes(), data[:n]) || len(data)-n >= 8 || r.Len() != len(data)-n+len("trailing") {
-		t.Fatalf("read %d bytes, left %d; want the %d-byte container less its padding", n, r.Len(), len(data))
+	if !bytes.Equal(m.Bytes(), data) || r.Len() != len("trailing") {
+		t.Fatalf("read %d bytes, left %d; want the %d-byte container and no byte past it", len(m.Bytes()), r.Len(), len(data))
 	}
 	gotI32, _ := m.I32Section(1)
 	gotF64, _ := m.F64Section(2)
@@ -301,13 +290,66 @@ func TestReadMapped(t *testing.T) {
 	if !slices.Equal(gotI32, i32) || !f64BitsEqual(gotF64, f64) || !bytes.Equal(gotBlob, blob) {
 		t.Fatal("sections read from a stream differ from the written tables")
 	}
-	if _, err := ReadContainer(bytes.NewReader(data[:len(data)-1]), testSecMagic, 2); err != nil {
-		t.Fatalf("cut inside the last padding: %v", err)
-	}
-	for _, cut := range []int{0, sectionHdrLen - 1, sectionHdrLen + 1, len(data) - 8} {
+	for _, cut := range []int{0, sectionHdrLen - 1, sectionHdrLen + 1, len(data) - 8, len(data) - 1} {
 		if _, err := ReadContainer(bytes.NewReader(data[:cut]), testSecMagic, 2); !errors.Is(err, ErrTruncated) {
 			t.Errorf("cut at %d: err = %v, want ErrTruncated", cut, err)
 		}
+	}
+}
+
+// TestContainersBackToBack: containers whose last sections are not a
+// multiple of 8 bytes long, written one after another into one stream, read
+// back one after another, each whole and sealed.
+func TestContainersBackToBack(t *testing.T) {
+	var stream bytes.Buffer
+	var want [][]byte
+	for _, n := range []int{1, 13, 0, 7} {
+		var w SectionWriter
+		w.Add(1, []byte("eight by"))
+		w.Add(2, bytes.Repeat([]byte{byte(n)}, n))
+		before := stream.Len()
+		if err := w.WriteTo(&stream, testSecMagic, 2); err != nil {
+			t.Fatal(err)
+		}
+		if n%8 != 0 && (stream.Len()-before)%8 == 0 {
+			t.Fatalf("a container ending in %d section bytes is padded to %d", n, stream.Len()-before)
+		}
+		want = append(want, bytes.Repeat([]byte{byte(n)}, n))
+	}
+	r := bytes.NewReader(stream.Bytes())
+	for i, w := range want {
+		m, err := ReadContainer(r, testSecMagic, 2)
+		if err != nil {
+			t.Fatalf("container %d: %v", i, err)
+		}
+		if got, _ := m.Section(2); !bytes.Equal(got, w) {
+			t.Fatalf("container %d: section %q, want %q", i, got, w)
+		}
+	}
+	if r.Len() != 0 {
+		t.Fatalf("%d bytes left after the last container", r.Len())
+	}
+}
+
+// TestReseal: a section byte changed after the write fails the seal; resealed,
+// the container opens with the changed byte.
+func TestReseal(t *testing.T) {
+	data, _, _, blob := buildContainer(t)
+	mut := bytes.Clone(data)
+	mut[len(mut)-1] ^= 0x20
+	if _, err := OpenContainer(mut, testSecMagic, 2); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("err = %v, want ErrChecksum", err)
+	}
+	Reseal(mut)
+	m, err := OpenContainer(mut, testSecMagic, 2)
+	if err != nil {
+		t.Fatalf("resealed: %v", err)
+	}
+	if got, _ := m.Section(3); got[len(got)-1] != blob[len(blob)-1]^0x20 {
+		t.Fatalf("resealed section = %q", got)
+	}
+	for _, short := range [][]byte{nil, data[:sectionHdrLen], data[:sectionHdrLen+1]} {
+		Reseal(bytes.Clone(short)) // too short for its header: left as it is
 	}
 }
 

@@ -1,50 +1,43 @@
-// Package snapio provides the framing and primitive encoding shared by the
-// binary snapshot formats (dataset and session snapshots).
+// Package snapio provides the one binary container every snapshot, delta and
+// log segment is written in (sections.go), and the primitive encoding of the
+// sections that are not dense tables.
 //
-// A snapshot is a single frame:
-//
-//	magic    [8]byte   format identifier, ASCII, space-padded
-//	version  uint32    format version (little endian)
-//	length   uint64    payload length in bytes
-//	payload  [length]byte
-//	crc32    uint32    IEEE CRC of the payload
-//
-// Everything inside the payload is little endian and fixed width except
-// strings, which are uvarint-length-prefixed UTF-8. The Reader is fully
-// bounds-checked and error-latching: after the first failure every
-// subsequent read returns the zero value and Err() reports the original
-// problem, so decoders can be written as straight-line code that checks one
-// error at the end — corrupt or truncated input yields a descriptive error,
-// never a panic or partial state.
+// A Writer builds such a section's payload and a Reader decodes it.
+// Everything inside is little endian and fixed width except strings, which
+// are uvarint-length-prefixed UTF-8. The Reader is fully bounds-checked and
+// error-latching: after the first failure every subsequent read returns the
+// zero value and Err() reports the original problem, so decoders can be
+// written as straight-line code that checks one error at the end — corrupt or
+// truncated input yields a descriptive error, never a panic or partial state.
 package snapio
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
 )
 
-// MagicLen is the fixed magic length in the frame header.
+// MagicLen is the fixed magic length in the container header.
 const MagicLen = 8
 
-// maxPayload caps the declared payload length so a corrupted header cannot
-// drive a huge allocation. 1 GiB is far above any realistic snapshot.
+// maxPayload caps a container's size so a corrupted header cannot drive a
+// huge allocation. 1 GiB is far above any realistic snapshot.
 const maxPayload = 1 << 30
 
-// Sentinel errors for frame-level failures; decode errors wrap these so
+// Sentinel errors for container-level failures; decode errors wrap these so
 // callers can errors.Is on the class.
 var (
-	// ErrBadMagic reports a frame whose magic does not match the expected
-	// format identifier.
+	// ErrBadMagic reports a container whose magic does not match the
+	// expected format identifier.
 	ErrBadMagic = errors.New("snapio: bad magic")
-	// ErrBadVersion reports a frame version the decoder does not understand.
+	// ErrBadVersion reports a container version the decoder does not
+	// understand.
 	ErrBadVersion = errors.New("snapio: unsupported version")
-	// ErrTruncated reports input shorter than its frame or fields declare.
+	// ErrTruncated reports input shorter than its header or fields declare.
 	ErrTruncated = errors.New("snapio: truncated input")
-	// ErrChecksum reports a payload whose CRC does not match.
+	// ErrChecksum reports bytes whose CRC does not match; errors carrying it
+	// carry ErrCorrupt too.
 	ErrChecksum = errors.New("snapio: checksum mismatch")
 	// ErrCorrupt reports any other structural inconsistency in the payload.
 	ErrCorrupt = errors.New("snapio: corrupt payload")
@@ -89,26 +82,9 @@ func (w *Writer) Str(s string) {
 // Len returns the current payload size.
 func (w *Writer) Len() int { return len(w.buf) }
 
-// Frame writes the complete frame (header, payload, CRC) to out.
-func (w *Writer) Frame(out io.Writer, magic string, version uint32) error {
-	if len(magic) != MagicLen {
-		return fmt.Errorf("snapio: magic %q must be %d bytes", magic, MagicLen)
-	}
-	var hdr [MagicLen + 4 + 8]byte
-	copy(hdr[:], magic)
-	binary.LittleEndian.PutUint32(hdr[MagicLen:], version)
-	binary.LittleEndian.PutUint64(hdr[MagicLen+4:], uint64(len(w.buf)))
-	if _, err := out.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := out.Write(w.buf); err != nil {
-		return err
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(w.buf))
-	_, err := out.Write(crc[:])
-	return err
-}
+// Payload returns the accumulated bytes, to be added as one section of a
+// container.
+func (w *Writer) Payload() []byte { return w.buf }
 
 // Reader decodes a payload with latched errors and full bounds checking.
 type Reader struct {
@@ -117,38 +93,9 @@ type Reader struct {
 	err error
 }
 
-// OpenFrame reads and validates a complete frame from r: magic, a version
-// no newer than maxVersion, declared length, and CRC. It returns a Reader
-// over the payload and the frame's version.
-func OpenFrame(r io.Reader, magic string, maxVersion uint32) (*Reader, uint32, error) {
-	var hdr [MagicLen + 4 + 8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, fmt.Errorf("%w: frame header: %v", ErrTruncated, err)
-	}
-	if string(hdr[:MagicLen]) != magic {
-		return nil, 0, fmt.Errorf("%w: have %q, want %q", ErrBadMagic, hdr[:MagicLen], magic)
-	}
-	version := binary.LittleEndian.Uint32(hdr[MagicLen:])
-	if version == 0 || version > maxVersion {
-		return nil, 0, fmt.Errorf("%w: version %d (decoder supports 1..%d)", ErrBadVersion, version, maxVersion)
-	}
-	length := binary.LittleEndian.Uint64(hdr[MagicLen+4:])
-	if length > maxPayload {
-		return nil, 0, fmt.Errorf("%w: declared payload %d exceeds %d", ErrCorrupt, length, maxPayload)
-	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, 0, fmt.Errorf("%w: payload (%d bytes declared): %v", ErrTruncated, length, err)
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		return nil, 0, fmt.Errorf("%w: checksum: %v", ErrTruncated, err)
-	}
-	if want, have := binary.LittleEndian.Uint32(crcBuf[:]), crc32.ChecksumIEEE(payload); want != have {
-		return nil, 0, fmt.Errorf("%w: have %08x, want %08x", ErrChecksum, have, want)
-	}
-	return &Reader{buf: payload}, version, nil
-}
+// NewReader returns a Reader over a payload a Writer built — one section of
+// a container.
+func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
 
 // fail latches the first error.
 func (r *Reader) fail(err error) {

@@ -9,19 +9,33 @@ import (
 
 const testMagic = "SNAPTEST"
 
-func frame(t *testing.T, version uint32, build func(w *Writer)) []byte {
+// sealed writes the payload build makes as the one section of a container.
+func sealed(t *testing.T, version uint32, build func(w *Writer)) []byte {
 	t.Helper()
 	var w Writer
 	build(&w)
+	var sw SectionWriter
+	sw.Add(1, w.Payload())
 	var buf bytes.Buffer
-	if err := w.Frame(&buf, testMagic, version); err != nil {
+	if err := sw.WriteTo(&buf, testMagic, version); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
+// open opens raw as a version-1 container and returns a Reader over its one
+// section.
+func open(raw []byte) (*Reader, error) {
+	m, err := OpenContainer(raw, testMagic, 1)
+	if err != nil {
+		return nil, err
+	}
+	b, _ := m.Section(1)
+	return NewReader(b), nil
+}
+
 func TestRoundTripPrimitives(t *testing.T) {
-	raw := frame(t, 1, func(w *Writer) {
+	raw := sealed(t, 1, func(w *Writer) {
 		w.U8(200)
 		w.Bool(true)
 		w.Bool(false)
@@ -32,12 +46,9 @@ func TestRoundTripPrimitives(t *testing.T) {
 		w.Str("hello, 世界")
 		w.Str("")
 	})
-	r, version, err := OpenFrame(bytes.NewReader(raw), testMagic, 1)
+	r, err := open(raw)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if version != 1 {
-		t.Fatalf("version = %d", version)
 	}
 	if got := r.U8(); got != 200 {
 		t.Errorf("U8 = %d", got)
@@ -69,66 +80,72 @@ func TestRoundTripPrimitives(t *testing.T) {
 }
 
 func TestBadMagic(t *testing.T) {
-	raw := frame(t, 1, func(w *Writer) { w.U32(7) })
+	raw := sealed(t, 1, func(w *Writer) { w.U32(7) })
 	raw[0] ^= 0xFF
-	if _, _, err := OpenFrame(bytes.NewReader(raw), testMagic, 1); !errors.Is(err, ErrBadMagic) {
+	if _, err := open(raw); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("err = %v, want ErrBadMagic", err)
 	}
+	if _, err := ReadContainer(bytes.NewReader(raw), testMagic, 1); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("ReadContainer: err = %v, want ErrBadMagic", err)
+	}
 }
 
+// A container carries one version: a reader of version 1 refuses 0, 2 and
+// 99 alike.
 func TestBadVersion(t *testing.T) {
 	for _, v := range []uint32{0, 2, 99} {
-		var w Writer
-		w.U32(7)
-		var buf bytes.Buffer
-		if v == 0 {
-			// Frame a zero version by patching a valid frame.
-			if err := w.Frame(&buf, testMagic, 1); err != nil {
-				t.Fatal(err)
-			}
-			b := buf.Bytes()
-			b[MagicLen] = 0
-			buf = *bytes.NewBuffer(b)
-		} else if err := w.Frame(&buf, testMagic, v); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := OpenFrame(bytes.NewReader(buf.Bytes()), testMagic, 1); !errors.Is(err, ErrBadVersion) {
+		raw := sealed(t, v, func(w *Writer) { w.U32(7) })
+		if _, err := open(raw); !errors.Is(err, ErrBadVersion) {
 			t.Fatalf("version %d: err = %v, want ErrBadVersion", v, err)
+		}
+		if _, err := ReadContainer(bytes.NewReader(raw), testMagic, 1); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("version %d, ReadContainer: err = %v, want ErrBadVersion", v, err)
 		}
 	}
 }
 
+// The container ends at its last byte of section data: every shorter prefix
+// is ErrTruncated, whether opened in memory or read from a stream.
 func TestTruncatedEverywhere(t *testing.T) {
-	raw := frame(t, 1, func(w *Writer) {
+	raw := sealed(t, 1, func(w *Writer) {
 		w.U32(12345)
 		w.Str("payload string")
 		w.F64(1.5)
 	})
 	for cut := 0; cut < len(raw); cut++ {
-		r, _, err := OpenFrame(bytes.NewReader(raw[:cut]), testMagic, 1)
-		if err == nil {
-			// Frame opened (cut beyond the CRC is impossible: cut < len).
-			_ = r
-			t.Fatalf("cut %d: frame unexpectedly opened", cut)
+		if _, err := open(raw[:cut]); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("cut %d: err = %v, want ErrTruncated", cut, err)
 		}
-		if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrBadMagic) &&
-			!errors.Is(err, ErrChecksum) && !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("cut %d: unexpected error %v", cut, err)
+		if _, err := ReadContainer(bytes.NewReader(raw[:cut]), testMagic, 1); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("cut %d, ReadContainer: err = %v, want ErrTruncated", cut, err)
 		}
 	}
 }
 
+// Every one-bit flip past the header CRC — in a section, in the padding
+// after the header or between sections — fails the open on the seal, with
+// ErrChecksum and ErrCorrupt; every flip in the header fails it too.
 func TestChecksumMismatch(t *testing.T) {
-	raw := frame(t, 1, func(w *Writer) { w.Str("checksummed") })
-	raw[MagicLen+4+8+2] ^= 0x01 // flip a payload bit
-	if _, _, err := OpenFrame(bytes.NewReader(raw), testMagic, 1); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("err = %v, want ErrChecksum", err)
+	raw, _, _, _ := buildContainer(t)
+	hdrLen := sectionHdrLen + 3*sectionEntryLen + 4
+	for off := 0; off < len(raw); off++ {
+		for bit := 0; bit < 8; bit++ {
+			mut := bytes.Clone(raw)
+			mut[off] ^= 1 << bit
+			_, err := OpenContainer(mut, testSecMagic, 2)
+			switch {
+			case err == nil:
+				t.Fatalf("flip at %d.%d: opened", off, bit)
+			case off >= hdrLen && !(errors.Is(err, ErrChecksum) && errors.Is(err, ErrCorrupt)):
+				t.Fatalf("flip at %d.%d: err = %v, want ErrChecksum and ErrCorrupt", off, bit, err)
+			}
+		}
 	}
 }
 
 func TestReaderLatchesFirstError(t *testing.T) {
-	raw := frame(t, 1, func(w *Writer) { w.U8(1) })
-	r, _, err := OpenFrame(bytes.NewReader(raw), testMagic, 1)
+	raw := sealed(t, 1, func(w *Writer) { w.U8(1) })
+	r, err := open(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,10 +163,10 @@ func TestReaderLatchesFirstError(t *testing.T) {
 }
 
 func TestCountAndIndexValidation(t *testing.T) {
-	raw := frame(t, 1, func(w *Writer) {
+	raw := sealed(t, 1, func(w *Writer) {
 		w.U32(1 << 30) // absurd count
 	})
-	r, _, err := OpenFrame(bytes.NewReader(raw), testMagic, 1)
+	r, err := open(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +174,8 @@ func TestCountAndIndexValidation(t *testing.T) {
 		t.Fatalf("Count = %d, err = %v", n, r.Err())
 	}
 
-	raw = frame(t, 1, func(w *Writer) { w.U32(9) })
-	r, _, err = OpenFrame(bytes.NewReader(raw), testMagic, 1)
+	raw = sealed(t, 1, func(w *Writer) { w.U32(9) })
+	r, err = open(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +185,8 @@ func TestCountAndIndexValidation(t *testing.T) {
 }
 
 func TestFinishRejectsTrailingBytes(t *testing.T) {
-	raw := frame(t, 1, func(w *Writer) { w.U32(1); w.U32(2) })
-	r, _, err := OpenFrame(bytes.NewReader(raw), testMagic, 1)
+	raw := sealed(t, 1, func(w *Writer) { w.U32(1); w.U32(2) })
+	r, err := open(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,9 +197,10 @@ func TestFinishRejectsTrailingBytes(t *testing.T) {
 }
 
 func TestBadMagicLength(t *testing.T) {
-	var w Writer
+	var w SectionWriter
+	w.Add(1, []byte("x"))
 	var buf bytes.Buffer
-	if err := w.Frame(&buf, "short", 1); err == nil {
+	if err := w.WriteTo(&buf, "short", 1); err == nil || buf.Len() != 0 {
 		t.Fatal("expected error for short magic")
 	}
 }
