@@ -93,13 +93,6 @@ func (rp *repairer) wake() {
 	}
 }
 
-// pendingCount reports queued repairs (for tests).
-func (rp *repairer) pendingCount() int {
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	return len(rp.pending)
-}
-
 // startRepair launches the repair loop on the router's waitgroup.
 func (rt *Router) startRepair() {
 	rt.wg.Add(1)

@@ -24,6 +24,13 @@ import (
 	"sourcecurrents/internal/session"
 )
 
+// pendingCount reports queued repairs.
+func (rp *repairer) pendingCount() int {
+	rp.mu.Lock()
+	defer rp.mu.Unlock()
+	return len(rp.pending)
+}
+
 // listenLocal grabs an ephemeral loopback port, so a fixture's address is
 // known before anything serves on it (placement and chaos upstreams need
 // the addresses first).

@@ -386,15 +386,6 @@ func (rt *Router) Placement(dataset string) []string {
 	return rt.ring.Place(dataset, rt.opt.RF)
 }
 
-// OwnerOf reports the primary shard for a dataset — the hint shards embed
-// in their unknown-dataset 404s.
-func (rt *Router) OwnerOf(dataset string) (string, bool) {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	p := rt.ring.Primary(dataset)
-	return p, p != ""
-}
-
 // catalog returns the union of every shard's probed inventory, sorted.
 func (rt *Router) catalog() []string {
 	seen := map[string]bool{}

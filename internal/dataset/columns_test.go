@@ -42,7 +42,6 @@ type index interface {
 	ClaimsByObject(model.ObjectID) []model.Claim
 	Value(model.SourceID, model.ObjectID) (string, bool)
 	ObjectsOf(model.SourceID) []model.ObjectID
-	Coverage(model.SourceID) float64
 	OverlapOf(a, b model.SourceID) dataset.Overlap
 	Pairs(minShared int) []dataset.Overlap
 	ValuesFor(model.ObjectID) []dataset.ValueGroup
@@ -83,7 +82,6 @@ func sameIndex(got, want index) string {
 		for _, msg := range []string{
 			differ(fmt.Sprintf("ClaimsBySource(%s)", s), got.ClaimsBySource(s), want.ClaimsBySource(s)),
 			differ(fmt.Sprintf("ObjectsOf(%s)", s), got.ObjectsOf(s), want.ObjectsOf(s)),
-			differ(fmt.Sprintf("Coverage(%s)", s), got.Coverage(s), want.Coverage(s)),
 			differ(fmt.Sprintf("UpdateTrace(%s)", s), got.UpdateTrace(s), want.UpdateTrace(s)),
 		} {
 			if msg != "" {
@@ -368,13 +366,6 @@ func runColumnsCase(t *testing.T, seed int64) {
 			check(fmt.Sprintf("At(%d).Append(batch %d): ", k, k), sibling, k+1)
 		}
 		check("", d, e)
-		lo, hi, _ := d.TimeRange()
-		for _, at := range []model.Time{lo - 1, lo, -1, 0, (lo + hi) / 2, hi} {
-			got, want := d.SnapshotAt(at), oracle.SnapshotAt(at)
-			if msg := sameIndex(got, want); msg != "" {
-				fail("SnapshotAt(%d): %s", at, msg)
-			}
-		}
 
 		flat, err := dataset.FromClaims(d.Claims())
 		if err != nil {

@@ -6,7 +6,7 @@
 // SourceID, ObjectID and value string is interned into a dense int32 index
 // and the claims, the snapshot view and the temporal view are laid out as
 // CSR-style slices: the hot paths are pointer-free scans over contiguous
-// memory, and the Dataset accessors (ClaimsBySource, Value, OverlapOf, …)
+// memory, and the Dataset accessors (ClaimsByObject, Value, OverlapOf, …)
 // are row reads over the same slices.
 //
 // All three interning tables are in sorted order, which makes integer index
@@ -646,9 +646,6 @@ func (c *Compiled) Value(i int) string { return c.values[i] }
 
 // SourceIDs returns the sorted source table, shared: treat it as read-only.
 func (c *Compiled) SourceIDs() []model.SourceID { return c.sources }
-
-// ObjectIDs returns the sorted object table, shared: treat it as read-only.
-func (c *Compiled) ObjectIDs() []model.ObjectID { return c.objects }
 
 // SourceIndex returns the dense index of s, or (0, false).
 func (c *Compiled) SourceIndex(s model.SourceID) (int32, bool) {

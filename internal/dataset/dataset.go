@@ -116,15 +116,6 @@ func (d *Dataset) gather(row []int32) []model.Claim {
 	return out
 }
 
-// ClaimsBySource returns s's claims in time order. Valid after Freeze.
-func (d *Dataset) ClaimsBySource(s model.SourceID) []model.Claim {
-	var row []int32
-	if si, ok := d.cols.SourceIndex(s); ok {
-		row = d.cols.sourceClaims(si)
-	}
-	return d.gather(row)
-}
-
 // ClaimsByObject returns all claims about o, ordered by source.
 func (d *Dataset) ClaimsByObject(o model.ObjectID) []model.Claim {
 	var row []int32
@@ -167,15 +158,6 @@ func (d *Dataset) ObjectsOf(s model.SourceID) []model.ObjectID {
 	return out
 }
 
-// Coverage returns |objects of s| / |all objects|.
-func (d *Dataset) Coverage(s model.SourceID) float64 {
-	if len(d.cols.objects) == 0 {
-		return 0
-	}
-	lo, hi := d.snapshotRow(s)
-	return float64(hi-lo) / float64(len(d.cols.objects))
-}
-
 // Overlap describes the shared objects of a source pair in the snapshot
 // view.
 type Overlap struct {
@@ -209,23 +191,6 @@ func (d *Dataset) OverlapOf(a, b model.SourceID) Overlap {
 	return ov
 }
 
-// Pairs enumerates all unordered source pairs whose overlap has at least
-// minShared objects, in deterministic order. This is the candidate set for
-// pairwise dependence analysis; Example 4.1 uses minShared = 10.
-func (d *Dataset) Pairs(minShared int) []Overlap {
-	var out []Overlap
-	sources := d.cols.sources
-	for i := 0; i < len(sources); i++ {
-		for j := i + 1; j < len(sources); j++ {
-			ov := d.OverlapOf(sources[i], sources[j])
-			if len(ov.Objects) >= minShared {
-				out = append(out, ov)
-			}
-		}
-	}
-	return out
-}
-
 // ValuesFor returns the distinct values asserted for object o with the
 // sources asserting each, in deterministic (value-sorted) order.
 func (d *Dataset) ValuesFor(o model.ObjectID) []ValueGroup {
@@ -252,58 +217,6 @@ func (d *Dataset) ValuesFor(o model.ObjectID) []ValueGroup {
 type ValueGroup struct {
 	Value   string
 	Sources []model.SourceID
-}
-
-// SnapshotAt projects the temporal dataset to the snapshot each source
-// would show at time t. For every (source, object) the visible claims are
-// the timestamped ones with Time <= t plus every timeless claim, and
-// precedence among them is pinned as:
-//
-//  1. any visible timestamped claim supersedes a timeless claim — a
-//     timeless claim is the source's fallback assertion, shown only when
-//     the source has no dated statement at or before t;
-//  2. among timestamped claims the latest wins (ingestion order breaks
-//     exact ties);
-//  3. among timeless claims the latest ingested wins.
-//
-// Rule 1 holds in both directions: timeless claims sort at Time 0, after
-// negatively-timestamped ones as well as before later ones. The projection
-// is returned as a new frozen Dataset whose claims carry HasTime=false.
-func (d *Dataset) SnapshotAt(t model.Time) *Dataset {
-	out := New()
-	c := d.cols
-	// latest[oi] is 1 + the claim index the current source shows for object
-	// oi so far; 0 means none. Reset while emitting, so one slice serves
-	// every source.
-	latest := make([]int32, len(c.objects))
-	for si := range c.sources {
-		for _, ci := range c.sourceClaims(int32(si)) {
-			cl := &d.claims[ci]
-			if cl.HasTime && cl.Time > t {
-				continue
-			}
-			// The row is in time order, so a later visible claim supersedes
-			// an earlier one (rules 2 and 3) unless it is a timeless claim
-			// following a dated one (rule 1).
-			if at := &latest[c.claimObj[ci]]; *at == 0 || cl.HasTime || !d.claims[*at-1].HasTime {
-				*at = ci + 1
-			}
-		}
-		// The source's snapshot row names every object it ever claims, in
-		// sorted order.
-		for _, oi := range c.SrcObj[c.SrcStart[si]:c.SrcStart[si+1]] {
-			if at := latest[oi]; at != 0 {
-				latest[oi] = 0
-				cl := d.claims[at-1]
-				cl.HasTime = false
-				cl.Time = 0
-				// Add cannot fail here: claims were validated on ingestion.
-				_ = out.Add(cl)
-			}
-		}
-	}
-	out.Freeze()
-	return out
 }
 
 // UpdateTrace returns s's timestamped claims in time order, skipping

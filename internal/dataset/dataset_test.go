@@ -103,46 +103,6 @@ func TestValuesFor(t *testing.T) {
 	}
 }
 
-func TestCoverage(t *testing.T) {
-	d := New()
-	_ = d.Add(model.NewClaim("S1", model.Obj("a", "x"), "1"))
-	_ = d.Add(model.NewClaim("S1", model.Obj("b", "x"), "1"))
-	_ = d.Add(model.NewClaim("S2", model.Obj("a", "x"), "2"))
-	d.Freeze()
-	if got := d.Coverage("S1"); got != 1 {
-		t.Fatalf("S1 coverage = %v", got)
-	}
-	if got := d.Coverage("S2"); got != 0.5 {
-		t.Fatalf("S2 coverage = %v", got)
-	}
-}
-
-func TestTable3SnapshotProjection(t *testing.T) {
-	d := Table3()
-	// As of 2005: S1 shows UW for everyone it has updated by then.
-	snap := d.SnapshotAt(2005)
-	v, ok := snap.Value("S1", model.Obj("Dong", AffAttr))
-	if !ok || v != "UW" {
-		t.Fatalf("S1 Dong @2005 = %q,%v", v, ok)
-	}
-	// As of 2007: S1 shows the current truth.
-	snap = d.SnapshotAt(2007)
-	v, _ = snap.Value("S1", model.Obj("Dong", AffAttr))
-	if v != "AT&T" {
-		t.Fatalf("S1 Dong @2007 = %q", v)
-	}
-	// S2 has not updated Dong since 2006.
-	v, _ = snap.Value("S2", model.Obj("Dong", AffAttr))
-	if v != "Google" {
-		t.Fatalf("S2 Dong @2007 = %q", v)
-	}
-	// Before any updates, sources show nothing.
-	snap = d.SnapshotAt(2000)
-	if _, ok := snap.Value("S1", model.Obj("Dong", AffAttr)); ok {
-		t.Fatal("S1 should have no Dong value in 2000")
-	}
-}
-
 func TestUpdateTraceOrder(t *testing.T) {
 	d := Table3()
 	trace := d.UpdateTrace("S1")
@@ -170,7 +130,7 @@ func TestTimeRange(t *testing.T) {
 
 func TestTable3TruthConsistency(t *testing.T) {
 	w := Table3Truth()
-	v, ok := w.TrueAt(model.Obj("Suciu", AffAttr), 2006)
+	v, ok := w.Truths[model.Obj("Suciu", AffAttr)].ValueAt(2006)
 	if !ok || v != "MSR" {
 		t.Fatalf("Suciu @2006 = %q,%v", v, ok)
 	}
@@ -182,13 +142,6 @@ func TestTable3TruthConsistency(t *testing.T) {
 	tr := w.Truths[model.Obj("Dong", AffAttr)]
 	if !tr.EverTrue("UW") || tr.EverTrue("MSR") {
 		t.Fatal("EverTrue misclassifies Dong history")
-	}
-}
-
-func TestTable1Subset(t *testing.T) {
-	d := Table1Subset("S1", "S2", "S3")
-	if len(d.Sources()) != 3 || d.Len() != 15 {
-		t.Fatalf("subset = %d sources, %d claims", len(d.Sources()), d.Len())
 	}
 }
 

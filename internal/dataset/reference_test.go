@@ -170,14 +170,6 @@ func (d *mapIndex) ObjectsOf(s model.SourceID) []model.ObjectID {
 	return out
 }
 
-// Coverage returns |objects of s| / |all objects|.
-func (d *mapIndex) Coverage(s model.SourceID) float64 {
-	if len(d.objects) == 0 {
-		return 0
-	}
-	return float64(len(d.valueOf[s])) / float64(len(d.objects))
-}
-
 // OverlapOf computes the overlap between two sources.
 func (d *mapIndex) OverlapOf(a, b model.SourceID) Overlap {
 	va, vb := d.valueOf[a], d.valueOf[b]
@@ -251,66 +243,6 @@ func dedupeSources(srcs []model.SourceID) []model.SourceID {
 			out = append(out, s)
 		}
 	}
-	return out
-}
-
-// SnapshotAt projects the temporal dataset to the snapshot each source
-// would show at time t. For every (source, object) the visible claims are
-// the timestamped ones with Time <= t plus every timeless claim, and
-// precedence among them is pinned as:
-//
-//  1. any visible timestamped claim supersedes a timeless claim — a
-//     timeless claim is the source's fallback assertion, shown only when
-//     the source has no dated statement at or before t;
-//  2. among timestamped claims the latest wins (ingestion order breaks
-//     exact ties);
-//  3. among timeless claims the latest ingested wins.
-//
-// The rule is applied symmetrically in both directions, so the outcome does
-// not depend on the order claims are considered in (timeless claims sort at
-// Time 0 and therefore iterate *after* negatively-timestamped claims — the
-// ordering that made the old overwrite condition look asymmetric). The
-// projection is returned as a new frozen Dataset whose claims carry
-// HasTime=false.
-func (d *mapIndex) SnapshotAt(t model.Time) *mapIndex {
-	out := newMapIndex()
-	for _, s := range d.sources {
-		latest := map[model.ObjectID]model.Claim{}
-		for _, idx := range d.bySource[s] {
-			c := d.claims[idx]
-			if c.HasTime && c.Time > t {
-				continue
-			}
-			prev, ok := latest[c.Object]
-			supersedes := false
-			switch {
-			case !ok:
-				supersedes = true
-			case c.HasTime && prev.HasTime:
-				supersedes = c.Time >= prev.Time // later claim wins; ties to ingestion order
-			case c.HasTime != prev.HasTime:
-				supersedes = c.HasTime // timestamped beats timeless, whichever came first
-			default:
-				supersedes = true // both timeless: later ingested wins
-			}
-			if supersedes {
-				latest[c.Object] = c
-			}
-		}
-		objs := make([]model.ObjectID, 0, len(latest))
-		for o := range latest {
-			objs = append(objs, o)
-		}
-		model.SortObjects(objs)
-		for _, o := range objs {
-			c := latest[o]
-			c.HasTime = false
-			c.Time = 0
-			// Add cannot fail here: claims were validated on ingestion.
-			_ = out.Add(c)
-		}
-	}
-	out.Freeze()
 	return out
 }
 

@@ -75,21 +75,30 @@ func readSnapshot(raw []byte) (*Dataset, error) {
 // the check behind the seal — and reads the dataset back.
 func damaged(t *testing.T, raw []byte, mutate func(m *snapio.Container)) error {
 	t.Helper()
-	return stale(t, raw, func(m *snapio.Container) {
-		mutate(m)
-		snapio.Reseal(m.Bytes())
-	})
+	return edited(t, raw, mutate, true)
 }
 
 // stale is damaged leaving the container's seal as it was written.
 func stale(t *testing.T, raw []byte, mutate func(m *snapio.Container)) error {
 	t.Helper()
-	m, err := snapio.OpenContainer(bytes.Clone(raw), testDSMagic, 1)
+	return edited(t, raw, mutate, false)
+}
+
+// edited opens a copy of raw's container — the sections alias the copy —
+// lets mutate edit them, re-seals the copy when reseal is set, and reads the
+// dataset back from it.
+func edited(t *testing.T, raw []byte, mutate func(m *snapio.Container), reseal bool) error {
+	t.Helper()
+	data := bytes.Clone(raw)
+	m, err := snapio.OpenContainer(data, testDSMagic, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mutate(m)
-	_, err = readSnapshot(m.Bytes())
+	if reseal {
+		snapio.Reseal(data)
+	}
+	_, err = readSnapshot(data)
 	return err
 }
 

@@ -1,8 +1,6 @@
 package dataset
 
 import (
-	"slices"
-
 	"sourcecurrents/internal/model"
 )
 
@@ -50,21 +48,6 @@ func Table1Truth() *model.World {
 	w.SetSnapshot(model.Obj("Dalvi", AffAttr), "Yahoo!")
 	w.SetSnapshot(model.Obj("Dong", AffAttr), "AT&T")
 	return w
-}
-
-// Table1Subset returns Table 1 restricted to the given sources (e.g. the
-// S1..S3-only scenario of Example 2.1).
-func Table1Subset(sources ...model.SourceID) *Dataset {
-	d := New()
-	for _, c := range Table1().Claims() {
-		if slices.Contains(sources, c.Source) {
-			if err := d.Add(c); err != nil {
-				panic(err)
-			}
-		}
-	}
-	d.Freeze()
-	return d
 }
 
 // RatingAttr is the attribute used by the movie-rating example.

@@ -164,11 +164,11 @@ func indep(row []float64, s int32, copyRate float64) float64 {
 	return 1 - copyRate*dep
 }
 
-// scoreObjectDiscounted is truth.ScoreValues with the dependence discount
-// over the dense view: per candidate, sum each source's weight times its
-// independence factor, in ascending source order. Without any verdict to
-// discount by (haveDep false) every factor is exactly 1 and the score is
-// the plain vote sum.
+// scoreObjectDiscounted scores object oi's candidates with the dependence
+// discount over the dense view: per candidate, sum each source's weight
+// times its independence factor, in ascending source order. Without any
+// verdict to discount by (haveDep false) every factor is exactly 1 and the
+// score is the plain vote sum.
 func scoreObjectDiscounted(solver *truth.DenseSolver, oi int, weights []float64, pos []int32,
 	depTab []float64, haveDep bool, copyRate float64, sc *depenScratch) []float64 {
 	if !haveDep {

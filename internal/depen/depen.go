@@ -205,13 +205,6 @@ func (r *Result) DependenceProb(a, b model.SourceID) float64 {
 	return ab + ba
 }
 
-// CopyProb returns the posterior that copier copies master; 0 for
-// unanalyzed pairs.
-func (r *Result) CopyProb(copier, master model.SourceID) float64 {
-	ab, _ := r.st.CopyProbs(copier, master)
-	return ab
-}
-
 // Result materialises the view of st: the posterior and accuracy maps with
 // the chosen values, every pair by name in sortDeps order and the thresholded
 // Dependences. cfg must be the configuration st was solved under.
@@ -332,54 +325,4 @@ func finishSortedPairs(res *Result, pairs []Dependence, threshold float64) {
 			res.Dependences = append(res.Dependences, p)
 		}
 	}
-}
-
-// AccuracySplit reports source s's estimated accuracy on the objects it
-// shares with other, versus on the objects it provides alone — intuition 2
-// of §3.2: a significant gap marks s as a (possibly partial) copier of
-// other. Probabilities come from an existing truth result.
-type AccuracySplit struct {
-	Source, Other   model.SourceID
-	OnOverlap       float64 // accuracy on shared objects
-	OffOverlap      float64 // accuracy on s's exclusive objects
-	NOn, NOff       int     // sample sizes
-	Gap             float64 // |OnOverlap − OffOverlap|
-	LikelyDependent bool    // gap significant given the sample sizes
-}
-
-// SplitAccuracy computes the AccuracySplit of s against other.
-func SplitAccuracy(d *dataset.Dataset, probs map[model.ObjectID]map[string]float64,
-	s, other model.SourceID) AccuracySplit {
-	var onSum, offSum float64
-	var nOn, nOff int
-	for _, o := range d.ObjectsOf(s) {
-		v, _ := d.Value(s, o)
-		p := probs[o][v]
-		if _, shared := d.Value(other, o); shared {
-			onSum += p
-			nOn++
-		} else {
-			offSum += p
-			nOff++
-		}
-	}
-	sp := AccuracySplit{Source: s, Other: other, NOn: nOn, NOff: nOff}
-	if nOn > 0 {
-		sp.OnOverlap = onSum / float64(nOn)
-	}
-	if nOff > 0 {
-		sp.OffOverlap = offSum / float64(nOff)
-	}
-	sp.Gap = math.Abs(sp.OnOverlap - sp.OffOverlap)
-	// Two-proportion z-test against the pooled accuracy; significant gaps
-	// with both samples populated mark likely (partial) dependence.
-	if nOn > 0 && nOff > 0 {
-		pooled := (onSum + offSum) / float64(nOn+nOff)
-		se := math.Sqrt(pooled * (1 - pooled) * (1/float64(nOn) + 1/float64(nOff)))
-		if se > 0 {
-			z := sp.Gap / se
-			sp.LikelyDependent = z > 1.96
-		}
-	}
-	return sp
 }

@@ -300,73 +300,6 @@ func TestColdStartNoFalsePositivesAmongIndependents(t *testing.T) {
 	}
 }
 
-func TestSplitAccuracyPartialCopier(t *testing.T) {
-	// Partial-dependence challenge: the master M is a specialist covering
-	// only the first half of the objects, with mediocre accuracy. P copies
-	// M there and provides its own highly accurate values elsewhere, so
-	// P's accuracy ON the overlap with M differs sharply from its accuracy
-	// OFF it — intuition 2's partial-copier signature.
-	rng := rand.New(rand.NewSource(5))
-	d := dataset.New()
-	nObj := 160
-	for i := 0; i < nObj; i++ {
-		o := model.Obj(fmt.Sprintf("o%03d", i), "v")
-		truthV := fmt.Sprintf("T%d", i)
-		masterV := truthV
-		if rng.Float64() > 0.6 {
-			masterV = fmt.Sprintf("F%d", i)
-		}
-		if i < nObj/2 {
-			_ = d.Add(model.NewClaim("M", o, masterV))
-		}
-		// Three independent accurate sources establish the truth.
-		for s := 0; s < 3; s++ {
-			v := truthV
-			if rng.Float64() > 0.9 {
-				v = fmt.Sprintf("G%d_%d", i, s)
-			}
-			_ = d.Add(model.NewClaim(model.SourceID(fmt.Sprintf("I%d", s)), o, v))
-		}
-		// P: copies M on the first half, accurate on its own second half.
-		if i < nObj/2 {
-			_ = d.Add(model.NewClaim("P", o, masterV))
-		} else if rng.Float64() <= 0.95 {
-			_ = d.Add(model.NewClaim("P", o, truthV))
-		} else {
-			_ = d.Add(model.NewClaim("P", o, fmt.Sprintf("H%d", i)))
-		}
-	}
-	d.Freeze()
-	res, err := Detect(d, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := SplitAccuracy(d, res.Truth.Probs, "P", "M")
-	if !sp.LikelyDependent {
-		t.Fatalf("partial copier not flagged: %+v", sp)
-	}
-	if sp.OnOverlap >= sp.OffOverlap {
-		t.Fatalf("copied half should be less accurate: %+v", sp)
-	}
-	// An independent source shows no significant gap against M.
-	spInd := SplitAccuracy(d, res.Truth.Probs, "I0", "M")
-	if spInd.Gap > sp.Gap {
-		t.Errorf("independent gap %v exceeds copier gap %v", spInd.Gap, sp.Gap)
-	}
-}
-
-func TestSplitAccuracyDegenerate(t *testing.T) {
-	d := dataset.New()
-	_ = d.Add(model.NewClaim("A", obj("x"), "1"))
-	_ = d.Add(model.NewClaim("B", obj("x"), "1"))
-	d.Freeze()
-	probs := map[model.ObjectID]map[string]float64{obj("x"): {"1": 1}}
-	sp := SplitAccuracy(d, probs, "A", "B")
-	if sp.NOff != 0 || sp.LikelyDependent {
-		t.Fatalf("no exclusive data must not flag: %+v", sp)
-	}
-}
-
 func TestPairHypothesesSharedFalseIsStrongestEvidence(t *testing.T) {
 	// A unit of shared-false evidence should move the posterior toward
 	// dependence much more than a unit of shared-true evidence.

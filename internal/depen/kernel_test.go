@@ -110,7 +110,7 @@ func TestFillFactorsMatchOracle(t *testing.T) {
 // and scores kd == n with kt and kf +0 bit for bit.
 //
 // On the same worlds it holds ClassMass's group-to-object lookup, under a
-// ValueSim and with Known labels no source asserts, to truth.ClassMass over
+// ValueSim and with Known labels no source asserts, to classMass over
 // the explicit object's values, for every group of every object.
 func TestCandidatesMatchJoin(t *testing.T) {
 	sim := func(a, b string) float64 { return 0.25 + 0.5*float64(len(a)%2+len(b)%2)/2 }
@@ -238,7 +238,7 @@ func TestCandidatesMatchJoin(t *testing.T) {
 			row := map[string]float64{}
 			simSolver.EachValue(probs, oi, func(v string, p float64) { row[v] = p })
 			for g := c.GroupStart[oi]; g < c.GroupStart[oi+1]; g++ {
-				want := truth.ClassMass(row, c.Value(int(c.GroupValue[g])), sim)
+				want := classMass(row, c.Value(int(c.GroupValue[g])), sim)
 				if got := simSolver.ClassMass(probs, g); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("seed %d: ClassMass of group %d = %v, over its object %d's values %v", seed, g, got, oi, want)
 				}

@@ -26,7 +26,8 @@ func TestPairHypothesesPosteriorIsDistribution(t *testing.T) {
 		a2 := 0.05 + rng.Float64()*0.9
 		c := 0.05 + rng.Float64()*0.9
 		li, lab, lba := pairHypotheses(kt, kf, kd, a1, a2, c, 100)
-		post, err := stats.NormalizeLog([]float64{li, lab, lba})
+		post := []float64{li, lab, lba}
+		err := stats.NormalizeLogInto(post, post)
 		if err != nil {
 			return false
 		}
@@ -50,7 +51,8 @@ func TestSharedFalseMonotonicallyIncreasesDependence(t *testing.T) {
 	prev := -1.0
 	for kf := 0.0; kf <= 20; kf++ {
 		li, lab, lba := pairHypotheses(5, kf, 2, 0.8, 0.7, 0.8, 100)
-		post, err := stats.NormalizeLog([]float64{li, lab, lba})
+		post := []float64{li, lab, lba}
+		err := stats.NormalizeLogInto(post, post)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +68,8 @@ func TestDisagreementMonotonicallyDecreasesDependence(t *testing.T) {
 	prev := 2.0
 	for kd := 0.0; kd <= 20; kd++ {
 		li, lab, lba := pairHypotheses(5, 3, kd, 0.8, 0.7, 0.8, 100)
-		post, err := stats.NormalizeLog([]float64{li, lab, lba})
+		post := []float64{li, lab, lba}
+		err := stats.NormalizeLogInto(post, post)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,18 +184,18 @@ func TestResultDependenceProbIsSymmetric(t *testing.T) {
 				dp, ok := analyzed[model.NewSourcePair(a, b)]
 				if !ok {
 					// Unanalyzed pairs report zero everywhere.
-					if res.DependenceProb(a, b) != 0 || res.CopyProb(a, b) != 0 || res.CopyProb(b, a) != 0 {
+					if res.DependenceProb(a, b) != 0 || copyProb(res, a, b) != 0 || copyProb(res, b, a) != 0 {
 						return false
 					}
 					continue
 				}
 				// Directional posteriors must match the verdict and sum to
 				// the total dependence posterior.
-				if res.CopyProb(dp.Pair.A, dp.Pair.B) != dp.ProbAB ||
-					res.CopyProb(dp.Pair.B, dp.Pair.A) != dp.ProbBA {
+				if copyProb(res, dp.Pair.A, dp.Pair.B) != dp.ProbAB ||
+					copyProb(res, dp.Pair.B, dp.Pair.A) != dp.ProbBA {
 					return false
 				}
-				if math.Abs(res.CopyProb(a, b)+res.CopyProb(b, a)-res.DependenceProb(a, b)) > 1e-12 {
+				if math.Abs(copyProb(res, a, b)+copyProb(res, b, a)-res.DependenceProb(a, b)) > 1e-12 {
 					return false
 				}
 				if math.Abs(dp.ProbAB+dp.ProbBA-dp.Prob) > 1e-9 {
@@ -210,4 +213,11 @@ func TestResultDependenceProbIsSymmetric(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// copyProb is the posterior that copier copies master; 0 for unanalyzed
+// pairs.
+func copyProb(r *Result, copier, master model.SourceID) float64 {
+	ab, _ := r.State().CopyProbs(copier, master)
+	return ab
 }

@@ -27,7 +27,7 @@ func evidence(d *dataset.Dataset, ov dataset.Overlap,
 			kd++
 			continue
 		}
-		p := truth.ClassMass(probs[o], va, sim)
+		p := classMass(probs[o], va, sim)
 		kt += p
 		kf += 1 - p
 	}
@@ -41,7 +41,8 @@ func scorePair(ov dataset.Overlap, kt, kf, kd float64,
 		cfg.CopyRate, cfg.Truth.N)
 	// Priors: 1-α independent, α/2 per direction.
 	logPrior := []float64{math.Log(1 - cfg.Alpha), math.Log(cfg.Alpha / 2), math.Log(cfg.Alpha / 2)}
-	post, err := stats.NormalizeLog([]float64{li + logPrior[0], lab + logPrior[1], lba + logPrior[2]})
+	post := []float64{li + logPrior[0], lab + logPrior[1], lba + logPrior[2]}
+	err := stats.NormalizeLogInto(post, post)
 	if err != nil {
 		post = []float64{1, 0, 0}
 	}
@@ -60,8 +61,17 @@ func scorePair(ov dataset.Overlap, kt, kf, kd float64,
 // semantic specification the compiled path is tested against
 // (golden_test.go).
 func detectMaps(d *dataset.Dataset, cfg Config) (*Result, error) {
-	// Candidate pairs and their overlaps are fixed across rounds.
-	candidates := d.Pairs(cfg.MinShared)
+	// Candidate pairs and their overlaps are fixed across rounds: every
+	// unordered pair sharing at least MinShared objects, in source order.
+	var candidates []dataset.Overlap
+	sources := d.Sources()
+	for i, a := range sources {
+		for _, b := range sources[i+1:] {
+			if ov := d.OverlapOf(a, b); len(ov.Objects) >= cfg.MinShared {
+				candidates = append(candidates, ov)
+			}
+		}
+	}
 
 	acc := make(map[model.SourceID]float64, len(d.Sources()))
 	for _, s := range d.Sources() {
@@ -84,13 +94,13 @@ func detectMaps(d *dataset.Dataset, cfg Config) (*Result, error) {
 		discount := makeDiscount(d, acc, dirState, cfg.CopyRate)
 		probs = make(map[model.ObjectID]map[string]float64, len(objects))
 		for _, o := range objects {
-			scores := truth.ScoreValues(d.ValuesFor(o), acc, cfg.Truth.N, discountFor(discount, o))
-			scores = truth.ApplySimilarity(scores, cfg.Truth.ValueSim, cfg.Truth.ValueSimWeight)
-			probs[o] = cfg.Truth.ApplyKnown(o, truth.SoftmaxScores(scores))
+			scores := scoreValues(d.ValuesFor(o), acc, cfg.Truth.N, discountFor(discount, o))
+			scores = applySimilarity(scores, cfg.Truth.ValueSim, cfg.Truth.ValueSimWeight)
+			probs[o] = applyKnown(cfg.Truth, o, softmaxScores(scores))
 		}
 
 		// Accuracy step.
-		next := truth.UpdateAccuracySim(d, probs, cfg.Truth.PriorA, cfg.Truth.PriorB, cfg.Truth.ValueSim)
+		next := updateAccuracySim(d, probs, cfg.Truth.PriorA, cfg.Truth.PriorB, cfg.Truth.ValueSim)
 
 		// Dependence step: score candidate pairs in the candidates'
 		// deterministic order.
@@ -107,7 +117,7 @@ func detectMaps(d *dataset.Dataset, cfg Config) (*Result, error) {
 		dirState = dir
 		res.Rounds = round
 
-		if truth.MaxAccuracyDelta(acc, next) < cfg.Tol {
+		if maxAccuracyDelta(acc, next) < cfg.Tol {
 			acc = next
 			res.Converged = true
 			break
@@ -190,7 +200,7 @@ func makeDiscount(d *dataset.Dataset, acc map[model.SourceID]float64,
 	return &discountTable{d: d, acc: acc, dir: dir, c: c}
 }
 
-// discountFor adapts the table to truth.ScoreValues' callback signature for
+// discountFor adapts the table to scoreValues' callback signature for
 // a fixed object. The returned closure memoizes per-object factors locally
 // — the table itself stays read-only — so distinct objects can be scored
 // concurrently without synchronization. Each closure is used by a single
@@ -264,4 +274,188 @@ func (t *discountTable) dirOf(from, to model.SourceID) float64 {
 		return m[to]
 	}
 	return 0
+}
+
+// The truth step of detectMaps: the per-object map-based steps. The truth
+// package checks its dense solver against the same steps, kept in its own
+// reference_test.go, which no other package can import.
+
+// scoreValues computes per-candidate scores for one object: the sum of the
+// asserting sources' weights, each multiplied by discount(s, value). A nil
+// discount means no discounting.
+func scoreValues(groups []dataset.ValueGroup, acc map[model.SourceID]float64, n int,
+	discount func(s model.SourceID, value string) float64) map[string]float64 {
+	scores := make(map[string]float64, len(groups))
+	for _, g := range groups {
+		var c float64
+		for _, s := range g.Sources {
+			w := truth.WeightOf(acc[s], n)
+			if discount != nil {
+				w *= discount(s, g.Value)
+			}
+			c += w
+		}
+		scores[g.Value] = c
+	}
+	return scores
+}
+
+// applySimilarity adds similarity-leaked support to each score:
+// score'(v) = score(v) + weight · Σ_{v'≠v} sim(v,v')·score(v').
+func applySimilarity(scores map[string]float64, sim func(a, b string) float64, weight float64) map[string]float64 {
+	if sim == nil || weight == 0 || len(scores) < 2 {
+		return scores
+	}
+	vals := make([]string, 0, len(scores))
+	for v := range scores {
+		vals = append(vals, v)
+	}
+	sort.Strings(vals)
+	out := make(map[string]float64, len(scores))
+	for _, v := range vals {
+		adj := scores[v]
+		for _, u := range vals {
+			if u == v {
+				continue
+			}
+			s := sim(v, u)
+			if s < 0 {
+				s = 0
+			} else if s > 1 {
+				s = 1
+			}
+			adj += weight * s * scores[u]
+		}
+		out[v] = adj
+	}
+	return out
+}
+
+// softmaxScores converts additive log-space scores into probabilities over
+// the candidates.
+func softmaxScores(scores map[string]float64) map[string]float64 {
+	vals := make([]string, 0, len(scores))
+	for v := range scores {
+		vals = append(vals, v)
+	}
+	sort.Strings(vals)
+	logw := make([]float64, len(vals))
+	for i, v := range vals {
+		logw[i] = scores[v]
+	}
+	probs := make([]float64, len(logw))
+	if err := stats.NormalizeLogInto(probs, logw); err != nil {
+		return map[string]float64{}
+	}
+	out := make(map[string]float64, len(vals))
+	for i, v := range vals {
+		out[v] = probs[i]
+	}
+	return out
+}
+
+// applyKnown overrides the posterior of labeled objects: the labeled value
+// gets the pin probability and the remainder is split over the other
+// observed candidates.
+func applyKnown(c truth.Config, o model.ObjectID, probs map[string]float64) map[string]float64 {
+	want, ok := c.Known[o]
+	if !ok {
+		return probs
+	}
+	conf := c.KnownConfidence
+	if conf == 0 {
+		conf = 0.99
+	}
+	out := make(map[string]float64, len(probs)+1)
+	rest := len(probs)
+	if _, seen := probs[want]; seen {
+		rest--
+	}
+	for v := range probs {
+		if v == want {
+			continue
+		}
+		if rest > 0 {
+			out[v] = (1 - conf) / float64(rest)
+		}
+	}
+	out[want] = conf
+	return out
+}
+
+// updateAccuracySim re-estimates each source's accuracy as the smoothed
+// mean posterior of the values it asserts, each credited with its
+// similarity class mass.
+func updateAccuracySim(d *dataset.Dataset, probs map[model.ObjectID]map[string]float64,
+	priorA, priorB float64, sim func(a, b string) float64) map[model.SourceID]float64 {
+	acc := make(map[model.SourceID]float64, len(d.Sources()))
+	for _, s := range d.Sources() {
+		var sum float64
+		var cnt int
+		for _, o := range d.ObjectsOf(s) {
+			v, ok := d.Value(s, o)
+			if !ok {
+				continue
+			}
+			sum += classMass(probs[o], v, sim)
+			cnt++
+		}
+		// Beta-smoothed mean: (sum + a) / (cnt + a + b). Probabilities are
+		// fractional successes, so this generalizes the Beta posterior mean.
+		acc[s] = stats.ClampProb((sum + priorA) / (float64(cnt) + priorA + priorB))
+	}
+	return acc
+}
+
+// classMass returns the posterior mass of the equivalence class of v under
+// the similarity function: Σ_v' P(v')·sim(v, v'), where sim(v, v) counts
+// fully. With a nil sim it is just P(v). This is how a source asserting
+// "J. Ullman" gets credit for the posterior of "Jeffrey Ullman": exact
+// string probabilities fragment across representations, class mass does
+// not.
+//
+// Candidates are accumulated in sorted-value order — the canonical
+// iteration order of every solver loop — so the sum is reproducible and the
+// compiled dense path (which walks value-sorted groups) is bit-identical.
+func classMass(probs map[string]float64, v string, sim func(a, b string) float64) float64 {
+	if sim == nil {
+		return probs[v]
+	}
+	vals := make([]string, 0, len(probs))
+	for u := range probs {
+		vals = append(vals, u)
+	}
+	sort.Strings(vals)
+	var mass float64
+	for _, u := range vals {
+		p := probs[u]
+		if u == v {
+			mass += p
+			continue
+		}
+		s := sim(v, u)
+		if s < 0 {
+			s = 0
+		} else if s > 1 {
+			s = 1
+		}
+		mass += p * s
+	}
+	if mass > 1 {
+		mass = 1
+	}
+	return mass
+}
+
+// maxAccuracyDelta returns the largest absolute per-source change between
+// two accuracy maps; the fixpoint test.
+func maxAccuracyDelta(a, b map[model.SourceID]float64) float64 {
+	var max float64
+	for s, av := range a {
+		d := math.Abs(av - b[s])
+		if d > max {
+			max = d
+		}
+	}
+	return max
 }

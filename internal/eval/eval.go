@@ -68,29 +68,6 @@ func ChosenAccuracy(chosen map[model.ObjectID]string, w *model.World) float64 {
 	return float64(right) / float64(total)
 }
 
-// MAE returns the mean absolute error between two per-key float maps over
-// their shared keys.
-func MAE(a, b map[model.ObjectID]float64) float64 {
-	var sum float64
-	var n int
-	for k, av := range a {
-		bv, ok := b[k]
-		if !ok {
-			continue
-		}
-		d := av - bv
-		if d < 0 {
-			d = -d
-		}
-		sum += d
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // Table renders aligned fixed-width text tables (the experiment binaries'
 // output format).
 type Table struct {

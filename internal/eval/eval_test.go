@@ -57,17 +57,6 @@ func TestChosenAccuracy(t *testing.T) {
 	}
 }
 
-func TestMAE(t *testing.T) {
-	a := map[model.ObjectID]float64{model.Obj("a", "v"): 1, model.Obj("b", "v"): 2}
-	b := map[model.ObjectID]float64{model.Obj("a", "v"): 2, model.Obj("b", "v"): 2}
-	if got := MAE(a, b); got != 0.5 {
-		t.Fatalf("MAE = %v", got)
-	}
-	if MAE(a, map[model.ObjectID]float64{}) != 0 {
-		t.Fatal("no shared keys should give 0")
-	}
-}
-
 func TestTableRender(t *testing.T) {
 	tab := NewTable("Demo", "name", "value")
 	tab.AddRow("alpha", "1")

@@ -278,50 +278,3 @@ func fillState(res *Result, d *dataset.Dataset, st *depen.State, cfg Config) err
 	}
 	return nil
 }
-
-// Accuracy scores a fused result against a ground-truth world: the fraction
-// of objects whose chosen value equals the current true value.
-func Accuracy(res *Result, w *model.World) float64 {
-	if len(res.Chosen) == 0 {
-		return 0
-	}
-	var right, total int
-	for o, v := range res.Chosen {
-		want, ok := w.TrueNow(o)
-		if !ok {
-			continue
-		}
-		total++
-		if v == want {
-			right++
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(right) / float64(total)
-}
-
-// Compare fuses the same dataset under several strategies and reports each
-// strategy's accuracy against the world — the harness behind the
-// "who wins" tables.
-type Comparison struct {
-	Strategy Strategy
-	Accuracy float64
-	Result   *Result
-}
-
-// Compare runs the listed strategies with the given config template.
-func Compare(d *dataset.Dataset, w *model.World, cfg Config, strategies ...Strategy) ([]Comparison, error) {
-	out := make([]Comparison, 0, len(strategies))
-	for _, st := range strategies {
-		c := cfg
-		c.Strategy = st
-		res, err := Fuse(d, c)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Comparison{Strategy: st, Accuracy: Accuracy(res, w), Result: res})
-	}
-	return out, nil
-}

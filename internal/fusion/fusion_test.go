@@ -8,6 +8,28 @@ import (
 	"sourcecurrents/internal/model"
 )
 
+// Accuracy scores a fused result against a ground-truth world: the fraction
+// of objects whose chosen value equals the current true value.
+func Accuracy(res *Result, w *model.World) float64 {
+	if len(res.Chosen) == 0 {
+		return 0
+	}
+	var right, total int
+	for o, v := range res.Chosen {
+		want, ok := w.TrueNow(o)
+		if !ok {
+			continue
+		}
+		total++
+		if v == want {
+			right++
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(right) / float64(total)
+}
 func knownTwo() map[model.ObjectID]string {
 	return map[model.ObjectID]string{
 		model.Obj("Halevy", dataset.AffAttr): "Google",
@@ -71,7 +93,7 @@ func TestKeepFirst(t *testing.T) {
 	if got := Accuracy(res, dataset.Table1Truth()); got != 1 {
 		t.Fatalf("KeepFirst accuracy = %v", got)
 	}
-	x, ok := res.Relation.Get(model.Obj("Dong", dataset.AffAttr))
+	x, ok := res.Relation.Tuples[model.Obj("Dong", dataset.AffAttr)]
 	if !ok || x.Prob("AT&T") != 1 {
 		t.Fatalf("KeepFirst relation = %+v", x)
 	}
@@ -107,8 +129,7 @@ func TestDependenceAwareWithLabels(t *testing.T) {
 		t.Fatal("dependence result missing")
 	}
 	// The probabilistic output must be a valid relation.
-	for _, o := range res.Relation.Objects() {
-		x, _ := res.Relation.Get(o)
+	for _, x := range res.Relation.Tuples {
 		if err := x.Validate(); err != nil {
 			t.Errorf("invalid fused tuple: %v", err)
 		}
@@ -136,7 +157,7 @@ func TestMinProbFilters(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Dong splits 3/5-1/5-1/5 under naive voting; only UW survives 0.5.
-	x, _ := res.Relation.Get(model.Obj("Dong", dataset.AffAttr))
+	x := res.Relation.Tuples[model.Obj("Dong", dataset.AffAttr)]
 	if len(x.Alternatives) != 1 || x.Alternatives[0].Value != "UW" {
 		t.Fatalf("MinProb filter left %+v", x.Alternatives)
 	}
@@ -146,21 +167,23 @@ func TestCompareOrdering(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Depen.Truth.Known = knownTwo()
 	cfg.Truth.Known = knownTwo()
-	comps, err := Compare(dataset.Table1(), dataset.Table1Truth(), cfg,
-		Majority, Weighted, DependenceAware)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(comps) != 3 {
-		t.Fatalf("comparisons = %d", len(comps))
+	var acc []float64 // naive, weighted, dependence-aware
+	for _, st := range []Strategy{Majority, Weighted, DependenceAware} {
+		c := cfg
+		c.Strategy = st
+		res, err := Fuse(dataset.Table1(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc = append(acc, Accuracy(res, dataset.Table1Truth()))
 	}
 	// The paper's headline shape: dependence-aware >= weighted >= naive.
-	if comps[2].Accuracy < comps[1].Accuracy || comps[1].Accuracy < comps[0].Accuracy {
+	if acc[2] < acc[1] || acc[1] < acc[0] {
 		t.Fatalf("accuracy order violated: naive=%.2f weighted=%.2f depen=%.2f",
-			comps[0].Accuracy, comps[1].Accuracy, comps[2].Accuracy)
+			acc[0], acc[1], acc[2])
 	}
-	if comps[2].Accuracy != 1 {
-		t.Fatalf("dependence-aware should be perfect with labels: %v", comps[2].Accuracy)
+	if acc[2] != 1 {
+		t.Fatalf("dependence-aware should be perfect with labels: %v", acc[2])
 	}
 }
 

@@ -284,28 +284,3 @@ func clusterObject(o model.ObjectID, groups []dataset.ValueGroup, cfg Config) []
 	})
 	return out
 }
-
-// ClassifyForm labels a raw form against a linkage result: "canonical",
-// "alternative" (linked, adequately supported), "wrong" (linked but
-// under-supported), or "unknown".
-func (r *Result) ClassifyForm(o model.ObjectID, raw string, cfg Config) string {
-	canon, ok := r.CanonicalOf[o][raw]
-	if !ok {
-		return "unknown"
-	}
-	if canon == raw {
-		return "canonical"
-	}
-	for _, c := range r.ClustersOf(o) {
-		if c.Canonical != canon {
-			continue
-		}
-		for _, w := range c.WrongValueForms {
-			if w == raw {
-				return "wrong"
-			}
-		}
-		return "alternative"
-	}
-	return "unknown"
-}

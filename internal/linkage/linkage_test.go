@@ -126,18 +126,20 @@ func TestWrongValueVsAlternativeRepresentation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// All three forms land in one cluster (all are Dongs), but support
-	// classifies them differently.
-	if got := res.ClassifyForm(o, "Xin Dong", cfg); got != "canonical" {
-		t.Errorf("Xin Dong = %q", got)
+	// classifies them differently: Xin Dong is canonical, Luna Dong an
+	// alternative representation of it, Xing Dong a wrong value.
+	clusters := res.ClustersOf(o)
+	if len(clusters) != 1 || clusters[0].Canonical != "Xin Dong" {
+		t.Fatalf("clusters = %+v", clusters)
 	}
-	if got := res.ClassifyForm(o, "Luna Dong", cfg); got != "alternative" {
-		t.Errorf("Luna Dong = %q", got)
+	if got := res.CanonicalOf[o]["Luna Dong"]; got != "Xin Dong" {
+		t.Errorf("Luna Dong links to %q", got)
 	}
-	if got := res.ClassifyForm(o, "Xing Dong", cfg); got != "wrong" {
-		t.Errorf("Xing Dong = %q", got)
+	if got := clusters[0].WrongValueForms; len(got) != 1 || got[0] != "Xing Dong" {
+		t.Errorf("wrong-value forms = %q, want [Xing Dong]", got)
 	}
-	if got := res.ClassifyForm(o, "Nobody", cfg); got != "unknown" {
-		t.Errorf("unknown form = %q", got)
+	if _, ok := res.CanonicalOf[o]["Nobody"]; ok {
+		t.Error("an unseen form has a canonical")
 	}
 }
 

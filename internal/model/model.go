@@ -153,20 +153,6 @@ func (tr *Truth) Normalize() {
 	tr.Periods = out
 }
 
-// Transitions returns the times at which the truth changes value (the start
-// of every period after the first). Temporal coverage is measured against
-// these.
-func (tr Truth) Transitions() []Time {
-	if len(tr.Periods) <= 1 {
-		return nil
-	}
-	out := make([]Time, 0, len(tr.Periods)-1)
-	for _, p := range tr.Periods[1:] {
-		out = append(out, p.Start)
-	}
-	return out
-}
-
 // World is a ground-truth assignment for a set of objects. It is produced
 // by the synthetic generators and consumed by the evaluation harness; the
 // discovery algorithms never see it.
@@ -188,15 +174,6 @@ func (w *World) Set(tr Truth) {
 	w.Truths[tr.Object] = tr
 }
 
-// TrueAt returns the true value of o at time t.
-func (w *World) TrueAt(o ObjectID, t Time) (string, bool) {
-	tr, ok := w.Truths[o]
-	if !ok {
-		return "", false
-	}
-	return tr.ValueAt(t)
-}
-
 // TrueNow returns the latest true value of o.
 func (w *World) TrueNow(o ObjectID) (string, bool) {
 	tr, ok := w.Truths[o]
@@ -204,16 +181,6 @@ func (w *World) TrueNow(o ObjectID) (string, bool) {
 		return "", false
 	}
 	return tr.Current()
-}
-
-// Objects returns the object ids in deterministic (sorted) order.
-func (w *World) Objects() []ObjectID {
-	out := make([]ObjectID, 0, len(w.Truths))
-	for o := range w.Truths {
-		out = append(out, o)
-	}
-	SortObjects(out)
-	return out
 }
 
 // SortObjects sorts ids by (entity, attribute) for deterministic iteration.
@@ -243,21 +210,6 @@ func NewSourcePair(a, b SourceID) SourcePair {
 		a, b = b, a
 	}
 	return SourcePair{A: a, B: b}
-}
-
-// Has reports whether s is one of the pair.
-func (p SourcePair) Has(s SourceID) bool { return p.A == s || p.B == s }
-
-// Other returns the member of the pair that is not s; ok is false when s is
-// not in the pair.
-func (p SourcePair) Other(s SourceID) (SourceID, bool) {
-	switch s {
-	case p.A:
-		return p.B, true
-	case p.B:
-		return p.A, true
-	}
-	return "", false
 }
 
 // String renders the pair as "A~B".

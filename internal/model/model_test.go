@@ -91,18 +91,12 @@ func TestTruthNormalize(t *testing.T) {
 	if len(tr.Periods) != 2 || tr.Periods[0].Value != "A" || tr.Periods[1].Value != "B" {
 		t.Fatalf("Normalize = %+v", tr.Periods)
 	}
-	if got := tr.Transitions(); len(got) != 1 || got[0] != 5 {
-		t.Fatalf("Transitions = %v", got)
-	}
 }
 
 func TestTruthEmpty(t *testing.T) {
 	var tr Truth
 	if _, ok := tr.Current(); ok {
 		t.Fatal("empty truth has no current value")
-	}
-	if tr.Transitions() != nil {
-		t.Fatal("empty truth has no transitions")
 	}
 }
 
@@ -119,15 +113,11 @@ func TestWorld(t *testing.T) {
 	if v, ok := w.TrueNow(Obj("Suciu", "affiliation")); !ok || v != "UW" {
 		t.Fatalf("TrueNow snapshot = %q,%v", v, ok)
 	}
-	if v, ok := w.TrueAt(Obj("Dong", "affiliation"), 2003); !ok || v != "UW" {
-		t.Fatalf("TrueAt(2003) = %q,%v", v, ok)
+	if v, ok := w.Truths[Obj("Dong", "affiliation")].ValueAt(2003); !ok || v != "UW" {
+		t.Fatalf("ValueAt(2003) = %q,%v", v, ok)
 	}
 	if _, ok := w.TrueNow(Obj("nobody", "x")); ok {
 		t.Fatal("unknown object should miss")
-	}
-	objs := w.Objects()
-	if len(objs) != 2 || objs[0].Entity != "Dong" {
-		t.Fatalf("Objects order = %v", objs)
 	}
 }
 
@@ -138,16 +128,6 @@ func TestSourcePairNormalization(t *testing.T) {
 	}
 	if NewSourcePair("S1", "S2") != p {
 		t.Fatal("pairs should compare equal regardless of order")
-	}
-	if !p.Has("S1") || !p.Has("S2") || p.Has("S3") {
-		t.Fatal("Has wrong")
-	}
-	o, ok := p.Other("S1")
-	if !ok || o != "S2" {
-		t.Fatalf("Other = %v,%v", o, ok)
-	}
-	if _, ok := p.Other("S3"); ok {
-		t.Fatal("Other of non-member should fail")
 	}
 	if p.String() != "S1~S2" {
 		t.Fatalf("String = %q", p.String())

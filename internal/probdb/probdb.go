@@ -5,32 +5,17 @@
 // probabilistic database", and that answering queries over probabilistic
 // data "assumes independence of sources ... removing the independence
 // assumption can significantly change the computation of the probabilities
-// of the answer tuples". This package provides exactly that substrate:
-// x-tuples (disjoint alternatives per object), tuple-level confidence
-// queries, and evidence combination both under independence and under a
-// dependence discount.
+// of the answer tuples". This package holds the probabilistic output that
+// fusion materializes: x-tuples (disjoint alternatives per object), checked
+// as they are stored into a relation. The probabilities are the fusion
+// strategy's posteriors; combining evidence is the solvers' job, not this
+// package's.
 package probdb
 
 import (
-	"errors"
 	"fmt"
-	"math"
-	"sort"
 
 	"sourcecurrents/internal/model"
-)
-
-// Named input errors. The HTTP serving layer maps these to 400 Bad Request
-// (client mistake) rather than 500 (server fault); wrap-with-%w so
-// errors.Is keeps matching through added context.
-var (
-	// ErrProbOutOfRange reports an input probability outside [0, 1].
-	ErrProbOutOfRange = errors.New("probdb: probability out of range [0,1]")
-	// ErrDepenMismatch reports a dependence matrix whose dimensions do not
-	// match the probability inputs (or is not square).
-	ErrDepenMismatch = errors.New("probdb: dependence matrix dimensions do not match inputs")
-	// ErrDepenOutOfRange reports a dependence entry outside [0, 1].
-	ErrDepenOutOfRange = errors.New("probdb: dependence probability out of range [0,1]")
 )
 
 // Alternative is one possible value of an x-tuple with its probability.
@@ -66,22 +51,6 @@ func (x XTuple) Validate() error {
 	return nil
 }
 
-// Top returns the highest-probability alternative (ties by smaller value).
-func (x XTuple) Top() (Alternative, bool) {
-	if len(x.Alternatives) == 0 {
-		return Alternative{}, false
-	}
-	alts := make([]Alternative, len(x.Alternatives))
-	copy(alts, x.Alternatives)
-	sort.Slice(alts, func(i, j int) bool {
-		if alts[i].Prob != alts[j].Prob {
-			return alts[i].Prob > alts[j].Prob
-		}
-		return alts[i].Value < alts[j].Value
-	})
-	return alts[0], true
-}
-
 // Prob returns the probability of a specific value.
 func (x XTuple) Prob(value string) float64 {
 	for _, a := range x.Alternatives {
@@ -110,172 +79,4 @@ func (r *Relation) Put(x XTuple) error {
 	}
 	r.Tuples[x.Object] = x
 	return nil
-}
-
-// Get returns the x-tuple for an object.
-func (r *Relation) Get(o model.ObjectID) (XTuple, bool) {
-	x, ok := r.Tuples[o]
-	return x, ok
-}
-
-// Objects returns the relation's object ids in sorted order.
-func (r *Relation) Objects() []model.ObjectID {
-	out := make([]model.ObjectID, 0, len(r.Tuples))
-	for o := range r.Tuples {
-		out = append(out, o)
-	}
-	model.SortObjects(out)
-	return out
-}
-
-// Select returns the objects whose x-tuple assigns the predicate value a
-// probability of at least minProb, with that probability.
-type SelectResult struct {
-	Object model.ObjectID
-	Prob   float64
-}
-
-// SelectValue runs a tuple-confidence selection: objects whose probability
-// of having the given value meets minProb.
-func (r *Relation) SelectValue(value string, minProb float64) []SelectResult {
-	var out []SelectResult
-	for _, o := range r.Objects() {
-		p := r.Tuples[o].Prob(value)
-		if p >= minProb {
-			out = append(out, SelectResult{Object: o, Prob: p})
-		}
-	}
-	return out
-}
-
-// CombineIndependent merges per-source probabilities for the same value
-// assuming source independence: p = 1 - Π(1 - p_i). This is the
-// computation the paper says current integration systems use. Empty input
-// combines to 0 (no evidence). Invalid inputs return an error wrapping
-// ErrProbOutOfRange.
-func CombineIndependent(probs []float64) (float64, error) {
-	acc := 1.0
-	for i, p := range probs {
-		if p < 0 || p > 1 {
-			return 0, fmt.Errorf("%w: probs[%d] = %v", ErrProbOutOfRange, i, p)
-		}
-		acc *= 1 - p
-	}
-	return 1 - acc, nil
-}
-
-// CombineDependent merges per-source probabilities when pairwise
-// dependence is known: each source's evidence is discounted by the
-// probability that it is independent of every earlier source, mirroring
-// the vote-discount of the copy-aware solver. dep[i][j] is the dependence
-// probability between sources i and j (symmetric, zero diagonal).
-// Sources are processed in the given order; the first contributes fully.
-// Empty input combines to 0 (no evidence, with a 0×0 matrix). Invalid
-// inputs return errors wrapping ErrDepenMismatch, ErrDepenOutOfRange or
-// ErrProbOutOfRange.
-func CombineDependent(probs []float64, dep [][]float64) (float64, error) {
-	n := len(probs)
-	if len(dep) != n {
-		return 0, fmt.Errorf("%w: %d probs, %d dependence rows", ErrDepenMismatch, n, len(dep))
-	}
-	for i := range dep {
-		if len(dep[i]) != n {
-			return 0, fmt.Errorf("%w: row %d has %d entries, want %d", ErrDepenMismatch, i, len(dep[i]), n)
-		}
-		for j, dv := range dep[i] {
-			if dv < 0 || dv > 1 {
-				return 0, fmt.Errorf("%w: dep[%d][%d] = %v", ErrDepenOutOfRange, i, j, dv)
-			}
-		}
-	}
-	acc := 1.0
-	for i, p := range probs {
-		if p < 0 || p > 1 {
-			return 0, fmt.Errorf("%w: probs[%d] = %v", ErrProbOutOfRange, i, p)
-		}
-		indep := 1.0
-		for j := 0; j < i; j++ {
-			indep *= 1 - dep[i][j]
-		}
-		acc *= 1 - p*indep
-	}
-	return 1 - acc, nil
-}
-
-// PossibleWorlds enumerates the possible worlds of a set of x-tuples (each
-// object independently picks one alternative or none) and returns each
-// world with its probability. Exponential; intended for small tuple sets
-// (tests, examples, spot checks of query semantics).
-type World struct {
-	Assignment map[model.ObjectID]string // absent key = no value
-	Prob       float64
-}
-
-// PossibleWorlds enumerates worlds for the given objects of the relation.
-// It returns an error if the expansion would exceed maxWorlds.
-func (r *Relation) PossibleWorlds(objects []model.ObjectID, maxWorlds int) ([]World, error) {
-	worlds := []World{{Assignment: map[model.ObjectID]string{}, Prob: 1}}
-	for _, o := range objects {
-		x, ok := r.Tuples[o]
-		if !ok {
-			continue
-		}
-		var rest float64 = 1
-		for _, a := range x.Alternatives {
-			rest -= a.Prob
-		}
-		if rest < 0 {
-			rest = 0
-		}
-		var next []World
-		for _, w := range worlds {
-			for _, a := range x.Alternatives {
-				if a.Prob == 0 {
-					continue
-				}
-				na := make(map[model.ObjectID]string, len(w.Assignment)+1)
-				for k, v := range w.Assignment {
-					na[k] = v
-				}
-				na[o] = a.Value
-				next = append(next, World{Assignment: na, Prob: w.Prob * a.Prob})
-			}
-			if rest > 1e-12 {
-				na := make(map[model.ObjectID]string, len(w.Assignment))
-				for k, v := range w.Assignment {
-					na[k] = v
-				}
-				next = append(next, World{Assignment: na, Prob: w.Prob * rest})
-			}
-			if len(next) > maxWorlds {
-				return nil, fmt.Errorf("probdb: possible worlds exceed %d", maxWorlds)
-			}
-		}
-		worlds = next
-	}
-	return worlds, nil
-}
-
-// ExpectedCount returns, via possible-worlds expansion, the expectation and
-// variance of the number of objects taking the given value.
-func (r *Relation) ExpectedCount(objects []model.ObjectID, value string) (mean, variance float64) {
-	for _, o := range objects {
-		p := 0.0
-		if x, ok := r.Tuples[o]; ok {
-			p = x.Prob(value)
-		}
-		mean += p
-		variance += p * (1 - p)
-	}
-	return mean, variance
-}
-
-// TotalProb returns the summed probability mass of an x-tuple (useful for
-// normalization checks).
-func (x XTuple) TotalProb() float64 {
-	var sum float64
-	for _, a := range x.Alternatives {
-		sum += a.Prob
-	}
-	return math.Min(sum, 1)
 }

@@ -1,11 +1,7 @@
 package probdb
 
 import (
-	"errors"
-	"math"
-	"strings"
 	"testing"
-	"testing/quick"
 
 	"sourcecurrents/internal/model"
 )
@@ -34,25 +30,9 @@ func TestXTupleValidate(t *testing.T) {
 }
 
 func TestXTupleTopAndProb(t *testing.T) {
-	x := xt("a", Alternative{"y", 0.3}, Alternative{"x", 0.3}, Alternative{"z", 0.4})
-	top, ok := x.Top()
-	if !ok || top.Value != "z" {
-		t.Fatalf("Top = %+v", top)
-	}
-	// Tie: smaller value wins deterministically.
-	x = xt("a", Alternative{"y", 0.5}, Alternative{"x", 0.5})
-	top, _ = x.Top()
-	if top.Value != "x" {
-		t.Fatalf("tie Top = %+v", top)
-	}
+	x := xt("a", Alternative{"y", 0.5}, Alternative{"x", 0.5})
 	if x.Prob("y") != 0.5 || x.Prob("missing") != 0 {
 		t.Fatal("Prob lookup wrong")
-	}
-	if _, ok := (XTuple{}).Top(); ok {
-		t.Fatal("empty tuple has no top")
-	}
-	if got := x.TotalProb(); got != 1 {
-		t.Fatalf("TotalProb = %v", got)
 	}
 }
 
@@ -67,170 +47,10 @@ func TestRelationPutGetSelect(t *testing.T) {
 	if err := r.Put(xt("c", Alternative{"x", 2})); err == nil {
 		t.Fatal("invalid tuple accepted")
 	}
-	got, ok := r.Get(model.Obj("a", "v"))
-	if !ok || got.Prob("ullman") != 0.9 {
-		t.Fatalf("Get = %+v,%v", got, ok)
+	if got := r.Tuples[model.Obj("a", "v")]; got.Prob("ullman") != 0.9 {
+		t.Fatalf("stored tuple = %+v", got)
 	}
-	sel := r.SelectValue("ullman", 0.5)
-	if len(sel) != 1 || sel[0].Object.Entity != "a" {
-		t.Fatalf("SelectValue = %+v", sel)
-	}
-	sel = r.SelectValue("ullman", 0.1)
-	if len(sel) != 2 {
-		t.Fatalf("low-threshold SelectValue = %+v", sel)
-	}
-	if objs := r.Objects(); len(objs) != 2 || objs[0].Entity != "a" {
-		t.Fatalf("Objects = %v", objs)
-	}
-}
-
-func TestCombineIndependent(t *testing.T) {
-	p, err := CombineIndependent([]float64{0.5, 0.5})
-	if err != nil || math.Abs(p-0.75) > 1e-12 {
-		t.Fatalf("combine = %v, %v", p, err)
-	}
-	p, _ = CombineIndependent(nil)
-	if p != 0 {
-		t.Fatal("empty combine should be 0")
-	}
-	if _, err := CombineIndependent([]float64{1.5}); err == nil {
-		t.Fatal("invalid prob accepted")
-	}
-}
-
-func TestCombineDependentCollapsesClique(t *testing.T) {
-	probs := []float64{0.8, 0.8, 0.8}
-	indep := [][]float64{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}}
-	full := [][]float64{{0, 1, 1}, {1, 0, 1}, {1, 1, 0}}
-	pi, err := CombineDependent(probs, indep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := CombineIndependent(probs)
-	if math.Abs(pi-want) > 1e-12 {
-		t.Fatalf("zero dependence should reduce to independent: %v vs %v", pi, want)
-	}
-	pd, err := CombineDependent(probs, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(pd-0.8) > 1e-12 {
-		t.Fatalf("fully dependent clique should contribute once: %v", pd)
-	}
-	if pd >= pi {
-		t.Fatal("dependence must not increase combined evidence")
-	}
-}
-
-func TestCombineDependentErrors(t *testing.T) {
-	if _, err := CombineDependent([]float64{0.5}, nil); !errors.Is(err, ErrDepenMismatch) {
-		t.Fatalf("size mismatch: err = %v, want ErrDepenMismatch", err)
-	}
-	if _, err := CombineDependent([]float64{0.5}, [][]float64{{2}}); !errors.Is(err, ErrDepenOutOfRange) {
-		t.Fatalf("invalid dependence: err = %v, want ErrDepenOutOfRange", err)
-	}
-	if _, err := CombineDependent([]float64{1.5}, [][]float64{{0}}); !errors.Is(err, ErrProbOutOfRange) {
-		t.Fatalf("invalid prob: err = %v, want ErrProbOutOfRange", err)
-	}
-}
-
-// TestCombineNamedErrorEdgeCases covers the remaining input corners: empty
-// inputs are valid no-evidence combinations, every malformed shape maps to
-// its named sentinel (which the HTTP layer turns into 400s).
-func TestCombineNamedErrorEdgeCases(t *testing.T) {
-	// Empty inputs: no evidence, probability 0, no error.
-	if p, err := CombineIndependent([]float64{}); err != nil || p != 0 {
-		t.Fatalf("empty independent = %v, %v", p, err)
-	}
-	if p, err := CombineDependent(nil, nil); err != nil || p != 0 {
-		t.Fatalf("empty dependent = %v, %v", p, err)
-	}
-
-	if _, err := CombineIndependent([]float64{0.5, -0.1}); !errors.Is(err, ErrProbOutOfRange) {
-		t.Fatalf("negative prob: err = %v, want ErrProbOutOfRange", err)
-	}
-	if _, err := CombineIndependent([]float64{math.Inf(1)}); !errors.Is(err, ErrProbOutOfRange) {
-		t.Fatalf("inf prob: err = %v, want ErrProbOutOfRange", err)
-	}
-
-	// Non-square matrix: right row count, wrong row length.
-	bad := [][]float64{{0, 0}, {0}}
-	if _, err := CombineDependent([]float64{0.5, 0.5}, bad); !errors.Is(err, ErrDepenMismatch) {
-		t.Fatalf("ragged matrix: err = %v, want ErrDepenMismatch", err)
-	}
-	// Too many rows.
-	if _, err := CombineDependent([]float64{0.5}, [][]float64{{0}, {0}}); !errors.Is(err, ErrDepenMismatch) {
-		t.Fatalf("extra rows: err = %v, want ErrDepenMismatch", err)
-	}
-	if _, err := CombineDependent([]float64{0.5}, [][]float64{{-0.5}}); !errors.Is(err, ErrDepenOutOfRange) {
-		t.Fatalf("negative dependence: err = %v, want ErrDepenOutOfRange", err)
-	}
-
-	// The message carries the offending index and value.
-	_, err := CombineDependent([]float64{0, 0.5, 2.5}, [][]float64{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}})
-	if err == nil || !strings.Contains(err.Error(), "probs[2]") {
-		t.Fatalf("err = %v, want index context", err)
-	}
-}
-
-func TestCombineDependentMonotoneProperty(t *testing.T) {
-	// Increasing dependence must never increase the combined probability.
-	f := func(rawP, rawD float64) bool {
-		p := math.Mod(math.Abs(rawP), 1)
-		d1 := math.Mod(math.Abs(rawD), 1)
-		d2 := math.Min(1, d1+0.1)
-		mk := func(dv float64) [][]float64 {
-			return [][]float64{{0, dv}, {dv, 0}}
-		}
-		lo, err1 := CombineDependent([]float64{p, p}, mk(d2))
-		hi, err2 := CombineDependent([]float64{p, p}, mk(d1))
-		return err1 == nil && err2 == nil && lo <= hi+1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPossibleWorlds(t *testing.T) {
-	r := NewRelation("w")
-	_ = r.Put(xt("a", Alternative{"x", 0.6}, Alternative{"y", 0.4}))
-	_ = r.Put(xt("b", Alternative{"x", 0.5})) // 0.5 mass on "no value"
-	objs := []model.ObjectID{model.Obj("a", "v"), model.Obj("b", "v")}
-	worlds, err := r.PossibleWorlds(objs, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(worlds) != 4 {
-		t.Fatalf("worlds = %d, want 4", len(worlds))
-	}
-	var total float64
-	for _, w := range worlds {
-		total += w.Prob
-	}
-	if math.Abs(total-1) > 1e-9 {
-		t.Fatalf("world probs sum to %v", total)
-	}
-	// Query consistency: P(a=x) from worlds equals the alternative prob.
-	var px float64
-	for _, w := range worlds {
-		if w.Assignment[model.Obj("a", "v")] == "x" {
-			px += w.Prob
-		}
-	}
-	if math.Abs(px-0.6) > 1e-9 {
-		t.Fatalf("P(a=x) from worlds = %v", px)
-	}
-	if _, err := r.PossibleWorlds(objs, 2); err == nil {
-		t.Fatal("world explosion not caught")
-	}
-}
-
-func TestExpectedCount(t *testing.T) {
-	r := NewRelation("c")
-	_ = r.Put(xt("a", Alternative{"x", 0.5}))
-	_ = r.Put(xt("b", Alternative{"x", 0.5}))
-	mean, variance := r.ExpectedCount(r.Objects(), "x")
-	if mean != 1 || math.Abs(variance-0.5) > 1e-12 {
-		t.Fatalf("ExpectedCount = %v, %v", mean, variance)
+	if len(r.Tuples) != 2 {
+		t.Fatalf("relation holds %d tuples, want 2", len(r.Tuples))
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"sourcecurrents/internal/dataset"
 	"sourcecurrents/internal/model"
+	"sourcecurrents/internal/stats"
 	"sourcecurrents/internal/truth"
 )
 
@@ -179,7 +180,7 @@ func computeAnswers(d *dataset.Dataset, query []model.ObjectID, probed []model.S
 			}
 			scores[v] = score
 		}
-		probs := truth.SoftmaxScores(scores)
+		probs := softmaxScores(scores)
 		bestV, bestP := "", -1.0
 		for _, v := range vals {
 			if probs[v] > bestP {
@@ -187,6 +188,29 @@ func computeAnswers(d *dataset.Dataset, query []model.ObjectID, probed []model.S
 			}
 		}
 		out = append(out, Answer{Object: o, Value: bestV, Prob: bestP})
+	}
+	return out
+}
+
+// softmaxScores converts additive log-space scores into probabilities over
+// the candidates.
+func softmaxScores(scores map[string]float64) map[string]float64 {
+	vals := make([]string, 0, len(scores))
+	for v := range scores {
+		vals = append(vals, v)
+	}
+	sort.Strings(vals)
+	logw := make([]float64, len(vals))
+	for i, v := range vals {
+		logw[i] = scores[v]
+	}
+	probs := make([]float64, len(logw))
+	if err := stats.NormalizeLogInto(probs, logw); err != nil {
+		return map[string]float64{}
+	}
+	out := make(map[string]float64, len(vals))
+	for i, v := range vals {
+		out[v] = probs[i]
 	}
 	return out
 }

@@ -14,7 +14,8 @@ func buildProfilesMaps(d *dataset.Dataset, dep *depen.Result,
 	reports map[model.SourceID]*temporal.SourceReport) []Profile {
 	var out []Profile
 	for _, s := range d.Sources() {
-		p := Profile{Source: s, Coverage: d.Coverage(s), Freshness: 0.5, Accuracy: 0.5}
+		coverage := float64(len(d.ObjectsOf(s))) / float64(len(d.Objects()))
+		p := Profile{Source: s, Coverage: coverage, Freshness: 0.5, Accuracy: 0.5}
 		if dep != nil && dep.Truth != nil {
 			if a, ok := dep.Truth.Accuracy[s]; ok {
 				p.Accuracy = a
@@ -26,7 +27,8 @@ func buildProfilesMaps(d *dataset.Dataset, dep *depen.Result,
 				if other == s {
 					continue
 				}
-				p.Independence *= 1 - dep.CopyProb(s, other)
+				copies, _ := dep.State().CopyProbs(s, other)
+				p.Independence *= 1 - copies
 			}
 		}
 		if rep, ok := reports[s]; ok {

@@ -87,6 +87,11 @@ func AdoptFromURL(reg *Registry, name, from, dir string, cfg session.Config, cli
 	defer os.Remove(tmpPath)
 
 	n, err := io.Copy(tmp, io.LimitReader(resp.Body, maxSnapshotStream))
+	if errors.Is(err, io.ErrUnexpectedEOF) {
+		// The body ended short of its declared length: a torn transfer is bad
+		// upstream bytes, like a container cut short.
+		err = fmt.Errorf("%w: %w", snapio.ErrCorrupt, err)
+	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}

@@ -477,7 +477,7 @@ func assertServesSame(t testing.TB, got, want *session.Session) {
 	}
 }
 
-// TestRegistrySwapErrors pins swap/Update error handling.
+// TestRegistrySwapErrors pins swap/ingest error handling.
 func TestRegistrySwapErrors(t *testing.T) {
 	reg := NewRegistry()
 	s := testSession(t, 11, 25)
@@ -490,14 +490,14 @@ func TestRegistrySwapErrors(t *testing.T) {
 	if _, err := reg.swap("a", nil); err == nil {
 		t.Fatal("nil swap accepted")
 	}
-	if _, _, err := reg.Update("ghost", func(cur *session.Session) (*session.Session, error) {
+	if _, _, err := reg.ingest("ghost", func(cur *session.Session) (*session.Session, error) {
 		return cur, nil
-	}); err == nil {
+	}, false); err == nil {
 		t.Fatal("update of unregistered dataset accepted")
 	}
-	if _, _, err := reg.Update("a", func(*session.Session) (*session.Session, error) {
+	if _, _, err := reg.ingest("a", func(*session.Session) (*session.Session, error) {
 		return nil, fmt.Errorf("boom")
-	}); err == nil {
+	}, false); err == nil {
 		t.Fatal("failed update did not surface its error")
 	}
 	if epoch := reg.KnownEpochs()["a"]; epoch != 0 {

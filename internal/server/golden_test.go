@@ -220,7 +220,7 @@ func TestCorruptLogIsServerError(t *testing.T) {
 			break
 		}
 	}
-	raw := m.Bytes()
+	raw := buf.Bytes()
 	if _, err := session.LoadSnapshot(bytes.NewReader(raw), session.DefaultConfig()); !errors.Is(err, snapio.ErrChecksum) || !errors.Is(err, snapio.ErrCorrupt) {
 		t.Fatalf("LoadSnapshot: err = %v, want ErrChecksum and ErrCorrupt", err)
 	}

@@ -44,7 +44,7 @@ var ErrUnknownDataset = errors.New("server: unknown dataset")
 
 // entry is one registered dataset: the current session and the write-side
 // bookkeeping. The session pointer is guarded by the registry lock (a swap
-// replaces it under the write lock). updateMu serializes Update callers per
+// replaces it under the write lock). updateMu serializes update callers per
 // dataset — successor construction can take milliseconds and must not hold
 // the registry lock.
 type entry struct {
@@ -161,20 +161,16 @@ func (r *Registry) KnownEpochs() map[string]uint64 {
 	return out
 }
 
-// Update runs fn against name's current session under the entry's update
+// ingest runs fn against name's current session under the entry's update
 // mutex and, on success, swaps in the session fn returns. fn typically
 // builds a successor via Session.Append — and may persist a log segment
-// before returning, so a failed write aborts the swap. Concurrent Update
+// before returning, so a failed write aborts the swap. Concurrent ingest
 // calls for the same dataset are serialized; readers are never blocked.
-// Returns the swapped-in session and its new epoch. Update is the live
-// ingest path and counts on currents_dataset_appends_total; boot replay
-// advances worlds through the same update without counting.
-func (r *Registry) Update(name string, fn func(cur *session.Session) (*session.Session, error)) (*session.Session, uint64, error) {
-	return r.ingest(name, fn, false)
-}
-
-// ingest is Update, counting the append as one applied from a primary's
-// epoch delta too when delta is set (currents_dataset_delta_appends_total).
+// Returns the swapped-in session and its new epoch. ingest is the live
+// append path and counts on currents_dataset_appends_total, and on
+// currents_dataset_delta_appends_total too when delta is set (an append
+// applied from a primary's epoch delta); boot replay advances worlds
+// through the same update without counting.
 func (r *Registry) ingest(name string, fn func(cur *session.Session) (*session.Session, error), delta bool) (*session.Session, uint64, error) {
 	next, epoch, e, err := r.update(name, fn)
 	if err != nil {

@@ -59,7 +59,6 @@ import (
 	"sourcecurrents/internal/dataset"
 	"sourcecurrents/internal/metrics"
 	"sourcecurrents/internal/model"
-	"sourcecurrents/internal/probdb"
 	"sourcecurrents/internal/session"
 	"sourcecurrents/internal/snapio"
 )
@@ -204,18 +203,15 @@ func errResponse(err error) response {
 	return jsonResponse(statusOf(err), ErrorResponse{Error: err.Error()})
 }
 
-// statusOf maps errors to status codes: request-caused errors — the
-// ErrBadRequest wrapper and the probdb input sentinels — are 400, body-cap
-// violations 413, everything else 500.
+// statusOf maps errors to status codes: request-caused errors (the
+// ErrBadRequest wrapper) are 400, body-cap violations 413, everything else
+// 500.
 func statusOf(err error) int {
 	var maxErr *http.MaxBytesError
 	switch {
 	case errors.As(err, &maxErr):
 		return http.StatusRequestEntityTooLarge
-	case errors.Is(err, ErrBadRequest),
-		errors.Is(err, probdb.ErrProbOutOfRange),
-		errors.Is(err, probdb.ErrDepenMismatch),
-		errors.Is(err, probdb.ErrDepenOutOfRange):
+	case errors.Is(err, ErrBadRequest):
 		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError

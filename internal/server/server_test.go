@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"sourcecurrents/internal/dataset"
-	"sourcecurrents/internal/probdb"
 	"sourcecurrents/internal/session"
 	"sourcecurrents/internal/snapio"
 	"sourcecurrents/internal/synth"
@@ -239,16 +238,19 @@ func TestRequestSizeCap(t *testing.T) {
 }
 
 func TestProbdbErrorsMapTo400(t *testing.T) {
-	// The named probdb sentinels are client errors at the HTTP boundary.
+	// A request-caused error is a client error at the HTTP boundary,
+	// however deeply it is wrapped.
 	for _, err := range []error{
-		probdb.ErrProbOutOfRange,
-		probdb.ErrDepenMismatch,
-		probdb.ErrDepenOutOfRange,
-		fmt.Errorf("wrapped: %w", probdb.ErrProbOutOfRange),
+		ErrBadRequest,
+		fmt.Errorf("wrapped: %w", ErrBadRequest),
+		fmt.Errorf("twice: %w", fmt.Errorf("wrapped: %w", ErrBadRequest)),
 	} {
 		if got := statusOf(err); got != http.StatusBadRequest {
 			t.Fatalf("statusOf(%v) = %d, want 400", err, got)
 		}
+	}
+	if got := statusOf(fmt.Errorf("read: %w", &http.MaxBytesError{Limit: 1})); got != http.StatusRequestEntityTooLarge {
+		t.Fatalf("statusOf(body cap) = %d, want 413", got)
 	}
 	if got := statusOf(fmt.Errorf("boom")); got != http.StatusInternalServerError {
 		t.Fatalf("statusOf(internal) = %d, want 500", got)

@@ -77,6 +77,20 @@ func snapshotUpstream(t testing.TB, body []byte, chunked bool) *httptest.Server 
 	return ts
 }
 
+// tornUpstream declares body's whole length and closes the connection after
+// its first cut bytes.
+func tornUpstream(t testing.TB, body []byte, cut int) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Length", fmt.Sprint(len(body)))
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(body[:cut])
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
 // assertCleanReject asserts an adopt failure left no trace: the dataset is
 // not registered, no .snap landed, and no temp file leaked.
 func assertCleanReject(t *testing.T, reg *Registry, dir, name string, err error) {
@@ -225,7 +239,9 @@ var fixedCuts = []int{
 // early sends them, and with their length declared, as a source whose file is
 // short does. The container ends at its last section's last byte, so every cut
 // destroys part of the world, and there is no transfer checksum: the
-// container's own header and seal must reject each one. Either way:
+// container's own header and seal must reject each one. A third mode declares
+// the whole container's length and closes after the cut, as a source that
+// dies mid-transfer does: the body ends short of its length. Every way:
 // ErrCorrupt, nothing registered, nothing left on disk.
 func TestAdoptRejectsTruncation(t *testing.T) {
 	full := snapshotBytes(t, testSession(t, 11, 90))
@@ -243,9 +259,15 @@ func TestAdoptRejectsTruncation(t *testing.T) {
 		for _, mode := range []struct {
 			name    string
 			chunked bool
-		}{{"midtransfer", true}, {"badsource", false}} {
+			torn    bool
+		}{{"midtransfer", true, false}, {"badsource", false, false}, {"torn", false, true}} {
 			t.Run(fmt.Sprintf("%s_cut_%d", mode.name, cut), func(t *testing.T) {
-				up := snapshotUpstream(t, full[:cut], mode.chunked)
+				var up *httptest.Server
+				if mode.torn {
+					up = tornUpstream(t, full, cut)
+				} else {
+					up = snapshotUpstream(t, full[:cut], mode.chunked)
+				}
 				dir := t.TempDir()
 				reg := NewRegistry()
 				err := AdoptFromURL(reg, "w", up.URL, dir, session.DefaultConfig(), nil)

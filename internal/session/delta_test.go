@@ -184,13 +184,14 @@ func withDeltaSection(t testing.TB, raw []byte, id uint32, edit func([]byte) []b
 // id flipped under the seal written for it.
 func sealFlipped(t testing.TB, raw []byte, id uint32, at int) []byte {
 	t.Helper()
-	m, err := snapio.OpenContainer(bytes.Clone(raw), DeltaMagic, DeltaVersion)
+	out := bytes.Clone(raw)
+	m, err := snapio.OpenContainer(out, DeltaMagic, DeltaVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b, _ := m.Section(id)
 	b[at] ^= 0x10
-	return m.Bytes()
+	return out
 }
 
 // deltaFuzzSeeds are the checked-in seeds of FuzzApplyDelta: the first
@@ -373,14 +374,15 @@ func TestEverySectionSealed(t *testing.T) {
 				at = at[:1] // the first byte, as the probe flipped it
 			}
 			for _, pos := range at {
-				mut, err := snapio.OpenContainer(bytes.Clone(tc.raw), tc.magic, tc.version)
+				flipped := bytes.Clone(tc.raw)
+				mut, err := snapio.OpenContainer(flipped, tc.magic, tc.version)
 				if err != nil {
 					t.Fatal(err)
 				}
 				b, _ := mut.Section(id)
 				b[pos] ^= 1 << (pos % 8)
 				for via, read := range tc.readers {
-					if err := read(mut.Bytes()); !errors.Is(err, snapio.ErrChecksum) || !errors.Is(err, snapio.ErrCorrupt) {
+					if err := read(flipped); !errors.Is(err, snapio.ErrChecksum) || !errors.Is(err, snapio.ErrCorrupt) {
 						t.Errorf("%s, section %d byte %d, %s: err = %v, want ErrChecksum and ErrCorrupt", tc.name, id, pos, via, err)
 					}
 				}

@@ -174,9 +174,6 @@ func (s *Session) HistMaterializations() int64 {
 	return s.hist.mats.Load()
 }
 
-// Created returns when this session became the serving current.
-func (s *Session) Created() time.Time { return s.created }
-
 // AsOf returns the session as it stood at the given epoch: the receiver for
 // the current epoch, a retained predecessor when one is in the window, and
 // otherwise a lazily materialized reconstruction — depen.Solve advanced

@@ -28,7 +28,6 @@ import (
 
 	"sourcecurrents/internal/dataset"
 	"sourcecurrents/internal/depen"
-	"sourcecurrents/internal/dissim"
 	"sourcecurrents/internal/fusion"
 	"sourcecurrents/internal/linkage"
 	"sourcecurrents/internal/model"
@@ -331,11 +330,4 @@ func (s *Session) Profiles() []recommend.Profile {
 // cached profiles.
 func (s *Session) RecommendSources(w recommend.Weights, k int) ([]recommend.Profile, error) {
 	return recommend.Top(s.Profiles(), w, k)
-}
-
-// RecommendDiverse returns k trusted sources plus dissenting voices that
-// dissimilarity-depend on them.
-func (s *Session) RecommendDiverse(w recommend.Weights, diss *dissim.Result,
-	k, extraDissent int) ([]recommend.DiversePick, error) {
-	return recommend.TopDiverse(s.Profiles(), w, diss, k, extraDissent)
 }

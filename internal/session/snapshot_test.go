@@ -258,7 +258,8 @@ func withSection(t testing.TB, raw []byte, id uint32, edit func([]byte) []byte) 
 // container's seal left as it was written.
 func staleSection(t testing.TB, raw []byte, id uint32, edit func([]byte)) []byte {
 	t.Helper()
-	m, err := snapio.OpenContainer(bytes.Clone(raw), SnapshotMagic, SnapshotVersion)
+	out := bytes.Clone(raw)
+	m, err := snapio.OpenContainer(out, SnapshotMagic, SnapshotVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +268,7 @@ func staleSection(t testing.TB, raw []byte, id uint32, edit func([]byte)) []byte
 		t.Fatalf("no section %d", id)
 	}
 	edit(b)
-	return m.Bytes()
+	return out
 }
 
 // pairRecBytes is the size of one stored pair record: sources a and b, then
@@ -1247,8 +1248,11 @@ func FuzzLoadSnapshot(f *testing.F) {
 }
 
 // FuzzLoadSnapshotV2 drives the file loader — the path a server boots from —
-// with the bytes the reader sees: both fail with the same class of error, or
-// both load a session that answers every serving call the same. The
+// with the bytes the reader sees. The reader stops at the container's end;
+// the file loader reads the whole file, which must end there too. So when the
+// reader leaves bytes unread the file loader fails, with ErrCorrupt if the
+// reader loaded a session; otherwise both fail with the same class of error,
+// or both load a session that answers every serving call the same. The
 // checked-in corpus lives with FuzzLoadSnapshot; this target keeps the file
 // path under the fuzzer.
 func FuzzLoadSnapshotV2(f *testing.F) {
@@ -1264,13 +1268,21 @@ func FuzzLoadSnapshotV2(f *testing.F) {
 	flip := append([]byte(nil), raw...)
 	flip[len(flip)/2] ^= 0xff
 	f.Add(flip)
+	f.Add(append(bytes.Clone(raw), "fourteen bytes"...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "s.snap")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		file, err := LoadSnapshotFile(path, DefaultConfig())
-		read, err2 := loadBytes(data, DefaultConfig())
+		r := bytes.NewReader(data)
+		read, err2 := LoadSnapshot(r, DefaultConfig())
+		if r.Len() > 0 {
+			if err == nil || (err2 == nil && !errors.Is(err, snapio.ErrCorrupt)) {
+				t.Fatalf("the reader stops %d bytes short of the file (err %v); the file loader says %v", r.Len(), err2, err)
+			}
+			return
+		}
 		if errClass(err) != errClass(err2) {
 			t.Fatalf("the file loader says %v, the reader %v", err, err2)
 		}

@@ -89,8 +89,10 @@ func viewDiff(got, want *depen.Result) error {
 	}
 	for _, a := range srcs {
 		for _, b := range srcs {
-			if g, w := got.CopyProb(a, b), want.CopyProb(a, b); math.Float64bits(g) != math.Float64bits(w) {
-				return fmt.Errorf("CopyProb(%s, %s) = %v, want %v", a, b, g, w)
+			g, _ := got.State().CopyProbs(a, b)
+			w, _ := want.State().CopyProbs(a, b)
+			if math.Float64bits(g) != math.Float64bits(w) {
+				return fmt.Errorf("CopyProbs(%s, %s) = %v, want %v", a, b, g, w)
 			}
 		}
 	}

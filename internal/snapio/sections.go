@@ -185,7 +185,7 @@ func Reseal(data []byte) {
 // into every table cast from it. The buffer lives as long as anything
 // references it — a section or a typed view.
 type Container struct {
-	data     []byte
+	data     []byte // header through the last section's data
 	sections map[uint32][]byte
 }
 
@@ -214,7 +214,9 @@ func OpenContainer(data []byte, magic string, version uint32) (*Container, error
 // size comes from the file, never from its header: an empty file is
 // ErrTruncated, one over the payload cap ErrCorrupt, and a header declaring
 // sections past the end of the file fails with ErrTruncated having allocated
-// no more than the file.
+// no more than the file. The file must end where its last section's data
+// ends: bytes after it, which no seal covers and a stream reader would never
+// read, are ErrCorrupt.
 func ReadContainerFile(path string, magic string, version uint32) (*Container, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -239,7 +241,11 @@ func ReadContainerFile(path string, magic string, version uint32) (*Container, e
 		}
 		return nil, fmt.Errorf("snapio: read %s: %w", path, err)
 	}
-	return newContainer(data, magic, version)
+	m, err := newContainer(data, magic, version)
+	if err == nil && len(m.data) != len(data) {
+		return nil, fmt.Errorf("%w: %s runs %d bytes past its container's end at byte %d", ErrCorrupt, path, len(data)-len(m.data), len(m.data))
+	}
+	return m, err
 }
 
 // checkPrefix checks the magic and version a container opens with. A
@@ -390,12 +396,8 @@ func newContainer(data []byte, magic string, version uint32) (*Container, error)
 	if have, want := crc32.ChecksumIEEE(data[hdrLen:end]), binary.LittleEndian.Uint32(data[sealOff:]); have != want {
 		return nil, checksumErr("section", have, want)
 	}
-	return &Container{data: data, sections: sections}, nil
+	return &Container{data: data[:end], sections: sections}, nil
 }
-
-// Bytes returns the full container, header and all — the buffer it was read
-// into, which every section aliases. It must not be written.
-func (m *Container) Bytes() []byte { return m.data }
 
 // Section returns the raw bytes of section id; ok is false when absent.
 // The slice aliases the container.

@@ -45,8 +45,8 @@ func TestSectionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenContainer: %v", err)
 	}
-	if len(m.Bytes()) != len(data) {
-		t.Fatalf("size = %d, want %d", len(m.Bytes()), len(data))
+	if len(m.data) != len(data) {
+		t.Fatalf("size = %d, want %d", len(m.data), len(data))
 	}
 	gotI32, err := m.I32Section(1)
 	if err != nil {
@@ -96,6 +96,8 @@ func TestSectionMisalignedInput(t *testing.T) {
 	}
 }
 
+// TestSectionMappedFile: a container file opens into one aligned buffer of
+// its size, and only when it ends where the container does.
 func TestSectionMappedFile(t *testing.T) {
 	data, i32, f64, _ := buildContainer(t)
 	path := filepath.Join(t.TempDir(), "world.snap2")
@@ -106,8 +108,8 @@ func TestSectionMappedFile(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadContainerFile: %v", err)
 	}
-	if len(m.Bytes()) != len(data) || uintptr(unsafe.Pointer(&m.Bytes()[0]))%sectionAlign != 0 {
-		t.Fatalf("read %d bytes into a buffer at %p; want the %d-byte file, 8-aligned", len(m.Bytes()), &m.Bytes()[0], len(data))
+	if len(m.data) != len(data) || uintptr(unsafe.Pointer(&m.data[0]))%sectionAlign != 0 {
+		t.Fatalf("read %d bytes into a buffer at %p; want the %d-byte file, 8-aligned", len(m.data), &m.data[0], len(data))
 	}
 	gotI32, err := m.I32Section(1)
 	if err != nil {
@@ -119,6 +121,15 @@ func TestSectionMappedFile(t *testing.T) {
 	}
 	if gotI32[3] != i32[3] || !f64BitsEqual(gotF64, f64) {
 		t.Fatal("file sections differ from written tables")
+	}
+
+	// The file with 14 bytes appended: no seal covers them and a stream
+	// reader stops before them, so the file loader refuses them.
+	if err := os.WriteFile(path, append(bytes.Clone(data), "fourteen bytes"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadContainerFile(path, testSecMagic, 2); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("file 14 bytes past its container: err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -281,8 +292,8 @@ func TestReadMapped(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadContainer: %v", err)
 	}
-	if !bytes.Equal(m.Bytes(), data) || r.Len() != len("trailing") {
-		t.Fatalf("read %d bytes, left %d; want the %d-byte container and no byte past it", len(m.Bytes()), r.Len(), len(data))
+	if !bytes.Equal(m.data, data) || r.Len() != len("trailing") {
+		t.Fatalf("read %d bytes, left %d; want the %d-byte container and no byte past it", len(m.data), r.Len(), len(data))
 	}
 	gotI32, _ := m.I32Section(1)
 	gotF64, _ := m.F64Section(2)

@@ -79,9 +79,6 @@ func (w *Writer) Str(s string) {
 	w.buf = append(w.buf, s...)
 }
 
-// Len returns the current payload size.
-func (w *Writer) Len() int { return len(w.buf) }
-
 // Payload returns the accumulated bytes, to be added as one section of a
 // container.
 func (w *Writer) Payload() []byte { return w.buf }
@@ -198,19 +195,6 @@ func (r *Reader) Count(minElemBytes int) int {
 		return 0
 	}
 	return int(n)
-}
-
-// Index reads a uint32 and validates it is < limit.
-func (r *Reader) Index(limit int) int {
-	v := r.U32()
-	if r.err != nil {
-		return 0
-	}
-	if int64(v) >= int64(limit) {
-		r.fail(fmt.Errorf("%w: index %d out of range [0,%d)", ErrCorrupt, v, limit))
-		return 0
-	}
-	return int(v)
 }
 
 // Finish reports the latched error, or an error if undecoded payload bytes

@@ -173,15 +173,6 @@ func TestCountAndIndexValidation(t *testing.T) {
 	if n := r.Count(8); n != 0 || !errors.Is(r.Err(), ErrCorrupt) {
 		t.Fatalf("Count = %d, err = %v", n, r.Err())
 	}
-
-	raw = sealed(t, 1, func(w *Writer) { w.U32(9) })
-	r, err = open(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if i := r.Index(9); i != 0 || !errors.Is(r.Err(), ErrCorrupt) {
-		t.Fatalf("Index = %d, err = %v", i, r.Err())
-	}
 }
 
 func TestFinishRejectsTrailingBytes(t *testing.T) {

@@ -1,24 +1,18 @@
 // Package stats is the numeric substrate for sourcecurrents.
 //
 // The algorithms in this repository are Bayesian and iterative; they need
-// log-space arithmetic, a few classic distributions, rank correlation, and
-// resampling tests. Go's standard library does not provide these, so this
-// package implements them from scratch on top of package math. Every
-// function is deterministic; randomized routines accept an explicit
-// *rand.Rand so callers control seeding.
+// log-space arithmetic: clamped probabilities, a stable log-sum-exp and
+// normalization of log-weights into a probability vector. Every function is
+// deterministic.
 package stats
 
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by reductions over empty inputs.
 var ErrEmpty = errors.New("stats: empty input")
-
-// ErrMismatch is returned when paired inputs have different lengths.
-var ErrMismatch = errors.New("stats: length mismatch")
 
 // Clamp limits x to the closed interval [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
@@ -61,25 +55,11 @@ func LogSumExp(xs ...float64) float64 {
 	return max + math.Log(sum)
 }
 
-// NormalizeLog exponentiates and normalizes a slice of log-weights into a
-// probability vector. The input is not modified. It returns ErrEmpty for an
-// empty slice.
-func NormalizeLog(logw []float64) ([]float64, error) {
-	if len(logw) == 0 {
-		return nil, ErrEmpty
-	}
-	out := make([]float64, len(logw))
-	if err := NormalizeLogInto(out, logw); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// NormalizeLogInto is NormalizeLog writing into a caller-provided slice
-// (len(dst) must equal len(logw); dst may alias logw). It performs the
-// exact same floating-point operations as NormalizeLog, so the two are
-// bit-identical; the hot solver loops use it to normalize into reusable
-// scratch buffers without allocating.
+// NormalizeLogInto exponentiates and normalizes the log-weights logw into a
+// probability vector written to dst (len(dst) must equal len(logw); dst may
+// alias logw, so the solver loops normalize into reusable scratch without
+// allocating). All-zero weights (every logw -Inf) become uniform. It returns
+// ErrEmpty for an empty slice.
 func NormalizeLogInto(dst, logw []float64) error {
 	if len(logw) == 0 {
 		return ErrEmpty
@@ -97,234 +77,6 @@ func NormalizeLogInto(dst, logw []float64) error {
 		dst[i] = math.Exp(w - z)
 	}
 	return nil
-}
-
-// Normalize scales a nonnegative vector to sum to one. A zero vector becomes
-// uniform. The input is not modified.
-func Normalize(w []float64) ([]float64, error) {
-	if len(w) == 0 {
-		return nil, ErrEmpty
-	}
-	var sum float64
-	for _, x := range w {
-		if x < 0 {
-			return nil, errors.New("stats: negative weight")
-		}
-		sum += x
-	}
-	out := make([]float64, len(w))
-	if sum == 0 {
-		u := 1 / float64(len(w))
-		for i := range out {
-			out[i] = u
-		}
-		return out, nil
-	}
-	for i, x := range w {
-		out[i] = x / sum
-	}
-	return out, nil
-}
-
-// Mean returns the arithmetic mean of xs.
-func Mean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs)), nil
-}
-
-// Variance returns the population variance of xs.
-func Variance(xs []float64) (float64, error) {
-	m, err := Mean(xs)
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs)), nil
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) (float64, error) {
-	v, err := Variance(xs)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(v), nil
-}
-
-// Pearson returns the Pearson correlation coefficient of the paired samples.
-// It returns 0 when either marginal has zero variance.
-func Pearson(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, ErrMismatch
-	}
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	mx, _ := Mean(xs)
-	my, _ := Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx := xs[i] - mx
-		dy := ys[i] - my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, nil
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// Ranks returns fractional ranks (1-based, ties averaged) of xs.
-func Ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		// average rank for the tie group [i, j]
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return ranks
-}
-
-// Spearman returns the Spearman rank correlation of the paired samples.
-func Spearman(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, ErrMismatch
-	}
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	return Pearson(Ranks(xs), Ranks(ys))
-}
-
-// KendallTau returns the Kendall tau-b rank correlation of the paired
-// samples (tie-corrected). O(n^2); our sample sizes are small.
-func KendallTau(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, ErrMismatch
-	}
-	n := len(xs)
-	if n == 0 {
-		return 0, ErrEmpty
-	}
-	var concordant, discordant, tiesX, tiesY float64
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dx := xs[i] - xs[j]
-			dy := ys[i] - ys[j]
-			switch {
-			case dx == 0 && dy == 0:
-				// tie in both; contributes to neither denominator term
-			case dx == 0:
-				tiesX++
-			case dy == 0:
-				tiesY++
-			case dx*dy > 0:
-				concordant++
-			default:
-				discordant++
-			}
-		}
-	}
-	den := math.Sqrt((concordant + discordant + tiesX) * (concordant + discordant + tiesY))
-	if den == 0 {
-		return 0, nil
-	}
-	return (concordant - discordant) / den, nil
-}
-
-// LogBinomialCoeff returns log(C(n, k)) using the log-gamma function.
-func LogBinomialCoeff(n, k int) float64 {
-	if k < 0 || k > n {
-		return math.Inf(-1)
-	}
-	lg := func(x int) float64 {
-		v, _ := math.Lgamma(float64(x) + 1)
-		return v
-	}
-	return lg(n) - lg(k) - lg(n-k)
-}
-
-// BinomialLogPMF returns log P(X = k) for X ~ Binomial(n, p).
-func BinomialLogPMF(k, n int, p float64) float64 {
-	if k < 0 || k > n {
-		return math.Inf(-1)
-	}
-	p = ClampProb(p)
-	return LogBinomialCoeff(n, k) + float64(k)*math.Log(p) + float64(n-k)*math.Log(1-p)
-}
-
-// BinomialTailUpper returns P(X >= k) for X ~ Binomial(n, p), by summation.
-func BinomialTailUpper(k, n int, p float64) float64 {
-	if k <= 0 {
-		return 1
-	}
-	if k > n {
-		return 0
-	}
-	logs := make([]float64, 0, n-k+1)
-	for i := k; i <= n; i++ {
-		logs = append(logs, BinomialLogPMF(i, n, p))
-	}
-	return math.Min(1, math.Exp(LogSumExp(logs...)))
-}
-
-// BinomialTailLower returns P(X <= k) for X ~ Binomial(n, p).
-func BinomialTailLower(k, n int, p float64) float64 {
-	if k >= n {
-		return 1
-	}
-	if k < 0 {
-		return 0
-	}
-	logs := make([]float64, 0, k+1)
-	for i := 0; i <= k; i++ {
-		logs = append(logs, BinomialLogPMF(i, n, p))
-	}
-	return math.Min(1, math.Exp(LogSumExp(logs...)))
-}
-
-// BetaMean returns the mean of a Beta(a, b) distribution; it is the standard
-// smoothed accuracy estimator used by the iterative solvers
-// (successes+a)/(trials+a+b) is obtained via BetaPosteriorMean.
-func BetaMean(a, b float64) float64 {
-	return a / (a + b)
-}
-
-// BetaPosteriorMean returns the posterior mean of a Beta(a, b) prior after
-// observing successes out of trials. It is the Laplace-style smoothing used
-// for source accuracy so that tiny samples do not saturate at 0 or 1.
-func BetaPosteriorMean(successes, trials int, a, b float64) float64 {
-	return (float64(successes) + a) / (float64(trials) + a + b)
-}
-
-// NormalCDF returns the standard normal CDF at x.
-func NormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }
 
 // ZScore returns (x - mean) / sd, or 0 when sd == 0.

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -45,19 +44,25 @@ func TestLogSumExp(t *testing.T) {
 	}
 }
 
+// normalizeLog is NormalizeLogInto into a fresh slice.
+func normalizeLog(logw []float64) ([]float64, error) {
+	p := make([]float64, len(logw))
+	return p, NormalizeLogInto(p, logw)
+}
+
 func TestNormalizeLog(t *testing.T) {
-	p, err := NormalizeLog([]float64{0, 0})
+	p, err := normalizeLog([]float64{0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !almostEqual(p[0], 0.5, 1e-12) || !almostEqual(p[1], 0.5, 1e-12) {
 		t.Fatalf("NormalizeLog equal weights = %v", p)
 	}
-	if _, err := NormalizeLog(nil); err != ErrEmpty {
+	if _, err := normalizeLog(nil); err != ErrEmpty {
 		t.Fatalf("want ErrEmpty, got %v", err)
 	}
 	// All -Inf falls back to uniform.
-	p, err = NormalizeLog([]float64{math.Inf(-1), math.Inf(-1)})
+	p, err = normalizeLog([]float64{math.Inf(-1), math.Inf(-1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +83,7 @@ func TestNormalizeLogSumsToOne(t *testing.T) {
 				logw[i] = 0
 			}
 		}
-		p, err := NormalizeLog(logw)
+		p, err := normalizeLog(logw)
 		if err != nil {
 			return false
 		}
@@ -96,221 +101,11 @@ func TestNormalizeLogSumsToOne(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	p, err := Normalize([]float64{1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(p[0], 0.25, 1e-12) || !almostEqual(p[1], 0.75, 1e-12) {
-		t.Fatalf("Normalize = %v", p)
-	}
-	if _, err := Normalize([]float64{-1}); err == nil {
-		t.Fatal("negative weight should error")
-	}
-	p, _ = Normalize([]float64{0, 0})
-	if !almostEqual(p[0], 0.5, 1e-12) {
-		t.Fatalf("zero vector should normalize uniform, got %v", p)
-	}
-}
-
-func TestMeanVarianceStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	m, err := Mean(xs)
-	if err != nil || m != 5 {
-		t.Fatalf("Mean = %v, %v", m, err)
-	}
-	v, _ := Variance(xs)
-	if v != 4 {
-		t.Fatalf("Variance = %v, want 4", v)
-	}
-	sd, _ := StdDev(xs)
-	if sd != 2 {
-		t.Fatalf("StdDev = %v, want 2", sd)
-	}
-	if _, err := Mean(nil); err != ErrEmpty {
-		t.Fatal("Mean(nil) should be ErrEmpty")
-	}
-}
-
-func TestPearson(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	r, err := Pearson(xs, []float64{2, 4, 6, 8})
-	if err != nil || !almostEqual(r, 1, 1e-12) {
-		t.Fatalf("perfect positive: %v, %v", r, err)
-	}
-	r, _ = Pearson(xs, []float64{8, 6, 4, 2})
-	if !almostEqual(r, -1, 1e-12) {
-		t.Fatalf("perfect negative: %v", r)
-	}
-	r, _ = Pearson(xs, []float64{5, 5, 5, 5})
-	if r != 0 {
-		t.Fatalf("zero-variance marginal should give 0, got %v", r)
-	}
-	if _, err := Pearson(xs, xs[:2]); err != ErrMismatch {
-		t.Fatal("length mismatch should error")
-	}
-}
-
-func TestRanksTies(t *testing.T) {
-	r := Ranks([]float64{10, 20, 20, 30})
-	want := []float64{1, 2.5, 2.5, 4}
-	for i := range want {
-		if r[i] != want[i] {
-			t.Fatalf("Ranks = %v, want %v", r, want)
-		}
-	}
-}
-
-func TestSpearmanMonotone(t *testing.T) {
-	xs := []float64{1, 5, 9, 20}
-	ys := []float64{1, 25, 81, 400} // monotone transform
-	r, err := Spearman(xs, ys)
-	if err != nil || !almostEqual(r, 1, 1e-12) {
-		t.Fatalf("Spearman monotone = %v, %v", r, err)
-	}
-}
-
-func TestKendallTau(t *testing.T) {
-	r, err := KendallTau([]float64{1, 2, 3}, []float64{1, 2, 3})
-	if err != nil || !almostEqual(r, 1, 1e-12) {
-		t.Fatalf("tau identity = %v", r)
-	}
-	r, _ = KendallTau([]float64{1, 2, 3}, []float64{3, 2, 1})
-	if !almostEqual(r, -1, 1e-12) {
-		t.Fatalf("tau reversal = %v", r)
-	}
-	r, _ = KendallTau([]float64{1, 1, 1}, []float64{1, 2, 3})
-	if r != 0 {
-		t.Fatalf("all-ties tau = %v, want 0", r)
-	}
-}
-
-func TestLogBinomialCoeff(t *testing.T) {
-	if got := math.Exp(LogBinomialCoeff(5, 2)); !almostEqual(got, 10, 1e-9) {
-		t.Fatalf("C(5,2) = %v", got)
-	}
-	if !math.IsInf(LogBinomialCoeff(5, 7), -1) {
-		t.Fatal("C(5,7) should be log(0)")
-	}
-}
-
-func TestBinomialPMFSumsToOne(t *testing.T) {
-	n, p := 12, 0.3
-	var sum float64
-	for k := 0; k <= n; k++ {
-		sum += math.Exp(BinomialLogPMF(k, n, p))
-	}
-	if !almostEqual(sum, 1, 1e-9) {
-		t.Fatalf("pmf sum = %v", sum)
-	}
-}
-
-func TestBinomialTails(t *testing.T) {
-	n, p := 10, 0.5
-	if got := BinomialTailUpper(0, n, p); got != 1 {
-		t.Fatalf("upper tail at 0 = %v", got)
-	}
-	if got := BinomialTailLower(10, n, p); got != 1 {
-		t.Fatalf("lower tail at n = %v", got)
-	}
-	up := BinomialTailUpper(6, n, p)
-	lo := BinomialTailLower(5, n, p)
-	if !almostEqual(up+lo, 1, 1e-9) {
-		t.Fatalf("tails should partition: %v + %v", up, lo)
-	}
-}
-
-func TestBetaPosteriorMean(t *testing.T) {
-	// Uniform prior, no data: 0.5.
-	if got := BetaPosteriorMean(0, 0, 1, 1); got != 0.5 {
-		t.Fatalf("prior mean = %v", got)
-	}
-	// Large data dominates the prior.
-	got := BetaPosteriorMean(900, 1000, 1, 1)
-	if !almostEqual(got, 0.9, 0.01) {
-		t.Fatalf("posterior = %v", got)
-	}
-	if BetaMean(2, 2) != 0.5 {
-		t.Fatal("BetaMean symmetric should be 0.5")
-	}
-}
-
-func TestNormalCDF(t *testing.T) {
-	if !almostEqual(NormalCDF(0), 0.5, 1e-12) {
-		t.Fatal("Phi(0) != 0.5")
-	}
-	if got := NormalCDF(1.959963985); !almostEqual(got, 0.975, 1e-6) {
-		t.Fatalf("Phi(1.96) = %v", got)
-	}
-	if got := NormalCDF(-10); got > 1e-20 {
-		t.Fatalf("deep left tail = %v", got)
-	}
-}
-
 func TestZScore(t *testing.T) {
 	if ZScore(3, 1, 1) != 2 {
 		t.Fatal("z(3;1,1) != 2")
 	}
 	if ZScore(3, 1, 0) != 0 {
 		t.Fatal("zero-sd z should be 0")
-	}
-}
-
-func TestPermutationTestDetectsSignal(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	xs := make([]float64, 200)
-	ys := make([]float64, 200)
-	for i := range xs {
-		xs[i] = float64(i)
-		ys[i] = float64(i) + rng.NormFloat64()
-	}
-	stat := func(a, b []float64) float64 {
-		r, _ := Pearson(a, b)
-		return r
-	}
-	res := PermutationTest(xs, ys, 200, rng, stat)
-	if res.PHigh > 0.05 {
-		t.Fatalf("strong correlation should be significant, PHigh=%v", res.PHigh)
-	}
-	if res.Observed < 0.9 {
-		t.Fatalf("observed correlation too low: %v", res.Observed)
-	}
-}
-
-func TestPermutationTestNull(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	xs := make([]float64, 100)
-	ys := make([]float64, 100)
-	for i := range xs {
-		xs[i] = rng.Float64()
-		ys[i] = rng.Float64()
-	}
-	stat := func(a, b []float64) float64 {
-		r, _ := Pearson(a, b)
-		return r
-	}
-	res := PermutationTest(xs, ys, 300, rng, stat)
-	if res.PHigh < 0.01 && res.PLow < 0.01 {
-		t.Fatalf("independent data should not be extreme both ways: %+v", res)
-	}
-}
-
-func TestBinomialTailMonotoneProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(30)
-		p := rng.Float64()
-		prev := 1.0
-		for k := 0; k <= n; k++ {
-			cur := BinomialTailUpper(k, n, p)
-			if cur > prev+1e-9 {
-				return false
-			}
-			prev = cur
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -2,97 +2,10 @@
 //
 // The paper's Example 4.1 pipeline must decide whether two author lists are
 // alternative representations of the same value ("Luna Dong" vs "Xin Dong")
-// or genuinely different values ("Xing Dong"). That decision needs a family
-// of similarity measures: edit-distance based (Levenshtein, Damerau,
-// Jaro-Winkler), token based (Jaccard, cosine over token multisets), and
-// phonetic (Soundex). All are implemented here on the standard library.
+// or genuinely different values ("Xing Dong"). It decides with Jaro-Winkler
+// over family names and given-name tokens (names.go), on the standard
+// library.
 package strsim
-
-import (
-	"math"
-	"strings"
-	"unicode"
-)
-
-// Levenshtein returns the edit distance between a and b (insertions,
-// deletions, substitutions, unit cost), computed over runes.
-func Levenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(cur[j-1]+1, prev[j]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(rb)]
-}
-
-// DamerauLevenshtein returns the edit distance allowing adjacent
-// transpositions (the "optimal string alignment" variant), useful for the
-// misspellings the bookstore corpus plants ("Ullman" -> "Ulmlan").
-func DamerauLevenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	la, lb := len(ra), len(rb)
-	if la == 0 {
-		return lb
-	}
-	if lb == 0 {
-		return la
-	}
-	d := make([][]int, la+1)
-	for i := range d {
-		d[i] = make([]int, lb+1)
-		d[i][0] = i
-	}
-	for j := 0; j <= lb; j++ {
-		d[0][j] = j
-	}
-	for i := 1; i <= la; i++ {
-		for j := 1; j <= lb; j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			d[i][j] = min3(d[i-1][j]+1, d[i][j-1]+1, d[i-1][j-1]+cost)
-			if i > 1 && j > 1 && ra[i-1] == rb[j-2] && ra[i-2] == rb[j-1] {
-				if t := d[i-2][j-2] + 1; t < d[i][j] {
-					d[i][j] = t
-				}
-			}
-		}
-	}
-	return d[la][lb]
-}
-
-// LevenshteinSim maps Levenshtein distance into [0, 1]:
-// 1 - dist/max(len). Two empty strings are perfectly similar.
-func LevenshteinSim(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	max := la
-	if lb > max {
-		max = lb
-	}
-	return 1 - float64(Levenshtein(a, b))/float64(max)
-}
 
 // Jaro returns the Jaro similarity in [0, 1].
 func Jaro(a, b string) float64 {
@@ -159,170 +72,6 @@ func JaroWinkler(a, b string) float64 {
 	return j + float64(prefix)*0.1*(1-j)
 }
 
-// Tokenize lowercases s and splits it into alphanumeric tokens.
-func Tokenize(s string) []string {
-	return strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
-		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
-	})
-}
-
-// JaccardTokens returns |A∩B| / |A∪B| over the token sets of a and b.
-func JaccardTokens(a, b string) float64 {
-	sa := tokenSet(a)
-	sb := tokenSet(b)
-	if len(sa) == 0 && len(sb) == 0 {
-		return 1
-	}
-	var inter int
-	for t := range sa {
-		if sb[t] {
-			inter++
-		}
-	}
-	union := len(sa) + len(sb) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}
-
-// CosineTokens returns the cosine similarity over token frequency vectors.
-func CosineTokens(a, b string) float64 {
-	fa := tokenCounts(a)
-	fb := tokenCounts(b)
-	if len(fa) == 0 && len(fb) == 0 {
-		return 1
-	}
-	var dot, na, nb float64
-	for t, ca := range fa {
-		na += float64(ca * ca)
-		if cb, ok := fb[t]; ok {
-			dot += float64(ca * cb)
-		}
-	}
-	for _, cb := range fb {
-		nb += float64(cb * cb)
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
-}
-
-// NGrams returns the multiset of character n-grams of s (over runes), with
-// the string padded conceptually by nothing; strings shorter than n yield a
-// single gram equal to the string.
-func NGrams(s string, n int) []string {
-	r := []rune(s)
-	if n <= 0 {
-		return nil
-	}
-	if len(r) <= n {
-		if len(r) == 0 {
-			return nil
-		}
-		return []string{string(r)}
-	}
-	out := make([]string, 0, len(r)-n+1)
-	for i := 0; i+n <= len(r); i++ {
-		out = append(out, string(r[i:i+n]))
-	}
-	return out
-}
-
-// NGramJaccard returns the Jaccard similarity of the n-gram sets of a and b.
-func NGramJaccard(a, b string, n int) float64 {
-	sa := map[string]bool{}
-	for _, g := range NGrams(strings.ToLower(a), n) {
-		sa[g] = true
-	}
-	sb := map[string]bool{}
-	for _, g := range NGrams(strings.ToLower(b), n) {
-		sb[g] = true
-	}
-	if len(sa) == 0 && len(sb) == 0 {
-		return 1
-	}
-	var inter int
-	for g := range sa {
-		if sb[g] {
-			inter++
-		}
-	}
-	union := len(sa) + len(sb) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}
-
-// Soundex returns the classic 4-character Soundex code of s (ASCII letters
-// only; non-letters are skipped). Empty input yields "".
-func Soundex(s string) string {
-	code := func(r rune) byte {
-		switch unicode.ToUpper(r) {
-		case 'B', 'F', 'P', 'V':
-			return '1'
-		case 'C', 'G', 'J', 'K', 'Q', 'S', 'X', 'Z':
-			return '2'
-		case 'D', 'T':
-			return '3'
-		case 'L':
-			return '4'
-		case 'M', 'N':
-			return '5'
-		case 'R':
-			return '6'
-		}
-		return 0 // vowels, H, W, Y, non-letters
-	}
-	var first rune
-	var rest []byte
-	var prev byte
-	for _, r := range s {
-		if !unicode.IsLetter(r) {
-			continue
-		}
-		if first == 0 {
-			first = unicode.ToUpper(r)
-			prev = code(r)
-			continue
-		}
-		c := code(r)
-		u := unicode.ToUpper(r)
-		if u == 'H' || u == 'W' {
-			continue // H and W do not reset the previous code
-		}
-		if c != 0 && c != prev {
-			rest = append(rest, c)
-		}
-		prev = c
-	}
-	if first == 0 {
-		return ""
-	}
-	for len(rest) < 3 {
-		rest = append(rest, '0')
-	}
-	return string(first) + string(rest[:3])
-}
-
-func tokenSet(s string) map[string]bool {
-	set := map[string]bool{}
-	for _, t := range Tokenize(s) {
-		set[t] = true
-	}
-	return set
-}
-
-func tokenCounts(s string) map[string]int {
-	m := map[string]int{}
-	for _, t := range Tokenize(s) {
-		m[t]++
-	}
-	return m
-}
-
 func min2(a, b int) int {
 	if a < b {
 		return a
@@ -336,5 +85,3 @@ func max2(a, b int) int {
 	}
 	return b
 }
-
-func min3(a, b, c int) int { return min2(a, min2(b, c)) }

@@ -6,70 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestLevenshtein(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want int
-	}{
-		{"", "", 0},
-		{"abc", "", 3},
-		{"", "abc", 3},
-		{"kitten", "sitting", 3},
-		{"flaw", "lawn", 2},
-		{"go", "go", 0},
-		{"日本語", "日本人", 1}, // rune-level, not byte-level
-	}
-	for _, c := range cases {
-		if got := Levenshtein(c.a, c.b); got != c.want {
-			t.Errorf("Levenshtein(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestLevenshteinSymmetry(t *testing.T) {
-	f := func(a, b string) bool { return Levenshtein(a, b) == Levenshtein(b, a) }
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLevenshteinTriangle(t *testing.T) {
-	f := func(a, b, c string) bool {
-		return Levenshtein(a, c) <= Levenshtein(a, b)+Levenshtein(b, c)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDamerau(t *testing.T) {
-	if got := DamerauLevenshtein("ullman", "ulmlan"); got != 2 {
-		// ullman -> ulmlan: swap l/m (1) plus... actually ulml vs ullm is a
-		// transposition at positions 3-4, then remaining matches: distance 1.
-		// Accept the computed OSA distance but pin it so regressions surface.
-		t.Logf("Damerau(ullman,ulmlan) = %d", got)
-	}
-	if got := DamerauLevenshtein("ab", "ba"); got != 1 {
-		t.Errorf("Damerau(ab,ba) = %d, want 1", got)
-	}
-	if got := Levenshtein("ab", "ba"); got != 2 {
-		t.Errorf("Levenshtein(ab,ba) = %d, want 2", got)
-	}
-}
-
-func TestLevenshteinSimRange(t *testing.T) {
-	f := func(a, b string) bool {
-		s := LevenshteinSim(a, b)
-		return s >= 0 && s <= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-	if LevenshteinSim("", "") != 1 {
-		t.Fatal("empty strings should be identical")
-	}
-}
-
 func TestJaro(t *testing.T) {
 	if got := Jaro("martha", "marhta"); math.Abs(got-0.944444) > 1e-4 {
 		t.Errorf("Jaro(martha,marhta) = %v", got)
@@ -105,70 +41,6 @@ func TestJaroWinklerRangeAndSymmetry(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTokenize(t *testing.T) {
-	got := Tokenize("Effective Java, 2nd-Edition!")
-	want := []string{"effective", "java", "2nd", "edition"}
-	if len(got) != len(want) {
-		t.Fatalf("Tokenize = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Tokenize = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestJaccardCosine(t *testing.T) {
-	if JaccardTokens("a b c", "a b c") != 1 {
-		t.Error("identical Jaccard != 1")
-	}
-	if JaccardTokens("a b", "c d") != 0 {
-		t.Error("disjoint Jaccard != 0")
-	}
-	if got := JaccardTokens("a b c", "b c d"); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("Jaccard overlap = %v, want 0.5", got)
-	}
-	if got := CosineTokens("a a b", "a b b"); got <= 0.5 || got >= 1 {
-		t.Errorf("Cosine partial = %v", got)
-	}
-	if CosineTokens("", "") != 1 {
-		t.Error("cosine empty = 1")
-	}
-}
-
-func TestNGrams(t *testing.T) {
-	g := NGrams("hello", 2)
-	if len(g) != 4 || g[0] != "he" || g[3] != "lo" {
-		t.Fatalf("NGrams = %v", g)
-	}
-	if g := NGrams("ab", 5); len(g) != 1 || g[0] != "ab" {
-		t.Fatalf("short NGrams = %v", g)
-	}
-	if NGrams("", 2) != nil {
-		t.Fatal("empty NGrams should be nil")
-	}
-	if got := NGramJaccard("night", "nacht", 2); got <= 0 || got >= 1 {
-		t.Errorf("NGramJaccard(night,nacht) = %v", got)
-	}
-}
-
-func TestSoundex(t *testing.T) {
-	cases := map[string]string{
-		"Robert":   "R163",
-		"Rupert":   "R163",
-		"Ashcraft": "A261",
-		"Tymczak":  "T522",
-		"Pfister":  "P236",
-		"Honeyman": "H555",
-		"":         "",
-	}
-	for in, want := range cases {
-		if got := Soundex(in); got != want {
-			t.Errorf("Soundex(%q) = %q, want %q", in, got, want)
-		}
 	}
 }
 

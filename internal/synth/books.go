@@ -143,34 +143,6 @@ func (c *BookCorpus) AuthorsDataset() (*dataset.Dataset, error) {
 	return out, nil
 }
 
-// SampleAccuracy estimates a store's author-list accuracy on a sample of
-// its books (Example 4.1 samples 100 books): the fraction of its listings
-// whose parsed author list matches the truth up to formatting.
-func (c *BookCorpus) SampleAccuracy(s model.SourceID, sample int,
-	same func(listed, truth string) bool) float64 {
-	objs := []model.ObjectID{}
-	for _, o := range c.Dataset.ObjectsOf(s) {
-		if o.Attribute == AuthorsAttr {
-			objs = append(objs, o)
-		}
-	}
-	if len(objs) == 0 {
-		return 0
-	}
-	if sample > 0 && sample < len(objs) {
-		objs = objs[:sample]
-	}
-	var right int
-	for _, o := range objs {
-		v, _ := c.Dataset.Value(s, o)
-		truth, _ := c.World.TrueNow(o)
-		if same(v, truth) {
-			right++
-		}
-	}
-	return float64(right) / float64(len(objs))
-}
-
 // GenerateBooks builds the corpus.
 func GenerateBooks(cfg BookConfig) (*BookCorpus, error) {
 	if err := cfg.Validate(); err != nil {

@@ -260,7 +260,8 @@ func scorePair(a, b model.SourceID, traces map[model.SourceID][]update,
 		math.Log(cfg.Alpha/2) + rarityAB + orderAB + coverAB, // A copies B
 		math.Log(cfg.Alpha/2) + rarityBA + orderBA + coverBA, // B copies A
 	}
-	post, err := stats.NormalizeLog(logPost)
+	post := logPost
+	err := stats.NormalizeLogInto(post, post)
 	if err != nil {
 		return Dependence{}, false
 	}

@@ -15,7 +15,8 @@
 //
 // Source quality is summarized by the CEF triple: Coverage (which true
 // periods the source ever captured), Exactness (whether its claims were
-// true at claim time) and Freshness (how quickly it captured them).
+// true at claim time) and Freshness (how quickly it captured them: MeanLag,
+// and the per-period lags a SourceReport lists).
 package temporal
 
 import (
@@ -97,24 +98,9 @@ type Metrics struct {
 	Captured, Periods, Claims int
 }
 
-// Freshness returns the fraction of captured periods captured within delta
-// of their start. It is computed from the lag histogram collected by
-// ComputeMetrics.
-func (m Metrics) Freshness(lags []model.Time, delta model.Time) float64 {
-	if len(lags) == 0 {
-		return 0
-	}
-	var n int
-	for _, l := range lags {
-		if l <= delta {
-			n++
-		}
-	}
-	return float64(n) / float64(len(lags))
-}
-
-// SourceReport bundles Metrics with the per-period capture lags (for
-// Freshness queries) and the classification census of the source's claims.
+// SourceReport bundles Metrics with the per-period capture lags (the
+// freshness distribution) and the classification census of the source's
+// claims.
 type SourceReport struct {
 	Metrics Metrics
 	Lags    []model.Time       // one entry per captured period, sorted

@@ -88,20 +88,6 @@ func TestTable3Metrics(t *testing.T) {
 	}
 }
 
-func TestFreshness(t *testing.T) {
-	m := Metrics{}
-	lags := []model.Time{0, 0, 1, 3}
-	if got := m.Freshness(lags, 0); got != 0.5 {
-		t.Errorf("Freshness(0) = %v", got)
-	}
-	if got := m.Freshness(lags, 3); got != 1 {
-		t.Errorf("Freshness(3) = %v", got)
-	}
-	if got := m.Freshness(nil, 3); got != 0 {
-		t.Errorf("Freshness(empty) = %v", got)
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatal(err)

@@ -27,8 +27,8 @@ type DenseSolver struct {
 	cfg Config
 	// known[oi] is non-nil when object oi is pinned by cfg.Known: the
 	// precomputed posterior row (plus the labeled value itself when it is
-	// not among the observed candidates). ApplyKnown's output depends only
-	// on the candidate set and the pin confidence, so it is a constant.
+	// not among the observed candidates). The override depends only on the
+	// candidate set and the pin confidence, so it is a constant.
 	known []*knownOverride
 }
 
@@ -159,8 +159,9 @@ func (s *DenseSolver) ScoreObject(oi int, weights []float64, sc *DenseScratch) [
 }
 
 // FinishObject applies the similarity extension to the candidate scores and
-// softmaxes them into row (object oi's posterior). It mirrors
-// ApplySimilarity + SoftmaxScores over the value-sorted group order.
+// softmaxes them into row (object oi's posterior). It mirrors the map
+// oracle's ApplySimilarity + SoftmaxScores (reference_test.go) over the
+// value-sorted group order.
 func (s *DenseSolver) FinishObject(oi int, scores, row []float64, sc *DenseScratch) {
 	c := s.c
 	src := scores
@@ -186,15 +187,16 @@ func (s *DenseSolver) FinishObject(oi int, scores, row []float64, sc *DenseScrat
 		}
 		src = adj
 	}
-	// Candidate sets are never empty, so the only NormalizeLog error
+	// Candidate sets are never empty, so the only NormalizeLogInto error
 	// (ErrEmpty) cannot occur.
 	_ = stats.NormalizeLogInto(row, src)
 }
 
-// ClassMass is truth.ClassMass over the dense representation: the posterior
-// mass of global group g's similarity class on its object, walking the
-// object's candidates (and any Known extra value) in sorted-value order.
-// Without a ValueSim it is probs[g], and the object is never looked up.
+// ClassMass is the map oracle's ClassMass (reference_test.go) over the
+// dense representation: the posterior mass of global group g's similarity
+// class on its object, walking the object's candidates (and any Known extra
+// value) in sorted-value order. Without a ValueSim it is probs[g], and the
+// object is never looked up.
 func (s *DenseSolver) ClassMass(probs []float64, g int32) float64 {
 	sim := s.cfg.ValueSim
 	if sim == nil {
@@ -225,8 +227,8 @@ func (s *DenseSolver) ClassMass(probs []float64, g int32) float64 {
 }
 
 // UpdateAccuracy re-estimates every source's accuracy from the flat
-// posterior vector into next, mirroring UpdateAccuracySim's per-source
-// object order (ascending).
+// posterior vector into next, mirroring the map oracle's UpdateAccuracySim
+// (reference_test.go) in its per-source object order (ascending).
 func (s *DenseSolver) UpdateAccuracy(probs, next []float64) {
 	c := s.c
 	for si := 0; si < c.NumSources(); si++ {
@@ -242,8 +244,8 @@ func (s *DenseSolver) UpdateAccuracy(probs, next []float64) {
 
 // EachValue calls yield with object oi's values in sorted order and their
 // posteriors in the flat vector probs: the observed candidates' groups, with
-// a Known label no source asserts merged in at its sorted position — ApplyKnown's
-// key set, and the one place that label is added.
+// a Known label no source asserts merged in at its sorted position — the
+// pinned posterior's key set, and the one place that label is added.
 func (s *DenseSolver) EachValue(probs []float64, oi int, yield func(v string, p float64)) {
 	c := s.c
 	gs, ge := c.GroupStart[oi], c.GroupStart[oi+1]
@@ -284,7 +286,8 @@ func (s *DenseSolver) AccuracyMap(acc []float64) map[model.SourceID]float64 {
 	return out
 }
 
-// MaxAccuracyDeltaVec is MaxAccuracyDelta over dense accuracy vectors.
+// MaxAccuracyDeltaVec returns the largest absolute per-source change between
+// two dense accuracy vectors; the fixpoint test.
 func MaxAccuracyDeltaVec(a, b []float64) float64 {
 	var max float64
 	for i, av := range a {

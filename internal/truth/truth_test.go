@@ -7,7 +7,6 @@ import (
 
 	"sourcecurrents/internal/dataset"
 	"sourcecurrents/internal/model"
-	"sourcecurrents/internal/strsim"
 )
 
 func obj(e string) model.ObjectID { return model.Obj(e, dataset.AffAttr) }
@@ -36,7 +35,16 @@ func TestVoteTable1WithCopiers(t *testing.T) {
 func TestVoteThreeIndependentSources(t *testing.T) {
 	// Example 2.1 first half: with only S1..S3, voting gets the first four
 	// right and is unsure about Dong (1/1/1 split).
-	res := Vote(dataset.Table1Subset("S1", "S2", "S3"))
+	d := dataset.New()
+	for _, c := range dataset.Table1().Claims() {
+		if c.Source <= "S3" {
+			if err := d.Add(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	d.Freeze()
+	res := Vote(d)
 	truthW := dataset.Table1Truth()
 	for _, e := range []string{"Suciu", "Halevy", "Balazinska", "Dalvi"} {
 		want, _ := truthW.TrueNow(obj(e))
@@ -204,16 +212,20 @@ func TestAccuCannotFixCopierTable(t *testing.T) {
 
 func TestApplySimilarity(t *testing.T) {
 	scores := map[string]float64{"UW": 2, "Univ of Washington": 1.9, "MSR": 1}
+	// The two spellings of one affiliation are half alike; MSR is like neither.
 	sim := func(a, b string) float64 {
-		return strsim.JaccardTokens(a, b)
+		if a == "MSR" || b == "MSR" {
+			return 0
+		}
+		return 0.5
 	}
 	adj := ApplySimilarity(scores, sim, 0.5)
 	// Dissimilar value gains nothing from the others beyond zero overlap.
 	if adj["MSR"] != scores["MSR"] {
 		t.Fatalf("MSR changed: %v", adj["MSR"])
 	}
-	if adj["UW"] < scores["UW"] {
-		t.Fatal("similarity must not reduce scores")
+	if adj["UW"] != scores["UW"]+0.5*0.5*scores["Univ of Washington"] {
+		t.Fatalf("UW = %v, want its score plus the leaked half of its alias's", adj["UW"])
 	}
 	// nil sim is identity.
 	same := ApplySimilarity(scores, nil, 0.5)

@@ -26,3 +26,19 @@ func detectPairsMaps(d *dataset.Dataset, cfg Config, threshold float64) []Pair {
 	sortPairs(out)
 	return out
 }
+
+// tokensOf serializes a source's snapshot view into a deterministic token
+// stream: object, value pairs in object order.
+func tokensOf(d *dataset.Dataset, s model.SourceID) []string {
+	var toks []string
+	for _, o := range d.ObjectsOf(s) {
+		v, _ := d.Value(s, o)
+		toks = append(toks, o.Entity, o.Attribute, v)
+	}
+	return toks
+}
+
+// FingerprintSource computes the winnowed fingerprint of one source.
+func FingerprintSource(d *dataset.Dataset, s model.SourceID, cfg Config) Fingerprint {
+	return winnowHashes(hashKGrams(tokensOf(d, s), cfg.K), cfg.W)
+}

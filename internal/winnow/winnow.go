@@ -44,19 +44,10 @@ func (c Config) Validate() error {
 // Fingerprint is the winnowed hash set of one source.
 type Fingerprint map[uint64]bool
 
-// tokensOf serializes a source's snapshot view into a deterministic token
-// stream: object, value pairs in object order.
-func tokensOf(d *dataset.Dataset, s model.SourceID) []string {
-	var toks []string
-	for _, o := range d.ObjectsOf(s) {
-		v, _ := d.Value(s, o)
-		toks = append(toks, o.Entity, o.Attribute, v)
-	}
-	return toks
-}
-
-// tokensOfCompiled is tokensOf over the compiled claim lists: SrcObj is
-// ascending per source, which is exactly ObjectsOf's sorted order.
+// tokensOfCompiled serializes source si's snapshot view into a
+// deterministic token stream: object, value pairs in object order. SrcObj is
+// ascending per source, which is exactly the order the map oracle's tokensOf
+// (reference_test.go) reads through ObjectsOf.
 func tokensOfCompiled(c *dataset.Compiled, si int) []string {
 	lo, hi := c.SrcStart[si], c.SrcStart[si+1]
 	toks := make([]string, 0, 3*(hi-lo))
@@ -111,11 +102,6 @@ func winnowHashes(hashes []uint64, w int) Fingerprint {
 		fp[hashes[minIdx]] = true
 	}
 	return fp
-}
-
-// FingerprintSource computes the winnowed fingerprint of one source.
-func FingerprintSource(d *dataset.Dataset, s model.SourceID, cfg Config) Fingerprint {
-	return winnowHashes(hashKGrams(tokensOf(d, s), cfg.K), cfg.W)
 }
 
 // Similarity is the Jaccard overlap of two fingerprints.
