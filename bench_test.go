@@ -295,16 +295,19 @@ func TestAppendBuildAllocs(t *testing.T) {
 // once a query's objects have been folded they are answered from the
 // planner's per-object memo: after the first few of these queries every plan
 // is selection plus a copy. "final_memoless" is the same planner with no
-// memo, so it folds the probed claims on every call (scoreProbed, about 60 %
-// of such a plan). On one core of a 2-vCPU Xeon VM: final 0.21–0.27 ms,
-// final_memoless 0.69–0.83 ms, and final before the memo 0.67–0.77 ms.
+// memo, so it folds the probed claims on every call (scoreProbed, most of
+// such a plan). On one core of a 2-vCPU Xeon VM, five runs alternating
+// with the previous planner's binary: final 0.06–0.11 ms (0.20–0.34 ms when
+// candidates were found by per-source binary search and the sweep read a
+// column of the table), final_memoless 0.44–0.89 ms (0.61–1.10 ms), and
+// final before the memo 0.67–0.77 ms.
 // "trace" is what include_steps and EX8 run — it rescores the covered objects
 // after every probe, and nothing else watches it. On this world every query's
 // coverage settles by about the 19th probe and selection stops there;
 // "final_unsaturated" is the regime that never gets to stop — the same index
 // and dependence table under accuracies scaled by 0.05, so the sweep-and-scan
 // runs all 550 rounds (its plans are memo hits too, so that is nearly all
-// they do).
+// they do): 0.54–0.91 ms, from 1.68–3.01 ms in the same sitting.
 func BenchmarkPlanWide(b *testing.B) {
 	d := benchSnapshotWorld(b, 500, 30)
 	s, err := sourcecurrents.NewSession(d, sourcecurrents.DefaultSessionConfig())

@@ -8,19 +8,24 @@
 // the output (the golden equivalence tests enforce bit-identity against
 // answerObjectsMaps):
 //
-//   - Selection is the reference's scan, run behind the sweep, and it ends.
-//     The reference rescans every candidate's gain at every probe step and
-//     rebuilds each independence product from scratch. Here each candidate
-//     carries its running product (multiplied in probe order, as the
-//     reference multiplies it): a round charges every unprobed candidate the
-//     probe just made, then evaluates each one's gain — same expression,
-//     same query-order uncovered sum, same float64 — keeping the first
-//     maximum in candidate (== source id) order, and that arg-max is the
-//     next probe. A slot's coverage objCov = 1 − (1−cov)(1−a·i) rounds to
-//     exactly 1 after a handful of accurate independent probes, and then
-//     stays there: 1 − (1−1)·x is 1 − 0 for every finite x. Once every slot
-//     reads 1 each candidate's uncovered mass is a sum of exact zeros, every
-//     gain is accuracy × product × 0 — a zero, of the product's sign — and
+//   - Selection is the reference's scan, paid for by what the query touches,
+//     and it ends. The candidates are the claimants of the queried objects,
+//     read off their value groups' source rows, so building them costs the
+//     query's claims, not sources × objects lookups. The reference rescans
+//     every candidate's gain at every probe step and rebuilds each
+//     independence product from scratch. Here each candidate carries its
+//     running product (multiplied in probe order, as the reference multiplies
+//     it): a round charges every unprobed candidate the probe just made,
+//     reading one row of the dependence table, then evaluates each one's gain
+//     — same expression, same query-order uncovered sum, same float64 —
+//     keeping the first maximum in candidate (== source id) order, and that
+//     arg-max is the next probe. Consecutive candidates that cover the same
+//     slots form a coverage class and share one uncovered sum per round. A
+//     slot's coverage objCov = 1 − (1−cov)(1−a·i) rounds to exactly 1 after
+//     a handful of accurate independent probes, and then stays there:
+//     1 − (1−1)·x is 1 − 0 for every finite x. Once every slot reads 1 each
+//     candidate's uncovered mass is a sum of exact zeros, every gain is
+//     accuracy × product × 0 — a zero, of the product's sign — and
 //     first-maximum-wins over zeros (−0 > +0 is false) is the first unprobed
 //     candidate. So from that probe on nothing is swept or scanned: the rest
 //     of the plan is the unprobed candidates in ascending index at gain zero
@@ -58,13 +63,13 @@
 //     Answer's.
 //
 //   - Pooled per-request state. All planning state — the query-slot
-//     interning, the candidate CSR built in two passes (count, fill), the
-//     coverage/independence vectors, the per-object group tables and the
-//     softmax buffer — lives in a planScratch recycled through a
-//     sync.Pool shared by the planner and every planner Derive returns, so
-//     a steady-state call allocates only the Result it hands to the caller
-//     (for Answer that includes the trace: one Answer per probe per query
-//     entry).
+//     interning, the candidate CSR built in two passes over the claimant
+//     rows (count, fill), the coverage/independence vectors, the per-object
+//     group tables and the softmax buffer — lives in a planScratch recycled
+//     through a sync.Pool shared by the planner and every planner Derive
+//     returns, so a steady-state call allocates only the Result it hands to
+//     the caller (for Answer that includes the trace: one Answer per probe
+//     per query entry).
 //
 //   - Each object is answered once per planner. A Final that probed every
 //     candidate probed every claimant of every object it asks about, so the
@@ -169,7 +174,12 @@ func NewPlanner(d *dataset.Dataset, cfg Config) (*Planner, error) {
 // (the serving session, however it came by its dataset: New, Append, AsOf or
 // a snapshot's open): acc is indexed by d's compiled source order and depTab
 // is the flat nS×nS total (both-direction) dependence posterior table. Both
-// are retained, not copied, and must not be mutated afterwards.
+// are retained, not copied, and must not be mutated afterwards. depTab must
+// be bitwise symmetric (cell a·nS+b == cell b·nS+a, bit for bit): selection
+// reads it by row, charging each candidate the cell in the probe's row where
+// the reference reads the one in the candidate's. The session's table,
+// depen's totals, is symmetric by construction (TestTotalsSymmetric pins it);
+// nothing here checks it.
 func NewPlannerDense(d *dataset.Dataset, cfg Config, acc, depTab []float64) (*Planner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -242,7 +252,8 @@ type planScratch struct {
 	posCur   []int32
 	posList  []int32
 
-	// Per-source coverage counts from the counting pass.
+	// Per-source coverage counts from candidates' counting pass (query
+	// positions, slots), then each source's fill cursors.
 	covCount []int32
 	objCount []int32
 
@@ -257,6 +268,9 @@ type planScratch struct {
 	candPosSlot  []int32
 	candSlot     []int32
 	candGroup    []int32
+	// candClass names each candidate's coverage class by the class's first
+	// candidate (see candidates).
+	candClass []int32
 
 	// Probe-loop state. unprobed lists the candidates not yet probed, in the
 	// order the policy takes them when nothing distinguishes their gains:
@@ -305,18 +319,137 @@ func grown[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// containsSlot reports whether sorted (ascending) contains s.
-func containsSlot(sorted []int32, s int32) bool {
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if sorted[mid] < s {
-			lo = mid + 1
-		} else {
-			hi = mid
+// intern maps each query position to a compact slot, one per distinct
+// object in first-occurrence order (slot order == the reference's
+// distinct-pair recording order; -1 for objects absent from the dataset), and
+// lists each slot's query positions in query order (posStart/posList).
+func (sc *planScratch) intern(c *dataset.Compiled, query []model.ObjectID) {
+	if sc.slotOf == nil {
+		sc.slotOf = map[int32]int32{}
+	} else {
+		clear(sc.slotOf)
+	}
+	sc.qSlot = grown(sc.qSlot, len(query))
+	sc.slots = sc.slots[:0]
+	for i, o := range query {
+		oi, ok := c.ObjectIndex(o)
+		if !ok {
+			sc.qSlot[i] = -1
+			continue
+		}
+		slot, ok := sc.slotOf[oi]
+		if !ok {
+			slot = int32(len(sc.slots))
+			sc.slotOf[oi] = slot
+			sc.slots = append(sc.slots, oi)
+		}
+		sc.qSlot[i] = slot
+	}
+	nSlots := len(sc.slots)
+	sc.posStart = grown(sc.posStart, nSlots+1)
+	clear(sc.posStart)
+	for _, s := range sc.qSlot {
+		if s >= 0 {
+			sc.posStart[s+1]++
 		}
 	}
-	return lo < len(sorted) && sorted[lo] == s
+	for i := 0; i < nSlots; i++ {
+		sc.posStart[i+1] += sc.posStart[i]
+	}
+	sc.posCur = grown(sc.posCur, nSlots)
+	copy(sc.posCur, sc.posStart[:nSlots])
+	sc.posList = grown(sc.posList, int(sc.posStart[nSlots]))
+	for i, s := range sc.qSlot {
+		if s >= 0 {
+			sc.posList[sc.posCur[s]] = int32(i)
+			sc.posCur[s]++
+		}
+	}
+}
+
+// claimants returns the sources that claim object oi: the GroupSrc rows of
+// its value groups, which lie back to back.
+func claimants(c *dataset.Compiled, oi int32) []int32 {
+	return c.GroupSrc[c.GroupSrcStart[c.GroupStart[oi]]:c.GroupSrcStart[c.GroupStart[oi+1]]]
+}
+
+// candidates builds the candidate CSR of the interned query from the queried
+// objects' claimant rows, so it costs what the query's claims cost: count each
+// source's covered slots and query positions, give every source that covers
+// one a region in source order (the reference's iteration order), then fill
+// the regions — candSlot/candGroup walking the slots in order and each slot's
+// value groups, candPosSlot walking the query positions in order. Each region
+// so comes out in slot order and query order respectively. Last, it marks the
+// coverage classes (candClass).
+func (sc *planScratch) candidates(c *dataset.Compiled) {
+	nS := c.NumSources()
+	sc.covCount = grown(sc.covCount, nS)
+	sc.objCount = grown(sc.objCount, nS)
+	clear(sc.covCount)
+	clear(sc.objCount)
+	for slot, oi := range sc.slots {
+		nPos := sc.posStart[slot+1] - sc.posStart[slot]
+		for _, si := range claimants(c, oi) {
+			sc.objCount[si]++
+			sc.covCount[si] += nPos
+		}
+	}
+	sc.candSrc = sc.candSrc[:0]
+	sc.candPosStart = sc.candPosStart[:0]
+	sc.candObjStart = sc.candObjStart[:0]
+	var totPos, totObj int32
+	for si := 0; si < nS; si++ {
+		nObj, nPos := sc.objCount[si], sc.covCount[si]
+		if nObj == 0 {
+			continue
+		}
+		sc.candSrc = append(sc.candSrc, int32(si))
+		sc.candPosStart = append(sc.candPosStart, totPos)
+		sc.candObjStart = append(sc.candObjStart, totObj)
+		// From here on the counts are the source's fill cursors.
+		sc.objCount[si], sc.covCount[si] = totObj, totPos
+		totPos += nPos
+		totObj += nObj
+	}
+	sc.candPosStart = append(sc.candPosStart, totPos)
+	sc.candObjStart = append(sc.candObjStart, totObj)
+	sc.candPosSlot = grown(sc.candPosSlot, int(totPos))
+	sc.candSlot = grown(sc.candSlot, int(totObj))
+	sc.candGroup = grown(sc.candGroup, int(totObj))
+	for slot, oi := range sc.slots {
+		for g := c.GroupStart[oi]; g < c.GroupStart[oi+1]; g++ {
+			for _, si := range c.GroupSrc[c.GroupSrcStart[g]:c.GroupSrcStart[g+1]] {
+				k := sc.objCount[si]
+				sc.candSlot[k], sc.candGroup[k] = int32(slot), g
+				sc.objCount[si] = k + 1
+			}
+		}
+	}
+	for _, s := range sc.qSlot {
+		if s < 0 {
+			continue
+		}
+		for _, si := range claimants(c, sc.slots[s]) {
+			sc.candPosSlot[sc.covCount[si]] = s
+			sc.covCount[si]++
+		}
+	}
+	// A coverage class is a run of consecutive candidates covering the same
+	// slots; each names its first candidate, whose candPosSlot region every
+	// member shares.
+	nCand := len(sc.candSrc)
+	sc.candClass = grown(sc.candClass, nCand)
+	for ci := 0; ci < nCand; ci++ {
+		sc.candClass[ci] = int32(ci)
+		if ci == 0 {
+			continue
+		}
+		rep := sc.candClass[ci-1]
+		if slices.Equal(sc.candSlot[sc.candObjStart[rep]:sc.candObjStart[rep+1]],
+			sc.candSlot[sc.candObjStart[ci]:sc.candObjStart[ci+1]]) {
+			sc.candClass[ci] = rep
+		}
+	}
 }
 
 // sweepAndScan is one round of GreedyGain selection over the unprobed
@@ -324,32 +457,42 @@ func containsSlot(sorted []int32, s int32) bool {
 // first probe), then evaluate its gain exactly as the reference does —
 // uncovered mass summed per query entry in query order (duplicates included),
 // times the running independence product, times accuracy: same expression,
-// same association order, same float64. It returns the position in unprobed
+// same association order, same float64. The uncovered mass is summed once
+// per coverage class: unprobed is in ascending candidate order and a class is
+// a run of consecutive candidates covering the same slots, so every member's
+// sum is the same float64 as its class's. It returns the position in unprobed
 // of the first candidate of greatest gain, or -1 when no gain compares above
-// the reference's -1 floor. The sweep is its own loop because its table
-// reads walk a column, one cache line each: a loop that does nothing else
-// keeps several times as many of those misses in flight as one that also
-// sums a gain (measured: BenchmarkPlanWide/final_unsaturated).
+// the reference's -1 floor. The dense charge reads row last of the table, the
+// candidates' cells in ascending order along one row — column last read in
+// place, since the table is bitwise symmetric (see NewPlannerDense) — and so
+// runs in the scan's loop; the closure form charges in a pass of its own.
 func (p *Planner) sweepAndScan(sc *planScratch, unprobed []int32, last int32) (int, float64) {
+	var row []float64
 	switch dt, nSrc := p.depTab, len(p.acc); {
 	case last < 0 || p.depZero:
 		// Nothing probed yet, or every factor is exactly 1.
 	case dt != nil:
-		for _, j := range unprobed {
-			sc.indepAcc[j] *= 1 - dt[int(sc.candSrc[j])*nSrc+int(last)]
-		}
+		row = dt[int(last)*nSrc:][:nSrc]
 	default:
 		for _, j := range unprobed {
 			sc.indepAcc[j] *= 1 - p.dep(sc.candSrc[j], last)
 		}
 	}
 	best, bestGain := -1, -1.0
+	class, uncovered := int32(-1), 0.0
 	for at, j := range unprobed {
-		var uncovered float64
-		for _, slot := range sc.candPosSlot[sc.candPosStart[j]:sc.candPosStart[j+1]] {
-			uncovered += 1 - sc.objCov[slot]
+		si, indep := sc.candSrc[j], sc.indepAcc[j]
+		if row != nil {
+			indep *= 1 - row[si]
+			sc.indepAcc[j] = indep
 		}
-		if g := p.acc[sc.candSrc[j]] * sc.indepAcc[j] * uncovered; g > bestGain {
+		if r := sc.candClass[j]; r != class {
+			class, uncovered = r, 0
+			for _, slot := range sc.candPosSlot[sc.candPosStart[r]:sc.candPosStart[r+1]] {
+				uncovered += 1 - sc.objCov[slot]
+			}
+		}
+		if g := p.acc[si] * indep * uncovered; g > bestGain {
 			best, bestGain = at, g
 		}
 	}
@@ -398,137 +541,31 @@ func (p *Planner) plan(query []model.ObjectID, trace bool) (*Result, error) {
 	c := p.c
 	cfg := p.cfg
 	nQ := len(query)
-	nS := c.NumSources()
 
 	sc, _ := p.scratch.Get().(*planScratch)
 	if sc == nil {
 		sc = new(planScratch)
 	}
-	if sc.slotOf == nil {
-		sc.slotOf = map[int32]int32{}
-	} else {
-		clear(sc.slotOf)
-	}
-
-	// Query positions per distinct object, interned into compact slots in
-	// first-occurrence order (slot order == the reference's distinct-pair
-	// recording order).
-	sc.qSlot = grown(sc.qSlot, nQ)
 	sc.cur = grown(sc.cur, nQ)
-	sc.slots = sc.slots[:0]
 	for i, o := range query {
 		sc.cur[i] = Answer{Object: o}
-		oi, ok := c.ObjectIndex(o)
-		if !ok {
-			sc.qSlot[i] = -1
-			continue
-		}
-		slot, ok := sc.slotOf[oi]
-		if !ok {
-			slot = int32(len(sc.slots))
-			sc.slotOf[oi] = slot
-			sc.slots = append(sc.slots, oi)
-		}
-		sc.qSlot[i] = slot
 	}
-	nSlots := len(sc.slots)
-
-	sc.posStart = grown(sc.posStart, nSlots+1)
-	for i := range sc.posStart {
-		sc.posStart[i] = 0
-	}
-	for _, s := range sc.qSlot {
-		if s >= 0 {
-			sc.posStart[s+1]++
-		}
-	}
-	for i := 0; i < nSlots; i++ {
-		sc.posStart[i+1] += sc.posStart[i]
-	}
-	sc.posCur = grown(sc.posCur, nSlots)
-	copy(sc.posCur, sc.posStart[:nSlots])
-	sc.posList = grown(sc.posList, int(sc.posStart[nSlots]))
-	for i, s := range sc.qSlot {
-		if s >= 0 {
-			sc.posList[sc.posCur[s]] = int32(i)
-			sc.posCur[s]++
-		}
-	}
-
-	// Candidate sources, compiled in two passes (count coverage per source,
-	// then fill the CSR regions) and kept in source order — the reference
-	// iteration order.
-	sc.covCount = grown(sc.covCount, nS)
-	sc.objCount = grown(sc.objCount, nS)
-	for si := 0; si < nS; si++ {
-		var nPos, nObj int32
-		for slot, oi := range sc.slots {
-			if c.ClaimOf(int32(si), oi) >= 0 {
-				nObj++
-				nPos += sc.posStart[slot+1] - sc.posStart[slot]
-			}
-		}
-		sc.covCount[si] = nPos
-		sc.objCount[si] = nObj
-	}
-	sc.candSrc = sc.candSrc[:0]
-	sc.candPosStart = sc.candPosStart[:0]
-	sc.candObjStart = sc.candObjStart[:0]
-	var totPos, totObj int32
-	for si := 0; si < nS; si++ {
-		if sc.objCount[si] == 0 {
-			continue
-		}
-		sc.candSrc = append(sc.candSrc, int32(si))
-		sc.candPosStart = append(sc.candPosStart, totPos)
-		sc.candObjStart = append(sc.candObjStart, totObj)
-		totPos += sc.covCount[si]
-		totObj += sc.objCount[si]
-	}
-	nCand := len(sc.candSrc)
-	sc.candPosStart = append(sc.candPosStart, totPos)
-	sc.candObjStart = append(sc.candObjStart, totObj)
-	sc.candPosSlot = grown(sc.candPosSlot, int(totPos))
-	sc.candSlot = grown(sc.candSlot, int(totObj))
-	sc.candGroup = grown(sc.candGroup, int(totObj))
-	for ci := 0; ci < nCand; ci++ {
-		si := sc.candSrc[ci]
-		k := sc.candObjStart[ci]
-		for slot, oi := range sc.slots {
-			cl := c.ClaimOf(si, oi)
-			if cl < 0 {
-				continue
-			}
-			sc.candSlot[k] = int32(slot)
-			sc.candGroup[k] = c.SrcGroup[cl]
-			k++
-		}
-		region := sc.candSlot[sc.candObjStart[ci]:k]
-		j := sc.candPosStart[ci]
-		for _, s := range sc.qSlot {
-			if s >= 0 && containsSlot(region, s) {
-				sc.candPosSlot[j] = s
-				j++
-			}
-		}
-	}
+	sc.intern(c, query)
+	sc.candidates(c)
+	nSlots, nCand := len(sc.slots), len(sc.candSrc)
+	totObj := sc.candObjStart[nCand]
 
 	maxProbes := nCand
 	if cfg.MaxSources > 0 && cfg.MaxSources < maxProbes {
 		maxProbes = cfg.MaxSources
 	}
 
-	// Per-slot member regions sized to each slot's candidate count, plus
-	// the per-slot value-group tables.
+	// Per-slot member regions sized to each slot's candidate count — its
+	// object's claimant count — plus the per-slot value-group tables.
 	sc.memStart = grown(sc.memStart, nSlots+1)
-	for i := range sc.memStart {
-		sc.memStart[i] = 0
-	}
-	for _, slot := range sc.candSlot[:totObj] {
-		sc.memStart[slot+1]++
-	}
-	for i := 0; i < nSlots; i++ {
-		sc.memStart[i+1] += sc.memStart[i]
+	sc.memStart[0] = 0
+	for slot, oi := range sc.slots {
+		sc.memStart[slot+1] = sc.memStart[slot] + int32(len(claimants(c, oi)))
 	}
 	sc.memLen = grown(sc.memLen, nSlots)
 	for i := range sc.memLen {

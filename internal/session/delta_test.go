@@ -284,6 +284,27 @@ func TestDeltaFuzzSeedsInSync(t *testing.T) {
 	}
 }
 
+// TestDeltaRefusesTrailingBytes pins that a delta frame followed by bytes
+// its container does not declare — which no seal covers — is refused with
+// ErrCorrupt and applies nothing, while the frame itself applies.
+func TestDeltaRefusesTrailingBytes(t *testing.T) {
+	base, chain := deltaBase(t)
+	raw := deltaBytes(t, chain[0], 0)
+	if next, err := base.AppendDelta(raw); err != nil || next.DatasetEpoch() != 1 {
+		t.Fatalf("the unpadded frame: %v; want epoch 1", err)
+	}
+	for _, pad := range []int{1, 8, 14} {
+		padded := append(slices.Clone(raw), bytes.Repeat([]byte{0xA5}, pad)...)
+		next, err := base.AppendDelta(padded)
+		if !errors.Is(err, snapio.ErrCorrupt) || next != nil {
+			t.Errorf("%d-byte frame + %d junk bytes: session %v, err %v; want ErrCorrupt", len(raw), pad, next, err)
+		}
+		if e := base.DatasetEpoch(); e != 0 {
+			t.Errorf("%d junk bytes moved the receiver to epoch %d", pad, e)
+		}
+	}
+}
+
 // FuzzApplyDelta applies arbitrary bytes as a delta frame to Table 1's
 // session: a classified error (ErrCorrupt, or ErrDeltaEpoch for a sound frame
 // that applies to another epoch) or the successor the frame was taken of,

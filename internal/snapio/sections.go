@@ -16,7 +16,8 @@
 //
 // The container ends at its last section's last byte: no padding follows
 // it, so containers laid back to back in one stream each read exactly their
-// own bytes.
+// own bytes, and a buffer or file that runs past that end fails to open
+// (ErrCorrupt) — no seal covers those bytes.
 //
 // Loading is one read into an 8-aligned heap buffer — of exactly the file's
 // size (ReadContainerFile), or sized by the header from a stream
@@ -214,9 +215,8 @@ func OpenContainer(data []byte, magic string, version uint32) (*Container, error
 // size comes from the file, never from its header: an empty file is
 // ErrTruncated, one over the payload cap ErrCorrupt, and a header declaring
 // sections past the end of the file fails with ErrTruncated having allocated
-// no more than the file. The file must end where its last section's data
-// ends: bytes after it, which no seal covers and a stream reader would never
-// read, are ErrCorrupt.
+// no more than the file. Like every container, the file must end where its
+// last section's data ends (see newContainer).
 func ReadContainerFile(path string, magic string, version uint32) (*Container, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -241,11 +241,7 @@ func ReadContainerFile(path string, magic string, version uint32) (*Container, e
 		}
 		return nil, fmt.Errorf("snapio: read %s: %w", path, err)
 	}
-	m, err := newContainer(data, magic, version)
-	if err == nil && len(m.data) != len(data) {
-		return nil, fmt.Errorf("%w: %s runs %d bytes past its container's end at byte %d", ErrCorrupt, path, len(data)-len(m.data), len(m.data))
-	}
-	return m, err
+	return newContainer(data, magic, version)
 }
 
 // checkPrefix checks the magic and version a container opens with. A
@@ -341,7 +337,10 @@ func ReadContainer(r io.Reader, magic string, version uint32) (*Container, error
 }
 
 // newContainer validates the container — its header, then the layout of its
-// sections, then the seal over them — and builds the section index.
+// sections, then the seal over them, then that data ends where the last
+// section's data ends — and builds the section index. Bytes after that end
+// are ErrCorrupt whichever opener brought them: no seal covers them, and a
+// stream reader stops before them.
 func newContainer(data []byte, magic string, version uint32) (*Container, error) {
 	if len(data) < sectionHdrLen {
 		return nil, fmt.Errorf("%w: %d bytes is smaller than a section header", ErrTruncated, len(data))
@@ -396,7 +395,10 @@ func newContainer(data []byte, magic string, version uint32) (*Container, error)
 	if have, want := crc32.ChecksumIEEE(data[hdrLen:end]), binary.LittleEndian.Uint32(data[sealOff:]); have != want {
 		return nil, checksumErr("section", have, want)
 	}
-	return &Container{data: data[:end], sections: sections}, nil
+	if end != uint64(len(data)) {
+		return nil, fmt.Errorf("%w: %d bytes run past the container's end at byte %d", ErrCorrupt, uint64(len(data))-end, end)
+	}
+	return &Container{data: data, sections: sections}, nil
 }
 
 // Section returns the raw bytes of section id; ok is false when absent.
