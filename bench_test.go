@@ -497,7 +497,12 @@ func midGrowingBatches(d *sourcecurrents.Dataset, n int) [][]sourcecurrents.Clai
 // session.append_self_ms pay). Neither grows a table. "growing" chains the
 // batches of midGrowingBatches, which all do, as the appends bench/'s
 // ingest_mixed serves do; every 47 appends it starts a new chain from the
-// base, the first append (the log's copy) off the clock.
+// base, the first append (the log's copy) off the clock. "session" is the
+// whole of a serving session's Session.Append — the dataset stage, the
+// state-to-state refine and the planner — chained over the schedule's 32
+// source-major batches, which set ingest_mixed's append_p10_ms; every 31
+// appends it starts a new chain from a session on the base, the first
+// append off the clock again.
 func BenchmarkAppendMid(b *testing.B) {
 	base := benchSnapshotWorld(b, 100, 400)
 	batches := make([][]sourcecurrents.Claim, 64)
@@ -535,6 +540,35 @@ func BenchmarkAppendMid(b *testing.B) {
 				b.StartTimer()
 			}
 			if d, err = d.Append(grow[k]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/op")
+	})
+	b.Run("session", func(b *testing.B) {
+		var srcMajor [][]sourcecurrents.Claim
+		for i, batch := range grow {
+			if i%3 != 2 {
+				srcMajor = append(srcMajor, batch)
+			}
+		}
+		s0, err := sourcecurrents.NewSession(base, sourcecurrents.DefaultSessionConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		var s *sourcecurrents.Session
+		for i := 0; i < b.N; i++ {
+			k := 1 + i%(len(srcMajor)-1)
+			if k == 1 {
+				b.StopTimer()
+				if s, err = s0.Append(srcMajor[0]); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			if s, err = s.Append(srcMajor[k]); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -3,13 +3,28 @@
 // They re-express the map reference (detectMaps, in reference_test.go) over
 // dataset.Compiled: a candidate's overlap becomes its shared-object count
 // plus a slice of one flat int32 array of the value groups its members
-// agree on, built by merge-joining the per-source claim lists (a
+// agree on, built by merge-joining the per-source claim lists (every shared
+// object's group is written, and only an agreeing one is kept; a
 // disagreement only adds to kd, counted once), the directional posteriors
 // become a flat source×source table, and the per-object discount factors
-// come from one ranking of the sources per round and a column-wise product
-// per value group. Iteration, summation and product orders match the
-// reference exactly, so results are bit-identical (enforced by the golden
-// equivalence tests and TestFillFactorsMatchOracle).
+// come from one ranking of the sources per round and one of two kernels per
+// value group, which the round's table picks:
+//
+//   - where more than an eighth of the pairs have a factor 1 − c·min(dep, 1)
+//     other than exactly 1 (the wide world: 99.8 % of them), the column-wise
+//     product, fillFactorsDense, which multiplies every factor;
+//   - where fewer do (the mid world: its pairs share 400 objects, so every
+//     posterior but the planted copiers' rounds the factor to 1), the partner
+//     lists, fillFactorsSparse: each source's partners, the sources ranked
+//     above it whose factor for it is not exactly 1, are listed once per
+//     round, and a member's factor multiplies only those in its group.
+//
+// Both take every factor that is not exactly 1 in the reference's order, and
+// x·1 == x, so they give the same bits. Iteration, summation and product
+// orders match the reference exactly, so results are bit-identical
+// (enforced by the golden equivalence tests, TestFillFactorsMatchOracle for
+// both kernels, and the differential suite's saturated world, whose table
+// takes the partner lists).
 package depen
 
 import (
@@ -38,9 +53,10 @@ type overlaps []int32
 // (score + discount factors) and the per-pair Bayes step.
 type depenScratch struct {
 	ds     *truth.DenseScratch
-	keys   []uint64 // fillFactorsDense's four: the largest value group long
-	ord    []int32
+	keys   []uint64 // fillFactorsDense's four, the largest value group long;
+	ord    []int32  // fillFactorsSparse reuses ord and fac
 	f, fac []float64
+	in     []bool // fillFactorsSparse's group members, one per source; made on first use
 	logs   [3]float64
 	post   [3]float64
 }
@@ -68,15 +84,17 @@ func buildCandidates(c *dataset.Compiled, minShared int, dirtySrc []bool) ([]pai
 			}
 			bi, be := c.SrcStart[j], c.SrcStart[j+1]
 			// Make room for the pair's largest possible overlap before the
-			// join, doubling: append's own growth (a quarter at a time at
-			// this size) reallocates the array 37 times over the 500-source
-			// wide solve, 52 MB for the 10 MB it ends at; doubling, 15
-			// times and 28 MB.
-			if need := int(min(ae-ai, be-bi)); cap(ov)-len(ov) < need {
+			// join, which writes into it by index, doubling: append's own
+			// growth (a quarter at a time at this size) reallocates the
+			// array 37 times over the 500-source wide solve, 52 MB for the
+			// 10 MB it ends at; doubling, 15 times and 28 MB.
+			need := int(min(ae-ai, be-bi))
+			if cap(ov)-len(ov) < need {
 				ov = slices.Grow(ov, max(need, cap(ov)))
 			}
 			off := int32(len(ov))
-			var n int32
+			buf := ov[off : int(off)+need]
+			var n, w int32
 			p, q := ai, bi
 			for p < ae && q < be {
 				switch {
@@ -85,28 +103,168 @@ func buildCandidates(c *dataset.Compiled, minShared int, dirtySrc []bool) ([]pai
 				case c.SrcObj[p] > c.SrcObj[q]:
 					q++
 				default:
-					n++
-					if c.SrcGroup[p] == c.SrcGroup[q] {
-						ov = append(ov, c.SrcGroup[p])
+					// Every shared object writes its group; only an agreeing
+					// one keeps it, by moving the write index past it. Which
+					// one agrees is data the branch predictor cannot learn.
+					g := c.SrcGroup[p]
+					buf[w] = g
+					var agree int32
+					if g == c.SrcGroup[q] {
+						agree = 1
 					}
+					w += agree
+					n++
 					p++
 					q++
 				}
 			}
 			if int(n) < minShared {
-				ov = ov[:off]
 				continue
 			}
-			cands = append(cands, pairCand{a: int32(i), b: int32(j), off: off, n: n, same: int32(len(ov)) - off})
+			ov = ov[:off+w]
+			cands = append(cands, pairCand{a: int32(i), b: int32(j), off: off, n: n, same: w})
 		}
 	}
 	return cands, ov
 }
 
+// discount is one round's vote-discount inputs, which the truth step's
+// workers share read-only: the round's ranking of the sources, the totals
+// going into the round, and, when the table is sparse, each source's
+// partners. on is false while no verdict exists (round 1 of a flat solve):
+// every factor is then exactly 1 and scoring skips the discount.
+type discount struct {
+	on         bool
+	order, pos []int32
+	tot        []float64
+	copyRate   float64
+	// sparse says this round's partner lists are built: source s's are
+	// part[partStart[s]:partStart[s+1]], ascending by rank.
+	sparse    bool
+	partStart []int32
+	part      []partner
+	keys      []uint64
+}
+
+// partner is a source q ranked above the list's owner s whose factor for s,
+// f = 1 − c·min(tot[q][s], 1), is not exactly 1.
+type partner struct {
+	q int32
+	f float64
+}
+
+// rank ranks the sources by acc for the round about to run and picks its
+// kernel: the partner lists when at most an eighth of the table's pairs have
+// a factor other than exactly 1, the column-wise product otherwise.
+func (dc *discount) rank(acc []float64) {
+	rankSources(acc, dc.order, dc.pos)
+	nS := len(dc.pos)
+	dc.sparse = dc.on && dc.partners(nS*(nS-1)/16)
+}
+
+// partners builds every source's partner list under the current ranking
+// and reports true, or reports false without building any when more than
+// limit pairs have a factor other than exactly 1. The count stops at the
+// first row past the limit, so a dense table pays a fraction of one pass,
+// and nothing is allocated unless the lists are built.
+func (dc *discount) partners(limit int) bool {
+	nS, tot, c := len(dc.pos), dc.tot, dc.copyRate
+	n := 0
+	for i := 0; i < nS && n <= limit; i++ {
+		row := tot[i*nS:][:nS]
+		for j := i + 1; j < nS; j++ {
+			if indep(row, int32(j), c) != 1 {
+				n++
+			}
+		}
+	}
+	if n > limit {
+		return false
+	}
+	// One key per pair, (the upper member's rank, the lower member), so that
+	// sorting the keys puts every list in rank order.
+	keys := slices.Grow(dc.keys[:0], n)
+	for i := 0; i < nS; i++ {
+		for j := i + 1; j < nS; j++ {
+			hi, lo := int32(i), int32(j)
+			if dc.pos[lo] < dc.pos[hi] {
+				hi, lo = lo, hi
+			}
+			if indep(tot[int(hi)*nS:][:nS], lo, c) != 1 {
+				keys = append(keys, uint64(dc.pos[hi])<<32|uint64(lo))
+			}
+		}
+	}
+	slices.Sort(keys)
+	if dc.partStart == nil {
+		dc.partStart = make([]int32, nS+1)
+	}
+	start := dc.partStart
+	clear(start)
+	for _, key := range keys {
+		start[uint32(key)+1]++
+	}
+	for s := 0; s < nS; s++ {
+		start[s+1] += start[s]
+	}
+	// Fill each list from its start, which leaves start[s] at s's end, then
+	// shift the ends back into starts.
+	part := slices.Grow(dc.part[:0], len(keys))[:len(keys)]
+	for _, key := range keys {
+		hi, lo := dc.order[key>>32], uint32(key)
+		part[start[lo]] = partner{q: hi, f: indep(tot[int(hi)*nS:][:nS], int32(lo), c)}
+		start[lo]++
+	}
+	copy(start[1:], start[:nS])
+	start[0] = 0
+	dc.keys, dc.part = keys, part
+	return true
+}
+
+// fillFactorsSparse is fillFactorsDense from the round's partner lists:
+// member s's factor is the product of the f of its partners that are in the
+// group, taken in the list's rank order. Every factor the dense product
+// multiplies and this one skips is exactly 1, and x·1 == x, so the two give
+// the same bits; a group in which no member has a partner gets ones alone.
+func fillFactorsSparse(srcs []int32, dc *discount, sc *depenScratch) []float64 {
+	fac, withList := sc.fac[:len(srcs)], sc.ord[:0]
+	for p, s := range srcs {
+		fac[p] = 1
+		if dc.partStart[s] < dc.partStart[s+1] {
+			withList = append(withList, int32(p))
+		}
+	}
+	if len(withList) == 0 {
+		return fac
+	}
+	if sc.in == nil {
+		sc.in = make([]bool, len(dc.pos))
+	}
+	in := sc.in
+	for _, s := range srcs {
+		in[s] = true
+	}
+	for _, p := range withList {
+		s, x := srcs[p], 1.0
+		for _, pt := range dc.part[dc.partStart[s]:dc.partStart[s+1]] {
+			if in[pt.q] {
+				x *= pt.f
+			}
+		}
+		fac[p] = x
+	}
+	for _, s := range srcs {
+		in[s] = false
+	}
+	return fac
+}
+
 // fillFactorsDense is discountTable.fillFactors over the dense view: rank the
 // group's sources by (accuracy desc, index asc) — by pos, the round's global
 // rank — and charge each one the probability it did not copy from any
-// higher-ranked source. The factors come back positioned to match srcs.
+// higher-ranked source. The factors come back positioned to match srcs. It
+// runs where the round's table is dense; where it is sparse, most of its
+// multiplies would be by exactly 1 and fillFactorsSparse skips them.
 // The product runs column-wise: each ranked source q in turn scales every
 // lower-ranked f[r] by 1 − c·min(dep(q, r), 1), four q to one load and store
 // of f[r]. Every f[r] still takes its factors in the order q = 0 … r−1 — the
@@ -167,11 +325,11 @@ func indep(row []float64, s int32, copyRate float64) float64 {
 // scoreObjectDiscounted scores object oi's candidates with the dependence
 // discount over the dense view: per candidate, sum each source's weight
 // times its independence factor, in ascending source order. Without any
-// verdict to discount by (haveDep false) every factor is exactly 1 and the
+// verdict to discount by (dc.on false) every factor is exactly 1 and the
 // score is the plain vote sum.
-func scoreObjectDiscounted(solver *truth.DenseSolver, oi int, weights []float64, pos []int32,
-	depTab []float64, haveDep bool, copyRate float64, sc *depenScratch) []float64 {
-	if !haveDep {
+func scoreObjectDiscounted(solver *truth.DenseSolver, oi int, weights []float64, dc *discount,
+	sc *depenScratch) []float64 {
+	if !dc.on {
 		return solver.ScoreObject(oi, weights, sc.ds)
 	}
 	c := solver.Compiled()
@@ -180,7 +338,12 @@ func scoreObjectDiscounted(solver *truth.DenseSolver, oi int, weights []float64,
 	for k := range scores {
 		g := gs + int32(k)
 		srcs := c.GroupSrc[c.GroupSrcStart[g]:c.GroupSrcStart[g+1]]
-		fac := fillFactorsDense(srcs, pos, depTab, copyRate, sc)
+		var fac []float64
+		if dc.sparse {
+			fac = fillFactorsSparse(srcs, dc, sc)
+		} else {
+			fac = fillFactorsDense(srcs, dc.pos, dc.tot, dc.copyRate, sc)
+		}
 		var cum float64
 		for p, si := range srcs {
 			cum += weights[si] * fac[p]

@@ -149,8 +149,48 @@ func newDiffCase(t *testing.T, seed int64) diffCase {
 	return dc
 }
 
-func runDiffCase(t *testing.T, seed int64) {
-	dc := newDiffCase(t, seed)
+// newSaturatedCase is a world whose pairs share 300 objects each: 24
+// independents and 6 copiers, four of them copying one master, so the
+// master and its copiers form a clique of five. Every other pair's copy
+// posterior is so small that its discount factor is exactly 1, so from
+// round 2 on the truth step takes the partner lists, the kernel no other
+// seed's world reaches; inside the clique a member has up to four partners
+// ranked above it. One copier's claims and two objects are held out of the
+// base, one batch each.
+func newSaturatedCase(t *testing.T) diffCase {
+	t.Helper()
+	accs := make([]float64, 24)
+	for i := range accs {
+		accs[i] = 0.55 + 0.4*float64(i%7)/6
+	}
+	var copiers []synth.CopierSpec
+	for _, m := range []int{0, 0, 0, 0, 1, 2} {
+		copiers = append(copiers, synth.CopierSpec{MasterIndex: m, CopyRate: 0.8, OwnAcc: 0.6})
+	}
+	sw, err := synth.GenerateSnapshot(synth.SnapshotConfig{
+		Seed: 30*31 + 300, NObjects: 300, IndependentAcc: accs, Copiers: copiers, FalsePool: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs := sw.Dataset.Objects()
+	heldObj := map[model.ObjectID]int{objs[7]: 1, objs[200]: 2}
+	dc := diffCase{cfg: DefaultConfig(), batches: make([][]model.Claim, 3)}
+	for _, cl := range sw.Dataset.Claims() {
+		b, ok := heldObj[cl.Object]
+		switch {
+		case cl.Source == "C0": // a copier of the clique's master
+			dc.batches[0] = append(dc.batches[0], cl)
+		case ok:
+			dc.batches[b] = append(dc.batches[b], cl)
+		default:
+			dc.base = append(dc.base, cl)
+		}
+	}
+	return dc
+}
+
+func runDiff(t *testing.T, name string, dc diffCase) {
 	base, err := dataset.FromClaims(dc.base)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +209,7 @@ func runDiffCase(t *testing.T, seed int64) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(live, want) {
-			t.Fatalf("seed %d, GOMAXPROCS %d: flat Detect differs from the map oracle", seed, p)
+			t.Fatalf("%s, GOMAXPROCS %d: flat Detect differs from the map oracle", name, p)
 		}
 		cur := base
 		for e, batch := range dc.batches {
@@ -184,13 +224,13 @@ func runDiffCase(t *testing.T, seed int64) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(live, rebuilt) {
-				t.Fatalf("seed %d, GOMAXPROCS %d, epoch %d of %d: live Refine chain differs from Detect(successor)",
-					seed, p, e+1, len(dc.batches))
+				t.Fatalf("%s, GOMAXPROCS %d, epoch %d of %d: live Refine chain differs from Detect(successor)",
+					name, p, e+1, len(dc.batches))
 			}
 			if p == 1 {
 				first = append(first, live)
 			} else if !reflect.DeepEqual(live, first[e]) {
-				t.Fatalf("seed %d, epoch %d: GOMAXPROCS %d differs from GOMAXPROCS 1", seed, e+1, p)
+				t.Fatalf("%s, epoch %d: GOMAXPROCS %d differs from GOMAXPROCS 1", name, e+1, p)
 			}
 		}
 	}
@@ -203,6 +243,29 @@ func TestDifferential(t *testing.T) {
 	}
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runDiffCase(t, seed) })
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runDiff(t, fmt.Sprintf("seed %d", seed), newDiffCase(t, seed)) })
 	}
+	// The seeded worlds' pairs share a few dozen objects at most, and no
+	// seed's solved table takes the partner lists; this world's does.
+	t.Run("saturated", func(t *testing.T) {
+		dc := newSaturatedCase(t)
+		base, err := dataset.FromClaims(dc.base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := Solve(base, nil, dc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nS := base.Compiled().NumSources()
+		disc := &discount{on: true, order: make([]int32, nS), pos: make([]int32, nS), tot: st.tot, copyRate: dc.cfg.CopyRate}
+		disc.rank(st.acc)
+		_, nonUnit := discountMuls(base.Compiled(), disc)
+		if !disc.sparse || nonUnit == 0 {
+			t.Fatalf("the solved table takes the partner lists: %v, with %d pairs off 1 and %d multiplies by them",
+				disc.sparse, len(disc.part), nonUnit)
+		}
+		t.Logf("%d of %d pairs off 1, %d multiplies by them per round", len(disc.part), nS*(nS-1)/2, nonUnit)
+		runDiff(t, "saturated world", dc)
+	})
 }

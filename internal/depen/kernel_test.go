@@ -13,88 +13,195 @@ import (
 	"sourcecurrents/internal/truth"
 )
 
-// TestFillFactorsMatchOracle holds the discount kernel to the reference
-// product loop (discountTable.fillFactors) bit for bit on groups the seeded
-// worlds of the differential suite never reach: sizes on both sides of every
-// block boundary and one as large as the wide world's, accuracy ties (broken
-// by index), and cells that are exactly 0, exactly 1, and above 1 (clamped).
+// TestFillFactorsMatchOracle holds both discount kernels, the column-wise
+// product and the partner lists, to the reference product loop
+// (discountTable.fillFactors) bit for bit on groups the seeded worlds of the
+// differential suite never reach: sizes on both sides of every block
+// boundary and one as large as the wide world's, accuracy ties (broken by
+// index), and cells that are exactly 0, exactly 1, and above 1 (clamped).
 // Bystanders voting another value sit between the members in index order, so
 // a group's positions and its sources' indexes differ.
+//
+// Each group is drawn twice: over a dense table, and over a sparse one whose
+// cells are mostly exactly 0 or too small to move a factor off 1 (dep ≤
+// 2⁻⁵⁴/c), and otherwise random or clamped at 1 + 2⁻⁵². On the sparse tables
+// members have three and more partners ranked above them in the group, so a
+// product taken out of rank order shows, and partners among the bystanders
+// and ranked below, so one taken from outside the group or from below shows.
 func TestFillFactorsMatchOracle(t *testing.T) {
 	const copyRate = 0.8
 	o := model.ObjectID{Entity: "e", Attribute: "a"}
+	deepest := 0 // on the sparse tables: the most partners ranked above a member in its group
 	for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 9, 64, 431} {
 		for seed := int64(1); seed <= 3; seed++ {
-			rng := rand.New(rand.NewSource(seed*1000 + int64(k)))
-			nS := k + 1 + k/3
-			member := make([]bool, nS)
-			for _, i := range rng.Perm(nS)[:k] {
-				member[i] = true
-			}
-			var claims []model.Claim
-			for i := 0; i < nS; i++ {
-				v := "other"
-				if member[i] {
-					v = "v"
+			for _, sparse := range []bool{false, true} {
+				rng := rand.New(rand.NewSource(seed*1000 + int64(k)))
+				nS := k + 1 + k/3
+				member := make([]bool, nS)
+				for _, i := range rng.Perm(nS)[:k] {
+					member[i] = true
 				}
-				claims = append(claims, model.NewClaim(model.SourceID(fmt.Sprintf("S%04d", i)), o, v))
-			}
-			d, err := dataset.FromClaims(claims)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := d.Compiled()
+				var claims []model.Claim
+				for i := 0; i < nS; i++ {
+					v := "other"
+					if member[i] {
+						v = "v"
+					}
+					claims = append(claims, model.NewClaim(model.SourceID(fmt.Sprintf("S%04d", i)), o, v))
+				}
+				d, err := dataset.FromClaims(claims)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := d.Compiled()
 
-			// Accuracies from a pool of a few values, so ties are the rule; the
-			// two directions of every pair drawn apart, so totals reach 2.
-			acc := make([]float64, nS)
-			accOf := map[model.SourceID]float64{}
-			for i := range acc {
-				acc[i] = 0.5 + 0.1*float64(rng.Intn(4))
-				accOf[c.Source(i)] = acc[i]
-			}
-			tot := make([]float64, nS*nS)
-			dir := map[model.SourceID]map[model.SourceID]float64{}
-			draw := func() float64 {
-				switch rng.Intn(5) {
-				case 0:
-					return 0
-				case 1:
-					return 1
-				default:
-					return rng.Float64()
+				// Accuracies from a pool of a few values, so ties are the rule; the
+				// two directions of every pair drawn apart, so totals reach 2.
+				acc := make([]float64, nS)
+				accOf := map[model.SourceID]float64{}
+				for i := range acc {
+					acc[i] = 0.5 + 0.1*float64(rng.Intn(4))
+					accOf[c.Source(i)] = acc[i]
 				}
-			}
-			for i := 0; i < nS; i++ {
-				for j := i + 1; j < nS; j++ {
-					ab, ba := draw(), draw()
+				tot := make([]float64, nS*nS)
+				dir := map[model.SourceID]map[model.SourceID]float64{}
+				draw := func() (ab, ba float64) {
+					if sparse {
+						switch r := rng.Intn(20); {
+						case r < 9:
+							return 0, 0
+						case r < 17:
+							return rng.Float64() * 0x1p-54 / copyRate, 0
+						case r < 18:
+							return 1, 0x1p-52
+						default:
+							return rng.Float64(), 0
+						}
+					}
+					one := func() float64 {
+						switch rng.Intn(5) {
+						case 0:
+							return 0
+						case 1:
+							return 1
+						default:
+							return rng.Float64()
+						}
+					}
+					ab, ba = one(), one()
 					if rng.Intn(3) == 0 {
 						ba = 0 // a total of exactly 0 or exactly 1 now and then
 					}
-					setDir(dir, c.Source(i), c.Source(j), ab)
-					setDir(dir, c.Source(j), c.Source(i), ba)
-					tot[i*nS+j], tot[j*nS+i] = ab+ba, ab+ba
+					return ab, ba
+				}
+				for i := 0; i < nS; i++ {
+					for j := i + 1; j < nS; j++ {
+						ab, ba := draw()
+						setDir(dir, c.Source(i), c.Source(j), ab)
+						setDir(dir, c.Source(j), c.Source(i), ba)
+						tot[i*nS+j], tot[j*nS+i] = ab+ba, ab+ba
+					}
+				}
+
+				want := map[model.SourceID]float64{}
+				makeDiscount(d, accOf, dir, copyRate).fillFactors(o, "v", want)
+
+				vi, _ := c.ValueIndex("v")
+				g := slices.Index(c.GroupValue, vi)
+				srcs := c.GroupSrc[c.GroupSrcStart[g]:c.GroupSrcStart[g+1]]
+				if len(srcs) != k || len(want) != k {
+					t.Fatalf("k=%d: group has %d sources, oracle %d", k, len(srcs), len(want))
+				}
+				dc := &discount{on: true, order: make([]int32, nS), pos: make([]int32, nS), tot: tot, copyRate: copyRate}
+				rankSources(acc, dc.order, dc.pos)
+				if !dc.partners(nS * nS) {
+					t.Fatalf("k=%d seed=%d: partner lists refused with no limit", k, seed)
+				}
+				for _, s := range srcs {
+					above := 0
+					for _, pt := range dc.part[dc.partStart[s]:dc.partStart[s+1]] {
+						if member[pt.q] && sparse {
+							above++
+						}
+					}
+					deepest = max(deepest, above)
+				}
+				sc := newDepenScratch(truth.NewDenseSolver(c, truth.DefaultConfig()))
+				for kernel, fill := range map[string]func() []float64{
+					"dense":  func() []float64 { return fillFactorsDense(srcs, dc.pos, tot, copyRate, sc) },
+					"sparse": func() []float64 { return fillFactorsSparse(srcs, dc, sc) },
+				} {
+					got := fill()
+					for p, si := range srcs {
+						if w := want[c.Source(int(si))]; math.Float64bits(got[p]) != math.Float64bits(w) {
+							t.Fatalf("k=%d seed=%d sparse table %v, %s kernel: factor of %s (position %d, rank %d) = %v, oracle %v",
+								k, seed, sparse, kernel, c.Source(int(si)), p, dc.pos[si], got[p], w)
+						}
+					}
 				}
 			}
+		}
+	}
+	if deepest < 3 {
+		t.Fatalf("no member of a sparse table's group had three partners ranked above it in the group (at most %d)", deepest)
+	}
+}
 
-			want := map[model.SourceID]float64{}
-			makeDiscount(d, accOf, dir, copyRate).fillFactors(o, "v", want)
-
-			vi, _ := c.ValueIndex("v")
-			g := slices.Index(c.GroupValue, vi)
-			srcs := c.GroupSrc[c.GroupSrcStart[g]:c.GroupSrcStart[g+1]]
-			if len(srcs) != k || len(want) != k {
-				t.Fatalf("k=%d: group has %d sources, oracle %d", k, len(srcs), len(want))
+// TestDiscountSwitch holds the kernel choice to its rule, that the table
+// alone picks: the partner lists when at most an eighth of the pairs have a
+// factor other than exactly 1 (here 66 of 33 sources' 528), the column-wise
+// product otherwise, with nothing allocated for lists it does not build.
+// Each list it builds must be exactly the sources ranked above its owner
+// whose factor for it is off 1, in rank order, with that factor's bits —
+// also when one discount is rebuilt over a sparser table, as the rounds of
+// a solve rebuild it.
+func TestDiscountSwitch(t *testing.T) {
+	const nS, copyRate, limit = 33, 0.8, 33 * 32 / 16
+	rng := rand.New(rand.NewSource(5))
+	acc := make([]float64, nS)
+	for i := range acc {
+		acc[i] = 0.5 + 0.1*float64(rng.Intn(4))
+	}
+	// table returns a totals table with off pairs whose factor is not 1; the
+	// rest are 0 or round their factor to exactly 1.
+	table := func(off int) []float64 {
+		tot := make([]float64, nS*nS)
+		for k, pair := range rng.Perm(nS * nS) {
+			i, j := pair/nS, pair%nS
+			if i >= j {
+				continue
 			}
-			order, pos := make([]int32, nS), make([]int32, nS)
-			rankSources(acc, order, pos)
-			sc := newDepenScratch(truth.NewDenseSolver(c, truth.DefaultConfig()))
-			got := fillFactorsDense(srcs, pos, tot, copyRate, sc)
-			for p, si := range srcs {
-				if w := want[c.Source(int(si))]; math.Float64bits(got[p]) != math.Float64bits(w) {
-					t.Fatalf("k=%d seed=%d: factor of %s (position %d, rank %d) = %v, oracle %v",
-						k, seed, c.Source(int(si)), p, pos[si], got[p], w)
+			v := rng.Float64() * 0x1p-54 / copyRate
+			if off > 0 {
+				v = []float64{1 + 0x1p-52, 0.5 * rng.Float64(), 1e-9}[k%3]
+				off--
+			}
+			tot[i*nS+j], tot[j*nS+i] = v, v
+		}
+		return tot
+	}
+	dc := &discount{on: true, order: make([]int32, nS), pos: make([]int32, nS), copyRate: copyRate}
+	dc.tot = table(limit + 1)
+	if dc.rank(acc); dc.sparse || dc.partStart != nil || dc.part != nil || dc.keys != nil {
+		t.Fatalf("%d pairs off 1 of %d: sparse %v, lists allocated %v", limit+1, nS*(nS-1)/2, dc.sparse, dc.partStart != nil)
+	}
+	for _, off := range []int{limit, 10, 0} {
+		dc.tot = table(off)
+		if dc.rank(acc); !dc.sparse || len(dc.part) != off {
+			t.Fatalf("%d pairs off 1: sparse %v with %d partners", off, dc.sparse, len(dc.part))
+		}
+		for s := int32(0); s < nS; s++ {
+			var want []partner
+			for _, q := range dc.order[:dc.pos[s]] {
+				if f := indep(dc.tot[int(q)*nS:][:nS], s, copyRate); f != 1 {
+					want = append(want, partner{q: q, f: f})
 				}
+			}
+			got := dc.part[dc.partStart[s]:dc.partStart[s+1]]
+			if !slices.EqualFunc(got, want, func(a, b partner) bool {
+				return a.q == b.q && math.Float64bits(a.f) == math.Float64bits(b.f)
+			}) {
+				t.Fatalf("%d pairs off 1: source %d (rank %d) has partners %v, want %v", off, s, dc.pos[s], got, want)
 			}
 		}
 	}
@@ -369,20 +476,20 @@ func mergePairsRef(prev *State, srcOf []int32, dirtySrc []bool, fresh []pairRec)
 	return append(all, fresh[fi:]...)
 }
 
-// wideWorld is the shape bench/ calls wide and the root package's
-// benchSnapshotWorld(500, 30) generates: 500 independents with accuracies
-// spread over 0.55-0.95, one copier per ten, 30 objects.
-func wideWorld(tb testing.TB) *dataset.Dataset {
-	accs := make([]float64, 500)
+// snapshotWorld is the root package's benchSnapshotWorld: nSources
+// independents with accuracies spread over 0.55-0.95, one copier per ten,
+// nObjects objects.
+func snapshotWorld(tb testing.TB, nSources, nObjects int) *dataset.Dataset {
+	accs := make([]float64, nSources)
 	for i := range accs {
 		accs[i] = 0.55 + 0.4*float64(i%9)/8
 	}
 	var copiers []synth.CopierSpec
-	for i := 0; i < 50; i++ {
+	for i := 0; i < nSources/10; i++ {
 		copiers = append(copiers, synth.CopierSpec{MasterIndex: i, CopyRate: 0.8, OwnAcc: 0.6})
 	}
 	sw, err := synth.GenerateSnapshot(synth.SnapshotConfig{
-		Seed: 500*31 + 30, NObjects: 30, IndependentAcc: accs, Copiers: copiers, FalsePool: 5,
+		Seed: int64(nSources)*31 + int64(nObjects), NObjects: nObjects, IndependentAcc: accs, Copiers: copiers, FalsePool: 5,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -393,12 +500,27 @@ func wideWorld(tb testing.TB) *dataset.Dataset {
 var benchScores []float64 // keeps the benchmarked call's result live
 
 // BenchmarkTruthStepWide times the truth step of one discounted round over
-// the wide world's 30 objects — the objects a source-major append dirties,
-// and half of what it spends — on one core, from the world's solved state:
-// rank the sources, then score every value group of every object. ns/mul
-// divides by the discount's multiplies, Σ k(k−1)/2 over the groups (2 587 302).
+// the wide world (the shape bench/ calls wide: 500 + 50 sources × 30
+// objects) — the objects a source-major append dirties — on one core, from
+// the world's solved state: rank the sources, then score every value group
+// of every object. ns/mul divides by the reference's multiplies, Σ k(k−1)/2
+// over the groups (muls/op, 2 587 302); discount_muls/op counts those the
+// kernel the table picks performs. The table is dense, so the column-wise
+// product runs and performs them all.
 func BenchmarkTruthStepWide(b *testing.B) {
-	d := wideWorld(b)
+	benchTruthStep(b, snapshotWorld(b, 500, 30))
+}
+
+// BenchmarkTruthStepMid is the same on the mid shape (100 + 10 sources × 400
+// objects), the one bench/'s ingest_mixed appends to. Its pairs share 400
+// objects, so all but the planted copiers' factors are exactly 1 and the
+// partner lists run: discount_muls/op, the multiplies by a factor other than
+// 1, is a few thousand of muls/op's 1.4 million.
+func BenchmarkTruthStepMid(b *testing.B) {
+	benchTruthStep(b, snapshotWorld(b, 100, 400))
+}
+
+func benchTruthStep(b *testing.B, d *dataset.Dataset) {
 	cfg := DefaultConfig()
 	st, err := Solve(d, nil, cfg)
 	if err != nil {
@@ -409,21 +531,42 @@ func BenchmarkTruthStepWide(b *testing.B) {
 	nS := c.NumSources()
 	weights := make([]float64, nS)
 	solver.FillWeights(st.acc, weights)
-	order, pos := make([]int32, nS), make([]int32, nS)
-	sc := newDepenScratch(solver)
-	var muls int
-	for g := range c.GroupValue {
-		k := int(c.GroupSrcStart[g+1] - c.GroupSrcStart[g])
-		muls += k * (k - 1) / 2
+	dc := &discount{on: true, order: make([]int32, nS), pos: make([]int32, nS), tot: st.tot, copyRate: cfg.CopyRate}
+	dc.rank(st.acc)
+	muls, nonUnit := discountMuls(c, dc)
+	performed := muls
+	if dc.sparse {
+		performed = nonUnit
 	}
+	sc := newDepenScratch(solver)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rankSources(st.acc, order, pos)
+		dc.rank(st.acc)
 		for oi := 0; oi < c.NumObjects(); oi++ {
-			benchScores = scoreObjectDiscounted(solver, oi, weights, pos, st.tot, true, cfg.CopyRate, sc)
+			benchScores = scoreObjectDiscounted(solver, oi, weights, dc, sc)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(muls), "ns/mul")
 	b.ReportMetric(float64(muls), "muls/op")
+	b.ReportMetric(float64(performed), "discount_muls/op")
+}
+
+// discountMuls counts, over every value group of c, the multiplies of the
+// reference product loop under dc's ranking, Σ k(k−1)/2, and those of them
+// by a factor other than exactly 1.
+func discountMuls(c *dataset.Compiled, dc *discount) (all, nonUnit int) {
+	nS := c.NumSources()
+	for g := range c.GroupValue {
+		srcs := c.GroupSrc[c.GroupSrcStart[g]:c.GroupSrcStart[g+1]]
+		all += len(srcs) * (len(srcs) - 1) / 2
+		for _, s := range srcs {
+			for _, q := range srcs {
+				if dc.pos[q] < dc.pos[s] && indep(dc.tot[int(q)*nS:][:nS], s, dc.copyRate) != 1 {
+					nonUnit++
+				}
+			}
+		}
+	}
+	return all, nonUnit
 }

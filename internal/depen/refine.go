@@ -11,7 +11,11 @@
 // and objects dirty, each round
 //
 //   - ranks the sources once, by (accuracy desc, index asc): the vote
-//     discount's order within any value group is that one order, restricted,
+//     discount's order within any value group is that one order, restricted;
+//     and, when at most an eighth of the totals table's pairs have a factor
+//     other than exactly 1, lists each source's partners — the sources
+//     ranked above it whose factor for it is not 1 — so the discount
+//     multiplies those alone (discount.rank in compiled.go),
 //   - rescores only the dirty objects' posteriors (untouched objects keep
 //     their converged rows),
 //   - re-estimates every source's accuracy over the full posterior vector
@@ -310,14 +314,17 @@ func refine(d *dataset.Dataset, prev *State, cfg Config) *State {
 		rounds = cfg.EffectiveRefineRounds()
 		srcOf = st.carry(prev, dirtySrc, dirtyObj, cfg.Truth.InitialAccuracy)
 	}
-	// depTab is the total dependence posterior going into a round: the
-	// predecessor's verdicts, with the dirty pairs' cells overwritten after
-	// every round (the kept pairs' never change). haveDep says it holds any
-	// verdict at all; until one exists — round 1 of a flat solve — every
-	// discount factor is exactly 1 and scoring skips the rank-and-discount
-	// pass.
-	acc, probs, depTab := st.acc, st.probs, st.tot
-	haveDep := prev != nil && len(prev.pairs) > 0
+	// The discount reads the total dependence posterior going into a round:
+	// the predecessor's verdicts, with the dirty pairs' cells overwritten
+	// after every round (the kept pairs' never change). dc.on says it holds
+	// any verdict at all; until one exists — round 1 of a flat solve — every
+	// discount factor is exactly 1 and scoring skips the discount.
+	acc, probs := st.acc, st.probs
+	dc := discount{
+		on:    prev != nil && len(prev.pairs) > 0,
+		order: make([]int32, nS), pos: make([]int32, nS),
+		tot: st.tot, copyRate: cfg.CopyRate,
+	}
 
 	// A pair with a dirty member is superseded by its freshly-joined
 	// candidate (overlap only grows, so it still is one): its old verdict
@@ -329,7 +336,6 @@ func refine(d *dataset.Dataset, prev *State, cfg Config) *State {
 	next := make([]float64, nS)
 	// Allocated once per solve: every ForNScratch call hands out the same
 	// scratch, in the order it asks (on this goroutine, before its workers run).
-	order, pos := make([]int32, nS), make([]int32, nS)
 	var scratch []*depenScratch
 	taken := 0
 	nextScratch := func() *depenScratch {
@@ -348,7 +354,7 @@ func refine(d *dataset.Dataset, prev *State, cfg Config) *State {
 	}
 
 	// The two per-item steps of a round, built once: they read acc, next,
-	// probs, depTab and haveDep as the rounds update them.
+	// probs and dc as the rounds update them.
 	truthStep := func(k int, sc *depenScratch) {
 		oi := k
 		if dirtyObjs != nil {
@@ -359,7 +365,7 @@ func refine(d *dataset.Dataset, prev *State, cfg Config) *State {
 			copy(row, kr)
 			return
 		}
-		scores := scoreObjectDiscounted(solver, oi, weights, pos, depTab, haveDep, cfg.CopyRate, sc)
+		scores := scoreObjectDiscounted(solver, oi, weights, &dc, sc)
 		solver.FinishObject(oi, scores, row, sc.ds)
 	}
 	pairStep := func(pi int, sc *depenScratch) {
@@ -370,7 +376,7 @@ func refine(d *dataset.Dataset, prev *State, cfg Config) *State {
 		// Truth step over the dirty objects, with dependence discounts from
 		// the previous round.
 		solver.FillWeights(acc, weights)
-		rankSources(acc, order, pos)
+		dc.rank(acc)
 		forN(nDirtyObj, truthStep)
 
 		// Accuracy step over every source: untouched sources recompute the
@@ -381,7 +387,7 @@ func refine(d *dataset.Dataset, prev *State, cfg Config) *State {
 		// Dependence step over the dirty pairs, in their canonical order.
 		forN(len(cands), pairStep)
 		st.setTotals(fresh)
-		haveDep = haveDep || len(cands) > 0
+		dc.on = dc.on || len(cands) > 0
 		st.rounds = round
 
 		if truth.MaxAccuracyDeltaVec(acc, next) < cfg.Tol {
