@@ -183,11 +183,41 @@ func BenchmarkDetect(b *testing.B) {
 	}
 }
 
+// BenchmarkFlatSolve is BenchmarkDetect's 500-source world and configuration
+// solved by NewSession: the flat solve without the Result view, which no
+// serving call builds. pairs/op counts the analysed pairs, and tuples/op the
+// distinct (acc[a], acc[b], kt, kf, kd) among them — the inputs of a pair's
+// posterior, and so the Bayes steps the solve's last round computes rather
+// than finds in its workers' tables — both read off the solved session.
+func BenchmarkFlatSolve(b *testing.B) {
+	d := benchSnapshotWorld(b, 500, 30)
+	cfg := sourcecurrents.DefaultSessionConfig()
+	cfg.Depen.MaxRounds = 3
+	b.ReportAllocs()
+	var s *sourcecurrents.Session
+	for i := 0; i < b.N; i++ {
+		var err error
+		if s, err = sourcecurrents.NewSession(d, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	dep := s.Dependence()
+	acc := dep.Truth.Accuracy
+	tuples := map[[5]uint64]bool{}
+	for _, p := range dep.AllPairs {
+		tuples[[5]uint64{math.Float64bits(acc[p.Pair.A]), math.Float64bits(acc[p.Pair.B]),
+			math.Float64bits(p.KT), math.Float64bits(p.KF), math.Float64bits(p.KD)}] = true
+	}
+	b.ReportMetric(float64(len(dep.AllPairs)), "pairs/op")
+	b.ReportMetric(float64(len(tuples)), "tuples/op")
+}
+
 // TestDetectFlatAllocs holds a flat Detect (BenchmarkDetect's worlds and
 // configuration, on one worker) to what it allocated before the flat solve
 // became the incremental one started from nothing: the predecessor
 // bookkeeping — dirty sets, kept-pair table, merged pair slice — must cost a
-// flat solve nothing. The ceilings were lowered four times since (337 /
+// flat solve nothing. The ceilings were lowered five times since (337 /
 // 6.26 MB, 317 / 69.1 MB, 316 / 345 MB, then 285, 247, 231 allocations, then
 // 276, 238, 222, then 265 / 2.77 MB, 227 / 48.8 MB, 211 / 251.5 MB): the
 // overlap arrays reserve by doubling, and that pays several times over for
@@ -199,6 +229,10 @@ func BenchmarkDetect(b *testing.B) {
 // (2 allocations and ≥ 8·S² bytes fewer); and a candidate stores one int32
 // per agreeing shared object instead of three per shared object, so the one
 // overlap array left is a fraction of the three and regrows fewer times.
+// Then 238 / 0.93 MB, 186 / 11.3 MB, 164 / 64.4 MB: the flat join reserves
+// its overlap array once, at a bound on every pair's shared objects, instead
+// of doubling it, and the Result view sorts (posterior, position) keys
+// instead of swapping named pairs through a reflective swapper.
 // Allocation counts are exact; bytes get 0.1% for runtime noise, a third of
 // the smallest table that could creep back in, and are the least of three
 // runs: TotalAlloc is process-wide, so whatever the runtime allocates in the
@@ -209,9 +243,9 @@ func TestDetectFlatAllocs(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ceilings := map[int]struct{ allocs, bytes float64 }{
-		50:  {247, 1197664},
-		200: {198, 12502560},
-		500: {178, 71938432},
+		50:  {238, 929384},
+		200: {186, 11281096},
+		500: {164, 64362600},
 	}
 	for _, sz := range benchSizes {
 		if testing.Short() && !sz.short {

@@ -3,12 +3,15 @@
 // They re-express the map reference (detectMaps, in reference_test.go) over
 // dataset.Compiled: a candidate's overlap becomes its shared-object count
 // plus a slice of one flat int32 array of the value groups its members
-// agree on, built by merge-joining the per-source claim lists (every shared
-// object's group is written, and only an agreeing one is kept; a
-// disagreement only adds to kd, counted once), the directional posteriors
-// become a flat source×source table, and the per-object discount factors
-// come from one ranking of the sources per round and one of two kernels per
-// value group, which the round's table picks:
+// agree on, built by a gather join (one source's groups scattered over the
+// objects, each partner's claim list looked up in them; every entry writes
+// its group and only a shared, agreeing one is kept, so no branch depends
+// on the data) into an array a flat solve reserves once; the directional
+// posteriors become a flat source×source table, and each worker remembers
+// the posteriors of the (acc[a], acc[b], kt, kf, kd) it has scored, which
+// repeat across pairs; and the per-object discount factors come from one
+// ranking of the sources per round and one of two kernels per value group,
+// which the round's table picks:
 //
 //   - where more than an eighth of the pairs have a factor 1 − c·min(dep, 1)
 //     other than exactly 1 (the wide world: 99.8 % of them), the column-wise
@@ -20,14 +23,18 @@
 //     round, and a member's factor multiplies only those in its group.
 //
 // Both take every factor that is not exactly 1 in the reference's order, and
-// x·1 == x, so they give the same bits. Iteration, summation and product
-// orders match the reference exactly, so results are bit-identical
-// (enforced by the golden equivalence tests, TestFillFactorsMatchOracle for
-// both kernels, and the differential suite's saturated world, whose table
-// takes the partner lists).
+// x·1 == x, so they give the same bits; a remembered posterior is the bits
+// its computation gave, found under the exact bits of all its inputs.
+// Iteration, summation and product orders match the reference exactly, so
+// results are bit-identical (enforced by the golden equivalence tests,
+// TestFillFactorsMatchOracle for both kernels, the differential suite's
+// saturated world, whose table takes the partner lists, and
+// TestPairMemoMatchesDirect for the posterior tables).
 package depen
 
 import (
+	"math"
+	"math/bits"
 	"slices"
 
 	"sourcecurrents/internal/dataset"
@@ -59,73 +66,147 @@ type depenScratch struct {
 	in     []bool // fillFactorsSparse's group members, one per source; made on first use
 	logs   [3]float64
 	post   [3]float64
+	// memo is the pair step's posterior table, direct-mapped and a power of
+	// two long: a key's slot is its hash shifted right by memoShift, 64 less
+	// the table's log2 length.
+	memo      []memoEntry
+	memoShift uint
 }
 
-func newDepenScratch(solver *truth.DenseSolver) *depenScratch {
+// memoEntry is one remembered pair posterior: the exact bits of the pair's
+// (acc[a], acc[b], kt, kf, kd) and the (probAB, probBA) they give.
+type memoEntry struct {
+	key    [5]uint64
+	ab, ba float64
+	used   bool
+}
+
+// maxMemoSlots caps a worker's posterior table: 4 096 slots of 64 bytes.
+const maxMemoSlots = 4096
+
+// memoSlots is the posterior table's length for a solve that scores pairs
+// pairs: the next power of two at or above it, at most maxMemoSlots.
+func memoSlots(pairs int) int {
+	n := 1
+	for n < pairs && n < maxMemoSlots {
+		n <<= 1
+	}
+	return n
+}
+
+// newDepenScratch makes one worker's scratch for a solve over solver's
+// index, with a posterior table of slots entries, a power of two. The
+// table is only valid for one solve's configuration (c, N, the prior), so a
+// scratch never outlives its solve.
+func newDepenScratch(solver *truth.DenseSolver, slots int) *depenScratch {
 	k := solver.Compiled().MaxSourcesPerGroup()
 	return &depenScratch{ds: solver.NewScratch(), keys: make([]uint64, k), ord: make([]int32, k),
-		f: make([]float64, k), fac: make([]float64, k)}
+		f: make([]float64, k), fac: make([]float64, k),
+		memo: make([]memoEntry, slots), memoShift: uint(64 - bits.TrailingZeros(uint(slots)))}
 }
 
-// buildCandidates merge-joins the sorted claim lists of every source pair
-// with a dirty member, keeping pairs with at least minShared shared objects
-// — the dense equivalent of Dataset.Pairs, in the same (i asc, j asc) order.
-// A nil dirtySrc means every source is dirty: the full candidate set.
+// flatOverlapBound is the overlap room a flat join can need at most: every
+// pair's shared objects, Σ_o C(k_o, 2) over the objects' claimant counts
+// k_o, which bounds what the kept pairs store, plus the room the join
+// writes into ahead of a pair's verdict, at most the longest row and one.
+func flatOverlapBound(c *dataset.Compiled) int {
+	var shared, longest int
+	for oi := 0; oi < c.NumObjects(); oi++ {
+		k := int(c.GroupSrcStart[c.GroupStart[oi+1]] - c.GroupSrcStart[c.GroupStart[oi]])
+		shared += k * (k - 1) / 2
+	}
+	for i := 0; i < c.NumSources(); i++ {
+		longest = max(longest, int(c.SrcStart[i+1]-c.SrcStart[i]))
+	}
+	return shared + longest + 1
+}
+
+// buildCandidates joins the claim lists of every source pair with a dirty
+// member, keeping pairs with at least minShared shared objects — the dense
+// equivalent of Dataset.Pairs, in the same (i asc, j asc) order. A nil
+// dirtySrc means every source is dirty: the full candidate set.
+//
+// The join is a gather: source i's group of each object it claims is
+// scattered into one array over the objects, once per row, and each
+// partner j's row looks its objects up in it, in j's (ascending) object
+// order, so the agreeing groups come out ascending. No branch depends on
+// the data: every entry of j's row writes its group, and only a shared and
+// agreeing one keeps it by moving the write index past it.
 func buildCandidates(c *dataset.Compiled, minShared int, dirtySrc []bool) ([]pairCand, overlaps) {
 	var cands []pairCand
 	var ov overlaps
+	if dirtySrc == nil {
+		// One reservation for the whole flat join, so the array never
+		// regrows or leaves its outgrown copies behind: 18.1 MB on the bench's
+		// wide world, of which the kept pairs use 9.6 MB. A refine's dirty
+		// pairs are a small part of the bound, so its array grows by
+		// doubling.
+		ov = make(overlaps, 0, flatOverlapBound(c))
+	}
 	nS := c.NumSources()
+	// groupOf[o] is one more than row i's group for object o, and 0 where
+	// row i does not claim o; scattered on i's first candidate pair and
+	// cleared when its row ends.
+	groupOf := make([]int32, c.NumObjects())
 	for i := 0; i < nS; i++ {
 		ai, ae := c.SrcStart[i], c.SrcStart[i+1]
 		iDirty := dirtySrc == nil || dirtySrc[i]
+		scattered := false
 		for j := i + 1; j < nS; j++ {
 			if !iDirty && !dirtySrc[j] {
 				continue
 			}
+			if !scattered {
+				for p := ai; p < ae; p++ {
+					groupOf[c.SrcObj[p]] = c.SrcGroup[p] + 1
+				}
+				scattered = true
+			}
 			bi, be := c.SrcStart[j], c.SrcStart[j+1]
-			// Make room for the pair's largest possible overlap before the
-			// join, which writes into it by index, doubling: append's own
-			// growth (a quarter at a time at this size) reallocates the
-			// array 37 times over the 500-source wide solve, 52 MB for the
-			// 10 MB it ends at; doubling, 15 times and 28 MB.
-			need := int(min(ae-ai, be-bi))
+			// Room for the pair's largest possible overlap, and one more for
+			// the write past its end an entry of j's row i does not claim
+			// makes.
+			need := int(min(ae-ai, be-bi)) + 1
 			if cap(ov)-len(ov) < need {
 				ov = slices.Grow(ov, max(need, cap(ov)))
 			}
 			off := int32(len(ov))
-			buf := ov[off : int(off)+need]
-			var n, w int32
-			p, q := ai, bi
-			for p < ae && q < be {
-				switch {
-				case c.SrcObj[p] < c.SrcObj[q]:
-					p++
-				case c.SrcObj[p] > c.SrcObj[q]:
-					q++
-				default:
-					// Every shared object writes its group; only an agreeing
-					// one keeps it, by moving the write index past it. Which
-					// one agrees is data the branch predictor cannot learn.
-					g := c.SrcGroup[p]
-					buf[w] = g
-					var agree int32
-					if g == c.SrcGroup[q] {
-						agree = 1
-					}
-					w += agree
-					n++
-					p++
-					q++
-				}
-			}
+			n, w := gather(groupOf, c.SrcObj[bi:be], c.SrcGroup[bi:be], ov[off:int(off)+need])
 			if int(n) < minShared {
 				continue
 			}
 			ov = ov[:off+w]
 			cands = append(cands, pairCand{a: int32(i), b: int32(j), off: off, n: n, same: w})
 		}
+		if scattered {
+			for p := ai; p < ae; p++ {
+				groupOf[c.SrcObj[p]] = 0
+			}
+		}
 	}
 	return cands, ov
+}
+
+// gather joins one row, (objs, grps), against the groups groupOf holds for
+// its partner: every entry writes its group into buf, and only a shared,
+// agreeing one keeps it, by moving the write index w past it; n counts the
+// shared entries. buf holds one entry more than the pair can share.
+func gather(groupOf, objs, grps, buf []int32) (n, w int32) {
+	grps = grps[:len(objs)]
+	for k, o := range objs {
+		g, gi := grps[k], groupOf[o]
+		buf[w] = g
+		var shared, agree int32
+		if gi != 0 {
+			shared = 1
+		}
+		if gi == g+1 {
+			agree = 1
+		}
+		n += shared
+		w += agree
+	}
+	return n, w
 }
 
 // discount is one round's vote-discount inputs, which the truth step's
@@ -355,19 +436,55 @@ func scoreObjectDiscounted(solver *truth.DenseSolver, oi int, weights []float64,
 
 // scorePairDense accumulates one candidate's evidence — kt and kf over its
 // agreeing shared objects, ascending as in the reference path, and kd, the
-// count of the rest — and applies the three-hypothesis Bayes step.
+// count of the rest — and applies the three-hypothesis Bayes step. Without a
+// ValueSim a group's class mass is its own posterior, read directly.
 func scorePairDense(solver *truth.DenseSolver, cand pairCand,
 	ov overlaps, probs, acc []float64, cfg Config, logPrior [3]float64,
 	sc *depenScratch) pairRec {
 	var kt, kf float64
-	for _, g := range ov[cand.off : cand.off+cand.same] {
-		p := solver.ClassMass(probs, g)
-		kt += p
-		kf += 1 - p
+	agree := ov[cand.off : cand.off+cand.same]
+	if cfg.Truth.ValueSim == nil {
+		for _, g := range agree {
+			p := probs[g]
+			kt += p
+			kf += 1 - p
+		}
+	} else {
+		for _, g := range agree {
+			p := solver.ClassMass(probs, g)
+			kt += p
+			kf += 1 - p
+		}
 	}
 	kd := float64(cand.n - cand.same)
-	li, lab, lba := pairHypotheses(kt, kf, kd, acc[cand.a], acc[cand.b],
-		cfg.CopyRate, cfg.Truth.N)
+	ab, ba := sc.posteriors(acc[cand.a], acc[cand.b], kt, kf, kd, cfg, logPrior)
+	return pairRec{
+		a: cand.a, b: cand.b, shared: cand.n, same: cand.same,
+		probAB: ab, probBA: ba,
+		kt: kt, kf: kf, kd: kd,
+	}
+}
+
+// posteriors is the Bayes step of a pair whose members' accuracies are a1
+// and a2 and whose evidence is (kt, kf, kd): P(a copies b), P(b copies a).
+// Under one solve's configuration they are a pure function of those five
+// values' bits, which repeat across pairs (the 150 975 pairs of the wide
+// world have 3 848 distinct tuples), so the worker's table remembers them:
+// a hit, which compares the whole key, returns the bits a miss computed and
+// skips the logs and exps.
+func (sc *depenScratch) posteriors(a1, a2, kt, kf, kd float64, cfg Config, logPrior [3]float64) (ab, ba float64) {
+	key := [5]uint64{math.Float64bits(a1), math.Float64bits(a2),
+		math.Float64bits(kt), math.Float64bits(kf), math.Float64bits(kd)}
+	var h uint64
+	for _, k := range key {
+		h = (h ^ k) * 0x9e3779b97f4a7c15
+		h ^= h >> 29
+	}
+	e := &sc.memo[h*0xbf58476d1ce4e5b9>>sc.memoShift]
+	if e.used && e.key == key {
+		return e.ab, e.ba
+	}
+	li, lab, lba := pairHypotheses(kt, kf, kd, a1, a2, cfg.CopyRate, cfg.Truth.N)
 	sc.logs[0] = li + logPrior[0]
 	sc.logs[1] = lab + logPrior[1]
 	sc.logs[2] = lba + logPrior[2]
@@ -375,9 +492,6 @@ func scorePairDense(solver *truth.DenseSolver, cand pairCand,
 	if err := stats.NormalizeLogInto(post, sc.logs[:]); err != nil {
 		post[0], post[1], post[2] = 1, 0, 0
 	}
-	return pairRec{
-		a: cand.a, b: cand.b, shared: cand.n, same: cand.same,
-		probAB: post[1], probBA: post[2],
-		kt: kt, kf: kf, kd: kd,
-	}
+	*e = memoEntry{key: key, ab: post[1], ba: post[2], used: true}
+	return post[1], post[2]
 }

@@ -52,9 +52,10 @@
 package depen
 
 import (
+	"cmp"
 	"errors"
 	"math"
-	"sort"
+	"slices"
 
 	"sourcecurrents/internal/dataset"
 	"sourcecurrents/internal/model"
@@ -206,7 +207,7 @@ func (r *Result) DependenceProb(a, b model.SourceID) float64 {
 }
 
 // Result materialises the view of st: the posterior and accuracy maps with
-// the chosen values, every pair by name in sortDeps order and the thresholded
+// the chosen values, every pair by name in AllPairs order and the thresholded
 // Dependences. cfg must be the configuration st was solved under.
 func (st *State) Result(cfg Config) *Result {
 	c := st.c
@@ -224,12 +225,27 @@ func (st *State) Result(cfg Config) *Result {
 		Converged: st.converged,
 		st:        st,
 	}
-	all := make([]Dependence, len(st.pairs))
+	// AllPairs' order is confidence first, then the pair's names. Source
+	// index order is name order and st.pairs is in (a, b) order, so a
+	// record's position breaks the ties: sort (prob, position) keys, then
+	// build each named pair in its place.
+	order := make([]probKey, len(st.pairs))
 	for i := range st.pairs {
 		p := &st.pairs[i]
-		all[i] = Dependence{
+		order[i] = probKey{prob: p.probAB + p.probBA, at: int32(i)}
+	}
+	slices.SortFunc(order, func(x, y probKey) int {
+		if byProb := cmp.Compare(y.prob, x.prob); byProb != 0 {
+			return byProb
+		}
+		return cmp.Compare(x.at, y.at)
+	})
+	all := make([]Dependence, len(st.pairs))
+	for k, o := range order {
+		p := &st.pairs[o.at]
+		all[k] = Dependence{
 			Pair:   model.SourcePair{A: c.Source(int(p.a)), B: c.Source(int(p.b))},
-			Prob:   p.probAB + p.probBA,
+			Prob:   o.prob,
 			ProbAB: p.probAB,
 			ProbBA: p.probBA,
 			Shared: int(p.shared),
@@ -237,9 +253,15 @@ func (st *State) Result(cfg Config) *Result {
 			KT:     p.kt, KF: p.kf, KD: p.kd,
 		}
 	}
-	sortDeps(all)
 	finishSortedPairs(res, all, cfg.DepThreshold)
 	return res
+}
+
+// probKey is a pair record's total posterior and its position in the
+// state's (a, b) order, the key State.Result sorts the records by.
+type probKey struct {
+	prob float64
+	at   int32
 }
 
 // pairHypotheses returns log-likelihoods of the evidence under the three
@@ -285,27 +307,9 @@ func Detect(d *dataset.Dataset, cfg Config) (*Result, error) {
 	return st.Result(cfg), nil
 }
 
-func sortDeps(deps []Dependence) {
-	sort.Slice(deps, func(i, j int) bool {
-		return depLess(&deps[i], &deps[j])
-	})
-}
-
-// depLess is the AllPairs ordering: confidence first, pair identity as the
-// deterministic tie-break.
-func depLess(x, y *Dependence) bool {
-	if x.Prob != y.Prob {
-		return x.Prob > y.Prob
-	}
-	if x.Pair.A != y.Pair.A {
-		return x.Pair.A < y.Pair.A
-	}
-	return x.Pair.B < y.Pair.B
-}
-
 // finishSortedPairs fills AllPairs and Dependences (thresholded,
 // preallocated after a counting pass) from the final verdicts, which must
-// already be in sortDeps order. It takes ownership of pairs: no caller reads
+// already be in AllPairs order. It takes ownership of pairs: no caller reads
 // the slice afterwards, and the copy this avoids was a measurable share of a
 // snapshot load.
 func finishSortedPairs(res *Result, pairs []Dependence, threshold float64) {

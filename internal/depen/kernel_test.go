@@ -126,7 +126,7 @@ func TestFillFactorsMatchOracle(t *testing.T) {
 					}
 					deepest = max(deepest, above)
 				}
-				sc := newDepenScratch(truth.NewDenseSolver(c, truth.DefaultConfig()))
+				sc := newDepenScratch(truth.NewDenseSolver(c, truth.DefaultConfig()), 1)
 				for kernel, fill := range map[string]func() []float64{
 					"dense":  func() []float64 { return fillFactorsDense(srcs, dc.pos, tot, copyRate, sc) },
 					"sparse": func() []float64 { return fillFactorsSparse(srcs, dc, sc) },
@@ -207,14 +207,53 @@ func TestDiscountSwitch(t *testing.T) {
 	}
 }
 
+// raggedWorld draws TestCandidatesMatchJoin's world for rng: nS sources
+// claiming from a handful to every one of nO objects, values from a small
+// pool, so agreement is mixed; D0 and D1, which claim every object and agree
+// with no one; L, which claims one object; and Z, whose two objects no other
+// source claims. It returns the dataset and the object namer.
+func raggedWorld(t *testing.T, rng *rand.Rand) (*dataset.Dataset, func(int) model.ObjectID) {
+	t.Helper()
+	nS, nO := 6+rng.Intn(20), 4+rng.Intn(30)
+	var claims []model.Claim
+	obj := func(k int) model.ObjectID {
+		return model.ObjectID{Entity: fmt.Sprintf("e%02d", k), Attribute: "a"}
+	}
+	for k := 0; k < nO; k++ {
+		claims = append(claims,
+			model.NewClaim("D0", obj(k), fmt.Sprintf("d0-%d", k)),
+			model.NewClaim("D1", obj(k), fmt.Sprintf("d1-%d", k)))
+	}
+	claims = append(claims, model.NewClaim("L", obj(rng.Intn(nO)), "v0"))
+	for k := 0; k < 2; k++ {
+		claims = append(claims, model.NewClaim("Z", model.ObjectID{Entity: fmt.Sprintf("z%d", k), Attribute: "a"}, "z"))
+	}
+	for i := 0; i < nS; i++ {
+		share := rng.Float64()
+		for k := 0; k < nO; k++ {
+			if rng.Float64() < share {
+				v := fmt.Sprintf("v%d", rng.Intn(1+rng.Intn(4)))
+				claims = append(claims, model.NewClaim(model.SourceID(fmt.Sprintf("S%02d", i)), obj(k), v))
+			}
+		}
+	}
+	d, err := dataset.FromClaims(claims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, obj
+}
+
 // TestCandidatesMatchJoin holds buildCandidates' layout to a brute-force
 // join of every pair through the dataset's by-name accessors, on seeded
-// ragged worlds (sources claiming from a handful to every object, values
-// from a small pool, so agreement is mixed), with every source dirty and
-// with a random part of them: each candidate's n and same, its stored value
+// ragged worlds (raggedWorld: rows from one claim to every object, and a
+// source no other shares an object with), with every source dirty and with
+// a random part of them: each candidate's n and same, its stored value
 // groups object by object, and no pair below MinShared. Two planted sources
 // share every object and agree on none: their pair is kept with no entries
-// and scores kd == n with kt and kf +0 bit for bit.
+// and scores kd == n with kt and kf +0 bit for bit. The flat join's overlap
+// array is the one reservation it makes: its capacity after the join is
+// flatOverlapBound's.
 //
 // On the same worlds it holds ClassMass's group-to-object lookup, under a
 // ValueSim and with Known labels no source asserts, to classMass over
@@ -224,31 +263,9 @@ func TestCandidatesMatchJoin(t *testing.T) {
 	dropped := 0
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		nS, nO := 6+rng.Intn(20), 4+rng.Intn(30)
-		var claims []model.Claim
-		obj := func(k int) model.ObjectID {
-			return model.ObjectID{Entity: fmt.Sprintf("e%02d", k), Attribute: "a"}
-		}
-		for k := 0; k < nO; k++ {
-			claims = append(claims,
-				model.NewClaim("D0", obj(k), fmt.Sprintf("d0-%d", k)),
-				model.NewClaim("D1", obj(k), fmt.Sprintf("d1-%d", k)))
-		}
-		for i := 0; i < nS; i++ {
-			share := rng.Float64()
-			for k := 0; k < nO; k++ {
-				if rng.Float64() < share {
-					v := fmt.Sprintf("v%d", rng.Intn(1+rng.Intn(4)))
-					claims = append(claims, model.NewClaim(model.SourceID(fmt.Sprintf("S%02d", i)), obj(k), v))
-				}
-			}
-		}
-		d, err := dataset.FromClaims(claims)
-		if err != nil {
-			t.Fatal(err)
-		}
+		d, obj := raggedWorld(t, rng)
 		c := d.Compiled()
-		nS, nO = c.NumSources(), c.NumObjects()
+		nS, nO := c.NumSources(), c.NumObjects()
 
 		cfg := DefaultConfig()
 		cfg.MinShared = 1 + rng.Intn(4)
@@ -265,7 +282,7 @@ func TestCandidatesMatchJoin(t *testing.T) {
 			acc[i] = 0.3 + 0.6*rng.Float64()
 		}
 		logPrior := [3]float64{math.Log(1 - cfg.Alpha), math.Log(cfg.Alpha / 2), math.Log(cfg.Alpha / 2)}
-		sc := newDepenScratch(solver)
+		sc := newDepenScratch(solver, maxMemoSlots)
 
 		groupOf := func(oi int, v string) int32 {
 			for g := c.GroupStart[oi]; g < c.GroupStart[oi+1]; g++ {
@@ -286,6 +303,10 @@ func TestCandidatesMatchJoin(t *testing.T) {
 			}
 			what := fmt.Sprintf("seed %d, partial %v", seed, partial)
 			cands, ov := buildCandidates(c, cfg.MinShared, dirtySrc)
+			if !partial && cap(ov) != flatOverlapBound(c) {
+				t.Fatalf("%s: the overlap array's capacity is %d after the join, its reservation %d",
+					what, cap(ov), flatOverlapBound(c))
+			}
 			next, disagree := 0, 0
 			for i := 0; i < nS; i++ {
 				for j := i + 1; j < nS; j++ {
@@ -354,6 +375,105 @@ func TestCandidatesMatchJoin(t *testing.T) {
 	}
 	if dropped == 0 {
 		t.Fatal("no pair of any world shared fewer objects than MinShared")
+	}
+}
+
+// TestPairMemoMatchesDirect holds the pair step's posterior table to the
+// Bayes step it skips: every candidate of a world is scored twice, through
+// one scratch shared by all of them, whose table hits whenever a pair's
+// (acc[a], acc[b], kt, kf, kd) repeat, and through a fresh scratch of its
+// own, which computes every posterior; the records must agree bit for bit.
+// The worlds are the golden worlds under each golden configuration and the
+// differential suite's saturated world, solved; the wide shape at 120
+// sources, solved, whose pairs repeat their tuples four times over; and
+// ragged worlds (raggedWorld) scored under accuracies of two values and
+// posteriors of exactly 0 or 1, where pairs differ in kd alone and in acc[b]
+// alone, so a key without either returns another pair's posteriors. Each
+// runs at its solve's table size and at one and two slots, where unequal
+// keys keep meeting in a slot.
+func TestPairMemoMatchesDirect(t *testing.T) {
+	// check scores c's flat candidates under (acc, probs) and returns how
+	// many of them repeat another's tuple, and how many pairs of tuples
+	// differ in kd alone and in acc[b] alone.
+	check := func(what string, c *dataset.Compiled, cfg Config, acc, probs []float64) (repeats, kdTwins, bTwins int) {
+		t.Helper()
+		solver := truth.NewDenseSolver(c, cfg.Truth)
+		cands, ov := buildCandidates(c, cfg.MinShared, nil)
+		logPrior := [3]float64{math.Log(1 - cfg.Alpha), math.Log(cfg.Alpha / 2), math.Log(cfg.Alpha / 2)}
+		tuples := map[[5]uint64]bool{}
+		for _, slots := range []int{memoSlots(len(cands)), 1, 2} {
+			shared := newDepenScratch(solver, slots)
+			for _, cand := range cands {
+				got := scorePairDense(solver, cand, ov, probs, acc, cfg, logPrior, shared)
+				want := scorePairDense(solver, cand, ov, probs, acc, cfg, logPrior, newDepenScratch(solver, 1))
+				if got != want || math.Float64bits(got.probAB) != math.Float64bits(want.probAB) ||
+					math.Float64bits(got.probBA) != math.Float64bits(want.probBA) {
+					t.Fatalf("%s, %d slots: pair (%d, %d) scores %+v through the shared table, %+v alone",
+						what, slots, cand.a, cand.b, got, want)
+				}
+				tuples[[5]uint64{math.Float64bits(acc[cand.a]), math.Float64bits(acc[cand.b]),
+					math.Float64bits(got.kt), math.Float64bits(got.kf), math.Float64bits(got.kd)}] = true
+			}
+		}
+		noKd, noB := map[[4]uint64]int{}, map[[4]uint64]int{}
+		for k := range tuples {
+			noKd[[4]uint64{k[0], k[1], k[2], k[3]}]++
+			noB[[4]uint64{k[0], k[2], k[3], k[4]}]++
+		}
+		for _, n := range noKd {
+			kdTwins += n - 1
+		}
+		for _, n := range noB {
+			bTwins += n - 1
+		}
+		return len(cands) - len(tuples), kdTwins, bTwins
+	}
+	solved := func(what string, d *dataset.Dataset, cfg Config) int {
+		t.Helper()
+		st, err := Solve(d, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		repeats, _, _ := check(what, d.Compiled(), cfg, st.acc, st.probs)
+		return repeats
+	}
+
+	for _, seed := range []int64{5, 23, 131} {
+		d := goldenSnapshot(t, seed)
+		for name, cfg := range goldenConfigs(d) {
+			solved(fmt.Sprintf("golden seed %d, %s", seed, name), d, cfg)
+		}
+	}
+	dc := newSaturatedCase(t)
+	base, err := dataset.FromClaims(dc.base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solved("saturated", base, dc.cfg)
+	if repeats := solved("wide, 120 sources", snapshotWorld(t, 120, 30), DefaultConfig()); repeats == 0 {
+		t.Fatal("no pair of the wide world repeats another's tuple: the table never hits")
+	}
+
+	var kdTwins, bTwins int
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d, _ := raggedWorld(t, rng)
+		c := d.Compiled()
+		acc := make([]float64, c.NumSources())
+		for i := range acc {
+			acc[i] = []float64{0.6, 0.8}[rng.Intn(2)]
+		}
+		probs := make([]float64, len(c.GroupValue))
+		for g := range probs {
+			probs[g] = float64(rng.Intn(2))
+		}
+		_, kd, b := check(fmt.Sprintf("ragged seed %d", seed), c, DefaultConfig(), acc, probs)
+		kdTwins += kd
+		bTwins += b
+	}
+	if kdTwins == 0 || bTwins == 0 {
+		t.Fatalf("the ragged worlds have %d tuples differing in kd alone and %d in acc[b] alone, want some of each",
+			kdTwins, bTwins)
 	}
 }
 
@@ -538,7 +658,7 @@ func benchTruthStep(b *testing.B, d *dataset.Dataset) {
 	if dc.sparse {
 		performed = nonUnit
 	}
-	sc := newDepenScratch(solver)
+	sc := newDepenScratch(solver, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

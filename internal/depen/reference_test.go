@@ -459,3 +459,23 @@ func maxAccuracyDelta(a, b map[model.SourceID]float64) float64 {
 	}
 	return max
 }
+
+// sortDeps is the oracle's AllPairs order, by depLess over the named pairs;
+// State.Result reaches it without comparing names.
+func sortDeps(deps []Dependence) {
+	sort.Slice(deps, func(i, j int) bool {
+		return depLess(&deps[i], &deps[j])
+	})
+}
+
+// depLess is the AllPairs ordering: confidence first, pair identity as the
+// deterministic tie-break.
+func depLess(x, y *Dependence) bool {
+	if x.Prob != y.Prob {
+		return x.Prob > y.Prob
+	}
+	if x.Pair.A != y.Pair.A {
+		return x.Pair.A < y.Pair.A
+	}
+	return x.Pair.B < y.Pair.B
+}

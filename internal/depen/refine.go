@@ -22,7 +22,11 @@
 //     (cheap, and it keeps the global accuracy/vote-weight coupling exact),
 //   - rescores only the dirty pairs — pairs with a dirty member, which
 //     includes every pair new to the candidate set — and overwrites their
-//     cells of the table.
+//     cells of the table. A pair's posteriors depend on nothing but its
+//     members' accuracies and its evidence (kt, kf, kd), so each worker
+//     keeps a table of those it has computed this solve and a pair whose
+//     five inputs repeat another's, bit for bit, takes its posteriors from
+//     there (depenScratch.posteriors in compiled.go).
 //
 // Past finding the batch's sources and objects in the index (and, when the
 // batch grew a table, where the new names sorted), no step of it reads a
@@ -278,7 +282,7 @@ func Refine(d *dataset.Dataset, prev *Result, cfg Config) (*Result, error) {
 // the empty predecessor of a flat d.
 //
 // The candidate set is assembled incrementally: a pair either has a dirty
-// member (merge-joined fresh over d's claim lists) or is carried over from
+// member (joined fresh over d's claim lists) or is carried over from
 // the predecessor verbatim — rebuilding the full pair×overlap structure per
 // batch would cost as much as a flat solve.
 func refine(d *dataset.Dataset, prev *State, cfg Config) *State {
@@ -336,11 +340,13 @@ func refine(d *dataset.Dataset, prev *State, cfg Config) *State {
 	next := make([]float64, nS)
 	// Allocated once per solve: every ForNScratch call hands out the same
 	// scratch, in the order it asks (on this goroutine, before its workers run).
+	// Each worker's posterior table is sized by the pairs the solve scores.
 	var scratch []*depenScratch
 	taken := 0
+	slots := memoSlots(len(cands))
 	nextScratch := func() *depenScratch {
 		if taken == len(scratch) {
-			scratch = append(scratch, newDepenScratch(solver))
+			scratch = append(scratch, newDepenScratch(solver, slots))
 		}
 		taken++
 		return scratch[taken-1]

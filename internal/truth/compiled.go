@@ -228,14 +228,21 @@ func (s *DenseSolver) ClassMass(probs []float64, g int32) float64 {
 
 // UpdateAccuracy re-estimates every source's accuracy from the flat
 // posterior vector into next, mirroring the map oracle's UpdateAccuracySim
-// (reference_test.go) in its per-source object order (ascending).
+// (reference_test.go) in its per-source object order (ascending). Without a
+// ValueSim a group's class mass is its own posterior, read directly.
 func (s *DenseSolver) UpdateAccuracy(probs, next []float64) {
 	c := s.c
 	for si := 0; si < c.NumSources(); si++ {
 		start, end := c.SrcStart[si], c.SrcStart[si+1]
 		var sum float64
-		for k := start; k < end; k++ {
-			sum += s.ClassMass(probs, c.SrcGroup[k])
+		if s.cfg.ValueSim == nil {
+			for _, g := range c.SrcGroup[start:end] {
+				sum += probs[g]
+			}
+		} else {
+			for _, g := range c.SrcGroup[start:end] {
+				sum += s.ClassMass(probs, g)
+			}
 		}
 		cnt := float64(end - start)
 		next[si] = stats.ClampProb((sum + s.cfg.PriorA) / (cnt + s.cfg.PriorA + s.cfg.PriorB))
