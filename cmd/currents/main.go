@@ -377,7 +377,7 @@ func runServe(args []string) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "session ready: %d claims, %d sources, %d objects, %d dependent pairs (precompute %v)\n",
-		d.Len(), len(d.Sources()), len(d.Objects()), len(s.Dependence().Dependences),
+		d.Len(), len(d.Sources()), len(d.Objects()), s.NumDependences(),
 		time.Since(start).Round(time.Millisecond))
 
 	if *query != "" {

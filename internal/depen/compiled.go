@@ -6,16 +6,20 @@
 // agree on, built by a gather join (one source's groups scattered over the
 // objects, each partner's claim list looked up in them; every entry writes
 // its group and only a shared, agreeing one is kept, so no branch depends
-// on the data) into an array a flat solve reserves once; the directional
-// posteriors become a flat source×source table, and each worker remembers
-// the posteriors of the (acc[a], acc[b], kt, kf, kd) it has scored, which
-// repeat across pairs; and the per-object discount factors come from one
-// ranking of the sources per round and one of two kernels per value group,
-// which the round's table picks:
+// on the data) into arrays the join reserves exactly once (joinRoom); the
+// directional posteriors become a flat source×source table, and each worker
+// remembers the posteriors of the (acc[a], acc[b], kt, kf, kd) it has
+// scored, which repeat across pairs; and the per-object discount factors
+// come from one ranking of the sources per round and one of two kernels per
+// value group, which the round's table picks:
 //
 //   - where more than an eighth of the pairs have a factor 1 − c·min(dep, 1)
 //     other than exactly 1 (the wide world: 99.8 % of them), the column-wise
-//     product, fillFactorsDense, which multiplies every factor;
+//     product, fillFactorsRanked, which multiplies every factor. Once per
+//     round, the sources are scattered in rank order into rows laid over the
+//     value groups, so every group's members lie ranked without a sort, and
+//     every factor is evaluated once into a table over pairs of ranks; the
+//     kernel multiplies table entries;
 //   - where fewer do (the mid world: its pairs share 400 objects, so every
 //     posterior but the planted copiers' rounds the factor to 1), the partner
 //     lists, fillFactorsSparse: each source's partners, the sources ranked
@@ -27,9 +31,10 @@
 // its computation gave, found under the exact bits of all its inputs.
 // Iteration, summation and product orders match the reference exactly, so
 // results are bit-identical (enforced by the golden equivalence tests,
-// TestFillFactorsMatchOracle for both kernels, the differential suite's
-// saturated world, whose table takes the partner lists, and
-// TestPairMemoMatchesDirect for the posterior tables).
+// TestFillFactorsMatchOracle for both kernels, TestRankedGroupsMatchSort for
+// the ranked rows, the differential suite's saturated world, whose table
+// takes the partner lists, and TestPairMemoMatchesDirect for the posterior
+// tables).
 package depen
 
 import (
@@ -59,13 +64,18 @@ type overlaps []int32
 // depenScratch is one worker's buffers for both the per-object truth step
 // (score + discount factors) and the per-pair Bayes step.
 type depenScratch struct {
-	ds     *truth.DenseScratch
-	keys   []uint64 // fillFactorsDense's four, the largest value group long;
-	ord    []int32  // fillFactorsSparse reuses ord and fac
+	ds *truth.DenseScratch
+	// The largest value group long: the ranked kernel's ranks (ord) and
+	// products (f); the partner lists' members with a list (ord) and factors
+	// (fac).
+	ord    []int32
 	f, fac []float64
-	in     []bool // fillFactorsSparse's group members, one per source; made on first use
-	logs   [3]float64
-	post   [3]float64
+	// One per source, made on first use: the ranked kernel's factors by
+	// source, and the partner lists' group members.
+	facOf []float64
+	in    []bool
+	logs  [3]float64
+	post  [3]float64
 	// memo is the pair step's posterior table, direct-mapped and a power of
 	// two long: a key's slot is its hash shifted right by memoShift, 64 less
 	// the table's log2 length.
@@ -100,25 +110,57 @@ func memoSlots(pairs int) int {
 // scratch never outlives its solve.
 func newDepenScratch(solver *truth.DenseSolver, slots int) *depenScratch {
 	k := solver.Compiled().MaxSourcesPerGroup()
-	return &depenScratch{ds: solver.NewScratch(), keys: make([]uint64, k), ord: make([]int32, k),
+	return &depenScratch{ds: solver.NewScratch(), ord: make([]int32, k),
 		f: make([]float64, k), fac: make([]float64, k),
 		memo: make([]memoEntry, slots), memoShift: uint(64 - bits.TrailingZeros(uint(slots)))}
 }
 
-// flatOverlapBound is the overlap room a flat join can need at most: every
-// pair's shared objects, Σ_o C(k_o, 2) over the objects' claimant counts
-// k_o, which bounds what the kept pairs store, plus the room the join
-// writes into ahead of a pair's verdict, at most the longest row and one.
-func flatOverlapBound(c *dataset.Compiled) int {
-	var shared, longest int
+// joinRoom is what buildCandidates reserves for a join of the pairs with a
+// member dirtySrc marks (every pair when it is nil), so that neither array
+// regrows. cands is the lesser of the number of those pairs and Σ_o C(k_o, 2)
+// over the objects' claimant counts k_o, which bounds the pairs sharing an
+// object. overlap is exactly what those pairs can store: a pair's entries are
+// the value groups both members assert, so Σ_g [C(|g|, 2) − C(|g ∖ dirty|, 2)]
+// over the value groups, plus the room the join writes into ahead of a pair's
+// verdict, at most the longest row and one.
+func joinRoom(c *dataset.Compiled, dirtySrc []bool) (cands, overlap int) {
+	nS := c.NumSources()
+	pairs := nS * (nS - 1) / 2
+	if dirtySrc != nil {
+		clean := nS - countTrue(dirtySrc)
+		pairs -= clean * (clean - 1) / 2
+	}
+	shared := 0
 	for oi := 0; oi < c.NumObjects(); oi++ {
 		k := int(c.GroupSrcStart[c.GroupStart[oi+1]] - c.GroupSrcStart[c.GroupStart[oi]])
 		shared += k * (k - 1) / 2
 	}
-	for i := 0; i < c.NumSources(); i++ {
+	for g := range c.GroupValue {
+		srcs := c.GroupSrc[c.GroupSrcStart[g]:c.GroupSrcStart[g+1]]
+		k, clean := len(srcs), 0
+		for _, s := range srcs {
+			if dirtySrc != nil && !dirtySrc[s] {
+				clean++
+			}
+		}
+		overlap += k*(k-1)/2 - clean*(clean-1)/2
+	}
+	longest := 0
+	for i := 0; i < nS; i++ {
 		longest = max(longest, int(c.SrcStart[i+1]-c.SrcStart[i]))
 	}
-	return shared + longest + 1
+	return min(pairs, shared), overlap + longest + 1
+}
+
+// countTrue counts the marked entries of a mask.
+func countTrue(mask []bool) int {
+	n := 0
+	for _, m := range mask {
+		if m {
+			n++
+		}
+	}
+	return n
 }
 
 // buildCandidates joins the claim lists of every source pair with a dirty
@@ -133,16 +175,13 @@ func flatOverlapBound(c *dataset.Compiled) int {
 // the data: every entry of j's row writes its group, and only a shared and
 // agreeing one keeps it by moving the write index past it.
 func buildCandidates(c *dataset.Compiled, minShared int, dirtySrc []bool) ([]pairCand, overlaps) {
-	var cands []pairCand
-	var ov overlaps
-	if dirtySrc == nil {
-		// One reservation for the whole flat join, so the array never
-		// regrows or leaves its outgrown copies behind: 18.1 MB on the bench's
-		// wide world, of which the kept pairs use 9.6 MB. A refine's dirty
-		// pairs are a small part of the bound, so its array grows by
-		// doubling.
-		ov = make(overlaps, 0, flatOverlapBound(c))
-	}
+	// One reservation each, so neither array regrows or leaves its outgrown
+	// copies behind: on the 550-source × 30-object world of
+	// BenchmarkTruthStepWide a flat join reserves 10.35 MB of overlap, and
+	// its pairs use all but 31 entries of it.
+	nCands, nOv := joinRoom(c, dirtySrc)
+	cands := make([]pairCand, 0, nCands)
+	ov := make(overlaps, 0, nOv)
 	nS := c.NumSources()
 	// groupOf[o] is one more than row i's group for object o, and 0 where
 	// row i does not claim o; scattered on i's first candidate pair and
@@ -165,11 +204,8 @@ func buildCandidates(c *dataset.Compiled, minShared int, dirtySrc []bool) ([]pai
 			bi, be := c.SrcStart[j], c.SrcStart[j+1]
 			// Room for the pair's largest possible overlap, and one more for
 			// the write past its end an entry of j's row i does not claim
-			// makes.
+			// makes: joinRoom left at least that past what the kept pairs use.
 			need := int(min(ae-ai, be-bi)) + 1
-			if cap(ov)-len(ov) < need {
-				ov = slices.Grow(ov, max(need, cap(ov)))
-			}
 			off := int32(len(ov))
 			n, w := gather(groupOf, c.SrcObj[bi:be], c.SrcGroup[bi:be], ov[off:int(off)+need])
 			if int(n) < minShared {
@@ -211,10 +247,13 @@ func gather(groupOf, objs, grps, buf []int32) (n, w int32) {
 
 // discount is one round's vote-discount inputs, which the truth step's
 // workers share read-only: the round's ranking of the sources, the totals
-// going into the round, and, when the table is sparse, each source's
-// partners. on is false while no verdict exists (round 1 of a flat solve):
-// every factor is then exactly 1 and scoring skips the discount.
+// going into the round, and what the kernel the table picks reads: when the
+// table is sparse, each source's partners, and when it is dense, the value
+// groups ranked and the factor table. on is false while no verdict exists
+// (round 1 of a flat solve): every factor is then exactly 1 and scoring skips
+// the discount.
 type discount struct {
+	c          *dataset.Compiled
 	on         bool
 	order, pos []int32
 	tot        []float64
@@ -225,6 +264,20 @@ type discount struct {
 	partStart []int32
 	part      []partner
 	keys      []uint64
+	// Built in a dense round, allocated in the first: value group g's members
+	// in rank order are ranked[GroupSrcStart[g]:GroupSrcStart[g+1]] (next is
+	// the scatter's cursor per group), and table holds the factor
+	// 1 − c·min(tot[order[i]][order[j]], 1) of each pair of ranks i < j at
+	// row(i)[j], a packed upper triangle of nS(nS+1)/2 entries.
+	ranked, next []int32
+	table        []float64
+}
+
+// newDiscount makes the discount of a solve over c whose rounds read the
+// totals table tot; on says whether it holds a verdict yet.
+func newDiscount(c *dataset.Compiled, tot []float64, copyRate float64, on bool) *discount {
+	nS := c.NumSources()
+	return &discount{c: c, on: on, order: make([]int32, nS), pos: make([]int32, nS), tot: tot, copyRate: copyRate}
 }
 
 // partner is a source q ranked above the list's owner s whose factor for s,
@@ -236,11 +289,58 @@ type partner struct {
 
 // rank ranks the sources by acc for the round about to run and picks its
 // kernel: the partner lists when at most an eighth of the table's pairs have
-// a factor other than exactly 1, the column-wise product otherwise.
+// a factor other than exactly 1, the column-wise product otherwise, for
+// which it ranks the value groups and fills the factor table.
 func (dc *discount) rank(acc []float64) {
 	rankSources(acc, dc.order, dc.pos)
 	nS := len(dc.pos)
 	dc.sparse = dc.on && dc.partners(nS*(nS-1)/16)
+	if dc.on && !dc.sparse {
+		dc.rankGroups()
+		dc.fillTable()
+	}
+}
+
+// rankGroups lays every value group's members out in rank order: it walks
+// the sources by rank over their claim rows and appends each to the row of
+// the group it asserts, one pass over the claims where a sort per group
+// would cost Σ k log k.
+func (dc *discount) rankGroups() {
+	c := dc.c
+	nG := len(c.GroupValue)
+	if dc.ranked == nil {
+		dc.ranked, dc.next = make([]int32, len(c.GroupSrc)), make([]int32, nG)
+	}
+	next := dc.next
+	copy(next, c.GroupSrcStart[:nG])
+	for _, s := range dc.order {
+		for _, g := range c.SrcGroup[c.SrcStart[s]:c.SrcStart[s+1]] {
+			dc.ranked[next[g]] = s
+			next[g]++
+		}
+	}
+}
+
+// fillTable evaluates every pair's factor once for the round, in rank space:
+// row(i)[j] = 1 − c·min(dep, 1) of the cell tot[order[i]][order[j]], i < j.
+func (dc *discount) fillTable() {
+	nS, tot, c := len(dc.pos), dc.tot, dc.copyRate
+	if dc.table == nil {
+		dc.table = make([]float64, nS*(nS+1)/2)
+	}
+	for i := 0; i < nS; i++ {
+		from, row := tot[int(dc.order[i])*nS:][:nS], dc.row(int32(i))
+		for j := i + 1; j < nS; j++ {
+			row[j] = indep(from, dc.order[j], c)
+		}
+	}
+}
+
+// row returns the factor table's row of rank i, indexed by rank: its entries
+// past i are rank i's factors; those up to i belong to earlier rows.
+func (dc *discount) row(i int32) []float64 {
+	nS, r := len(dc.pos), int(i)
+	return dc.table[r*nS-r*(r+1)/2:][:nS]
 }
 
 // partners builds every source's partner list under the current ranking
@@ -302,7 +402,7 @@ func (dc *discount) partners(limit int) bool {
 	return true
 }
 
-// fillFactorsSparse is fillFactorsDense from the round's partner lists:
+// fillFactorsSparse is fillFactorsRanked from the round's partner lists:
 // member s's factor is the product of the f of its partners that are in the
 // group, taken in the list's rank order. Every factor the dense product
 // multiplies and this one skips is exactly 1, and x·1 == x, so the two give
@@ -340,58 +440,56 @@ func fillFactorsSparse(srcs []int32, dc *discount, sc *depenScratch) []float64 {
 	return fac
 }
 
-// fillFactorsDense is discountTable.fillFactors over the dense view: rank the
-// group's sources by (accuracy desc, index asc) — by pos, the round's global
-// rank — and charge each one the probability it did not copy from any
-// higher-ranked source. The factors come back positioned to match srcs. It
-// runs where the round's table is dense; where it is sparse, most of its
+// fillFactorsRanked is discountTable.fillFactors over the dense view: charge
+// each of a group's members, ranked (accuracy desc, index asc) by the
+// round's rankGroups, the probability it did not copy from any
+// higher-ranked one, and store it in the worker's facOf by source. It runs
+// where the round's table is dense; where it is sparse, most of its
 // multiplies would be by exactly 1 and fillFactorsSparse skips them.
-// The product runs column-wise: each ranked source q in turn scales every
-// lower-ranked f[r] by 1 − c·min(dep(q, r), 1), four q to one load and store
-// of f[r]. Every f[r] still takes its factors in the order q = 0 … r−1 — the
+// The product runs column-wise: each ranked member q in turn scales every
+// lower-ranked f[r] by its factor, four q to one load and store of f[r].
+// Every f[r] still takes its factors in the order q = 0 … r−1 — the
 // reference's operations in its order, so its bits — but the inner iterations
-// are independent instead of one chain of multiplies per source. The cell
-// read, tot[q's row][r's column], is the transpose of the reference's: tot is
+// are independent instead of one chain of multiplies per member. A factor is
+// read from the round's table along q's row, at r's rank: the value indep
+// gives for the cell tot[q][r], the transpose of the reference's; tot is
 // symmetric, both cells of a pair always being written together (refine,
 // carry, StateFromParts; TestTotalsSymmetric).
-func fillFactorsDense(srcs, pos []int32, tot []float64, copyRate float64, sc *depenScratch) []float64 {
-	k, nS := len(srcs), len(pos)
-	keys, ord, f, fac := sc.keys[:k], sc.ord[:k], sc.f[:k], sc.fac[:k]
-	for p, s := range srcs {
-		keys[p] = uint64(pos[s])<<32 | uint64(p)
-	}
-	slices.Sort(keys)
-	for r, key := range keys {
-		ord[r] = srcs[uint32(key)]
+func fillFactorsRanked(ranked []int32, dc *discount, sc *depenScratch) {
+	k := len(ranked)
+	rk, f := sc.ord[:k], sc.f[:k]
+	for r, s := range ranked {
+		rk[r] = dc.pos[s]
 		f[r] = 1
 	}
-	row := func(q int) []float64 { return tot[int(ord[q])*nS:][:nS] }
 	for q := 0; q < k; q += 4 {
 		// The block's own triangle, then everything ranked below it.
 		hi := min(q+4, k)
 		for i := q; i < hi; i++ {
-			ri := row(i)
+			ri := dc.row(rk[i])
 			for r := i + 1; r < hi; r++ {
-				f[r] *= indep(ri, ord[r], copyRate)
+				f[r] *= ri[rk[r]]
 			}
 		}
 		if hi == k {
 			break
 		}
-		r0, r1, r2, r3 := row(q), row(q+1), row(q+2), row(q+3)
+		r0, r1, r2, r3 := dc.row(rk[q]), dc.row(rk[q+1]), dc.row(rk[q+2]), dc.row(rk[q+3])
 		for r := hi; r < k; r++ {
-			s, x := ord[r], f[r]
-			x *= indep(r0, s, copyRate)
-			x *= indep(r1, s, copyRate)
-			x *= indep(r2, s, copyRate)
-			x *= indep(r3, s, copyRate)
+			j, x := rk[r], f[r]
+			x *= r0[j]
+			x *= r1[j]
+			x *= r2[j]
+			x *= r3[j]
 			f[r] = x
 		}
 	}
-	for r, key := range keys {
-		fac[uint32(key)] = f[r]
+	if sc.facOf == nil {
+		sc.facOf = make([]float64, len(dc.pos))
 	}
-	return fac
+	for r, s := range ranked {
+		sc.facOf[s] = f[r]
+	}
 }
 
 // indep is 1 − c·min(dep, 1) for the cell of source s in a row of totals.
@@ -418,16 +516,19 @@ func scoreObjectDiscounted(solver *truth.DenseSolver, oi int, weights []float64,
 	scores := sc.ds.Scores(int(ge - gs))
 	for k := range scores {
 		g := gs + int32(k)
-		srcs := c.GroupSrc[c.GroupSrcStart[g]:c.GroupSrcStart[g+1]]
-		var fac []float64
-		if dc.sparse {
-			fac = fillFactorsSparse(srcs, dc, sc)
-		} else {
-			fac = fillFactorsDense(srcs, dc.pos, dc.tot, dc.copyRate, sc)
-		}
+		lo, hi := c.GroupSrcStart[g], c.GroupSrcStart[g+1]
+		srcs := c.GroupSrc[lo:hi]
 		var cum float64
-		for p, si := range srcs {
-			cum += weights[si] * fac[p]
+		if dc.sparse {
+			fac := fillFactorsSparse(srcs, dc, sc)
+			for p, si := range srcs {
+				cum += weights[si] * fac[p]
+			}
+		} else {
+			fillFactorsRanked(dc.ranked[lo:hi], dc, sc)
+			for _, si := range srcs {
+				cum += weights[si] * sc.facOf[si]
+			}
 		}
 		scores[k] = cum
 	}

@@ -71,10 +71,8 @@ func (st *State) Delta(d *dataset.Dataset, since int) (Delta, error) {
 		post = append(post, st.probs[c.GroupStart[oi]:c.GroupStart[oi+1]]...)
 	}
 	var fresh []pairRec
-	for _, p := range st.pairs {
-		if dirtySrc[p.a] || dirtySrc[p.b] {
-			fresh = append(fresh, p)
-		}
+	for _, r := range dirtyRuns(st.pairs, dirtySrc) {
+		fresh = append(fresh, st.pairs[r[0]:r[1]]...)
 	}
 	var pairs []byte
 	if len(fresh) > 0 {

@@ -258,7 +258,7 @@ func TestDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		nS := base.Compiled().NumSources()
-		disc := &discount{on: true, order: make([]int32, nS), pos: make([]int32, nS), tot: st.tot, copyRate: dc.cfg.CopyRate}
+		disc := newDiscount(base.Compiled(), st.tot, dc.cfg.CopyRate, true)
 		disc.rank(st.acc)
 		_, nonUnit := discountMuls(base.Compiled(), disc)
 		if !disc.sparse || nonUnit == 0 {

@@ -1,11 +1,14 @@
 package depen
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"sourcecurrents/internal/dataset"
 	"sourcecurrents/internal/model"
@@ -14,13 +17,15 @@ import (
 )
 
 // TestFillFactorsMatchOracle holds both discount kernels, the column-wise
-// product and the partner lists, to the reference product loop
-// (discountTable.fillFactors) bit for bit on groups the seeded worlds of the
-// differential suite never reach: sizes on both sides of every block
-// boundary and one as large as the wide world's, accuracy ties (broken by
-// index), and cells that are exactly 0, exactly 1, and above 1 (clamped).
-// Bystanders voting another value sit between the members in index order, so
-// a group's positions and its sources' indexes differ.
+// product over the ranked rows and the factor table and the partner lists, to
+// the reference product loop (discountTable.fillFactors) bit for bit on
+// groups the seeded worlds of the differential suite never reach: sizes on
+// both sides of every block boundary and one as large as the wide world's,
+// accuracy ties (broken by index), and cells that are exactly 0, exactly 1,
+// and above 1 (clamped). Bystanders voting another value sit between the
+// members in index order, so a group's positions, its sources' indexes and
+// their ranks all differ. The members are ranked by the round's own scatter
+// (rankGroups) and the factors read back by source.
 //
 // Each group is drawn twice: over a dense table, and over a sparse one whose
 // cells are mostly exactly 0 or too small to move a factor off 1 (dep ≤
@@ -112,11 +117,13 @@ func TestFillFactorsMatchOracle(t *testing.T) {
 				if len(srcs) != k || len(want) != k {
 					t.Fatalf("k=%d: group has %d sources, oracle %d", k, len(srcs), len(want))
 				}
-				dc := &discount{on: true, order: make([]int32, nS), pos: make([]int32, nS), tot: tot, copyRate: copyRate}
+				dc := newDiscount(c, tot, copyRate, true)
 				rankSources(acc, dc.order, dc.pos)
 				if !dc.partners(nS * nS) {
 					t.Fatalf("k=%d seed=%d: partner lists refused with no limit", k, seed)
 				}
+				dc.rankGroups()
+				dc.fillTable()
 				for _, s := range srcs {
 					above := 0
 					for _, pt := range dc.part[dc.partStart[s]:dc.partStart[s+1]] {
@@ -128,7 +135,15 @@ func TestFillFactorsMatchOracle(t *testing.T) {
 				}
 				sc := newDepenScratch(truth.NewDenseSolver(c, truth.DefaultConfig()), 1)
 				for kernel, fill := range map[string]func() []float64{
-					"dense":  func() []float64 { return fillFactorsDense(srcs, dc.pos, tot, copyRate, sc) },
+					"ranked": func() []float64 {
+						clear(sc.facOf)
+						fillFactorsRanked(dc.ranked[c.GroupSrcStart[g]:c.GroupSrcStart[g+1]], dc, sc)
+						fac := make([]float64, len(srcs))
+						for p, s := range srcs {
+							fac[p] = sc.facOf[s]
+						}
+						return fac
+					},
 					"sparse": func() []float64 { return fillFactorsSparse(srcs, dc, sc) },
 				} {
 					got := fill()
@@ -150,14 +165,28 @@ func TestFillFactorsMatchOracle(t *testing.T) {
 // TestDiscountSwitch holds the kernel choice to its rule, that the table
 // alone picks: the partner lists when at most an eighth of the pairs have a
 // factor other than exactly 1 (here 66 of 33 sources' 528), the column-wise
-// product otherwise, with nothing allocated for lists it does not build.
-// Each list it builds must be exactly the sources ranked above its owner
-// whose factor for it is off 1, in rank order, with that factor's bits —
-// also when one discount is rebuilt over a sparser table, as the rounds of
-// a solve rebuild it.
+// product otherwise, with nothing allocated for what the kernel it does not
+// pick reads: a dense round builds no partner list, and a sparse one neither
+// the ranked rows nor the factor table, which a dense round allocates once
+// for the solve. Each list it builds must be exactly the sources ranked
+// above its owner whose factor for it is off 1, in rank order, with that
+// factor's bits — also when one discount is rebuilt over a sparser table, as
+// the rounds of a solve rebuild it.
 func TestDiscountSwitch(t *testing.T) {
 	const nS, copyRate, limit = 33, 0.8, 33 * 32 / 16
 	rng := rand.New(rand.NewSource(5))
+	var claims []model.Claim
+	for i := 0; i < nS; i++ {
+		for k := 0; k < 3; k++ {
+			o := model.ObjectID{Entity: fmt.Sprintf("e%d", (i+k)%7), Attribute: "a"}
+			claims = append(claims, model.NewClaim(model.SourceID(fmt.Sprintf("S%02d", i)), o, fmt.Sprintf("v%d", rng.Intn(3))))
+		}
+	}
+	d, err := dataset.FromClaims(claims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := d.Compiled()
 	acc := make([]float64, nS)
 	for i := range acc {
 		acc[i] = 0.5 + 0.1*float64(rng.Intn(4))
@@ -180,15 +209,23 @@ func TestDiscountSwitch(t *testing.T) {
 		}
 		return tot
 	}
-	dc := &discount{on: true, order: make([]int32, nS), pos: make([]int32, nS), copyRate: copyRate}
-	dc.tot = table(limit + 1)
+	dc := newDiscount(c, table(limit+1), copyRate, true)
 	if dc.rank(acc); dc.sparse || dc.partStart != nil || dc.part != nil || dc.keys != nil {
 		t.Fatalf("%d pairs off 1 of %d: sparse %v, lists allocated %v", limit+1, nS*(nS-1)/2, dc.sparse, dc.partStart != nil)
 	}
+	if len(dc.ranked) != len(c.GroupSrc) || len(dc.table) != nS*(nS+1)/2 {
+		t.Fatalf("%d pairs off 1: a dense round built %d ranked members of %d and a table of %d entries, want %d",
+			limit+1, len(dc.ranked), len(c.GroupSrc), len(dc.table), nS*(nS+1)/2)
+	}
+	dc = newDiscount(c, nil, copyRate, true)
 	for _, off := range []int{limit, 10, 0} {
 		dc.tot = table(off)
 		if dc.rank(acc); !dc.sparse || len(dc.part) != off {
 			t.Fatalf("%d pairs off 1: sparse %v with %d partners", off, dc.sparse, len(dc.part))
+		}
+		if dc.ranked != nil || dc.next != nil || dc.table != nil {
+			t.Fatalf("%d pairs off 1: a sparse round allocated the ranked rows (%v) or the factor table (%v)",
+				off, dc.ranked != nil, dc.table != nil)
 		}
 		for s := int32(0); s < nS; s++ {
 			var want []partner
@@ -204,6 +241,89 @@ func TestDiscountSwitch(t *testing.T) {
 				t.Fatalf("%d pairs off 1: source %d (rank %d) has partners %v, want %v", off, s, dc.pos[s], got, want)
 			}
 		}
+	}
+}
+
+// TestRankedGroupsMatchSort holds what a dense round's rank lays out for the
+// ranked kernel, at every dense round of the differential suite's worlds and
+// schedules (sources held out of the base, so chains add them) and of a
+// wide-shaped world with a source-major batch, an object-major one, and a new
+// source that sorts first: every value group's ranked row is its GroupSrc row
+// sorted by the round's ranks, and every entry of the factor table is indep
+// of the totals the round reads, under the round's ranking.
+func TestRankedGroupsMatchSort(t *testing.T) {
+	dense := 0
+	check := func(what string) func(*discount) {
+		return func(dc *discount) {
+			if !dc.on || dc.sparse {
+				return
+			}
+			dense++
+			c, nS := dc.c, len(dc.pos)
+			for g := range c.GroupValue {
+				want := slices.Clone(c.GroupSrc[c.GroupSrcStart[g]:c.GroupSrcStart[g+1]])
+				slices.SortFunc(want, func(x, y int32) int { return cmp.Compare(dc.pos[x], dc.pos[y]) })
+				if got := dc.ranked[c.GroupSrcStart[g]:c.GroupSrcStart[g+1]]; !slices.Equal(got, want) {
+					t.Fatalf("%s: group %d ranked %v, sorted by rank %v", what, g, got, want)
+				}
+			}
+			for i := int32(0); i < int32(nS); i++ {
+				row, from := dc.row(i), dc.tot[int(dc.order[i])*nS:][:nS]
+				for j := i + 1; j < int32(nS); j++ {
+					if f := indep(from, dc.order[j], dc.copyRate); math.Float64bits(row[j]) != math.Float64bits(f) {
+						t.Fatalf("%s: table[%d][%d] = %v, the round's totals give %v", what, i, j, row[j], f)
+					}
+				}
+			}
+		}
+	}
+	defer func() { rankedHook = nil }()
+	chain := func(what string, base *dataset.Dataset, batches [][]model.Claim, cfg Config) {
+		t.Helper()
+		rankedHook = check(what)
+		st, err := Solve(base, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur := base
+		for e, batch := range batches {
+			rankedHook = check(fmt.Sprintf("%s, epoch %d", what, e+1))
+			if cur, err = cur.Append(batch); err != nil {
+				t.Fatal(err)
+			}
+			if st, err = Solve(cur, st, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	seeds := 32
+	if testing.Short() {
+		seeds = 4
+	}
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		dc := newDiffCase(t, seed)
+		base, err := dataset.FromClaims(dc.base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain(fmt.Sprintf("seed %d", seed), base, dc.batches, dc.cfg)
+	}
+	fromDiff := dense
+
+	wide := snapshotWorld(t, 120, 30)
+	srcs, objs := wide.Sources(), wide.Objects()
+	var srcMajor, objMajor, first []model.Claim
+	for _, o := range objs {
+		v, _ := wide.Value(srcs[0], o)
+		srcMajor = append(srcMajor, model.NewClaim(srcs[7], o, v))
+		first = append(first, model.NewClaim("!first", o, v))
+	}
+	for _, s := range srcs {
+		objMajor = append(objMajor, model.NewClaim(s, objs[3], "fresh"))
+	}
+	chain("wide", wide, [][]model.Claim{srcMajor, objMajor, first}, DefaultConfig())
+	if fromDiff == 0 || dense == fromDiff {
+		t.Fatalf("dense rounds checked: %d in the differential worlds, %d in the wide one", fromDiff, dense-fromDiff)
 	}
 }
 
@@ -251,9 +371,12 @@ func raggedWorld(t *testing.T, rng *rand.Rand) (*dataset.Dataset, func(int) mode
 // a random part of them: each candidate's n and same, its stored value
 // groups object by object, and no pair below MinShared. Two planted sources
 // share every object and agree on none: their pair is kept with no entries
-// and scores kd == n with kt and kf +0 bit for bit. The flat join's overlap
-// array is the one reservation it makes: its capacity after the join is
-// flatOverlapBound's.
+// and scores kd == n with kt and kf +0 bit for bit. Each join, flat and
+// partial, makes one reservation per array and never regrows it: after the
+// join the overlap array's capacity is Σ_g [C(|g|, 2) − C(|g ∖ dirty|, 2)]
+// plus the longest row and one, and the candidate list's is the lesser of
+// the pairs with a dirty member and Σ_o C(k_o, 2), both counted here member
+// by member.
 //
 // On the same worlds it holds ClassMass's group-to-object lookup, under a
 // ValueSim and with Known labels no source asserts, to classMass over
@@ -303,9 +426,34 @@ func TestCandidatesMatchJoin(t *testing.T) {
 			}
 			what := fmt.Sprintf("seed %d, partial %v", seed, partial)
 			cands, ov := buildCandidates(c, cfg.MinShared, dirtySrc)
-			if !partial && cap(ov) != flatOverlapBound(c) {
-				t.Fatalf("%s: the overlap array's capacity is %d after the join, its reservation %d",
-					what, cap(ov), flatOverlapBound(c))
+			isDirty := func(s int32) bool { return dirtySrc == nil || dirtySrc[s] }
+			var wantOv, longest, dirtyPairs, sharedPairs int
+			for g := range c.GroupValue {
+				for p, s := range c.GroupSrc[c.GroupSrcStart[g]:c.GroupSrcStart[g+1]] {
+					for _, q := range c.GroupSrc[c.GroupSrcStart[g]:][:p] {
+						if isDirty(s) || isDirty(q) {
+							wantOv++
+						}
+					}
+				}
+			}
+			for i := 0; i < nS; i++ {
+				longest = max(longest, int(c.SrcStart[i+1]-c.SrcStart[i]))
+				for j := i + 1; j < nS; j++ {
+					if isDirty(int32(i)) || isDirty(int32(j)) {
+						dirtyPairs++
+					}
+				}
+			}
+			for oi := 0; oi < nO; oi++ {
+				k := int(c.GroupSrcStart[c.GroupStart[oi+1]] - c.GroupSrcStart[c.GroupStart[oi]])
+				sharedPairs += k * (k - 1) / 2
+			}
+			if want := wantOv + longest + 1; cap(ov) != want {
+				t.Fatalf("%s: the overlap array's capacity is %d after the join, want %d", what, cap(ov), want)
+			}
+			if want := min(dirtyPairs, sharedPairs); cap(cands) != want {
+				t.Fatalf("%s: the candidate list's capacity is %d after the join, want %d", what, cap(cands), want)
 			}
 			next, disagree := 0, 0
 			for i := 0; i < nS; i++ {
@@ -506,16 +654,26 @@ func imported(st *State, c *dataset.Compiled, cfg Config) *State {
 // included — and checks every epoch's state, the state StateFromParts
 // assembles from its Result, and the successor refined from that.
 //
-// On the same walk it holds mergePairs to mergePairsRef, the two-pass
-// record-by-record merge it replaced: the inputs of every epoch's merge are
-// recovered from its output and merged again both ways.
+// On the same walk it holds the two users of dirtyRuns to a scan of every
+// record: mergePairs to mergePairsRef, the two-pass record-by-record merge it
+// replaced (the inputs of every epoch's merge are recovered from its output
+// and merged again both ways), with no slack in the merged list; and
+// State.Delta's records, since the epoch before and since epoch 0, to the
+// records with a member the batches since then name. The walk ends with
+// newEnumerationCase, whose batches dirty the first and the last source, a
+// source in no candidate pair and all sources but one, add a source, and make
+// a dirty pair newly reach MinShared; each must be seen.
 func TestTotalsSymmetric(t *testing.T) {
 	seeds := 32
 	if testing.Short() {
 		seeds = 4
 	}
+	cases := map[string]diffCase{"enumeration": newEnumerationCase(t)}
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		dc := newDiffCase(t, seed)
+		cases[fmt.Sprintf("seed %d", seed)] = newDiffCase(t, seed)
+	}
+	seen := map[string]bool{}
+	for name, dc := range cases {
 		cur, err := dataset.FromClaims(dc.base)
 		if err != nil {
 			t.Fatal(err)
@@ -524,9 +682,9 @@ func TestTotalsSymmetric(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkDense(t, fmt.Sprintf("seed %d, flat", seed), st)
+		checkDense(t, name+", flat", st)
 		for e, batch := range dc.batches {
-			what := fmt.Sprintf("seed %d, epoch %d", seed, e+1)
+			what := fmt.Sprintf("%s, epoch %d", name, e+1)
 			prev := st
 			if cur, err = cur.Append(batch); err != nil {
 				t.Fatal(err)
@@ -543,24 +701,136 @@ func TestTotalsSymmetric(t *testing.T) {
 			checkDense(t, what+", refined from an import", viaImport)
 
 			c := cur.Compiled()
+			nS := c.NumSources()
 			dirtySrc, _, _ := dirtySets(c, batch, false)
-			srcOf := grownIndex(prev.c.NumSources(), c.NumSources(), dirtySrc,
+			srcOf := grownIndex(prev.c.NumSources(), nS, dirtySrc,
 				func(i, j int) bool { return c.Source(i) == prev.c.Source(j) })
-			var fresh []pairRec
-			for _, p := range st.pairs {
-				if dirtySrc[p.a] || dirtySrc[p.b] {
-					fresh = append(fresh, p)
-				}
-			}
+			fresh := slices.Clip(scanDirty(st.pairs, dirtySrc))
 			want := mergePairsRef(prev, srcOf, dirtySrc, fresh)
 			if got := mergePairs(prev, srcOf, dirtySrc, fresh); !slices.Equal(got, want) || !slices.Equal(got, st.pairs) {
 				t.Fatalf("%s: mergePairs differs from the reference merge (%d, %d, %d records)",
 					what, len(got), len(want), len(st.pairs))
-			} else if slack := cap(got) - len(got); len(got) > len(fresh) && slack > len(fresh) {
-				t.Fatalf("%s: merged list carries %d records of slack, %d fresh", what, slack, len(fresh))
+			} else if cap(got) != len(got) {
+				t.Fatalf("%s: merged list of %d records carries %d of slack", what, len(got), cap(got)-len(got))
+			}
+			for _, since := range []int{e, 0} {
+				dl, err := st.Delta(cur, since)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dirty, _, _ := dirtySets(c, cur.Claims()[cur.LogBounds()[since]:], false)
+				if want := scanDirty(st.pairs, dirty); !bytes.Equal(dl.Pairs, recBytes(want)) {
+					t.Fatalf("%s: the delta since epoch %d carries %d records, a scan finds %d",
+						what, since, len(dl.Pairs)/pairRecBytes, len(want))
+				}
+			}
+
+			if name != "enumeration" {
+				continue
+			}
+			inPair := map[int32]bool{}
+			for _, p := range append(slices.Clone(st.pairs), prev.pairs...) {
+				inPair[p.a], inPair[p.b] = true, true
+			}
+			for s, d := range dirtySrc {
+				if d && !inPair[int32(s)] && s < prev.c.NumSources() {
+					seen["a dirty source in no pair"] = true
+				}
+			}
+			seen["the first source dirty"] = seen["the first source dirty"] || dirtySrc[0]
+			seen["the last source dirty"] = seen["the last source dirty"] || dirtySrc[nS-1]
+			seen["all sources but one dirty"] = seen["all sources but one dirty"] || countTrue(dirtySrc) == nS-1
+			seen["a source added"] = seen["a source added"] || srcOf != nil
+			old := map[[2]model.SourceID]bool{}
+			for _, p := range prev.pairs {
+				old[[2]model.SourceID{prev.c.Source(int(p.a)), prev.c.Source(int(p.b))}] = true
+			}
+			for _, p := range fresh {
+				a, b := c.Source(int(p.a)), c.Source(int(p.b))
+				if !old[[2]model.SourceID{a, b}] && a != "B045" && b != "B045" {
+					seen["a fresh pair of old sources absent from the old list"] = true
+				}
 			}
 		}
 	}
+	for _, what := range []string{"the first source dirty", "the last source dirty", "a dirty source in no pair",
+		"all sources but one dirty", "a source added", "a fresh pair of old sources absent from the old list"} {
+		if !seen[what] {
+			t.Errorf("the enumeration schedule never had %s", what)
+		}
+	}
+}
+
+// scanDirty returns the records with a member dirty marks, by a scan of
+// every record.
+func scanDirty(pairs []pairRec, dirty []bool) []pairRec {
+	var out []pairRec
+	for _, p := range pairs {
+		if dirty[p.a] || dirty[p.b] {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// recBytes returns records in PairBytes' layout; nil for none.
+func recBytes(recs []pairRec) []byte {
+	if len(recs) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&recs[0])), len(recs)*pairRecBytes)
+}
+
+// newEnumerationCase is a world whose batches reach the edges of the pair
+// list: A00 and Y99, the first and the last source, re-claim an object; Z,
+// whose objects no one else claims, claims another; every source but B04
+// claims one; B045, new, sorts in among the old sources; and N1, which shares
+// one object with N2 under MinShared 2, claims a second of N2's, so their
+// pair joins the list.
+func newEnumerationCase(t *testing.T) diffCase {
+	t.Helper()
+	rng := rand.New(rand.NewSource(61))
+	obj := func(k int) model.ObjectID { return model.ObjectID{Entity: fmt.Sprintf("o%02d", k), Attribute: "a"} }
+	priv := func(s string, k int) model.ObjectID {
+		return model.ObjectID{Entity: s, Attribute: fmt.Sprintf("p%d", k)}
+	}
+	val := func() string { return fmt.Sprintf("v%d", rng.Intn(3)) }
+	srcs := []string{"A00", "B01", "B02", "B03", "B04", "B05", "B06", "B07", "Y99"}
+	var base []model.Claim
+	for _, s := range srcs {
+		for k := 0; k < 12; k++ {
+			if rng.Intn(4) != 0 {
+				base = append(base, model.NewClaim(model.SourceID(s), obj(k), val()))
+			}
+		}
+	}
+	for k := 0; k < 3; k++ {
+		base = append(base, model.NewClaim("Z", priv("z", k), "z"),
+			model.NewClaim("N1", priv("n1", k), "n"), model.NewClaim("N2", priv("n2", k), "n"))
+	}
+	base = append(base, model.NewClaim("N1", priv("n", 0), "n"), model.NewClaim("N2", priv("n", 0), "n"),
+		model.NewClaim("N2", priv("n", 1), "n"))
+
+	var everyButB04 []model.Claim
+	for _, s := range append(srcs, "Z", "N1", "N2") {
+		if s != "B04" {
+			everyButB04 = append(everyButB04, model.NewClaim(model.SourceID(s), obj(12), val()))
+		}
+	}
+	var added []model.Claim
+	for k := 0; k < 6; k++ {
+		added = append(added, model.NewClaim("B045", obj(k), val()))
+	}
+	cfg := DefaultConfig()
+	cfg.MinShared = 2
+	return diffCase{cfg: cfg, base: base, batches: [][]model.Claim{
+		{model.NewClaim("A00", obj(0), "changed")},
+		{model.NewClaim("Y99", obj(1), "changed")},
+		{model.NewClaim("Z", priv("z", 9), "z")},
+		everyButB04,
+		added,
+		{model.NewClaim("N1", priv("n", 1), "n")},
+	}}
 }
 
 // mergePairsRef is mergePairs as it was: count the kept records, then merge
@@ -622,8 +892,10 @@ var benchScores []float64 // keeps the benchmarked call's result live
 // BenchmarkTruthStepWide times the truth step of one discounted round over
 // the wide world (the shape bench/ calls wide: 500 + 50 sources × 30
 // objects) — the objects a source-major append dirties — on one core, from
-// the world's solved state: rank the sources, then score every value group
-// of every object. ns/mul divides by the reference's multiplies, Σ k(k−1)/2
+// the world's solved state, through a discount made as refine makes it:
+// rank the sources and, as the table picks, list the partners or rank the
+// value groups and fill the factor table, then score every value group of
+// every object. ns/mul divides by the reference's multiplies, Σ k(k−1)/2
 // over the groups (muls/op, 2 587 302); discount_muls/op counts those the
 // kernel the table picks performs. The table is dense, so the column-wise
 // product runs and performs them all.
@@ -648,10 +920,9 @@ func benchTruthStep(b *testing.B, d *dataset.Dataset) {
 	}
 	c := d.Compiled()
 	solver := truth.NewDenseSolver(c, cfg.Truth)
-	nS := c.NumSources()
-	weights := make([]float64, nS)
+	weights := make([]float64, c.NumSources())
 	solver.FillWeights(st.acc, weights)
-	dc := &discount{on: true, order: make([]int32, nS), pos: make([]int32, nS), tot: st.tot, copyRate: cfg.CopyRate}
+	dc := newDiscount(c, st.tot, cfg.CopyRate, true)
 	dc.rank(st.acc)
 	muls, nonUnit := discountMuls(c, dc)
 	performed := muls

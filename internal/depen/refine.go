@@ -11,11 +11,14 @@
 // and objects dirty, each round
 //
 //   - ranks the sources once, by (accuracy desc, index asc): the vote
-//     discount's order within any value group is that one order, restricted;
-//     and, when at most an eighth of the totals table's pairs have a factor
-//     other than exactly 1, lists each source's partners — the sources
-//     ranked above it whose factor for it is not 1 — so the discount
-//     multiplies those alone (discount.rank in compiled.go),
+//     discount's order within any value group is that one order, restricted.
+//     When at most an eighth of the totals table's pairs have a factor other
+//     than exactly 1, it lists each source's partners — the sources ranked
+//     above it whose factor for it is not 1 — so the discount multiplies
+//     those alone; otherwise it scatters the sources, in rank order, into
+//     every value group they assert, so each group's members lie ranked, and
+//     evaluates each pair's factor once into a table over ranks, which the
+//     discount multiplies from (discount.rank in compiled.go),
 //   - rescores only the dirty objects' posteriors (untouched objects keep
 //     their converged rows),
 //   - re-estimates every source's accuracy over the full posterior vector
@@ -68,6 +71,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"unsafe"
 
 	"sourcecurrents/internal/dataset"
@@ -324,11 +328,7 @@ func refine(d *dataset.Dataset, prev *State, cfg Config) *State {
 	// any verdict at all; until one exists — round 1 of a flat solve — every
 	// discount factor is exactly 1 and scoring skips the discount.
 	acc, probs := st.acc, st.probs
-	dc := discount{
-		on:    prev != nil && len(prev.pairs) > 0,
-		order: make([]int32, nS), pos: make([]int32, nS),
-		tot: st.tot, copyRate: cfg.CopyRate,
-	}
+	dc := newDiscount(c, st.tot, cfg.CopyRate, prev != nil && len(prev.pairs) > 0)
 
 	// A pair with a dirty member is superseded by its freshly-joined
 	// candidate (overlap only grows, so it still is one): its old verdict
@@ -371,7 +371,7 @@ func refine(d *dataset.Dataset, prev *State, cfg Config) *State {
 			copy(row, kr)
 			return
 		}
-		scores := scoreObjectDiscounted(solver, oi, weights, &dc, sc)
+		scores := scoreObjectDiscounted(solver, oi, weights, dc, sc)
 		solver.FinishObject(oi, scores, row, sc.ds)
 	}
 	pairStep := func(pi int, sc *depenScratch) {
@@ -383,6 +383,9 @@ func refine(d *dataset.Dataset, prev *State, cfg Config) *State {
 		// the previous round.
 		solver.FillWeights(acc, weights)
 		dc.rank(acc)
+		if rankedHook != nil {
+			rankedHook(dc)
+		}
 		forN(nDirtyObj, truthStep)
 
 		// Accuracy step over every source: untouched sources recompute the
@@ -406,6 +409,10 @@ func refine(d *dataset.Dataset, prev *State, cfg Config) *State {
 	st.pairs = mergePairs(prev, srcOf, dirtySrc, fresh)
 	return st
 }
+
+// rankedHook, when set, is called with each round's discount once it is
+// ranked, before the round's truth step reads it.
+var rankedHook func(*discount)
 
 // rankSources fills order with the source indexes by (accuracy desc, index
 // asc) — a strict total order — and pos with its inverse: pos[s] is s's rank.
@@ -487,44 +494,108 @@ func grownIndex(nOld, nNew int, dirty []bool, same func(i, j int) bool) []int32 
 
 // mergePairs returns the successor's pair list: prev's pairs without a dirty
 // member, re-indexed through srcOf, merged with the rescored ones. Both are
-// in (a, b) order — srcOf is increasing — and disjoint. One pass: the kept
-// records are copied a run at a time, a run ending where one is dropped or
-// fresh ones sort in, into a list sized before the dropped are counted.
+// in (a, b) order — srcOf is increasing — and disjoint. The dropped records
+// are found by dirtyRuns, and the kept ones between them are copied a run at
+// a time, split only where a fresh one sorts inside, into a list sized
+// exactly.
 func mergePairs(prev *State, srcOf []int32, dirtySrc []bool, fresh []pairRec) []pairRec {
 	if prev == nil || len(prev.pairs) == 0 || !slices.Contains(dirtySrc, false) { // nothing to keep
 		return fresh
 	}
 	old := prev.pairs
-	all := make([]pairRec, 0, len(old)+len(fresh))
-	fi, lo := 0, 0
-	keep := func(hi int) { // the kept run old[lo:hi]
-		n := len(all)
-		all = append(all, old[lo:hi]...)
-		for i := n; srcOf != nil && i < len(all); i++ {
-			all[i].a, all[i].b = srcOf[all[i].a], srcOf[all[i].b]
+	dirty := dirtySrc
+	if srcOf != nil { // over prev's sources
+		dirty = make([]bool, len(srcOf))
+		for j, i := range srcOf {
+			dirty[j] = dirtySrc[i]
 		}
 	}
-	for i := range old {
-		a, b := old[i].a, old[i].b
+	runs := dirtyRuns(old, dirty)
+	kept := len(old)
+	for _, r := range runs {
+		kept -= int(r[1] - r[0])
+	}
+	if kept == 0 {
+		return fresh
+	}
+	all := make([]pairRec, 0, kept+len(fresh))
+	// before reports that fresh record f sorts before old record p.
+	before := func(f, p *pairRec) bool {
+		a, b := p.a, p.b
 		if srcOf != nil {
 			a, b = srcOf[a], srcOf[b]
 		}
-		dropped := dirtySrc[a] || dirtySrc[b]
-		fj := fi
-		for !dropped && fj < len(fresh) && (fresh[fj].a < a || fresh[fj].a == a && fresh[fj].b < b) {
-			fj++
-		}
-		if dropped || fj > fi {
-			keep(i)
-			all = append(all, fresh[fi:fj]...)
-			fi, lo = fj, i
-			if dropped {
-				lo++
+		return f.a < a || f.a == a && f.b < b
+	}
+	fi, lo := 0, 0
+	keep := func(hi int) { // the kept run old[lo:hi], with the fresh records sorting into it
+		for lo < hi {
+			at := hi
+			if fi < len(fresh) && before(&fresh[fi], &old[hi-1]) {
+				at = lo + sort.Search(hi-lo, func(k int) bool { return before(&fresh[fi], &old[lo+k]) })
+			}
+			n := len(all)
+			all = append(all, old[lo:at]...)
+			for i := n; srcOf != nil && i < len(all); i++ {
+				all[i].a, all[i].b = srcOf[all[i].a], srcOf[all[i].b]
+			}
+			for lo = at; lo < hi && fi < len(fresh) && before(&fresh[fi], &old[lo]); fi++ {
+				all = append(all, fresh[fi])
 			}
 		}
 	}
+	for _, r := range runs {
+		keep(int(r[0]))
+		lo = int(r[1])
+	}
 	keep(len(old))
 	return append(all, fresh[fi:]...)
+}
+
+// dirtyRuns returns, in ascending order, runs pairs[lo:hi] that together are
+// exactly the records, in (a, b) order over sources [0, len(dirty)), with a
+// member dirty marks: a dirty source's whole row, and in a clean row the
+// record of each dirty column, found by binary search. Rows are found by
+// binary search too, so the cost is the rows and the dirty columns, not the
+// records. Each search stays inside the records it can end in: row a holds
+// at most one record per b > a, in b order, so its end lies within
+// len(dirty)−1−a records of its start, and column b within b−a of it.
+func dirtyRuns(pairs []pairRec, dirty []bool) [][2]int32 {
+	var cols []int32 // the dirty sources, ascending
+	for s, d := range dirty {
+		if d {
+			cols = append(cols, int32(s))
+		}
+	}
+	if len(cols) == 0 {
+		return nil
+	}
+	var runs [][2]int32
+	for lo := 0; lo < len(pairs); {
+		a := pairs[lo].a
+		row := pairs[lo:min(len(pairs), lo+len(dirty)-1-int(a))]
+		row = row[:sort.Search(len(row), func(k int) bool { return row[k].a > a })]
+		if dirty[a] {
+			runs = append(runs, [2]int32{int32(lo), int32(lo + len(row))})
+			lo += len(row)
+			continue
+		}
+		next := 0 // the row's records before next are settled
+		first, _ := slices.BinarySearch(cols, a+1)
+		for _, b := range cols[first:] {
+			in := row[next:min(len(row), int(b-a))]
+			next += sort.Search(len(in), func(k int) bool { return in[k].b >= b })
+			if next == len(row) {
+				break
+			}
+			if row[next].b == b {
+				runs = append(runs, [2]int32{int32(lo + next), int32(lo + next + 1)})
+				next++
+			}
+		}
+		lo += len(row)
+	}
+	return runs
 }
 
 // comparePairs is the order of State.pairs: by (a, b).

@@ -221,6 +221,19 @@ func (s *Session) Dataset() *dataset.Dataset { return s.d }
 // analysed pair — which the session does not keep and no serving call reads.
 func (s *Session) Dependence() *depen.Result { return s.st.Result(s.cfg.Depen) }
 
+// NumDependences returns how many analysed pairs reach the dependence
+// threshold — len(Dependence().Dependences) — counted off the state's pair
+// records without building the view.
+func (s *Session) NumDependences() int {
+	n := 0
+	s.st.EachPair(func(_, _ int, ab, ba float64) {
+		if ab+ba >= s.cfg.Depen.DepThreshold {
+			n++
+		}
+	})
+	return n
+}
+
 // Accuracy returns the per-source accuracies, as Dependence().Truth.Accuracy:
 // the dense vector keyed by source, built once per epoch on the first call.
 // Callers must treat the map as read-only.

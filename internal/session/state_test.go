@@ -373,6 +373,32 @@ func TestStateViewConcurrentFirstRead(t *testing.T) {
 	}
 }
 
+// TestNumDependencesMatchesView holds the count off the state's records to
+// the view's thresholded list, on a flat session and its successor, at the
+// default threshold and at 0 and 1, the thresholds that take every pair and
+// only the pairs at exactly 1.
+func TestNumDependencesMatchesView(t *testing.T) {
+	for _, thr := range []float64{DefaultConfig().Depen.DepThreshold, 0, 1} {
+		cfg := DefaultConfig()
+		cfg.Depen.DepThreshold = thr
+		s, err := New(servingWorld(t, 17), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, err := s.Append(randomBatch(rand.New(rand.NewSource(3)), s.Dataset(), 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, ses := range map[string]*Session{"flat": s, "successor": next} {
+			if got, want := ses.NumDependences(), len(ses.Dependence().Dependences); got != want {
+				t.Fatalf("%s, threshold %v: %d dependences counted, the view lists %d", name, thr, got, want)
+			} else if thr == 0 && got == 0 {
+				t.Fatalf("%s: no pair at threshold 0", name)
+			}
+		}
+	}
+}
+
 // TestAccuracyReadsDenseVector: Accuracy on any session — a fresh successor,
 // an as-of epoch behind it, and sessions loaded by either path — is its
 // dense accuracy vector by name, keyed once per epoch, and it equals the
