@@ -499,7 +499,7 @@ func grownIndex(nOld, nNew int, dirty []bool, same func(i, j int) bool) []int32 
 // a time, split only where a fresh one sorts inside, into a list sized
 // exactly.
 func mergePairs(prev *State, srcOf []int32, dirtySrc []bool, fresh []pairRec) []pairRec {
-	if prev == nil || len(prev.pairs) == 0 || !slices.Contains(dirtySrc, false) { // nothing to keep
+	if prev == nil || len(prev.pairs) == 0 {
 		return fresh
 	}
 	old := prev.pairs
@@ -515,7 +515,7 @@ func mergePairs(prev *State, srcOf []int32, dirtySrc []bool, fresh []pairRec) []
 	for _, r := range runs {
 		kept -= int(r[1] - r[0])
 	}
-	if kept == 0 {
+	if kept == 0 { // every source dirty, or every pair has a dirty member
 		return fresh
 	}
 	all := make([]pairRec, 0, kept+len(fresh))
