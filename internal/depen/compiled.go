@@ -337,7 +337,8 @@ func (dc *discount) fillTable() {
 }
 
 // row returns the factor table's row of rank i, indexed by rank: its entries
-// past i are rank i's factors; those up to i belong to earlier rows.
+// past i are rank i's factors, entry i is unused, and those before i belong
+// to earlier rows.
 func (dc *discount) row(i int32) []float64 {
 	nS, r := len(dc.pos), int(i)
 	return dc.table[r*nS-r*(r+1)/2:][:nS]
